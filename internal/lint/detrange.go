@@ -9,9 +9,9 @@ import (
 // Detrange flags `range` over a map in code whose output order is
 // observable.
 //
-// Two scopes. In the analyzer hot paths (paint, warnock, raycast, core)
-// every map range is flagged: the analyzers produce ordered histories and
-// dependence lists, core.Engine and core.Seq consume them, and the
+// Two scopes. In the analyzer hot paths (paint, eqset, warnock, raycast,
+// core) every map range is flagged: the analyzers produce ordered
+// histories and dependence lists, core.Engine and core.Seq consume them, and the
 // cross-checker compares runs byte for byte, so a map range anywhere on
 // these paths can reorder emitted dependences run to run. In the encoding
 // layers (the wire package and the root package's checkpoint files) only
@@ -32,7 +32,7 @@ var Detrange = &Analyzer{
 			return true
 		}
 		switch pkgTail(path) {
-		case "paint", "warnock", "raycast", "core", "wire":
+		case "paint", "eqset", "warnock", "raycast", "core", "wire":
 			return true
 		}
 		return false

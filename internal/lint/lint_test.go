@@ -54,6 +54,7 @@ func TestMatchPolicies(t *testing.T) {
 		{Guardedby, "visibility/internal/fault", true},
 		{Guardedby, "visibility/internal/core", false},
 		{Detrange, "visibility/internal/paint", true},
+		{Detrange, "visibility/internal/eqset", true},
 		{Detrange, "visibility/internal/warnock", true},
 		{Detrange, "visibility/internal/raycast", true},
 		{Detrange, "visibility/internal/core", true},

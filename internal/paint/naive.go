@@ -15,7 +15,6 @@ package paint
 import (
 	"visibility/internal/core"
 	"visibility/internal/field"
-	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
@@ -61,9 +60,7 @@ func (n *Naive) histFor(f field.ID) []core.Entry {
 func (n *Naive) Analyze(t *Task) *core.Result {
 	span := n.opts.Spans.Begin("paint-naive.analyze", "analysis")
 	defer span.End()
-	n.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
+	sc := core.NewScan("paint-naive", n.opts.Prov, &n.stats, t)
 
 	// materialize: replay the full history against each requirement.
 	for ri, req := range t.Reqs {
@@ -73,31 +70,15 @@ func (n *Naive) Analyze(t *Task) *core.Result {
 			continue
 		}
 		h := n.histFor(req.Field)
-		var plan []core.Visible
+		sc.Begin(ri, req)
 		for _, e := range h {
 			n.stats.EntriesScanned++
 			n.stats.OverlapTests++
-			inter := e.Pts.Intersect(req.Region.Space)
-			if inter.IsEmpty() {
-				continue
-			}
-			if privilege.Interferes(e.Priv, req.Priv) {
-				deps = append(deps, e.Task)
-				n.stats.DepsReported++
-				if n.opts.Prov != nil && e.Task != core.InitialTask {
-					n.opts.Prov.AddReason(core.EdgeReason{
-						Src: e.Task, Dst: t.ID, Kind: core.ReasonRegion, Analyzer: "paint-naive",
-						SrcReq: e.Req, DstReq: ri, Field: req.Field,
-						SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: inter.Bounds(), Trace: -1,
-					})
-				}
-			}
-			if !req.Priv.IsReduce() && e.Priv.Mutates() {
-				plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: inter})
+			if inter := e.Pts.Intersect(req.Region.Space); !inter.IsEmpty() {
+				sc.Entry(e, inter)
 			}
 		}
 		n.opts.Probe.Touch(n.opts.Owner(n.tree.Root.Space), int64(len(h)))
-		plans[ri] = plan
 	}
 
 	// commit: append this task's operations to the history.
@@ -109,7 +90,7 @@ func (n *Naive) Analyze(t *Task) *core.Result {
 			core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space})
 	}
 
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
+	return sc.Result()
 }
 
 // Task is re-exported for brevity inside this package.

@@ -147,9 +147,7 @@ type pathStep struct {
 func (pa *Painter) Analyze(t *core.Task) *core.Result {
 	span := pa.opts.Spans.Begin("paint.analyze", "analysis")
 	defer span.End()
-	pa.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
+	sc := core.NewScan("paint", pa.opts.Prov, &pa.stats, t)
 
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
@@ -176,20 +174,17 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		// composite views accumulate children (§8.2); it is charged where
 		// the history lives.
 		scan := pa.opts.Spans.Begin("paint.scan", "analysis")
-		var plan []core.Visible
+		sc.Begin(ri, req)
 		for _, step := range path {
 			ns := fs.node(step.key)
 			if len(ns.hist) == 0 {
 				continue
 			}
 			before := pa.stats.EntriesScanned
-			deps, plan = pa.scanItems(ns.hist, req, t.ID, ri, deps, plan)
+			pa.scanItems(ns.hist, req, &sc)
 			pa.opts.Probe.Touch(core.LocalOwner, pa.stats.EntriesScanned-before+1)
 		}
 		scan.End()
-		if req.Priv.IsReduce() {
-			plan = nil
-		}
 		// Path order concatenates per-node histories, so entries from
 		// hoisted views can interleave out of program order. That is legal
 		// for non-interfering operations in exact arithmetic, but two
@@ -198,13 +193,13 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		// float sum/product. Restoring global program order (stable on
 		// task, then requirement) keeps interfering pairs where the history
 		// already put them and makes materialization byte-exact.
+		plan := sc.Plan()
 		sort.SliceStable(plan, func(i, j int) bool {
 			if plan[i].Task != plan[j].Task {
 				return plan[i].Task < plan[j].Task
 			}
 			return plan[i].Req < plan[j].Req
 		})
-		plans[ri] = plan
 	}
 
 	// commit: record this task's operations at its regions and prune
@@ -234,7 +229,7 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		}
 	}
 
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
+	return sc.Result()
 }
 
 // hoistChildren snapshots every open, overlapping, interfering child
@@ -373,9 +368,8 @@ func (pa *Painter) partitionByID(id int) *region.Partition {
 }
 
 // scanItems traverses history items in order, expanding composite views,
-// collecting dependences and plan entries for req. dst and ri identify the
-// launch and requirement being materialized.
-func (pa *Painter) scanItems(items []item, req core.Req, dst, ri int, deps []int, plan []core.Visible) ([]int, []core.Visible) {
+// and hands sc every entry that shares points with req.
+func (pa *Painter) scanItems(items []item, req core.Req, sc *core.Scan) {
 	for _, it := range items {
 		if it.view != nil {
 			pa.stats.OverlapTests++
@@ -386,32 +380,16 @@ func (pa *Painter) scanItems(items []item, req core.Req, dst, ri int, deps []int
 			if !it.view.pts.Overlaps(req.Region.Space) {
 				continue
 			}
-			deps, plan = pa.scanItems(it.view.items, req, dst, ri, deps, plan)
+			pa.scanItems(it.view.items, req, sc)
 			continue
 		}
 		e := it.entry
 		pa.stats.EntriesScanned++
 		pa.stats.OverlapTests++
-		inter := e.Pts.Intersect(req.Region.Space)
-		if inter.IsEmpty() {
-			continue
-		}
-		if privilege.Interferes(e.Priv, req.Priv) {
-			deps = append(deps, e.Task)
-			pa.stats.DepsReported++
-			if pa.opts.Prov != nil && e.Task != core.InitialTask {
-				pa.opts.Prov.AddReason(core.EdgeReason{
-					Src: e.Task, Dst: dst, Kind: core.ReasonRegion, Analyzer: "paint",
-					SrcReq: e.Req, DstReq: ri, Field: req.Field,
-					SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: inter.Bounds(), Trace: -1,
-				})
-			}
-		}
-		if !req.Priv.IsReduce() && e.Priv.Mutates() {
-			plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: inter})
+		if inter := e.Pts.Intersect(req.Region.Space); !inter.IsEmpty() {
+			sc.Entry(e, inter)
 		}
 	}
-	return deps, plan
 }
 
 // prune removes items whose recorded points are entirely covered by cover

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"visibility/internal/core"
+	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
 	"visibility/internal/index"
@@ -169,5 +170,34 @@ func TestKDFallback(t *testing.T) {
 		}})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMigrationBetweenMaterializeAndCommit pins the stale-set rule across
+// a re-bucketing: a launch reads two pieces of one field, and a forced
+// migration on the second requirement's visit replaces every set —
+// including the ones the first requirement found — by fresh per-piece
+// copies. The first requirement must commit to the live copies, or the
+// later writer of its piece loses the write-after-read dependence.
+func TestMigrationBetweenMaterializeAndCommit(t *testing.T) {
+	for _, seed := range []string{"1", "2", "3", "4"} { // odd/even payloads: K-d fallback and same-partition re-bucket
+		tree, p, _ := testutil.GraphTree()
+		up, _ := tree.Fields.Lookup("up")
+		inj, err := fault.NewFromString("seed=" + seed + ";analyzer.eqset.migrate=every=2,max=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := raycast.New(tree, core.Options{Faults: inj})
+		s := core.NewStream(tree)
+		rc.Analyze(s.Launch("r",
+			core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Reads()},
+			core.Req{Region: p.Subregions[1], Field: up, Priv: privilege.Reads()}))
+		res := rc.Analyze(s.Launch("w", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Writes()}))
+		if inj.Fires(fault.EqMigrate) != 1 {
+			t.Fatalf("seed %s: migration fired %d times, want 1", seed, inj.Fires(fault.EqMigrate))
+		}
+		if len(res.Deps) != 1 || res.Deps[0] != 0 {
+			t.Errorf("seed %s: writer deps = %v, want [0] (the reader)", seed, res.Deps)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package raycast implements the ray-casting coherence algorithm (paper
-// §7), the algorithm in production use by Legion. It keeps Warnock-style
-// equivalence sets, but a task writing a region R creates a single fresh
+// §7), the algorithm in production use by Legion, as a store over the
+// eqset kernel: a task writing a region R creates a single fresh
 // equivalence set for R and prunes every set R occludes (dominating_write,
 // Figure 11), so equivalence sets coalesce as well as refine and the
 // steady-state population stays small.
@@ -21,11 +21,11 @@ import (
 
 	"visibility/internal/bvh"
 	"visibility/internal/core"
+	"visibility/internal/eqset"
 	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/index"
 	"visibility/internal/obs/recorder"
-	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
@@ -36,20 +36,20 @@ const migrateAfter = 8
 // RayCast is the ray-casting coherence analyzer of §7.
 type RayCast struct {
 	tree *region.Tree
-	opts core.Options
+	k    *eqset.Kernel[place]
 	// state holds the per-field interval lists and acceleration indexes,
 	// mutated by every Analyze with no lock: the analyzer runs on exactly
 	// one goroutine (the submit side, §3.2).
 	//
 	// confined to analyzer
 	state map[field.ID]*fieldState
-	// confined to analyzer
-	stats core.Stats
 }
 
 // New creates a ray-casting analyzer for tree.
 func New(tree *region.Tree, opts core.Options) *RayCast {
-	return &RayCast{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	rc := &RayCast{tree: tree, state: make(map[field.ID]*fieldState)}
+	rc.k = eqset.New[place]("raycast", opts, rc)
+	return rc
 }
 
 // Name implements core.Analyzer.
@@ -58,15 +58,20 @@ func (rc *RayCast) Name() string { return "raycast" }
 // Stats implements core.Analyzer.
 //
 // confined to analyzer
-func (rc *RayCast) Stats() *core.Stats { return &rc.stats }
+func (rc *RayCast) Stats() *core.Stats { return &rc.k.Stats }
 
-type eqset struct {
+// Analyze implements core.Analyzer.
+//
+// confined to analyzer
+func (rc *RayCast) Analyze(t *core.Task) *core.Result { return rc.k.Analyze(t) }
+
+// place is where the store keeps a set.
+type place struct {
 	id     int
-	pts    index.Space
-	hist   []core.Entry
-	bucket int  // owning DCP piece index; -1 in K-d mode
-	dead   bool // replaced by refinement or pruned by a dominating write
+	bucket int // owning DCP piece index; -1 in K-d mode
 }
+
+type set = eqset.Set[place]
 
 type fieldState struct {
 	nextID int
@@ -74,11 +79,11 @@ type fieldState struct {
 	// Disjoint-complete-partition mode.
 	dcp     *region.Partition
 	pieces  *bvh.Tree // over piece bounding boxes
-	buckets [][]*eqset
+	buckets [][]*set
 
 	// K-d fallback mode (dcp == nil).
 	kd     *bvh.KD
-	kdSets map[int]*eqset
+	kdSets map[int]*set
 
 	// Migration heuristic state.
 	misses    int
@@ -115,13 +120,13 @@ func (rc *RayCast) SetSpaces(f field.ID) []index.Space {
 	var out []index.Space
 	if fs.dcp == nil {
 		for _, id := range sortedIntKeys(fs.kdSets) {
-			out = append(out, fs.kdSets[id].pts)
+			out = append(out, fs.kdSets[id].Pts)
 		}
 		return out
 	}
 	for _, b := range fs.buckets {
 		for _, s := range b {
-			out = append(out, s.pts)
+			out = append(out, s.Pts)
 		}
 	}
 	return out
@@ -145,8 +150,8 @@ func (rc *RayCast) fieldFor(f field.ID, hint *region.Region) *fieldState {
 	}
 	fs = &fieldState{}
 	root := rc.tree.Root.Space
-	seed := &eqset{pts: root, hist: []core.Entry{core.SeedEntry(root)}}
-	rc.installAccel(fs, rc.chooseDCP(hint), []*eqset{seed})
+	seed := &set{Pts: root, Hist: []core.Entry{core.SeedEntry(root)}}
+	rc.installAccel(fs, rc.chooseDCP(hint), []*set{seed})
 	rc.state[f] = fs
 	return fs
 }
@@ -184,7 +189,7 @@ func (rc *RayCast) chooseDCP(hint *region.Region) *region.Partition {
 // installAccel (re)builds the acceleration structure for dcp (or the K-d
 // fallback when dcp is nil) and distributes sets into it, splitting sets
 // at piece boundaries so each lives in exactly one bucket.
-func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*eqset) {
+func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*set) {
 	fs.dcp = dcp
 	fs.misses = 0
 	fs.candidate = nil
@@ -195,7 +200,7 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*e
 
 	if dcp == nil {
 		fs.kd = bvh.NewKD(rc.tree.Root.Space.Bounds(), 64)
-		fs.kdSets = make(map[int]*eqset)
+		fs.kdSets = make(map[int]*set)
 		for _, s := range sets {
 			rc.kdInsert(fs, s)
 		}
@@ -213,148 +218,138 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*e
 		}
 	}
 	fs.pieces = bvh.Build(inputs)
-	fs.buckets = make([][]*eqset, len(dcp.Subregions))
+	fs.buckets = make([][]*set, len(dcp.Subregions))
 	for _, s := range sets {
+		// Re-bucketing replaces s by per-piece copies: an earlier
+		// requirement of the launch being analyzed may still hold s, and
+		// must look its sets up again rather than commit to the orphan.
+		s.Dead = true
 		for i, sub := range dcp.Subregions {
-			rc.stats.OverlapTests++
-			part := s.pts.Intersect(sub.Space)
+			rc.k.Stats.OverlapTests++
+			part := s.Pts.Intersect(sub.Space)
 			if part.IsEmpty() {
 				continue
 			}
-			ns := &eqset{id: fs.nextID, pts: part, hist: append([]core.Entry(nil), s.hist...), bucket: i}
-			fs.nextID++
-			fs.buckets[i] = append(fs.buckets[i], ns)
-			rc.opts.Probe.Touch(rc.opts.Owner(part), 1)
+			rc.insert(fs, &set{Pts: part, Hist: append([]core.Entry(nil), s.Hist...), At: place{bucket: i}})
 		}
 	}
 }
 
-func (rc *RayCast) kdInsert(fs *fieldState, s *eqset) {
-	s.id = fs.nextID
-	s.bucket = -1
+func (rc *RayCast) kdInsert(fs *fieldState, s *set) {
+	s.At = place{id: fs.nextID, bucket: -1}
 	fs.nextID++
-	fs.kdSets[s.id] = s
-	fs.kd.Insert(s.id, s.pts.Bounds())
-	rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
+	fs.kdSets[s.At.id] = s
+	fs.kd.Insert(s.At.id, s.Pts.Bounds())
+	rc.k.Touch(s.Pts, 1)
 }
 
 // overlappingBuckets returns the indices of dcp pieces whose contents
 // overlap sp.
 func (rc *RayCast) overlappingBuckets(fs *fieldState, sp index.Space) []int {
-	span := rc.opts.Spans.Begin("raycast.bvh_query", "analysis")
+	span := rc.k.Opts.Spans.Begin("raycast.bvh_query", "analysis")
 	defer span.End()
 	var out []int
 	visited := fs.pieces.QuerySpace(sp, func(i int) {
-		rc.stats.OverlapTests++
+		rc.k.Stats.OverlapTests++
 		if fs.dcp.Subregions[i].Space.Overlaps(sp) {
 			out = append(out, i)
 		}
 	})
-	rc.stats.BVHVisited += int64(visited)
-	rc.opts.Probe.Visit(int64(visited))
+	rc.k.Stats.BVHVisited += int64(visited)
+	rc.k.Opts.Probe.Visit(int64(visited))
 	return out
 }
 
 // candidates returns the live sets overlapping sp.
-func (rc *RayCast) candidates(fs *fieldState, sp index.Space) []*eqset {
-	var out []*eqset
+func (rc *RayCast) candidates(fs *fieldState, sp index.Space) []*set {
+	var out []*set
 	if fs.dcp != nil {
 		for _, bi := range rc.overlappingBuckets(fs, sp) {
 			for _, s := range fs.buckets[bi] {
-				rc.stats.SetsVisited++
-				rc.stats.OverlapTests++
-				if s.pts.Overlaps(sp) {
+				rc.k.Stats.SetsVisited++
+				rc.k.Stats.OverlapTests++
+				if s.Pts.Overlaps(sp) {
 					out = append(out, s)
 				}
 			}
-			rc.opts.Probe.Touch(rc.opts.Owner(fs.dcp.Subregions[bi].Space), int64(len(fs.buckets[bi])))
+			rc.k.Touch(fs.dcp.Subregions[bi].Space, int64(len(fs.buckets[bi])))
 		}
 		return out
 	}
 	visited := fs.kd.QuerySpace(sp, func(id int) {
 		s := fs.kdSets[id]
-		rc.stats.SetsVisited++
-		rc.stats.OverlapTests++
-		if s.pts.Overlaps(sp) {
+		rc.k.Stats.SetsVisited++
+		rc.k.Stats.OverlapTests++
+		if s.Pts.Overlaps(sp) {
 			out = append(out, s)
 		}
-		rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
+		rc.k.Touch(s.Pts, 1)
 	})
-	rc.stats.BVHVisited += int64(visited)
-	rc.opts.Probe.Visit(int64(visited))
+	rc.k.Stats.BVHVisited += int64(visited)
+	rc.k.Opts.Probe.Visit(int64(visited))
 	return out
 }
 
 // remove deletes s from the acceleration structure.
-func (rc *RayCast) remove(fs *fieldState, s *eqset) {
+func (rc *RayCast) remove(fs *fieldState, s *set) {
 	if fs.dcp != nil {
-		b := fs.buckets[s.bucket]
+		b := fs.buckets[s.At.bucket]
 		for i, x := range b {
 			if x == s {
 				b[i] = b[len(b)-1]
-				fs.buckets[s.bucket] = b[:len(b)-1]
+				fs.buckets[s.At.bucket] = b[:len(b)-1]
 				return
 			}
 		}
 		return
 	}
-	fs.kd.Remove(s.id)
-	delete(fs.kdSets, s.id)
+	fs.kd.Remove(s.At.id)
+	delete(fs.kdSets, s.At.id)
 }
 
 // insert adds a set whose bucket is already known (refined fragments stay
 // in their parent's piece) or registers it in the K-d container.
-func (rc *RayCast) insert(fs *fieldState, s *eqset) {
+func (rc *RayCast) insert(fs *fieldState, s *set) {
 	if fs.dcp != nil {
-		s.id = fs.nextID
+		s.At.id = fs.nextID
 		fs.nextID++
-		fs.buckets[s.bucket] = append(fs.buckets[s.bucket], s)
-		rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
+		fs.buckets[s.At.bucket] = append(fs.buckets[s.At.bucket], s)
+		rc.k.Touch(s.Pts, 1)
 		return
 	}
 	rc.kdInsert(fs, s)
 }
 
-// refine splits partially-overlapping sets and returns those fully inside
-// sp, exactly as Warnock's refine (Figure 9) but over the bucketed store.
-func (rc *RayCast) refine(fs *fieldState, sp index.Space) []*eqset {
-	span := rc.opts.Spans.Begin("raycast.refine", "analysis")
+// Refine implements eqset.Store: fragments replace a split set in its
+// bucket (or in the K-d container). The migration heuristic and the
+// eq.migrate fault watch each requirement once, on its materialize-phase
+// visit.
+//
+// confined to analyzer
+func (rc *RayCast) Refine(t *core.Task, ri int, commit bool) []*set {
+	r := t.Reqs[ri].Region
+	fs := rc.fieldFor(t.Reqs[ri].Field, r)
+	if !commit {
+		rc.maybeMigrate(fs, r)
+		if fired, v := rc.k.Opts.Faults.FireValue(fault.EqMigrate, int64(t.ID)); fired {
+			rc.forceMigrate(fs, v)
+		}
+	}
+	span := rc.k.Opts.Spans.Begin("raycast.refine", "analysis")
 	defer span.End()
-	var inside []*eqset
-	for _, s := range rc.candidates(fs, sp) {
-		rc.stats.OverlapTests++
-		if sp.Covers(s.pts) {
-			// Fault plane: force a refinement the analysis did not need.
-			// Both fragments carry the full history, so the split is
-			// semantics-preserving — it only breaks code that secretly
-			// depends on covered sets staying whole.
-			if vol := s.pts.Volume(); vol > 1 {
-				if fired, v := rc.opts.Faults.FireValue(fault.EqSplit, vol); fired {
-					a, b := s.pts.SplitAt(1 + int64(v%uint64(vol-1)))
-					in := &eqset{pts: a, hist: append([]core.Entry(nil), s.hist...), bucket: s.bucket}
-					out := &eqset{pts: b, hist: s.hist, bucket: s.bucket}
-					s.dead = true
-					rc.remove(fs, s)
-					rc.insert(fs, in)
-					rc.insert(fs, out)
-					rc.stats.SetsCreated += 2
-					rc.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-					inside = append(inside, in, out)
-					continue
-				}
-			}
-			inside = append(inside, s)
+	var inside []*set
+	for _, s := range rc.candidates(fs, r.Space) {
+		in, rest, forced := rc.k.Split(s, r.Space)
+		inside = append(inside, in)
+		if rest == nil {
 			continue
 		}
-		in := &eqset{pts: s.pts.Intersect(sp), hist: append([]core.Entry(nil), s.hist...), bucket: s.bucket}
-		out := &eqset{pts: s.pts.Subtract(sp), hist: s.hist, bucket: s.bucket}
-		s.dead = true
 		rc.remove(fs, s)
 		rc.insert(fs, in)
-		rc.insert(fs, out)
-		rc.stats.SetsCreated += 2
-		rc.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-		inside = append(inside, in)
+		rc.insert(fs, rest)
+		if forced {
+			inside = append(inside, rest)
+		}
 	}
 	return inside
 }
@@ -380,7 +375,7 @@ func (rc *RayCast) maybeMigrate(fs *fieldState, r *region.Region) {
 	}
 	fs.misses++
 	if fs.misses >= migrateAfter {
-		var all []*eqset
+		var all []*set
 		for _, b := range fs.buckets {
 			all = append(all, b...)
 		}
@@ -394,7 +389,7 @@ func (rc *RayCast) maybeMigrate(fs *fieldState, r *region.Region) {
 // re-bucket against the same partition — exercising the §7.1 migration
 // path under an adversarial schedule.
 func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
-	var all []*eqset
+	var all []*set
 	if fs.dcp == nil {
 		for _, id := range sortedIntKeys(fs.kdSets) {
 			all = append(all, fs.kdSets[id])
@@ -412,125 +407,29 @@ func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
 	}
 }
 
-// Analyze implements core.Analyzer.
+// Write implements eqset.Store as the dominating write of Figure 11: the
+// write's region becomes a fresh equivalence set (split at piece boundaries
+// in DCP mode) and every set it occludes — inside — is pruned.
 //
 // confined to analyzer
-func (rc *RayCast) Analyze(t *core.Task) *core.Result {
-	span := rc.opts.Spans.Begin("raycast.analyze", "analysis")
+func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
+	req := t.Reqs[ri]
+	fs, sp := rc.state[req.Field], req.Region.Space
+	e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: sp}
+	span := rc.k.Opts.Spans.Begin("raycast.coalesce", "analysis")
 	defer span.End()
-	rc.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
-
-	insides := make([][]*eqset, len(t.Reqs))
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			// No points: nothing can interfere and nothing materializes.
-			// Common under sharding, where a requirement's restriction to
-			// most atoms is empty, and for clipped boundary halos.
-			continue
-		}
-		fs := rc.fieldFor(req.Field, req.Region)
-		rc.maybeMigrate(fs, req.Region)
-		if fired, v := rc.opts.Faults.FireValue(fault.EqMigrate, int64(t.ID)); fired {
-			rc.forceMigrate(fs, v)
-		}
-		inside := rc.refine(fs, req.Region.Space)
-		insides[ri] = inside
-		var plan []core.Visible
-		for _, s := range inside {
-			// Charge one interference test per privilege epoch, as in
-			// Legion's user lists (see warnock.privRuns).
-			rc.opts.Probe.Touch(rc.opts.Owner(s.pts), privRuns(s.hist))
-			for _, e := range s.hist {
-				rc.stats.EntriesScanned++
-				if privilege.Interferes(e.Priv, req.Priv) {
-					deps = append(deps, e.Task)
-					rc.stats.DepsReported++
-					if rc.opts.Prov != nil && e.Task != core.InitialTask {
-						rc.opts.Prov.AddReason(core.EdgeReason{
-							Src: e.Task, Dst: t.ID, Kind: core.ReasonRegion, Analyzer: "raycast",
-							SrcReq: e.Req, DstReq: ri, Field: req.Field,
-							SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: s.pts.Bounds(), Trace: -1,
-						})
-					}
-				}
-				if !req.Priv.IsReduce() && e.Priv.Mutates() {
-					plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: s.pts})
-				}
-			}
-		}
-		if req.Priv.IsReduce() {
-			plan = nil
-		}
-		plans[ri] = plan
-	}
-
-	// commit: writes dominate (create one coalesced set per overlapped
-	// bucket and prune everything they occlude); reads and reductions
-	// append to each constituent set.
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			continue
-		}
-		fs := rc.fieldFor(req.Field, req.Region)
-		e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space}
-		// Reuse the constituent sets from materialize unless another
-		// requirement of this task refined or pruned them since.
-		inside := insides[ri]
-		for _, s := range inside {
-			if s.dead {
-				inside = rc.refine(fs, req.Region.Space)
-				break
-			}
-		}
-		if req.Priv.IsWrite() {
-			rc.dominatingWrite(fs, req.Region.Space, e, inside)
-			continue
-		}
-		for _, s := range inside {
-			se := e
-			se.Pts = s.pts
-			s.hist = append(s.hist, se)
-			rc.opts.Probe.Touch(rc.opts.Owner(s.pts), 1)
-		}
-	}
-
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
-}
-
-// privRuns counts maximal runs of identical privileges in a history — the
-// epochs a scan actually tests for interference.
-func privRuns(hist []core.Entry) int64 {
-	var runs int64
-	for i, e := range hist {
-		if i == 0 || !e.Priv.Same(hist[i-1].Priv) {
-			runs++
-		}
-	}
-	return runs
-}
-
-// dominatingWrite implements Figure 11: the write's region becomes a fresh
-// equivalence set (split at piece boundaries in DCP mode) and every
-// occluded set is pruned. inside holds the occluded sets, found during the
-// materialize-phase refine: every set overlapping the write's region is
-// covered by it after refinement.
-func (rc *RayCast) dominatingWrite(fs *fieldState, sp index.Space, e core.Entry, inside []*eqset) {
-	span := rc.opts.Spans.Begin("raycast.coalesce", "analysis")
-	defer span.End()
-	rc.opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
+	rc.k.Opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
 	buckets := make(map[int]index.Space)
 	for _, s := range inside {
-		s.dead = true
+		s.Dead = true
 		rc.remove(fs, s)
-		rc.stats.SetsCoalesced++
-		if s.bucket >= 0 {
-			cur, ok := buckets[s.bucket]
+		rc.k.Stats.SetsCoalesced++
+		if bi := s.At.bucket; bi >= 0 {
+			cur, ok := buckets[bi]
 			if !ok {
 				cur = index.Empty(sp.Dim())
 			}
-			buckets[s.bucket] = cur.Union(s.pts)
+			buckets[bi] = cur.Union(s.Pts)
 		}
 	}
 	if fs.dcp != nil {
@@ -540,20 +439,18 @@ func (rc *RayCast) dominatingWrite(fs *fieldState, sp index.Space, e core.Entry,
 		// sorted so two runs of the same stream emit identical output.
 		for _, bi := range sortedIntKeys(buckets) {
 			part := buckets[bi]
-			se := e
-			se.Pts = part
-			ns := &eqset{id: fs.nextID, pts: part, hist: []core.Entry{se}, bucket: bi}
+			e.Pts = part
+			ns := &set{Pts: part, Hist: []core.Entry{e}, At: place{id: fs.nextID, bucket: bi}}
 			fs.nextID++
 			fs.buckets[bi] = append(fs.buckets[bi], ns)
-			rc.stats.SetsCreated++
+			rc.k.Stats.SetsCreated++
 			// Invalidate-and-replace is one batched update per owner.
-			rc.opts.Probe.Touch(rc.opts.Owner(part), 2)
+			rc.k.Touch(part, 2)
 		}
 		return
 	}
-	ns := &eqset{pts: sp, hist: []core.Entry{e}}
-	rc.kdInsert(fs, ns)
-	rc.stats.SetsCreated++
+	rc.kdInsert(fs, &set{Pts: sp, Hist: []core.Entry{e}})
+	rc.k.Stats.SetsCreated++
 }
 
 // sortedIntKeys returns m's keys in ascending order, making iteration over

@@ -213,17 +213,26 @@ func TestMetricsEndpointShape(t *testing.T) {
 	resp := postWorkload(t, hs.URL, id, wire.ExampleQuickstart())
 	resp.Body.Close()
 
-	mresp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
 	var body struct {
 		Server   map[string]int64            `json:"server"`
 		Sessions map[string]map[string]int64 `json:"sessions"`
 	}
-	if err := json.NewDecoder(mresp.Body).Decode(&body); err != nil {
-		t.Fatalf("/metrics is not parseable: %v", err)
+	// The snapshot job queues behind the batch, but the batch's tasks run
+	// on the executor's own goroutines and bump the scheduler counters as
+	// they materialize: poll until the first one has.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mresp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(mresp.Body).Decode(&body)
+		mresp.Body.Close()
+		if err != nil {
+			t.Fatalf("/metrics is not parseable: %v", err)
+		}
+		if body.Sessions[id]["sched/cache/misses"]+body.Sessions[id]["sched/cache/hits"] > 0 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if body.Server["server/http/workloads/requests"] == 0 {
 		t.Errorf("endpoint request counter missing: %v", body.Server)

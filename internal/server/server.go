@@ -163,21 +163,22 @@ func (srv *Server) DumpRecorder(dir string) (string, error) {
 	return path, nil
 }
 
-// sessionFailed reacts to a session latching its first failure: the
-// event is journaled, and when RecorderDir is set the recorder window is
-// dumped to disk so the state leading up to the failure survives the
-// session. The dump path is stored on the session for the 409 body.
-func (srv *Server) sessionFailed(s *session) {
-	srv.rec.Log(recorder.KindWorkerFail, s.seq, 0)
+// sessionFailed is the server's reaction to session seq latching its first
+// failure: the event is journaled, and when RecorderDir is set the recorder
+// window — worker_fail included — is dumped to disk so the state leading up
+// to the failure survives the session. It returns the dump path for the 409
+// body, "" when no dump was written.
+func (srv *Server) sessionFailed(seq int64) string {
+	srv.rec.Log(recorder.KindWorkerFail, seq, 0)
 	if srv.cfg.RecorderDir == "" {
-		return
+		return ""
 	}
 	path, err := srv.DumpRecorder(srv.cfg.RecorderDir)
 	if err != nil {
 		srv.metrics.NewCounter("server/recorder/dump_errors").Inc()
-		return
+		return ""
 	}
-	s.setDumpPath(path)
+	return path
 }
 
 // SessionCount returns the number of live sessions.

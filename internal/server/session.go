@@ -183,26 +183,18 @@ func (s *session) latchedFailure() error {
 
 // latchFailure records err as the session failure if none is latched yet;
 // the first latch triggers the server's failure reaction (flight-recorder
-// event and, when configured, a dump to disk).
+// event and, when configured, a dump to disk). The whole reaction runs
+// under mu — evidence before signal: whoever learns of the failure, from
+// the journal or from a 409, and then reads the session finds its dump path
+// already set.
 func (s *session) latchFailure(err error) {
 	s.mu.Lock()
-	first := s.failure == nil
-	if first {
-		s.failure = err
-	}
-	s.mu.Unlock()
-	if first {
-		s.srv.sessionFailed(s)
-	}
-}
-
-// setDumpPath records where the failure-triggered recorder dump landed.
-func (s *session) setDumpPath(path string) {
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dumpPath == "" {
-		s.dumpPath = path
+	if s.failure != nil {
+		return
 	}
+	s.failure = err
+	s.dumpPath = s.srv.sessionFailed(s.seq)
 }
 
 // recorderDump returns the failure dump path, if one was written.

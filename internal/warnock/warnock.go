@@ -1,40 +1,30 @@
 // Package warnock implements Warnock's algorithm for content-based
-// coherence (paper §6): the state is a set of equivalence sets — pairs of a
-// point set and a history — maintaining the invariant that every operation
-// in an equivalence set's history is relevant to every point of the set.
-// Launching a task on a region refines any partially-overlapping
-// equivalence sets into inside/outside halves (Figure 9), so equivalence
-// sets only ever get smaller.
-//
-// The history of refinements forms a search tree that acts as a bounding
-// volume hierarchy (§6.1): lookups descend from the root through refined
-// nodes to the current leaves, and per-region results are memoized so
-// repeated uses of the same region restart the search at the memoized
-// nodes rather than the root.
+// coherence (paper §6) as a store over the eqset kernel: equivalence sets
+// are only ever refined, never merged, so the history of refinements forms
+// a search tree that acts as a bounding volume hierarchy (§6.1). Lookups
+// descend from the root through refined nodes to the current leaves, and
+// per-region results are memoized so repeated uses of the same region
+// restart the search at the memoized sets rather than the root.
 package warnock
 
 import (
 	"visibility/internal/core"
-	"visibility/internal/fault"
+	"visibility/internal/eqset"
 	"visibility/internal/field"
 	"visibility/internal/index"
-	"visibility/internal/obs/recorder"
-	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
 // Warnock is the equivalence-set coherence analyzer of §6.
 type Warnock struct {
 	tree *region.Tree
-	opts core.Options
+	k    *eqset.Kernel[*bnode]
 	// state holds the per-field refinement trees and memo tables, mutated
 	// by every Analyze with no lock: the analyzer runs on exactly one
 	// goroutine (the submit side, §3.2).
 	//
 	// confined to analyzer
 	state map[field.ID]*fieldState
-	// confined to analyzer
-	stats core.Stats
 
 	// nextToken issues unique ids for refinement-tree nodes across fields.
 	//
@@ -49,7 +39,9 @@ type Warnock struct {
 
 // New creates a Warnock analyzer for tree.
 func New(tree *region.Tree, opts core.Options) *Warnock {
-	return &Warnock{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	w := &Warnock{tree: tree, state: make(map[field.ID]*fieldState)}
+	w.k = eqset.New[*bnode]("warnock", opts, w)
+	return w
 }
 
 // Name implements core.Analyzer.
@@ -58,31 +50,18 @@ func (w *Warnock) Name() string { return "warnock" }
 // Stats implements core.Analyzer.
 //
 // confined to analyzer
-func (w *Warnock) Stats() *core.Stats { return &w.stats }
+func (w *Warnock) Stats() *core.Stats { return &w.k.Stats }
+
+// Analyze implements core.Analyzer.
+//
+// confined to analyzer
+func (w *Warnock) Analyze(t *core.Task) *core.Result { return w.k.Analyze(t) }
 
 // EquivalenceSets returns the number of live (leaf) equivalence sets for
 // field f, for tests and the experiment harness.
 //
 // confined to analyzer
-func (w *Warnock) EquivalenceSets(f field.ID) int {
-	fs, ok := w.state[f]
-	if !ok {
-		return 1 // the initial, untouched root set
-	}
-	n := 0
-	var walk func(*bnode)
-	walk = func(b *bnode) {
-		if b.set != nil {
-			n++
-			return
-		}
-		for _, c := range b.children {
-			walk(c)
-		}
-	}
-	walk(fs.root)
-	return n
-}
+func (w *Warnock) EquivalenceSets(f field.ID) int { return len(w.SetSpaces(f)) }
 
 // SetSpaces returns the point sets of the live equivalence sets for field
 // f, for invariant checks in tests.
@@ -91,13 +70,13 @@ func (w *Warnock) EquivalenceSets(f field.ID) int {
 func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 	fs, ok := w.state[f]
 	if !ok {
-		return []index.Space{w.tree.Root.Space}
+		return []index.Space{w.tree.Root.Space} // the initial, untouched root set
 	}
 	var out []index.Space
 	var walk func(*bnode)
 	walk = func(b *bnode) {
 		if b.set != nil {
-			out = append(out, b.set.pts)
+			out = append(out, b.set.Pts)
 			return
 		}
 		for _, c := range b.children {
@@ -108,12 +87,7 @@ func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 	return out
 }
 
-// eqset is one equivalence set: a point set and the history of operations
-// relevant to every point of it.
-type eqset struct {
-	pts  index.Space
-	hist []core.Entry
-}
+type set = eqset.Set[*bnode]
 
 // bnode is a node of the refinement BVH. Leaves hold live equivalence sets;
 // interior nodes record past refinements and are immutable once refined,
@@ -125,7 +99,7 @@ type eqset struct {
 // reported through Probe.Fetch keyed by the node's id.
 type bnode struct {
 	pts      index.Space
-	set      *eqset // non-nil exactly at leaves
+	set      *set // non-nil exactly at leaves
 	children []*bnode
 	owner    int
 	id       int64
@@ -133,41 +107,38 @@ type bnode struct {
 
 type fieldState struct {
 	root *bnode
-	memo map[int][]*bnode // region ID → nodes covering it at last lookup
+	memo map[int][]*set // region ID → sets tiling it at last refine
+}
+
+// leaf places s at a fresh leaf node.
+func (w *Warnock) leaf(s *set) *bnode {
+	w.nextToken++
+	s.At = &bnode{pts: s.Pts, set: s, owner: w.k.Opts.Owner(s.Pts), id: w.nextToken}
+	return s.At
 }
 
 func (w *Warnock) fieldFor(f field.ID) *fieldState {
 	fs, ok := w.state[f]
 	if !ok {
 		root := w.tree.Root.Space
-		w.nextToken++
 		fs = &fieldState{
-			root: &bnode{
-				pts:   root,
-				set:   &eqset{pts: root, hist: []core.Entry{core.SeedEntry(root)}},
-				owner: w.opts.Owner(root),
-				id:    w.nextToken,
-			},
-			memo: make(map[int][]*bnode),
+			root: w.leaf(&set{Pts: root, Hist: []core.Entry{core.SeedEntry(root)}}),
+			memo: make(map[int][]*set),
 		}
 		w.state[f] = fs
 	}
 	return fs
 }
 
-// lookup returns the leaf nodes whose sets overlap sp, descending from the
-// memoized nodes for the region (or the root on first use).
-func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*bnode {
-	span := w.opts.Spans.Begin("warnock.bvh_query", "analysis")
+// lookup returns the live sets overlapping sp, descending from the nodes
+// of the sets memoized for the region (or the root on first use).
+func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*set {
+	span := w.k.Opts.Spans.Begin("warnock.bvh_query", "analysis")
 	defer span.End()
-	start, ok := fs.memo[regionID]
-	if !ok || w.DisableMemo {
-		start = []*bnode{fs.root}
-	}
-	var leaves []*bnode
+	var leaves []*set
 	var descend func(*bnode)
 	descend = func(b *bnode) {
-		w.stats.BVHVisited++
+		w.k.Stats.BVHVisited++
 		// Testing a node costs work proportional to its rectangle
 		// complexity: the residual spaces produced by piece-by-piece
 		// refinement fragment into more and more rectangles, which is
@@ -177,202 +148,79 @@ func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*bnode 
 		if b.set == nil {
 			// Interior nodes are replicated on demand per analyzing
 			// node; the probe decides whether this is a first fetch.
-			w.opts.Probe.Fetch(b.owner, b.id, ops)
+			w.k.Opts.Probe.Fetch(b.owner, b.id, ops)
 		} else {
-			w.opts.Probe.Visit(ops)
+			w.k.Opts.Probe.Visit(ops)
 		}
-		w.stats.OverlapTests++
+		w.k.Stats.OverlapTests++
 		if !b.pts.Overlaps(sp) {
 			return
 		}
 		if b.set != nil {
-			leaves = append(leaves, b)
+			leaves = append(leaves, b.set)
 			return
 		}
 		for _, c := range b.children {
 			descend(c)
 		}
 	}
-	for _, b := range start {
-		descend(b)
+	if start, ok := fs.memo[regionID]; ok && !w.DisableMemo {
+		for _, s := range start {
+			descend(s.At)
+		}
+	} else {
+		descend(fs.root)
 	}
-	fs.memo[regionID] = leaves
 	return leaves
 }
 
-// privRuns counts maximal runs of identical privileges in a history — the
-// epochs a scan actually tests for interference.
-func privRuns(hist []core.Entry) int64 {
-	var runs int64
-	for i, e := range hist {
-		if i == 0 || !e.Priv.Same(hist[i-1].Priv) {
-			runs++
-		}
-	}
-	return runs
-}
-
-// refine splits every equivalence set partially overlapping sp into
-// inside/outside halves (Figure 9, refine), then returns the leaves fully
-// inside sp.
-func (w *Warnock) refine(fs *fieldState, regionID int, sp index.Space) []*bnode {
-	span := w.opts.Spans.Begin("warnock.refine", "analysis")
+// Refine implements eqset.Store: a split leaf becomes an interior node over
+// its two fragments.
+//
+// confined to analyzer
+func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
+	r := t.Reqs[ri].Region
+	fs := w.fieldFor(t.Reqs[ri].Field)
+	span := w.k.Opts.Spans.Begin("warnock.refine", "analysis")
 	defer span.End()
-	leaves := w.lookup(fs, regionID, sp)
-	var inside []*bnode
-	for _, b := range leaves {
-		w.stats.SetsVisited++
-		s := b.set
-		w.opts.Probe.Touch(w.opts.Owner(s.pts), 1)
-		w.stats.OverlapTests++
-		if sp.Covers(s.pts) {
-			// Fault plane: force a refinement the analysis did not need.
-			// Both fragments carry the full history, so the split is
-			// semantics-preserving — it only breaks code that secretly
-			// depends on covered sets staying whole.
-			if vol := s.pts.Volume(); vol > 1 {
-				if fired, v := w.opts.Faults.FireValue(fault.EqSplit, vol); fired {
-					fp, rp := s.pts.SplitAt(1 + int64(v%uint64(vol-1)))
-					w.nextToken++
-					inLeaf := &bnode{pts: fp, set: &eqset{pts: fp, hist: append([]core.Entry(nil), s.hist...)}, owner: w.opts.Owner(fp), id: w.nextToken}
-					w.nextToken++
-					outLeaf := &bnode{pts: rp, set: &eqset{pts: rp, hist: s.hist}, owner: w.opts.Owner(rp), id: w.nextToken}
-					b.set = nil
-					b.children = []*bnode{inLeaf, outLeaf}
-					w.nextToken++
-					b.id = w.nextToken
-					w.stats.SetsCreated += 2
-					w.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-					inside = append(inside, inLeaf, outLeaf)
-					continue
-				}
-			}
-			inside = append(inside, b)
+	var inside []*set
+	for _, s := range w.lookup(fs, r.ID, r.Space) {
+		w.k.Stats.SetsVisited++
+		w.k.Touch(s.Pts, 1)
+		in, rest, forced := w.k.Split(s, r.Space)
+		inside = append(inside, in)
+		if rest == nil {
 			continue
 		}
-		in := s.pts.Intersect(sp)
-		out := s.pts.Subtract(sp)
-		// Lookup guarantees overlap, and non-containment guarantees a
-		// remainder, so both halves are non-empty.
-		w.nextToken++
-		inLeaf := &bnode{pts: in, set: &eqset{pts: in, hist: append([]core.Entry(nil), s.hist...)}, owner: w.opts.Owner(in), id: w.nextToken}
-		w.nextToken++
-		outLeaf := &bnode{pts: out, set: &eqset{pts: out, hist: s.hist}, owner: w.opts.Owner(out), id: w.nextToken}
+		b := s.At
 		b.set = nil
-		b.children = []*bnode{inLeaf, outLeaf}
+		b.children = []*bnode{w.leaf(in), w.leaf(rest)}
 		// Refinement replaces this node's metadata: caches of the old
 		// version are invalid, so it gets a fresh replication token and
 		// every analyzing node must fetch it again (§6.1's immutability
 		// begins only after the refinement).
 		w.nextToken++
 		b.id = w.nextToken
-		w.stats.SetsCreated += 2
-		w.opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.hist)))
-		w.opts.Probe.Touch(w.opts.Owner(s.pts), 2)
-		inside = append(inside, inLeaf)
-	}
-	// The memo currently holds pre-refinement leaves; refresh it to the
-	// new leaves overlapping the region.
-	refreshed := make([]*bnode, 0, len(inside))
-	for _, b := range leaves {
-		if b.set != nil {
-			refreshed = append(refreshed, b)
+		if forced {
+			inside = append(inside, rest)
 		} else {
-			for _, c := range b.children {
-				if c.pts.Overlaps(sp) {
-					refreshed = append(refreshed, c)
-				}
-			}
+			w.k.Touch(s.Pts, 2)
 		}
 	}
-	fs.memo[regionID] = refreshed
+	// The sets now tiling the region are exactly the leaves a later lookup
+	// of it must start from; a memoized set that is refined afterwards
+	// still names its (then interior) node.
+	fs.memo[r.ID] = inside
 	return inside
 }
 
-// Analyze implements core.Analyzer.
+// Write implements eqset.Store: a write clears each set's prior history
+// (Figure 9 lines 30-31).
 //
 // confined to analyzer
-func (w *Warnock) Analyze(t *core.Task) *core.Result {
-	span := w.opts.Spans.Begin("warnock.analyze", "analysis")
-	defer span.End()
-	w.stats.Launches++
-	var deps []int
-	plans := make([][]core.Visible, len(t.Reqs))
-
-	// materialize: refine, then paint each constituent equivalence set.
-	insides := make([][]*bnode, len(t.Reqs))
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			// No points: nothing can interfere and nothing materializes.
-			// Common under sharding, where a requirement's restriction to
-			// most atoms is empty, and for clipped boundary halos.
-			continue
-		}
-		fs := w.fieldFor(req.Field)
-		inside := w.refine(fs, req.Region.ID, req.Region.Space)
-		insides[ri] = inside
-		var plan []core.Visible
-		for _, b := range inside {
-			s := b.set
-			// Consecutive entries with one privilege form an epoch (e.g.
-			// N same-operator reductions): interference is decided once
-			// per epoch, as in Legion's user lists, so the charged work
-			// is the number of privilege runs, not entries.
-			w.opts.Probe.Touch(w.opts.Owner(s.pts), privRuns(s.hist))
-			for _, e := range s.hist {
-				w.stats.EntriesScanned++
-				// Every entry is relevant to the whole set: no spatial
-				// test is needed, only privilege interference.
-				if privilege.Interferes(e.Priv, req.Priv) {
-					deps = append(deps, e.Task)
-					w.stats.DepsReported++
-					if w.opts.Prov != nil && e.Task != core.InitialTask {
-						w.opts.Prov.AddReason(core.EdgeReason{
-							Src: e.Task, Dst: t.ID, Kind: core.ReasonRegion, Analyzer: "warnock",
-							SrcReq: e.Req, DstReq: ri, Field: req.Field,
-							SrcPriv: e.Priv, DstPriv: req.Priv, Overlap: s.pts.Bounds(), Trace: -1,
-						})
-					}
-				}
-				if !req.Priv.IsReduce() && e.Priv.Mutates() {
-					plan = append(plan, core.Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: s.pts})
-				}
-			}
-		}
-		if req.Priv.IsReduce() {
-			plan = nil
-		}
-		plans[ri] = plan
+func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
+	for _, s := range inside {
+		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.Pts}}
+		w.k.Touch(s.Pts, 1)
 	}
-
-	// commit: record the operation in each constituent set; writes clear
-	// the prior history (Figure 9 lines 30-31).
-	for ri, req := range t.Reqs {
-		if req.Region.Space.IsEmpty() {
-			continue
-		}
-		fs := w.fieldFor(req.Field)
-		// Reuse the constituent sets found during materialize; another
-		// requirement of this task may have refined them since (same
-		// field, overlapping region), in which case look up again.
-		inside := insides[ri]
-		for _, b := range inside {
-			if b.set == nil {
-				inside = w.refine(fs, req.Region.ID, req.Region.Space)
-				break
-			}
-		}
-		for _, b := range inside {
-			s := b.set
-			e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: s.pts}
-			if req.Priv.IsWrite() {
-				s.hist = append(s.hist[:0:0], e)
-			} else {
-				s.hist = append(s.hist, e)
-			}
-			w.opts.Probe.Touch(w.opts.Owner(s.pts), 1)
-		}
-	}
-
-	return &core.Result{Deps: core.DedupDeps(deps), Plans: plans}
 }
