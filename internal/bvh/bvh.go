@@ -18,15 +18,44 @@ type Input struct {
 	ID  int
 }
 
-// Tree is a static BVH built by median splits over box centers.
+// Tree is a static BVH built by median splits over box centers. Query
+// only reads it; QuerySpace also writes the visit stamps, so it needs the
+// tree to itself.
 type Tree struct {
 	nodes []node
+	seen  stamps // per distinct item ID, for QuerySpace
 }
 
 type node struct {
 	box         geometry.Rect
 	left, right int // child indices; -1 for leaves
 	id          int // item ID at leaves
+	slot        int // dense index of id at leaves
+}
+
+// stamps marks members of a dense index set as seen during one query. A
+// query opens a new generation instead of clearing the marks, so it costs
+// one increment, not an allocation.
+type stamps struct {
+	at  []uint32
+	gen uint32
+}
+
+// next opens a new generation, in which nothing is marked.
+func (s *stamps) next() {
+	if s.gen++; s.gen == 0 {
+		clear(s.at)
+		s.gen = 1
+	}
+}
+
+// mark marks i and reports whether it was unmarked.
+func (s *stamps) mark(i int) bool {
+	if s.at[i] == s.gen {
+		return false
+	}
+	s.at[i] = s.gen
+	return true
 }
 
 // Build constructs a BVH over items. Empty boxes are permitted but never
@@ -39,6 +68,16 @@ func Build(items []Input) *Tree {
 	work := make([]Input, len(items))
 	copy(work, items)
 	t.build(work)
+	slots := make(map[int]int)
+	for i := range t.nodes {
+		if nd := &t.nodes[i]; nd.left == -1 {
+			if _, ok := slots[nd.id]; !ok {
+				slots[nd.id] = len(slots)
+			}
+			nd.slot = slots[nd.id]
+		}
+	}
+	t.seen.at = make([]uint32, len(slots))
 	return t
 }
 
@@ -94,33 +133,35 @@ func (t *Tree) Query(box geometry.Rect, visit func(id int)) int {
 	if len(t.nodes) == 0 {
 		return 0
 	}
-	return t.query(0, box, visit)
+	return t.query(0, box, visit, false)
 }
 
-func (t *Tree) query(i int, box geometry.Rect, visit func(id int)) int {
+// query visits the subtree at node i; with once set it skips the items
+// already marked in the current generation of t.seen.
+func (t *Tree) query(i int, box geometry.Rect, visit func(id int), once bool) int {
 	nd := &t.nodes[i]
 	if !nd.box.Overlaps(box) {
 		return 1
 	}
 	if nd.left == -1 {
-		visit(nd.id)
+		if !once || t.seen.mark(nd.slot) {
+			visit(nd.id)
+		}
 		return 1
 	}
-	return 1 + t.query(nd.left, box, visit) + t.query(nd.right, box, visit)
+	return 1 + t.query(nd.left, box, visit, once) + t.query(nd.right, box, visit, once)
 }
 
 // QuerySpace calls visit for every item whose box overlaps any rectangle of
 // sp, at most once per item, and returns nodes visited.
 func (t *Tree) QuerySpace(sp index.Space, visit func(id int)) int {
-	seen := make(map[int]bool)
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	t.seen.next()
 	cost := 0
 	for _, r := range sp.Rects() {
-		cost += t.Query(r, func(id int) {
-			if !seen[id] {
-				seen[id] = true
-				visit(id)
-			}
-		})
+		cost += t.query(0, r, visit, true)
 	}
 	return cost
 }
@@ -131,20 +172,24 @@ func (t *Tree) QuerySpace(sp index.Space, visit func(id int)) int {
 // overlapping the query box. Used by ray casting when no disjoint-complete
 // partition is available to define buckets (§7.1).
 type KD struct {
-	cells     []geometry.Rect
-	items     map[int][]int // cell → item IDs
-	placement map[int][]int // item ID → cells
-	boxes     map[int]geometry.Rect
+	cells  []geometry.Rect
+	items  [][]int     // cell → slots of the items registered in it
+	slots  []kdItem    // recycled through free
+	free   []int       // vacant slots
+	slotOf map[int]int // item ID → slot
+	seen   stamps      // per slot
+}
+
+type kdItem struct {
+	id    int
+	box   geometry.Rect
+	cells []int // the cells the item is registered in
 }
 
 // NewKD builds a K-d decomposition of bounds with approximately targetCells
 // leaf cells.
 func NewKD(bounds geometry.Rect, targetCells int) *KD {
-	kd := &KD{
-		items:     make(map[int][]int),
-		placement: make(map[int][]int),
-		boxes:     make(map[int]geometry.Rect),
-	}
+	kd := &KD{slotOf: make(map[int]int)}
 	var split func(r geometry.Rect, want int)
 	split = func(r geometry.Rect, want int) {
 		if want <= 1 || r.Volume() <= 1 {
@@ -170,6 +215,7 @@ func NewKD(bounds geometry.Rect, targetCells int) *KD {
 		split(hi, want-want/2)
 	}
 	split(bounds, targetCells)
+	kd.items = make([][]int, len(kd.cells))
 	return kd
 }
 
@@ -178,48 +224,63 @@ func (kd *KD) NumCells() int { return len(kd.cells) }
 
 // Insert registers item id with bounding box box.
 func (kd *KD) Insert(id int, box geometry.Rect) {
-	kd.boxes[id] = box
+	si := len(kd.slots)
+	if n := len(kd.free); n > 0 {
+		si, kd.free = kd.free[n-1], kd.free[:n-1]
+	} else {
+		kd.slots = append(kd.slots, kdItem{})
+		kd.seen.at = append(kd.seen.at, 0)
+	}
+	it := &kd.slots[si]
+	it.id, it.box, it.cells = id, box, it.cells[:0]
+	kd.slotOf[id] = si
 	for ci, cell := range kd.cells {
 		if cell.Overlaps(box) {
-			kd.items[ci] = append(kd.items[ci], id)
-			kd.placement[id] = append(kd.placement[id], ci)
+			kd.items[ci] = append(kd.items[ci], si)
+			it.cells = append(it.cells, ci)
 		}
 	}
 }
 
 // Remove deregisters item id. Removing an unknown id is a no-op.
 func (kd *KD) Remove(id int) {
-	for _, ci := range kd.placement[id] {
+	si, ok := kd.slotOf[id]
+	if !ok {
+		return
+	}
+	for _, ci := range kd.slots[si].cells {
 		list := kd.items[ci]
 		for i, x := range list {
-			if x == id {
+			if x == si {
 				list[i] = list[len(list)-1]
 				kd.items[ci] = list[:len(list)-1]
 				break
 			}
 		}
 	}
-	delete(kd.placement, id)
-	delete(kd.boxes, id)
+	delete(kd.slotOf, id)
+	kd.free = append(kd.free, si)
 }
 
 // Query calls visit once for each item whose registered box overlaps box,
 // and returns the number of cells examined.
 func (kd *KD) Query(box geometry.Rect, visit func(id int)) int {
-	seen := make(map[int]bool)
+	kd.seen.next()
+	return kd.query(box, visit)
+}
+
+// query visits the items overlapping box that are not yet marked in the
+// current generation of kd.seen.
+func (kd *KD) query(box geometry.Rect, visit func(id int)) int {
 	cost := 0
 	for ci, cell := range kd.cells {
 		if !cell.Overlaps(box) {
 			continue
 		}
 		cost++
-		for _, id := range kd.items[ci] {
-			if seen[id] {
-				continue
-			}
-			if kd.boxes[id].Overlaps(box) {
-				seen[id] = true
-				visit(id)
+		for _, si := range kd.items[ci] {
+			if it := &kd.slots[si]; it.box.Overlaps(box) && kd.seen.mark(si) {
+				visit(it.id)
 			}
 		}
 	}
@@ -228,15 +289,10 @@ func (kd *KD) Query(box geometry.Rect, visit func(id int)) int {
 
 // QuerySpace calls visit once per item overlapping any rectangle of sp.
 func (kd *KD) QuerySpace(sp index.Space, visit func(id int)) int {
-	seen := make(map[int]bool)
+	kd.seen.next()
 	cost := 0
 	for _, r := range sp.Rects() {
-		cost += kd.Query(r, func(id int) {
-			if !seen[id] {
-				seen[id] = true
-				visit(id)
-			}
-		})
+		cost += kd.query(r, visit)
 	}
 	return cost
 }

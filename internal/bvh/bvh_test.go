@@ -2,6 +2,7 @@ package bvh
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -167,6 +168,67 @@ func TestKDAgainstBruteForce(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("Query(%v) = %v, want %v", box, got, want)
+			}
+		}
+	}
+}
+
+// QuerySpace is defined by Query: the rectangles of the space in turn, each
+// item at its first hit, and the per-rectangle costs summed. Visit order and
+// cost feed virtual time, so both are pinned — across removals and slot
+// reuse for the K-d container, and with several boxes per ID for the tree —
+// and the stamped dedup must not allocate.
+func TestQuerySpaceMatchesPerRectQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	randBox := func(extent int64) geometry.Rect {
+		lo := geometry.Pt2(rng.Int63n(90), rng.Int63n(90))
+		return geometry.Rect{Dim: 2, Lo: lo, Hi: geometry.Pt2(lo.C[0]+rng.Int63n(extent), lo.C[1]+rng.Int63n(extent))}
+	}
+	kd := NewKD(geometry.R2(0, 0, 99, 99), 32)
+	var inputs []Input
+	for i := 0; i < 90; i++ {
+		box := randBox(12)
+		inputs = append(inputs, Input{Box: box, ID: i % 30})
+		kd.Insert(i, box)
+		if i%4 == 3 {
+			kd.Remove(i - 2)
+		}
+	}
+	tree := Build(inputs)
+
+	type queryFunc func(geometry.Rect, func(int)) int
+	reference := func(query queryFunc, sp index.Space) (ids []int, cost int) {
+		seen := map[int]bool{}
+		for _, r := range sp.Rects() {
+			cost += query(r, func(id int) {
+				if !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+			})
+		}
+		return ids, cost
+	}
+	for _, c := range []struct {
+		name       string
+		query      queryFunc
+		querySpace func(index.Space, func(int)) int
+	}{
+		{"tree", tree.Query, tree.QuerySpace},
+		{"kd", kd.Query, kd.QuerySpace},
+	} {
+		for q := 0; q < 40; q++ {
+			sp := index.FromRects(2, randBox(25), randBox(25), randBox(25))
+			want, wantCost := reference(c.query, sp)
+			var got []int
+			visit := func(id int) { got = append(got, id) }
+			gotCost := c.querySpace(sp, visit)
+			if gotCost != wantCost || !slices.Equal(got, want) {
+				t.Fatalf("%s: QuerySpace(%v) = %v cost %d, want %v cost %d", c.name, sp, got, gotCost, want, wantCost)
+			}
+			got = got[:0]
+			if n := testing.AllocsPerRun(10, func() { got = got[:0]; c.querySpace(sp, visit) }); n != 0 {
+				t.Fatalf("%s: QuerySpace allocates %v times per call", c.name, n)
 			}
 		}
 	}

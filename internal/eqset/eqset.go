@@ -79,8 +79,11 @@ func (k *Kernel[X]) Touch(pts index.Space, ops int64) {
 // fragments.
 func (k *Kernel[X]) Split(s *Set[X], sp index.Space) (in, rest *Set[X], forced bool) {
 	k.Stats.OverlapTests++
-	var a, b index.Space
-	if sp.Covers(s.Pts) {
+	// One pass yields both halves; sp covers s exactly when nothing of s
+	// is left outside it. The store guarantees overlap, so a is never
+	// empty.
+	a, b := s.Pts.Split(sp)
+	if b.IsEmpty() {
 		if vol := s.Pts.Volume(); vol > 1 {
 			var v uint64
 			if forced, v = k.Opts.Faults.FireValue(fault.EqSplit, vol); forced {
@@ -90,10 +93,6 @@ func (k *Kernel[X]) Split(s *Set[X], sp index.Space) (in, rest *Set[X], forced b
 		if !forced {
 			return s, nil, false
 		}
-	} else {
-		// The store guarantees overlap and non-containment guarantees a
-		// remainder, so both halves are non-empty.
-		a, b = s.Pts.Intersect(sp), s.Pts.Subtract(sp)
 	}
 	s.Dead = true
 	k.Stats.SetsCreated += 2

@@ -44,6 +44,13 @@ func TestSplit(t *testing.T) {
 		{name: "equal set stays whole", pts: span(2, 5), sp: span(2, 5)},
 		{name: "straddling set splits", pts: span(2, 5), sp: span(4, 9), split: true},
 		{name: "enclosing set splits", pts: span(0, 9), sp: span(4, 5), split: true},
+		{name: "interleaved multi-rectangle set and region split",
+			pts:   index.FromRects(1, geometry.R1(0, 3), geometry.R1(6, 9), geometry.R1(12, 15), geometry.R1(20, 22)),
+			sp:    index.FromRects(1, geometry.R1(2, 7), geometry.R1(9, 12), geometry.R1(14, 18), geometry.R1(30, 40)),
+			split: true},
+		{name: "multi-rectangle set covered by a multi-rectangle region stays whole",
+			pts: index.FromRects(1, geometry.R1(0, 3), geometry.R1(6, 9), geometry.R1(12, 15)),
+			sp:  index.FromRects(1, geometry.R1(0, 4), geometry.R1(6, 15))},
 		{name: "armed injector splits a covered set", plan: always, pts: span(2, 5), sp: span(0, 9), split: true, forced: true},
 		{name: "armed injector leaves a one-point set whole", plan: always, pts: span(4, 4), sp: span(0, 9)},
 		{name: "armed injector does not touch a straddling set", plan: always, pts: span(2, 5), sp: span(4, 9), split: true},

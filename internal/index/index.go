@@ -13,11 +13,26 @@
 // identical cross-sections are re-merged. Two spaces contain the same points
 // if and only if their canonical rectangle lists are identical, so Equal is
 // a cheap structural comparison.
+//
+// The set algebra runs on that form directly (sweep.go). Both operands are
+// sorted, disjoint band lists, so Overlaps, Covers, Intersect, Subtract,
+// Union and Split are one two-pointer merge of the two lists along the
+// highest axis that recurses on the cross-sections where bands of both
+// operands meet — plain interval merging in 1-D — and emits canonical
+// output as it goes, with one exactly-sized allocation per result and none
+// for the predicates. In 1-D that is O(|a|+|b|) steps. In N-D a band is
+// walked once per band of the other operand it meets, so the cost is the
+// two inputs plus the cross-sections of the elementary segments, which is
+// O(|a|+|b|+|result|) when bands line up (pieces of one grid) and at worst
+// O(|a|·bands(b)+|b|·bands(a)), never the pairwise |a|·|b| rectangle tests
+// followed by a sort. Only FromRects and FromPoints, which take arbitrary
+// rectangles, sort.
 package index
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"visibility/internal/geometry"
@@ -111,48 +126,63 @@ func (s Space) Contains(p geometry.Point) bool {
 }
 
 // Overlaps reports whether s and o share at least one point. This is the
-// hot-path emptiness test of content-based dependence analysis (§3.2) and
-// short-circuits without building the intersection.
+// hot-path emptiness test of content-based dependence analysis (§3.2): it
+// allocates nothing and stops at the first shared point.
 func (s Space) Overlaps(o Space) bool {
-	for _, a := range s.rects {
-		for _, b := range o.rects {
-			if a.Overlaps(b) {
-				return true
+	if s.spanDisjoint(o) {
+		return false
+	}
+	if len(s.rects) == 1 && len(o.rects) == 1 {
+		return s.rects[0].Overlaps(o.rects[0])
+	}
+	w := sweeper{keep: [2]uint8{both}, probe: true}
+	return w.run(s.dim, s.rects, o.rects, geometry.Rect{Dim: s.dim})
+}
+
+// Covers reports whether every point of o is in s. It allocates nothing and
+// stops at the first point of o outside s.
+func (s Space) Covers(o Space) bool {
+	if o.IsEmpty() {
+		return true
+	}
+	if s.IsEmpty() {
+		return false
+	}
+	slo, shi := s.span()
+	if olo, ohi := o.span(); olo < slo || ohi > shi {
+		return false
+	}
+	if len(s.rects) == 1 {
+		// One rectangle covers o exactly when it contains each of o's.
+		for _, r := range o.rects {
+			if !s.rects[0].ContainsRect(r) {
+				return false
 			}
 		}
+		return true
 	}
-	return false
+	w := sweeper{keep: [2]uint8{onlyA}, probe: true}
+	return !w.run(s.dim, o.rects, s.rects, geometry.Rect{Dim: s.dim})
 }
 
 // Intersect returns the set of points in both s and o (the X/Y operator of
 // §5 applied to domains).
 func (s Space) Intersect(o Space) Space {
-	var out []geometry.Rect
-	for _, a := range s.rects {
-		for _, b := range o.rects {
-			if inter := a.Intersect(b); !inter.Empty() {
-				out = append(out, inter)
-			}
-		}
+	if s.spanDisjoint(o) {
+		return Empty(s.dim)
 	}
-	return Space{dim: s.dim, rects: canon(out, s.dim)}
+	in, _ := s.sweep(o, both, 0)
+	return in
 }
 
 // Subtract returns the set of points in s but not in o (the X\Y operator of
 // §5 applied to domains).
 func (s Space) Subtract(o Space) Space {
-	cur := s.rects
-	for _, b := range o.rects {
-		var next []geometry.Rect
-		for _, a := range cur {
-			next = a.Subtract(b, next)
-		}
-		cur = next
-		if len(cur) == 0 {
-			break
-		}
+	if s.spanDisjoint(o) {
+		return s
 	}
-	return Space{dim: s.dim, rects: canon(cur, s.dim)}
+	out, _ := s.sweep(o, onlyA, 0)
+	return out
 }
 
 // Union returns the set of points in s or o.
@@ -163,21 +193,22 @@ func (s Space) Union(o Space) Space {
 	if o.IsEmpty() {
 		return s
 	}
-	all := make([]geometry.Rect, 0, len(s.rects)+len(o.rects))
-	all = append(all, s.rects...)
-	all = append(all, o.rects...)
-	return Space{dim: s.dim, rects: canon(all, s.dim)}
+	all, _ := s.sweep(o, onlyA|onlyB|both, 0)
+	return all
 }
 
-// Covers reports whether every point of o is in s.
-func (s Space) Covers(o Space) bool {
-	if o.IsEmpty() {
-		return true
+// Split returns s ∩ o and s − o. A probe that builds nothing settles the
+// case that o covers s; otherwise one pass produces both halves. A half
+// equal to s is s itself, so splitting a covered or a disjoint space
+// allocates nothing.
+func (s Space) Split(o Space) (in, out Space) {
+	if s.spanDisjoint(o) {
+		return Empty(s.dim), s
 	}
-	if s.IsEmpty() {
-		return false
+	if o.Covers(s) {
+		return s, Empty(s.dim)
 	}
-	return o.Subtract(s).IsEmpty()
+	return s.sweep(o, both, onlyA)
 }
 
 // Equal reports whether s and o contain exactly the same points.
@@ -212,27 +243,58 @@ func (s Space) SplitAt(n int64) (Space, Space) {
 	if n <= 0 {
 		return Empty(s.dim), s
 	}
-	var head []geometry.Point
-	s.Each(func(p geometry.Point) bool {
-		head = append(head, p)
-		return int64(len(head)) < n
-	})
-	h := FromPoints(s.dim, head...)
-	return h, s.Subtract(h)
+	for k, r := range s.rects {
+		if v := r.Volume(); n >= v {
+			n -= v
+			continue
+		}
+		// The cut falls inside r. Its first n points in row-major order
+		// are, axis by axis from the highest down, a slab of whole
+		// hyperplanes and then a prefix of the next hyperplane.
+		head := append([]geometry.Rect(nil), s.rects[:k]...)
+		var tail []geometry.Rect
+		for ax := s.dim - 1; n > 0; ax-- {
+			plane := r.Volume() / (r.Hi.C[ax] - r.Lo.C[ax] + 1)
+			cut := r.Lo.C[ax] + n/plane // the hyperplane the prefix ends in
+			if n >= plane {
+				slab := r
+				slab.Hi.C[ax] = cut - 1
+				head = append(head, slab)
+			}
+			if n %= plane; n > 0 {
+				if cut < r.Hi.C[ax] {
+					rest := r
+					rest.Lo.C[ax] = cut + 1
+					tail = append(tail, rest)
+				}
+				r.Hi.C[ax] = cut
+			}
+			r.Lo.C[ax] = cut
+		}
+		tail = append(append(tail, r), s.rects[k+1:]...)
+		return FromRects(s.dim, head...), FromRects(s.dim, tail...)
+	}
+	return s, Empty(s.dim)
 }
 
 // Key returns a compact string uniquely identifying the point set; equal
 // spaces (by Equal) have equal keys. Useful as a map key for memoization.
 func (s Space) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "d%d", s.dim)
+	var buf [128]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to b.
+func (s Space) AppendKey(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 'd'), int64(s.dim), 10)
 	for _, r := range s.rects {
-		b.WriteByte(';')
+		b = append(b, ';')
 		for a := 0; a < s.dim; a++ {
-			fmt.Fprintf(&b, "%d,%d,", r.Lo.C[a], r.Hi.C[a])
+			b = append(strconv.AppendInt(b, r.Lo.C[a], 10), ',')
+			b = append(strconv.AppendInt(b, r.Hi.C[a], 10), ',')
 		}
 	}
-	return b.String()
+	return b
 }
 
 // String formats the space for debugging.

@@ -1,7 +1,10 @@
 package index
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,8 +134,10 @@ func bruteOf(s Space) brute {
 	return m
 }
 
+// randSpace builds a space from up to 10 random rectangles, which overlap,
+// abut and nest often enough to exercise every branch of the sweep.
 func randSpace(rng *rand.Rand, dim int) Space {
-	n := rng.Intn(4)
+	n := rng.Intn(11)
 	rs := make([]geometry.Rect, 0, n)
 	for i := 0; i < n; i++ {
 		r := geometry.Rect{Dim: dim}
@@ -146,69 +151,167 @@ func randSpace(rng *rand.Rand, dim int) Space {
 	return FromRects(dim, rs...)
 }
 
+// checkCanonical requires s to be in canonical form: rebuilding it from its
+// own rectangles through canon — which sorts, splits at every boundary and
+// re-merges adjacent intervals and identical adjacent bands — must change
+// nothing, down to the unused coordinates.
+func checkCanonical(t testing.TB, what string, s Space) {
+	t.Helper()
+	if want := FromRects(s.Dim(), s.Rects()...); !slices.Equal(s.Rects(), want.Rects()) {
+		t.Fatalf("%s is not canonical: %v, want %v", what, s.Rects(), want.Rects())
+	}
+}
+
+// checkAlgebra checks every binary operation on x and y, Split included,
+// point by point against the brute-force oracle, and requires every result
+// to be canonical.
+func checkAlgebra(t testing.TB, x, y Space) {
+	t.Helper()
+	bx, by := bruteOf(x), bruteOf(y)
+	if x.Volume() != int64(len(bx)) {
+		t.Fatalf("Volume(%v) = %d, oracle %d", x, x.Volume(), len(bx))
+	}
+	and := func(inX, inY bool) bool { return inX && inY }
+	andNot := func(inX, inY bool) bool { return inX && !inY }
+	in, out := x.Split(y)
+	for _, c := range []struct {
+		name string
+		got  Space
+		want func(inX, inY bool) bool
+	}{
+		{"Intersect", x.Intersect(y), and},
+		{"Subtract", x.Subtract(y), andNot},
+		{"Union", x.Union(y), func(inX, inY bool) bool { return inX || inY }},
+		{"Split in", in, and},
+		{"Split out", out, andNot},
+	} {
+		want := brute{}
+		for p := range bx {
+			if c.want(true, by[p]) {
+				want[p] = true
+			}
+		}
+		for p := range by {
+			if c.want(bx[p], true) {
+				want[p] = true
+			}
+		}
+		what := fmt.Sprintf("%s of %v and %v", c.name, x, y)
+		if got := bruteOf(c.got); !maps.Equal(got, want) {
+			t.Fatalf("%s = %v: wrong point set", what, c.got)
+		}
+		if c.got.Volume() != int64(len(want)) {
+			t.Fatalf("%s = %v: rectangles overlap", what, c.got)
+		}
+		if c.got.Dim() != x.Dim() {
+			t.Fatalf("%s has dim %d", what, c.got.Dim())
+		}
+		checkCanonical(t, what, c.got)
+	}
+	overlaps, covers := false, true
+	for p := range by {
+		overlaps = overlaps || bx[p]
+		covers = covers && bx[p]
+	}
+	if x.Overlaps(y) != overlaps {
+		t.Fatalf("%v Overlaps %v = %v", x, y, !overlaps)
+	}
+	if x.Covers(y) != covers {
+		t.Fatalf("%v Covers %v = %v", x, y, !covers)
+	}
+}
+
 func TestSetAlgebraProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for dim := 1; dim <= 3; dim++ {
-		dim := dim
-		f := func() bool {
-			x := randSpace(rng, dim)
-			y := randSpace(rng, dim)
-			bx, by := bruteOf(x), bruteOf(y)
-
-			inter := bruteOf(x.Intersect(y))
-			diff := bruteOf(x.Subtract(y))
-			uni := bruteOf(x.Union(y))
-
-			for p := range bx {
-				if by[p] != inter[p] {
-					return false
-				}
-				if !by[p] != diff[p] {
-					return false
-				}
-				if !uni[p] {
-					return false
-				}
-			}
-			for p := range by {
-				if !uni[p] {
-					return false
-				}
-			}
-			// No extraneous points.
-			for p := range inter {
-				if !bx[p] || !by[p] {
-					return false
-				}
-			}
-			for p := range diff {
-				if !bx[p] || by[p] {
-					return false
-				}
-			}
-			for p := range uni {
-				if !bx[p] && !by[p] {
-					return false
-				}
-			}
-			// Structural laws.
-			if !x.Subtract(y).Union(x.Intersect(y)).Equal(x) {
-				return false
-			}
-			if x.Overlaps(y) != !x.Intersect(y).IsEmpty() {
-				return false
-			}
-			if x.Covers(y) != y.Subtract(x).IsEmpty() {
-				return false
-			}
-			// Volume consistency.
-			if x.Volume() != int64(len(bx)) {
-				return false
-			}
-			return true
+		for i := 0; i < 300; i++ {
+			x, y := randSpace(rng, dim), randSpace(rng, dim)
+			checkAlgebra(t, x, y)
+			checkAlgebra(t, x, x.Union(y)) // covered operand
+			checkAlgebra(t, x, x)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("dim %d: %v", dim, err)
+	}
+}
+
+// The sweep emits canonical form directly; these are the cases where that
+// takes a merge: adjacent intervals, and adjacent bands whose
+// cross-sections only become identical in the result.
+func TestSweepMergesAdjacent(t *testing.T) {
+	r1, r2 := geometry.R1, geometry.R2
+	for _, c := range []struct {
+		name      string
+		got, want Space
+	}{
+		{"1-D union of abutting intervals",
+			FromRect(r1(0, 5)).Union(FromRect(r1(6, 9))), FromRect(r1(0, 9))},
+		{"1-D union bridging a gap",
+			FromRects(1, r1(0, 2), r1(6, 9)).Union(FromRect(r1(3, 5))), FromRect(r1(0, 9))},
+		{"2-D union of stacked bands",
+			FromRect(r2(0, 0, 4, 2)).Union(FromRect(r2(0, 3, 4, 7))), FromRect(r2(0, 0, 4, 7))},
+		{"2-D intersect clipping two bands alike",
+			FromRects(2, r2(0, 0, 9, 4), r2(0, 5, 4, 9)).Intersect(FromRect(r2(1, 2, 3, 8))), FromRect(r2(1, 2, 3, 8))},
+		{"2-D subtract leaving two bands alike",
+			FromRects(2, r2(0, 0, 9, 4), r2(0, 5, 4, 9)).Subtract(FromRect(r2(5, 0, 9, 4))), FromRect(r2(0, 0, 4, 9))},
+		{"3-D union of stacked slabs",
+			FromRect(geometry.R3(0, 0, 0, 3, 3, 1)).Union(FromRect(geometry.R3(0, 0, 2, 3, 3, 5))), FromRect(geometry.R3(0, 0, 0, 3, 3, 5))},
+	} {
+		if !slices.Equal(c.got.Rects(), c.want.Rects()) {
+			t.Errorf("%s: got %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// A result equal to an operand shares its rectangles instead of copying.
+func TestSplitSharesCoveredAndDisjoint(t *testing.T) {
+	s := FromRects(1, geometry.R1(0, 4), geometry.R1(8, 12))
+	if in, out := s.Split(FromRect(geometry.R1(0, 20))); !out.IsEmpty() || &in.Rects()[0] != &s.Rects()[0] {
+		t.Errorf("covered: in %v out %v", in, out)
+	}
+	if in, out := s.Split(FromRect(geometry.R1(5, 7))); !in.IsEmpty() || &out.Rects()[0] != &s.Rects()[0] {
+		t.Errorf("disjoint: in %v out %v", in, out)
+	}
+}
+
+// SplitAt is defined by point enumeration: the first n points in Each
+// order, and the rest.
+func TestSplitAtMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for dim := 1; dim <= 3; dim++ {
+		for i := 0; i < 40; i++ {
+			s := randSpace(rng, dim)
+			var pts []geometry.Point
+			s.Each(func(p geometry.Point) bool { pts = append(pts, p); return true })
+			for n := int64(-1); n <= s.Volume()+1; n++ {
+				cut := min(max(n, 0), s.Volume())
+				head, tail := s.SplitAt(n)
+				wantHead, wantTail := FromPoints(dim, pts[:cut]...), FromPoints(dim, pts[cut:]...)
+				if !slices.Equal(head.Rects(), wantHead.Rects()) || !slices.Equal(tail.Rects(), wantTail.Rects()) {
+					t.Fatalf("%v SplitAt(%d) = %v, %v; want %v, %v", s, n, head, tail, wantHead, wantTail)
+				}
+			}
+		}
+	}
+}
+
+// Key's bytes decide shard homes (an FNV hash of the key) and instance-cache
+// identity, so they are pinned exactly.
+func TestKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		s    Space
+		want string
+	}{
+		{Space{}, "d0"},
+		{Empty(2), "d2"},
+		{FromRect(geometry.R1(-3, 12)), "d1;-3,12,"},
+		{FromRects(1, geometry.R1(0, 5), geometry.R1(100, 1<<40)), "d1;0,5,;100,1099511627776,"},
+		{FromRects(2, geometry.R2(0, 0, 9, 4), geometry.R2(0, 5, 4, 9)), "d2;0,9,0,4,;0,4,5,9,"},
+		{FromRect(geometry.R3(1, 2, 3, 4, 5, 6)), "d3;1,4,2,5,3,6,"},
+	} {
+		if got := c.s.Key(); got != c.want {
+			t.Errorf("Key(%v) = %q, want %q", c.s, got, c.want)
+		}
+		if got := string(c.s.AppendKey([]byte("x:"))); got != "x:"+c.want {
+			t.Errorf("AppendKey(%v) = %q", c.s, got)
 		}
 	}
 }
@@ -270,6 +373,26 @@ func BenchmarkSubtract2D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = xs[i%64].Subtract(xs[(i+1)%64])
+	}
+}
+
+// scattered1D returns two 15-interval spaces over the same range, offset so
+// that most intervals partially overlap: the shape of the circuit's ghost
+// sets against each other.
+func scattered1D() (Space, Space) {
+	var xs, ys []geometry.Rect
+	for i := int64(0); i < 15; i++ {
+		xs = append(xs, geometry.R1(40*i, 40*i+24))
+		ys = append(ys, geometry.R1(40*i+13+i%3, 40*i+30+i%5))
+	}
+	return FromRects(1, xs...), FromRects(1, ys...)
+}
+
+func BenchmarkSubtract1DScattered(b *testing.B) {
+	x, y := scattered1D()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = x.Subtract(y)
 	}
 }
 

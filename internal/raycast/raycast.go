@@ -43,6 +43,10 @@ type RayCast struct {
 	//
 	// confined to analyzer
 	state map[field.ID]*fieldState
+	// written is Write's scratch: the buckets of the sets one write prunes.
+	//
+	// confined to analyzer
+	written []int
 }
 
 // New creates a ray-casting analyzer for tree.
@@ -419,26 +423,25 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	span := rc.k.Opts.Spans.Begin("raycast.coalesce", "analysis")
 	defer span.End()
 	rc.k.Opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
-	buckets := make(map[int]index.Space)
+	rc.written = rc.written[:0]
 	for _, s := range inside {
 		s.Dead = true
 		rc.remove(fs, s)
 		rc.k.Stats.SetsCoalesced++
-		if bi := s.At.bucket; bi >= 0 {
-			cur, ok := buckets[bi]
-			if !ok {
-				cur = index.Empty(sp.Dim())
-			}
-			buckets[bi] = cur.Union(s.Pts)
-		}
+		rc.written = append(rc.written, s.At.bucket)
 	}
 	if fs.dcp != nil {
-		// One coalesced set per piece the write covers: the union of the
-		// pruned sets in that bucket (= piece ∩ write region). Bucket order
-		// fixes the new sets' ids, which downstream scans report in: iterate
-		// sorted so two runs of the same stream emit identical output.
-		for _, bi := range sortedIntKeys(buckets) {
-			part := buckets[bi]
+		// One coalesced set per piece the write covers. The pruned sets of
+		// a bucket tile piece ∩ write region, so that is their union, in
+		// one pass. Bucket order fixes the new sets' ids, which downstream
+		// scans report in: ascending, so two runs of the same stream emit
+		// identical output.
+		sort.Ints(rc.written)
+		for i, bi := range rc.written {
+			if i > 0 && bi == rc.written[i-1] {
+				continue
+			}
+			part := fs.dcp.Subregions[bi].Space.Intersect(sp)
 			e.Pts = part
 			ns := &set{Pts: part, Hist: []core.Entry{e}, At: place{id: fs.nextID, bucket: bi}}
 			fs.nextID++

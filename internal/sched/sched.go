@@ -8,7 +8,7 @@ package sched
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"visibility/internal/core"
@@ -269,11 +269,14 @@ func (x *Executor) source(v core.Visible, f field.ID) *data.Store {
 // producers contributing the same points with the same privileges yield
 // the same contents.
 func planSignature(plan []core.Visible) string {
-	var b strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	for _, v := range plan {
-		fmt.Fprintf(&b, "%d.%d%s:%s;", v.Task, v.Req, v.Priv, v.Pts.Key())
+		b = append(strconv.AppendInt(b, int64(v.Task), 10), '.')
+		b = append(strconv.AppendInt(b, int64(v.Req), 10), v.Priv.String()...)
+		b = append(v.Pts.AppendKey(append(b, ':')), ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 func (x *Executor) materialize(req core.Req, plan []core.Visible) *data.Store {

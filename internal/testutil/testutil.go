@@ -5,6 +5,7 @@ package testutil
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"visibility/internal/core"
 	"visibility/internal/data"
@@ -107,4 +108,18 @@ func CheckPartitionInvariant(spaces []index.Space, root index.Space) error {
 		return fmt.Errorf("equivalence sets do not cover the root: %v vs %v", union, root)
 	}
 	return nil
+}
+
+// RaceEnabled reports whether the test binary was built with the race
+// detector, under which sync.Pool drops items at random and allocation
+// counts that depend on pooled buffers are not stable.
+func RaceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
