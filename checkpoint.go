@@ -9,7 +9,6 @@ import (
 
 	"visibility/internal/fault"
 	"visibility/internal/field"
-	"visibility/internal/geometry"
 	"visibility/internal/index"
 )
 
@@ -57,42 +56,14 @@ type ckptPartition struct {
 	Pieces [][][]int64 `json:"pieces"`
 }
 
-func encodeSpace(s IndexSpace) [][]int64 {
-	out := make([][]int64, 0, s.NumRects())
-	for _, r := range s.Rects() {
-		row := make([]int64, 0, 2*s.Dim())
-		for a := 0; a < s.Dim(); a++ {
-			row = append(row, r.Lo.C[a], r.Hi.C[a])
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// decodeSpace rebuilds an index space from encoded rect rows. It rejects —
-// with errors, never panics — every malformed shape an untrusted
-// checkpoint can carry: a dimension outside [1, MaxDim], a row whose
-// length is not 2·dim, and inverted bounds (lo > hi).
+// decodeSpace rebuilds an index space from the rect rows of an untrusted
+// checkpoint (index.FromRows: malformed input is an error, never a panic).
 func decodeSpace(dim int, rows [][]int64) (IndexSpace, error) {
-	if dim < 1 || dim > geometry.MaxDim {
-		return index.Empty(1), fmt.Errorf("visibility: dimension %d outside [1, %d]", dim, geometry.MaxDim)
+	sp, err := index.FromRows(dim, rows)
+	if err != nil {
+		return sp, fmt.Errorf("visibility: %w", err)
 	}
-	rects := make([]geometry.Rect, 0, len(rows))
-	for _, row := range rows {
-		if len(row) != 2*dim {
-			return index.Empty(dim), fmt.Errorf("visibility: malformed rect %v for dim %d", row, dim)
-		}
-		r := geometry.Rect{Dim: dim}
-		for a := 0; a < dim; a++ {
-			r.Lo.C[a] = row[2*a]
-			r.Hi.C[a] = row[2*a+1]
-			if r.Lo.C[a] > r.Hi.C[a] {
-				return index.Empty(dim), fmt.Errorf("visibility: inverted rect %v (lo > hi on axis %d)", row, a)
-			}
-		}
-		rects = append(rects, r)
-	}
-	return index.FromRects(dim, rects...), nil
+	return sp, nil
 }
 
 // Checkpoint waits for all launched work, reads every field's current
@@ -111,7 +82,7 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 		cr := ckptRegion{
 			Name:   ts.tree.Root.Name,
 			Dim:    dim,
-			Space:  encodeSpace(ts.tree.Root.Space),
+			Space:  ts.tree.Root.Space.Rows(),
 			Values: make(map[string][][]float64),
 		}
 		for i := 0; i < ts.tree.Fields.Len(); i++ {
@@ -121,7 +92,7 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 			p := ts.tree.PartitionAt(i)
 			cp := ckptPartition{Parent: p.Parent.ID, Name: p.Name}
 			for _, sub := range p.Subregions {
-				cp.Pieces = append(cp.Pieces, encodeSpace(sub.Space))
+				cp.Pieces = append(cp.Pieces, sub.Space.Rows())
 			}
 			cr.Partitions = append(cr.Partitions, cp)
 		}

@@ -131,13 +131,15 @@ func main() {
 	var allResults []*harness.Result
 	for _, name := range names {
 		builder, _ := apps.Lookup(name)
-		results, err := harness.SweepReps(builder, name, *maxNodes, *iters, *reps, *tracing)
+		base := harness.Config{App: builder, AppName: name, MeasureIters: *iters, Tracing: *tracing}
+		results, err := harness.Sweep(base, *maxNodes, *reps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 			os.Exit(1)
 		}
 		if *autotrace {
-			autoResults, err := harness.SweepAuto(builder, name, *maxNodes, *iters, *reps)
+			base.Tracing, base.AutoTrace = false, true
+			autoResults, err := harness.Sweep(base, *maxNodes, *reps)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 				os.Exit(1)

@@ -158,7 +158,7 @@ func exportTrace(build apps.Builder, newAn algo.New, nodes, iters int, path stri
 	spans.SetEnabled(true)
 	dcfg := dist.DefaultConfig(true)
 	dcfg.Spans = spans
-	driver := dist.New(machine, inst.Tree, dist.NewAnalyzerFunc(newAn),
+	driver := dist.New(machine, inst.Tree, newAn,
 		dist.OwnerByPartition(inst.Owned, nodes), dcfg)
 
 	stream := core.NewStream(inst.Tree)

@@ -15,7 +15,7 @@ import (
 )
 
 // New is the constructor shape shared by all algorithms.
-type New func(tree *region.Tree, opts core.Options) core.Analyzer
+type New = core.NewAnalyzerFunc
 
 var registry = map[string]New{
 	"paint-naive": func(t *region.Tree, o core.Options) core.Analyzer { return paint.NewNaive(t, o) },

@@ -10,47 +10,15 @@ import (
 	"visibility/internal/trace"
 )
 
-// Config tunes the online detector. The zero value selects the defaults
-// below; Normalize derives the missing pieces and clamps MaxPeriod so a
-// candidate always fits the detector's guaranteed history (window/2
-// after bulk eviction).
-type Config struct {
-	// Window bounds how many launch hashes the detector retains
-	// (default 4096).
-	Window int
-	// MinPeriod is the shortest repeating unit worth bracketing
-	// (default 1: even a single-launch loop body replays profitably).
-	MinPeriod int
-	// MaxPeriod is the longest period searched for (default 512,
-	// clamped to Window / (2 * MinReps)).
-	MaxPeriod int
-	// MinReps is how many consecutive copies of a candidate must be
-	// observed before it is committed (default 2).
-	MinReps int
-}
-
-// Normalize fills defaults and enforces the detector's invariants.
-func (c Config) Normalize() Config {
-	if c.Window <= 0 {
-		c.Window = 4096
-	}
-	if c.MinPeriod <= 0 {
-		c.MinPeriod = 1
-	}
-	if c.MinReps < 2 {
-		c.MinReps = 2
-	}
-	if c.MaxPeriod <= 0 {
-		c.MaxPeriod = 512
-	}
-	if limit := c.Window / (2 * c.MinReps); c.MaxPeriod > limit {
-		c.MaxPeriod = limit
-	}
-	if c.MaxPeriod < c.MinPeriod {
-		c.MaxPeriod = c.MinPeriod
-	}
-	return c
-}
+// Detector tuning. A candidate must fit the history the detector
+// guarantees after bulk eviction (window/2), so maxPeriod may not exceed
+// window / (2 * minReps).
+const (
+	window    = 4096 // launch hashes retained
+	minPeriod = 1    // even a single-launch loop body replays profitably
+	maxPeriod = 512  // longest repeating unit searched for
+	minReps   = 2    // consecutive copies seen before a candidate commits
+)
 
 // Stats summarizes the autotracer's outcomes alongside the underlying
 // tracer's counters.
@@ -96,7 +64,6 @@ type Auto struct {
 	// confined to analyzer
 	tr   *trace.Tracer
 	opts core.Options
-	cfg  Config
 	name string
 
 	// confined to analyzer
@@ -113,6 +80,11 @@ type Auto struct {
 	pos int // position inside the current bracketed instance
 	// confined to analyzer
 	traceID int // current trace id; bumped so aborted ids never replay
+	// declined remembers the loops whose recorded trace could not replay
+	// (trace.replayable), so the detector does not arm them again.
+	//
+	// confined to analyzer
+	declined map[loopKey]bool
 
 	candidates *obs.Counter
 	instances  *obs.Counter
@@ -131,22 +103,32 @@ const (
 	inside
 )
 
-// New wraps an analyzer with an autotracer using the default Config.
-func New(an core.Analyzer, opts core.Options) *Auto {
-	return NewConfig(an, opts, Config{})
+// loopKey identifies a repeating unit independently of the phase the
+// detector happened to catch it at: its period and the wrapping sum of its
+// launch hashes are the same for every rotation.
+type loopKey struct {
+	period int
+	sum    uint64
 }
 
-// NewConfig is New with explicit detector tuning.
-func NewConfig(an core.Analyzer, opts core.Options, cfg Config) *Auto {
+func keyOf(cand []uint64) loopKey {
+	k := loopKey{period: len(cand)}
+	for _, h := range cand {
+		k.sum += h
+	}
+	return k
+}
+
+// New wraps an analyzer with an autotracer.
+func New(an core.Analyzer, opts core.Options) *Auto {
 	opts = opts.Normalize()
-	cfg = cfg.Normalize()
 	tr := trace.New(an, opts)
 	return &Auto{
 		tr:         tr,
 		opts:       opts,
-		cfg:        cfg,
 		name:       an.Name() + "+autotrace",
-		det:        newDetector(cfg.Window, cfg.MinPeriod, cfg.MaxPeriod, cfg.MinReps),
+		det:        newDetector(window, minPeriod, maxPeriod, minReps),
+		declined:   make(map[loopKey]bool),
 		candidates: opts.Metrics.NewCounter("autotrace/candidates"),
 		instances:  opts.Metrics.NewCounter("autotrace/instances"),
 		aborts:     opts.Metrics.NewCounter("autotrace/aborts"),
@@ -225,16 +207,24 @@ func (a *Auto) step(t *core.Task, h uint64) *core.Result {
 }
 
 // endInstance closes a completed bracket and re-arms for the next
-// contiguous instance.
+// contiguous instance — unless the instance recorded a trace that can
+// never replay: bracketing that loop again would pay for a recording every
+// iteration, so the candidate is retired and remembered as declined.
 func (a *Auto) endInstance() {
 	replayed := a.tr.Replaying()
-	a.tr.End()
+	replayable := a.tr.End()
 	a.instances.Inc()
+	a.pos = 0
 	if replayed {
 		a.opts.Recorder.Log(recorder.KindTraceReplay, int64(a.traceID), int64(len(a.cand)))
+	} else if !replayable {
+		a.declined[keyOf(a.cand)] = true
+		a.traceID++
+		a.mode = watching
+		a.cand = nil
+		return
 	}
 	a.mode = armed
-	a.pos = 0
 }
 
 // abort ends a bracketed instance early. Ending a replaying tracer
@@ -260,7 +250,7 @@ func (a *Auto) observe(h uint64) {
 	if a.mode != watching {
 		return
 	}
-	if p := a.det.detect(); p > 0 {
+	if p := a.det.detect(); p > 0 && !a.declined[keyOf(a.det.tail(p))] {
 		a.cand = a.det.candidate(p)
 		a.candidates.Inc()
 		a.opts.Recorder.Log(recorder.KindTraceCommit, int64(a.traceID), int64(p))

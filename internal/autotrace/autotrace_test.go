@@ -334,13 +334,43 @@ func TestAutoNameAndDescribe(t *testing.T) {
 	}
 }
 
-func TestConfigNormalize(t *testing.T) {
-	def := autotrace.Config{}.Normalize()
-	if def.Window != 4096 || def.MinPeriod != 1 || def.MaxPeriod != 512 || def.MinReps != 2 {
-		t.Errorf("defaults = %+v", def)
+// TestAutoDeclinesUnreplayableLoop drives a loop whose painter trace can
+// never replay: the painter materializes the root read back to front — the
+// initial contents under the loop's own write — which trace.replayable
+// rejects, while ray casting trims the initial entry and replays. The
+// painter must record that loop exactly once, then leave it alone (values
+// still exact, checked by runSchedule), and still bracket the different
+// loop that follows.
+func TestAutoDeclinesUnreplayableLoop(t *testing.T) {
+	const first = 8 // iterations of the write-then-read-root body
+	sched := func(s *core.Stream, p, g *region.Partition, it int) []*core.Task {
+		if it >= first {
+			return loopIter(s, p, g, it)
+		}
+		return []*core.Task{
+			s.Launch("w", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()}),
+			s.Launch("r", core.Req{Region: s.Tree.Root, Field: 0, Priv: privilege.Reads()}),
+		}
 	}
-	clamped := autotrace.Config{Window: 100, MinReps: 5}.Normalize()
-	if clamped.MaxPeriod != 10 {
-		t.Errorf("MaxPeriod = %d, want 10 (window/2 divided by reps)", clamped.MaxPeriod)
+	for _, tc := range []struct {
+		fac                           core.Factory
+		recorded, replayed, instances int64
+	}{
+		// Painter: iteration 2 records and is declined; iterations 3-7 run
+		// unbracketed. Figure 1 loop: 8-9 detect, 10 records, 11-15 replay.
+		{factories()[0], 2 + 6, 5 * 6, 1 + 6},
+		// Ray casting replays the first loop too (iterations 3-7).
+		{factories()[2], 2 + 6, 5*2 + 5*6, 6 + 6},
+	} {
+		t.Run(tc.fac.Name, func(t *testing.T) {
+			st := runSchedule(t, tc.fac, first+8, core.Options{}, sched).AutoStats()
+			if st.Candidates != 2 || st.Aborts != 0 || st.Trace.Invalidations != 0 {
+				t.Errorf("candidates/aborts/invalidations = %d/%d/%d, want 2/0/0", st.Candidates, st.Aborts, st.Trace.Invalidations)
+			}
+			if st.Trace.Recorded != tc.recorded || st.Trace.Replayed != tc.replayed || st.Instances != tc.instances {
+				t.Errorf("recorded/replayed/instances = %d/%d/%d, want %d/%d/%d",
+					st.Trace.Recorded, st.Trace.Replayed, st.Instances, tc.recorded, tc.replayed, tc.instances)
+			}
+		})
 	}
 }

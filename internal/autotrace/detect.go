@@ -130,9 +130,12 @@ func (d *detector) copiesEqual(p int) bool {
 	return true
 }
 
+// tail returns the window's last p hashes in place, valid until the next
+// push.
+func (d *detector) tail(p int) []uint64 { return d.hs[len(d.hs)-p:] }
+
 // candidate returns a copy of the window's last p hashes — the repeating
 // unit a committed trace will bracket.
 func (d *detector) candidate(p int) []uint64 {
-	n := len(d.hs)
-	return append([]uint64(nil), d.hs[n-p:n]...)
+	return append([]uint64(nil), d.tail(p)...)
 }

@@ -104,29 +104,28 @@ func Collect(opts Options) (*Record, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown app %q (have %v)", name, apps.Names())
 		}
-		for _, cfg := range harness.PaperConfigs() {
+		for _, pc := range harness.PaperConfigs() {
 			for _, nodes := range harness.NodeSweep(opts.MaxNodes) {
-				cell, err := measureCell(builder, name, cfg.Algorithm, cfg.DCR, false, 0, nodes, opts.Iters, reps, spanCap, opts.ProfileDir)
-				if err != nil {
-					return nil, err
+				plain := harness.Config{
+					App: builder, AppName: name, Algorithm: pc.Algorithm, DCR: pc.DCR,
+					Nodes: nodes, MeasureIters: opts.Iters,
 				}
-				rec.Cells = append(rec.Cells, cell)
+				variants := []harness.Config{plain}
 				if opts.AutoTrace {
-					autoIters := opts.AutoIters
-					if autoIters <= 0 {
-						autoIters = 30
+					auto := plain
+					auto.AutoTrace = true
+					if auto.MeasureIters = opts.AutoIters; auto.MeasureIters <= 0 {
+						auto.MeasureIters = 30
 					}
-					cell, err := measureCell(builder, name, cfg.Algorithm, cfg.DCR, true, 0, nodes, autoIters, reps, spanCap, opts.ProfileDir)
-					if err != nil {
-						return nil, err
-					}
-					rec.Cells = append(rec.Cells, cell)
+					variants = append(variants, auto)
 				}
 				for _, shards := range opts.Shards {
-					if shards < 1 {
-						return nil, fmt.Errorf("bench: invalid shard count %d", shards)
-					}
-					cell, err := measureCell(builder, name, cfg.Algorithm, cfg.DCR, false, shards, nodes, opts.Iters, reps, spanCap, opts.ProfileDir)
+					sharded := plain
+					sharded.Shards = shards
+					variants = append(variants, sharded)
+				}
+				for _, cfg := range variants {
+					cell, err := measureCell(cfg, reps, spanCap, opts.ProfileDir)
 					if err != nil {
 						return nil, err
 					}
@@ -143,19 +142,15 @@ func Collect(opts Options) (*Record, error) {
 // min-of-reps: fastest wall time (hence best launches/sec), fewest
 // allocations per launch, lowest latency quantiles. The virtual-time
 // metrics are deterministic and identical across reps, so they are taken
-// from the last run.
-func measureCell(builder apps.Builder, app, algorithm string, dcr, auto bool, shards, nodes, iters, reps, spanCap int, profileDir string) (Cell, error) {
-	system := harness.SystemName(algorithm, dcr)
-	if auto {
-		system = harness.AutoSystemName(algorithm, dcr)
-	}
-	system = harness.ShardSystemName(system, shards)
-	cell := Cell{App: app, System: system, Nodes: nodes}
+// from the last run. The cell is named by the harness (Result.System), so
+// the CPU profile is written under a temporary name and takes the cell's
+// name once the first run has reported it.
+func measureCell(cfg harness.Config, reps, spanCap int, profileDir string) (Cell, error) {
+	cell := Cell{App: cfg.AppName, Nodes: cfg.Nodes}
 
 	var cpuFile *os.File
 	if profileDir != "" {
-		base := filepath.Join(profileDir, fmt.Sprintf("%s_%s_n%d", app, cell.System, nodes))
-		f, err := os.Create(base + ".cpu.pprof")
+		f, err := os.CreateTemp(profileDir, "cell-*.cpu.pprof")
 		if err != nil {
 			return cell, fmt.Errorf("bench: cpu profile: %w", err)
 		}
@@ -173,12 +168,8 @@ func measureCell(builder apps.Builder, app, algorithm string, dcr, auto bool, sh
 		runtime.GC()
 		before := obs.ReadAllocs()
 		start := time.Now()
-		r, err := harness.Run(harness.Config{
-			App: builder, AppName: app,
-			Algorithm: algorithm, DCR: dcr, AutoTrace: auto, Shards: shards,
-			Nodes: nodes, MeasureIters: iters,
-			Spans: spans,
-		})
+		cfg.Spans = spans
+		r, err := harness.Run(cfg)
 		wall := time.Since(start).Seconds()
 		allocs, bytes := obs.ReadAllocs().Since(before)
 		if err != nil {
@@ -214,34 +205,40 @@ func measureCell(builder apps.Builder, app, algorithm string, dcr, auto bool, sh
 			cell.AnalysisP95Ns = min(cell.AnalysisP95Ns, qs[1])
 			cell.AnalysisP99Ns = min(cell.AnalysisP99Ns, qs[2])
 		}
+		cell.System = r.System
 		cell.InitTime = r.InitTime
 		cell.IterTime = r.IterTime
 		cell.ThroughputPerNode = r.ThroughputPerNode
 	}
 
-	heapPath := ""
+	base := ""
 	if profileDir != "" {
-		heapPath = filepath.Join(profileDir, fmt.Sprintf("%s_%s_n%d.heap.pprof", app, cell.System, nodes))
+		base = filepath.Join(profileDir, fmt.Sprintf("%s_%s_n%d", cell.App, cell.System, cell.Nodes))
 	}
-	if err := stopCellProfile(cpuFile, heapPath); err != nil {
-		return cell, err
-	}
-	return cell, nil
+	return cell, stopCellProfile(cpuFile, base)
 }
 
-// stopCellProfile finishes the cell's CPU profile (if one is running)
-// and, when heapPath is non-empty, captures a post-GC heap profile.
-func stopCellProfile(cpuFile *os.File, heapPath string) error {
+// stopCellProfile finishes the cell's CPU profile (if one is running).
+// With a non-empty base it moves the profile to <base>.cpu.pprof and
+// captures a post-GC heap profile beside it; with an empty base (the run
+// failed) it discards the profile.
+func stopCellProfile(cpuFile *os.File, base string) error {
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := cpuFile.Close(); err != nil {
 			return fmt.Errorf("bench: cpu profile: %w", err)
 		}
+		if base == "" {
+			return os.Remove(cpuFile.Name())
+		}
+		if err := os.Rename(cpuFile.Name(), base+".cpu.pprof"); err != nil {
+			return fmt.Errorf("bench: cpu profile: %w", err)
+		}
 	}
-	if heapPath == "" {
+	if base == "" {
 		return nil
 	}
-	f, err := os.Create(heapPath)
+	f, err := os.Create(base + ".heap.pprof")
 	if err != nil {
 		return fmt.Errorf("bench: heap profile: %w", err)
 	}

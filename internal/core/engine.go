@@ -100,34 +100,12 @@ func (e *Engine) Launch(t *Task, k Kernel) *Result {
 		if e.StrictPlans {
 			e.checkPlan(t, ri, req, res.Plans[ri])
 		}
-		inputs[ri] = e.materialize(req, res.Plans[ri])
+		inputs[ri] = Materialize(req, res.Plans[ri], e.source)
 	}
 
-	// Run the kernel and commit outputs.
-	for ri, req := range t.Reqs {
-		switch {
-		case req.Priv.IsWrite():
-			out := data.NewStore(req.Region.Space.Dim())
-			in := inputs[ri]
-			req.Region.Space.Each(func(p geometry.Point) bool {
-				cur, ok := in.Get(p)
-				if !ok {
-					cur = 0 // parity with Seq's undefined-write rule
-				}
-				out.Set(p, k.WriteValue(t, ri, p, cur))
-				return true
-			})
-			e.committed[commitKey{t.ID, ri}] = out
-		case req.Priv.IsReduce():
-			op := req.Priv.Op
-			out := data.NewStore(req.Region.Space.Dim())
-			req.Region.Space.Each(func(p geometry.Point) bool {
-				out.Set(p, privilege.Apply(op, privilege.Identity(op), k.ReduceValue(t, ri, p)))
-				return true
-			})
-			e.committed[commitKey{t.ID, ri}] = out
-		}
-	}
+	RunKernel(t, k, inputs, func(ri int, out *data.Store) {
+		e.committed[commitKey{t.ID, ri}] = out
+	})
 
 	if e.RecordInputs {
 		e.Inputs[t.ID] = inputs
@@ -135,13 +113,14 @@ func (e *Engine) Launch(t *Task, k Kernel) *Result {
 	return res
 }
 
-// materialize reconstructs the current contents of req's points by applying
-// the plan in order: write entries copy the producer's committed values,
-// reduce entries fold the producer's contributions (paint, Figure 7).
-func (e *Engine) materialize(req Req, plan []Visible) *data.Store {
+// Materialize reconstructs the current contents of req's points by applying
+// plan in order over undefined storage: write entries copy the producer's
+// committed values, reduce entries fold the producer's contributions (paint,
+// Figure 7). source returns the store a plan entry's producer committed.
+func Materialize(req Req, plan []Visible, source func(Visible, field.ID) *data.Store) *data.Store {
 	in := data.NewStore(req.Region.Space.Dim())
 	for _, v := range plan {
-		src := e.source(v, req.Field)
+		src := source(v, req.Field)
 		switch {
 		case v.Priv.IsWrite():
 			v.Pts.Each(func(p geometry.Point) bool {
@@ -169,6 +148,35 @@ func (e *Engine) materialize(req Req, plan []Visible) *data.Store {
 		}
 	}
 	return in
+}
+
+// RunKernel is the execute-and-commit half of run_task (Figure 6): for
+// every write requirement it maps k over the materialized input (an
+// undefined point reads as 0, as in Seq), for every reduce requirement it
+// folds k's contribution into an identity-initialized buffer (Figure 7
+// line 15), and it hands each fresh output store to commit.
+func RunKernel(t *Task, k Kernel, inputs []*data.Store, commit func(ri int, out *data.Store)) {
+	for ri, req := range t.Reqs {
+		switch {
+		case req.Priv.IsWrite():
+			out := data.NewStore(req.Region.Space.Dim())
+			in := inputs[ri]
+			req.Region.Space.Each(func(p geometry.Point) bool {
+				cur, _ := in.Get(p)
+				out.Set(p, k.WriteValue(t, ri, p, cur))
+				return true
+			})
+			commit(ri, out)
+		case req.Priv.IsReduce():
+			op := req.Priv.Op
+			out := data.NewStore(req.Region.Space.Dim())
+			req.Region.Space.Each(func(p geometry.Point) bool {
+				out.Set(p, privilege.Apply(op, privilege.Identity(op), k.ReduceValue(t, ri, p)))
+				return true
+			})
+			commit(ri, out)
+		}
+	}
 }
 
 // checkPlan validates a materialization plan's structural invariants.

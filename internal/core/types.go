@@ -115,6 +115,12 @@ type Analyzer interface {
 	Stats() *Stats
 }
 
+// NewAnalyzerFunc constructs an analyzer over tree with the given
+// instrumentation. Every algorithm's constructor has this shape, and so
+// does every layer that builds one (algo.New, shard.Factory and
+// dist.NewAnalyzerFunc are aliases of it).
+type NewAnalyzerFunc func(tree *region.Tree, opts Options) Analyzer
+
 // BaseName strips wrapper suffixes from an analyzer name
 // ("raycast+shard4+autotrace" → "raycast"). Wrapping analyzers compose
 // names with '+'; provenance and other cross-configuration-comparable

@@ -18,11 +18,9 @@ import (
 	"visibility/internal/bvh"
 	"visibility/internal/cluster"
 	"visibility/internal/core"
-	"visibility/internal/fault"
 	"visibility/internal/geometry"
 	"visibility/internal/index"
 	"visibility/internal/obs"
-	flightrec "visibility/internal/obs/recorder"
 	"visibility/internal/region"
 )
 
@@ -50,22 +48,12 @@ type Config struct {
 	// volume to bytes moved. Apps using scaled-down index spaces set this
 	// to (model bytes per region) / (index-space volume).
 	BytesPerPoint float64
-	// Metrics is the registry the driver and its analyzer publish into;
-	// nil gets a private registry (reachable via Driver.Metrics).
-	Metrics *obs.Registry
-	// Spans, when non-nil, receives wall-clock begin/end records for the
-	// phases of each per-launch analysis.
-	Spans *obs.Buffer
-	// Recorder, when non-nil, journals coarse analyzer events (set
-	// splits/coalesces) into the flight-recorder ring.
-	Recorder *flightrec.Recorder
-	// Faults, when non-nil, arms the analyzer-side fault-injection sites
-	// (forced equivalence-set splits and migrations) for the driven
-	// analysis; transport faults are armed on the Machine's own Config.
-	Faults *fault.Injector
-	// Prov, when non-nil, collects dependence provenance (EdgeReasons)
-	// from the driven analyzer alongside the simulated execution.
-	Prov *core.Provenance
+	// Options is the instrumentation handed to the driven analyzer
+	// (Metrics nil gets a private registry, reachable via Driver.Metrics;
+	// Faults here arms the analyzer-side sites — transport faults are armed
+	// on the Machine's own Config). New overwrites Probe and Owner on its
+	// copy: the driver is the probe, and ownership is New's argument.
+	core.Options
 }
 
 // DefaultConfig returns cost-model constants calibrated so that a
@@ -166,7 +154,7 @@ type fetchKey struct {
 
 // NewAnalyzerFunc constructs an analyzer given instrumentation options;
 // each algorithm's New matches it.
-type NewAnalyzerFunc func(tree *region.Tree, opts core.Options) core.Analyzer
+type NewAnalyzerFunc = core.NewAnalyzerFunc
 
 // New creates a Driver: it builds the analyzer with a probe attached and
 // with state ownership assigned by owner. The analyzer's operation
@@ -184,7 +172,9 @@ func New(m *cluster.Machine, tree *region.Tree, newAnalyzer NewAnalyzerFunc, own
 		owner:        owner,
 		lastAnalysis: make(map[int]cluster.Ref),
 	}
-	opts := core.Options{Probe: d.probe, Owner: owner, Metrics: cfg.Metrics, Spans: cfg.Spans, Recorder: cfg.Recorder, Faults: cfg.Faults, Prov: cfg.Prov}.Normalize()
+	opts := cfg.Options
+	opts.Probe, opts.Owner = d.probe, owner
+	opts = opts.Normalize()
 	d.metrics = opts.Metrics
 	d.localOps = d.metrics.NewHistogram("dist/launch_local_ops", 4, 16, 64, 256, 1024, 4096)
 	d.remotes = d.metrics.NewCounter("dist/remote_roundtrips")

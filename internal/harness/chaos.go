@@ -18,7 +18,6 @@ import (
 	"visibility/internal/obs/recorder"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
-	"visibility/internal/shard"
 )
 
 // ChaosConfig selects one chaos run: a workload seed, a fault plan, and
@@ -144,24 +143,23 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// sites fire here, and every inner analyzer site fires per-atom on a
 	// decorrelated stream; the crosscheck still demands byte-equality with
 	// the sequential ground truth.
-	newRaySharded, _ := algo.Lookup("raycast")
-	var openShards []*shard.Analyzer
+	var sharded []*algo.Stack
 	for _, shards := range []int{2, 5} {
-		shards := shards
+		spec := algo.Spec{Algorithm: "raycast", Shards: shards}
 		name := fmt.Sprintf("raycast+shard%d", shards)
 		factories = append(factories, core.Factory{Name: name, New: func(tr *region.Tree) core.Analyzer {
-			sh := shard.New(tr, opts, shards, shard.Factory(newRaySharded))
-			openShards = append(openShards, sh)
-			return sh
+			st := spec.Build(tr, opts)
+			sharded = append(sharded, st)
+			return st.Analyzer
 		}})
 		report.Analyzers = append(report.Analyzers, name)
 	}
 	err = core.Verify(stream, chaosInit(tree), core.HashKernel{}, factories...)
-	for _, sh := range openShards {
-		for site, n := range sh.AtomFaultCounts() {
+	for _, st := range sharded {
+		for site, n := range st.Shard.AtomFaultCounts() {
 			atomFires[site] += n
 		}
-		sh.Close()
+		st.Close()
 	}
 	if err != nil {
 		finish()
@@ -175,17 +173,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// fires mid-replay and every recovered value is still checked against
 	// the sequential ground truth.
 	loop := chaosLoopStream(rng, tree, 10)
-	var auto *autotrace.Auto
-	newRay, _ := algo.Lookup("raycast")
+	var auto *algo.Stack
 	autoFac := core.Factory{Name: "raycast+autotrace", New: func(tr *region.Tree) core.Analyzer {
-		auto = autotrace.New(newRay(tr, opts), opts)
-		return auto
+		auto = algo.Spec{Algorithm: "raycast", AutoTrace: true}.Build(tr, opts)
+		return auto.Analyzer
 	}}
 	if err := core.Verify(loop, chaosInit(tree), core.HashKernel{}, autoFac); err != nil {
 		finish()
 		return report, fmt.Errorf("chaos seed %d plan %q (autotrace leg): %w", cfg.Seed, cfg.Plan, err)
 	}
-	report.AutoTrace = auto.AutoStats()
+	report.AutoTrace = auto.Auto.AutoStats()
 
 	if cfg.Nodes > 0 {
 		mcfg := cluster.DefaultConfig(cfg.Nodes)
@@ -199,9 +196,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return int(s.Bounds().Lo.C[0]) % cfg.Nodes
 		}
 		dcfg := dist.DefaultConfig(true)
-		dcfg.Recorder = rec
-		dcfg.Faults = inj
-		d := dist.New(m, tree, dist.NewAnalyzerFunc(newAn), owner, dcfg)
+		dcfg.Options = opts
+		d := dist.New(m, tree, newAn, owner, dcfg)
 		for _, t := range stream.Tasks {
 			d.Launch(t, t.ID%cfg.Nodes, 1e-6)
 		}

@@ -19,15 +19,12 @@ import (
 
 	"visibility/internal/algo"
 	"visibility/internal/apps"
-	"visibility/internal/autotrace"
 	"visibility/internal/cluster"
 	"visibility/internal/core"
 	"visibility/internal/dist"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
 	"visibility/internal/region"
-	"visibility/internal/shard"
-	"visibility/internal/trace"
 )
 
 // Config selects one experiment cell.
@@ -103,7 +100,8 @@ type Result struct {
 	Metrics obs.Snapshot
 }
 
-// SystemName returns the artifact-style configuration name.
+// SystemName returns the artifact-style configuration name; a cell's
+// wrapper stack appends algo.Spec.Suffix to it (Result.System).
 func SystemName(algorithm string, dcr bool) string {
 	if dcr {
 		return algorithm + "_dcr"
@@ -111,36 +109,9 @@ func SystemName(algorithm string, dcr bool) string {
 	return algorithm + "_nodcr"
 }
 
-// TracedSystemName returns the configuration name with tracing noted.
-func TracedSystemName(algorithm string, dcr, tracing bool) string {
-	n := SystemName(algorithm, dcr)
-	if tracing {
-		n += "_trace"
-	}
-	return n
-}
-
-// AutoSystemName returns the configuration name for an automatically
-// traced cell. The suffix is the only schema-visible difference between
-// an autotraced cell and its untraced baseline.
-func AutoSystemName(algorithm string, dcr bool) string {
-	return SystemName(algorithm, dcr) + "_auto"
-}
-
-// ShardSystemName appends the sharded-analysis variant suffix to a
-// configuration name: "_shard<N>". It composes after the trace suffixes,
-// so a sharded autotraced cell reads "raycast_dcr_auto_shard4"; shards
-// of zero returns the name unchanged.
-func ShardSystemName(system string, shards int) string {
-	if shards <= 0 {
-		return system
-	}
-	return fmt.Sprintf("%s_shard%d", system, shards)
-}
-
 // Run executes one experiment cell.
 func Run(cfg Config) (*Result, error) {
-	newAn, err := algo.Lookup(cfg.Algorithm)
+	spec, err := algo.Spec{Algorithm: cfg.Algorithm, Tracing: cfg.Tracing, AutoTrace: cfg.AutoTrace, Shards: cfg.Shards}.Check()
 	if err != nil {
 		return nil, err
 	}
@@ -150,12 +121,6 @@ func Run(cfg Config) (*Result, error) {
 	iters := cfg.MeasureIters
 	if iters == 0 {
 		iters = 3
-	}
-	if cfg.Tracing && cfg.AutoTrace {
-		return nil, fmt.Errorf("harness: Tracing and AutoTrace are mutually exclusive")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("harness: invalid shard count %d", cfg.Shards)
 	}
 
 	inst := cfg.App(cfg.Nodes)
@@ -170,43 +135,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	owner := dist.OwnerByPartition(inst.Owned, cfg.Nodes)
 
-	var tracer *trace.Tracer
-	var auto *autotrace.Auto
-	// The shard layer sits innermost (fan-out under the trace layers, so a
-	// replayed launch skips it entirely); its worker goroutines are
-	// released once the cell's measurements are done.
-	newInner := dist.NewAnalyzerFunc(newAn)
-	var openShards []*shard.Analyzer
-	if cfg.Shards > 0 {
-		newInner = func(tree *region.Tree, opts core.Options) core.Analyzer {
-			sh := shard.New(tree, opts, cfg.Shards, shard.Factory(newAn))
-			openShards = append(openShards, sh)
-			return sh
-		}
-	}
-	defer func() {
-		for _, sh := range openShards {
-			sh.Close()
-		}
-	}()
-	buildAnalyzer := newInner
-	if cfg.Tracing {
-		buildAnalyzer = func(tree *region.Tree, opts core.Options) core.Analyzer {
-			tracer = trace.New(newInner(tree, opts), opts)
-			return tracer
-		}
-	}
-	if cfg.AutoTrace {
-		buildAnalyzer = func(tree *region.Tree, opts core.Options) core.Analyzer {
-			auto = autotrace.New(newInner(tree, opts), opts)
-			return auto
-		}
-	}
 	distCfg := dist.DefaultConfig(cfg.DCR)
-	distCfg.Metrics = reg
-	distCfg.Spans = cfg.Spans
-	distCfg.Recorder = cfg.Recorder
-	driver := dist.New(machine, inst.Tree, buildAnalyzer, owner, distCfg)
+	distCfg.Options = core.Options{Metrics: reg, Spans: cfg.Spans, Recorder: cfg.Recorder}
+	var stack *algo.Stack
+	driver := dist.New(machine, inst.Tree, func(tree *region.Tree, opts core.Options) core.Analyzer {
+		stack = spec.Build(tree, opts)
+		return stack.Analyzer
+	}, owner, distCfg)
+	// The shard layer's goroutines are released once the cell is measured.
+	defer stack.Close()
+	tracer := stack.Tracer
 	stream := core.NewStream(inst.Tree)
 
 	mapper := cfg.Mapper
@@ -246,7 +184,7 @@ func Run(cfg Config) (*Result, error) {
 	if tracer != nil {
 		warm = 1
 	}
-	if auto != nil {
+	if stack.Auto != nil {
 		warm = 2
 	}
 	for k := 0; k < warm; k++ {
@@ -276,14 +214,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	span := total * float64(cfg.Nodes)
-	system := TracedSystemName(cfg.Algorithm, cfg.DCR, cfg.Tracing)
-	if cfg.AutoTrace {
-		system = AutoSystemName(cfg.Algorithm, cfg.DCR)
-	}
-	system = ShardSystemName(system, cfg.Shards)
 	return &Result{
 		Reps:              1,
-		System:            system,
+		System:            SystemName(spec.Algorithm, cfg.DCR) + spec.Suffix(),
 		App:               cfg.AppName,
 		Nodes:             cfg.Nodes,
 		InitTime:          initTime,
@@ -403,40 +336,20 @@ func NodeSweep(max int) []int {
 	return out
 }
 
-// Sweep runs all paper configurations for one app over a node sweep.
-func Sweep(app apps.Builder, appName string, maxNodes, iters int) ([]*Result, error) {
-	return SweepTraced(app, appName, maxNodes, iters, false)
-}
-
-// SweepTraced is Sweep with dynamic tracing optionally enabled for every
-// configuration. Cells are independent simulations, so they run in
-// parallel across the host's CPUs; results are returned in deterministic
+// Sweep runs base under every paper configuration over the power-of-two
+// node sweep up to maxNodes: base supplies the application, the timed
+// iterations and the wrapper stack, and Sweep fills in Algorithm, DCR and
+// Nodes. Each cell is repeated reps times and aggregated min-of-reps (see
+// RunReps). Cells are independent simulations, so they run in parallel
+// across the host's CPUs; results are returned in deterministic
 // (configuration-major) order.
-func SweepTraced(app apps.Builder, appName string, maxNodes, iters int, tracing bool) ([]*Result, error) {
-	return SweepReps(app, appName, maxNodes, iters, 1, tracing)
-}
-
-// SweepReps is SweepTraced with each cell repeated reps times and
-// aggregated min-of-reps (see RunReps) instead of measured once.
-func SweepReps(app apps.Builder, appName string, maxNodes, iters, reps int, tracing bool) ([]*Result, error) {
-	return sweepCells(app, appName, maxNodes, iters, reps, tracing, false)
-}
-
-// SweepAuto is SweepReps with automatic trace memoization enabled for
-// every configuration (and explicit tracing off).
-func SweepAuto(app apps.Builder, appName string, maxNodes, iters, reps int) ([]*Result, error) {
-	return sweepCells(app, appName, maxNodes, iters, reps, false, true)
-}
-
-func sweepCells(app apps.Builder, appName string, maxNodes, iters, reps int, tracing, auto bool) ([]*Result, error) {
+func Sweep(base Config, maxNodes, reps int) ([]*Result, error) {
 	var cells []Config
-	for _, cfg := range PaperConfigs() {
+	for _, pc := range PaperConfigs() {
 		for _, n := range NodeSweep(maxNodes) {
-			cells = append(cells, Config{
-				App: app, AppName: appName,
-				Algorithm: cfg.Algorithm, DCR: cfg.DCR,
-				Nodes: n, MeasureIters: iters, Tracing: tracing, AutoTrace: auto,
-			})
+			cell := base
+			cell.Algorithm, cell.DCR, cell.Nodes = pc.Algorithm, pc.DCR, n
+			cells = append(cells, cell)
 		}
 	}
 	out := make([]*Result, len(cells))

@@ -96,7 +96,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSweepAndFormats(t *testing.T) {
-	results, err := harness.Sweep(stencil.New, "stencil", 4, 1)
+	results, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPennantFuturesFixesDtFunnel(t *testing.T) {
 }
 
 func TestWriteChart(t *testing.T) {
-	results, err := harness.Sweep(stencil.New, "stencil", 4, 1)
+	results, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +378,11 @@ func TestRunRepsAggregates(t *testing.T) {
 // TestSweepReps checks the reps-aware sweep returns aggregated cells in
 // the same deterministic order as the plain sweep.
 func TestSweepReps(t *testing.T) {
-	plain, err := harness.SweepTraced(stencil.New, "stencil", 2, 1, false)
+	plain, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := harness.SweepReps(stencil.New, "stencil", 2, 1, 2, false)
+	reps, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

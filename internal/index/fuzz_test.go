@@ -1,6 +1,8 @@
 package index
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"visibility/internal/geometry"
@@ -99,6 +101,37 @@ func FuzzContainsAgainstRects(f *testing.F) {
 		}
 		if got := x.Contains(p); got != want {
 			t.Fatalf("Contains(%v) = %v, rects say %v (%v)", p, got, want, x)
+		}
+	})
+}
+
+// FuzzFromRows drives the row decoder — the one both trust boundaries
+// (checkpoint restore, wire workloads) go through — with arbitrary JSON:
+// it must never panic, and whatever it accepts must survive
+// decode → encode → decode unchanged.
+func FuzzFromRows(f *testing.F) {
+	f.Add(1, []byte(`[[0,9]]`))
+	f.Add(2, []byte(`[[0,3,0,3],[2,5,2,5]]`))
+	f.Add(2, []byte(`[[0,9]]`))
+	f.Add(1, []byte(`[[9,0]]`))
+	f.Add(0, []byte(`[]`))
+	f.Add(3, []byte(`[[-9223372036854775808,9223372036854775807,0,0,1,1]]`))
+	f.Fuzz(func(t *testing.T, dim int, raw []byte) {
+		var rows [][]int64
+		if json.Unmarshal(raw, &rows) != nil {
+			return
+		}
+		sp, err := FromRows(dim, rows)
+		if err != nil {
+			return
+		}
+		enc := sp.Rows()
+		again, err := FromRows(dim, enc)
+		if err != nil {
+			t.Fatalf("re-decoding %v (from %s): %v", enc, raw, err)
+		}
+		if !again.Equal(sp) || !reflect.DeepEqual(again.Rows(), enc) {
+			t.Fatalf("not a fixed point: %s → %v → %v", raw, enc, again.Rows())
 		}
 	})
 }

@@ -80,6 +80,46 @@ func FromPoints(dim int, ps ...geometry.Point) Space {
 	return FromRects(dim, rs...)
 }
 
+// FromRows decodes the row form of a space — one [lo0, hi0, lo1, hi1, ...]
+// row per rectangle, the encoding checkpoints and wire workloads carry.
+// Rows may overlap. It rejects, with an error and never a panic,
+// everything untrusted input can get wrong: a dimension outside
+// [1, MaxDim], a row whose length is not 2·dim, inverted bounds (lo > hi).
+func FromRows(dim int, rows [][]int64) (Space, error) {
+	if dim < 1 || dim > geometry.MaxDim {
+		return Empty(1), fmt.Errorf("dimension %d outside [1, %d]", dim, geometry.MaxDim)
+	}
+	rects := make([]geometry.Rect, 0, len(rows))
+	for _, row := range rows {
+		if len(row) != 2*dim {
+			return Empty(dim), fmt.Errorf("malformed rect %v for dim %d", row, dim)
+		}
+		r := geometry.Rect{Dim: dim}
+		for a := 0; a < dim; a++ {
+			r.Lo.C[a] = row[2*a]
+			r.Hi.C[a] = row[2*a+1]
+			if r.Lo.C[a] > r.Hi.C[a] {
+				return Empty(dim), fmt.Errorf("inverted rect %v (lo > hi on axis %d)", row, a)
+			}
+		}
+		rects = append(rects, r)
+	}
+	return FromRects(dim, rects...), nil
+}
+
+// Rows encodes the canonical decomposition in the form FromRows decodes.
+func (s Space) Rows() [][]int64 {
+	out := make([][]int64, 0, len(s.rects))
+	for _, r := range s.rects {
+		row := make([]int64, 0, 2*s.dim)
+		for a := 0; a < s.dim; a++ {
+			row = append(row, r.Lo.C[a], r.Hi.C[a])
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
 // Dim returns the dimensionality of the space.
 func (s Space) Dim() int { return s.dim }
 

@@ -118,32 +118,16 @@ func NewClock(capacity int, now func() int64) *Recorder {
 // holding pen for event sequences produced off the journaling goroutine —
 // a shard worker journals into its own tape, and the merge stage replays
 // the events into the real recorder (which stamps its own clock) in a
-// deterministic order. Empty it with Take (copying) or Drain (in place).
+// deterministic order. Empty it with Drain.
 func NewTape() *Recorder {
 	r := &Recorder{now: func() int64 { return 0 }, unbounded: true}
 	r.enabled.Store(true)
 	return r
 }
 
-// Take returns the journaled events, oldest first, and resets the window
-// to empty (retaining capacity). Nil-safe.
-func (r *Recorder) Take() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.head:]...)
-	out = append(out, r.ring[:r.head]...)
-	r.ring = r.ring[:0]
-	r.head = 0
-	return out
-}
-
 // Drain invokes fn on each journaled event, oldest first, then resets
-// the window to empty (retaining capacity) — Take without the copy, for
-// per-launch staging tapes drained on every merge. fn runs under the
+// the window to empty (retaining capacity), copying nothing — it runs for
+// every per-launch staging tape on every merge. fn runs under the
 // recorder's lock and must not journal back into the same recorder.
 // Nil-safe.
 func (r *Recorder) Drain(fn func(Event)) {

@@ -28,8 +28,6 @@ type Painter struct {
 	state map[field.ID]*fieldState
 	// confined to analyzer
 	stats core.Stats
-	// confined to analyzer
-	partCache map[int]*region.Partition
 	// nextToken issues unique composite-view ids for replication tracking.
 	//
 	// confined to analyzer
@@ -343,28 +341,11 @@ func (pa *Painter) snapshot(fs *fieldState, key nodeKey, space index.Space, v *v
 			pa.snapshot(fs, partKey(p), p.Space(), v)
 		}
 	} else {
-		p := pa.partitionByID(key.id)
+		p := pa.tree.PartitionAt(key.id) // partition IDs are creation indices
 		for _, sub := range p.Subregions {
 			pa.snapshot(fs, regionKey(sub), sub.Space, v)
 		}
 	}
-}
-
-func (pa *Painter) partitionByID(id int) *region.Partition {
-	// Partitions are reachable from their parent regions; scan the tree's
-	// regions once and cache.
-	if pa.partCache == nil {
-		pa.partCache = make(map[int]*region.Partition)
-	}
-	if p, ok := pa.partCache[id]; ok {
-		return p
-	}
-	for i := 0; i < pa.tree.NumRegions(); i++ {
-		for _, p := range pa.tree.Region(i).Partitions {
-			pa.partCache[p.ID] = p
-		}
-	}
-	return pa.partCache[id]
 }
 
 // scanItems traverses history items in order, expanding composite views,

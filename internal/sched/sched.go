@@ -90,41 +90,18 @@ type instanceKey struct {
 	plan  string // plan signature: producers, privileges, points
 }
 
-// NewExecutor creates an executor with workers parallel processors and a
-// private metrics registry.
-func NewExecutor(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.Store, workers int) *Executor {
-	return NewExecutorMetrics(tree, an, init, workers, nil)
-}
-
-// NewExecutorMetrics is NewExecutor publishing into the given registry
-// (nil gets a private one); a serving layer passes one registry per
-// session so scheduler counters land next to the analyzer's.
-func NewExecutorMetrics(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.Store, workers int, metrics *obs.Registry) *Executor {
-	return NewExecutorObs(tree, an, init, workers, metrics, nil)
-}
-
-// NewExecutorObs is NewExecutorMetrics that also journals task launches
-// and instance-cache outcomes into rec (nil disables journaling).
-func NewExecutorObs(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.Store, workers int, metrics *obs.Registry, rec *recorder.Recorder) *Executor {
-	return NewExecutorFault(tree, an, init, workers, metrics, rec, nil)
-}
-
-// NewExecutorFault is NewExecutorObs with a fault-injection plane wired
-// into the scheduler's sites (nil disables them).
-func NewExecutorFault(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.Store, workers int, metrics *obs.Registry, rec *recorder.Recorder, faults *fault.Injector) *Executor {
-	return NewExecutorProv(tree, an, init, workers, metrics, rec, faults, nil)
-}
-
-// NewExecutorProv is NewExecutorFault that additionally samples
-// per-launch costs into prov (nil disables sampling; the analyzer's own
-// EdgeReason capture is wired through core.Options.Prov separately).
-func NewExecutorProv(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.Store, workers int, metrics *obs.Registry, rec *recorder.Recorder, faults *fault.Injector, prov *core.Provenance) *Executor {
+// NewExecutor creates an executor with workers parallel processors. From
+// opts it takes the registry its cache counters publish into (nil gets a
+// private one), the flight recorder journaling task launches and
+// instance-cache outcomes, the fault plane behind the CacheBypass site,
+// and the provenance store sampling per-launch costs (the analyzer's own
+// EdgeReason capture reaches the same store through its own Options); nil
+// disables each.
+func NewExecutor(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.Store, workers int, opts core.Options) *Executor {
 	if workers < 1 {
 		workers = 1
 	}
-	if metrics == nil {
-		metrics = obs.NewRegistry()
-	}
+	metrics := opts.Normalize().Metrics
 	x := &Executor{
 		tree:      tree,
 		an:        an,
@@ -137,9 +114,9 @@ func NewExecutorProv(tree *region.Tree, an core.Analyzer, init map[field.ID]*dat
 		metrics:   metrics,
 		cacheHits: metrics.NewCounter("sched/cache/hits"),
 		cacheMiss: metrics.NewCounter("sched/cache/misses"),
-		rec:       rec,
-		faults:    faults,
-		prov:      prov,
+		rec:       opts.Recorder,
+		faults:    opts.Faults,
+		prov:      opts.Prov,
 	}
 	for f, s := range init {
 		x.init[f] = s.Clone()
@@ -213,30 +190,7 @@ func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.
 		if body != nil {
 			body(inputs)
 		}
-		for ri, req := range t.Reqs {
-			switch {
-			case req.Priv.IsWrite():
-				out := data.NewStore(req.Region.Space.Dim())
-				in := inputs[ri]
-				req.Region.Space.Each(func(p geometry.Point) bool {
-					cur, ok := in.Get(p)
-					if !ok {
-						cur = 0
-					}
-					out.Set(p, k.WriteValue(t, ri, p, cur))
-					return true
-				})
-				x.commit(t.ID, ri, out)
-			case req.Priv.IsReduce():
-				op := req.Priv.Op
-				out := data.NewStore(req.Region.Space.Dim())
-				req.Region.Space.Each(func(p geometry.Point) bool {
-					out.Set(p, privilege.Apply(op, privilege.Identity(op), k.ReduceValue(t, ri, p)))
-					return true
-				})
-				x.commit(t.ID, ri, out)
-			}
-		}
+		core.RunKernel(t, k, inputs, func(ri int, out *data.Store) { x.commit(t.ID, ri, out) })
 	})
 
 	x.mu.Lock()
@@ -296,7 +250,7 @@ func (x *Executor) materialize(req core.Req, plan []core.Visible) *data.Store {
 	x.cacheMiss.Inc()
 	x.rec.Log(recorder.KindCacheMiss, int64(req.Field), 0)
 
-	in := x.materializeFresh(req, plan)
+	in := core.Materialize(req, plan, x.source)
 
 	x.mu.Lock()
 	if _, dup := x.instances[key]; !dup {
@@ -309,37 +263,6 @@ func (x *Executor) materialize(req core.Req, plan []core.Visible) *data.Store {
 		}
 	}
 	x.mu.Unlock()
-	return in
-}
-
-func (x *Executor) materializeFresh(req core.Req, plan []core.Visible) *data.Store {
-	in := data.NewStore(req.Region.Space.Dim())
-	for _, v := range plan {
-		src := x.source(v, req.Field)
-		switch {
-		case v.Priv.IsWrite():
-			v.Pts.Each(func(p geometry.Point) bool {
-				if val, ok := src.Get(p); ok {
-					in.Set(p, val)
-				}
-				return true
-			})
-		case v.Priv.IsReduce():
-			op := v.Priv.Op
-			v.Pts.Each(func(p geometry.Point) bool {
-				contrib, ok := src.Get(p)
-				if !ok {
-					return true
-				}
-				base, okb := in.Get(p)
-				if !okb {
-					base = privilege.Identity(op)
-				}
-				in.Set(p, privilege.Apply(op, base, contrib))
-				return true
-			})
-		}
-	}
 	return in
 }
 

@@ -53,7 +53,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 
 			// Parallel execution with an identical stream.
 			stream := core.NewStream(tree)
-			x := sched.NewExecutor(tree, fac.New(tree), init, 4)
+			x := sched.NewExecutor(tree, fac.New(tree), init, 4, core.Options{})
 			defer x.Shutdown()
 			for iter := 0; iter < 8; iter++ {
 				for i := 0; i < 3; i++ {
@@ -82,7 +82,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 func TestIndependentTasksRunConcurrently(t *testing.T) {
 	tree, p, g := testutil.GraphTree()
 	stream := core.NewStream(tree)
-	x := sched.NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), 3)
+	x := sched.NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), 3, core.Options{})
 	defer x.Shutdown()
 
 	var wg sync.WaitGroup
@@ -117,7 +117,7 @@ func TestDependentTasksAreOrdered(t *testing.T) {
 	tree, p, g := testutil.GraphTree()
 	_ = g
 	stream := core.NewStream(tree)
-	x := sched.NewExecutor(tree, warnock.New(tree, core.Options{}), testutil.FullInit(tree), 4)
+	x := sched.NewExecutor(tree, warnock.New(tree, core.Options{}), testutil.FullInit(tree), 4, core.Options{})
 	defer x.Shutdown()
 
 	var order []string
@@ -149,7 +149,7 @@ func reads() privilege.Privilege  { return privilege.Reads() }
 func TestInstanceCacheReuse(t *testing.T) {
 	tree, p, g := testutil.GraphTree()
 	_ = g
-	x := sched.NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), 2)
+	x := sched.NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), 2, core.Options{})
 	defer x.Shutdown()
 	stream := core.NewStream(tree)
 	up, _ := tree.Fields.Lookup("up")

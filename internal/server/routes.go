@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"visibility"
+	"visibility/internal/algo"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
 	"visibility/internal/wire"
@@ -166,13 +167,6 @@ func (srv *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 
 // --- session lifecycle endpoints ----------------------------------------
 
-type sessionConfigBody struct {
-	Algorithm string `json:"algorithm,omitempty"`
-	Tracing   bool   `json:"tracing,omitempty"`
-	Autotrace bool   `json:"autotrace,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
-}
-
 type sessionBody struct {
 	ID        string `json:"id"`
 	Algorithm string `json:"algorithm"`
@@ -185,7 +179,7 @@ type sessionBody struct {
 
 func (s *session) describe() sessionBody {
 	_, queued := s.idleSince()
-	body := sessionBody{ID: s.id, Algorithm: s.algorithm, Tracing: s.tracing, Autotrace: s.autotrace, Shards: s.shards, Queued: queued}
+	body := sessionBody{ID: s.id, Algorithm: s.spec.Algorithm, Tracing: s.spec.Tracing, Autotrace: s.spec.AutoTrace, Shards: s.spec.Shards, Queued: queued}
 	if err := s.latchedFailure(); err != nil {
 		body.Failed = err.Error()
 	}
@@ -193,14 +187,14 @@ func (s *session) describe() sessionBody {
 }
 
 func (srv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var cfg sessionConfigBody
+	var spec algo.Spec // the creation body is the stack description itself
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil && err.Error() != "EOF" {
+	if err := dec.Decode(&spec); err != nil && err.Error() != "EOF" {
 		srv.fail(w, fmt.Errorf("decoding session config: %v", err))
 		return
 	}
-	s, err := srv.createSession(cfg.Algorithm, cfg.Tracing, cfg.Autotrace, cfg.Shards, func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
+	s, err := srv.createSession(spec, func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
 		rt := visibility.New(c)
 		return rt, wire.NewEnv(rt), nil
 	})
@@ -213,16 +207,16 @@ func (srv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 
 func (srv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	shards := 0
+	spec := algo.Spec{Algorithm: q.Get("algorithm"), Tracing: q.Get("tracing") == "true", AutoTrace: q.Get("autotrace") == "true"}
 	if v := q.Get("shards"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			srv.fail(w, fmt.Errorf("bad shards %q: %v", v, err))
 			return
 		}
-		shards = n
+		spec.Shards = n
 	}
-	s, err := srv.createSession(q.Get("algorithm"), q.Get("tracing") == "true", q.Get("autotrace") == "true", shards,
+	s, err := srv.createSession(spec,
 		func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
 			rt, roots, err := visibility.Restore(r.Body, c)
 			if err != nil {
@@ -697,7 +691,7 @@ func (srv *Server) handleDebugTrace(w http.ResponseWriter, _ *http.Request) {
 	list := srv.sessionList()
 	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })
 	for i, s := range list {
-		tw.ProcessName(i+1, "session "+s.id+" ("+s.algorithm+")")
+		tw.ProcessName(i+1, "session "+s.id+" ("+s.spec.Algorithm+")")
 		tw.Spans(i+1, 0, s.spans.Snapshot())
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -207,28 +207,20 @@ var errTooManySessions = fmt.Errorf("session limit reached")
 // worker inherits the moment run starts.
 //
 //confined:callbacks session-worker
-func (srv *Server) createSession(algorithm string, tracing, autotrace bool, shards int, seed func(cfg visibility.Config) (*visibility.Runtime, *wire.Env, error)) (*session, error) {
-	if algorithm == "" {
-		algorithm = "raycast"
-	}
-	if _, err := algo.Lookup(algorithm); err != nil {
-		return nil, fmt.Errorf("unknown algorithm %q (have %v)", algorithm, algo.Names())
-	}
-	if tracing && autotrace {
-		return nil, fmt.Errorf("tracing and autotrace are mutually exclusive")
-	}
-	if shards < 0 {
-		return nil, fmt.Errorf("invalid shard count %d", shards)
+func (srv *Server) createSession(spec algo.Spec, seed func(cfg visibility.Config) (*visibility.Runtime, *wire.Env, error)) (*session, error) {
+	spec, err := spec.Check()
+	if err != nil {
+		return nil, err
 	}
 	metrics := obs.NewRegistry()
 	// The session buffer shares the server clock so HTTP, queue-wait, and
 	// analysis spans land on one time axis in the merged export.
 	spans := obs.NewBufferClock(srv.cfg.SpanCap, srv.clock)
 	cfg := visibility.Config{
-		Algorithm: algorithm,
-		Tracing:   tracing,
-		AutoTrace: autotrace,
-		Shards:    shards,
+		Algorithm: spec.Algorithm,
+		Tracing:   spec.Tracing,
+		AutoTrace: spec.AutoTrace,
+		Shards:    spec.Shards,
 		Workers:   srv.cfg.Workers,
 		Metrics:   metrics,
 		Spans:     spans,
@@ -258,7 +250,7 @@ func (srv *Server) createSession(algorithm string, tracing, autotrace bool, shar
 	}
 	srv.nextID++
 	id := fmt.Sprintf("s%06d", srv.nextID)
-	s := srv.newSession(id, algorithm, tracing, autotrace, shards, rt, env, metrics, spans)
+	s := srv.newSession(id, spec, rt, env, metrics, spans)
 	s.seq = int64(srv.nextID)
 	srv.sessions[id] = s
 	srv.active.Set(int64(len(srv.sessions)))

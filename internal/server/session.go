@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"visibility"
+	"visibility/internal/algo"
 	"visibility/internal/fault"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
@@ -18,14 +19,11 @@ import (
 // order — so a snapshot requested after a batch observes the batch
 // (read-after-launch coherence), and two tenants never contend.
 type session struct {
-	id        string
-	srv       *Server
-	algorithm string
-	tracing   bool
-	autotrace bool
-	shards    int
-	created   time.Time
-	seq       int64 // numeric id journaled in flight-recorder events
+	id      string
+	srv     *Server
+	spec    algo.Spec // the analysis stack rt was configured with
+	created time.Time
+	seq     int64 // numeric id journaled in flight-recorder events
 
 	// rt and env are touched only by the worker goroutine (and by the
 	// creating goroutine before the worker starts — createSession's
@@ -75,22 +73,19 @@ var (
 // newSession builds a session around an existing runtime and environment
 // (created by the caller; ownership transfers to the worker goroutine the
 // moment run starts).
-func (srv *Server) newSession(id, algorithm string, tracing, autotrace bool, shards int, rt *visibility.Runtime, env *wire.Env, metrics *obs.Registry, spans *obs.Buffer) *session {
+func (srv *Server) newSession(id string, spec algo.Spec, rt *visibility.Runtime, env *wire.Env, metrics *obs.Registry, spans *obs.Buffer) *session {
 	s := &session{
-		id:        id,
-		srv:       srv,
-		algorithm: algorithm,
-		tracing:   tracing,
-		autotrace: autotrace,
-		shards:    shards,
-		created:   time.Now(),
-		rt:        rt,
-		env:       env,
-		metrics:   metrics,
-		spans:     spans,
-		jobs:      make(chan job, srv.cfg.MaxQueue),
-		done:      make(chan struct{}),
-		lastUsed:  time.Now(),
+		id:       id,
+		srv:      srv,
+		spec:     spec,
+		created:  time.Now(),
+		rt:       rt,
+		env:      env,
+		metrics:  metrics,
+		spans:    spans,
+		jobs:     make(chan job, srv.cfg.MaxQueue),
+		done:     make(chan struct{}),
+		lastUsed: time.Now(),
 	}
 	go s.run()
 	return s

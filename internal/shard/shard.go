@@ -60,7 +60,7 @@ import (
 
 // Factory constructs the inner analyzer an atom runs over its shadow
 // tree — the same shape as the algorithm registry's constructors.
-type Factory func(tree *region.Tree, opts core.Options) core.Analyzer
+type Factory = core.NewAnalyzerFunc
 
 // maxStall bounds the delay the shard.stall fault site injects.
 const maxStall = 200 * time.Microsecond

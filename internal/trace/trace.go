@@ -222,24 +222,28 @@ func replayable(ts *traceState) bool {
 	return true
 }
 
-// End finishes the current trace instance.
-func (tr *Tracer) End() {
+// End finishes the current trace instance and reports whether the trace
+// it leaves behind can replay: false after a recording that replayable
+// rejects, or a replay that stopped short and was invalidated.
+func (tr *Tracer) End() bool {
+	ts := tr.active
 	switch tr.mode {
 	case recording:
-		tr.active.valid = replayable(tr.active)
-		tr.active.lastInst = tr.active.startID
+		ts.valid = replayable(ts)
+		ts.lastInst = ts.startID
 	case replaying:
-		if tr.replayIdx != len(tr.active.sigs) {
+		if tr.replayIdx != len(ts.sigs) {
 			// Short instance: structure changed; drop the trace.
 			tr.invalidate()
 		} else {
-			tr.active.lastInst = tr.startID
+			ts.lastInst = tr.startID
 		}
 	default:
 		panic("trace: End without Begin")
 	}
 	tr.mode = idle
 	tr.active = nil
+	return ts.valid
 }
 
 // invalidate drops the active trace and re-analyzes everything the wrapped

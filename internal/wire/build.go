@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"visibility"
+	"visibility/internal/index"
 	"visibility/internal/privilege"
 )
 
@@ -177,7 +178,7 @@ func (e *Env) Apply(wl *Workload) ([]visibility.Future, error) {
 // declare materializes one region declaration: space, fields, initial
 // contents, partitions in order.
 func (e *Env) declare(rd *RegionDecl) error {
-	space, err := decodeSpace(rd.Dim, rd.Space)
+	space, err := index.FromRows(rd.Dim, rd.Space)
 	if err != nil {
 		return fmt.Errorf("wire: region %q: %v", rd.Name, err)
 	}
@@ -214,7 +215,7 @@ func (e *Env) declarePartition(pd *PartitionDecl, r *visibility.Region, rd *Regi
 	case "explicit":
 		pieces := make([]visibility.IndexSpace, 0, len(pd.Spaces))
 		for i, rows := range pd.Spaces {
-			sp, err := decodeSpace(rd.Dim, rows)
+			sp, err := index.FromRows(rd.Dim, rows)
 			if err != nil {
 				return fmt.Errorf("wire: partition %q piece %d: %v", pd.Name, i, err)
 			}

@@ -371,31 +371,6 @@ func init() {
 
 // --- validation ---------------------------------------------------------
 
-// decodeSpace rebuilds an index space from encoded rect rows with the same
-// strictness as the checkpoint decoder: dim in [1, MaxDim], row length
-// 2·dim, lo <= hi on every axis.
-func decodeSpace(dim int, rows [][]int64) (index.Space, error) {
-	if dim < 1 || dim > geometry.MaxDim {
-		return index.Empty(1), fmt.Errorf("dimension %d outside [1, %d]", dim, geometry.MaxDim)
-	}
-	rects := make([]geometry.Rect, 0, len(rows))
-	for _, row := range rows {
-		if len(row) != 2*dim {
-			return index.Empty(dim), fmt.Errorf("malformed rect %v for dim %d", row, dim)
-		}
-		r := geometry.Rect{Dim: dim}
-		for a := 0; a < dim; a++ {
-			r.Lo.C[a] = row[2*a]
-			r.Hi.C[a] = row[2*a+1]
-			if r.Lo.C[a] > r.Hi.C[a] {
-				return index.Empty(dim), fmt.Errorf("inverted rect %v (lo > hi on axis %d)", row, a)
-			}
-		}
-		rects = append(rects, r)
-	}
-	return index.FromRects(dim, rects...), nil
-}
-
 // declared tracks what one workload's region declarations define, for
 // resolving references during validation and piece-count checks.
 type declared struct {
@@ -443,7 +418,7 @@ func validateRegion(r *RegionDecl, d *declared) error {
 	if _, dup := d.parts[r.Name]; dup {
 		return fmt.Errorf("wire: region %q collides with a partition name", r.Name)
 	}
-	space, err := decodeSpace(r.Dim, r.Space)
+	space, err := index.FromRows(r.Dim, r.Space)
 	if err != nil {
 		return fmt.Errorf("wire: region %q: %v", r.Name, err)
 	}
@@ -516,7 +491,7 @@ func validatePartition(p *PartitionDecl, r *RegionDecl, space index.Space, d *de
 			return fmt.Errorf("wire: partition %q: explicit partition with no pieces", p.Name)
 		}
 		for i, rows := range p.Spaces {
-			sp, err := decodeSpace(r.Dim, rows)
+			sp, err := index.FromRows(r.Dim, rows)
 			if err != nil {
 				return fmt.Errorf("wire: partition %q piece %d: %v", p.Name, i, err)
 			}

@@ -55,7 +55,6 @@ import (
 	"visibility/internal/privilege"
 	"visibility/internal/region"
 	"visibility/internal/sched"
-	"visibility/internal/shard"
 	"visibility/internal/trace"
 )
 
@@ -206,19 +205,20 @@ type Runtime struct {
 
 // New creates a runtime.
 func New(cfg Config) *Runtime {
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = "raycast"
+	spec, err := cfg.spec().Check()
+	if err != nil {
+		panic(fmt.Sprintf("visibility: %v", err))
 	}
+	cfg.Algorithm = spec.Algorithm
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if _, err := algo.Lookup(cfg.Algorithm); err != nil {
-		panic(fmt.Sprintf("visibility: %v", err))
-	}
-	if cfg.Tracing && cfg.AutoTrace {
-		panic("visibility: Tracing and AutoTrace are mutually exclusive")
-	}
 	return &Runtime{cfg: cfg, registered: make(map[string]bool)}
+}
+
+// spec is the analysis stack cfg's flat fields describe.
+func (cfg Config) spec() algo.Spec {
+	return algo.Spec{Algorithm: cfg.Algorithm, Tracing: cfg.Tracing, AutoTrace: cfg.AutoTrace, Shards: cfg.Shards}
 }
 
 // Region is a logical region: an index space with named fields, possibly a
@@ -242,9 +242,7 @@ type treeState struct {
 	stream *core.Stream
 	exec   *sched.Executor
 	seq    *core.Seq        // non-nil in Validate mode
-	tracer *trace.Tracer    // non-nil in Tracing mode
-	auto   *autotrace.Auto  // non-nil in AutoTrace mode
-	shard  *shard.Analyzer  // non-nil when Config.Shards > 0
+	stack  *algo.Stack      // the analyzer exec drives; nil until frozen
 	prov   *core.Provenance // non-nil in Provenance mode
 	// labels caches precedence labels for MustPrecede; rebuilt when the
 	// stream has grown past labelsAt.
@@ -623,14 +621,7 @@ func (rt *Runtime) freeze(ts *treeState) {
 		ts.prov = core.NewProvenance()
 	}
 	opts := core.Options{Metrics: rt.cfg.Metrics, Spans: rt.cfg.Spans, Recorder: rt.cfg.Recorder, Faults: rt.cfg.Faults, Prov: ts.prov}
-	newAn, _ := algo.Lookup(rt.cfg.Algorithm)
-	var an core.Analyzer
-	if rt.cfg.Shards > 0 {
-		ts.shard = shard.New(ts.tree, opts, rt.cfg.Shards, shard.Factory(newAn))
-		an = ts.shard
-	} else {
-		an = newAn(ts.tree, opts)
-	}
+	ts.stack = rt.cfg.spec().Build(ts.tree, opts)
 	if rt.cfg.Metrics != nil {
 		// Computed metrics are read live at snapshot time; per-tree
 		// prefixes keep multi-tree runtimes from colliding. A second root
@@ -639,19 +630,11 @@ func (rt *Runtime) freeze(ts *treeState) {
 		name := "analyzer/" + ts.tree.Root.Name
 		if !rt.registered[name] {
 			rt.registered[name] = true
-			an.Stats().RegisterMetrics(rt.cfg.Metrics, name)
+			ts.stack.Analyzer.Stats().RegisterMetrics(rt.cfg.Metrics, name)
 		}
 	}
-	if rt.cfg.Tracing {
-		ts.tracer = trace.New(an, opts)
-		an = ts.tracer
-	}
-	if rt.cfg.AutoTrace {
-		ts.auto = autotrace.New(an, opts)
-		an = ts.auto
-	}
 	ts.stream = core.NewStream(ts.tree)
-	ts.exec = sched.NewExecutorProv(ts.tree, an, ts.init, rt.cfg.Workers, rt.cfg.Metrics, rt.cfg.Recorder, rt.cfg.Faults, ts.prov)
+	ts.exec = sched.NewExecutor(ts.tree, ts.stack.Analyzer, ts.init, rt.cfg.Workers, opts)
 	if rt.cfg.Validate {
 		ts.seq = core.NewSeq(ts.tree, ts.init)
 	}
@@ -665,20 +648,20 @@ func (rt *Runtime) freeze(ts *treeState) {
 // confined to runtime-owner
 func (rt *Runtime) BeginTrace(r *Region, id int) {
 	rt.freeze(r.tree)
-	if r.tree.tracer == nil {
+	if r.tree.stack.Tracer == nil {
 		panic("visibility: BeginTrace requires Config.Tracing")
 	}
-	r.tree.tracer.Begin(id)
+	r.tree.stack.Tracer.Begin(id)
 }
 
 // EndTrace finishes the current trace instance on r's tree.
 //
 // confined to runtime-owner
 func (rt *Runtime) EndTrace(r *Region) {
-	if r.tree.tracer == nil {
+	if r.tree.stack == nil || r.tree.stack.Tracer == nil {
 		panic("visibility: EndTrace requires Config.Tracing")
 	}
-	r.tree.tracer.End()
+	r.tree.stack.Tracer.End()
 }
 
 // TraceStats returns tracing counters for r's tree (zero when tracing is
@@ -687,13 +670,7 @@ func (rt *Runtime) EndTrace(r *Region) {
 //
 // confined to runtime-owner
 func (rt *Runtime) TraceStats(r *Region) trace.Stats {
-	if r.tree.auto != nil {
-		return r.tree.auto.AutoStats().Trace
-	}
-	if r.tree.tracer == nil {
-		return trace.Stats{}
-	}
-	return r.tree.tracer.TraceStats()
+	return r.tree.stack.TraceStats()
 }
 
 // AutoTraceStats returns the automatic tracer's outcome counters for r's
@@ -701,10 +678,10 @@ func (rt *Runtime) TraceStats(r *Region) trace.Stats {
 //
 // confined to runtime-owner
 func (rt *Runtime) AutoTraceStats(r *Region) autotrace.Stats {
-	if r.tree.auto == nil {
+	if r.tree.stack == nil || r.tree.stack.Auto == nil {
 		return autotrace.Stats{}
 	}
-	return r.tree.auto.AutoStats()
+	return r.tree.stack.Auto.AutoStats()
 }
 
 // kernelAdapter adapts the public Kernel to the internal core.Kernel.
@@ -770,10 +747,7 @@ func (rt *Runtime) Close() {
 			r.tree.exec.Shutdown()
 			r.tree.exec = nil
 		}
-		if r.tree.shard != nil {
-			r.tree.shard.Close()
-			r.tree.shard = nil
-		}
+		r.tree.stack.Close()
 	}
 }
 
