@@ -42,7 +42,7 @@ import (
 //	                            directly as arguments to it become
 //	                            <domain> roots (for executor APIs that
 //	                            run their callbacks on a domain's
-//	                            goroutine, e.g. Processor.Spawn).
+//	                            goroutine, e.g. Server.doSync).
 //
 // Known, deliberate imprecision: a function literal not bound by any rule
 // above inherits its enclosing function's domains (the synchronous-

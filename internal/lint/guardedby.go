@@ -12,7 +12,7 @@ import (
 // field carrying the annotation may only be read or written while the
 // named sibling mutex field of the same object is held.
 //
-// The scheduler and event layers protect shared state with sync.Mutex,
+// The scheduler and server layers protect shared state with sync.Mutex,
 // but Go offers no way to bind a mutex to the fields it protects; an
 // access added outside the critical section compiles cleanly and only
 // fails as an intermittent race. The checker tracks Lock/RLock/Unlock/
@@ -43,7 +43,7 @@ var Guardedby = &Analyzer{
 	Doc:  "report accesses to '// guarded by <mu>' fields without the guard held (writes require the write lock)",
 	Match: func(path string) bool {
 		switch pkgTail(path) {
-		case "sched", "event", "cluster", "harness", "obs", "server", "fault":
+		case "sched", "cluster", "harness", "obs", "server", "fault":
 			return true
 		}
 		return false

@@ -48,7 +48,6 @@ func TestMatchPolicies(t *testing.T) {
 		want     bool
 	}{
 		{Guardedby, "visibility/internal/sched", true},
-		{Guardedby, "visibility/internal/event", true},
 		{Guardedby, "visibility/internal/cluster", true},
 		{Guardedby, "visibility/internal/harness", true},
 		{Guardedby, "visibility/internal/fault", true},

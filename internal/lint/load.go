@@ -6,7 +6,7 @@
 //   - interference decisions must go through privilege.Interferes (or the
 //     privilege package's accessors), never ad-hoc comparisons of
 //     privilege.Kind or privilege.Privilege values (interferecheck);
-//   - mutex-guarded scheduler and event state, annotated with
+//   - mutex-guarded scheduler and server state, annotated with
 //     "// guarded by <mu>" field comments, must only be touched with the
 //     guard held (guardedby);
 //   - analyzer hot paths must not range over maps, because map-iteration

@@ -1,9 +1,9 @@
 // Package sched executes analyzed task streams with real parallelism: the
 // dependence analysis runs sequentially in program order (as the paper's
 // dynamic analyses require, §3.2), while the kernels it admits run
-// concurrently on a pool of processors gated by completion events — the
-// relaxation of sequential order into a parallel partial order that the
-// dependence analysis exists to justify.
+// concurrently on a pool of workers, each released when its last
+// predecessor finishes — the relaxation of sequential order into a
+// parallel partial order that the dependence analysis exists to justify.
 package sched
 
 import (
@@ -13,13 +13,10 @@ import (
 
 	"visibility/internal/core"
 	"visibility/internal/data"
-	"visibility/internal/event"
 	"visibility/internal/fault"
 	"visibility/internal/field"
-	"visibility/internal/geometry"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
-	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
@@ -29,24 +26,26 @@ type Executor struct {
 	tree *region.Tree
 	// an is the dynamic dependence analyzer: analysis observes launches
 	// sequentially in program order (§3.2), so only the submitting
-	// goroutine may touch it — worker closures get their inputs through
+	// goroutine may touch it — workers get their inputs through
 	// the mu-guarded tables below.
 	//
 	// confined to sched-submit
 	an   core.Analyzer
 	init map[field.ID]*data.Store
 
-	procs []*event.Processor
-	// next is the round-robin processor cursor.
-	//
-	// confined to sched-submit
-	next int
-
 	mu        sync.Mutex
 	committed map[commitKey]*data.Store // guarded by mu
-	events    map[int]*event.Event      // guarded by mu
-	all       []*event.Event            // guarded by mu
 	deps      map[int][]int             // guarded by mu; analyzer deps per task
+
+	// The dependence graph of in-flight tasks: a node enters live at
+	// Submit and leaves when its kernel has run, so scheduling state is
+	// bounded by what is in flight, not by session length.
+	live    map[int]*node // guarded by mu; submitted, not yet finished
+	ready   []*node       // guarded by mu; FIFO of nodes with no live predecessor
+	stopped bool          // guarded by mu
+	work    *sync.Cond    // on mu: ready grew, or stopped was set
+	idle    *sync.Cond    // on mu: live emptied
+	workers sync.WaitGroup
 
 	// Physical-instance cache: two materializations driven by identical
 	// plans produce identical contents, so the store can be reused
@@ -59,7 +58,6 @@ type Executor struct {
 
 	// Cache outcomes live on the executor's obs registry (atomic, so
 	// workers need no lock to bump them); CacheStats reads them back.
-	metrics   *obs.Registry
 	cacheHits *obs.Counter
 	cacheMiss *obs.Counter
 
@@ -79,6 +77,20 @@ type Executor struct {
 	prov *core.Provenance
 }
 
+// node is one submitted, unfinished task. pending and succs are the
+// executor's scheduling state and are touched only under Executor.mu; the
+// other fields are fixed at Submit.
+type node struct {
+	t     *core.Task
+	k     core.Kernel
+	body  func(inputs []*data.Store)
+	plans [][]core.Visible
+	done  chan struct{} // closed once the task has executed
+
+	pending int     // live predecessors still to finish
+	succs   []*node // nodes waiting on this one, one entry per edge
+}
+
 type commitKey struct {
 	task int
 	req  int
@@ -90,7 +102,7 @@ type instanceKey struct {
 	plan  string // plan signature: producers, privileges, points
 }
 
-// NewExecutor creates an executor with workers parallel processors. From
+// NewExecutor creates an executor with the given number of workers. From
 // opts it takes the registry its cache counters publish into (nil gets a
 // private one), the flight recorder journaling task launches and
 // instance-cache outcomes, the fault plane behind the CacheBypass site,
@@ -107,11 +119,10 @@ func NewExecutor(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.St
 		an:        an,
 		init:      make(map[field.ID]*data.Store, len(init)),
 		committed: make(map[commitKey]*data.Store),
-		events:    make(map[int]*event.Event),
 		deps:      make(map[int][]int),
+		live:      make(map[int]*node),
 		instances: make(map[instanceKey]*data.Store),
 		maxCached: 256,
-		metrics:   metrics,
 		cacheHits: metrics.NewCounter("sched/cache/hits"),
 		cacheMiss: metrics.NewCounter("sched/cache/misses"),
 		rec:       opts.Recorder,
@@ -121,8 +132,11 @@ func NewExecutor(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.St
 	for f, s := range init {
 		x.init[f] = s.Clone()
 	}
+	x.work = sync.NewCond(&x.mu)
+	x.idle = sync.NewCond(&x.mu)
+	x.workers.Add(workers)
 	for i := 0; i < workers; i++ {
-		x.procs = append(x.procs, event.NewProcessor(64))
+		go x.worker()
 	}
 	return x
 }
@@ -133,13 +147,13 @@ func NewExecutor(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.St
 func (x *Executor) Analyzer() core.Analyzer { return x.an }
 
 // Submit analyzes t in program order and schedules its kernel; it returns
-// immediately with the task's completion event. body, when non-nil, is run
-// on the worker after inputs are materialized and before outputs commit,
-// with the task's materialized inputs (indexed by requirement; reduce
-// requirements have nil inputs).
+// immediately with a channel closed once the task has executed. body, when
+// non-nil, is run on the worker after inputs are materialized and before
+// outputs commit, with the task's materialized inputs (indexed by
+// requirement; reduce requirements have nil inputs).
 //
 // confined to sched-submit
-func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.Store)) *event.Event {
+func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.Store)) <-chan struct{} {
 	x.rec.Log(recorder.KindTaskLaunch, int64(t.ID), int64(len(t.Reqs)))
 	res := x.an.Analyze(t)
 	if len(res.Plans) != len(t.Reqs) {
@@ -162,42 +176,89 @@ func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.
 		x.rec.Log(recorder.KindReasonCapture, int64(t.ID), int64(len(x.prov.Reasons(t.ID))))
 	}
 
+	// Link the node to whichever of its analyzer and future dependences
+	// are still live (a producer named by both is counted, and later
+	// released, once per edge) and release it at once if there are none.
+	n := &node{t: t, k: k, body: body, plans: res.Plans, done: make(chan struct{})}
 	x.mu.Lock()
 	x.deps[t.ID] = append([]int(nil), res.Deps...)
-	pres := make([]*event.Event, 0, len(res.Deps)+len(t.FutureDeps))
-	for _, d := range res.Deps {
-		if e, ok := x.events[d]; ok {
-			pres = append(pres, e)
-		}
-	}
-	for _, fd := range t.FutureDeps {
-		if e, ok := x.events[fd]; ok {
-			pres = append(pres, e)
-		}
-	}
-	x.mu.Unlock()
-	pre := event.Merge(pres...)
-
-	proc := x.procs[x.next%len(x.procs)]
-	x.next++
-	done := proc.Spawn(pre, func() {
-		inputs := make([]*data.Store, len(t.Reqs))
-		for ri, req := range t.Reqs {
-			if !req.Priv.IsReduce() {
-				inputs[ri] = x.materialize(req, res.Plans[ri])
+	for _, ds := range [2][]int{res.Deps, t.FutureDeps} {
+		for _, d := range ds {
+			if p, ok := x.live[d]; ok {
+				p.succs = append(p.succs, n)
+				n.pending++
 			}
 		}
-		if body != nil {
-			body(inputs)
-		}
-		core.RunKernel(t, k, inputs, func(ri int, out *data.Store) { x.commit(t.ID, ri, out) })
-	})
-
-	x.mu.Lock()
-	x.events[t.ID] = done
-	x.all = append(x.all, done)
+	}
+	x.live[t.ID] = n
+	if n.pending == 0 {
+		x.releaseLocked(n)
+	}
 	x.mu.Unlock()
-	return done
+	return n.done
+}
+
+// releaseLocked puts a node whose last predecessor has finished on the
+// ready queue.
+func (x *Executor) releaseLocked(n *node) {
+	x.ready = append(x.ready, n)
+	x.work.Signal()
+}
+
+// worker runs ready nodes until Shutdown.
+func (x *Executor) worker() {
+	defer x.workers.Done()
+	for n := x.next(); n != nil; n = x.next() {
+		x.run(n)
+		x.finish(n)
+	}
+}
+
+// next blocks for the head of the ready queue; nil means Shutdown.
+func (x *Executor) next() *node {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for len(x.ready) == 0 {
+		if x.stopped {
+			return nil
+		}
+		x.work.Wait()
+	}
+	n := x.ready[0]
+	x.ready[0] = nil // the queue's backing array must not keep finished tasks reachable
+	x.ready = x.ready[1:]
+	return n
+}
+
+// finish retires an executed node: it leaves the live table, releases the
+// successors it was the last live predecessor of, and signals completion.
+func (x *Executor) finish(n *node) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	delete(x.live, n.t.ID)
+	for _, s := range n.succs {
+		if s.pending--; s.pending == 0 {
+			x.releaseLocked(s)
+		}
+	}
+	close(n.done)
+	if len(x.live) == 0 {
+		x.idle.Broadcast()
+	}
+}
+
+// run executes one released task: materialize, body, kernel, commit.
+func (x *Executor) run(n *node) {
+	inputs := make([]*data.Store, len(n.t.Reqs))
+	for ri, req := range n.t.Reqs {
+		if !req.Priv.IsReduce() {
+			inputs[ri] = x.materialize(req, n.plans[ri])
+		}
+	}
+	if n.body != nil {
+		n.body(inputs)
+	}
+	core.RunKernel(n.t, n.k, inputs, func(ri int, out *data.Store) { x.commit(n.t.ID, ri, out) })
 }
 
 func (x *Executor) commit(task, req int, s *data.Store) {
@@ -272,9 +333,6 @@ func (x *Executor) CacheStats() (hits, misses int64) {
 	return x.cacheHits.Load(), x.cacheMiss.Load()
 }
 
-// Metrics returns the executor's metrics registry.
-func (x *Executor) Metrics() *obs.Registry { return x.metrics }
-
 // Deps returns a copy of the analyzer-reported dependences of every
 // submitted task, keyed by task ID — the discovered dependence graph
 // (future edges live on the tasks themselves).
@@ -291,33 +349,18 @@ func (x *Executor) Deps() map[int][]int {
 // Drain waits for every submitted task to complete.
 func (x *Executor) Drain() {
 	x.mu.Lock()
-	all := append([]*event.Event(nil), x.all...)
-	x.mu.Unlock()
-	for _, e := range all {
-		e.Wait()
+	for len(x.live) > 0 {
+		x.idle.Wait()
 	}
+	x.mu.Unlock()
 }
 
-// Shutdown drains and stops the worker processors.
+// Shutdown drains and stops the workers.
 func (x *Executor) Shutdown() {
 	x.Drain()
-	for _, p := range x.procs {
-		p.Shutdown()
-	}
+	x.mu.Lock()
+	x.stopped = true
+	x.mu.Unlock()
+	x.work.Broadcast()
+	x.workers.Wait()
 }
-
-// Read materializes the current contents of a region/field through the
-// analyzer by submitting a read-only task and waiting for it. It is the
-// "inline mapping" used by examples to observe results.
-func (x *Executor) Read(stream *core.Stream, r *region.Region, f field.ID) *data.Store {
-	var got *data.Store
-	t := stream.Launch("inline-read", core.Req{Region: r, Field: f, Priv: privilege.Reads()})
-	done := x.Submit(t, nopKernel{}, func(inputs []*data.Store) { got = inputs[0] })
-	done.Wait()
-	return got
-}
-
-type nopKernel struct{}
-
-func (nopKernel) WriteValue(*core.Task, int, geometry.Point, float64) float64 { return 0 }
-func (nopKernel) ReduceValue(*core.Task, int, geometry.Point) float64         { return 0 }

@@ -66,7 +66,9 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 			x.Drain()
 
 			for f := 0; f < tree.Fields.Len(); f++ {
-				got := x.Read(stream, tree.Root, field.ID(f))
+				var got *data.Store // an inline mapping: a read-only task, submitted and waited for
+				read := stream.Launch("inline-read", core.Req{Region: tree.Root, Field: field.ID(f), Priv: reads()})
+				<-x.Submit(read, kern, func(inputs []*data.Store) { got = inputs[0] })
 				want := seq.Global(field.ID(f))
 				if !want.Equal(got) {
 					t.Fatalf("field %d diverged:\n%s", f, want.Diff(got))
@@ -97,7 +99,7 @@ func TestIndependentTasksRunConcurrently(t *testing.T) {
 		done = append(done, ch)
 		ev := x.Submit(testutil.LaunchT1(stream, p, g, i), core.HashKernel{}, rendezvous)
 		go func() {
-			ev.Wait()
+			<-ev
 			close(ch)
 		}()
 	}

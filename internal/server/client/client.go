@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -280,14 +281,30 @@ func (s *Session) Submit(wl *wire.Workload) error {
 	return s.c.do("POST", "/v1/sessions/"+s.ID+"/workloads", buf.Bytes(), nil)
 }
 
+// get issues GET /v1/sessions/<id>/<what> with a query built from
+// alternating key, value strings — escaped, since wire accepts any
+// non-empty region or field name. Pairs with an empty value are left out.
+func (s *Session) get(what string, out any, kv ...string) error {
+	q := url.Values{}
+	for i := 0; i+1 < len(kv); i += 2 {
+		if kv[i+1] != "" {
+			q.Set(kv[i], kv[i+1])
+		}
+	}
+	path := "/v1/sessions/" + s.ID + "/" + what
+	if len(q) > 0 {
+		path += "?" + q.Encode()
+	}
+	return s.c.do("GET", path, nil, out)
+}
+
 // Snapshot reads the coherent contents of region/field: rows of
 // (coordinates..., value), in deterministic point order.
 func (s *Session) Snapshot(region, field string) ([][]float64, error) {
 	var resp struct {
 		Points [][]float64 `json:"points"`
 	}
-	err := s.c.do("GET", "/v1/sessions/"+s.ID+"/snapshot?region="+region+"&field="+field, nil, &resp)
-	if err != nil {
+	if err := s.get("snapshot", &resp, "region", region, "field", field); err != nil {
 		return nil, err
 	}
 	return resp.Points, nil
@@ -299,7 +316,7 @@ func (s *Session) Dependences(region string) ([]visibility.TaskInfo, error) {
 	var resp struct {
 		Tasks []visibility.TaskInfo `json:"tasks"`
 	}
-	if err := s.c.do("GET", "/v1/sessions/"+s.ID+"/graph?region="+region, nil, &resp); err != nil {
+	if err := s.get("graph", &resp, "region", region); err != nil {
 		return nil, err
 	}
 	return resp.Tasks, nil
@@ -319,12 +336,8 @@ type ExplainResult struct {
 // the given task. An empty region selects the server's default (first
 // root region, sorted by name).
 func (s *Session) Explain(region string, task int) (*ExplainResult, error) {
-	path := "/v1/sessions/" + s.ID + "/explain?task=" + strconv.Itoa(task)
-	if region != "" {
-		path += "&region=" + region
-	}
 	var out ExplainResult
-	if err := s.c.do("GET", path, nil, &out); err != nil {
+	if err := s.get("explain", &out, "task", strconv.Itoa(task), "region", region); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -334,12 +347,8 @@ func (s *Session) Explain(region string, task int) (*ExplainResult, error) {
 // must precede dst in every legal execution. An empty region selects the
 // server's default root region.
 func (s *Session) Why(region string, src, dst int) (*ExplainResult, error) {
-	path := "/v1/sessions/" + s.ID + "/explain?task=" + strconv.Itoa(dst) + "&src=" + strconv.Itoa(src)
-	if region != "" {
-		path += "&region=" + region
-	}
 	var out ExplainResult
-	if err := s.c.do("GET", path, nil, &out); err != nil {
+	if err := s.get("explain", &out, "task", strconv.Itoa(dst), "src", strconv.Itoa(src), "region", region); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -350,19 +359,14 @@ func (s *Session) Why(region string, src, dst int) (*ExplainResult, error) {
 // server default). An empty region selects the server's default root
 // region.
 func (s *Session) CritPath(region string, k int) (*visibility.CritSummary, error) {
-	path := "/v1/sessions/" + s.ID + "/critpath"
-	sep := "?"
-	if region != "" {
-		path += sep + "region=" + region
-		sep = "&"
-	}
+	var ks string
 	if k > 0 {
-		path += sep + "k=" + strconv.Itoa(k)
+		ks = strconv.Itoa(k)
 	}
 	var resp struct {
 		CritPath *visibility.CritSummary `json:"critpath"`
 	}
-	if err := s.c.do("GET", path, nil, &resp); err != nil {
+	if err := s.get("critpath", &resp, "region", region, "k", ks); err != nil {
 		return nil, err
 	}
 	return resp.CritPath, nil
@@ -371,12 +375,8 @@ func (s *Session) CritPath(region string, k int) (*visibility.CritSummary, error
 // CritDOT returns the dependence graph in Graphviz format with the
 // weighted critical path highlighted and time-annotated.
 func (s *Session) CritDOT(region string) (string, error) {
-	path := "/v1/sessions/" + s.ID + "/critpath?format=dot"
-	if region != "" {
-		path += "&region=" + region
-	}
 	var raw []byte
-	if err := s.c.do("GET", path, nil, &raw); err != nil {
+	if err := s.get("critpath", &raw, "format", "dot", "region", region); err != nil {
 		return "", err
 	}
 	return string(raw), nil
@@ -412,7 +412,7 @@ func (c *Client) PromMetrics() ([]byte, error) {
 // DOT returns the dependence graph in Graphviz format.
 func (s *Session) DOT(region string) (string, error) {
 	var raw []byte
-	if err := s.c.do("GET", "/v1/sessions/"+s.ID+"/dot?region="+region, nil, &raw); err != nil {
+	if err := s.get("dot", &raw, "region", region); err != nil {
 		return "", err
 	}
 	return string(raw), nil

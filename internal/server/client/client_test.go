@@ -1,9 +1,68 @@
 package client
 
 import (
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"visibility/internal/server"
+	"visibility/internal/wire"
 )
+
+// TestQueryNamesAreEscaped round-trips region and field names full of
+// query-string metacharacters — wire accepts any non-empty name — through
+// every Session call that puts one in a URL.
+func TestQueryNamesAreEscaped(t *testing.T) {
+	srv := server.New(server.Config{IdleTimeout: -1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer func() {
+		if err := srv.Shutdown(t.Context()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	const region, field = "a b&c=d", "v&w=x y"
+	sess, err := New(hs.URL).CreateSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Submit(&wire.Workload{
+		Version: wire.Version,
+		Regions: []wire.RegionDecl{
+			{Name: "a b", Dim: 1, Space: [][]int64{{0, 0}}, Fields: []string{"v"}}, // what an unescaped query would name
+			{Name: region, Dim: 1, Space: [][]int64{{0, 3}}, Fields: []string{field}},
+		},
+		Tasks: []wire.TaskDecl{{Name: "fill", Accesses: []wire.AccessDecl{{
+			Region: region, Field: field, Privilege: "write",
+			Kernel: &wire.FuncSpec{Name: "fill", Args: map[string]float64{"value": 7}},
+		}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows, err := sess.Snapshot(region, field)
+	if err != nil || len(rows) != 4 || rows[3][1] != 7 {
+		t.Errorf("Snapshot = %v, %v; want 4 points of value 7", rows, err)
+	}
+	// The server answers 404 for a region it does not know.
+	errs := map[string]error{}
+	_, errs["Dependences"] = sess.Dependences(region)
+	_, errs["DOT"] = sess.DOT(region)
+	_, errs["CritDOT"] = sess.CritDOT(region)
+	_, errs["CritPath"] = sess.CritPath(region, 1)
+	_, errs["Explain"] = sess.Explain(region, 0)
+	why, err := sess.Why(region, 0, 1) // task 1 is Snapshot's inline read of task 0
+	if errs["Why"] = err; err == nil && (why.Region != region || !why.MustPrecede) {
+		t.Errorf("Why = %+v", why)
+	}
+	for call, err := range errs {
+		if err != nil {
+			t.Errorf("%s: %v", call, err)
+		}
+	}
+}
 
 // TestRetryDelayJitterBounds pins the backpressure contract: every retry
 // waits at least the advertised delay, never more than 1.5x of it, and

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -190,7 +192,7 @@ func (srv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var spec algo.Spec // the creation body is the stack description itself
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil && err.Error() != "EOF" {
+	if err := dec.Decode(&spec); err != nil && !errors.Is(err, io.EOF) {
 		srv.fail(w, fmt.Errorf("decoding session config: %v", err))
 		return
 	}

@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestOneStackRejection(t *testing.T) {
 		App: stencil.New, AppName: "stencil", Algorithm: "raycast", Nodes: 1,
 		Tracing: true, AutoTrace: true,
 	})
-	_, c, shutdown := newTestServer(t, server.Config{})
+	srv, c, shutdown := newTestServer(t, server.Config{})
 	defer shutdown()
 	_, serr := c.CreateSession(client.SessionConfig{Tracing: true, Autotrace: true})
 
@@ -47,5 +49,19 @@ func TestOneStackRejection(t *testing.T) {
 	}
 	if se, ok := serr.(*client.StatusError); !ok || se.Code != 400 {
 		t.Errorf("service rejection = %v, want a 400", serr)
+	}
+
+	// The creation body itself: empty means all defaults, cut short is a 400.
+	raw := httptest.NewServer(srv.Handler())
+	defer raw.Close()
+	for body, want := range map[string]int{"": http.StatusCreated, `{"algorithm":`: http.StatusBadRequest} {
+		resp, err := http.Post(raw.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST /v1/sessions with body %q: status %d, want %d", body, resp.StatusCode, want)
+		}
 	}
 }

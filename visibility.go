@@ -44,7 +44,6 @@ import (
 	"visibility/internal/core"
 	"visibility/internal/data"
 	"visibility/internal/deppart"
-	"visibility/internal/event"
 	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
@@ -517,15 +516,22 @@ type TaskSpec struct {
 // Future is a task completion handle and, when passed in TaskSpec.After,
 // an explicit ordering dependence.
 type Future struct {
-	ev     *event.Event
+	done   <-chan struct{} // closed once the task has executed
 	taskID int
 }
 
 // Wait blocks until the task has executed.
-func (f Future) Wait() { f.ev.Wait() }
+func (f Future) Wait() { <-f.done }
 
 // Done reports whether the task has executed.
-func (f Future) Done() bool { return f.ev.HasTriggered() }
+func (f Future) Done() bool {
+	select {
+	case <-f.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Launch submits a task. The dependence analysis observes launches in call
 // order (program order); execution is parallel, constrained only by
@@ -586,7 +592,7 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 			}
 		}
 	}
-	return Future{ev: ts.exec.Submit(t, k, body), taskID: t.ID}
+	return Future{done: ts.exec.Submit(t, k, body), taskID: t.ID}
 }
 
 func snapshots(inputs []*data.Store) []*Snapshot {
@@ -710,20 +716,19 @@ func (k *kernelAdapter) ReduceValue(t *core.Task, ri int, p Point) float64 {
 func (rt *Runtime) Read(r *Region, fieldName string) *Snapshot {
 	ts := r.tree
 	rt.freeze(ts)
+	t := ts.stream.Launch("inline-read",
+		core.Req{Region: r.reg, Field: r.fieldID(fieldName), Priv: privilege.Reads()})
+	k := &kernelAdapter{}
 	if ts.seq != nil {
 		// Keep the validator in lockstep with the launched read.
-		t := ts.stream.Launch("inline-read",
-			core.Req{Region: r.reg, Field: r.fieldID(fieldName), Priv: privilege.Reads()})
-		k := &kernelAdapter{}
 		ts.seq.Run(t, k)
-		want := ts.seq.Inputs[t.ID]
-		var got *data.Store
-		done := ts.exec.Submit(t, k, func(inputs []*data.Store) { got = inputs[0] })
-		done.Wait()
-		validate(t, want, []*data.Store{got})
-		return &Snapshot{st: got}
 	}
-	return &Snapshot{st: ts.exec.Read(ts.stream, r.reg, r.fieldID(fieldName))}
+	var got *data.Store
+	<-ts.exec.Submit(t, k, func(inputs []*data.Store) { got = inputs[0] })
+	if ts.seq != nil {
+		validate(t, ts.seq.Inputs[t.ID], []*data.Store{got})
+	}
+	return &Snapshot{st: got}
 }
 
 // Wait blocks until every launched task has completed.

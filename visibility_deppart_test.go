@@ -162,30 +162,41 @@ func TestAfterFutures(t *testing.T) {
 
 	var order []string
 	var mu sync.Mutex
-	note := func(s string) func([]*visibility.Snapshot) {
-		return func([]*visibility.Snapshot) {
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			order = append(order, s)
-			mu.Unlock()
-		}
+	note := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
 	}
-	// Two region-independent tasks, explicitly ordered by a future.
-	f := rt.Launch(visibility.TaskSpec{
+	// Two region-independent tasks, explicitly ordered by a future; the
+	// producer is held inside its body.
+	started, release := make(chan struct{}), make(chan struct{})
+	producer := rt.Launch(visibility.TaskSpec{
 		Name:     "producer",
 		Accesses: []visibility.Access{visibility.Write(halves.Sub(0), "v")},
-		Kernel:   visibility.Kernel{Body: note("producer")},
+		Kernel: visibility.Kernel{Body: func([]*visibility.Snapshot) {
+			close(started)
+			<-release
+			note("producer")
+		}},
 	})
-	rt.Launch(visibility.TaskSpec{
+	consumer := rt.Launch(visibility.TaskSpec{
 		Name:     "consumer",
 		Accesses: []visibility.Access{visibility.Write(halves.Sub(1), "v")},
-		Kernel:   visibility.Kernel{Body: note("consumer")},
-		After:    []visibility.Future{f},
+		Kernel:   visibility.Kernel{Body: func([]*visibility.Snapshot) { note("consumer") }},
+		After:    []visibility.Future{producer},
 	})
+	<-started
+	for i := 0; i < 20; i++ { // idle workers get every chance to run the consumer early
+		if producer.Done() || consumer.Done() {
+			t.Fatalf("before release: producer done = %v, consumer done = %v", producer.Done(), consumer.Done())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	rt.Wait()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "producer" || order[1] != "consumer" {
-		t.Fatalf("order = %v, want [producer consumer]", order)
+	if len(order) != 2 || order[0] != "producer" || order[1] != "consumer" || !producer.Done() || !consumer.Done() {
+		t.Fatalf("order = %v (done: %v, %v), want [producer consumer]", order, producer.Done(), consumer.Done())
 	}
 }
