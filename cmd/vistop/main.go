@@ -1,8 +1,8 @@
 // Command vistop is a live terminal dashboard for a running visserve
 // instance. Each frame it polls /metrics, /v1/sessions, /debug/spans,
 // and /debug/critpath and renders four tables: per-endpoint HTTP traffic
-// with latency quantiles, per-session throughput, cache behavior, and
-// trace hit rate (the share of launches served by trace replay), a CRIT
+// with latency quantiles, per-session throughput and trace hit rate (the
+// share of launches served by trace replay), a CRIT
 // panel with each session tree's weighted critical-path profile
 // (virtual makespan, work, parallelism ratio, heaviest bottleneck
 // task), and the hottest analysis phases by span time (where analysis
@@ -260,22 +260,17 @@ func renderHTTP(w io.Writer, prev, cur *sample, dt time.Duration) {
 	say(w, "\n")
 }
 
-// renderSessions tabulates per-tenant queue depth, analysis throughput,
-// and materialization cache behavior.
+// renderSessions tabulates per-tenant queue depth, analysis throughput
+// and trace hit rate.
 func renderSessions(w io.Writer, prev, cur *sample, dt time.Duration) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	say(tw, "SESSION\tALGO\tSHARDS\tQUEUED\tLAUNCHES\tLAUNCH/S\tCACHE%%\tTRACE%%\tSTATE\n")
+	say(tw, "SESSION\tALGO\tSHARDS\tQUEUED\tLAUNCHES\tLAUNCH/S\tTRACE%%\tSTATE\n")
 	for _, info := range cur.infos {
 		m := cur.sessions[info.ID]
 		n := launches(m)
 		var lps float64
 		if prev != nil {
 			lps = rate(n, launches(prev.sessions[info.ID]), dt)
-		}
-		hits, misses := m["sched/cache/hits"], m["sched/cache/misses"]
-		cache := "-"
-		if hits+misses > 0 {
-			cache = fmt.Sprintf("%.0f", 100*float64(hits)/float64(hits+misses))
 		}
 		shards := "-"
 		if info.Shards > 0 {
@@ -285,7 +280,7 @@ func renderSessions(w io.Writer, prev, cur *sample, dt time.Duration) {
 		if info.Failed != "" {
 			state = "FAILED"
 		}
-		say(tw, "%s\t%s\t%s\t%d\t%d\t%.1f\t%s\t%s\t%s\n", info.ID, info.Algorithm, shards, info.Queued, n, lps, cache, traceHitRate(m), state)
+		say(tw, "%s\t%s\t%s\t%d\t%d\t%.1f\t%s\t%s\n", info.ID, info.Algorithm, shards, info.Queued, n, lps, traceHitRate(m), state)
 	}
 	_ = tw.Flush()
 	say(w, "\n")

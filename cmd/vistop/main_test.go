@@ -29,7 +29,7 @@ func TestLaunches(t *testing.T) {
 	m := map[string]int64{
 		"raycast/launches":  7,
 		"analyzer/launches": 3,
-		"sched/cache/hits":  99,
+		"trace/replayed":    99,
 	}
 	if got := launches(m); got != 10 {
 		t.Errorf("launches = %d, want 10", got)

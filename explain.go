@@ -134,11 +134,6 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 	return out
 }
 
-// buildDAG assembles the discovered dependence DAG of ts.
-func (ts *treeState) buildDAG() *graph.DAG {
-	return graph.FromStream(ts.stream.Tasks, ts.exec.Deps())
-}
-
 // weights returns each task's virtual cost (analysis ops + exec points)
 // from the provenance cost table.
 func (ts *treeState) weights() []float64 {
@@ -163,7 +158,7 @@ func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
 		return false
 	}
 	if ts.labels == nil || ts.labelsAt != len(ts.stream.Tasks) {
-		ts.labels = ts.buildDAG().BuildLabels()
+		ts.labels = ts.dag().BuildLabels()
 		ts.labelsAt = len(ts.stream.Tasks)
 	}
 	return ts.labels.MustPrecede(a, b)
@@ -181,7 +176,7 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	if ts.prov == nil || ts.exec == nil {
 		return nil
 	}
-	d := ts.buildDAG()
+	d := ts.dag()
 	c := d.WeightedCriticalPath(ts.weights())
 	out := &CritSummary{
 		Tasks:  len(d.Tasks),
@@ -217,8 +212,8 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 func (rt *Runtime) WriteDOTCrit(r *Region, w io.Writer) error {
 	ts := r.tree
 	if ts.prov == nil || ts.exec == nil {
-		return graph.FromStream(nil, nil).WriteDOT(w)
+		return (&graph.DAG{}).WriteDOT(w)
 	}
-	d := ts.buildDAG()
+	d := ts.dag()
 	return d.WriteDOTCrit(w, d.WeightedCriticalPath(ts.weights()))
 }

@@ -162,6 +162,10 @@ func (p *Provenance) Reasons(dst int) []EdgeReason {
 	return out
 }
 
+// ReasonCount returns how many of dst's incoming edges have a recorded
+// reason, copying nothing.
+func (p *Provenance) ReasonCount(dst int) int { return len(p.reasons[dst]) }
+
 // TakeReasons removes and returns dst's recorded reasons in insertion
 // order. The shard merge stage drains each atom's staging provenance with
 // this and replays the reasons into the real store; because region merges

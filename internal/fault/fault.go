@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection plane: a catalog of
 // named injection sites threaded through the runtime (cluster transport,
-// equivalence-set maintenance, the scheduler's instance cache, checkpoint
-// encode/restore, and the serving layer's admission and worker paths),
+// equivalence-set maintenance, checkpoint encode/restore, and the serving
+// layer's admission and worker paths),
 // each gated by a seeded Plan of per-site rules.
 //
 // Determinism is the whole point. Every site draws from its own
@@ -34,7 +34,8 @@ type Site string
 
 // The injection-site catalog. Append new sites at the end: the catalog
 // index is journaled in flight-recorder events (KindFaultInject.A), so
-// reordering breaks the interpretation of old dumps.
+// reordering breaks the interpretation of old dumps. A site whose code is
+// deleted keeps its slot (see cacheBypass).
 const (
 	// MsgDrop loses a cluster message; the virtual-time transport models
 	// the loss as a retransmission after a timeout, so delivery still
@@ -60,10 +61,6 @@ const (
 	// partition, or abandoning it for the K-d fallback — the migration
 	// race of §7.1. Arg: task ID.
 	EqMigrate Site = "analyzer.eqset.migrate"
-	// CacheBypass forces a physical-instance cache miss in the scheduler,
-	// so a materialization that would have been reused is recomputed from
-	// its plan. Arg: field ID.
-	CacheBypass Site = "sched.cache.bypass"
 	// WorkerPanic crashes a session worker goroutine mid-job, inside its
 	// recovery scope, exercising the failure-latch path. Arg: session seq.
 	WorkerPanic Site = "server.worker.panic"
@@ -93,10 +90,16 @@ const (
 	ShardMigrate Site = "shard.migrate"
 )
 
+// cacheBypass was the scheduler's instance-cache site, deleted with the
+// cache. It keeps its catalog slot, so SiteAt still decodes it from old
+// dumps, but it has no Index and no place in Sites, and Parse rejects a
+// plan that arms it.
+const cacheBypass Site = "sched.cache.bypass"
+
 // catalog fixes the Site -> index mapping journaled in recorder events.
 var catalog = []Site{
 	MsgDrop, MsgDelay, MsgDup, MsgReorder,
-	EqSplit, EqMigrate, CacheBypass,
+	EqSplit, EqMigrate, cacheBypass,
 	WorkerPanic, AdmitBurst,
 	CkptCorrupt, RestoreCorrupt,
 	TraceInvalidate,
@@ -106,13 +109,23 @@ var catalog = []Site{
 var catalogIndex = func() map[Site]int {
 	m := make(map[Site]int, len(catalog))
 	for i, s := range catalog {
-		m[s] = i
+		if s != cacheBypass {
+			m[s] = i
+		}
 	}
 	return m
 }()
 
-// Sites returns the full site catalog in index order.
-func Sites() []Site { return append([]Site(nil), catalog...) }
+// Sites returns the live site catalog in index order.
+func Sites() []Site {
+	var out []Site
+	for _, s := range catalog {
+		if s != cacheBypass {
+			out = append(out, s)
+		}
+	}
+	return out
+}
 
 // Index returns the site's stable catalog index (-1 for unknown sites),
 // the value journaled in KindFaultInject events.
@@ -224,7 +237,7 @@ func Parse(s string) (Plan, error) {
 		}
 		site := Site(name)
 		if site.Index() < 0 {
-			return Plan{}, fmt.Errorf("fault: unknown site %q (have %v)", name, catalog)
+			return Plan{}, fmt.Errorf("fault: unknown site %q (have %v)", name, Sites())
 		}
 		if _, dup := p.Rules[site]; dup {
 			return Plan{}, fmt.Errorf("fault: duplicate rules for site %q", name)

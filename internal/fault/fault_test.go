@@ -13,20 +13,28 @@ func TestCatalogStable(t *testing.T) {
 	// an accidental reorder fails loudly.
 	want := []Site{
 		MsgDrop, MsgDelay, MsgDup, MsgReorder,
-		EqSplit, EqMigrate, CacheBypass,
+		EqSplit, EqMigrate, cacheBypass,
 		WorkerPanic, AdmitBurst,
 		CkptCorrupt, RestoreCorrupt,
 		TraceInvalidate,
 		ShardStall, ShardMigrate,
 	}
-	got := Sites()
-	if len(got) != len(want) {
-		t.Fatalf("catalog has %d sites, want %d", len(got), len(want))
+	live := Sites()
+	if len(live) != len(want)-1 {
+		t.Fatalf("catalog has %d live sites, want %d", len(live), len(want)-1)
 	}
 	for i, s := range want {
-		if got[i] != s {
-			t.Fatalf("catalog[%d] = %s, want %s", i, got[i], s)
+		if s == cacheBypass {
+			// Retired in place: the slot still decodes, nothing can arm it.
+			if SiteAt(i) != s || s.Index() != -1 {
+				t.Fatalf("retired slot %d: SiteAt = %s, Index = %d", i, SiteAt(i), s.Index())
+			}
+			continue
 		}
+		if live[0] != s {
+			t.Fatalf("Sites() has %s where %s belongs", live[0], s)
+		}
+		live = live[1:]
 		if s.Index() != i {
 			t.Fatalf("%s.Index() = %d, want %d", s, s.Index(), i)
 		}
@@ -48,7 +56,7 @@ func TestPlanStringParseRoundTrip(t *testing.T) {
 		"seed=0",
 		"seed=42;analyzer.eqset.split=p=0.25",
 		"seed=-7;cluster.msg.drop=p=0.1,max=3;server.worker.panic=every=1,max=1,arg=5",
-		"seed=9;checkpoint.encode.flip=every=2,after=1;sched.cache.bypass=p=1",
+		"seed=9;checkpoint.encode.flip=every=2,after=1;shard.stall=p=1",
 	}
 	for _, in := range plans {
 		p, err := Parse(in)
@@ -71,6 +79,7 @@ func TestParseRejects(t *testing.T) {
 		{"seed=x", "bad seed"},
 		{"nonsense", "not <site>=<spec>"},
 		{"cluster.msg.bogus=p=1", "unknown site"},
+		{"seed=1;sched.cache.bypass=p=0.25", "unknown site"}, // retired with the instance cache
 		{"cluster.msg.drop=p=2", "outside [0,1]"},
 		{"cluster.msg.drop=p=-0.5", "outside [0,1]"},
 		{"cluster.msg.drop=every=-1", "non-negative"},

@@ -78,7 +78,6 @@ func DefaultChaosPlan(seed int64) string {
 	p := fault.Plan{Seed: seed, Rules: map[fault.Site]fault.Rule{
 		fault.EqSplit:         {Prob: 0.10},
 		fault.EqMigrate:       {Prob: 0.05},
-		fault.CacheBypass:     {Prob: 0.25},
 		fault.TraceInvalidate: {Prob: 0.10},
 		fault.ShardStall:      {Prob: 0.10},
 		fault.ShardMigrate:    {Prob: 0.05},

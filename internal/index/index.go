@@ -321,12 +321,7 @@ func (s Space) SplitAt(n int64) (Space, Space) {
 // spaces (by Equal) have equal keys. Useful as a map key for memoization.
 func (s Space) Key() string {
 	var buf [128]byte
-	return string(s.AppendKey(buf[:0]))
-}
-
-// AppendKey appends Key's bytes to b.
-func (s Space) AppendKey(b []byte) []byte {
-	b = strconv.AppendInt(append(b, 'd'), int64(s.dim), 10)
+	b := strconv.AppendInt(append(buf[:0], 'd'), int64(s.dim), 10)
 	for _, r := range s.rects {
 		b = append(b, ';')
 		for a := 0; a < s.dim; a++ {
@@ -334,7 +329,7 @@ func (s Space) AppendKey(b []byte) []byte {
 			b = append(strconv.AppendInt(b, r.Hi.C[a], 10), ',')
 		}
 	}
-	return b
+	return string(b)
 }
 
 // String formats the space for debugging.

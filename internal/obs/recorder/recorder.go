@@ -1,10 +1,9 @@
 // Package recorder is the always-on flight recorder: a bounded binary
 // ring journaling coarse runtime events (task launches, equivalence-set
-// splits and coalesces, instance-cache outcomes, admission rejects,
-// worker job boundaries) so that when something goes wrong — a latched
-// session failure, a SIGQUIT, a hung drain — the last window of runtime
-// activity is available for forensics without having had tracing turned
-// on in advance.
+// splits and coalesces, admission rejects, worker job boundaries) so that
+// when something goes wrong — a latched session failure, a SIGQUIT, a hung
+// drain — the last window of runtime activity is available for forensics
+// without having had tracing turned on in advance.
 //
 // The design mirrors obs.Buffer: a nil *Recorder is valid and records
 // nothing after one pointer test, a disabled recorder costs one atomic
@@ -33,14 +32,15 @@ import (
 type Kind uint8
 
 // Event kinds. New kinds append at the end: the binary dump format
-// stores the raw byte, so renumbering breaks old dumps.
+// stores the raw byte, so renumbering breaks old dumps. A kind nothing
+// logs any more keeps its byte and its name, so old dumps still decode.
 const (
 	KindNone            Kind = iota
 	KindTaskLaunch           // A=task ID, B=requirement count
 	KindEqSplit              // A=fragments created, B=history entries copied
 	KindEqCoalesce           // A=equivalence sets pruned by a dominating write
-	KindCacheHit             // physical-instance cache hit
-	KindCacheMiss            // physical-instance cache miss
+	_                        // 4 "cache_hit": retired with the scheduler's instance cache
+	_                        // 5 "cache_miss": retired with it
 	KindAdmitReject          // A=session seq (0=session-less), B=1 global cap, 2 session queue, 3 session cap
 	KindJobStart             // A=session seq
 	KindJobDone              // A=session seq

@@ -96,7 +96,9 @@ func TestKindPin(t *testing.T) {
 		{KindTaskLaunch, 1, "task_launch"},
 		{KindEqSplit, 2, "eq_split"},
 		{KindEqCoalesce, 3, "eq_coalesce"},
-		{KindCacheHit, 4, "cache_hit"},
+		{Kind(4), 4, "cache_hit"},  // retired, still decodes
+		{Kind(5), 5, "cache_miss"}, // retired, still decodes
+		{KindAdmitReject, 6, "admit_reject"},
 		{KindTraceInvalidate, 15, "trace_invalidate"},
 		{KindReasonCapture, 16, "reason_capture"},
 		{KindExplainQuery, 17, "explain_query"},
@@ -126,7 +128,7 @@ func TestConcurrentLog(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				r.Log(KindCacheHit, int64(i), -int64(i))
+				r.Log(KindEqSplit, int64(i), -int64(i))
 				if i%100 == 0 {
 					_ = r.Snapshot()
 					_ = r.Dropped()
@@ -142,7 +144,7 @@ func TestConcurrentLog(t *testing.T) {
 		t.Errorf("recorded+dropped = %d, want %d", got, goroutines*perG)
 	}
 	for i, e := range r.Snapshot() {
-		if e.Kind != KindCacheHit || e.B != -e.A {
+		if e.Kind != KindEqSplit || e.B != -e.A {
 			t.Fatalf("event %d torn: %+v", i, e)
 		}
 	}

@@ -25,7 +25,7 @@ func TestGoroutinesBoundedByWorkers(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), workers, core.Options{})
+	x := NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), workers, core.Options{})
 
 	started, release := make(chan struct{}), make(chan struct{})
 	x.Submit(stream.Launch("w", core.Req{Region: tree.Root, Field: up, Priv: privilege.Writes()}), core.HashKernel{},
@@ -79,7 +79,7 @@ func TestDuplicateProducerRunsOnce(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), 2, core.Options{})
+	x := NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), 2, core.Options{})
 	defer x.Shutdown()
 
 	var mu sync.Mutex
@@ -97,11 +97,11 @@ func TestDuplicateProducerRunsOnce(t *testing.T) {
 	})
 	r := stream.Launch("r", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Reads()})
 	r.FutureDeps = []int{w.ID}
-	done := x.Submit(r, core.HashKernel{}, func([]*data.Store) { note("r") })
+	done, deps := x.Submit(r, core.HashKernel{}, func([]*data.Store) { note("r") })
 	x.mu.Lock()
 	pending := x.live[r.ID].pending
 	x.mu.Unlock()
-	if deps := x.Deps()[r.ID]; pending != 2 || len(deps) != 1 || deps[0] != w.ID {
+	if pending != 2 || len(deps) != 1 || deps[0] != w.ID {
 		t.Errorf("pending = %d over analyzer deps %v + future dep %d, want one count per edge", pending, deps, w.ID)
 	}
 

@@ -8,22 +8,17 @@ package sched
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"visibility/internal/core"
 	"visibility/internal/data"
-	"visibility/internal/fault"
 	"visibility/internal/field"
-	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
-	"visibility/internal/region"
 )
 
 // Executor runs tasks through an analyzer and executes their kernels in
 // parallel, respecting only the analyzer-reported dependences.
 type Executor struct {
-	tree *region.Tree
 	// an is the dynamic dependence analyzer: analysis observes launches
 	// sequentially in program order (§3.2), so only the submitting
 	// goroutine may touch it — workers get their inputs through
@@ -32,10 +27,10 @@ type Executor struct {
 	// confined to sched-submit
 	an   core.Analyzer
 	init map[field.ID]*data.Store
+	rec  *recorder.Recorder // journals task launches (nil-safe)
 
 	mu        sync.Mutex
 	committed map[commitKey]*data.Store // guarded by mu
-	deps      map[int][]int             // guarded by mu; analyzer deps per task
 
 	// The dependence graph of in-flight tasks: a node enters live at
 	// Submit and leaves when its kernel has run, so scheduling state is
@@ -46,35 +41,6 @@ type Executor struct {
 	work    *sync.Cond    // on mu: ready grew, or stopped was set
 	idle    *sync.Cond    // on mu: live emptied
 	workers sync.WaitGroup
-
-	// Physical-instance cache: two materializations driven by identical
-	// plans produce identical contents, so the store can be reused
-	// instead of re-copied — the analog of Legion reusing a valid
-	// physical instance instead of issuing copies. Materialized stores
-	// are immutable by construction (kernels write fresh output stores).
-	instances map[instanceKey]*data.Store // guarded by mu
-	instanceQ []instanceKey               // guarded by mu; FIFO eviction order
-	maxCached int
-
-	// Cache outcomes live on the executor's obs registry (atomic, so
-	// workers need no lock to bump them); CacheStats reads them back.
-	cacheHits *obs.Counter
-	cacheMiss *obs.Counter
-
-	// Flight recorder for coarse event journaling (nil-safe).
-	rec *recorder.Recorder
-
-	// Fault-injection plane (nil-safe): CacheBypass forces instance-cache
-	// misses, exercising the invariant that the cache is a pure
-	// optimization.
-	faults *fault.Injector
-
-	// prov, when non-nil, accumulates per-launch cost samples (analyzer
-	// op deltas, virtual exec time) next to the EdgeReasons the analyzer
-	// itself records through the shared core.Provenance.
-	//
-	// confined to sched-submit
-	prov *core.Provenance
 }
 
 // node is one submitted, unfinished task. pending and succs are the
@@ -96,38 +62,20 @@ type commitKey struct {
 	req  int
 }
 
-type instanceKey struct {
-	field field.ID
-	space string // index-space key
-	plan  string // plan signature: producers, privileges, points
-}
-
-// NewExecutor creates an executor with the given number of workers. From
-// opts it takes the registry its cache counters publish into (nil gets a
-// private one), the flight recorder journaling task launches and
-// instance-cache outcomes, the fault plane behind the CacheBypass site,
-// and the provenance store sampling per-launch costs (the analyzer's own
-// EdgeReason capture reaches the same store through its own Options); nil
-// disables each.
-func NewExecutor(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.Store, workers int, opts core.Options) *Executor {
+// NewExecutor creates an executor with the given number of workers over
+// private copies of the initial contents. Of opts it uses only the flight
+// recorder, to journal task launches; every other instrument belongs to
+// the analyzer or to the caller.
+func NewExecutor(an core.Analyzer, init map[field.ID]*data.Store, workers int, opts core.Options) *Executor {
 	if workers < 1 {
 		workers = 1
 	}
-	metrics := opts.Normalize().Metrics
 	x := &Executor{
-		tree:      tree,
 		an:        an,
 		init:      make(map[field.ID]*data.Store, len(init)),
-		committed: make(map[commitKey]*data.Store),
-		deps:      make(map[int][]int),
-		live:      make(map[int]*node),
-		instances: make(map[instanceKey]*data.Store),
-		maxCached: 256,
-		cacheHits: metrics.NewCounter("sched/cache/hits"),
-		cacheMiss: metrics.NewCounter("sched/cache/misses"),
 		rec:       opts.Recorder,
-		faults:    opts.Faults,
-		prov:      opts.Prov,
+		committed: make(map[commitKey]*data.Store),
+		live:      make(map[int]*node),
 	}
 	for f, s := range init {
 		x.init[f] = s.Clone()
@@ -141,39 +89,20 @@ func NewExecutor(tree *region.Tree, an core.Analyzer, init map[field.ID]*data.St
 	return x
 }
 
-// Analyzer returns the executor's analyzer (for stats inspection).
-//
-// confined to sched-submit
-func (x *Executor) Analyzer() core.Analyzer { return x.an }
-
 // Submit analyzes t in program order and schedules its kernel; it returns
-// immediately with a channel closed once the task has executed. body, when
-// non-nil, is run on the worker after inputs are materialized and before
-// outputs commit, with the task's materialized inputs (indexed by
-// requirement; reduce requirements have nil inputs).
+// immediately with a channel closed once the task has executed and the
+// dependences the analyzer reported for t — recording the discovered graph
+// is the caller's job, the executor knows only the edges still in flight.
+// body, when non-nil, is run on the worker after inputs are materialized
+// and before outputs commit, with the task's materialized inputs (indexed
+// by requirement; reduce requirements have nil inputs).
 //
 // confined to sched-submit
-func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.Store)) <-chan struct{} {
+func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.Store)) (done <-chan struct{}, deps []int) {
 	x.rec.Log(recorder.KindTaskLaunch, int64(t.ID), int64(len(t.Reqs)))
 	res := x.an.Analyze(t)
 	if len(res.Plans) != len(t.Reqs) {
 		panic(fmt.Sprintf("sched: analyzer %s returned %d plans for %d reqs", x.an.Name(), len(res.Plans), len(t.Reqs)))
-	}
-	if x.prov != nil {
-		// The launch's deterministic cost sample: its analysis volume
-		// (requirements analyzed plus dependence edges discovered), plus
-		// the points its requirements touch as a unit-cost virtual
-		// execution time. Both are properties of the task stream and its
-		// discovered graph — not of analyzer internals — so critical paths
-		// weighted by them are byte-reproducible across runs and across
-		// analyzer/sharding configurations. Measured operation counters
-		// stay in Stats() and the metrics registry.
-		var exec int64
-		for _, req := range t.Reqs {
-			exec += req.Region.Space.Volume()
-		}
-		x.prov.AddCost(t.ID, core.TaskCost{AnalysisOps: int64(len(t.Reqs) + len(res.Deps)), ExecVirt: exec})
-		x.rec.Log(recorder.KindReasonCapture, int64(t.ID), int64(len(x.prov.Reasons(t.ID))))
 	}
 
 	// Link the node to whichever of its analyzer and future dependences
@@ -181,7 +110,6 @@ func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.
 	// released, once per edge) and release it at once if there are none.
 	n := &node{t: t, k: k, body: body, plans: res.Plans, done: make(chan struct{})}
 	x.mu.Lock()
-	x.deps[t.ID] = append([]int(nil), res.Deps...)
 	for _, ds := range [2][]int{res.Deps, t.FutureDeps} {
 		for _, d := range ds {
 			if p, ok := x.live[d]; ok {
@@ -195,7 +123,7 @@ func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.
 		x.releaseLocked(n)
 	}
 	x.mu.Unlock()
-	return n.done
+	return n.done, res.Deps
 }
 
 // releaseLocked puts a node whose last predecessor has finished on the
@@ -252,7 +180,7 @@ func (x *Executor) run(n *node) {
 	inputs := make([]*data.Store, len(n.t.Reqs))
 	for ri, req := range n.t.Reqs {
 		if !req.Priv.IsReduce() {
-			inputs[ri] = x.materialize(req, n.plans[ri])
+			inputs[ri] = core.Materialize(req, n.plans[ri], x.source)
 		}
 	}
 	if n.body != nil {
@@ -278,72 +206,6 @@ func (x *Executor) source(v core.Visible, f field.ID) *data.Store {
 		panic(fmt.Sprintf("sched: plan references uncommitted producer %d.%d — missing dependence", v.Task, v.Req))
 	}
 	return s
-}
-
-// planSignature uniquely identifies a materialization's inputs: the same
-// producers contributing the same points with the same privileges yield
-// the same contents.
-func planSignature(plan []core.Visible) string {
-	var buf [256]byte
-	b := buf[:0]
-	for _, v := range plan {
-		b = append(strconv.AppendInt(b, int64(v.Task), 10), '.')
-		b = append(strconv.AppendInt(b, int64(v.Req), 10), v.Priv.String()...)
-		b = append(v.Pts.AppendKey(append(b, ':')), ';')
-	}
-	return string(b)
-}
-
-func (x *Executor) materialize(req core.Req, plan []core.Visible) *data.Store {
-	key := instanceKey{field: req.Field, space: req.Region.Space.Key(), plan: planSignature(plan)}
-	// Fault plane: a CacheBypass fire skips the lookup, forcing a fresh
-	// materialization of contents the cache already holds — correctness
-	// must not depend on instance reuse.
-	bypass := x.faults.Fire(fault.CacheBypass, int64(req.Field))
-	x.mu.Lock()
-	if st, ok := x.instances[key]; ok && !bypass {
-		x.mu.Unlock()
-		x.cacheHits.Inc()
-		x.rec.Log(recorder.KindCacheHit, int64(req.Field), 0)
-		return st
-	}
-	x.mu.Unlock()
-	x.cacheMiss.Inc()
-	x.rec.Log(recorder.KindCacheMiss, int64(req.Field), 0)
-
-	in := core.Materialize(req, plan, x.source)
-
-	x.mu.Lock()
-	if _, dup := x.instances[key]; !dup {
-		x.instances[key] = in
-		x.instanceQ = append(x.instanceQ, key)
-		if len(x.instanceQ) > x.maxCached {
-			evict := x.instanceQ[0]
-			x.instanceQ = x.instanceQ[1:]
-			delete(x.instances, evict)
-		}
-	}
-	x.mu.Unlock()
-	return in
-}
-
-// CacheStats returns the physical-instance cache's hit and miss counters
-// (thin reads over the registry counters).
-func (x *Executor) CacheStats() (hits, misses int64) {
-	return x.cacheHits.Load(), x.cacheMiss.Load()
-}
-
-// Deps returns a copy of the analyzer-reported dependences of every
-// submitted task, keyed by task ID — the discovered dependence graph
-// (future edges live on the tasks themselves).
-func (x *Executor) Deps() map[int][]int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	out := make(map[int][]int, len(x.deps))
-	for id, ds := range x.deps {
-		out[id] = append([]int(nil), ds...)
-	}
-	return out
 }
 
 // Drain waits for every submitted task to complete.

@@ -53,7 +53,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 
 			// Parallel execution with an identical stream.
 			stream := core.NewStream(tree)
-			x := sched.NewExecutor(tree, fac.New(tree), init, 4, core.Options{})
+			x := sched.NewExecutor(fac.New(tree), init, 4, core.Options{})
 			defer x.Shutdown()
 			for iter := 0; iter < 8; iter++ {
 				for i := 0; i < 3; i++ {
@@ -68,7 +68,8 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 			for f := 0; f < tree.Fields.Len(); f++ {
 				var got *data.Store // an inline mapping: a read-only task, submitted and waited for
 				read := stream.Launch("inline-read", core.Req{Region: tree.Root, Field: field.ID(f), Priv: reads()})
-				<-x.Submit(read, kern, func(inputs []*data.Store) { got = inputs[0] })
+				done, _ := x.Submit(read, kern, func(inputs []*data.Store) { got = inputs[0] })
+				<-done
 				want := seq.Global(field.ID(f))
 				if !want.Equal(got) {
 					t.Fatalf("field %d diverged:\n%s", f, want.Diff(got))
@@ -84,7 +85,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 func TestIndependentTasksRunConcurrently(t *testing.T) {
 	tree, p, g := testutil.GraphTree()
 	stream := core.NewStream(tree)
-	x := sched.NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), 3, core.Options{})
+	x := sched.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), 3, core.Options{})
 	defer x.Shutdown()
 
 	var wg sync.WaitGroup
@@ -97,7 +98,7 @@ func TestIndependentTasksRunConcurrently(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ch := make(chan struct{})
 		done = append(done, ch)
-		ev := x.Submit(testutil.LaunchT1(stream, p, g, i), core.HashKernel{}, rendezvous)
+		ev, _ := x.Submit(testutil.LaunchT1(stream, p, g, i), core.HashKernel{}, rendezvous)
 		go func() {
 			<-ev
 			close(ch)
@@ -119,7 +120,7 @@ func TestDependentTasksAreOrdered(t *testing.T) {
 	tree, p, g := testutil.GraphTree()
 	_ = g
 	stream := core.NewStream(tree)
-	x := sched.NewExecutor(tree, warnock.New(tree, core.Options{}), testutil.FullInit(tree), 4, core.Options{})
+	x := sched.NewExecutor(warnock.New(tree, core.Options{}), testutil.FullInit(tree), 4, core.Options{})
 	defer x.Shutdown()
 
 	var order []string
@@ -145,53 +146,3 @@ func TestDependentTasksAreOrdered(t *testing.T) {
 
 func writes() privilege.Privilege { return privilege.Writes() }
 func reads() privilege.Privilege  { return privilege.Reads() }
-
-// TestInstanceCacheReuse verifies that repeated reads with identical
-// materialization plans share one physical instance instead of copying.
-func TestInstanceCacheReuse(t *testing.T) {
-	tree, p, g := testutil.GraphTree()
-	_ = g
-	x := sched.NewExecutor(tree, raycast.New(tree, core.Options{}), testutil.FullInit(tree), 2, core.Options{})
-	defer x.Shutdown()
-	stream := core.NewStream(tree)
-	up, _ := tree.Fields.Lookup("up")
-
-	// One write, then many reads of the same region: every read after the
-	// first materializes from the same plan.
-	x.Submit(stream.Launch("w", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Writes()}),
-		core.HashKernel{}, nil)
-	var stores []*data.Store
-	var mu sync.Mutex
-	for i := 0; i < 6; i++ {
-		x.Submit(stream.Launch("r", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Reads()}),
-			core.HashKernel{}, func(in []*data.Store) {
-				mu.Lock()
-				stores = append(stores, in[0])
-				mu.Unlock()
-			})
-	}
-	x.Drain()
-	if hits, _ := x.CacheStats(); hits < 5 {
-		t.Errorf("cache hits = %d, want >= 5", hits)
-	}
-	for _, s := range stores[1:] {
-		if s != stores[0] {
-			t.Error("readers did not share the cached instance")
-		}
-	}
-
-	// A new write invalidates naturally: the next read's plan differs.
-	x.Submit(stream.Launch("w2", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Writes()}),
-		core.HashKernel{}, nil)
-	_, miss := x.CacheStats()
-	var after *data.Store
-	x.Submit(stream.Launch("r2", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Reads()}),
-		core.HashKernel{}, func(in []*data.Store) { after = in[0] })
-	x.Drain()
-	if _, misses := x.CacheStats(); misses == miss {
-		t.Error("read after a new write should miss the cache")
-	}
-	if after == stores[0] {
-		t.Error("read after a new write must not reuse the stale instance")
-	}
-}

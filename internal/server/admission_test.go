@@ -217,9 +217,8 @@ func TestMetricsEndpointShape(t *testing.T) {
 		Server   map[string]int64            `json:"server"`
 		Sessions map[string]map[string]int64 `json:"sessions"`
 	}
-	// The snapshot job queues behind the batch, but the batch's tasks run
-	// on the executor's own goroutines and bump the scheduler counters as
-	// they materialize: poll until the first one has.
+	// The batch is applied on the session's worker after the 202: poll
+	// until the analyzer has counted its first launch.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		mresp, err := http.Get(hs.URL + "/metrics")
 		if err != nil {
@@ -230,7 +229,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("/metrics is not parseable: %v", err)
 		}
-		if body.Sessions[id]["sched/cache/misses"]+body.Sessions[id]["sched/cache/hits"] > 0 || time.Now().After(deadline) {
+		if body.Sessions[id]["analyzer/cells/launches"] > 0 || time.Now().After(deadline) {
 			break
 		}
 	}
@@ -243,7 +242,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 	if _, ok := body.Sessions[id]; !ok {
 		t.Errorf("session %s missing from /metrics", id)
 	}
-	if body.Sessions[id]["sched/cache/misses"]+body.Sessions[id]["sched/cache/hits"] == 0 {
-		t.Errorf("session registry missing scheduler counters: %v", body.Sessions[id])
+	if body.Sessions[id]["analyzer/cells/launches"] == 0 {
+		t.Errorf("session registry missing analyzer counters: %v", body.Sessions[id])
 	}
 }

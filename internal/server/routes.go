@@ -289,33 +289,89 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 
 // --- query endpoints (sync jobs: FIFO behind submitted batches) ---------
 
-// regionParam extracts the ?region= query. The name is resolved against
-// the session environment inside each handler's sync job, never on the
-// HTTP goroutine: the environment belongs to the session worker.
-func regionParam(r *http.Request) string {
-	return r.URL.Query().Get("region")
+// query answers one question about a session's region tree: it runs ask on
+// the session's worker — the environment and the runtime belong to it, so
+// ?region= is resolved there, never on the HTTP goroutine — and writes the
+// refusal of a job that could not run or the 404 of an unknown region or of
+// whatever ask reports missing. With first, an empty ?region= means the
+// lexicographically first root region. It returns the resolved region's
+// name and whether the caller still has an answer to write.
+//
+//confined:callbacks session-worker
+func (srv *Server) query(w http.ResponseWriter, r *http.Request, s *session, first bool, ask func(reg *visibility.Region) (missing string)) (string, bool) {
+	name := r.URL.Query().Get("region")
+	missing := "region " + name
+	err := srv.doSync(s, traceContext(r), func() {
+		if name == "" && first {
+			name = firstRegion(s)
+		}
+		if reg := s.env.Region(name); reg != nil {
+			missing = ask(reg)
+		}
+	})
+	if err != nil {
+		srv.fail(w, err)
+		return "", false
+	}
+	if missing != "" {
+		notFound(w, missing)
+		return "", false
+	}
+	return name, true
 }
+
+// firstRegion names the lexicographically first root region of the session
+// environment ("" when there is none). Must run inside a sync job.
+func firstRegion(s *session) string {
+	first := ""
+	for _, reg := range s.env.Regions() {
+		if first == "" || reg.Name() < first {
+			first = reg.Name()
+		}
+	}
+	return first
+}
+
+// intParam reads an integer query parameter, def when absent, and writes
+// the 400 for a value that does not parse or lies below min.
+func (srv *Server) intParam(w http.ResponseWriter, r *http.Request, name string, def, min int) (int, bool) {
+	q, v := r.URL.Query().Get(name), def
+	var err error
+	if q != "" {
+		v, err = strconv.Atoi(q)
+	}
+	if err != nil || v < min {
+		srv.fail(w, fmt.Errorf("invalid %s %q", name, q))
+		return 0, false
+	}
+	return v, true
+}
+
+// writeRaw writes a body rendered on the session worker, or the 500 of the
+// error rendering it returned.
+func writeRaw(w http.ResponseWriter, contentType string, body *bytes.Buffer, err error) {
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	if _, err := w.Write(body.Bytes()); err != nil {
+		_ = err // client went away mid-body
+	}
+}
+
+const graphviz = "text/vnd.graphviz"
 
 func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s := srv.lookup(w, r)
 	if s == nil {
 		return
 	}
-	name := regionParam(r)
 	field := r.URL.Query().Get("field")
-	var (
-		rows    [][]float64
-		missing string
-	)
-	err := srv.doSync(s, traceContext(r), func() {
-		reg := s.env.Region(name)
-		if reg == nil {
-			missing = "region " + name
-			return
-		}
+	var rows [][]float64
+	name, ok := srv.query(w, r, s, false, func(reg *visibility.Region) string {
 		if !reg.HasField(field) {
-			missing = fmt.Sprintf("field %q of region %s", field, name)
-			return
+			return fmt.Sprintf("field %q of region %s", field, reg.Name())
 		}
 		dim := reg.Space().Dim()
 		s.rt.Read(reg, field).Each(func(p visibility.Point, v float64) {
@@ -325,16 +381,11 @@ func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			}
 			rows = append(rows, append(row, v))
 		})
+		return ""
 	})
-	if err != nil {
-		srv.fail(w, err)
-		return
+	if ok {
+		writeJSON(w, http.StatusOK, map[string]any{"region": name, "field": field, "points": rows})
 	}
-	if missing != "" {
-		notFound(w, missing)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"region": name, "field": field, "points": rows})
 }
 
 func (srv *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
@@ -342,50 +393,16 @@ func (srv *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	name := regionParam(r)
-	var (
-		tasks   []visibility.TaskInfo
-		missing string
-	)
-	err := srv.doSync(s, traceContext(r), func() {
-		reg := s.env.Region(name)
-		if reg == nil {
-			missing = "region " + name
-			return
+	tasks := []visibility.TaskInfo{}
+	name, ok := srv.query(w, r, s, false, func(reg *visibility.Region) string {
+		if deps := s.rt.Dependences(reg); deps != nil {
+			tasks = deps
 		}
-		tasks = s.rt.Dependences(reg)
+		return ""
 	})
-	if err != nil {
-		srv.fail(w, err)
-		return
+	if ok {
+		writeJSON(w, http.StatusOK, map[string]any{"region": name, "tasks": tasks})
 	}
-	if missing != "" {
-		notFound(w, missing)
-		return
-	}
-	if tasks == nil {
-		tasks = []visibility.TaskInfo{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"region": name, "tasks": tasks})
-}
-
-// envRegion resolves the ?region= value against the session environment,
-// defaulting to the lexicographically first root region when the query is
-// empty. Must run inside a sync job: the environment belongs to the
-// session worker.
-func envRegion(s *session, name string) *visibility.Region {
-	if name != "" {
-		return s.env.Region(name)
-	}
-	names := make([]string, 0, 4)
-	for _, reg := range s.env.Regions() {
-		names = append(names, reg.Name())
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names)
-	return s.env.Region(names[0])
 }
 
 // handleExplain serves dependence provenance: ?task=N returns the
@@ -398,34 +415,25 @@ func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	task, err := strconv.Atoi(r.URL.Query().Get("task"))
-	if err != nil || task < 0 {
-		srv.fail(w, fmt.Errorf("invalid task %q", r.URL.Query().Get("task")))
+	task, ok := srv.intParam(w, r, "task", -1, 0)
+	if !ok {
 		return
 	}
 	src := -1
-	if q := r.URL.Query().Get("src"); q != "" {
-		if src, err = strconv.Atoi(q); err != nil || src < 0 {
-			srv.fail(w, fmt.Errorf("invalid src %q", q))
+	if r.URL.Query().Get("src") != "" {
+		if src, ok = srv.intParam(w, r, "src", 0, 0); !ok {
 			return
 		}
 	}
-	name := regionParam(r)
 	var (
 		ex          *visibility.TaskExplain
 		mustPrecede bool
-		regionName  string
-		missing     string
 	)
-	err = srv.doSync(s, traceContext(r), func() {
-		reg := envRegion(s, name)
-		if reg == nil {
-			missing = "region " + name
-			return
+	name, ok := srv.query(w, r, s, true, func(reg *visibility.Region) string {
+		if ex = s.rt.Explain(reg, task); ex == nil {
+			return fmt.Sprintf("task %d", task)
 		}
-		regionName = reg.Name()
-		ex = s.rt.Explain(reg, task)
-		if ex != nil && src >= 0 {
+		if src >= 0 {
 			edges := ex.Edges[:0]
 			for _, e := range ex.Edges {
 				if e.Src == src {
@@ -435,21 +443,13 @@ func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			ex.Edges = edges
 			mustPrecede = s.rt.MustPrecede(reg, src, task)
 		}
+		return ""
 	})
-	if err != nil {
-		srv.fail(w, err)
-		return
-	}
-	if missing != "" {
-		notFound(w, missing)
-		return
-	}
-	if ex == nil {
-		notFound(w, fmt.Sprintf("task %d", task))
+	if !ok {
 		return
 	}
 	srv.rec.Log(recorder.KindExplainQuery, int64(task), int64(len(ex.Edges)))
-	body := map[string]any{"region": regionName, "explain": ex}
+	body := map[string]any{"region": name, "explain": ex}
 	if src >= 0 {
 		body["src"] = src
 		body["mustPrecede"] = mustPrecede
@@ -465,62 +465,33 @@ func (srv *Server) handleCritPath(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	k := 5
-	if q := r.URL.Query().Get("k"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			srv.fail(w, fmt.Errorf("invalid k %q", q))
-			return
-		}
-		k = v
-	}
-	dot := r.URL.Query().Get("format") == "dot"
-	name := regionParam(r)
-	var (
-		sum        *visibility.CritSummary
-		buf        bytes.Buffer
-		dotErr     error
-		regionName string
-		missing    string
-	)
-	err := srv.doSync(s, traceContext(r), func() {
-		reg := envRegion(s, name)
-		if reg == nil {
-			missing = "region " + name
-			return
-		}
-		regionName = reg.Name()
-		if dot {
-			dotErr = s.rt.WriteDOTCrit(reg, &buf)
-			return
-		}
-		sum = s.rt.CriticalPath(reg, k)
-	})
-	if err != nil {
-		srv.fail(w, err)
+	k, ok := srv.intParam(w, r, "k", 5, 1)
+	if !ok {
 		return
 	}
-	if missing != "" {
-		notFound(w, missing)
+	dot := r.URL.Query().Get("format") == "dot"
+	var (
+		sum    *visibility.CritSummary
+		buf    bytes.Buffer
+		dotErr error
+	)
+	name, ok := srv.query(w, r, s, true, func(reg *visibility.Region) string {
+		if dot {
+			dotErr = s.rt.WriteDOTCrit(reg, &buf)
+		} else if sum = s.rt.CriticalPath(reg, k); sum == nil {
+			return "critical path (nothing launched)"
+		}
+		return ""
+	})
+	if !ok {
 		return
 	}
 	if dot {
-		if dotErr != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: dotErr.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			_ = err // client went away mid-body
-		}
-		return
-	}
-	if sum == nil {
-		notFound(w, "critical path (nothing launched)")
+		writeRaw(w, graphviz, &buf, dotErr)
 		return
 	}
 	srv.rec.Log(recorder.KindCritPath, int64(len(sum.Path)), int64(sum.Length))
-	writeJSON(w, http.StatusOK, map[string]any{"region": regionName, "critpath": sum})
+	writeJSON(w, http.StatusOK, map[string]any{"region": name, "critpath": sum})
 }
 
 func (srv *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
@@ -528,35 +499,15 @@ func (srv *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	name := regionParam(r)
 	var (
-		buf     bytes.Buffer
-		missing string
-		dotErr  error
+		buf    bytes.Buffer
+		dotErr error
 	)
-	err := srv.doSync(s, traceContext(r), func() {
-		reg := s.env.Region(name)
-		if reg == nil {
-			missing = "region " + name
-			return
-		}
+	if _, ok := srv.query(w, r, s, false, func(reg *visibility.Region) string {
 		dotErr = s.rt.WriteDOT(reg, &buf)
-	})
-	if err != nil {
-		srv.fail(w, err)
-		return
-	}
-	if missing != "" {
-		notFound(w, missing)
-		return
-	}
-	if dotErr != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: dotErr.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "text/vnd.graphviz")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		_ = err // client went away mid-body
+		return ""
+	}); ok {
+		writeRaw(w, graphviz, &buf, dotErr)
 	}
 }
 
@@ -569,19 +520,11 @@ func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		buf     bytes.Buffer
 		ckptErr error
 	)
-	err := srv.doSync(s, traceContext(r), func() { ckptErr = s.rt.Checkpoint(&buf) })
-	if err != nil {
+	if err := srv.doSync(s, traceContext(r), func() { ckptErr = s.rt.Checkpoint(&buf) }); err != nil {
 		srv.fail(w, err)
 		return
 	}
-	if ckptErr != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: ckptErr.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		_ = err // client went away mid-body
-	}
+	writeRaw(w, "application/json", &buf, ckptErr)
 }
 
 // --- observability endpoints --------------------------------------------
@@ -705,14 +648,9 @@ func (srv *Server) handleDebugTrace(w http.ResponseWriter, _ *http.Request) {
 // handleDebugRecorder exposes the flight recorder's last-N-events window
 // (?n=, default 256).
 func (srv *Server) handleDebugRecorder(w http.ResponseWriter, r *http.Request) {
-	n := 256
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			srv.fail(w, fmt.Errorf("invalid n %q", q))
-			return
-		}
-		n = v
+	n, ok := srv.intParam(w, r, "n", 256, 1)
+	if !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"events":  srv.recorderTail(n),
@@ -725,14 +663,9 @@ func (srv *Server) handleDebugRecorder(w http.ResponseWriter, r *http.Request) {
 // critical-path summary of each root region tree (?k= bounds bottleneck
 // attribution, default 3). Sessions too busy to query are skipped.
 func (srv *Server) handleDebugCritPath(w http.ResponseWriter, r *http.Request) {
-	k := 3
-	if q := r.URL.Query().Get("k"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			srv.fail(w, fmt.Errorf("invalid k %q", q))
-			return
-		}
-		k = v
+	k, ok := srv.intParam(w, r, "k", 3, 1)
+	if !ok {
+		return
 	}
 	list := srv.sessionList()
 	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })

@@ -55,9 +55,9 @@ type Config struct {
 	EnablePprof bool
 	// Faults, when non-nil, arms the deterministic fault-injection plane
 	// across the service: worker panics and admission rejections at the
-	// serving layer, plus every runtime site (analyzer splits, cache
-	// bypasses, checkpoint corruption) in the sessions it creates. Fires
-	// are journaled to the server's flight recorder.
+	// serving layer, plus every runtime site (analyzer splits, checkpoint
+	// corruption) in the sessions it creates. Fires are journaled to the
+	// server's flight recorder.
 	Faults *fault.Injector
 }
 

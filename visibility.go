@@ -153,24 +153,23 @@ type Config struct {
 	Shards int
 	// Metrics, when non-nil, is the registry every component of this
 	// runtime publishes into: analyzer operation counters appear under
-	// "analyzer/<root-region-name>/", scheduler cache counters under
-	// "sched/cache/", tracing outcomes under "trace/". Nil keeps the
-	// pre-existing behavior of private per-component registries. The
-	// serving layer passes one registry per session so sessions stay
-	// observably disjoint.
+	// "analyzer/<root-region-name>/", tracing outcomes under "trace/".
+	// Nil keeps the pre-existing behavior of private per-component
+	// registries. The serving layer passes one registry per session so
+	// sessions stay observably disjoint.
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives begin/end records for the phases of
 	// each per-launch analysis (and trace record/replay/invalidate
 	// events). Nil disables span recording at zero cost.
 	Spans *obs.Buffer
 	// Recorder, when non-nil, is the flight-recorder ring journaling coarse
-	// runtime events: task launches, equivalence-set splits and coalesces,
-	// instance-cache outcomes. Nil disables journaling at zero cost.
+	// runtime events: task launches, equivalence-set splits and coalesces.
+	// Nil disables journaling at zero cost.
 	Recorder *recorder.Recorder
 	// Faults, when non-nil, arms the deterministic fault-injection plane:
-	// forced equivalence-set splits and migrations in the analyzer,
-	// instance-cache bypasses in the scheduler, and bit-flip corruption on
-	// checkpoint encode/restore. Nil (the default) disables every site.
+	// forced equivalence-set splits and migrations in the analyzer, and
+	// bit-flip corruption on checkpoint encode/restore. Nil (the default)
+	// disables every site.
 	Faults *fault.Injector
 	// Provenance enables dependence provenance capture: every discovered
 	// dependence edge carries a compact EdgeReason (which analyzer found
@@ -239,10 +238,16 @@ type treeState struct {
 	fields map[string]field.ID
 	init   map[field.ID]*data.Store
 	stream *core.Stream
-	exec   *sched.Executor
-	seq    *core.Seq        // non-nil in Validate mode
-	stack  *algo.Stack      // the analyzer exec drives; nil until frozen
-	prov   *core.Provenance // non-nil in Provenance mode
+	// deps is the discovered dependence graph, one row per launch in
+	// program order: the analyzer's dependences merged with the task's
+	// future edges, deduplicated and ascending. A row is written once, at
+	// launch, and never changes, so every graph query reads the table as
+	// it stands.
+	deps  [][]int
+	exec  *sched.Executor
+	seq   *core.Seq        // non-nil in Validate mode
+	stack *algo.Stack      // the analyzer exec drives; nil until frozen
+	prov  *core.Provenance // non-nil in Provenance mode
 	// labels caches precedence labels for MustPrecede; rebuilt when the
 	// stream has grown past labelsAt.
 	labels   *graph.Labels
@@ -592,7 +597,32 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 			}
 		}
 	}
-	return Future{done: ts.exec.Submit(t, k, body), taskID: t.ID}
+	return Future{done: rt.submit(ts, t, k, body), taskID: t.ID}
+}
+
+// submit hands t to the executor and records what the launch discovered:
+// its row of the dependence graph and, in Provenance mode, its cost sample.
+func (rt *Runtime) submit(ts *treeState, t *core.Task, k core.Kernel, body func([]*data.Store)) <-chan struct{} {
+	done, deps := ts.exec.Submit(t, k, body)
+	row := append(make([]int, 0, len(deps)+len(t.FutureDeps)), deps...)
+	ts.deps = append(ts.deps, core.DedupDeps(append(row, t.FutureDeps...)))
+	if ts.prov != nil {
+		// The launch's deterministic cost sample: its analysis volume
+		// (requirements analyzed plus dependence edges discovered), plus
+		// the points its requirements touch as a unit-cost virtual
+		// execution time. Both are properties of the task stream and its
+		// discovered graph — not of analyzer internals — so critical paths
+		// weighted by them are byte-reproducible across runs and across
+		// analyzer/sharding configurations. Measured operation counters
+		// stay in Stats() and the metrics registry.
+		var exec int64
+		for _, req := range t.Reqs {
+			exec += req.Region.Space.Volume()
+		}
+		ts.prov.AddCost(t.ID, core.TaskCost{AnalysisOps: int64(len(t.Reqs) + len(deps)), ExecVirt: exec})
+		rt.cfg.Recorder.Log(recorder.KindReasonCapture, int64(t.ID), int64(ts.prov.ReasonCount(t.ID)))
+	}
+	return done
 }
 
 func snapshots(inputs []*data.Store) []*Snapshot {
@@ -640,7 +670,7 @@ func (rt *Runtime) freeze(ts *treeState) {
 		}
 	}
 	ts.stream = core.NewStream(ts.tree)
-	ts.exec = sched.NewExecutor(ts.tree, ts.stack.Analyzer, ts.init, rt.cfg.Workers, opts)
+	ts.exec = sched.NewExecutor(ts.stack.Analyzer, ts.init, rt.cfg.Workers, opts)
 	if rt.cfg.Validate {
 		ts.seq = core.NewSeq(ts.tree, ts.init)
 	}
@@ -724,7 +754,7 @@ func (rt *Runtime) Read(r *Region, fieldName string) *Snapshot {
 		ts.seq.Run(t, k)
 	}
 	var got *data.Store
-	<-ts.exec.Submit(t, k, func(inputs []*data.Store) { got = inputs[0] })
+	<-rt.submit(ts, t, k, func(inputs []*data.Store) { got = inputs[0] })
 	if ts.seq != nil {
 		validate(t, ts.seq.Inputs[t.ID], []*data.Store{got})
 	}
@@ -764,7 +794,7 @@ func (rt *Runtime) Stats(r *Region) core.Stats {
 	if r.tree.exec == nil {
 		return core.Stats{}
 	}
-	return *r.tree.exec.Analyzer().Stats()
+	return *r.tree.stack.Analyzer.Stats()
 }
 
 // TaskInfo describes one analyzed task launch: its dense ID, name, and the
@@ -780,7 +810,8 @@ type TaskInfo struct {
 // Dependences returns the dependence graph discovered so far for the tree
 // containing r, one entry per launch in program order. It must be called
 // from the launching goroutine, like every other Runtime method; nil when
-// nothing has launched.
+// nothing has launched. Deps slices are the runtime's own rows: read them,
+// do not modify them.
 //
 // confined to runtime-owner
 func (rt *Runtime) Dependences(r *Region) []TaskInfo {
@@ -788,13 +819,20 @@ func (rt *Runtime) Dependences(r *Region) []TaskInfo {
 	if ts.exec == nil {
 		return nil
 	}
-	deps := ts.exec.Deps()
-	out := make([]TaskInfo, 0, len(ts.stream.Tasks))
-	for _, t := range ts.stream.Tasks {
-		merged := append(append([]int{}, deps[t.ID]...), t.FutureDeps...)
-		out = append(out, TaskInfo{ID: t.ID, Name: t.Name, Deps: core.DedupDeps(merged)})
+	out := make([]TaskInfo, len(ts.stream.Tasks))
+	for i, t := range ts.stream.Tasks {
+		out[i] = TaskInfo{ID: t.ID, Name: t.Name, Deps: ts.deps[i]}
 	}
 	return out
+}
+
+// dag is the discovered dependence graph of ts: the stream's tasks over
+// the owner's rows (empty until something has launched).
+func (ts *treeState) dag() *graph.DAG {
+	if ts.exec == nil {
+		return &graph.DAG{}
+	}
+	return &graph.DAG{Tasks: ts.stream.Tasks, Deps: ts.deps}
 }
 
 // WriteDOT renders the discovered dependence graph of the tree containing
@@ -802,9 +840,5 @@ func (rt *Runtime) Dependences(r *Region) []TaskInfo {
 //
 // confined to runtime-owner
 func (rt *Runtime) WriteDOT(r *Region, w io.Writer) error {
-	ts := r.tree
-	if ts.exec == nil {
-		return graph.FromStream(nil, nil).WriteDOT(w)
-	}
-	return graph.FromStream(ts.stream.Tasks, ts.exec.Deps()).WriteDOT(w)
+	return r.tree.dag().WriteDOT(w)
 }
