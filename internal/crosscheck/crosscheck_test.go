@@ -9,14 +9,12 @@ import (
 	"testing"
 
 	"visibility/internal/core"
-	"visibility/internal/data"
-	"visibility/internal/field"
-	"visibility/internal/geometry"
-	"visibility/internal/index"
+	"visibility/internal/harness"
 	"visibility/internal/paint"
 	"visibility/internal/privilege"
 	"visibility/internal/raycast"
 	"visibility/internal/region"
+	"visibility/internal/testutil"
 	"visibility/internal/warnock"
 )
 
@@ -30,74 +28,17 @@ func allFactories() []core.Factory {
 	}
 }
 
-func fullInit(tree *region.Tree) map[field.ID]*data.Store {
-	init := make(map[field.ID]*data.Store)
-	for f := 0; f < tree.Fields.Len(); f++ {
-		st := data.NewStore(tree.Root.Space.Dim())
-		tree.Root.Space.Each(func(p geometry.Point) bool {
-			st.Set(p, float64(int64(f+1)*1000)+float64(p.C[0])+2*float64(p.C[1]))
-			return true
-		})
-		init[field.ID(f)] = st
-	}
-	return init
-}
-
-// graphTree builds the Figure 1/2 setup: an 18-node ring, primary partition
-// P into three blocks of six, and aliased ghost partition G of width-4
-// halos, with fields up and down.
-func graphTree() (*region.Tree, *region.Partition, *region.Partition) {
-	fs := field.NewSpace()
-	fs.Add("up")
-	fs.Add("down")
-	tree := region.NewTree("N", index.FromRect(geometry.R1(0, 17)), fs)
-	p := tree.Root.Partition("P", []index.Space{
-		index.FromRect(geometry.R1(0, 5)),
-		index.FromRect(geometry.R1(6, 11)),
-		index.FromRect(geometry.R1(12, 17)),
-	})
-	// Ghost of piece i: 4 elements on each side on the ring, so adjacent
-	// ghost subregions overlap (aliased partition).
-	g := tree.Root.Partition("G", []index.Space{
-		index.FromRects(1, geometry.R1(14, 17), geometry.R1(6, 9)),
-		index.FromRects(1, geometry.R1(2, 5), geometry.R1(12, 15)),
-		index.FromRects(1, geometry.R1(8, 11), geometry.R1(0, 3)),
-	})
-	return tree, p, g
-}
-
-// figure5Stream launches the nine tasks of Figure 5: three t1 tasks, three
-// t2 tasks, three more t1 tasks.
+// figure5Stream is the nine launches of Figure 5 as a fresh stream.
 func figure5Stream(tree *region.Tree, p, g *region.Partition) *core.Stream {
-	up, _ := tree.Fields.Lookup("up")
-	down, _ := tree.Fields.Lookup("down")
 	s := core.NewStream(tree)
-	t1 := func(i int) *core.Task {
-		return s.Launch("t1",
-			core.Req{Region: p.Subregions[i], Field: up, Priv: privilege.Writes()},
-			core.Req{Region: g.Subregions[i], Field: down, Priv: privilege.Reduces(privilege.OpSum)})
-	}
-	t2 := func(i int) *core.Task {
-		return s.Launch("t2",
-			core.Req{Region: p.Subregions[i], Field: down, Priv: privilege.Writes()},
-			core.Req{Region: g.Subregions[i], Field: up, Priv: privilege.Reduces(privilege.OpSum)})
-	}
-	for i := 0; i < 3; i++ {
-		t1(i)
-	}
-	for i := 0; i < 3; i++ {
-		t2(i)
-	}
-	for i := 0; i < 3; i++ {
-		t1(i)
-	}
+	testutil.Figure5(s, p, g)
 	return s
 }
 
 func TestFigure5AllAnalyzers(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	s := figure5Stream(tree, p, g)
-	if err := core.Verify(s, fullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
+	if err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,7 +47,7 @@ func TestFigure5AllAnalyzers(t *testing.T) {
 // from Figure 5: the three tasks inside each phase are mutually
 // independent, while phases are ordered through the data they share.
 func TestFigure5Parallelism(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	s := figure5Stream(tree, p, g)
 	exact := core.ExactDeps(s.Tasks)
 
@@ -147,7 +88,7 @@ func TestFigure5Parallelism(t *testing.T) {
 // verifies coherence end to end (this exercises occlusion pruning and
 // dominating writes over a long stream).
 func TestFigure5SteadyStateLoop(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	down, _ := tree.Fields.Lookup("down")
 	s := core.NewStream(tree)
@@ -163,117 +104,9 @@ func TestFigure5SteadyStateLoop(t *testing.T) {
 				core.Req{Region: g.Subregions[i], Field: up, Priv: privilege.Reduces(privilege.OpSum)})
 		}
 	}
-	if err := core.Verify(s, fullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
+	if err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// randTree builds a random region tree over a 1-D or 2-D root with a mix of
-// disjoint and aliased partitions, possibly nested.
-func randTree(rng *rand.Rand) *region.Tree {
-	fs := field.NewSpace()
-	fs.Add("f0")
-	fs.Add("f1")
-	var root index.Space
-	dim := 1 + rng.Intn(2)
-	if dim == 1 {
-		root = index.FromRect(geometry.R1(0, 23))
-	} else {
-		root = index.FromRect(geometry.R2(0, 0, 5, 3))
-	}
-	tree := region.NewTree("A", root, fs)
-
-	nparts := 1 + rng.Intn(3)
-	for pi := 0; pi < nparts; pi++ {
-		npieces := 2 + rng.Intn(3)
-		pieces := make([]index.Space, npieces)
-		for i := range pieces {
-			// Random sub-rectangles of the root bounds, clipped to the root.
-			b := root.Bounds()
-			r := geometry.Rect{Dim: dim}
-			for a := 0; a < dim; a++ {
-				span := b.Hi.C[a] - b.Lo.C[a] + 1
-				lo := b.Lo.C[a] + rng.Int63n(span)
-				hi := lo + rng.Int63n(span-(lo-b.Lo.C[a]))
-				r.Lo.C[a], r.Hi.C[a] = lo, hi
-			}
-			pieces[i] = index.FromRect(r).Intersect(root)
-		}
-		p := tree.Root.Partition("Q", pieces)
-		// Occasionally nest a partition under a subregion.
-		if rng.Intn(3) == 0 && len(p.Subregions) > 0 {
-			sub := p.Subregions[rng.Intn(len(p.Subregions))]
-			if !sub.Space.IsEmpty() && sub.Space.Volume() > 1 {
-				half := sub.Space.Volume() / 2
-				var first []geometry.Point
-				sub.Space.Each(func(pt geometry.Point) bool {
-					if int64(len(first)) < half {
-						first = append(first, pt)
-						return true
-					}
-					return false
-				})
-				a := index.FromPoints(dim, first...)
-				sub.Partition("nested", []index.Space{a, sub.Space.Subtract(a)})
-			}
-		}
-	}
-	return tree
-}
-
-// randStream launches a random sequence of tasks over random regions of the
-// tree with random privileges.
-func randStream(rng *rand.Rand, tree *region.Tree, n int) *core.Stream {
-	var regions []*region.Region
-	for i := 0; i < tree.NumRegions(); i++ {
-		r := tree.Region(i)
-		if !r.Space.IsEmpty() {
-			regions = append(regions, r)
-		}
-	}
-	ops := []privilege.ReduceOp{privilege.OpSum, privilege.OpMin, privilege.OpMax, privilege.OpProd}
-	s := core.NewStream(tree)
-	for i := 0; i < n; i++ {
-		nreq := 1
-		if rng.Intn(4) == 0 {
-			nreq = 2
-		}
-		var reqs []core.Req
-		for ri := 0; ri < nreq; ri++ {
-			r := regions[rng.Intn(len(regions))]
-			f := field.ID(rng.Intn(tree.Fields.Len()))
-			var priv privilege.Privilege
-			switch rng.Intn(4) {
-			case 0:
-				priv = privilege.Reads()
-			case 1, 2:
-				priv = privilege.Writes()
-			default:
-				priv = privilege.Reduces(ops[rng.Intn(len(ops))])
-			}
-			// Respect the §4 restriction: requirements of one task must
-			// be disjoint unless both read or both reduce with one op.
-			ok := true
-			for _, prev := range reqs {
-				if prev.Field != f {
-					continue
-				}
-				compatible := (prev.Priv.IsRead() && priv.IsRead()) ||
-					(prev.Priv.IsReduce() && priv.IsReduce() && prev.Priv.Op == priv.Op)
-				if !compatible && prev.Region.Space.Overlaps(r.Space) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				reqs = append(reqs, core.Req{Region: r, Field: f, Priv: priv})
-			}
-		}
-		if len(reqs) > 0 {
-			s.Launch("rand", reqs...)
-		}
-	}
-	return s
 }
 
 // TestRandomStreamsAllAnalyzers is the main property test: on dozens of
@@ -286,9 +119,9 @@ func TestRandomStreamsAllAnalyzers(t *testing.T) {
 		iters = 8
 	}
 	for it := 0; it < iters; it++ {
-		tree := randTree(rng)
-		stream := randStream(rng, tree, 12+rng.Intn(20))
-		if err := core.Verify(stream, fullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
+		tree := harness.ChaosTree(rng)
+		stream := harness.ChaosStream(rng, tree, 12+rng.Intn(20))
+		if err := core.Verify(stream, testutil.FullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
 			t.Fatalf("iteration %d: %v", it, err)
 		}
 	}
@@ -301,7 +134,7 @@ func TestRandomStreamsAllAnalyzers(t *testing.T) {
 // analysis proves independent *in both directions* over a write-heavy
 // stream, i.e. analyzers do not serialize obviously-parallel work.
 func TestAnalyzersAgreeOnDeps(t *testing.T) {
-	tree, p, _ := graphTree()
+	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	s := core.NewStream(tree)
 	// Three disjoint writes: must remain parallel under every analyzer.

@@ -8,9 +8,11 @@ import (
 
 	"visibility/internal/core"
 	"visibility/internal/field"
+	"visibility/internal/harness"
 	"visibility/internal/privilege"
 	"visibility/internal/raycast"
 	"visibility/internal/region"
+	"visibility/internal/testutil"
 )
 
 // renderRun replays stream through a fresh analyzer from fac and serializes
@@ -53,12 +55,12 @@ func TestDeterministicDependenceOutput(t *testing.T) {
 		stream *core.Stream
 	}
 	var scenarios []scenario
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	scenarios = append(scenarios, scenario{"figure5", tree, figure5Stream(tree, p, g)})
 	for _, seed := range []int64{1, 42, 20260806} {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randTree(rng)
-		scenarios = append(scenarios, scenario{fmt.Sprintf("rand%d", seed), tr, randStream(rng, tr, 30)})
+		tr := harness.ChaosTree(rng)
+		scenarios = append(scenarios, scenario{fmt.Sprintf("rand%d", seed), tr, harness.ChaosStream(rng, tr, 30)})
 	}
 
 	for _, sc := range scenarios {
@@ -114,7 +116,7 @@ func FuzzPainterVsExact(f *testing.F) {
 	f.Add([]byte{4, 1, 3, 5, 1, 9, 6, 1, 3})       // aliased ghost reductions
 	f.Add([]byte{0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 1}) // root writes then read
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tree, _, _ := graphTree()
+		tree, _, _ := testutil.GraphTree()
 		s := fuzzStream(tree, data)
 		if len(s.Tasks) == 0 {
 			return

@@ -7,6 +7,7 @@ import (
 	"visibility/internal/index"
 	"visibility/internal/raycast"
 	"visibility/internal/region"
+	"visibility/internal/testutil"
 )
 
 // Mutation meta-tests: the verification harness must catch an analyzer
@@ -48,9 +49,9 @@ func expectVerifyFailure(t *testing.T, name string, fac core.Factory) {
 		// violations as errors. Either counts as "caught".
 		_ = recover()
 	}()
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	s := figure5Stream(tree, p, g)
-	err := core.Verify(s, fullInit(tree), core.HashKernel{}, fac)
+	err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{}, fac)
 	if err == nil {
 		t.Errorf("%s: verification failed to catch the corruption", name)
 	}

@@ -9,6 +9,7 @@ import (
 	"visibility/internal/index"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
+	"visibility/internal/testutil"
 	"visibility/internal/warnock"
 )
 
@@ -18,7 +19,7 @@ import (
 
 func verifyAll(t *testing.T, s *core.Stream) {
 	t.Helper()
-	if err := core.Verify(s, fullInit(s.Tree), core.HashKernel{}, allFactories()...); err != nil {
+	if err := core.Verify(s, testutil.FullInit(s.Tree), core.HashKernel{}, allFactories()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,7 +81,7 @@ func TestDeepNesting(t *testing.T) {
 // root writes — the dominating-write fast path and the painter's
 // whole-node pruning.
 func TestRootWritesOccludeEverything(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	s := core.NewStream(tree)
 	for round := 0; round < 3; round++ {
@@ -159,7 +160,7 @@ func TestKDFallbackStream(t *testing.T) {
 // aliased regions with occasional writes and reads — every operator switch
 // is an interference boundary.
 func TestMixedReductionOperators(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	ops := []privilege.ReduceOp{privilege.OpSum, privilege.OpMin, privilege.OpMax, privilege.OpProd}
 	s := core.NewStream(tree)
@@ -176,7 +177,7 @@ func TestMixedReductionOperators(t *testing.T) {
 // TestReadOnlyStream never mutates: everything must be parallel and all
 // materializations must be the initial contents.
 func TestReadOnlyStream(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	s := core.NewStream(tree)
 	for round := 0; round < 3; round++ {
@@ -202,7 +203,7 @@ func TestReadOnlyStream(t *testing.T) {
 // requirements on the same field (allowed when both read or both reduce
 // with one operator, §4), including overlapping ones.
 func TestSameTaskMultipleReqsSameField(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	s := core.NewStream(tree)
 	for i := 0; i < 3; i++ {
@@ -222,7 +223,7 @@ func TestSameTaskMultipleReqsSameField(t *testing.T) {
 // TestWarnockMemoAblationEquivalence checks the DisableMemo knob changes
 // only cost, never results.
 func TestWarnockMemoAblationEquivalence(t *testing.T) {
-	tree, p, g := graphTree()
+	tree, p, g := testutil.GraphTree()
 	s := core.NewStream(tree)
 	for iter := 0; iter < 4; iter++ {
 		for i := 0; i < 3; i++ {
@@ -231,7 +232,7 @@ func TestWarnockMemoAblationEquivalence(t *testing.T) {
 				core.Req{Region: g.Subregions[i], Field: 1, Priv: privilege.Reduces(privilege.OpSum)})
 		}
 	}
-	err := core.Verify(s, fullInit(tree), core.HashKernel{},
+	err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{},
 		core.Factory{Name: "warnock-nomemo", New: func(tr *region.Tree) core.Analyzer {
 			w := warnock.New(tr, core.Options{})
 			w.DisableMemo = true

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"visibility/internal/core"
+	"visibility/internal/harness"
+	"visibility/internal/testutil"
 	"visibility/internal/trace"
 )
 
@@ -18,9 +20,9 @@ func TestSoakRandomStreams(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7171))
 	for it := 0; it < 120; it++ {
-		tree := randTree(rng)
-		stream := randStream(rng, tree, 20+rng.Intn(40))
-		if err := core.Verify(stream, fullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
+		tree := harness.ChaosTree(rng)
+		stream := harness.ChaosStream(rng, tree, 20+rng.Intn(40))
+		if err := core.Verify(stream, testutil.FullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
 			t.Fatalf("soak iteration %d: %v", it, err)
 		}
 	}
@@ -35,18 +37,18 @@ func TestSoakTracedLoops(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99221))
 	for it := 0; it < 25; it++ {
-		tree := randTree(rng)
+		tree := harness.ChaosTree(rng)
 		// A fixed random loop body, repeated.
-		body := randStream(rng, tree, 6+rng.Intn(8))
+		body := harness.ChaosStream(rng, tree, 6+rng.Intn(8))
 		if len(body.Tasks) == 0 {
 			continue
 		}
 		for _, fac := range allFactories() {
 			tr := trace.New(fac.New(tree), core.Options{})
-			eng := core.NewEngine(tree, tr, fullInit(tree))
+			eng := core.NewEngine(tree, tr, testutil.FullInit(tree))
 			eng.RecordInputs = true
 			eng.StrictPlans = true
-			seq := core.NewSeq(tree, fullInit(tree))
+			seq := core.NewSeq(tree, testutil.FullInit(tree))
 
 			stream := core.NewStream(tree)
 			var got [][]int

@@ -251,7 +251,7 @@ func Parse(s string) (Plan, error) {
 			switch k {
 			case "p":
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 || f > 1 {
+				if err != nil || !(f >= 0 && f <= 1) { // written so NaN fails
 					return Plan{}, fmt.Errorf("fault: site %s probability %q outside [0,1]", name, v)
 				}
 				r.Prob = f

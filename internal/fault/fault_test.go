@@ -82,6 +82,7 @@ func TestParseRejects(t *testing.T) {
 		{"seed=1;sched.cache.bypass=p=0.25", "unknown site"}, // retired with the instance cache
 		{"cluster.msg.drop=p=2", "outside [0,1]"},
 		{"cluster.msg.drop=p=-0.5", "outside [0,1]"},
+		{"cluster.msg.drop=p=NaN", "outside [0,1]"},
 		{"cluster.msg.drop=every=-1", "non-negative"},
 		{"cluster.msg.drop=max=1", "no trigger"},
 		{"cluster.msg.drop=arg=3", "no trigger"},

@@ -48,12 +48,3 @@ func (l *Labels) MustPrecede(a, b int) bool {
 	}
 	return l.anc[b][a/64]&(1<<(uint(a)%64)) != 0
 }
-
-// Level returns task t's level label (longest edge count from a root),
-// or -1 when t is out of range.
-func (l *Labels) Level(t int) int {
-	if t < 0 || t >= len(l.levels) {
-		return -1
-	}
-	return l.levels[t]
-}

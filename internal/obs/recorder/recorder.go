@@ -268,7 +268,9 @@ func ReadDump(rd io.Reader) ([]Event, int64, error) {
 	if count > maxDumpEvents {
 		return nil, 0, fmt.Errorf("recorder: dump claims %d events", count)
 	}
-	events := make([]Event, 0, count)
+	// count is the input's claim: reserve for it only up to a bound the
+	// bytes have yet to back, and let append follow what actually arrives.
+	events := make([]Event, 0, min(count, 4096))
 	var rec [25]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(rd, rec[:]); err != nil {

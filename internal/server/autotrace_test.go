@@ -19,7 +19,7 @@ func TestE2EAutotraceSession(t *testing.T) {
 	defer shutdown()
 
 	wl := wire.ExampleGraphsim(12)
-	sess, err := c.CreateSession(client.SessionConfig{Algorithm: "raycast", Autotrace: true})
+	sess, err := c.CreateSession(client.SessionConfig{Algorithm: "raycast", AutoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestE2EAutotraceSession(t *testing.T) {
 func TestAutotraceTracingExclusive(t *testing.T) {
 	_, c, shutdown := newTestServer(t, server.Config{})
 	defer shutdown()
-	if _, err := c.CreateSession(client.SessionConfig{Tracing: true, Autotrace: true}); err == nil {
+	if _, err := c.CreateSession(client.SessionConfig{Tracing: true, AutoTrace: true}); err == nil {
 		t.Fatal("tracing+autotrace session was accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestAutotraceRestoreQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := c.Restore(ckpt, client.SessionConfig{Autotrace: true})
+	restored, err := c.Restore(ckpt, client.SessionConfig{AutoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

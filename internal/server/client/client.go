@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"visibility"
+	"visibility/internal/algo"
 	"visibility/internal/obs"
 	"visibility/internal/wire"
 )
@@ -55,19 +56,9 @@ func New(base string) *Client {
 	return &Client{base: base, hc: &http.Client{}, MaxRetries: 20}
 }
 
-// SessionConfig selects the per-session runtime configuration.
-type SessionConfig struct {
-	Algorithm string `json:"algorithm,omitempty"`
-	Tracing   bool   `json:"tracing,omitempty"`
-	// Autotrace enables automatic trace memoization for the session: the
-	// server detects repeating launch patterns and replays them without
-	// re-analysis. Mutually exclusive with Tracing.
-	Autotrace bool `json:"autotrace,omitempty"`
-	// Shards, when positive, runs the session's analysis through the shard
-	// layer with this many parallel shards; results are byte-identical to
-	// the unsharded session. Composes with Tracing and Autotrace.
-	Shards int `json:"shards,omitempty"`
-}
+// SessionConfig selects the per-session analysis stack; its JSON form is
+// the session-creation body.
+type SessionConfig = algo.Spec
 
 // Session is a handle to one server-side session.
 type Session struct {
@@ -175,7 +166,7 @@ func (c *Client) Restore(checkpoint []byte, cfg SessionConfig) (*Session, error)
 	if cfg.Tracing {
 		path += "&tracing=true"
 	}
-	if cfg.Autotrace {
+	if cfg.AutoTrace {
 		path += "&autotrace=true"
 	}
 	if cfg.Shards > 0 {
@@ -397,16 +388,6 @@ func (c *Client) DebugCritPath(k int) (map[string]map[string]visibility.CritSumm
 		return nil, err
 	}
 	return resp.Sessions, nil
-}
-
-// PromMetrics returns the server's Prometheus text exposition
-// (?format=prom on /metrics).
-func (c *Client) PromMetrics() ([]byte, error) {
-	var raw []byte
-	if err := c.do("GET", "/metrics?format=prom", nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
 }
 
 // DOT returns the dependence graph in Graphviz format.

@@ -65,8 +65,8 @@ func TestShardSessionMatchesUnsharded(t *testing.T) {
 		},
 		{
 			name:    "autotrace",
-			base:    client.SessionConfig{Algorithm: "raycast", Autotrace: true},
-			sharded: client.SessionConfig{Algorithm: "raycast", Autotrace: true, Shards: 4},
+			base:    client.SessionConfig{Algorithm: "raycast", AutoTrace: true},
+			sharded: client.SessionConfig{Algorithm: "raycast", AutoTrace: true, Shards: 4},
 		},
 	}
 	for _, tc := range cases {

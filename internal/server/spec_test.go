@@ -36,7 +36,7 @@ func TestOneStackRejection(t *testing.T) {
 	})
 	srv, c, shutdown := newTestServer(t, server.Config{})
 	defer shutdown()
-	_, serr := c.CreateSession(client.SessionConfig{Tracing: true, Autotrace: true})
+	_, serr := c.CreateSession(client.SessionConfig{Tracing: true, AutoTrace: true})
 
 	for surface, got := range map[string]string{
 		"visibility.New":    lib,

@@ -24,6 +24,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v"]}]}`))
 	f.Add([]byte(`{"version":2,"nope":true}`))
+	f.Add([]byte(bycolorBomb))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wl, err := wire.Decode(bytes.NewReader(data))

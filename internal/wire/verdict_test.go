@@ -1,0 +1,160 @@
+package wire_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"visibility"
+	"visibility/internal/wire"
+)
+
+// freshEnv returns an environment over a new runtime.
+func freshEnv(t *testing.T) (*visibility.Runtime, *wire.Env) {
+	t.Helper()
+	rt := visibility.New(visibility.Config{})
+	t.Cleanup(rt.Close)
+	return rt, wire.NewEnv(rt)
+}
+
+// TestOneVerdict holds Decode and Env.Apply to one verdict: whatever the
+// stateless check accepts a fresh session runs in full, and whatever it
+// rejects past the JSON layer the session rejects for the same reason
+// without declaring anything.
+func TestOneVerdict(t *testing.T) {
+	accepted := map[string][]byte{}
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata workloads (err %v)", err)
+	}
+	for _, f := range files {
+		if accepted[f], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, wl := range map[string]*wire.Workload{
+		"ExampleQuickstart": wire.ExampleQuickstart(), "ExampleGraphsim(3)": wire.ExampleGraphsim(3),
+	} {
+		var buf bytes.Buffer
+		if err := wire.Encode(&buf, wl); err != nil {
+			t.Fatal(err)
+		}
+		accepted[name] = buf.Bytes()
+	}
+	for name, data := range accepted {
+		t.Run("accept/"+name, func(t *testing.T) {
+			wl, err := wire.Decode(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			_, env := freshEnv(t)
+			futs, err := env.Apply(wl)
+			if err != nil || len(futs) != len(wl.Tasks) {
+				t.Fatalf("Apply launched %d of %d tasks, err %v", len(futs), len(wl.Tasks), err)
+			}
+		})
+	}
+
+	for _, tc := range rejects() {
+		t.Run("reject/"+tc.name, func(t *testing.T) {
+			_, err := wire.Decode(strings.NewReader(tc.in))
+			if err == nil {
+				t.Fatal("Decode accepted")
+			}
+			if msg := err.Error(); strings.Contains(msg, "decoding workload") || strings.Contains(msg, "trailing data") {
+				return // rejected by the JSON layer: there is no Workload to apply
+			}
+			var wl wire.Workload
+			if err := json.Unmarshal([]byte(tc.in), &wl); err != nil {
+				t.Fatalf("row is past the JSON layer but does not unmarshal: %v", err)
+			}
+			rt, env := freshEnv(t)
+			if _, err := env.Apply(&wl); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Apply error = %v, want substring %q", err, tc.want)
+			}
+			if n := len(env.Regions()); n != 0 || rt.Region("r") != nil {
+				t.Fatalf("rejected workload left %d regions in the session (runtime has r: %v)", n, rt.Region("r") != nil)
+			}
+		})
+	}
+
+	// Verdicts only a session can reach: Decode defers them, Apply rejects
+	// them before it declares or launches anything.
+	read := func(region string) []wire.AccessDecl {
+		return []wire.AccessDecl{{Region: region, Field: "val", Privilege: "read"}}
+	}
+	extra := wire.RegionDecl{Name: "extra", Dim: 1, Space: [][]int64{{0, 3}}, Fields: []string{"val"}}
+	for _, tc := range []struct {
+		name string
+		wl   *wire.Workload
+		want string
+	}{
+		{"dangling batch reference", &wire.Workload{Version: wire.Version, Tasks: []wire.TaskDecl{
+			{Name: "ok", Accesses: read("cells")}, {Name: "bad", Accesses: read("ghosts[0]")}}}, "dangling reference"},
+		{"redeclared region", &wire.Workload{Version: wire.Version, Regions: []wire.RegionDecl{
+			extra, {Name: "blocks", Dim: 1, Space: [][]int64{{0, 3}}, Fields: []string{"val"}}}}, "already declared as a partition"},
+		{"bad op in batch", &wire.Workload{Version: wire.Version, Tasks: []wire.TaskDecl{{Name: "bad", Accesses: []wire.AccessDecl{
+			{Region: "cells", Field: "val", Privilege: "reduce", Op: "xor"}}}}}, "unknown reduction op"},
+		{"declared region, bad task", &wire.Workload{Version: wire.Version, Regions: []wire.RegionDecl{extra},
+			Tasks: []wire.TaskDecl{{Name: "bad", Accesses: read("cells")}}}, "dangling reference"},
+	} {
+		t.Run("session/"+tc.name, func(t *testing.T) {
+			rt, env := freshEnv(t)
+			if _, err := env.Apply(wire.ExampleQuickstart()); err != nil {
+				t.Fatal(err)
+			}
+			launched := len(rt.Dependences(env.Region("cells")))
+			if _, err := env.Apply(tc.wl); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Apply error = %v, want substring %q", err, tc.want)
+			}
+			if n := len(env.Regions()); n != 1 || rt.Region("extra") != nil {
+				t.Fatalf("rejected workload left %d regions (runtime has extra: %v)", n, rt.Region("extra") != nil)
+			}
+			if n := len(rt.Dependences(env.Region("cells"))); n != launched {
+				t.Fatalf("rejected workload launched %d tasks", n-launched)
+			}
+		})
+	}
+}
+
+var countedBuilds atomic.Int64
+
+func init() {
+	wire.RegisterKernel("test.counted", func(map[string]float64) (wire.KernelFunc, error) {
+		countedBuilds.Add(1)
+		return func(_ visibility.Point, in float64) float64 { return in + 1 }, nil
+	})
+}
+
+// TestKernelBuiltOncePerPass pins the single resolve pass: serving a batch
+// is one Decode and one Apply, and each builds an access's kernel once.
+func TestKernelBuiltOncePerPass(t *testing.T) {
+	var buf bytes.Buffer
+	if err := wire.Encode(&buf, &wire.Workload{
+		Version: wire.Version,
+		Regions: []wire.RegionDecl{{Name: "r", Dim: 1, Space: [][]int64{{0, 3}}, Fields: []string{"v"}}},
+		Tasks: []wire.TaskDecl{{Name: "t", Accesses: []wire.AccessDecl{
+			{Region: "r", Field: "v", Privilege: "write", Kernel: &wire.FuncSpec{Name: "test.counted"}}}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := countedBuilds.Load()
+	wl, err := wire.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, env := freshEnv(t)
+	if _, err := env.Apply(wl); err != nil {
+		t.Fatal(err)
+	}
+	if got := countedBuilds.Load() - before; got != 2 {
+		t.Fatalf("kernel built %d times over one Decode + one Apply, want 2", got)
+	}
+	if v, _ := rt.Read(env.Region("r"), "v").Get(visibility.Pt(0)); v != 1 {
+		t.Fatalf("r[0] = %v, want 1: Apply did not run the kernel the check built", v)
+	}
+}

@@ -15,15 +15,19 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"visibility"
 	"visibility/internal/geometry"
 	"visibility/internal/index"
+	"visibility/internal/privilege"
 )
 
 // Version is the wire-format version this package reads and writes.
@@ -145,105 +149,94 @@ type RelationFunc func(p visibility.Point) []visibility.Point
 // ColorFunc assigns a point to a partition piece.
 type ColorFunc func(p visibility.Point) int
 
-var (
-	regMu     sync.Mutex
-	kernels   = map[string]func(args map[string]float64) (KernelFunc, error){}
-	relations = map[string]func(args map[string]float64) (RelationFunc, error){}
-	colors    = map[string]func(args map[string]float64) (ColorFunc, error){}
-)
-
-// RegisterKernel installs a named kernel builder. Registering a duplicate
-// or empty name panics — a wiring bug, not a runtime condition.
-func RegisterKernel(name string, build func(args map[string]float64) (KernelFunc, error)) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" || kernels[name] != nil {
-		panic(fmt.Sprintf("wire: kernel %q empty or already registered", name))
-	}
-	kernels[name] = build
+// registry maps names to builders of one function type. The three
+// package-level registries are filled at start-up (init functions) and
+// only read afterwards.
+type registry[T any] struct {
+	kind     string // "kernel", "relation" or "color", for messages
+	mu       sync.Mutex
+	builders map[string]builder[T]
 }
 
-// RegisterRelation installs a named relation builder.
-func RegisterRelation(name string, build func(args map[string]float64) (RelationFunc, error)) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" || relations[name] != nil {
-		panic(fmt.Sprintf("wire: relation %q empty or already registered", name))
+type builder[T any] func(args map[string]float64) (T, error)
+
+// register installs a builder; a duplicate or empty name panics — a
+// wiring bug, not a runtime condition.
+func (r *registry[T]) register(name string, build builder[T]) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if name == "" || r.builders[name] != nil {
+		panic(fmt.Sprintf("wire: %s %q empty or already registered", r.kind, name))
 	}
-	relations[name] = build
+	r.builders[name] = build
 }
 
-// RegisterColor installs a named coloring builder.
-func RegisterColor(name string, build func(args map[string]float64) (ColorFunc, error)) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" || colors[name] != nil {
-		panic(fmt.Sprintf("wire: color %q empty or already registered", name))
-	}
-	colors[name] = build
-}
-
-// KernelNames returns the registered kernel names, sorted.
-func KernelNames() []string { return sortedNames(kernels) }
-
-// RelationNames returns the registered relation names, sorted.
-func RelationNames() []string { return sortedNames(relations) }
-
-// ColorNames returns the registered coloring names, sorted.
-func ColorNames() []string { return sortedNames(colors) }
-
-func sortedNames[T any](m map[string]T) []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(m))
-	for k := range m {
+// names returns the registered names, sorted.
+func (r *registry[T]) names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, 0, len(r.builders))
+	for k := range r.builders {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
 }
 
-func buildKernel(spec *FuncSpec) (KernelFunc, error) {
-	regMu.Lock()
-	b := kernels[spec.Name]
-	regMu.Unlock()
+// build resolves spec's name and applies its builder to the arguments; a
+// nil spec is a declaration that needs a function and names none.
+func (r *registry[T]) build(spec *FuncSpec) (T, error) {
+	var zero T
+	if spec == nil {
+		return zero, fmt.Errorf("needs a %s", r.kind)
+	}
+	r.mu.Lock()
+	b := r.builders[spec.Name]
+	r.mu.Unlock()
 	if b == nil {
-		return nil, fmt.Errorf("wire: unknown kernel %q (have %v)", spec.Name, KernelNames())
+		return zero, fmt.Errorf("wire: unknown %s %q (have %v)", r.kind, spec.Name, r.names())
 	}
 	return b(spec.Args)
 }
 
-func buildRelation(spec *FuncSpec) (RelationFunc, error) {
-	regMu.Lock()
-	b := relations[spec.Name]
-	regMu.Unlock()
-	if b == nil {
-		return nil, fmt.Errorf("wire: unknown relation %q (have %v)", spec.Name, RelationNames())
-	}
-	return b(spec.Args)
+var (
+	kernels   = registry[KernelFunc]{kind: "kernel", builders: map[string]builder[KernelFunc]{}}
+	relations = registry[RelationFunc]{kind: "relation", builders: map[string]builder[RelationFunc]{}}
+	colors    = registry[ColorFunc]{kind: "color", builders: map[string]builder[ColorFunc]{}}
+)
+
+// RegisterKernel installs a named kernel builder. Registering a duplicate
+// or empty name panics.
+func RegisterKernel(name string, build func(args map[string]float64) (KernelFunc, error)) {
+	kernels.register(name, build)
 }
 
-func buildColor(spec *FuncSpec) (ColorFunc, error) {
-	regMu.Lock()
-	b := colors[spec.Name]
-	regMu.Unlock()
-	if b == nil {
-		return nil, fmt.Errorf("wire: unknown color %q (have %v)", spec.Name, ColorNames())
-	}
-	return b(spec.Args)
+// RegisterRelation installs a named relation builder.
+func RegisterRelation(name string, build func(args map[string]float64) (RelationFunc, error)) {
+	relations.register(name, build)
 }
+
+// RegisterColor installs a named coloring builder.
+func RegisterColor(name string, build func(args map[string]float64) (ColorFunc, error)) {
+	colors.register(name, build)
+}
+
+// KernelNames returns the registered kernel names, sorted.
+func KernelNames() []string { return kernels.names() }
+
+// RelationNames returns the registered relation names, sorted.
+func RelationNames() []string { return relations.names() }
+
+// ColorNames returns the registered coloring names, sorted.
+func ColorNames() []string { return colors.names() }
 
 // args wraps a FuncSpec's argument map with exact-arity checking: every
-// Get must name a declared key, and Done reports keys the caller never
+// get must name a declared key, and builtin reports keys the builder never
 // consumed — an unknown argument is as much an error as a missing one.
 type args struct {
 	m    map[string]float64
 	used map[string]bool
 	err  error
-}
-
-func newArgs(m map[string]float64) *args {
-	return &args{m: m, used: make(map[string]bool)}
 }
 
 func (a *args) get(name string) float64 {
@@ -263,105 +256,86 @@ func (a *args) getInt(name string) int64 {
 	return int64(v)
 }
 
-func (a *args) done() error {
-	if a.err != nil {
-		return a.err
-	}
-	for k := range a.m {
-		if !a.used[k] {
-			return fmt.Errorf("unknown argument %q", k)
+// builtin registers build, which reads its arguments through a; a missing,
+// non-integer or unconsumed argument rejects the spec ahead of build's own
+// verdict on the values.
+func builtin[T any](r *registry[T], name string, build func(a *args) (T, error)) {
+	r.register(name, func(m map[string]float64) (T, error) {
+		a := &args{m: m, used: make(map[string]bool)}
+		f, err := build(a)
+		if a.err != nil {
+			return f, a.err
 		}
+		for k := range m {
+			if !a.used[k] {
+				return f, fmt.Errorf("unknown argument %q", k)
+			}
+		}
+		return f, err
+	})
+}
+
+// maxRadius bounds ring and window: a relation returns 2·radius points per
+// call, so the radius sizes an allocation for every point it is applied to.
+const maxRadius = 1 << 16
+
+// neighbors is the 1-D relation p → p±1 … p±radius, wrapped into
+// [0, modulo) when modulo > 0.
+func neighbors(radius, modulo int64) (RelationFunc, error) {
+	if radius < 1 || radius > maxRadius {
+		return nil, fmt.Errorf("radius %d outside [1, %d]", radius, maxRadius)
 	}
-	return nil
+	return func(p visibility.Point) []visibility.Point {
+		out := make([]visibility.Point, 0, 2*radius)
+		for d := int64(1); d <= radius; d++ {
+			lo, hi := p.C[0]-d, p.C[0]+d
+			if modulo > 0 {
+				lo, hi = (lo%modulo+modulo)%modulo, hi%modulo
+			}
+			out = append(out, visibility.Pt(lo), visibility.Pt(hi))
+		}
+		return out
+	}, nil
 }
 
 func init() {
-	RegisterKernel("identity", func(m map[string]float64) (KernelFunc, error) {
-		if err := newArgs(m).done(); err != nil {
-			return nil, err
-		}
+	builtin(&kernels, "identity", func(*args) (KernelFunc, error) {
 		return func(_ visibility.Point, in float64) float64 { return in }, nil
 	})
-	RegisterKernel("fill", func(m map[string]float64) (KernelFunc, error) {
-		a := newArgs(m)
+	builtin(&kernels, "fill", func(a *args) (KernelFunc, error) {
 		v := a.get("value")
-		if err := a.done(); err != nil {
-			return nil, err
-		}
 		return func(visibility.Point, float64) float64 { return v }, nil
 	})
-	RegisterKernel("affine", func(m map[string]float64) (KernelFunc, error) {
-		a := newArgs(m)
+	builtin(&kernels, "affine", func(a *args) (KernelFunc, error) {
 		scale, offset := a.get("scale"), a.get("offset")
-		if err := a.done(); err != nil {
-			return nil, err
-		}
 		return func(_ visibility.Point, in float64) float64 { return in*scale + offset }, nil
 	})
-	RegisterKernel("coord", func(m map[string]float64) (KernelFunc, error) {
-		a := newArgs(m)
+	builtin(&kernels, "coord", func(a *args) (KernelFunc, error) {
 		axis := a.getInt("axis")
-		if err := a.done(); err != nil {
-			return nil, err
-		}
 		if axis < 0 || axis >= geometry.MaxDim {
 			return nil, fmt.Errorf("axis %d outside [0, %d)", axis, geometry.MaxDim)
 		}
 		return func(p visibility.Point, _ float64) float64 { return float64(p.C[axis]) }, nil
 	})
-	RegisterRelation("ring", func(m map[string]float64) (RelationFunc, error) {
-		a := newArgs(m)
+	builtin(&relations, "ring", func(a *args) (RelationFunc, error) {
 		radius, modulo := a.getInt("radius"), a.getInt("modulo")
-		if err := a.done(); err != nil {
-			return nil, err
+		if modulo < 1 {
+			return nil, fmt.Errorf("ring needs modulo >= 1, got %d", modulo)
 		}
-		if radius < 1 || modulo < 1 {
-			return nil, fmt.Errorf("ring needs radius >= 1 and modulo >= 1, got %d, %d", radius, modulo)
-		}
-		return func(p visibility.Point) []visibility.Point {
-			out := make([]visibility.Point, 0, 2*radius)
-			for d := int64(1); d <= radius; d++ {
-				out = append(out,
-					visibility.Pt(((p.C[0]-d)%modulo+modulo)%modulo),
-					visibility.Pt((p.C[0]+d)%modulo))
-			}
-			return out
-		}, nil
+		return neighbors(radius, modulo)
 	})
-	RegisterRelation("window", func(m map[string]float64) (RelationFunc, error) {
-		a := newArgs(m)
-		radius := a.getInt("radius")
-		if err := a.done(); err != nil {
-			return nil, err
-		}
-		if radius < 1 {
-			return nil, fmt.Errorf("window needs radius >= 1, got %d", radius)
-		}
-		return func(p visibility.Point) []visibility.Point {
-			out := make([]visibility.Point, 0, 2*radius)
-			for d := int64(1); d <= radius; d++ {
-				out = append(out, visibility.Pt(p.C[0]-d), visibility.Pt(p.C[0]+d))
-			}
-			return out
-		}, nil
+	builtin(&relations, "window", func(a *args) (RelationFunc, error) {
+		return neighbors(a.getInt("radius"), 0)
 	})
-	RegisterColor("mod", func(m map[string]float64) (ColorFunc, error) {
-		a := newArgs(m)
+	builtin(&colors, "mod", func(a *args) (ColorFunc, error) {
 		axis, n := a.getInt("axis"), a.getInt("n")
-		if err := a.done(); err != nil {
-			return nil, err
-		}
 		if axis < 0 || axis >= geometry.MaxDim || n < 1 {
 			return nil, fmt.Errorf("mod needs axis in [0, %d) and n >= 1", geometry.MaxDim)
 		}
 		return func(p visibility.Point) int { return int(((p.C[axis] % n) + n) % n) }, nil
 	})
-	RegisterColor("block", func(m map[string]float64) (ColorFunc, error) {
-		a := newArgs(m)
+	builtin(&colors, "block", func(a *args) (ColorFunc, error) {
 		axis, size := a.getInt("axis"), a.getInt("size")
-		if err := a.done(); err != nil {
-			return nil, err
-		}
 		if axis < 0 || axis >= geometry.MaxDim || size < 1 {
 			return nil, fmt.Errorf("block needs axis in [0, %d) and size >= 1", geometry.MaxDim)
 		}
@@ -369,179 +343,257 @@ func init() {
 	})
 }
 
-// --- validation ---------------------------------------------------------
+// --- the checker ----------------------------------------------------------
 
-// declared tracks what one workload's region declarations define, for
-// resolving references during validation and piece-count checks.
-type declared struct {
-	// regions maps root region name to its declaration.
-	regions map[string]*RegionDecl
-	// parts maps partition name to (owning region name, piece count).
-	parts map[string]partInfo
+// scope is one namespace: root regions and partitions share their names.
+// An Env holds the session's; check builds a second one out of a
+// workload's own declarations, whose handles stay nil until Apply runs it.
+type scope map[string]*entry
+
+// entry is what a name denotes: a root region or one of its partitions.
+type entry struct {
+	kind   string // "region" or "partition"
+	name   string
+	root   *entry          // the root region; of a region, itself
+	fields map[string]bool // of a region
+	pieces int             // of a partition
+	region *visibility.Region
+	part   *visibility.Partition
 }
 
-type partInfo struct {
-	region string
-	pieces int
-}
-
-// Validate checks every structural property of the workload that does not
-// depend on prior session state: version, region/partition declarations
-// (including registry resolution of every named function), and — when the
-// workload declares regions — task references. A pure batch (no region
-// declarations) defers reference resolution to the session environment.
-func (wl *Workload) Validate() error {
-	if wl.Version != Version {
-		return fmt.Errorf("wire: unsupported version %d (want %d)", wl.Version, Version)
-	}
-	d := &declared{regions: make(map[string]*RegionDecl), parts: make(map[string]partInfo)}
-	for i := range wl.Regions {
-		if err := validateRegion(&wl.Regions[i], d); err != nil {
-			return err
+// claim checks that name, about to be declared as kind, is free both
+// among the workload's own declarations and in the session.
+func claim(kind, name string, own, session scope) error {
+	if e := own[name]; e != nil {
+		if e.kind == kind {
+			return fmt.Errorf("wire: duplicate %s name %q", kind, name)
 		}
+		return fmt.Errorf("wire: %s %q collides with a %s name", kind, name, e.kind)
 	}
-	for i := range wl.Tasks {
-		if err := validateTask(&wl.Tasks[i], i, d, len(wl.Regions) > 0); err != nil {
-			return err
-		}
+	if e := session[name]; e != nil {
+		return fmt.Errorf("wire: name %q already declared as a %s", name, e.kind)
 	}
 	return nil
 }
 
-func validateRegion(r *RegionDecl, d *declared) error {
+// plan is a checked workload in resolved form: what Apply runs without a
+// second look at the declarations.
+type plan struct {
+	own     scope                       // the workload's declarations, handles unset
+	declare []func(*visibility.Runtime) // one per region: creates it and its partitions, sets the handles
+	tasks   []taskPlan
+}
+
+// taskPlan is one checked launch. A workload may refer to regions it
+// declares itself, which exist only once Apply has run the declarations,
+// so an access keeps the entry it resolved to (and the piece, when that is
+// a partition) and gets its region handle at launch.
+type taskPlan struct {
+	decl     *TaskDecl
+	accesses []access
+}
+
+type access struct {
+	visibility.Access // Region unset
+	target            *entry
+	piece             int
+	kernel            KernelFunc // per-point function of a write or reduce; nil for identity
+	identity          float64    // of a reduce access's operator
+}
+
+// Validate is the stateless check: everything that makes a workload
+// well-formed without a session at hand. A pure batch (no region
+// declarations) leaves its references to the session's Apply.
+func (wl *Workload) Validate() error {
+	_, err := check(wl, nil)
+	return err
+}
+
+// check is the one place that decides whether a workload is well-formed.
+// It walks wl once against session — nil for the stateless check, an Env's
+// namespace for Apply, which adds name collisions with the session and
+// the references of a pure batch — and returns the resolved form. A
+// workload that declares regions resolves its task references against its
+// own declarations only, so a self-contained file is judged the same with
+// or without a session.
+func check(wl *Workload, session scope) (*plan, error) {
+	if wl.Version != Version {
+		return nil, fmt.Errorf("wire: unsupported version %d (want %d)", wl.Version, Version)
+	}
+	p := &plan{own: make(scope), tasks: make([]taskPlan, 0, len(wl.Tasks))}
+	for i := range wl.Regions {
+		declare, err := checkRegion(&wl.Regions[i], p.own, session)
+		if err != nil {
+			return nil, err
+		}
+		p.declare = append(p.declare, declare)
+	}
+	names := session
+	if len(wl.Regions) > 0 {
+		names = p.own
+	}
+	for i := range wl.Tasks {
+		tp, err := checkTask(&wl.Tasks[i], i, names)
+		if err != nil {
+			return nil, err
+		}
+		p.tasks = append(p.tasks, tp)
+	}
+	return p, nil
+}
+
+func checkRegion(r *RegionDecl, own, session scope) (func(*visibility.Runtime), error) {
 	if r.Name == "" {
-		return fmt.Errorf("wire: region with empty name")
+		return nil, fmt.Errorf("wire: region with empty name")
 	}
-	if _, dup := d.regions[r.Name]; dup {
-		return fmt.Errorf("wire: duplicate region name %q", r.Name)
-	}
-	if _, dup := d.parts[r.Name]; dup {
-		return fmt.Errorf("wire: region %q collides with a partition name", r.Name)
+	if err := claim("region", r.Name, own, session); err != nil {
+		return nil, err
 	}
 	space, err := index.FromRows(r.Dim, r.Space)
 	if err != nil {
-		return fmt.Errorf("wire: region %q: %v", r.Name, err)
+		return nil, fmt.Errorf("wire: region %q: %v", r.Name, err)
 	}
 	if space.IsEmpty() {
-		return fmt.Errorf("wire: region %q has an empty index space", r.Name)
+		return nil, fmt.Errorf("wire: region %q has an empty index space", r.Name)
 	}
 	if len(r.Fields) == 0 {
-		return fmt.Errorf("wire: region %q has no fields", r.Name)
+		return nil, fmt.Errorf("wire: region %q has no fields", r.Name)
 	}
-	fields := make(map[string]bool, len(r.Fields))
+	root := &entry{kind: "region", name: r.Name, fields: make(map[string]bool, len(r.Fields))}
+	root.root = root
 	for _, f := range r.Fields {
-		if f == "" || fields[f] {
-			return fmt.Errorf("wire: region %q has empty or duplicate field %q", r.Name, f)
+		if f == "" || root.fields[f] {
+			return nil, fmt.Errorf("wire: region %q has empty or duplicate field %q", r.Name, f)
 		}
-		fields[f] = true
+		root.fields[f] = true
 	}
+	inits := make(map[string]KernelFunc, len(r.Init))
 	for f, spec := range r.Init {
-		if !fields[f] {
-			return fmt.Errorf("wire: region %q: init for unknown field %q", r.Name, f)
+		if !root.fields[f] {
+			return nil, fmt.Errorf("wire: region %q: init for unknown field %q", r.Name, f)
 		}
-		if spec == nil {
-			return fmt.Errorf("wire: region %q: nil init kernel for field %q", r.Name, f)
-		}
-		if _, err := buildKernel(spec); err != nil {
-			return fmt.Errorf("wire: region %q: init %q: %v", r.Name, f, err)
+		if inits[f], err = kernels.build(spec); err != nil {
+			return nil, fmt.Errorf("wire: region %q: init %q: %v", r.Name, f, err)
 		}
 	}
-	d.regions[r.Name] = r
+	own[r.Name] = root
+	parts := make([]func(*visibility.Region), len(r.Partitions))
 	for i := range r.Partitions {
-		if err := validatePartition(&r.Partitions[i], r, space, d); err != nil {
-			return err
+		if parts[i], err = checkPartition(&r.Partitions[i], r, root, space, own, session); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return func(rt *visibility.Runtime) {
+		root.region = rt.CreateRegion(r.Name, space, r.Fields...)
+		for _, f := range r.Fields { // declared order, not the map's
+			if k := inits[f]; k != nil {
+				root.region.Init(f, func(pt visibility.Point) float64 { return k(pt, 0) })
+			}
+		}
+		for _, declare := range parts {
+			declare(root.region)
+		}
+	}, nil
 }
 
-func validatePartition(p *PartitionDecl, r *RegionDecl, space index.Space, d *declared) error {
+func checkPartition(p *PartitionDecl, r *RegionDecl, root *entry, space index.Space, own, session scope) (func(*visibility.Region), error) {
 	if p.Name == "" {
-		return fmt.Errorf("wire: region %q: partition with empty name", r.Name)
+		return nil, fmt.Errorf("wire: region %q: partition with empty name", r.Name)
 	}
-	if _, dup := d.parts[p.Name]; dup {
-		return fmt.Errorf("wire: duplicate partition name %q", p.Name)
+	if err := claim("partition", p.Name, own, session); err != nil {
+		return nil, err
 	}
-	if _, dup := d.regions[p.Name]; dup {
-		return fmt.Errorf("wire: partition %q collides with a region name", p.Name)
-	}
-	// sibling resolves a partition reference to an earlier partition of
-	// the same region.
-	sibling := func(role, name string) (partInfo, error) {
-		pi, ok := d.parts[name]
-		if !ok {
-			return partInfo{}, fmt.Errorf("wire: partition %q: %s references unknown partition %q", p.Name, role, name)
+	// sibling resolves an operand to an earlier partition of the same
+	// region declaration.
+	sibling := func(role, name string) (*entry, error) {
+		e := own[name]
+		if e == nil || e.kind != "partition" {
+			return nil, fmt.Errorf("wire: partition %q: %s references unknown partition %q", p.Name, role, name)
 		}
-		if pi.region != r.Name {
-			return partInfo{}, fmt.Errorf("wire: partition %q: %s partition %q belongs to region %q, not %q",
-				p.Name, role, name, pi.region, r.Name)
+		if e.root != root {
+			return nil, fmt.Errorf("wire: partition %q: %s partition %q belongs to region %q, not %q",
+				p.Name, role, name, e.root.name, r.Name)
 		}
-		return pi, nil
+		return e, nil
 	}
-	pieces := 0
+	e := &entry{kind: "partition", name: p.Name, root: root}
+	var build func(reg *visibility.Region) *visibility.Partition
 	switch p.Kind {
 	case "equal":
 		if p.Pieces < 1 || int64(p.Pieces) > space.Volume() {
-			return fmt.Errorf("wire: partition %q: cannot split %d points into %d equal pieces",
+			return nil, fmt.Errorf("wire: partition %q: cannot split %d points into %d equal pieces",
 				p.Name, space.Volume(), p.Pieces)
 		}
-		pieces = p.Pieces
+		e.pieces = p.Pieces
+		build = func(reg *visibility.Region) *visibility.Partition { return reg.PartitionEqual(p.Name, p.Pieces) }
+	case "bycolor":
+		// More pieces than points can only be empty, and the count sizes
+		// an allocation: unbounded, it takes the process down.
+		if p.Pieces < 1 || int64(p.Pieces) > space.Volume() {
+			return nil, fmt.Errorf("wire: partition %q: cannot color %d points into %d pieces",
+				p.Name, space.Volume(), p.Pieces)
+		}
+		color, err := colors.build(p.Color)
+		if err != nil {
+			return nil, fmt.Errorf("wire: partition %q: %v", p.Name, err)
+		}
+		e.pieces = p.Pieces
+		build = func(reg *visibility.Region) *visibility.Partition {
+			return reg.PartitionByColor(p.Name, p.Pieces, color)
+		}
 	case "explicit":
 		if len(p.Spaces) == 0 {
-			return fmt.Errorf("wire: partition %q: explicit partition with no pieces", p.Name)
+			return nil, fmt.Errorf("wire: partition %q: explicit partition with no pieces", p.Name)
 		}
+		pieces := make([]visibility.IndexSpace, len(p.Spaces))
 		for i, rows := range p.Spaces {
 			sp, err := index.FromRows(r.Dim, rows)
 			if err != nil {
-				return fmt.Errorf("wire: partition %q piece %d: %v", p.Name, i, err)
+				return nil, fmt.Errorf("wire: partition %q piece %d: %v", p.Name, i, err)
 			}
 			if !space.Covers(sp) {
-				return fmt.Errorf("wire: partition %q piece %d is not a subset of region %q", p.Name, i, r.Name)
+				return nil, fmt.Errorf("wire: partition %q piece %d is not a subset of region %q", p.Name, i, r.Name)
 			}
+			pieces[i] = sp
 		}
-		pieces = len(p.Spaces)
+		e.pieces = len(pieces)
+		build = func(reg *visibility.Region) *visibility.Partition { return reg.Partition(p.Name, pieces) }
 	case "image", "preimage":
-		pi, err := sibling("source", p.Source)
+		src, err := sibling("source", p.Source)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if p.Relation == nil {
-			return fmt.Errorf("wire: partition %q: %s partition needs a relation", p.Name, p.Kind)
+		rel, err := relations.build(p.Relation)
+		if err != nil {
+			return nil, fmt.Errorf("wire: partition %q: %v", p.Name, err)
 		}
-		if _, err := buildRelation(p.Relation); err != nil {
-			return fmt.Errorf("wire: partition %q: %v", p.Name, err)
+		e.pieces = src.pieces
+		build = func(reg *visibility.Region) *visibility.Partition {
+			if p.Kind == "image" {
+				return reg.PartitionImage(p.Name, src.part, rel)
+			}
+			return reg.PartitionPreimage(p.Name, src.part, rel)
 		}
-		pieces = pi.pieces
-	case "bycolor":
-		if p.Pieces < 1 {
-			return fmt.Errorf("wire: partition %q: bycolor needs pieces >= 1", p.Name)
-		}
-		if p.Color == nil {
-			return fmt.Errorf("wire: partition %q: bycolor partition needs a color", p.Name)
-		}
-		if _, err := buildColor(p.Color); err != nil {
-			return fmt.Errorf("wire: partition %q: %v", p.Name, err)
-		}
-		pieces = p.Pieces
 	case "minus":
 		left, err := sibling("left", p.Left)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		right, err := sibling("right", p.Right)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if left.pieces != right.pieces {
-			return fmt.Errorf("wire: partition %q: minus operands have %d and %d pieces",
+			return nil, fmt.Errorf("wire: partition %q: minus operands have %d and %d pieces",
 				p.Name, left.pieces, right.pieces)
 		}
-		pieces = left.pieces
+		e.pieces = left.pieces
+		build = func(*visibility.Region) *visibility.Partition { return left.part.Minus(p.Name, right.part) }
 	default:
-		return fmt.Errorf("wire: partition %q: unknown kind %q", p.Name, p.Kind)
+		return nil, fmt.Errorf("wire: partition %q: unknown kind %q", p.Name, p.Kind)
 	}
-	d.parts[p.Name] = partInfo{region: r.Name, pieces: pieces}
-	return nil
+	own[p.Name] = e
+	return func(reg *visibility.Region) { e.part = build(reg) }, nil
 }
 
 // parseRef splits a region reference into base name and optional piece
@@ -550,35 +602,19 @@ func parseRef(ref string) (base string, idx int, hasIdx bool, err error) {
 	if ref == "" {
 		return "", 0, false, fmt.Errorf("empty region reference")
 	}
-	open := -1
-	for i := 0; i < len(ref); i++ {
-		if ref[i] == '[' {
-			open = i
-			break
-		}
-	}
-	if open == -1 {
+	base, rest, hasIdx := strings.Cut(ref, "[")
+	if !hasIdx {
 		return ref, 0, false, nil
 	}
-	if open == 0 || ref[len(ref)-1] != ']' {
+	digits, closed := strings.CutSuffix(rest, "]")
+	n, perr := strconv.ParseUint(digits, 10, 64)
+	switch {
+	case base == "" || !closed || perr != nil && !errors.Is(perr, strconv.ErrRange):
 		return "", 0, false, fmt.Errorf("malformed region reference %q", ref)
+	case perr != nil || n > 1<<30:
+		return "", 0, false, fmt.Errorf("piece index overflow in %q", ref)
 	}
-	n := 0
-	digits := ref[open+1 : len(ref)-1]
-	if digits == "" {
-		return "", 0, false, fmt.Errorf("malformed region reference %q", ref)
-	}
-	for i := 0; i < len(digits); i++ {
-		c := digits[i]
-		if c < '0' || c > '9' {
-			return "", 0, false, fmt.Errorf("malformed region reference %q", ref)
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<30 {
-			return "", 0, false, fmt.Errorf("piece index overflow in %q", ref)
-		}
-	}
-	return ref[:open], n, true, nil
+	return base, int(n), true, nil
 }
 
 var reduceOps = map[string]visibility.ReduceOp{
@@ -588,87 +624,107 @@ var reduceOps = map[string]visibility.ReduceOp{
 	"max":  visibility.OpMax,
 }
 
-func validateTask(t *TaskDecl, pos int, d *declared, resolveRefs bool) error {
+// checkTask checks one launch and resolves its references against names;
+// nil names (a pure batch with no session at hand) leaves them for Apply.
+func checkTask(t *TaskDecl, pos int, names scope) (taskPlan, error) {
 	if t.Name == "" {
-		return fmt.Errorf("wire: task %d has no name", pos)
+		return taskPlan{}, fmt.Errorf("wire: task %d has no name", pos)
 	}
 	if len(t.Accesses) == 0 {
-		return fmt.Errorf("wire: task %q needs at least one access", t.Name)
+		return taskPlan{}, fmt.Errorf("wire: task %q needs at least one access", t.Name)
 	}
-	tree := "" // root region every access must share
+	tp := taskPlan{decl: t, accesses: make([]access, len(t.Accesses))}
 	for ai := range t.Accesses {
-		a := &t.Accesses[ai]
+		a, acc := &t.Accesses[ai], &tp.accesses[ai]
+		fail := func(format string, args ...any) (taskPlan, error) {
+			return taskPlan{}, fmt.Errorf("wire: task %q access %d: %s", t.Name, ai, fmt.Sprintf(format, args...))
+		}
 		base, idx, hasIdx, err := parseRef(a.Region)
 		if err != nil {
-			return fmt.Errorf("wire: task %q access %d: %v", t.Name, ai, err)
+			return fail("%v", err)
 		}
 		switch a.Privilege {
 		case "read":
 			if a.Kernel != nil {
-				return fmt.Errorf("wire: task %q access %d: read access carries a kernel", t.Name, ai)
+				return fail("read access carries a kernel")
 			}
-			if a.Op != "" {
-				return fmt.Errorf("wire: task %q access %d: op on non-reduce access", t.Name, ai)
-			}
+			acc.Access = visibility.Read(nil, a.Field)
 		case "write":
-			if a.Op != "" {
-				return fmt.Errorf("wire: task %q access %d: op on non-reduce access", t.Name, ai)
-			}
+			acc.Access = visibility.Write(nil, a.Field)
 		case "reduce":
-			if _, ok := reduceOps[a.Op]; !ok {
-				return fmt.Errorf("wire: task %q access %d: unknown reduction op %q", t.Name, ai, a.Op)
+			op, ok := reduceOps[a.Op]
+			if !ok {
+				return fail("unknown reduction op %q", a.Op)
 			}
+			acc.Access, acc.identity = visibility.Reduce(op, nil, a.Field), privilege.Identity(op)
 		default:
-			return fmt.Errorf("wire: task %q access %d: unknown privilege %q", t.Name, ai, a.Privilege)
+			return fail("unknown privilege %q", a.Privilege)
+		}
+		if a.Op != "" && a.Privilege != "reduce" {
+			return fail("op on non-reduce access")
 		}
 		if a.Kernel != nil {
-			if _, err := buildKernel(a.Kernel); err != nil {
-				return fmt.Errorf("wire: task %q access %d: %v", t.Name, ai, err)
+			if acc.kernel, err = kernels.build(a.Kernel); err != nil {
+				return fail("%v", err)
 			}
 		}
 		if a.Field == "" {
-			return fmt.Errorf("wire: task %q access %d: empty field", t.Name, ai)
+			return fail("empty field")
 		}
-		if !resolveRefs {
+		if names == nil {
 			continue
 		}
-		root := ""
-		if hasIdx {
-			pi, ok := d.parts[base]
-			if !ok {
-				return fmt.Errorf("wire: task %q access %d: dangling reference %q", t.Name, ai, a.Region)
-			}
-			if idx >= pi.pieces {
-				return fmt.Errorf("wire: task %q access %d: piece %d outside partition %q (len %d)",
-					t.Name, ai, idx, base, pi.pieces)
-			}
-			root = pi.region
-		} else {
-			if _, ok := d.regions[base]; !ok {
-				return fmt.Errorf("wire: task %q access %d: dangling reference %q", t.Name, ai, a.Region)
-			}
-			root = base
+		target := names[base]
+		if target == nil || (target.kind == "partition") != hasIdx {
+			return fail("dangling reference %q", a.Region)
 		}
-		fieldOK := false
-		for _, f := range d.regions[root].Fields {
-			if f == a.Field {
-				fieldOK = true
-				break
-			}
+		if hasIdx && idx >= target.pieces {
+			return fail("piece %d outside partition %q (len %d)", idx, base, target.pieces)
 		}
-		if !fieldOK {
-			return fmt.Errorf("wire: task %q access %d: region %q has no field %q", t.Name, ai, root, a.Field)
+		if !target.root.fields[a.Field] {
+			return fail("region %q has no field %q", target.root.name, a.Field)
 		}
-		if tree == "" {
-			tree = root
-		} else if tree != root {
-			return fmt.Errorf("wire: task %q mixes regions %q and %q (one tree per task)", t.Name, tree, root)
+		if first := tp.accesses[0].target; ai > 0 && first.root != target.root {
+			return taskPlan{}, fmt.Errorf("wire: task %q mixes regions %q and %q (one tree per task)",
+				t.Name, first.root.name, target.root.name)
 		}
+		acc.target, acc.piece = target, idx
 	}
 	for _, a := range t.After {
 		if a < 0 || a >= pos {
-			return fmt.Errorf("wire: task %q: after index %d outside [0, %d)", t.Name, a, pos)
+			return taskPlan{}, fmt.Errorf("wire: task %q: after index %d outside [0, %d)", t.Name, a, pos)
 		}
 	}
-	return nil
+	return tp, nil
+}
+
+// spec is the launch tp describes, against the handles its entries now hold.
+func (tp taskPlan) spec() visibility.TaskSpec {
+	accesses := tp.accesses // all the kernel closures keep alive, not the declaration
+	accs := make([]visibility.Access, len(accesses))
+	for i, a := range accesses {
+		accs[i] = a.Access
+		accs[i].Region = a.target.region
+		if a.target.part != nil {
+			accs[i].Region = a.target.part.Sub(a.piece)
+		}
+	}
+	return visibility.TaskSpec{
+		Name:     tp.decl.Name,
+		Accesses: accs,
+		Kernel: visibility.Kernel{
+			Write: func(ai int, p visibility.Point, in float64) float64 {
+				if k := accesses[ai].kernel; k != nil {
+					return k(p, in)
+				}
+				return in
+			},
+			Reduce: func(ai int, p visibility.Point) float64 {
+				if k := accesses[ai].kernel; k != nil {
+					return k(p, 0)
+				}
+				return accesses[ai].identity
+			},
+		},
+	}
 }

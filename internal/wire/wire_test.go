@@ -12,18 +12,21 @@ import (
 	"visibility/internal/wire"
 )
 
-// TestDecodeRejects feeds the decoder every class of malformed input the
-// wire format must screen out: each comes back as an error mentioning the
-// offending construct, never a panic.
-func TestDecodeRejects(t *testing.T) {
-	region := func(tail string) string {
-		return `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v"]` + tail + `}]}`
-	}
-	cases := []struct {
-		name string
-		in   string
-		want string // substring of the error
-	}{
+// regionJSON wraps extra members of a region declaration in a minimal
+// workload: region r, ten points, field v.
+func regionJSON(tail string) string {
+	return `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v"]` + tail + `}]}`
+}
+
+// bycolorBomb passed Decode and took the process down in Apply: the piece
+// count sizes an allocation (fatal out-of-memory, not a recoverable panic).
+var bycolorBomb = regionJSON(`,"partitions":[{"name":"p","kind":"bycolor","pieces":1099511627776,` +
+	`"color":{"name":"mod","args":{"axis":0,"n":2}}}]`)
+
+// rejects is every class of malformed input the wire format must screen
+// out, with a substring of the error that names the offending construct.
+func rejects() []rejectRow {
+	return []rejectRow{
 		{"not json", `not json`, "decoding workload"},
 		{"unknown top-level field", `{"version":1,"bogus":3}`, "bogus"},
 		{"unknown access field",
@@ -42,22 +45,27 @@ func TestDecodeRejects(t *testing.T) {
 		{"empty space", `{"version":1,"regions":[{"name":"r","dim":1,"space":[],"fields":["v"]}]}`, "empty index space"},
 		{"no fields", `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":[]}]}`, "no fields"},
 		{"duplicate field", `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v","v"]}]}`, "duplicate field"},
-		{"init unknown field", region(`,"init":{"w":{"name":"fill","args":{"value":1}}}`), "unknown field"},
-		{"init unknown kernel", region(`,"init":{"v":{"name":"nope"}}`), "unknown kernel"},
-		{"kernel bad args", region(`,"init":{"v":{"name":"fill","args":{"value":1,"extra":2}}}`), `unknown argument "extra"`},
-		{"kernel missing args", region(`,"init":{"v":{"name":"fill"}}`), `missing argument "value"`},
-		{"kernel non-integer axis", region(`,"init":{"v":{"name":"coord","args":{"axis":0.5}}}`), "not an integer"},
-		{"partition unknown kind", region(`,"partitions":[{"name":"p","kind":"spiral"}]`), "unknown kind"},
-		{"equal too many pieces", region(`,"partitions":[{"name":"p","kind":"equal","pieces":99}]`), "99 equal pieces"},
-		{"explicit piece escapes", region(`,"partitions":[{"name":"p","kind":"explicit","spaces":[[[0,50]]]}]`), "not a subset"},
-		{"image dangling source", region(`,"partitions":[{"name":"p","kind":"image","source":"q",` +
+		{"init unknown field", regionJSON(`,"init":{"w":{"name":"fill","args":{"value":1}}}`), "unknown field"},
+		{"init unknown kernel", regionJSON(`,"init":{"v":{"name":"nope"}}`), "unknown kernel"},
+		{"kernel bad args", regionJSON(`,"init":{"v":{"name":"fill","args":{"value":1,"extra":2}}}`), `unknown argument "extra"`},
+		{"kernel missing args", regionJSON(`,"init":{"v":{"name":"fill"}}`), `missing argument "value"`},
+		{"kernel non-integer axis", regionJSON(`,"init":{"v":{"name":"coord","args":{"axis":0.5}}}`), "not an integer"},
+		{"partition unknown kind", regionJSON(`,"partitions":[{"name":"p","kind":"spiral"}]`), "unknown kind"},
+		{"equal too many pieces", regionJSON(`,"partitions":[{"name":"p","kind":"equal","pieces":99}]`), "99 equal pieces"},
+		{"explicit piece escapes", regionJSON(`,"partitions":[{"name":"p","kind":"explicit","spaces":[[[0,50]]]}]`), "not a subset"},
+		{"image dangling source", regionJSON(`,"partitions":[{"name":"p","kind":"image","source":"q",` +
 			`"relation":{"name":"ring","args":{"radius":1,"modulo":10}}}]`), "unknown partition"},
-		{"image missing relation", region(`,"partitions":[{"name":"q","kind":"equal","pieces":2},` +
+		{"image missing relation", regionJSON(`,"partitions":[{"name":"q","kind":"equal","pieces":2},` +
 			`{"name":"p","kind":"image","source":"q"}]`), "needs a relation"},
-		{"minus mismatched pieces", region(`,"partitions":[{"name":"a","kind":"equal","pieces":2},` +
+		{"minus mismatched pieces", regionJSON(`,"partitions":[{"name":"a","kind":"equal","pieces":2},` +
 			`{"name":"b","kind":"equal","pieces":5},{"name":"p","kind":"minus","left":"a","right":"b"}]`),
 			"2 and 5 pieces"},
-		{"bycolor missing color", region(`,"partitions":[{"name":"p","kind":"bycolor","pieces":2}]`), "needs a color"},
+		{"bycolor missing color", regionJSON(`,"partitions":[{"name":"p","kind":"bycolor","pieces":2}]`), "needs a color"},
+		{"bycolor unbounded pieces", bycolorBomb, "10 points into 1099511627776 pieces"},
+		{"ring unbounded radius", regionJSON(`,"partitions":[{"name":"q","kind":"equal","pieces":2},{"name":"p","kind":"image",` +
+			`"source":"q","relation":{"name":"ring","args":{"radius":1099511627776,"modulo":10}}}]`), "radius 1099511627776 outside"},
+		{"window unbounded radius", regionJSON(`,"partitions":[{"name":"q","kind":"equal","pieces":2},{"name":"p","kind":"preimage",` +
+			`"source":"q","relation":{"name":"window","args":{"radius":1099511627776}}}]`), "radius 1099511627776 outside"},
 		{"task no accesses",
 			`{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v"]}],` +
 				`"tasks":[{"name":"t","accesses":[]}]}`,
@@ -76,7 +84,14 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown task field ref", taskJSON(`{"region":"r","field":"w","privilege":"read"}`), `no field "w"`},
 		{"after out of range", taskJSON(`{"region":"r","field":"v","privilege":"read"}`, 5), "after index 5"},
 	}
-	for _, tc := range cases {
+}
+
+type rejectRow struct{ name, in, want string }
+
+// TestDecodeRejects feeds the decoder every row of rejects: each comes
+// back as an error mentioning the offending construct, never a panic.
+func TestDecodeRejects(t *testing.T) {
+	for _, tc := range rejects() {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
