@@ -27,7 +27,9 @@ import (
 	"visibility/internal/apps/circuit"
 	"visibility/internal/apps/pennant"
 	"visibility/internal/apps/stencil"
+	"visibility/internal/cluster"
 	"visibility/internal/core"
+	"visibility/internal/dist"
 	"visibility/internal/harness"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
@@ -86,7 +88,10 @@ func BenchmarkFig17PennantWeak(b *testing.B) { benchFigure(b, pennant.New, "penn
 
 // BenchmarkAnalyzePerLaunch measures the real Go-side cost of one launch's
 // analysis for each algorithm on the circuit workload at 16 nodes — the
-// constant factors behind the simulated op counts.
+// constant factors behind the simulated op counts. It runs with
+// core.Options{}, whose default owner is the constant 0, so it excludes
+// cost-model attribution (resolving who owns the state a launch touches);
+// BenchmarkHarnessLaunch is the same launch with that included.
 func BenchmarkAnalyzePerLaunch(b *testing.B) {
 	for _, name := range algo.Names() {
 		name := name
@@ -116,6 +121,61 @@ func BenchmarkAnalyzePerLaunch(b *testing.B) {
 				an.Analyze(launches[len(launches)-1-n].Task)
 			}
 		})
+	}
+}
+
+// BenchmarkHarnessLaunch measures a launch on the path harness.Run and
+// visperf take: dist.Driver.Launch over dist.OwnerByPartition at 16 nodes,
+// DCR as in §8. One benchmark iteration is one visperf leg — a fresh
+// system, its init phase untimed, then the leg's steady steps (Emit
+// included) — so -benchtime 5x is five legs.
+func BenchmarkHarnessLaunch(b *testing.B) {
+	const nodes = 16
+	for _, app := range []struct {
+		name  string
+		build apps.Builder
+		steps map[string]int
+	}{
+		{"circuit", circuit.New, map[string]int{"raycast": 8, "warnock": 30, "paint": 24}},
+		{"stencil", stencil.New, map[string]int{"raycast": 250, "warnock": 250, "paint": 250}},
+	} {
+		for _, alg := range []string{"raycast", "warnock", "paint"} {
+			b.Run(app.name+"/"+alg, func(b *testing.B) {
+				newAn, err := algo.Lookup(alg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var launches, allocs int64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					inst := app.build(nodes)
+					driver := dist.New(cluster.New(cluster.DefaultConfig(nodes)), inst.Tree, dist.NewAnalyzerFunc(newAn),
+						dist.OwnerByPartition(inst.Owned, nodes), dist.DefaultConfig(alg != "paint"))
+					stream := core.NewStream(inst.Tree)
+					run := func(ls []apps.Launch) {
+						for _, l := range ls {
+							driver.Launch(l.Task, dist.OwnerMapper{}.Place(l.Task, l.Node, nodes), l.Duration)
+						}
+					}
+					if inst.EmitInit != nil {
+						run(inst.EmitInit(stream))
+					}
+					run(inst.Emit(stream, 0))
+					before := obs.ReadAllocs()
+					b.StartTimer()
+					for k := 0; k < app.steps[alg]; k++ {
+						ls := inst.Emit(stream, 1+k)
+						run(ls)
+						launches += int64(len(ls))
+					}
+					b.StopTimer()
+					n, _ := obs.ReadAllocs().Since(before)
+					allocs += n
+				}
+				b.ReportMetric(float64(launches)/b.Elapsed().Seconds(), "launches/s")
+				b.ReportMetric(float64(allocs)/float64(launches), "allocs/launch")
+			})
+		}
 	}
 }
 

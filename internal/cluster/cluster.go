@@ -223,6 +223,11 @@ func (m *Machine) EnableTracing() {
 	}
 }
 
+// Tracing reports whether the machine is journaling: only then does
+// anything read the names given to ExecNamed and UtilNamed, so a caller
+// with per-slice labels to format can skip the formatting.
+func (m *Machine) Tracing() bool { return m.rec != nil }
+
 // Nodes returns the node count.
 func (m *Machine) Nodes() int { return m.cfg.Nodes }
 

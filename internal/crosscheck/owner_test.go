@@ -1,0 +1,51 @@
+package crosscheck
+
+import (
+	"testing"
+
+	"visibility/internal/algo"
+	"visibility/internal/apps/circuit"
+	"visibility/internal/core"
+	"visibility/internal/dist"
+	"visibility/internal/index"
+)
+
+// TestOwnerResolvedOncePerSet counts calls of the harness's owner function
+// (dist.OwnerByPartition) on circuit at 16 nodes. Ownership is a function
+// of immutable geometry, so after the init iteration Warnock — whose sets
+// live forever — and the painter — whose state sits at region-tree nodes —
+// resolve nothing, and ray casting resolves only the sets its dominating
+// writes and re-splits create, once each.
+func TestOwnerResolvedOncePerSet(t *testing.T) {
+	for _, alg := range []string{"warnock", "paint", "raycast"} {
+		newAn, err := algo.Lookup(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := circuit.New(16)
+		owner, calls := dist.OwnerByPartition(inst.Owned, 16), int64(0)
+		an := newAn(inst.Tree, core.Options{Owner: func(sp index.Space) int {
+			calls++
+			return owner(sp)
+		}})
+		stream := core.NewStream(inst.Tree)
+		for _, l := range append(inst.EmitInit(stream), inst.Emit(stream, 0)...) {
+			an.Analyze(l.Task)
+		}
+		for iter := 1; iter <= 3; iter++ {
+			before, created := calls, an.Stats().SetsCreated
+			for _, l := range inst.Emit(stream, iter) {
+				an.Analyze(l.Task)
+			}
+			got, limit := calls-before, an.Stats().SetsCreated-created
+			if alg != "raycast" {
+				limit = 0
+			} else if limit == 0 {
+				t.Errorf("raycast: iteration %d created no set; the bound below is vacuous", iter)
+			}
+			if got > limit {
+				t.Errorf("%s: iteration %d made %d owner calls, want at most %d", alg, iter, got, limit)
+			}
+		}
+	}
+}

@@ -13,8 +13,6 @@
 package dist
 
 import (
-	"fmt"
-
 	"visibility/internal/bvh"
 	"visibility/internal/cluster"
 	"visibility/internal/core"
@@ -98,6 +96,21 @@ type Driver struct {
 	//
 	// confined to analyzer
 	lastAnalysis map[int]cluster.Ref
+
+	// remote and remoteOrder are Launch's scratch, empty between launches:
+	// the work one launch queues on each remote owner, and those owners in
+	// order of first appearance — which fixes the order its requests are
+	// sent in, and so virtual time.
+	//
+	// confined to analyzer
+	remote []remoteWork // by owner
+	// confined to analyzer
+	remoteOrder []int
+}
+
+type remoteWork struct {
+	ops  int64
+	seen bool // a touch may carry zero ops and still costs the round trip
 }
 
 // visitOwner marks traversal work (Probe.Visit) in the touch sequence.
@@ -171,6 +184,7 @@ func New(m *cluster.Machine, tree *region.Tree, newAnalyzer NewAnalyzerFunc, own
 		taskNode:     make(map[int]int),
 		owner:        owner,
 		lastAnalysis: make(map[int]cluster.Ref),
+		remote:       make([]remoteWork, m.Nodes()),
 	}
 	opts := cfg.Options
 	opts.Probe, opts.Owner = d.probe, owner
@@ -220,8 +234,6 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	// broadcasts requests and gathers responses.
 	var local cluster.Time = d.cfg.LaunchOverhead
 	var localUnits int64
-	remoteOps := make(map[int]int64)
-	var remoteOrder []int
 	for _, tc := range d.probe.touches {
 		switch {
 		case tc.owner == visitOwner:
@@ -231,22 +243,31 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 			local += cluster.Time(tc.ops) * d.cfg.OpCost
 			localUnits += tc.ops
 		default:
-			if _, seen := remoteOps[tc.owner]; !seen {
-				remoteOrder = append(remoteOrder, tc.owner)
+			w := &d.remote[tc.owner]
+			if !w.seen {
+				w.seen = true
+				d.remoteOrder = append(d.remoteOrder, tc.owner)
 			}
-			remoteOps[tc.owner] += tc.ops
+			w.ops += tc.ops
 		}
 	}
 	d.localOps.Observe(localUnits)
-	d.remotes.Add(int64(len(remoteOrder)))
-	chain := d.m.UtilNamed(analysisNode, "analyze "+t.String(), local, prev)
-	if len(remoteOrder) > 0 {
-		gather := make([]cluster.Ref, 0, len(remoteOrder))
-		for _, owner := range remoteOrder {
+	d.remotes.Add(int64(len(d.remoteOrder)))
+	// The slice labels are read by the exported trace only.
+	var name string
+	if d.m.Tracing() {
+		name = t.String()
+	}
+	chain := d.m.UtilNamed(analysisNode, "analyze "+name, local, prev)
+	if len(d.remoteOrder) > 0 {
+		gather := make([]cluster.Ref, 0, len(d.remoteOrder))
+		for _, owner := range d.remoteOrder {
 			req := d.m.Message(analysisNode, owner, d.cfg.ControlBytes, chain)
-			remote := d.m.UtilNamed(owner, fmt.Sprintf("touch %s", t), cluster.Time(remoteOps[owner])*d.cfg.OpCost, req)
+			remote := d.m.UtilNamed(owner, "touch "+name, cluster.Time(d.remote[owner].ops)*d.cfg.OpCost, req)
 			gather = append(gather, d.m.Message(owner, analysisNode, d.cfg.ControlBytes, remote))
+			d.remote[owner] = remoteWork{}
 		}
+		d.remoteOrder = d.remoteOrder[:0]
 		chain = d.m.AfterAll(gather...)
 	}
 	d.lastAnalysis[analysisNode] = chain
@@ -283,7 +304,7 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 		}
 	}
 
-	done := d.m.ExecNamed(execNode, t.String(), dur, pres...)
+	done := d.m.ExecNamed(execNode, name, dur, pres...)
 	d.taskDone[t.ID] = done
 	d.taskNode[t.ID] = execNode
 	d.all = append(d.all, done)
@@ -325,8 +346,8 @@ func OwnerByPartition(p *region.Partition, nodes int) core.OwnerFunc {
 		if sp.IsEmpty() {
 			return 0
 		}
-		// Use the first point of the space to pick a unique owner.
-		lo := sp.Bounds().Lo
+		// The low corner of the space picks a unique owner.
+		lo := sp.Lo()
 		probe := geometry.PointRect(lo, sp.Dim())
 		best := -1
 		tree.Query(probe, func(i int) {

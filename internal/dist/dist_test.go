@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"bytes"
 	"testing"
 
 	"visibility/internal/algo"
@@ -10,6 +11,7 @@ import (
 	"visibility/internal/field"
 	"visibility/internal/geometry"
 	"visibility/internal/index"
+	"visibility/internal/obs"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
@@ -205,6 +207,27 @@ func TestMappers(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Place(nil, 0, 8) != b.Place(nil, 0, 8) {
 			t.Fatal("random mapper not deterministic by seed")
+		}
+	}
+}
+
+// TestTraceLabels pins the slice names of the exported trace: Launch only
+// formats them while the machine journals, and then they must name the
+// launch on its analysis, remote-touch and execution slices.
+func TestTraceLabels(t *testing.T) {
+	d, m, tree, p := newDriver(t, 4, false)
+	m.EnableTracing()
+	s := core.NewStream(tree)
+	d.Launch(s.Launch("w", core.Req{Region: p.Subregions[2], Field: 0, Priv: privilege.Writes()}), 2, 1.0)
+	tw := obs.NewTraceWriter()
+	m.ExportTrace(tw)
+	var buf bytes.Buffer
+	if err := tw.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"name": "analyze w#0"`, `"name": "touch w#0"`, `"name": "w#0"`} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("exported trace lacks %s", want)
 		}
 	}
 }

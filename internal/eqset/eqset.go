@@ -29,6 +29,11 @@ type Set[X any] struct {
 	// the sets found for a requirement are looked up again before commit
 	// if any of them died in between.
 	Dead bool
+	// owner is Kernel.Owner's answer, valid once owned: Pts never changes,
+	// so the node owning the set's state is resolved once, not per touch.
+	// The two share Dead's word, so a set is no larger for them.
+	owned bool
+	owner int32
 	// At is the store's placement of the set (tree node, bucket, id).
 	// Fragments start at their parent's placement.
 	At X
@@ -64,9 +69,18 @@ func New[X any](name string, opts core.Options, store Store[X]) *Kernel[X] {
 	return &Kernel[X]{Opts: opts.Normalize(), store: store, name: name, span: name + ".analyze"}
 }
 
-// Touch charges ops units of work to the owner of the state covering pts.
-func (k *Kernel[X]) Touch(pts index.Space, ops int64) {
-	k.Opts.Probe.Touch(k.Opts.Owner(pts), ops)
+// Owner returns the node owning s's state (§8), asking Opts.Owner the
+// first time and the set itself from then on.
+func (k *Kernel[X]) Owner(s *Set[X]) int {
+	if !s.owned {
+		s.owner, s.owned = int32(k.Opts.Owner(s.Pts)), true
+	}
+	return int(s.owner)
+}
+
+// Touch charges ops units of work to the owner of s.
+func (k *Kernel[X]) Touch(s *Set[X], ops int64) {
+	k.Opts.Probe.Touch(k.Owner(s), ops)
 }
 
 // Split applies the refinement rule of Figure 9 to s, a live set
@@ -137,7 +151,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			// N same-operator reductions): interference is decided once
 			// per epoch, as in Legion's user lists, so the charged work
 			// is the number of privilege runs, not entries.
-			k.Touch(s.Pts, privRuns(s.Hist))
+			k.Touch(s, privRuns(s.Hist))
 			for _, e := range s.Hist {
 				k.Stats.EntriesScanned++
 				scan.Entry(e, s.Pts)
@@ -167,7 +181,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 		}
 		for _, s := range inside {
 			s.Hist = append(s.Hist, core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: s.Pts})
-			k.Touch(s.Pts, 1)
+			k.Touch(s, 1)
 		}
 	}
 	return scan.Result()

@@ -101,6 +101,34 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// TestOwnerResolvedOnce pins where a set's owner comes from: Opts.Owner is
+// asked once per set, however often the set is touched, and the fragments
+// of a split resolve their own points instead of inheriting the parent's
+// answer.
+func TestOwnerResolvedOnce(t *testing.T) {
+	calls := 0
+	k := eqset.New[int]("test", core.Options{Owner: func(sp index.Space) int {
+		calls++
+		return testutil.ShapeOwner(sp)
+	}}, nil)
+	s := &set{Pts: span(0, 9)}
+	for i := 0; i < 3; i++ {
+		k.Touch(s, 1)
+	}
+	if calls != 1 || k.Owner(s) != testutil.ShapeOwner(s.Pts) {
+		t.Fatalf("three touches: %d owner calls, owner %d; want 1 call, owner %d", calls, k.Owner(s), testutil.ShapeOwner(s.Pts))
+	}
+	in, rest, _ := k.Split(s, span(4, 5))
+	for _, f := range []*set{in, rest} {
+		if got, want := k.Owner(f), testutil.ShapeOwner(f.Pts); got != want {
+			t.Errorf("fragment %v has owner %d, its points resolve to %d", f.Pts, got, want)
+		}
+	}
+	if calls != 3 {
+		t.Errorf("%d owner calls after the split, want 3: one per set", calls)
+	}
+}
+
 // flat is the smallest possible Store: one unindexed slice of live sets
 // per field, writes resetting histories in place. It knows nothing of
 // refinement beyond calling Split, so a sound analysis out of it shows the

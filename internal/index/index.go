@@ -155,6 +155,23 @@ func (s Space) Bounds() geometry.Rect {
 	return b
 }
 
+// Lo returns Bounds().Lo — the low corner of the bounding box, which need
+// not be a point of the space — without forming the box. The canonical
+// order puts the lowest band first, so the highest axis (the only one, in
+// 1-D) is read off the first rectangle.
+func (s Space) Lo() geometry.Point {
+	if len(s.rects) == 0 {
+		return s.Bounds().Lo
+	}
+	lo := s.rects[0].Lo
+	for a := 0; a < s.dim-1; a++ {
+		for _, r := range s.rects[1:] {
+			lo.C[a] = min(lo.C[a], r.Lo.C[a])
+		}
+	}
+	return lo
+}
+
 // Contains reports whether p is in the space.
 func (s Space) Contains(p geometry.Point) bool {
 	for _, r := range s.rects {

@@ -207,6 +207,9 @@ func checkAlgebra(t testing.TB, x, y Space) {
 			t.Fatalf("%s has dim %d", what, c.got.Dim())
 		}
 		checkCanonical(t, what, c.got)
+		if c.got.Lo() != c.got.Bounds().Lo {
+			t.Fatalf("%s = %v: Lo %v, Bounds().Lo %v", what, c.got, c.got.Lo(), c.got.Bounds().Lo)
+		}
 	}
 	overlaps, covers := false, true
 	for p := range by {

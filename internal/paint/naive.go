@@ -23,6 +23,7 @@ import (
 type Naive struct {
 	tree *region.Tree
 	opts core.Options
+	home int // owner of the one history: the root's, resolved once
 	// hist is the per-field paint history, appended by every Analyze with
 	// no lock: the analyzer runs on exactly one goroutine.
 	//
@@ -34,7 +35,9 @@ type Naive struct {
 
 // NewNaive creates a naive painter for tree.
 func NewNaive(tree *region.Tree, opts core.Options) *Naive {
-	return &Naive{tree: tree, opts: opts.Normalize(), hist: make(map[field.ID][]core.Entry)}
+	n := &Naive{tree: tree, opts: opts.Normalize(), hist: make(map[field.ID][]core.Entry)}
+	n.home = n.opts.Owner(tree.Root.Space)
+	return n
 }
 
 // Name implements core.Analyzer.
@@ -78,7 +81,7 @@ func (n *Naive) Analyze(t *Task) *core.Result {
 				sc.Entry(e, inter)
 			}
 		}
-		n.opts.Probe.Touch(n.opts.Owner(n.tree.Root.Space), int64(len(h)))
+		n.opts.Probe.Touch(n.home, int64(len(h)))
 	}
 
 	// commit: append this task's operations to the history.

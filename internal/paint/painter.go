@@ -86,6 +86,7 @@ type nodeState struct {
 	hist    []item
 	open    bool // some history exists in this node's subtree
 	summary *privilege.Summary
+	owner   int // node owning this state (§8): fixed, as the tree node's space is
 }
 
 type fieldState struct {
@@ -97,7 +98,7 @@ func (pa *Painter) fieldFor(f field.ID) *fieldState {
 	if !ok {
 		fs = &fieldState{nodes: make(map[nodeKey]*nodeState)}
 		// Seed the root with the initial full write (§5).
-		root := fs.node(regionKey(pa.tree.Root))
+		root := pa.node(fs, regionKey(pa.tree.Root), pa.tree.Root.Space)
 		root.hist = append(root.hist, item{entry: core.SeedEntry(pa.tree.Root.Space)})
 		root.open = true
 		root.summary.Add(privilege.Writes())
@@ -106,10 +107,11 @@ func (pa *Painter) fieldFor(f field.ID) *fieldState {
 	return fs
 }
 
-func (fs *fieldState) node(k nodeKey) *nodeState {
+// node returns the state at the tree node k, whose space is space.
+func (pa *Painter) node(fs *fieldState, k nodeKey, space index.Space) *nodeState {
 	ns, ok := fs.nodes[k]
 	if !ok {
-		ns = &nodeState{summary: privilege.NewSummary()}
+		ns = &nodeState{summary: privilege.NewSummary(), owner: pa.opts.Owner(space)}
 		fs.nodes[k] = ns
 	}
 	return ns
@@ -174,7 +176,7 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		scan := pa.opts.Spans.Begin("paint.scan", "analysis")
 		sc.Begin(ri, req)
 		for _, step := range path {
-			ns := fs.node(step.key)
+			ns := pa.node(fs, step.key, step.space)
 			if len(ns.hist) == 0 {
 				continue
 			}
@@ -208,7 +210,7 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		}
 		fs := pa.fieldFor(req.Field)
 		path := pa.pathOf(req.Region)
-		leaf := fs.node(regionKey(req.Region))
+		leaf := pa.node(fs, regionKey(req.Region), req.Region.Space)
 		if req.Priv.IsWrite() && !pa.DisablePruning {
 			// A full write of this region occludes everything recorded
 			// here: all prior items at this node have points within the
@@ -219,9 +221,9 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		leaf.hist = append(leaf.hist, item{entry: core.Entry{
 			Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space,
 		}})
-		pa.opts.Probe.Touch(pa.opts.Owner(req.Region.Space), 1)
+		pa.opts.Probe.Touch(leaf.owner, 1)
 		for _, step := range path {
-			ns := fs.node(step.key)
+			ns := pa.node(fs, step.key, step.space)
 			ns.open = true
 			ns.summary.Add(req.Priv)
 		}
@@ -235,7 +237,7 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 // path) into a composite view appended to step's history.
 func (pa *Painter) hoistChildren(fs *fieldState, step pathStep, req core.Req) {
 	appendView := func(childKey nodeKey, childSpace index.Space) {
-		cs := fs.node(childKey)
+		cs := pa.node(fs, childKey, childSpace)
 		if !cs.open {
 			return
 		}
@@ -246,27 +248,27 @@ func (pa *Painter) hoistChildren(fs *fieldState, step pathStep, req core.Req) {
 		if !childSpace.Overlaps(req.Region.Space) {
 			return
 		}
+		ns := pa.node(fs, step.key, step.space)
 		pa.nextToken++
 		v := &view{
 			pts:        index.Empty(childSpace.Dim()),
 			writeCover: index.Empty(childSpace.Dim()),
 			summary:    privilege.NewSummary(),
 			id:         pa.nextToken,
-			home:       pa.opts.Owner(step.space),
+			home:       ns.owner,
 		}
-		pa.snapshot(fs, childKey, childSpace, v)
+		pa.snapshot(fs, childKey, v)
 		if len(v.items) == 0 {
 			return
 		}
 		pa.stats.ViewsCreated++
-		ns := fs.node(step.key)
 		// Occlusion pruning: the new view hides older items it fully
 		// overwrites.
 		ns.hist = pa.prune(ns.hist, v.writeCover)
 		ns.hist = append(ns.hist, item{view: v})
 		ns.open = true
 		ns.summary.AddAll(v.summary)
-		pa.opts.Probe.Touch(pa.opts.Owner(step.space), int64(v.count))
+		pa.opts.Probe.Touch(ns.owner, int64(v.count))
 	}
 
 	if step.region != nil {
@@ -304,7 +306,7 @@ func containsRegion(p *region.Partition, r *region.Region) bool {
 // snapshot moves the histories of the subtree rooted at key into v
 // (preorder), closing the subtree. Nodes never touched by a commit have no
 // state and no descendants with state, so they terminate the recursion.
-func (pa *Painter) snapshot(fs *fieldState, key nodeKey, space index.Space, v *view) {
+func (pa *Painter) snapshot(fs *fieldState, key nodeKey, v *view) {
 	ns, ok := fs.nodes[key]
 	if !ok || !ns.open {
 		return
@@ -328,7 +330,7 @@ func (pa *Painter) snapshot(fs *fieldState, key nodeKey, space index.Space, v *v
 				pa.stats.ViewEntries++
 			}
 		}
-		pa.opts.Probe.Touch(pa.opts.Owner(space), int64(len(ns.hist)))
+		pa.opts.Probe.Touch(ns.owner, int64(len(ns.hist)))
 		ns.hist = nil
 	}
 	ns.open = false
@@ -338,12 +340,12 @@ func (pa *Painter) snapshot(fs *fieldState, key nodeKey, space index.Space, v *v
 	if !key.part {
 		r := pa.tree.Region(key.id)
 		for _, p := range r.Partitions {
-			pa.snapshot(fs, partKey(p), p.Space(), v)
+			pa.snapshot(fs, partKey(p), v)
 		}
 	} else {
 		p := pa.tree.PartitionAt(key.id) // partition IDs are creation indices
 		for _, sub := range p.Subregions {
-			pa.snapshot(fs, regionKey(sub), sub.Space, v)
+			pa.snapshot(fs, regionKey(sub), v)
 		}
 	}
 }

@@ -14,6 +14,19 @@ import (
 	"visibility/internal/testutil"
 )
 
+// analyze runs one launch and then holds the store to what it resolved once
+// from immutable geometry: stored owners and memoized bucket lists must
+// equal a fresh resolution (CheckResolved). The stores under it are built
+// with testutil.ShapeOwner, which tells a set from its fragments.
+func analyze(t *testing.T, rc *raycast.RayCast, task *core.Task) *core.Result {
+	t.Helper()
+	res := rc.Analyze(task)
+	if err := rc.CheckResolved(); err != nil {
+		t.Fatalf("after %v: %v", task, err)
+	}
+	return res
+}
+
 // TestDominatingWriteCoalesces reproduces the §7 behavior on the Figure 5
 // stream: the ghost-phase reductions refine the up field to nine sets, and
 // the second write phase's dominating writes coalesce them back to the
@@ -101,9 +114,9 @@ func TestMigration(t *testing.T) {
 	})
 
 	s := core.NewStream(tree)
-	rc := raycast.New(tree, core.Options{})
+	rc := raycast.New(tree, core.Options{Owner: testutil.ShapeOwner})
 	for i := 0; i < 4; i++ {
-		rc.Analyze(s.Launch("w", core.Req{Region: p4.Subregions[i], Field: 0, Priv: privilege.Writes()}))
+		analyze(t, rc, s.Launch("w", core.Req{Region: p4.Subregions[i], Field: 0, Priv: privilege.Writes()}))
 	}
 	if rc.CurrentPartition(0) != p4 {
 		t.Fatalf("initial partition = %v, want P4", rc.CurrentPartition(0))
@@ -113,7 +126,7 @@ func TestMigration(t *testing.T) {
 	// migrate its buckets.
 	for rep := 0; rep < 10; rep++ {
 		for i := 0; i < 2; i++ {
-			rc.Analyze(s.Launch("w2", core.Req{Region: p2.Subregions[i], Field: 0, Priv: privilege.Writes()}))
+			analyze(t, rc, s.Launch("w2", core.Req{Region: p2.Subregions[i], Field: 0, Priv: privilege.Writes()}))
 		}
 	}
 	if rc.CurrentPartition(0) != p2 {
@@ -144,10 +157,10 @@ func TestKDFallback(t *testing.T) {
 	}
 
 	s := core.NewStream(tree)
-	rc := raycast.New(tree, core.Options{})
-	rc.Analyze(s.Launch("w0", core.Req{Region: q.Subregions[0], Field: 0, Priv: privilege.Writes()}))
-	rc.Analyze(s.Launch("r", core.Req{Region: q.Subregions[1], Field: 0, Priv: privilege.Reads()}))
-	res := rc.Analyze(s.Launch("w1", core.Req{Region: q.Subregions[1], Field: 0, Priv: privilege.Writes()}))
+	rc := raycast.New(tree, core.Options{Owner: testutil.ShapeOwner})
+	analyze(t, rc, s.Launch("w0", core.Req{Region: q.Subregions[0], Field: 0, Priv: privilege.Writes()}))
+	analyze(t, rc, s.Launch("r", core.Req{Region: q.Subregions[1], Field: 0, Priv: privilege.Reads()}))
+	res := analyze(t, rc, s.Launch("w1", core.Req{Region: q.Subregions[1], Field: 0, Priv: privilege.Writes()}))
 
 	if rc.CurrentPartition(0) != nil {
 		t.Error("expected K-d fallback (no partition)")
@@ -187,17 +200,37 @@ func TestMigrationBetweenMaterializeAndCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := raycast.New(tree, core.Options{Faults: inj})
+		rc := raycast.New(tree, core.Options{Faults: inj, Owner: testutil.ShapeOwner})
 		s := core.NewStream(tree)
-		rc.Analyze(s.Launch("r",
+		analyze(t, rc, s.Launch("r",
 			core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Reads()},
 			core.Req{Region: p.Subregions[1], Field: up, Priv: privilege.Reads()}))
-		res := rc.Analyze(s.Launch("w", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Writes()}))
+		res := analyze(t, rc, s.Launch("w", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Writes()}))
 		if inj.Fires(fault.EqMigrate) != 1 {
 			t.Fatalf("seed %s: migration fired %d times, want 1", seed, inj.Fires(fault.EqMigrate))
 		}
 		if len(res.Deps) != 1 || res.Deps[0] != 0 {
 			t.Errorf("seed %s: writer deps = %v, want [0] (the reader)", seed, res.Deps)
+		}
+	}
+}
+
+// TestResolvedGeometryUnderFaults drives circuit and stencil through
+// forced splits and forced migrations — re-bucketing against the same
+// partition and abandoning it for the K-d fallback — and checks after
+// every launch that nothing resolved once has gone stale.
+func TestResolvedGeometryUnderFaults(t *testing.T) {
+	for _, app := range testutil.SmallApps {
+		inj, err := fault.NewFromString("seed=7;analyzer.eqset.split=p=0.5;analyzer.eqset.migrate=p=0.1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := app.Build(4)
+		rc := raycast.New(inst.Tree, core.Options{Faults: inj, Owner: testutil.ShapeOwner})
+		testutil.DriveChecked(t, app.Name, inst, rc, rc.CheckResolved)
+		if inj.Fires(fault.EqSplit) == 0 || inj.Fires(fault.EqMigrate) == 0 {
+			t.Errorf("%s: %d forced splits, %d forced migrations: the plan must arm both",
+				app.Name, inj.Fires(fault.EqSplit), inj.Fires(fault.EqMigrate))
 		}
 	}
 }

@@ -77,13 +77,24 @@ type place struct {
 
 type set = eqset.Set[place]
 
+// bucketList is one region's BVH query over the pieces: the buckets found
+// and the work the traversal took, which every later use is charged again.
+type bucketList struct {
+	buckets        []int
+	tests, visited int64
+}
+
 type fieldState struct {
 	nextID int
 
-	// Disjoint-complete-partition mode.
+	// Disjoint-complete-partition mode. Pieces and regions are immutable,
+	// so what depends only on them is resolved once per installAccel: each
+	// bucket's owner, and per region the buckets its space overlaps.
 	dcp     *region.Partition
 	pieces  *bvh.Tree // over piece bounding boxes
 	buckets [][]*set
+	owners  []int              // node owning each bucket's piece
+	memo    map[int]bucketList // region ID → overlappingBuckets' answer
 
 	// K-d fallback mode (dcp == nil).
 	kd     *bvh.KD
@@ -199,6 +210,8 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 	fs.candidate = nil
 	fs.pieces = nil
 	fs.buckets = nil
+	fs.owners = nil
+	fs.memo = nil
 	fs.kd = nil
 	fs.kdSets = nil
 
@@ -216,13 +229,16 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 	// wire block) would otherwise produce mutually-overlapping boxes and
 	// degrade every query to a full scan.
 	var inputs []bvh.Input
+	fs.owners = make([]int, len(dcp.Subregions))
 	for i, sub := range dcp.Subregions {
 		for _, r := range sub.Space.Rects() {
 			inputs = append(inputs, bvh.Input{Box: r, ID: i})
 		}
+		fs.owners[i] = rc.k.Opts.Owner(sub.Space)
 	}
 	fs.pieces = bvh.Build(inputs)
 	fs.buckets = make([][]*set, len(dcp.Subregions))
+	fs.memo = make(map[int]bucketList)
 	for _, s := range sets {
 		// Re-bucketing replaces s by per-piece copies: an earlier
 		// requirement of the launch being analyzed may still hold s, and
@@ -244,31 +260,43 @@ func (rc *RayCast) kdInsert(fs *fieldState, s *set) {
 	fs.nextID++
 	fs.kdSets[s.At.id] = s
 	fs.kd.Insert(s.At.id, s.Pts.Bounds())
-	rc.k.Touch(s.Pts, 1)
+	rc.k.Touch(s, 1)
+}
+
+// query traverses the BVH for the pieces overlapping sp.
+func (fs *fieldState) query(sp index.Space) (m bucketList) {
+	m.visited = int64(fs.pieces.QuerySpace(sp, func(i int) {
+		m.tests++
+		if fs.dcp.Subregions[i].Space.Overlaps(sp) {
+			m.buckets = append(m.buckets, i)
+		}
+	}))
+	return m
 }
 
 // overlappingBuckets returns the indices of dcp pieces whose contents
-// overlap sp.
-func (rc *RayCast) overlappingBuckets(fs *fieldState, sp index.Space) []int {
+// overlap r. The BVH is traversed on a region's first use; every use is
+// charged that traversal, so the cost model sees the same query.
+func (rc *RayCast) overlappingBuckets(fs *fieldState, r *region.Region) []int {
 	span := rc.k.Opts.Spans.Begin("raycast.bvh_query", "analysis")
 	defer span.End()
-	var out []int
-	visited := fs.pieces.QuerySpace(sp, func(i int) {
-		rc.k.Stats.OverlapTests++
-		if fs.dcp.Subregions[i].Space.Overlaps(sp) {
-			out = append(out, i)
-		}
-	})
-	rc.k.Stats.BVHVisited += int64(visited)
-	rc.k.Opts.Probe.Visit(int64(visited))
-	return out
+	m, ok := fs.memo[r.ID]
+	if !ok {
+		m = fs.query(r.Space)
+		fs.memo[r.ID] = m
+	}
+	rc.k.Stats.OverlapTests += m.tests
+	rc.k.Stats.BVHVisited += m.visited
+	rc.k.Opts.Probe.Visit(m.visited)
+	return m.buckets
 }
 
-// candidates returns the live sets overlapping sp.
-func (rc *RayCast) candidates(fs *fieldState, sp index.Space) []*set {
+// candidates returns the live sets overlapping r.
+func (rc *RayCast) candidates(fs *fieldState, r *region.Region) []*set {
 	var out []*set
+	sp := r.Space
 	if fs.dcp != nil {
-		for _, bi := range rc.overlappingBuckets(fs, sp) {
+		for _, bi := range rc.overlappingBuckets(fs, r) {
 			for _, s := range fs.buckets[bi] {
 				rc.k.Stats.SetsVisited++
 				rc.k.Stats.OverlapTests++
@@ -276,7 +304,7 @@ func (rc *RayCast) candidates(fs *fieldState, sp index.Space) []*set {
 					out = append(out, s)
 				}
 			}
-			rc.k.Touch(fs.dcp.Subregions[bi].Space, int64(len(fs.buckets[bi])))
+			rc.k.Opts.Probe.Touch(fs.owners[bi], int64(len(fs.buckets[bi])))
 		}
 		return out
 	}
@@ -287,7 +315,7 @@ func (rc *RayCast) candidates(fs *fieldState, sp index.Space) []*set {
 		if s.Pts.Overlaps(sp) {
 			out = append(out, s)
 		}
-		rc.k.Touch(s.Pts, 1)
+		rc.k.Touch(s, 1)
 	})
 	rc.k.Stats.BVHVisited += int64(visited)
 	rc.k.Opts.Probe.Visit(int64(visited))
@@ -318,7 +346,7 @@ func (rc *RayCast) insert(fs *fieldState, s *set) {
 		s.At.id = fs.nextID
 		fs.nextID++
 		fs.buckets[s.At.bucket] = append(fs.buckets[s.At.bucket], s)
-		rc.k.Touch(s.Pts, 1)
+		rc.k.Touch(s, 1)
 		return
 	}
 	rc.kdInsert(fs, s)
@@ -342,7 +370,7 @@ func (rc *RayCast) Refine(t *core.Task, ri int, commit bool) []*set {
 	span := rc.k.Opts.Spans.Begin("raycast.refine", "analysis")
 	defer span.End()
 	var inside []*set
-	for _, s := range rc.candidates(fs, r.Space) {
+	for _, s := range rc.candidates(fs, r) {
 		in, rest, forced := rc.k.Split(s, r.Space)
 		inside = append(inside, in)
 		if rest == nil {
@@ -448,7 +476,7 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 			fs.buckets[bi] = append(fs.buckets[bi], ns)
 			rc.k.Stats.SetsCreated++
 			// Invalidate-and-replace is one batched update per owner.
-			rc.k.Touch(part, 2)
+			rc.k.Touch(ns, 2)
 		}
 		return
 	}

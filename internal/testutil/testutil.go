@@ -6,7 +6,11 @@ package testutil
 import (
 	"fmt"
 	"runtime/debug"
+	"testing"
 
+	"visibility/internal/apps"
+	"visibility/internal/apps/circuit"
+	"visibility/internal/apps/stencil"
 	"visibility/internal/core"
 	"visibility/internal/data"
 	"visibility/internal/field"
@@ -122,4 +126,34 @@ func RaceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// ShapeOwner is a core.OwnerFunc for tests that must notice a stale owner:
+// it folds a space's low corner and volume onto eight nodes, so a set, its
+// fragments and the region that split it rarely share an answer.
+func ShapeOwner(sp index.Space) int {
+	lo := sp.Lo()
+	return int(((lo.C[0]+lo.C[1]+lo.C[2]+3*sp.Volume())%8 + 8) % 8)
+}
+
+// SmallApps are the applications the stores' resolved-geometry tests
+// drive: circuit (1-D, aliased multi-rectangle ghosts) and stencil (2-D).
+var SmallApps = []struct {
+	Name  string
+	Build apps.Builder
+}{{"circuit", circuit.New}, {"stencil", stencil.New}}
+
+// DriveChecked analyzes three iterations of inst's launches with an,
+// failing the test at the first launch after which check reports an error.
+func DriveChecked(t *testing.T, app string, inst *apps.Instance, an core.Analyzer, check func() error) {
+	t.Helper()
+	stream := core.NewStream(inst.Tree)
+	for iter := 0; iter < 3; iter++ {
+		for _, l := range inst.Emit(stream, iter) {
+			an.Analyze(l.Task)
+			if err := check(); err != nil {
+				t.Fatalf("%s: after %v: %v", app, l.Task, err)
+			}
+		}
+	}
 }

@@ -113,7 +113,7 @@ type fieldState struct {
 // leaf places s at a fresh leaf node.
 func (w *Warnock) leaf(s *set) *bnode {
 	w.nextToken++
-	s.At = &bnode{pts: s.Pts, set: s, owner: w.k.Opts.Owner(s.Pts), id: w.nextToken}
+	s.At = &bnode{pts: s.Pts, set: s, owner: w.k.Owner(s), id: w.nextToken}
 	return s.At
 }
 
@@ -186,7 +186,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 	var inside []*set
 	for _, s := range w.lookup(fs, r.ID, r.Space) {
 		w.k.Stats.SetsVisited++
-		w.k.Touch(s.Pts, 1)
+		w.k.Touch(s, 1)
 		in, rest, forced := w.k.Split(s, r.Space)
 		inside = append(inside, in)
 		if rest == nil {
@@ -204,7 +204,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 		if forced {
 			inside = append(inside, rest)
 		} else {
-			w.k.Touch(s.Pts, 2)
+			w.k.Touch(s, 2)
 		}
 	}
 	// The sets now tiling the region are exactly the leaves a later lookup
@@ -221,6 +221,6 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
 		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.Pts}}
-		w.k.Touch(s.Pts, 1)
+		w.k.Touch(s, 1)
 	}
 }
