@@ -105,4 +105,11 @@ func TestChaosForcedSplitsVisible(t *testing.T) {
 	if r.Fires[fault.EqSplit] == 0 {
 		t.Fatal("every=2 split plan never fired")
 	}
+	// The injector is consulted once per covered set a requirement meets,
+	// whether the kernel swept to find the set covered or remembered it, so
+	// remembering geometry cannot move a seeded schedule. The counts are
+	// those of the kernel that swept every time (PR 20).
+	if s, a := r.Fires[fault.EqSplit], r.AtomFires[fault.EqSplit]; s != 60 || a != 50 || r.Events != 460 {
+		t.Errorf("every=2 split plan fired %d times on the session and %d on the atoms over %d events, want 60, 50 and 460", s, a, r.Events)
+	}
 }

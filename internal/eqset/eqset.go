@@ -14,26 +14,82 @@
 package eqset
 
 import (
+	"slices"
+
 	"visibility/internal/core"
 	"visibility/internal/fault"
 	"visibility/internal/index"
 	"visibility/internal/obs/recorder"
+	"visibility/internal/region"
 )
+
+// Node is one piece of geometry a set can wear: a point set and what is a
+// pure function of it, each resolved at most once — the node owning it (§8)
+// and, per region, how the region's space cuts it. A node outlives the sets
+// that wear it: a coalesced set refined again along the same lines finds
+// its halves in Cuts instead of sweeping, which is what a refinement tree
+// that never coalesces gets for free. Nodes are reachable only from live
+// sets and from what a store roots, and identity is the pointer.
+type Node struct {
+	Pts index.Space
+	// Cuts is what Cut remembers, sorted by region ID.
+	//
+	// confined to analyzer
+	Cuts []Cut
+	// owner is Kernel.Owner's answer, valid once owned.
+	//
+	// confined to analyzer
+	owner int32
+	// confined to analyzer
+	owned bool
+}
+
+// Cut is how a region's space relates to a node's points: disjoint (In is
+// nil), covered (In is the node itself and Out is nil), or split into
+// In = Pts ∩ space and Out = Pts − space.
+type Cut struct {
+	Region  int
+	In, Out *Node
+}
+
+// Cut returns how r's space cuts n, sweeping the two point sets the first
+// time r meets n and answering from Cuts from then on.
+//
+// confined to analyzer
+func (n *Node) Cut(r *region.Region) Cut {
+	i, ok := slices.BinarySearchFunc(n.Cuts, r.ID, func(c Cut, id int) int { return c.Region - id })
+	if !ok {
+		c := Cut{Region: r.ID}
+		// The predicate first: most first meetings are disjoint, and a
+		// sweep builds both halves before it can say so.
+		if n.Pts.Overlaps(r.Space) {
+			if in, out := n.Pts.Split(r.Space); out.IsEmpty() {
+				c.In = n
+			} else {
+				halves := &[2]Node{{Pts: in}, {Pts: out}}
+				c.In, c.Out = &halves[0], &halves[1]
+			}
+		}
+		if n.Cuts == nil {
+			n.Cuts = make([]Cut, 0, 4) // most nodes meet at most four regions: one allocation, not three
+		}
+		n.Cuts = slices.Insert(n.Cuts, i, c)
+	}
+	return n.Cuts[i]
+}
 
 // Set is one equivalence set.
 type Set[X any] struct {
-	Pts  index.Space
+	// G is the set's geometry; G.Pts never changes.
+	G *Node
+	// Hist is append-only, so the fragments of a split share their
+	// parent's entries until one of them appends.
 	Hist []core.Entry
 	// Dead is set once the set has been replaced (by a refinement, or by
 	// the store moving its contents into fresh sets) or pruned by a write;
 	// the sets found for a requirement are looked up again before commit
 	// if any of them died in between.
 	Dead bool
-	// owner is Kernel.Owner's answer, valid once owned: Pts never changes,
-	// so the node owning the set's state is resolved once, not per touch.
-	// The two share Dead's word, so a set is no larger for them.
-	owned bool
-	owner int32
 	// At is the store's placement of the set (tree node, bucket, id).
 	// Fragments start at their parent's placement.
 	At X
@@ -69,39 +125,38 @@ func New[X any](name string, opts core.Options, store Store[X]) *Kernel[X] {
 	return &Kernel[X]{Opts: opts.Normalize(), store: store, name: name, span: name + ".analyze"}
 }
 
-// Owner returns the node owning s's state (§8), asking Opts.Owner the
-// first time and the set itself from then on.
-func (k *Kernel[X]) Owner(s *Set[X]) int {
-	if !s.owned {
-		s.owner, s.owned = int32(k.Opts.Owner(s.Pts)), true
+// Owner returns the node owning n's state (§8), asking Opts.Owner the
+// first time and the node itself from then on.
+func (k *Kernel[X]) Owner(n *Node) int {
+	if !n.owned {
+		n.owner, n.owned = int32(k.Opts.Owner(n.Pts)), true
 	}
-	return int(s.owner)
+	return int(n.owner)
 }
 
 // Touch charges ops units of work to the owner of s.
 func (k *Kernel[X]) Touch(s *Set[X], ops int64) {
-	k.Opts.Probe.Touch(k.Owner(s), ops)
+	k.Opts.Probe.Touch(k.Owner(s.G), ops)
 }
 
 // Split applies the refinement rule of Figure 9 to s, a live set
-// overlapping sp. A set sp covers stays whole: in is s and rest is nil.
+// overlapping r. A set r covers stays whole: in is s and rest is nil.
 // Otherwise s dies and two fragments partition it, both carrying its full
-// history: in is s ∩ sp and rest is s − sp. The eq.split fault forces the
+// history: in is s ∩ r and rest is s − r. The eq.split fault forces the
 // refinement on a covered set of more than one point, so that rest lies
-// inside sp too (forced) — semantics-preserving, it only breaks code that
-// secretly depends on covered sets staying whole. The store places the
-// fragments.
-func (k *Kernel[X]) Split(s *Set[X], sp index.Space) (in, rest *Set[X], forced bool) {
+// inside r too (forced) — semantics-preserving, it only breaks code that
+// secretly depends on covered sets staying whole; a forced cut is not
+// geometry and is never remembered. The store places the fragments.
+func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced bool) {
 	k.Stats.OverlapTests++
-	// One pass yields both halves; sp covers s exactly when nothing of s
-	// is left outside it. The store guarantees overlap, so a is never
-	// empty.
-	a, b := s.Pts.Split(sp)
-	if b.IsEmpty() {
-		if vol := s.Pts.Volume(); vol > 1 {
+	// The store guarantees overlap, so c.In is never nil.
+	c := s.G.Cut(r)
+	if c.Out == nil {
+		if vol := s.G.Pts.Volume(); vol > 1 {
 			var v uint64
 			if forced, v = k.Opts.Faults.FireValue(fault.EqSplit, vol); forced {
-				a, b = s.Pts.SplitAt(1 + int64(v%uint64(vol-1)))
+				a, b := s.G.Pts.SplitAt(1 + int64(v%uint64(vol-1)))
+				c = Cut{In: &Node{Pts: a}, Out: &Node{Pts: b}}
 			}
 		}
 		if !forced {
@@ -111,8 +166,9 @@ func (k *Kernel[X]) Split(s *Set[X], sp index.Space) (in, rest *Set[X], forced b
 	s.Dead = true
 	k.Stats.SetsCreated += 2
 	k.Opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.Hist)))
-	in = &Set[X]{Pts: a, Hist: append([]core.Entry(nil), s.Hist...), At: s.At}
-	return in, &Set[X]{Pts: b, Hist: s.Hist, At: s.At}, forced
+	hist := s.Hist[:len(s.Hist):len(s.Hist)] // an append to either half copies
+	halves := &[2]Set[X]{{G: c.In, Hist: hist, At: s.At}, {G: c.Out, Hist: hist, At: s.At}}
+	return &halves[0], &halves[1], forced
 }
 
 // privRuns counts maximal runs of identical privileges in a history — the
@@ -154,7 +210,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			k.Touch(s, privRuns(s.Hist))
 			for _, e := range s.Hist {
 				k.Stats.EntriesScanned++
-				scan.Entry(e, s.Pts)
+				scan.Entry(e, s.G.Pts)
 			}
 		}
 	}
@@ -180,7 +236,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			continue
 		}
 		for _, s := range inside {
-			s.Hist = append(s.Hist, core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: s.Pts})
+			s.Hist = append(s.Hist, core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: s.G.Pts})
 			k.Touch(s, 1)
 		}
 	}

@@ -19,6 +19,9 @@ type set = eqset.Set[int]
 
 func span(lo, hi int64) index.Space { return index.FromRect(geometry.R1(lo, hi)) }
 
+// reg is a free-standing region: the kernel reads only its ID and Space.
+func reg(id int, sp index.Space) *region.Region { return &region.Region{ID: id, Space: sp} }
+
 func mustInjector(t *testing.T, plan string) *fault.Injector {
 	t.Helper()
 	inj, err := fault.NewFromString(plan)
@@ -62,8 +65,8 @@ func TestSplit(t *testing.T) {
 				opts.Faults = mustInjector(t, tt.plan)
 			}
 			k := eqset.New[int]("test", opts, nil)
-			s := &set{Pts: tt.pts, Hist: hist, At: 7}
-			in, rest, forced := k.Split(s, tt.sp)
+			s := &set{G: &eqset.Node{Pts: tt.pts}, Hist: hist, At: 7}
+			in, rest, forced := k.Split(s, reg(1, tt.sp))
 			if forced != tt.forced {
 				t.Errorf("forced = %v, want %v", forced, tt.forced)
 			}
@@ -78,24 +81,26 @@ func TestSplit(t *testing.T) {
 				t.Fatalf("split: got rest=%v dead=%v created=%d, want two fresh fragments of a dead parent",
 					rest, s.Dead, k.Stats.SetsCreated)
 			}
-			if err := testutil.CheckPartitionInvariant([]index.Space{in.Pts, rest.Pts}, tt.pts); err != nil {
+			if err := testutil.CheckPartitionInvariant([]index.Space{in.G.Pts, rest.G.Pts}, tt.pts); err != nil {
 				t.Errorf("fragments do not partition the parent: %v", err)
 			}
-			if !tt.sp.Covers(in.Pts) {
-				t.Errorf("in = %v escapes %v", in.Pts, tt.sp)
+			if !tt.sp.Covers(in.G.Pts) {
+				t.Errorf("in = %v escapes %v", in.G.Pts, tt.sp)
 			}
-			if tt.sp.Covers(rest.Pts) != tt.forced || (!tt.forced && rest.Pts.Overlaps(tt.sp)) {
-				t.Errorf("rest = %v vs region %v, forced = %v", rest.Pts, tt.sp, tt.forced)
+			if tt.sp.Covers(rest.G.Pts) != tt.forced || (!tt.forced && rest.G.Pts.Overlaps(tt.sp)) {
+				t.Errorf("rest = %v vs region %v, forced = %v", rest.G.Pts, tt.sp, tt.forced)
 			}
 			for _, f := range []*set{in, rest} {
 				if len(f.Hist) != len(hist) || f.Hist[1].Task != 3 || f.At != 7 || f.Dead {
 					t.Errorf("fragment %+v does not carry the parent's history and placement", f)
 				}
 			}
-			// The fragments' histories must not alias each other.
-			in.Hist = append(in.Hist[:1], core.Entry{Task: 9})
-			if rest.Hist[1].Task != 3 {
-				t.Error("fragments share one history backing array")
+			// A second set wearing the parent's geometry is cut by the
+			// same region into the very same nodes — unless the cut was
+			// forced, which is not geometry and is never remembered.
+			again, againRest, _ := eqset.New[int]("test", core.Options{}, nil).Split(&set{G: s.G, Hist: hist}, reg(1, tt.sp))
+			if remembered := againRest != nil && again.G == in.G && againRest.G == rest.G; remembered == tt.forced {
+				t.Errorf("forced = %v, yet splitting the same geometry again found the same halves = %v", tt.forced, remembered)
 			}
 		})
 	}
@@ -111,21 +116,49 @@ func TestOwnerResolvedOnce(t *testing.T) {
 		calls++
 		return testutil.ShapeOwner(sp)
 	}}, nil)
-	s := &set{Pts: span(0, 9)}
+	s := &set{G: &eqset.Node{Pts: span(0, 9)}}
 	for i := 0; i < 3; i++ {
 		k.Touch(s, 1)
 	}
-	if calls != 1 || k.Owner(s) != testutil.ShapeOwner(s.Pts) {
-		t.Fatalf("three touches: %d owner calls, owner %d; want 1 call, owner %d", calls, k.Owner(s), testutil.ShapeOwner(s.Pts))
+	if calls != 1 || k.Owner(s.G) != testutil.ShapeOwner(s.G.Pts) {
+		t.Fatalf("three touches: %d owner calls, owner %d; want 1 call, owner %d", calls, k.Owner(s.G), testutil.ShapeOwner(s.G.Pts))
 	}
-	in, rest, _ := k.Split(s, span(4, 5))
-	for _, f := range []*set{in, rest} {
-		if got, want := k.Owner(f), testutil.ShapeOwner(f.Pts); got != want {
-			t.Errorf("fragment %v has owner %d, its points resolve to %d", f.Pts, got, want)
+	for round := 0; round < 2; round++ { // the second set to wear the geometry finds the owners resolved
+		in, rest, _ := k.Split(&set{G: s.G}, reg(1, span(4, 5)))
+		for _, f := range []*set{in, rest} {
+			if got, want := k.Owner(f.G), testutil.ShapeOwner(f.G.Pts); got != want {
+				t.Errorf("fragment %v has owner %d, its points resolve to %d", f.G.Pts, got, want)
+			}
+		}
+		if calls != 3 {
+			t.Errorf("round %d: %d owner calls after the split, want 3: one per point set", round, calls)
 		}
 	}
-	if calls != 3 {
-		t.Errorf("%d owner calls after the split, want 3: one per set", calls)
+}
+
+// TestSplitSharesHistory pins copy-on-append: the halves of a split start
+// on their parent's entries, and an append to either leaves the other
+// half's, the parent's and a third reader's view of them unchanged.
+func TestSplitSharesHistory(t *testing.T) {
+	hist := make([]core.Entry, 2, 8) // spare capacity: an in-place append would be visible
+	hist[0], hist[1] = core.SeedEntry(span(0, 9)), core.Entry{Task: 3, Priv: privilege.Reads(), Pts: span(0, 9)}
+	k := eqset.New[int]("test", core.Options{}, nil)
+	s := &set{G: &eqset.Node{Pts: span(0, 9)}, Hist: hist}
+	in, rest, _ := k.Split(s, reg(1, span(4, 5)))
+	if &in.Hist[0] != &hist[0] || &rest.Hist[0] != &hist[0] {
+		t.Error("the halves copied the parent's history instead of sharing it")
+	}
+	reader := in.Hist
+	in.Hist = append(in.Hist, core.Entry{Task: 7})
+	rest.Hist = append(rest.Hist, core.Entry{Task: 8})
+	rest.Hist = append(rest.Hist, core.Entry{Task: 9})
+	for i, h := range [][]core.Entry{in.Hist[:2], rest.Hist[:2], s.Hist, reader, hist} {
+		if len(h) != 2 || h[0].Task != core.SeedEntry(span(0, 9)).Task || h[1].Task != 3 {
+			t.Errorf("view %d (in, rest, parent, reader, caller) no longer sees the shared prefix: %+v", i, h)
+		}
+	}
+	if in.Hist[2].Task != 7 || len(in.Hist) != 3 || rest.Hist[2].Task != 8 || rest.Hist[3].Task != 9 || hist[:3][2].Task != 0 {
+		t.Errorf("appends crossed: in %+v, rest %+v, parent's spare slot %+v", in.Hist[2:], rest.Hist[2:], hist[:3][2])
 	}
 }
 
@@ -142,15 +175,15 @@ type flat struct {
 func (f *flat) Refine(t *core.Task, ri int, _ bool) []*set {
 	req := t.Reqs[ri]
 	if f.sets[req.Field] == nil {
-		f.sets[req.Field] = []*set{{Pts: f.root, Hist: []core.Entry{core.SeedEntry(f.root)}}}
+		f.sets[req.Field] = []*set{{G: &eqset.Node{Pts: f.root}, Hist: []core.Entry{core.SeedEntry(f.root)}}}
 	}
 	var live, inside []*set
 	for _, s := range f.sets[req.Field] {
-		if !s.Pts.Overlaps(req.Region.Space) {
+		if !s.G.Pts.Overlaps(req.Region.Space) {
 			live = append(live, s)
 			continue
 		}
-		in, rest, forced := f.k.Split(s, req.Region.Space)
+		in, rest, forced := f.k.Split(s, req.Region)
 		live, inside = append(live, in), append(inside, in)
 		if rest != nil {
 			live = append(live, rest)
@@ -165,7 +198,7 @@ func (f *flat) Refine(t *core.Task, ri int, _ bool) []*set {
 
 func (f *flat) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
-		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.Pts}}
+		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.G.Pts}}
 	}
 }
 

@@ -12,13 +12,17 @@ import (
 
 // TestSteadyStateAllocations replays circuit at 16 nodes — aliased
 // multi-rectangle ghost sets refined and coalesced every iteration — and
-// bounds what one steady-state launch may allocate. A launch is a few
-// dozen set-algebra calls of one result allocation each; the pairwise
-// rectangle algebra this replaced took 2,160 allocations per launch, so the
-// bound fails long before the analyzer is back to O(n·m) operations. A
-// plain build takes 66 and the bound is 80; the race detector makes
-// sync.Pool drop buffers at random, which takes that to about 80, so there
-// the bound is 120.
+// bounds what one steady-state launch may allocate. The sets a launch
+// creates wear interned geometry, so from the second iteration on it does
+// no set algebra at all and allocates only the sets, their histories and
+// the scan's result; the first of the three iterations measured is the one
+// that cuts the coalesced sets for the first time and pays for the sweeps
+// and the nodes. Re-sweeping every iteration took 66 allocations per
+// launch and the pairwise rectangle algebra before that 2,160, so the
+// bound fails as soon as a steady-state refine computes anything again. A
+// plain build takes 56 and the bound is 60; the race detector makes
+// sync.Pool drop buffers at random, which takes that to about 68, so there
+// the bound is 90.
 func TestSteadyStateAllocations(t *testing.T) {
 	inst := circuit.New(16)
 	rc := raycast.New(inst.Tree, core.Options{})
@@ -26,9 +30,9 @@ func TestSteadyStateAllocations(t *testing.T) {
 	for _, l := range inst.Emit(stream, 0) { // initialization
 		rc.Analyze(l.Task)
 	}
-	limit := int64(80)
+	limit := int64(60)
 	if testutil.RaceEnabled() {
-		limit = 120
+		limit = 90
 	}
 	var allocs, launches int64
 	for iter := 1; iter <= 3; iter++ {

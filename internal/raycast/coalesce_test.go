@@ -123,7 +123,8 @@ func TestMigration(t *testing.T) {
 	}
 
 	// Switch the application to P2 for many launches: the analyzer must
-	// migrate its buckets.
+	// migrate its buckets, and drop the geometry remembered under P4.
+	underP4 := rc.Geometry(true)
 	for rep := 0; rep < 10; rep++ {
 		for i := 0; i < 2; i++ {
 			analyze(t, rc, s.Launch("w2", core.Req{Region: p2.Subregions[i], Field: 0, Priv: privilege.Writes()}))
@@ -132,6 +133,7 @@ func TestMigration(t *testing.T) {
 	if rc.CurrentPartition(0) != p2 {
 		t.Errorf("after switch: partition = %v, want P2", rc.CurrentPartition(0))
 	}
+	assertDropped(t, "P4 to P2", rc, underP4)
 	if err := testutil.CheckPartitionInvariant(rc.SetSpaces(0), tree.Root.Space); err != nil {
 		t.Error(err)
 	}

@@ -14,9 +14,17 @@
 // to a different disjoint-complete partition, the sets are re-bucketed; if
 // no such partition exists, a K-d decomposition of the root bounds is used
 // instead (§7.1).
+//
+// An iterative program coalesces and refines along the same lines every
+// iteration, so the sets wear interned geometry (eqset.Node): each piece
+// roots a node, a write's fresh set wears piece ∩ region as that node's
+// cut, and every node remembers how the regions it met cut it. A
+// steady-state refine therefore looks its halves up, with no set algebra;
+// re-bucketing drops the nodes together with the sets.
 package raycast
 
 import (
+	"slices"
 	"sort"
 
 	"visibility/internal/bvh"
@@ -87,13 +95,18 @@ type bucketList struct {
 type fieldState struct {
 	nextID int
 
-	// Disjoint-complete-partition mode. Pieces and regions are immutable,
-	// so what depends only on them is resolved once per installAccel: each
-	// bucket's owner, and per region the buckets its space overlaps.
+	// geom roots the interned geometry: one node per piece (the root's in
+	// K-d mode), so a bucket's owner is its node's and piece ∩ region, what
+	// a write's fresh set wears, is the node's cut by the region. Pieces and
+	// regions are immutable, so it lasts until installAccel drops it with
+	// the sets wearing its nodes.
+	geom []*eqset.Node
+
+	// Disjoint-complete-partition mode; memo is resolved once per
+	// installAccel like geom.
 	dcp     *region.Partition
 	pieces  *bvh.Tree // over piece bounding boxes
 	buckets [][]*set
-	owners  []int              // node owning each bucket's piece
 	memo    map[int]bucketList // region ID → overlappingBuckets' answer
 
 	// K-d fallback mode (dcp == nil).
@@ -135,13 +148,13 @@ func (rc *RayCast) SetSpaces(f field.ID) []index.Space {
 	var out []index.Space
 	if fs.dcp == nil {
 		for _, id := range sortedIntKeys(fs.kdSets) {
-			out = append(out, fs.kdSets[id].Pts)
+			out = append(out, fs.kdSets[id].G.Pts)
 		}
 		return out
 	}
 	for _, b := range fs.buckets {
 		for _, s := range b {
-			out = append(out, s.Pts)
+			out = append(out, s.G.Pts)
 		}
 	}
 	return out
@@ -165,7 +178,7 @@ func (rc *RayCast) fieldFor(f field.ID, hint *region.Region) *fieldState {
 	}
 	fs = &fieldState{}
 	root := rc.tree.Root.Space
-	seed := &set{Pts: root, Hist: []core.Entry{core.SeedEntry(root)}}
+	seed := &set{G: &eqset.Node{Pts: root}, Hist: []core.Entry{core.SeedEntry(root)}}
 	rc.installAccel(fs, rc.chooseDCP(hint), []*set{seed})
 	rc.state[f] = fs
 	return fs
@@ -210,15 +223,17 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 	fs.candidate = nil
 	fs.pieces = nil
 	fs.buckets = nil
-	fs.owners = nil
+	fs.geom = nil
 	fs.memo = nil
 	fs.kd = nil
 	fs.kdSets = nil
 
 	if dcp == nil {
+		fs.geom = []*eqset.Node{&eqset.Node{Pts: rc.tree.Root.Space}}
 		fs.kd = bvh.NewKD(rc.tree.Root.Space.Bounds(), 64)
 		fs.kdSets = make(map[int]*set)
 		for _, s := range sets {
+			s.G = &eqset.Node{Pts: s.G.Pts} // not the old structure's node and the cuts under it
 			rc.kdInsert(fs, s)
 		}
 		return
@@ -229,12 +244,12 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 	// wire block) would otherwise produce mutually-overlapping boxes and
 	// degrade every query to a full scan.
 	var inputs []bvh.Input
-	fs.owners = make([]int, len(dcp.Subregions))
+	fs.geom = make([]*eqset.Node, len(dcp.Subregions))
 	for i, sub := range dcp.Subregions {
 		for _, r := range sub.Space.Rects() {
 			inputs = append(inputs, bvh.Input{Box: r, ID: i})
 		}
-		fs.owners[i] = rc.k.Opts.Owner(sub.Space)
+		fs.geom[i] = &eqset.Node{Pts: sub.Space}
 	}
 	fs.pieces = bvh.Build(inputs)
 	fs.buckets = make([][]*set, len(dcp.Subregions))
@@ -246,11 +261,11 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 		s.Dead = true
 		for i, sub := range dcp.Subregions {
 			rc.k.Stats.OverlapTests++
-			part := s.Pts.Intersect(sub.Space)
+			part := s.G.Pts.Intersect(sub.Space)
 			if part.IsEmpty() {
 				continue
 			}
-			rc.insert(fs, &set{Pts: part, Hist: append([]core.Entry(nil), s.Hist...), At: place{bucket: i}})
+			rc.insert(fs, &set{G: &eqset.Node{Pts: part}, Hist: append([]core.Entry(nil), s.Hist...), At: place{bucket: i}})
 		}
 	}
 }
@@ -259,7 +274,7 @@ func (rc *RayCast) kdInsert(fs *fieldState, s *set) {
 	s.At = place{id: fs.nextID, bucket: -1}
 	fs.nextID++
 	fs.kdSets[s.At.id] = s
-	fs.kd.Insert(s.At.id, s.Pts.Bounds())
+	fs.kd.Insert(s.At.id, s.G.Pts.Bounds())
 	rc.k.Touch(s, 1)
 }
 
@@ -294,25 +309,24 @@ func (rc *RayCast) overlappingBuckets(fs *fieldState, r *region.Region) []int {
 // candidates returns the live sets overlapping r.
 func (rc *RayCast) candidates(fs *fieldState, r *region.Region) []*set {
 	var out []*set
-	sp := r.Space
 	if fs.dcp != nil {
 		for _, bi := range rc.overlappingBuckets(fs, r) {
 			for _, s := range fs.buckets[bi] {
 				rc.k.Stats.SetsVisited++
 				rc.k.Stats.OverlapTests++
-				if s.Pts.Overlaps(sp) {
+				if s.G.Cut(r).In != nil {
 					out = append(out, s)
 				}
 			}
-			rc.k.Opts.Probe.Touch(fs.owners[bi], int64(len(fs.buckets[bi])))
+			rc.k.Opts.Probe.Touch(rc.k.Owner(fs.geom[bi]), int64(len(fs.buckets[bi])))
 		}
 		return out
 	}
-	visited := fs.kd.QuerySpace(sp, func(id int) {
+	visited := fs.kd.QuerySpace(r.Space, func(id int) {
 		s := fs.kdSets[id]
 		rc.k.Stats.SetsVisited++
 		rc.k.Stats.OverlapTests++
-		if s.Pts.Overlaps(sp) {
+		if s.G.Cut(r).In != nil {
 			out = append(out, s)
 		}
 		rc.k.Touch(s, 1)
@@ -371,7 +385,7 @@ func (rc *RayCast) Refine(t *core.Task, ri int, commit bool) []*set {
 	defer span.End()
 	var inside []*set
 	for _, s := range rc.candidates(fs, r) {
-		in, rest, forced := rc.k.Split(s, r.Space)
+		in, rest, forced := rc.k.Split(s, r)
 		inside = append(inside, in)
 		if rest == nil {
 			continue
@@ -441,47 +455,54 @@ func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
 
 // Write implements eqset.Store as the dominating write of Figure 11: the
 // write's region becomes a fresh equivalence set (split at piece boundaries
-// in DCP mode) and every set it occludes — inside — is pruned.
+// in DCP mode) and every set it occludes — inside — is pruned. The fresh
+// sets wear the geometry the region cuts out of fs.geom, so the next
+// refinement of one finds the cuts its predecessor left there.
 //
 // confined to analyzer
 func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	req := t.Reqs[ri]
-	fs, sp := rc.state[req.Field], req.Region.Space
-	e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: sp}
+	fs := rc.state[req.Field]
+	e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space}
 	span := rc.k.Opts.Spans.Begin("raycast.coalesce", "analysis")
 	defer span.End()
 	rc.k.Opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
+	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]
 	for _, s := range inside {
 		s.Dead = true
-		rc.remove(fs, s)
-		rc.k.Stats.SetsCoalesced++
-		rc.written = append(rc.written, s.At.bucket)
-	}
-	if fs.dcp != nil {
-		// One coalesced set per piece the write covers. The pruned sets of
-		// a bucket tile piece ∩ write region, so that is their union, in
-		// one pass. Bucket order fixes the new sets' ids, which downstream
-		// scans report in: ascending, so two runs of the same stream emit
-		// identical output.
-		sort.Ints(rc.written)
-		for i, bi := range rc.written {
-			if i > 0 && bi == rc.written[i-1] {
-				continue
-			}
-			part := fs.dcp.Subregions[bi].Space.Intersect(sp)
-			e.Pts = part
-			ns := &set{Pts: part, Hist: []core.Entry{e}, At: place{id: fs.nextID, bucket: bi}}
-			fs.nextID++
-			fs.buckets[bi] = append(fs.buckets[bi], ns)
-			rc.k.Stats.SetsCreated++
-			// Invalidate-and-replace is one batched update per owner.
-			rc.k.Touch(ns, 2)
+		if fs.dcp == nil {
+			rc.remove(fs, s)
+		} else {
+			rc.written = append(rc.written, s.At.bucket)
 		}
+	}
+	if fs.dcp == nil {
+		rc.kdInsert(fs, &set{G: fs.geom[0].Cut(req.Region).In, Hist: []core.Entry{e}})
+		rc.k.Stats.SetsCreated++
 		return
 	}
-	rc.kdInsert(fs, &set{Pts: sp, Hist: []core.Entry{e}})
-	rc.k.Stats.SetsCreated++
+	// One coalesced set per piece the write covers. The pruned sets of a
+	// bucket are all of its sets inside the region, and tile piece ∩ region:
+	// one pass drops them, keeping the survivors' order, and that point set
+	// is their union. Bucket order fixes the new sets' ids, which downstream
+	// scans report in: ascending, so two runs of the same stream emit
+	// identical output.
+	sort.Ints(rc.written)
+	for i, bi := range rc.written {
+		if i > 0 && bi == rc.written[i-1] {
+			continue
+		}
+		live := slices.DeleteFunc(fs.buckets[bi], func(s *set) bool { return s.Dead })
+		g := fs.geom[bi].Cut(req.Region).In
+		e.Pts = g.Pts
+		ns := &set{G: g, Hist: []core.Entry{e}, At: place{id: fs.nextID, bucket: bi}}
+		fs.nextID++
+		fs.buckets[bi] = append(live, ns)
+		rc.k.Stats.SetsCreated++
+		// Invalidate-and-replace is one batched update per owner.
+		rc.k.Touch(ns, 2)
+	}
 }
 
 // sortedIntKeys returns m's keys in ascending order, making iteration over

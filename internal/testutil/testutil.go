@@ -13,6 +13,7 @@ import (
 	"visibility/internal/apps/stencil"
 	"visibility/internal/core"
 	"visibility/internal/data"
+	"visibility/internal/eqset"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
 	"visibility/internal/index"
@@ -156,4 +157,74 @@ func DriveChecked(t *testing.T, app string, inst *apps.Instance, an core.Analyze
 			}
 		}
 	}
+}
+
+// Geometry returns every interned geometry node reachable from roots, each
+// once, roots first and then cut by cut in region-ID order.
+func Geometry(roots []*eqset.Node) []*eqset.Node {
+	seen := make(map[*eqset.Node]bool)
+	var out []*eqset.Node
+	add := func(n *eqset.Node) {
+		if n != nil && !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	for _, n := range roots {
+		add(n)
+	}
+	for i := 0; i < len(out); i++ {
+		for _, c := range out[i].Cuts {
+			add(c.In)
+			add(c.Out)
+		}
+	}
+	return out
+}
+
+// CountCuts returns how many cuts nodes remember between them.
+func CountCuts(nodes []*eqset.Node) int {
+	cuts := 0
+	for _, n := range nodes {
+		cuts += len(n.Cuts)
+	}
+	return cuts
+}
+
+// CheckGeometry holds everything nodes resolved once to a fresh resolution
+// from their points: each remembered cut to the set algebra it stands for
+// (Overlaps, Covers, Intersect, Subtract against the region's space), and
+// the owner resolved (through the kernel) to fresh's answer.
+func CheckGeometry(nodes []*eqset.Node, tree *region.Tree, resolved func(*eqset.Node) int, fresh core.OwnerFunc) error {
+	for _, n := range nodes {
+		if got, want := resolved(n), fresh(n.Pts); got != want {
+			return fmt.Errorf("node %v carries owner %d, its points resolve to %d", n.Pts, got, want)
+		}
+		for i, c := range n.Cuts {
+			if i > 0 && n.Cuts[i-1].Region >= c.Region {
+				return fmt.Errorf("node %v remembers its cuts out of region order", n.Pts)
+			}
+			sp := tree.Region(c.Region).Space
+			var ok bool
+			switch {
+			case c.In == nil:
+				ok = c.Out == nil && !n.Pts.Overlaps(sp)
+			case c.Out == nil:
+				ok = c.In == n && sp.Covers(n.Pts)
+			default:
+				ok = c.In != n && c.Out != n && c.In.Pts.Equal(n.Pts.Intersect(sp)) && c.Out.Pts.Equal(n.Pts.Subtract(sp)) &&
+					!c.In.Pts.IsEmpty() && !c.Out.Pts.IsEmpty()
+			}
+			if !ok {
+				halves := [2]string{"nothing", "nothing"}
+				for i, h := range []*eqset.Node{c.In, c.Out} {
+					if h != nil {
+						halves[i] = h.Pts.String()
+					}
+				}
+				return fmt.Errorf("node %v remembers region %d (%v) cutting it into %s inside and %s outside", n.Pts, c.Region, sp, halves[0], halves[1])
+			}
+		}
+	}
+	return nil
 }

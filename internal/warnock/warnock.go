@@ -76,7 +76,7 @@ func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 	var walk func(*bnode)
 	walk = func(b *bnode) {
 		if b.set != nil {
-			out = append(out, b.set.Pts)
+			out = append(out, b.set.G.Pts)
 			return
 		}
 		for _, c := range b.children {
@@ -113,7 +113,7 @@ type fieldState struct {
 // leaf places s at a fresh leaf node.
 func (w *Warnock) leaf(s *set) *bnode {
 	w.nextToken++
-	s.At = &bnode{pts: s.Pts, set: s, owner: w.k.Owner(s), id: w.nextToken}
+	s.At = &bnode{pts: s.G.Pts, set: s, owner: w.k.Owner(s.G), id: w.nextToken}
 	return s.At
 }
 
@@ -122,7 +122,7 @@ func (w *Warnock) fieldFor(f field.ID) *fieldState {
 	if !ok {
 		root := w.tree.Root.Space
 		fs = &fieldState{
-			root: w.leaf(&set{Pts: root, Hist: []core.Entry{core.SeedEntry(root)}}),
+			root: w.leaf(&set{G: &eqset.Node{Pts: root}, Hist: []core.Entry{core.SeedEntry(root)}}),
 			memo: make(map[int][]*set),
 		}
 		w.state[f] = fs
@@ -187,7 +187,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 	for _, s := range w.lookup(fs, r.ID, r.Space) {
 		w.k.Stats.SetsVisited++
 		w.k.Touch(s, 1)
-		in, rest, forced := w.k.Split(s, r.Space)
+		in, rest, forced := w.k.Split(s, r)
 		inside = append(inside, in)
 		if rest == nil {
 			continue
@@ -220,7 +220,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 // confined to analyzer
 func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
-		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.Pts}}
+		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.G.Pts}}
 		w.k.Touch(s, 1)
 	}
 }
