@@ -56,6 +56,12 @@ type ckptPartition struct {
 	Pieces [][][]int64 `json:"pieces"`
 }
 
+// MaxRegionValues bounds points × fields of a root region declared by
+// untrusted bytes — a checkpoint here, a wire workload in internal/wire.
+// CreateRegion stores one value per point per field, so without the bound
+// a hundred-byte declaration can ask for the process's whole memory.
+const MaxRegionValues = 1 << 22
+
 // decodeSpace rebuilds an index space from the rect rows of an untrusted
 // checkpoint (index.FromRows: malformed input is an error, never a panic).
 func decodeSpace(dim int, rows [][]int64) (IndexSpace, error) {
@@ -191,6 +197,9 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 		space, err := decodeSpace(cr.Dim, cr.Space)
 		if err != nil {
 			return nil, nil, err
+		}
+		if !space.VolumeAtMost(MaxRegionValues / int64(len(cr.Fields))) {
+			return nil, nil, fmt.Errorf("visibility: checkpoint region %q exceeds %d values (points × fields)", cr.Name, MaxRegionValues)
 		}
 		root := rt.CreateRegion(cr.Name, space, cr.Fields...)
 		roots[cr.Name] = root

@@ -9,8 +9,7 @@
 // clean, 1 when any analyzer reports a diagnostic, and 2 when loading or
 // analysis itself fails. Individual findings can be suppressed with a
 // "//lint:allow <analyzer> <rationale>" comment on or above the offending
-// line; the rationale is mandatory. (The older "//vislint:ignore" spelling
-// is still honored.)
+// line; the rationale is mandatory.
 //
 // -json emits machine-readable output for CI: a single JSON object with a
 // "findings" array of {file, line, col, analyzer, message}, sorted by

@@ -147,9 +147,8 @@ func (ts *treeState) weights() []float64 {
 
 // MustPrecede reports whether every legal execution of the tree
 // containing r runs task a before task b — a is a transitive dependence
-// ancestor of b. Queries are O(1) against cached precedence labels (no
-// graph walk); the labels rebuild only when new tasks have launched
-// since the last query. Requires Config.Provenance.
+// ancestor of b. Each query is a backward search from b over the
+// discovered graph that stops at a. Requires Config.Provenance.
 //
 // confined to runtime-owner
 func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
@@ -157,11 +156,7 @@ func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
 	if ts.prov == nil || ts.exec == nil {
 		return false
 	}
-	if ts.labels == nil || ts.labelsAt != len(ts.stream.Tasks) {
-		ts.labels = ts.dag().BuildLabels()
-		ts.labelsAt = len(ts.stream.Tasks)
-	}
-	return ts.labels.MustPrecede(a, b)
+	return ts.dag().MustPrecede(a, b)
 }
 
 // CriticalPath computes the weighted critical-path profile of the tree

@@ -68,7 +68,6 @@ func NewEngine(tree *region.Tree, an Analyzer, init map[field.ID]*data.Store) *E
 		Inputs:    make(map[int][]*data.Store),
 		Deps:      make(map[int][]int),
 	}
-	//vislint:ignore detrange cloning a map into a map is order-insensitive
 	for f, s := range init {
 		e.init[f] = s.Clone()
 	}

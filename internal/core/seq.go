@@ -47,7 +47,6 @@ type Seq struct {
 // per field. The stores are cloned; the caller's copies are not mutated.
 func NewSeq(tree *region.Tree, init map[field.ID]*data.Store) *Seq {
 	g := make(map[field.ID]*data.Store, len(init))
-	//vislint:ignore detrange cloning a map into a map is order-insensitive
 	for f, s := range init {
 		g[f] = s.Clone()
 	}

@@ -182,7 +182,6 @@ func (p Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", p.Seed)
 	sites := make([]string, 0, len(p.Rules))
-	//vislint:ignore detrange collecting keys to sort is order-insensitive
 	for s := range p.Rules {
 		sites = append(sites, string(s))
 	}
@@ -347,7 +346,6 @@ func NewFromString(s string) (*Injector, error) {
 
 func clonePlan(p Plan) Plan {
 	out := Plan{Seed: p.Seed, Rules: make(map[Site]Rule, len(p.Rules))}
-	//vislint:ignore detrange map copy is order-insensitive
 	for s, r := range p.Rules {
 		out.Rules[s] = r
 	}
@@ -462,7 +460,6 @@ func (in *Injector) Counts() map[Site]int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	out := make(map[Site]int64, len(in.sites))
-	//vislint:ignore detrange map copy is order-insensitive
 	for s, st := range in.sites {
 		out[s] = st.fires
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -200,12 +201,11 @@ func TestMustPrecedeLabels(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(30)
 		d := randomDAG(rng, n)
-		l := d.BuildLabels()
 		reach := reachability(d)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				want := a != b && reach[b][a]
-				if got := l.MustPrecede(a, b); got != want {
+				if got := d.MustPrecede(a, b); got != want {
 					t.Fatalf("trial %d: MustPrecede(%d, %d) = %v, want %v", trial, a, b, got, want)
 				}
 			}
@@ -213,9 +213,28 @@ func TestMustPrecedeLabels(t *testing.T) {
 	}
 	// Out-of-range queries are false, not panics.
 	d := chain([]string{"x"}, nil)
-	l := d.BuildLabels()
-	if l.MustPrecede(-1, 0) || l.MustPrecede(0, 5) || l.MustPrecede(0, 0) {
+	if d.MustPrecede(-1, 0) || d.MustPrecede(0, 5) || d.MustPrecede(0, 0) {
 		t.Error("out-of-range or self MustPrecede should be false")
+	}
+	// A query allocates its window's visited bits and a stack, never a
+	// V×V table: the whole-stream query on a 16k-task ladder stays linear.
+	const v = 1 << 14
+	names, deps := make([]string, v), map[int][]int{}
+	for i := 1; i < v; i++ {
+		deps[i] = []int{i - 1}
+		if i > 1 {
+			deps[i] = append(deps[i], i-2)
+		}
+	}
+	ladder := chain(names, deps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if !ladder.MustPrecede(0, v-1) {
+		t.Error("ladder: 0 must precede the last task")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64*v {
+		t.Errorf("MustPrecede allocated %d bytes on a %d-task stream, want O(V)", got, v)
 	}
 }
 

@@ -38,6 +38,33 @@ func (d *DAG) Edges() int {
 	return n
 }
 
+// MustPrecede reports whether every legal execution runs a before b: a is
+// a (transitive) dependence ancestor of b. A task does not precede itself;
+// out-of-range IDs report false. IDs are topological (a dependence names a
+// smaller ID), so the backward search from b never leaves the IDs above a:
+// one visited bit per task between them, nothing kept between queries.
+func (d *DAG) MustPrecede(a, b int) bool {
+	if a < 0 || b >= len(d.Tasks) || a >= b {
+		return false
+	}
+	seen := make([]uint64, (b-a+63)/64) // bit i: task a+1+i
+	stack := []int{b}
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range d.Deps[t] {
+			if p == a {
+				return true
+			}
+			if i := uint(p - a - 1); p > a && seen[i/64]&(1<<(i%64)) == 0 {
+				seen[i/64] |= 1 << (i % 64)
+				stack = append(stack, p)
+			}
+		}
+	}
+	return false
+}
+
 // Levels assigns each task its earliest schedulable level (longest path
 // from a root) and returns the per-task levels.
 func (d *DAG) Levels() []int {

@@ -59,12 +59,14 @@ func WriteChart(w io.Writer, results []*Result, metric string) error {
 		legend = append(legend, fmt.Sprintf("%c=%s", letters[li%len(letters)], sys))
 		li++
 	}
+	known := len(legend)
 	for sys := range series {
 		if _, ok := sysLetter[sys]; !ok {
 			sysLetter[sys] = '?'
 			legend = append(legend, fmt.Sprintf("?=%s", sys))
 		}
 	}
+	sort.Strings(legend[known:])
 
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, pts := range series {

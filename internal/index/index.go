@@ -142,6 +142,23 @@ func (s Space) Volume() int64 {
 	return v
 }
 
+// VolumeAtMost reports whether the space has at most max points. Unlike
+// Volume it cannot overflow, whatever extents untrusted rows declared.
+func (s Space) VolumeAtMost(max int64) bool {
+	for _, r := range s.rects {
+		v := uint64(1)
+		for a := 0; a < r.Dim; a++ {
+			ext := uint64(r.Hi.C[a]) - uint64(r.Lo.C[a]) + 1
+			if ext == 0 || ext > uint64(max)/v {
+				return false
+			}
+			v *= ext
+		}
+		max -= int64(v)
+	}
+	return true
+}
+
 // Bounds returns the bounding rectangle of the space (empty if the space is
 // empty).
 func (s Space) Bounds() geometry.Rect {

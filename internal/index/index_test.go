@@ -24,6 +24,28 @@ func TestEmpty(t *testing.T) {
 	}
 }
 
+// TestVolumeAtMost holds the overflow-proof bound to Volume wherever
+// Volume is exact, and to the truth where Volume wraps.
+func TestVolumeAtMost(t *testing.T) {
+	two := FromRects(1, geometry.R1(0, 5), geometry.R1(10, 12)) // 6 + 3 points
+	for _, tc := range []struct {
+		s    Space
+		max  int64
+		want bool
+	}{
+		{Empty(2), 0, true},
+		{two, 9, true},
+		{two, 8, false},
+		{two, 0, false},
+		{FromRect(geometry.R2(0, 0, 1<<32-1, 1<<32-1)), 1 << 40, false}, // Volume wraps to 0
+		{FromRect(geometry.R1(-1<<63, 1<<63-1)), 1<<63 - 1, false},      // extent wraps to 0
+	} {
+		if got := tc.s.VolumeAtMost(tc.max); got != tc.want {
+			t.Errorf("%v.VolumeAtMost(%d) = %v, want %v", tc.s, tc.max, got, tc.want)
+		}
+	}
+}
+
 func TestFromRectsMergesOverlaps(t *testing.T) {
 	s := FromRects(1, geometry.R1(0, 5), geometry.R1(3, 9), geometry.R1(10, 12))
 	// [0,5] ∪ [3,9] ∪ [10,12] = [0,12]: adjacent intervals merge too.

@@ -12,9 +12,9 @@ import (
 
 // Analyzer is one static check, mirroring golang.org/x/tools/go/analysis
 // in miniature. Exactly one of Run and RunModule is set: Run analyzers see
-// one package at a time, RunModule analyzers (confined, dettaint) see the
-// whole module at once, because their properties — goroutine confinement,
-// taint from source to sink — cross package boundaries.
+// one package at a time, RunModule analyzers (confined) see the whole
+// module at once, because their property — goroutine confinement — crosses
+// package boundaries.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -83,7 +83,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Interferecheck, Guardedby, Detrange, Errchecklite, Confined, Dettaint}
+	return []*Analyzer{Interferecheck, Guardedby, Detrange, Errchecklite, Confined}
 }
 
 // Run applies every matching analyzer to every package (and every module
@@ -152,23 +152,19 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
-// ignoreDirective matches "//vislint:ignore name[,name...] [reason]".
-var ignoreDirective = regexp.MustCompile(`^//vislint:ignore\s+([\w,]+)`)
-
-// allowDirective matches "//lint:allow name[,name...] rationale". Unlike
-// vislint:ignore, the rationale is mandatory: an allow without one is
-// itself a (non-suppressible) finding, so every escape hatch in the tree
-// records why it is sound.
+// allowDirective matches "//lint:allow name[,name...] rationale". The
+// rationale is mandatory: an allow without one is itself a
+// (non-suppressible) finding, so every escape hatch in the tree records
+// why it is sound.
 var allowDirective = regexp.MustCompile(`^//lint:allow\s+([\w,]+)[ \t]*(.*)$`)
 
 // ignores maps file:line to the analyzer names suppressed there.
 type ignores map[string]map[string]bool
 
-// collectIgnores scans a package's comments for vislint:ignore and
-// lint:allow directives. A directive suppresses matching diagnostics on
-// its own line and on the following line (so it can sit above a statement
-// or trail it). lint:allow directives missing a rationale suppress
-// nothing; directiveDiags reports them.
+// collectIgnores scans a package's comments for lint:allow directives. A
+// directive suppresses matching diagnostics on its own line and on the
+// following line (so it can sit above a statement or trail it). Directives
+// missing a rationale suppress nothing; directiveDiags reports them.
 func collectIgnores(pkg *Package) ignores {
 	ig := make(ignores)
 	add := func(pos token.Position, names string) {
@@ -185,14 +181,8 @@ func collectIgnores(pkg *Package) ignores {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if m := ignoreDirective.FindStringSubmatch(c.Text); m != nil {
-					add(pkg.Fset.Position(c.Pos()), m[1])
-					continue
-				}
-				if m := allowDirective.FindStringSubmatch(c.Text); m != nil {
-					if strings.TrimSpace(m[2]) == "" {
-						continue // no rationale: keeps no findings quiet
-					}
+				m := allowDirective.FindStringSubmatch(c.Text)
+				if m != nil && strings.TrimSpace(m[2]) != "" {
 					add(pkg.Fset.Position(c.Pos()), m[1])
 				}
 			}

@@ -74,7 +74,7 @@ func RunTest(t *testing.T, a *Analyzer, dir string) {
 			t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
 		}
 		// Apply directive suppression exactly as the driver does, so
-		// fixtures can cover //vislint:ignore and //lint:allow too.
+		// fixtures can cover //lint:allow too.
 		ig := collectIgnores(pkg)
 		diags = append(diags, directiveDiags(pkg)...)
 		for _, d := range pass.diags {

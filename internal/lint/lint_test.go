@@ -26,7 +26,6 @@ func TestAnalyzers(t *testing.T) {
 		{Detrange, "testdata/detrange"},
 		{Errchecklite, "testdata/errchecklite"},
 		{Confined, "testdata/confined"},
-		{Dettaint, "testdata/dettaint"},
 	}
 	if len(tests) != len(All()) {
 		t.Fatalf("fixture table covers %d analyzers, All() has %d", len(tests), len(All()))
@@ -52,21 +51,24 @@ func TestMatchPolicies(t *testing.T) {
 		{Guardedby, "visibility/internal/harness", true},
 		{Guardedby, "visibility/internal/fault", true},
 		{Guardedby, "visibility/internal/core", false},
-		{Detrange, "visibility/internal/paint", true},
-		{Detrange, "visibility/internal/eqset", true},
-		{Detrange, "visibility/internal/warnock", true},
-		{Detrange, "visibility/internal/raycast", true},
-		{Detrange, "visibility/internal/core", true},
-		{Detrange, "visibility/internal/sched", false},
-		{Detrange, "visibility/internal/wire", true},
-		{Detrange, "visibility", true}, // root-package checkpoint encoding
 	}
 	for _, tt := range tests {
 		if got := tt.analyzer.Match(tt.path); got != tt.want {
 			t.Errorf("%s.Match(%q) = %v, want %v", tt.analyzer.Name, tt.path, got, tt.want)
 		}
 	}
-	for _, a := range []*Analyzer{Interferecheck, Errchecklite, Confined, Dettaint} {
+	// detrange runs everywhere; only its burden of proof is scoped.
+	for path, want := range map[string]bool{
+		"visibility/internal/paint": true, "visibility/internal/eqset": true,
+		"visibility/internal/warnock": true, "visibility/internal/raycast": true,
+		"visibility/internal/core": true, "visibility/internal/sched": false,
+		"visibility/internal/wire": false, "visibility": false,
+	} {
+		if got := hotPkgs[pkgTail(path)]; got != want {
+			t.Errorf("hot path %q = %v, want %v", path, got, want)
+		}
+	}
+	for _, a := range []*Analyzer{Interferecheck, Detrange, Errchecklite, Confined} {
 		if a.Match != nil {
 			t.Errorf("%s should run module-wide (Match == nil)", a.Name)
 		}
@@ -131,7 +133,7 @@ func TestAllowRationaleRequired(t *testing.T) {
 
 func f() {
 	//lint:allow confined
-	//lint:allow dettaint the worker owns this map exclusively
+	//lint:allow detrange the loop only counts entries
 	_ = 0
 }
 `
@@ -157,7 +159,7 @@ func f() {
 		t.Errorf("rationale-less allow must suppress nothing")
 	}
 	for _, line := range []int{5, 6} {
-		if !ig.suppressed(Diagnostic{Pos: pos("p.go", line), Analyzer: "dettaint"}) {
+		if !ig.suppressed(Diagnostic{Pos: pos("p.go", line), Analyzer: "detrange"}) {
 			t.Errorf("rationale-bearing allow should cover line %d", line)
 		}
 	}

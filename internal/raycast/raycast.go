@@ -509,7 +509,6 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 // the map's contents deterministic.
 func sortedIntKeys[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
-	//vislint:ignore detrange collecting keys to sort is order-insensitive
 	for k := range m {
 		keys = append(keys, k)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -244,5 +245,54 @@ func TestMetricsEndpointShape(t *testing.T) {
 	}
 	if body.Sessions[id]["analyzer/cells/launches"] == 0 {
 		t.Errorf("session registry missing analyzer counters: %v", body.Sessions[id])
+	}
+}
+
+// TestBodyAndVolumeLimits pins the admission limits that need no queue: a
+// workload whose 90 bytes declare 10¹² points is refused by the checker
+// before anything is allocated, a body over its endpoint's limit is a 413,
+// and the server keeps serving after both.
+func TestBodyAndVolumeLimits(t *testing.T) {
+	srv := New(Config{IdleTimeout: -1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer func() {
+		if err := srv.Shutdown(t.Context()); err != nil {
+			t.Error(err)
+		}
+	}()
+	id := createSessionHTTP(t, hs.URL)
+	post := func(path string, body io.Reader) (int, string) {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	workloads := "/v1/sessions/" + id + "/workloads"
+
+	// The same bytes read as a workload and as a checkpoint.
+	bomb := `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,1099511627776]],"fields":["v"]}]}`
+	for _, path := range []string{workloads, "/v1/sessions/restore"} {
+		if got, msg := post(path, strings.NewReader(bomb)); got != http.StatusBadRequest || !strings.Contains(msg, "exceeds 4194304 values") {
+			t.Errorf("10^12 points to %s: status %d %s, want 400 naming the budget", path, got, msg)
+		}
+	}
+
+	// Whitespace is a legal JSON prefix, so the decoder reads up to the
+	// limit. (The 64 MiB limit of the other two POST endpoints takes the
+	// race detector a quarter of a minute to reach; CI's visserve smoke
+	// step posts that body instead.)
+	if got, _ := post("/v1/sessions", strings.NewReader(strings.Repeat(" ", maxSessionBody+1))); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize session body: status %d, want 413", got)
+	}
+
+	resp := postWorkload(t, hs.URL, id, wire.ExampleQuickstart())
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("workload after the refusals: status %d, want 202", resp.StatusCode)
 	}
 }

@@ -101,11 +101,23 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// Request-body limits: a session description is a few fields; a workload or
+// a checkpoint carries a whole batch or a whole session.
+const (
+	maxSessionBody  = 1 << 20
+	maxWorkloadBody = 64 << 20
+)
+
 // fail maps service errors to HTTP statuses: overload is 429 with
 // Retry-After (the backpressure contract), draining is 503, a closing
-// session conflicts, anything else is the caller's fault.
+// session conflicts, a body over its limit is 413, anything else is the
+// caller's fault.
 func (srv *Server) fail(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
 	switch err {
 	case errOverload, errSessionBusy, errTooManySessions:
 		w.Header().Set("Retry-After", "1")
@@ -190,10 +202,10 @@ func (s *session) describe() sessionBody {
 
 func (srv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var spec algo.Spec // the creation body is the stack description itself
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSessionBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil && !errors.Is(err, io.EOF) {
-		srv.fail(w, fmt.Errorf("decoding session config: %v", err))
+		srv.fail(w, fmt.Errorf("decoding session config: %w", err))
 		return
 	}
 	s, err := srv.createSession(spec, func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
@@ -220,7 +232,7 @@ func (srv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	s, err := srv.createSession(spec,
 		func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
-			rt, roots, err := visibility.Restore(r.Body, c)
+			rt, roots, err := visibility.Restore(http.MaxBytesReader(w, r.Body, maxWorkloadBody), c)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -268,7 +280,7 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		srv.failConflict(w, s, err)
 		return
 	}
-	wl, err := wire.Decode(r.Body)
+	wl, err := wire.Decode(http.MaxBytesReader(w, r.Body, maxWorkloadBody))
 	if err != nil {
 		srv.fail(w, err)
 		return
@@ -323,13 +335,10 @@ func (srv *Server) query(w http.ResponseWriter, r *http.Request, s *session, fir
 // firstRegion names the lexicographically first root region of the session
 // environment ("" when there is none). Must run inside a sync job.
 func firstRegion(s *session) string {
-	first := ""
-	for _, reg := range s.env.Regions() {
-		if first == "" || reg.Name() < first {
-			first = reg.Name()
-		}
+	if regs := s.env.Regions(); len(regs) > 0 {
+		return regs[0].Name()
 	}
-	return first
+	return ""
 }
 
 // intParam reads an integer query parameter, def when absent, and writes
@@ -667,15 +676,11 @@ func (srv *Server) handleDebugCritPath(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	list := srv.sessionList()
-	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })
 	sessions := map[string]any{}
-	for _, s := range list {
+	for _, s := range srv.sessionList() {
 		byRegion := map[string]*visibility.CritSummary{}
 		err := srv.doSync(s, traceContext(r), func() {
-			regs := s.env.Regions()
-			sort.Slice(regs, func(i, j int) bool { return regs[i].Name() < regs[j].Name() })
-			for _, reg := range regs {
+			for _, reg := range s.env.Regions() {
 				if sum := s.rt.CriticalPath(reg, k); sum != nil {
 					byRegion[reg.Name()] = sum
 				}

@@ -266,7 +266,7 @@ func (srv *Server) session(id string) *session {
 	return srv.sessions[id]
 }
 
-// sessionList returns the live sessions (order unspecified).
+// sessionList returns the live sessions, sorted by id.
 func (srv *Server) sessionList() []*session {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()

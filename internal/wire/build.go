@@ -1,6 +1,10 @@
 package wire
 
-import "visibility"
+import (
+	"sort"
+
+	"visibility"
+)
 
 // Env resolves wire references against one runtime's declared state and
 // applies workloads to it. A serving session owns one Env; successive
@@ -74,8 +78,7 @@ func (e *Env) Region(name string) *visibility.Region {
 	return nil
 }
 
-// Regions returns the declared root region names (unsorted map iteration
-// does not escape: callers sort or look up by name).
+// Regions returns the declared root regions, sorted by name.
 //
 // confined to env-owner
 func (e *Env) Regions() []*visibility.Region {
@@ -85,6 +88,7 @@ func (e *Env) Regions() []*visibility.Region {
 			out = append(out, r.region)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
 }
 

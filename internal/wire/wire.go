@@ -459,6 +459,9 @@ func checkRegion(r *RegionDecl, own, session scope) (func(*visibility.Runtime), 
 	if len(r.Fields) == 0 {
 		return nil, fmt.Errorf("wire: region %q has no fields", r.Name)
 	}
+	if !space.VolumeAtMost(visibility.MaxRegionValues / int64(len(r.Fields))) {
+		return nil, fmt.Errorf("wire: region %q exceeds %d values (points × fields)", r.Name, visibility.MaxRegionValues)
+	}
 	root := &entry{kind: "region", name: r.Name, fields: make(map[string]bool, len(r.Fields))}
 	root.root = root
 	for _, f := range r.Fields {

@@ -45,6 +45,10 @@ func rejects() []rejectRow {
 		{"empty space", `{"version":1,"regions":[{"name":"r","dim":1,"space":[],"fields":["v"]}]}`, "empty index space"},
 		{"no fields", `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":[]}]}`, "no fields"},
 		{"duplicate field", `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v","v"]}]}`, "duplicate field"},
+		{"unbounded volume", `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,1099511627776]],"fields":["v"]}]}`, "exceeds 4194304 values"},
+		{"volume wraps int64 to zero", `{"version":1,"regions":[{"name":"r","dim":2,` +
+			`"space":[[0,4294967295,0,4294967295]],"fields":["v"]}]}`, "exceeds 4194304 values"},
+		{"volume over budget by fields", `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,2097152]],"fields":["v","w"]}]}`, "exceeds 4194304 values"},
 		{"init unknown field", regionJSON(`,"init":{"w":{"name":"fill","args":{"value":1}}}`), "unknown field"},
 		{"init unknown kernel", regionJSON(`,"init":{"v":{"name":"nope"}}`), "unknown kernel"},
 		{"kernel bad args", regionJSON(`,"init":{"v":{"name":"fill","args":{"value":1,"extra":2}}}`), `unknown argument "extra"`},

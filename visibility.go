@@ -243,16 +243,12 @@ type treeState struct {
 	// future edges, deduplicated and ascending. A row is written once, at
 	// launch, and never changes, so every graph query reads the table as
 	// it stands.
-	deps  [][]int
-	exec  *sched.Executor
-	seq   *core.Seq        // non-nil in Validate mode
-	stack *algo.Stack      // the analyzer exec drives; nil until frozen
-	prov  *core.Provenance // non-nil in Provenance mode
-	// labels caches precedence labels for MustPrecede; rebuilt when the
-	// stream has grown past labelsAt.
-	labels   *graph.Labels
-	labelsAt int
-	frozen   bool
+	deps   [][]int
+	exec   *sched.Executor
+	seq    *core.Seq        // non-nil in Validate mode
+	stack  *algo.Stack      // the analyzer exec drives; nil until frozen
+	prov   *core.Provenance // non-nil in Provenance mode
+	frozen bool
 }
 
 // CreateRegion creates a top-level region over space with the given
