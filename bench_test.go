@@ -29,12 +29,18 @@ import (
 	"visibility/internal/apps/stencil"
 	"visibility/internal/cluster"
 	"visibility/internal/core"
+	"visibility/internal/data"
 	"visibility/internal/dist"
+	"visibility/internal/field"
+	"visibility/internal/geometry"
 	"visibility/internal/harness"
+	"visibility/internal/index"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
 	"visibility/internal/paint"
+	"visibility/internal/privilege"
 	"visibility/internal/raycast"
+	"visibility/internal/region"
 	"visibility/internal/testutil"
 	"visibility/internal/warnock"
 )
@@ -295,6 +301,47 @@ func BenchmarkAblationPainterPruning(b *testing.B) {
 				pa.Analyze(testutil.LaunchT2(s, p, g, i%3))
 			}
 			b.ReportMetric(float64(pa.Stats().EntriesScanned)/float64(b.N), "entries/launch")
+		})
+	}
+}
+
+// BenchmarkMaterialize measures core.Materialize, the data half of every
+// executed launch: "launch" is the serve_batch shape, a 64-point piece
+// rebuilt from one write entry over all of it and one 8-point reduce
+// entry; "lshape" copies a stepped 2-D L of three rectangles out of a square.
+func BenchmarkMaterialize(b *testing.B) {
+	fs := field.NewSpace()
+	fs.Add("v")
+	filled := func(sp index.Space) *data.Store {
+		st := data.NewStore(sp)
+		st.Fill(func(p geometry.Point) float64 { return float64(p.C[0] + p.C[1]) })
+		return st
+	}
+	piece, ghost := index.FromRect(geometry.R1(0, 63)), index.FromRect(geometry.R1(0, 7))
+	l := index.FromRects(2, geometry.R2(0, 0, 31, 7), geometry.R2(0, 8, 15, 15), geometry.R2(0, 16, 7, 31))
+	for _, c := range []struct {
+		name  string
+		space index.Space
+		plan  []core.Visible
+		srcs  []*data.Store
+	}{
+		{"launch", piece, []core.Visible{
+			{Task: 0, Priv: privilege.Writes(), Pts: piece},
+			{Task: 1, Priv: privilege.Reduces(privilege.OpSum), Pts: ghost},
+		}, []*data.Store{filled(piece), filled(ghost)}},
+		{"lshape", l, []core.Visible{
+			{Task: 0, Priv: privilege.Writes(), Pts: l},
+		}, []*data.Store{filled(index.FromRect(geometry.R2(0, 0, 31, 31)))}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			req := core.Req{Region: region.NewTree("R", c.space, fs).Root, Priv: privilege.Reads()}
+			source := func(v core.Visible, _ field.ID) *data.Store { return c.srcs[v.Task] }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if core.Materialize(req, c.plan, source).Len() != int(c.space.Volume()) {
+					b.Fatal("materialized input has holes")
+				}
+			}
 		})
 	}
 }

@@ -72,6 +72,21 @@ func decodeSpace(dim int, rows [][]int64) (IndexSpace, error) {
 	return sp, nil
 }
 
+// maxRowCoord bounds the coordinates of a checkpointed region: value rows
+// carry them as float64, which holds integers exactly only up to 2^53, so
+// a point beyond that would come back as a neighbour.
+const maxRowCoord = 1 << 53
+
+func rowsCanCarry(space IndexSpace) bool {
+	b := space.Bounds()
+	for a := 0; a < space.Dim(); a++ {
+		if b.Lo.C[a] < -maxRowCoord || b.Hi.C[a] > maxRowCoord {
+			return false
+		}
+	}
+	return true
+}
+
 // Checkpoint waits for all launched work, reads every field's current
 // contents through the coherence algorithm, and writes a JSON snapshot of
 // every region tree — structure and data — to w. The runtime remains
@@ -84,10 +99,12 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 	file := ckptFile{Version: 1}
 	for _, r := range rt.regions {
 		ts := r.tree
-		dim := ts.tree.Root.Space.Dim()
+		if !rowsCanCarry(ts.tree.Root.Space) {
+			return fmt.Errorf("visibility: region %q has coordinates beyond ±2^53, which checkpoint value rows cannot carry", ts.tree.Root.Name)
+		}
 		cr := ckptRegion{
 			Name:   ts.tree.Root.Name,
-			Dim:    dim,
+			Dim:    ts.tree.Root.Space.Dim(),
 			Space:  ts.tree.Root.Space.Rows(),
 			Values: make(map[string][][]float64),
 		}
@@ -110,15 +127,7 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 				// Nothing launched: the initial contents are current.
 				snap = &Snapshot{st: ts.init[ts.fields[fname]]}
 			}
-			var rows [][]float64
-			snap.Each(func(p Point, v float64) {
-				row := make([]float64, 0, dim+1)
-				for a := 0; a < dim; a++ {
-					row = append(row, float64(p.C[a]))
-				}
-				rows = append(rows, append(row, v))
-			})
-			cr.Values[fname] = rows
+			cr.Values[fname] = snap.Rows()
 		}
 		file.Regions = append(file.Regions, cr)
 	}
@@ -198,6 +207,9 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if !rowsCanCarry(space) {
+			return nil, nil, fmt.Errorf("visibility: checkpoint region %q has coordinates beyond ±2^53", cr.Name)
+		}
 		if !space.VolumeAtMost(MaxRegionValues / int64(len(cr.Fields))) {
 			return nil, nil, fmt.Errorf("visibility: checkpoint region %q exceeds %d values (points × fields)", cr.Name, MaxRegionValues)
 		}
@@ -239,6 +251,12 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 				}
 				var p Point
 				for a := 0; a < cr.Dim; a++ {
+					// Out of int64's range (NaN included) the conversion
+					// is undefined; a fraction would truncate onto a
+					// neighbouring point.
+					if c := row[a]; !(c >= -(1<<63) && c < 1<<63) || float64(int64(c)) != c {
+						return nil, nil, fmt.Errorf("visibility: value row %v has a non-integer coordinate", row)
+					}
 					p.C[a] = int64(row[a])
 				}
 				if !space.Contains(p) {

@@ -2,12 +2,14 @@ package visibility_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	"visibility"
 	"visibility/internal/fault"
+	"visibility/internal/index"
 )
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
@@ -282,6 +284,17 @@ func TestCheckpointBeforeAnyLaunch(t *testing.T) {
 	}
 }
 
+// A value row carries its coordinates as float64: a region reaching beyond
+// ±2^53 must fail to checkpoint, not write rows Restore will reject.
+func TestCheckpointRejectsCoordinatesRowsCannotCarry(t *testing.T) {
+	rt := visibility.New(visibility.Config{})
+	defer rt.Close()
+	rt.CreateRegion("r", visibility.Line(1<<53, 1<<53+1), "v")
+	if err := rt.Checkpoint(new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "beyond ±2^53") {
+		t.Fatalf("Checkpoint = %v, want a coordinates error", err)
+	}
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, _, err := visibility.Restore(strings.NewReader("not json"), visibility.Config{}); err == nil {
 		t.Error("expected decode error")
@@ -358,6 +371,15 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 		{"value row outside region",
 			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[55,1]]}}`),
 			"outside region"},
+		{"value row fractional coordinate",
+			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[2.5,1]]}}`),
+			"non-integer coordinate"},
+		{"value row coordinate beyond int64",
+			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[1e19,1]]}}`),
+			"non-integer coordinate"},
+		{"coordinates float64 rows cannot carry",
+			region(`{"name":"r","dim":1,"space":[[9007199254740993,9007199254740993]],"fields":["v"]}`),
+			"beyond ±2^53"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -378,4 +400,59 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRestore drives the whole-checkpoint decoder — the one place input
+// from outside the program writes into a Store — with arbitrary bytes: it
+// must never panic, and whatever it accepts must reach a fixed point after
+// one encode (decode → encode → decode → encode gives the same bytes).
+func FuzzRestore(f *testing.F) {
+	region := func(body string) []byte { return []byte(`{"version":1,"regions":[` + body + `]}`) }
+	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"partitions":[{"parent":0,"name":"p","pieces":[[[0,3]],[[2,7]]]}],"values":{"v":[[0,1],[7,-2.5]]}}`))
+	f.Add(region(`{"name":"r","dim":2,"space":[[0,1,0,2],[4,5,0,2],[0,5,3,3]],"fields":["a","b"],"values":{"a":[[4,1,9],[4,1,8]],"b":[[5,3,1e300]]}}`))
+	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[55,1]]}}`))
+	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[2.5,1],[1e19,1],[-0,3]]}}`))
+	f.Add(region(`{"name":"r","dim":3,"space":[[0,1,0,1,9007199254740993,9007199254740993]],"fields":["v"],"values":{"v":[[0,0,9007199254740993,1]]}}`))
+	f.Add(region(`{"name":"r","dim":1,"space":[[9007199254740993,9007199254740993]],"fields":["v"]}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		// A region costs memory by its declared volume, not by its bytes:
+		// keep the ones the fuzzer builds small.
+		var shape struct {
+			Regions []struct {
+				Dim   int       `json:"dim"`
+				Space [][]int64 `json:"space"`
+			} `json:"regions"`
+		}
+		if json.Unmarshal(raw, &shape) == nil {
+			for _, r := range shape.Regions {
+				if sp, err := index.FromRows(r.Dim, r.Space); err == nil && !sp.VolumeAtMost(1<<12) {
+					return
+				}
+			}
+		}
+		encode := func(in []byte) []byte {
+			rt, _, err := visibility.Restore(bytes.NewReader(in), visibility.Config{})
+			if err != nil {
+				return nil
+			}
+			defer rt.Close()
+			var out bytes.Buffer
+			if err := rt.Checkpoint(&out); err != nil {
+				t.Fatalf("Checkpoint of a restored runtime: %v", err)
+			}
+			return out.Bytes()
+		}
+		once := encode(raw)
+		if once == nil {
+			return
+		}
+		twice := encode(once)
+		if twice == nil {
+			t.Fatalf("Restore rejects its own checkpoint:\n%s", once)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("no fixed point:\n%s\n%s", once, twice)
+		}
+	})
 }

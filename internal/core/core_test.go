@@ -129,11 +129,8 @@ func TestCheckPrecise(t *testing.T) {
 func initStores(tree *region.Tree, val func(f field.ID, p geometry.Point) float64) map[field.ID]*data.Store {
 	init := make(map[field.ID]*data.Store)
 	for f := 0; f < tree.Fields.Len(); f++ {
-		st := data.NewStore(tree.Root.Space.Dim())
-		tree.Root.Space.Each(func(p geometry.Point) bool {
-			st.Set(p, val(field.ID(f), p))
-			return true
-		})
+		st := data.NewStore(tree.Root.Space)
+		st.Fill(func(p geometry.Point) float64 { return val(field.ID(f), p) })
 		init[field.ID(f)] = st
 	}
 	return init
@@ -209,7 +206,7 @@ func TestSeqReduceOverUndefined(t *testing.T) {
 	fs := field.NewSpace()
 	fs.Add("a")
 	tree := region.NewTree("R", index.FromRect(geometry.R1(0, 3)), fs)
-	seq := core.NewSeq(tree, map[field.ID]*data.Store{0: data.NewStore(1)})
+	seq := core.NewSeq(tree, map[field.ID]*data.Store{0: data.NewStore(tree.Root.Space)})
 	s := core.NewStream(tree)
 	red := s.Launch("red", core.Req{Region: tree.Root, Field: 0, Priv: privilege.Reduces(privilege.OpSum)})
 	seq.Run(red, constKernel{7})
@@ -222,3 +219,40 @@ type constKernel struct{ v float64 }
 
 func (k constKernel) WriteValue(*core.Task, int, geometry.Point, float64) float64 { return k.v }
 func (k constKernel) ReduceValue(*core.Task, int, geometry.Point) float64         { return k.v }
+
+// Materialize allocates the input store — header, slab, definedness bitset,
+// and the offset table of a multi-rectangle space — and nothing per point
+// or per plan entry.
+func TestMaterializeAllocations(t *testing.T) {
+	fs := field.NewSpace()
+	fs.Add("v")
+	for _, width := range []int64{64, 4096} {
+		// Three rectangles; each producer covers the low part of one, so
+		// the plan leaves the input partly defined.
+		sp := index.FromRects(2, geometry.R2(0, 0, width-1, 1), geometry.R2(0, 2, 1, 5), geometry.R2(8, 2, 9, 5))
+		req := core.Req{Region: region.NewTree("R", sp, fs).Root, Priv: privilege.Reads()}
+		var srcs []*data.Store
+		var plan []core.Visible
+		for i, pts := range []index.Space{
+			index.FromRect(geometry.R2(0, 0, width/2, 1)),
+			index.FromRect(geometry.R2(0, 2, 1, 3)),
+			index.FromRects(2, geometry.R2(0, 1, width/4, 1), geometry.R2(8, 2, 9, 3)),
+		} {
+			src := data.NewStore(pts)
+			src.Fill(func(p geometry.Point) float64 { return float64(p.C[0]) })
+			srcs = append(srcs, src)
+			priv := privilege.Writes()
+			if i == 2 {
+				priv = privilege.Reduces(privilege.OpSum)
+			}
+			plan = append(plan, core.Visible{Task: i, Priv: priv, Pts: pts})
+		}
+		source := func(v core.Visible, _ field.ID) *data.Store { return srcs[v.Task] }
+		if in := core.Materialize(req, plan, source); in.Len() == 0 || in.Len() == int(sp.Volume()) {
+			t.Fatalf("width %d: want a partly defined input, got %d of %d points", width, in.Len(), sp.Volume())
+		}
+		if got := testing.AllocsPerRun(100, func() { core.Materialize(req, plan, source) }); got > 4 {
+			t.Errorf("width %d: Materialize of a %d-entry plan allocates %v times, want at most 4", width, len(plan), got)
+		}
+	}
+}

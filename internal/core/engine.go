@@ -117,31 +117,14 @@ func (e *Engine) Launch(t *Task, k Kernel) *Result {
 // committed values, reduce entries fold the producer's contributions (paint,
 // Figure 7). source returns the store a plan entry's producer committed.
 func Materialize(req Req, plan []Visible, source func(Visible, field.ID) *data.Store) *data.Store {
-	in := data.NewStore(req.Region.Space.Dim())
+	in := data.NewStore(req.Region.Space)
 	for _, v := range plan {
 		src := source(v, req.Field)
 		switch {
 		case v.Priv.IsWrite():
-			v.Pts.Each(func(p geometry.Point) bool {
-				if val, ok := src.Get(p); ok {
-					in.Set(p, val)
-				}
-				return true
-			})
+			in.CopyFrom(src, v.Pts)
 		case v.Priv.IsReduce():
-			op := v.Priv.Op
-			v.Pts.Each(func(p geometry.Point) bool {
-				contrib, ok := src.Get(p)
-				if !ok {
-					return true
-				}
-				base, okb := in.Get(p)
-				if !okb {
-					base = privilege.Identity(op)
-				}
-				in.Set(p, privilege.Apply(op, base, contrib))
-				return true
-			})
+			in.Fold(src, v.Pts, v.Priv.Op)
 		default:
 			panic(fmt.Sprintf("core: read entry %v in materialization plan", v))
 		}
@@ -158,20 +141,16 @@ func RunKernel(t *Task, k Kernel, inputs []*data.Store, commit func(ri int, out 
 	for ri, req := range t.Reqs {
 		switch {
 		case req.Priv.IsWrite():
-			out := data.NewStore(req.Region.Space.Dim())
-			in := inputs[ri]
-			req.Region.Space.Each(func(p geometry.Point) bool {
-				cur, _ := in.Get(p)
-				out.Set(p, k.WriteValue(t, ri, p, cur))
-				return true
+			out := data.NewStore(req.Region.Space)
+			out.Map(inputs[ri], func(p geometry.Point, cur float64) float64 {
+				return k.WriteValue(t, ri, p, cur)
 			})
 			commit(ri, out)
 		case req.Priv.IsReduce():
 			op := req.Priv.Op
-			out := data.NewStore(req.Region.Space.Dim())
-			req.Region.Space.Each(func(p geometry.Point) bool {
-				out.Set(p, privilege.Apply(op, privilege.Identity(op), k.ReduceValue(t, ri, p)))
-				return true
+			out := data.NewStore(req.Region.Space)
+			out.Fill(func(p geometry.Point) float64 {
+				return privilege.Apply(op, privilege.Identity(op), k.ReduceValue(t, ri, p))
 			})
 			commit(ri, out)
 		}

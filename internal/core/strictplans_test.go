@@ -36,11 +36,8 @@ func strictEngine(t *testing.T, f *planFaker) (*core.Engine, *core.Stream) {
 	fs := field.NewSpace()
 	fs.Add("v")
 	tree := region.NewTree("A", index.FromRect(geometry.R1(0, 9)), fs)
-	init := map[field.ID]*data.Store{0: data.NewStore(1)}
-	tree.Root.Space.Each(func(p geometry.Point) bool {
-		init[0].Set(p, 1)
-		return true
-	})
+	init := map[field.ID]*data.Store{0: data.NewStore(tree.Root.Space)}
+	init[0].Fill(func(geometry.Point) float64 { return 1 })
 	eng := core.NewEngine(tree, f, init)
 	eng.StrictPlans = true
 	return eng, core.NewStream(tree)

@@ -229,12 +229,9 @@ func ChaosInit(tree *region.Tree) map[field.ID]*data.Store { return chaosInit(tr
 func chaosInit(tree *region.Tree) map[field.ID]*data.Store {
 	init := make(map[field.ID]*data.Store)
 	for f := 0; f < tree.Fields.Len(); f++ {
-		st := data.NewStore(tree.Root.Space.Dim())
+		st := data.NewStore(tree.Root.Space)
 		fv := float64(int64(f+1) * 1000)
-		tree.Root.Space.Each(func(p geometry.Point) bool {
-			st.Set(p, fv+float64(p.C[0])+2*float64(p.C[1]))
-			return true
-		})
+		st.Fill(func(p geometry.Point) float64 { return fv + float64(p.C[0]) + 2*float64(p.C[1]) })
 		init[field.ID(f)] = st
 	}
 	return init

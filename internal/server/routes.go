@@ -382,14 +382,7 @@ func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		if !reg.HasField(field) {
 			return fmt.Sprintf("field %q of region %s", field, reg.Name())
 		}
-		dim := reg.Space().Dim()
-		s.rt.Read(reg, field).Each(func(p visibility.Point, v float64) {
-			row := make([]float64, 0, dim+1)
-			for a := 0; a < dim; a++ {
-				row = append(row, float64(p.C[a]))
-			}
-			rows = append(rows, append(row, v))
-		})
+		rows = s.rt.Read(reg, field).Rows()
 		return ""
 	})
 	if ok {

@@ -84,10 +84,9 @@ func Figure5(s *core.Stream, p, g *region.Partition) []*core.Task {
 func FullInit(tree *region.Tree) map[field.ID]*data.Store {
 	init := make(map[field.ID]*data.Store)
 	for f := 0; f < tree.Fields.Len(); f++ {
-		st := data.NewStore(tree.Root.Space.Dim())
-		tree.Root.Space.Each(func(p geometry.Point) bool {
-			st.Set(p, float64(int64(f+1)*1000)+float64(p.C[0])+2*float64(p.C[1]))
-			return true
+		st := data.NewStore(tree.Root.Space)
+		st.Fill(func(p geometry.Point) float64 {
+			return float64(int64(f+1)*1000) + float64(p.C[0]) + 2*float64(p.C[1])
 		})
 		init[field.ID(f)] = st
 	}

@@ -268,11 +268,8 @@ func (rt *Runtime) CreateRegion(name string, space IndexSpace, fields ...string)
 	ts.tree = region.NewTree(name, space, fs)
 	ts.init = make(map[field.ID]*data.Store)
 	for _, id := range ts.fields {
-		st := data.NewStore(space.Dim())
-		space.Each(func(p Point) bool {
-			st.Set(p, 0)
-			return true
-		})
+		st := data.NewStore(space)
+		st.Fill(func(Point) float64 { return 0 })
 		ts.init[id] = st
 	}
 	r := &Region{rt: rt, tree: ts, reg: ts.tree.Root}
@@ -330,12 +327,9 @@ func (r *Region) Init(fieldName string, f func(Point) float64) *Region {
 	if r.tree.frozen {
 		panic("visibility: cannot set initial contents after tasks have launched")
 	}
-	id := r.fieldID(fieldName)
-	st := r.tree.init[id]
-	r.reg.Space.Each(func(p Point) bool {
-		st.Set(p, f(p))
-		return true
-	})
+	vals := data.NewStore(r.reg.Space)
+	vals.Fill(f)
+	r.tree.init[r.fieldID(fieldName)].CopyFrom(vals, r.reg.Space)
 	return r
 }
 
@@ -501,6 +495,27 @@ func (s *Snapshot) Each(f func(Point, float64)) {
 		return
 	}
 	s.st.Each(f)
+}
+
+// Rows returns one (coordinates..., value) row per defined point, in Each
+// order — the form snapshots and checkpoints carry. The rows share one
+// backing array.
+func (s *Snapshot) Rows() [][]float64 {
+	n := s.Len()
+	if n == 0 {
+		return nil
+	}
+	w := s.st.Dim() + 1
+	flat := make([]float64, 0, n*w)
+	rows := make([][]float64, 0, n)
+	s.Each(func(p Point, v float64) {
+		for a := 0; a < w-1; a++ {
+			flat = append(flat, float64(p.C[a]))
+		}
+		flat = append(flat, v)
+		rows = append(rows, flat[len(flat)-w:len(flat):len(flat)])
+	})
+	return rows
 }
 
 // TaskSpec describes one task launch.
