@@ -8,7 +8,8 @@
 // "why" prints the provenance of every dependence edge from A into B —
 // which analyzer found it, the interfering requirement pair (regions,
 // field, privileges, overlapping rectangle), or the future/trace-replay
-// origin — plus the O(1) mustPrecede verdict. "critpath" prints the
+// origin — plus the mustPrecede verdict (a backward search of the graph,
+// windowed to the ids between A and B). "critpath" prints the
 // weighted critical path under deterministic virtual time (analyzer
 // operations + points touched), the top-k bottleneck tasks, and
 // per-level slack; -dot renders the full DAG with the critical path

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -294,5 +295,21 @@ func TestBodyAndVolumeLimits(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("workload after the refusals: status %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestWriteJSONUnrenderable: the body is rendered before the status is
+// committed, so a value with no JSON form is a 500 with the reason and
+// bodies are one compact line.
+func TestWriteJSONUnrenderable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if got := rec.Body.String(); rec.Code != http.StatusInternalServerError || !strings.Contains(got, "unsupported value") {
+		t.Errorf("unrenderable body: status %d %q, want a 500 with the reason", rec.Code, got)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusAccepted, map[string]any{"b": []int{1, 2}, "a": "<x>"})
+	if got, want := rec.Body.String(), `{"a":"\u003cx\u003e","b":[1,2]}`+"\n"; rec.Code != http.StatusAccepted || got != want {
+		t.Errorf("body: status %d %q, want 202 %q", rec.Code, got, want)
 	}
 }

@@ -292,13 +292,12 @@ func (s *Session) get(what string, out any, kv ...string) error {
 // Snapshot reads the coherent contents of region/field: rows of
 // (coordinates..., value), in deterministic point order.
 func (s *Session) Snapshot(region, field string) ([][]float64, error) {
-	var resp struct {
-		Points [][]float64 `json:"points"`
-	}
-	if err := s.get("snapshot", &resp, "region", region, "field", field); err != nil {
+	var raw []byte
+	if err := s.get("snapshot", &raw, "region", region, "field", field); err != nil {
 		return nil, err
 	}
-	return resp.Points, nil
+	_, _, points, err := wire.ParseSnapshot(raw)
+	return points, err
 }
 
 // Dependences returns the discovered dependence graph for the tree of
@@ -315,7 +314,7 @@ func (s *Session) Dependences(region string) ([]visibility.TaskInfo, error) {
 
 // ExplainResult is the server's provenance answer for one task: the
 // resolved region, the task's incoming edges, and — when the query named
-// a source task — the O(1) mustPrecede verdict for that (src, task) pair.
+// a source task — the mustPrecede verdict for that (src, task) pair.
 type ExplainResult struct {
 	Region      string                  `json:"region"`
 	Explain     *visibility.TaskExplain `json:"explain"`

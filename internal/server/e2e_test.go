@@ -369,3 +369,44 @@ func TestBadWorkloadRejected(t *testing.T) {
 		t.Fatalf("unknown region error = %v, want 404", err)
 	}
 }
+
+// TestSnapshotNonFinite: a field that overflowed has no JSON form. The
+// snapshot is a 500 that says where — at the parent commit it was a 200
+// with an empty body — and the session keeps serving.
+func TestSnapshotNonFinite(t *testing.T) {
+	_, c, shutdown := newTestServer(t, server.Config{})
+	defer shutdown()
+	sess, err := c.CreateSession(client.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blowUp := wire.TaskDecl{Name: "square", Accesses: []wire.AccessDecl{{Region: "r", Field: "v", Privilege: "write",
+		Kernel: &wire.FuncSpec{Name: "affine", Args: map[string]float64{"scale": 1e300, "offset": 0}}}}}
+	if err := sess.Submit(&wire.Workload{
+		Version: wire.Version,
+		Regions: []wire.RegionDecl{{Name: "r", Dim: 1, Space: [][]int64{{3, 6}}, Fields: []string{"v", "w"},
+			Init: map[string]*wire.FuncSpec{"v": {Name: "fill", Args: map[string]float64{"value": 2}}}}},
+		Tasks: []wire.TaskDecl{blowUp, blowUp},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.Snapshot("r", "v")
+	se, ok := err.(*client.StatusError)
+	if !ok || se.Code != 500 {
+		t.Fatalf("snapshot of an overflowed field: %v, want a 500", err)
+	}
+	for _, want := range []string{`region "r"`, `field "v"`, "+Inf", "point [3]"} {
+		if !strings.Contains(se.Message, want) {
+			t.Errorf("error %q does not name %s", se.Message, want)
+		}
+	}
+	if _, err := sess.Checkpoint(); err == nil || !strings.Contains(err.Error(), "500") {
+		t.Errorf("checkpoint of an overflowed field: %v, want a 500", err)
+	}
+	if rows, err := sess.Snapshot("r", "w"); err != nil || len(rows) != 4 {
+		t.Errorf("snapshot of the other field: %d rows, err %v", len(rows), err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Error(err)
+	}
+}

@@ -86,14 +86,19 @@ func (srv *Server) routes() {
 
 // --- response plumbing --------------------------------------------------
 
+// writeJSON writes v as one compact line. It marshals before it commits to
+// the status, so a body that cannot be rendered is a 500, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(&body).Encode(errorBody{Error: err.Error()}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; nothing useful left to do.
-		_ = err
+	if _, err := w.Write(body.Bytes()); err != nil {
+		_ = err // client went away mid-body
 	}
 }
 
@@ -358,13 +363,13 @@ func (srv *Server) intParam(w http.ResponseWriter, r *http.Request, name string,
 
 // writeRaw writes a body rendered on the session worker, or the 500 of the
 // error rendering it returned.
-func writeRaw(w http.ResponseWriter, contentType string, body *bytes.Buffer, err error) {
+func writeRaw(w http.ResponseWriter, contentType string, body []byte, err error) {
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
-	if _, err := w.Write(body.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		_ = err // client went away mid-body
 	}
 }
@@ -386,7 +391,8 @@ func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return ""
 	})
 	if ok {
-		writeJSON(w, http.StatusOK, map[string]any{"region": name, "field": field, "points": rows})
+		body, err := wire.AppendSnapshot(make([]byte, 0, 64+24*len(rows)), name, field, rows)
+		writeRaw(w, "application/json", append(body, '\n'), err)
 	}
 }
 
@@ -409,9 +415,10 @@ func (srv *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 
 // handleExplain serves dependence provenance: ?task=N returns the
 // EdgeReason of every incoming edge of task N; an optional &src=A
-// restricts the edges to producer A and adds an O(1) mustPrecede verdict
-// (label-based, no graph walk). ?region= selects the root region tree
-// (default: first region, sorted by name).
+// restricts the edges to producer A and adds the mustPrecede verdict (a
+// backward search of the graph, windowed to the ids between A and N).
+// ?region= selects the root region tree (default: first region, sorted by
+// name).
 func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s := srv.lookup(w, r)
 	if s == nil {
@@ -489,7 +496,7 @@ func (srv *Server) handleCritPath(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if dot {
-		writeRaw(w, graphviz, &buf, dotErr)
+		writeRaw(w, graphviz, buf.Bytes(), dotErr)
 		return
 	}
 	srv.rec.Log(recorder.KindCritPath, int64(len(sum.Path)), int64(sum.Length))
@@ -509,7 +516,7 @@ func (srv *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 		dotErr = s.rt.WriteDOT(reg, &buf)
 		return ""
 	}); ok {
-		writeRaw(w, graphviz, &buf, dotErr)
+		writeRaw(w, graphviz, buf.Bytes(), dotErr)
 	}
 }
 
@@ -526,7 +533,7 @@ func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		srv.fail(w, err)
 		return
 	}
-	writeRaw(w, "application/json", &buf, ckptErr)
+	writeRaw(w, "application/json", buf.Bytes(), ckptErr)
 }
 
 // --- observability endpoints --------------------------------------------

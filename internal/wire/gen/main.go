@@ -1,10 +1,13 @@
 // Command gen regenerates the golden testdata workloads from the
-// canonical example constructors. Run from the repo root:
+// canonical example constructors: wire.Encode's compact form, indented so
+// the files read and diff. Run from the repo root:
 //
 //	go run ./internal/wire/gen
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 
 	"visibility/internal/wire"
@@ -12,12 +15,14 @@ import (
 
 func main() {
 	write := func(path string, wl *wire.Workload) {
-		f, err := os.Create(path)
-		if err != nil {
+		var compact, indented bytes.Buffer
+		if err := wire.Encode(&compact, wl); err != nil {
 			panic(err)
 		}
-		defer f.Close()
-		if err := wire.Encode(f, wl); err != nil {
+		if err := json.Indent(&indented, compact.Bytes(), "", "  "); err != nil {
+			panic(err)
+		}
+		if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
 			panic(err)
 		}
 	}

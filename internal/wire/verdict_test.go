@@ -45,6 +45,10 @@ func TestOneVerdict(t *testing.T) {
 		}
 		accepted[name] = buf.Bytes()
 	}
+	// null is the zero value of whatever it stands for, as in encoding/json.
+	accepted["null members"] = []byte(`{"version":1,"name":null,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v"],` +
+		`"init":null,"partitions":null}],"tasks":[{"name":"t","after":null,"accesses":[` +
+		`{"region":"r","field":"v","privilege":"write","op":null,"kernel":null}]}]}`)
 	for name, data := range accepted {
 		t.Run("accept/"+name, func(t *testing.T) {
 			wl, err := wire.Decode(bytes.NewReader(data))
@@ -78,6 +82,19 @@ func TestOneVerdict(t *testing.T) {
 			}
 			if n := len(env.Regions()); n != 0 || rt.Region("r") != nil {
 				t.Fatalf("rejected workload left %d regions in the session (runtime has r: %v)", n, rt.Region("r") != nil)
+			}
+		})
+	}
+
+	// The documented set Decode rejects and encoding/json let through.
+	for _, tc := range stricter() {
+		t.Run("stricter/"+tc.name, func(t *testing.T) {
+			if _, err := decodeStdlib([]byte(tc.in)); err != nil {
+				t.Fatalf("encoding/json rejects it too: %v", err)
+			}
+			_, err := wire.Decode(strings.NewReader(tc.in))
+			if err == nil || !strings.Contains(err.Error(), "decoding workload") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode error = %v, want a decoding error with %q", err, tc.want)
 			}
 		})
 	}

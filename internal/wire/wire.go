@@ -10,7 +10,12 @@
 // kernel names are errors, never panics, so workload files double as
 // replayable corpus inputs (FuzzWireDecode seeds the example workloads).
 // Encoding is deterministic (struct field order is fixed and map keys
-// sort), and decode→encode→decode is a fixed point.
+// sort), and decode→encode→decode is a fixed point. The canonical form is
+// compact, since a batch is parsed on every step of a served program; the
+// testdata files are its json.Indent, and Decode reads either. Decode and
+// the snapshot body (AppendSnapshot, ParseSnapshot) share the package's
+// one scanner; encoding/json writes workloads and is the decoder's oracle
+// in the tests.
 package wire
 
 import (
@@ -19,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,35 +112,88 @@ type FuncSpec struct {
 	Args map[string]float64 `json:"args,omitempty"`
 }
 
-// Decode reads one workload from r, rejecting unknown fields, trailing
-// garbage, and every structural error Validate covers.
+// Decode reads one workload from r, compact or indented, rejecting unknown,
+// case-folded and repeated fields, trailing data, and every structural
+// error Validate covers.
 func Decode(r io.Reader) (*Workload, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var wl Workload
-	if err := dec.Decode(&wl); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("wire: decoding workload: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("wire: trailing data after workload")
+	s, wl := &scanner{b: data}, new(Workload)
+	workloadFields.read(s, wl)
+	if err := s.end(); err != nil {
+		return nil, fmt.Errorf("wire: decoding workload: %w", err)
 	}
 	if err := wl.Validate(); err != nil {
 		return nil, err
 	}
-	return &wl, nil
+	return wl, nil
 }
 
-// Encode writes wl as indented JSON. Field order is fixed by the struct
-// definitions and encoding/json sorts map keys, so a given workload has
-// exactly one serialization.
-func Encode(w io.Writer, wl *Workload) error {
-	b, err := json.MarshalIndent(wl, "", "  ")
-	if err != nil {
-		return err
+var workloadFields = fields[Workload]{
+	{"version", func(s *scanner, wl *Workload) { s.int(&wl.Version) }},
+	{"name", func(s *scanner, wl *Workload) { s.string(&wl.Name) }},
+	{"regions", func(s *scanner, wl *Workload) { array(s, &wl.Regions, regionFields.read) }},
+	{"tasks", func(s *scanner, wl *Workload) { array(s, &wl.Tasks, taskFields.read) }},
+}
+
+var regionFields = fields[RegionDecl]{
+	{"name", func(s *scanner, r *RegionDecl) { s.string(&r.Name) }},
+	{"dim", func(s *scanner, r *RegionDecl) { s.int(&r.Dim) }},
+	{"space", func(s *scanner, r *RegionDecl) { s.rows(&r.Space) }},
+	{"fields", func(s *scanner, r *RegionDecl) { array(s, &r.Fields, (*scanner).string) }},
+	{"init", func(s *scanner, r *RegionDecl) { dict(s, &r.Init, (*scanner).funcSpec) }},
+	{"partitions", func(s *scanner, r *RegionDecl) { array(s, &r.Partitions, partitionFields.read) }},
+}
+
+var partitionFields = fields[PartitionDecl]{
+	{"name", func(s *scanner, p *PartitionDecl) { s.string(&p.Name) }},
+	{"kind", func(s *scanner, p *PartitionDecl) { s.string(&p.Kind) }},
+	{"pieces", func(s *scanner, p *PartitionDecl) { s.int(&p.Pieces) }},
+	{"spaces", func(s *scanner, p *PartitionDecl) { array(s, &p.Spaces, (*scanner).rows) }},
+	{"source", func(s *scanner, p *PartitionDecl) { s.string(&p.Source) }},
+	{"left", func(s *scanner, p *PartitionDecl) { s.string(&p.Left) }},
+	{"right", func(s *scanner, p *PartitionDecl) { s.string(&p.Right) }},
+	{"relation", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Relation) }},
+	{"color", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Color) }},
+}
+
+var taskFields = fields[TaskDecl]{
+	{"name", func(s *scanner, t *TaskDecl) { s.string(&t.Name) }},
+	{"accesses", func(s *scanner, t *TaskDecl) { array(s, &t.Accesses, accessFields.read) }},
+	{"after", func(s *scanner, t *TaskDecl) { array(s, &t.After, (*scanner).int) }},
+}
+
+var accessFields = fields[AccessDecl]{
+	{"region", func(s *scanner, a *AccessDecl) { s.string(&a.Region) }},
+	{"field", func(s *scanner, a *AccessDecl) { s.string(&a.Field) }},
+	{"privilege", func(s *scanner, a *AccessDecl) { s.string(&a.Privilege) }},
+	{"op", func(s *scanner, a *AccessDecl) { s.string(&a.Op) }},
+	{"kernel", func(s *scanner, a *AccessDecl) { s.funcSpec(&a.Kernel) }},
+}
+
+var funcSpecFields = fields[FuncSpec]{
+	{"name", func(s *scanner, f *FuncSpec) { s.string(&f.Name) }},
+	{"args", func(s *scanner, f *FuncSpec) { dict(s, &f.Args, (*scanner).float) }},
+}
+
+func (s *scanner) row(dst *[]int64)    { array(s, dst, (*scanner).int64) }
+func (s *scanner) rows(dst *[][]int64) { array(s, dst, (*scanner).row) }
+
+func (s *scanner) funcSpec(dst **FuncSpec) {
+	if !s.null() {
+		*dst = new(FuncSpec)
+		funcSpecFields.read(s, *dst)
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+}
+
+// Encode writes wl in the canonical form: compact JSON and a newline, what
+// clients send and Decode is fastest on. Field order is fixed by the struct
+// definitions and encoding/json sorts map keys, so a given workload has
+// exactly one serialization; the testdata files are its json.Indent.
+func Encode(w io.Writer, wl *Workload) error {
+	return json.NewEncoder(w).Encode(wl)
 }
 
 // --- registries ---------------------------------------------------------
@@ -232,19 +291,24 @@ func ColorNames() []string { return colors.names() }
 
 // args wraps a FuncSpec's argument map with exact-arity checking: every
 // get must name a declared key, and builtin reports keys the builder never
-// consumed — an unknown argument is as much an error as a missing one.
+// consumed — an unknown argument is as much an error as a missing one. A
+// builder reads each argument once, so counting the hits is enough to know
+// every key was consumed; the names say which one was not.
 type args struct {
-	m    map[string]float64
-	used map[string]bool
-	err  error
+	m     map[string]float64
+	names [4]string // consumed so far; no builtin takes more
+	used  int
+	err   error
 }
 
 func (a *args) get(name string) float64 {
 	v, ok := a.m[name]
-	if !ok && a.err == nil {
+	if ok {
+		a.names[a.used] = name
+		a.used++
+	} else if a.err == nil {
 		a.err = fmt.Errorf("missing argument %q", name)
 	}
-	a.used[name] = true
 	return v
 }
 
@@ -261,14 +325,16 @@ func (a *args) getInt(name string) int64 {
 // verdict on the values.
 func builtin[T any](r *registry[T], name string, build func(a *args) (T, error)) {
 	r.register(name, func(m map[string]float64) (T, error) {
-		a := &args{m: m, used: make(map[string]bool)}
+		a := &args{m: m}
 		f, err := build(a)
 		if a.err != nil {
 			return f, a.err
 		}
-		for k := range m {
-			if !a.used[k] {
-				return f, fmt.Errorf("unknown argument %q", k)
+		if a.used != len(m) {
+			for k := range m {
+				if !slices.Contains(a.names[:a.used], k) {
+					return f, fmt.Errorf("unknown argument %q", k)
+				}
 			}
 		}
 		return f, err

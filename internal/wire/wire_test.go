@@ -2,9 +2,11 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,10 +130,12 @@ func taskJSON(access string, after ...int) string {
 		`"tasks":[{"name":"t","accesses":[` + access + `]` + a + `}]}`
 }
 
-// TestGolden pins the canonical example workloads to their testdata
-// encodings byte for byte: the constructors, the encoder, and the corpus
-// files move together or the test fails. Regenerate with
-// `go run ./internal/wire/gen`.
+// TestGolden pins the canonical example workloads to their testdata files
+// byte for byte: the files are json.Indent of what Encode writes, so the
+// constructors, the encoder, and the corpus move together or the test
+// fails. Regenerate with `go run ./internal/wire/gen`. Both forms decode,
+// with either decoder, to one workload: a client that still indents talks
+// to this server, and this client to a server that still runs encoding/json.
 func TestGolden(t *testing.T) {
 	cases := []struct {
 		file string
@@ -146,12 +150,19 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got bytes.Buffer
-			if err := wire.Encode(&got, tc.wl); err != nil {
+			var compact, got bytes.Buffer
+			if err := wire.Encode(&compact, tc.wl); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Indent(&got, compact.Bytes(), "", "  "); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("encoding of %s drifted from testdata (run `go run ./internal/wire/gen`)", tc.file)
+			}
+			var packed bytes.Buffer
+			if err := json.Compact(&packed, want); err != nil || packed.String()+"\n" != compact.String() {
+				t.Fatalf("Encode is not the compact form of %s and a newline (err %v):\n%s", tc.file, err, compact.Bytes())
 			}
 			// decode → encode is a fixed point.
 			decoded, err := wire.Decode(bytes.NewReader(want))
@@ -162,8 +173,18 @@ func TestGolden(t *testing.T) {
 			if err := wire.Encode(&again, decoded); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(again.Bytes(), want) {
+			if !bytes.Equal(again.Bytes(), compact.Bytes()) {
 				t.Fatal("decode→encode is not a fixed point")
+			}
+			for name, body := range map[string][]byte{"indented": want, "compact": compact.Bytes()} {
+				for dname, decode := range map[string]func([]byte) (*wire.Workload, error){
+					"scanner": func(b []byte) (*wire.Workload, error) { return wire.Decode(bytes.NewReader(b)) },
+					"stdlib":  decodeStdlib,
+				} {
+					if wl, err := decode(body); err != nil || !reflect.DeepEqual(wl, decoded) {
+						t.Fatalf("%s body through the %s decoder: err %v, equal %v", name, dname, err, reflect.DeepEqual(wl, decoded))
+					}
+				}
 			}
 		})
 	}
