@@ -26,12 +26,9 @@
 // latency quantiles are process-global measurements) and the pinned
 // VISBENCH1 record lands in the named file ("-" for stdout) for
 // cmd/benchdiff and the committed BENCH_<n>.json trajectory. -profile-out
-// additionally captures per-cell pprof CPU and heap profiles, and
-// -shards additionally measures every configuration through the shard
-// layer at each listed count ("<system>_shard<N>" cells — shards=1 is
-// the layer's single-atom overhead, shards>1 is parallel analysis):
+// additionally captures per-cell pprof CPU and heap profiles:
 //
-//	visbench -json BENCH_8.json [-profile-out profiles/] [-shards 1,4]
+//	visbench -json BENCH_8.json [-profile-out profiles/]
 //	         [-app all] [-max-nodes 32] [-iters 3] [-reps 3]
 //
 // -list prints the registered applications (with the paper figures they
@@ -55,7 +52,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 
 	"visibility/internal/algo"
@@ -83,7 +79,6 @@ func main() {
 	autotrace := flag.Bool("autotrace", false, "additionally measure every configuration with automatic trace memoization (\"<system>_auto\" rows/cells)")
 	metricsOut := flag.String("metrics-out", "", "write per-cell metrics snapshots as JSON to this file (\"-\" for stdout)")
 	jsonOut := flag.String("json", "", "collect a VISBENCH1 benchmark record into this file (\"-\" for stdout) instead of printing figures")
-	shardsFlag := flag.String("shards", "", "with -json: comma-separated shard counts; additionally measure every configuration through the shard layer (\"<system>_shard<N>\" cells)")
 	profileOut := flag.String("profile-out", "", "with -json: write per-cell pprof CPU+heap profiles into this directory")
 	chaos := flag.Bool("chaos", false, "run the fault-injection chaos crosscheck instead of the benchmarks")
 	seeds := flag.Int("seeds", 20, "with -chaos: number of consecutive seeds to run")
@@ -110,20 +105,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "visbench: unknown app %q (have %v)\n", *appFlag, apps.Names())
 		os.Exit(2)
 	}
-	shards, err := parseShards(*shardsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
-		os.Exit(2)
-	}
 	if *jsonOut != "" {
-		os.Exit(runBenchRecord(*jsonOut, *profileOut, names, *maxNodes, *iters, *reps, *autotrace, shards))
+		os.Exit(runBenchRecord(*jsonOut, *profileOut, names, *maxNodes, *iters, *reps, *autotrace))
 	}
 	if *profileOut != "" {
 		fmt.Fprintln(os.Stderr, "visbench: -profile-out requires -json (profiles are captured per benchmark-record cell)")
-		os.Exit(2)
-	}
-	if len(shards) > 0 {
-		fmt.Fprintln(os.Stderr, "visbench: -shards requires -json (sharded cells are benchmark-record measurements)")
 		os.Exit(2)
 	}
 	figureOf := harness.Figures()
@@ -206,11 +192,10 @@ func main() {
 // runBenchRecord collects a pinned VISBENCH1 benchmark record over the
 // named apps and writes it to out ("-" for stdout), optionally capturing
 // per-cell pprof profiles. Returns the process exit code.
-func runBenchRecord(out, profileDir string, names []string, maxNodes, iters, reps int, autotrace bool, shards []int) int {
+func runBenchRecord(out, profileDir string, names []string, maxNodes, iters, reps int, autotrace bool) int {
 	rec, err := bench.Collect(bench.Options{
 		Apps: names, MaxNodes: maxNodes, Iters: iters, Reps: reps,
 		Commit: gitCommit(), ProfileDir: profileDir, AutoTrace: autotrace,
-		Shards: shards,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
@@ -230,23 +215,6 @@ func runBenchRecord(out, profileDir string, names []string, maxNodes, iters, rep
 	fmt.Printf("wrote %d cells to %s (commit %s, reps %d, aggregate %.0f launches/sec)\n",
 		len(rec.Cells), out, rec.Meta.Commit, rec.Meta.Reps, rec.AggregateLaunchesPerSec())
 	return 0
-}
-
-// parseShards parses the -shards flag: a comma-separated list of
-// positive shard counts, empty for none.
-func parseShards(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-shards wants positive counts like \"1,4\", got %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // gitCommit names the measured code in record metadata: the short commit

@@ -264,7 +264,7 @@ func renderHTTP(w io.Writer, prev, cur *sample, dt time.Duration) {
 // and trace hit rate.
 func renderSessions(w io.Writer, prev, cur *sample, dt time.Duration) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	say(tw, "SESSION\tALGO\tSHARDS\tQUEUED\tLAUNCHES\tLAUNCH/S\tTRACE%%\tSTATE\n")
+	say(tw, "SESSION\tALGO\tQUEUED\tLAUNCHES\tLAUNCH/S\tTRACE%%\tSTATE\n")
 	for _, info := range cur.infos {
 		m := cur.sessions[info.ID]
 		n := launches(m)
@@ -272,15 +272,11 @@ func renderSessions(w io.Writer, prev, cur *sample, dt time.Duration) {
 		if prev != nil {
 			lps = rate(n, launches(prev.sessions[info.ID]), dt)
 		}
-		shards := "-"
-		if info.Shards > 0 {
-			shards = fmt.Sprintf("%d", info.Shards)
-		}
 		state := "ok"
 		if info.Failed != "" {
 			state = "FAILED"
 		}
-		say(tw, "%s\t%s\t%s\t%d\t%d\t%.1f\t%s\t%s\n", info.ID, info.Algorithm, shards, info.Queued, n, lps, traceHitRate(m), state)
+		say(tw, "%s\t%s\t%d\t%d\t%.1f\t%s\t%s\n", info.ID, info.Algorithm, info.Queued, n, lps, traceHitRate(m), state)
 	}
 	_ = tw.Flush()
 	say(w, "\n")

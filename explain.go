@@ -64,7 +64,7 @@ type CritContributor struct {
 // dependence graph. All times are virtual units (analysis volume +
 // points touched), derived from the workload rather than measured from
 // analyzer internals, so the summary is byte-identical across runs of
-// the same workload — even under different analyzers or shard counts.
+// the same workload — even under different analyzers.
 type CritSummary struct {
 	Tasks       int               `json:"tasks"`
 	Edges       int               `json:"edges"`

@@ -14,21 +14,21 @@ import (
 // fanned out by the shard layer, optionally memoized by a tracer. It is
 // the only description of a stack — the runtime, the experiment harness
 // and the service all check, build, name and tear down their analyzers
-// through it — and its JSON form is the session-creation body.
+// through it.
 type Spec struct {
 	// Algorithm is a registry name; empty selects "raycast".
-	Algorithm string `json:"algorithm,omitempty"`
+	Algorithm string
 	// Tracing wraps the stack in a trace.Tracer driven by explicit
 	// Begin/End brackets.
-	Tracing bool `json:"tracing,omitempty"`
+	Tracing bool
 	// AutoTrace wraps the stack in an autotrace.Auto, which finds the
 	// brackets itself. Mutually exclusive with Tracing: explicit brackets
 	// would fight the automatic ones.
-	AutoTrace bool `json:"autotrace,omitempty"`
+	AutoTrace bool
 	// Shards, when positive, runs the algorithm under the shard layer with
 	// that many shards (1 is the layer's single-atom overhead baseline);
-	// zero bypasses the layer.
-	Shards int `json:"shards,omitempty"`
+	// zero bypasses the layer. Only visibility.Config.Shards sets it.
+	Shards int
 }
 
 // Check returns s with the default algorithm filled in, or the reason s
@@ -49,20 +49,16 @@ func (s Spec) Check() (Spec, error) {
 	return s, nil
 }
 
-// Suffix is what the stack's wrappers add to a configuration name:
-// "_trace" or "_auto", then "_shard<N>" ("raycast_dcr_auto_shard4").
+// Suffix is what the stack's trace wrapper adds to a configuration name:
+// "_trace" or "_auto" ("raycast_dcr_auto").
 func (s Spec) Suffix() string {
-	out := ""
 	switch {
 	case s.Tracing:
-		out = "_trace"
+		return "_trace"
 	case s.AutoTrace:
-		out = "_auto"
+		return "_auto"
 	}
-	if s.Shards > 0 {
-		out += fmt.Sprintf("_shard%d", s.Shards)
-	}
-	return out
+	return ""
 }
 
 // Stack is a built analysis stack: the outermost analyzer to drive, plus a

@@ -22,9 +22,8 @@ func TestSpecCheckAndSuffix(t *testing.T) {
 		{spec: algo.Spec{}, suffix: ""},
 		{spec: algo.Spec{Algorithm: "warnock", Tracing: true}, suffix: "_trace"},
 		{spec: algo.Spec{Algorithm: "paint", AutoTrace: true}, suffix: "_auto"},
-		{spec: algo.Spec{Shards: 1}, suffix: "_shard1"},
-		{spec: algo.Spec{Tracing: true, Shards: 4}, suffix: "_trace_shard4"},
-		{spec: algo.Spec{AutoTrace: true, Shards: 4}, suffix: "_auto_shard4"},
+		{spec: algo.Spec{Shards: 1}, suffix: ""},
+		{spec: algo.Spec{AutoTrace: true, Shards: 4}, suffix: "_auto"},
 		{spec: algo.Spec{Algorithm: "zbuffer"}, reject: `unknown algorithm "zbuffer"`},
 		{spec: algo.Spec{Tracing: true, AutoTrace: true}, reject: "mutually exclusive"},
 		{spec: algo.Spec{Shards: -1}, reject: "invalid shard count -1"},

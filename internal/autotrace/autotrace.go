@@ -1,8 +1,6 @@
 package autotrace
 
 import (
-	"fmt"
-
 	"visibility/internal/core"
 	"visibility/internal/fault"
 	"visibility/internal/obs"
@@ -261,10 +259,3 @@ func (a *Auto) observe(h uint64) {
 
 // Verify that Auto satisfies core.Analyzer.
 var _ core.Analyzer = (*Auto)(nil)
-
-// Describe returns a human-readable summary for the inspection CLI.
-func (a *Auto) Describe() string {
-	st := a.AutoStats()
-	return fmt.Sprintf("candidates=%d instances=%d aborts=%d recorded=%d replayed=%d invalidations=%d",
-		st.Candidates, st.Instances, st.Aborts, st.Trace.Recorded, st.Trace.Replayed, st.Trace.Invalidations)
-}

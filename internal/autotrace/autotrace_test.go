@@ -320,14 +320,11 @@ func TestAutoMetricsPublished(t *testing.T) {
 	}
 }
 
-func TestAutoNameAndDescribe(t *testing.T) {
+func TestAutoName(t *testing.T) {
 	tree, _, _ := testutil.GraphTree()
 	auto := autotrace.New(warnock.New(tree, core.Options{}), core.Options{})
 	if auto.Name() != "warnock+autotrace" {
 		t.Errorf("Name = %q", auto.Name())
-	}
-	if auto.Describe() == "" {
-		t.Error("Describe empty")
 	}
 	if auto.Stats() == nil {
 		t.Error("Stats nil")

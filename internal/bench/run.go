@@ -53,11 +53,6 @@ type Options struct {
 	// time a longer window to keep the single recording iteration from
 	// dominating the measurement.
 	AutoIters int
-	// Shards additionally measures every configuration with the shard
-	// layer at each listed shard count, as "<system>_shard<N>" cells. A
-	// value of 1 measures the shard layer's single-atom overhead against
-	// the direct baseline; values above 1 measure parallel analysis.
-	Shards []int
 }
 
 // Collect measures every cell of the configured sweep and returns the
@@ -118,11 +113,6 @@ func Collect(opts Options) (*Record, error) {
 						auto.MeasureIters = 30
 					}
 					variants = append(variants, auto)
-				}
-				for _, shards := range opts.Shards {
-					sharded := plain
-					sharded.Shards = shards
-					variants = append(variants, sharded)
 				}
 				for _, cfg := range variants {
 					cell, err := measureCell(cfg, reps, spanCap, opts.ProfileDir)

@@ -48,8 +48,7 @@ func (k ReasonKind) String() string {
 // smallest interfering (DstReq, SrcReq) pair and widens Overlap across
 // every capture of that pair, so the stored reason is a property of the
 // workload's interference pattern alone — independent of equivalence-set
-// identities, scan order, and how the analysis was partitioned across
-// shards.
+// identities and scan order.
 type EdgeReason struct {
 	Src int // producing (earlier) task ID
 	Dst int // consuming (later) task ID
@@ -89,9 +88,9 @@ func (r EdgeReason) String() string {
 // property of the task stream and its graph, not of analyzer internals),
 // ExecVirt the points its requirements touch (the virtual execution time
 // of a unit-cost-per-point kernel). Both replay identically run to run
-// AND across analyzer/sharding configurations, so critical paths weighted
-// by them are byte-reproducible — unlike wall-clock span durations or
-// measured operation counters.
+// AND across analyzers, so critical paths weighted by them are
+// byte-reproducible — unlike wall-clock span durations or measured
+// operation counters.
 type TaskCost struct {
 	AnalysisOps int64
 	ExecVirt    int64
@@ -119,9 +118,9 @@ func NewProvenance() *Provenance { return &Provenance{} }
 // capture of that pair. The set of attempted captures — which requirement
 // pairs interfere at some live point, and the points that make them
 // interfere — is a per-point property of the workload, so the canonical
-// reason is identical no matter which equivalence sets reported it, in
-// what order, or how the analysis was sharded. Bounding-box union is
-// commutative and associative, so capture order never shows through.
+// reason is identical no matter which equivalence sets reported it or in
+// what order. Bounding-box union is commutative and associative, so
+// capture order never shows through.
 //
 // Across kinds the first capture wins: a future edge recorded at launch,
 // or a replay edge recorded when a trace instantiated the dependence, is
@@ -173,19 +172,6 @@ func (p *Provenance) Reasons(dst int) []EdgeReason {
 // ReasonCount returns how many of dst's incoming edges have a recorded
 // reason, copying nothing.
 func (p *Provenance) ReasonCount(dst int) int { return len(p.of(dst)) }
-
-// TakeReasons removes and returns dst's recorded reasons in insertion
-// order. The shard merge stage drains each atom's staging provenance with
-// this and replays the reasons into the real store; because region merges
-// are order-independent and cross-kind conflicts are resolved before
-// staging, replay order never shows through.
-func (p *Provenance) TakeReasons(dst int) []EdgeReason {
-	rs := p.of(dst)
-	if rs != nil {
-		p.reasons[dst] = nil
-	}
-	return rs
-}
 
 // AddCost records task's cost sample, growing the table as needed.
 func (p *Provenance) AddCost(task int, c TaskCost) {

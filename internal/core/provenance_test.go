@@ -9,17 +9,14 @@ func TestProvenancePastTable(t *testing.T) {
 	p := NewProvenance()
 	p.AddReason(EdgeReason{Src: 0, Dst: 2, Kind: ReasonFuture, Trace: -1})
 	for _, id := range []int{-1, 1, 3, 1 << 20} {
-		if rs, n, taken := p.Reasons(id), p.ReasonCount(id), p.TakeReasons(id); len(rs) != 0 || n != 0 || taken != nil {
-			t.Errorf("task %d: Reasons %v, ReasonCount %d, TakeReasons %v; want all empty", id, rs, n, taken)
+		if rs, n := p.Reasons(id), p.ReasonCount(id); len(rs) != 0 || n != 0 {
+			t.Errorf("task %d: Reasons %v, ReasonCount %d; want both empty", id, rs, n)
 		}
 	}
 	if len(p.reasons) != 3 {
 		t.Fatalf("queries grew the table to %d slots, want 3", len(p.reasons))
 	}
-	if taken := p.TakeReasons(2); len(taken) != 1 || taken[0].Src != 0 {
-		t.Fatalf("TakeReasons(2) = %v, want the one future edge", taken)
-	}
-	if n := p.ReasonCount(2); n != 0 || len(p.reasons) != 3 {
-		t.Fatalf("after TakeReasons: ReasonCount(2) = %d, table %d slots; want 0, 3", n, len(p.reasons))
+	if rs := p.Reasons(2); len(rs) != 1 || rs[0].Src != 0 {
+		t.Fatalf("Reasons(2) = %v, want the one future edge", rs)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // TestChaosAnalyzersAgree is the chaos soak: dozens of (workload seed,
 // fault plan) cells, each running a randomized task stream through all
 // four analyzers with the fault plane active — forced equivalence-set
-// splits, forced migrations, cache bypasses — and a distributed leg with
+// splits, forced migrations, trace invalidations — and a distributed leg with
 // transport faults. Coherence and dependence soundness against the
 // sequential ground truth must survive every cell. Skipped in short mode;
 // TestChaosAnalyzersAgreeSmoke is the always-on tier-1 variant.
@@ -107,9 +107,9 @@ func TestChaosForcedSplitsVisible(t *testing.T) {
 	}
 	// The injector is consulted once per covered set a requirement meets,
 	// whether the kernel swept to find the set covered or remembered it, so
-	// remembering geometry cannot move a seeded schedule. The counts are
-	// those of the kernel that swept every time (PR 20).
-	if s, a := r.Fires[fault.EqSplit], r.AtomFires[fault.EqSplit]; s != 60 || a != 50 || r.Events != 460 {
-		t.Errorf("every=2 split plan fired %d times on the session and %d on the atoms over %d events, want 60, 50 and 460", s, a, r.Events)
+	// remembering geometry cannot move a seeded schedule. The count is that
+	// of the kernel that swept every time.
+	if n := r.Fires[fault.EqSplit]; n != 60 || r.Events != 263 {
+		t.Errorf("every=2 split plan fired %d times over %d events, want 60 and 263", n, r.Events)
 	}
 }

@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection plane: a catalog of
 // named injection sites threaded through the runtime (cluster transport,
-// equivalence-set maintenance, checkpoint encode/restore, and the serving
-// layer's admission and worker paths),
+// equivalence-set maintenance, trace replay, checkpoint encode/restore, and
+// the serving layer's admission and worker paths),
 // each gated by a seeded Plan of per-site rules.
 //
 // Determinism is the whole point. Every site draws from its own
@@ -35,7 +35,7 @@ type Site string
 // The injection-site catalog. Append new sites at the end: the catalog
 // index is journaled in flight-recorder events (KindFaultInject.A), so
 // reordering breaks the interpretation of old dumps. A site whose code is
-// deleted keeps its slot (see cacheBypass).
+// deleted keeps its slot (see retired).
 const (
 	// MsgDrop loses a cluster message; the virtual-time transport models
 	// the loss as a retransmission after a timeout, so delivery still
@@ -79,22 +79,20 @@ const (
 	// launch is re-analyzed through the wrapped analyzer. Recovery must be
 	// byte-identical to a run that never traced. Arg: task ID.
 	TraceInvalidate Site = "trace.invalidate"
-	// ShardStall delays one shard worker's analysis of a launch by a
-	// deterministic pseudo-random duration, perturbing the completion
-	// order the merge barrier observes. Timing-only: the merged result
-	// must be byte-identical to an unstalled run. Arg: task ID.
-	ShardStall Site = "shard.stall"
-	// ShardMigrate reassigns one analysis atom to a different shard
-	// goroutine mid-stream. Scheduling-only: which goroutine runs an
-	// atom's analyzer must never change its output. Arg: task ID.
-	ShardMigrate Site = "shard.migrate"
 )
 
-// cacheBypass was the scheduler's instance-cache site, deleted with the
-// cache. It keeps its catalog slot, so SiteAt still decodes it from old
-// dumps, but it has no Index and no place in Sites, and Parse rejects a
-// plan that arms it.
-const cacheBypass Site = "sched.cache.bypass"
+// Retired sites keep their catalog slots, so SiteAt still decodes them
+// from old dumps, but they have no Index and no place in Sites, and Parse
+// rejects a plan that arms them. The scheduler's instance-cache site went
+// with the cache; the shard layer's stall and migrate sites went when the
+// layer stopped carrying a fault injector.
+const (
+	cacheBypass  Site = "sched.cache.bypass"
+	shardStall   Site = "shard.stall"
+	shardMigrate Site = "shard.migrate"
+)
+
+func retired(s Site) bool { return s == cacheBypass || s == shardStall || s == shardMigrate }
 
 // catalog fixes the Site -> index mapping journaled in recorder events.
 var catalog = []Site{
@@ -103,13 +101,13 @@ var catalog = []Site{
 	WorkerPanic, AdmitBurst,
 	CkptCorrupt, RestoreCorrupt,
 	TraceInvalidate,
-	ShardStall, ShardMigrate,
+	shardStall, shardMigrate,
 }
 
 var catalogIndex = func() map[Site]int {
 	m := make(map[Site]int, len(catalog))
 	for i, s := range catalog {
-		if s != cacheBypass {
+		if !retired(s) {
 			m[s] = i
 		}
 	}
@@ -120,7 +118,7 @@ var catalogIndex = func() map[Site]int {
 func Sites() []Site {
 	var out []Site
 	for _, s := range catalog {
-		if s != cacheBypass {
+		if !retired(s) {
 			out = append(out, s)
 		}
 	}
@@ -310,7 +308,7 @@ func (st *siteState) next() uint64 {
 // cold paths by construction — they exist to break things, not to be
 // fast).
 type Injector struct {
-	plan Plan
+	plan string // the plan's canonical string
 
 	mu    sync.Mutex
 	rec   *recorder.Recorder  // guarded by mu
@@ -319,9 +317,8 @@ type Injector struct {
 
 // New builds an injector for plan. Sites without rules never fire.
 func New(plan Plan) *Injector {
-	p := clonePlan(plan)
-	sites := make(map[Site]*siteState, len(p.Rules))
-	for site, rule := range p.Rules {
+	sites := make(map[Site]*siteState, len(plan.Rules))
+	for site, rule := range plan.Rules {
 		// Seed each site's stream from the plan seed and the site name, so
 		// streams are mutually independent and stable across catalog
 		// growth.
@@ -332,7 +329,7 @@ func New(plan Plan) *Injector {
 		}
 		sites[site] = &siteState{rule: rule, rng: h ^ uint64(plan.Seed)}
 	}
-	return &Injector{plan: p, sites: sites}
+	return &Injector{plan: plan.String(), sites: sites}
 }
 
 // NewFromString is New over Parse.
@@ -344,28 +341,12 @@ func NewFromString(s string) (*Injector, error) {
 	return New(plan), nil
 }
 
-func clonePlan(p Plan) Plan {
-	out := Plan{Seed: p.Seed, Rules: make(map[Site]Rule, len(p.Rules))}
-	for s, r := range p.Rules {
-		out.Rules[s] = r
-	}
-	return out
-}
-
-// Plan returns a copy of the injector's plan (zero Plan when nil).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return clonePlan(in.plan)
-}
-
 // String renders the injector's plan string ("" when nil).
 func (in *Injector) String() string {
 	if in == nil {
 		return ""
 	}
-	return in.plan.String()
+	return in.plan
 }
 
 // SetRecorder routes fire events into rec's flight-recorder ring, so

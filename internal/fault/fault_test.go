@@ -17,14 +17,14 @@ func TestCatalogStable(t *testing.T) {
 		WorkerPanic, AdmitBurst,
 		CkptCorrupt, RestoreCorrupt,
 		TraceInvalidate,
-		ShardStall, ShardMigrate,
+		shardStall, shardMigrate,
 	}
 	live := Sites()
-	if len(live) != len(want)-1 {
-		t.Fatalf("catalog has %d live sites, want %d", len(live), len(want)-1)
+	if len(live) != len(want)-3 {
+		t.Fatalf("catalog has %d live sites, want %d", len(live), len(want)-3)
 	}
 	for i, s := range want {
-		if s == cacheBypass {
+		if retired(s) {
 			// Retired in place: the slot still decodes, nothing can arm it.
 			if SiteAt(i) != s || s.Index() != -1 {
 				t.Fatalf("retired slot %d: SiteAt = %s, Index = %d", i, SiteAt(i), s.Index())
@@ -56,7 +56,7 @@ func TestPlanStringParseRoundTrip(t *testing.T) {
 		"seed=0",
 		"seed=42;analyzer.eqset.split=p=0.25",
 		"seed=-7;cluster.msg.drop=p=0.1,max=3;server.worker.panic=every=1,max=1,arg=5",
-		"seed=9;checkpoint.encode.flip=every=2,after=1;shard.stall=p=1",
+		"seed=9;checkpoint.encode.flip=every=2,after=1;trace.invalidate=p=1",
 	}
 	for _, in := range plans {
 		p, err := Parse(in)
@@ -80,6 +80,8 @@ func TestParseRejects(t *testing.T) {
 		{"nonsense", "not <site>=<spec>"},
 		{"cluster.msg.bogus=p=1", "unknown site"},
 		{"seed=1;sched.cache.bypass=p=0.25", "unknown site"}, // retired with the instance cache
+		{"seed=1;shard.stall=every=3", "unknown site"},       // retired with the shard layer's fault hooks
+		{"seed=1;shard.migrate=every=4", "unknown site"},
 		{"cluster.msg.drop=p=2", "outside [0,1]"},
 		{"cluster.msg.drop=p=-0.5", "outside [0,1]"},
 		{"cluster.msg.drop=p=NaN", "outside [0,1]"},
@@ -110,9 +112,6 @@ func TestNilInjectorSafe(t *testing.T) {
 	in.SetRecorder(nil)
 	if in.Fires(EqSplit) != 0 || in.Counts() != nil || in.String() != "" {
 		t.Fatal("nil injector leaked state")
-	}
-	if p := in.Plan(); p.Seed != 0 || len(p.Rules) != 0 {
-		t.Fatal("nil injector has a plan")
 	}
 }
 
@@ -268,13 +267,13 @@ func TestFlipBit(t *testing.T) {
 }
 
 func TestPlanCopyIsolation(t *testing.T) {
-	in, err := NewFromString("seed=1;cluster.msg.drop=p=1")
+	p, err := Parse("seed=1;cluster.msg.drop=p=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := in.Plan()
+	in := New(p)
 	p.Rules[MsgDup] = Rule{Prob: 1}
-	if _, ok := in.Plan().Rules[MsgDup]; ok {
-		t.Fatal("Plan() exposed internal map")
+	if in.Fire(MsgDup, 0) || in.String() != "seed=1;cluster.msg.drop=p=1" {
+		t.Fatal("New shares the caller's rule map")
 	}
 }

@@ -14,11 +14,11 @@ func FuzzParse(f *testing.F) {
 		"",
 		"seed=42;analyzer.eqset.split=p=0.25",
 		"seed=-7;cluster.msg.drop=p=0.1,max=3;server.worker.panic=every=1,max=1,arg=5",
-		"seed=9;checkpoint.encode.flip=every=2,after=1;shard.stall=p=1",
+		"seed=9;checkpoint.encode.flip=every=2,after=1;trace.invalidate=p=1",
 		"seed=x",
 		"cluster.msg.drop=p=1;cluster.msg.drop=p=1",
 		"seed=1;sched.cache.bypass=p=0.25",
-		" seed=3 ; trace.invalidate=p=1e-3,after=2 ;; shard.migrate=every=4,arg=-1 ",
+		" seed=3 ; trace.invalidate=p=1e-3,after=2 ;; server.admit.burst=every=4,arg=-1 ",
 		"cluster.msg.drop=p=NaN", // was accepted, and printed as a rule with no clauses
 	} {
 		f.Add(s)

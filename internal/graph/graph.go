@@ -96,55 +96,6 @@ func (d *DAG) Widths() []int {
 	return widths
 }
 
-// CriticalPath returns one longest chain of task IDs.
-func (d *DAG) CriticalPath() []int {
-	levels := d.Levels()
-	// Find a task on the deepest level and walk back through a
-	// predecessor one level shallower each step.
-	end, deepest := -1, -1
-	for i, l := range levels {
-		if l > deepest {
-			deepest, end = l, i
-		}
-	}
-	if end == -1 {
-		return nil
-	}
-	var rev []int
-	for cur := end; ; {
-		rev = append(rev, cur)
-		if levels[cur] == 0 {
-			break
-		}
-		next := -1
-		for _, p := range d.Deps[cur] {
-			if levels[p] == levels[cur]-1 {
-				next = p
-				break
-			}
-		}
-		if next == -1 {
-			break
-		}
-		cur = next
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// MaxWidth returns the widest level.
-func (d *DAG) MaxWidth() int {
-	w := 0
-	for _, x := range d.Widths() {
-		if x > w {
-			w = x
-		}
-	}
-	return w
-}
-
 // AverageParallelism returns tasks divided by levels — the speedup an
 // infinitely wide machine could extract.
 func (d *DAG) AverageParallelism() float64 {

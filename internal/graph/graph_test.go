@@ -35,37 +35,8 @@ func TestLevelsAndWidths(t *testing.T) {
 			t.Errorf("level %d width = %d, want 3", i, w)
 		}
 	}
-	if d.MaxWidth() != 3 {
-		t.Errorf("MaxWidth = %d", d.MaxWidth())
-	}
 	if got := d.AverageParallelism(); got != 3 {
 		t.Errorf("AverageParallelism = %v, want 3", got)
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	d := figure5DAG(t)
-	cp := d.CriticalPath()
-	if len(cp) != 3 {
-		t.Fatalf("critical path = %v, want length 3", cp)
-	}
-	levels := d.Levels()
-	for i, id := range cp {
-		if levels[id] != i {
-			t.Errorf("critical path node %d at level %d, want %d", id, levels[id], i)
-		}
-	}
-	// Consecutive nodes are truly dependent.
-	for i := 1; i < len(cp); i++ {
-		found := false
-		for _, p := range d.Deps[cp[i]] {
-			if p == cp[i-1] {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("critical path edge %d -> %d is not a dependence", cp[i-1], cp[i])
-		}
 	}
 }
 
@@ -86,9 +57,6 @@ func TestFutureEdgesMerge(t *testing.T) {
 
 func TestEmptyDAG(t *testing.T) {
 	d := graph.FromStream(nil, nil)
-	if d.CriticalPath() != nil {
-		t.Error("empty DAG has no critical path")
-	}
 	if d.AverageParallelism() != 0 || d.Edges() != 0 {
 		t.Error("empty DAG analytics wrong")
 	}

@@ -47,15 +47,9 @@ type ChaosReport struct {
 	Plan      string
 	Tasks     int
 	Analyzers []string
-	// Fires counts injected faults per site on the session injector — the
-	// plan's schedule exactly as written.
+	// Fires counts injected faults per site — the plan's schedule exactly
+	// as written, and one KindFaultInject event in Dump per fire.
 	Fires map[fault.Site]int64
-	// AtomFires counts injected faults per site on the sharded legs'
-	// private per-atom injectors, whose streams are deterministically
-	// decorrelated from the session's (internal/shard). Their journal
-	// entries appear in Dump alongside the session's, so Fires+AtomFires
-	// is what reconciles against the dump's injection events.
-	AtomFires map[fault.Site]int64
 	// Events is the number of flight-recorder events journaled.
 	Events int
 	// Dump is the recorder window in VISFREC1 binary form, journaled on a
@@ -79,8 +73,6 @@ func DefaultChaosPlan(seed int64) string {
 		fault.EqSplit:         {Prob: 0.10},
 		fault.EqMigrate:       {Prob: 0.05},
 		fault.TraceInvalidate: {Prob: 0.10},
-		fault.ShardStall:      {Prob: 0.10},
-		fault.ShardMigrate:    {Prob: 0.05},
 		fault.MsgDrop:         {Prob: 0.02},
 		fault.MsgDelay:        {Prob: 0.05},
 		fault.MsgDup:          {Prob: 0.05},
@@ -118,13 +110,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	stream := chaosStream(rng, tree, cfg.Tasks)
 
 	report := &ChaosReport{Seed: cfg.Seed, Plan: cfg.Plan, Tasks: len(stream.Tasks), Analyzers: algo.Names()}
-	// The sharded legs' atoms fire faults on private injectors whose
-	// journal entries reach rec via tape replay; their counts are gathered
-	// here so Fires+AtomFires reconciles with the dump's injection events.
-	atomFires := make(map[fault.Site]int64)
 	finish := func() {
 		report.Fires = inj.Counts()
-		report.AtomFires = atomFires
 		report.Events = rec.Len()
 		var buf bytes.Buffer
 		_ = rec.Dump(&buf) // bytes.Buffer writes cannot fail
@@ -137,30 +124,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		newAn, _ := algo.Lookup(name)
 		factories = append(factories, core.Factory{Name: name, New: func(tr *region.Tree) core.Analyzer { return newAn(tr, opts) }})
 	}
-	// Sharded legs: the same stream through the shard layer at two shard
-	// counts, under the same injector. The outer shard.stall/shard.migrate
-	// sites fire here, and every inner analyzer site fires per-atom on a
-	// decorrelated stream; the crosscheck still demands byte-equality with
-	// the sequential ground truth.
-	var sharded []*algo.Stack
-	for _, shards := range []int{2, 5} {
-		spec := algo.Spec{Algorithm: "raycast", Shards: shards}
-		name := fmt.Sprintf("raycast+shard%d", shards)
-		factories = append(factories, core.Factory{Name: name, New: func(tr *region.Tree) core.Analyzer {
-			st := spec.Build(tr, opts)
-			sharded = append(sharded, st)
-			return st.Analyzer
-		}})
-		report.Analyzers = append(report.Analyzers, name)
-	}
-	err = core.Verify(stream, chaosInit(tree), core.HashKernel{}, factories...)
-	for _, st := range sharded {
-		for site, n := range st.Shard.AtomFaultCounts() {
-			atomFires[site] += n
-		}
-		st.Close()
-	}
-	if err != nil {
+	if err := core.Verify(stream, chaosInit(tree), core.HashKernel{}, factories...); err != nil {
 		finish()
 		return report, fmt.Errorf("chaos seed %d plan %q: %w", cfg.Seed, cfg.Plan, err)
 	}

@@ -50,14 +50,6 @@ type Config struct {
 	// to see a full repetition, one to record), so the measured regime is
 	// steady-state replay. Mutually exclusive with Tracing.
 	AutoTrace bool
-	// Shards, when positive, routes each node's analysis through the shard
-	// layer with this many parallel shards (internal/shard): the region
-	// tree is split into coordinate bands, analyzed concurrently, and the
-	// per-band results are merged back into the sequential edge stream.
-	// The cell's system name gains a "_shard<N>" suffix. Shards composes
-	// with Tracing and AutoTrace (the trace layers wrap outside the shard
-	// fan-out, so replayed launches skip it entirely).
-	Shards int
 	// Mapper overrides task placement (default: owner-computes, the
 	// paper's mapping). Locality-oblivious mappers quantify how much the
 	// implicit-communication machinery has to move.
@@ -111,7 +103,7 @@ func SystemName(algorithm string, dcr bool) string {
 
 // Run executes one experiment cell.
 func Run(cfg Config) (*Result, error) {
-	spec, err := algo.Spec{Algorithm: cfg.Algorithm, Tracing: cfg.Tracing, AutoTrace: cfg.AutoTrace, Shards: cfg.Shards}.Check()
+	spec, err := algo.Spec{Algorithm: cfg.Algorithm, Tracing: cfg.Tracing, AutoTrace: cfg.AutoTrace}.Check()
 	if err != nil {
 		return nil, err
 	}
@@ -142,8 +134,6 @@ func Run(cfg Config) (*Result, error) {
 		stack = spec.Build(tree, opts)
 		return stack.Analyzer
 	}, owner, distCfg)
-	// The shard layer's goroutines are released once the cell is measured.
-	defer stack.Close()
 	tracer := stack.Tracer
 	stream := core.NewStream(inst.Tree)
 

@@ -84,9 +84,8 @@ type Event struct {
 // Recorder is the bounded drop-oldest event ring. A nil *Recorder is
 // valid and records nothing. Safe for concurrent use.
 type Recorder struct {
-	enabled   atomic.Bool
-	now       func() int64 // immutable after construction
-	unbounded bool         // immutable after construction; Log grows instead of wrapping
+	enabled atomic.Bool
+	now     func() int64 // immutable after construction
 
 	mu      sync.Mutex
 	ring    []Event // guarded by mu
@@ -113,39 +112,6 @@ func NewClock(capacity int, now func() int64) *Recorder {
 	return r
 }
 
-// NewTape creates an enabled, unbounded staging recorder: every event is
-// kept (nothing is ever dropped) and all timestamps are zero. A tape is a
-// holding pen for event sequences produced off the journaling goroutine —
-// a shard worker journals into its own tape, and the merge stage replays
-// the events into the real recorder (which stamps its own clock) in a
-// deterministic order. Empty it with Drain.
-func NewTape() *Recorder {
-	r := &Recorder{now: func() int64 { return 0 }, unbounded: true}
-	r.enabled.Store(true)
-	return r
-}
-
-// Drain invokes fn on each journaled event, oldest first, then resets
-// the window to empty (retaining capacity), copying nothing — it runs for
-// every per-launch staging tape on every merge. fn runs under the
-// recorder's lock and must not journal back into the same recorder.
-// Nil-safe.
-func (r *Recorder) Drain(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.ring[r.head:] {
-		fn(e)
-	}
-	for _, e := range r.ring[:r.head] {
-		fn(e)
-	}
-	r.ring = r.ring[:0]
-	r.head = 0
-}
-
 // SetEnabled turns journaling on or off.
 func (r *Recorder) SetEnabled(on bool) {
 	if r == nil {
@@ -170,7 +136,7 @@ func (r *Recorder) Log(k Kind, a, b int64) {
 	}
 	e := Event{T: r.now(), Kind: k, A: a, B: b}
 	r.mu.Lock()
-	if r.unbounded || len(r.ring) < cap(r.ring) {
+	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, e)
 	} else {
 		r.ring[r.head] = e

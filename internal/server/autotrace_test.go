@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"visibility"
@@ -65,8 +67,8 @@ func TestE2EAutotraceSession(t *testing.T) {
 	for _, info := range infos {
 		if info.ID == sess.ID {
 			found = true
-			if !info.Autotrace || info.Tracing {
-				t.Errorf("session info = %+v, want autotrace on, tracing off", info)
+			if !info.Autotrace {
+				t.Errorf("session info = %+v, want autotrace on", info)
 			}
 		}
 	}
@@ -79,12 +81,13 @@ func TestE2EAutotraceSession(t *testing.T) {
 }
 
 // TestAutotraceTracingExclusive checks the server rejects a session
-// asking for both bracketed and automatic tracing.
+// asking for both bracketed and automatic tracing. Tracing is no session
+// option, so the body fails as an unknown field.
 func TestAutotraceTracingExclusive(t *testing.T) {
-	_, c, shutdown := newTestServer(t, server.Config{})
+	srv, _, shutdown := newTestServer(t, server.Config{})
 	defer shutdown()
-	if _, err := c.CreateSession(client.SessionConfig{Tracing: true, AutoTrace: true}); err == nil {
-		t.Fatal("tracing+autotrace session was accepted")
+	if code, body := post(t, srv, "/v1/sessions", `{"tracing":true,"autotrace":true}`); code != http.StatusBadRequest || !strings.Contains(body, `unknown field \"tracing\"`) {
+		t.Errorf("POST /v1/sessions: %d %s, want a 400 naming the unknown field", code, body)
 	}
 }
 

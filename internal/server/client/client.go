@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"visibility"
-	"visibility/internal/algo"
 	"visibility/internal/obs"
 	"visibility/internal/wire"
 )
@@ -56,9 +55,13 @@ func New(base string) *Client {
 	return &Client{base: base, hc: &http.Client{}, MaxRetries: 20}
 }
 
-// SessionConfig selects the per-session analysis stack; its JSON form is
-// the session-creation body.
-type SessionConfig = algo.Spec
+// SessionConfig selects a session's analysis: a registered algorithm
+// (empty selects the server default) and whether to autotrace. Its JSON
+// form is the session-creation body; Restore sends it as the query.
+type SessionConfig struct {
+	Algorithm string `json:"algorithm,omitempty"`
+	AutoTrace bool   `json:"autotrace,omitempty"`
+}
 
 // Session is a handle to one server-side session.
 type Session struct {
@@ -162,15 +165,16 @@ func (c *Client) Session(id string) *Session {
 
 // Restore creates a session seeded from a checkpoint.
 func (c *Client) Restore(checkpoint []byte, cfg SessionConfig) (*Session, error) {
-	path := "/v1/sessions/restore?algorithm=" + cfg.Algorithm
-	if cfg.Tracing {
-		path += "&tracing=true"
+	q := url.Values{}
+	if cfg.Algorithm != "" {
+		q.Set("algorithm", cfg.Algorithm)
 	}
 	if cfg.AutoTrace {
-		path += "&autotrace=true"
+		q.Set("autotrace", "true")
 	}
-	if cfg.Shards > 0 {
-		path += "&shards=" + strconv.Itoa(cfg.Shards)
+	path := "/v1/sessions/restore"
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	var resp struct {
 		ID string `json:"id"`
@@ -185,9 +189,7 @@ func (c *Client) Restore(checkpoint []byte, cfg SessionConfig) (*Session, error)
 type SessionInfo struct {
 	ID        string `json:"id"`
 	Algorithm string `json:"algorithm"`
-	Tracing   bool   `json:"tracing"`
 	Autotrace bool   `json:"autotrace"`
-	Shards    int    `json:"shards,omitempty"`
 	Queued    int    `json:"queued"`
 	Failed    string `json:"failed,omitempty"`
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +12,8 @@ import (
 
 // TestQueryNamesAreEscaped round-trips region and field names full of
 // query-string metacharacters — wire accepts any non-empty name — through
-// every Session call that puts one in a URL.
+// every Session call that puts one in a URL, and an algorithm name through
+// Restore's query.
 func TestQueryNamesAreEscaped(t *testing.T) {
 	srv := server.New(server.Config{IdleTimeout: -1})
 	hs := httptest.NewServer(srv.Handler())
@@ -61,6 +63,18 @@ func TestQueryNamesAreEscaped(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", call, err)
 		}
+	}
+
+	// Restore escapes its query too: an algorithm name carrying
+	// "&autotrace=true" names an unknown algorithm, never an autotraced
+	// session.
+	ckpt, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(hs.URL).Restore(ckpt, SessionConfig{Algorithm: "raycast&autotrace=true"})
+	if se, ok := err.(*StatusError); !ok || se.Code != 400 || !strings.Contains(se.Message, `unknown algorithm "raycast&autotrace=true"`) {
+		t.Errorf("Restore = %v, want a 400 for the unknown algorithm", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"visibility"
+	"visibility/internal/obs/recorder"
 	"visibility/internal/server"
 	"visibility/internal/server/client"
 	"visibility/internal/wire"
@@ -330,6 +331,27 @@ func TestDrain(t *testing.T) {
 		t.Fatal("draining server accepted a new session")
 	} else if se, ok := err.(*client.StatusError); !ok || se.Code != 503 {
 		t.Fatalf("draining create error = %v, want 503", err)
+	}
+}
+
+// TestDrainJournalsSessionClose checks that a session closed by the drain
+// leaves the same journal trail as one closed on request: one session_open
+// and one session_close each.
+func TestDrainJournalsSessionClose(t *testing.T) {
+	srv, c, shutdown := newTestServer(t, server.Config{})
+	for i := 0; i < 3; i++ {
+		if _, err := c.CreateSession(client.SessionConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shutdown()
+	count := map[recorder.Kind]int{}
+	for _, e := range srv.Recorder().Snapshot() {
+		count[e.Kind]++
+	}
+	if count[recorder.KindSessionOpen] != 3 || count[recorder.KindSessionClose] != 3 {
+		t.Errorf("journal holds %d session_open and %d session_close, want 3 and 3",
+			count[recorder.KindSessionOpen], count[recorder.KindSessionClose])
 	}
 }
 

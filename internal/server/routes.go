@@ -9,11 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"time"
 
 	"visibility"
-	"visibility/internal/algo"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
 	"visibility/internal/wire"
@@ -181,19 +181,25 @@ func (srv *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
 
 // --- session lifecycle endpoints ----------------------------------------
 
+// sessionRequest is everything a session can be asked for, as the
+// creation body and as the restore query: a registered algorithm (empty
+// selects the default) and whether to autotrace. Any other key is a 400.
+type sessionRequest struct {
+	Algorithm string `json:"algorithm,omitempty"`
+	AutoTrace bool   `json:"autotrace,omitempty"`
+}
+
 type sessionBody struct {
 	ID        string `json:"id"`
 	Algorithm string `json:"algorithm"`
-	Tracing   bool   `json:"tracing"`
 	Autotrace bool   `json:"autotrace"`
-	Shards    int    `json:"shards,omitempty"`
 	Queued    int    `json:"queued"`
 	Failed    string `json:"failed,omitempty"`
 }
 
 func (s *session) describe() sessionBody {
 	_, queued := s.idleSince()
-	body := sessionBody{ID: s.id, Algorithm: s.spec.Algorithm, Tracing: s.spec.Tracing, Autotrace: s.spec.AutoTrace, Shards: s.spec.Shards, Queued: queued}
+	body := sessionBody{ID: s.id, Algorithm: s.req.Algorithm, Autotrace: s.req.AutoTrace, Queued: queued}
 	if err := s.latchedFailure(); err != nil {
 		body.Failed = err.Error()
 	}
@@ -201,14 +207,14 @@ func (s *session) describe() sessionBody {
 }
 
 func (srv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var spec algo.Spec // the creation body is the stack description itself
+	var req sessionRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSessionBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil && !errors.Is(err, io.EOF) {
+	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		srv.fail(w, fmt.Errorf("decoding session config: %w", err))
 		return
 	}
-	s, err := srv.createSession(spec, func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
+	s, err := srv.createSession(req, func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
 		rt := visibility.New(c)
 		return rt, wire.NewEnv(rt), nil
 	})
@@ -219,18 +225,36 @@ func (srv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.describe())
 }
 
-func (srv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	spec := algo.Spec{Algorithm: q.Get("algorithm"), Tracing: q.Get("tracing") == "true", AutoTrace: q.Get("autotrace") == "true"}
-	if v := q.Get("shards"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			srv.fail(w, fmt.Errorf("bad shards %q: %v", v, err))
-			return
+// restoreRequest reads the restore query: the sessionRequest keys, and
+// autotrace as a boolean.
+func restoreRequest(q url.Values) (sessionRequest, error) {
+	known := 0
+	for _, key := range []string{"algorithm", "autotrace"} {
+		if q.Has(key) {
+			known++
 		}
-		spec.Shards = n
 	}
-	s, err := srv.createSession(spec,
+	if len(q) > known {
+		return sessionRequest{}, fmt.Errorf("restore takes only the algorithm and autotrace parameters")
+	}
+	req := sessionRequest{Algorithm: q.Get("algorithm")}
+	if v := q.Get("autotrace"); v != "" {
+		on, err := strconv.ParseBool(v)
+		if err != nil {
+			return req, fmt.Errorf("bad autotrace %q", v)
+		}
+		req.AutoTrace = on
+	}
+	return req, nil
+}
+
+func (srv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
+	req, err := restoreRequest(r.URL.Query())
+	if err != nil {
+		srv.fail(w, err)
+		return
+	}
+	s, err := srv.createSession(req,
 		func(c visibility.Config) (*visibility.Runtime, *wire.Env, error) {
 			rt, roots, err := visibility.Restore(http.MaxBytesReader(w, r.Body, maxWorkloadBody), c)
 			if err != nil {
@@ -638,7 +662,7 @@ func (srv *Server) handleDebugTrace(w http.ResponseWriter, _ *http.Request) {
 	tw.ProcessName(0, "visserve http")
 	tw.Spans(0, 0, srv.spans.Snapshot())
 	for i, s := range srv.sessionList() {
-		tw.ProcessName(i+1, "session "+s.id+" ("+s.spec.Algorithm+")")
+		tw.ProcessName(i+1, "session "+s.id+" ("+s.req.Algorithm+")")
 		tw.Spans(i+1, 0, s.spans.Snapshot())
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -1,6 +1,6 @@
 // Package server is the network-facing multi-tenant analysis service:
 // each session owns a visibility.Runtime (with its own coherence
-// algorithm, tracing setting, and observability registry) driven by a
+// algorithm, autotrace setting, and observability registry) driven by a
 // single worker goroutine, and clients speak the wire format over HTTP.
 //
 // Admission control is two-level and bounded everywhere: a global
@@ -207,20 +207,19 @@ var errTooManySessions = fmt.Errorf("session limit reached")
 // worker inherits the moment run starts.
 //
 //confined:callbacks session-worker
-func (srv *Server) createSession(spec algo.Spec, seed func(cfg visibility.Config) (*visibility.Runtime, *wire.Env, error)) (*session, error) {
-	spec, err := spec.Check()
+func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Config) (*visibility.Runtime, *wire.Env, error)) (*session, error) {
+	spec, err := algo.Spec{Algorithm: req.Algorithm, AutoTrace: req.AutoTrace}.Check()
 	if err != nil {
 		return nil, err
 	}
+	req.Algorithm = spec.Algorithm
 	metrics := obs.NewRegistry()
 	// The session buffer shares the server clock so HTTP, queue-wait, and
 	// analysis spans land on one time axis in the merged export.
 	spans := obs.NewBufferClock(srv.cfg.SpanCap, srv.clock)
 	cfg := visibility.Config{
-		Algorithm: spec.Algorithm,
-		Tracing:   spec.Tracing,
-		AutoTrace: spec.AutoTrace,
-		Shards:    spec.Shards,
+		Algorithm: req.Algorithm,
+		AutoTrace: req.AutoTrace,
 		Workers:   srv.cfg.Workers,
 		Metrics:   metrics,
 		Spans:     spans,
@@ -250,7 +249,7 @@ func (srv *Server) createSession(spec algo.Spec, seed func(cfg visibility.Config
 	}
 	srv.nextID++
 	id := fmt.Sprintf("s%06d", srv.nextID)
-	s := srv.newSession(id, spec, rt, env, metrics, spans)
+	s := srv.newSession(id, req, rt, env, metrics, spans)
 	s.seq = int64(srv.nextID)
 	srv.sessions[id] = s
 	srv.active.Set(int64(len(srv.sessions)))
@@ -283,16 +282,23 @@ func (srv *Server) sessionList() []*session {
 // closeSession removes s from the table and shuts down its worker; when
 // wait is true it blocks until the worker has released the runtime.
 func (srv *Server) closeSession(s *session, wait bool) {
-	if s.beginClose() {
-		srv.mu.Lock()
-		delete(srv.sessions, s.id)
-		srv.active.Set(int64(len(srv.sessions)))
-		srv.mu.Unlock()
-		srv.rec.Log(recorder.KindSessionClose, s.seq, 0)
-	}
+	srv.removeSession(s)
 	if wait {
 		<-s.done
 	}
+}
+
+// removeSession starts s's shutdown and, for the caller that wins the
+// race to close it, takes it out of the table and journals session_close.
+func (srv *Server) removeSession(s *session) {
+	if !s.beginClose() {
+		return
+	}
+	srv.mu.Lock()
+	delete(srv.sessions, s.id)
+	srv.active.Set(int64(len(srv.sessions)))
+	srv.mu.Unlock()
+	srv.rec.Log(recorder.KindSessionClose, s.seq, 0)
 }
 
 // --- admission ----------------------------------------------------------
@@ -423,12 +429,7 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 	<-srv.janitorDone
 
 	for _, s := range srv.sessionList() {
-		if s.beginClose() {
-			srv.mu.Lock()
-			delete(srv.sessions, s.id)
-			srv.active.Set(int64(len(srv.sessions)))
-			srv.mu.Unlock()
-		}
+		srv.removeSession(s)
 		select {
 		case <-s.done:
 		case <-ctx.Done():

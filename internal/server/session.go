@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"visibility"
-	"visibility/internal/algo"
 	"visibility/internal/fault"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
@@ -21,7 +20,7 @@ import (
 type session struct {
 	id      string
 	srv     *Server
-	spec    algo.Spec // the analysis stack rt was configured with
+	req     sessionRequest // what rt was configured with, default algorithm filled in
 	created time.Time
 	seq     int64 // numeric id journaled in flight-recorder events
 
@@ -73,11 +72,11 @@ var (
 // newSession builds a session around an existing runtime and environment
 // (created by the caller; ownership transfers to the worker goroutine the
 // moment run starts).
-func (srv *Server) newSession(id string, spec algo.Spec, rt *visibility.Runtime, env *wire.Env, metrics *obs.Registry, spans *obs.Buffer) *session {
+func (srv *Server) newSession(id string, req sessionRequest, rt *visibility.Runtime, env *wire.Env, metrics *obs.Registry, spans *obs.Buffer) *session {
 	s := &session{
 		id:       id,
 		srv:      srv,
-		spec:     spec,
+		req:      req,
 		created:  time.Now(),
 		rt:       rt,
 		env:      env,

@@ -29,15 +29,10 @@
 //     order. (Coalescing by producer would be unsound: a reduce entry
 //     could migrate ahead of a later write that covers its points.)
 //
-//   - Instrumentation: workers journal recorder events, probe traffic,
-//     and provenance into per-atom staging buffers, which the submit
-//     goroutine replays in atom order after the barrier. Nothing
-//     order-sensitive is written concurrently.
-//
-// Analysis-order-sensitive side channels (fault streams, equivalence-set
-// identities) are decorrelated per atom: each atom gets its own fault
-// injector seeded from the session plan and the atom index, so a fault
-// campaign replays byte-identically for a fixed shard count.
+// The layer carries no instrumentation that is order-sensitive or unsafe
+// for concurrent use: New refuses a Probe, Recorder, fault injector or
+// provenance store, and the atoms get only the metrics registry, the span
+// buffer and the owner function.
 //
 // The shard layer is itself an analyzer, so it composes under the trace
 // and autotrace wrappers (which then memoize the merged results) and
@@ -48,13 +43,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"visibility/internal/core"
-	"visibility/internal/fault"
 	"visibility/internal/index"
 	"visibility/internal/obs"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/region"
 )
 
@@ -62,67 +54,16 @@ import (
 // tree — the same shape as the algorithm registry's constructors.
 type Factory = core.NewAnalyzerFunc
 
-// maxStall bounds the delay the shard.stall fault site injects.
-const maxStall = 200 * time.Microsecond
-
-// probeOp is one staged Probe call.
-type probeOp struct {
-	kind  uint8 // 0 Touch, 1 Visit, 2 Fetch
-	owner int
-	token int64
-	ops   int64
-}
-
-// stagingProbe buffers an atom's probe traffic during the parallel
-// phase; the merge stage replays it into the real probe in atom order
-// (the distributed cost model's probe is order-sensitive and not safe
-// for concurrent use).
-type stagingProbe struct {
-	log []probeOp
-}
-
-func (p *stagingProbe) Touch(owner int, ops int64) {
-	p.log = append(p.log, probeOp{kind: 0, owner: owner, ops: ops})
-}
-
-func (p *stagingProbe) Visit(ops int64) {
-	p.log = append(p.log, probeOp{kind: 1, ops: ops})
-}
-
-func (p *stagingProbe) Fetch(owner int, token, ops int64) {
-	p.log = append(p.log, probeOp{kind: 2, owner: owner, token: token, ops: ops})
-}
-
-func (p *stagingProbe) drain(dst core.Probe) {
-	for _, op := range p.log {
-		switch op.kind {
-		case 0:
-			dst.Touch(op.owner, op.ops)
-		case 1:
-			dst.Visit(op.ops)
-		default:
-			dst.Fetch(op.owner, op.token, op.ops)
-		}
-	}
-	p.log = p.log[:0]
-}
-
 // atom is one disjoint slice of the analysis: a band of the root space,
-// the shadow tree restricted to it, and the inner analyzer plus staging
-// instrumentation that slice owns.
+// the shadow tree restricted to it, and the inner analyzer that slice owns.
 type atom struct {
-	index int         // position in Analyzer.atoms; the merge order
 	space index.Space // the atom's slice of the root space
-	home  int         // owning shard; mutated only by shard.migrate on the submit goroutine
+	home  int         // owning shard
 
 	tree     *region.Tree
 	mirrored int // partitions of the real tree mirrored so far
 
-	an    core.Analyzer
-	tape  *recorder.Recorder // staging journal, drained at merge
-	probe *stagingProbe
-	prov  *core.Provenance // staging provenance; nil when provenance is off
-	inj   *fault.Injector  // private fault injector; nil when faults are off
+	an core.Analyzer
 }
 
 // job is one launch's work for one shard goroutine. tasks and results
@@ -133,7 +74,6 @@ type job struct {
 	atoms   []int
 	tasks   []*core.Task
 	results []*core.Result
-	stall   time.Duration
 	done    *sync.WaitGroup
 }
 
@@ -164,11 +104,9 @@ type Analyzer struct {
 	scratchResults []*core.Result
 	scratchShards  [][]int
 
-	cDispatch   *obs.Counter
-	cAtomRuns   *obs.Counter
-	cAtomSkips  *obs.Counter
-	cStalls     *obs.Counter
-	cMigrations *obs.Counter
+	cDispatch  *obs.Counter
+	cAtomRuns  *obs.Counter
+	cAtomSkips *obs.Counter
 }
 
 // fnv1a hashes s with 64-bit FNV-1a.
@@ -183,53 +121,33 @@ func fnv1a(s string) uint64 {
 
 // New builds a sharded analyzer over tree: shards parallel goroutines,
 // each running its own inner analyzer (built by inner) over a disjoint
-// slice of the space. shards < 1 is treated as 1. The returned analyzer
-// owns goroutines; Close it when done (Analyze after Close panics).
+// slice of the space. shards < 1 is treated as 1. opts may carry only
+// Metrics, Spans and Owner; New panics on anything else. The returned
+// analyzer owns goroutines; Close it when done (Analyze after Close
+// panics).
 func New(tree *region.Tree, opts core.Options, shards int, inner Factory) *Analyzer {
+	if opts.Probe != nil || opts.Recorder != nil || opts.Faults != nil || opts.Prov != nil {
+		panic("shard: the shard layer takes only Metrics, Spans and Owner")
+	}
 	if shards < 1 {
 		shards = 1
 	}
 	opts = opts.Normalize()
 	a := &Analyzer{
-		tree:        tree,
-		opts:        opts,
-		shards:      shards,
-		cDispatch:   opts.Metrics.NewCounter("shard/dispatches"),
-		cAtomRuns:   opts.Metrics.NewCounter("shard/atom_runs"),
-		cAtomSkips:  opts.Metrics.NewCounter("shard/atom_skips"),
-		cStalls:     opts.Metrics.NewCounter("shard/stalls"),
-		cMigrations: opts.Metrics.NewCounter("shard/migrations"),
+		tree:       tree,
+		opts:       opts,
+		shards:     shards,
+		cDispatch:  opts.Metrics.NewCounter("shard/dispatches"),
+		cAtomRuns:  opts.Metrics.NewCounter("shard/atom_runs"),
+		cAtomSkips: opts.Metrics.NewCounter("shard/atom_skips"),
 	}
 	for _, space := range bands(tree.Root.Space, shards) {
 		at := &atom{
-			index: len(a.atoms),
 			space: space,
 			home:  int(fnv1a(space.Key()) % uint64(shards)),
 			tree:  region.NewTree(tree.Root.Name, space, tree.Fields),
-			tape:  recorder.NewTape(),
-			probe: &stagingProbe{},
 		}
-		if opts.Prov != nil {
-			at.prov = core.NewProvenance()
-		}
-		var inj *fault.Injector
-		if opts.Faults != nil {
-			// Decorrelate the atoms' fault streams from each other and
-			// from the session's, deterministically per atom.
-			plan := opts.Faults.Plan()
-			plan.Seed ^= int64(fnv1a(fmt.Sprintf("atom%d", at.index)))
-			inj = fault.New(plan)
-			inj.SetRecorder(at.tape)
-			at.inj = inj
-		}
-		at.an = inner(at.tree, core.Options{
-			Probe:    at.probe,
-			Owner:    opts.Owner,
-			Spans:    opts.Spans,
-			Recorder: at.tape,
-			Faults:   inj,
-			Prov:     at.prov,
-		})
+		at.an = inner(at.tree, core.Options{Metrics: opts.Metrics, Spans: opts.Spans, Owner: opts.Owner})
 		a.atoms = append(a.atoms, at)
 	}
 	a.name = a.atoms[0].an.Name() + fmt.Sprintf("+shard%d", shards)
@@ -251,7 +169,7 @@ func New(tree *region.Tree, opts core.Options, shards int, inner Factory) *Analy
 
 // SetSerial forces (true) or forbids (false) the inline-serial execution
 // mode New picks automatically on single-P schedulers. Which goroutine
-// runs an atom is invisible in every result and journal, so this is a
+// runs an atom is invisible in every result, so this is a
 // scheduling knob only — tests use it to pin both paths regardless of
 // the host. Call it between launches, like every other method here.
 func (a *Analyzer) SetSerial(on bool) { a.serial = on }
@@ -291,22 +209,6 @@ func (a *Analyzer) Name() string { return a.name }
 // counters, with Launches counting fanned-out launches once.
 func (a *Analyzer) Stats() *core.Stats { return &a.stats }
 
-// AtomFaultCounts sums injected-fault fires across the atoms' private
-// injectors. These fires reach the session journal when each atom's tape
-// is replayed at merge, but they never advance the session injector's
-// own counters — callers reconciling journaled injections against fire
-// totals (the chaos report) add them back with this. Call it only
-// between launches, like every other method here.
-func (a *Analyzer) AtomFaultCounts() map[fault.Site]int64 {
-	out := make(map[fault.Site]int64)
-	for _, at := range a.atoms {
-		for site, n := range at.inj.Counts() {
-			out[site] += n
-		}
-	}
-	return out
-}
-
 // Atoms returns each atom's slice of the root space, in merge order
 // (exposed for tests and debugging endpoints).
 func (a *Analyzer) Atoms() []index.Space {
@@ -316,9 +218,6 @@ func (a *Analyzer) Atoms() []index.Space {
 	}
 	return out
 }
-
-// Shards returns the shard goroutine count.
-func (a *Analyzer) Shards() int { return a.shards }
 
 // Close shuts the shard goroutines down and waits for them. Idempotent;
 // Analyze must not be called after Close.
@@ -344,9 +243,6 @@ func (a *Analyzer) worker(k int) {
 	cat := fmt.Sprintf("shard%d", k)
 	for j := range a.inboxes[k] {
 		sp := a.opts.Spans.Begin("shard.atoms", cat)
-		if j.stall > 0 {
-			time.Sleep(j.stall)
-		}
 		for _, ai := range j.atoms {
 			at := a.atoms[ai]
 			j.results[ai] = at.an.Analyze(j.tasks[ai])
@@ -407,22 +303,6 @@ func (a *Analyzer) Analyze(t *core.Task) *core.Result {
 	a.launches++
 	a.mirror()
 
-	// Fault sites, evaluated in program order on the submit goroutine
-	// against the session injector (the atoms' private injectors handle
-	// the analyzer-level sites).
-	if fired, v := a.opts.Faults.FireValue(fault.ShardMigrate, int64(t.ID)); fired && a.shards > 1 {
-		at := a.atoms[int(v%uint64(len(a.atoms)))]
-		at.home = (at.home + 1 + int((v>>8)%uint64(a.shards-1))) % a.shards
-		a.cMigrations.Inc()
-	}
-	var stall time.Duration
-	stallShard := -1
-	if fired, v := a.opts.Faults.FireValue(fault.ShardStall, int64(t.ID)); fired {
-		stall = time.Duration(v%uint64(maxStall)) + 1
-		stallShard = int((v >> 16) % uint64(a.shards))
-		a.cStalls.Inc()
-	}
-
 	if a.scratchTasks == nil {
 		a.scratchTasks = make([]*core.Task, len(a.atoms))
 		a.scratchResults = make([]*core.Result, len(a.atoms))
@@ -450,27 +330,20 @@ func (a *Analyzer) Analyze(t *core.Task) *core.Result {
 		// Serial path (single shard, or a single-P scheduler): every
 		// atom runs inline in atom order — no goroutine round trip, and
 		// the work-splitting effect of the restricted trees is the whole
-		// win. The first active atom homed on the stalled shard takes the
-		// injected delay.
-		stalled := stallShard < 0
+		// win.
 		for ai, at := range a.atoms {
-			if tasks[ai] == nil {
-				continue
+			if tasks[ai] != nil {
+				results[ai] = at.an.Analyze(tasks[ai])
 			}
-			if !stalled && at.home == stallShard {
-				time.Sleep(stall)
-				stalled = true
-			}
-			results[ai] = at.an.Analyze(tasks[ai])
 		}
 	} else {
 		// The lowest-indexed shard with work runs inline on the submit
 		// goroutine while the rest run on their workers: a launch confined
 		// to one shard's atoms pays no channel round trip at all, and a
 		// fanned-out launch saves one dispatch and overlaps with the rest.
-		// Which goroutine runs an atom never shows: every atom's state and
-		// staging buffers are touched only by its runner, and the merge
-		// below reads them after the barrier in atom order regardless.
+		// Which goroutine runs an atom never shows: every atom's state is
+		// touched only by its runner, and the merge below reads the results
+		// after the barrier in atom order regardless.
 		var done sync.WaitGroup
 		inline := -1
 		for k, ais := range perShard {
@@ -482,17 +355,10 @@ func (a *Analyzer) Analyze(t *core.Task) *core.Result {
 				continue
 			}
 			done.Add(1)
-			j := job{atoms: ais, tasks: tasks, results: results, done: &done}
-			if k == stallShard {
-				j.stall = stall
-			}
-			a.inboxes[k] <- j
+			a.inboxes[k] <- job{atoms: ais, tasks: tasks, results: results, done: &done}
 			a.cDispatch.Inc()
 		}
 		if inline >= 0 {
-			if inline == stallShard {
-				time.Sleep(stall)
-			}
 			for _, ai := range perShard[inline] {
 				results[ai] = a.atoms[ai].an.Analyze(tasks[ai])
 			}
@@ -501,29 +367,16 @@ func (a *Analyzer) Analyze(t *core.Task) *core.Result {
 	}
 
 	// Merge in atom order: concatenation only, so every point's entry
-	// order — and every staged instrumentation stream — lands exactly
-	// where the sequential analyzer would have put it.
+	// order lands exactly where the sequential analyzer would have put it.
 	var deps []int
 	plans := make([][]core.Visible, len(t.Reqs))
-	for _, at := range a.atoms {
-		res := results[at.index]
-		if res != nil {
-			deps = append(deps, res.Deps...)
-			for ri := range plans {
-				plans[ri] = append(plans[ri], res.Plans[ri]...)
-			}
+	for _, res := range results {
+		if res == nil {
+			continue
 		}
-		// Staged instrumentation replays even for skipped atoms: their
-		// injectors and probes are idle, but draining unconditionally
-		// keeps the merge oblivious to the skip decision.
-		at.tape.Drain(func(e recorder.Event) {
-			a.opts.Recorder.Log(e.Kind, e.A, e.B)
-		})
-		at.probe.drain(a.opts.Probe)
-		if at.prov != nil {
-			for _, r := range at.prov.TakeReasons(t.ID) {
-				a.opts.Prov.AddReason(r)
-			}
+		deps = append(deps, res.Deps...)
+		for ri := range plans {
+			plans[ri] = append(plans[ri], res.Plans[ri]...)
 		}
 	}
 

@@ -9,19 +9,22 @@ import (
 	"visibility/internal/algo"
 	"visibility/internal/core"
 	"visibility/internal/data"
+	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
 	"visibility/internal/harness"
 	"visibility/internal/index"
+	"visibility/internal/obs/recorder"
 	"visibility/internal/region"
 	"visibility/internal/shard"
 )
 
 // digestStream runs stream through a raycast analyzer — sequential when
-// shards == 0, sharded otherwise — with provenance capture on, and
-// renders everything the shard layer promises to preserve byte-for-byte:
-// the dependence edge stream, every materialized input value, and the
-// canonical provenance of every edge.
+// shards == 0, sharded otherwise — and renders everything the shard layer
+// promises to preserve: the dependence edge stream, each point's plan (the
+// producers it materializes from, in order; a sharded plan splits entries
+// at atom boundaries, so entries are compared point by point), and every
+// materialized input value.
 func digestStream(t *testing.T, tree *region.Tree, stream *core.Stream, init map[field.ID]*data.Store, shards int) string {
 	return digestStreamMode(t, tree, stream, init, shards, false)
 }
@@ -37,13 +40,11 @@ func digestStreamMode(t *testing.T, tree *region.Tree, stream *core.Stream, init
 	if err != nil {
 		t.Fatalf("lookup raycast: %v", err)
 	}
-	prov := core.NewProvenance()
-	opts := core.Options{Prov: prov}
 	var an core.Analyzer
 	if shards == 0 {
-		an = newRay(tree, opts)
+		an = newRay(tree, core.Options{})
 	} else {
-		sh := shard.New(tree, opts, shards, shard.Factory(newRay))
+		sh := shard.New(tree, core.Options{}, shards, shard.Factory(newRay))
 		if forceParallel {
 			sh.SetSerial(false)
 		}
@@ -58,10 +59,19 @@ func digestStreamMode(t *testing.T, tree *region.Tree, stream *core.Stream, init
 	for _, task := range stream.Tasks {
 		res := eng.Launch(task, core.HashKernel{})
 		fmt.Fprintf(&b, "task %d deps %v\n", task.ID, res.Deps)
-		for _, r := range prov.Reasons(task.ID) {
-			fmt.Fprintf(&b, "  reason %s overlap %v\n", r.String(), r.Overlap)
-		}
 		for ri, req := range task.Reqs {
+			fmt.Fprintf(&b, "  plan %d:", ri)
+			req.Region.Space.Each(func(p geometry.Point) bool {
+				fmt.Fprintf(&b, " [")
+				for _, v := range res.Plans[ri] {
+					if v.Pts.Contains(p) {
+						fmt.Fprintf(&b, " %d.%d %v", v.Task, v.Req, v.Priv)
+					}
+				}
+				fmt.Fprintf(&b, " ]")
+				return true
+			})
+			fmt.Fprintf(&b, "\n")
 			in := eng.Inputs[task.ID][ri]
 			if in == nil {
 				continue
@@ -90,8 +100,8 @@ func firstDiff(a, b string) string {
 
 // TestShardEquivalence is the shard layer's core property: for random
 // region trees and task streams (the chaos harness's generators), every
-// shard count from 1 to 8 produces a dependence edge stream, execution
-// state, and provenance byte-identical to the sequential analyzer's.
+// shard count from 1 to 8 produces a dependence edge stream, per-point
+// plans and execution state byte-identical to the sequential analyzer's.
 func TestShardEquivalence(t *testing.T) {
 	trials := 50
 	if testing.Short() {
@@ -231,7 +241,29 @@ func TestShardName(t *testing.T) {
 	if core.BaseName(sh.Name()) != "raycast" {
 		t.Fatalf("BaseName = %q", core.BaseName(sh.Name()))
 	}
-	if sh.Shards() != 4 {
-		t.Fatalf("Shards = %d", sh.Shards())
+}
+
+// TestShardRefusesInstrumentation pins what the layer will not carry: a
+// probe, a flight recorder, a fault injector or a provenance store would
+// be driven from several goroutines in scheduling order.
+func TestShardRefusesInstrumentation(t *testing.T) {
+	newRay, _ := algo.Lookup("raycast")
+	fs := field.NewSpace()
+	fs.Add("f0")
+	tree := region.NewTree("A", index.FromRect(geometry.R1(0, 9)), fs)
+	for name, opts := range map[string]core.Options{
+		"Probe":    {Probe: core.NopProbe{}},
+		"Recorder": {Recorder: recorder.New(4)},
+		"Faults":   {Faults: fault.New(fault.Plan{})},
+		"Prov":     {Prov: core.NewProvenance()},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("shard.New accepted %s", name)
+				}
+			}()
+			shard.New(tree, opts, 2, shard.Factory(newRay)).Close()
+		}()
 	}
 }

@@ -18,8 +18,6 @@
 package trace
 
 import (
-	"fmt"
-
 	"visibility/internal/core"
 	"visibility/internal/field"
 	"visibility/internal/index"
@@ -409,11 +407,3 @@ func (tr *Tracer) instantiate(t *core.Task, rec recordedResult) *core.Result {
 
 // Verify that Tracer satisfies core.Analyzer.
 var _ core.Analyzer = (*Tracer)(nil)
-
-// Describe returns a human-readable summary of the tracer state, for the
-// inspection CLI.
-func (tr *Tracer) Describe() string {
-	st := tr.TraceStats()
-	return fmt.Sprintf("traces=%d recorded=%d replayed=%d invalidations=%d",
-		len(tr.traces), st.Recorded, st.Replayed, st.Invalidations)
-}

@@ -286,13 +286,10 @@ func TestBeginEndMisuse(t *testing.T) {
 	}()
 }
 
-func TestDescribeAndName(t *testing.T) {
+func TestTracerName(t *testing.T) {
 	tree, _, _ := testutil.GraphTree()
 	tr := trace.New(warnock.New(tree, core.Options{}), core.Options{})
 	if tr.Name() != "warnock+trace" {
 		t.Errorf("Name = %q", tr.Name())
-	}
-	if tr.Describe() == "" {
-		t.Error("Describe empty")
 	}
 }

@@ -141,15 +141,11 @@ type Config struct {
 	// run. Mutually exclusive with Tracing (the explicit brackets would
 	// fight the automatic ones).
 	AutoTrace bool
-	// Shards, when > 1, partitions each launch's dependence analysis
-	// across that many parallel shard goroutines (internal/shard): the
-	// root index space is cut into per-shard atoms, each analyzed by its
-	// own instance of the configured algorithm, and the per-atom results
-	// merge back into a byte-identical sequential edge stream. Shards: 1
-	// runs the shard layer with a single atom (its overhead baseline);
-	// 0 (the default) bypasses the layer entirely. Composes with Tracing
-	// and AutoTrace — the tracer wraps the sharded analyzer, so replays
-	// skip the fan-out altogether.
+	// Shards, when positive, runs each launch's analysis through the shard
+	// layer (internal/shard) with that many shards; 0 (the default)
+	// bypasses it. The layer wins nowhere measured and stays only for the
+	// benchmark that times it. It cannot carry Recorder, Faults or
+	// Provenance: New panics on the combination.
 	Shards int
 	// Metrics, when non-nil, is the registry every component of this
 	// runtime publishes into: analyzer operation counters appear under
@@ -206,6 +202,9 @@ func New(cfg Config) *Runtime {
 	spec, err := cfg.spec().Check()
 	if err != nil {
 		panic(fmt.Sprintf("visibility: %v", err))
+	}
+	if cfg.Shards > 0 && (cfg.Recorder != nil || cfg.Faults != nil || cfg.Provenance) {
+		panic("visibility: Shards cannot be combined with Recorder, Faults or Provenance")
 	}
 	cfg.Algorithm = spec.Algorithm
 	if cfg.Workers <= 0 {
@@ -310,10 +309,6 @@ func (r *Region) HasField(name string) bool {
 	_, ok := r.tree.fields[name]
 	return ok
 }
-
-// SameTree reports whether r and o belong to the same region tree — the
-// precondition Launch enforces across a task's accesses.
-func (r *Region) SameTree(o *Region) bool { return o != nil && r.tree == o.tree }
 
 // Fill sets every element of a field of this region's points to v. Only
 // valid before the first task launch on the region's tree.
@@ -624,8 +619,8 @@ func (rt *Runtime) submit(ts *treeState, t *core.Task, k core.Kernel, body func(
 		// execution time. Both are properties of the task stream and its
 		// discovered graph — not of analyzer internals — so critical paths
 		// weighted by them are byte-reproducible across runs and across
-		// analyzer/sharding configurations. Measured operation counters
-		// stay in Stats() and the metrics registry.
+		// analyzers. Measured operation counters stay in Stats() and the
+		// metrics registry.
 		var exec int64
 		for _, req := range t.Reqs {
 			exec += req.Region.Space.Volume()

@@ -1,11 +1,15 @@
 package visibility_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"visibility"
+	"visibility/internal/fault"
+	"visibility/internal/obs/recorder"
 )
 
 func TestPartitionImageAndMinus(t *testing.T) {
@@ -150,6 +154,39 @@ func TestTracingMisusePanics(t *testing.T) {
 		}
 	}()
 	rt.BeginTrace(g, 1)
+}
+
+// TestShardsRefuseInstrumentation pins what Config.Shards still composes
+// with: a validated, traced run is fine, and the instrumentation the shard
+// layer cannot carry is refused at New.
+func TestShardsRefuseInstrumentation(t *testing.T) {
+	rt := visibility.New(visibility.Config{Shards: 2, Tracing: true, Validate: true})
+	g := rt.CreateRegion("g", visibility.Line(0, 15), "v")
+	blocks := g.PartitionEqual("B", 4)
+	for it := 0; it < 3; it++ {
+		rt.BeginTrace(g, 1)
+		for i := 0; i < 4; i++ {
+			rt.Launch(visibility.TaskSpec{Name: "step", Accesses: []visibility.Access{visibility.Write(blocks.Sub(i), "v")}})
+		}
+		rt.EndTrace(g)
+	}
+	rt.Read(g, "v")
+	rt.Close()
+
+	for name, cfg := range map[string]visibility.Config{
+		"Recorder":   {Shards: 1, Recorder: recorder.New(4)},
+		"Faults":     {Shards: 1, Faults: fault.New(fault.Plan{})},
+		"Provenance": {Shards: 1, Provenance: true},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Shards cannot be combined") {
+					t.Errorf("Shards with %s: recovered %v", name, r)
+				}
+			}()
+			visibility.New(cfg)
+		}()
+	}
 }
 
 func TestAfterFutures(t *testing.T) {
