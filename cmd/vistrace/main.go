@@ -5,11 +5,12 @@
 // analyzer's operation counters. It is the debugging lens for answers like
 // "why did these two tasks serialize?".
 //
-// With -trace-out it additionally replays the stream over the simulated
-// distributed machine and writes a Chrome trace-event (Perfetto-loadable)
-// JSON timeline: one track per simulated node (exec and util processors),
-// every work item as a duration event, every coherence message as a flow
-// arrow, and the analyzer's wall-clock phase spans as a separate process.
+// With -trace-out it additionally runs the application as one harness cell
+// (harness.Run, DCR on, -iters timed iterations) and writes a Chrome
+// trace-event (Perfetto-loadable) JSON timeline: one track per simulated
+// node (exec and util processors), every work item as a duration event,
+// every coherence message as a flow arrow, and the analyzer's wall-clock
+// phase spans as a separate process.
 //
 // Usage:
 //
@@ -24,11 +25,10 @@ import (
 
 	"visibility/internal/algo"
 	"visibility/internal/apps"
-	"visibility/internal/cluster"
 	"visibility/internal/core"
-	"visibility/internal/dist"
 	"visibility/internal/field"
 	"visibility/internal/graph"
+	"visibility/internal/harness"
 	"visibility/internal/index"
 	"visibility/internal/obs"
 
@@ -131,7 +131,7 @@ func main() {
 		st.EntriesScanned, st.OverlapTests, st.ViewsCreated, st.SetsCreated, st.SetsCoalesced, st.BVHVisited)
 
 	if *traceOut != "" {
-		if err := exportTrace(build, newAn, *nodes, *iters, *traceOut); err != nil {
+		if err := exportTrace(*appFlag, build, *algoFlag, *nodes, *iters, *traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "vistrace: %v\n", err)
 			os.Exit(1)
 		}
@@ -143,43 +143,24 @@ func main() {
 	}
 }
 
-// exportTrace replays the application's stream through a dist-driven run on
-// the simulated machine (DCR on, owner-computes placement, like the paper's
-// default configuration) and writes the resulting timeline as Chrome
-// trace-event JSON: virtual-time exec/util tracks per node with message flow
-// arrows, plus the analyzer's wall-clock phase spans as an extra process.
-func exportTrace(build apps.Builder, newAn algo.New, nodes, iters int, path string) error {
-	inst := build(nodes)
-	ccfg := cluster.DefaultConfig(nodes)
-	machine := cluster.New(ccfg)
-	machine.EnableTracing()
-
-	spans := obs.NewBuffer(1 << 16)
-	spans.SetEnabled(true)
-	dcfg := dist.DefaultConfig(true)
-	dcfg.Spans = spans
-	driver := dist.New(machine, inst.Tree, newAn,
-		dist.OwnerByPartition(inst.Owned, nodes), dcfg)
-
-	stream := core.NewStream(inst.Tree)
-	if inst.EmitInit != nil {
-		for _, l := range inst.EmitInit(stream) {
-			driver.Launch(l.Task, l.Node, l.Duration)
-		}
-	}
-	for it := 0; it < iters; it++ {
-		for _, l := range inst.Emit(stream, it) {
-			driver.Launch(l.Task, l.Node, l.Duration)
-		}
-	}
-	driver.Barrier()
-
+// exportTrace runs the application through harness.Run (DCR on,
+// owner-computes placement, the paper's default configuration; iters
+// timed iterations after the initialization iteration) and writes the
+// resulting timeline as Chrome trace-event JSON: virtual-time exec/util
+// tracks per node with message flow arrows, plus the analyzer's wall-clock
+// phase spans as an extra process.
+func exportTrace(app string, build apps.Builder, algorithm string, nodes, iters int, path string) error {
 	tw := obs.NewTraceWriter()
-	machine.ExportTrace(tw)
-	wallPid := machine.Nodes()
-	tw.ProcessName(wallPid, "analyzer (wall clock)")
-	tw.ThreadName(wallPid, 0, "analysis phases")
-	tw.Spans(wallPid, 0, spans.Snapshot())
+	spans := obs.NewBuffer(1 << 16)
+	if _, err := harness.Run(harness.Config{
+		App: build, AppName: app, Algorithm: algorithm, DCR: true,
+		Nodes: nodes, MeasureIters: iters, TraceOut: tw, Spans: spans,
+	}); err != nil {
+		return err
+	}
+	tw.ProcessName(nodes, "analyzer (wall clock)")
+	tw.ThreadName(nodes, 0, "analysis phases")
+	tw.Spans(nodes, 0, spans.Snapshot())
 
 	f, err := os.Create(path)
 	if err != nil {

@@ -14,6 +14,12 @@ import (
 	"visibility/internal/obs"
 )
 
+// spanCap bounds the per-run span ring the latency quantiles are computed
+// from; it comfortably holds the default sweeps. If a run records more
+// analysis spans than this, the quantiles cover the most recent spanCap
+// spans.
+const spanCap = 1 << 17
+
 // Options configures one benchmark collection.
 type Options struct {
 	// Apps are the application names to measure (resolved through the
@@ -38,11 +44,6 @@ type Options struct {
 	// and a matching .heap.pprof taken after them, for offline hot-path
 	// attribution with `go tool pprof`.
 	ProfileDir string
-	// SpanCapacity bounds the per-run span ring the latency quantiles
-	// are computed from (0 = a default that comfortably holds the
-	// default sweeps). If a run records more analysis spans than this,
-	// the quantiles cover the most recent SpanCapacity spans.
-	SpanCapacity int
 	// AutoTrace additionally measures every configuration with automatic
 	// trace memoization enabled, as "<system>_auto" cells. The record
 	// schema is unchanged — the system-name suffix is the only visible
@@ -64,10 +65,6 @@ func Collect(opts Options) (*Record, error) {
 	reps := opts.Reps
 	if reps < 1 {
 		reps = 1
-	}
-	spanCap := opts.SpanCapacity
-	if spanCap <= 0 {
-		spanCap = 1 << 17
 	}
 	commit := opts.Commit
 	if commit == "" {
@@ -115,7 +112,7 @@ func Collect(opts Options) (*Record, error) {
 					variants = append(variants, auto)
 				}
 				for _, cfg := range variants {
-					cell, err := measureCell(cfg, reps, spanCap, opts.ProfileDir)
+					cell, err := measureCell(cfg, reps, opts.ProfileDir)
 					if err != nil {
 						return nil, err
 					}
@@ -135,7 +132,7 @@ func Collect(opts Options) (*Record, error) {
 // from the last run. The cell is named by the harness (Result.System), so
 // the CPU profile is written under a temporary name and takes the cell's
 // name once the first run has reported it.
-func measureCell(cfg harness.Config, reps, spanCap int, profileDir string) (Cell, error) {
+func measureCell(cfg harness.Config, reps int, profileDir string) (Cell, error) {
 	cell := Cell{App: cfg.AppName, Nodes: cfg.Nodes}
 
 	var cpuFile *os.File

@@ -42,8 +42,6 @@ type Engine struct {
 	// requirements only) when RecordInputs is set.
 	RecordInputs bool
 	Inputs       map[int][]*data.Store
-	// Deps records the analyzer-reported dependences per task.
-	Deps map[int][]int
 	// StrictPlans additionally validates every materialization plan's
 	// structural invariants (entries within the requested points, no
 	// coverage holes, committed producers) and panics on violation —
@@ -66,7 +64,6 @@ func NewEngine(tree *region.Tree, an Analyzer, init map[field.ID]*data.Store) *E
 		init:      make(map[field.ID]*data.Store, len(init)),
 		committed: make(map[commitKey]*data.Store),
 		Inputs:    make(map[int][]*data.Store),
-		Deps:      make(map[int][]int),
 	}
 	for f, s := range init {
 		e.init[f] = s.Clone()
@@ -87,7 +84,6 @@ func (e *Engine) Launch(t *Task, k Kernel) *Result {
 	if len(res.Plans) != len(t.Reqs) {
 		panic(fmt.Sprintf("core: analyzer %s returned %d plans for %d reqs", e.an.Name(), len(res.Plans), len(t.Reqs)))
 	}
-	e.Deps[t.ID] = res.Deps
 
 	inputs := make([]*data.Store, len(t.Reqs))
 	for ri, req := range t.Reqs {

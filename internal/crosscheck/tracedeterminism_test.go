@@ -8,21 +8,26 @@ import (
 
 	"visibility/internal/apps/circuit"
 	"visibility/internal/harness"
+	"visibility/internal/obs"
 )
 
 // runTraced executes one full harness cell with trace export enabled and
 // returns the exported Chrome trace-event JSON and the metrics snapshot.
 func runTraced(t *testing.T) ([]byte, map[string]int64) {
 	t.Helper()
-	var buf bytes.Buffer
+	tw := obs.NewTraceWriter()
 	res, err := harness.Run(harness.Config{
 		App: circuit.New, AppName: "circuit",
 		Algorithm: "raycast", DCR: true,
 		Nodes: 4, MeasureIters: 2,
-		TraceOut: &buf,
+		TraceOut: tw,
 	})
 	if err != nil {
 		t.Fatalf("harness.Run: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := tw.Write(&buf); err != nil {
+		t.Fatalf("writing trace: %v", err)
 	}
 	return buf.Bytes(), res.Metrics
 }

@@ -1,45 +1,11 @@
 package dist
 
-import (
-	"math/rand"
+import "visibility/internal/core"
 
-	"visibility/internal/core"
-)
-
-// Mapper decides which node executes a task, given the application's
-// owner hint (the node owning the task's primary piece) — the decision
-// Legion delegates to its mapper interface. Mapping does not affect
-// correctness, only where data must move.
-type Mapper interface {
-	Place(t *core.Task, ownerHint, nodes int) int
-}
-
-// OwnerMapper follows the owner-computes hint: tasks run where their
-// primary data lives. This is the mapping the paper's experiments use.
+// OwnerMapper places tasks by the owner-computes hint: a task runs on the
+// node owning its primary piece, modulo the machine size. This is the
+// mapping the paper's experiments use.
 type OwnerMapper struct{}
 
-// Place implements Mapper.
+// Place returns the node that executes t.
 func (OwnerMapper) Place(_ *core.Task, ownerHint, nodes int) int { return ownerHint % nodes }
-
-// RoundRobinMapper ignores locality and deals tasks out in order — a
-// load-balanced but locality-oblivious mapping.
-type RoundRobinMapper struct{ next int }
-
-// Place implements Mapper.
-func (m *RoundRobinMapper) Place(_ *core.Task, _, nodes int) int {
-	n := m.next % nodes
-	m.next++
-	return n
-}
-
-// RandomMapper places tasks uniformly at random (deterministically
-// seeded) — the locality worst case.
-type RandomMapper struct{ rng *rand.Rand }
-
-// NewRandomMapper creates a deterministic random mapper.
-func NewRandomMapper(seed int64) *RandomMapper {
-	return &RandomMapper{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Place implements Mapper.
-func (m *RandomMapper) Place(_ *core.Task, _, nodes int) int { return m.rng.Intn(nodes) }

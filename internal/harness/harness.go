@@ -50,15 +50,12 @@ type Config struct {
 	// to see a full repetition, one to record), so the measured regime is
 	// steady-state replay. Mutually exclusive with Tracing.
 	AutoTrace bool
-	// Mapper overrides task placement (default: owner-computes, the
-	// paper's mapping). Locality-oblivious mappers quantify how much the
-	// implicit-communication machinery has to move.
-	Mapper dist.Mapper
 	// TraceOut, when non-nil, receives the cell's virtual-time schedule
-	// as Chrome trace-event JSON after the run. The export contains only
-	// virtual-time events, so identical configurations produce
+	// (one process per simulated node) after the run; the caller may add
+	// its own tracks before writing it. The schedule contains only
+	// virtual-time events, so identical configurations export
 	// byte-identical traces.
-	TraceOut io.Writer
+	TraceOut *obs.TraceWriter
 	// Spans, when non-nil, receives wall-clock analysis-phase spans.
 	Spans *obs.Buffer
 	// Recorder, when non-nil, journals coarse analyzer events into the
@@ -137,10 +134,7 @@ func Run(cfg Config) (*Result, error) {
 	tracer := stack.Tracer
 	stream := core.NewStream(inst.Tree)
 
-	mapper := cfg.Mapper
-	if mapper == nil {
-		mapper = dist.OwnerMapper{}
-	}
+	mapper := dist.OwnerMapper{}
 	launches := 0
 	emit := func(iter int) {
 		if tracer != nil && iter > 0 {
@@ -197,11 +191,7 @@ func Run(cfg Config) (*Result, error) {
 		utilBusy += machine.UtilBusy(n)
 	}
 	if cfg.TraceOut != nil {
-		tw := obs.NewTraceWriter()
-		machine.ExportTrace(tw)
-		if err := tw.Write(cfg.TraceOut); err != nil {
-			return nil, fmt.Errorf("harness: writing trace: %w", err)
-		}
+		machine.ExportTrace(cfg.TraceOut)
 	}
 	span := total * float64(cfg.Nodes)
 	return &Result{

@@ -8,7 +8,6 @@ import (
 	"visibility/internal/apps/circuit"
 	"visibility/internal/apps/pennant"
 	"visibility/internal/apps/stencil"
-	"visibility/internal/dist"
 	"visibility/internal/harness"
 )
 
@@ -222,35 +221,6 @@ func TestAutoTraceMutualExclusion(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Tracing+AutoTrace cell was accepted")
-	}
-}
-
-// TestOwnerMappingBeatsRandom quantifies locality: the owner-computes
-// mapping (the paper's) must beat a random mapping, which moves every
-// piece's data across the network.
-func TestOwnerMappingBeatsRandom(t *testing.T) {
-	nodes := 16
-	owner, err := harness.Run(harness.Config{
-		App: stencil.New, AppName: "stencil", Algorithm: "raycast", DCR: true,
-		Nodes: nodes, MeasureIters: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	random, err := harness.Run(harness.Config{
-		App: stencil.New, AppName: "stencil", Algorithm: "raycast", DCR: true,
-		Nodes: nodes, MeasureIters: 2, Mapper: dist.NewRandomMapper(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if random.ThroughputPerNode >= owner.ThroughputPerNode {
-		t.Errorf("random mapping (%v) should not beat owner mapping (%v)",
-			random.ThroughputPerNode, owner.ThroughputPerNode)
-	}
-	if random.MessageBytes <= owner.MessageBytes {
-		t.Errorf("random mapping should move more bytes: %d vs %d",
-			random.MessageBytes, owner.MessageBytes)
 	}
 }
 

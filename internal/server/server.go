@@ -41,8 +41,6 @@ type Config struct {
 	// IdleTimeout expires sessions with no accepted requests for this
 	// long (default 5m; negative disables expiry).
 	IdleTimeout time.Duration
-	// Workers is the per-session runtime worker count (0 = GOMAXPROCS).
-	Workers int
 	// SpanCap is each session's span ring capacity (default 4096).
 	SpanCap int
 	// RecorderCap is the flight-recorder ring capacity (default 16384).
@@ -220,7 +218,6 @@ func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Co
 	cfg := visibility.Config{
 		Algorithm: req.Algorithm,
 		AutoTrace: req.AutoTrace,
-		Workers:   srv.cfg.Workers,
 		Metrics:   metrics,
 		Spans:     spans,
 		Recorder:  srv.rec,

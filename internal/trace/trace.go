@@ -45,7 +45,10 @@ type Tracer struct {
 	replayed      *obs.Counter
 	invalidations *obs.Counter
 
-	traces map[int]*traceState
+	// last is the most recent trace that recorded a launch. It is the only
+	// one that can replay: contiguity (Begin) fails for every older trace
+	// once a newer one has seen a launch, so nothing else is kept.
+	last *traceState
 
 	mode      int // idle, recording, replaying
 	active    *traceState
@@ -113,7 +116,6 @@ func New(an core.Analyzer, opts core.Options) *Tracer {
 		recorded:      opts.Metrics.NewCounter("trace/recorded"),
 		replayed:      opts.Metrics.NewCounter("trace/replayed"),
 		invalidations: opts.Metrics.NewCounter("trace/invalidations"),
-		traces:        make(map[int]*traceState),
 		lastID:        -1,
 	}
 }
@@ -140,9 +142,10 @@ func (tr *Tracer) TraceStats() Stats {
 // fires here).
 func (tr *Tracer) Replaying() bool { return tr.mode == replaying }
 
-// Begin starts a trace instance. If the trace id was recorded before, is
-// still valid, and this instance is contiguous with the previous one, the
-// instance replays; otherwise it records.
+// Begin starts a trace instance. If the most recent trace has this id, is
+// still valid, and this instance is contiguous with its previous one, the
+// instance replays; otherwise it records a fresh trace, which takes the
+// slot once it records a launch (an empty instance leaves it as it was).
 func (tr *Tracer) Begin(id int) {
 	if tr.mode != idle {
 		panic("trace: Begin inside an active trace")
@@ -150,18 +153,15 @@ func (tr *Tracer) Begin(id int) {
 	// Contiguity: the new instance must start exactly one recorded
 	// period after the previous one, so relative offsets resolve to
 	// structurally identical launches of the previous instance.
-	ts, ok := tr.traces[id]
-	if ok && ts.valid && tr.lastID+1 == ts.lastInst+len(ts.sigs) {
+	if ts := tr.last; ts != nil && ts.id == id && ts.valid && tr.lastID+1 == ts.lastInst+len(ts.sigs) {
 		tr.mode = replaying
 		tr.active = ts
 		tr.replayIdx = 0
 		tr.startID = tr.lastID + 1
 		return
 	}
-	ts = &traceState{id: id}
-	tr.traces[id] = ts
 	tr.mode = recording
-	tr.active = ts
+	tr.active = &traceState{id: id}
 	tr.startID = -1
 }
 
@@ -292,9 +292,8 @@ func (tr *Tracer) Analyze(t *core.Task) *core.Result {
 			// Structure diverged: fall back to real analysis.
 			tr.mode = recording
 			tr.invalidate()
-			nts := &traceState{id: ts.id}
-			tr.traces[ts.id] = nts
-			tr.active = nts
+			tr.active = &traceState{id: ts.id}
+			tr.last = tr.active
 			tr.startID = -1
 			return tr.analyzeAndRecord(t)
 		}
@@ -312,6 +311,7 @@ func (tr *Tracer) Analyze(t *core.Task) *core.Result {
 		if tr.startID == -1 {
 			tr.startID = t.ID
 			tr.active.startID = t.ID
+			tr.last = tr.active
 		}
 		return tr.analyzeAndRecord(t)
 

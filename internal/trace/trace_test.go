@@ -202,7 +202,8 @@ func TestInvalidationOnStructureChange(t *testing.T) {
 
 // TestNonContiguousInstanceRecords verifies that a trace instance separated
 // from the previous one by extra launches re-records instead of replaying
-// with stale offsets.
+// with stale offsets — including launches of another trace, which is why
+// the tracer keeps only the most recent trace that recorded a launch.
 func TestNonContiguousInstanceRecords(t *testing.T) {
 	tree, p, g := testutil.GraphTree()
 	tr := trace.New(warnock.New(tree, core.Options{}), core.Options{})
@@ -235,6 +236,43 @@ func TestNonContiguousInstanceRecords(t *testing.T) {
 	one()
 	if got := tr.TraceStats().Replayed; got != 3 {
 		t.Errorf("replayed %d launches, want 3", got)
+	}
+
+	// Bracket sequences after a warm-up that leaves trace A valid and
+	// contiguous (a first recording on a fresh analyzer reads initial
+	// contents it writes, so it takes a second one). Each instance is a
+	// trace id and its launch count; the counts are past the warm-up.
+	type instance struct{ id, launches int }
+	const a, b = 1, 2
+	for _, tc := range []struct {
+		name               string
+		seq                []instance
+		recorded, replayed int64
+	}{
+		{"A,A", []instance{{a, 3}}, 0, 3},
+		{"A,B,A", []instance{{b, 3}, {a, 3}}, 6, 0},
+		{"A,emptyB,A", []instance{{b, 0}, {a, 3}}, 0, 3},
+	} {
+		tr := trace.New(warnock.New(tree, core.Options{}), core.Options{})
+		stream := core.NewStream(tree)
+		seq := append([]instance{{a, 3}, {a, 3}}, tc.seq...)
+		for k, in := range seq {
+			if k == 2 {
+				if st := tr.TraceStats(); st.Recorded != 6 || st.Replayed != 0 {
+					t.Fatalf("%s: warm-up recorded %d, replayed %d; want 6, 0", tc.name, st.Recorded, st.Replayed)
+				}
+			}
+			tr.Begin(in.id)
+			for i := 0; i < in.launches; i++ {
+				tr.Analyze(stream.Launch("w",
+					core.Req{Region: p.Subregions[i], Field: 0, Priv: privilege.Writes()}))
+			}
+			tr.End()
+		}
+		if st := tr.TraceStats(); st.Recorded-6 != tc.recorded || st.Replayed != tc.replayed {
+			t.Errorf("%s: recorded %d, replayed %d past the warm-up; want %d, %d",
+				tc.name, st.Recorded-6, st.Replayed, tc.recorded, tc.replayed)
+		}
 	}
 }
 

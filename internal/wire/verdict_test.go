@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"visibility"
@@ -138,15 +137,6 @@ func TestOneVerdict(t *testing.T) {
 	}
 }
 
-var countedBuilds atomic.Int64
-
-func init() {
-	wire.RegisterKernel("test.counted", func(map[string]float64) (wire.KernelFunc, error) {
-		countedBuilds.Add(1)
-		return func(_ visibility.Point, in float64) float64 { return in + 1 }, nil
-	})
-}
-
 // TestKernelBuiltOncePerPass pins the single resolve pass: serving a batch
 // is one Decode and one Apply, and each builds an access's kernel once.
 func TestKernelBuiltOncePerPass(t *testing.T) {
@@ -159,7 +149,7 @@ func TestKernelBuiltOncePerPass(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	before := countedBuilds.Load()
+	before := wire.CountedBuilds.Load()
 	wl, err := wire.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +158,7 @@ func TestKernelBuiltOncePerPass(t *testing.T) {
 	if _, err := env.Apply(wl); err != nil {
 		t.Fatal(err)
 	}
-	if got := countedBuilds.Load() - before; got != 2 {
+	if got := wire.CountedBuilds.Load() - before; got != 2 {
 		t.Fatalf("kernel built %d times over one Decode + one Apply, want 2", got)
 	}
 	if v, _ := rt.Read(env.Region("r"), "v").Get(visibility.Pt(0)); v != 1 {

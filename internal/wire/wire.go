@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"visibility"
 	"visibility/internal/geometry"
@@ -222,38 +221,14 @@ type RelationFunc func(p visibility.Point) []visibility.Point
 type ColorFunc func(p visibility.Point) int
 
 // registry maps names to builders of one function type. The three
-// package-level registries are filled at start-up (init functions) and
-// only read afterwards.
+// package-level registries are fixed maps of the builtins, only read
+// after package initialization.
 type registry[T any] struct {
 	kind     string // "kernel", "relation" or "color", for messages
-	mu       sync.Mutex
 	builders map[string]builder[T]
 }
 
 type builder[T any] func(args map[string]float64) (T, error)
-
-// register installs a builder; a duplicate or empty name panics — a
-// wiring bug, not a runtime condition.
-func (r *registry[T]) register(name string, build builder[T]) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == "" || r.builders[name] != nil {
-		panic(fmt.Sprintf("wire: %s %q empty or already registered", r.kind, name))
-	}
-	r.builders[name] = build
-}
-
-// names returns the registered names, sorted.
-func (r *registry[T]) names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.builders))
-	for k := range r.builders {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // build resolves spec's name and applies its builder to the arguments; a
 // nil spec is a declaration that needs a function and names none.
@@ -262,45 +237,17 @@ func (r *registry[T]) build(spec *FuncSpec) (T, error) {
 	if spec == nil {
 		return zero, fmt.Errorf("needs a %s", r.kind)
 	}
-	r.mu.Lock()
 	b := r.builders[spec.Name]
-	r.mu.Unlock()
 	if b == nil {
-		return zero, fmt.Errorf("wire: unknown %s %q (have %v)", r.kind, spec.Name, r.names())
+		names := make([]string, 0, len(r.builders))
+		for k := range r.builders {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		return zero, fmt.Errorf("wire: unknown %s %q (have %v)", r.kind, spec.Name, names)
 	}
 	return b(spec.Args)
 }
-
-var (
-	kernels   = registry[KernelFunc]{kind: "kernel", builders: map[string]builder[KernelFunc]{}}
-	relations = registry[RelationFunc]{kind: "relation", builders: map[string]builder[RelationFunc]{}}
-	colors    = registry[ColorFunc]{kind: "color", builders: map[string]builder[ColorFunc]{}}
-)
-
-// RegisterKernel installs a named kernel builder. Registering a duplicate
-// or empty name panics.
-func RegisterKernel(name string, build func(args map[string]float64) (KernelFunc, error)) {
-	kernels.register(name, build)
-}
-
-// RegisterRelation installs a named relation builder.
-func RegisterRelation(name string, build func(args map[string]float64) (RelationFunc, error)) {
-	relations.register(name, build)
-}
-
-// RegisterColor installs a named coloring builder.
-func RegisterColor(name string, build func(args map[string]float64) (ColorFunc, error)) {
-	colors.register(name, build)
-}
-
-// KernelNames returns the registered kernel names, sorted.
-func KernelNames() []string { return kernels.names() }
-
-// RelationNames returns the registered relation names, sorted.
-func RelationNames() []string { return relations.names() }
-
-// ColorNames returns the registered coloring names, sorted.
-func ColorNames() []string { return colors.names() }
 
 // args wraps a FuncSpec's argument map with exact-arity checking: every
 // get must name a declared key, and builtin reports keys the builder never
@@ -333,11 +280,11 @@ func (a *args) getInt(name string) int64 {
 	return int64(v)
 }
 
-// builtin registers build, which reads its arguments through a; a missing,
+// builtin wraps build, which reads its arguments through a; a missing,
 // non-integer or unconsumed argument rejects the spec ahead of build's own
 // verdict on the values.
-func builtin[T any](r *registry[T], name string, build func(a *args) (T, error)) {
-	r.register(name, func(m map[string]float64) (T, error) {
+func builtin[T any](build func(a *args) (T, error)) builder[T] {
+	return func(m map[string]float64) (T, error) {
 		a := &args{m: m}
 		f, err := build(a)
 		if a.err != nil {
@@ -351,7 +298,7 @@ func builtin[T any](r *registry[T], name string, build func(a *args) (T, error))
 			}
 		}
 		return f, err
-	})
+	}
 }
 
 // maxRadius bounds ring and window: a relation returns 2·radius points per
@@ -377,50 +324,56 @@ func neighbors(radius, modulo int64) (RelationFunc, error) {
 	}, nil
 }
 
-func init() {
-	builtin(&kernels, "identity", func(*args) (KernelFunc, error) {
+var kernels = registry[KernelFunc]{kind: "kernel", builders: map[string]builder[KernelFunc]{
+	"identity": builtin(func(*args) (KernelFunc, error) {
 		return func(_ visibility.Point, in float64) float64 { return in }, nil
-	})
-	builtin(&kernels, "fill", func(a *args) (KernelFunc, error) {
+	}),
+	"fill": builtin(func(a *args) (KernelFunc, error) {
 		v := a.get("value")
 		return func(visibility.Point, float64) float64 { return v }, nil
-	})
-	builtin(&kernels, "affine", func(a *args) (KernelFunc, error) {
+	}),
+	"affine": builtin(func(a *args) (KernelFunc, error) {
 		scale, offset := a.get("scale"), a.get("offset")
 		return func(_ visibility.Point, in float64) float64 { return in*scale + offset }, nil
-	})
-	builtin(&kernels, "coord", func(a *args) (KernelFunc, error) {
+	}),
+	"coord": builtin(func(a *args) (KernelFunc, error) {
 		axis := a.getInt("axis")
 		if axis < 0 || axis >= geometry.MaxDim {
 			return nil, fmt.Errorf("axis %d outside [0, %d)", axis, geometry.MaxDim)
 		}
 		return func(p visibility.Point, _ float64) float64 { return float64(p.C[axis]) }, nil
-	})
-	builtin(&relations, "ring", func(a *args) (RelationFunc, error) {
+	}),
+}}
+
+var relations = registry[RelationFunc]{kind: "relation", builders: map[string]builder[RelationFunc]{
+	"ring": builtin(func(a *args) (RelationFunc, error) {
 		radius, modulo := a.getInt("radius"), a.getInt("modulo")
 		if modulo < 1 {
 			return nil, fmt.Errorf("ring needs modulo >= 1, got %d", modulo)
 		}
 		return neighbors(radius, modulo)
-	})
-	builtin(&relations, "window", func(a *args) (RelationFunc, error) {
+	}),
+	"window": builtin(func(a *args) (RelationFunc, error) {
 		return neighbors(a.getInt("radius"), 0)
-	})
-	builtin(&colors, "mod", func(a *args) (ColorFunc, error) {
+	}),
+}}
+
+var colors = registry[ColorFunc]{kind: "color", builders: map[string]builder[ColorFunc]{
+	"mod": builtin(func(a *args) (ColorFunc, error) {
 		axis, n := a.getInt("axis"), a.getInt("n")
 		if axis < 0 || axis >= geometry.MaxDim || n < 1 {
 			return nil, fmt.Errorf("mod needs axis in [0, %d) and n >= 1", geometry.MaxDim)
 		}
 		return func(p visibility.Point) int { return int(((p.C[axis] % n) + n) % n) }, nil
-	})
-	builtin(&colors, "block", func(a *args) (ColorFunc, error) {
+	}),
+	"block": builtin(func(a *args) (ColorFunc, error) {
 		axis, size := a.getInt("axis"), a.getInt("size")
 		if axis < 0 || axis >= geometry.MaxDim || size < 1 {
 			return nil, fmt.Errorf("block needs axis in [0, %d) and size >= 1", geometry.MaxDim)
 		}
 		return func(p visibility.Point) int { return int(p.C[axis] / size) }, nil
-	})
-}
+	}),
+}}
 
 // --- the checker ----------------------------------------------------------
 

@@ -411,30 +411,42 @@ func TestEnvFromRestore(t *testing.T) {
 	}
 }
 
-// TestRegistryNames pins the built-in registry contents (additions are
-// fine — removals break workload files in the wild).
+// TestRegistryNames pins the built-in function names (additions are fine
+// — removals break workload files in the wild): an unknown kernel,
+// relation or color is rejected with an error naming every builtin of
+// that kind.
 func TestRegistryNames(t *testing.T) {
-	has := func(names []string, want string) bool {
-		for _, n := range names {
-			if n == want {
-				return true
+	unknown := &wire.FuncSpec{Name: "nope"}
+	mod := &wire.FuncSpec{Name: "mod", Args: map[string]float64{"axis": 0, "n": 2}}
+	region := func(init *wire.FuncSpec, parts ...wire.PartitionDecl) *wire.Workload {
+		r := wire.RegionDecl{Name: "r", Dim: 1, Space: [][]int64{{0, 7}}, Fields: []string{"v"}, Partitions: parts}
+		if init != nil {
+			r.Init = map[string]*wire.FuncSpec{"v": init}
+		}
+		return &wire.Workload{Version: wire.Version, Regions: []wire.RegionDecl{r}}
+	}
+	cases := []struct {
+		kind string
+		wl   *wire.Workload
+		want []string
+	}{
+		{"kernel", region(unknown), []string{"affine", "coord", "fill", "identity"}},
+		{"relation", region(nil,
+			wire.PartitionDecl{Name: "p", Kind: "bycolor", Pieces: 2, Color: mod},
+			wire.PartitionDecl{Name: "q", Kind: "image", Source: "p", Relation: unknown}),
+			[]string{"ring", "window"}},
+		{"color", region(nil, wire.PartitionDecl{Name: "p", Kind: "bycolor", Pieces: 2, Color: unknown}),
+			[]string{"block", "mod"}},
+	}
+	for _, tc := range cases {
+		err := tc.wl.Validate()
+		if err == nil || !strings.Contains(err.Error(), "unknown "+tc.kind+` "nope"`) {
+			t.Fatalf("%s: error = %v, want unknown %s", tc.kind, err, tc.kind)
+		}
+		for _, name := range tc.want {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name builtin %q", tc.kind, err, name)
 			}
-		}
-		return false
-	}
-	for _, k := range []string{"identity", "fill", "affine", "coord"} {
-		if !has(wire.KernelNames(), k) {
-			t.Errorf("kernel %q missing from registry %v", k, wire.KernelNames())
-		}
-	}
-	for _, r := range []string{"ring", "window"} {
-		if !has(wire.RelationNames(), r) {
-			t.Errorf("relation %q missing from registry %v", r, wire.RelationNames())
-		}
-	}
-	for _, c := range []string{"mod", "block"} {
-		if !has(wire.ColorNames(), c) {
-			t.Errorf("color %q missing from registry %v", c, wire.ColorNames())
 		}
 	}
 }
