@@ -18,8 +18,9 @@
 //
 // -autotrace additionally measures every configuration with automatic
 // trace memoization enabled (online repeat detection over the launch
-// stream, no Begin/End brackets in the app). The extra rows and record
-// cells carry a "_auto" system-name suffix; the schema is unchanged.
+// stream, no Begin/End brackets in the app) — the tracing ablation the
+// paper leaves out (§8). The extra rows and record cells carry a "_auto"
+// system-name suffix; the schema is unchanged.
 //
 // -json switches to benchmark-record collection: cells run serially
 // (wall-clock timing, ReadMemStats allocation deltas, and analysis-span
@@ -72,10 +73,9 @@ func main() {
 	metric := flag.String("metric", "all", "metric: init (Figs 12-14), weak (Figs 15-17), or all")
 	maxNodes := flag.Int("max-nodes", 512, "largest simulated node count (sweeps powers of two)")
 	iters := flag.Int("iters", 3, "steady-state iterations to time")
-	format := flag.String("format", "figure", "output format: figure, chart, or tsv")
+	format := flag.String("format", "figure", "output format: figure or tsv")
 	reps := flag.Int("reps", 1, "repetition rows in tsv output")
 	stats := flag.Bool("stats", false, "print analyzer operation counts per cell")
-	tracing := flag.Bool("tracing", false, "enable dynamic tracing (the paper disables it; see §8)")
 	autotrace := flag.Bool("autotrace", false, "additionally measure every configuration with automatic trace memoization (\"<system>_auto\" rows/cells)")
 	metricsOut := flag.String("metrics-out", "", "write per-cell metrics snapshots as JSON to this file (\"-\" for stdout)")
 	jsonOut := flag.String("json", "", "collect a VISBENCH1 benchmark record into this file (\"-\" for stdout) instead of printing figures")
@@ -117,14 +117,14 @@ func main() {
 	var allResults []*harness.Result
 	for _, name := range names {
 		builder, _ := apps.Lookup(name)
-		base := harness.Config{App: builder, AppName: name, MeasureIters: *iters, Tracing: *tracing}
+		base := harness.Config{App: builder, AppName: name, MeasureIters: *iters}
 		results, err := harness.Sweep(base, *maxNodes, *reps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 			os.Exit(1)
 		}
 		if *autotrace {
-			base.Tracing, base.AutoTrace = false, true
+			base.AutoTrace = true
 			autoResults, err := harness.Sweep(base, *maxNodes, *reps)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
@@ -146,13 +146,7 @@ func main() {
 					continue
 				}
 				fmt.Printf("\n== %s: %s ==\n", figureOf[name][m], name)
-				var err error
-				if *format == "chart" {
-					err = harness.WriteChart(os.Stdout, results, m)
-				} else {
-					err = harness.WriteFigure(os.Stdout, results, m)
-				}
-				if err != nil {
+				if err := harness.WriteFigure(os.Stdout, results, m); err != nil {
 					fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 					os.Exit(1)
 				}

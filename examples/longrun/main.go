@@ -1,8 +1,9 @@
 // Longrun demonstrates the production features around the coherence core:
-// a traced simulation loop (the dependence analysis records once and
-// replays), a mid-run checkpoint to JSON, restoration into a brand-new
-// runtime, and continuation — with the final state verified against an
-// uninterrupted run.
+// an autotraced simulation loop (the runtime finds the repeating step by
+// itself, records its dependence analysis once and replays it), a mid-run
+// checkpoint to JSON, restoration into a brand-new runtime, and
+// continuation — with the final state verified against an uninterrupted
+// run.
 package main
 
 import (
@@ -46,7 +47,7 @@ func run(total int, resumeFrom *bytes.Buffer, traced bool) *visibility.Runtime {
 	var rt *visibility.Runtime
 	var heat *visibility.Region
 	var blocks *visibility.Partition
-	cfg := visibility.Config{Tracing: traced, Validate: true}
+	cfg := visibility.Config{AutoTrace: traced, Validate: true}
 	if resumeFrom != nil {
 		var roots map[string]*visibility.Region
 		var err error
@@ -63,13 +64,7 @@ func run(total int, resumeFrom *bytes.Buffer, traced bool) *visibility.Runtime {
 		blocks = heat.PartitionEqual("blocks", pieces)
 	}
 	for s := 0; s < total; s++ {
-		if traced {
-			rt.BeginTrace(heat, 1)
-		}
 		step(rt, heat, blocks)
-		if traced {
-			rt.EndTrace(heat)
-		}
 	}
 	rt.Wait()
 	return rt
@@ -80,7 +75,7 @@ func main() {
 	ref := run(steps, nil, false)
 	defer ref.Close()
 
-	// Traced run that checkpoints midway and resumes in a new runtime.
+	// Autotraced run that checkpoints midway and resumes in a new runtime.
 	first := run(cut, nil, true)
 	var ckpt bytes.Buffer
 	if err := first.Checkpoint(&ckpt); err != nil {
@@ -111,5 +106,5 @@ func main() {
 	}
 	fmt.Printf("checkpoint at step %d (%d bytes JSON), resumed to step %d: matches uninterrupted run ✓\n",
 		cut, size, steps)
-	fmt.Printf("first segment tracing: recorded=%d replayed=%d\n", st.Recorded, st.Replayed)
+	fmt.Printf("first segment autotracing: recorded=%d replayed=%d\n", st.Recorded, st.Replayed)
 }

@@ -19,7 +19,8 @@ type Spec struct {
 	// Algorithm is a registry name; empty selects "raycast".
 	Algorithm string
 	// Tracing wraps the stack in a trace.Tracer driven by explicit
-	// Begin/End brackets.
+	// Begin/End brackets. Only visibility.Config.Tracing sets it, and it
+	// names no configuration (Suffix).
 	Tracing bool
 	// AutoTrace wraps the stack in an autotrace.Auto, which finds the
 	// brackets itself. Mutually exclusive with Tracing: explicit brackets
@@ -49,13 +50,10 @@ func (s Spec) Check() (Spec, error) {
 	return s, nil
 }
 
-// Suffix is what the stack's trace wrapper adds to a configuration name:
-// "_trace" or "_auto" ("raycast_dcr_auto").
+// Suffix is what the stack's autotracer adds to a configuration name:
+// "_auto" ("raycast_dcr_auto").
 func (s Spec) Suffix() string {
-	switch {
-	case s.Tracing:
-		return "_trace"
-	case s.AutoTrace:
+	if s.AutoTrace {
 		return "_auto"
 	}
 	return ""

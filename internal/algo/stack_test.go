@@ -20,7 +20,7 @@ func TestSpecCheckAndSuffix(t *testing.T) {
 		suffix string
 	}{
 		{spec: algo.Spec{}, suffix: ""},
-		{spec: algo.Spec{Algorithm: "warnock", Tracing: true}, suffix: "_trace"},
+		{spec: algo.Spec{Algorithm: "warnock", Tracing: true}, suffix: ""},
 		{spec: algo.Spec{Algorithm: "paint", AutoTrace: true}, suffix: "_auto"},
 		{spec: algo.Spec{Shards: 1}, suffix: ""},
 		{spec: algo.Spec{AutoTrace: true, Shards: 4}, suffix: "_auto"},

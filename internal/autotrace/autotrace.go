@@ -8,13 +8,13 @@ import (
 	"visibility/internal/trace"
 )
 
-// Detector tuning. A candidate must fit the history the detector
-// guarantees after bulk eviction (window/2), so maxPeriod may not exceed
-// window / (2 * minReps).
+// Detector tuning. The longest period searched for is the longest whose
+// minReps copies fit the history the detector guarantees after bulk
+// eviction (window/2): window / (2 * minReps) = 2048 launches, which covers
+// circuit's 3-launch-per-node loop to 512 nodes.
 const (
-	window    = 4096 // launch hashes retained
+	window    = 8192 // launch hashes retained
 	minPeriod = 1    // even a single-launch loop body replays profitably
-	maxPeriod = 512  // longest repeating unit searched for
 	minReps   = 2    // consecutive copies seen before a candidate commits
 )
 
@@ -125,7 +125,7 @@ func New(an core.Analyzer, opts core.Options) *Auto {
 		tr:         tr,
 		opts:       opts,
 		name:       an.Name() + "+autotrace",
-		det:        newDetector(window, minPeriod, maxPeriod, minReps),
+		det:        newDetector(window, minPeriod, window/(2*minReps), minReps),
 		declined:   make(map[loopKey]bool),
 		candidates: opts.Metrics.NewCounter("autotrace/candidates"),
 		instances:  opts.Metrics.NewCounter("autotrace/instances"),

@@ -3,15 +3,16 @@ package autotrace
 // detector is the bounded-window online repeated-substring detector: it
 // keeps the most recent Window launch hashes together with polynomial
 // prefix hashes, and after each push can answer "does the stream end in
-// MinReps consecutive copies of some period-P substring?" in
-// O(MaxPeriod) expected time. Candidate periods are found with a cheap
-// one-element filter (the newest hash must equal the hash one period
-// back), confirmed with O(1) rolling range-hash comparisons, and finally
-// re-checked element-wise so a rolling-hash collision cannot commit a
-// bogus candidate. Overlapping candidates are resolved toward the
-// smallest qualifying period: it is the primitive period of the
-// repeating suffix, larger qualifying periods are repetitions of it, and
-// per-launch replay cost is O(1) either way.
+// MinReps consecutive copies of some period-P substring?". A period can
+// only qualify if the newest hash recurs one period back, so detect walks
+// the newest hash's earlier occurrences, nearest first, and tests only
+// those periods: a non-repeating stream costs one map update per push, not
+// a scan of every period up to MaxPeriod. Each candidate is confirmed with
+// O(1) rolling range-hash comparisons, and finally re-checked element-wise
+// so a rolling-hash collision cannot commit a bogus candidate. Overlapping
+// candidates are resolved toward the smallest qualifying period: it is the
+// primitive period of the repeating suffix, larger qualifying periods are
+// repetitions of it, and per-launch replay cost is O(1) either way.
 //
 // confined to analyzer
 type detector struct {
@@ -22,13 +23,20 @@ type detector struct {
 
 	// hs holds the newest window of launch hashes in stream order; pre
 	// holds polynomial prefix hashes over exactly hs (pre[i] covers
-	// hs[0..i]), rebuilt on compaction. pows[k] is rollBase^k.
+	// hs[0..i]) and prev[i] the index of the previous occurrence of hs[i]
+	// (-1 when it has none in the window); newest maps each hash to its
+	// newest index. All three are rebuilt on compaction. pows[k] is
+	// rollBase^k, up to the longest range hashed: one period.
 	//
 	// confined to analyzer
 	hs []uint64
 	// confined to analyzer
-	pre  []uint64
-	pows []uint64
+	pre []uint64
+	// confined to analyzer
+	prev []int
+	// confined to analyzer
+	newest map[uint64]int
+	pows   []uint64
 }
 
 // rollBase is the polynomial rolling-hash base. Arithmetic is mod 2^64;
@@ -36,10 +44,13 @@ type detector struct {
 const rollBase = 0x9ddfea08eb382d69
 
 func newDetector(window, minPeriod, maxPeriod, minReps int) *detector {
-	d := &detector{window: window, minPeriod: minPeriod, maxPeriod: maxPeriod, minReps: minReps}
-	d.pows = make([]uint64, window+1)
+	d := &detector{
+		window: window, minPeriod: minPeriod, maxPeriod: maxPeriod, minReps: minReps,
+		newest: make(map[uint64]int),
+	}
+	d.pows = make([]uint64, maxPeriod+1)
 	d.pows[0] = 1
-	for i := 1; i <= window; i++ {
+	for i := 1; i <= maxPeriod; i++ {
 		d.pows[i] = d.pows[i-1] * rollBase
 	}
 	return d
@@ -47,27 +58,42 @@ func newDetector(window, minPeriod, maxPeriod, minReps int) *detector {
 
 // push appends one launch hash, evicting the oldest entries when the
 // window overflows. Eviction compacts in bulk — drop the oldest half,
-// rebuild the prefix array over the survivors — so the amortized cost
-// stays O(1). The history detect can rely on is therefore window/2, the
-// bound Config normalization derives maxPeriod from.
+// rebuild the prefix hashes and occurrence links over the survivors — so
+// the amortized cost stays O(1). The history detect can rely on is
+// therefore window/2, the bound New derives maxPeriod from.
 func (d *detector) push(h uint64) {
 	if len(d.hs) == d.window {
 		half := d.window / 2
 		n := copy(d.hs, d.hs[half:])
 		d.hs = d.hs[:n]
 		d.pre = d.pre[:0]
+		d.prev = d.prev[:0]
+		clear(d.newest)
 		acc := uint64(0)
-		for _, v := range d.hs {
+		for i, v := range d.hs {
 			acc = acc*rollBase + v
 			d.pre = append(d.pre, acc)
+			d.prev = append(d.prev, d.link(v, i))
 		}
 	}
-	d.hs = append(d.hs, h)
 	acc := h
 	if len(d.pre) > 0 {
 		acc = d.pre[len(d.pre)-1]*rollBase + h
 	}
 	d.pre = append(d.pre, acc)
+	d.prev = append(d.prev, d.link(h, len(d.hs)))
+	d.hs = append(d.hs, h)
+}
+
+// link records i as h's newest index and returns the index it displaces
+// (-1 when h has not occurred in the window).
+func (d *detector) link(h uint64, i int) int {
+	j, ok := d.newest[h]
+	d.newest[h] = i
+	if !ok {
+		return -1
+	}
+	return j
 }
 
 // rangeHash returns the polynomial hash of hs[i:j) (0 <= i < j <=
@@ -84,18 +110,12 @@ func (d *detector) rangeHash(i, j int) uint64 {
 // last P hashes, or 0 when the stream's suffix is not (yet) repeating.
 func (d *detector) detect() int {
 	n := len(d.hs)
-	for p := d.minPeriod; p <= d.maxPeriod; p++ {
-		if n < d.minReps*p {
-			return 0 // longer periods need even more history
+	for j := d.prev[n-1]; j >= 0; j = d.prev[j] {
+		p := n - 1 - j
+		if p > d.maxPeriod || n < d.minReps*p {
+			return 0 // the remaining occurrences are further back still
 		}
-		// Cheap filter: the newest element must recur one period back.
-		if d.hs[n-1] != d.hs[n-1-p] {
-			continue
-		}
-		if !d.copiesMatch(p) {
-			continue
-		}
-		if d.copiesEqual(p) {
+		if p >= d.minPeriod && d.copiesMatch(p) && d.copiesEqual(p) {
 			return p
 		}
 	}

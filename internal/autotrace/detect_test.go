@@ -1,6 +1,9 @@
 package autotrace
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // feed pushes a hash stream built from small symbols (each symbol mapped
 // to a distinct hash) and returns the detected period after every push.
@@ -144,6 +147,75 @@ func TestDetectOffsetPattern(t *testing.T) {
 	for i := 0; i < len(stream)-1; i++ {
 		if periods[i] != 0 {
 			t.Errorf("push %d: premature period %d", i, periods[i])
+		}
+	}
+}
+
+// scanPeriods is the exhaustive reference for detect: every period from
+// minPeriod up, each confirmed element by element.
+func scanPeriods(d *detector) int {
+	n := len(d.hs)
+	for p := d.minPeriod; p <= d.maxPeriod; p++ {
+		if n < d.minReps*p {
+			return 0
+		}
+		same := true
+		for k := n - d.minReps*p; k < n-p && same; k++ {
+			same = d.hs[k] == d.hs[k+p]
+		}
+		if same {
+			return p
+		}
+	}
+	return 0
+}
+
+// TestDetectMatchesScan holds detect, which tries only the periods at which
+// the newest hash recurs, to the exhaustive scan on random low-alphabet
+// streams (so repeats, near-repeats and long occurrence chains are common)
+// with random window, minPeriod, maxPeriod and minReps, each stream long
+// enough to cross several compactions.
+func TestDetectMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		window := 2 * (4 + rng.Intn(60))
+		minReps := 2 + rng.Intn(3)
+		maxPeriod := 1 + rng.Intn(window/minReps)
+		minPeriod := 1 + rng.Intn(3)
+		alphabet := 1 + rng.Intn(4)
+		d := newDetector(window, minPeriod, maxPeriod, minReps)
+		var motif []int
+		for i := 0; i < 6*window; i++ {
+			// Alternate noise with runs of a repeated motif, so qualifying
+			// periods of every length show up, not only the short ones
+			// random symbols produce.
+			if rng.Intn(window) == 0 {
+				motif = make([]int, 1+rng.Intn(maxPeriod))
+				for k := range motif {
+					motif[k] = rng.Intn(alphabet)
+				}
+			}
+			s := rng.Intn(alphabet)
+			if motif != nil && rng.Intn(16) != 0 {
+				s = motif[i%len(motif)]
+			}
+			d.push(0x9e3779b97f4a7c15 * uint64(s+1))
+			if got, want := d.detect(), scanPeriods(d); got != want {
+				t.Fatalf("trial %d (window %d, periods [%d,%d], minReps %d), push %d: detect %d, scan %d",
+					trial, window, minPeriod, maxPeriod, minReps, i, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkDetect times one push plus detect on a stream that never
+// repeats — the autotracer's cost on every launch of a loop-free program.
+func BenchmarkDetect(b *testing.B) {
+	d := newDetector(window, minPeriod, window/(2*minReps), minReps)
+	for i := 0; i < b.N; i++ {
+		d.push(0x9e3779b97f4a7c15 * uint64(i+1))
+		if d.detect() != 0 {
+			b.Fatal("period detected on a non-repeating stream")
 		}
 	}
 }

@@ -173,7 +173,7 @@ func TestCollectSmall(t *testing.T) {
 // configuration gains a "_auto" sibling cell, measured and canonically
 // ordered, with no change to the record schema.
 func TestCollectAutoTrace(t *testing.T) {
-	rec, err := Collect(Options{Apps: []string{"stencil"}, MaxNodes: 2, Iters: 1, AutoIters: 5, AutoTrace: true})
+	rec, err := Collect(Options{Apps: []string{"stencil"}, MaxNodes: 2, Iters: 1, AutoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,11 @@ import (
 // spans.
 const spanCap = 1 << 17
 
+// autoIters is the timed window of the autotraced cells: replay throughput
+// is a steady-state property, so they time a longer window than Iters to
+// keep the single recording iteration from dominating the measurement.
+const autoIters = 30
+
 // Options configures one benchmark collection.
 type Options struct {
 	// Apps are the application names to measure (resolved through the
@@ -45,15 +50,10 @@ type Options struct {
 	// attribution with `go tool pprof`.
 	ProfileDir string
 	// AutoTrace additionally measures every configuration with automatic
-	// trace memoization enabled, as "<system>_auto" cells. The record
-	// schema is unchanged — the system-name suffix is the only visible
-	// difference.
+	// trace memoization enabled, as "<system>_auto" cells timed over
+	// autoIters iterations. The record schema is unchanged — the
+	// system-name suffix is the only visible difference.
 	AutoTrace bool
-	// AutoIters overrides Iters for the autotraced cells (0 = 30):
-	// replay throughput is a steady-state property, so autotraced cells
-	// time a longer window to keep the single recording iteration from
-	// dominating the measurement.
-	AutoIters int
 }
 
 // Collect measures every cell of the configured sweep and returns the
@@ -105,10 +105,7 @@ func Collect(opts Options) (*Record, error) {
 				variants := []harness.Config{plain}
 				if opts.AutoTrace {
 					auto := plain
-					auto.AutoTrace = true
-					if auto.MeasureIters = opts.AutoIters; auto.MeasureIters <= 0 {
-						auto.MeasureIters = 30
-					}
+					auto.AutoTrace, auto.MeasureIters = true, autoIters
 					variants = append(variants, auto)
 				}
 				for _, cfg := range variants {

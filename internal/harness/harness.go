@@ -37,18 +37,14 @@ type Config struct {
 	// MeasureIters is the number of steady-state iterations timed after
 	// the initialization iteration. Zero selects a default of 3.
 	MeasureIters int
-	// Tracing enables dynamic tracing (Lee et al. [15]): each steady-state
-	// iteration is bracketed as a trace, so the first is recorded and the
-	// rest replay memoized analysis. The paper disables tracing to measure
-	// the coherence algorithms themselves (§8); enabling it here measures
-	// how much of the steady-state gap tracing recovers.
-	Tracing bool
 	// AutoTrace enables automatic trace memoization (Yadav et al.): no
 	// brackets are emitted at all — the runtime detects the repeating
-	// iteration structure online and replays it. Two extra warm-up
-	// iterations are excluded from the timed window (one for the detector
-	// to see a full repetition, one to record), so the measured regime is
-	// steady-state replay. Mutually exclusive with Tracing.
+	// iteration structure online and replays it. The paper disables
+	// tracing to measure the coherence algorithms themselves (§8); enabling
+	// it here measures how much of the steady-state gap tracing recovers.
+	// Two extra warm-up iterations are excluded from the timed window (one
+	// for the detector to see a full repetition, one to record), so the
+	// measured regime is steady-state replay.
 	AutoTrace bool
 	// TraceOut, when non-nil, receives the cell's virtual-time schedule
 	// (one process per simulated node) after the run; the caller may add
@@ -85,7 +81,7 @@ type Result struct {
 	Reps int
 	// Metrics is the cell's full registry snapshot: analyzer operation
 	// counts, cluster message tallies, per-launch cost histograms, and
-	// (when tracing) trace outcomes, all under hierarchical names.
+	// (when autotracing) trace outcomes, all under hierarchical names.
 	Metrics obs.Snapshot
 }
 
@@ -100,7 +96,7 @@ func SystemName(algorithm string, dcr bool) string {
 
 // Run executes one experiment cell.
 func Run(cfg Config) (*Result, error) {
-	spec, err := algo.Spec{Algorithm: cfg.Algorithm, Tracing: cfg.Tracing, AutoTrace: cfg.AutoTrace}.Check()
+	spec, err := algo.Spec{Algorithm: cfg.Algorithm, AutoTrace: cfg.AutoTrace}.Check()
 	if err != nil {
 		return nil, err
 	}
@@ -126,21 +122,14 @@ func Run(cfg Config) (*Result, error) {
 
 	distCfg := dist.DefaultConfig(cfg.DCR)
 	distCfg.Options = core.Options{Metrics: reg, Spans: cfg.Spans, Recorder: cfg.Recorder}
-	var stack *algo.Stack
 	driver := dist.New(machine, inst.Tree, func(tree *region.Tree, opts core.Options) core.Analyzer {
-		stack = spec.Build(tree, opts)
-		return stack.Analyzer
+		return spec.Build(tree, opts).Analyzer
 	}, owner, distCfg)
-	tracer := stack.Tracer
 	stream := core.NewStream(inst.Tree)
 
 	mapper := dist.OwnerMapper{}
 	launches := 0
 	emit := func(iter int) {
-		if tracer != nil && iter > 0 {
-			tracer.Begin(0)
-			defer tracer.End()
-		}
 		for _, l := range inst.Emit(stream, iter) {
 			driver.Launch(l.Task, mapper.Place(l.Task, l.Node, cfg.Nodes), l.Duration)
 			launches++
@@ -158,17 +147,13 @@ func Run(cfg Config) (*Result, error) {
 	emit(0)
 	initTime := driver.Barrier()
 
-	// Steady state. With tracing, the first steady iteration records and
-	// is excluded from the timed window so the replayed regime is what is
-	// measured (Legion measures traced steady state the same way). With
-	// automatic tracing there are two excluded iterations: the detector
+	// Steady state. With automatic tracing, two iterations are excluded
+	// from the timed window so the replayed regime is what is measured
+	// (Legion measures traced steady state the same way): the detector
 	// commits a candidate once it has seen two full repetitions (iteration
 	// 0 and the first warm-up), and the second warm-up records.
 	warm := 0
-	if tracer != nil {
-		warm = 1
-	}
-	if stack.Auto != nil {
+	if cfg.AutoTrace {
 		warm = 2
 	}
 	for k := 0; k < warm; k++ {
@@ -390,7 +375,6 @@ func WriteTSV(w io.Writer, results []*Result, reps int) error {
 func WriteFigure(w io.Writer, results []*Result, metric string) error {
 	order := []string{
 		"raycast_dcr", "raycast_nodcr", "warnock_dcr", "warnock_nodcr", "paint_nodcr",
-		"raycast_dcr_trace", "raycast_nodcr_trace", "warnock_dcr_trace", "warnock_nodcr_trace", "paint_nodcr_trace",
 		"raycast_dcr_auto", "raycast_nodcr_auto", "warnock_dcr_auto", "warnock_nodcr_auto", "paint_nodcr_auto",
 	}
 	byCell := make(map[string]map[int]*Result)

@@ -160,33 +160,12 @@ func TestSystemName(t *testing.T) {
 	}
 }
 
-// TestTracingRecoversThroughput verifies the §8 caveat quantitatively:
-// with tracing enabled, even the no-DCR configuration recovers most of its
-// throughput at a scale where untraced analysis is the bottleneck.
-func TestTracingRecoversThroughput(t *testing.T) {
-	nodes := 128
-	untraced := run(t, circuit.New, "circuit", "raycast", false, nodes)
-	traced, err := harness.Run(harness.Config{
-		App: circuit.New, AppName: "circuit", Algorithm: "raycast",
-		DCR: false, Nodes: nodes, MeasureIters: 2, Tracing: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.System != "raycast_nodcr_trace" {
-		t.Errorf("system = %q", traced.System)
-	}
-	if traced.ThroughputPerNode < 2*untraced.ThroughputPerNode {
-		t.Errorf("tracing should at least double no-DCR throughput at %d nodes: traced=%v untraced=%v",
-			nodes, traced.ThroughputPerNode, untraced.ThroughputPerNode)
-	}
-}
-
 // TestAutoTraceRecoversThroughput checks that the automatic tracer —
-// given no brackets at all — finds the iteration structure on its own
-// and recovers the same steady-state regime explicit tracing does.
+// given no brackets at all — finds the iteration structure on its own and
+// recovers the steady-state regime. At 256 nodes circuit's loop is 768
+// launches (3 per node), so the detector must search periods past 512.
 func TestAutoTraceRecoversThroughput(t *testing.T) {
-	nodes := 128
+	nodes := 256
 	untraced := run(t, circuit.New, "circuit", "raycast", false, nodes)
 	auto, err := harness.Run(harness.Config{
 		App: circuit.New, AppName: "circuit", Algorithm: "raycast",
@@ -213,17 +192,6 @@ func TestAutoTraceRecoversThroughput(t *testing.T) {
 	}
 }
 
-// TestAutoTraceMutualExclusion rejects a cell asking for both modes.
-func TestAutoTraceMutualExclusion(t *testing.T) {
-	_, err := harness.Run(harness.Config{
-		App: stencil.New, AppName: "stencil", Algorithm: "raycast",
-		Nodes: 1, Tracing: true, AutoTrace: true,
-	})
-	if err == nil {
-		t.Fatal("Tracing+AutoTrace cell was accepted")
-	}
-}
-
 // TestPennantFuturesFixesDtFunnel compares the two pennant variants: at
 // scale, routing the global timestep through futures (as real PENNANT
 // does) must outperform routing it through reductions on a single
@@ -241,36 +209,6 @@ func TestPennantFuturesFixesDtFunnel(t *testing.T) {
 	if futures.ThroughputPerNode <= regionDT.ThroughputPerNode {
 		t.Errorf("futures dt (%v) should beat region dt (%v) at %d nodes",
 			futures.ThroughputPerNode, regionDT.ThroughputPerNode, nodes)
-	}
-}
-
-func TestWriteChart(t *testing.T) {
-	results, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, metric := range []string{"init", "weak"} {
-		var b strings.Builder
-		if err := harness.WriteChart(&b, results, metric); err != nil {
-			t.Fatal(err)
-		}
-		out := b.String()
-		for _, want := range []string{"log-log", "R=raycast_dcr", "P=paint_nodcr", "nodes"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%s chart missing %q:\n%s", metric, want, out)
-			}
-		}
-		// Every node count appears on the axis.
-		for _, n := range []string{"1", "2", "4"} {
-			if !strings.Contains(out, n) {
-				t.Errorf("%s chart missing node label %s", metric, n)
-			}
-		}
-	}
-	// Empty input is a no-op.
-	var b strings.Builder
-	if err := harness.WriteChart(&b, nil, "weak"); err != nil || b.Len() != 0 {
-		t.Errorf("empty chart: err=%v out=%q", err, b.String())
 	}
 }
 

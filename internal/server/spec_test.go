@@ -26,23 +26,23 @@ func post(t *testing.T, srv *server.Server, target, body string) (int, string) {
 
 // TestOneStackRejection checks that the two in-process ways to ask for an
 // analysis stack — the library and the experiment harness — refuse an
-// illegal one in the same words, algo.Spec.Check's. The service refuses it
-// before it is a stack at all (TestAutotraceTracingExclusive).
+// illegal one in the same words, algo.Spec.Check's. The service refuses
+// what only the library can ask for (explicit tracing) before it is a
+// stack at all (TestAutotraceTracingExclusive).
 func TestOneStackRejection(t *testing.T) {
-	_, err := algo.Spec{Tracing: true, AutoTrace: true}.Check()
+	_, err := algo.Spec{Algorithm: "zbuffer", AutoTrace: true}.Check()
 	if err == nil {
-		t.Fatal("Check accepted Tracing with AutoTrace")
+		t.Fatal("Check accepted an unknown algorithm")
 	}
 	want := err.Error()
 
 	var lib string
 	func() {
 		defer func() { lib = fmt.Sprint(recover()) }()
-		visibility.New(visibility.Config{Tracing: true, AutoTrace: true})
+		visibility.New(visibility.Config{Algorithm: "zbuffer", AutoTrace: true})
 	}()
 	_, herr := harness.Run(harness.Config{
-		App: stencil.New, AppName: "stencil", Algorithm: "raycast", Nodes: 1,
-		Tracing: true, AutoTrace: true,
+		App: stencil.New, AppName: "stencil", Algorithm: "zbuffer", Nodes: 1, AutoTrace: true,
 	})
 	for surface, got := range map[string]string{
 		"visibility.New": lib,

@@ -14,7 +14,8 @@
 // plan-producer task IDs by the trace's stream offset, without consulting
 // the underlying analyzer at all. Any mismatch invalidates the trace: the
 // buffered launches are re-analyzed through the wrapped analyzer (whose
-// state must catch up) and recording starts over.
+// state must catch up), the rest of the instance is analyzed untraced, and
+// the next instance records afresh.
 package trace
 
 import (
@@ -50,7 +51,7 @@ type Tracer struct {
 	// once a newer one has seen a launch, so nothing else is kept.
 	last *traceState
 
-	mode      int // idle, recording, replaying
+	mode      int // idle, recording, replaying, untraced
 	active    *traceState
 	replayIdx int
 	startID   int // first task ID of the current instance
@@ -66,6 +67,7 @@ const (
 	idle = iota
 	recording
 	replaying
+	untraced // the rest of an instance whose replay diverged
 )
 
 type traceState struct {
@@ -236,6 +238,8 @@ func (tr *Tracer) End() bool {
 		} else {
 			ts.lastInst = tr.startID
 		}
+	case untraced:
+		// Invalidated where the replay diverged.
 	default:
 		panic("trace: End without Begin")
 	}
@@ -289,13 +293,12 @@ func (tr *Tracer) Analyze(t *core.Task) *core.Result {
 	case replaying:
 		ts := tr.active
 		if tr.replayIdx >= len(ts.sigs) || !sigEqual(ts.sigs[tr.replayIdx], sigOf(t)) {
-			// Structure diverged: fall back to real analysis.
-			tr.mode = recording
+			// Structure diverged: drop the trace and analyze the rest of
+			// the instance untraced. A recording started mid-instance could
+			// never pass contiguity, so the next instance records instead.
 			tr.invalidate()
-			tr.active = &traceState{id: ts.id}
-			tr.last = tr.active
-			tr.startID = -1
-			return tr.analyzeAndRecord(t)
+			tr.mode = untraced
+			return tr.an.Analyze(t)
 		}
 		span := tr.opts.Spans.Begin("trace.replay", "trace")
 		defer span.End()
@@ -315,7 +318,7 @@ func (tr *Tracer) Analyze(t *core.Task) *core.Result {
 		}
 		return tr.analyzeAndRecord(t)
 
-	default:
+	default: // idle or untraced
 		tr.drain()
 		return tr.an.Analyze(t)
 	}
@@ -327,9 +330,6 @@ func (tr *Tracer) analyzeAndRecord(t *core.Task) *core.Result {
 	tr.drain()
 	res := tr.an.Analyze(t)
 	ts := tr.active
-	if ts == nil {
-		return res
-	}
 	span := tr.opts.Spans.Begin("trace.record", "trace")
 	defer span.End()
 	rec := recordedResult{

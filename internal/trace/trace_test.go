@@ -241,21 +241,25 @@ func TestNonContiguousInstanceRecords(t *testing.T) {
 	// Bracket sequences after a warm-up that leaves trace A valid and
 	// contiguous (a first recording on a fresh analyzer reads initial
 	// contents it writes, so it takes a second one). Each instance is a
-	// trace id and its launch count; the counts are past the warm-up.
-	type instance struct{ id, launches int }
+	// trace id, its launch count and the 1-based launch whose structure
+	// diverges (0: none); the counts are past the warm-up.
+	type instance struct{ id, launches, diverge int }
 	const a, b = 1, 2
 	for _, tc := range []struct {
 		name               string
 		seq                []instance
 		recorded, replayed int64
 	}{
-		{"A,A", []instance{{a, 3}}, 0, 3},
-		{"A,B,A", []instance{{b, 3}, {a, 3}}, 6, 0},
-		{"A,emptyB,A", []instance{{b, 0}, {a, 3}}, 0, 3},
+		{"A,A", []instance{{a, 3, 0}}, 0, 3},
+		{"A,B,A", []instance{{b, 3, 0}, {a, 3, 0}}, 6, 0},
+		{"A,emptyB,A", []instance{{b, 0, 0}, {a, 3, 0}}, 0, 3},
+		// A replay diverging at launch 2 analyzes its tail untraced; the
+		// next instance records and the one after replays.
+		{"A,A',A,A", []instance{{a, 3, 2}, {a, 3, 0}, {a, 3, 0}}, 3, 1 + 3},
 	} {
 		tr := trace.New(warnock.New(tree, core.Options{}), core.Options{})
 		stream := core.NewStream(tree)
-		seq := append([]instance{{a, 3}, {a, 3}}, tc.seq...)
+		seq := append([]instance{{a, 3, 0}, {a, 3, 0}}, tc.seq...)
 		for k, in := range seq {
 			if k == 2 {
 				if st := tr.TraceStats(); st.Recorded != 6 || st.Replayed != 0 {
@@ -264,7 +268,11 @@ func TestNonContiguousInstanceRecords(t *testing.T) {
 			}
 			tr.Begin(in.id)
 			for i := 0; i < in.launches; i++ {
-				tr.Analyze(stream.Launch("w",
+				name := "w"
+				if i+1 == in.diverge {
+					name = "x"
+				}
+				tr.Analyze(stream.Launch(name,
 					core.Req{Region: p.Subregions[i], Field: 0, Priv: privilege.Writes()}))
 			}
 			tr.End()

@@ -579,7 +579,7 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 	k := &kernelAdapter{spec: spec}
 
 	// In Validate mode, replay through the sequential interpreter first
-	// (on the launching goroutine, in program order) and capture the
+	// (on the launching goroutine, in program order) and take the
 	// expected inputs; the parallel execution checks against that private
 	// copy, so no shared interpreter state is touched from workers.
 	var want []*data.Store
@@ -589,7 +589,7 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 			seqBody = func(inputs []*data.Store) { spec.Kernel.Body(snapshots(inputs)) }
 		}
 		ts.seq.RunBody(t, k, seqBody)
-		want = ts.seq.Inputs[t.ID]
+		want = ts.takeExpected(t.ID)
 	}
 
 	var body func([]*data.Store)
@@ -629,6 +629,15 @@ func (rt *Runtime) submit(ts *treeState, t *core.Task, k core.Kernel, body func(
 		rt.cfg.Recorder.Log(recorder.KindReasonCapture, int64(t.ID), int64(ts.prov.ReasonCount(t.ID)))
 	}
 	return done
+}
+
+// takeExpected removes and returns the sequential interpreter's inputs for
+// task id. Each is read once, so a Validate runtime holds none past its
+// launch.
+func (ts *treeState) takeExpected(id int) []*data.Store {
+	want := ts.seq.Inputs[id]
+	delete(ts.seq.Inputs, id)
+	return want
 }
 
 func snapshots(inputs []*data.Store) []*Snapshot {
@@ -762,7 +771,7 @@ func (rt *Runtime) Read(r *Region, fieldName string) *Snapshot {
 	var got *data.Store
 	<-rt.submit(ts, t, k, func(inputs []*data.Store) { got = inputs[0] })
 	if ts.seq != nil {
-		validate(t, ts.seq.Inputs[t.ID], []*data.Store{got})
+		validate(t, ts.takeExpected(t.ID), []*data.Store{got})
 	}
 	return &Snapshot{st: got}
 }

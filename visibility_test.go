@@ -264,6 +264,31 @@ func TestManyTasksStress(t *testing.T) {
 	}
 }
 
+// TestValidateKeepsNoInputs checks that a Validate runtime does not grow
+// with its launches: the sequential interpreter's expected inputs for a
+// task are dropped once its execution has been checked against them.
+func TestValidateKeepsNoInputs(t *testing.T) {
+	rt := visibility.New(visibility.Config{Validate: true, Workers: 2})
+	defer rt.Close()
+	r := rt.CreateRegion("r", visibility.Line(0, 31), "v")
+	blocks := r.PartitionEqual("B", 4)
+	for i := 0; i < 1000; i++ {
+		rt.Launch(visibility.TaskSpec{
+			Name:     "step",
+			Accesses: []visibility.Access{visibility.Write(blocks.Sub(i%4), "v")},
+			Kernel: visibility.Kernel{Write: func(_ int, _ visibility.Point, in float64) float64 {
+				return in + 1
+			}},
+		})
+	}
+	if v, _ := rt.Read(r, "v").Get(visibility.Pt(0)); v != 250 {
+		t.Errorf("v[0] = %v, want 250", v)
+	}
+	if n := visibility.ExpectedInputs(r); n != 0 {
+		t.Errorf("%d tasks' expected inputs left behind after 1,001 launches", n)
+	}
+}
+
 func TestRuntimeRegionLookup(t *testing.T) {
 	rt := visibility.New(visibility.Config{})
 	defer rt.Close()
