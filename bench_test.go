@@ -198,9 +198,8 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 // recorder case is held to the same bound: journaling an event is an
 // atomic load plus a mutex-guarded ring store on a coarse (per-split,
 // per-materialize) path, which must stay invisible next to the analysis
-// itself. Dependence-provenance capture (core.Options.Prov) gets the same
-// pair: prov-disabled is the nil fast path every non-explaining caller
-// takes and is held to the <3% bound; prov-enabled records an EdgeReason
+// itself. Dependence-provenance capture (core.Options.Prov) is off by
+// being nil, which is the absent case; prov-enabled records an EdgeReason
 // per discovered edge and a cost sample per launch, and is measured for
 // information only.
 func BenchmarkObsOverhead(b *testing.B) {
@@ -220,7 +219,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		{"enabled", core.Options{Spans: enabled}},
 		{"recorder-disabled", core.Options{Recorder: recOff}},
 		{"recorder-enabled", core.Options{Recorder: recOn}},
-		{"prov-disabled", core.Options{Prov: nil}},
 		{"prov-enabled", core.Options{Prov: core.NewProvenance()}},
 	}
 	for _, tc := range cases {

@@ -7,8 +7,6 @@
 // With -metrics-out it additionally dumps every experiment cell's full
 // metrics-registry snapshot — analyzer operation counts, cluster message
 // tallies, per-launch cost histograms — as a deterministic JSON array.
-// With -reps N every cell is repeated and aggregated min-of-reps before
-// snapshotting, and the output records the repetition count.
 //
 // Usage:
 //
@@ -32,9 +30,9 @@
 //	visbench -json BENCH_8.json [-profile-out profiles/]
 //	         [-app all] [-max-nodes 32] [-iters 3] [-reps 3]
 //
-// -list prints the registered applications (with the paper figures they
-// reproduce), coherence algorithms, and system configurations, all drawn
-// from the shared registries.
+// -list prints the applications (with the paper figures they reproduce),
+// coherence algorithms, and system configurations, all drawn from the
+// harness's application table and the algorithm registry.
 //
 // -chaos switches to the fault-injection crosscheck: each seed runs a
 // randomized task stream through all four analyzers and a simulated
@@ -56,20 +54,14 @@ import (
 	"strings"
 
 	"visibility/internal/algo"
-	"visibility/internal/apps"
 	"visibility/internal/bench"
 	"visibility/internal/fault"
 	"visibility/internal/harness"
-
-	// The app packages self-register with the apps registry.
-	_ "visibility/internal/apps/circuit"
-	_ "visibility/internal/apps/pennant"
-	_ "visibility/internal/apps/stencil"
 )
 
 func main() {
 	appFlag := flag.String("app", "all", "application: stencil, circuit, pennant, or all")
-	list := flag.Bool("list", false, "list registered applications, figures, and algorithms, then exit")
+	list := flag.Bool("list", false, "list applications, figures, and algorithms, then exit")
 	metric := flag.String("metric", "all", "metric: init (Figs 12-14), weak (Figs 15-17), or all")
 	maxNodes := flag.Int("max-nodes", 512, "largest simulated node count (sweeps powers of two)")
 	iters := flag.Int("iters", 3, "steady-state iterations to time")
@@ -96,36 +88,42 @@ func main() {
 		os.Exit(runChaos(*chaosSeed, *seeds, *chaosPlan, *chaosTasks, *chaosNodes))
 	}
 
-	var names []string
+	var selected []harness.App
 	if *appFlag == "all" {
-		names = []string{"stencil", "circuit", "pennant"}
-	} else if _, ok := apps.Lookup(*appFlag); ok {
-		names = []string{*appFlag}
+		for _, a := range harness.Apps {
+			if a.InAll {
+				selected = append(selected, a)
+			}
+		}
+	} else if a, err := harness.FindApp(*appFlag); err == nil {
+		selected = []harness.App{a}
 	} else {
-		fmt.Fprintf(os.Stderr, "visbench: unknown app %q (have %v)\n", *appFlag, apps.Names())
+		fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 		os.Exit(2)
 	}
 	if *jsonOut != "" {
+		names := make([]string, len(selected))
+		for i, a := range selected {
+			names[i] = a.Name
+		}
 		os.Exit(runBenchRecord(*jsonOut, *profileOut, names, *maxNodes, *iters, *reps, *autotrace))
 	}
 	if *profileOut != "" {
 		fmt.Fprintln(os.Stderr, "visbench: -profile-out requires -json (profiles are captured per benchmark-record cell)")
 		os.Exit(2)
 	}
-	figureOf := harness.Figures()
-
 	var allResults []*harness.Result
-	for _, name := range names {
-		builder, _ := apps.Lookup(name)
-		base := harness.Config{App: builder, AppName: name, MeasureIters: *iters}
-		results, err := harness.Sweep(base, *maxNodes, *reps)
+	for _, app := range selected {
+		name := app.Name
+		base := harness.Config{App: app.Build, AppName: name, MeasureIters: *iters}
+		results, err := harness.Sweep(base, *maxNodes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 			os.Exit(1)
 		}
 		if *autotrace {
 			base.AutoTrace = true
-			autoResults, err := harness.Sweep(base, *maxNodes, *reps)
+			autoResults, err := harness.Sweep(base, *maxNodes)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 				os.Exit(1)
@@ -141,12 +139,12 @@ func main() {
 				os.Exit(1)
 			}
 		default:
-			for _, m := range []string{"init", "weak"} {
-				if *metric != "all" && *metric != m {
+			for _, m := range []struct{ name, figure string }{{"init", app.Init}, {"weak", app.Weak}} {
+				if *metric != "all" && *metric != m.name {
 					continue
 				}
-				fmt.Printf("\n== %s: %s ==\n", figureOf[name][m], name)
-				if err := harness.WriteFigure(os.Stdout, results, m); err != nil {
+				fmt.Printf("\n== %s: %s ==\n", m.figure, name)
+				if err := harness.WriteFigure(os.Stdout, results, m.name); err != nil {
 					fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 					os.Exit(1)
 				}
@@ -272,15 +270,14 @@ func runChaos(first int64, n int, plan string, tasks, nodes int) int {
 }
 
 // printInventory enumerates everything the harness can run, pulled from
-// the shared registries rather than hand-kept lists: registered
-// applications with the paper figures they reproduce, the registered
+// the harness's tables and the algorithm registry rather than hand-kept
+// lists: the applications with the paper figures they reproduce, the
 // coherence algorithms, and the paper's five system configurations.
 func printInventory() {
-	figures := harness.Figures()
 	fmt.Println("applications:")
-	for _, name := range apps.Names() {
-		fig := figures[name]
-		fmt.Printf("  %-16s init=%-24s weak=%s\n", name, fig["init"], fig["weak"])
+	for _, name := range harness.AppNames() {
+		a, _ := harness.FindApp(name)
+		fmt.Printf("  %-16s init=%-24s weak=%s\n", name, a.Init, a.Weak)
 	}
 	fmt.Println("algorithms:")
 	for _, name := range algo.Names() {

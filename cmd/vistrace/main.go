@@ -31,11 +31,6 @@ import (
 	"visibility/internal/harness"
 	"visibility/internal/index"
 	"visibility/internal/obs"
-
-	// The app packages self-register with the apps registry.
-	_ "visibility/internal/apps/circuit"
-	_ "visibility/internal/apps/pennant"
-	_ "visibility/internal/apps/stencil"
 )
 
 func main() {
@@ -52,9 +47,9 @@ func main() {
 
 	// Validate every enumerated flag up front: a typo must be a usage
 	// error, not a silent fall-through to the default behavior.
-	build, ok := apps.Lookup(*appFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "vistrace: unknown app %q (have %v)\n", *appFlag, apps.Names())
+	app, err := harness.FindApp(*appFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vistrace: %v\n", err)
 		os.Exit(2)
 	}
 	newAn, err := algo.Lookup(*algoFlag)
@@ -69,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	inst := build(*nodes)
+	inst := app.Build(*nodes)
 	if *dumpTree {
 		if err := inst.Tree.Print(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "vistrace: %v\n", err)
@@ -89,7 +84,7 @@ func main() {
 	dag := graph.FromStream(stream.Tasks, deps)
 	switch *format {
 	case "dot":
-		if err := dag.WriteDOT(os.Stdout); err != nil {
+		if err := dag.WriteDOT(os.Stdout, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "vistrace: %v\n", err)
 			os.Exit(1)
 		}
@@ -131,7 +126,7 @@ func main() {
 		st.EntriesScanned, st.OverlapTests, st.ViewsCreated, st.SetsCreated, st.SetsCoalesced, st.BVHVisited)
 
 	if *traceOut != "" {
-		if err := exportTrace(*appFlag, build, *algoFlag, *nodes, *iters, *traceOut); err != nil {
+		if err := exportTrace(app, *algoFlag, *nodes, *iters, *traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "vistrace: %v\n", err)
 			os.Exit(1)
 		}
@@ -149,11 +144,11 @@ func main() {
 // resulting timeline as Chrome trace-event JSON: virtual-time exec/util
 // tracks per node with message flow arrows, plus the analyzer's wall-clock
 // phase spans as an extra process.
-func exportTrace(app string, build apps.Builder, algorithm string, nodes, iters int, path string) error {
+func exportTrace(app harness.App, algorithm string, nodes, iters int, path string) error {
 	tw := obs.NewTraceWriter()
 	spans := obs.NewBuffer(1 << 16)
 	if _, err := harness.Run(harness.Config{
-		App: build, AppName: app, Algorithm: algorithm, DCR: true,
+		App: app.Build, AppName: app.Name, Algorithm: algorithm, DCR: true,
 		Nodes: nodes, MeasureIters: iters, TraceOut: tw, Spans: spans,
 	}); err != nil {
 		return err

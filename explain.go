@@ -207,8 +207,8 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 func (rt *Runtime) WriteDOTCrit(r *Region, w io.Writer) error {
 	ts := r.tree
 	if ts.prov == nil || ts.exec == nil {
-		return (&graph.DAG{}).WriteDOT(w)
+		return (&graph.DAG{}).WriteDOT(w, nil)
 	}
 	d := ts.dag()
-	return d.WriteDOTCrit(w, d.WeightedCriticalPath(ts.weights()))
+	return d.WriteDOT(w, d.WeightedCriticalPath(ts.weights()))
 }

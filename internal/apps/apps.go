@@ -10,10 +10,6 @@
 package apps
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"visibility/internal/cluster"
 	"visibility/internal/core"
 	"visibility/internal/region"
@@ -51,40 +47,3 @@ type Instance struct {
 
 // Builder constructs an application instance for a node count.
 type Builder func(nodes int) *Instance
-
-var (
-	regMu    sync.Mutex
-	registry = map[string]Builder{}
-)
-
-// Register installs a named application builder; the app packages call it
-// from init, so importing an app package (even blank) makes it available
-// to Lookup and Names. A duplicate or empty name panics — a wiring bug.
-func Register(name string, b Builder) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" || registry[name] != nil {
-		panic(fmt.Sprintf("apps: builder %q empty or already registered", name))
-	}
-	registry[name] = b
-}
-
-// Lookup returns the registered builder for name.
-func Lookup(name string) (Builder, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	b, ok := registry[name]
-	return b, ok
-}
-
-// Names returns the registered application names, sorted.
-func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -156,5 +156,3 @@ func New(nodes int) *apps.Instance {
 	}
 	return inst
 }
-
-func init() { apps.Register("circuit", New) }

@@ -215,8 +215,3 @@ func build(nodes int, useFutures bool) *apps.Instance {
 	}
 	return inst
 }
-
-func init() {
-	apps.Register("pennant", New)
-	apps.Register("pennant-futures", NewFutures)
-}

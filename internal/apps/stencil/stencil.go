@@ -113,5 +113,3 @@ func New(nodes int) *apps.Instance {
 	}
 	return inst
 }
-
-func init() { apps.Register("stencil", New) }

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	_ "visibility/internal/apps/stencil"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")

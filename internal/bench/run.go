@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"visibility/internal/apps"
 	"visibility/internal/harness"
 	"visibility/internal/obs"
 )
@@ -27,9 +26,8 @@ const autoIters = 30
 
 // Options configures one benchmark collection.
 type Options struct {
-	// Apps are the application names to measure (resolved through the
-	// apps registry; the caller's blank imports decide what is
-	// registered).
+	// Apps are the application names to measure, each an entry of
+	// harness.Apps.
 	Apps []string
 	// MaxNodes bounds the power-of-two machine-size sweep.
 	MaxNodes int
@@ -92,14 +90,14 @@ func Collect(opts Options) (*Record, error) {
 	}}
 
 	for _, name := range appNames {
-		builder, ok := apps.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown app %q (have %v)", name, apps.Names())
+		app, err := harness.FindApp(name)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
 		}
 		for _, pc := range harness.PaperConfigs() {
 			for _, nodes := range harness.NodeSweep(opts.MaxNodes) {
 				plain := harness.Config{
-					App: builder, AppName: name, Algorithm: pc.Algorithm, DCR: pc.DCR,
+					App: app.Build, AppName: name, Algorithm: pc.Algorithm, DCR: pc.DCR,
 					Nodes: nodes, MeasureIters: opts.Iters,
 				}
 				variants := []harness.Config{plain}

@@ -30,17 +30,24 @@ type Ref int
 // NoRef is the absent operation reference.
 const NoRef Ref = -1
 
+// The interconnect's costs (DESIGN §4.1): a GPU-node supercomputer
+// network of the paper's era (microsecond-scale latency, tens of GB/s
+// links). As in dist, each use combines one constant with a run-time
+// value, so it rounds as float64 arithmetic.
+const (
+	// messageLatency is the one-way wire latency per message in seconds.
+	messageLatency Time = 2e-6
+	// bandwidth is bytes per second on each link.
+	bandwidth float64 = 1e10
+	// sendOverhead is CPU time a node spends to emit one message.
+	sendOverhead Time = 4e-7
+	// receiveOverhead is CPU time a node spends to absorb one message.
+	receiveOverhead Time = 4e-7
+)
+
 // Config describes the simulated machine.
 type Config struct {
 	Nodes int
-	// MessageLatency is the one-way wire latency per message in seconds.
-	MessageLatency Time
-	// Bandwidth is bytes per second on each link.
-	Bandwidth float64
-	// SendOverhead is CPU time a node spends to emit one message.
-	SendOverhead Time
-	// ReceiveOverhead is CPU time a node spends to absorb one message.
-	ReceiveOverhead Time
 	// Metrics is the registry the machine publishes message counters
 	// into; nil gets a private registry.
 	Metrics *obs.Registry
@@ -49,17 +56,10 @@ type Config struct {
 	Faults *fault.Injector
 }
 
-// DefaultConfig returns a machine resembling a GPU-node supercomputer
-// interconnect of the paper's era (microsecond-scale latency, tens of
-// GB/s links).
+// DefaultConfig returns a machine of nodes nodes with the package's
+// interconnect constants.
 func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:           nodes,
-		MessageLatency:  2e-6,
-		Bandwidth:       1e10,
-		SendOverhead:    4e-7,
-		ReceiveOverhead: 4e-7,
-	}
+	return Config{Nodes: nodes}
 }
 
 // proc is one simulated processor: a capacity-1 resource scheduling work
@@ -231,9 +231,6 @@ func (m *Machine) Tracing() bool { return m.rec != nil }
 // Nodes returns the node count.
 func (m *Machine) Nodes() int { return m.cfg.Nodes }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 func (m *Machine) depsReady(deps []Ref) Time {
 	var t Time
 	for _, d := range deps {
@@ -309,13 +306,13 @@ func (m *Machine) UtilNamed(node int, name string, dur Time, deps ...Ref) Ref {
 func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 	m.checkNode(from)
 	m.checkNode(to)
-	sent := m.UtilNamed(from, "send", m.cfg.SendOverhead, deps...)
+	sent := m.UtilNamed(from, "send", sendOverhead, deps...)
 	m.messages.Inc()
 	m.bytes.Add(bytes)
 	m.msgSize.Observe(bytes)
 	wire := Time(0)
 	if from != to {
-		wire = m.cfg.MessageLatency + float64(bytes)/m.cfg.Bandwidth
+		wire = messageLatency + float64(bytes)/bandwidth
 	}
 	// Fault plane. Sites are evaluated in a fixed order with the
 	// destination node as argument; each draws from its own stream, so a
@@ -330,28 +327,28 @@ func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 			// it: the sender retransmits after a timeout, paying a second
 			// send overhead, and delivery slips by the whole round.
 			m.faultDropped.Inc()
-			timeout := m.cfg.MessageLatency * Time(8+v%56)
-			deliverAfter = m.UtilNamed(from, "resend", m.cfg.SendOverhead, m.afterTime(m.done[sent]+timeout))
+			timeout := messageLatency * Time(8+v%56)
+			deliverAfter = m.UtilNamed(from, "resend", sendOverhead, m.afterTime(m.done[sent]+timeout))
 		}
 		if fired, v := f.FireValue(fault.MsgDelay, int64(to)); fired {
 			m.faultDelayed.Inc()
-			extra += m.cfg.MessageLatency * Time(1+v%16)
+			extra += messageLatency * Time(1+v%16)
 		}
 		if fired, v := f.FireValue(fault.MsgReorder, int64(to)); fired {
 			// Held long enough that later traffic on the same link overtakes.
 			m.faultReordered.Inc()
-			extra += m.cfg.MessageLatency * Time(16+v%64)
+			extra += messageLatency * Time(16+v%64)
 		}
 		dup, _ = f.FireValue(fault.MsgDup, int64(to))
 	}
 	// Receive processing occupies the destination's utility processor
 	// after the wire delivers.
-	recv := m.schedule(to, true, "recv", m.cfg.ReceiveOverhead, []Ref{m.afterTime(m.done[deliverAfter] + wire + extra)})
+	recv := m.schedule(to, true, "recv", receiveOverhead, []Ref{m.afterTime(m.done[deliverAfter] + wire + extra)})
 	if dup {
 		// The duplicate receive burns destination utility time but gates
 		// nothing: duplicated runtime messages are idempotent.
 		m.faultDuped.Inc()
-		m.schedule(to, true, "recv-dup", m.cfg.ReceiveOverhead, []Ref{m.afterTime(m.done[deliverAfter] + wire + extra)})
+		m.schedule(to, true, "recv-dup", receiveOverhead, []Ref{m.afterTime(m.done[deliverAfter] + wire + extra)})
 	}
 	if m.rec != nil {
 		m.rec.msgs = append(m.rec.msgs, msgRecord{bytes: bytes, send: sent, recv: recv})

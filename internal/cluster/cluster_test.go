@@ -8,9 +8,7 @@ import (
 
 func approx(a, b Time) bool { return math.Abs(a-b) < 1e-12 }
 
-func cfg(nodes int) Config {
-	return Config{Nodes: nodes, MessageLatency: 1e-6, Bandwidth: 1e9, SendOverhead: 1e-7, ReceiveOverhead: 2e-7}
-}
+func cfg(nodes int) Config { return Config{Nodes: nodes} }
 
 func TestExecSerializesPerNode(t *testing.T) {
 	m := New(cfg(2))
@@ -79,8 +77,8 @@ func TestBackfillSmallGap(t *testing.T) {
 func TestMessageTiming(t *testing.T) {
 	m := New(cfg(2))
 	r := m.Message(0, 1, 1000)
-	// send overhead 1e-7, wire 1e-6 + 1000/1e9 = 1e-6+1e-6, recv 2e-7
-	want := 1e-7 + 1e-6 + 1e-6 + 2e-7
+	// send overhead, wire latency + bytes/bandwidth, receive overhead
+	want := sendOverhead + messageLatency + 1000/bandwidth + receiveOverhead
 	if !approx(m.TimeOf(r), want) {
 		t.Errorf("message delivered at %v, want %v", m.TimeOf(r), want)
 	}
@@ -93,7 +91,7 @@ func TestMessageTiming(t *testing.T) {
 func TestMessageToSelfSkipsWire(t *testing.T) {
 	m := New(cfg(2))
 	r := m.Message(1, 1, 1<<20)
-	want := 1e-7 + 2e-7
+	want := sendOverhead + receiveOverhead
 	if !approx(m.TimeOf(r), want) {
 		t.Errorf("self message at %v, want %v", m.TimeOf(r), want)
 	}
@@ -105,8 +103,8 @@ func TestReceiveQueuesOnBusyUtility(t *testing.T) {
 	r := m.Message(0, 1, 0)
 	// Arrival is early, but receive processing waits for the utility
 	// processor.
-	if !approx(m.TimeOf(r), 5.0+2e-7) {
-		t.Errorf("receive completed at %v, want %v", m.TimeOf(r), 5.0+2e-7)
+	if !approx(m.TimeOf(r), 5.0+receiveOverhead) {
+		t.Errorf("receive completed at %v, want %v", m.TimeOf(r), 5.0+receiveOverhead)
 	}
 }
 

@@ -22,30 +22,36 @@ import (
 	"visibility/internal/region"
 )
 
-// futureBytes is the wire size of one future value.
-const futureBytes = 64
+// The analysis cost model (DESIGN §4.1), calibrated so that a single-node
+// launch costs O(10µs) of analysis, resembling untraced Legion. Each use
+// combines one constant with a run-time value, so it rounds as float64
+// arithmetic; an expression of constants alone would be folded exactly
+// and could move virtual time by a bit.
+const (
+	// opCost is seconds of CPU per analysis op unit (one history entry
+	// scan, overlap test, or state mutation as reported by probes).
+	opCost cluster.Time = 1.2e-6
+	// visitCost is seconds per traversal step through replicated
+	// acceleration structures — pointer chases, far cheaper than opCost.
+	visitCost cluster.Time = 5e-8
+	// launchOverhead is the fixed cost of processing one task launch on
+	// its analysis node.
+	launchOverhead cluster.Time = 8e-6
+	// controlBytes is the size of a control message touching remote
+	// analysis state.
+	controlBytes int64 = 256
+	// bytesPerPoint scales a materialization plan entry's index-space
+	// volume to bytes moved.
+	bytesPerPoint float64 = 8
+	// futureBytes is the wire size of one future value.
+	futureBytes int64 = 64
+)
 
-// Config tunes the analysis cost model.
+// Config selects where analysis runs and how it is instrumented.
 type Config struct {
 	// DCR shards analysis across nodes when true; otherwise all analysis
 	// funnels through node 0.
 	DCR bool
-	// OpCost is seconds of CPU per analysis op unit (one history entry
-	// scan, overlap test, or state mutation as reported by probes).
-	OpCost cluster.Time
-	// VisitCost is seconds per traversal step through replicated
-	// acceleration structures — pointer chases, far cheaper than OpCost.
-	VisitCost cluster.Time
-	// LaunchOverhead is the fixed cost of processing one task launch on
-	// its analysis node.
-	LaunchOverhead cluster.Time
-	// ControlBytes is the size of a control message touching remote
-	// analysis state.
-	ControlBytes int64
-	// BytesPerPoint scales a materialization plan entry's index-space
-	// volume to bytes moved. Apps using scaled-down index spaces set this
-	// to (model bytes per region) / (index-space volume).
-	BytesPerPoint float64
 	// Options is the instrumentation handed to the driven analyzer
 	// (Metrics nil gets a private registry, reachable via Driver.Metrics;
 	// Faults here arms the analyzer-side sites — transport faults are armed
@@ -54,17 +60,10 @@ type Config struct {
 	core.Options
 }
 
-// DefaultConfig returns cost-model constants calibrated so that a
-// single-node launch costs O(10µs) of analysis, resembling untraced Legion.
+// DefaultConfig returns the configuration with analysis distributed when
+// dcr is true.
 func DefaultConfig(dcr bool) Config {
-	return Config{
-		DCR:            dcr,
-		OpCost:         1.2e-6,
-		VisitCost:      5e-8,
-		LaunchOverhead: 8e-6,
-		ControlBytes:   256,
-		BytesPerPoint:  8,
-	}
+	return Config{DCR: dcr}
 }
 
 // Driver runs launches through an analyzer onto a machine.
@@ -232,15 +231,15 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	// remote-owned state is touched by one batched request per owner, all
 	// issued in parallel after the local work, as Legion's analysis
 	// broadcasts requests and gathers responses.
-	var local cluster.Time = d.cfg.LaunchOverhead
+	local := launchOverhead
 	var localUnits int64
 	for _, tc := range d.probe.touches {
 		switch {
 		case tc.owner == visitOwner:
-			local += cluster.Time(tc.ops) * d.cfg.VisitCost
+			local += cluster.Time(tc.ops) * visitCost
 			localUnits += tc.ops
 		case tc.owner == core.LocalOwner || tc.owner == analysisNode:
-			local += cluster.Time(tc.ops) * d.cfg.OpCost
+			local += cluster.Time(tc.ops) * opCost
 			localUnits += tc.ops
 		default:
 			w := &d.remote[tc.owner]
@@ -262,9 +261,9 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	if len(d.remoteOrder) > 0 {
 		gather := make([]cluster.Ref, 0, len(d.remoteOrder))
 		for _, owner := range d.remoteOrder {
-			req := d.m.Message(analysisNode, owner, d.cfg.ControlBytes, chain)
-			remote := d.m.UtilNamed(owner, "touch "+name, cluster.Time(d.remote[owner].ops)*d.cfg.OpCost, req)
-			gather = append(gather, d.m.Message(owner, analysisNode, d.cfg.ControlBytes, remote))
+			req := d.m.Message(analysisNode, owner, controlBytes, chain)
+			remote := d.m.UtilNamed(owner, "touch "+name, cluster.Time(d.remote[owner].ops)*opCost, req)
+			gather = append(gather, d.m.Message(owner, analysisNode, controlBytes, remote))
 			d.remote[owner] = remoteWork{}
 		}
 		d.remoteOrder = d.remoteOrder[:0]
@@ -299,7 +298,7 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 			if src == execNode {
 				continue
 			}
-			bytes := int64(float64(v.Pts.Volume()) * d.cfg.BytesPerPoint)
+			bytes := int64(float64(v.Pts.Volume()) * bytesPerPoint)
 			pres = append(pres, d.m.Message(src, execNode, bytes, after))
 		}
 	}

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Critical is the weighted critical-path analysis of a DAG: per-task
 // earliest start/finish times under the given node weights, per-task
@@ -164,45 +160,4 @@ func (d *DAG) TopContributors(c *Critical, k int) []Contributor {
 		out = out[:k]
 	}
 	return out
-}
-
-// WriteDOTCrit exports the DAG in Graphviz format with the critical path
-// highlighted: critical tasks carry their weight and cumulative finish
-// time in the label and are drawn bold red, as are the chain's edges.
-// Everything else matches WriteDOT, so diffs against the plain export
-// stay readable.
-func (d *DAG) WriteDOTCrit(w io.Writer, c *Critical) error {
-	onPath := make([]bool, len(d.Tasks))
-	next := make([]int, len(d.Tasks)) // successor along the path; -1 off it
-	for i := range next {
-		next[i] = -1
-	}
-	for i, id := range c.Path {
-		onPath[id] = true
-		if i+1 < len(c.Path) {
-			next[id] = c.Path[i+1]
-		}
-	}
-	pw := &printer{w: w}
-	pw.printf("digraph deps {\n")
-	pw.printf("  rankdir=TB; node [shape=box, fontsize=10];\n")
-	for i, t := range d.Tasks {
-		if onPath[i] {
-			pw.printf("  t%d [label=%q, color=red, penwidth=2];\n",
-				i, fmt.Sprintf("%s\nw=%.0f fin=%.0f", t.String(), c.Weights[i], c.Finish[i]))
-		} else {
-			pw.printf("  t%d [label=%q];\n", i, t.String())
-		}
-	}
-	for i, ds := range d.Deps {
-		for _, p := range ds {
-			if onPath[p] && next[p] == i {
-				pw.printf("  t%d -> t%d [color=red, penwidth=2];\n", p, i)
-			} else {
-				pw.printf("  t%d -> t%d;\n", p, i)
-			}
-		}
-	}
-	pw.printf("}\n")
-	return pw.err
 }

@@ -269,8 +269,8 @@ func TestWriteDOTGolden(t *testing.T) {
 		golden string
 		write  func(b *strings.Builder) error
 	}{
-		{"figure_plain.dot", func(b *strings.Builder) error { return d.WriteDOT(b) }},
-		{"figure_crit.dot", func(b *strings.Builder) error { return d.WriteDOTCrit(b, c) }},
+		{"figure_plain.dot", func(b *strings.Builder) error { return d.WriteDOT(b, nil) }},
+		{"figure_crit.dot", func(b *strings.Builder) error { return d.WriteDOT(b, c) }},
 	}
 	for _, tc := range cases {
 		var b strings.Builder

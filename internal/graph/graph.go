@@ -105,17 +105,43 @@ func (d *DAG) AverageParallelism() float64 {
 	return float64(len(d.Tasks)) / float64(len(d.Widths()))
 }
 
-// WriteDOT exports the DAG in Graphviz format.
-func (d *DAG) WriteDOT(w io.Writer) error {
+// WriteDOT exports the DAG in Graphviz format. A non-nil c highlights its
+// critical path: critical tasks carry their weight and cumulative finish
+// time in the label and are drawn bold red, as are the chain's edges.
+// Everything else is written as with a nil c, so diffs against the plain
+// export stay readable.
+func (d *DAG) WriteDOT(w io.Writer, c *Critical) error {
+	onPath := make([]bool, len(d.Tasks))
+	next := make([]int, len(d.Tasks)) // successor along the path; -1 off it
+	for i := range next {
+		next[i] = -1
+	}
+	if c != nil {
+		for i, id := range c.Path {
+			onPath[id] = true
+			if i+1 < len(c.Path) {
+				next[id] = c.Path[i+1]
+			}
+		}
+	}
 	pw := &printer{w: w}
 	pw.printf("digraph deps {\n")
 	pw.printf("  rankdir=TB; node [shape=box, fontsize=10];\n")
 	for i, t := range d.Tasks {
-		pw.printf("  t%d [label=%q];\n", i, t.String())
+		if onPath[i] {
+			pw.printf("  t%d [label=%q, color=red, penwidth=2];\n",
+				i, fmt.Sprintf("%s\nw=%.0f fin=%.0f", t.String(), c.Weights[i], c.Finish[i]))
+		} else {
+			pw.printf("  t%d [label=%q];\n", i, t.String())
+		}
 	}
 	for i, ds := range d.Deps {
 		for _, p := range ds {
-			pw.printf("  t%d -> t%d;\n", p, i)
+			if onPath[p] && next[p] == i {
+				pw.printf("  t%d -> t%d [color=red, penwidth=2];\n", p, i)
+			} else {
+				pw.printf("  t%d -> t%d;\n", p, i)
+			}
 		}
 	}
 	pw.printf("}\n")

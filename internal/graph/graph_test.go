@@ -65,7 +65,7 @@ func TestEmptyDAG(t *testing.T) {
 func TestWriteDOT(t *testing.T) {
 	d := figure5DAG(t)
 	var b strings.Builder
-	if err := d.WriteDOT(&b); err != nil {
+	if err := d.WriteDOT(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

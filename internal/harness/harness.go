@@ -13,19 +13,66 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"visibility/internal/algo"
 	"visibility/internal/apps"
+	"visibility/internal/apps/circuit"
+	"visibility/internal/apps/pennant"
+	"visibility/internal/apps/stencil"
 	"visibility/internal/cluster"
 	"visibility/internal/core"
 	"visibility/internal/dist"
 	"visibility/internal/obs"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/region"
 )
+
+// App is one application the harness runs.
+type App struct {
+	Name  string
+	Build apps.Builder
+	// Init and Weak name the paper figures that plot the application's
+	// initialization time and weak-scaling throughput.
+	Init, Weak string
+	// InAll reports whether visbench's -app all runs it.
+	InAll bool
+}
+
+// Apps is the one table of applications, in the paper's figure order:
+// visbench (-app, -list), vistrace and bench.Collect all read it. The
+// pennant-futures variant routes pennant's global timestep through
+// futures, as real PENNANT does; it reproduces no figure of its own, so
+// -app all leaves it out.
+var Apps = []App{
+	{Name: "stencil", Build: stencil.New, Init: "Figure 12", Weak: "Figure 15", InAll: true},
+	{Name: "circuit", Build: circuit.New, Init: "Figure 13", Weak: "Figure 16", InAll: true},
+	{Name: "pennant", Build: pennant.New, Init: "Figure 14", Weak: "Figure 17", InAll: true},
+	{Name: "pennant-futures", Build: pennant.NewFutures, Init: "Figure 14 (futures dt)", Weak: "Figure 17 (futures dt)"},
+}
+
+// FindApp returns the table entry called name; the error lists the
+// table's names.
+func FindApp(name string) (App, error) {
+	for _, a := range Apps {
+		if a.Name == name {
+			return a, nil
+		}
+	}
+	return App{}, fmt.Errorf("unknown app %q (have %v)", name, AppNames())
+}
+
+// AppNames returns the table's names, sorted.
+func AppNames() []string {
+	names := make([]string, len(Apps))
+	for i, a := range Apps {
+		names[i] = a.Name
+	}
+	sort.Strings(names)
+	return names
+}
 
 // Config selects one experiment cell.
 type Config struct {
@@ -54,9 +101,6 @@ type Config struct {
 	TraceOut *obs.TraceWriter
 	// Spans, when non-nil, receives wall-clock analysis-phase spans.
 	Spans *obs.Buffer
-	// Recorder, when non-nil, journals coarse analyzer events into the
-	// flight-recorder ring.
-	Recorder *recorder.Recorder
 }
 
 // Result is one measured experiment cell.
@@ -76,9 +120,6 @@ type Result struct {
 	// the execution (GPU) and utility (analysis) processors over the run.
 	ExecUtilization float64
 	UtilUtilization float64
-	// Reps is how many repetitions this result aggregates (min-of-reps,
-	// see RunReps); 1 for a single Run.
-	Reps int
 	// Metrics is the cell's full registry snapshot: analyzer operation
 	// counts, cluster message tallies, per-launch cost histograms, and
 	// (when autotracing) trace outcomes, all under hierarchical names.
@@ -121,7 +162,7 @@ func Run(cfg Config) (*Result, error) {
 	owner := dist.OwnerByPartition(inst.Owned, cfg.Nodes)
 
 	distCfg := dist.DefaultConfig(cfg.DCR)
-	distCfg.Options = core.Options{Metrics: reg, Spans: cfg.Spans, Recorder: cfg.Recorder}
+	distCfg.Options = core.Options{Metrics: reg, Spans: cfg.Spans}
 	driver := dist.New(machine, inst.Tree, func(tree *region.Tree, opts core.Options) core.Analyzer {
 		return spec.Build(tree, opts).Analyzer
 	}, owner, distCfg)
@@ -180,7 +221,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	span := total * float64(cfg.Nodes)
 	return &Result{
-		Reps:              1,
 		System:            SystemName(spec.Algorithm, cfg.DCR) + spec.Suffix(),
 		App:               cfg.AppName,
 		Nodes:             cfg.Nodes,
@@ -198,57 +238,19 @@ func Run(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// RunReps executes one experiment cell reps times and aggregates
-// min-of-reps: the returned result carries the minimum init and
-// per-iteration times observed across repetitions (and therefore the
-// maximum throughput), the matching rep's metrics snapshot, and
-// Reps=reps. The simulation itself is deterministic in virtual time, so
-// repetitions mostly agree; the aggregation matters for the wall-clock
-// measurements benchmark records layer on top, and it is the
-// repetition discipline the paper's artifact uses (best of five).
-func RunReps(cfg Config, reps int) (*Result, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var best *Result
-	for i := 0; i < reps; i++ {
-		r, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || r.IterTime < best.IterTime {
-			if best != nil && r.InitTime > best.InitTime {
-				r.InitTime = best.InitTime
-			}
-			best = r
-		} else if r.InitTime < best.InitTime {
-			best.InitTime = r.InitTime
-		}
-	}
-	best.Reps = reps
-	return best, nil
-}
-
 // WriteMetricsJSON writes one registry snapshot per experiment cell as an
 // indented JSON array, in result order. Cells and keys are emitted
-// deterministically, so identical runs are byte-identical. Each cell
-// records how many repetitions it aggregates (see RunReps), so a
-// min-of-reps artifact is distinguishable from a single run.
+// deterministically, so identical runs are byte-identical.
 func WriteMetricsJSON(w io.Writer, results []*Result) error {
 	type cell struct {
 		System  string       `json:"system"`
 		App     string       `json:"app"`
 		Nodes   int          `json:"nodes"`
-		Reps    int          `json:"reps"`
 		Metrics obs.Snapshot `json:"metrics"`
 	}
 	cells := make([]cell, 0, len(results))
 	for _, r := range results {
-		reps := r.Reps
-		if reps == 0 {
-			reps = 1
-		}
-		cells = append(cells, cell{System: r.System, App: r.App, Nodes: r.Nodes, Reps: reps, Metrics: r.Metrics})
+		cells = append(cells, cell{System: r.System, App: r.App, Nodes: r.Nodes, Metrics: r.Metrics})
 	}
 	b, err := json.MarshalIndent(cells, "", "  ")
 	if err != nil {
@@ -257,18 +259,6 @@ func WriteMetricsJSON(w io.Writer, results []*Result) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// Figures maps application name to metric ("init" or "weak") to the
-// paper figure that plots it — the shared source for visbench's figure
-// headers and its -list inventory.
-func Figures() map[string]map[string]string {
-	return map[string]map[string]string{
-		"stencil":         {"init": "Figure 12", "weak": "Figure 15"},
-		"circuit":         {"init": "Figure 13", "weak": "Figure 16"},
-		"pennant":         {"init": "Figure 14", "weak": "Figure 17"},
-		"pennant-futures": {"init": "Figure 14 (futures dt)", "weak": "Figure 17 (futures dt)"},
-	}
 }
 
 // PaperConfigs returns the five configurations of every figure in §8:
@@ -304,11 +294,10 @@ func NodeSweep(max int) []int {
 // Sweep runs base under every paper configuration over the power-of-two
 // node sweep up to maxNodes: base supplies the application, the timed
 // iterations and the wrapper stack, and Sweep fills in Algorithm, DCR and
-// Nodes. Each cell is repeated reps times and aggregated min-of-reps (see
-// RunReps). Cells are independent simulations, so they run in parallel
-// across the host's CPUs; results are returned in deterministic
-// (configuration-major) order.
-func Sweep(base Config, maxNodes, reps int) ([]*Result, error) {
+// Nodes. The simulation is deterministic, so each cell runs once. Cells
+// are independent simulations, so they run in parallel across the host's
+// CPUs; results are returned in deterministic (configuration-major) order.
+func Sweep(base Config, maxNodes int) ([]*Result, error) {
 	var cells []Config
 	for _, pc := range PaperConfigs() {
 		for _, n := range NodeSweep(maxNodes) {
@@ -334,7 +323,7 @@ func Sweep(base Config, maxNodes, reps int) ([]*Result, error) {
 				if i >= len(cells) {
 					return
 				}
-				out[i], errs[i] = RunReps(cells[i], reps)
+				out[i], errs[i] = Run(cells[i])
 			}
 		}()
 	}
@@ -373,9 +362,11 @@ func WriteTSV(w io.Writer, results []*Result, reps int) error {
 // count, one column per configuration. metric selects "init"
 // (Figures 12-14) or "weak" (Figures 15-17).
 func WriteFigure(w io.Writer, results []*Result, metric string) error {
-	order := []string{
-		"raycast_dcr", "raycast_nodcr", "warnock_dcr", "warnock_nodcr", "paint_nodcr",
-		"raycast_dcr_auto", "raycast_nodcr_auto", "warnock_dcr_auto", "warnock_nodcr_auto", "paint_nodcr_auto",
+	var order []string
+	for _, suffix := range []string{"", algo.Spec{AutoTrace: true}.Suffix()} {
+		for _, pc := range PaperConfigs() {
+			order = append(order, SystemName(pc.Algorithm, pc.DCR)+suffix)
+		}
 	}
 	byCell := make(map[string]map[int]*Result)
 	nodesSet := make(map[int]bool)

@@ -95,7 +95,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSweepAndFormats(t *testing.T) {
-	results, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 4, 1)
+	results, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +135,39 @@ func TestSweepAndFormats(t *testing.T) {
 	}
 	if !strings.Contains(figInit.String(), "init time (s)") {
 		t.Error("init figure missing label")
+	}
+
+	// One metrics cell per result.
+	var js strings.Builder
+	if err := harness.WriteMetricsJSON(&js, results); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(js.String(), `"system"`); got != len(results) {
+		t.Errorf("metrics JSON has %d cells, want %d", got, len(results))
+	}
+}
+
+// TestAppTable checks the one table of applications: -app all runs the
+// three paper figures in figure order, and an unknown name lists the
+// table sorted.
+func TestAppTable(t *testing.T) {
+	var all []string
+	for _, a := range harness.Apps {
+		if a.InAll {
+			all = append(all, a.Name)
+		}
+	}
+	if got := strings.Join(all, " "); got != "stencil circuit pennant" {
+		t.Errorf("-app all runs %q", got)
+	}
+	a, err := harness.FindApp("pennant-futures")
+	if err != nil || a.Init != "Figure 14 (futures dt)" || a.Build(1).UnitName != "zones" {
+		t.Errorf("FindApp(pennant-futures) = %+v, %v", a, err)
+	}
+	_, err = harness.FindApp("zmachine")
+	want := `unknown app "zmachine" (have [circuit pennant pennant-futures stencil])`
+	if err == nil || err.Error() != want {
+		t.Errorf("FindApp(zmachine) error = %v, want %s", err, want)
 	}
 }
 
@@ -223,87 +256,5 @@ func TestUtilizationMetrics(t *testing.T) {
 	// Kernel work dominates analysis for raycast+DCR.
 	if r.ExecUtilization < r.UtilUtilization {
 		t.Errorf("expected exec-bound run: exec=%v util=%v", r.ExecUtilization, r.UtilUtilization)
-	}
-}
-
-// TestRunRepsAggregates checks min-of-reps aggregation: the result
-// carries Reps, its times are no worse than a single run's (the
-// simulation is deterministic, so they are equal), and the metrics JSON
-// records the repetition count instead of overwriting cells.
-func TestRunRepsAggregates(t *testing.T) {
-	cfg := harness.Config{
-		App: stencil.New, AppName: "stencil", Algorithm: "raycast", DCR: true,
-		Nodes: 2, MeasureIters: 2,
-	}
-	single, err := harness.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Reps != 1 {
-		t.Errorf("single run Reps = %d, want 1", single.Reps)
-	}
-	agg, err := harness.RunReps(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Reps != 3 {
-		t.Errorf("aggregated Reps = %d, want 3", agg.Reps)
-	}
-	if agg.InitTime > single.InitTime || agg.IterTime > single.IterTime {
-		t.Errorf("min-of-reps times worse than one run: init %v > %v or iter %v > %v",
-			agg.InitTime, single.InitTime, agg.IterTime, single.IterTime)
-	}
-	if agg.InitTime != single.InitTime || agg.IterTime != single.IterTime {
-		t.Errorf("deterministic sim: reps should agree, got init %v vs %v, iter %v vs %v",
-			agg.InitTime, single.InitTime, agg.IterTime, single.IterTime)
-	}
-
-	var buf strings.Builder
-	if err := harness.WriteMetricsJSON(&buf, []*harness.Result{agg}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"reps": 3`) {
-		t.Errorf("metrics JSON missing reps field:\n%s", out)
-	}
-	// One aggregated cell, not one cell per rep.
-	if got := strings.Count(out, `"system"`); got != 1 {
-		t.Errorf("metrics JSON has %d cells, want 1 aggregated cell:\n%s", got, out)
-	}
-
-	// A zero-valued Reps (a Result built by hand) is reported as 1.
-	buf.Reset()
-	legacy := *single
-	legacy.Reps = 0
-	if err := harness.WriteMetricsJSON(&buf, []*harness.Result{&legacy}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"reps": 1`) {
-		t.Errorf("legacy result did not default to reps 1:\n%s", buf.String())
-	}
-}
-
-// TestSweepReps checks the reps-aware sweep returns aggregated cells in
-// the same deterministic order as the plain sweep.
-func TestSweepReps(t *testing.T) {
-	plain, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps, err := harness.Sweep(harness.Config{App: stencil.New, AppName: "stencil", MeasureIters: 1}, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(reps) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(plain), len(reps))
-	}
-	for i := range plain {
-		if plain[i].System != reps[i].System || plain[i].Nodes != reps[i].Nodes {
-			t.Errorf("cell %d order differs: %s/%d vs %s/%d",
-				i, plain[i].System, plain[i].Nodes, reps[i].System, reps[i].Nodes)
-		}
-		if reps[i].Reps != 2 {
-			t.Errorf("cell %d Reps = %d, want 2", i, reps[i].Reps)
-		}
 	}
 }

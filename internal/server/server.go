@@ -223,9 +223,8 @@ func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Co
 		Recorder:  srv.rec,
 		Faults:    srv.cfg.Faults,
 		// Provenance stays on for every session: the explain and critical-
-		// path endpoints must answer for any workload after the fact, and
-		// the capture cost is bounded by the same <3% obs gate as the rest
-		// of the always-on instrumentation.
+		// path endpoints must answer for any workload after the fact. It is
+		// the costliest of the always-on channels (DESIGN §5.2).
 		Provenance: true,
 	}
 	rt, env, err := seed(cfg)

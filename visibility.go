@@ -855,5 +855,5 @@ func (ts *treeState) dag() *graph.DAG {
 //
 // confined to runtime-owner
 func (rt *Runtime) WriteDOT(r *Region, w io.Writer) error {
-	return r.tree.dag().WriteDOT(w)
+	return r.tree.dag().WriteDOT(w, nil)
 }
