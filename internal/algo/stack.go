@@ -104,6 +104,18 @@ func (st *Stack) Close() {
 	}
 }
 
+// Replays returns the runs of launches whichever trace layer the stack has
+// replayed (nil when it has none, or st is nil).
+func (st *Stack) Replays() []trace.Replay {
+	if st != nil && st.Auto != nil {
+		return st.Auto.Replays()
+	}
+	if st != nil && st.Tracer != nil {
+		return st.Tracer.Replays()
+	}
+	return nil
+}
+
 // TraceStats returns the tracing counters of whichever trace layer the
 // stack has (zero when it has none, or st is nil).
 func (st *Stack) TraceStats() trace.Stats {

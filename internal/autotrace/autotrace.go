@@ -151,6 +151,11 @@ func (a *Auto) AutoStats() Stats {
 	}
 }
 
+// Replays returns the wrapped tracer's runs of replayed launches.
+//
+// confined to analyzer
+func (a *Auto) Replays() []trace.Replay { return a.tr.Replays() }
+
 // Analyze implements core.Analyzer.
 //
 // confined to analyzer

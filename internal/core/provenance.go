@@ -82,6 +82,47 @@ func (r EdgeReason) String() string {
 	return fmt.Sprintf("%d→%d none", r.Src, r.Dst)
 }
 
+// RegionReason derives why tasks[dst] depends on tasks[src] from the
+// stream alone: the first (DstReq, SrcReq) pair, in lexicographic order,
+// whose requirements interfere and share a point no write between them
+// overwrote — Src's entry is still visible to Dst there (§5.1 pruning, §7
+// dominating writes). Overlap is the bounding box of those surviving
+// points. It reads only tasks (src, dst) and keeps nothing between
+// queries.
+//
+// When no pair keeps a live point, the edge has no witness: an analyzer
+// that reported it was conservative. The reason then names the smallest
+// interfering pair with an empty Overlap, and ok is false. A zero Kind
+// means no requirement pair interferes at all.
+func RegionReason(tasks []*Task, src, dst int, analyzer string) (r EdgeReason, ok bool) {
+	r = EdgeReason{Src: src, Dst: dst, Analyzer: analyzer, Trace: -1}
+	s, d := tasks[src], tasks[dst]
+	for di, dq := range d.Reqs {
+		for si, sq := range s.Reqs {
+			if !ReqsInterfere(sq, dq) {
+				continue
+			}
+			live := sq.Region.Space.Intersect(dq.Region.Space)
+			for k := src + 1; k < dst && !live.IsEmpty(); k++ {
+				for _, q := range tasks[k].Reqs {
+					if q.Field == dq.Field && q.Priv.IsWrite() {
+						live = live.Subtract(q.Region.Space)
+					}
+				}
+			}
+			if r.Kind == ReasonNone || !live.IsEmpty() {
+				r.Kind, r.SrcReq, r.DstReq = ReasonRegion, si, di
+				r.Field, r.SrcPriv, r.DstPriv = dq.Field, sq.Priv, dq.Priv
+			}
+			if !live.IsEmpty() {
+				r.Overlap = live.Bounds()
+				return r, true
+			}
+		}
+	}
+	return r, false
+}
+
 // TaskCost is one launch's deterministic cost sample, in the virtual units
 // of the distributed cost model: AnalysisOps is the launch's analysis
 // volume (requirements analyzed plus dependence edges discovered — a

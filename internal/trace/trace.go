@@ -19,6 +19,8 @@
 package trace
 
 import (
+	"sort"
+
 	"visibility/internal/core"
 	"visibility/internal/field"
 	"visibility/internal/index"
@@ -61,7 +63,14 @@ type Tracer struct {
 	// new.
 	pending []*core.Task
 	lastID  int // last task ID seen (for contiguity checks)
+
+	// replays lists the runs of replayed launches, in launch order.
+	replays []Replay
 }
+
+// Replay is a run of consecutive launches, First through Last, whose
+// analysis was instantiated from trace Trace instead of being run.
+type Replay struct{ First, Last, Trace int }
 
 const (
 	idle = iota
@@ -136,6 +145,21 @@ func (tr *Tracer) TraceStats() Stats {
 		Replayed:      tr.replayed.Load(),
 		Invalidations: tr.invalidations.Load(),
 	}
+}
+
+// Replays returns the runs of replayed launches in launch order. A steady
+// loop extends one run, so the list grows only when replay resumes after
+// analysis or switches trace.
+func (tr *Tracer) Replays() []Replay { return tr.replays }
+
+// ReplayOf returns the trace that launch id replayed from, or false when
+// the launch was analyzed.
+func ReplayOf(rs []Replay, id int) (trace int, ok bool) {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Last >= id })
+	if i < len(rs) && rs[i].First <= id {
+		return rs[i].Trace, true
+	}
+	return -1, false
 }
 
 // Replaying reports whether the tracer is currently inside a replaying
@@ -306,6 +330,11 @@ func (tr *Tracer) Analyze(t *core.Task) *core.Result {
 		tr.replayIdx++
 		tr.pending = append(tr.pending, t)
 		tr.replayed.Inc()
+		if n := len(tr.replays); n > 0 && tr.replays[n-1].Trace == ts.id && tr.replays[n-1].Last+1 == t.ID {
+			tr.replays[n-1].Last = t.ID
+		} else {
+			tr.replays = append(tr.replays, Replay{First: t.ID, Last: t.ID, Trace: ts.id})
+		}
 		// Replay is a constant-time local operation per launch.
 		tr.opts.Probe.Touch(core.LocalOwner, 1)
 		return tr.instantiate(t, rec)
