@@ -198,10 +198,8 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 // recorder case is held to the same bound: journaling an event is an
 // atomic load plus a mutex-guarded ring store on a coarse (per-split,
 // per-materialize) path, which must stay invisible next to the analysis
-// itself. Dependence-provenance capture (core.Options.Prov) is off by
-// being nil, which is the absent case; prov-enabled records an EdgeReason
-// per discovered edge and a cost sample per launch, and is measured for
-// information only.
+// itself. The session case is what every visserve session runs — spans
+// and recorder both on — and is measured for information.
 func BenchmarkObsOverhead(b *testing.B) {
 	disabled := obs.NewBuffer(1 << 12)
 	disabled.SetEnabled(false)
@@ -219,7 +217,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		{"enabled", core.Options{Spans: enabled}},
 		{"recorder-disabled", core.Options{Recorder: recOff}},
 		{"recorder-enabled", core.Options{Recorder: recOn}},
-		{"prov-enabled", core.Options{Prov: core.NewProvenance()}},
+		{"session", core.Options{Spans: enabled, Recorder: recOn}},
 	}
 	for _, tc := range cases {
 		tc := tc

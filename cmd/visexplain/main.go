@@ -163,8 +163,12 @@ func srcName(ex *visibility.TaskExplain, src int) string {
 func formatEdge(e visibility.EdgeExplain) string {
 	switch e.Kind {
 	case "region":
+		over := e.Overlap
+		if over == "" {
+			over = "no surviving point (a conservative edge)"
+		}
 		return fmt.Sprintf("region edge [%s]: req %d (%s) interferes with req %d (%s) on field %s over %s",
-			e.Analyzer, e.SrcReq, e.SrcPriv, e.DstReq, e.DstPriv, e.Field, e.Overlap)
+			e.Analyzer, e.SrcReq, e.SrcPriv, e.DstReq, e.DstPriv, e.Field, over)
 	case "future":
 		return "future edge: explicit ordering on a task future"
 	case "replay":

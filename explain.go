@@ -3,11 +3,13 @@ package visibility
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"visibility/internal/core"
 	"visibility/internal/field"
 	"visibility/internal/graph"
+	"visibility/internal/trace"
 )
 
 // EdgeExplain is the provenance of one dependence edge, rendered with
@@ -29,6 +31,9 @@ type EdgeExplain struct {
 	Field   string `json:"field,omitempty"`
 	SrcPriv string `json:"srcPriv,omitempty"`
 	DstPriv string `json:"dstPriv,omitempty"`
+	// Overlap bounds the points of Src that Dst still sees. Empty (and
+	// omitted) on a region edge without a live witness: every shared point
+	// was overwritten before Dst; the edge is conservative.
 	Overlap string `json:"overlap,omitempty"`
 	// Trace is the committed trace id for kind "replay"; -1 otherwise.
 	Trace int `json:"trace"`
@@ -111,36 +116,62 @@ func (ts *treeState) explainEdge(r core.EdgeReason) EdgeExplain {
 		e.Field = ts.fieldName(r.Field)
 		e.SrcPriv = r.SrcPriv.String()
 		e.DstPriv = r.DstPriv.String()
-		e.Overlap = r.Overlap.String()
+		if !r.Overlap.Empty() {
+			e.Overlap = r.Overlap.String()
+		}
 	}
 	return e
 }
 
+// reason derives why task dst waits on src: a future edge when dst
+// consumed src's future, a replay edge when dst's analysis was
+// instantiated from a trace, and otherwise the requirement pair
+// core.RegionReason finds in the stream between them.
+func (ts *treeState) reason(src, dst int, replays []trace.Replay) core.EdgeReason {
+	if slices.Contains(ts.stream.Tasks[dst].FutureDeps, src) {
+		return core.EdgeReason{Src: src, Dst: dst, Kind: core.ReasonFuture, Trace: -1}
+	}
+	analyzer := core.BaseName(ts.stack.Analyzer.Name())
+	if id, ok := trace.ReplayOf(replays, dst); ok {
+		return core.EdgeReason{Src: src, Dst: dst, Kind: core.ReasonReplay, Analyzer: analyzer, Trace: id}
+	}
+	r, _ := core.RegionReason(ts.stream.Tasks, src, dst, analyzer)
+	return r
+}
+
 // Explain returns the provenance of every incoming dependence edge of
-// the given task on the tree containing r. Requires Config.Provenance;
-// returns nil when provenance is off, nothing has launched, or task is
-// out of range.
+// the given task on the tree containing r, derived from the launch
+// stream and the discovered graph; nil when nothing has launched or task
+// is out of range.
 //
 // confined to runtime-owner
 func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 	ts := r.tree
-	if ts.prov == nil || ts.exec == nil || task < 0 || task >= len(ts.stream.Tasks) {
+	if ts.exec == nil || task < 0 || task >= len(ts.stream.Tasks) {
 		return nil
 	}
 	out := &TaskExplain{Task: task, Name: ts.taskName(task), Edges: []EdgeExplain{}}
-	for _, reason := range ts.prov.Reasons(task) {
-		out.Edges = append(out.Edges, ts.explainEdge(reason))
+	replays := ts.stack.Replays()
+	for _, src := range ts.deps[task] {
+		out.Edges = append(out.Edges, ts.explainEdge(ts.reason(src, task, replays)))
 	}
 	return out
 }
 
-// weights returns each task's virtual cost (analysis ops + exec points)
-// from the provenance cost table.
+// weights returns each task's deterministic virtual cost: its analysis
+// volume (requirements analyzed plus incoming edges) plus the points its
+// requirements touch, a unit-cost virtual execution time. Both are
+// properties of the stream and its discovered graph, not of analyzer
+// internals, so critical paths weighted by them are byte-reproducible
+// across runs and across analyzers.
 func (ts *treeState) weights() []float64 {
 	out := make([]float64, len(ts.stream.Tasks))
-	for i := range out {
-		c := ts.prov.Cost(i)
-		out[i] = float64(c.AnalysisOps + c.ExecVirt)
+	for i, t := range ts.stream.Tasks {
+		w := int64(len(t.Reqs) + len(ts.deps[i]))
+		for _, req := range t.Reqs {
+			w += req.Region.Space.Volume()
+		}
+		out[i] = float64(w)
 	}
 	return out
 }
@@ -148,27 +179,22 @@ func (ts *treeState) weights() []float64 {
 // MustPrecede reports whether every legal execution of the tree
 // containing r runs task a before task b — a is a transitive dependence
 // ancestor of b. Each query is a backward search from b over the
-// discovered graph that stops at a. Requires Config.Provenance.
+// discovered graph that stops at a.
 //
 // confined to runtime-owner
 func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
-	ts := r.tree
-	if ts.prov == nil || ts.exec == nil {
-		return false
-	}
-	return ts.dag().MustPrecede(a, b)
+	return r.tree.dag().MustPrecede(a, b)
 }
 
 // CriticalPath computes the weighted critical-path profile of the tree
 // containing r: the longest chain under deterministic virtual weights,
 // per-level slack, and the top-k heaviest tasks on the chain (k ≤ 0
-// returns them all). Requires Config.Provenance; returns nil when
-// provenance is off or nothing has launched.
+// returns them all). Nil when nothing has launched.
 //
 // confined to runtime-owner
 func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	ts := r.tree
-	if ts.prov == nil || ts.exec == nil {
+	if ts.exec == nil {
 		return nil
 	}
 	d := ts.dag()
@@ -201,12 +227,12 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 
 // WriteDOTCrit renders the discovered dependence graph of the tree
 // containing r with the weighted critical path highlighted and
-// time-annotated. Requires Config.Provenance.
+// time-annotated.
 //
 // confined to runtime-owner
 func (rt *Runtime) WriteDOTCrit(r *Region, w io.Writer) error {
 	ts := r.tree
-	if ts.prov == nil || ts.exec == nil {
+	if ts.exec == nil {
 		return (&graph.DAG{}).WriteDOT(w, nil)
 	}
 	d := ts.dag()

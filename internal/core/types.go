@@ -262,10 +262,8 @@ type Options struct {
 	// preserved by Normalize) disables every injection site at the cost of
 	// one pointer test.
 	Faults *fault.Injector
-	// Prov receives dependence provenance: one EdgeReason per emitted
-	// dependence edge and per-launch cost samples. Nil (the default,
-	// preserved by Normalize) disables capture at the cost of one pointer
-	// test per emission site.
+	// Deprecated: ignored; edge reasons are derived on demand
+	// (RegionReason). Kept while benchmarks/visperf still sets it.
 	Prov *Provenance
 }
 

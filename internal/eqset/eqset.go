@@ -116,13 +116,12 @@ type Kernel[X any] struct {
 	Stats core.Stats
 	// confined to analyzer
 	store Store[X]
-	name  string
 	span  string // name + ".analyze", built once rather than per launch
 }
 
 // New creates the kernel of the analyzer called name over store.
 func New[X any](name string, opts core.Options, store Store[X]) *Kernel[X] {
-	return &Kernel[X]{Opts: opts.Normalize(), store: store, name: name, span: name + ".analyze"}
+	return &Kernel[X]{Opts: opts.Normalize(), store: store, span: name + ".analyze"}
 }
 
 // Owner returns the node owning n's state (§8), asking Opts.Owner the
@@ -189,7 +188,7 @@ func privRuns(hist []core.Entry) int64 {
 func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 	span := k.Opts.Spans.Begin(k.span, "analysis")
 	defer span.End()
-	scan := core.NewScan(k.name, k.Opts.Prov, &k.Stats, t)
+	scan := core.NewScan(&k.Stats, t)
 
 	// materialize: refine, then scan each constituent equivalence set.
 	insides := make([][]*Set[X], len(t.Reqs))

@@ -45,6 +45,9 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
+// Add moves the value by d, so components sharing a gauge sum into it.
+func (g *Gauge) Add(d int64) { g.v.Add(d) }
+
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

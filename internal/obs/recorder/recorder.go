@@ -51,7 +51,7 @@ const (
 	KindTraceCommit          // A=trace id, B=period (launches per instance)
 	KindTraceReplay          // A=trace id, B=period; one replayed instance completed
 	KindTraceInvalidate      // A=trace id, B=position in the instance at abort
-	KindReasonCapture        // A=task ID, B=dependence reasons captured for it
+	_                        // 16 "reason_capture": retired; edge reasons are derived on demand
 	KindExplainQuery         // A=queried task ID, B=edges explained
 	KindCritPath             // A=critical-path length (tasks), B=makespan (virtual units, rounded)
 )

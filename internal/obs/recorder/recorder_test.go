@@ -100,7 +100,7 @@ func TestKindPin(t *testing.T) {
 		{Kind(5), 5, "cache_miss"}, // retired, still decodes
 		{KindAdmitReject, 6, "admit_reject"},
 		{KindTraceInvalidate, 15, "trace_invalidate"},
-		{KindReasonCapture, 16, "reason_capture"},
+		{Kind(16), 16, "reason_capture"}, // retired, still decodes
 		{KindExplainQuery, 17, "explain_query"},
 		{KindCritPath, 18, "crit_path"},
 	}

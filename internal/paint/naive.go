@@ -63,7 +63,7 @@ func (n *Naive) histFor(f field.ID) []core.Entry {
 func (n *Naive) Analyze(t *Task) *core.Result {
 	span := n.opts.Spans.Begin("paint-naive.analyze", "analysis")
 	defer span.End()
-	sc := core.NewScan("paint-naive", n.opts.Prov, &n.stats, t)
+	sc := core.NewScan(&n.stats, t)
 
 	// materialize: replay the full history against each requirement.
 	for ri, req := range t.Reqs {

@@ -147,7 +147,7 @@ type pathStep struct {
 func (pa *Painter) Analyze(t *core.Task) *core.Result {
 	span := pa.opts.Spans.Begin("paint.analyze", "analysis")
 	defer span.End()
-	sc := core.NewScan("paint", pa.opts.Prov, &pa.stats, t)
+	sc := core.NewScan(&pa.stats, t)
 
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {

@@ -81,9 +81,6 @@ func TestExplainGolden(t *testing.T) {
 
 			path := filepath.Join("testdata", tc.golden)
 			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}

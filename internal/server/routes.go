@@ -435,7 +435,7 @@ func (srv *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExplain serves dependence provenance: ?task=N returns the
-// EdgeReason of every incoming edge of task N; an optional &src=A
+// reason for every incoming edge of task N; an optional &src=A
 // restricts the edges to producer A and adds the mustPrecede verdict (a
 // backward search of the graph, windowed to the ids between A and N).
 // ?region= selects the root region tree (default: first region, sorted by

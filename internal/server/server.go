@@ -222,10 +222,6 @@ func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Co
 		Spans:     spans,
 		Recorder:  srv.rec,
 		Faults:    srv.cfg.Faults,
-		// Provenance stays on for every session: the explain and critical-
-		// path endpoints must answer for any workload after the fact. It is
-		// the costliest of the always-on channels (DESIGN §5.2).
-		Provenance: true,
 	}
 	rt, env, err := seed(cfg)
 	if err != nil {

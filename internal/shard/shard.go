@@ -30,9 +30,9 @@
 //     could migrate ahead of a later write that covers its points.)
 //
 // The layer carries no instrumentation that is order-sensitive or unsafe
-// for concurrent use: New refuses a Probe, Recorder, fault injector or
-// provenance store, and the atoms get only the metrics registry, the span
-// buffer and the owner function.
+// for concurrent use: New refuses a Probe, Recorder or fault injector,
+// and the atoms get only the metrics registry, the span buffer and the
+// owner function.
 //
 // The shard layer is itself an analyzer, so it composes under the trace
 // and autotrace wrappers (which then memoize the merged results) and
@@ -126,7 +126,7 @@ func fnv1a(s string) uint64 {
 // analyzer owns goroutines; Close it when done (Analyze after Close
 // panics).
 func New(tree *region.Tree, opts core.Options, shards int, inner Factory) *Analyzer {
-	if opts.Probe != nil || opts.Recorder != nil || opts.Faults != nil || opts.Prov != nil {
+	if opts.Probe != nil || opts.Recorder != nil || opts.Faults != nil {
 		panic("shard: the shard layer takes only Metrics, Spans and Owner")
 	}
 	if shards < 1 {

@@ -244,8 +244,8 @@ func TestShardName(t *testing.T) {
 }
 
 // TestShardRefusesInstrumentation pins what the layer will not carry: a
-// probe, a flight recorder, a fault injector or a provenance store would
-// be driven from several goroutines in scheduling order.
+// probe, a flight recorder or a fault injector would be driven from
+// several goroutines in scheduling order.
 func TestShardRefusesInstrumentation(t *testing.T) {
 	newRay, _ := algo.Lookup("raycast")
 	fs := field.NewSpace()
@@ -255,7 +255,6 @@ func TestShardRefusesInstrumentation(t *testing.T) {
 		"Probe":    {Probe: core.NopProbe{}},
 		"Recorder": {Recorder: recorder.New(4)},
 		"Faults":   {Faults: fault.New(fault.Plan{})},
-		"Prov":     {Prov: core.NewProvenance()},
 	} {
 		func() {
 			defer func() {

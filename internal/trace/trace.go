@@ -47,6 +47,9 @@ type Tracer struct {
 	recorded      *obs.Counter
 	replayed      *obs.Counter
 	invalidations *obs.Counter
+	// pendingLen follows len(pending) ("trace/pending"): launches replayed
+	// but not yet analyzed. Tracers sharing a registry sum into it.
+	pendingLen *obs.Gauge
 
 	// last is the most recent trace that recorded a launch. It is the only
 	// one that can replay: contiguity (Begin) fails for every older trace
@@ -127,6 +130,7 @@ func New(an core.Analyzer, opts core.Options) *Tracer {
 		recorded:      opts.Metrics.NewCounter("trace/recorded"),
 		replayed:      opts.Metrics.NewCounter("trace/replayed"),
 		invalidations: opts.Metrics.NewCounter("trace/invalidations"),
+		pendingLen:    opts.Metrics.NewGauge("trace/pending"),
 		lastID:        -1,
 	}
 }
@@ -287,6 +291,7 @@ func (tr *Tracer) drain() {
 	for _, t := range tr.pending {
 		tr.an.Analyze(t)
 	}
+	tr.pendingLen.Add(-int64(len(tr.pending)))
 	tr.pending = tr.pending[:0]
 }
 
@@ -329,6 +334,7 @@ func (tr *Tracer) Analyze(t *core.Task) *core.Result {
 		rec := ts.results[tr.replayIdx]
 		tr.replayIdx++
 		tr.pending = append(tr.pending, t)
+		tr.pendingLen.Add(1)
 		tr.replayed.Inc()
 		if n := len(tr.replays); n > 0 && tr.replays[n-1].Trace == ts.id && tr.replays[n-1].Last+1 == t.ID {
 			tr.replays[n-1].Last = t.ID
@@ -407,19 +413,6 @@ func (tr *Tracer) instantiate(t *core.Task, rec recordedResult) *core.Result {
 		res.Deps = append(res.Deps, tr.startID+off)
 	}
 	res.Deps = core.DedupDeps(res.Deps)
-	if tr.opts.Prov != nil {
-		// Replayed launches never reach the analyzer, so their edges carry
-		// trace provenance: the committed trace the offsets came from.
-		// First-capture-wins in the store means a later invalidation
-		// re-analysis cannot overwrite these — the replay is what the
-		// runtime acted on.
-		for _, d := range res.Deps {
-			tr.opts.Prov.AddReason(core.EdgeReason{
-				Src: d, Dst: t.ID, Kind: core.ReasonReplay,
-				Analyzer: core.BaseName(tr.an.Name()), Trace: tr.active.id,
-			})
-		}
-	}
 	for ri, plan := range rec.plans {
 		for _, rv := range plan {
 			v := core.Visible{Req: rv.req, Priv: rv.priv, Pts: rv.pts}

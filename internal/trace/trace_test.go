@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"visibility/internal/core"
+	"visibility/internal/obs"
 	"visibility/internal/paint"
 	"visibility/internal/privilege"
 	"visibility/internal/raycast"
@@ -337,5 +338,46 @@ func TestTracerName(t *testing.T) {
 	tr := trace.New(warnock.New(tree, core.Options{}), core.Options{})
 	if tr.Name() != "warnock+trace" {
 		t.Errorf("Name = %q", tr.Name())
+	}
+}
+
+// TestPendingGauge reads "trace/pending" — launches replayed but not yet
+// analyzed — and the runs of replayed launches: a steady loop is one run,
+// and the gauge returns to 0 once an untraced launch drains the debt.
+func TestPendingGauge(t *testing.T) {
+	tree, p, g := testutil.GraphTree()
+	reg := obs.NewRegistry()
+	// Instances 1 and 2 record (the first reads initial contents the loop
+	// overwrites); 3 and 4 replay.
+	tr := trace.New(raycast.New(tree, core.Options{}), core.Options{Metrics: reg})
+	stream := core.NewStream(tree)
+	for it := 0; it < 4; it++ {
+		tr.Begin(1)
+		for i := 0; i < 3; i++ {
+			tr.Analyze(testutil.LaunchT1(stream, p, g, i))
+		}
+		for i := 0; i < 3; i++ {
+			tr.Analyze(testutil.LaunchT2(stream, p, g, i))
+		}
+		tr.End()
+	}
+	if got := reg.Snapshot()["trace/pending"]; got != 12 {
+		t.Errorf("trace/pending = %d after two replayed instances of 6, want 12", got)
+	}
+	if rs := tr.Replays(); len(rs) != 1 || rs[0] != (trace.Replay{First: 12, Last: 23, Trace: 1}) {
+		t.Errorf("Replays = %v, want one run 12..23 of trace 1", rs)
+	}
+	if id, ok := trace.ReplayOf(tr.Replays(), 12); !ok || id != 1 {
+		t.Errorf("ReplayOf(12) = %d, %v; want trace 1", id, ok)
+	}
+
+	tr.Analyze(testutil.LaunchT1(stream, p, g, 0)) // untraced: drains
+	if got := reg.Snapshot()["trace/pending"]; got != 0 {
+		t.Errorf("trace/pending = %d after a drain, want 0", got)
+	}
+	for _, id := range []int{11, 24} {
+		if _, ok := trace.ReplayOf(tr.Replays(), id); ok {
+			t.Errorf("ReplayOf(%d) reports a replay; the launch was analyzed", id)
+		}
 	}
 }

@@ -144,8 +144,8 @@ type Config struct {
 	// Shards, when positive, runs each launch's analysis through the shard
 	// layer (internal/shard) with that many shards; 0 (the default)
 	// bypasses it. The layer wins nowhere measured and stays only for the
-	// benchmark that times it. It cannot carry Recorder, Faults or
-	// Provenance: New panics on the combination.
+	// benchmark that times it. It cannot carry Recorder or Faults: New
+	// panics on the combination.
 	Shards int
 	// Metrics, when non-nil, is the registry every component of this
 	// runtime publishes into: analyzer operation counters appear under
@@ -167,13 +167,9 @@ type Config struct {
 	// bit-flip corruption on checkpoint encode/restore. Nil (the default)
 	// disables every site.
 	Faults *fault.Injector
-	// Provenance enables dependence provenance capture: every discovered
-	// dependence edge carries a compact EdgeReason (which analyzer found
-	// it, in which equivalence set, which requirement pair interfered —
-	// or the future/trace-replay construct that ordered it), and every
-	// launch samples a deterministic virtual cost. Explain, MustPrecede,
-	// and CriticalPath serve queries over the captured data. Off (the
-	// default), the capture sites cost one pointer test each.
+	// Deprecated: ignored; Explain, MustPrecede, CriticalPath and
+	// WriteDOTCrit answer on every Runtime. Kept while benchmarks/visperf
+	// still sets it.
 	Provenance bool
 }
 
@@ -203,8 +199,8 @@ func New(cfg Config) *Runtime {
 	if err != nil {
 		panic(fmt.Sprintf("visibility: %v", err))
 	}
-	if cfg.Shards > 0 && (cfg.Recorder != nil || cfg.Faults != nil || cfg.Provenance) {
-		panic("visibility: Shards cannot be combined with Recorder, Faults or Provenance")
+	if cfg.Shards > 0 && (cfg.Recorder != nil || cfg.Faults != nil) {
+		panic("visibility: Shards cannot be combined with Recorder or Faults")
 	}
 	cfg.Algorithm = spec.Algorithm
 	if cfg.Workers <= 0 {
@@ -244,9 +240,8 @@ type treeState struct {
 	// it stands.
 	deps   [][]int
 	exec   *sched.Executor
-	seq    *core.Seq        // non-nil in Validate mode
-	stack  *algo.Stack      // the analyzer exec drives; nil until frozen
-	prov   *core.Provenance // non-nil in Provenance mode
+	seq    *core.Seq   // non-nil in Validate mode
+	stack  *algo.Stack // the analyzer exec drives; nil until frozen
 	frozen bool
 }
 
@@ -566,14 +561,6 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 	t := ts.stream.Launch(spec.Name, reqs...)
 	for _, f := range spec.After {
 		t.FutureDeps = append(t.FutureDeps, f.taskID)
-		if ts.prov != nil {
-			// Future edges are ordering-only: no analyzer, no region pair.
-			// Captured before Submit, so an analyzer later re-finding the
-			// same producer through region data does not displace this.
-			ts.prov.AddReason(core.EdgeReason{
-				Src: f.taskID, Dst: t.ID, Kind: core.ReasonFuture, Trace: -1,
-			})
-		}
 	}
 
 	k := &kernelAdapter{spec: spec}
@@ -606,28 +593,12 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 	return Future{done: rt.submit(ts, t, k, body), taskID: t.ID}
 }
 
-// submit hands t to the executor and records what the launch discovered:
-// its row of the dependence graph and, in Provenance mode, its cost sample.
+// submit hands t to the executor and records its row of the dependence
+// graph: everything Explain and CriticalPath later derive from.
 func (rt *Runtime) submit(ts *treeState, t *core.Task, k core.Kernel, body func([]*data.Store)) <-chan struct{} {
 	done, deps := ts.exec.Submit(t, k, body)
 	row := append(make([]int, 0, len(deps)+len(t.FutureDeps)), deps...)
 	ts.deps = append(ts.deps, core.DedupDeps(append(row, t.FutureDeps...)))
-	if ts.prov != nil {
-		// The launch's deterministic cost sample: its analysis volume
-		// (requirements analyzed plus dependence edges discovered), plus
-		// the points its requirements touch as a unit-cost virtual
-		// execution time. Both are properties of the task stream and its
-		// discovered graph — not of analyzer internals — so critical paths
-		// weighted by them are byte-reproducible across runs and across
-		// analyzers. Measured operation counters stay in Stats() and the
-		// metrics registry.
-		var exec int64
-		for _, req := range t.Reqs {
-			exec += req.Region.Space.Volume()
-		}
-		ts.prov.AddCost(t.ID, core.TaskCost{AnalysisOps: int64(len(t.Reqs) + len(deps)), ExecVirt: exec})
-		rt.cfg.Recorder.Log(recorder.KindReasonCapture, int64(t.ID), int64(ts.prov.ReasonCount(t.ID)))
-	}
 	return done
 }
 
@@ -668,10 +639,7 @@ func (rt *Runtime) freeze(ts *treeState) {
 		return
 	}
 	ts.frozen = true
-	if rt.cfg.Provenance {
-		ts.prov = core.NewProvenance()
-	}
-	opts := core.Options{Metrics: rt.cfg.Metrics, Spans: rt.cfg.Spans, Recorder: rt.cfg.Recorder, Faults: rt.cfg.Faults, Prov: ts.prov}
+	opts := core.Options{Metrics: rt.cfg.Metrics, Spans: rt.cfg.Spans, Recorder: rt.cfg.Recorder, Faults: rt.cfg.Faults}
 	ts.stack = rt.cfg.spec().Build(ts.tree, opts)
 	if rt.cfg.Metrics != nil {
 		// Computed metrics are read live at snapshot time; per-tree

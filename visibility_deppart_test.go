@@ -174,9 +174,8 @@ func TestShardsRefuseInstrumentation(t *testing.T) {
 	rt.Close()
 
 	for name, cfg := range map[string]visibility.Config{
-		"Recorder":   {Shards: 1, Recorder: recorder.New(4)},
-		"Faults":     {Shards: 1, Faults: fault.New(fault.Plan{})},
-		"Provenance": {Shards: 1, Provenance: true},
+		"Recorder": {Shards: 1, Recorder: recorder.New(4)},
+		"Faults":   {Shards: 1, Faults: fault.New(fault.Plan{})},
 	} {
 		func() {
 			defer func() {
