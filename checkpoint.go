@@ -92,8 +92,6 @@ func rowsCanCarry(space IndexSpace) bool {
 // every region tree — structure and data — to w. The runtime remains
 // usable afterwards (the reads participate in dependence analysis like
 // any other task).
-//
-// confined to runtime-owner
 func (rt *Runtime) Checkpoint(w io.Writer) error {
 	rt.Wait()
 	file := ckptFile{Version: 1}

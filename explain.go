@@ -143,8 +143,6 @@ func (ts *treeState) reason(src, dst int, replays []trace.Replay) core.EdgeReaso
 // the given task on the tree containing r, derived from the launch
 // stream and the discovered graph; nil when nothing has launched or task
 // is out of range.
-//
-// confined to runtime-owner
 func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 	ts := r.tree
 	if ts.exec == nil || task < 0 || task >= len(ts.stream.Tasks) {
@@ -180,8 +178,6 @@ func (ts *treeState) weights() []float64 {
 // containing r runs task a before task b — a is a transitive dependence
 // ancestor of b. Each query is a backward search from b over the
 // discovered graph that stops at a.
-//
-// confined to runtime-owner
 func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
 	return r.tree.dag().MustPrecede(a, b)
 }
@@ -190,8 +186,6 @@ func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
 // containing r: the longest chain under deterministic virtual weights,
 // per-level slack, and the top-k heaviest tasks on the chain (k ≤ 0
 // returns them all). Nil when nothing has launched.
-//
-// confined to runtime-owner
 func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	ts := r.tree
 	if ts.exec == nil {
@@ -228,8 +222,6 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 // WriteDOTCrit renders the discovered dependence graph of the tree
 // containing r with the weighted critical path highlighted and
 // time-annotated.
-//
-// confined to runtime-owner
 func (rt *Runtime) WriteDOTCrit(r *Region, w io.Writer) error {
 	ts := r.tree
 	if ts.exec == nil {

@@ -58,30 +58,20 @@ type Stats struct {
 // a surviving loop is re-detected and re-recorded within one period.
 type Auto struct {
 	// tr is the bracketed tracer; the autotracer is its only driver.
-	//
-	// confined to analyzer
 	tr   *trace.Tracer
 	opts core.Options
 	name string
 
-	// confined to analyzer
 	det *detector
 
-	// confined to analyzer
 	mode int
 	// cand is the committed candidate: the hash sequence one bracketed
 	// instance must reproduce.
-	//
-	// confined to analyzer
-	cand []uint64
-	// confined to analyzer
-	pos int // position inside the current bracketed instance
-	// confined to analyzer
+	cand    []uint64
+	pos     int // position inside the current bracketed instance
 	traceID int // current trace id; bumped so aborted ids never replay
 	// declined remembers the loops whose recorded trace could not replay
 	// (trace.replayable), so the detector does not arm them again.
-	//
-	// confined to analyzer
 	declined map[loopKey]bool
 
 	candidates *obs.Counter
@@ -152,13 +142,9 @@ func (a *Auto) AutoStats() Stats {
 }
 
 // Replays returns the wrapped tracer's runs of replayed launches.
-//
-// confined to analyzer
 func (a *Auto) Replays() []trace.Replay { return a.tr.Replays() }
 
 // Analyze implements core.Analyzer.
-//
-// confined to analyzer
 func (a *Auto) Analyze(t *core.Task) *core.Result {
 	h := Signature(t)
 	switch a.mode {

@@ -12,9 +12,8 @@ package autotrace
 // so a rolling-hash collision cannot commit a bogus candidate. Overlapping
 // candidates are resolved toward the smallest qualifying period: it is the
 // primitive period of the repeating suffix, larger qualifying periods are
-// repetitions of it, and per-launch replay cost is O(1) either way.
-//
-// confined to analyzer
+// repetitions of it, and per-launch replay cost is O(1) either way. A
+// detector belongs to its Auto and runs on the Auto's goroutine.
 type detector struct {
 	window    int
 	minPeriod int
@@ -27,14 +26,9 @@ type detector struct {
 	// (-1 when it has none in the window); newest maps each hash to its
 	// newest index. All three are rebuilt on compaction. pows[k] is
 	// rollBase^k, up to the longest range hashed: one period.
-	//
-	// confined to analyzer
-	hs []uint64
-	// confined to analyzer
-	pre []uint64
-	// confined to analyzer
-	prev []int
-	// confined to analyzer
+	hs     []uint64
+	pre    []uint64
+	prev   []int
 	newest map[uint64]int
 	pows   []uint64
 }

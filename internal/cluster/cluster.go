@@ -133,15 +133,10 @@ type Machine struct {
 
 	// The simulation tables are advanced by each Exec/Util/Message call
 	// with no lock: the machine is driven by one goroutine (the dist
-	// driver, itself confined to the analysis goroutine).
-	//
-	// confined to cluster-sim
+	// driver, which runs on the analysis goroutine).
 	exec []proc
-	// confined to cluster-sim
 	util []proc
 	// done is the completion time per op.
-	//
-	// confined to cluster-sim
 	done []Time
 
 	// Message tallies live on the obs registry; Messages() reads them
@@ -267,15 +262,11 @@ func (m *Machine) schedule(node int, util bool, name string, dur Time, deps []Re
 
 // Exec schedules dur seconds of kernel work on node's execution processor,
 // starting at the earliest free slot after all deps are complete.
-//
-// confined to cluster-sim
 func (m *Machine) Exec(node int, dur Time, deps ...Ref) Ref {
 	return m.ExecNamed(node, "exec", dur, deps...)
 }
 
 // ExecNamed is Exec with a label for the exported trace.
-//
-// confined to cluster-sim
 func (m *Machine) ExecNamed(node int, name string, dur Time, deps ...Ref) Ref {
 	m.checkNode(node)
 	return m.schedule(node, false, name, dur, deps)
@@ -283,15 +274,11 @@ func (m *Machine) ExecNamed(node int, name string, dur Time, deps ...Ref) Ref {
 
 // Util schedules dur seconds of runtime (analysis) work on node's utility
 // processor.
-//
-// confined to cluster-sim
 func (m *Machine) Util(node int, dur Time, deps ...Ref) Ref {
 	return m.UtilNamed(node, "util", dur, deps...)
 }
 
 // UtilNamed is Util with a label for the exported trace.
-//
-// confined to cluster-sim
 func (m *Machine) UtilNamed(node int, name string, dur Time, deps ...Ref) Ref {
 	m.checkNode(node)
 	return m.schedule(node, true, name, dur, deps)
@@ -301,8 +288,6 @@ func (m *Machine) UtilNamed(node int, name string, dur Time, deps ...Ref) Ref {
 // available for dependents at delivery time. Send and receive overheads
 // occupy the respective utility processors; the wire time occupies
 // neither. A message to self costs only the overheads.
-//
-// confined to cluster-sim
 func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 	m.checkNode(from)
 	m.checkNode(to)
@@ -363,16 +348,12 @@ func (m *Machine) afterTime(t Time) Ref {
 }
 
 // AfterAll returns a zero-cost operation completing when all deps have.
-//
-// confined to cluster-sim
 func (m *Machine) AfterAll(deps ...Ref) Ref {
 	m.done = append(m.done, m.depsReady(deps))
 	return Ref(len(m.done) - 1)
 }
 
 // TimeOf returns the completion time of r.
-//
-// confined to cluster-sim
 func (m *Machine) TimeOf(r Ref) Time {
 	if r == NoRef {
 		return 0
@@ -381,8 +362,6 @@ func (m *Machine) TimeOf(r Ref) Time {
 }
 
 // Makespan returns the completion time of the entire schedule so far.
-//
-// confined to cluster-sim
 func (m *Machine) Makespan() Time {
 	var t Time
 	for _, d := range m.done {
@@ -394,16 +373,12 @@ func (m *Machine) Makespan() Time {
 }
 
 // NodeBusy returns the cumulative busy time of node's execution processor.
-//
-// confined to cluster-sim
 func (m *Machine) NodeBusy(node int) Time {
 	m.checkNode(node)
 	return m.exec[node].busy
 }
 
 // UtilBusy returns the cumulative busy time of node's utility processor.
-//
-// confined to cluster-sim
 func (m *Machine) UtilBusy(node int) Time {
 	m.checkNode(node)
 	return m.util[node].busy

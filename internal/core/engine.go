@@ -26,16 +26,12 @@ type Engine struct {
 	tree *region.Tree
 	// an is the dynamic dependence analyzer; Launch drives it in program
 	// order on one goroutine (§3.2).
-	//
-	// confined to analyzer
 	an   Analyzer
 	init map[field.ID]*data.Store
 
 	// committed maps (task, requirement) to the store it produced;
 	// mutated by Launch's commit phase with no lock, so no other
 	// goroutine may touch it.
-	//
-	// confined to analyzer
 	committed map[commitKey]*data.Store
 
 	// Inputs records materialized inputs per task (read and read-write
@@ -72,13 +68,9 @@ func NewEngine(tree *region.Tree, an Analyzer, init map[field.ID]*data.Store) *E
 }
 
 // Analyzer returns the engine's analyzer.
-//
-// confined to analyzer
 func (e *Engine) Analyzer() Analyzer { return e.an }
 
 // Launch analyzes and executes one task, returning the analysis result.
-//
-// confined to analyzer
 func (e *Engine) Launch(t *Task, k Kernel) *Result {
 	res := e.an.Analyze(t)
 	if len(res.Plans) != len(t.Reqs) {

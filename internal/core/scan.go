@@ -11,8 +11,6 @@ import (
 // a requirement its own way, then hands each one to Entry.
 type Scan struct {
 	// stats is the analyzer's counter block.
-	//
-	// confined to analyzer
 	stats *Stats
 	ri    int // the requirement being materialized
 	req   Req

@@ -33,8 +33,6 @@ type Seq struct {
 	tree *region.Tree
 	// global is the single mutable store per field; Run folds every task
 	// into it in program order on one goroutine.
-	//
-	// confined to analyzer
 	global map[field.ID]*data.Store
 
 	// Inputs records, for every executed task, the materialized input
@@ -54,21 +52,15 @@ func NewSeq(tree *region.Tree, init map[field.ID]*data.Store) *Seq {
 }
 
 // Global returns the current global store for field f.
-//
-// confined to analyzer
 func (s *Seq) Global(f field.ID) *data.Store { return s.global[f] }
 
 // Run executes one task.
-//
-// confined to analyzer
 func (s *Seq) Run(t *Task, k Kernel) { s.RunBody(t, k, nil) }
 
 // RunBody executes one task, invoking body (if non-nil) after all inputs
 // are materialized and before any outputs apply — the run_task structure of
 // Figure 6. Engines driving kernels whose Write/Reduce functions close over
 // state prepared by a body must use this form.
-//
-// confined to analyzer
 func (s *Seq) RunBody(t *Task, k Kernel, body func(inputs []*data.Store)) {
 	// Phase 1: materialize every input (Figure 6 line 4).
 	inputs := make([]*data.Store, len(t.Reqs))

@@ -66,25 +66,21 @@ func DefaultConfig(dcr bool) Config {
 	return Config{DCR: dcr}
 }
 
-// Driver runs launches through an analyzer onto a machine.
+// Driver runs launches through an analyzer onto a machine. A Driver, its
+// analyzer and its bookkeeping belong to the goroutine that calls Launch;
+// none of it carries a lock.
 type Driver struct {
 	m *cluster.Machine
 	// an is the driven dependence analyzer; Launch runs it in program
 	// order on the driving goroutine (§3.2).
-	//
-	// confined to analyzer
 	an  core.Analyzer
 	cfg Config
 
-	// confined to analyzer
-	probe *recorder
-	// confined to analyzer
+	probe    *recorder
 	taskDone map[int]cluster.Ref
-	// confined to analyzer
 	taskNode map[int]int
 	owner    core.OwnerFunc
-	// confined to analyzer
-	all []cluster.Ref
+	all      []cluster.Ref
 
 	metrics  *obs.Registry
 	localOps *obs.Histogram // per-launch analysis ops on the analyzing node
@@ -92,18 +88,13 @@ type Driver struct {
 
 	// lastAnalysis orders each shard's analysis in program order: a
 	// dynamic dependence analysis observes launches sequentially (§3.2).
-	//
-	// confined to analyzer
 	lastAnalysis map[int]cluster.Ref
 
 	// remote and remoteOrder are Launch's scratch, empty between launches:
 	// the work one launch queues on each remote owner, and those owners in
 	// order of first appearance — which fixes the order its requests are
 	// sent in, and so virtual time.
-	//
-	// confined to analyzer
-	remote []remoteWork // by owner
-	// confined to analyzer
+	remote      []remoteWork // by owner
 	remoteOrder []int
 }
 
@@ -172,8 +163,6 @@ type NewAnalyzerFunc = core.NewAnalyzerFunc
 // with state ownership assigned by owner. The analyzer's operation
 // counters are published on the driver's metrics registry (cfg.Metrics,
 // or a private one) under "analyzer/".
-//
-// confined to analyzer
 func New(m *cluster.Machine, tree *region.Tree, newAnalyzer NewAnalyzerFunc, owner core.OwnerFunc, cfg Config) *Driver {
 	d := &Driver{
 		m:            m,
@@ -197,8 +186,6 @@ func New(m *cluster.Machine, tree *region.Tree, newAnalyzer NewAnalyzerFunc, own
 }
 
 // Analyzer returns the driven analyzer (for stats inspection).
-//
-// confined to analyzer
 func (d *Driver) Analyzer() core.Analyzer { return d.an }
 
 // Metrics returns the driver's metrics registry: the analyzer's counters,
@@ -208,8 +195,6 @@ func (d *Driver) Metrics() *obs.Registry { return d.metrics }
 
 // Launch analyzes t and schedules its execution on execNode for dur
 // seconds of virtual time. It returns the completion reference.
-//
-// confined to analyzer
 func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Ref {
 	analysisNode := 0
 	if d.cfg.DCR {
@@ -322,8 +307,6 @@ func (d *Driver) producer(v core.Visible) (int, cluster.Ref) {
 // Barrier returns the virtual time at which every launch so far has
 // completed — an execution fence, used to delimit the initialization and
 // steady-state measurement phases.
-//
-// confined to analyzer
 func (d *Driver) Barrier() cluster.Time {
 	return d.m.TimeOf(d.m.AfterAll(d.all...))
 }

@@ -29,18 +29,15 @@ import (
 // that wear it: a coalesced set refined again along the same lines finds
 // its halves in Cuts instead of sweeping, which is what a refinement tree
 // that never coalesces gets for free. Nodes are reachable only from live
-// sets and from what a store roots, and identity is the pointer.
+// sets and from what a store roots, and identity is the pointer. Cut and
+// Kernel.Owner fill a node in lazily with no lock, so a node belongs to the
+// goroutine driving its Kernel.
 type Node struct {
 	Pts index.Space
 	// Cuts is what Cut remembers, sorted by region ID.
-	//
-	// confined to analyzer
 	Cuts []Cut
 	// owner is Kernel.Owner's answer, valid once owned.
-	//
-	// confined to analyzer
 	owner int32
-	// confined to analyzer
 	owned bool
 }
 
@@ -54,8 +51,6 @@ type Cut struct {
 
 // Cut returns how r's space cuts n, sweeping the two point sets the first
 // time r meets n and answering from Cuts from then on.
-//
-// confined to analyzer
 func (n *Node) Cut(r *region.Region) Cut {
 	i, ok := slices.BinarySearchFunc(n.Cuts, r.ID, func(c Cut, id int) int { return c.Region - id })
 	if !ok {
@@ -111,10 +106,8 @@ type Store[X any] interface {
 // Kernel drives one Store. It runs on exactly one goroutine (the submit
 // side, §3.2) and mutates its state with no lock.
 type Kernel[X any] struct {
-	Opts core.Options // normalized
-	// confined to analyzer
+	Opts  core.Options // normalized
 	Stats core.Stats
-	// confined to analyzer
 	store Store[X]
 	span  string // name + ".analyze", built once rather than per launch
 }
@@ -183,8 +176,6 @@ func privRuns(hist []core.Entry) int64 {
 }
 
 // Analyze observes the launch of t (core.Analyzer's contract).
-//
-// confined to analyzer
 func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 	span := k.Opts.Spans.Begin(k.span, "analysis")
 	defer span.End()

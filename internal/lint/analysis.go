@@ -11,20 +11,14 @@ import (
 )
 
 // Analyzer is one static check, mirroring golang.org/x/tools/go/analysis
-// in miniature. Exactly one of Run and RunModule is set: Run analyzers see
-// one package at a time, RunModule analyzers (confined) see the whole
-// module at once, because their property — goroutine confinement — crosses
-// package boundaries.
+// in miniature: Run sees one package at a time, and the driver runs every
+// analyzer on every package. An analyzer that applies only to some code
+// decides that itself, from annotations (guardedby) or the package path
+// (detrange's hot paths).
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Match restricts which packages the driver runs this analyzer on
-	// (nil means every package). It receives the import path with any
-	// "_test" suffix stripped, so an analyzer scoped to a package also
-	// covers its external tests. Ignored for RunModule analyzers.
-	Match     func(pkgPath string) bool
-	Run       func(*Pass) error
-	RunModule func(*ModulePass) error
+	Run  func(*Pass) error
 }
 
 // Pass carries one analyzer run over one package.
@@ -59,53 +53,19 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ModulePass carries one module-scope analyzer run over every loaded
-// package at once. Module analyzers must key functions, types, and fields
-// by string identity (package path, type name, member name) rather than
-// types.Object identity: a package and its test variant are type-checked
-// separately, so the "same" declaration appears as distinct objects.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkgs     []*Package
-
-	diags []Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Interferecheck, Guardedby, Detrange, Errchecklite, Confined}
+	return []*Analyzer{Interferecheck, Guardedby, Detrange, Errchecklite}
 }
 
-// Run applies every matching analyzer to every package (and every module
-// analyzer to the module as a whole), filters directive-suppressed
+// Run applies every analyzer to every package, filters directive-suppressed
 // findings, and returns the remainder sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
-	allIg := make(ignores)
 	for _, pkg := range pkgs {
 		ig := collectIgnores(pkg)
-		for k, v := range ig {
-			allIg[k] = v
-		}
 		out = append(out, directiveDiags(pkg)...)
-		matchPath := strings.TrimSuffix(pkg.Path, "_test")
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			if a.Match != nil && !a.Match(matchPath) {
-				continue
-			}
 			pass := &Pass{
 				Analyzer: a, Fset: pkg.Fset, Files: pkg.Files,
 				Pkg: pkg.Types, Info: pkg.Info, ModulePath: pkg.ModulePath,
@@ -115,22 +75,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 			for _, d := range pass.diags {
 				if !ig.suppressed(d) {
-					out = append(out, d)
-				}
-			}
-		}
-	}
-	if len(pkgs) > 0 {
-		for _, a := range analyzers {
-			if a.RunModule == nil {
-				continue
-			}
-			mp := &ModulePass{Analyzer: a, Fset: pkgs[0].Fset, Pkgs: pkgs}
-			if err := a.RunModule(mp); err != nil {
-				return nil, fmt.Errorf("lint: %s (module): %w", a.Name, err)
-			}
-			for _, d := range mp.diags {
-				if !allIg.suppressed(d) {
 					out = append(out, d)
 				}
 			}

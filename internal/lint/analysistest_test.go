@@ -31,8 +31,8 @@ import (
 //
 // with one quoted regexp per expected diagnostic on that line. The test
 // fails on any unmatched expectation and any unexpected diagnostic.
-// Match policies are deliberately bypassed: fixtures exercise the check
-// itself, not the driver's package selection.
+// Fixtures go through the driver's own Run, so they cover //lint:allow
+// suppression too.
 func RunTest(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	pkgs, err := loadTestdata(dir)
@@ -42,46 +42,9 @@ func RunTest(t *testing.T, a *Analyzer, dir string) {
 	if len(pkgs) == 0 {
 		t.Fatalf("no packages under %s", dir)
 	}
-	var diags []Diagnostic
-	if a.RunModule != nil {
-		// Module analyzers see every fixture package at once, exactly as
-		// the driver presents the module.
-		mp := &ModulePass{Analyzer: a, Fset: pkgs[0].Fset, Pkgs: pkgs}
-		if err := a.RunModule(mp); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, dir, err)
-		}
-		allIg := make(ignores)
-		for _, pkg := range pkgs {
-			for k, v := range collectIgnores(pkg) {
-				allIg[k] = v
-			}
-			diags = append(diags, directiveDiags(pkg)...)
-		}
-		for _, d := range mp.diags {
-			if !allIg.suppressed(d) {
-				diags = append(diags, d)
-			}
-		}
-		checkWants(t, pkgs, diags)
-		return
-	}
-	for _, pkg := range pkgs {
-		pass := &Pass{
-			Analyzer: a, Fset: pkg.Fset, Files: pkg.Files,
-			Pkg: pkg.Types, Info: pkg.Info, ModulePath: pkg.ModulePath,
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
-		}
-		// Apply directive suppression exactly as the driver does, so
-		// fixtures can cover //lint:allow too.
-		ig := collectIgnores(pkg)
-		diags = append(diags, directiveDiags(pkg)...)
-		for _, d := range pass.diags {
-			if !ig.suppressed(d) {
-				diags = append(diags, d)
-			}
-		}
+	diags, err := Run(pkgs, []*Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
 	}
 	checkWants(t, pkgs, diags)
 }

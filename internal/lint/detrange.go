@@ -33,6 +33,14 @@ var Detrange = &Analyzer{
 // range must be proven order-insensitive, not merely fail to look sensitive.
 var hotPkgs = map[string]bool{"paint": true, "eqset": true, "warnock": true, "raycast": true, "core": true}
 
+// pkgTail returns the last element of an import path.
+func pkgTail(path string) string {
+	if i := strings.LastIndex(path, "/"); i >= 0 {
+		return path[i+1:]
+	}
+	return path
+}
+
 func runDetrange(pass *Pass) error {
 	if pass.Pkg.Name() == "main" {
 		return nil

@@ -35,28 +35,14 @@ import (
 //   - composite literals do not count as field accesses, so constructors
 //     that build the whole value at once need no annotations.
 //
-// The analysis is intraprocedural and per-package: annotate fields in the
-// package that owns the mutex, and export locked accessors rather than
-// guarded fields.
+// The analysis is intraprocedural and per-package, and it runs on every
+// package: an annotation is checked wherever it is written. Annotate
+// fields in the package that owns the mutex, and export locked accessors
+// rather than guarded fields.
 var Guardedby = &Analyzer{
 	Name: "guardedby",
 	Doc:  "report accesses to '// guarded by <mu>' fields without the guard held (writes require the write lock)",
-	Match: func(path string) bool {
-		switch pkgTail(path) {
-		case "sched", "cluster", "harness", "obs", "server", "fault":
-			return true
-		}
-		return false
-	},
-	Run: runGuardedby,
-}
-
-// pkgTail returns the last element of an import path.
-func pkgTail(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
+	Run:  runGuardedby,
 }
 
 var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)

@@ -25,7 +25,6 @@ func TestAnalyzers(t *testing.T) {
 		{Guardedby, "testdata/guardedby"},
 		{Detrange, "testdata/detrange"},
 		{Errchecklite, "testdata/errchecklite"},
-		{Confined, "testdata/confined"},
 	}
 	if len(tests) != len(All()) {
 		t.Fatalf("fixture table covers %d analyzers, All() has %d", len(tests), len(All()))
@@ -37,27 +36,11 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
-// TestMatchPolicies pins which packages each scoped analyzer runs on; a
-// policy that silently widens or narrows would either spam unrelated
-// packages or stop guarding the hot paths.
+// TestMatchPolicies pins the one package-scoped policy left: every
+// analyzer runs on every package, and only detrange's burden of proof
+// depends on the package. A hot-path set that silently widens or narrows
+// would either spam unrelated packages or stop guarding the analyzers.
 func TestMatchPolicies(t *testing.T) {
-	tests := []struct {
-		analyzer *Analyzer
-		path     string
-		want     bool
-	}{
-		{Guardedby, "visibility/internal/sched", true},
-		{Guardedby, "visibility/internal/cluster", true},
-		{Guardedby, "visibility/internal/harness", true},
-		{Guardedby, "visibility/internal/fault", true},
-		{Guardedby, "visibility/internal/core", false},
-	}
-	for _, tt := range tests {
-		if got := tt.analyzer.Match(tt.path); got != tt.want {
-			t.Errorf("%s.Match(%q) = %v, want %v", tt.analyzer.Name, tt.path, got, tt.want)
-		}
-	}
-	// detrange runs everywhere; only its burden of proof is scoped.
 	for path, want := range map[string]bool{
 		"visibility/internal/paint": true, "visibility/internal/eqset": true,
 		"visibility/internal/warnock": true, "visibility/internal/raycast": true,
@@ -66,11 +49,6 @@ func TestMatchPolicies(t *testing.T) {
 	} {
 		if got := hotPkgs[pkgTail(path)]; got != want {
 			t.Errorf("hot path %q = %v, want %v", path, got, want)
-		}
-	}
-	for _, a := range []*Analyzer{Interferecheck, Detrange, Errchecklite, Confined} {
-		if a.Match != nil {
-			t.Errorf("%s should run module-wide (Match == nil)", a.Name)
 		}
 	}
 }
@@ -132,7 +110,7 @@ func TestAllowRationaleRequired(t *testing.T) {
 	src := `package p
 
 func f() {
-	//lint:allow confined
+	//lint:allow guardedby
 	//lint:allow detrange the loop only counts entries
 	_ = 0
 }
@@ -155,7 +133,7 @@ func f() {
 	}
 
 	ig := collectIgnores(pkg)
-	if ig.suppressed(Diagnostic{Pos: pos("p.go", 5), Analyzer: "confined"}) {
+	if ig.suppressed(Diagnostic{Pos: pos("p.go", 5), Analyzer: "guardedby"}) {
 		t.Errorf("rationale-less allow must suppress nothing")
 	}
 	for _, line := range []int{5, 6} {

@@ -1,4 +1,4 @@
-// Package lint implements vislint, a suite of static analyzers that
+// Package lint implements vislint, four static analyzers that
 // machine-check the runtime's visibility invariants — the properties the
 // paper's correctness argument (§3–§7) relies on but the Go type system
 // cannot see:
@@ -6,14 +6,17 @@
 //   - interference decisions must go through privilege.Interferes (or the
 //     privilege package's accessors), never ad-hoc comparisons of
 //     privilege.Kind or privilege.Privilege values (interferecheck);
-//   - mutex-guarded scheduler and server state, annotated with
-//     "// guarded by <mu>" field comments, must only be touched with the
-//     guard held (guardedby);
-//   - analyzer hot paths must not range over maps, because map-iteration
-//     nondeterminism silently breaks painter ordering and cross-check
-//     reproducibility (detrange);
+//   - fields annotated "// guarded by <mu>", in any package, must only be
+//     touched with the guard held (guardedby);
+//   - a map's iteration order must not become observable: a range over a
+//     map that appends, calls a sink or accumulates a string or float
+//     needs a later sort, and in the analyzer hot paths every map range
+//     must be proven order-insensitive (detrange);
 //   - error returns from the module's own API must not be dropped
 //     (errchecklite).
+//
+// The single-goroutine rule (§3.2) has no static pass: the race detector
+// checks it, through tests that drive the owner and its readers at once.
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature, built
 // only on the standard library: packages are loaded with go/parser and
@@ -35,7 +38,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -237,15 +239,4 @@ func runGoList(dir string, args []string) ([]byte, error) {
 		return nil, fmt.Errorf("lint: go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	return stdout.Bytes(), nil
-}
-
-// sortedKeys returns the keys of m in ascending order. Analyzer code uses
-// it to keep its own reports deterministic.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -26,10 +26,7 @@ type Naive struct {
 	home int // owner of the one history: the root's, resolved once
 	// hist is the per-field paint history, appended by every Analyze with
 	// no lock: the analyzer runs on exactly one goroutine.
-	//
-	// confined to analyzer
-	hist map[field.ID][]core.Entry
-	// confined to analyzer
+	hist  map[field.ID][]core.Entry
 	stats core.Stats
 }
 
@@ -44,8 +41,6 @@ func NewNaive(tree *region.Tree, opts core.Options) *Naive {
 func (n *Naive) Name() string { return "paint-naive" }
 
 // Stats implements core.Analyzer.
-//
-// confined to analyzer
 func (n *Naive) Stats() *core.Stats { return &n.stats }
 
 func (n *Naive) histFor(f field.ID) []core.Entry {
@@ -58,8 +53,6 @@ func (n *Naive) histFor(f field.ID) []core.Entry {
 }
 
 // Analyze implements core.Analyzer.
-//
-// confined to analyzer
 func (n *Naive) Analyze(t *Task) *core.Result {
 	span := n.opts.Spans.Begin("paint-naive.analyze", "analysis")
 	defer span.End()

@@ -23,14 +23,9 @@ type Painter struct {
 	// state holds the per-field paint histories, mutated by every Analyze
 	// with no lock: the analyzer runs on exactly one goroutine (the
 	// submit side, §3.2).
-	//
-	// confined to analyzer
 	state map[field.ID]*fieldState
-	// confined to analyzer
 	stats core.Stats
 	// nextToken issues unique composite-view ids for replication tracking.
-	//
-	// confined to analyzer
 	nextToken int64
 
 	// DisablePruning turns off occlusion pruning (deleting history items
@@ -48,8 +43,6 @@ func NewPainter(tree *region.Tree, opts core.Options) *Painter {
 func (pa *Painter) Name() string { return "paint" }
 
 // Stats implements core.Analyzer.
-//
-// confined to analyzer
 func (pa *Painter) Stats() *core.Stats { return &pa.stats }
 
 // nodeKey identifies a region or partition node of the tree.
@@ -142,8 +135,6 @@ type pathStep struct {
 }
 
 // Analyze implements core.Analyzer.
-//
-// confined to analyzer
 func (pa *Painter) Analyze(t *core.Task) *core.Result {
 	span := pa.opts.Spans.Begin("paint.analyze", "analysis")
 	defer span.End()

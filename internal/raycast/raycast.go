@@ -48,12 +48,8 @@ type RayCast struct {
 	// state holds the per-field interval lists and acceleration indexes,
 	// mutated by every Analyze with no lock: the analyzer runs on exactly
 	// one goroutine (the submit side, §3.2).
-	//
-	// confined to analyzer
 	state map[field.ID]*fieldState
 	// written is Write's scratch: the buckets of the sets one write prunes.
-	//
-	// confined to analyzer
 	written []int
 }
 
@@ -68,13 +64,9 @@ func New(tree *region.Tree, opts core.Options) *RayCast {
 func (rc *RayCast) Name() string { return "raycast" }
 
 // Stats implements core.Analyzer.
-//
-// confined to analyzer
 func (rc *RayCast) Stats() *core.Stats { return &rc.k.Stats }
 
 // Analyze implements core.Analyzer.
-//
-// confined to analyzer
 func (rc *RayCast) Analyze(t *core.Task) *core.Result { return rc.k.Analyze(t) }
 
 // place is where the store keeps a set.
@@ -119,8 +111,6 @@ type fieldState struct {
 }
 
 // EquivalenceSets returns the number of live equivalence sets for field f.
-//
-// confined to analyzer
 func (rc *RayCast) EquivalenceSets(f field.ID) int {
 	fs, ok := rc.state[f]
 	if !ok {
@@ -138,8 +128,6 @@ func (rc *RayCast) EquivalenceSets(f field.ID) int {
 
 // SetSpaces returns the point sets of the live equivalence sets for field
 // f, for invariant checks in tests.
-//
-// confined to analyzer
 func (rc *RayCast) SetSpaces(f field.ID) []index.Space {
 	fs, ok := rc.state[f]
 	if !ok {
@@ -162,8 +150,6 @@ func (rc *RayCast) SetSpaces(f field.ID) []index.Space {
 
 // CurrentPartition returns the disjoint-complete partition currently
 // defining field f's buckets, or nil when the K-d fallback is active.
-//
-// confined to analyzer
 func (rc *RayCast) CurrentPartition(f field.ID) *region.Partition {
 	if fs, ok := rc.state[f]; ok {
 		return fs.dcp
@@ -370,8 +356,6 @@ func (rc *RayCast) insert(fs *fieldState, s *set) {
 // bucket (or in the K-d container). The migration heuristic and the
 // eq.migrate fault watch each requirement once, on its materialize-phase
 // visit.
-//
-// confined to analyzer
 func (rc *RayCast) Refine(t *core.Task, ri int, commit bool) []*set {
 	r := t.Reqs[ri].Region
 	fs := rc.fieldFor(t.Reqs[ri].Field, r)
@@ -458,8 +442,6 @@ func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
 // in DCP mode) and every set it occludes — inside — is pruned. The fresh
 // sets wear the geometry the region cuts out of fs.geom, so the next
 // refinement of one finds the cuts its predecessor left there.
-//
-// confined to analyzer
 func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	req := t.Reqs[ri]
 	fs := rc.state[req.Field]

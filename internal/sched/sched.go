@@ -23,8 +23,6 @@ type Executor struct {
 	// sequentially in program order (§3.2), so only the submitting
 	// goroutine may touch it — workers get their inputs through
 	// the mu-guarded tables below.
-	//
-	// confined to sched-submit
 	an   core.Analyzer
 	init map[field.ID]*data.Store
 	rec  *recorder.Recorder // journals task launches (nil-safe)
@@ -96,8 +94,6 @@ func NewExecutor(an core.Analyzer, init map[field.ID]*data.Store, workers int, o
 // body, when non-nil, is run on the worker after inputs are materialized
 // and before outputs commit, with the task's materialized inputs (indexed
 // by requirement; reduce requirements have nil inputs).
-//
-// confined to sched-submit
 func (x *Executor) Submit(t *core.Task, k core.Kernel, body func(inputs []*data.Store)) (done <-chan struct{}, deps []int) {
 	x.rec.Log(recorder.KindTaskLaunch, int64(t.ID), int64(len(t.Reqs)))
 	res := x.an.Analyze(t)

@@ -331,8 +331,6 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 // whatever ask reports missing. With first, an empty ?region= means the
 // lexicographically first root region. It returns the resolved region's
 // name and whether the caller still has an answer to write.
-//
-//confined:callbacks session-worker
 func (srv *Server) query(w http.ResponseWriter, r *http.Request, s *session, first bool, ask func(reg *visibility.Region) (missing string)) (string, bool) {
 	name := r.URL.Query().Get("region")
 	missing := "region " + name

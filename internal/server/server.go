@@ -203,8 +203,6 @@ var errTooManySessions = fmt.Errorf("session limit reached")
 // The seed callback constructs the runtime the worker will own: it runs
 // before the worker goroutine exists, so it holds the ownership that the
 // worker inherits the moment run starts.
-//
-//confined:callbacks session-worker
 func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Config) (*visibility.Runtime, *wire.Env, error)) (*session, error) {
 	spec, err := algo.Spec{Algorithm: req.Algorithm, AutoTrace: req.AutoTrace}.Check()
 	if err != nil {
@@ -360,8 +358,6 @@ func (srv *Server) submit(s *session, j job) error {
 
 // doSync runs fn on the session worker and waits, through full admission.
 // tc, when valid, parents the queue-wait and analysis spans the job emits.
-//
-//confined:callbacks session-worker
 func (srv *Server) doSync(s *session, tc obs.TraceContext, fn func()) error {
 	j := job{fn: fn, done: make(chan struct{}), tc: tc}
 	if err := srv.submit(s, j); err != nil {

@@ -25,12 +25,9 @@ type session struct {
 	seq     int64 // numeric id journaled in flight-recorder events
 
 	// rt and env are touched only by the worker goroutine (and by the
-	// creating goroutine before the worker starts — createSession's
-	// factory callbacks run in the worker's domain by handoff).
-	//
-	// confined to session-worker
-	rt *visibility.Runtime
-	// confined to session-worker
+	// creating goroutine before the worker starts — createSession's seed
+	// callback builds them, and the worker inherits them when run starts).
+	rt  *visibility.Runtime
 	env *wire.Env
 
 	// metrics and spans are this session's private observability surface;
@@ -56,8 +53,6 @@ type session struct {
 type job struct {
 	// fn is the job body; it executes only on the session worker
 	// goroutine, inside run's recover envelope.
-	//
-	// confined to session-worker
 	fn   func()
 	done chan struct{} // nil for fire-and-forget jobs
 	tc   obs.TraceContext
@@ -93,8 +88,6 @@ func (srv *Server) newSession(id string, req sessionRequest, rt *visibility.Runt
 // run is the worker loop: it drains jobs until the channel closes, then
 // releases the runtime. Every accepted job runs exactly once, even during
 // close, so sync callers never hang.
-//
-// confined to session-worker
 func (s *session) run() {
 	defer close(s.done)
 	for j := range s.jobs {

@@ -236,8 +236,6 @@ func (a *Analyzer) Close() {
 // handed atom's inner analyzer. All state it touches is either handed
 // over through the job (the channel send happens-before the receive) or
 // owned by the atoms assigned to it for that launch.
-//
-// confined to shard-worker
 func (a *Analyzer) worker(k int) {
 	defer a.workers.Done()
 	cat := fmt.Sprintf("shard%d", k)
@@ -295,8 +293,6 @@ func (at *atom) restrict(t *core.Task) *core.Task {
 // Analyze implements core.Analyzer: restrict t to every atom, run the
 // atoms with work on their owning shards, wait, and merge the per-atom
 // results back into the sequential analyzer's exact output.
-//
-// confined to analyzer
 func (a *Analyzer) Analyze(t *core.Task) *core.Result {
 	sp := a.opts.Spans.Begin("shard.analyze", "analysis")
 	defer sp.End()

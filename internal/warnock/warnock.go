@@ -22,13 +22,9 @@ type Warnock struct {
 	// state holds the per-field refinement trees and memo tables, mutated
 	// by every Analyze with no lock: the analyzer runs on exactly one
 	// goroutine (the submit side, §3.2).
-	//
-	// confined to analyzer
 	state map[field.ID]*fieldState
 
 	// nextToken issues unique ids for refinement-tree nodes across fields.
-	//
-	// confined to analyzer
 	nextToken int64
 
 	// DisableMemo turns off the per-region memoization of constituent
@@ -48,25 +44,17 @@ func New(tree *region.Tree, opts core.Options) *Warnock {
 func (w *Warnock) Name() string { return "warnock" }
 
 // Stats implements core.Analyzer.
-//
-// confined to analyzer
 func (w *Warnock) Stats() *core.Stats { return &w.k.Stats }
 
 // Analyze implements core.Analyzer.
-//
-// confined to analyzer
 func (w *Warnock) Analyze(t *core.Task) *core.Result { return w.k.Analyze(t) }
 
 // EquivalenceSets returns the number of live (leaf) equivalence sets for
 // field f, for tests and the experiment harness.
-//
-// confined to analyzer
 func (w *Warnock) EquivalenceSets(f field.ID) int { return len(w.SetSpaces(f)) }
 
 // SetSpaces returns the point sets of the live equivalence sets for field
 // f, for invariant checks in tests.
-//
-// confined to analyzer
 func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 	fs, ok := w.state[f]
 	if !ok {
@@ -176,8 +164,6 @@ func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*set {
 
 // Refine implements eqset.Store: a split leaf becomes an interior node over
 // its two fragments.
-//
-// confined to analyzer
 func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 	r := t.Reqs[ri].Region
 	fs := w.fieldFor(t.Reqs[ri].Field)
@@ -216,8 +202,6 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 
 // Write implements eqset.Store: a write clears each set's prior history
 // (Figure 9 lines 30-31).
-//
-// confined to analyzer
 func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
 		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.G.Pts}}

@@ -15,12 +15,8 @@ import (
 // Env is not safe for concurrent use: like the Runtime it wraps, it belongs
 // to one goroutine (in the analysis service, the session worker), and the
 // exported methods are that owner's entry points.
-//
-// confined to env-owner
 type Env struct {
-	// confined to env-owner
-	rt *visibility.Runtime
-	// confined to env-owner
+	rt    *visibility.Runtime
 	names scope
 }
 
@@ -32,8 +28,6 @@ func NewEnv(rt *visibility.Runtime) *Env {
 // EnvFromRestore builds an environment over a restored runtime, adopting
 // every root region (and its named partitions) so wire references resolve
 // against the checkpointed state.
-//
-// confined to env-owner
 func EnvFromRestore(rt *visibility.Runtime, roots map[string]*visibility.Region) (*Env, error) {
 	e := NewEnv(rt)
 	for _, r := range roots {
@@ -46,8 +40,6 @@ func EnvFromRestore(rt *visibility.Runtime, roots map[string]*visibility.Region)
 
 // Adopt registers an existing root region and its partitions into the
 // environment's namespace.
-//
-// confined to env-owner
 func (e *Env) Adopt(r *visibility.Region) error {
 	if err := claim("region", r.Name(), nil, e.names); err != nil {
 		return err
@@ -69,8 +61,6 @@ func (e *Env) Adopt(r *visibility.Region) error {
 }
 
 // Region returns the declared root region with the given name, or nil.
-//
-// confined to env-owner
 func (e *Env) Region(name string) *visibility.Region {
 	if r := e.names[name]; r != nil {
 		return r.region
@@ -79,8 +69,6 @@ func (e *Env) Region(name string) *visibility.Region {
 }
 
 // Regions returns the declared root regions, sorted by name.
-//
-// confined to env-owner
 func (e *Env) Regions() []*visibility.Region {
 	var out []*visibility.Region
 	for _, r := range e.names {
@@ -96,8 +84,6 @@ func (e *Env) Regions() []*visibility.Region {
 // the check resolved: the declarations in order, then the launches, whose
 // futures it returns. Nothing after the check can fail, so a rejected
 // workload leaves the runtime and the namespace exactly as it found them.
-//
-// confined to env-owner
 func (e *Env) Apply(wl *Workload) ([]visibility.Future, error) {
 	p, err := check(wl, e.names)
 	if err != nil {

@@ -181,15 +181,10 @@ type Config struct {
 // snapshots) belong to the goroutine that drives it: the single-goroutine
 // rule of dynamic dependence analysis (§3.2). The exported methods are
 // the owner's entry points; none of the state below carries a lock.
-//
-// confined to runtime-owner
 type Runtime struct {
-	cfg Config
-	// confined to runtime-owner
+	cfg     Config
 	regions []*Region
 	// registered tracks computed-metric prefixes claimed on cfg.Metrics.
-	//
-	// confined to runtime-owner
 	registered map[string]bool
 }
 
@@ -248,8 +243,6 @@ type treeState struct {
 // CreateRegion creates a top-level region over space with the given
 // fields. Every field starts zero-filled; use Fill or Init to set initial
 // contents before the first launch.
-//
-// confined to runtime-owner
 func (rt *Runtime) CreateRegion(name string, space IndexSpace, fields ...string) *Region {
 	if len(fields) == 0 {
 		panic("visibility: a region needs at least one field")
@@ -272,8 +265,6 @@ func (rt *Runtime) CreateRegion(name string, space IndexSpace, fields ...string)
 }
 
 // Region returns the root region created with the given name, or nil.
-//
-// confined to runtime-owner
 func (rt *Runtime) Region(name string) *Region {
 	for _, r := range rt.regions {
 		if r.reg.Name == name {
@@ -451,6 +442,11 @@ func Reduce(op ReduceOp, r *Region, field string) Access {
 // access's operator). Read accesses are materialized and passed to Body.
 // Nil members are treated as identity (Write keeps the input, Reduce
 // contributes the operator identity).
+//
+// Write, Reduce and Body run on executor worker goroutines, concurrently
+// with the goroutine that owns the Runtime. They must not call Runtime,
+// Region or Partition methods, nor read state the owner mutates. Nothing
+// checks this rule; breaking it shows only as an intermittent race.
 type Kernel struct {
 	Write  func(access int, p Point, in float64) float64
 	Reduce func(access int, p Point) float64
@@ -542,8 +538,6 @@ func (f Future) Done() bool {
 // Launch submits a task. The dependence analysis observes launches in call
 // order (program order); execution is parallel, constrained only by
 // discovered dependences. Launch returns immediately.
-//
-// confined to runtime-owner
 func (rt *Runtime) Launch(spec TaskSpec) Future {
 	if len(spec.Accesses) == 0 {
 		panic("visibility: task needs at least one access")
@@ -663,8 +657,6 @@ func (rt *Runtime) freeze(ts *treeState) {
 // containing r; requires Config.Tracing. The launches up to the matching
 // EndTrace form the trace: its first instance records, and later
 // contiguous, structurally identical instances replay without analysis.
-//
-// confined to runtime-owner
 func (rt *Runtime) BeginTrace(r *Region, id int) {
 	rt.freeze(r.tree)
 	if r.tree.stack.Tracer == nil {
@@ -674,8 +666,6 @@ func (rt *Runtime) BeginTrace(r *Region, id int) {
 }
 
 // EndTrace finishes the current trace instance on r's tree.
-//
-// confined to runtime-owner
 func (rt *Runtime) EndTrace(r *Region) {
 	if r.tree.stack == nil || r.tree.stack.Tracer == nil {
 		panic("visibility: EndTrace requires Config.Tracing")
@@ -686,16 +676,12 @@ func (rt *Runtime) EndTrace(r *Region) {
 // TraceStats returns tracing counters for r's tree (zero when tracing is
 // disabled or nothing has launched). With AutoTrace, these are the
 // automatic tracer's counters.
-//
-// confined to runtime-owner
 func (rt *Runtime) TraceStats(r *Region) trace.Stats {
 	return r.tree.stack.TraceStats()
 }
 
 // AutoTraceStats returns the automatic tracer's outcome counters for r's
 // tree (zero when Config.AutoTrace is off or nothing has launched).
-//
-// confined to runtime-owner
 func (rt *Runtime) AutoTraceStats(r *Region) autotrace.Stats {
 	if r.tree.stack == nil || r.tree.stack.Auto == nil {
 		return autotrace.Stats{}
@@ -724,8 +710,6 @@ func (k *kernelAdapter) ReduceValue(t *core.Task, ri int, p Point) float64 {
 // Read materializes the current contents of a region's field through the
 // coherence algorithm, waiting for every contributing task. It is itself a
 // task launch (an inline mapping) and participates in dependence analysis.
-//
-// confined to runtime-owner
 func (rt *Runtime) Read(r *Region, fieldName string) *Snapshot {
 	ts := r.tree
 	rt.freeze(ts)
@@ -745,8 +729,6 @@ func (rt *Runtime) Read(r *Region, fieldName string) *Snapshot {
 }
 
 // Wait blocks until every launched task has completed.
-//
-// confined to runtime-owner
 func (rt *Runtime) Wait() {
 	for _, r := range rt.regions {
 		if r.tree.exec != nil {
@@ -757,8 +739,6 @@ func (rt *Runtime) Wait() {
 
 // Close waits for completion and releases worker resources. The runtime
 // cannot be used afterwards.
-//
-// confined to runtime-owner
 func (rt *Runtime) Close() {
 	for _, r := range rt.regions {
 		if r.tree.exec != nil {
@@ -771,8 +751,6 @@ func (rt *Runtime) Close() {
 
 // Stats returns the coherence analyzer's operation counters for the tree
 // containing r.
-//
-// confined to runtime-owner
 func (rt *Runtime) Stats(r *Region) core.Stats {
 	if r.tree.exec == nil {
 		return core.Stats{}
@@ -795,8 +773,6 @@ type TaskInfo struct {
 // from the launching goroutine, like every other Runtime method; nil when
 // nothing has launched. Deps slices are the runtime's own rows: read them,
 // do not modify them.
-//
-// confined to runtime-owner
 func (rt *Runtime) Dependences(r *Region) []TaskInfo {
 	ts := r.tree
 	if ts.exec == nil {
@@ -820,8 +796,6 @@ func (ts *treeState) dag() *graph.DAG {
 
 // WriteDOT renders the discovered dependence graph of the tree containing
 // r in Graphviz format.
-//
-// confined to runtime-owner
 func (rt *Runtime) WriteDOT(r *Region, w io.Writer) error {
 	return r.tree.dag().WriteDOT(w, nil)
 }
