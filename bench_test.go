@@ -199,7 +199,7 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 // atomic load plus a mutex-guarded ring store on a coarse (per-split,
 // per-materialize) path, which must stay invisible next to the analysis
 // itself. The session case is what every visserve session runs — spans
-// and recorder both on — and is measured for information.
+// and recorder both on — and CI holds it within 25% of absent.
 func BenchmarkObsOverhead(b *testing.B) {
 	disabled := obs.NewBuffer(1 << 12)
 	disabled.SetEnabled(false)

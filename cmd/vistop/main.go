@@ -5,7 +5,7 @@
 // share of launches served by trace replay), a CRIT
 // panel with each session tree's weighted critical-path profile
 // (virtual makespan, work, parallelism ratio, heaviest bottleneck
-// task), and the hottest analysis phases by span time (where analysis
+// task), and the hottest analysis phases by self time (where analysis
 // wall-clock actually goes). A header row summarizes the latest committed BENCH_<n>.json
 // benchmark record (see -bench), so live launch rates read against the
 // repo's measured trajectory baseline. By default it redraws in place
@@ -27,6 +27,7 @@ import (
 
 	"visibility"
 	"visibility/internal/bench"
+	"visibility/internal/obs"
 	"visibility/internal/server/client"
 )
 
@@ -284,29 +285,43 @@ func renderSessions(w io.Writer, prev, cur *sample, dt time.Duration) {
 
 // renderHotSpots aggregates every session's analysis spans by phase name
 // and shows where span time is going — the server-side answer to "what
-// is the analysis actually spending its time on".
+// is the analysis actually spending its time on". Phases nest
+// (raycast.analyze holds raycast.refine holds raycast.bvh_query), so each
+// span counts only its self time: its duration less that of the analysis
+// spans nested directly inside it in the same session window.
 func renderHotSpots(w io.Writer, cur *sample) {
 	type spot struct {
 		name  string
 		count int64
-		total int64 // ns
+		self  int64 // ns
 	}
 	agg := map[string]*spot{}
 	var grand int64
 	for _, win := range cur.spans {
+		var spans []obs.Span
 		for _, sp := range win.Spans {
-			if sp.Cat != "analysis" {
-				continue
+			if sp.Cat == "analysis" {
+				spans = append(spans, sp)
 			}
+		}
+		self := make([]int64, len(spans))
+		for i, sp := range spans {
+			self[i] = sp.End - sp.Start
+		}
+		for i, p := range obs.Nesting(spans) {
+			if p >= 0 {
+				self[p] -= spans[i].End - spans[i].Start
+			}
+		}
+		for i, sp := range spans {
 			s := agg[sp.Name]
 			if s == nil {
 				s = &spot{name: sp.Name}
 				agg[sp.Name] = s
 			}
-			d := sp.End - sp.Start
 			s.count++
-			s.total += d
-			grand += d
+			s.self += self[i]
+			grand += self[i]
 		}
 	}
 	spots := make([]*spot, 0, len(agg))
@@ -314,8 +329,8 @@ func renderHotSpots(w io.Writer, cur *sample) {
 		spots = append(spots, s)
 	}
 	sort.Slice(spots, func(i, j int) bool {
-		if spots[i].total != spots[j].total {
-			return spots[i].total > spots[j].total
+		if spots[i].self != spots[j].self {
+			return spots[i].self > spots[j].self
 		}
 		return spots[i].name < spots[j].name
 	})
@@ -323,15 +338,15 @@ func renderHotSpots(w io.Writer, cur *sample) {
 		spots = spots[:10]
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	say(tw, "HOT SPOT\tCOUNT\tTOTAL ms\tSHARE\n")
+	say(tw, "HOT SPOT\tCOUNT\tSELF ms\tSHARE\n")
 	for _, s := range spots {
 		// Zero-duration span windows would make SHARE divide by zero (NaN);
 		// render "-" like the other rate columns instead.
 		share := "-"
 		if grand > 0 {
-			share = fmt.Sprintf("%.0f%%", 100*float64(s.total)/float64(grand))
+			share = fmt.Sprintf("%.0f%%", 100*float64(s.self)/float64(grand))
 		}
-		say(tw, "%s\t%d\t%.3f\t%s\n", s.name, s.count, float64(s.total)/1e6, share)
+		say(tw, "%s\t%d\t%.3f\t%s\n", s.name, s.count, float64(s.self)/1e6, share)
 	}
 	_ = tw.Flush()
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"visibility/internal/bench"
-
+	"visibility/internal/obs"
 	"visibility/internal/server"
 	"visibility/internal/server/client"
 	"visibility/internal/wire"
@@ -47,6 +47,33 @@ func TestTraceHitRate(t *testing.T) {
 	m := map[string]int64{"warnock/launches": 25, "trace/replayed": 75}
 	if got := traceHitRate(m); got != "75" {
 		t.Errorf("hit rate = %q, want 75", got)
+	}
+}
+
+// TestHotSpotSelfTime pins the HOT SPOT shares to self time: a 100 µs
+// launch around a 50 µs refine around a 10 µs query is 50 / 40 / 10 %,
+// not the 62 / 31 / 6 % that adding every nested duration gives. The
+// server span in the window is not an analysis phase and is ignored.
+func TestHotSpotSelfTime(t *testing.T) {
+	const us = 1000
+	cur := &sample{spans: map[string]client.SpanWindow{"s1": {Spans: []obs.Span{
+		{Name: "raycast.bvh_query", Cat: "analysis", Start: 30 * us, End: 40 * us},
+		{Name: "raycast.refine", Cat: "analysis", Start: 20 * us, End: 70 * us},
+		{Name: "raycast.analyze", Cat: "analysis", Start: 0, End: 100 * us},
+		{Name: "http", Cat: "server", Start: 0, End: 200 * us},
+	}}}}
+	var buf bytes.Buffer
+	renderHotSpots(&buf, cur)
+	want := map[string]string{"raycast.analyze": "50%", "raycast.refine": "40%", "raycast.bvh_query": "10%"}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		f := strings.Fields(line)
+		if share, ok := want[f[0]]; !ok || f[len(f)-1] != share {
+			t.Errorf("row %q: want share %q", line, share)
+		}
+		delete(want, f[0])
+	}
+	if len(want) != 0 {
+		t.Errorf("missing rows %v in:\n%s", want, buf.String())
 	}
 }
 

@@ -76,19 +76,18 @@ func ExampleRegion_PartitionImage() {
 	// Output: {[4..4] [11..11]}
 }
 
-// ExampleRuntime_BeginTrace shows dynamic tracing: the loop's dependence
-// analysis runs once and replays for the remaining iterations.
-func ExampleRuntime_BeginTrace() {
-	rt := visibility.New(visibility.Config{Tracing: true})
+// ExampleRuntime_AutoTraceStats shows automatic tracing: the runtime finds
+// the repeating loop body by itself, analyzes it once and replays that
+// analysis for the remaining iterations.
+func ExampleRuntime_AutoTraceStats() {
+	rt := visibility.New(visibility.Config{AutoTrace: true})
 	defer rt.Close()
 
 	r := rt.CreateRegion("r", visibility.Line(0, 7), "v")
 	halves := r.PartitionEqual("H", 2)
-	// The first instance reads initial contents the loop overwrites, so
-	// it records without becoming replayable; the second records the
-	// steady-state shape; the rest replay.
-	for iter := 0; iter < 5; iter++ {
-		rt.BeginTrace(r, 1)
+	// Two iterations reveal the period, the third records it, and its
+	// five successors replay.
+	for iter := 0; iter < 8; iter++ {
 		for i := 0; i < 2; i++ {
 			rt.Launch(visibility.TaskSpec{
 				Name:     "step",
@@ -98,10 +97,9 @@ func ExampleRuntime_BeginTrace() {
 				}},
 			})
 		}
-		rt.EndTrace(r)
 	}
 	rt.Wait()
-	st := rt.TraceStats(r)
-	fmt.Println(st.Recorded, st.Replayed)
-	// Output: 4 6
+	st := rt.AutoTraceStats(r)
+	fmt.Println(st.Instances, st.Trace.Recorded, st.Trace.Replayed)
+	// Output: 6 2 10
 }

@@ -82,7 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	size := ckpt.Len()
-	st := first.TraceStats(first.Region("heat"))
+	st := first.AutoTraceStats(first.Region("heat")).Trace
 	first.Close()
 
 	resumed := run(steps-cut, &ckpt, true)

@@ -9,9 +9,9 @@
 // per-launch dependence analysis cost drops to O(1) without any
 // application cooperation.
 //
-// The subsystem composes with, rather than replaces, the explicit
-// tracing of package trace: an Auto wraps any core.Analyzer in a
-// trace.Tracer and drives the brackets itself. The tracer's own
+// The subsystem drives, rather than replaces, the tracing engine of
+// package trace: an Auto wraps any core.Analyzer in a trace.Tracer and
+// places the brackets itself. The tracer's own
 // signature check and period-invariance rules remain the correctness
 // backstop — a hash collision in the detector can at worst trigger a
 // trace invalidation, never a wrong analysis result.

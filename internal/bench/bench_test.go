@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"visibility/internal/harness"
+	"visibility/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -164,6 +167,31 @@ func TestCollectSmall(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("collected record does not round-trip byte-identically")
+	}
+}
+
+// TestOneLatencySamplePerLaunch checks the analysis-latency quantiles are
+// taken over one sample per analyzed launch: the phases nested inside a
+// launch's analyze span (refine, BVH query, coalesce, …) are not samples.
+func TestOneLatencySamplePerLaunch(t *testing.T) {
+	app, err := harness.FindApp("circuit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range harness.PaperConfigs() {
+		spans := obs.NewBuffer(spanCap)
+		r, err := harness.Run(harness.Config{
+			App: app.Build, AppName: "circuit", Algorithm: pc.Algorithm, DCR: pc.DCR,
+			Nodes: 2, MeasureIters: 2, Spans: spans,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := len(spans.Snapshot())
+		if got := len(obs.SpanDurations(spans.Snapshot(), "analysis")); got != r.Launches || all <= got {
+			t.Errorf("%s: %d latency samples from %d spans, want one per launch (%d) and fewer than the spans",
+				r.System, got, all, r.Launches)
+		}
 	}
 }
 

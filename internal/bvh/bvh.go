@@ -219,9 +219,6 @@ func NewKD(bounds geometry.Rect, targetCells int) *KD {
 	return kd
 }
 
-// NumCells returns the number of leaf cells.
-func (kd *KD) NumCells() int { return len(kd.cells) }
-
 // Insert registers item id with bounding box box.
 func (kd *KD) Insert(id int, box geometry.Rect) {
 	si := len(kd.slots)

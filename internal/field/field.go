@@ -1,23 +1,19 @@
-// Package field provides field spaces and field masks.
+// Package field provides field spaces.
 //
 // A region stores multiple named fields (e.g. Node.up and Node.down in the
 // paper's Figure 1), and the coherence analyses run independently per field:
 // two tasks touching different fields of the same points never interfere.
-// Field masks are compact bitsets used to route requirements to the
-// per-field analysis state.
 package field
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // ID identifies a field within a Space. IDs are dense small integers
 // assigned in creation order.
 type ID int
 
-// MaxFields is the maximum number of fields in one field space, bounded so
-// that a Mask fits in one machine word.
+// MaxFields is the maximum number of fields in one field space. Field
+// layout is a static program property, so a space that outgrows it is a
+// programming error, caught at Add before any per-field state exists.
 const MaxFields = 64
 
 // Space is a collection of named fields, analogous to a Legion field space.
@@ -58,53 +54,3 @@ func (s *Space) Name(id ID) string { return s.names[id] }
 
 // Len returns the number of fields.
 func (s *Space) Len() int { return len(s.names) }
-
-// All returns a mask containing every field in the space.
-func (s *Space) All() Mask {
-	if len(s.names) == MaxFields {
-		return Mask(^uint64(0))
-	}
-	return Mask(uint64(1)<<uint(len(s.names)) - 1)
-}
-
-// Mask is a set of field IDs.
-type Mask uint64
-
-// MaskOf returns the mask containing the given fields.
-func MaskOf(ids ...ID) Mask {
-	var m Mask
-	for _, id := range ids {
-		m |= 1 << uint(id)
-	}
-	return m
-}
-
-// Has reports whether the mask contains id.
-func (m Mask) Has(id ID) bool { return m&(1<<uint(id)) != 0 }
-
-// With returns the mask with id added.
-func (m Mask) With(id ID) Mask { return m | 1<<uint(id) }
-
-// Without returns the mask with id removed.
-func (m Mask) Without(id ID) Mask { return m &^ (1 << uint(id)) }
-
-// Intersect returns the fields present in both masks.
-func (m Mask) Intersect(o Mask) Mask { return m & o }
-
-// Union returns the fields present in either mask.
-func (m Mask) Union(o Mask) Mask { return m | o }
-
-// IsEmpty reports whether the mask has no fields.
-func (m Mask) IsEmpty() bool { return m == 0 }
-
-// Count returns the number of fields in the mask.
-func (m Mask) Count() int { return bits.OnesCount64(uint64(m)) }
-
-// Each calls f for every field in the mask in increasing ID order.
-func (m Mask) Each(f func(ID)) {
-	for m != 0 {
-		id := ID(bits.TrailingZeros64(uint64(m)))
-		f(id)
-		m = m.Without(id)
-	}
-}

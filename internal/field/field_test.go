@@ -46,52 +46,3 @@ func TestSpaceTooManyPanics(t *testing.T) {
 	}()
 	s.Add("overflow")
 }
-
-func TestSpaceAll(t *testing.T) {
-	s := NewSpace()
-	a := s.Add("a")
-	b := s.Add("b")
-	all := s.All()
-	if !all.Has(a) || !all.Has(b) || all.Count() != 2 {
-		t.Errorf("All = %b", all)
-	}
-}
-
-func TestMaskOps(t *testing.T) {
-	m := MaskOf(0, 3, 5)
-	if !m.Has(0) || !m.Has(3) || !m.Has(5) || m.Has(1) {
-		t.Errorf("MaskOf membership wrong: %b", m)
-	}
-	if m.Count() != 3 {
-		t.Errorf("Count = %d", m.Count())
-	}
-	if m.Without(3).Has(3) {
-		t.Error("Without failed")
-	}
-	if !m.With(7).Has(7) {
-		t.Error("With failed")
-	}
-	if got := m.Intersect(MaskOf(3, 5, 9)); got != MaskOf(3, 5) {
-		t.Errorf("Intersect = %b", got)
-	}
-	if got := MaskOf(1).Union(MaskOf(2)); got != MaskOf(1, 2) {
-		t.Errorf("Union = %b", got)
-	}
-	if !Mask(0).IsEmpty() || m.IsEmpty() {
-		t.Error("IsEmpty wrong")
-	}
-}
-
-func TestMaskEachOrder(t *testing.T) {
-	var got []ID
-	MaskOf(5, 1, 9).Each(func(id ID) { got = append(got, id) })
-	want := []ID{1, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("Each = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Each = %v, want %v", got, want)
-		}
-	}
-}

@@ -111,9 +111,9 @@ func TestChaosProvenanceReplay(t *testing.T) {
 			}
 		}
 	}
-	if rt.TraceStats(root).Replayed == 0 || replayEdges == 0 {
+	if replayed := rt.AutoTraceStats(root).Trace.Replayed; replayed == 0 || replayEdges == 0 {
 		t.Fatalf("replayed %d launches, %d replay edges; the replay leg tested nothing",
-			rt.TraceStats(root).Replayed, replayEdges)
+			replayed, replayEdges)
 	}
 }
 

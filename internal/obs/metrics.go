@@ -13,9 +13,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -275,33 +273,4 @@ func (r *Registry) Snapshot() Snapshot {
 		out[name] = fn()
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as an indented JSON object with keys in
-// sorted order (encoding/json sorts map keys), so identical states produce
-// byte-identical output.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// WriteTSV writes the snapshot as "name<TAB>value" lines in sorted name
-// order.
-func (s Snapshot) WriteTSV(w io.Writer) error {
-	names := make([]string, 0, len(s))
-	for name := range s {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "%s\t%d\n", name, s[name]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -191,36 +188,6 @@ func TestRegisterFunc(t *testing.T) {
 		}
 	}()
 	r.RegisterFunc("live", func() int64 { return 0 })
-}
-
-func TestSnapshotWriters(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("b").Add(2)
-	r.NewCounter("a").Add(1)
-	snap := r.Snapshot()
-
-	var tsv bytes.Buffer
-	if err := snap.WriteTSV(&tsv); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := tsv.String(), "a\t1\nb\t2\n"; got != want {
-		t.Errorf("TSV = %q, want %q", got, want)
-	}
-
-	var js bytes.Buffer
-	if err := snap.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]int64
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
-		t.Fatalf("snapshot JSON does not parse: %v", err)
-	}
-	if back["a"] != 1 || back["b"] != 2 {
-		t.Errorf("JSON round trip = %v", back)
-	}
-	if idx := strings.Index(js.String(), `"a"`); idx < 0 || idx > strings.Index(js.String(), `"b"`) {
-		t.Errorf("JSON keys not sorted: %s", js.String())
-	}
 }
 
 // TestRegistryConcurrency hammers one registry from many goroutines —

@@ -39,8 +39,7 @@ type Region struct {
 	// Partitions are the partitions of this region, in creation order.
 	Partitions []*Partition
 
-	tree  *Tree
-	depth int
+	tree *Tree
 }
 
 // Partition is an array of subregions of a parent region.
@@ -66,7 +65,7 @@ func (p *Partition) Space() index.Space { return p.space }
 // given field space.
 func NewTree(name string, space index.Space, fields *field.Space) *Tree {
 	t := &Tree{Fields: fields}
-	t.Root = &Region{ID: 0, Name: name, Space: space, tree: t, depth: 0}
+	t.Root = &Region{ID: 0, Name: name, Space: space, tree: t}
 	t.regions = []*Region{t.Root}
 	return t
 }
@@ -111,7 +110,6 @@ func (r *Region) Partition(name string, pieces []index.Space) *Partition {
 			Parent: p,
 			Index:  i,
 			tree:   t,
-			depth:  r.depth + 2, // partition node sits between
 		}
 		t.regions = append(t.regions, sub)
 		p.Subregions = append(p.Subregions, sub)
@@ -125,10 +123,6 @@ func (r *Region) Partition(name string, pieces []index.Space) *Partition {
 
 // Tree returns the tree this region belongs to.
 func (r *Region) Tree() *Tree { return r.tree }
-
-// Depth returns the region's depth in the tree counting both region and
-// partition levels (root = 0, a subregion of a root partition = 2).
-func (r *Region) Depth() int { return r.depth }
 
 // IsRoot reports whether r is the tree's root region.
 func (r *Region) IsRoot() bool { return r.Parent == nil }
@@ -163,12 +157,6 @@ func (r *Region) IsAncestorOf(o *Region) bool {
 		}
 	}
 	return false
-}
-
-// MayOverlap reports whether r and o can share points. For regions in the
-// same tree this is an exact content-based test.
-func (r *Region) MayOverlap(o *Region) bool {
-	return r.Space.Overlaps(o.Space)
 }
 
 func (r *Region) String() string {

@@ -92,9 +92,6 @@ func TestPathAndAncestry(t *testing.T) {
 	if !tree.Root.IsRoot() || p1.IsRoot() {
 		t.Error("IsRoot wrong")
 	}
-	if p1.Depth() != 2 || tree.Root.Depth() != 0 {
-		t.Errorf("depths: root=%d p1=%d", tree.Root.Depth(), p1.Depth())
-	}
 
 	// Nested partition.
 	nested := p1.Partition("PP", []index.Space{
@@ -105,27 +102,8 @@ func TestPathAndAncestry(t *testing.T) {
 	if got := leaf.Path(); len(got) != 3 || got[1] != p1 {
 		t.Errorf("nested Path = %v", got)
 	}
-	if leaf.Depth() != 4 {
-		t.Errorf("nested depth = %d", leaf.Depth())
-	}
 	if !tree.Root.IsAncestorOf(leaf) || !p1.IsAncestorOf(leaf) {
 		t.Error("nested ancestry wrong")
-	}
-}
-
-func TestMayOverlap(t *testing.T) {
-	_, primary, ghost := newNodeTree(t)
-	// P[0]=0..3 overlaps G[1]={2..3,8..9}.
-	if !primary.Subregions[0].MayOverlap(ghost.Subregions[1]) {
-		t.Error("P[0] should overlap G[1]")
-	}
-	// P[0]=0..3 does not overlap G[0]={4..5,10..11}.
-	if primary.Subregions[0].MayOverlap(ghost.Subregions[0]) {
-		t.Error("P[0] should not overlap G[0]")
-	}
-	// Disjoint primary pieces never overlap.
-	if primary.Subregions[0].MayOverlap(primary.Subregions[1]) {
-		t.Error("disjoint siblings overlap")
 	}
 }
 

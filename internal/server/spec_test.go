@@ -27,8 +27,8 @@ func post(t *testing.T, srv *server.Server, target, body string) (int, string) {
 // TestOneStackRejection checks that the two in-process ways to ask for an
 // analysis stack — the library and the experiment harness — refuse an
 // illegal one in the same words, algo.Spec.Check's. The service refuses
-// what only the library can ask for (explicit tracing) before it is a
-// stack at all (TestAutotraceTracingExclusive).
+// any key but algorithm and autotrace before it is a stack at all
+// (TestAutotraceTracingExclusive).
 func TestOneStackRejection(t *testing.T) {
 	_, err := algo.Spec{Algorithm: "zbuffer", AutoTrace: true}.Check()
 	if err == nil {

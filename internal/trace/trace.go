@@ -6,16 +6,17 @@
 // mechanism so that the claim — tracing removes the per-launch analysis
 // cost in steady state — can itself be measured.
 //
-// A Tracer wraps any core.Analyzer. The application brackets a repetitive
-// section with Begin(id)/End. The first instance of a trace records every
-// launch's analysis result together with a structural signature; later
-// instances that match the signature and are contiguous with the previous
-// instance replay the memoized results, translating dependence and
-// plan-producer task IDs by the trace's stream offset, without consulting
-// the underlying analyzer at all. Any mismatch invalidates the trace: the
-// buffered launches are re-analyzed through the wrapped analyzer (whose
-// state must catch up), the rest of the instance is analyzed untraced, and
-// the next instance records afresh.
+// A Tracer wraps any core.Analyzer. The autotracer (internal/autotrace),
+// not the application, brackets each instance of a repeating section with
+// Begin(id)/End once it has detected the repeat. The first instance of a
+// trace records every launch's analysis result together with a structural
+// signature; later instances that match the signature and are contiguous
+// with the previous instance replay the memoized results, translating
+// dependence and plan-producer task IDs by the trace's stream offset,
+// without consulting the underlying analyzer at all. Any mismatch
+// invalidates the trace: the buffered launches are re-analyzed through the
+// wrapped analyzer (whose state must catch up), the rest of the instance is
+// analyzed untraced, and the next instance records afresh.
 package trace
 
 import (

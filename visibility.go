@@ -54,7 +54,6 @@ import (
 	"visibility/internal/privilege"
 	"visibility/internal/region"
 	"visibility/internal/sched"
-	"visibility/internal/trace"
 )
 
 // Point is an n-dimensional integer point; coordinates live in C.
@@ -129,23 +128,16 @@ type Config struct {
 	// interpreter and panics if a materialized input ever diverges —
 	// the runtime's self-checking mode.
 	Validate bool
-	// Tracing enables dynamic tracing: repetitive sections bracketed with
-	// BeginTrace/EndTrace are analyzed once and replayed afterwards,
-	// eliminating the per-launch analysis cost of steady-state loops.
+	// Deprecated: ignored; kept while benchmarks/visperf still sets it.
 	Tracing bool
 	// AutoTrace enables automatic trace memoization: the runtime hashes
 	// every launch's structure, detects repeating sections of the launch
-	// stream online, and brackets them itself — the steady-state benefit
-	// of Tracing without BeginTrace/EndTrace calls. Any divergence falls
-	// back to direct analysis, so results are identical to an untraced
-	// run. Mutually exclusive with Tracing (the explicit brackets would
-	// fight the automatic ones).
+	// stream online, records their dependence analysis once and replays it
+	// afterwards, eliminating the per-launch analysis cost of steady-state
+	// loops. Any divergence falls back to direct analysis, so results are
+	// identical to an untraced run.
 	AutoTrace bool
-	// Shards, when positive, runs each launch's analysis through the shard
-	// layer (internal/shard) with that many shards; 0 (the default)
-	// bypasses it. The layer wins nowhere measured and stays only for the
-	// benchmark that times it. It cannot carry Recorder or Faults: New
-	// panics on the combination.
+	// Deprecated: ignored; kept while benchmarks/visperf still sets it.
 	Shards int
 	// Metrics, when non-nil, is the registry every component of this
 	// runtime publishes into: analyzer operation counters appear under
@@ -194,9 +186,6 @@ func New(cfg Config) *Runtime {
 	if err != nil {
 		panic(fmt.Sprintf("visibility: %v", err))
 	}
-	if cfg.Shards > 0 && (cfg.Recorder != nil || cfg.Faults != nil) {
-		panic("visibility: Shards cannot be combined with Recorder or Faults")
-	}
 	cfg.Algorithm = spec.Algorithm
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -206,7 +195,7 @@ func New(cfg Config) *Runtime {
 
 // spec is the analysis stack cfg's flat fields describe.
 func (cfg Config) spec() algo.Spec {
-	return algo.Spec{Algorithm: cfg.Algorithm, Tracing: cfg.Tracing, AutoTrace: cfg.AutoTrace, Shards: cfg.Shards}
+	return algo.Spec{Algorithm: cfg.Algorithm, AutoTrace: cfg.AutoTrace}
 }
 
 // Region is a logical region: an index space with named fields, possibly a
@@ -653,32 +642,16 @@ func (rt *Runtime) freeze(ts *treeState) {
 	}
 }
 
-// BeginTrace starts a trace instance with the given id on the tree
-// containing r; requires Config.Tracing. The launches up to the matching
-// EndTrace form the trace: its first instance records, and later
-// contiguous, structurally identical instances replay without analysis.
-func (rt *Runtime) BeginTrace(r *Region, id int) {
-	rt.freeze(r.tree)
-	if r.tree.stack.Tracer == nil {
-		panic("visibility: BeginTrace requires Config.Tracing")
-	}
-	r.tree.stack.Tracer.Begin(id)
-}
+// BeginTrace does nothing: Config.AutoTrace finds repeating sections of
+// the launch stream itself.
+//
+// Deprecated: ignored; kept while benchmarks/visperf still calls it.
+func (rt *Runtime) BeginTrace(*Region, int) {}
 
-// EndTrace finishes the current trace instance on r's tree.
-func (rt *Runtime) EndTrace(r *Region) {
-	if r.tree.stack == nil || r.tree.stack.Tracer == nil {
-		panic("visibility: EndTrace requires Config.Tracing")
-	}
-	r.tree.stack.Tracer.End()
-}
-
-// TraceStats returns tracing counters for r's tree (zero when tracing is
-// disabled or nothing has launched). With AutoTrace, these are the
-// automatic tracer's counters.
-func (rt *Runtime) TraceStats(r *Region) trace.Stats {
-	return r.tree.stack.TraceStats()
-}
+// EndTrace does nothing, like BeginTrace.
+//
+// Deprecated: ignored; kept while benchmarks/visperf still calls it.
+func (rt *Runtime) EndTrace(*Region) {}
 
 // AutoTraceStats returns the automatic tracer's outcome counters for r's
 // tree (zero when Config.AutoTrace is off or nothing has launched).
@@ -745,7 +718,6 @@ func (rt *Runtime) Close() {
 			r.tree.exec.Shutdown()
 			r.tree.exec = nil
 		}
-		r.tree.stack.Close()
 	}
 }
 

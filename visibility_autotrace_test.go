@@ -57,19 +57,6 @@ func TestPublicAutoTrace(t *testing.T) {
 	if st.Aborts != 0 || st.Trace.Invalidations != 0 {
 		t.Errorf("aborts/invalidations = %d/%d, want 0/0", st.Aborts, st.Trace.Invalidations)
 	}
-	// TraceStats surfaces the automatic tracer's counters too.
-	if rt.TraceStats(g).Replayed != st.Trace.Replayed {
-		t.Error("TraceStats does not reflect the automatic tracer")
-	}
-}
-
-func TestAutoTraceExclusivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Tracing+AutoTrace should panic")
-		}
-	}()
-	visibility.New(visibility.Config{Tracing: true, AutoTrace: true})
 }
 
 // TestAutoTraceStatsZero checks the accessor is safe without AutoTrace.

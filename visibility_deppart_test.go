@@ -1,8 +1,6 @@
 package visibility_test
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,79 +110,53 @@ func TestMinusLengthMismatchPanics(t *testing.T) {
 	a.Minus("bad", b)
 }
 
+// TestPublicTracing pins the ignored declarations: Config.Tracing,
+// Config.Shards and the BeginTrace/EndTrace brackets change no value and
+// replay nothing, whatever instrumentation they are combined with.
 func TestPublicTracing(t *testing.T) {
-	rt := visibility.New(visibility.Config{Tracing: true, Validate: true})
-	defer rt.Close()
-	g := rt.CreateRegion("g", visibility.Line(0, 15), "v")
-	blocks := g.PartitionEqual("B", 4)
-
-	loop := func() {
-		for i := 0; i < 4; i++ {
-			rt.Launch(visibility.TaskSpec{
-				Name:     "step",
-				Accesses: []visibility.Access{visibility.Write(blocks.Sub(i), "v")},
-				Kernel: visibility.Kernel{Write: func(_ int, _ visibility.Point, in float64) float64 {
-					return in + 1
-				}},
-			})
+	run := func(cfg visibility.Config, bracket bool) []float64 {
+		rt := visibility.New(cfg)
+		defer rt.Close()
+		g := rt.CreateRegion("g", visibility.Line(0, 15), "v")
+		blocks := g.PartitionEqual("B", 4)
+		for it := 0; it < 6; it++ {
+			if bracket {
+				rt.BeginTrace(g, 1)
+			}
+			for i := 0; i < 4; i++ {
+				rt.Launch(visibility.TaskSpec{
+					Name:     "step",
+					Accesses: []visibility.Access{visibility.Write(blocks.Sub(i), "v")},
+					Kernel: visibility.Kernel{Write: func(_ int, p visibility.Point, in float64) float64 {
+						return in + float64(p.C[0])
+					}},
+				})
+			}
+			if bracket {
+				rt.EndTrace(g)
+			}
+		}
+		snap := rt.Read(g, "v")
+		out := make([]float64, 16)
+		for x := range out {
+			out[x], _ = snap.Get(visibility.Pt(int64(x)))
+		}
+		if st := rt.AutoTraceStats(g); st.Trace.Recorded != 0 || st.Trace.Replayed != 0 {
+			t.Errorf("%+v: trace counters %+v, want none", cfg, st.Trace)
+		}
+		return out
+	}
+	want := run(visibility.Config{Validate: true}, false)
+	got := run(visibility.Config{
+		Tracing: true, Shards: 2, Recorder: recorder.New(64), Faults: fault.New(fault.Plan{}), Validate: true,
+	}, true)
+	for x := range want {
+		if got[x] != want[x] {
+			t.Fatalf("point %d = %v with the ignored declarations, want %v", x, got[x], want[x])
 		}
 	}
-	loop() // warm-up outside any trace
-	for it := 0; it < 5; it++ {
-		rt.BeginTrace(g, 1)
-		loop()
-		rt.EndTrace(g)
-	}
-	snap := rt.Read(g, "v")
-	if v, _ := snap.Get(visibility.Pt(3)); v != 6 {
-		t.Errorf("value = %v, want 6", v)
-	}
-	st := rt.TraceStats(g)
-	if st.Recorded != 4 || st.Replayed != 16 {
-		t.Errorf("trace stats = %+v, want 4 recorded / 16 replayed", st)
-	}
-}
-
-func TestTracingMisusePanics(t *testing.T) {
-	rt := visibility.New(visibility.Config{})
-	g := rt.CreateRegion("g", visibility.Line(0, 3), "v")
-	defer func() {
-		if recover() == nil {
-			t.Error("BeginTrace without Config.Tracing should panic")
-		}
-	}()
-	rt.BeginTrace(g, 1)
-}
-
-// TestShardsRefuseInstrumentation pins what Config.Shards still composes
-// with: a validated, traced run is fine, and the instrumentation the shard
-// layer cannot carry is refused at New.
-func TestShardsRefuseInstrumentation(t *testing.T) {
-	rt := visibility.New(visibility.Config{Shards: 2, Tracing: true, Validate: true})
-	g := rt.CreateRegion("g", visibility.Line(0, 15), "v")
-	blocks := g.PartitionEqual("B", 4)
-	for it := 0; it < 3; it++ {
-		rt.BeginTrace(g, 1)
-		for i := 0; i < 4; i++ {
-			rt.Launch(visibility.TaskSpec{Name: "step", Accesses: []visibility.Access{visibility.Write(blocks.Sub(i), "v")}})
-		}
-		rt.EndTrace(g)
-	}
-	rt.Read(g, "v")
-	rt.Close()
-
-	for name, cfg := range map[string]visibility.Config{
-		"Recorder": {Shards: 1, Recorder: recorder.New(4)},
-		"Faults":   {Shards: 1, Faults: fault.New(fault.Plan{})},
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Shards cannot be combined") {
-					t.Errorf("Shards with %s: recovered %v", name, r)
-				}
-			}()
-			visibility.New(cfg)
-		}()
+	if want[3] != 18 {
+		t.Errorf("point 3 = %v, want 18", want[3])
 	}
 }
 
