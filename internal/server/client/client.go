@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"visibility"
@@ -65,8 +66,9 @@ type SessionConfig struct {
 
 // Session is a handle to one server-side session.
 type Session struct {
-	c  *Client
-	ID string
+	c    *Client
+	ID   string
+	last atomic.Int64 // length of the last submitted body, the next one's starting capacity
 }
 
 // StatusError is a non-2xx response, with the server's error body.
@@ -267,11 +269,12 @@ func (c *Client) DebugRecorder(n int) ([]RecorderEvent, error) {
 // Submit sends one workload to the session; the server queues it on the
 // session's worker (202), retried through backpressure.
 func (s *Session) Submit(wl *wire.Workload) error {
-	var buf bytes.Buffer
-	if err := wire.Encode(&buf, wl); err != nil {
+	body, err := wire.AppendWorkload(make([]byte, 0, s.last.Load()), wl)
+	if err != nil {
 		return err
 	}
-	return s.c.do("POST", "/v1/sessions/"+s.ID+"/workloads", buf.Bytes(), nil)
+	s.last.Store(int64(len(body)))
+	return s.c.do("POST", "/v1/sessions/"+s.ID+"/workloads", body, nil)
 }
 
 // get issues GET /v1/sessions/<id>/<what> with a query built from

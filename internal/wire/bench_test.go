@@ -6,27 +6,39 @@ import (
 	"strings"
 	"testing"
 
+	"visibility/internal/testutil"
 	"visibility/internal/wire"
 )
 
-// batchBody is the encoding of the batch visperf's serve_batch submits every
-// step: four graphsim iterations over 16 pieces, 128 tasks of a write and a
-// reduce each, every access with a kernel — no declarations, so Decode's
-// Validate leaves the references to a session.
-func batchBody(tb testing.TB) []byte {
-	affine := &wire.FuncSpec{Name: "affine", Args: map[string]float64{"scale": 0.5, "offset": 0.625}}
-	fill := &wire.FuncSpec{Name: "fill", Args: map[string]float64{"value": 0.1875}}
-	wl := &wire.Workload{Version: wire.Version, Name: "serve_batch-batch"}
-	for it := 0; it < 4; it++ {
-		for _, phase := range [][3]string{{"t1", "up", "down"}, {"t2", "down", "up"}} {
-			for i := 0; i < 16; i++ {
-				wl.Tasks = append(wl.Tasks, wire.TaskDecl{Name: phase[0], Accesses: []wire.AccessDecl{
-					{Region: fmt.Sprintf("P[%d]", i), Field: phase[1], Privilege: "write", Kernel: affine},
-					{Region: fmt.Sprintf("G[%d]", i), Field: phase[2], Privilege: "reduce", Op: "sum", Kernel: fill},
+// batch is the batch a visperf serve workload submits every step: iters
+// graphsim iterations over pieces pieces, tasks of a write and a reduce
+// each, every access with one of four kernel specs — no declarations, so
+// Decode's Validate leaves the references to a session.
+func batch(name string, iters, pieces int) *wire.Workload {
+	wl := &wire.Workload{Version: wire.Version, Name: name + "-batch"}
+	for it := 0; it < iters; it++ {
+		for _, phase := range []struct {
+			name, write, reduce string
+			kernel, contra      float64
+		}{{"t1", "up", "down", 0.625, 0.1875}, {"t2", "down", "up", 0.25, 0.0625}} {
+			affine := &wire.FuncSpec{Name: "affine", Args: map[string]float64{"scale": 0.5, "offset": phase.kernel}}
+			fill := &wire.FuncSpec{Name: "fill", Args: map[string]float64{"value": phase.contra}}
+			for i := 0; i < pieces; i++ {
+				wl.Tasks = append(wl.Tasks, wire.TaskDecl{Name: phase.name, Accesses: []wire.AccessDecl{
+					{Region: fmt.Sprintf("P[%d]", i), Field: phase.write, Privilege: "write", Kernel: affine},
+					{Region: fmt.Sprintf("G[%d]", i), Field: phase.reduce, Privilege: "reduce", Op: "sum", Kernel: fill},
 				}})
 			}
 		}
 	}
+	return wl
+}
+
+// batches are the two served shapes: serve_batch's 128 tasks and
+// serve_query's 8, so a change that helps one and hurts the other shows.
+var batches = []*wire.Workload{batch("serve_batch", 4, 16), batch("serve_query", 1, 4)}
+
+func encode(tb testing.TB, wl *wire.Workload) []byte {
 	var buf bytes.Buffer
 	if err := wire.Encode(&buf, wl); err != nil {
 		tb.Fatal(err)
@@ -34,19 +46,39 @@ func batchBody(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeAllocations pins Decode of the serve_batch batch at or below
-// what encoding/json's reflection cost at PR 23: 4,259 allocations.
+// TestDecodeAllocations pins Decode of the serve_batch batch near what it
+// measured once each repeated name and spec was read once: 359
+// allocations (3,479 before; encoding/json's reflection took 4,259).
 func TestDecodeAllocations(t *testing.T) {
-	body := batchBody(t)
+	body := encode(t, batches[0])
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := wire.Decode(bytes.NewReader(body)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4259 {
-		t.Fatalf("Decode of the %d-byte batch allocates %.0f times, want <= 4259", len(body), allocs)
+	if allocs > 380 {
+		t.Fatalf("Decode of the %d-byte batch allocates %.0f times, want <= 380", len(body), allocs)
 	}
 	t.Logf("Decode of the %d-byte batch: %.0f allocations", len(body), allocs)
+}
+
+// TestEncodeAllocations: AppendWorkload of the serve_batch batch into a
+// buffer with room allocates nothing. Its state is pooled, so the pin
+// skips under the race detector.
+func TestEncodeAllocations(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	buf := make([]byte, 0, 2*len(encode(t, batches[0])))
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if buf, err = wire.AppendWorkload(buf[:0], batches[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendWorkload of the %d-byte batch into a buffer with room allocates %.0f times, want 0", len(buf), allocs)
+	}
 }
 
 // snapshotBody renders the serve_batch snapshot shape: n points of one
@@ -111,14 +143,34 @@ func TestReadBodyCapped(t *testing.T) {
 }
 
 func BenchmarkWireDecode(b *testing.B) {
-	body := batchBody(b)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Decode(bytes.NewReader(body)); err != nil {
-			b.Fatal(err)
-		}
+	for _, wl := range batches {
+		b.Run(fmt.Sprintf("%d_tasks", len(wl.Tasks)), func(b *testing.B) {
+			body := encode(b, wl)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := wire.Decode(bytes.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWireEncode times Encode as a client without a buffer at hand
+// calls it: into a new bytes.Buffer.
+func BenchmarkWireEncode(b *testing.B) {
+	for _, wl := range batches {
+		b.Run(fmt.Sprintf("%d_tasks", len(wl.Tasks)), func(b *testing.B) {
+			b.SetBytes(int64(len(encode(b, wl))))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var buf bytes.Buffer
+				if err := wire.Encode(&buf, wl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

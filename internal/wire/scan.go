@@ -12,12 +12,26 @@ import (
 // encoding/json accepts into the same Go values (null leaves a value zero,
 // [] and {} are empty but not nil), except that object keys must match
 // exactly and once. The first error sticks and moves the offset to the end
-// of the input, so every loop ends.
+// of the input, so every loop ends. A workload repeats the same few names
+// and specs on every task, so Decode's scanner keeps one copy of each
+// string it reads (names, when non-nil) and the specs it has read.
 type scanner struct {
-	b   []byte
-	i   int
-	err error
+	b     []byte
+	i     int
+	err   error
+	names map[string]string
+	specs []specText
 }
+
+// specText is a spec and its exact text, read or written. The scanner and
+// the encoder each remember at most maxSpecs, so a run of distinct specs
+// costs a bounded search apiece.
+type specText struct {
+	spec *FuncSpec
+	text []byte
+}
+
+const maxSpecs = 16
 
 func (s *scanner) fail(format string, a ...any) {
 	if s.err == nil {
@@ -155,9 +169,18 @@ func (s *scanner) num() ([]byte, bool) {
 // The readers fill the value they are given, or leave it zero for a null.
 
 func (s *scanner) string(dst *string) {
-	if !s.null() {
-		*dst = string(s.str())
+	if s.null() {
+		return
 	}
+	b := s.str()
+	v, ok := s.names[string(b)]
+	if !ok {
+		v = string(b)
+		if s.names != nil {
+			s.names[v] = v
+		}
+	}
+	*dst = v
 }
 
 func (s *scanner) float(dst *float64) {
@@ -197,11 +220,12 @@ func (s *scanner) int64(dst *int64) { *dst = s.integer(64) }
 func (s *scanner) int(dst *int)     { *dst = int(s.integer(strconv.IntSize)) }
 
 // array reads a JSON array, elem reading each element where it will stay.
+// It starts with room for two, a task's write and reduce or a 1-D row.
 func array[T any](s *scanner, dst *[]T, elem func(*scanner, *T)) {
 	if !s.open('[') {
 		return
 	}
-	out := []T{}
+	out := make([]T, 0, 2)
 	for s.more(']', len(out) == 0) {
 		out = append(out, *new(T))
 		elem(s, &out[len(out)-1])
@@ -249,10 +273,12 @@ func dict[V any](s *scanner, dst *map[string]V, value func(*scanner, *V)) {
 	*dst = m
 }
 
-// fields lists the keys of a JSON object and how to read each into a T.
+// fields lists the keys of a JSON object in encoding/json's order and how
+// to read each into a T and write each out of one.
 type fields[T any] []struct {
-	key  string
-	read func(*scanner, *T)
+	key   string
+	read  func(*scanner, *T)
+	write func(*encoder, *T)
 }
 
 // read reads an object with keys out of f, each spelled exactly and once.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // AppendSnapshot appends the body of a snapshot response — the contents of
@@ -12,38 +13,28 @@ import (
 // byte for byte what json.Marshal makes of a map with these three keys. A
 // value JSON has no form for is an error, not a body.
 func AppendSnapshot(dst []byte, region, field string, points [][]float64) ([]byte, error) {
-	dst = append(appendString(append(dst, `{"field":`...), field), `,"points":`...)
-	if points == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, row := range points {
-			if i > 0 {
-				dst = append(dst, ',')
+	for _, row := range points {
+		for _, v := range row {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, fmt.Errorf("wire: snapshot of region %q field %q: %v at point %v has no JSON form",
+					region, field, v, row[:len(row)-1])
 			}
-			dst = append(dst, '[')
-			for j, v := range row {
-				if math.IsInf(v, 0) || math.IsNaN(v) {
-					return nil, fmt.Errorf("wire: snapshot of region %q field %q: %v at point %v has no JSON form",
-						region, field, v, row[:len(row)-1])
-				}
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				dst = appendFloat(dst, v)
-			}
-			dst = append(dst, ']')
 		}
-		dst = append(dst, ']')
 	}
-	return append(appendString(append(dst, `,"region":`...), region), '}'), nil
+	return encode(dst, &snapshot{region, field, points}, snapshotFields)
 }
 
-// appendString appends s as encoding/json quotes it. Names are the cold
-// part of a snapshot, so its escaping rules are not repeated here.
+// appendString appends s as encoding/json quotes it: as is when no byte
+// needs an escape, the usual case for names; else through json.Marshal,
+// so its escaping rules are not repeated here.
 func appendString(dst []byte, s string) []byte {
-	quoted, _ := json.Marshal(s) // a string always marshals
-	return append(dst, quoted...)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // appendFloat appends a finite f in encoding/json's number format: the
@@ -64,16 +55,23 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// snapshot is the snapshot body, for the scanner to fill.
+// snapshot is the snapshot body, for the key table to read and write.
 type snapshot struct {
 	region, field string
 	points        [][]float64
 }
 
 var snapshotFields = fields[snapshot]{
-	{"field", func(s *scanner, v *snapshot) { s.string(&v.field) }},
-	{"points", func(s *scanner, v *snapshot) { s.slab(&v.points) }},
-	{"region", func(s *scanner, v *snapshot) { s.string(&v.region) }},
+	{"field", func(s *scanner, v *snapshot) { s.string(&v.field) },
+		func(e *encoder, v *snapshot) { e.string(v.field) }},
+	{"points", func(s *scanner, v *snapshot) { s.slab(&v.points) },
+		func(e *encoder, v *snapshot) {
+			list(e, v.points, func(e *encoder, row *[]float64) {
+				list(e, *row, func(e *encoder, v *float64) { e.b = appendFloat(e.b, *v) })
+			})
+		}},
+	{"region", func(s *scanner, v *snapshot) { s.string(&v.region) },
+		func(e *encoder, v *snapshot) { e.string(v.region) }},
 }
 
 // ParseSnapshot reads a body AppendSnapshot wrote into rows of one slab.

@@ -12,15 +12,16 @@
 // Encoding is deterministic (struct field order is fixed and map keys
 // sort), and decode→encode→decode is a fixed point. The canonical form is
 // compact, since a batch is parsed on every step of a served program; the
-// testdata files are its json.Indent, and Decode reads either. Decode and
-// the snapshot body (AppendSnapshot, ParseSnapshot) share the package's
-// one scanner; encoding/json writes workloads and is the decoder's oracle
-// in the tests.
+// testdata files are its json.Indent, and Decode reads either. One set of
+// per-type key tables drives both directions: Decode reads a workload with
+// the package's one scanner, which ParseSnapshot shares, and
+// AppendWorkload appends one. encoding/json is left only as the escape
+// fallback for strings that need one and as both directions' oracle in the
+// tests.
 package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -115,6 +116,10 @@ type FuncSpec struct {
 // Decode reads one workload from r, compact or indented, rejecting unknown,
 // case-folded and repeated fields, trailing data, and every structural
 // error Validate covers.
+//
+// The workload is read-only. What the body repeats is decoded once: equal
+// strings share one allocation, and specs with byte-identical text share
+// one *FuncSpec, args map included.
 func Decode(r io.Reader) (*Workload, error) { return DecodeSized(r, -1) }
 
 // DecodeSized is Decode of a body whose length a header declared (ReadBody).
@@ -123,7 +128,7 @@ func DecodeSized(r io.Reader, declared int64) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: decoding workload: %w", err)
 	}
-	s, wl := &scanner{b: data}, new(Workload)
+	s, wl := &scanner{b: data, names: map[string]string{}}, new(Workload)
 	workloadFields.read(s, wl)
 	if err := s.end(); err != nil {
 		return nil, fmt.Errorf("wire: decoding workload: %w", err)
@@ -143,69 +148,108 @@ func ReadBody(r io.Reader, declared int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// The key tables define the format both ways, in struct order; an
+// omitempty field's writer is an opt one.
+
 var workloadFields = fields[Workload]{
-	{"version", func(s *scanner, wl *Workload) { s.int(&wl.Version) }},
-	{"name", func(s *scanner, wl *Workload) { s.string(&wl.Name) }},
-	{"regions", func(s *scanner, wl *Workload) { array(s, &wl.Regions, regionFields.read) }},
-	{"tasks", func(s *scanner, wl *Workload) { array(s, &wl.Tasks, taskFields.read) }},
+	{"version", func(s *scanner, wl *Workload) { s.int(&wl.Version) },
+		func(e *encoder, wl *Workload) { e.int(wl.Version) }},
+	{"name", func(s *scanner, wl *Workload) { s.string(&wl.Name) },
+		func(e *encoder, wl *Workload) { opt(e, wl.Name, (*encoder).string) }},
+	{"regions", func(s *scanner, wl *Workload) { array(s, &wl.Regions, regionFields.read) },
+		func(e *encoder, wl *Workload) { optList(e, wl.Regions, regionFields.write) }},
+	{"tasks", func(s *scanner, wl *Workload) { array(s, &wl.Tasks, taskFields.read) },
+		func(e *encoder, wl *Workload) { optList(e, wl.Tasks, taskFields.write) }},
 }
 
 var regionFields = fields[RegionDecl]{
-	{"name", func(s *scanner, r *RegionDecl) { s.string(&r.Name) }},
-	{"dim", func(s *scanner, r *RegionDecl) { s.int(&r.Dim) }},
-	{"space", func(s *scanner, r *RegionDecl) { s.rows(&r.Space) }},
-	{"fields", func(s *scanner, r *RegionDecl) { array(s, &r.Fields, (*scanner).string) }},
-	{"init", func(s *scanner, r *RegionDecl) { dict(s, &r.Init, (*scanner).funcSpec) }},
-	{"partitions", func(s *scanner, r *RegionDecl) { array(s, &r.Partitions, partitionFields.read) }},
+	{"name", func(s *scanner, r *RegionDecl) { s.string(&r.Name) },
+		func(e *encoder, r *RegionDecl) { e.string(r.Name) }},
+	{"dim", func(s *scanner, r *RegionDecl) { s.int(&r.Dim) },
+		func(e *encoder, r *RegionDecl) { e.int(r.Dim) }},
+	{"space", func(s *scanner, r *RegionDecl) { s.rows(&r.Space) },
+		func(e *encoder, r *RegionDecl) { e.rows(&r.Space) }},
+	{"fields", func(s *scanner, r *RegionDecl) { array(s, &r.Fields, (*scanner).string) },
+		func(e *encoder, r *RegionDecl) { list(e, r.Fields, func(e *encoder, f *string) { e.string(*f) }) }},
+	{"init", func(s *scanner, r *RegionDecl) { dict(s, &r.Init, (*scanner).funcSpec) },
+		func(e *encoder, r *RegionDecl) { optObject(e, r.Init, (*encoder).spec) }},
+	{"partitions", func(s *scanner, r *RegionDecl) { array(s, &r.Partitions, partitionFields.read) },
+		func(e *encoder, r *RegionDecl) { optList(e, r.Partitions, partitionFields.write) }},
 }
 
 var partitionFields = fields[PartitionDecl]{
-	{"name", func(s *scanner, p *PartitionDecl) { s.string(&p.Name) }},
-	{"kind", func(s *scanner, p *PartitionDecl) { s.string(&p.Kind) }},
-	{"pieces", func(s *scanner, p *PartitionDecl) { s.int(&p.Pieces) }},
-	{"spaces", func(s *scanner, p *PartitionDecl) { array(s, &p.Spaces, (*scanner).rows) }},
-	{"source", func(s *scanner, p *PartitionDecl) { s.string(&p.Source) }},
-	{"left", func(s *scanner, p *PartitionDecl) { s.string(&p.Left) }},
-	{"right", func(s *scanner, p *PartitionDecl) { s.string(&p.Right) }},
-	{"relation", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Relation) }},
-	{"color", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Color) }},
+	{"name", func(s *scanner, p *PartitionDecl) { s.string(&p.Name) },
+		func(e *encoder, p *PartitionDecl) { e.string(p.Name) }},
+	{"kind", func(s *scanner, p *PartitionDecl) { s.string(&p.Kind) },
+		func(e *encoder, p *PartitionDecl) { e.string(p.Kind) }},
+	{"pieces", func(s *scanner, p *PartitionDecl) { s.int(&p.Pieces) },
+		func(e *encoder, p *PartitionDecl) { opt(e, p.Pieces, (*encoder).int) }},
+	{"spaces", func(s *scanner, p *PartitionDecl) { array(s, &p.Spaces, (*scanner).rows) },
+		func(e *encoder, p *PartitionDecl) { optList(e, p.Spaces, (*encoder).rows) }},
+	{"source", func(s *scanner, p *PartitionDecl) { s.string(&p.Source) },
+		func(e *encoder, p *PartitionDecl) { opt(e, p.Source, (*encoder).string) }},
+	{"left", func(s *scanner, p *PartitionDecl) { s.string(&p.Left) },
+		func(e *encoder, p *PartitionDecl) { opt(e, p.Left, (*encoder).string) }},
+	{"right", func(s *scanner, p *PartitionDecl) { s.string(&p.Right) },
+		func(e *encoder, p *PartitionDecl) { opt(e, p.Right, (*encoder).string) }},
+	{"relation", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Relation) },
+		func(e *encoder, p *PartitionDecl) { opt(e, p.Relation, (*encoder).spec) }},
+	{"color", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Color) },
+		func(e *encoder, p *PartitionDecl) { opt(e, p.Color, (*encoder).spec) }},
 }
 
 var taskFields = fields[TaskDecl]{
-	{"name", func(s *scanner, t *TaskDecl) { s.string(&t.Name) }},
-	{"accesses", func(s *scanner, t *TaskDecl) { array(s, &t.Accesses, accessFields.read) }},
-	{"after", func(s *scanner, t *TaskDecl) { array(s, &t.After, (*scanner).int) }},
+	{"name", func(s *scanner, t *TaskDecl) { s.string(&t.Name) },
+		func(e *encoder, t *TaskDecl) { e.string(t.Name) }},
+	{"accesses", func(s *scanner, t *TaskDecl) { array(s, &t.Accesses, accessFields.read) },
+		func(e *encoder, t *TaskDecl) { list(e, t.Accesses, accessFields.write) }},
+	{"after", func(s *scanner, t *TaskDecl) { array(s, &t.After, (*scanner).int) },
+		func(e *encoder, t *TaskDecl) { optList(e, t.After, func(e *encoder, a *int) { e.int(*a) }) }},
 }
 
 var accessFields = fields[AccessDecl]{
-	{"region", func(s *scanner, a *AccessDecl) { s.string(&a.Region) }},
-	{"field", func(s *scanner, a *AccessDecl) { s.string(&a.Field) }},
-	{"privilege", func(s *scanner, a *AccessDecl) { s.string(&a.Privilege) }},
-	{"op", func(s *scanner, a *AccessDecl) { s.string(&a.Op) }},
-	{"kernel", func(s *scanner, a *AccessDecl) { s.funcSpec(&a.Kernel) }},
+	{"region", func(s *scanner, a *AccessDecl) { s.string(&a.Region) },
+		func(e *encoder, a *AccessDecl) { e.string(a.Region) }},
+	{"field", func(s *scanner, a *AccessDecl) { s.string(&a.Field) },
+		func(e *encoder, a *AccessDecl) { e.string(a.Field) }},
+	{"privilege", func(s *scanner, a *AccessDecl) { s.string(&a.Privilege) },
+		func(e *encoder, a *AccessDecl) { e.string(a.Privilege) }},
+	{"op", func(s *scanner, a *AccessDecl) { s.string(&a.Op) },
+		func(e *encoder, a *AccessDecl) { opt(e, a.Op, (*encoder).string) }},
+	{"kernel", func(s *scanner, a *AccessDecl) { s.funcSpec(&a.Kernel) },
+		func(e *encoder, a *AccessDecl) { opt(e, a.Kernel, (*encoder).spec) }},
 }
 
 var funcSpecFields = fields[FuncSpec]{
-	{"name", func(s *scanner, f *FuncSpec) { s.string(&f.Name) }},
-	{"args", func(s *scanner, f *FuncSpec) { dict(s, &f.Args, (*scanner).float) }},
+	{"name", func(s *scanner, f *FuncSpec) { s.string(&f.Name) },
+		func(e *encoder, f *FuncSpec) { e.string(f.Name) }},
+	{"args", func(s *scanner, f *FuncSpec) { dict(s, &f.Args, (*scanner).float) },
+		func(e *encoder, f *FuncSpec) { optObject(e, f.Args, (*encoder).arg) }},
 }
 
 func (s *scanner) row(dst *[]int64)    { array(s, dst, (*scanner).int64) }
 func (s *scanner) rows(dst *[][]int64) { array(s, dst, (*scanner).row) }
 
+// funcSpec reads a spec, or takes the one read from the same text: an
+// object ends at its own closing brace, so a body that starts with a
+// remembered spec's bytes holds that spec, checked when it was first read.
 func (s *scanner) funcSpec(dst **FuncSpec) {
-	if !s.null() {
-		*dst = new(FuncSpec)
-		funcSpecFields.read(s, *dst)
+	if s.null() {
+		return
 	}
-}
-
-// Encode writes wl in the canonical form: compact JSON and a newline, what
-// clients send and Decode is fastest on. Field order is fixed by the struct
-// definitions and encoding/json sorts map keys, so a given workload has
-// exactly one serialization; the testdata files are its json.Indent.
-func Encode(w io.Writer, wl *Workload) error {
-	return json.NewEncoder(w).Encode(wl)
+	for _, r := range s.specs {
+		if bytes.HasPrefix(s.b[s.i:], r.text) {
+			s.i += len(r.text)
+			*dst = r.spec
+			return
+		}
+	}
+	start := s.i
+	*dst = new(FuncSpec)
+	funcSpecFields.read(s, *dst)
+	if s.err == nil && len(s.specs) < maxSpecs {
+		s.specs = append(s.specs, specText{*dst, s.b[start:s.i]})
+	}
 }
 
 // --- registries ---------------------------------------------------------
@@ -291,11 +335,14 @@ func builtin[T any](build func(a *args) (T, error)) builder[T] {
 			return f, a.err
 		}
 		if a.used != len(m) {
+			var unknown []string
 			for k := range m {
 				if !slices.Contains(a.names[:a.used], k) {
-					return f, fmt.Errorf("unknown argument %q", k)
+					unknown = append(unknown, k)
 				}
 			}
+			sort.Strings(unknown) // one message whatever the map's order
+			return f, fmt.Errorf("unknown argument %q", unknown[0])
 		}
 		return f, err
 	}
@@ -391,6 +438,19 @@ type entry struct {
 	pieces int             // of a partition
 	region *visibility.Region
 	part   *visibility.Partition
+	subs   []*visibility.Region // of a partition: piece handles, each made on first use
+}
+
+// sub is the handle of piece i of a partition entry. Partition.Sub makes a
+// new one on every call; the launches of a session share one per piece.
+func (e *entry) sub(i int) *visibility.Region {
+	if e.subs == nil {
+		e.subs = make([]*visibility.Region, e.part.Len())
+	}
+	if e.subs[i] == nil {
+		e.subs[i] = e.part.Sub(i)
+	}
+	return e.subs[i]
 }
 
 // claim checks that name, about to be declared as kind, is free both
@@ -453,8 +513,9 @@ func check(wl *Workload, session scope) (*plan, error) {
 		return nil, fmt.Errorf("wire: unsupported version %d (want %d)", wl.Version, Version)
 	}
 	p := &plan{own: make(scope), tasks: make([]taskPlan, 0, len(wl.Tasks))}
+	built := builtKernels{}
 	for i := range wl.Regions {
-		declare, err := checkRegion(&wl.Regions[i], p.own, session)
+		declare, err := checkRegion(&wl.Regions[i], p.own, session, built)
 		if err != nil {
 			return nil, err
 		}
@@ -465,7 +526,7 @@ func check(wl *Workload, session scope) (*plan, error) {
 		names = p.own
 	}
 	for i := range wl.Tasks {
-		tp, err := checkTask(&wl.Tasks[i], i, names)
+		tp, err := checkTask(&wl.Tasks[i], i, names, built)
 		if err != nil {
 			return nil, err
 		}
@@ -474,7 +535,22 @@ func check(wl *Workload, session scope) (*plan, error) {
 	return p, nil
 }
 
-func checkRegion(r *RegionDecl, own, session scope) (func(*visibility.Runtime), error) {
+// builtKernels memoizes kernels.build per spec within one check: the
+// builtins are pure closures, so the accesses naming a spec share one.
+type builtKernels map[*FuncSpec]KernelFunc
+
+func (b builtKernels) build(spec *FuncSpec) (KernelFunc, error) {
+	if k, ok := b[spec]; ok {
+		return k, nil
+	}
+	k, err := kernels.build(spec)
+	if err == nil {
+		b[spec] = k
+	}
+	return k, err
+}
+
+func checkRegion(r *RegionDecl, own, session scope, built builtKernels) (func(*visibility.Runtime), error) {
 	if r.Name == "" {
 		return nil, fmt.Errorf("wire: region with empty name")
 	}
@@ -503,11 +579,16 @@ func checkRegion(r *RegionDecl, own, session scope) (func(*visibility.Runtime), 
 		root.fields[f] = true
 	}
 	inits := make(map[string]KernelFunc, len(r.Init))
-	for f, spec := range r.Init {
+	keys := make([]string, 0, len(r.Init))
+	for f := range r.Init {
+		keys = append(keys, f)
+	}
+	sort.Strings(keys) // the first bad key is the same on every run
+	for _, f := range keys {
 		if !root.fields[f] {
 			return nil, fmt.Errorf("wire: region %q: init for unknown field %q", r.Name, f)
 		}
-		if inits[f], err = kernels.build(spec); err != nil {
+		if inits[f], err = built.build(r.Init[f]); err != nil {
 			return nil, fmt.Errorf("wire: region %q: init %q: %v", r.Name, f, err)
 		}
 	}
@@ -661,7 +742,7 @@ var reduceOps = map[string]visibility.ReduceOp{
 
 // checkTask checks one launch and resolves its references against names;
 // nil names (a pure batch with no session at hand) leaves them for Apply.
-func checkTask(t *TaskDecl, pos int, names scope) (taskPlan, error) {
+func checkTask(t *TaskDecl, pos int, names scope, built builtKernels) (taskPlan, error) {
 	if t.Name == "" {
 		return taskPlan{}, fmt.Errorf("wire: task %d has no name", pos)
 	}
@@ -699,7 +780,7 @@ func checkTask(t *TaskDecl, pos int, names scope) (taskPlan, error) {
 			return fail("op on non-reduce access")
 		}
 		if a.Kernel != nil {
-			if acc.kernel, err = kernels.build(a.Kernel); err != nil {
+			if acc.kernel, err = built.build(a.Kernel); err != nil {
 				return fail("%v", err)
 			}
 		}
@@ -741,7 +822,7 @@ func (tp taskPlan) spec() visibility.TaskSpec {
 		accs[i] = a.Access
 		accs[i].Region = a.target.region
 		if a.target.part != nil {
-			accs[i].Region = a.target.part.Sub(a.piece)
+			accs[i].Region = a.target.sub(a.piece)
 		}
 	}
 	return visibility.TaskSpec{

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"visibility"
 	"visibility/internal/wire"
@@ -187,6 +189,103 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEncodeMatchesMarshal holds AppendWorkload to encoding/json byte for
+// byte on workloads no decoder would accept: strings that need escapes,
+// nil next to empty slices and maps, a nil init spec, floats at the edges
+// of the number format; and on a value JSON has no form for, to its error.
+func TestEncodeMatchesMarshal(t *testing.T) {
+	odd := "<a&b> \"q\" \\ \x01\t\u2028\u2029 é \xff"
+	spec := &wire.FuncSpec{Name: odd, Args: map[string]float64{
+		"neg zero": math.Copysign(0, -1), "tiny": 1e-7, "huge": 1e21, "third": 1.0 / 3, "sub": 5e-324,
+		"max": math.MaxFloat64, "int": -42, odd: 0.1, "": 1e15,
+	}}
+	edge := &wire.Workload{Version: wire.Version, Name: odd, Regions: []wire.RegionDecl{
+		{Name: "", Space: [][]int64{nil, {}, {-1, 1 << 62}}, Fields: []string{}, Init: map[string]*wire.FuncSpec{"x": nil, "y": spec},
+			Partitions: []wire.PartitionDecl{{Spaces: [][][]int64{nil, {}, {nil}}, Relation: spec, Color: &wire.FuncSpec{Args: map[string]float64{}}}}},
+		{Init: map[string]*wire.FuncSpec{}, Partitions: []wire.PartitionDecl{}},
+	}, Tasks: []wire.TaskDecl{
+		{Accesses: []wire.AccessDecl{{Kernel: spec}, {Op: odd, Kernel: spec}}, After: []int{}},
+		{Name: odd, Accesses: []wire.AccessDecl{}, After: []int{0, -1}},
+	}}
+	for name, wl := range map[string]*wire.Workload{
+		"edge": edge, "empty": {}, "nil": nil, "quickstart": wire.ExampleQuickstart(), "graphsim": wire.ExampleGraphsim(3),
+		"serve_batch": batches[0], "serve_query": batches[1],
+	} {
+		want, err := json.Marshal(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := wire.AppendWorkload([]byte("prefix"), wl)
+		if err != nil || string(got) != "prefix"+string(want)+"\n" {
+			t.Fatalf("%s: AppendWorkload (err %v)\n got %s\nwant prefix%s", name, err, got, want)
+		}
+		if enc := encode(t, wl); string(enc) != string(want)+"\n" {
+			t.Fatalf("%s: Encode\n got %s\nwant %s", name, enc, want)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec.Args["bad"] = v
+		_, want := json.Marshal(edge)
+		if got, err := wire.AppendWorkload(nil, edge); got != nil || err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("AppendWorkload with argument %v = %q, %v; want no body and %v", v, got, err, want)
+		}
+	}
+}
+
+// TestDecodeSharesRepeats: one decoded body holds one *FuncSpec per
+// distinct spec text and one copy of each repeated string, and is still
+// deeply equal to what encoding/json makes of it.
+func TestDecodeSharesRepeats(t *testing.T) {
+	body := encode(t, batches[0])
+	wl, err := wire.Decode(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := decodeStdlib(body)
+	if err != nil || !reflect.DeepEqual(wl, ref) {
+		t.Fatalf("Decode and encoding/json disagree (err %v)", err)
+	}
+	specs := map[string]*wire.FuncSpec{}
+	names := map[string]*byte{}
+	for _, task := range wl.Tasks {
+		for _, a := range task.Accesses {
+			text, err := json.Marshal(a.Kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first, ok := specs[string(text)]; ok && first != a.Kernel {
+				t.Fatalf("spec %s decoded into two pointers", text)
+			}
+			specs[string(text)] = a.Kernel
+			for _, s := range []string{task.Name, a.Region, a.Field, a.Privilege, a.Op} {
+				if first, ok := names[s]; ok && first != unsafe.StringData(s) {
+					t.Fatalf("string %q decoded into two copies", s)
+				}
+				names[s] = unsafe.StringData(s)
+			}
+		}
+	}
+	if len(specs) != 4 {
+		t.Fatalf("%d distinct kernel specs, want 4", len(specs))
+	}
+}
+
+// TestRejectMessagesStable: a body with several bad map entries gets one
+// message on every decode, naming the smallest offending key.
+func TestRejectMessagesStable(t *testing.T) {
+	fill := `{"name":"fill","args":{"value":1}}`
+	for _, tc := range []struct{ in, want string }{
+		{regionJSON(`,"init":{"c":` + fill + `,"a":` + fill + `,"b":` + fill + `}`), `init for unknown field "a"`},
+		{regionJSON(`,"init":{"v":{"name":"fill","args":{"z":1,"value":1,"x":2,"y":3}}}`), `unknown argument "x"`},
+	} {
+		for i := 0; i < 50; i++ {
+			if _, err := wire.Decode(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode %d: error = %v, want %s", i, err, tc.want)
+			}
+		}
 	}
 }
 
