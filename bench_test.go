@@ -19,6 +19,7 @@ package visibility_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -186,41 +187,26 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 }
 
 // BenchmarkObsOverhead is the observability-layer overhead guard: it
-// measures steady-state raycast analysis throughput with span
-// instrumentation absent (nil Spans in core.Options — the zero value every
-// non-instrumented caller gets), with a span buffer installed but disabled
-// (the state a long-lived process sits in between trace captures), with
-// span recording enabled, and with the flight recorder journaling in both
-// its disabled and always-on states. The instrumented-but-off
-// configurations must stay within noise (<3%) of absent — CI enforces
-// this — because the fast paths are one nil check or one atomic load;
-// any measurable gap is a regression in the obs layer. The always-on
-// recorder case is held to the same bound: journaling an event is an
-// atomic load plus a mutex-guarded ring store on a coarse (per-split,
-// per-materialize) path, which must stay invisible next to the analysis
-// itself. The session case is what every visserve session runs — spans
-// and recorder both on — and CI holds it within 25% of absent.
+// measures steady-state raycast analysis throughput with instrumentation
+// absent (nil Spans and Recorder in core.Options — the zero value every
+// non-instrumented caller gets, and the only off state: the fast path is
+// one nil check), with span recording on, with the flight recorder
+// journaling, and with both. The session case is what every visserve
+// session runs — spans and recorder both on — and CI holds it within 25%
+// of absent.
 func BenchmarkObsOverhead(b *testing.B) {
-	disabled := obs.NewBuffer(1 << 12)
-	disabled.SetEnabled(false)
-	enabled := obs.NewBuffer(1 << 12)
-	enabled.SetEnabled(true)
-	recOff := recorder.New(1 << 14)
-	recOff.SetEnabled(false)
-	recOn := recorder.New(1 << 14)
+	spans := obs.NewBuffer(1 << 12)
+	rec := recorder.New(1 << 14)
 	cases := []struct {
 		name string
 		opts core.Options
 	}{
 		{"absent", core.Options{}},
-		{"disabled", core.Options{Spans: disabled}},
-		{"enabled", core.Options{Spans: enabled}},
-		{"recorder-disabled", core.Options{Recorder: recOff}},
-		{"recorder-enabled", core.Options{Recorder: recOn}},
-		{"session", core.Options{Spans: enabled, Recorder: recOn}},
+		{"enabled", core.Options{Spans: spans}},
+		{"recorder-enabled", core.Options{Recorder: rec}},
+		{"session", core.Options{Spans: spans, Recorder: rec}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			inst := circuit.New(16)
 			an := raycast.New(inst.Tree, tc.opts)
@@ -342,11 +328,11 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndExecution measures the full public-API stack (analysis
-// plus parallel value execution) on the Figure 1 loop.
+// BenchmarkEndToEndExecution measures analysis plus parallel value
+// execution on the Figure 1 loop: the executor every Runtime ships, with
+// one worker per P, drained once per timed loop.
 func BenchmarkEndToEndExecution(b *testing.B) {
 	for _, alg := range []string{"raycast", "warnock", "paint"} {
-		alg := alg
 		b.Run(alg, func(b *testing.B) { rtBench(b, alg) })
 	}
 }
@@ -354,15 +340,16 @@ func BenchmarkEndToEndExecution(b *testing.B) {
 func rtBench(b *testing.B, alg string) {
 	tree, p, g := testutil.GraphTree()
 	newAn, _ := algo.Lookup(alg)
-	an := newAn(tree, core.Options{})
-	eng := core.NewEngine(tree, an, testutil.FullInit(tree))
+	x := core.NewExecutor(newAn(tree, core.Options{}), testutil.FullInit(tree), runtime.GOMAXPROCS(0), core.Options{})
+	defer x.Shutdown()
 	s := core.NewStream(tree)
 	k := core.HashKernel{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Launch(testutil.LaunchT1(s, p, g, i%3), k)
-		eng.Launch(testutil.LaunchT2(s, p, g, i%3), k)
+		x.Submit(testutil.LaunchT1(s, p, g, i%3), k, nil)
+		x.Submit(testutil.LaunchT2(s, p, g, i%3), k, nil)
 	}
+	x.Drain()
 }
 
 // BenchmarkDependenceAnalysisScaling measures how per-launch analysis cost

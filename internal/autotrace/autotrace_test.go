@@ -42,7 +42,7 @@ func loopIter(s *core.Stream, p, g *region.Partition, _ int) []*core.Task {
 }
 
 // runSchedule drives iters iterations of sched through an autotraced
-// engine with NO explicit trace brackets, checks every task input
+// analyzer with NO explicit trace brackets, checks every task input
 // against the sequential interpreter, and returns the autotracer.
 func runSchedule(t *testing.T, fac core.Factory, iters int, opts core.Options, sched schedule) *autotrace.Auto {
 	t.Helper()
@@ -59,17 +59,16 @@ func runSchedule(t *testing.T, fac core.Factory, iters int, opts core.Options, s
 	}
 
 	auto := autotrace.New(fac.New(tree), opts)
-	eng := core.NewEngine(tree, auto, init)
-	eng.RecordInputs = true
+	launch, inputs := testutil.Serial(t, auto, init)
 	stream := core.NewStream(tree)
 	for it := 0; it < iters; it++ {
 		for _, task := range sched(stream, p, g, it) {
-			eng.Launch(task, kern)
+			launch(task)
 		}
 	}
 
 	for id, want := range seq.Inputs {
-		have := eng.Inputs[id]
+		have := inputs[id]
 		for ri := range want {
 			if want[ri] == nil {
 				continue

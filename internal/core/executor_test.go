@@ -1,0 +1,239 @@
+package core_test
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"visibility/internal/core"
+	"visibility/internal/data"
+	"visibility/internal/field"
+	"visibility/internal/paint"
+	"visibility/internal/privilege"
+	"visibility/internal/raycast"
+	"visibility/internal/region"
+	"visibility/internal/testutil"
+	"visibility/internal/warnock"
+)
+
+func analyzers() []core.Factory {
+	return []core.Factory{
+		{Name: "paint", New: func(tr *region.Tree) core.Analyzer { return paint.NewPainter(tr, core.Options{}) }},
+		{Name: "warnock", New: func(tr *region.Tree) core.Analyzer { return warnock.New(tr, core.Options{}) }},
+		{Name: "raycast", New: func(tr *region.Tree) core.Analyzer { return raycast.New(tr, core.Options{}) }},
+	}
+}
+
+// TestParallelExecutionMatchesSequential runs several loop iterations of
+// the Figure 1 program on 4 workers under every analyzer and compares the
+// final contents with the sequential interpreter.
+func TestParallelExecutionMatchesSequential(t *testing.T) {
+	for _, fac := range analyzers() {
+		t.Run(fac.Name, func(t *testing.T) {
+			tree, p, g := testutil.GraphTree()
+			init := testutil.FullInit(tree)
+			kern := core.HashKernel{}
+
+			// Ground truth.
+			seqStream := core.NewStream(tree)
+			for iter := 0; iter < 8; iter++ {
+				for i := 0; i < 3; i++ {
+					testutil.LaunchT1(seqStream, p, g, i)
+				}
+				for i := 0; i < 3; i++ {
+					testutil.LaunchT2(seqStream, p, g, i)
+				}
+			}
+			seq := core.NewSeq(tree, init)
+			for _, task := range seqStream.Tasks {
+				seq.Run(task, kern)
+			}
+
+			// Parallel execution with an identical stream.
+			stream := core.NewStream(tree)
+			x := core.NewExecutor(fac.New(tree), init, 4, core.Options{})
+			defer x.Shutdown()
+			for iter := 0; iter < 8; iter++ {
+				for i := 0; i < 3; i++ {
+					x.Submit(testutil.LaunchT1(stream, p, g, i), kern, nil)
+				}
+				for i := 0; i < 3; i++ {
+					x.Submit(testutil.LaunchT2(stream, p, g, i), kern, nil)
+				}
+			}
+			x.Drain()
+
+			for f := 0; f < tree.Fields.Len(); f++ {
+				var got *data.Store // an inline mapping: a read-only task, submitted and waited for
+				read := stream.Launch("inline-read", core.Req{Region: tree.Root, Field: field.ID(f), Priv: privilege.Reads()})
+				done, _ := x.Submit(read, kern, func(inputs []*data.Store) { got = inputs[0] })
+				<-done
+				want := seq.Global(field.ID(f))
+				if !want.Equal(got) {
+					t.Fatalf("field %d diverged:\n%s", f, want.Diff(got))
+				}
+			}
+		})
+	}
+}
+
+// TestIndependentTasksRunConcurrently submits the three independent t1
+// tasks of Figure 5 with kernels that rendezvous: if the executor
+// serialized them, the rendezvous would time out.
+func TestIndependentTasksRunConcurrently(t *testing.T) {
+	tree, p, g := testutil.GraphTree()
+	stream := core.NewStream(tree)
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), 3, core.Options{})
+	defer x.Shutdown()
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	rendezvous := func([]*data.Store) {
+		wg.Done()
+		wg.Wait()
+	}
+	var done []chan struct{}
+	for i := 0; i < 3; i++ {
+		ch := make(chan struct{})
+		done = append(done, ch)
+		ev, _ := x.Submit(testutil.LaunchT1(stream, p, g, i), core.HashKernel{}, rendezvous)
+		go func() {
+			<-ev
+			close(ch)
+		}()
+	}
+	timeout := time.After(5 * time.Second)
+	for _, ch := range done {
+		select {
+		case <-ch:
+		case <-timeout:
+			t.Fatal("independent tasks did not run concurrently")
+		}
+	}
+}
+
+// TestDependentTasksAreOrdered submits a write and a dependent read of the
+// same region and checks the read observes the write's completion.
+func TestDependentTasksAreOrdered(t *testing.T) {
+	tree, p, _ := testutil.GraphTree()
+	stream := core.NewStream(tree)
+	x := core.NewExecutor(warnock.New(tree, core.Options{}), testutil.FullInit(tree), 4, core.Options{})
+	defer x.Shutdown()
+
+	var order []string
+	var mu sync.Mutex
+	note := func(s string) func([]*data.Store) {
+		return func([]*data.Store) {
+			time.Sleep(time.Millisecond) // encourage misordering if unsynchronized
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+		}
+	}
+	up, _ := tree.Fields.Lookup("up")
+	w := stream.Launch("w", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Writes()})
+	r := stream.Launch("r", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Reads()})
+	x.Submit(w, core.HashKernel{}, note("w"))
+	x.Submit(r, core.HashKernel{}, note("r"))
+	x.Drain()
+	if len(order) != 2 || order[0] != "w" || order[1] != "r" {
+		t.Fatalf("execution order = %v, want [w r]", order)
+	}
+}
+
+// TestGoroutinesBoundedByWorkers queues a long dependent stream behind one
+// blocked writer: scheduling it must cost table entries, not goroutines;
+// the tables must empty once the stream has run, and Shutdown must leave
+// no worker behind.
+func TestGoroutinesBoundedByWorkers(t *testing.T) {
+	const workers, launches = 4, 1200
+	before := runtime.NumGoroutine()
+	tree, p, _ := testutil.GraphTree()
+	up, _ := tree.Fields.Lookup("up")
+	stream := core.NewStream(tree)
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), workers, core.Options{})
+
+	started, release := make(chan struct{}), make(chan struct{})
+	x.Submit(stream.Launch("w", core.Req{Region: tree.Root, Field: up, Priv: privilege.Writes()}), core.HashKernel{},
+		func([]*data.Store) {
+			close(started)
+			<-release
+		})
+	var ran atomic.Int64
+	for i := 0; i < launches; i++ {
+		// Readers fanning out of the last writer; every 16th launch is a
+		// writer fanning them back in.
+		priv := privilege.Reads()
+		if i%16 == 15 {
+			priv = privilege.Writes()
+		}
+		x.Submit(stream.Launch("t", core.Req{Region: p.Subregions[i%3], Field: up, Priv: priv}),
+			core.HashKernel{}, func([]*data.Store) { ran.Add(1) })
+	}
+	tables := func() string {
+		live, ready := x.Tables()
+		return fmt.Sprintf("live %d, ready %d, ran %d", live, ready, ran.Load())
+	}
+
+	<-started
+	if got := runtime.NumGoroutine(); got > before+workers+2 {
+		t.Errorf("%d launches queued behind one task hold %d goroutines, want <= %d", launches, got, before+workers+2)
+	}
+	if got, want := tables(), fmt.Sprintf("live %d, ready 0, ran 0", launches+1); got != want {
+		t.Errorf("behind the gate: %s; want %s", got, want)
+	}
+	close(release)
+	x.Drain()
+	if got, want := tables(), fmt.Sprintf("live 0, ready 0, ran %d", launches); got != want {
+		t.Errorf("after Drain: %s; want %s", got, want)
+	}
+	x.Shutdown()
+	// A goroutine that has returned may still be counted for a moment.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after Shutdown, %d before NewExecutor", got, before)
+	}
+}
+
+// TestDuplicateProducerRunsOnce names one producer twice — the analyzer
+// finds it through region data and the task lists it as a future
+// dependence — and checks the consumer runs exactly once, after it.
+func TestDuplicateProducerRunsOnce(t *testing.T) {
+	tree, p, _ := testutil.GraphTree()
+	up, _ := tree.Fields.Lookup("up")
+	stream := core.NewStream(tree)
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), 2, core.Options{})
+	defer x.Shutdown()
+
+	var mu sync.Mutex
+	var order []string
+	note := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+	release := make(chan struct{})
+	w := stream.Launch("w", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Writes()})
+	x.Submit(w, core.HashKernel{}, func([]*data.Store) {
+		<-release
+		note("w")
+	})
+	r := stream.Launch("r", core.Req{Region: p.Subregions[0], Field: up, Priv: privilege.Reads()})
+	r.FutureDeps = []int{w.ID}
+	done, deps := x.Submit(r, core.HashKernel{}, func([]*data.Store) { note("r") })
+	if pending := x.Pending(r.ID); pending != 2 || len(deps) != 1 || deps[0] != w.ID {
+		t.Errorf("pending = %d over analyzer deps %v + future dep %d, want one count per edge", pending, deps, w.ID)
+	}
+
+	close(release)
+	<-done
+	x.Drain()
+	if fmt.Sprint(order) != "[w r]" {
+		t.Errorf("execution order = %v, want [w r]", order)
+	}
+}

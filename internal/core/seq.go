@@ -80,7 +80,7 @@ func (s *Seq) RunBody(t *Task, k Kernel, body func(inputs []*data.Store)) {
 	// restriction (interfering requirements of one task have disjoint
 	// domains) makes the apply order across requirements immaterial except
 	// for same-operator reductions, which commute structurally and are
-	// applied in requirement order by every engine.
+	// applied in requirement order here and by the Executor.
 	for ri, req := range t.Reqs {
 		g := s.global[req.Field]
 		switch {

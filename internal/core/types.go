@@ -3,8 +3,9 @@
 // requirements, the analyzer contract (materialize/commit folded into a
 // single Analyze step per launch), the exact O(n²) reference dependence
 // analysis, a sequential ground-truth interpreter implementing the blending
-// semantics of §3.1, and a value-level execution engine that drives any
-// analyzer and materializes real region contents from its copy plans.
+// semantics of §3.1, and the one Executor that drives any analyzer,
+// materializes real region contents from its copy plans, and runs the
+// kernels it admits in parallel.
 package core
 
 import (

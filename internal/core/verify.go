@@ -6,6 +6,7 @@ import (
 	"visibility/internal/data"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
+	"visibility/internal/index"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
@@ -18,7 +19,8 @@ type Factory struct {
 }
 
 // Verify runs the stream through the sequential ground-truth interpreter
-// and through an engine per factory, checking for each analyzer that:
+// and, per factory, through a one-worker Executor over the Checked
+// analyzer, checking for each analyzer that:
 //
 //  1. every read and read-write requirement materializes exactly the values
 //     the sequential interpreter observed (coherence, §3.1);
@@ -27,7 +29,8 @@ type Factory struct {
 //  3. a final read of the entire root region per field materializes the
 //     sequential interpreter's final contents.
 //
-// Returns nil if all analyzers pass, or an error naming the first failure.
+// Returns nil if all analyzers pass, or an error naming the factory and
+// the first failure — a plan violation or a panic in the analysis included.
 func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories ...Factory) error {
 	tree := stream.Tree
 
@@ -49,22 +52,15 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 	exact := ExactDeps(extended.Tasks)
 
 	for _, fac := range factories {
-		an := fac.New(tree)
-		eng := NewEngine(tree, an, init)
-		eng.RecordInputs = true
-		eng.StrictPlans = true
-		got := make([][]int, 0, len(extended.Tasks))
-		for _, t := range extended.Tasks {
-			res := eng.Launch(t, k)
-			// The runtime enforces future edges itself, in addition to
-			// whatever the analyzer reports.
-			got = append(got, DedupDeps(append(append([]int{}, res.Deps...), t.FutureDeps...)))
+		got, inputs, err := execute(fac.New(tree), init, extended.Tasks, k)
+		if err != nil {
+			return fmt.Errorf("%s: %w", fac.Name, err)
 		}
 
 		// 1. Coherence of every materialized input.
 		for _, t := range extended.Tasks {
 			want := seq.Inputs[t.ID]
-			have := eng.Inputs[t.ID]
+			have := inputs[t.ID]
 			for ri, req := range t.Reqs {
 				if req.Priv.IsReduce() {
 					continue
@@ -85,7 +81,7 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 		// stated explicitly against the global store).
 		for i, ft := range finals {
 			want := seq.Global(field.ID(i)).Restrict(tree.Root.Space)
-			have := eng.Inputs[ft.ID][0]
+			have := inputs[ft.ID][0]
 			if !want.Equal(have) {
 				return fmt.Errorf("%s: final contents of field %d wrong:\n%s",
 					fac.Name, i, want.Diff(have))
@@ -93,6 +89,99 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 		}
 	}
 	return nil
+}
+
+// execute runs tasks (IDs 0..len-1, in order) through a one-worker
+// Executor over Checked(an), draining after every launch so that a
+// dropped dependence surfaces as CheckSound's deterministic error rather
+// than as a race. It returns each task's dependences — the analyzer's
+// plus its future edges, which the runtime enforces itself — and its
+// materialized inputs. A plan violation or an analysis panic, both raised
+// on this goroutine, comes back as the error.
+func execute(an Analyzer, init map[field.ID]*data.Store, tasks []*Task, k Kernel) (deps [][]int, inputs [][]*data.Store, err error) {
+	x := NewExecutor(Checked(an), init, 1, Options{})
+	defer x.Shutdown()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	inputs = make([][]*data.Store, len(tasks))
+	for _, t := range tasks {
+		_, d := x.Submit(t, k, func(in []*data.Store) { inputs[t.ID] = in })
+		x.Drain()
+		deps = append(deps, DedupDeps(append(append([]int{}, d...), t.FutureDeps...)))
+	}
+	return deps, inputs, nil
+}
+
+// Checked wraps an so that every materialization plan it returns is
+// checked on the submitting goroutine, before an executor materializes
+// it, against the tasks the wrapper has seen: each entry lies within the
+// requested points and is a write or a reduction; a producer other than
+// InitialTask is a prior task whose named requirement exists, mutates the
+// same field, and covers the entry's points; and the write entries cover
+// the requested points. A violation panics at the launch that caused it,
+// rather than surfacing as wrong values downstream.
+func Checked(an Analyzer) Analyzer {
+	return &checked{Analyzer: an, seen: make(map[int]*Task)}
+}
+
+type checked struct {
+	Analyzer
+	seen map[int]*Task // every task analyzed so far, by ID
+}
+
+func (c *checked) Analyze(t *Task) *Result {
+	res := c.Analyzer.Analyze(t)
+	if len(res.Plans) == len(t.Reqs) { // a miscount is the executor's to report
+		for ri, req := range t.Reqs {
+			if !req.Priv.IsReduce() {
+				c.check(t, ri, req, res.Plans[ri])
+			}
+		}
+	}
+	c.seen[t.ID] = t
+	return res
+}
+
+func (c *checked) check(t *Task, ri int, req Req, plan []Visible) {
+	fail := func(format string, args ...any) {
+		panic(fmt.Sprintf("core: %s plan for %v req %d ", c.Name(), t, ri) + fmt.Sprintf(format, args...))
+	}
+	covered := index.Empty(req.Region.Space.Dim())
+	for vi, v := range plan {
+		switch {
+		case !req.Region.Space.Covers(v.Pts):
+			fail("entry %d escapes the requested points: %v ⊄ %v", vi, v.Pts, req.Region.Space)
+		case v.Priv.IsRead():
+			fail("entry %d has read privilege", vi)
+		case v.Task == InitialTask:
+		case v.Task < 0 || v.Task >= t.ID:
+			fail("references non-prior task %d", v.Task)
+		default:
+			p := c.seen[v.Task]
+			if p == nil || v.Req < 0 || v.Req >= len(p.Reqs) {
+				fail("references %d.%d, which the stream does not have", v.Task, v.Req)
+			}
+			switch pr := p.Reqs[v.Req]; {
+			case !pr.Priv.Mutates():
+				fail("references %d.%d, which does not mutate (%v)", v.Task, v.Req, pr.Priv)
+			case pr.Field != req.Field:
+				fail("references %d.%d on field %d, not %d", v.Task, v.Req, pr.Field, req.Field)
+			case !pr.Region.Space.Covers(v.Pts):
+				fail("entry %d reaches beyond producer %d.%d's points: %v ⊄ %v", vi, v.Task, v.Req, v.Pts, pr.Region.Space)
+			}
+		}
+		if v.Priv.IsWrite() {
+			covered = covered.Union(v.Pts)
+		}
+	}
+	// Every requested point must be reachable from some write (possibly
+	// the initial contents); reductions alone cannot define a value.
+	if !covered.Covers(req.Region.Space) {
+		fail("leaves holes: %v not covered by writes", req.Region.Space.Subtract(covered))
+	}
 }
 
 // HashKernel is a deterministic pseudo-random kernel for tests: every

@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"strings"
 	"testing"
 
 	"visibility/internal/core"
@@ -42,23 +43,21 @@ func mutantFactory(name string, corrupt func(m *mutant, t *core.Task, res *core.
 	}
 }
 
-func expectVerifyFailure(t *testing.T, name string, fac core.Factory) {
+// expectVerifyFailure requires Verify to reject fac's corruption with an
+// error naming the factory: plan violations, dependence gaps and wrong
+// values all come back as errors, so a panic here is a bug, not a catch.
+func expectVerifyFailure(t *testing.T, fac core.Factory) {
 	t.Helper()
-	defer func() {
-		// StrictPlans violations surface as panics; dependence or value
-		// violations as errors. Either counts as "caught".
-		_ = recover()
-	}()
 	tree, p, g := testutil.GraphTree()
 	s := figure5Stream(tree, p, g)
 	err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{}, fac)
-	if err == nil {
-		t.Errorf("%s: verification failed to catch the corruption", name)
+	if err == nil || !strings.HasPrefix(err.Error(), fac.Name+": ") {
+		t.Errorf("%s: verification failed to catch the corruption: %v", fac.Name, err)
 	}
 }
 
 func TestVerifierCatchesDroppedDependence(t *testing.T) {
-	expectVerifyFailure(t, "drop-dep", mutantFactory("drop-dep", func(m *mutant, t *core.Task, res *core.Result) {
+	expectVerifyFailure(t, mutantFactory("drop-dep", func(m *mutant, t *core.Task, res *core.Result) {
 		// Drop every dependence of a mid-stream task: its exact
 		// interferences can no longer be transitively covered.
 		if t.ID == 6 && len(res.Deps) > 0 {
@@ -69,7 +68,7 @@ func TestVerifierCatchesDroppedDependence(t *testing.T) {
 }
 
 func TestVerifierCatchesCorruptedPlanProducer(t *testing.T) {
-	expectVerifyFailure(t, "wrong-producer", mutantFactory("wrong-producer", func(m *mutant, t *core.Task, res *core.Result) {
+	expectVerifyFailure(t, mutantFactory("wrong-producer", func(m *mutant, t *core.Task, res *core.Result) {
 		for ri := range res.Plans {
 			plan := res.Plans[ri]
 			for vi := range plan {
@@ -88,7 +87,7 @@ func TestVerifierCatchesCorruptedPlanProducer(t *testing.T) {
 }
 
 func TestVerifierCatchesShrunkPlanEntry(t *testing.T) {
-	expectVerifyFailure(t, "shrunk-entry", mutantFactory("shrunk-entry", func(m *mutant, t *core.Task, res *core.Result) {
+	expectVerifyFailure(t, mutantFactory("shrunk-entry", func(m *mutant, t *core.Task, res *core.Result) {
 		for ri := range res.Plans {
 			plan := res.Plans[ri]
 			for vi := range plan {

@@ -45,9 +45,7 @@ func TestSoakTracedLoops(t *testing.T) {
 		}
 		for _, fac := range allFactories() {
 			tr := trace.New(fac.New(tree), core.Options{})
-			eng := core.NewEngine(tree, tr, testutil.FullInit(tree))
-			eng.RecordInputs = true
-			eng.StrictPlans = true
+			launch, inputs := testutil.Serial(t, core.Checked(tr), testutil.FullInit(tree))
 			seq := core.NewSeq(tree, testutil.FullInit(tree))
 
 			stream := core.NewStream(tree)
@@ -59,8 +57,7 @@ func TestSoakTracedLoops(t *testing.T) {
 				for _, proto := range body.Tasks {
 					task := stream.Launch(proto.Name, proto.Reqs...)
 					seq.Run(task, core.HashKernel{})
-					res := eng.Launch(task, core.HashKernel{})
-					got = append(got, res.Deps)
+					got = append(got, launch(task))
 				}
 				if rep > 0 {
 					tr.End()
@@ -68,7 +65,7 @@ func TestSoakTracedLoops(t *testing.T) {
 			}
 			// Values match the sequential interpreter.
 			for id, want := range seq.Inputs {
-				have := eng.Inputs[id]
+				have := inputs[id]
 				for ri := range want {
 					if want[ri] != nil && !want[ri].Equal(have[ri]) {
 						t.Fatalf("soak %d %s: task %d req %d diverged:\n%s",

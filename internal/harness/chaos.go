@@ -279,12 +279,7 @@ func chaosStream(rng *rand.Rand, tree *region.Tree, n int) *core.Stream {
 			}
 			ok := true
 			for _, prev := range reqs {
-				if prev.Field != f {
-					continue
-				}
-				compatible := (prev.Priv.IsRead() && priv.IsRead()) ||
-					(prev.Priv.IsReduce() && priv.IsReduce() && prev.Priv.Op == priv.Op)
-				if !compatible && prev.Region.Space.Overlaps(r.Space) {
+				if prev.Field == f && privilege.Interferes(prev.Priv, priv) && prev.Region.Space.Overlaps(r.Space) {
 					ok = false
 					break
 				}

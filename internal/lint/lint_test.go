@@ -44,8 +44,8 @@ func TestMatchPolicies(t *testing.T) {
 	for path, want := range map[string]bool{
 		"visibility/internal/paint": true, "visibility/internal/eqset": true,
 		"visibility/internal/warnock": true, "visibility/internal/raycast": true,
-		"visibility/internal/core": true, "visibility/internal/sched": false,
-		"visibility/internal/wire": false, "visibility": false,
+		"visibility/internal/core": true, "visibility/internal/wire": false,
+		"visibility": false,
 	} {
 		if got := hotPkgs[pkgTail(path)]; got != want {
 			t.Errorf("hot path %q = %v, want %v", path, got, want)

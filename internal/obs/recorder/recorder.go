@@ -6,12 +6,11 @@
 // without having had tracing turned on in advance.
 //
 // The design mirrors obs.Buffer: a nil *Recorder is valid and records
-// nothing after one pointer test, a disabled recorder costs one atomic
-// load, and an enabled Log is a mutex-protected store of one fixed-size
-// struct. Events are deliberately tiny (a timestamp, a kind byte, two
-// integer arguments) — journaling must stay cheap enough to leave on in
-// production, a bound BenchmarkObsOverhead enforces (<3% on the analysis
-// hot path).
+// nothing after one pointer test, and Log on a non-nil one is a
+// mutex-protected store of one fixed-size struct. Events are deliberately
+// tiny (a timestamp, a kind byte, two integer arguments) — journaling
+// must stay cheap enough to leave on in production, which
+// BenchmarkObsOverhead measures on the analysis hot path.
 //
 // Dump serializes the window to a compact little-endian binary format
 // with a magic header; ReadDump parses it back. Identical windows
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -84,8 +82,7 @@ type Event struct {
 // Recorder is the bounded drop-oldest event ring. A nil *Recorder is
 // valid and records nothing. Safe for concurrent use.
 type Recorder struct {
-	enabled atomic.Bool
-	now     func() int64 // immutable after construction
+	now func() int64 // immutable after construction
 
 	mu      sync.Mutex
 	ring    []Event // guarded by mu
@@ -93,8 +90,8 @@ type Recorder struct {
 	dropped int64   // guarded by mu
 }
 
-// New creates an enabled recorder holding at most capacity events,
-// timestamped with the monotonic wall clock.
+// New creates a recorder holding at most capacity events, timestamped
+// with the monotonic wall clock.
 func New(capacity int) *Recorder {
 	base := time.Now()
 	return NewClock(capacity, func() int64 { return time.Since(base).Nanoseconds() })
@@ -107,17 +104,7 @@ func NewClock(capacity int, now func() int64) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r := &Recorder{now: now, ring: make([]Event, 0, capacity)}
-	r.enabled.Store(true)
-	return r
-}
-
-// SetEnabled turns journaling on or off.
-func (r *Recorder) SetEnabled(on bool) {
-	if r == nil {
-		return
-	}
-	r.enabled.Store(on)
+	return &Recorder{now: now, ring: make([]Event, 0, capacity)}
 }
 
 // Now returns the current time on the recorder's clock (0 when nil).
@@ -129,9 +116,9 @@ func (r *Recorder) Now() int64 {
 }
 
 // Log journals one event, overwriting the oldest when the ring is full.
-// On a nil recorder it is one pointer test; disabled, one atomic load.
+// On a nil recorder it is one pointer test.
 func (r *Recorder) Log(k Kind, a, b int64) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	e := Event{T: r.now(), Kind: k, A: a, B: b}

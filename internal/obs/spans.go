@@ -35,13 +35,10 @@ func (s Span) Context() TraceContext {
 // Buffer records spans into a fixed-capacity ring, dropping the oldest
 // span when full, so instrumentation of hot per-launch phases is bounded
 // in memory no matter how long the run. A nil *Buffer is valid and
-// records nothing; a non-nil buffer can also be disabled, which keeps the
-// storage but turns Begin into a single atomic load. Safe for concurrent
-// use.
+// records nothing: nil is the one off state. Safe for concurrent use.
 type Buffer struct {
-	enabled atomic.Bool
-	ctx     atomic.Pointer[TraceContext] // current parent for Begin; nil = none
-	now     func() int64                 // immutable after construction
+	ctx atomic.Pointer[TraceContext] // current parent for Begin; nil = none
+	now func() int64                 // immutable after construction
 
 	mu      sync.Mutex
 	ring    []Span // guarded by mu
@@ -49,8 +46,8 @@ type Buffer struct {
 	dropped int64  // guarded by mu
 }
 
-// NewBuffer creates an enabled buffer holding at most capacity spans,
-// timestamped with the monotonic wall clock.
+// NewBuffer creates a buffer holding at most capacity spans, timestamped
+// with the monotonic wall clock.
 func NewBuffer(capacity int) *Buffer {
 	base := time.Now()
 	return NewBufferClock(capacity, func() int64 { return time.Since(base).Nanoseconds() })
@@ -62,14 +59,8 @@ func NewBufferClock(capacity int, now func() int64) *Buffer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	b := &Buffer{now: now, ring: make([]Span, 0, capacity)}
-	b.enabled.Store(true)
-	return b
+	return &Buffer{now: now, ring: make([]Span, 0, capacity)}
 }
-
-// SetEnabled turns recording on or off. Spans begun while enabled but
-// ended after disabling are still recorded.
-func (b *Buffer) SetEnabled(on bool) { b.enabled.Store(on) }
 
 // Now returns the current time on the buffer's clock (0 on a nil buffer)
 // so externally timed intervals (queue waits) land on the same axis as
@@ -110,7 +101,7 @@ func (b *Buffer) Context() TraceContext {
 }
 
 // Active is an in-flight span returned by Begin; call End exactly once.
-// The zero Active (from a nil or disabled buffer) is inert.
+// The zero Active (from a nil buffer) is inert.
 type Active struct {
 	buf    *Buffer
 	name   string
@@ -121,12 +112,12 @@ type Active struct {
 	start  int64
 }
 
-// Begin starts a span. On a nil or disabled buffer it returns an inert
+// Begin starts a span. On a nil buffer it returns an inert
 // Active whose End is a no-op, so call sites need no guards. When a
 // parent context is installed (SetContext), the span joins its trace;
 // Begin and End then still allocate nothing.
 func (b *Buffer) Begin(name, cat string) Active {
-	if b == nil || !b.enabled.Load() {
+	if b == nil {
 		return Active{}
 	}
 	a := Active{buf: b, name: name, cat: cat, start: b.now()}
@@ -139,10 +130,10 @@ func (b *Buffer) Begin(name, cat string) Active {
 // BeginSpan starts a span explicitly parented under parent, returning
 // the in-flight span and the context identifying it (for parenting
 // further children). An invalid parent starts a fresh root trace. On a
-// nil or disabled buffer the span is inert but the returned context is
+// nil buffer the span is inert but the returned context is
 // still usable — propagation survives even where recording is off.
 func (b *Buffer) BeginSpan(name, cat string, parent TraceContext) (Active, TraceContext) {
-	if b == nil || !b.enabled.Load() {
+	if b == nil {
 		if !parent.Valid() {
 			parent = NewTraceContext()
 		}
@@ -162,7 +153,7 @@ func (b *Buffer) BeginSpan(name, cat string, parent TraceContext) (Active, Trace
 // span's context. Used for intervals measured outside the buffer, like
 // the time a job spent queued before its worker picked it up.
 func (b *Buffer) Record(name, cat string, start, end int64, parent TraceContext) TraceContext {
-	if b == nil || !b.enabled.Load() {
+	if b == nil {
 		return parent
 	}
 	s := Span{Name: name, Cat: cat, Start: start, End: end}

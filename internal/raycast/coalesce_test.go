@@ -174,7 +174,7 @@ func TestKDFallback(t *testing.T) {
 	if err := testutil.CheckPartitionInvariant(rc.SetSpaces(0), tree.Root.Space); err != nil {
 		t.Error(err)
 	}
-	// Full coherence check through the engine on the same shape.
+	// Full coherence check through Verify on the same shape.
 	s2 := core.NewStream(tree)
 	s2.Launch("w0", core.Req{Region: q.Subregions[0], Field: 0, Priv: privilege.Writes()})
 	s2.Launch("red", core.Req{Region: q.Subregions[1], Field: 0, Priv: privilege.Reduces(privilege.OpSum)})

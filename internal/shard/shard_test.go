@@ -17,6 +17,7 @@ import (
 	"visibility/internal/obs/recorder"
 	"visibility/internal/region"
 	"visibility/internal/shard"
+	"visibility/internal/testutil"
 )
 
 // digestStream runs stream through a raycast analyzer — sequential when
@@ -51,14 +52,14 @@ func digestStreamMode(t *testing.T, tree *region.Tree, stream *core.Stream, init
 		defer sh.Close()
 		an = sh
 	}
-	eng := core.NewEngine(tree, an, init)
-	eng.RecordInputs = true
-	eng.StrictPlans = true
+	last := &lastResult{Analyzer: an}
+	launch, inputs := testutil.Serial(t, core.Checked(last), init)
 
 	var b strings.Builder
 	for _, task := range stream.Tasks {
-		res := eng.Launch(task, core.HashKernel{})
-		fmt.Fprintf(&b, "task %d deps %v\n", task.ID, res.Deps)
+		deps := launch(task)
+		res := last.res
+		fmt.Fprintf(&b, "task %d deps %v\n", task.ID, deps)
 		for ri, req := range task.Reqs {
 			fmt.Fprintf(&b, "  plan %d:", ri)
 			req.Region.Space.Each(func(p geometry.Point) bool {
@@ -72,7 +73,7 @@ func digestStreamMode(t *testing.T, tree *region.Tree, stream *core.Stream, init
 				return true
 			})
 			fmt.Fprintf(&b, "\n")
-			in := eng.Inputs[task.ID][ri]
+			in := inputs[task.ID][ri]
 			if in == nil {
 				continue
 			}
@@ -86,6 +87,18 @@ func digestStreamMode(t *testing.T, tree *region.Tree, stream *core.Stream, init
 		}
 	}
 	return b.String()
+}
+
+// lastResult remembers the result of the latest launch it analyzed, so the
+// digest can render the plans the executor was handed.
+type lastResult struct {
+	core.Analyzer
+	res *core.Result
+}
+
+func (l *lastResult) Analyze(t *core.Task) *core.Result {
+	l.res = l.Analyzer.Analyze(t)
+	return l.res
 }
 
 func firstDiff(a, b string) string {
@@ -158,7 +171,7 @@ func TestShardParallelDispatch(t *testing.T) {
 
 // TestShardVerify runs the sharded analyzer through the full crosscheck
 // oracle: values against the sequential interpreter, dependence soundness
-// against the exact O(n²) reference, strict plan invariants throughout.
+// against the exact O(n²) reference, Checked plan invariants throughout.
 func TestShardVerify(t *testing.T) {
 	newRay, _ := algo.Lookup("raycast")
 	for trial := 0; trial < 10; trial++ {

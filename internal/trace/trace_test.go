@@ -23,7 +23,7 @@ func factories() []core.Factory {
 }
 
 // runTraced executes iterations of the Figure 1 loop through a traced
-// engine (recording iteration 1, replaying 2..n) and compares every value
+// analyzer (recording iteration 1, replaying 2..n) and compares every value
 // against the sequential interpreter.
 func runTraced(t *testing.T, fac core.Factory, iters int) *trace.Tracer {
 	t.Helper()
@@ -50,16 +50,14 @@ func runTraced(t *testing.T, fac core.Factory, iters int) *trace.Tracer {
 	}
 
 	tr := trace.New(fac.New(tree), core.Options{})
-	eng := core.NewEngine(tree, tr, init)
-	eng.RecordInputs = true
+	launch, inputs := testutil.Serial(t, tr, init)
 	stream := core.NewStream(tree)
 	for it := 0; it < iters; it++ {
 		if it > 0 {
 			tr.Begin(7)
 		}
-		tasks := emit(stream)
-		for _, task := range tasks {
-			eng.Launch(task, kern)
+		for _, task := range emit(stream) {
+			launch(task)
 		}
 		if it > 0 {
 			tr.End()
@@ -67,7 +65,7 @@ func runTraced(t *testing.T, fac core.Factory, iters int) *trace.Tracer {
 	}
 
 	for id, want := range seq.Inputs {
-		have := eng.Inputs[id]
+		have := inputs[id]
 		for ri := range want {
 			if want[ri] == nil {
 				continue
@@ -153,8 +151,7 @@ func TestInvalidationOnStructureChange(t *testing.T) {
 	seq := core.NewSeq(tree, init)
 	seqStream := core.NewStream(tree)
 	tr := trace.New(raycast.New(tree, core.Options{}), core.Options{})
-	eng := core.NewEngine(tree, tr, init)
-	eng.RecordInputs = true
+	launch, inputs := testutil.Serial(t, tr, init)
 	stream := core.NewStream(tree)
 
 	iter := func(s *core.Stream, swap bool) []*core.Task {
@@ -179,14 +176,14 @@ func TestInvalidationOnStructureChange(t *testing.T) {
 			tr.Begin(1)
 		}
 		for _, task := range iter(stream, s) {
-			eng.Launch(task, kern)
+			launch(task)
 		}
 		if it > 0 {
 			tr.End()
 		}
 	}
 	for id, want := range seq.Inputs {
-		have := eng.Inputs[id]
+		have := inputs[id]
 		for ri := range want {
 			if want[ri] != nil && !want[ri].Equal(have[ri]) {
 				t.Fatalf("task %d req %d diverged:\n%s", id, ri, want[ri].Diff(have[ri]))

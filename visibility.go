@@ -53,7 +53,6 @@ import (
 	"visibility/internal/obs/recorder"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
-	"visibility/internal/sched"
 )
 
 // Point is an n-dimensional integer point; coordinates live in C.
@@ -223,7 +222,7 @@ type treeState struct {
 	// launch, and never changes, so every graph query reads the table as
 	// it stands.
 	deps   [][]int
-	exec   *sched.Executor
+	exec   *core.Executor
 	seq    *core.Seq   // non-nil in Validate mode
 	stack  *algo.Stack // the analyzer exec drives; nil until frozen
 	frozen bool
@@ -636,7 +635,7 @@ func (rt *Runtime) freeze(ts *treeState) {
 		}
 	}
 	ts.stream = core.NewStream(ts.tree)
-	ts.exec = sched.NewExecutor(ts.stack.Analyzer, ts.init, rt.cfg.Workers, opts)
+	ts.exec = core.NewExecutor(ts.stack.Analyzer, ts.init, rt.cfg.Workers, opts)
 	if rt.cfg.Validate {
 		ts.seq = core.NewSeq(ts.tree, ts.init)
 	}
