@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/index"
 )
@@ -138,13 +137,7 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 	if err := json.NewEncoder(&buf).Encode(&file); err != nil {
 		return err
 	}
-	out := buf.Bytes()
-	// Fault plane: corrupt the encoded bytes before they reach the writer,
-	// as a failing disk or wire would.
-	if fired, v := rt.cfg.Faults.FireValue(fault.CkptCorrupt, int64(len(out))); fired {
-		fault.FlipBit(out, v)
-	}
-	_, err = w.Write(out)
+	_, err = w.Write(buf.Bytes())
 	return err
 }
 
@@ -156,12 +149,6 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 	raw, err := io.ReadAll(rd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("visibility: reading checkpoint: %w", err)
-	}
-	// Fault plane: corrupt the bytes before decoding — the restore path
-	// must either round-trip (corruption landed in insignificant bytes) or
-	// error, never silently diverge; the checksum below enforces that.
-	if fired, v := cfg.Faults.FireValue(fault.RestoreCorrupt, int64(len(raw))); fired {
-		fault.FlipBit(raw, v)
 	}
 	var file ckptFile
 	if err := json.Unmarshal(raw, &file); err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"visibility"
-	"visibility/internal/fault"
 	"visibility/internal/index"
 )
 
@@ -197,71 +196,6 @@ func TestRestoreBitFlipInput(t *testing.T) {
 		mut := append([]byte(nil), ckpt...)
 		mut[off] ^= 1 << (off % 8)
 		tryRestore(t, mut, want, "bit flip")
-	}
-}
-
-// TestCheckpointFaultPlaneCorruption drives the same property through the
-// fault plane's own corruption sites: an armed checkpoint.encode.flip
-// corrupts the written image, an armed checkpoint.restore.flip corrupts
-// the read image, and in both directions the restore must round-trip or
-// error. Ten seeds per site keep the flipped offset moving.
-func TestCheckpointFaultPlaneCorruption(t *testing.T) {
-	ckpt, want := ckptFixture(t)
-	for seed := int64(1); seed <= 10; seed++ {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("seed %d: Restore panicked: %v", seed, r)
-				}
-			}()
-			inj, err := fault.NewFromString(fmt.Sprintf("seed=%d;checkpoint.restore.flip=every=1,max=1", seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt, roots, err := visibility.Restore(bytes.NewReader(ckpt), visibility.Config{Faults: inj})
-			if inj.Fires(fault.RestoreCorrupt) != 1 {
-				t.Fatalf("seed %d: restore flip did not fire", seed)
-			}
-			if err != nil {
-				return
-			}
-			defer rt.Close()
-			for f, pts := range want {
-				snap := rt.Read(roots["cells"], f)
-				for x, wv := range pts {
-					if v, _ := snap.Get(visibility.Pt(x)); v != wv {
-						t.Fatalf("seed %d: corrupted restore silently diverged at %s[%d]", seed, f, x)
-					}
-				}
-			}
-		}()
-	}
-
-	// Encode-side: the corrupted image a faulty writer produces must be
-	// caught by the fault-free reader.
-	for seed := int64(1); seed <= 10; seed++ {
-		inj, err := fault.NewFromString(fmt.Sprintf("seed=%d;checkpoint.encode.flip=every=1,max=1", seed+100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := visibility.New(visibility.Config{Faults: inj})
-		r := rt.CreateRegion("cells", visibility.Line(0, 15), "a", "b")
-		r.Fill("a", 3)
-		r.Init("b", func(p visibility.Point) float64 { return float64(p.C[0]) })
-		var buf bytes.Buffer
-		if err := rt.Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		rt.Close()
-		if inj.Fires(fault.CkptCorrupt) != 1 {
-			t.Fatalf("seed %d: encode flip did not fire", seed)
-		}
-		wantSmall := map[string]map[int64]float64{"a": {}, "b": {}}
-		for x := int64(0); x <= 15; x++ {
-			wantSmall["a"][x] = 3
-			wantSmall["b"][x] = float64(x)
-		}
-		tryRestore(t, buf.Bytes(), wantSmall, "encode-side flip")
 	}
 }
 

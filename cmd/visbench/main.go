@@ -35,13 +35,14 @@
 // harness's application table and the algorithm registry.
 //
 // -chaos switches to the fault-injection crosscheck: each seed runs a
-// randomized task stream through all four analyzers and a simulated
-// cluster under an active fault plan, verifies the results against the
-// sequential ground truth, then replays the seed from its plan string and
-// requires a byte-identical flight-recorder dump:
+// randomized task stream through all four analyzers, and a periodic one
+// through an autotraced analyzer, under an active fault plan, verifies
+// the results against the sequential ground truth, then replays the seed
+// from its plan string and requires a byte-identical flight-recorder
+// dump:
 //
 //	visbench -chaos [-seeds 20] [-chaos-seed 1] [-chaos-plan "seed=1;..."]
-//	         [-chaos-tasks 24] [-chaos-nodes 4]
+//	         [-chaos-tasks 24]
 package main
 
 import (
@@ -77,7 +78,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "with -chaos: first workload seed")
 	chaosPlan := flag.String("chaos-plan", "", "with -chaos: fault plan string (default: per-seed mixed plan)")
 	chaosTasks := flag.Int("chaos-tasks", 24, "with -chaos: tasks per stream")
-	chaosNodes := flag.Int("chaos-nodes", 4, "with -chaos: simulated cluster size for the distributed leg (0 disables)")
 	flag.Parse()
 
 	if *list {
@@ -85,7 +85,7 @@ func main() {
 		return
 	}
 	if *chaos {
-		os.Exit(runChaos(*chaosSeed, *seeds, *chaosPlan, *chaosTasks, *chaosNodes))
+		os.Exit(runChaos(*chaosSeed, *seeds, *chaosPlan, *chaosTasks))
 	}
 
 	var selected []harness.App
@@ -224,18 +224,18 @@ func gitCommit() string {
 // plan string — and the two flight-recorder dumps must match byte for
 // byte; a verification failure prints the plan string as the complete
 // reproduction recipe. Returns the process exit code.
-func runChaos(first int64, n int, plan string, tasks, nodes int) int {
+func runChaos(first int64, n int, plan string, tasks int) int {
 	if plan != "" {
 		if _, err := fault.Parse(plan); err != nil {
 			fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
 			return 2
 		}
 	}
-	fmt.Printf("%-8s %-8s %-8s %-10s %-12s %s\n", "seed", "events", "fires", "makespan", "replay", "plan")
+	fmt.Printf("%-8s %-8s %-8s %-12s %s\n", "seed", "events", "fires", "replay", "plan")
 	failed := 0
 	for i := 0; i < n; i++ {
 		seed := first + int64(i)
-		cfg := harness.ChaosConfig{Seed: seed, Plan: plan, Tasks: tasks, Nodes: nodes}
+		cfg := harness.ChaosConfig{Seed: seed, Plan: plan, Tasks: tasks}
 		r, err := harness.RunChaos(cfg)
 		if err != nil {
 			failed++
@@ -246,7 +246,7 @@ func runChaos(first int64, n int, plan string, tasks, nodes int) int {
 			continue
 		}
 		// Replay from the report's own plan string; the dump must not move.
-		r2, err := harness.RunChaos(harness.ChaosConfig{Seed: r.Seed, Plan: r.Plan, Tasks: tasks, Nodes: nodes})
+		r2, err := harness.RunChaos(harness.ChaosConfig{Seed: r.Seed, Plan: r.Plan, Tasks: tasks})
 		replay := "identical"
 		if err != nil {
 			failed++
@@ -259,7 +259,7 @@ func runChaos(first int64, n int, plan string, tasks, nodes int) int {
 		for _, c := range r.Fires {
 			fires += c
 		}
-		fmt.Printf("%-8d %-8d %-8d %-10.3g %-12s %s\n", r.Seed, r.Events, fires, r.Makespan, replay, r.Plan)
+		fmt.Printf("%-8d %-8d %-8d %-12s %s\n", r.Seed, r.Events, fires, replay, r.Plan)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "visbench: %d of %d chaos seeds failed\n", failed, n)

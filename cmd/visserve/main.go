@@ -10,10 +10,11 @@
 // tenants, and report admission statistics.
 //
 // With -fault <plan> the deterministic fault-injection plane is armed
-// for the whole process (worker crashes, admission bursts, checkpoint
-// corruption — see internal/fault for the site catalog and plan
-// grammar); every injection lands in the flight recorder, so a SIGQUIT
-// dump shows exactly which faults fired.
+// for the whole process (worker crashes, and forced equivalence-set
+// splits, migrations and trace invalidations in every session — see
+// internal/fault for the site catalog and plan grammar); every injection
+// lands in the flight recorder, so a SIGQUIT dump shows exactly which
+// faults fired.
 package main
 
 import (

@@ -67,9 +67,13 @@ type CritContributor struct {
 
 // CritSummary is the weighted critical-path profile of a discovered
 // dependence graph. All times are virtual units (analysis volume +
-// points touched), derived from the workload rather than measured from
-// analyzer internals, so the summary is byte-identical across runs of
-// the same workload — even under different analyzers.
+// points touched), derived from the workload and its discovered graph
+// rather than measured from analyzer internals, so the summary is
+// byte-identical across runs of the same workload under the same
+// analyzer. Analyzers that discover different edge sets can disagree:
+// on graphsim paint-naive's path length is 172 against 148 for the other
+// three, because the weights count incoming edges (see weights). ROADMAP
+// item 6(b) is the fix: weights from the workload alone.
 type CritSummary struct {
 	Tasks       int               `json:"tasks"`
 	Edges       int               `json:"edges"`
@@ -161,7 +165,10 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 // requirements touch, a unit-cost virtual execution time. Both are
 // properties of the stream and its discovered graph, not of analyzer
 // internals, so critical paths weighted by them are byte-reproducible
-// across runs and across analyzers.
+// across runs of the same workload under the same analyzer. The edge
+// count makes them differ across analyzers that emit different edges
+// (paint-naive's redundant ones); ROADMAP item 6(b) weights by the
+// workload alone.
 func (ts *treeState) weights() []float64 {
 	out := make([]float64, len(ts.stream.Tasks))
 	for i, t := range ts.stream.Tasks {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"visibility/internal/fault"
 	"visibility/internal/obs"
 )
 
@@ -51,9 +50,6 @@ type Config struct {
 	// Metrics is the registry the machine publishes message counters
 	// into; nil gets a private registry.
 	Metrics *obs.Registry
-	// Faults is the deterministic fault-injection plane for the transport
-	// sites (message drop/delay/duplication/reorder). Nil disables them.
-	Faults *fault.Injector
 }
 
 // DefaultConfig returns a machine of nodes nodes with the package's
@@ -146,13 +142,6 @@ type Machine struct {
 	bytes    *obs.Counter
 	msgSize  *obs.Histogram
 
-	// Per-site transport fault tallies (always registered; they stay zero
-	// without an active fault plan).
-	faultDropped   *obs.Counter
-	faultDelayed   *obs.Counter
-	faultDuped     *obs.Counter
-	faultReordered *obs.Counter
-
 	// rec, when non-nil, journals every scheduled slice and message for
 	// trace export (EnableTracing).
 	rec *traceRec
@@ -198,11 +187,6 @@ func New(cfg Config) *Machine {
 		messages: reg.NewCounter("cluster/messages"),
 		bytes:    reg.NewCounter("cluster/message_bytes"),
 		msgSize:  reg.NewHistogram("cluster/message_size", 64, 256, 1024, 4096, 16384, 65536, 1<<20),
-
-		faultDropped:   reg.NewCounter("cluster/faults/dropped"),
-		faultDelayed:   reg.NewCounter("cluster/faults/delayed"),
-		faultDuped:     reg.NewCounter("cluster/faults/duplicated"),
-		faultReordered: reg.NewCounter("cluster/faults/reordered"),
 	}
 }
 
@@ -299,42 +283,9 @@ func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 	if from != to {
 		wire = messageLatency + float64(bytes)/bandwidth
 	}
-	// Fault plane. Sites are evaluated in a fixed order with the
-	// destination node as argument; each draws from its own stream, so a
-	// plan's transport faults are a function of the message sequence alone.
-	deliverAfter := sent
-	extra := Time(0)
-	dup := false
-	if f := m.cfg.Faults; f != nil {
-		if fired, v := f.FireValue(fault.MsgDrop, int64(to)); fired {
-			// A lost message cannot simply vanish — dependents would never
-			// become ready — so model the loss as the runtime would resolve
-			// it: the sender retransmits after a timeout, paying a second
-			// send overhead, and delivery slips by the whole round.
-			m.faultDropped.Inc()
-			timeout := messageLatency * Time(8+v%56)
-			deliverAfter = m.UtilNamed(from, "resend", sendOverhead, m.afterTime(m.done[sent]+timeout))
-		}
-		if fired, v := f.FireValue(fault.MsgDelay, int64(to)); fired {
-			m.faultDelayed.Inc()
-			extra += messageLatency * Time(1+v%16)
-		}
-		if fired, v := f.FireValue(fault.MsgReorder, int64(to)); fired {
-			// Held long enough that later traffic on the same link overtakes.
-			m.faultReordered.Inc()
-			extra += messageLatency * Time(16+v%64)
-		}
-		dup, _ = f.FireValue(fault.MsgDup, int64(to))
-	}
 	// Receive processing occupies the destination's utility processor
 	// after the wire delivers.
-	recv := m.schedule(to, true, "recv", receiveOverhead, []Ref{m.afterTime(m.done[deliverAfter] + wire + extra)})
-	if dup {
-		// The duplicate receive burns destination utility time but gates
-		// nothing: duplicated runtime messages are idempotent.
-		m.faultDuped.Inc()
-		m.schedule(to, true, "recv-dup", receiveOverhead, []Ref{m.afterTime(m.done[deliverAfter] + wire + extra)})
-	}
+	recv := m.schedule(to, true, "recv", receiveOverhead, []Ref{m.afterTime(m.done[sent] + wire)})
 	if m.rec != nil {
 		m.rec.msgs = append(m.rec.msgs, msgRecord{bytes: bytes, send: sent, recv: recv})
 	}

@@ -12,10 +12,10 @@ import (
 // TestChaosAnalyzersAgree is the chaos soak: dozens of (workload seed,
 // fault plan) cells, each running a randomized task stream through all
 // four analyzers with the fault plane active — forced equivalence-set
-// splits, forced migrations, trace invalidations — and a distributed leg with
-// transport faults. Coherence and dependence soundness against the
-// sequential ground truth must survive every cell. Skipped in short mode;
-// TestChaosAnalyzersAgreeSmoke is the always-on tier-1 variant.
+// splits, forced migrations, trace invalidations. Coherence and dependence
+// soundness against the sequential ground truth must survive every cell.
+// Skipped in short mode; TestChaosAnalyzersAgreeSmoke is the always-on
+// tier-1 variant.
 func TestChaosAnalyzersAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak: long test, run without -short")
@@ -28,7 +28,6 @@ func TestChaosAnalyzersAgree(t *testing.T) {
 				Seed:  seed,
 				Plan:  harness.DefaultChaosPlan(planSeed),
 				Tasks: 32,
-				Nodes: 4,
 			})
 			if err != nil {
 				t.Fatalf("%v (reproduce with: visbench -chaos -chaos-seed %d -chaos-plan %q)", err, seed, harness.DefaultChaosPlan(planSeed))
@@ -37,9 +36,10 @@ func TestChaosAnalyzersAgree(t *testing.T) {
 				t.Fatalf("seed %d: chaos run journaled no events", seed)
 			}
 		}
-		// Aggressive cell: every covered set splits, every launch migrates.
-		aggressive := "seed=1;analyzer.eqset.split=p=1;analyzer.eqset.migrate=p=0.5;cluster.msg.drop=p=0.2;cluster.msg.dup=p=0.3"
-		if _, err := harness.RunChaos(harness.ChaosConfig{Seed: seed, Plan: aggressive, Tasks: 24, Nodes: 3}); err != nil {
+		// Aggressive cell: every covered set splits, half the launches
+		// migrate, and replays invalidate often.
+		aggressive := "seed=1;analyzer.eqset.split=p=1;analyzer.eqset.migrate=p=0.5;trace.invalidate=p=0.3"
+		if _, err := harness.RunChaos(harness.ChaosConfig{Seed: seed, Plan: aggressive, Tasks: 24}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestChaosAnalyzersAgreeSmoke(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	ran := 0
 	for seed := int64(1); seed <= 8; seed++ {
-		r, err := harness.RunChaos(harness.ChaosConfig{Seed: seed, Nodes: 4})
+		r, err := harness.RunChaos(harness.ChaosConfig{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,14 +76,13 @@ func TestChaosPlanReplayDeterministic(t *testing.T) {
 		seeds = append(seeds, 17, 23, 42, 99)
 	}
 	for _, seed := range seeds {
-		cfg := harness.ChaosConfig{Seed: seed, Nodes: 4}
-		a, err := harness.RunChaos(cfg)
+		a, err := harness.RunChaos(harness.ChaosConfig{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Replay from the report's own plan string, the artifact a failing
 		// run hands back.
-		b, err := harness.RunChaos(harness.ChaosConfig{Seed: a.Seed, Plan: a.Plan, Nodes: 4})
+		b, err := harness.RunChaos(harness.ChaosConfig{Seed: a.Seed, Plan: a.Plan})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,10 +53,9 @@ type Config struct {
 	// funnels through node 0.
 	DCR bool
 	// Options is the instrumentation handed to the driven analyzer
-	// (Metrics nil gets a private registry, reachable via Driver.Metrics;
-	// Faults here arms the analyzer-side sites — transport faults are armed
-	// on the Machine's own Config). New overwrites Probe and Owner on its
-	// copy: the driver is the probe, and ownership is New's argument.
+	// (Metrics nil gets a private registry, reachable via Driver.Metrics).
+	// New overwrites Probe and Owner on its copy: the driver is the probe,
+	// and ownership is New's argument.
 	core.Options
 }
 

@@ -1,8 +1,10 @@
 // Package fault is the deterministic fault-injection plane: a catalog of
-// named injection sites threaded through the runtime (cluster transport,
-// equivalence-set maintenance, trace replay, checkpoint encode/restore, and
-// the serving layer's admission and worker paths),
-// each gated by a seeded Plan of per-site rules.
+// named injection sites threaded through the runtime (forced
+// equivalence-set splits and migrations, forced trace invalidation, and
+// the serving layer's worker panic), each gated by a seeded Plan of
+// per-site rules. A site is kept only where it reaches a recovery path no
+// plain test reaches; DESIGN §5.4 lists, per site, a seeded bug that only
+// the armed site catches.
 //
 // Determinism is the whole point. Every site draws from its own
 // splitmix64 stream derived from (plan seed, site name), so a site's
@@ -37,19 +39,6 @@ type Site string
 // reordering breaks the interpretation of old dumps. A site whose code is
 // deleted keeps its slot (see retired).
 const (
-	// MsgDrop loses a cluster message; the virtual-time transport models
-	// the loss as a retransmission after a timeout, so delivery still
-	// happens but late. Arg: destination node.
-	MsgDrop Site = "cluster.msg.drop"
-	// MsgDelay adds a deterministic pseudo-random latency to a cluster
-	// message. Arg: destination node.
-	MsgDelay Site = "cluster.msg.delay"
-	// MsgDup delivers a cluster message twice; the duplicate receive
-	// occupies the destination's utility processor. Arg: destination node.
-	MsgDup Site = "cluster.msg.dup"
-	// MsgReorder holds a cluster message long enough for later traffic to
-	// overtake it. Arg: destination node.
-	MsgReorder Site = "cluster.msg.reorder"
 	// EqSplit forces an equivalence-set refinement that the analysis did
 	// not need: a set fully covered by the requested region is split into
 	// two fragments anyway. Semantics-preserving by construction; shakes
@@ -64,15 +53,6 @@ const (
 	// WorkerPanic crashes a session worker goroutine mid-job, inside its
 	// recovery scope, exercising the failure-latch path. Arg: session seq.
 	WorkerPanic Site = "server.worker.panic"
-	// AdmitBurst rejects an admission as if the global in-flight cap were
-	// hit, simulating overload pressure. Arg: session seq.
-	AdmitBurst Site = "server.admit.burst"
-	// CkptCorrupt flips one bit of an encoded checkpoint before it is
-	// written. Arg: encoded length in bytes.
-	CkptCorrupt Site = "checkpoint.encode.flip"
-	// RestoreCorrupt flips one bit of a checkpoint's bytes before they
-	// are decoded. Arg: input length in bytes.
-	RestoreCorrupt Site = "checkpoint.restore.flip"
 	// TraceInvalidate forces an automatic trace to invalidate mid-replay:
 	// the autotracer aborts the bracketed instance as if its structure had
 	// diverged, the memoized results are dropped, and every replayed
@@ -84,22 +64,36 @@ const (
 // Retired sites keep their catalog slots, so SiteAt still decodes them
 // from old dumps, but they have no Index and no place in Sites, and Parse
 // rejects a plan that arms them. The scheduler's instance-cache site went
-// with the cache; the shard layer's stall and migrate sites went when the
-// layer stopped carrying a fault injector.
+// with the cache, and the shard layer's two sites when the layer stopped
+// carrying a fault injector. The four transport sites went because they
+// moved only virtual timestamps that nothing checks; the admission burst
+// and the two checkpoint flips because plain tests of the real admission
+// cap and of restore catch every bug seeded in the paths they exercised.
 const (
+	msgDrop      Site = "cluster.msg.drop"
+	msgDelay     Site = "cluster.msg.delay"
+	msgDup       Site = "cluster.msg.dup"
+	msgReorder   Site = "cluster.msg.reorder"
 	cacheBypass  Site = "sched.cache.bypass"
+	admitBurst   Site = "server.admit.burst"
+	encodeFlip   Site = "checkpoint.encode.flip"
+	restoreFlip  Site = "checkpoint.restore.flip"
 	shardStall   Site = "shard.stall"
 	shardMigrate Site = "shard.migrate"
 )
 
-func retired(s Site) bool { return s == cacheBypass || s == shardStall || s == shardMigrate }
+var retired = map[Site]bool{
+	msgDrop: true, msgDelay: true, msgDup: true, msgReorder: true,
+	cacheBypass: true, admitBurst: true, encodeFlip: true, restoreFlip: true,
+	shardStall: true, shardMigrate: true,
+}
 
 // catalog fixes the Site -> index mapping journaled in recorder events.
 var catalog = []Site{
-	MsgDrop, MsgDelay, MsgDup, MsgReorder,
+	msgDrop, msgDelay, msgDup, msgReorder,
 	EqSplit, EqMigrate, cacheBypass,
-	WorkerPanic, AdmitBurst,
-	CkptCorrupt, RestoreCorrupt,
+	WorkerPanic, admitBurst,
+	encodeFlip, restoreFlip,
 	TraceInvalidate,
 	shardStall, shardMigrate,
 }
@@ -107,7 +101,7 @@ var catalog = []Site{
 var catalogIndex = func() map[Site]int {
 	m := make(map[Site]int, len(catalog))
 	for i, s := range catalog {
-		if !retired(s) {
+		if !retired[s] {
 			m[s] = i
 		}
 	}
@@ -118,7 +112,7 @@ var catalogIndex = func() map[Site]int {
 func Sites() []Site {
 	var out []Site
 	for _, s := range catalog {
-		if !retired(s) {
+		if !retired[s] {
 			out = append(out, s)
 		}
 	}
@@ -157,8 +151,8 @@ type Rule struct {
 	// Max caps total fires; 0 means unlimited.
 	Max int
 	// Arg, when ArgSet, restricts the rule to evaluations whose argument
-	// equals it — e.g. one session's seq, one destination node. Other
-	// evaluations do not advance the site's counters or stream.
+	// equals it — e.g. one session's seq, one task ID. Other evaluations
+	// do not advance the site's counters or stream.
 	Arg    int64
 	ArgSet bool
 }
@@ -208,13 +202,16 @@ func (p Plan) String() string {
 }
 
 // Parse parses the plan grammar emitted by String. The empty string is
-// the empty plan (seed 0, no rules — an injector that never fires).
+// the empty plan (seed 0, no rules — an injector that never fires). A
+// second seed clause, like a second rule for one site, is an error rather
+// than a silent override.
 func Parse(s string) (Plan, error) {
 	p := Plan{Rules: make(map[Site]Rule)}
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return p, nil
 	}
+	seeded := false
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -225,11 +222,14 @@ func Parse(s string) (Plan, error) {
 			return Plan{}, fmt.Errorf("fault: clause %q is not <site>=<spec>", part)
 		}
 		if name == "seed" {
+			if seeded {
+				return Plan{}, fmt.Errorf("fault: duplicate seed clause %q", part)
+			}
 			seed, err := strconv.ParseInt(spec, 10, 64)
 			if err != nil {
 				return Plan{}, fmt.Errorf("fault: bad seed %q", spec)
 			}
-			p.Seed = seed
+			p.Seed, seeded = seed, true
 			continue
 		}
 		site := Site(name)
@@ -370,7 +370,7 @@ func (in *Injector) Fire(site Site, arg int64) bool {
 }
 
 // FireValue is Fire, additionally returning a deterministic payload draw
-// (a bit-flip offset, a delay magnitude) when the fault fires.
+// (a split point, a migration target) when the fault fires.
 func (in *Injector) FireValue(site Site, arg int64) (bool, uint64) {
 	if in == nil {
 		return false, 0
@@ -445,16 +445,4 @@ func (in *Injector) Counts() map[Site]int64 {
 		out[s] = st.fires
 	}
 	return out
-}
-
-// FlipBit flips one bit of data at a position derived from payload — the
-// shared corruption primitive of the checkpoint sites. No-op on empty
-// data.
-func FlipBit(data []byte, payload uint64) {
-	if len(data) == 0 {
-		return
-	}
-	off := payload % uint64(len(data))
-	bit := (payload >> 32) % 8
-	data[off] ^= 1 << bit
 }

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -12,19 +11,19 @@ func TestCatalogStable(t *testing.T) {
 	// The catalog index is journaled in recorder dumps; pin the mapping so
 	// an accidental reorder fails loudly.
 	want := []Site{
-		MsgDrop, MsgDelay, MsgDup, MsgReorder,
+		msgDrop, msgDelay, msgDup, msgReorder,
 		EqSplit, EqMigrate, cacheBypass,
-		WorkerPanic, AdmitBurst,
-		CkptCorrupt, RestoreCorrupt,
+		WorkerPanic, admitBurst,
+		encodeFlip, restoreFlip,
 		TraceInvalidate,
 		shardStall, shardMigrate,
 	}
 	live := Sites()
-	if len(live) != len(want)-3 {
-		t.Fatalf("catalog has %d live sites, want %d", len(live), len(want)-3)
+	if len(live) != 4 || len(want)-len(retired) != 4 {
+		t.Fatalf("catalog has %d live sites and %d retired, want 4 and %d", len(live), len(retired), len(want)-4)
 	}
 	for i, s := range want {
-		if retired(s) {
+		if retired[s] {
 			// Retired in place: the slot still decodes, nothing can arm it.
 			if SiteAt(i) != s || s.Index() != -1 {
 				t.Fatalf("retired slot %d: SiteAt = %s, Index = %d", i, SiteAt(i), s.Index())
@@ -55,8 +54,8 @@ func TestPlanStringParseRoundTrip(t *testing.T) {
 		"",
 		"seed=0",
 		"seed=42;analyzer.eqset.split=p=0.25",
-		"seed=-7;cluster.msg.drop=p=0.1,max=3;server.worker.panic=every=1,max=1,arg=5",
-		"seed=9;checkpoint.encode.flip=every=2,after=1;trace.invalidate=p=1",
+		"seed=-7;analyzer.eqset.migrate=p=0.1,max=3;server.worker.panic=every=1,max=1,arg=5",
+		"seed=9;analyzer.eqset.split=every=2,after=1;trace.invalidate=p=1",
 	}
 	for _, in := range plans {
 		p, err := Parse(in)
@@ -78,20 +77,29 @@ func TestParseRejects(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"seed=x", "bad seed"},
 		{"nonsense", "not <site>=<spec>"},
-		{"cluster.msg.bogus=p=1", "unknown site"},
-		{"seed=1;sched.cache.bypass=p=0.25", "unknown site"}, // retired with the instance cache
-		{"seed=1;shard.stall=every=3", "unknown site"},       // retired with the shard layer's fault hooks
+		{"analyzer.eqset.bogus=p=1", "unknown site"},
+		// Retired sites: each slot still decodes, but no plan can arm it.
+		{"seed=1;cluster.msg.drop=p=0.1", "unknown site"},
+		{"seed=1;cluster.msg.delay=p=0.1", "unknown site"},
+		{"seed=1;cluster.msg.dup=p=0.1", "unknown site"},
+		{"seed=1;cluster.msg.reorder=p=0.1", "unknown site"},
+		{"seed=1;sched.cache.bypass=p=0.25", "unknown site"},
+		{"seed=1;server.admit.burst=every=2,max=3", "unknown site"},
+		{"seed=1;checkpoint.encode.flip=every=1,max=1", "unknown site"},
+		{"seed=1;checkpoint.restore.flip=every=1,max=1", "unknown site"},
+		{"seed=1;shard.stall=every=3", "unknown site"},
 		{"seed=1;shard.migrate=every=4", "unknown site"},
-		{"cluster.msg.drop=p=2", "outside [0,1]"},
-		{"cluster.msg.drop=p=-0.5", "outside [0,1]"},
-		{"cluster.msg.drop=p=NaN", "outside [0,1]"},
-		{"cluster.msg.drop=every=-1", "non-negative"},
-		{"cluster.msg.drop=max=1", "no trigger"},
-		{"cluster.msg.drop=arg=3", "no trigger"},
-		{"cluster.msg.drop=p=1;cluster.msg.drop=p=1", "duplicate rules"},
-		{"cluster.msg.drop=zap=1", "unknown clause key"},
-		{"cluster.msg.drop=arg=x", "not an integer"},
-		{"cluster.msg.drop=p", "not <k>=<v>"},
+		{"trace.invalidate=p=2", "outside [0,1]"},
+		{"trace.invalidate=p=-0.5", "outside [0,1]"},
+		{"trace.invalidate=p=NaN", "outside [0,1]"},
+		{"trace.invalidate=every=-1", "non-negative"},
+		{"trace.invalidate=max=1", "no trigger"},
+		{"trace.invalidate=arg=3", "no trigger"},
+		{"trace.invalidate=p=1;trace.invalidate=p=1", "duplicate rules"},
+		{"seed=1;trace.invalidate=p=1;seed=2", "duplicate seed"},
+		{"trace.invalidate=zap=1", "unknown clause key"},
+		{"trace.invalidate=arg=x", "not an integer"},
+		{"trace.invalidate=p", "not <k>=<v>"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.in); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -165,13 +173,13 @@ func TestProbDeterministicAndSeedSensitive(t *testing.T) {
 		}
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = in.Fire(MsgDrop, int64(i))
+			out[i] = in.Fire(EqSplit, int64(i))
 		}
 		return out
 	}
-	a := run("seed=7;cluster.msg.drop=p=0.3")
-	b := run("seed=7;cluster.msg.drop=p=0.3")
-	c := run("seed=8;cluster.msg.drop=p=0.3")
+	a := run("seed=7;analyzer.eqset.split=p=0.3")
+	b := run("seed=7;analyzer.eqset.split=p=0.3")
+	c := run("seed=8;analyzer.eqset.split=p=0.3")
 	var fires, diff int
 	for i := range a {
 		if a[i] != b[i] {
@@ -196,16 +204,16 @@ func TestSiteStreamsIndependent(t *testing.T) {
 	// Interleaving evaluations of another site must not perturb a site's
 	// own fire sequence.
 	seq := func(interleave bool) []bool {
-		in, err := NewFromString("seed=3;cluster.msg.drop=p=0.5;cluster.msg.dup=p=0.5")
+		in, err := NewFromString("seed=3;analyzer.eqset.split=p=0.5;analyzer.eqset.migrate=p=0.5")
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]bool, 100)
 		for i := range out {
 			if interleave {
-				in.Fire(MsgDup, int64(i))
+				in.Fire(EqMigrate, int64(i))
 			}
-			out[i] = in.Fire(MsgDrop, int64(i))
+			out[i] = in.Fire(EqSplit, int64(i))
 		}
 		return out
 	}
@@ -219,12 +227,12 @@ func TestSiteStreamsIndependent(t *testing.T) {
 
 func TestFireJournalsToRecorder(t *testing.T) {
 	rec := recorder.NewClock(16, func() int64 { return 0 })
-	in, err := NewFromString("seed=1;checkpoint.encode.flip=every=1")
+	in, err := NewFromString("seed=1;trace.invalidate=every=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.SetRecorder(rec)
-	if !in.Fire(CkptCorrupt, 123) {
+	if !in.Fire(TraceInvalidate, 123) {
 		t.Fatal("every=1 did not fire")
 	}
 	events := rec.Snapshot()
@@ -232,7 +240,7 @@ func TestFireJournalsToRecorder(t *testing.T) {
 		t.Fatalf("recorder holds %d events, want 1", len(events))
 	}
 	e := events[0]
-	if e.Kind != recorder.KindFaultInject || SiteAt(int(e.A)) != CkptCorrupt || e.B != 123 {
+	if e.Kind != recorder.KindFaultInject || SiteAt(int(e.A)) != TraceInvalidate || e.B != 123 {
 		t.Fatalf("journaled %+v", e)
 	}
 }
@@ -252,28 +260,14 @@ func TestCrashPanics(t *testing.T) {
 	t.Fatal("Crash did not panic")
 }
 
-func TestFlipBit(t *testing.T) {
-	FlipBit(nil, 99) // no-op on empty data
-	data := []byte{0, 0, 0, 0}
-	orig := append([]byte(nil), data...)
-	FlipBit(data, 1<<33|2)
-	if bytes.Equal(data, orig) {
-		t.Fatal("FlipBit changed nothing")
-	}
-	FlipBit(data, 1<<33|2)
-	if !bytes.Equal(data, orig) {
-		t.Fatal("double flip did not restore")
-	}
-}
-
 func TestPlanCopyIsolation(t *testing.T) {
-	p, err := Parse("seed=1;cluster.msg.drop=p=1")
+	p, err := Parse("seed=1;analyzer.eqset.split=p=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := New(p)
-	p.Rules[MsgDup] = Rule{Prob: 1}
-	if in.Fire(MsgDup, 0) || in.String() != "seed=1;cluster.msg.drop=p=1" {
+	p.Rules[EqMigrate] = Rule{Prob: 1}
+	if in.Fire(EqMigrate, 0) || in.String() != "seed=1;analyzer.eqset.split=p=1" {
 		t.Fatal("New shares the caller's rule map")
 	}
 }

@@ -13,13 +13,14 @@ func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		"",
 		"seed=42;analyzer.eqset.split=p=0.25",
-		"seed=-7;cluster.msg.drop=p=0.1,max=3;server.worker.panic=every=1,max=1,arg=5",
-		"seed=9;checkpoint.encode.flip=every=2,after=1;trace.invalidate=p=1",
+		"seed=-7;analyzer.eqset.migrate=p=0.1,max=3;server.worker.panic=every=1,max=1,arg=5",
+		"seed=9;analyzer.eqset.split=every=2,after=1;trace.invalidate=p=1",
 		"seed=x",
-		"cluster.msg.drop=p=1;cluster.msg.drop=p=1",
+		"trace.invalidate=p=1;trace.invalidate=p=1",
+		"seed=1;seed=2;trace.invalidate=p=1", // was accepted, and the last seed won
 		"seed=1;sched.cache.bypass=p=0.25",
-		" seed=3 ; trace.invalidate=p=1e-3,after=2 ;; server.admit.burst=every=4,arg=-1 ",
-		"cluster.msg.drop=p=NaN", // was accepted, and printed as a rule with no clauses
+		" seed=3 ; trace.invalidate=p=1e-3,after=2 ;; server.worker.panic=every=4,arg=-1 ",
+		"trace.invalidate=p=NaN", // was accepted, and printed as a rule with no clauses
 	} {
 		f.Add(s)
 	}

@@ -7,10 +7,8 @@ import (
 
 	"visibility/internal/algo"
 	"visibility/internal/autotrace"
-	"visibility/internal/cluster"
 	"visibility/internal/core"
 	"visibility/internal/data"
-	"visibility/internal/dist"
 	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
@@ -32,10 +30,6 @@ type ChaosConfig struct {
 	Plan string
 	// Tasks is the stream length (default 24).
 	Tasks int
-	// Nodes, when positive, adds a distributed leg: the stream is also
-	// driven over a simulated cluster of this many nodes with the
-	// transport fault sites armed, and the virtual makespan is reported.
-	Nodes int
 }
 
 // ChaosReport is the outcome of one chaos run. Everything in it is a
@@ -60,33 +54,28 @@ type ChaosReport struct {
 	// plan, so trace.invalidate fires mid-replay and recovery is
 	// value-checked against the sequential ground truth.
 	AutoTrace autotrace.Stats
-	// Makespan is the distributed leg's virtual completion time (0 when
-	// Nodes is 0).
-	Makespan float64
 }
 
 // DefaultChaosPlan is the mixed fault plan chaos runs use when none is
-// given: every analyzer and transport site armed at low probability,
-// seeded so distinct seeds explore distinct fault schedules.
+// given: the three sites a chaos run reaches (forced split, forced
+// migration, forced trace invalidation) armed at low probability, seeded
+// so distinct seeds explore distinct fault schedules. The worker-panic
+// site lives in the server, which a chaos run does not drive.
 func DefaultChaosPlan(seed int64) string {
 	p := fault.Plan{Seed: seed, Rules: map[fault.Site]fault.Rule{
 		fault.EqSplit:         {Prob: 0.10},
 		fault.EqMigrate:       {Prob: 0.05},
 		fault.TraceInvalidate: {Prob: 0.10},
-		fault.MsgDrop:         {Prob: 0.02},
-		fault.MsgDelay:        {Prob: 0.05},
-		fault.MsgDup:          {Prob: 0.05},
-		fault.MsgReorder:      {Prob: 0.03},
 	}}
 	return p.String()
 }
 
 // RunChaos runs one randomized task stream through all four analyzers
 // under an active fault plan, cross-checking every materialized value and
-// dependence against the sequential ground truth (core.Verify), then —
-// when cfg.Nodes is set — drives the same stream over a fault-injected
-// simulated cluster. The report is returned even when verification fails,
-// so a failing seed still yields its recorder dump for replay.
+// dependence against the sequential ground truth (core.Verify), then
+// drives a periodic stream through an autotraced analyzer under the same
+// plan. The report is returned even when verification fails, so a failing
+// seed still yields its recorder dump for replay.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Tasks <= 0 {
 		cfg.Tasks = 24
@@ -146,26 +135,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return report, fmt.Errorf("chaos seed %d plan %q (autotrace leg): %w", cfg.Seed, cfg.Plan, err)
 	}
 	report.AutoTrace = auto.Auto.AutoStats()
-
-	if cfg.Nodes > 0 {
-		mcfg := cluster.DefaultConfig(cfg.Nodes)
-		mcfg.Faults = inj
-		m := cluster.New(mcfg)
-		newAn, _ := algo.Lookup("raycast")
-		owner := func(s index.Space) int {
-			if s.IsEmpty() {
-				return 0
-			}
-			return int(s.Bounds().Lo.C[0]) % cfg.Nodes
-		}
-		dcfg := dist.DefaultConfig(true)
-		dcfg.Options = opts
-		d := dist.New(m, tree, newAn, owner, dcfg)
-		for _, t := range stream.Tasks {
-			d.Launch(t, t.ID%cfg.Nodes, 1e-6)
-		}
-		report.Makespan = m.Makespan()
-	}
 
 	finish()
 	return report, nil

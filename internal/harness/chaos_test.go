@@ -11,9 +11,9 @@ import (
 
 // TestChaosReplayDeterministic is the replay property at the heart of the
 // fault plane: the same (workload seed, plan) pair must journal the
-// identical recorder dump byte for byte, including the distributed leg,
-// so a failing seed's plan string is a complete reproduction recipe. Runs
-// pairs concurrently so -race additionally checks the runs share nothing.
+// identical recorder dump byte for byte, so a failing seed's plan string
+// is a complete reproduction recipe. Runs pairs concurrently so -race
+// additionally checks the runs share nothing.
 func TestChaosReplayDeterministic(t *testing.T) {
 	seeds := []int64{1, 2, 3, 7, 1001}
 	if testing.Short() {
@@ -24,7 +24,7 @@ func TestChaosReplayDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := ChaosConfig{Seed: seed, Nodes: 4}
+			cfg := ChaosConfig{Seed: seed}
 			a, err := RunChaos(cfg)
 			if err != nil {
 				t.Errorf("seed %d: %v", seed, err)
@@ -38,9 +38,6 @@ func TestChaosReplayDeterministic(t *testing.T) {
 			if !bytes.Equal(a.Dump, b.Dump) {
 				t.Errorf("seed %d: replay dump differs (%d vs %d bytes)", seed, len(a.Dump), len(b.Dump))
 				return
-			}
-			if a.Makespan != b.Makespan {
-				t.Errorf("seed %d: replay makespan differs (%g vs %g)", seed, a.Makespan, b.Makespan)
 			}
 			// The dump must parse back (VISFREC1 round trip) and every
 			// journaled injection must name a cataloged site, so dumps are
@@ -80,11 +77,11 @@ func TestChaosReplayDeterministic(t *testing.T) {
 // schedule (otherwise the plan string is not the reproduction recipe it
 // claims to be).
 func TestChaosPlanSensitivity(t *testing.T) {
-	a, err := RunChaos(ChaosConfig{Seed: 1, Plan: DefaultChaosPlan(10), Nodes: 4})
+	a, err := RunChaos(ChaosConfig{Seed: 1, Plan: DefaultChaosPlan(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaos(ChaosConfig{Seed: 1, Plan: DefaultChaosPlan(11), Nodes: 4})
+	b, err := RunChaos(ChaosConfig{Seed: 1, Plan: DefaultChaosPlan(11)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"visibility/internal/obs/recorder"
 	"visibility/internal/wire"
 )
 
@@ -145,35 +147,86 @@ func TestBackpressureSessionQueue(t *testing.T) {
 
 // TestBackpressureGlobal exhausts the global in-flight cap across two
 // sessions: the second tenant is throttled by the process-wide bound even
-// though its own queue is empty.
+// though its own queue is empty. A rejection leaves nothing behind: each
+// 429 is counted and journaled once, no slot stays reserved, and once the
+// cap frees the same tenant's next submit is admitted.
 func TestBackpressureGlobal(t *testing.T) {
 	srv := New(Config{MaxQueue: 8, MaxInFlight: 1, IdleTimeout: -1})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer func() {
-		if err := srv.Shutdown(t.Context()); err != nil {
+		// Bounded: a leaked in-flight slot must fail the test, not hang
+		// the drain.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
 			t.Error(err)
 		}
 	}()
 
 	idA := createSessionHTTP(t, hs.URL)
 	idB := createSessionHTTP(t, hs.URL)
-	a := srv.session(idA)
+	a, b := srv.session(idA), srv.session(idB)
 
 	release := make(chan struct{})
+	released := false
+	free := func() {
+		if !released {
+			released = true
+			close(release)
+		}
+	}
+	defer free() // a failing check must not leave the worker parked
 	started := make(chan struct{})
 	if err := srv.submit(a, job{fn: func() { close(started); <-release }}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	defer close(release)
 
 	// Session B has a free queue, but the global cap is spent.
-	resp := postWorkload(t, hs.URL, idB, wire.ExampleQuickstart())
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("global overload: status %d, want 429", resp.StatusCode)
+	const bounces = 3
+	for i := 0; i < bounces; i++ {
+		resp := postWorkload(t, hs.URL, idB, wire.ExampleQuickstart())
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("global overload %d: status %d, want 429", i, resp.StatusCode)
+		}
 	}
+	if n := srv.InFlight(); n != 1 {
+		t.Fatalf("%d jobs in flight after %d rejections, want only the parked one", n, bounces)
+	}
+	if got := srv.metrics.NewCounter("server/admission/rejected").Load(); got != bounces {
+		t.Fatalf("server/admission/rejected = %d, want %d", got, bounces)
+	}
+	journaled := 0
+	for _, e := range srv.Recorder().Snapshot() {
+		if e.Kind == recorder.KindAdmitReject && e.A == b.seq && e.B == rejectGlobalCap {
+			journaled++
+		}
+	}
+	if journaled != bounces {
+		t.Fatalf("%d admit_reject events for session B at the global cap, want %d", journaled, bounces)
+	}
+
+	// Free the cap: everything drains, and B's next submit is admitted.
+	free()
+	waitDrained := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.InFlight() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d jobs still in flight", srv.InFlight())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitDrained()
+	resp := postWorkload(t, hs.URL, idB, wire.ExampleQuickstart())
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after the cap freed: status %d, want 202", resp.StatusCode)
+	}
+	waitDrained()
 }
 
 // TestSessionLimit bounds concurrent sessions.

@@ -130,74 +130,3 @@ func TestChaosWorkerKillIsolation(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
-
-// TestChaosAdmissionBurst arms the synthetic admission-pressure site on a
-// deterministic schedule and checks the overload contract end to end:
-// scheduled requests bounce with 429, the rejection is counted, nothing
-// is admitted half-way (no in-flight leak), and once the burst schedule
-// is exhausted every request succeeds again.
-func TestChaosAdmissionBurst(t *testing.T) {
-	inj, err := fault.NewFromString("seed=2;server.admit.burst=every=2,max=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, c, shutdown := newTestServer(t, server.Config{Faults: inj})
-	defer shutdown()
-	c.MaxRetries = 0 // surface every 429 instead of retrying through it
-
-	sess, err := c.CreateSession(client.SessionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Submission 1 declares the quickstart regions; later submissions are
-	// task-only batches so a replay of the same stream stays well-formed.
-	batch := &wire.Workload{
-		Version: wire.Version,
-		Tasks: []wire.TaskDecl{{
-			Name: "poke",
-			Accesses: []wire.AccessDecl{{
-				Region: "blocks[0]", Field: "val", Privilege: "write",
-				Kernel: &wire.FuncSpec{Name: "fill", Args: map[string]float64{"value": 2}},
-			}},
-		}},
-	}
-
-	// every=2,max=3 rejects admissions 2, 4 and 6; all others pass.
-	var got []int
-	for i := 1; i <= 8; i++ {
-		wl := batch
-		if i == 1 {
-			wl = wire.ExampleQuickstart()
-		}
-		err := sess.Submit(wl)
-		switch se, ok := err.(*client.StatusError); {
-		case err == nil:
-		case ok && se.Code == 429:
-			got = append(got, i)
-		default:
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		if n := srv.InFlight(); n < 0 {
-			t.Fatalf("in-flight went negative after submit %d", i)
-		}
-	}
-	if len(got) != 3 || got[0] != 2 || got[1] != 4 || got[2] != 6 {
-		t.Fatalf("burst rejected admissions %v, want [2 4 6]", got)
-	}
-
-	// The burst schedule is spent: a snapshot (sync admission) works, and
-	// the session is healthy — nothing was half-admitted.
-	if _, err := sess.Snapshot("cells", "val"); err != nil {
-		t.Fatalf("post-burst snapshot: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.InFlight() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-flight jobs never drained")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

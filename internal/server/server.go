@@ -52,10 +52,10 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Faults, when non-nil, arms the deterministic fault-injection plane
-	// across the service: worker panics and admission rejections at the
-	// serving layer, plus every runtime site (analyzer splits, checkpoint
-	// corruption) in the sessions it creates. Fires are journaled to the
-	// server's flight recorder.
+	// across the service: worker panics at the serving layer, plus the
+	// analyzer sites (forced splits, migrations and trace invalidations)
+	// in the sessions it creates. Fires are journaled to the server's
+	// flight recorder.
 	Faults *fault.Injector
 }
 
@@ -331,13 +331,6 @@ const (
 
 // submit admits a job globally, then to the session queue.
 func (srv *Server) submit(s *session, j job) error {
-	// Fault plane: an AdmitBurst fire rejects as if the global in-flight
-	// cap were hit, simulating overload pressure against this session.
-	if srv.cfg.Faults.Fire(fault.AdmitBurst, s.seq) {
-		srv.rejected.Inc()
-		srv.rec.Log(recorder.KindAdmitReject, s.seq, rejectGlobalCap)
-		return errOverload
-	}
 	if err := srv.admit(); err != nil {
 		srv.rejected.Inc()
 		srv.rec.Log(recorder.KindAdmitReject, s.seq, rejectGlobalCap)

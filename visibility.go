@@ -153,10 +153,10 @@ type Config struct {
 	// runtime events: task launches, equivalence-set splits and coalesces.
 	// Nil disables journaling at zero cost.
 	Recorder *recorder.Recorder
-	// Faults, when non-nil, arms the deterministic fault-injection plane:
-	// forced equivalence-set splits and migrations in the analyzer, and
-	// bit-flip corruption on checkpoint encode/restore. Nil (the default)
-	// disables every site.
+	// Faults, when non-nil, arms the deterministic fault-injection plane's
+	// analyzer sites: forced equivalence-set splits and migrations, and
+	// forced invalidation of automatic traces. Nil (the default) disables
+	// every site.
 	Faults *fault.Injector
 	// Deprecated: ignored; Explain, MustPrecede, CriticalPath and
 	// WriteDOTCrit answer on every Runtime. Kept while benchmarks/visperf
