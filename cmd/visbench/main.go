@@ -61,7 +61,7 @@ import (
 )
 
 func main() {
-	appFlag := flag.String("app", "all", "application: stencil, circuit, pennant, or all")
+	appFlag := flag.String("app", "all", "application: "+strings.Join(harness.AppNames(), ", ")+", or all")
 	list := flag.Bool("list", false, "list applications, figures, and algorithms, then exit")
 	metric := flag.String("metric", "all", "metric: init (Figs 12-14), weak (Figs 15-17), or all")
 	maxNodes := flag.Int("max-nodes", 512, "largest simulated node count (sweeps powers of two)")
@@ -88,18 +88,14 @@ func main() {
 		os.Exit(runChaos(*chaosSeed, *seeds, *chaosPlan, *chaosTasks))
 	}
 
-	var selected []harness.App
-	if *appFlag == "all" {
-		for _, a := range harness.Apps {
-			if a.InAll {
-				selected = append(selected, a)
-			}
+	selected := harness.Apps
+	if *appFlag != "all" {
+		a, err := harness.FindApp(*appFlag)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
+			os.Exit(2)
 		}
-	} else if a, err := harness.FindApp(*appFlag); err == nil {
 		selected = []harness.App{a}
-	} else {
-		fmt.Fprintf(os.Stderr, "visbench: %v\n", err)
-		os.Exit(2)
 	}
 	if *jsonOut != "" {
 		names := make([]string, len(selected))
@@ -275,9 +271,8 @@ func runChaos(first int64, n int, plan string, tasks int) int {
 // coherence algorithms, and the paper's five system configurations.
 func printInventory() {
 	fmt.Println("applications:")
-	for _, name := range harness.AppNames() {
-		a, _ := harness.FindApp(name)
-		fmt.Printf("  %-16s init=%-24s weak=%s\n", name, a.Init, a.Weak)
+	for _, a := range harness.Apps {
+		fmt.Printf("  %-16s init=%-10s weak=%s\n", a.Name, a.Init, a.Weak)
 	}
 	fmt.Println("algorithms:")
 	for _, name := range algo.Names() {

@@ -41,7 +41,9 @@ type Instance struct {
 	EmitInit func(s *core.Stream) []Launch
 	// Emit appends one iteration's launches to s. Iterations are
 	// structurally identical (the steady-state loops of §8 do not change
-	// partitioning after initialization).
+	// partitioning after initialization). Emit may carry state from one
+	// iteration to the next (pennant's folded-dt future names a task of
+	// the previous call), so an Instance drives one stream.
 	Emit func(s *core.Stream, iter int) []Launch
 }
 

@@ -9,7 +9,6 @@ import (
 	"visibility/internal/apps/stencil"
 	"visibility/internal/core"
 	"visibility/internal/index"
-	"visibility/internal/privilege"
 )
 
 var builders = []struct {
@@ -144,24 +143,6 @@ func TestCrossPhaseDependences(t *testing.T) {
 		if total == 0 {
 			t.Errorf("%s: no dependences at all", b.name)
 		}
-	}
-}
-
-// TestPennantUsesDistinctReductions checks the paper's claim driver:
-// Pennant uses several distinct reduction operators.
-func TestPennantUsesDistinctReductions(t *testing.T) {
-	inst := pennant.New(2)
-	s := core.NewStream(inst.Tree)
-	ops := make(map[privilege.ReduceOp]bool)
-	for _, l := range inst.Emit(s, 0) {
-		for _, req := range l.Task.Reqs {
-			if req.Priv.IsReduce() {
-				ops[req.Priv.Op] = true
-			}
-		}
-	}
-	if len(ops) < 2 {
-		t.Errorf("pennant uses %d distinct reduction operators, want >= 2", len(ops))
 	}
 }
 

@@ -2,9 +2,9 @@
 // Lagrangian hydrodynamics on an unstructured mesh of zones and points.
 // Zones are private to a piece; mesh points on piece boundaries are shared,
 // giving an aliased ghost-point partition, and point forces are gathered
-// with sum-reductions while the global timestep is computed with min/max
-// reductions onto a single control element — several distinct reduction
-// operators used in different parts of the code, as the paper notes.
+// with sum-reductions. The global timestep is an all-reduce computed with
+// futures, as in the paper's port: per-piece proposals fold into one value
+// on node 0 that every piece's next cycle consumes.
 package pennant
 
 import (
@@ -36,26 +36,19 @@ const (
 	cdtSeconds = 3.0e-4
 )
 
-// New builds the pennant instance for a node count, with the global
-// timestep routed through the region system (a single control element
-// receiving min/max reductions).
-func New(nodes int) *apps.Instance { return build(nodes, false) }
-
-// NewFutures builds the pennant variant that computes the global timestep
-// through futures, as the real PENNANT port does: calc_dt tasks return
-// futures, a folding task consumes them, and the next cycle's tasks
-// consume the folded future — ordering edges and small messages instead
-// of region coherence traffic.
-func NewFutures(nodes int) *apps.Instance { return build(nodes, true) }
-
-func build(nodes int, useFutures bool) *apps.Instance {
+// New builds the pennant instance for a node count. The global timestep
+// flows through futures, as the real PENNANT port computes it: each calc_dt
+// task returns a future, one fold_dt task consumes them, and the next
+// cycle's calc_forces tasks consume the folded future — ordering edges and
+// small messages instead of region coherence traffic.
+func New(nodes int) *apps.Instance {
 	fs := field.NewSpace()
 	fZP := fs.Add("zp")   // zone pressure
 	fZR := fs.Add("zr")   // zone density
 	fPF := fs.Add("pf")   // point force (sum reductions)
 	fPU := fs.Add("pu")   // point velocity
-	fDT := fs.Add("dt")   // global timestep (min reduction)
-	fDE := fs.Add("derr") // global error estimate (max reduction)
+	fDT := fs.Add("dt")   // global timestep
+	fDE := fs.Add("derr") // global error estimate
 
 	// Index layout: zones, then points, then one control element, each
 	// piece contiguous, so the "owned" partition is disjoint-complete.
@@ -104,20 +97,15 @@ func build(nodes int, useFutures bool) *apps.Instance {
 	dt := tree.Root.Partition("DT", []index.Space{index.FromPoints(1, ctrl)})
 	dtReg := dt.Subregions[0]
 
-	name := "pennant"
-	if useFutures {
-		name = "pennant-futures"
-	}
 	inst := &apps.Instance{
-		Name:         name,
+		Name:         "pennant",
 		Tree:         tree,
 		Owned:        owned,
 		UnitsPerNode: modelZonesPerNode,
 		UnitName:     "zones",
 	}
-	// lastFinalize carries the previous cycle's dt future across Emit
-	// calls in the futures variant.
-	lastFinalize := -1
+	// lastFold carries the previous cycle's dt future across Emit calls.
+	lastFold := -1
 	inst.EmitInit = func(s *core.Stream) []apps.Launch {
 		// Mesh setup: per-piece zone and point state, then the initial
 		// global timestep on node 0.
@@ -140,21 +128,15 @@ func build(nodes int, useFutures bool) *apps.Instance {
 	}
 	inst.Emit = func(s *core.Stream, iter int) []apps.Launch {
 		launches := make([]apps.Launch, 0, 5*nodes)
-		// Phase 1: gather corner forces; reductions reach ghost points.
-		// The current timestep arrives either through the dt region or as
-		// last cycle's folded future.
+		// Phase 1: gather corner forces; reductions reach ghost points. The
+		// current timestep arrives as last cycle's folded future.
 		for i := 0; i < nodes; i++ {
-			reqs := []core.Req{
-				{Region: pz.Subregions[i], Field: fZP, Priv: privilege.Reads()},
-				{Region: pp.Subregions[i], Field: fPF, Priv: privilege.Reduces(privilege.OpSum)},
-				{Region: gp.Subregions[i], Field: fPF, Priv: privilege.Reduces(privilege.OpSum)},
-			}
-			if !useFutures {
-				reqs = append(reqs, core.Req{Region: dtReg, Field: fDT, Priv: privilege.Reads()})
-			}
-			cfz := s.Launch(fmt.Sprintf("calc_forces[%d]", i), reqs...)
-			if useFutures && lastFinalize >= 0 {
-				cfz.FutureDeps = []int{lastFinalize}
+			cfz := s.Launch(fmt.Sprintf("calc_forces[%d]", i),
+				core.Req{Region: pz.Subregions[i], Field: fZP, Priv: privilege.Reads()},
+				core.Req{Region: pp.Subregions[i], Field: fPF, Priv: privilege.Reduces(privilege.OpSum)},
+				core.Req{Region: gp.Subregions[i], Field: fPF, Priv: privilege.Reduces(privilege.OpSum)})
+			if lastFold >= 0 {
+				cfz.FutureDeps = []int{lastFold}
 			}
 			launches = append(launches, apps.Launch{Task: cfz, Node: i, Duration: cfzSeconds})
 		}
@@ -180,37 +162,21 @@ func build(nodes int, useFutures bool) *apps.Instance {
 				core.Req{Region: pz.Subregions[i], Field: fZR, Priv: privilege.Reads()})
 			launches = append(launches, apps.Launch{Task: eos, Node: i, Duration: eosSeconds})
 		}
-		// Phase 5: per-piece timestep proposals. In the region variant the
-		// proposals are min/max reductions onto the control element; in
-		// the futures variant each calc_dt returns a future.
-		var cdtIDs []int
+		// Phase 5: per-piece timestep proposals, each returned as a future.
+		cdtIDs := make([]int, 0, nodes)
 		for i := 0; i < nodes; i++ {
-			reqs := []core.Req{
-				{Region: pz.Subregions[i], Field: fZR, Priv: privilege.Reads()},
-			}
-			if !useFutures {
-				reqs = append(reqs,
-					core.Req{Region: dtReg, Field: fDT, Priv: privilege.Reduces(privilege.OpMin)},
-					core.Req{Region: dtReg, Field: fDE, Priv: privilege.Reduces(privilege.OpMax)})
-			}
-			cdt := s.Launch(fmt.Sprintf("calc_dt[%d]", i), reqs...)
+			cdt := s.Launch(fmt.Sprintf("calc_dt[%d]", i),
+				core.Req{Region: pz.Subregions[i], Field: fZR, Priv: privilege.Reads()})
 			cdtIDs = append(cdtIDs, cdt.ID)
 			launches = append(launches, apps.Launch{Task: cdt, Node: i, Duration: cdtSeconds})
 		}
 		// Phase 6: fold the proposals into the new timestep — one task on
 		// node 0, completing the all-reduce (N→1→N each cycle).
-		if useFutures {
-			fin := s.Launch("fold_dt",
-				core.Req{Region: dt.Subregions[0], Field: fDT, Priv: privilege.Writes()})
-			fin.FutureDeps = cdtIDs
-			lastFinalize = fin.ID
-			launches = append(launches, apps.Launch{Task: fin, Node: 0, Duration: 1e-5})
-		} else {
-			fin := s.Launch("finalize_dt",
-				core.Req{Region: dtReg, Field: fDT, Priv: privilege.Writes()},
-				core.Req{Region: dtReg, Field: fDE, Priv: privilege.Writes()})
-			launches = append(launches, apps.Launch{Task: fin, Node: 0, Duration: 1e-5})
-		}
+		fold := s.Launch("fold_dt",
+			core.Req{Region: dtReg, Field: fDT, Priv: privilege.Writes()})
+		fold.FutureDeps = cdtIDs
+		lastFold = fold.ID
+		launches = append(launches, apps.Launch{Task: fold, Node: 0, Duration: 1e-5})
 		return launches
 	}
 	return inst

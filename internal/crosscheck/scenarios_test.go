@@ -174,6 +174,44 @@ func TestMixedReductionOperators(t *testing.T) {
 	verifyAll(t, s)
 }
 
+// TestControlElementAllReduce runs the N→1→N all-reduce shape on a
+// one-point control region: each cycle, N piece tasks min-reduce one field
+// and max-reduce another onto it, one task writes it, and N tasks read it
+// back. The min→max→write→read switches on a single point are the
+// interference boundaries the fold crosses.
+func TestControlElementAllReduce(t *testing.T) {
+	const pieces, perPiece = 4, 8
+	fs := field.NewSpace()
+	v, dt, derr := fs.Add("v"), fs.Add("dt"), fs.Add("derr")
+	ctrl := int64(pieces * perPiece)
+	tree := region.NewTree("A", index.FromRect(geometry.R1(0, ctrl)), fs)
+	owned := make([]index.Space, pieces)
+	for i := range owned {
+		owned[i] = index.FromRect(geometry.R1(int64(i)*perPiece, int64(i+1)*perPiece-1))
+	}
+	p := tree.Root.Partition("P", owned)
+	c := tree.Root.Partition("C", []index.Space{index.FromRect(geometry.R1(ctrl, ctrl))}).Subregions[0]
+
+	s := core.NewStream(tree)
+	for cycle := 0; cycle < 3; cycle++ {
+		for i := 0; i < pieces; i++ {
+			s.Launch("propose",
+				core.Req{Region: p.Subregions[i], Field: v, Priv: privilege.Reads()},
+				core.Req{Region: c, Field: dt, Priv: privilege.Reduces(privilege.OpMin)},
+				core.Req{Region: c, Field: derr, Priv: privilege.Reduces(privilege.OpMax)})
+		}
+		s.Launch("fold",
+			core.Req{Region: c, Field: dt, Priv: privilege.Writes()},
+			core.Req{Region: c, Field: derr, Priv: privilege.Writes()})
+		for i := 0; i < pieces; i++ {
+			s.Launch("step",
+				core.Req{Region: c, Field: dt, Priv: privilege.Reads()},
+				core.Req{Region: p.Subregions[i], Field: v, Priv: privilege.Writes()})
+		}
+	}
+	verifyAll(t, s)
+}
+
 // TestReadOnlyStream never mutates: everything must be parallel and all
 // materializations must be the initial contents.
 func TestReadOnlyStream(t *testing.T) {

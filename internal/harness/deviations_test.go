@@ -62,7 +62,7 @@ func TestDeviation1PainterInitAboveWarnock(t *testing.T) {
 
 // TestDeviation2PennantWarnockDCRInit pins deviation #2: on pennant,
 // Warnock's initialization with DCR exceeds its initialization without
-// (0.0464 s against 0.0329 s); the paper has the two close, no-DCR
+// (0.0452 s against 0.0309 s); the paper has the two close, no-DCR
 // slightly worse.
 func TestDeviation2PennantWarnockDCRInit(t *testing.T) {
 	dcr := deviationCell(t, "pennant", "warnock", true).InitTime

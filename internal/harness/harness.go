@@ -37,20 +37,14 @@ type App struct {
 	// Init and Weak name the paper figures that plot the application's
 	// initialization time and weak-scaling throughput.
 	Init, Weak string
-	// InAll reports whether visbench's -app all runs it.
-	InAll bool
 }
 
 // Apps is the one table of applications, in the paper's figure order:
-// visbench (-app, -list), vistrace and bench.Collect all read it. The
-// pennant-futures variant routes pennant's global timestep through
-// futures, as real PENNANT does; it reproduces no figure of its own, so
-// -app all leaves it out.
+// visbench (-app, -list), vistrace and bench.Collect all read it.
 var Apps = []App{
-	{Name: "stencil", Build: stencil.New, Init: "Figure 12", Weak: "Figure 15", InAll: true},
-	{Name: "circuit", Build: circuit.New, Init: "Figure 13", Weak: "Figure 16", InAll: true},
-	{Name: "pennant", Build: pennant.New, Init: "Figure 14", Weak: "Figure 17", InAll: true},
-	{Name: "pennant-futures", Build: pennant.NewFutures, Init: "Figure 14 (futures dt)", Weak: "Figure 17 (futures dt)"},
+	{Name: "stencil", Build: stencil.New, Init: "Figure 12", Weak: "Figure 15"},
+	{Name: "circuit", Build: circuit.New, Init: "Figure 13", Weak: "Figure 16"},
+	{Name: "pennant", Build: pennant.New, Init: "Figure 14", Weak: "Figure 17"},
 }
 
 // FindApp returns the table entry called name; the error lists the
