@@ -12,6 +12,12 @@ import (
 // bytes: a compact, deterministic decoder so the fuzzer explores rect-list
 // structure.
 func decodeSpaces(data []byte, dim int) (Space, Space) {
+	ss := decodeN(data, dim, 2)
+	return ss[0], ss[1]
+}
+
+// decodeN builds k index spaces the way decodeSpaces builds two.
+func decodeN(data []byte, dim, k int) []Space {
 	take := func() int64 {
 		if len(data) == 0 {
 			return 0
@@ -20,10 +26,11 @@ func decodeSpaces(data []byte, dim int) (Space, Space) {
 		data = data[1:]
 		return v
 	}
-	build := func() Space {
+	ss := make([]Space, k)
+	for i := range ss {
 		n := int(take() % 10)
 		rs := make([]geometry.Rect, 0, n)
-		for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			r := geometry.Rect{Dim: dim}
 			for a := 0; a < dim; a++ {
 				lo := take()
@@ -32,20 +39,26 @@ func decodeSpaces(data []byte, dim int) (Space, Space) {
 			}
 			rs = append(rs, r)
 		}
-		return FromRects(dim, rs...)
+		ss[i] = FromRects(dim, rs...)
 	}
-	return build(), build()
+	return ss
 }
 
 // FuzzSetAlgebra checks every operation against the point-set oracle and
 // for canonical output (checkAlgebra), then the algebraic laws that tie
-// the operations to each other, on fuzzer-generated spaces in 1-D to 3-D.
+// the operations to each other, on fuzzer-generated spaces in 1-D to 3-D,
+// and UnionAll of 0 to 9 operands (checkUnionAll) in 1-D and 2-D.
 func FuzzSetAlgebra(f *testing.F) {
 	f.Add([]byte{2, 0, 3, 5, 2, 1, 4, 4, 6, 2})
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 1, 1, 2, 2, 9, 9, 1, 0, 0, 15, 15})
 	f.Add([]byte{9, 0, 2, 3, 1, 5, 0, 6, 4, 11, 3, 15, 2, 8, 1, 10, 0, 13, 2, 9, 1, 1, 5, 3, 2, 7, 1, 9, 0, 12, 4, 14, 3, 4, 2, 8, 8, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 {
+			for dim := 1; dim <= 2; dim++ {
+				checkUnionAll(t, dim, decodeN(data[1:], dim, int(data[0]%10)))
+			}
+		}
 		for dim := 1; dim <= 3; dim++ {
 			x, y := decodeSpaces(data, dim)
 			checkAlgebra(t, x, y)

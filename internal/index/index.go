@@ -271,6 +271,21 @@ func (s Space) Union(o Space) Space {
 	return all
 }
 
+// UnionAll returns the union of ss, which are of dimension dim: the left
+// fold of Union from Empty(dim), with no operands Empty(dim). It unions
+// halves recursively, so k operands of n rectangles in all cost
+// O(n log k) steps where the fold costs O(n·k).
+func UnionAll(dim int, ss []Space) Space {
+	switch len(ss) {
+	case 0:
+		return Empty(dim)
+	case 1:
+		return ss[0]
+	}
+	h := len(ss) / 2
+	return UnionAll(dim, ss[:h]).Union(UnionAll(dim, ss[h:]))
+}
+
 // Split returns s ∩ o and s − o. A probe that builds nothing settles the
 // case that o covers s; otherwise one pass produces both halves. A half
 // equal to s is s itself, so splitting a covered or a disjoint space

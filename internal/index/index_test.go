@@ -246,6 +246,47 @@ func checkAlgebra(t testing.TB, x, y Space) {
 	}
 }
 
+// checkUnionAll requires UnionAll of ss to hold exactly the points of the
+// oracle's union, in canonical form, and to equal the left fold of Union.
+func checkUnionAll(t testing.TB, dim int, ss []Space) {
+	t.Helper()
+	got := UnionAll(dim, ss)
+	want, fold := brute{}, Empty(dim)
+	for _, s := range ss {
+		maps.Copy(want, bruteOf(s))
+		fold = fold.Union(s)
+	}
+	what := fmt.Sprintf("UnionAll of %v", ss)
+	if !maps.Equal(bruteOf(got), want) || got.Volume() != int64(len(want)) {
+		t.Fatalf("%s = %v: wrong point set", what, got)
+	}
+	if got.Dim() != dim {
+		t.Fatalf("%s has dim %d, want %d", what, got.Dim(), dim)
+	}
+	checkCanonical(t, what, got)
+	if !slices.Equal(got.Rects(), fold.Rects()) {
+		t.Fatalf("%s = %v, the fold of Union %v", what, got, fold)
+	}
+}
+
+// TestUnionAll checks UnionAll of 0 to 9 random operands in 1-D to 3-D, and
+// that no operands make the empty space of the given dimension.
+func TestUnionAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for dim := 1; dim <= 3; dim++ {
+		if got := UnionAll(dim, nil); !got.IsEmpty() || got.Dim() != dim {
+			t.Fatalf("UnionAll(%d, nil) = %v of dim %d", dim, got, got.Dim())
+		}
+		for i := 0; i < 200; i++ {
+			ss := make([]Space, rng.Intn(10))
+			for j := range ss {
+				ss[j] = randSpace(rng, dim)
+			}
+			checkUnionAll(t, dim, ss)
+		}
+	}
+}
+
 func TestSetAlgebraProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for dim := 1; dim <= 3; dim++ {

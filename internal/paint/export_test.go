@@ -12,8 +12,8 @@ import (
 // region-tree node's space.
 func (pa *Painter) CheckResolved() error {
 	check := func(f int, fs *fieldState, k nodeKey, space index.Space) error {
-		ns, ok := fs.nodes[k]
-		if !ok {
+		ns := fs.at(k)
+		if ns == nil {
 			return nil
 		}
 		want := pa.opts.Owner(space)

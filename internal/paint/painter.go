@@ -1,7 +1,8 @@
 package paint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"visibility/internal/core"
 	"visibility/internal/field"
@@ -28,6 +29,17 @@ type Painter struct {
 	// nextToken issues unique composite-view ids for replication tracking.
 	nextToken int64
 
+	// Geometry remembered across launches (DESIGN §4). Region-tree nodes
+	// and their spaces are immutable, so each answer is computed once, and
+	// the counters and probe calls of a launch are charged the same whether
+	// an answer is remembered or not.
+	paths  [][]pathStep           // root path of each region, by region ID
+	inters map[uint64]index.Space // region ∩ region, by the two IDs, lower first
+	// ops and covers collect a snapshot's union operands; unionMisses
+	// counts the unions computed rather than reused.
+	ops, covers []index.Space
+	unionMisses int64
+
 	// DisablePruning turns off occlusion pruning (deleting history items
 	// fully covered by later writes, §5.1) — an ablation knob for
 	// benchmarking; histories then grow for the life of the program.
@@ -36,7 +48,12 @@ type Painter struct {
 
 // NewPainter creates an optimized painter for tree.
 func NewPainter(tree *region.Tree, opts core.Options) *Painter {
-	return &Painter{tree: tree, opts: opts.Normalize(), state: make(map[field.ID]*fieldState)}
+	return &Painter{
+		tree:   tree,
+		opts:   opts.Normalize(),
+		state:  make(map[field.ID]*fieldState),
+		inters: make(map[uint64]index.Space),
+	}
 }
 
 // Name implements core.Analyzer.
@@ -55,10 +72,12 @@ func regionKey(r *region.Region) nodeKey  { return nodeKey{part: false, id: r.ID
 func partKey(p *region.Partition) nodeKey { return nodeKey{part: true, id: p.ID} }
 
 // item is one element of a node history: a recorded entry or a composite
-// view.
+// view. An entry covers one whole region: a commit records its
+// requirement's region, and the seed the root.
 type item struct {
-	entry core.Entry // valid when view == nil
-	view  *view
+	entry  core.Entry // valid when view == nil
+	region int        // ID of the region whose space entry.Pts is
+	view   *view
 }
 
 // view is a composite view: an immutable snapshot of a subtree's histories
@@ -80,19 +99,41 @@ type nodeState struct {
 	open    bool // some history exists in this node's subtree
 	summary *privilege.Summary
 	owner   int // node owning this state (§8): fixed, as the tree node's space is
+	// pts and cover remember the unions of the last view snapshotted from
+	// this node's subtree.
+	pts, cover unionMemo
 }
 
+// fieldState holds one field's node states by region and by partition ID.
+// Both tables grow as launches reach nodes, so partitions created after
+// the painter are covered.
 type fieldState struct {
-	nodes map[nodeKey]*nodeState
+	regions, parts []*nodeState
+}
+
+// table returns the table node k's state is kept in.
+func (fs *fieldState) table(k nodeKey) *[]*nodeState {
+	if k.part {
+		return &fs.parts
+	}
+	return &fs.regions
+}
+
+// at returns the state of node k, nil if it has none yet.
+func (fs *fieldState) at(k nodeKey) *nodeState {
+	if t := *fs.table(k); k.id < len(t) {
+		return t[k.id]
+	}
+	return nil
 }
 
 func (pa *Painter) fieldFor(f field.ID) *fieldState {
 	fs, ok := pa.state[f]
 	if !ok {
-		fs = &fieldState{nodes: make(map[nodeKey]*nodeState)}
+		fs = &fieldState{}
 		// Seed the root with the initial full write (§5).
 		root := pa.node(fs, regionKey(pa.tree.Root), pa.tree.Root.Space)
-		root.hist = append(root.hist, item{entry: core.SeedEntry(pa.tree.Root.Space)})
+		root.hist = append(root.hist, item{entry: core.SeedEntry(pa.tree.Root.Space), region: pa.tree.Root.ID})
 		root.open = true
 		root.summary.Add(privilege.Writes())
 		pa.state[f] = fs
@@ -102,21 +143,34 @@ func (pa *Painter) fieldFor(f field.ID) *fieldState {
 
 // node returns the state at the tree node k, whose space is space.
 func (pa *Painter) node(fs *fieldState, k nodeKey, space index.Space) *nodeState {
-	ns, ok := fs.nodes[k]
-	if !ok {
-		ns = &nodeState{summary: privilege.NewSummary(), owner: pa.opts.Owner(space)}
-		fs.nodes[k] = ns
+	if ns := fs.at(k); ns != nil {
+		return ns
 	}
+	ns := &nodeState{summary: privilege.NewSummary(), owner: pa.opts.Owner(space)}
+	t := fs.table(k)
+	*t = grow(*t, k.id)
+	(*t)[k.id] = ns
 	return ns
 }
 
-// pathOf returns the alternating region/partition node keys from the root
-// down to r, together with each node's space.
+// grow extends s, if need be, so that s[i] exists.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// pathOf returns the alternating region/partition nodes from the root down
+// to r, together with each node's space, computed on r's first launch.
 func (pa *Painter) pathOf(r *region.Region) []pathStep {
+	if r.ID < len(pa.paths) && pa.paths[r.ID] != nil {
+		return pa.paths[r.ID]
+	}
 	span := pa.opts.Spans.Begin("paint.traverse", "analysis")
 	defer span.End()
 	regions := r.Path()
-	steps := make([]pathStep, 0, 2*len(regions))
+	steps := make([]pathStep, 0, 2*len(regions)-1)
 	for i, reg := range regions {
 		if i > 0 {
 			p := reg.Parent
@@ -124,6 +178,8 @@ func (pa *Painter) pathOf(r *region.Region) []pathStep {
 		}
 		steps = append(steps, pathStep{key: regionKey(reg), space: reg.Space, region: reg})
 	}
+	pa.paths = grow(pa.paths, r.ID)
+	pa.paths[r.ID] = steps
 	return steps
 }
 
@@ -154,8 +210,8 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		// Step 1 (§5.1): hoist interfering open off-path subtrees into
 		// composite views at their common ancestor with R.
 		hoist := pa.opts.Spans.Begin("paint.hoist", "analysis")
-		for _, step := range path {
-			pa.hoistChildren(fs, step, req)
+		for i := range path {
+			pa.hoistChildren(fs, path, i, req)
 		}
 		hoist.End()
 
@@ -184,12 +240,8 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		// float sum/product. Restoring global program order (stable on
 		// task, then requirement) keeps interfering pairs where the history
 		// already put them and makes materialization byte-exact.
-		plan := sc.Plan()
-		sort.SliceStable(plan, func(i, j int) bool {
-			if plan[i].Task != plan[j].Task {
-				return plan[i].Task < plan[j].Task
-			}
-			return plan[i].Req < plan[j].Req
+		slices.SortStableFunc(sc.Plan(), func(a, b core.Visible) int {
+			return cmp.Or(cmp.Compare(a.Task, b.Task), cmp.Compare(a.Req, b.Req))
 		})
 	}
 
@@ -211,7 +263,7 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 		}
 		leaf.hist = append(leaf.hist, item{entry: core.Entry{
 			Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space,
-		}})
+		}, region: req.Region.ID})
 		pa.opts.Probe.Touch(leaf.owner, 1)
 		for _, step := range path {
 			ns := pa.node(fs, step.key, step.space)
@@ -224,97 +276,86 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 }
 
 // hoistChildren snapshots every open, overlapping, interfering child
-// subtree of the path node `step` (excluding the child that continues the
-// path) into a composite view appended to step's history.
-func (pa *Painter) hoistChildren(fs *fieldState, step pathStep, req core.Req) {
-	appendView := func(childKey nodeKey, childSpace index.Space) {
-		cs := pa.node(fs, childKey, childSpace)
-		if !cs.open {
-			return
-		}
-		if !cs.summary.Interferes(req.Priv) {
-			return
-		}
-		pa.stats.OverlapTests++
-		if !childSpace.Overlaps(req.Region.Space) {
-			return
-		}
-		ns := pa.node(fs, step.key, step.space)
-		pa.nextToken++
-		v := &view{
-			pts:        index.Empty(childSpace.Dim()),
-			writeCover: index.Empty(childSpace.Dim()),
-			summary:    privilege.NewSummary(),
-			id:         pa.nextToken,
-			home:       ns.owner,
-		}
-		pa.snapshot(fs, childKey, v)
-		if len(v.items) == 0 {
-			return
-		}
-		pa.stats.ViewsCreated++
-		// Occlusion pruning: the new view hides older items it fully
-		// overwrites.
-		ns.hist = pa.prune(ns.hist, v.writeCover)
-		ns.hist = append(ns.hist, item{view: v})
-		ns.open = true
-		ns.summary.AddAll(v.summary)
-		pa.opts.Probe.Touch(ns.owner, int64(v.count))
+// subtree of the path node path[i] (excluding the child that continues the
+// path) into a composite view appended to path[i]'s history.
+func (pa *Painter) hoistChildren(fs *fieldState, path []pathStep, i int, req core.Req) {
+	step := path[i]
+	var next pathStep // the child on the path; zero below its last node
+	if i+1 < len(path) {
+		next = path[i+1]
 	}
-
 	if step.region != nil {
 		for _, p := range step.region.Partitions {
-			onPath := req.Region != step.region && containsRegion(p, req.Region)
-			if onPath {
-				continue
+			if p != next.part {
+				pa.hoistChild(fs, step, partKey(p), p.Space(), req)
 			}
-			appendView(partKey(p), p.Space())
 		}
-	} else {
-		for _, sub := range step.part.Subregions {
-			if sub == req.Region || sub.IsAncestorOf(req.Region) {
-				continue
-			}
-			appendView(regionKey(sub), sub.Space)
+		return
+	}
+	for _, sub := range step.part.Subregions {
+		if sub != next.region {
+			pa.hoistChild(fs, step, regionKey(sub), sub.Space, req)
 		}
 	}
 }
 
-// containsRegion reports whether r lies in partition p's subtree.
-func containsRegion(p *region.Partition, r *region.Region) bool {
-	for cur := r; cur != nil; {
-		if cur.Parent == p {
-			return true
-		}
-		if cur.Parent == nil {
-			return false
-		}
-		cur = cur.Parent.Parent
+// hoistChild snapshots the child subtree of step rooted at child, whose
+// space is childSpace, into a view appended to step's history, if it is
+// open, interferes with req and overlaps it.
+func (pa *Painter) hoistChild(fs *fieldState, step pathStep, child nodeKey, childSpace index.Space, req core.Req) {
+	cs := pa.node(fs, child, childSpace)
+	if !cs.open || !cs.summary.Interferes(req.Priv) {
+		return
 	}
-	return false
+	pa.stats.OverlapTests++
+	if !childSpace.Overlaps(req.Region.Space) {
+		return
+	}
+	ns := pa.node(fs, step.key, step.space)
+	pa.nextToken++
+	v := &view{summary: privilege.NewSummary(), id: pa.nextToken, home: ns.owner}
+	pa.ops, pa.covers = pa.ops[:0], pa.covers[:0]
+	pa.snapshot(fs, child, v)
+	if len(v.items) == 0 {
+		return
+	}
+	v.pts = pa.union(&cs.pts, childSpace.Dim(), pa.ops)
+	v.writeCover = pa.union(&cs.cover, childSpace.Dim(), pa.covers)
+	pa.stats.ViewsCreated++
+	// Occlusion pruning: the new view hides older items it fully
+	// overwrites.
+	ns.hist = pa.prune(ns.hist, v.writeCover)
+	ns.hist = append(ns.hist, item{view: v})
+	ns.open = true
+	ns.summary.AddAll(v.summary)
+	pa.opts.Probe.Touch(ns.owner, int64(v.count))
 }
 
 // snapshot moves the histories of the subtree rooted at key into v
-// (preorder), closing the subtree. Nodes never touched by a commit have no
-// state and no descendants with state, so they terminate the recursion.
+// (preorder), closing the subtree, and collects the operands of v's point
+// set in pa.ops and of its write cover in pa.covers. Nodes never touched by
+// a commit have no state and no descendants with state, so they terminate
+// the recursion.
 func (pa *Painter) snapshot(fs *fieldState, key nodeKey, v *view) {
-	ns, ok := fs.nodes[key]
-	if !ok || !ns.open {
+	ns := fs.at(key)
+	if ns == nil || !ns.open {
 		return
 	}
 	if len(ns.hist) > 0 {
 		for _, it := range ns.hist {
 			v.items = append(v.items, it)
 			if it.view != nil {
-				v.pts = v.pts.Union(it.view.pts)
-				v.writeCover = v.writeCover.Union(it.view.writeCover)
+				pa.ops = append(pa.ops, it.view.pts)
+				if !it.view.writeCover.IsEmpty() {
+					pa.covers = append(pa.covers, it.view.writeCover)
+				}
 				v.summary.AddAll(it.view.summary)
 				v.count += it.view.count
 				pa.stats.ViewEntries += int64(it.view.count)
 			} else {
-				v.pts = v.pts.Union(it.entry.Pts)
+				pa.ops = append(pa.ops, it.entry.Pts)
 				if it.entry.Priv.IsWrite() {
-					v.writeCover = v.writeCover.Union(it.entry.Pts)
+					pa.covers = append(pa.covers, it.entry.Pts)
 				}
 				v.summary.Add(it.entry.Priv)
 				v.count++
@@ -341,6 +382,30 @@ func (pa *Painter) snapshot(fs *fieldState, key nodeKey, v *view) {
 	}
 }
 
+// unionMemo is the last union computed at a node, with its operands.
+type unionMemo struct {
+	ops []index.Space
+	out index.Space
+}
+
+// union returns the union of ops, all of dimension dim. Spaces are
+// immutable, so when ops are, one for one, the spaces m's union was taken
+// of — the same rectangles — that union is returned again.
+func (pa *Painter) union(m *unionMemo, dim int, ops []index.Space) index.Space {
+	if !slices.EqualFunc(m.ops, ops, sameRects) {
+		m.ops = append(m.ops[:0], ops...)
+		m.out = index.UnionAll(dim, ops)
+		pa.unionMisses++
+	}
+	return m.out
+}
+
+// sameRects reports whether a and b hold the same rectangle slice.
+func sameRects(a, b index.Space) bool {
+	ra, rb := a.Rects(), b.Rects()
+	return len(ra) == len(rb) && (len(ra) == 0 || &ra[0] == &rb[0])
+}
+
 // scanItems traverses history items in order, expanding composite views,
 // and hands sc every entry that shares points with req.
 func (pa *Painter) scanItems(items []item, req core.Req, sc *core.Scan) {
@@ -360,10 +425,27 @@ func (pa *Painter) scanItems(items []item, req core.Req, sc *core.Scan) {
 		e := it.entry
 		pa.stats.EntriesScanned++
 		pa.stats.OverlapTests++
-		if inter := e.Pts.Intersect(req.Region.Space); !inter.IsEmpty() {
+		// A read scanned by a read, or a reduction by one with the same
+		// operator, is neither a dependence nor a plan entry
+		// (core.Scan.Entry), so it needs no intersection.
+		if !privilege.Interferes(e.Priv, req.Priv) {
+			continue
+		}
+		if inter := pa.intersect(it.region, req.Region); !inter.IsEmpty() {
 			sc.Entry(e, inter)
 		}
 	}
+}
+
+// intersect returns the intersection of the spaces of regions a and b.
+func (pa *Painter) intersect(a int, b *region.Region) index.Space {
+	k := uint64(min(a, b.ID))<<32 | uint64(max(a, b.ID))
+	inter, ok := pa.inters[k]
+	if !ok {
+		inter = pa.tree.Region(a).Space.Intersect(b.Space)
+		pa.inters[k] = inter
+	}
+	return inter
 }
 
 // prune removes items whose recorded points are entirely covered by cover

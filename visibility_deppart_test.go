@@ -1,6 +1,7 @@
 package visibility_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,66 @@ func TestPartitionImageAndMinus(t *testing.T) {
 	}
 	if v, _ := snap.Get(visibility.Pt(5)); v != 5 {
 		t.Errorf("cell 5 = %v, want 5", v)
+	}
+}
+
+// TestPartitionAfterLaunch launches on a region first and derives its
+// partitions afterwards — equal, then image minus equal — launching
+// writes, reductions and reads on the new subregions: an analyzer's tables
+// must grow with the tree past the nodes it first saw. Validate checks
+// every materialized input, and the analyzers agree on the final contents.
+func TestPartitionAfterLaunch(t *testing.T) {
+	const n = 24
+	neighbors := func(p visibility.Point) []visibility.Point {
+		return []visibility.Point{visibility.Pt((p.C[0] + n - 1) % n), visibility.Pt((p.C[0] + 1) % n)}
+	}
+	run := func(algorithm string) [][]float64 {
+		rt := visibility.New(visibility.Config{Algorithm: algorithm, Validate: true})
+		defer rt.Close()
+		g := rt.CreateRegion("g", visibility.Line(0, n-1), "v")
+		rt.Launch(visibility.TaskSpec{
+			Name:     "init",
+			Accesses: []visibility.Access{visibility.Write(g, "v")},
+			Kernel: visibility.Kernel{Write: func(_ int, p visibility.Point, _ float64) float64 {
+				return float64(p.C[0])
+			}},
+		})
+		halves := g.PartitionEqual("H", 2)
+		rt.Read(halves.Sub(1), "v")
+
+		primary := g.PartitionEqual("P", 4)
+		ghost := g.PartitionImage("reach", primary, neighbors).Minus("G", primary)
+		for iter := 0; iter < 2; iter++ {
+			for i := 0; i < primary.Len(); i++ {
+				rt.Launch(visibility.TaskSpec{
+					Name:     "halo",
+					Accesses: []visibility.Access{visibility.Reduce(visibility.OpSum, ghost.Sub(i), "v")},
+					Kernel:   visibility.Kernel{Reduce: func(int, visibility.Point) float64 { return 1 }},
+				})
+			}
+			for i := 0; i < primary.Len(); i++ {
+				rt.Launch(visibility.TaskSpec{
+					Name:     "step",
+					Accesses: []visibility.Access{visibility.Read(ghost.Sub(i), "v"), visibility.Write(primary.Sub(i), "v")},
+					Kernel: visibility.Kernel{Write: func(_ int, _ visibility.Point, in float64) float64 {
+						return 2*in + 1
+					}},
+				})
+			}
+		}
+		rt.Read(halves.Sub(0), "v")
+		return rt.Read(g, "v").Rows()
+	}
+	var want [][]float64
+	for _, algorithm := range []string{"raycast", "warnock", "paint"} {
+		t.Run(algorithm, func(t *testing.T) {
+			got := run(algorithm)
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("contents %v, raycast's %v", got, want)
+			}
+		})
 	}
 }
 
