@@ -116,13 +116,13 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 			}
 			cr.Partitions = append(cr.Partitions, cp)
 		}
-		for _, fname := range cr.Fields {
+		for i, fname := range cr.Fields {
 			var snap *Snapshot
 			if ts.frozen {
 				snap = rt.Read(r, fname)
 			} else {
 				// Nothing launched: the initial contents are current.
-				snap = &Snapshot{st: ts.init[ts.fields[fname]]}
+				snap = &Snapshot{st: ts.init[field.ID(i)]}
 			}
 			cr.Values[fname] = snap.Rows()
 		}
@@ -225,7 +225,7 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 		}
 
 		for fname, rows := range cr.Values {
-			id, ok := root.tree.fields[fname]
+			id, ok := root.tree.tree.Fields.Lookup(fname)
 			if !ok {
 				return nil, nil, fmt.Errorf("visibility: checkpoint values for unknown field %q", fname)
 			}

@@ -1,13 +1,10 @@
 package visibility
 
 import (
-	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"visibility/internal/core"
-	"visibility/internal/field"
 	"visibility/internal/graph"
 	"visibility/internal/trace"
 )
@@ -85,23 +82,6 @@ type CritSummary struct {
 	LevelSlack  []float64         `json:"levelSlack"`
 }
 
-// fieldName resolves a field ID back to its name by sorted scan — the
-// map is tiny and iterating sorted names keeps the output independent
-// of map order.
-func (ts *treeState) fieldName(id field.ID) string {
-	names := make([]string, 0, len(ts.fields))
-	for name := range ts.fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if ts.fields[name] == id {
-			return name
-		}
-	}
-	return fmt.Sprintf("field%d", id)
-}
-
 func (ts *treeState) taskName(id int) string {
 	if id >= 0 && id < len(ts.stream.Tasks) {
 		return ts.stream.Tasks[id].Name
@@ -117,7 +97,7 @@ func (ts *treeState) explainEdge(r core.EdgeReason) EdgeExplain {
 		SrcReq: r.SrcReq, DstReq: r.DstReq, Trace: r.Trace,
 	}
 	if r.Kind == core.ReasonRegion {
-		e.Field = ts.fieldName(r.Field)
+		e.Field = ts.tree.Fields.Name(r.Field)
 		e.SrcPriv = r.SrcPriv.String()
 		e.DstPriv = r.DstPriv.String()
 		if !r.Overlap.Empty() {

@@ -118,12 +118,12 @@ type Analyzer interface {
 
 // NewAnalyzerFunc constructs an analyzer over tree with the given
 // instrumentation. Every algorithm's constructor has this shape, and so
-// does every layer that builds one (algo.New, shard.Factory and
-// dist.NewAnalyzerFunc are aliases of it).
+// does every layer that builds one (algo.New and dist.NewAnalyzerFunc are
+// aliases of it).
 type NewAnalyzerFunc func(tree *region.Tree, opts Options) Analyzer
 
 // BaseName strips wrapper suffixes from an analyzer name
-// ("raycast+shard4+autotrace" → "raycast"). Wrapping analyzers compose
+// ("raycast+autotrace" → "raycast"). Wrapping analyzers compose
 // names with '+'; provenance and other cross-configuration-comparable
 // outputs want the algorithm's name, not the harness around it.
 func BaseName(name string) string {
@@ -188,21 +188,6 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, prefix string) {
 func (s *Stats) Ops() int64 {
 	return s.OverlapTests + s.EntriesScanned + s.ViewsCreated + s.ViewEntries +
 		s.ItemsPruned + s.SetsCreated + s.SetsVisited + s.SetsCoalesced + s.BVHVisited
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o *Stats) {
-	s.Launches += o.Launches
-	s.OverlapTests += o.OverlapTests
-	s.EntriesScanned += o.EntriesScanned
-	s.DepsReported += o.DepsReported
-	s.ViewsCreated += o.ViewsCreated
-	s.ViewEntries += o.ViewEntries
-	s.ItemsPruned += o.ItemsPruned
-	s.SetsCreated += o.SetsCreated
-	s.SetsVisited += o.SetsVisited
-	s.SetsCoalesced += o.SetsCoalesced
-	s.BVHVisited += o.BVHVisited
 }
 
 // Probe receives fine-grained attribution of analysis work to owners of

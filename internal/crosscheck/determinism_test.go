@@ -28,7 +28,7 @@ func renderRun(fac core.Factory, tree *region.Tree, stream *core.Stream) string 
 		for ri, plan := range res.Plans {
 			fmt.Fprintf(&b, "  plan %d:", ri)
 			for _, v := range plan {
-				fmt.Fprintf(&b, " %d.%d/%v@%s", v.Task, v.Req, v.Priv, v.Pts.Key())
+				fmt.Fprintf(&b, " %d.%d/%v@%v", v.Task, v.Req, v.Priv, v.Pts)
 			}
 			b.WriteString("\n")
 		}
@@ -36,7 +36,7 @@ func renderRun(fac core.Factory, tree *region.Tree, stream *core.Stream) string 
 	if rc, ok := an.(*raycast.RayCast); ok {
 		for f := 0; f < tree.Fields.Len(); f++ {
 			for _, sp := range rc.SetSpaces(field.ID(f)) {
-				fmt.Fprintf(&b, "set %d %s\n", f, sp.Key())
+				fmt.Fprintf(&b, "set %d %v\n", f, sp)
 			}
 		}
 	}

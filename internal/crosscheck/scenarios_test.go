@@ -3,7 +3,9 @@ package crosscheck
 import (
 	"testing"
 
+	"visibility/internal/algo"
 	"visibility/internal/core"
+	"visibility/internal/deppart"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
 	"visibility/internal/index"
@@ -278,5 +280,79 @@ func TestWarnockMemoAblationEquivalence(t *testing.T) {
 		}})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmptyPieceRequirements drives requirements on empty regions through
+// every registered analyzer: an explicit empty piece and a piece that a
+// pairwise difference (the Minus dependent partition) leaves empty.
+// Writes, reductions and reads on them interleave with launches on real
+// pieces. A task whose requirements are all empty touches no point, so it
+// must report no dependences and empty plans, and the values every other
+// task sees must not move.
+func TestEmptyPieceRequirements(t *testing.T) {
+	r1 := func(lo, hi int64) index.Space { return index.FromRect(geometry.R1(lo, hi)) }
+	fs := field.NewSpace()
+	v, w := fs.Add("v"), fs.Add("w")
+	tree := region.NewTree("A", r1(0, 31), fs)
+	p := tree.Root.Partition("P", []index.Space{r1(0, 7), r1(8, 15), index.Empty(1), r1(16, 31)})
+	outer := []index.Space{r1(0, 9), r1(10, 19), r1(20, 31)}
+	inner := []index.Space{r1(0, 3), r1(10, 19), r1(24, 27)}
+	g := tree.Root.Partition("G", deppart.Difference(outer, inner))
+	explicit, minus := p.Subregions[2], g.Subregions[1]
+	if !explicit.Space.IsEmpty() || !minus.Space.IsEmpty() {
+		t.Fatalf("want empty pieces, got %v and %v", explicit.Space, minus.Space)
+	}
+
+	s := core.NewStream(tree)
+	empty := map[int]bool{}
+	onEmpty := func(name string, reqs ...core.Req) {
+		empty[s.Launch(name, reqs...).ID] = true
+	}
+	sum := privilege.Reduces(privilege.OpSum)
+	for iter := 0; iter < 3; iter++ {
+		s.Launch("w0", core.Req{Region: p.Subregions[0], Field: v, Priv: privilege.Writes()})
+		onEmpty("we", core.Req{Region: explicit, Field: v, Priv: privilege.Writes()})
+		s.Launch("g0", core.Req{Region: g.Subregions[0], Field: v, Priv: sum},
+			core.Req{Region: g.Subregions[2], Field: w, Priv: privilege.Writes()})
+		onEmpty("rm", core.Req{Region: minus, Field: v, Priv: sum},
+			core.Req{Region: explicit, Field: w, Priv: sum})
+		s.Launch("mixed", core.Req{Region: p.Subregions[3], Field: w, Priv: sum},
+			core.Req{Region: minus, Field: w, Priv: privilege.Writes()})
+		onEmpty("re", core.Req{Region: explicit, Field: v, Priv: privilege.Reads()},
+			core.Req{Region: minus, Field: w, Priv: privilege.Reads()})
+		s.Launch("r1", core.Req{Region: p.Subregions[1], Field: v, Priv: privilege.Reads()},
+			core.Req{Region: g.Subregions[2], Field: w, Priv: privilege.Reads()})
+		onEmpty("wm", core.Req{Region: minus, Field: v, Priv: privilege.Writes()})
+		s.Launch("wroot", core.Req{Region: tree.Root, Field: w, Priv: privilege.Writes()})
+	}
+
+	var facs []core.Factory
+	for _, name := range algo.Names() {
+		newAn, err := algo.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		facs = append(facs, core.Factory{Name: name, New: func(tr *region.Tree) core.Analyzer { return newAn(tr, core.Options{}) }})
+	}
+	if err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{}, facs...); err != nil {
+		t.Fatal(err)
+	}
+	for _, fac := range facs {
+		an := fac.New(tree)
+		for _, task := range s.Tasks {
+			res := an.Analyze(task)
+			if !empty[task.ID] {
+				continue
+			}
+			if len(res.Deps) != 0 {
+				t.Errorf("%s: task %d (%s) on empty regions reports deps %v", fac.Name, task.ID, task.Name, res.Deps)
+			}
+			for ri, plan := range res.Plans {
+				if len(plan) != 0 {
+					t.Errorf("%s: task %d (%s) req %d on an empty region has plan %v", fac.Name, task.ID, task.Name, ri, plan)
+				}
+			}
+		}
 	}
 }

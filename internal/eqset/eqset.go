@@ -186,8 +186,8 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
 			// No points: nothing can interfere and nothing materializes.
-			// Common under sharding, where a requirement's restriction to
-			// most atoms is empty, and for clipped boundary halos.
+			// Empty pieces of explicit or dependent partitions and
+			// clipped boundary halos produce these.
 			continue
 		}
 		scan.Begin(ri, req)

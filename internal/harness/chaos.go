@@ -142,7 +142,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 // ChaosTree exposes the chaos tree generator: a random region tree over
 // a 1-D or 2-D root with a mix of disjoint and aliased partitions,
-// possibly nested. Property suites (e.g. the shard-equivalence test)
+// possibly nested. Property suites (e.g. the crosscheck random streams)
 // reuse it so their workload family matches the chaos harness's.
 func ChaosTree(rng *rand.Rand) *region.Tree { return chaosTree(rng) }
 

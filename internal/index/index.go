@@ -32,7 +32,6 @@ package index
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"visibility/internal/geometry"
@@ -364,21 +363,6 @@ func (s Space) SplitAt(n int64) (Space, Space) {
 		return FromRects(s.dim, head...), FromRects(s.dim, tail...)
 	}
 	return s, Empty(s.dim)
-}
-
-// Key returns a compact string uniquely identifying the point set; equal
-// spaces (by Equal) have equal keys. Useful as a map key for memoization.
-func (s Space) Key() string {
-	var buf [128]byte
-	b := strconv.AppendInt(append(buf[:0], 'd'), int64(s.dim), 10)
-	for _, r := range s.rects {
-		b = append(b, ';')
-		for a := 0; a < s.dim; a++ {
-			b = append(strconv.AppendInt(b, r.Lo.C[a], 10), ',')
-			b = append(strconv.AppendInt(b, r.Hi.C[a], 10), ',')
-		}
-	}
-	return string(b)
 }
 
 // String formats the space for debugging.

@@ -61,9 +61,6 @@ func TestCanonical2D(t *testing.T) {
 	if !a.Equal(b) {
 		t.Errorf("canonical forms differ:\n a=%v\n b=%v", a, b)
 	}
-	if a.Key() != b.Key() {
-		t.Errorf("keys differ: %q vs %q", a.Key(), b.Key())
-	}
 	if a.Volume() != 75 {
 		t.Errorf("volume = %d, want 75", a.Volume())
 	}
@@ -359,26 +356,6 @@ func TestSplitAtMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// Key's bytes decide shard homes (an FNV hash of the key), so they are
-// pinned exactly.
-func TestKeyGolden(t *testing.T) {
-	for _, c := range []struct {
-		s    Space
-		want string
-	}{
-		{Space{}, "d0"},
-		{Empty(2), "d2"},
-		{FromRect(geometry.R1(-3, 12)), "d1;-3,12,"},
-		{FromRects(1, geometry.R1(0, 5), geometry.R1(100, 1<<40)), "d1;0,5,;100,1099511627776,"},
-		{FromRects(2, geometry.R2(0, 0, 9, 4), geometry.R2(0, 5, 4, 9)), "d2;0,9,0,4,;0,4,5,9,"},
-		{FromRect(geometry.R3(1, 2, 3, 4, 5, 6)), "d3;1,4,2,5,3,6,"},
-	} {
-		if got := c.s.Key(); got != c.want {
-			t.Errorf("Key(%v) = %q, want %q", c.s, got, c.want)
-		}
-	}
-}
-
 // Property: canonical form is unique — building the same set from its own
 // fragments reproduces identical structure.
 func TestCanonicalUniqueness(t *testing.T) {
@@ -390,19 +367,11 @@ func TestCanonicalUniqueness(t *testing.T) {
 			y := randSpace(rng, dim)
 			// x = (x\y) ∪ (x∩y), rebuilt from pieces.
 			rebuilt := x.Subtract(y).Union(x.Intersect(y))
-			return rebuilt.Equal(x) && rebuilt.Key() == x.Key()
+			return rebuilt.Equal(x)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 			t.Errorf("dim %d: %v", dim, err)
 		}
-	}
-}
-
-func TestKeyDistinguishes(t *testing.T) {
-	a := FromRect(geometry.R1(0, 5))
-	b := FromRect(geometry.R1(0, 6))
-	if a.Key() == b.Key() {
-		t.Error("different spaces share a key")
 	}
 }
 

@@ -199,9 +199,9 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
 			// No points: nothing can interfere, nothing materializes, and
-			// hoisting for an empty requirement moves nothing. Common under
-			// sharding, where a requirement's restriction to most atoms is
-			// empty, and for clipped boundary halos.
+			// hoisting for an empty requirement moves nothing. Empty pieces
+			// of explicit or dependent partitions and clipped boundary
+			// halos produce these.
 			continue
 		}
 		fs := pa.fieldFor(req.Field)

@@ -366,3 +366,34 @@ func TestWriteJSONUnrenderable(t *testing.T) {
 		t.Errorf("body: status %d %q, want 202 %q", rec.Code, got, want)
 	}
 }
+
+// TestIdleExpirySparesRunningJob: a job that runs longer than IdleTimeout
+// keeps its session alive. The worker has already taken the job off the
+// queue, so an empty queue must not read as idle, and the job's end counts
+// as use.
+func TestIdleExpirySparesRunningJob(t *testing.T) {
+	srv := New(Config{IdleTimeout: 50 * time.Millisecond})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer srv.Shutdown(t.Context())
+	id := createSessionHTTP(t, hs.URL)
+	s := srv.session(id)
+	if s == nil {
+		t.Fatal("session not found internally")
+	}
+
+	finished := make(chan struct{})
+	if err := srv.submit(s, job{fn: func() { <-time.After(300 * time.Millisecond) }, done: finished}); err != nil {
+		t.Fatal(err)
+	}
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		case <-time.After(10 * time.Millisecond):
+		}
+		if srv.session(id) != s {
+			t.Fatalf("session %s expired while its worker was running a job", id)
+		}
+	}
+}

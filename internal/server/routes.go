@@ -198,8 +198,7 @@ type sessionBody struct {
 }
 
 func (s *session) describe() sessionBody {
-	_, queued := s.idleSince()
-	body := sessionBody{ID: s.id, Algorithm: s.req.Algorithm, Autotrace: s.req.AutoTrace, Queued: queued}
+	body := sessionBody{ID: s.id, Algorithm: s.req.Algorithm, Autotrace: s.req.AutoTrace, Queued: len(s.jobs)}
 	if err := s.latchedFailure(); err != nil {
 		body.Failed = err.Error()
 	}

@@ -384,8 +384,8 @@ func (srv *Server) janitor() {
 		case <-t.C:
 			cutoff := time.Now().Add(-srv.cfg.IdleTimeout)
 			for _, s := range srv.sessionList() {
-				last, queued := s.idleSince()
-				if queued == 0 && last.Before(cutoff) {
+				last, busy := s.idleSince()
+				if !busy && last.Before(cutoff) {
 					srv.closeSession(s, false)
 					expired.Inc()
 				}

@@ -42,7 +42,8 @@ type session struct {
 	mu       sync.Mutex
 	closing  bool      // guarded by mu
 	failure  error     // guarded by mu; latched first worker failure
-	lastUsed time.Time // guarded by mu
+	lastUsed time.Time // guarded by mu; last accepted request or finished job
+	running  bool      // guarded by mu; the worker has taken a job and not finished it
 	dumpPath string    // guarded by mu; recorder dump written on failure
 }
 
@@ -98,6 +99,7 @@ func (s *session) run() {
 			s.spans.Record("queue.wait", "queue", j.enq, s.spans.Now(), j.tc)
 			s.spans.SetContext(j.tc)
 		}
+		s.setRunning(true)
 		s.srv.rec.Log(recorder.KindJobStart, s.seq, 0)
 		s.exec(func() {
 			// Fault plane: an injected crash mid-job takes exactly the path
@@ -106,6 +108,7 @@ func (s *session) run() {
 			s.srv.cfg.Faults.Crash(fault.WorkerPanic, s.seq)
 			j.fn()
 		})
+		s.setRunning(false)
 		s.srv.rec.Log(recorder.KindJobDone, s.seq, 0)
 		if j.tc.Valid() {
 			s.spans.SetContext(obs.TraceContext{})
@@ -191,10 +194,22 @@ func (s *session) recorderDump() string {
 	return s.dumpPath
 }
 
-// idleSince reports the last accepted request time and the current queue
-// depth, for the janitor.
-func (s *session) idleSince() (time.Time, int) {
+// setRunning marks the worker as holding a job (true) or done with it
+// (false). Finishing a job counts as use, so a job that outlasts
+// IdleTimeout does not leave its session expirable the moment it ends.
+func (s *session) setRunning(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastUsed, len(s.jobs)
+	s.running = on
+	if !on {
+		s.lastUsed = time.Now()
+	}
+}
+
+// idleSince reports when the session was last used and whether it has a
+// job queued or running, for the janitor.
+func (s *session) idleSince() (time.Time, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastUsed, s.running || len(s.jobs) > 0
 }

@@ -213,7 +213,6 @@ type Partition struct {
 
 type treeState struct {
 	tree   *region.Tree
-	fields map[string]field.ID
 	init   map[field.ID]*data.Store
 	stream *core.Stream
 	// deps is the discovered dependence graph, one row per launch in
@@ -236,13 +235,11 @@ func (rt *Runtime) CreateRegion(name string, space IndexSpace, fields ...string)
 		panic("visibility: a region needs at least one field")
 	}
 	fs := field.NewSpace()
-	ts := &treeState{fields: make(map[string]field.ID)}
 	for _, f := range fields {
-		ts.fields[f] = fs.Add(f)
+		fs.Add(f)
 	}
-	ts.tree = region.NewTree(name, space, fs)
-	ts.init = make(map[field.ID]*data.Store)
-	for _, id := range ts.fields {
+	ts := &treeState{tree: region.NewTree(name, space, fs), init: make(map[field.ID]*data.Store)}
+	for id := field.ID(0); int(id) < fs.Len(); id++ {
 		st := data.NewStore(space)
 		st.Fill(func(Point) float64 { return 0 })
 		ts.init[id] = st
@@ -270,9 +267,10 @@ func (r *Region) Name() string { return r.reg.Name }
 
 // Fields returns the field names of r's tree, sorted.
 func (r *Region) Fields() []string {
-	names := make([]string, 0, len(r.tree.fields))
-	for name := range r.tree.fields {
-		names = append(names, name)
+	fs := r.tree.tree.Fields
+	names := make([]string, fs.Len())
+	for i := range names {
+		names[i] = fs.Name(field.ID(i))
 	}
 	sort.Strings(names)
 	return names
@@ -280,7 +278,7 @@ func (r *Region) Fields() []string {
 
 // HasField reports whether r's tree declares the named field.
 func (r *Region) HasField(name string) bool {
-	_, ok := r.tree.fields[name]
+	_, ok := r.tree.tree.Fields.Lookup(name)
 	return ok
 }
 
@@ -303,7 +301,7 @@ func (r *Region) Init(fieldName string, f func(Point) float64) *Region {
 }
 
 func (r *Region) fieldID(name string) field.ID {
-	id, ok := r.tree.fields[name]
+	id, ok := r.tree.tree.Fields.Lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("visibility: region %s has no field %q", r.reg.Name, name))
 	}
