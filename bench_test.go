@@ -110,6 +110,7 @@ func BenchmarkAnalyzePerLaunch(b *testing.B) {
 			inst := circuit.New(16)
 			an := newAn(inst.Tree, core.Options{})
 			stream := core.NewStream(inst.Tree)
+			b.ReportAllocs()
 			// Warm up: initialization iteration.
 			launches := inst.Emit(stream, 0)
 			for _, l := range launches {

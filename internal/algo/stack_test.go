@@ -1,10 +1,15 @@
 package algo_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"visibility/internal/algo"
+	"visibility/internal/apps"
+	"visibility/internal/apps/circuit"
+	"visibility/internal/apps/stencil"
 	"visibility/internal/core"
 	"visibility/internal/field"
 	"visibility/internal/geometry"
@@ -82,4 +87,54 @@ func TestBuild(t *testing.T) {
 		}
 	}()
 	algo.Spec{Algorithm: "zbuffer"}.Build(tree, core.Options{})
+}
+
+// TestResultsAreCallerOwned holds every stack to core.Analyzer's contract
+// that a Result belongs to its caller: analyzers collect into scratch they
+// reuse launch after launch, so a Result that still shared it would change
+// under its holder — the executor keeps Plans until the task runs. Each
+// Result is copied as it returns and compared with its copy once the whole
+// stream has been analyzed, after an append to each of its plans, which
+// must not reach the next plan.
+func TestResultsAreCallerOwned(t *testing.T) {
+	for _, app := range []struct {
+		name  string
+		build apps.Builder
+	}{{"circuit", circuit.New}, {"stencil", stencil.New}} {
+		for _, name := range algo.Names() {
+			for _, auto := range []bool{false, true} {
+				spec := algo.Spec{Algorithm: name, AutoTrace: auto}
+				inst := app.build(16)
+				an := spec.Build(inst.Tree, core.Options{}).Analyzer
+				stream := core.NewStream(inst.Tree)
+				var launches []apps.Launch
+				if inst.EmitInit != nil {
+					launches = inst.EmitInit(stream)
+				}
+				for iter := 0; iter <= 3; iter++ {
+					launches = append(launches, inst.Emit(stream, iter)...)
+				}
+				var kept, copies []*core.Result
+				for _, l := range launches {
+					res := an.Analyze(l.Task)
+					c := &core.Result{Deps: slices.Clone(res.Deps), Plans: make([][]core.Visible, len(res.Plans))}
+					for ri, plan := range res.Plans {
+						c.Plans[ri] = slices.Clone(plan)
+					}
+					kept, copies = append(kept, res), append(copies, c)
+				}
+				for i, res := range kept {
+					for ri := range res.Plans {
+						res.Plans[ri] = append(res.Plans[ri], core.Visible{Task: -i})
+						copies[i].Plans[ri] = append(copies[i].Plans[ri], core.Visible{Task: -i})
+					}
+					if !reflect.DeepEqual(res, copies[i]) {
+						t.Errorf("%s %s%s: launch %d's result changed after it returned:\n got %+v\nwant %+v",
+							app.name, name, spec.Suffix(), i, res, copies[i])
+						break
+					}
+				}
+			}
+		}
+	}
 }

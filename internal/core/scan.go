@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"visibility/internal/index"
 	"visibility/internal/privilege"
 )
@@ -9,23 +11,37 @@ import (
 // live history entry becomes a dependence and a plan entry (materialize,
 // Figure 6 line 4): every analyzer finds the entries that share points with
 // a requirement its own way, then hands each one to Entry.
+//
+// An analyzer owns one Scan and starts it for every launch; Result copies
+// out what the caller keeps.
 type Scan struct {
 	// stats is the analyzer's counter block.
 	stats *Stats
-	ri    int // the requirement being materialized
 	req   Req
 	deps  []int
-	plans [][]Visible
+	// vis holds every requirement's plan entries, one requirement's after
+	// another: an analyzer scans each requirement in one stretch, so plan
+	// ri is vis[plans[ri].lo:plans[ri].hi].
+	vis   []Visible
+	plans []bounds
+	ri    int // the requirement being materialized
 }
 
-// NewScan starts the scan of t's launch, counting it in stats.
-func NewScan(stats *Stats, t *Task) Scan {
+type bounds struct{ lo, hi int }
+
+// Start begins the scan of t's launch, counting it in stats.
+func (s *Scan) Start(stats *Stats, t *Task) {
 	stats.Launches++
-	return Scan{stats: stats, plans: make([][]Visible, len(t.Reqs))}
+	s.stats, s.deps, s.vis = stats, s.deps[:0], s.vis[:0]
+	s.plans = slices.Grow(s.plans[:0], len(t.Reqs))[:len(t.Reqs)]
+	clear(s.plans)
 }
 
 // Begin directs the entries that follow at t's ri-th requirement.
-func (s *Scan) Begin(ri int, req Req) { s.ri, s.req = ri, req }
+func (s *Scan) Begin(ri int, req Req) {
+	s.ri, s.req = ri, req
+	s.plans[ri] = bounds{len(s.vis), len(s.vis)}
+}
 
 // Entry accounts for history entry e, live on pts ⊆ the requirement's
 // region: a dependence when the privileges interfere, and a plan entry
@@ -37,12 +53,24 @@ func (s *Scan) Entry(e Entry, pts index.Space) {
 		s.stats.DepsReported++
 	}
 	if !s.req.Priv.IsReduce() && e.Priv.Mutates() {
-		s.plans[s.ri] = append(s.plans[s.ri], Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: pts})
+		s.vis = append(s.vis, Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: pts})
+		s.plans[s.ri].hi = len(s.vis)
 	}
 }
 
 // Plan returns the current requirement's plan so far, in scan order.
-func (s *Scan) Plan() []Visible { return s.plans[s.ri] }
+func (s *Scan) Plan() []Visible { return s.vis[s.plans[s.ri].lo:] }
 
-// Result closes the scan.
-func (s *Scan) Result() *Result { return &Result{Deps: DedupDeps(s.deps), Plans: s.plans} }
+// Result closes the scan, copying what it collected into a Result the
+// caller owns: its deps, and one array under every plan, each plan's
+// capacity clipped so that an append to one copies.
+func (s *Scan) Result() *Result {
+	res := &Result{Deps: slices.Clone(DedupDeps(s.deps)), Plans: make([][]Visible, len(s.plans))}
+	vis := slices.Clone(s.vis)
+	for ri, b := range s.plans {
+		if b.lo < b.hi {
+			res.Plans[ri] = vis[b.lo:b.hi:b.hi]
+		}
+	}
+	return res
+}

@@ -95,6 +95,9 @@ type Driver struct {
 	// sent in, and so virtual time.
 	remote      []remoteWork // by owner
 	remoteOrder []int
+	// gather and pres are Launch's scratch too, for the replies it waits
+	// for and its task's preconditions; the machine keeps no deps slice.
+	gather, pres []cluster.Ref
 }
 
 type remoteWork struct {
@@ -243,22 +246,22 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	}
 	chain := d.m.UtilNamed(analysisNode, "analyze "+name, local, prev)
 	if len(d.remoteOrder) > 0 {
-		gather := make([]cluster.Ref, 0, len(d.remoteOrder))
+		d.gather = d.gather[:0]
 		for _, owner := range d.remoteOrder {
 			req := d.m.Message(analysisNode, owner, controlBytes, chain)
 			remote := d.m.UtilNamed(owner, "touch "+name, cluster.Time(d.remote[owner].ops)*opCost, req)
-			gather = append(gather, d.m.Message(owner, analysisNode, controlBytes, remote))
+			d.gather = append(d.gather, d.m.Message(owner, analysisNode, controlBytes, remote))
 			d.remote[owner] = remoteWork{}
 		}
 		d.remoteOrder = d.remoteOrder[:0]
-		chain = d.m.AfterAll(gather...)
+		chain = d.m.AfterAll(d.gather...)
 	}
 	d.lastAnalysis[analysisNode] = chain
 
 	// Gather preconditions: completion of dependences, delivery of the
 	// data each plan entry materializes, and any consumed futures (small
 	// messages from their producers' nodes).
-	pres := []cluster.Ref{chain}
+	pres := append(d.pres[:0], chain)
 	for _, dep := range res.Deps {
 		if r, ok := d.taskDone[dep]; ok {
 			pres = append(pres, r)
@@ -288,6 +291,7 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	}
 
 	done := d.m.ExecNamed(execNode, name, dur, pres...)
+	d.pres = pres
 	d.taskDone[t.ID] = done
 	d.taskNode[t.ID] = execNode
 	d.all = append(d.all, done)

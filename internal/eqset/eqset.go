@@ -77,8 +77,9 @@ func (n *Node) Cut(r *region.Region) Cut {
 type Set[X any] struct {
 	// G is the set's geometry; G.Pts never changes.
 	G *Node
-	// Hist is append-only, so the fragments of a split share their
-	// parent's entries until one of them appends.
+	// Hist is append-only while shared: the fragments of a split share
+	// their parent's entries, capacity clipped, until one appends. So a
+	// live set whose Hist has cap > len owns its array (see Overwrite).
 	Hist []core.Entry
 	// Dead is set once the set has been replaced (by a refinement, or by
 	// the store moving its contents into fresh sets) or pruned by a write;
@@ -93,11 +94,12 @@ type Set[X any] struct {
 // Store holds the live equivalence sets of every field. Both methods
 // identify a requirement as t.Reqs[ri], whose region is never empty.
 type Store[X any] interface {
-	// Refine returns the live sets that tile the requirement's region,
-	// applying Kernel.Split to every live set overlapping it. commit is
+	// Refine appends to dst the live sets that tile the requirement's
+	// region, applying Kernel.Split to every live set overlapping it, and
+	// returns the extended slice, which the store must not keep. commit is
 	// false for the requirement's first, materialize-phase visit and true
 	// when commit must look the sets up again.
-	Refine(t *core.Task, ri int, commit bool) []*Set[X]
+	Refine(t *core.Task, ri int, commit bool, dst []*Set[X]) []*Set[X]
 	// Write commits a write of the requirement's region over inside, the
 	// live sets tiling it.
 	Write(t *core.Task, ri int, inside []*Set[X])
@@ -110,6 +112,12 @@ type Kernel[X any] struct {
 	Stats core.Stats
 	store Store[X]
 	span  string // name + ".analyze", built once rather than per launch
+
+	// Analyze's scratch, reused by every launch: the scan, every set the
+	// launch's refines found, and each requirement's run of them.
+	scan    core.Scan
+	sets    []*Set[X]
+	insides [][]*Set[X]
 }
 
 // New creates the kernel of the analyzer called name over store.
@@ -163,6 +171,17 @@ func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced
 	return &halves[0], &halves[1], forced
 }
 
+// Overwrite returns the history of a set a write leaves holding only e.
+// hist is a history the write replaces — the set's own, or a pruned set's
+// — and its array is reused when hist owns it (see Set.Hist); otherwise
+// the new array has room for the reads and reductions that follow.
+func Overwrite(hist []core.Entry, e core.Entry) []core.Entry {
+	if cap(hist) > len(hist) {
+		return append(hist[:0], e)
+	}
+	return append(make([]core.Entry, 0, 4), e)
+}
+
 // privRuns counts maximal runs of identical privileges in a history — the
 // epochs a scan actually tests for interference.
 func privRuns(hist []core.Entry) int64 {
@@ -179,10 +198,14 @@ func privRuns(hist []core.Entry) int64 {
 func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 	span := k.Opts.Spans.Begin(k.span, "analysis")
 	defer span.End()
-	scan := core.NewScan(&k.Stats, t)
+	scan := &k.scan
+	scan.Start(&k.Stats, t)
 
 	// materialize: refine, then scan each constituent equivalence set.
-	insides := make([][]*Set[X], len(t.Reqs))
+	k.sets = k.sets[:0]
+	insides := slices.Grow(k.insides[:0], len(t.Reqs))[:len(t.Reqs)]
+	clear(insides)
+	k.insides = insides
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
 			// No points: nothing can interfere and nothing materializes.
@@ -191,7 +214,9 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			continue
 		}
 		scan.Begin(ri, req)
-		insides[ri] = k.store.Refine(t, ri, false)
+		n := len(k.sets)
+		k.sets = k.store.Refine(t, ri, false, k.sets)
+		insides[ri] = k.sets[n:]
 		for _, s := range insides[ri] {
 			// Consecutive entries with one privilege form an epoch (e.g.
 			// N same-operator reductions): interference is decided once
@@ -217,7 +242,9 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 		inside := insides[ri]
 		for _, s := range inside {
 			if s.Dead {
-				inside = k.store.Refine(t, ri, true)
+				n := len(k.sets)
+				k.sets = k.store.Refine(t, ri, true, k.sets)
+				inside = k.sets[n:]
 				break
 			}
 		}

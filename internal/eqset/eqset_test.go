@@ -172,12 +172,12 @@ type flat struct {
 	sets map[field.ID][]*set
 }
 
-func (f *flat) Refine(t *core.Task, ri int, _ bool) []*set {
+func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 	req := t.Reqs[ri]
 	if f.sets[req.Field] == nil {
 		f.sets[req.Field] = []*set{{G: &eqset.Node{Pts: f.root}, Hist: []core.Entry{core.SeedEntry(f.root)}}}
 	}
-	var live, inside []*set
+	var live []*set
 	for _, s := range f.sets[req.Field] {
 		if !s.G.Pts.Overlaps(req.Region.Space) {
 			live = append(live, s)

@@ -28,6 +28,7 @@ type Naive struct {
 	// no lock: the analyzer runs on exactly one goroutine.
 	hist  map[field.ID][]core.Entry
 	stats core.Stats
+	scan  core.Scan // Analyze's, reused by every launch
 }
 
 // NewNaive creates a naive painter for tree.
@@ -56,7 +57,8 @@ func (n *Naive) histFor(f field.ID) []core.Entry {
 func (n *Naive) Analyze(t *Task) *core.Result {
 	span := n.opts.Spans.Begin("paint-naive.analyze", "analysis")
 	defer span.End()
-	sc := core.NewScan(&n.stats, t)
+	sc := &n.scan
+	sc.Start(&n.stats, t)
 
 	// materialize: replay the full history against each requirement.
 	for ri, req := range t.Reqs {

@@ -39,6 +39,7 @@ type Painter struct {
 	// counts the unions computed rather than reused.
 	ops, covers []index.Space
 	unionMisses int64
+	scan        core.Scan // Analyze's, reused by every launch
 
 	// DisablePruning turns off occlusion pruning (deleting history items
 	// fully covered by later writes, §5.1) — an ablation knob for
@@ -194,7 +195,8 @@ type pathStep struct {
 func (pa *Painter) Analyze(t *core.Task) *core.Result {
 	span := pa.opts.Spans.Begin("paint.analyze", "analysis")
 	defer span.End()
-	sc := core.NewScan(&pa.stats, t)
+	sc := &pa.scan
+	sc.Start(&pa.stats, t)
 
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
@@ -228,7 +230,7 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 				continue
 			}
 			before := pa.stats.EntriesScanned
-			pa.scanItems(ns.hist, req, &sc)
+			pa.scanItems(ns.hist, req, sc)
 			pa.opts.Probe.Touch(core.LocalOwner, pa.stats.EntriesScanned-before+1)
 		}
 		scan.End()

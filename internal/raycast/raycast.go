@@ -51,6 +51,8 @@ type RayCast struct {
 	state map[field.ID]*fieldState
 	// written is Write's scratch: the buckets of the sets one write prunes.
 	written []int
+	// cands is Refine's scratch: the live sets overlapping its region.
+	cands []*set
 }
 
 // New creates a ray-casting analyzer for tree.
@@ -292,9 +294,8 @@ func (rc *RayCast) overlappingBuckets(fs *fieldState, r *region.Region) []int {
 	return m.buckets
 }
 
-// candidates returns the live sets overlapping r.
-func (rc *RayCast) candidates(fs *fieldState, r *region.Region) []*set {
-	var out []*set
+// candidates appends the live sets overlapping r to out.
+func (rc *RayCast) candidates(fs *fieldState, r *region.Region, out []*set) []*set {
 	if fs.dcp != nil {
 		for _, bi := range rc.overlappingBuckets(fs, r) {
 			for _, s := range fs.buckets[bi] {
@@ -356,7 +357,7 @@ func (rc *RayCast) insert(fs *fieldState, s *set) {
 // bucket (or in the K-d container). The migration heuristic and the
 // eq.migrate fault watch each requirement once, on its materialize-phase
 // visit.
-func (rc *RayCast) Refine(t *core.Task, ri int, commit bool) []*set {
+func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) []*set {
 	r := t.Reqs[ri].Region
 	fs := rc.fieldFor(t.Reqs[ri].Field, r)
 	if !commit {
@@ -367,8 +368,8 @@ func (rc *RayCast) Refine(t *core.Task, ri int, commit bool) []*set {
 	}
 	span := rc.k.Opts.Spans.Begin("raycast.refine", "analysis")
 	defer span.End()
-	var inside []*set
-	for _, s := range rc.candidates(fs, r) {
+	rc.cands = rc.candidates(fs, r, rc.cands[:0])
+	for _, s := range rc.cands {
 		in, rest, forced := rc.k.Split(s, r)
 		inside = append(inside, in)
 		if rest == nil {
@@ -451,16 +452,20 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	rc.k.Opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
 	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]
+	var old []core.Entry // a pruned set's history to reuse (see eqset.Set.Hist)
 	for _, s := range inside {
 		s.Dead = true
-		if fs.dcp == nil {
-			rc.remove(fs, s)
-		} else {
+		if fs.dcp != nil {
 			rc.written = append(rc.written, s.At.bucket)
+			continue
+		}
+		rc.remove(fs, s)
+		if cap(s.Hist) > len(s.Hist) {
+			old = s.Hist
 		}
 	}
 	if fs.dcp == nil {
-		rc.kdInsert(fs, &set{G: fs.geom[0].Cut(req.Region).In, Hist: []core.Entry{e}})
+		rc.kdInsert(fs, &set{G: fs.geom[0].Cut(req.Region).In, Hist: eqset.Overwrite(old, e)})
 		rc.k.Stats.SetsCreated++
 		return
 	}
@@ -475,10 +480,16 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 		if i > 0 && bi == rc.written[i-1] {
 			continue
 		}
-		live := slices.DeleteFunc(fs.buckets[bi], func(s *set) bool { return s.Dead })
+		old = nil
+		live := slices.DeleteFunc(fs.buckets[bi], func(s *set) bool {
+			if s.Dead && cap(s.Hist) > len(s.Hist) {
+				old = s.Hist
+			}
+			return s.Dead
+		})
 		g := fs.geom[bi].Cut(req.Region).In
 		e.Pts = g.Pts
-		ns := &set{G: g, Hist: []core.Entry{e}, At: place{id: fs.nextID, bucket: bi}}
+		ns := &set{G: g, Hist: eqset.Overwrite(old, e), At: place{id: fs.nextID, bucket: bi}}
 		fs.nextID++
 		fs.buckets[bi] = append(live, ns)
 		rc.k.Stats.SetsCreated++

@@ -26,6 +26,8 @@ type Warnock struct {
 
 	// nextToken issues unique ids for refinement-tree nodes across fields.
 	nextToken int64
+	// leaves is lookup's scratch: the leaves one lookup found.
+	leaves []*set
 
 	// DisableMemo turns off the per-region memoization of constituent
 	// equivalence sets (§6.1), so every lookup descends from the root —
@@ -119,57 +121,60 @@ func (w *Warnock) fieldFor(f field.ID) *fieldState {
 }
 
 // lookup returns the live sets overlapping sp, descending from the nodes
-// of the sets memoized for the region (or the root on first use).
+// of the sets memoized for the region (or the root on first use). The
+// slice is scratch, valid until the next lookup.
 func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*set {
 	span := w.k.Opts.Spans.Begin("warnock.bvh_query", "analysis")
 	defer span.End()
-	var leaves []*set
-	var descend func(*bnode)
-	descend = func(b *bnode) {
-		w.k.Stats.BVHVisited++
-		// Testing a node costs work proportional to its rectangle
-		// complexity: the residual spaces produced by piece-by-piece
-		// refinement fragment into more and more rectangles, which is
-		// what makes constructing and searching the refinement tree
-		// superlinear during initialization (§8.1).
-		ops := int64(b.pts.NumRects())
-		if b.set == nil {
-			// Interior nodes are replicated on demand per analyzing
-			// node; the probe decides whether this is a first fetch.
-			w.k.Opts.Probe.Fetch(b.owner, b.id, ops)
-		} else {
-			w.k.Opts.Probe.Visit(ops)
-		}
-		w.k.Stats.OverlapTests++
-		if !b.pts.Overlaps(sp) {
-			return
-		}
-		if b.set != nil {
-			leaves = append(leaves, b.set)
-			return
-		}
-		for _, c := range b.children {
-			descend(c)
-		}
-	}
+	w.leaves = w.leaves[:0]
 	if start, ok := fs.memo[regionID]; ok && !w.DisableMemo {
 		for _, s := range start {
-			descend(s.At)
+			w.descend(s.At, sp)
 		}
 	} else {
-		descend(fs.root)
+		w.descend(fs.root, sp)
 	}
-	return leaves
+	return w.leaves
+}
+
+// descend appends to w.leaves the sets at the leaves under b overlapping
+// sp.
+func (w *Warnock) descend(b *bnode, sp index.Space) {
+	w.k.Stats.BVHVisited++
+	// Testing a node costs work proportional to its rectangle complexity:
+	// the residual spaces produced by piece-by-piece refinement fragment
+	// into more and more rectangles, which is what makes constructing and
+	// searching the refinement tree superlinear during initialization
+	// (§8.1).
+	ops := int64(b.pts.NumRects())
+	if b.set == nil {
+		// Interior nodes are replicated on demand per analyzing node; the
+		// probe decides whether this is a first fetch.
+		w.k.Opts.Probe.Fetch(b.owner, b.id, ops)
+	} else {
+		w.k.Opts.Probe.Visit(ops)
+	}
+	w.k.Stats.OverlapTests++
+	if !b.pts.Overlaps(sp) {
+		return
+	}
+	if b.set != nil {
+		w.leaves = append(w.leaves, b.set)
+		return
+	}
+	for _, c := range b.children {
+		w.descend(c, sp)
+	}
 }
 
 // Refine implements eqset.Store: a split leaf becomes an interior node over
 // its two fragments.
-func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
+func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 	r := t.Reqs[ri].Region
 	fs := w.fieldFor(t.Reqs[ri].Field)
 	span := w.k.Opts.Spans.Begin("warnock.refine", "analysis")
 	defer span.End()
-	var inside []*set
+	n := len(inside)
 	for _, s := range w.lookup(fs, r.ID, r.Space) {
 		w.k.Stats.SetsVisited++
 		w.k.Touch(s, 1)
@@ -196,7 +201,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 	// The sets now tiling the region are exactly the leaves a later lookup
 	// of it must start from; a memoized set that is refined afterwards
 	// still names its (then interior) node.
-	fs.memo[r.ID] = inside
+	fs.memo[r.ID] = append(fs.memo[r.ID][:0], inside[n:]...)
 	return inside
 }
 
@@ -204,7 +209,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool) []*set {
 // (Figure 9 lines 30-31).
 func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
-		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.G.Pts}}
+		s.Hist = eqset.Overwrite(s.Hist, core.Entry{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.G.Pts})
 		w.k.Touch(s, 1)
 	}
 }
