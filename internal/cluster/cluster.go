@@ -66,9 +66,45 @@ func DefaultConfig(nodes int) Config {
 type proc struct {
 	intervals []ival // busy intervals: sorted, disjoint, coalesced
 	busy      Time
+	// hint is the index the previous search found: successive placements
+	// mostly land close together, though far from the tail.
+	hint int
 }
 
 type ival struct{ start, end Time }
+
+// search returns the index of the first interval ending after ready (the
+// earlier ones are irrelevant to a placement at or after it). It gallops
+// out from the hint (1, 2, 4, … intervals) until it brackets that index,
+// then bisects the bracket; the predicate is monotone, so the answer is
+// the one a bisection of the whole list finds.
+func (p *proc) search(ready Time) int {
+	ivs := p.intervals
+	h := min(p.hint, len(ivs))
+	var lo, hi int
+	step := 1
+	if h < len(ivs) && ivs[h].end <= ready {
+		for lo = h + 1; h+step < len(ivs) && ivs[h+step].end <= ready; step *= 2 {
+			lo = h + step + 1
+		}
+		hi = min(h+step, len(ivs))
+	} else {
+		for hi = h; h-step >= 0 && ivs[h-step].end > ready; step *= 2 {
+			hi = h - step
+		}
+		lo = max(h-step+1, 0)
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if ivs[mid].end <= ready {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	p.hint = lo
+	return lo
+}
 
 // place reserves dur seconds at the earliest time >= ready with a free gap
 // and returns the start time.
@@ -76,19 +112,8 @@ func (p *proc) place(ready, dur Time) Time {
 	if dur <= 0 {
 		return ready
 	}
-	// First interval that ends after ready: earlier intervals are
-	// irrelevant.
-	lo, hi := 0, len(p.intervals)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.intervals[mid].end <= ready {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	t := ready
-	i := lo
+	i := p.search(ready)
 	for ; i < len(p.intervals); i++ {
 		iv := p.intervals[i]
 		if t+dur <= iv.start {
@@ -132,8 +157,10 @@ type Machine struct {
 	// driver, which runs on the analysis goroutine).
 	exec []proc
 	util []proc
-	// done is the completion time per op.
-	done []Time
+	// done holds the completion time per op in pages of pageSize that
+	// are never copied; ops counts the ops recorded.
+	done [][]Time
+	ops  int
 
 	// Message tallies live on the obs registry; Messages() reads them
 	// back, so existing callers see the same numbers.
@@ -149,9 +176,8 @@ type Machine struct {
 
 // traceRec is the virtual-time journal behind ExportTrace.
 type traceRec struct {
-	ops   []opRecord
-	refOp map[Ref]int // scheduling Ref -> index into ops
-	msgs  []msgRecord
+	ops  []opRecord
+	msgs []msgRecord
 }
 
 // opRecord is one scheduled slice of processor time.
@@ -163,11 +189,11 @@ type opRecord struct {
 	dur   Time
 }
 
-// msgRecord is one cross-node (or self) message: the refs of its send and
-// receive slices.
+// msgRecord is one cross-node (or self) message: the indices in ops of its
+// send and receive slices.
 type msgRecord struct {
 	bytes      int64
-	send, recv Ref
+	send, recv int
 }
 
 // New creates a machine.
@@ -198,7 +224,7 @@ func (m *Machine) Metrics() *obs.Registry { return m.metrics }
 // earlier is absent from the export.
 func (m *Machine) EnableTracing() {
 	if m.rec == nil {
-		m.rec = &traceRec{refOp: make(map[Ref]int)}
+		m.rec = &traceRec{}
 	}
 }
 
@@ -216,7 +242,7 @@ func (m *Machine) depsReady(deps []Ref) Time {
 		if d == NoRef {
 			continue
 		}
-		if dt := m.done[d]; dt > t {
+		if dt := m.at(d); dt > t {
 			t = dt
 		}
 	}
@@ -235,14 +261,28 @@ func (m *Machine) schedule(node int, util bool, name string, dur Time, deps []Re
 		p = &m.util[node]
 	}
 	start := p.place(m.depsReady(deps), dur)
-	m.done = append(m.done, start+dur)
-	ref := Ref(len(m.done) - 1)
 	if m.rec != nil {
-		m.rec.refOp[ref] = len(m.rec.ops)
 		m.rec.ops = append(m.rec.ops, opRecord{node: node, util: util, name: name, start: start, dur: dur})
 	}
-	return ref
+	return m.afterTime(start + dur)
 }
+
+// pageSize is the number of completion times per page of Machine.done.
+const pageSize = 1 << 12
+
+// afterTime records an op completing at t and returns its Ref; called on
+// its own, it makes a pseudo-op.
+func (m *Machine) afterTime(t Time) Ref {
+	if m.ops%pageSize == 0 {
+		m.done = append(m.done, make([]Time, pageSize))
+	}
+	m.done[m.ops/pageSize][m.ops%pageSize] = t
+	m.ops++
+	return Ref(m.ops - 1)
+}
+
+// at returns the completion time of op r.
+func (m *Machine) at(r Ref) Time { return m.done[uint(r)/pageSize][uint(r)%pageSize] }
 
 // Exec schedules dur seconds of kernel work on node's execution processor,
 // starting at the earliest free slot after all deps are complete.
@@ -285,23 +325,19 @@ func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 	}
 	// Receive processing occupies the destination's utility processor
 	// after the wire delivers.
-	recv := m.schedule(to, true, "recv", receiveOverhead, []Ref{m.afterTime(m.done[sent] + wire)})
+	recv := m.schedule(to, true, "recv", receiveOverhead, []Ref{m.afterTime(m.at(sent) + wire)})
 	if m.rec != nil {
-		m.rec.msgs = append(m.rec.msgs, msgRecord{bytes: bytes, send: sent, recv: recv})
+		// The send and receive are the last two slices journaled:
+		// afterTime journals none.
+		n := len(m.rec.ops)
+		m.rec.msgs = append(m.rec.msgs, msgRecord{bytes: bytes, send: n - 2, recv: n - 1})
 	}
 	return recv
 }
 
-// afterTime returns a pseudo-op completing at t.
-func (m *Machine) afterTime(t Time) Ref {
-	m.done = append(m.done, t)
-	return Ref(len(m.done) - 1)
-}
-
 // AfterAll returns a zero-cost operation completing when all deps have.
 func (m *Machine) AfterAll(deps ...Ref) Ref {
-	m.done = append(m.done, m.depsReady(deps))
-	return Ref(len(m.done) - 1)
+	return m.afterTime(m.depsReady(deps))
 }
 
 // TimeOf returns the completion time of r.
@@ -309,14 +345,14 @@ func (m *Machine) TimeOf(r Ref) Time {
 	if r == NoRef {
 		return 0
 	}
-	return m.done[r]
+	return m.at(r)
 }
 
 // Makespan returns the completion time of the entire schedule so far.
 func (m *Machine) Makespan() Time {
 	var t Time
-	for _, d := range m.done {
-		if d > t {
+	for r := Ref(0); r < Ref(m.ops); r++ {
+		if d := m.at(r); d > t {
 			t = d
 		}
 	}
@@ -340,7 +376,7 @@ func (m *Machine) UtilBusy(node int) Time {
 func (m *Machine) Messages() (int64, int64) { return m.messages.Load(), m.bytes.Load() }
 
 // Ops returns the number of scheduled operations.
-func (m *Machine) Ops() int { return len(m.done) }
+func (m *Machine) Ops() int { return m.ops }
 
 // virtualNs converts virtual seconds to integer nanoseconds, the
 // timestamp unit of the trace exporter. Rounding through math.Round makes
@@ -378,8 +414,7 @@ func (m *Machine) ExportTrace(tw *obs.TraceWriter) {
 	}
 	for i, msg := range m.rec.msgs {
 		id := int64(i + 1)
-		send := m.rec.ops[m.rec.refOp[msg.send]]
-		recv := m.rec.ops[m.rec.refOp[msg.recv]]
+		send, recv := m.rec.ops[msg.send], m.rec.ops[msg.recv]
 		name := fmt.Sprintf("msg %dB", msg.bytes)
 		tw.FlowStart(id, send.node, UtilTID, name, "message", virtualNs(send.start))
 		tw.FlowEnd(id, recv.node, UtilTID, name, "message", virtualNs(recv.start))

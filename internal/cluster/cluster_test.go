@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -232,4 +234,129 @@ func TestZeroDurationOpsAreFree(t *testing.T) {
 	if m.Makespan() != 0 || m.NodeBusy(0) != 0 {
 		t.Errorf("zero-duration ops consumed time: makespan=%v busy=%v", m.Makespan(), m.NodeBusy(0))
 	}
+}
+
+// refPlace is place with a bisection of the whole interval list in place
+// of the search from the hint: the oracle TestPlaceMatchesBisection holds
+// place to.
+func refPlace(p *proc, ready, dur Time) Time {
+	if dur <= 0 {
+		return ready
+	}
+	lo, hi := 0, len(p.intervals)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if p.intervals[mid].end <= ready {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	t := ready
+	i := lo
+	for ; i < len(p.intervals); i++ {
+		iv := p.intervals[i]
+		if t+dur <= iv.start {
+			break
+		}
+		if iv.end > t {
+			t = iv.end
+		}
+	}
+	p.busy += dur
+	end := t + dur
+	mergePrev := i > 0 && p.intervals[i-1].end == t
+	mergeNext := i < len(p.intervals) && p.intervals[i].start == end
+	switch {
+	case mergePrev && mergeNext:
+		p.intervals[i-1].end = p.intervals[i].end
+		p.intervals = append(p.intervals[:i], p.intervals[i+1:]...)
+	case mergePrev:
+		p.intervals[i-1].end = end
+	case mergeNext:
+		p.intervals[i].start = t
+	default:
+		p.intervals = append(p.intervals, ival{})
+		copy(p.intervals[i+1:], p.intervals[i:])
+		p.intervals[i] = ival{start: t, end: end}
+	}
+	return t
+}
+
+// TestPlaceMatchesBisection drives place and the bisecting oracle with the
+// same seeded streams and requires the same start time and the same whole
+// interval list after every op. Times are multiples of 1/8, exact in
+// float64, so a stream hits every case the search and the coalescing
+// distinguish: backfills from ready 0, ready anywhere in the history or
+// inside an old gap, zero durations, and items that exactly touch the
+// interval to their left, to their right, or both.
+func TestPlaceMatchesBisection(t *testing.T) {
+	const seeds, ops = 200, 4000
+	var touches [4]int // neither, left, right, both
+	maxIvs := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got, want proc
+		tick := func(n int) Time { return Time(rng.Intn(n)) / 8 }
+		for op := 0; op < ops; op++ {
+			ivs := got.intervals // the list before the op, until got.place
+			// By default spread items over a span wider than their total
+			// duration, so the list grows to hundreds of intervals.
+			ready, dur := tick(8*ops), tick(8)
+			if k := len(ivs); k > 0 {
+				r := rng.Intn(k)
+				iv, gap := ivs[r], Time(0) // gap: the free time after iv, before the next interval
+				if r+1 < k {
+					gap = ivs[r+1].start - iv.end
+				}
+				switch rng.Intn(16) { // 7 to 15 keep the spread default
+				case 0:
+					ready = 0
+				case 1:
+					dur = 0
+				case 2: // past the tail
+					ready = ivs[k-1].end + tick(16)
+				case 3: // inside the gap after iv, or past it
+					ready = iv.end + tick(int(gap*8)+8)
+				case 4: // touch iv on the left
+					ready = iv.end
+				case 5: // touch the next interval on the right
+					if gap > 0 {
+						ready = iv.end + tick(int(gap*8))
+						dur = iv.end + gap - ready
+					}
+				case 6: // fill the gap after iv exactly
+					if gap > 0 {
+						ready, dur = iv.end, gap
+					}
+				}
+			}
+			w := refPlace(&want, ready, dur)
+			if dur > 0 {
+				_, left := slices.BinarySearchFunc(ivs, w, func(iv ival, t Time) int { return cmp.Compare(iv.end, t) })
+				_, right := slices.BinarySearchFunc(ivs, w+dur, func(iv ival, t Time) int { return cmp.Compare(iv.start, t) })
+				touches[b2i(left)+2*b2i(right)]++
+			}
+			if g := got.place(ready, dur); g != w {
+				t.Fatalf("seed %d op %d: place(%v, %v) = %v, bisection gives %v", seed, op, ready, dur, g, w)
+			}
+			if !slices.Equal(got.intervals, want.intervals) || got.busy != want.busy {
+				t.Fatalf("seed %d op %d: place(%v, %v) left intervals %v, bisection %v", seed, op, ready, dur, got.intervals, want.intervals)
+			}
+			maxIvs = max(maxIvs, len(want.intervals))
+		}
+	}
+	t.Logf("ops by touch (neither, left, right, both): %v; at most %d intervals", touches, maxIvs)
+	for c, n := range touches {
+		if n == 0 {
+			t.Errorf("no op exercised touch case %d (neither, left, right, both): %v", c, touches)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,0 +1,64 @@
+package dist_test
+
+import (
+	"testing"
+
+	"visibility/internal/algo"
+	"visibility/internal/apps"
+	"visibility/internal/apps/circuit"
+	"visibility/internal/cluster"
+	"visibility/internal/core"
+	"visibility/internal/dist"
+	"visibility/internal/obs"
+	"visibility/internal/testutil"
+)
+
+// TestSteadyStateAllocations drives circuit at 16 nodes through Warnock
+// with DCR, the leg BenchmarkHarnessLaunch times, and bounds what one
+// steady-state launch allocates, Emit included, across the application,
+// the analyzer, the driver and the machine. The machine records
+// completions in pages it never copies, and the driver keeps its task
+// tables in slices indexed by task ID. Regrowing the whole completion
+// history and a map entry per task took about 4,410 bytes per launch; a
+// plain build now takes about 2,580, and the race detector about 2,640.
+// The count is the application's and the analyzer's: 7.18 per launch, and
+// the bound is the 7.2 it was before; the race detector measures about
+// 7.8, and its bound is 9.
+func TestSteadyStateAllocations(t *testing.T) {
+	const nodes = 16
+	newAn, err := algo.Lookup("warnock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := circuit.New(nodes)
+	m := cluster.New(cluster.DefaultConfig(nodes))
+	d := dist.New(m, inst.Tree, dist.NewAnalyzerFunc(newAn), dist.OwnerByPartition(inst.Owned, nodes), dist.DefaultConfig(true))
+	stream := core.NewStream(inst.Tree)
+	run := func(ls []apps.Launch) {
+		for _, l := range ls {
+			d.Launch(l.Task, dist.OwnerMapper{}.Place(l.Task, l.Node, nodes), l.Duration)
+		}
+	}
+	run(inst.Emit(stream, 0)) // initialization
+	maxAllocs, maxBytes := 7.2, 3000.0
+	if testutil.RaceEnabled() {
+		maxAllocs = 9
+	}
+	var allocs, bytes, launches int64
+	for step := 1; step <= 30; step++ {
+		before := obs.ReadAllocs()
+		batch := inst.Emit(stream, step)
+		run(batch)
+		n, b := obs.ReadAllocs().Since(before)
+		allocs += n
+		bytes += b
+		launches += int64(len(batch))
+	}
+	perAllocs, perBytes := float64(allocs)/float64(launches), float64(bytes)/float64(launches)
+	if perAllocs > maxAllocs || perBytes > maxBytes {
+		t.Errorf("a steady-state launch allocates %.1f times and %.0f bytes (%d launches), want at most %.1f and %.0f",
+			perAllocs, perBytes, launches, maxAllocs, maxBytes)
+	} else {
+		t.Logf("%.2f allocations and %.0f bytes per launch", perAllocs, perBytes)
+	}
+}

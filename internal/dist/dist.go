@@ -13,6 +13,8 @@
 package dist
 
 import (
+	"fmt"
+
 	"visibility/internal/bvh"
 	"visibility/internal/cluster"
 	"visibility/internal/core"
@@ -75,11 +77,13 @@ type Driver struct {
 	an  core.Analyzer
 	cfg Config
 
-	probe    *recorder
-	taskDone map[int]cluster.Ref
-	taskNode map[int]int
-	owner    core.OwnerFunc
-	all      []cluster.Ref
+	probe *recorder
+	// tasks is indexed by task ID; done is NoRef for a task not launched
+	// here.
+	tasks []launched
+	owner core.OwnerFunc
+	// horizon is the latest completion time of any launch so far.
+	horizon cluster.Time
 
 	metrics  *obs.Registry
 	localOps *obs.Histogram // per-launch analysis ops on the analyzing node
@@ -87,7 +91,7 @@ type Driver struct {
 
 	// lastAnalysis orders each shard's analysis in program order: a
 	// dynamic dependence analysis observes launches sequentially (§3.2).
-	lastAnalysis map[int]cluster.Ref
+	lastAnalysis []cluster.Ref // by node
 
 	// remote and remoteOrder are Launch's scratch, empty between launches:
 	// the work one launch queues on each remote owner, and those owners in
@@ -98,6 +102,11 @@ type Driver struct {
 	// gather and pres are Launch's scratch too, for the replies it waits
 	// for and its task's preconditions; the machine keeps no deps slice.
 	gather, pres []cluster.Ref
+}
+
+type launched struct {
+	done cluster.Ref
+	node int
 }
 
 type remoteWork struct {
@@ -170,11 +179,12 @@ func New(m *cluster.Machine, tree *region.Tree, newAnalyzer NewAnalyzerFunc, own
 		m:            m,
 		cfg:          cfg,
 		probe:        &recorder{cached: make(map[fetchKey]bool)},
-		taskDone:     make(map[int]cluster.Ref),
-		taskNode:     make(map[int]int),
 		owner:        owner,
-		lastAnalysis: make(map[int]cluster.Ref),
+		lastAnalysis: make([]cluster.Ref, m.Nodes()),
 		remote:       make([]remoteWork, m.Nodes()),
+	}
+	for i := range d.lastAnalysis {
+		d.lastAnalysis[i] = cluster.NoRef
 	}
 	opts := cfg.Options
 	opts.Probe, opts.Owner = d.probe, owner
@@ -210,10 +220,7 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	// Analysis: fixed launch overhead, then the recorded state touches in
 	// order, all on utility processors. Remote-owned state costs a control
 	// round trip and queues its work on the owner's utility processor.
-	prev, ok := d.lastAnalysis[analysisNode]
-	if !ok {
-		prev = cluster.NoRef
-	}
+	prev := d.lastAnalysis[analysisNode]
 	// Local work (launch overhead, local state, traversal) runs serially;
 	// remote-owned state is touched by one batched request per owner, all
 	// issued in parallel after the local work, as Legion's analysis
@@ -263,21 +270,18 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	// messages from their producers' nodes).
 	pres := append(d.pres[:0], chain)
 	for _, dep := range res.Deps {
-		if r, ok := d.taskDone[dep]; ok {
-			pres = append(pres, r)
+		if l := d.launched(dep); l.done != cluster.NoRef {
+			pres = append(pres, l.done)
 		}
 	}
 	for _, fd := range t.FutureDeps {
-		r, ok := d.taskDone[fd]
-		if !ok {
-			continue
+		switch l := d.launched(fd); {
+		case l.done == cluster.NoRef:
+		case l.node == execNode:
+			pres = append(pres, l.done)
+		default:
+			pres = append(pres, d.m.Message(l.node, execNode, futureBytes, l.done))
 		}
-		src := d.taskNode[fd]
-		if src == execNode {
-			pres = append(pres, r)
-			continue
-		}
-		pres = append(pres, d.m.Message(src, execNode, futureBytes, r))
 	}
 	for _, plan := range res.Plans {
 		for _, v := range plan {
@@ -292,10 +296,21 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 
 	done := d.m.ExecNamed(execNode, name, dur, pres...)
 	d.pres = pres
-	d.taskDone[t.ID] = done
-	d.taskNode[t.ID] = execNode
-	d.all = append(d.all, done)
+	for len(d.tasks) <= t.ID {
+		d.tasks = append(d.tasks, launched{done: cluster.NoRef})
+	}
+	d.tasks[t.ID] = launched{done: done, node: execNode}
+	d.horizon = max(d.horizon, d.m.TimeOf(done))
 	return done
+}
+
+// launched returns where task id ran and its completion; done is NoRef for
+// a task not launched here.
+func (d *Driver) launched(id int) launched {
+	if id < 0 || id >= len(d.tasks) {
+		return launched{done: cluster.NoRef}
+	}
+	return d.tasks[id]
 }
 
 // producer returns the node holding a plan entry's data and the reference
@@ -304,14 +319,18 @@ func (d *Driver) producer(v core.Visible) (int, cluster.Ref) {
 	if v.Task == core.InitialTask {
 		return d.owner(v.Pts), cluster.NoRef
 	}
-	return d.taskNode[v.Task], d.taskDone[v.Task]
+	l := d.launched(v.Task)
+	if l.done == cluster.NoRef {
+		panic(fmt.Sprintf("dist: plan references task %d, which was not launched through this driver", v.Task))
+	}
+	return l.node, l.done
 }
 
 // Barrier returns the virtual time at which every launch so far has
 // completed — an execution fence, used to delimit the initialization and
 // steady-state measurement phases.
 func (d *Driver) Barrier() cluster.Time {
-	return d.m.TimeOf(d.m.AfterAll(d.all...))
+	return d.horizon
 }
 
 // OwnerByPartition returns an OwnerFunc assigning state to the node owning

@@ -2,6 +2,8 @@ package dist_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"visibility/internal/algo"
@@ -200,4 +202,51 @@ func TestTraceLabels(t *testing.T) {
 			t.Errorf("exported trace lacks %s", want)
 		}
 	}
+}
+
+// planFrom is a stub analyzer whose every plan names one producer, which
+// need not have been launched.
+type planFrom struct {
+	producer int
+	stats    core.Stats
+}
+
+func (a *planFrom) Name() string       { return "planFrom" }
+func (a *planFrom) Stats() *core.Stats { return &a.stats }
+func (a *planFrom) Analyze(t *core.Task) *core.Result {
+	v := core.Visible{Task: a.producer, Priv: privilege.Writes(), Pts: t.Reqs[0].Region.Space}
+	return &core.Result{Plans: [][]core.Visible{{v}}}
+}
+
+// TestPlanFromUnlaunchedTaskPanics checks that a plan naming a task the
+// driver never launched is refused by name rather than gated on whatever
+// the machine scheduled first.
+func TestPlanFromUnlaunchedTaskPanics(t *testing.T) {
+	tree, p := lineSetup(2)
+	an := &planFrom{producer: 7}
+	newAn := func(*region.Tree, core.Options) core.Analyzer { return an }
+	d := dist.New(cluster.New(cluster.DefaultConfig(2)), tree, newAn, dist.OwnerByPartition(p, 2), dist.DefaultConfig(true))
+	s := core.NewStream(tree)
+	read := func() {
+		d.Launch(s.Launch("r", core.Req{Region: p.Subregions[1], Field: 0, Priv: privilege.Reads()}), 1, 1.0)
+	}
+	refused := func(id int) {
+		t.Helper()
+		an.producer = id
+		defer func() {
+			msg, _ := recover().(string)
+			if want := fmt.Sprintf("plan references task %d,", id); !strings.Contains(msg, want) {
+				t.Errorf("plan from task %d: recovered %q, want a panic containing %q", id, msg, want)
+			}
+		}()
+		read()
+	}
+	an.producer = core.InitialTask
+	read()      // task 0: the initial contents are always available
+	refused(7)  // task 1, planning from a task not yet created
+	refused(1)  // task 2, planning from the launch that panicked
+	refused(-5) // task 3
+	an.producer = 0
+	read()     // task 4, planning from a launched task
+	refused(2) // below the highest launched ID, but never launched
 }
