@@ -31,17 +31,24 @@ type Executor struct {
 	init map[field.ID]*data.Store
 	rec  *recorder.Recorder // journals task launches (nil-safe)
 
-	mu        sync.Mutex
-	committed map[commitKey]*data.Store // guarded by mu
+	mu sync.Mutex
+	// Committed outputs, one slot per requirement of every submitted
+	// task: task id's requirement r commits to outs[base[id]+r], and its
+	// slots end at base[id+1], so the last entry of base is len(outs).
+	base []int         // guarded by mu; indexed by task ID, appended at Submit
+	outs []*data.Store // guarded by mu
 
-	// The dependence graph of in-flight tasks: a node enters live at
-	// Submit and leaves when its kernel has run, so scheduling state is
-	// bounded by what is in flight, not by session length.
-	live    map[int]*node // guarded by mu; submitted, not yet finished
-	ready   []*node       // guarded by mu; FIFO of nodes with no live predecessor
-	stopped bool          // guarded by mu
-	work    *sync.Cond    // on mu: ready grew, or stopped was set
-	idle    *sync.Cond    // on mu: live emptied
+	// The dependence graph of in-flight tasks: live is a window of task
+	// IDs from the oldest unfinished one, lo, to the newest submitted. A
+	// node enters at Submit and its slot empties when its kernel has run;
+	// finish trims the emptied prefix, so scheduling state is bounded by
+	// what is in flight, not by session length.
+	live    []*node    // guarded by mu; live[id-lo] is task id, nil once finished
+	lo      int        // guarded by mu
+	ready   []*node    // guarded by mu; FIFO of nodes with no live predecessor
+	stopped bool       // guarded by mu
+	work    *sync.Cond // on mu: ready grew, or stopped was set
+	idle    *sync.Cond // on mu: live emptied
 	workers sync.WaitGroup
 }
 
@@ -59,11 +66,6 @@ type node struct {
 	succs   []*node // nodes waiting on this one, one entry per edge
 }
 
-type commitKey struct {
-	task int
-	req  int
-}
-
 // NewExecutor creates an executor with the given number of workers over
 // private copies of the initial contents. Of opts it uses only the flight
 // recorder, to journal task launches; every other instrument belongs to
@@ -73,11 +75,10 @@ func NewExecutor(an Analyzer, init map[field.ID]*data.Store, workers int, opts O
 		workers = 1
 	}
 	x := &Executor{
-		an:        an,
-		init:      make(map[field.ID]*data.Store, len(init)),
-		rec:       opts.Recorder,
-		committed: make(map[commitKey]*data.Store),
-		live:      make(map[int]*node),
+		an:   an,
+		init: make(map[field.ID]*data.Store, len(init)),
+		rec:  opts.Recorder,
+		base: []int{0},
 	}
 	for f, s := range init {
 		x.init[f] = s.Clone()
@@ -110,20 +111,42 @@ func (x *Executor) Submit(t *Task, k Kernel, body func(inputs []*data.Store)) (d
 	// released, once per edge) and release it at once if there are none.
 	n := &node{t: t, k: k, body: body, plans: res.Plans, done: make(chan struct{})}
 	x.mu.Lock()
+	if t.ID < len(x.base)-1 {
+		panic(fmt.Sprintf("core: task %d submitted after task %d, out of program order", t.ID, len(x.base)-2))
+	}
+	for len(x.base) <= t.ID { // a task ID never submitted owns no slots
+		x.base = append(x.base, len(x.outs))
+	}
+	x.outs = append(x.outs, make([]*data.Store, len(t.Reqs))...)
+	x.base = append(x.base, len(x.outs))
 	for _, ds := range [2][]int{res.Deps, t.FutureDeps} {
 		for _, d := range ds {
-			if p, ok := x.live[d]; ok {
+			if p := x.liveLocked(d); p != nil {
 				p.succs = append(p.succs, n)
 				n.pending++
 			}
 		}
 	}
-	x.live[t.ID] = n
+	if len(x.live) == 0 {
+		x.lo = t.ID
+	}
+	for x.lo+len(x.live) < t.ID {
+		x.live = append(x.live, nil)
+	}
+	x.live = append(x.live, n)
 	if n.pending == 0 {
 		x.releaseLocked(n)
 	}
 	x.mu.Unlock()
 	return n.done, res.Deps
+}
+
+// liveLocked returns in-flight task id's node, or nil if it has finished.
+func (x *Executor) liveLocked(id int) *node {
+	if i := id - x.lo; i >= 0 && i < len(x.live) {
+		return x.live[i]
+	}
+	return nil
 }
 
 // releaseLocked puts a node whose last predecessor has finished on the
@@ -163,7 +186,11 @@ func (x *Executor) next() *node {
 func (x *Executor) finish(n *node) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	delete(x.live, n.t.ID)
+	x.live[n.t.ID-x.lo] = nil
+	for len(x.live) > 0 && x.live[0] == nil {
+		x.live = x.live[1:]
+		x.lo++
+	}
 	for _, s := range n.succs {
 		if s.pending--; s.pending == 0 {
 			x.releaseLocked(s)
@@ -186,13 +213,11 @@ func (x *Executor) run(n *node) {
 	if n.body != nil {
 		n.body(inputs)
 	}
-	RunKernel(n.t, n.k, inputs, func(ri int, out *data.Store) { x.commit(n.t.ID, ri, out) })
-}
-
-func (x *Executor) commit(task, req int, s *data.Store) {
-	x.mu.Lock()
-	x.committed[commitKey{task, req}] = s
-	x.mu.Unlock()
+	RunKernel(n.t, n.k, inputs, n.body != nil, func(ri int, out *data.Store) {
+		x.mu.Lock()
+		x.outs[x.base[n.t.ID]+ri] = out
+		x.mu.Unlock()
+	})
 }
 
 func (x *Executor) source(v Visible, f field.ID) *data.Store {
@@ -201,7 +226,10 @@ func (x *Executor) source(v Visible, f field.ID) *data.Store {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	s := x.committed[commitKey{v.Task, v.Req}]
+	var s *data.Store
+	if v.Task >= 0 && v.Task+1 < len(x.base) && v.Req >= 0 && v.Req < x.base[v.Task+1]-x.base[v.Task] {
+		s = x.outs[x.base[v.Task]+v.Req]
+	}
 	if s == nil {
 		panic(fmt.Sprintf("core: plan references uncommitted producer %d.%d — missing dependence", v.Task, v.Req))
 	}
@@ -251,12 +279,17 @@ func Materialize(req Req, plan []Visible, source func(Visible, field.ID) *data.S
 // every write requirement it maps k over the materialized input (an
 // undefined point reads as 0, as in Seq), for every reduce requirement it
 // folds k's contribution into an identity-initialized buffer (Figure 7
-// line 15), and it hands each fresh output store to commit.
-func RunKernel(t *Task, k Kernel, inputs []*data.Store, commit func(ri int, out *data.Store)) {
+// line 15), and it hands each output store to commit. A write maps in
+// place over its input, which then becomes the output, unless keep asks
+// for the inputs to survive — for a caller that has handed them out.
+func RunKernel(t *Task, k Kernel, inputs []*data.Store, keep bool, commit func(ri int, out *data.Store)) {
 	for ri, req := range t.Reqs {
 		switch {
 		case req.Priv.IsWrite():
-			out := data.NewStore(req.Region.Space)
+			out := inputs[ri]
+			if keep {
+				out = data.NewStore(req.Region.Space)
+			}
 			out.Map(inputs[ri], func(p geometry.Point, cur float64) float64 {
 				return k.WriteValue(t, ri, p, cur)
 			})

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,8 +147,8 @@ func TestDependentTasksAreOrdered(t *testing.T) {
 
 // TestGoroutinesBoundedByWorkers queues a long dependent stream behind one
 // blocked writer: scheduling it must cost table entries, not goroutines;
-// the tables must empty once the stream has run, and Shutdown must leave
-// no worker behind.
+// the tables must empty once the stream has run, their window of task IDs
+// with them, and Shutdown must leave no worker behind.
 func TestGoroutinesBoundedByWorkers(t *testing.T) {
 	const workers, launches = 4, 1200
 	before := runtime.NumGoroutine()
@@ -174,7 +175,7 @@ func TestGoroutinesBoundedByWorkers(t *testing.T) {
 			core.HashKernel{}, func([]*data.Store) { ran.Add(1) })
 	}
 	tables := func() string {
-		live, ready := x.Tables()
+		live, _, ready := x.Tables()
 		return fmt.Sprintf("live %d, ready %d, ran %d", live, ready, ran.Load())
 	}
 
@@ -189,6 +190,9 @@ func TestGoroutinesBoundedByWorkers(t *testing.T) {
 	x.Drain()
 	if got, want := tables(), fmt.Sprintf("live 0, ready 0, ran %d", launches); got != want {
 		t.Errorf("after Drain: %s; want %s", got, want)
+	}
+	if _, window, _ := x.Tables(); window != 0 {
+		t.Errorf("after Drain the live window spans %d task IDs, want 0", window)
 	}
 	x.Shutdown()
 	// A goroutine that has returned may still be counted for a moment.
@@ -235,5 +239,54 @@ func TestDuplicateProducerRunsOnce(t *testing.T) {
 	x.Drain()
 	if fmt.Sprint(order) != "[w r]" {
 		t.Errorf("execution order = %v, want [w r]", order)
+	}
+}
+
+// planless is an analyzer that reports no dependences and empty plans.
+type planless struct{ stats core.Stats }
+
+func (a *planless) Name() string { return "planless" }
+func (a *planless) Analyze(t *core.Task) *core.Result {
+	return &core.Result{Plans: make([][]core.Visible, len(t.Reqs))}
+}
+func (a *planless) Stats() *core.Stats { return &a.stats }
+
+// TestSourceRejectsForeignSlots names producers the committed-output table
+// holds no store for. Outputs sit in one flat slice, so an unchecked index
+// would hand out a neighbour's store: each lookup must instead panic with
+// the missing-dependence message.
+func TestSourceRejectsForeignSlots(t *testing.T) {
+	tree, p, _ := testutil.GraphTree()
+	up, _ := tree.Fields.Lookup("up")
+	stream := core.NewStream(tree)
+	x := core.NewExecutor(&planless{}, testutil.FullInit(tree), 1, core.Options{})
+	defer x.Shutdown()
+	write := func(i int) *core.Task {
+		return stream.Launch("w", core.Req{Region: p.Subregions[i], Field: up, Priv: privilege.Writes()})
+	}
+	x.Submit(write(0), core.HashKernel{}, nil) // task 0: one requirement
+	x.Submit(write(1), core.HashKernel{}, nil) // task 1, its successor in the table
+	skipped := write(2)                        // task 2 is never submitted
+	x.Submit(write(0), core.HashKernel{}, nil) // task 3
+	x.Drain()
+
+	if x.Source(core.Visible{Task: 1, Req: 0}, up) == nil {
+		t.Fatal("task 1's committed output is missing")
+	}
+	for _, v := range []core.Visible{
+		{Task: 0, Req: 1},          // past task 0's one requirement: task 1's slot
+		{Task: skipped.ID, Req: 0}, // an ID the stream issued but nobody submitted
+		{Task: 9, Req: 0},          // an ID past every submitted task
+		{Task: 1, Req: -1},
+	} {
+		want := fmt.Sprintf("core: plan references uncommitted producer %d.%d", v.Task, v.Req)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), want) {
+					t.Errorf("Source(%d.%d) panicked with %v, want %q", v.Task, v.Req, r, want)
+				}
+			}()
+			x.Source(v, up)
+		}()
 	}
 }

@@ -1,15 +1,30 @@
 package core
 
-// Tables returns the sizes of x's in-flight and ready tables.
-func (x *Executor) Tables() (live, ready int) {
+import (
+	"visibility/internal/data"
+	"visibility/internal/field"
+)
+
+// Tables returns how many tasks are in flight, the length of the window
+// of task IDs that holds them, and the size of the ready queue.
+func (x *Executor) Tables() (live, window, ready int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return len(x.live), len(x.ready)
+	for _, n := range x.live {
+		if n != nil {
+			live++
+		}
+	}
+	return live, len(x.live), len(x.ready)
 }
 
 // Pending returns how many live predecessors in-flight task id waits on.
 func (x *Executor) Pending(id int) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.live[id].pending
+	return x.liveLocked(id).pending
 }
+
+// Source returns the store plan entry v reads, as a worker materializing
+// field f would.
+func (x *Executor) Source(v Visible, f field.ID) *data.Store { return x.source(v, f) }

@@ -157,33 +157,47 @@ func (s *Store) Set(p geometry.Point, v float64) {
 	s.mark(i, 1)
 }
 
+// rows calls f for every row of the store's space — a stretch along the
+// lowest axis — with its first point, its position in vals and its
+// length, in slab order.
+func (s *Store) rows(f func(p geometry.Point, i, n int)) {
+	i := 0
+	for _, r := range s.space.Rects() {
+		n := int(r.Hi.C[0]-r.Lo.C[0]) + 1
+		r.Hi.C[0] = r.Lo.C[0] // the first point of every row
+		r.Each(func(p geometry.Point) bool {
+			f(p, i, n)
+			i += n
+			return true
+		})
+	}
+}
+
 // Fill sets every point of the store's space to f of the point.
 func (s *Store) Fill(f func(geometry.Point) float64) {
-	i := 0
-	s.space.Each(func(p geometry.Point) bool {
-		s.vals[i] = f(p)
-		i++
-		return true
+	s.rows(func(p geometry.Point, i, n int) {
+		for end := i + n; i < end; i, p.C[0] = i+1, p.C[0]+1 {
+			s.vals[i] = f(p)
+		}
 	})
 	s.mark(0, len(s.vals))
 }
 
 // Map sets every point of the store's space to f of the point and in's
-// value there, an undefined point reading as 0. in must be a store over
-// the same space.
+// value there, an undefined point reading as 0. in must be s itself or a
+// store over the same space.
 func (s *Store) Map(in *Store, f func(p geometry.Point, cur float64) float64) {
-	if !in.space.Equal(s.space) {
+	if in != s && !in.space.Equal(s.space) {
 		panic(fmt.Sprintf("data: Map from a store over %v onto one over %v", in.space, s.space))
 	}
-	i := 0
-	s.space.Each(func(p geometry.Point) bool {
-		cur := 0.0
-		if in.defined(i) {
-			cur = in.vals[i]
+	s.rows(func(p geometry.Point, i, n int) {
+		for end := i + n; i < end; i, p.C[0] = i+1, p.C[0]+1 {
+			cur := 0.0
+			if in.defined(i) {
+				cur = in.vals[i]
+			}
+			s.vals[i] = f(p, cur)
 		}
-		s.vals[i] = f(p, cur)
-		i++
-		return true
 	})
 	s.mark(0, len(s.vals))
 }
@@ -241,16 +255,22 @@ func (s *Store) CopyFrom(src *Store, pts index.Space) {
 // s is undefined — the effect of a visible reduction (§3.1).
 func (s *Store) Fold(src *Store, pts index.Space, op privilege.ReduceOp) {
 	s.runs(src, pts, func(di, si, n int) {
-		for ; n > 0; di, si, n = di+1, si+1, n-1 {
-			if !src.defined(si) {
+		whole := src.n == len(src.vals) // fully defined: the row is marked once
+		for j := 0; j < n; j++ {
+			if !whole && !src.defined(si+j) {
 				continue
 			}
 			cur := privilege.Identity(op)
-			if s.defined(di) {
-				cur = s.vals[di]
+			if s.defined(di + j) {
+				cur = s.vals[di+j]
 			}
-			s.vals[di] = privilege.Apply(op, cur, src.vals[si])
-			s.mark(di, 1)
+			s.vals[di+j] = privilege.Apply(op, cur, src.vals[si+j])
+			if !whole {
+				s.mark(di+j, 1)
+			}
+		}
+		if whole {
+			s.mark(di, n)
 		}
 	})
 }

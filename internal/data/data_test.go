@@ -159,7 +159,7 @@ func (m model) check(t *testing.T, what string, s *Store, space index.Space) {
 
 // storeOps decodes raw into a dim-dimensional multi-rectangle destination
 // and source store and a sequence of Set, Get, CopyFrom, Fold, Restrict,
-// Clone, Fill and Map calls on them, checking the stores against their
+// Clone, Fill and Map (into a fresh store and in place) calls on them, checking the stores against their
 // models after every call. The space decoder is index's fuzz decoder:
 // up to 9 rectangles, coordinates 0..15, extents 1..5.
 func storeOps(t *testing.T, raw []byte, dim int) {
@@ -197,7 +197,7 @@ func storeOps(t *testing.T, raw []byte, dim int) {
 	dst, src := NewStore(dsp), NewStore(ssp)
 	dm, sm := model{}, model{}
 	for step := 0; len(raw) > 0; step++ {
-		switch take() % 9 {
+		switch take() % 10 {
 		case 0, 1: // Set on either store, at a point of its space
 			st, sp, m := dst, dsp, dm
 			if take()%2 == 1 {
@@ -275,6 +275,13 @@ func storeOps(t *testing.T, raw []byte, dim int) {
 			dst, dsp, dm = src, ssp, sm
 			ssp = space()
 			src, sm = NewStore(ssp), model{}
+		case 9: // Map the destination in place
+			f := func(p geometry.Point, cur float64) float64 { return 2*cur + float64(p.C[0]) - float64(p.C[dim-1]) }
+			dst.Map(dst, f)
+			dsp.Each(func(p geometry.Point) bool {
+				dm[p] = f(p, dm[p])
+				return true
+			})
 		}
 		dm.check(t, "dst", dst, dsp)
 		sm.check(t, "src", src, ssp)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"visibility"
+	"visibility/internal/obs"
 	"visibility/internal/testutil"
 	"visibility/internal/wire"
 )
@@ -60,6 +62,68 @@ func TestDecodeAllocations(t *testing.T) {
 		t.Fatalf("Decode of the %d-byte batch allocates %.0f times, want <= 380", len(body), allocs)
 	}
 	t.Logf("Decode of the %d-byte batch: %.0f allocations", len(body), allocs)
+}
+
+// ring declares the region a serve workload's batches run on: a ring of
+// points in equal pieces P, with ghost pieces G = image(P, ring) − P.
+func ring(points, pieces int) *wire.Workload {
+	return &wire.Workload{Version: wire.Version, Name: "ring", Regions: []wire.RegionDecl{{
+		Name:   "N",
+		Dim:    1,
+		Space:  [][]int64{{0, int64(points) - 1}},
+		Fields: []string{"up", "down"},
+		Init:   map[string]*wire.FuncSpec{"up": {Name: "coord", Args: map[string]float64{"axis": 0}}},
+		Partitions: []wire.PartitionDecl{
+			{Name: "P", Kind: "equal", Pieces: pieces},
+			{Name: "reach", Kind: "image", Source: "P", Relation: &wire.FuncSpec{Name: "ring",
+				Args: map[string]float64{"radius": 4, "modulo": float64(points)}}},
+			{Name: "G", Kind: "minus", Left: "reach", Right: "P"},
+		},
+	}}}
+}
+
+// TestApplyAllocations pins what one steady launch of the serve_batch
+// batch allocates on the service path below the wire: Env.Apply and
+// Runtime.Wait on Warnock with one worker, so analysis, scheduling,
+// materialization, the kernel and commit. A write maps its kernel in
+// place over its materialized input, and the executor's tables are
+// slices: about 2,320 bytes and 23.0 allocations per launch, from 3,095
+// and 25.5 when each write filled a second store. The race detector
+// measures about 2,340 and 23.9, and its bounds are 2,800 and 26.
+func TestApplyAllocations(t *testing.T) {
+	rt := visibility.New(visibility.Config{Algorithm: "warnock", Workers: 1})
+	defer rt.Close()
+	env := wire.NewEnv(rt)
+	if _, err := env.Apply(ring(1024, 16)); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := env.Apply(batches[0]); err != nil {
+			t.Fatal(err)
+		}
+		rt.Wait()
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	maxAllocs, maxBytes := 24.0, 2600.0
+	if testutil.RaceEnabled() {
+		maxAllocs, maxBytes = 26, 2800
+	}
+	const steps = 20
+	before := obs.ReadAllocs()
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	allocs, bytes := obs.ReadAllocs().Since(before)
+	launches := float64(steps * len(batches[0].Tasks))
+	perAllocs, perBytes := float64(allocs)/launches, float64(bytes)/launches
+	if perAllocs > maxAllocs || perBytes > maxBytes {
+		t.Errorf("a steady serve_batch launch allocates %.1f times and %.0f bytes, want at most %.0f and %.0f",
+			perAllocs, perBytes, maxAllocs, maxBytes)
+	} else {
+		t.Logf("%.2f allocations and %.0f bytes per launch", perAllocs, perBytes)
+	}
 }
 
 // TestEncodeAllocations: AppendWorkload of the serve_batch batch into a

@@ -543,7 +543,7 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 		t.FutureDeps = append(t.FutureDeps, f.taskID)
 	}
 
-	k := &kernelAdapter{spec: spec}
+	k := &kernelAdapter{k: spec.Kernel}
 
 	// In Validate mode, replay through the sequential interpreter first
 	// (on the launching goroutine, in program order) and take the
@@ -660,21 +660,21 @@ func (rt *Runtime) AutoTraceStats(r *Region) autotrace.Stats {
 }
 
 // kernelAdapter adapts the public Kernel to the internal core.Kernel.
-type kernelAdapter struct{ spec TaskSpec }
+type kernelAdapter struct{ k Kernel }
 
 func (k *kernelAdapter) WriteValue(_ *core.Task, ri int, p Point, in float64) float64 {
-	if k.spec.Kernel.Write == nil {
+	if k.k.Write == nil {
 		return in
 	}
-	return k.spec.Kernel.Write(ri, p, in)
+	return k.k.Write(ri, p, in)
 }
 
 func (k *kernelAdapter) ReduceValue(t *core.Task, ri int, p Point) float64 {
-	if k.spec.Kernel.Reduce == nil {
+	if k.k.Reduce == nil {
 		op := t.Reqs[ri].Priv.Op
 		return privilege.Identity(op)
 	}
-	return k.spec.Kernel.Reduce(ri, p)
+	return k.k.Reduce(ri, p)
 }
 
 // Read materializes the current contents of a region's field through the

@@ -129,6 +129,35 @@ func TestBodyReceivesReads(t *testing.T) {
 	}
 }
 
+// TestBodyKeepsWriteInputs: a body that keeps its snapshot of a write
+// access still reads the materialized input after the task has run — the
+// kernel's output goes to a store of its own, which a later read sees.
+func TestBodyKeepsWriteInputs(t *testing.T) {
+	rt := visibility.New(visibility.Config{})
+	defer rt.Close()
+	r := rt.CreateRegion("r", visibility.Line(0, 3), "v")
+	r.Init("v", func(p visibility.Point) float64 { return float64(p.C[0]) })
+
+	var kept *visibility.Snapshot
+	rt.Launch(visibility.TaskSpec{
+		Name:     "bump",
+		Accesses: []visibility.Access{visibility.Write(r, "v")},
+		Kernel: visibility.Kernel{
+			Write: func(_ int, _ visibility.Point, in float64) float64 { return in + 10 },
+			Body:  func(in []*visibility.Snapshot) { kept = in[0] },
+		},
+	}).Wait()
+	out := rt.Read(r, "v")
+	for x := int64(0); x < 4; x++ {
+		if v, ok := kept.Get(visibility.Pt(x)); !ok || v != float64(x) {
+			t.Errorf("kept input at %d = %v, %v; want %d", x, v, ok, x)
+		}
+		if v, ok := out.Get(visibility.Pt(x)); !ok || v != float64(x+10) {
+			t.Errorf("read after the task at %d = %v, %v; want %d", x, v, ok, x+10)
+		}
+	}
+}
+
 func Test2DRegions(t *testing.T) {
 	rt := visibility.New(visibility.Config{Validate: true})
 	defer rt.Close()
