@@ -153,7 +153,7 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				var launches, allocs int64
+				var launches, allocs, bytes int64
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					inst := app.build(nodes)
@@ -177,11 +177,13 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 						launches += int64(len(ls))
 					}
 					b.StopTimer()
-					n, _ := obs.ReadAllocs().Since(before)
+					n, by := obs.ReadAllocs().Since(before)
 					allocs += n
+					bytes += by
 				}
 				b.ReportMetric(float64(launches)/b.Elapsed().Seconds(), "launches/s")
 				b.ReportMetric(float64(allocs)/float64(launches), "allocs/launch")
+				b.ReportMetric(float64(bytes)/float64(launches), "B/launch")
 			})
 		}
 	}

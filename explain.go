@@ -70,7 +70,7 @@ type CritContributor struct {
 // analyzer. Analyzers that discover different edge sets can disagree:
 // on graphsim paint-naive's path length is 172 against 148 for the other
 // three, because the weights count incoming edges (see weights). ROADMAP
-// item 6(b) is the fix: weights from the workload alone.
+// item 9(b) is the fix: weights from the workload alone.
 type CritSummary struct {
 	Tasks       int               `json:"tasks"`
 	Edges       int               `json:"edges"`
@@ -147,7 +147,7 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 // internals, so critical paths weighted by them are byte-reproducible
 // across runs of the same workload under the same analyzer. The edge
 // count makes them differ across analyzers that emit different edges
-// (paint-naive's redundant ones); ROADMAP item 6(b) weights by the
+// (paint-naive's redundant ones); ROADMAP item 9(b) weights by the
 // workload alone.
 func (ts *treeState) weights() []float64 {
 	out := make([]float64, len(ts.stream.Tasks))

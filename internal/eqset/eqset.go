@@ -146,12 +146,17 @@ func (k *Kernel[X]) Touch(s *Set[X], ops int64) {
 // refinement on a covered set of more than one point, so that rest lies
 // inside r too (forced) — semantics-preserving, it only breaks code that
 // secretly depends on covered sets staying whole; a forced cut is not
-// geometry and is never remembered. The store places the fragments.
+// geometry and is never remembered. The store places the fragments. The
+// site's argument, the set's volume, is summed only under a fault plane:
+// a nil plane never fires, whatever it is passed.
 func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced bool) {
 	k.Stats.OverlapTests++
 	// The store guarantees overlap, so c.In is never nil.
 	c := s.G.Cut(r)
 	if c.Out == nil {
+		if k.Opts.Faults == nil {
+			return s, nil, false
+		}
 		if vol := s.G.Pts.Volume(); vol > 1 {
 			var v uint64
 			if forced, v = k.Opts.Faults.FireValue(fault.EqSplit, vol); forced {

@@ -1,6 +1,7 @@
 package eqset_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 	"visibility/internal/geometry"
 	"visibility/internal/index"
 	"visibility/internal/privilege"
+	"visibility/internal/raycast"
 	"visibility/internal/region"
 	"visibility/internal/testutil"
+	"visibility/internal/warnock"
 )
 
 type set = eqset.Set[int]
@@ -288,6 +291,58 @@ func TestFlatStoreIsSound(t *testing.T) {
 			}
 			if plan != "" && opts.Faults.Fires(fault.EqSplit) == 0 {
 				t.Fatalf("plan %q iteration %d: no split was forced", plan, it)
+			}
+		}
+	}
+}
+
+// TestSplitFaultArgument pins the eq.split site's argument, the covered
+// set's volume, through both stores: a plan restricted to arg=N forces a
+// split of exactly the covered sets of N points. Three rounds read each
+// piece of a partition whose pieces hold 2, 4 and 4 points (one of them
+// two rectangles), so every piece is first cut from the root and then
+// covered; a forced split leaves its piece tiled by two sets.
+func TestSplitFaultArgument(t *testing.T) {
+	fs := field.NewSpace()
+	f := fs.Add("f")
+	tree := region.NewTree("root", span(0, 9), fs)
+	p := tree.Root.Partition("P", []index.Space{
+		span(0, 1),
+		index.FromRects(1, geometry.R1(2, 3), geometry.R1(8, 9)),
+		span(4, 7),
+	})
+	analyzers := map[string]func(*region.Tree, core.Options) core.Analyzer{
+		"warnock": func(tr *region.Tree, o core.Options) core.Analyzer { return warnock.New(tr, o) },
+		"raycast": func(tr *region.Tree, o core.Options) core.Analyzer { return raycast.New(tr, o) },
+	}
+	for name, build := range analyzers {
+		for n := int64(1); n <= 5; n++ {
+			inj := mustInjector(t, fmt.Sprintf("seed=1;analyzer.eqset.split=every=1,arg=%d", n))
+			an := build(tree, core.Options{Faults: inj})
+			s := core.NewStream(tree)
+			for round := 0; round < 3; round++ {
+				for _, piece := range p.Subregions {
+					an.Analyze(s.Launch("read", core.Req{Region: piece, Field: f, Priv: privilege.Reads()}))
+				}
+			}
+			sets := an.(interface{ SetSpaces(field.ID) []index.Space }).SetSpaces(f)
+			var want int64
+			for _, piece := range p.Subregions {
+				tiles, split := 0, piece.Space.Volume() == n
+				for _, sp := range sets {
+					if piece.Space.Covers(sp) {
+						tiles++
+					}
+				}
+				if split {
+					want++
+				}
+				if split && tiles != 2 || !split && tiles != 1 {
+					t.Errorf("%s, arg=%d: piece %v of %d points is tiled by %d sets", name, n, piece.Space, piece.Space.Volume(), tiles)
+				}
+			}
+			if got := inj.Fires(fault.EqSplit); got != want {
+				t.Errorf("%s, arg=%d: %d forced splits, want %d", name, n, got, want)
 			}
 		}
 	}

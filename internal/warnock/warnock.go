@@ -79,6 +79,10 @@ func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 
 type set = eqset.Set[*bnode]
 
+// overlaps is the one sweep a lookup makes, testing a node against a
+// region met from the root; a variable so tests can count its calls.
+var overlaps = index.Space.Overlaps
+
 // bnode is a node of the refinement BVH. Leaves hold live equivalence sets;
 // interior nodes record past refinements and are immutable once refined,
 // which is what makes them safe to replicate across the machine (§6.1).
@@ -88,22 +92,21 @@ type set = eqset.Set[*bnode]
 // cost that dominates Warnock's initialization at scale (§8.1). Fetches are
 // reported through Probe.Fetch keyed by the node's id.
 type bnode struct {
-	pts      index.Space
-	set      *set // non-nil exactly at leaves
+	g        *eqset.Node // the geometry of the set the node held: points, owner
+	set      *set        // non-nil exactly at leaves
 	children []*bnode
-	owner    int
 	id       int64
 }
 
 type fieldState struct {
 	root *bnode
-	memo map[int][]*set // region ID → sets tiling it at last refine
+	memo [][]*set // by region ID: the sets tiling the region at its last refine
 }
 
 // leaf places s at a fresh leaf node.
 func (w *Warnock) leaf(s *set) *bnode {
 	w.nextToken++
-	s.At = &bnode{pts: s.G.Pts, set: s, owner: w.k.Owner(s.G), id: w.nextToken}
+	s.At = &bnode{g: s.G, set: s, id: w.nextToken}
 	return s.At
 }
 
@@ -113,49 +116,52 @@ func (w *Warnock) fieldFor(f field.ID) *fieldState {
 		root := w.tree.Root.Space
 		fs = &fieldState{
 			root: w.leaf(&set{G: &eqset.Node{Pts: root}, Hist: []core.Entry{core.SeedEntry(root)}}),
-			memo: make(map[int][]*set),
 		}
 		w.state[f] = fs
 	}
 	return fs
 }
 
-// lookup returns the live sets overlapping sp, descending from the nodes
-// of the sets memoized for the region (or the root on first use). The
-// slice is scratch, valid until the next lookup.
-func (w *Warnock) lookup(fs *fieldState, regionID int, sp index.Space) []*set {
+// lookup returns the live sets overlapping r, descending from the nodes
+// of the sets memoized for r (or the root on first use). The slice is
+// scratch, valid until the next lookup.
+func (w *Warnock) lookup(fs *fieldState, r *region.Region) []*set {
 	span := w.k.Opts.Spans.Begin("warnock.bvh_query", "analysis")
 	defer span.End()
 	w.leaves = w.leaves[:0]
-	if start, ok := fs.memo[regionID]; ok && !w.DisableMemo {
-		for _, s := range start {
-			w.descend(s.At, sp)
+	if r.ID < len(fs.memo) && fs.memo[r.ID] != nil && !w.DisableMemo {
+		// The memoized sets tile r, and refinement only partitions a
+		// node, so every leaf below them lies in r: the descent tests
+		// nothing.
+		for _, s := range fs.memo[r.ID] {
+			w.descend(s.At, r.Space, true)
 		}
 	} else {
-		w.descend(fs.root, sp)
+		w.descend(fs.root, r.Space, false)
 	}
 	return w.leaves
 }
 
 // descend appends to w.leaves the sets at the leaves under b overlapping
-// sp.
-func (w *Warnock) descend(b *bnode, sp index.Space) {
+// sp; inside says b's points lie in sp, so none needs testing.
+func (w *Warnock) descend(b *bnode, sp index.Space, inside bool) {
 	w.k.Stats.BVHVisited++
 	// Testing a node costs work proportional to its rectangle complexity:
 	// the residual spaces produced by piece-by-piece refinement fragment
 	// into more and more rectangles, which is what makes constructing and
 	// searching the refinement tree superlinear during initialization
 	// (§8.1).
-	ops := int64(b.pts.NumRects())
+	ops := int64(b.g.Pts.NumRects())
 	if b.set == nil {
 		// Interior nodes are replicated on demand per analyzing node; the
 		// probe decides whether this is a first fetch.
-		w.k.Opts.Probe.Fetch(b.owner, b.id, ops)
+		w.k.Opts.Probe.Fetch(w.k.Owner(b.g), b.id, ops)
 	} else {
 		w.k.Opts.Probe.Visit(ops)
 	}
+	// The test is charged even when inside spares the sweep.
 	w.k.Stats.OverlapTests++
-	if !b.pts.Overlaps(sp) {
+	if !inside && !overlaps(b.g.Pts, sp) {
 		return
 	}
 	if b.set != nil {
@@ -163,7 +169,7 @@ func (w *Warnock) descend(b *bnode, sp index.Space) {
 		return
 	}
 	for _, c := range b.children {
-		w.descend(c, sp)
+		w.descend(c, sp, inside)
 	}
 }
 
@@ -175,7 +181,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 	span := w.k.Opts.Spans.Begin("warnock.refine", "analysis")
 	defer span.End()
 	n := len(inside)
-	for _, s := range w.lookup(fs, r.ID, r.Space) {
+	for _, s := range w.lookup(fs, r) {
 		w.k.Stats.SetsVisited++
 		w.k.Touch(s, 1)
 		in, rest, forced := w.k.Split(s, r)
@@ -201,6 +207,9 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 	// The sets now tiling the region are exactly the leaves a later lookup
 	// of it must start from; a memoized set that is refined afterwards
 	// still names its (then interior) node.
+	if r.ID >= len(fs.memo) {
+		fs.memo = append(fs.memo, make([][]*set, r.ID+1-len(fs.memo))...)
+	}
 	fs.memo[r.ID] = append(fs.memo[r.ID][:0], inside[n:]...)
 	return inside
 }
