@@ -50,18 +50,20 @@ func TestOneGraph(t *testing.T) {
 	}
 
 	var dot bytes.Buffer
-	if err := rt.WriteDOT(g, &dot); err != nil {
+	if err := rt.WriteDOTCrit(g, &dot); err != nil {
 		t.Fatal(err)
 	}
 	for i, ti := range deps {
 		for _, d := range ti.Deps {
-			if edge := fmt.Sprintf("  t%d -> t%d;\n", d, i); !bytes.Contains(dot.Bytes(), []byte(edge)) {
-				t.Errorf("WriteDOT lacks %q", edge)
+			// A critical-path edge is drawn highlighted, any other plain.
+			edge := fmt.Sprintf("  t%d -> t%d", d, i)
+			if !bytes.Contains(dot.Bytes(), []byte(edge+";\n")) && !bytes.Contains(dot.Bytes(), []byte(edge+" [color=red")) {
+				t.Errorf("WriteDOTCrit lacks %q", edge)
 			}
 		}
 	}
 	if got := bytes.Count(dot.Bytes(), []byte(" -> ")); got != edges {
-		t.Errorf("WriteDOT draws %d edges, Dependences has %d", got, edges)
+		t.Errorf("WriteDOTCrit draws %d edges, Dependences has %d", got, edges)
 	}
 	if sum := rt.CriticalPath(g, 0); sum.Tasks != len(deps) || sum.Edges != edges {
 		t.Errorf("CriticalPath sees %d tasks and %d edges, Dependences %d and %d", sum.Tasks, sum.Edges, len(deps), edges)

@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzDecode throws arbitrary bytes at the record decoder — the boundary
-// benchdiff, vistop -bench and the CI gate read committed and freshly
-// collected BENCH_<n>.json files through. It never panics, and a record
-// it accepts re-encodes to a fixed point.
+// benchdiff and the CI gate read committed and freshly collected
+// BENCH_<n>.json files through. It never panics, and a record it accepts
+// re-encodes to a fixed point.
 func FuzzDecode(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_visbench1.json"))
 	if err != nil {

@@ -207,22 +207,6 @@ func (c *Client) Sessions() ([]SessionInfo, error) {
 	return resp.Sessions, nil
 }
 
-// SpanWindow is one session's recorded span ring.
-type SpanWindow struct {
-	Spans   []obs.Span `json:"spans"`
-	Dropped int64      `json:"dropped"`
-}
-
-// DebugSpans returns every live session's span window, keyed by session
-// id.
-func (c *Client) DebugSpans() (map[string]SpanWindow, error) {
-	var out map[string]SpanWindow
-	if err := c.do("GET", "/debug/spans", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Metrics returns the merged server + per-session metrics snapshot.
 func (c *Client) Metrics() (map[string]json.RawMessage, error) {
 	var out map[string]json.RawMessage
@@ -377,32 +361,6 @@ func (s *Session) CritDOT(region string) (string, error) {
 	return string(raw), nil
 }
 
-// DebugCritPath sweeps every live session and returns per-session,
-// per-root-region critical-path summaries (k<=0 uses the server
-// default).
-func (c *Client) DebugCritPath(k int) (map[string]map[string]visibility.CritSummary, error) {
-	path := "/debug/critpath"
-	if k > 0 {
-		path += "?k=" + strconv.Itoa(k)
-	}
-	var resp struct {
-		Sessions map[string]map[string]visibility.CritSummary `json:"sessions"`
-	}
-	if err := c.do("GET", path, nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Sessions, nil
-}
-
-// DOT returns the dependence graph in Graphviz format.
-func (s *Session) DOT(region string) (string, error) {
-	var raw []byte
-	if err := s.get("dot", &raw, "region", region); err != nil {
-		return "", err
-	}
-	return string(raw), nil
-}
-
 // Checkpoint downloads the session's checkpoint.
 func (s *Session) Checkpoint() ([]byte, error) {
 	var raw []byte
@@ -419,17 +377,6 @@ func (s *Session) Metrics() (obs.Snapshot, error) {
 		return nil, err
 	}
 	return snap, nil
-}
-
-// Spans returns the session's recorded analysis spans.
-func (s *Session) Spans() ([]obs.Span, error) {
-	var resp struct {
-		Spans []obs.Span `json:"spans"`
-	}
-	if err := s.c.do("GET", "/v1/sessions/"+s.ID+"/spans", nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Spans, nil
 }
 
 // Close deletes the session; the server drains its queue and releases

@@ -51,7 +51,6 @@ func TestQueryNamesAreEscaped(t *testing.T) {
 	// The server answers 404 for a region it does not know.
 	errs := map[string]error{}
 	_, errs["Dependences"] = sess.Dependences(region)
-	_, errs["DOT"] = sess.DOT(region)
 	_, errs["CritDOT"] = sess.CritDOT(region)
 	_, errs["CritPath"] = sess.CritPath(region, 1)
 	_, errs["Explain"] = sess.Explain(region, 0)

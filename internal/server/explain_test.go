@@ -70,7 +70,6 @@ func TestExplainByteIdentical(t *testing.T) {
 			"/v1/sessions/" + sess.ID + "/explain?task=7&src=1",
 			"/v1/sessions/" + sess.ID + "/critpath?k=3",
 			"/v1/sessions/" + sess.ID + "/critpath?format=dot",
-			"/debug/critpath",
 		}
 		out := map[string][]byte{}
 		for _, p := range paths {
@@ -144,7 +143,7 @@ func TestExplainEdges(t *testing.T) {
 // TestCritPathEndpoint sanity-checks the served profile against the
 // graph it summarizes.
 func TestCritPathEndpoint(t *testing.T) {
-	_, c, sess, shutdown := explainServer(t)
+	_, _, sess, shutdown := explainServer(t)
 	defer shutdown()
 
 	sum, err := sess.CritPath("N", 3)
@@ -174,50 +173,37 @@ func TestCritPathEndpoint(t *testing.T) {
 	if !strings.Contains(dot, "color=red") {
 		t.Error("critical-path DOT has no highlighted nodes")
 	}
-
-	// The fleet-wide debug sweep covers this session and agrees with the
-	// per-session endpoint on the headline numbers.
-	all, err := c.DebugCritPath(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := all[sess.ID]["N"]
-	if !ok {
-		t.Fatalf("/debug/critpath missing session %s region N: %v", sess.ID, all)
-	}
-	if got.Tasks != sum.Tasks || got.Length != sum.Length {
-		t.Errorf("/debug/critpath (%d tasks, length %v) disagrees with /critpath (%d tasks, length %v)",
-			got.Tasks, got.Length, sum.Tasks, sum.Length)
-	}
 }
 
-// TestPromMetricsFormat checks the ?format=prom exposition: parseable
-// line shape, deterministic across immediate repeated scrapes of an idle
-// server, session samples labeled.
-func TestPromMetricsFormat(t *testing.T) {
+// TestOneChannelPerQuestion checks that the routes duplicating another
+// channel are gone: spans are exported only by /debug/trace, and critical
+// paths and the highlighted DAG only per session, by /critpath.
+func TestOneChannelPerQuestion(t *testing.T) {
 	base, _, sess, shutdown := explainServer(t)
 	defer shutdown()
 
-	body := rawGET(t, base+"/metrics?format=prom")
-	text := string(body)
-	if !strings.Contains(text, "# TYPE ") {
-		t.Fatalf("no TYPE lines in exposition:\n%s", text)
+	var paths []string
+	for _, what := range []string{"spans", "critpath"} {
+		paths = append(paths, "/debug/"+what)
 	}
-	if !strings.Contains(text, `session="`+sess.ID+`"`) {
-		t.Errorf("no samples labeled for session %s", sess.ID)
+	for _, what := range []string{"spans", "dot"} {
+		paths = append(paths, "/v1/sessions/"+sess.ID+"/"+what)
 	}
-	if !strings.Contains(text, "_total") {
-		t.Error("no counter samples with _total suffix")
-	}
-	if !strings.Contains(text, `le="+Inf"`) {
-		t.Error("no histogram +Inf bucket")
-	}
-	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
+	for _, path := range paths {
+		// A region the session has, so only a missing route can be the 404.
+		resp, err := http.Get(base + path + "?region=N")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Count(line, " ") != 1 {
-			t.Errorf("malformed sample line %q", line)
+		body, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound || !strings.HasPrefix(string(body), "404 page not found") {
+			t.Errorf("GET %s: %d %.60s, want the mux's 404", path, resp.StatusCode, body)
 		}
 	}
 }

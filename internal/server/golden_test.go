@@ -66,7 +66,6 @@ func TestExplainGolden(t *testing.T) {
 			}
 			get("/critpath?k=3")
 			get("/critpath?format=dot")
-			get("/dot?region=N")
 
 			if tc.cfg.AutoTrace {
 				snap, err := sess.Metrics()

@@ -62,15 +62,11 @@ func (srv *Server) routes() {
 	handle("GET /v1/sessions/{id}/graph", "graph", srv.handleGraph)
 	handle("GET /v1/sessions/{id}/explain", "explain", srv.handleExplain)
 	handle("GET /v1/sessions/{id}/critpath", "critpath", srv.handleCritPath)
-	handle("GET /v1/sessions/{id}/dot", "dot", srv.handleDOT)
 	handle("GET /v1/sessions/{id}/checkpoint", "checkpoint", srv.handleCheckpoint)
 	handle("GET /v1/sessions/{id}/metrics", "session_metrics", srv.handleSessionMetrics)
-	handle("GET /v1/sessions/{id}/spans", "session_spans", srv.handleSessionSpans)
 	handle("GET /metrics", "metrics", srv.handleMetrics)
-	handle("GET /debug/spans", "debug_spans", srv.handleDebugSpans)
 	handle("GET /debug/trace", "debug_trace", srv.handleDebugTrace)
 	handle("GET /debug/recorder", "debug_recorder", srv.handleDebugRecorder)
-	handle("GET /debug/critpath", "debug_critpath", srv.handleDebugCritPath)
 	handle("GET /healthz", "healthz", srv.handleHealthz)
 	if srv.cfg.EnablePprof {
 		// Raw mounts: profiling endpoints stay out of the metrics/tracing
@@ -209,7 +205,14 @@ func (srv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSessionBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One object and nothing after it: a second value would go unchecked.
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the session object")
+		}
+	}
+	if err != nil && !errors.Is(err, io.EOF) { // an empty body asks for the defaults
 		srv.fail(w, fmt.Errorf("decoding session config: %w", err))
 		return
 	}
@@ -392,8 +395,6 @@ func writeRaw(w http.ResponseWriter, status int, contentType string, body []byte
 	}
 }
 
-const graphviz = "text/vnd.graphviz"
-
 func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s := srv.lookup(w, r)
 	if s == nil {
@@ -514,28 +515,11 @@ func (srv *Server) handleCritPath(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if dot {
-		writeRaw(w, http.StatusOK, graphviz, buf.Bytes(), dotErr)
+		writeRaw(w, http.StatusOK, "text/vnd.graphviz", buf.Bytes(), dotErr)
 		return
 	}
 	srv.rec.Log(recorder.KindCritPath, int64(len(sum.Path)), int64(sum.Length))
 	writeJSON(w, http.StatusOK, map[string]any{"region": name, "critpath": sum})
-}
-
-func (srv *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
-	s := srv.lookup(w, r)
-	if s == nil {
-		return
-	}
-	var (
-		buf    bytes.Buffer
-		dotErr error
-	)
-	if _, ok := srv.query(w, r, s, false, func(reg *visibility.Region) string {
-		dotErr = s.rt.WriteDOT(reg, &buf)
-		return ""
-	}); ok {
-		writeRaw(w, http.StatusOK, graphviz, buf.Bytes(), dotErr)
-	}
 }
 
 func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -582,14 +566,8 @@ func (srv *Server) handleSessionMetrics(w http.ResponseWriter, r *http.Request) 
 
 // handleMetrics merges the server registry with every session's registry
 // (namespaced by session id). A session too busy to snapshot reports
-// "unavailable" rather than stalling the endpoint. ?format=prom switches
-// to the Prometheus text exposition: server metrics unlabeled, session
-// metrics labeled {session="<id>"}, names sorted within each block.
+// "unavailable" rather than stalling the endpoint.
 func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		srv.handleMetricsProm(w, r)
-		return
-	}
 	out := map[string]any{"server": srv.metrics.Snapshot()}
 	sessions := map[string]any{}
 	for _, s := range srv.sessionList() {
@@ -600,51 +578,6 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out["sessions"] = sessions
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (srv *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := obs.WriteProm(w, srv.metrics.Typed(), nil); err != nil {
-		return // client went away mid-body
-	}
-	for _, s := range srv.sessionList() {
-		var rows []obs.TypedMetric
-		if err := srv.doSync(s, traceContext(r), func() { rows = s.metrics.Typed() }); err != nil {
-			continue // busy session: omit rather than stall the scrape
-		}
-		if err := obs.WriteProm(w, rows, map[string]string{"session": s.id}); err != nil {
-			return
-		}
-	}
-}
-
-type spansBody struct {
-	Spans   []obs.Span `json:"spans"`
-	Dropped int64      `json:"dropped"`
-}
-
-func (s *session) spansSnapshot() spansBody {
-	spans := s.spans.Snapshot()
-	if spans == nil {
-		spans = []obs.Span{}
-	}
-	return spansBody{Spans: spans, Dropped: s.spans.Dropped()}
-}
-
-func (srv *Server) handleSessionSpans(w http.ResponseWriter, r *http.Request) {
-	s := srv.lookup(w, r)
-	if s == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.spansSnapshot())
-}
-
-func (srv *Server) handleDebugSpans(w http.ResponseWriter, _ *http.Request) {
-	out := map[string]spansBody{}
-	for _, s := range srv.sessionList() {
-		out[s.id] = s.spansSnapshot()
-	}
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -680,32 +613,6 @@ func (srv *Server) handleDebugRecorder(w http.ResponseWriter, r *http.Request) {
 		"total":   srv.rec.Len(),
 		"dropped": srv.rec.Dropped(),
 	})
-}
-
-// handleDebugCritPath sweeps every live session and reports the weighted
-// critical-path summary of each root region tree (?k= bounds bottleneck
-// attribution, default 3). Sessions too busy to query are skipped.
-func (srv *Server) handleDebugCritPath(w http.ResponseWriter, r *http.Request) {
-	k, ok := srv.intParam(w, r, "k", 3, 1)
-	if !ok {
-		return
-	}
-	sessions := map[string]any{}
-	for _, s := range srv.sessionList() {
-		byRegion := map[string]*visibility.CritSummary{}
-		err := srv.doSync(s, traceContext(r), func() {
-			for _, reg := range s.env.Regions() {
-				if sum := s.rt.CriticalPath(reg, k); sum != nil {
-					byRegion[reg.Name()] = sum
-				}
-			}
-		})
-		if err != nil {
-			continue // busy session: omit rather than stall the sweep
-		}
-		sessions[s.id] = byRegion
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": sessions})
 }
 
 func (srv *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

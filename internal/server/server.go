@@ -213,6 +213,7 @@ func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Co
 	// The session buffer shares the server clock so HTTP, queue-wait, and
 	// analysis spans land on one time axis in the merged export.
 	spans := obs.NewBufferClock(srv.cfg.SpanCap, srv.clock)
+	metrics.RegisterFunc("spans/dropped", spans.Dropped)
 	cfg := visibility.Config{
 		Algorithm: req.Algorithm,
 		AutoTrace: req.AutoTrace,

@@ -1,6 +1,9 @@
 package server_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -56,8 +59,9 @@ func TestOneStackRejection(t *testing.T) {
 	srv, _, shutdown := newTestServer(t, server.Config{})
 	defer shutdown()
 
-	// The creation body itself: empty means all defaults; cut short or
-	// carrying any key but algorithm and autotrace is a 400.
+	// The creation body itself: empty means all defaults; cut short,
+	// carrying any key but algorithm and autotrace, or followed by
+	// anything but white space is a 400.
 	for body, want := range map[string]int{
 		"":                                      http.StatusCreated,
 		`{"algorithm":`:                         http.StatusBadRequest,
@@ -65,6 +69,10 @@ func TestOneStackRejection(t *testing.T) {
 		`{"shards":2}`:                          http.StatusBadRequest,
 		`{"algorithm":"raycast","workers":2}`:   http.StatusBadRequest,
 		`{"algorithm":"warnock","autotrace":1}`: http.StatusBadRequest,
+		`{}{"algorithm":"nope"}`:                http.StatusBadRequest,
+		`{} garbage`:                            http.StatusBadRequest,
+		`{"algorithm":"raycast"}]`:              http.StatusBadRequest,
+		"{\"algorithm\":\"paint\"}\n":           http.StatusCreated,
 	} {
 		if code, _ := post(t, srv, "/v1/sessions", body); code != want {
 			t.Errorf("POST /v1/sessions with body %q: status %d, want %d", body, code, want)
@@ -105,4 +113,60 @@ func TestSessionRequestKeys(t *testing.T) {
 	if code, resp := post(t, srv, "/v1/sessions/restore?algorithm=paint&autotrace=true", string(ckpt)); code != http.StatusCreated {
 		t.Errorf("restore paint+autotrace: %d %s, want 201", code, resp)
 	}
+}
+
+// FuzzSessionRequest drives arbitrary creation bodies and restore queries
+// through the handler. Each request ends in a 201 naming a registered
+// algorithm or in a 4xx — never a 5xx, and never a panic.
+func FuzzSessionRequest(f *testing.F) {
+	for _, body := range []string{`{}{"algorithm":"nope"}`, `{} garbage`, `{"algorithm":"raycast"}]`} {
+		f.Add(body, "algorithm=warnock&autotrace=true")
+	}
+	f.Add(`{"algorithm":"paint","autotrace":true}`, "autotrace=maybe")
+
+	rt := visibility.New(visibility.Config{})
+	if _, err := wire.NewEnv(rt).Apply(wire.ExampleQuickstart()); err != nil {
+		f.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := rt.Checkpoint(&ckpt); err != nil {
+		f.Fatal(err)
+	}
+	rt.Close()
+	srv := server.New(server.Config{IdleTimeout: -1})
+	f.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			f.Errorf("shutdown: %v", err)
+		}
+	})
+
+	f.Fuzz(func(t *testing.T, body, query string) {
+		restore := httptest.NewRequest(http.MethodPost, "/v1/sessions/restore", bytes.NewReader(ckpt.Bytes()))
+		restore.URL.RawQuery = query
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(body)),
+			restore,
+		} {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusCreated {
+				if rec.Code < 400 || rec.Code >= 500 {
+					t.Errorf("%s %q: status %d, want 201 or a 4xx: %s", req.URL.Path, req.URL.RawQuery, rec.Code, rec.Body)
+				}
+				continue
+			}
+			var created struct{ ID, Algorithm string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := algo.Lookup(created.Algorithm); err != nil {
+				t.Errorf("%s created a session running %q: %v", req.URL.Path, created.Algorithm, err)
+			}
+			del := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(del, httptest.NewRequest(http.MethodDelete, "/v1/sessions/"+created.ID, nil))
+			if del.Code != http.StatusNoContent {
+				t.Fatalf("deleting %s: status %d", created.ID, del.Code)
+			}
+		}
+	})
 }

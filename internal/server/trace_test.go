@@ -62,21 +62,30 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatalf("client recorded no workloads span: %+v", c.Spans.Snapshot())
 	}
 
-	// The session's analysis spans carry the client's trace ID: the
-	// context crossed HTTP, the queue, and into the analyzer.
-	spans, err := sess.Spans()
+	raw, err := c.DebugTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var doc traceDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("/debug/trace is not valid JSON: %v", err)
+	}
+
+	// The session's analysis spans (its own track, past the HTTP track
+	// on process 0) carry the client's trace ID: the context crossed
+	// HTTP, the queue, and into the analyzer.
 	var analysisTraced, queueWait bool
-	for _, sp := range spans {
-		if sp.Cat == "analysis" && sp.Trace == clientTrace {
+	for _, ev := range doc.TraceEvents {
+		if ev.Pid == 0 || ev.Ph != "X" {
+			continue
+		}
+		if ev.Cat == "analysis" && ev.Args["trace"] == clientTrace {
 			analysisTraced = true
 		}
-		if sp.Name == "queue.wait" {
+		if ev.Name == "queue.wait" {
 			queueWait = true
-			if sp.Trace == "" || sp.Parent == 0 {
-				t.Errorf("queue.wait span not parented: %+v", sp)
+			if ev.Args["trace"] == "" || ev.Args["parent"] == "" {
+				t.Errorf("queue.wait span not parented: %+v", ev)
 			}
 		}
 	}
@@ -88,14 +97,6 @@ func TestTracePropagation(t *testing.T) {
 	}
 
 	// The merged export parents analysis spans under the HTTP span.
-	raw, err := c.DebugTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc traceDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("/debug/trace is not valid JSON: %v", err)
-	}
 	var httpSpan string
 	for _, ev := range doc.TraceEvents {
 		if ev.Name == "http.workloads" && ev.Args["trace"] == clientTrace {

@@ -35,7 +35,6 @@ package visibility
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 
@@ -761,10 +760,4 @@ func (ts *treeState) dag() *graph.DAG {
 		return &graph.DAG{}
 	}
 	return &graph.DAG{Tasks: ts.stream.Tasks, Deps: ts.deps}
-}
-
-// WriteDOT renders the discovered dependence graph of the tree containing
-// r in Graphviz format.
-func (rt *Runtime) WriteDOT(r *Region, w io.Writer) error {
-	return r.tree.dag().WriteDOT(w, nil)
 }
