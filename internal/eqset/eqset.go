@@ -20,6 +20,7 @@ import (
 	"visibility/internal/fault"
 	"visibility/internal/index"
 	"visibility/internal/obs/recorder"
+	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
 
@@ -73,14 +74,26 @@ func (n *Node) Cut(r *region.Region) Cut {
 	return n.Cuts[i]
 }
 
+// Entry is one operation in a set's history: task Task touched every point
+// of the set with privilege Priv through its Req-th requirement. It is a
+// core.Entry without the points, which are the set's own (the package's
+// invariant), so a history array holds no pointer for the collector to scan.
+type Entry struct {
+	Task int
+	Req  int
+	Priv privilege.Privilege
+}
+
 // Set is one equivalence set.
 type Set[X any] struct {
 	// G is the set's geometry; G.Pts never changes.
 	G *Node
 	// Hist is append-only while shared: the fragments of a split share
-	// their parent's entries, capacity clipped, until one appends. So a
-	// live set whose Hist has cap > len owns its array (see Overwrite).
-	Hist []core.Entry
+	// their parent's entries, capacity clipped, until one appends. Any
+	// other array belongs to one set, and a carve from the kernel's chunk
+	// is capped at its own capacity, so a live set whose Hist has
+	// cap > len owns its array (see Overwrite).
+	Hist []Entry
 	// Dead is set once the set has been replaced (by a refinement, or by
 	// the store moving its contents into fresh sets) or pruned by a write;
 	// the sets found for a requirement are looked up again before commit
@@ -105,6 +118,21 @@ type Store[X any] interface {
 	Write(t *core.Task, ri int, inside []*Set[X])
 }
 
+// Root returns the set a store starts a field from: the root's points,
+// holding the initial write of them by core.InitialTask (core.SeedEntry).
+func Root[X any](pts index.Space) *Set[X] {
+	return &Set[X]{G: &Node{Pts: pts}, Hist: []Entry{{Task: core.InitialTask, Priv: privilege.Writes()}}}
+}
+
+// Chunk lengths: the kernel allocates the sets and history arrays a steady
+// launch creates this many at a time, carving each from its current chunk.
+// Carves are never recycled — a dead set may still sit in a memo or in a
+// launch's insides — so a chunk lives until nothing points into it.
+const (
+	setChunk  = 64
+	histChunk = 256
+)
+
 // Kernel drives one Store. It runs on exactly one goroutine (the submit
 // side, §3.2) and mutates its state with no lock.
 type Kernel[X any] struct {
@@ -118,6 +146,10 @@ type Kernel[X any] struct {
 	scan    core.Scan
 	sets    []*Set[X]
 	insides [][]*Set[X]
+
+	// The rest of the current chunks (see setChunk).
+	setPool  []Set[X]
+	histPool []Entry
 }
 
 // New creates the kernel of the analyzer called name over store.
@@ -132,6 +164,40 @@ func (k *Kernel[X]) Owner(n *Node) int {
 		n.owner, n.owned = int32(k.Opts.Owner(n.Pts)), true
 	}
 	return int(n.owner)
+}
+
+// NewSet returns a set wearing g with history hist, placed at at, carved
+// from the kernel's current chunk of sets.
+func (k *Kernel[X]) NewSet(g *Node, hist []Entry, at X) *Set[X] {
+	if len(k.setPool) == 0 {
+		k.setPool = make([]Set[X], setChunk)
+	}
+	s := &k.setPool[0] // zero: a carve is never reused
+	k.setPool = k.setPool[1:]
+	s.G, s.Hist, s.At = g, hist, at
+	return s
+}
+
+// carve returns an empty history array of capacity n from the kernel's
+// current chunk, clipped so that an append past n copies instead of
+// running into the next carve.
+func (k *Kernel[X]) carve(n int) []Entry {
+	if len(k.histPool) < n {
+		k.histPool = make([]Entry, max(histChunk, n))
+	}
+	h := k.histPool[:0:n]
+	k.histPool = k.histPool[n:]
+	return h
+}
+
+// Append records e in s's history, first copying the history into an
+// array of its own if s does not own one (see Set.Hist).
+func (k *Kernel[X]) Append(s *Set[X], e Entry) {
+	if len(s.Hist) == cap(s.Hist) {
+		// Room for as many entries again, as append's doubling gave.
+		s.Hist = append(k.carve(max(4, 2*len(s.Hist))), s.Hist...)
+	}
+	s.Hist = append(s.Hist, e)
 }
 
 // Touch charges ops units of work to the owner of s.
@@ -172,24 +238,24 @@ func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced
 	k.Stats.SetsCreated += 2
 	k.Opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.Hist)))
 	hist := s.Hist[:len(s.Hist):len(s.Hist)] // an append to either half copies
-	halves := &[2]Set[X]{{G: c.In, Hist: hist, At: s.At}, {G: c.Out, Hist: hist, At: s.At}}
-	return &halves[0], &halves[1], forced
+	return k.NewSet(c.In, hist, s.At), k.NewSet(c.Out, hist, s.At), forced
 }
 
 // Overwrite returns the history of a set a write leaves holding only e.
 // hist is a history the write replaces — the set's own, or a pruned set's
 // — and its array is reused when hist owns it (see Set.Hist); otherwise
-// the new array has room for the reads and reductions that follow.
-func Overwrite(hist []core.Entry, e core.Entry) []core.Entry {
+// the new array is carved with room for the reads and reductions that
+// follow.
+func (k *Kernel[X]) Overwrite(hist []Entry, e Entry) []Entry {
 	if cap(hist) > len(hist) {
 		return append(hist[:0], e)
 	}
-	return append(make([]core.Entry, 0, 4), e)
+	return append(k.carve(4), e)
 }
 
 // privRuns counts maximal runs of identical privileges in a history — the
 // epochs a scan actually tests for interference.
-func privRuns(hist []core.Entry) int64 {
+func privRuns(hist []Entry) int64 {
 	var runs int64
 	for i, e := range hist {
 		if i == 0 || !e.Priv.Same(hist[i-1].Priv) {
@@ -230,7 +296,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			k.Touch(s, privRuns(s.Hist))
 			for _, e := range s.Hist {
 				k.Stats.EntriesScanned++
-				scan.Entry(e, s.G.Pts)
+				scan.Entry(core.Entry{Task: e.Task, Req: e.Req, Priv: e.Priv}, s.G.Pts)
 			}
 		}
 	}
@@ -258,7 +324,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			continue
 		}
 		for _, s := range inside {
-			s.Hist = append(s.Hist, core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: s.G.Pts})
+			k.Append(s, Entry{Task: t.ID, Req: ri, Priv: req.Priv})
 			k.Touch(s, 1)
 		}
 	}

@@ -3,7 +3,9 @@ package eqset_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"visibility/internal/core"
 	"visibility/internal/eqset"
@@ -36,7 +38,7 @@ func mustInjector(t *testing.T, plan string) *fault.Injector {
 
 // TestSplit pins the kernel's one refinement rule.
 func TestSplit(t *testing.T) {
-	hist := []core.Entry{core.SeedEntry(span(0, 9)), {Task: 3, Priv: privilege.Reads(), Pts: span(0, 9)}}
+	hist := []eqset.Entry{{Task: core.InitialTask, Priv: privilege.Writes()}, {Task: 3, Priv: privilege.Reads()}}
 	const always = "seed=1;analyzer.eqset.split=every=1"
 	tests := []struct {
 		name   string
@@ -143,8 +145,8 @@ func TestOwnerResolvedOnce(t *testing.T) {
 // on their parent's entries, and an append to either leaves the other
 // half's, the parent's and a third reader's view of them unchanged.
 func TestSplitSharesHistory(t *testing.T) {
-	hist := make([]core.Entry, 2, 8) // spare capacity: an in-place append would be visible
-	hist[0], hist[1] = core.SeedEntry(span(0, 9)), core.Entry{Task: 3, Priv: privilege.Reads(), Pts: span(0, 9)}
+	hist := make([]eqset.Entry, 2, 8) // spare capacity: an in-place append would be visible
+	hist[0], hist[1] = eqset.Entry{Task: core.InitialTask, Priv: privilege.Writes()}, eqset.Entry{Task: 3, Priv: privilege.Reads()}
 	k := eqset.New[int]("test", core.Options{}, nil)
 	s := &set{G: &eqset.Node{Pts: span(0, 9)}, Hist: hist}
 	in, rest, _ := k.Split(s, reg(1, span(4, 5)))
@@ -152,17 +154,69 @@ func TestSplitSharesHistory(t *testing.T) {
 		t.Error("the halves copied the parent's history instead of sharing it")
 	}
 	reader := in.Hist
-	in.Hist = append(in.Hist, core.Entry{Task: 7})
-	rest.Hist = append(rest.Hist, core.Entry{Task: 8})
-	rest.Hist = append(rest.Hist, core.Entry{Task: 9})
-	for i, h := range [][]core.Entry{in.Hist[:2], rest.Hist[:2], s.Hist, reader, hist} {
-		if len(h) != 2 || h[0].Task != core.SeedEntry(span(0, 9)).Task || h[1].Task != 3 {
+	in.Hist = append(in.Hist, eqset.Entry{Task: 7})
+	rest.Hist = append(rest.Hist, eqset.Entry{Task: 8})
+	rest.Hist = append(rest.Hist, eqset.Entry{Task: 9})
+	for i, h := range [][]eqset.Entry{in.Hist[:2], rest.Hist[:2], s.Hist, reader, hist} {
+		if len(h) != 2 || h[0].Task != core.InitialTask || h[1].Task != 3 {
 			t.Errorf("view %d (in, rest, parent, reader, caller) no longer sees the shared prefix: %+v", i, h)
 		}
 	}
 	if in.Hist[2].Task != 7 || len(in.Hist) != 3 || rest.Hist[2].Task != 8 || rest.Hist[3].Task != 9 || hist[:3][2].Task != 0 {
 		t.Errorf("appends crossed: in %+v, rest %+v, parent's spare slot %+v", in.Hist[2:], rest.Hist[2:], hist[:3][2])
 	}
+}
+
+// TestCarvedHistoriesDoNotCross pins the capacity clip on carved history
+// arrays. The first appends to the halves of a split copy their shared
+// history into adjacent carves of one chunk; appending to each past its
+// carve's capacity, and overwriting one in place, must leave every other
+// history — the other half's and the parent's — as it was.
+func TestCarvedHistoriesDoNotCross(t *testing.T) {
+	k := eqset.New[int]("test", core.Options{}, nil)
+	s := eqset.Root[int](span(0, 9))
+	in, rest, _ := k.Split(s, reg(1, span(4, 5)))
+	want := map[*set][]int{s: {core.InitialTask}, in: {core.InitialTask}, rest: {core.InitialTask}}
+	names := map[*set]string{s: "parent", in: "in", rest: "rest"}
+	check := func(step string) {
+		t.Helper()
+		for f, tasks := range want {
+			var got []int
+			for _, e := range f.Hist {
+				got = append(got, e.Task)
+			}
+			if !slices.Equal(got, tasks) {
+				t.Fatalf("after %s: %s holds tasks %v, want %v", step, names[f], got, tasks)
+			}
+		}
+	}
+	task := 0
+	push := func(f *set) {
+		task++
+		k.Append(f, eqset.Entry{Task: task, Priv: privilege.Reads()})
+		want[f] = append(want[f], task)
+		check(fmt.Sprintf("appending task %d to %s", task, names[f]))
+	}
+
+	push(in)
+	push(rest)
+	// Neighbours: rest's carve starts after in's, where in's capacity ends
+	// (or before, were in's capacity not clipped).
+	inStart := uintptr(unsafe.Pointer(unsafe.SliceData(in.Hist)))
+	inEnd := inStart + uintptr(cap(in.Hist))*unsafe.Sizeof(eqset.Entry{})
+	if restStart := uintptr(unsafe.Pointer(unsafe.SliceData(rest.Hist))); restStart <= inStart || restStart > inEnd {
+		t.Fatal("the halves' first appends did not carve neighbouring arrays; the test checks nothing")
+	}
+	for _, f := range []*set{in, rest} {
+		for c := cap(f.Hist); len(f.Hist) <= c; {
+			push(f)
+		}
+	}
+	in.Hist = k.Overwrite(in.Hist, eqset.Entry{Task: 100, Priv: privilege.Writes()})
+	want[in] = []int{100}
+	check("overwriting in")
+	push(in)
+	push(rest)
 }
 
 // flat is the smallest possible Store: one unindexed slice of live sets
@@ -178,7 +232,7 @@ type flat struct {
 func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 	req := t.Reqs[ri]
 	if f.sets[req.Field] == nil {
-		f.sets[req.Field] = []*set{{G: &eqset.Node{Pts: f.root}, Hist: []core.Entry{core.SeedEntry(f.root)}}}
+		f.sets[req.Field] = []*set{eqset.Root[int](f.root)}
 	}
 	var live []*set
 	for _, s := range f.sets[req.Field] {
@@ -201,7 +255,7 @@ func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 
 func (f *flat) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
-		s.Hist = []core.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.G.Pts}}
+		s.Hist = []eqset.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv}}
 	}
 }
 

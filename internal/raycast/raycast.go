@@ -24,6 +24,7 @@
 package raycast
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -165,9 +166,7 @@ func (rc *RayCast) fieldFor(f field.ID, hint *region.Region) *fieldState {
 		return fs
 	}
 	fs = &fieldState{}
-	root := rc.tree.Root.Space
-	seed := &set{G: &eqset.Node{Pts: root}, Hist: []core.Entry{core.SeedEntry(root)}}
-	rc.installAccel(fs, rc.chooseDCP(hint), []*set{seed})
+	rc.installAccel(fs, rc.chooseDCP(hint), []*set{eqset.Root[place](rc.tree.Root.Space)})
 	rc.state[f] = fs
 	return fs
 }
@@ -253,7 +252,7 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 			if part.IsEmpty() {
 				continue
 			}
-			rc.insert(fs, &set{G: &eqset.Node{Pts: part}, Hist: append([]core.Entry(nil), s.Hist...), At: place{bucket: i}})
+			rc.insert(fs, &set{G: &eqset.Node{Pts: part}, Hist: slices.Clone(s.Hist), At: place{bucket: i}})
 		}
 	}
 }
@@ -334,7 +333,7 @@ func (rc *RayCast) remove(fs *fieldState, s *set) {
 				return
 			}
 		}
-		return
+		panic(fmt.Sprintf("raycast: set %d (%v) is not in its bucket %d", s.At.id, s.G.Pts, s.At.bucket))
 	}
 	fs.kd.Remove(s.At.id)
 	delete(fs.kdSets, s.At.id)
@@ -446,13 +445,13 @@ func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
 func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	req := t.Reqs[ri]
 	fs := rc.state[req.Field]
-	e := core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space}
+	e := eqset.Entry{Task: t.ID, Req: ri, Priv: req.Priv}
 	span := rc.k.Opts.Spans.Begin("raycast.coalesce", "analysis")
 	defer span.End()
 	rc.k.Opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
 	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]
-	var old []core.Entry // a pruned set's history to reuse (see eqset.Set.Hist)
+	var old []eqset.Entry // a pruned set's history to reuse (see eqset.Set.Hist)
 	for _, s := range inside {
 		s.Dead = true
 		if fs.dcp != nil {
@@ -465,7 +464,7 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 		}
 	}
 	if fs.dcp == nil {
-		rc.kdInsert(fs, &set{G: fs.geom[0].Cut(req.Region).In, Hist: eqset.Overwrite(old, e)})
+		rc.kdInsert(fs, rc.k.NewSet(fs.geom[0].Cut(req.Region).In, rc.k.Overwrite(old, e), place{}))
 		rc.k.Stats.SetsCreated++
 		return
 	}
@@ -487,9 +486,7 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 			}
 			return s.Dead
 		})
-		g := fs.geom[bi].Cut(req.Region).In
-		e.Pts = g.Pts
-		ns := &set{G: g, Hist: eqset.Overwrite(old, e), At: place{id: fs.nextID, bucket: bi}}
+		ns := rc.k.NewSet(fs.geom[bi].Cut(req.Region).In, rc.k.Overwrite(old, e), place{id: fs.nextID, bucket: bi})
 		fs.nextID++
 		fs.buckets[bi] = append(live, ns)
 		rc.k.Stats.SetsCreated++

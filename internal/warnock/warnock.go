@@ -113,9 +113,8 @@ func (w *Warnock) leaf(s *set) *bnode {
 func (w *Warnock) fieldFor(f field.ID) *fieldState {
 	fs, ok := w.state[f]
 	if !ok {
-		root := w.tree.Root.Space
 		fs = &fieldState{
-			root: w.leaf(&set{G: &eqset.Node{Pts: root}, Hist: []core.Entry{core.SeedEntry(root)}}),
+			root: w.leaf(eqset.Root[*bnode](w.tree.Root.Space)),
 		}
 		w.state[f] = fs
 	}
@@ -218,7 +217,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 // (Figure 9 lines 30-31).
 func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
-		s.Hist = eqset.Overwrite(s.Hist, core.Entry{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv, Pts: s.G.Pts})
+		s.Hist = w.k.Overwrite(s.Hist, eqset.Entry{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv})
 		w.k.Touch(s, 1)
 	}
 }
