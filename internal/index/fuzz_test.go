@@ -52,6 +52,9 @@ func FuzzSetAlgebra(f *testing.F) {
 	f.Add([]byte{2, 0, 3, 5, 2, 1, 4, 4, 6, 2})
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 1, 1, 2, 2, 9, 9, 1, 0, 0, 15, 15})
+	// One rectangle against nine: in 1-D the gallop searches the nine
+	// for it.
+	f.Add([]byte{1, 9, 1, 9, 0, 0, 2, 0, 4, 0, 6, 0, 8, 0, 10, 0, 12, 0, 14, 0, 15, 4})
 	f.Add([]byte{9, 0, 2, 3, 1, 5, 0, 6, 4, 11, 3, 15, 2, 8, 1, 10, 0, 13, 2, 9, 1, 1, 5, 3, 2, 7, 1, 9, 0, 12, 4, 14, 3, 4, 2, 8, 8, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 0 {

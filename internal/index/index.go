@@ -20,8 +20,10 @@
 // highest axis that recurses on the cross-sections where bands of both
 // operands meet — plain interval merging in 1-D — and emits canonical
 // output as it goes, with one exactly-sized allocation per result and none
-// for the predicates. In 1-D that is O(|a|+|b|) steps. In N-D a band is
-// walked once per band of the other operand it meets, so the cost is the
+// for the predicates. In 1-D that is O(|a|+|b|) steps, except for
+// Overlaps, which gallops over the longer list instead (overlaps1):
+// O(m log(n/m)) steps for m ≤ n intervals. In N-D a band is walked once
+// per band of the other operand it meets, so the cost is the
 // two inputs plus the cross-sections of the elementary segments, which is
 // O(|a|+|b|+|result|) when bands line up (pieces of one grid) and at worst
 // O(|a|·bands(b)+|b|·bands(a)), never the pairwise |a|·|b| rectangle tests
@@ -207,6 +209,9 @@ func (s Space) Overlaps(o Space) bool {
 	}
 	if len(s.rects) == 1 && len(o.rects) == 1 {
 		return s.rects[0].Overlaps(o.rects[0])
+	}
+	if s.dim == 1 {
+		return overlaps1(s.rects, o.rects)
 	}
 	w := sweeper{keep: [2]uint8{both}, probe: true}
 	return w.run(s.dim, s.rects, o.rects, geometry.Rect{Dim: s.dim})

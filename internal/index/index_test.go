@@ -396,6 +396,31 @@ func BenchmarkIntersect2D(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlaps1D times the 1-D Overlaps on four shapes: a view of
+// 161 intervals against a requirement of 10 that falls in its gaps (the
+// painter's scan), two interleaved lists of 200 with no point in common,
+// 100 against 100 that meet only at the last interval, and 3 against 4
+// that meet at the second.
+func BenchmarkOverlaps1D(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		x, y Space
+	}{
+		{"lopsided_161x10", intervals1D(161, 0, 10, 6), intervals1D(10, 6, 160, 3)},
+		{"interleaved_miss_200x200", intervals1D(200, 0, 10, 4), intervals1D(200, 5, 10, 4)},
+		{"balanced_100x100", intervals1D(100, 0, 10, 4), intervals1D(99, 5, 10, 4).Union(FromRect(geometry.R1(992, 994)))},
+		{"small_3x4", intervals1D(3, 0, 10, 4), intervals1D(4, 5, 6, 2)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchOverlaps = c.x.Overlaps(c.y)
+			}
+		})
+	}
+}
+
+var benchOverlaps bool
+
 func BenchmarkSubtract2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	xs := make([]Space, 64)
@@ -425,6 +450,103 @@ func BenchmarkSubtract1DScattered(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = x.Subtract(y)
+	}
+}
+
+// intervals1D returns the space of the n intervals of the given width that
+// start at lo, lo+stride, lo+2·stride, ….
+func intervals1D(n int, lo, stride, width int64) Space {
+	rs := make([]geometry.Rect, n)
+	for k := range rs {
+		rs[k] = geometry.R1(lo+int64(k)*stride, lo+int64(k)*stride+width-1)
+	}
+	return FromRects(1, rs...)
+}
+
+// randIntervals returns n sorted 1-D intervals at least two apart — a
+// canonical list as it stands — drawn from rng, and, for each, whether it
+// goes to the first operand of a disjoint pair.
+func randIntervals(rng *rand.Rand, n int) ([]geometry.Rect, []bool) {
+	rs, first := make([]geometry.Rect, n), make([]bool, n)
+	at := int64(rng.Intn(5))
+	for k := range rs {
+		lo := at + int64(rng.Intn(4))
+		rs[k], first[k] = geometry.R1(lo, lo+int64(rng.Intn(6))), rng.Intn(2) == 0
+		at = rs[k].Hi.C[0] + 2
+	}
+	return rs, first
+}
+
+// checkOverlaps1D holds the 1-D Overlaps, which gallops, to the sweep and
+// to the emptiness of Intersect in both operand orders, and to want when
+// the case states it (0 no, 1 yes, -1 unstated).
+func checkOverlaps1D(t *testing.T, name string, x, y Space, want int) {
+	t.Helper()
+	checkCanonical(t, name+" x", x)
+	checkCanonical(t, name+" y", y)
+	w := sweeper{keep: [2]uint8{both}, probe: true}
+	sweep := !x.spanDisjoint(y) && w.run(1, x.rects, y.rects, geometry.Rect{Dim: 1})
+	if want >= 0 && sweep != (want == 1) {
+		t.Fatalf("%s: the sweep says %v, the case %v", name, sweep, want == 1)
+	}
+	if inter := !x.Intersect(y).IsEmpty(); inter != sweep {
+		t.Fatalf("%s: Intersect is empty = %v, the sweep overlaps = %v", name, !inter, sweep)
+	}
+	if got, rev := x.Overlaps(y), y.Overlaps(x); got != sweep || rev != sweep {
+		t.Fatalf("%s (%d × %d rects): Overlaps = %v, reversed %v, the sweep %v", name, x.NumRects(), y.NumRects(), got, rev, sweep)
+	}
+}
+
+// The 1-D Overlaps gallops over the longer list instead of sweeping both.
+// The named cases pin each way the search can end; the seeded ones draw
+// canonical lists of 1 to 400 intervals, disjoint by construction and then
+// with a point shared or not.
+func TestOverlaps1DGallop(t *testing.T) {
+	r1 := geometry.R1
+	long := intervals1D(161, 0, 10, 6) // [10k, 10k+5]
+	for _, c := range []struct {
+		name string
+		x, y Space
+		want int
+	}{
+		{"lopsided miss", long, intervals1D(10, 6, 160, 3), 0},
+		{"lopsided hit", long, intervals1D(9, 6, 160, 3).Union(FromRect(r1(1446, 1450))), 1},
+		{"interleaved miss", intervals1D(200, 0, 10, 3), intervals1D(200, 5, 10, 3), 0},
+		{"abutting", intervals1D(200, 0, 10, 5), intervals1D(200, 5, 10, 5), 0},
+		{"shared endpoint", intervals1D(50, 0, 10, 3), intervals1D(49, 5, 10, 3).Union(FromRect(r1(492, 494))), 1},
+		{"gallop past the end, miss", long, FromRects(1, r1(6, 7), r1(1606, 1609)), 0},
+		{"gallop past the end, hit", long, FromRects(1, r1(6, 7), r1(1598, 1609)), 1},
+		{"one rect, miss", long, FromRect(r1(806, 809)), 0},
+		{"one rect, hit", long, FromRect(r1(1600, 1600)), 1},
+		{"one rect each", FromRect(r1(0, 4)), FromRect(r1(4, 9)), 1},
+	} {
+		checkOverlaps1D(t, c.name, c.x, c.y, c.want)
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	sizes := []int{1, 2, 3, 10, 161, 200, 400}
+	for i := 0; i < 400; i++ {
+		rs, first := randIntervals(rng, sizes[rng.Intn(len(sizes))]+sizes[rng.Intn(len(sizes))])
+		var xs, ys []geometry.Rect
+		for k, r := range rs {
+			if first[k] {
+				xs = append(xs, r)
+			} else {
+				ys = append(ys, r)
+			}
+		}
+		if len(xs) == 0 || len(ys) == 0 {
+			continue
+		}
+		x, y := Space{dim: 1, rects: xs}, Space{dim: 1, rects: ys}
+		name := fmt.Sprintf("seeded pair %d", i)
+		checkOverlaps1D(t, name+", disjoint", x, y, 0)
+		// Stretch one interval of x by 1 to 3 points to the right: it
+		// abuts, touches or overlaps whatever follows it.
+		k := rng.Intn(len(xs))
+		grown := slices.Clone(xs)
+		grown[k].Hi.C[0] += int64(1 + rng.Intn(3))
+		checkOverlaps1D(t, name+", stretched", FromRects(1, grown...), y, -1)
 	}
 }
 

@@ -242,6 +242,47 @@ func (w *sweeper) run1(a, b []geometry.Rect, t geometry.Rect) bool {
 	}
 }
 
+// overlaps1 reports whether two sorted lists of disjoint 1-D intervals
+// share a point. For each interval of the shorter list it gallops over the
+// longer, from where the last search stopped, to the first interval ending
+// at or after its start, which overlaps it unless it starts past its end.
+// m ≤ n intervals cost O(m log(n/m)) steps, where the sweep takes O(m+n).
+func overlaps1(a, b []geometry.Rect) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	j := 0
+	for _, r := range a {
+		if j = gallop(b, j, r.Lo.C[0]); j == len(b) {
+			return false
+		}
+		if b[j].Lo.C[0] <= r.Hi.C[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// gallop returns the first k ≥ i with rs[k] ending at or after x, or
+// len(rs): it probes i, i+1, i+3, i+7, … until an interval ends there, then
+// bisects the last step.
+func gallop(rs []geometry.Rect, i int, x int64) int {
+	lo, hi := i, i // every interval before lo ends before x; hi is the probe
+	for step := 1; hi < len(rs) && rs[hi].Hi.C[0] < x; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, len(rs))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rs[m].Hi.C[0] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // bandEnd returns the end of the band of rs that starts at i: the run of
 // rectangles with one extent on axis ax.
 func bandEnd(rs []geometry.Rect, i, ax int) int {

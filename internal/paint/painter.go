@@ -88,7 +88,7 @@ type view struct {
 	items      []item
 	pts        index.Space // union of all recorded points
 	writeCover index.Space // union of write-covered points (for occlusion)
-	summary    *privilege.Summary
+	summary    privilege.Summary
 	count      int   // total entries including nested views
 	id         int64 // replication token (views replicate on demand, §5.1)
 	home       int   // owner of the node the view was appended to
@@ -98,7 +98,7 @@ type view struct {
 type nodeState struct {
 	hist    []item
 	open    bool // some history exists in this node's subtree
-	summary *privilege.Summary
+	summary privilege.Summary
 	owner   int // node owning this state (§8): fixed, as the tree node's space is
 	// pts and cover remember the unions of the last view snapshotted from
 	// this node's subtree.
@@ -147,7 +147,7 @@ func (pa *Painter) node(fs *fieldState, k nodeKey, space index.Space) *nodeState
 	if ns := fs.at(k); ns != nil {
 		return ns
 	}
-	ns := &nodeState{summary: privilege.NewSummary(), owner: pa.opts.Owner(space)}
+	ns := &nodeState{owner: pa.opts.Owner(space)}
 	t := fs.table(k)
 	*t = grow(*t, k.id)
 	(*t)[k.id] = ns
@@ -315,7 +315,7 @@ func (pa *Painter) hoistChild(fs *fieldState, step pathStep, child nodeKey, chil
 	}
 	ns := pa.node(fs, step.key, step.space)
 	pa.nextToken++
-	v := &view{summary: privilege.NewSummary(), id: pa.nextToken, home: ns.owner}
+	v := &view{id: pa.nextToken, home: ns.owner}
 	pa.ops, pa.covers = pa.ops[:0], pa.covers[:0]
 	pa.snapshot(fs, child, v)
 	if len(v.items) == 0 {

@@ -129,15 +129,25 @@ func Interferes(p, q Privilege) bool {
 // Summary is a conservative set of privilege shapes present in a region
 // subtree, used by the painter's algorithm (§5.1) to skip composite-view
 // creation for subtrees whose recorded privileges cannot interfere with a
-// new task's privilege.
+// new task's privilege. The zero value is the empty summary.
 type Summary struct {
 	hasRead   bool
 	hasWrite  bool
-	reduceOps map[ReduceOp]bool
+	reduceOps uint64 // bit opBit(op) for every recorded reduction op
 }
 
-// NewSummary returns an empty summary.
-func NewSummary() *Summary { return &Summary{reduceOps: make(map[ReduceOp]bool)} }
+// sharedBit is the bit of every operator outside [0, 63): those cannot be
+// told apart, so a reduction recorded under it interferes with every
+// reduction. That only costs a hoist the summary could have skipped.
+const sharedBit = uint64(1) << 63
+
+// opBit returns the bit of op in Summary.reduceOps.
+func opBit(op ReduceOp) uint64 {
+	if op < 0 || op >= 63 {
+		return sharedBit
+	}
+	return 1 << op
+}
 
 // Add records p in the summary.
 func (s *Summary) Add(p Privilege) {
@@ -147,51 +157,34 @@ func (s *Summary) Add(p Privilege) {
 	case ReadWrite:
 		s.hasWrite = true
 	case Reduce:
-		s.reduceOps[p.Op] = true
+		s.reduceOps |= opBit(p.Op)
 	}
 }
 
 // IsEmpty reports whether no privileges have been recorded.
-func (s *Summary) IsEmpty() bool {
-	return !s.hasRead && !s.hasWrite && len(s.reduceOps) == 0
-}
+func (s *Summary) IsEmpty() bool { return *s == Summary{} }
 
 // Reset clears the summary.
-func (s *Summary) Reset() {
-	s.hasRead = false
-	s.hasWrite = false
-	for op := range s.reduceOps {
-		delete(s.reduceOps, op)
-	}
-}
+func (s *Summary) Reset() { *s = Summary{} }
 
 // AddAll records every privilege of o into s.
-func (s *Summary) AddAll(o *Summary) {
-	if o.hasRead {
-		s.hasRead = true
-	}
-	if o.hasWrite {
-		s.hasWrite = true
-	}
-	for op := range o.reduceOps {
-		s.reduceOps[op] = true
-	}
+func (s *Summary) AddAll(o Summary) {
+	s.hasRead = s.hasRead || o.hasRead
+	s.hasWrite = s.hasWrite || o.hasWrite
+	s.reduceOps |= o.reduceOps
 }
 
-// Interferes reports whether any recorded privilege interferes with p.
+// Interferes reports whether any recorded privilege interferes with p: a
+// write always does, a read unless p reads, and a reduction unless p
+// reduces with the same operator and that operator has a bit of its own.
 func (s *Summary) Interferes(p Privilege) bool {
-	if s.hasWrite {
+	switch {
+	case s.hasWrite, s.hasRead && p.Kind != Read:
 		return true
+	case p.Kind == Reduce:
+		return s.reduceOps&^(opBit(p.Op)&^sharedBit) != 0
 	}
-	if s.hasRead && p.Kind != Read {
-		return true
-	}
-	for op := range s.reduceOps {
-		if Interferes(Reduces(op), p) {
-			return true
-		}
-	}
-	return false
+	return s.reduceOps != 0
 }
 
 // Identity returns the identity element of op.

@@ -144,9 +144,9 @@ func TestIdentityPanicsOnNone(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	s := NewSummary()
+	var s Summary
 	if !s.IsEmpty() {
-		t.Error("new summary should be empty")
+		t.Error("zero summary should be empty")
 	}
 	if s.Interferes(Writes()) {
 		t.Error("empty summary interferes with nothing")
