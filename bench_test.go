@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"testing"
 
+	"visibility"
 	"visibility/internal/algo"
 	"visibility/internal/apps"
 	"visibility/internal/apps/circuit"
@@ -387,5 +388,34 @@ func BenchmarkDependenceAnalysisScaling(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+var critSink *visibility.CritSummary
+
+// BenchmarkCriticalPath times one CriticalPath query on a runtime whose
+// critical path stays two tasks long however many tasks it holds: one
+// write, then reads of what it wrote. The reads cycle over 1,000 pieces,
+// so no piece's read history, and no launch's analysis, grows with the
+// stream. A query reads the labels fixed at launch, so 10⁵ tasks cost
+// what 10³ do.
+func BenchmarkCriticalPath(b *testing.B) {
+	const pieces = 1000
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			rt := visibility.New(visibility.Config{})
+			defer rt.Close()
+			g := rt.CreateRegion("g", visibility.Line(0, 64*pieces-1), "v")
+			p := g.PartitionEqual("P", pieces)
+			rt.Launch(visibility.TaskSpec{Name: "write", Accesses: []visibility.Access{visibility.Write(g, "v")}})
+			for i := 1; i < n; i++ {
+				rt.Launch(visibility.TaskSpec{Name: "read", Accesses: []visibility.Access{visibility.Read(p.Sub(i%pieces), "v")}})
+			}
+			rt.Wait()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				critSink = rt.CriticalPath(g, 3)
+			}
+		})
 	}
 }

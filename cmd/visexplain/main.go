@@ -11,9 +11,8 @@
 // origin — plus the mustPrecede verdict (a backward search of the graph,
 // windowed to the ids between A and B). "critpath" prints the
 // weighted critical path under deterministic virtual time (analyzer
-// operations + points touched), the top-k bottleneck tasks, and
-// per-level slack; -dot renders the full DAG with the critical path
-// highlighted instead.
+// operations + points touched) and the top-k bottleneck tasks; -dot
+// renders the full DAG with the critical path highlighted instead.
 //
 // By default the tool queries an existing session (-session, or the
 // first live one). -graphsim N instead creates a fresh session, submits
@@ -212,13 +211,5 @@ func runCritPath(sess *client.Session, region string, args []string, stdout io.W
 	for _, t := range sum.Top {
 		say(stdout, "  task %d (%s)  w=%.0f  %.1f%% of makespan\n", t.Task, t.Name, t.Weight, t.SharePct)
 	}
-	say(stdout, "\nLEVEL SLACK (min per dependence level):\n  ")
-	for i, s := range sum.LevelSlack {
-		if i > 0 {
-			say(stdout, " ")
-		}
-		say(stdout, "%.0f", s)
-	}
-	say(stdout, "\n")
 	return nil
 }

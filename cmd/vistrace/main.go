@@ -106,13 +106,10 @@ func main() {
 
 	if *exact {
 		// The exact reference orders future consumers after their
-		// producers too, so compare against the analyzer's edges plus the
-		// stream's future edges.
+		// producers too, so compare against the dependence rows, which
+		// hold the stream's future edges alongside the analyzer's.
 		ex := core.ExactDeps(stream.Tasks)
-		got := make([][]int, len(stream.Tasks))
-		for i, t := range stream.Tasks {
-			got[i] = core.DedupDeps(append(append([]int{}, deps[i]...), t.FutureDeps...))
-		}
+		got := dag.Deps
 		if err := core.CheckSound(got, ex); err != nil {
 			fmt.Printf("SOUNDNESS VIOLATION: %v\n", err)
 			os.Exit(1)

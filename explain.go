@@ -69,8 +69,7 @@ type CritContributor struct {
 // byte-identical across runs of the same workload under the same
 // analyzer. Analyzers that discover different edge sets can disagree:
 // on graphsim paint-naive's path length is 172 against 148 for the other
-// three, because the weights count incoming edges (see weights). ROADMAP
-// item 9(b) is the fix: weights from the workload alone.
+// three, because the weights count incoming edges (see weight).
 type CritSummary struct {
 	Tasks       int               `json:"tasks"`
 	Edges       int               `json:"edges"`
@@ -79,7 +78,23 @@ type CritSummary struct {
 	Parallelism float64           `json:"parallelism"`
 	Path        []CritTask        `json:"path"`
 	Top         []CritContributor `json:"top"`
-	LevelSlack  []float64         `json:"levelSlack"`
+}
+
+// weight is task t's deterministic virtual cost, given its dependence
+// row: its analysis volume (requirements analyzed plus incoming edges)
+// plus the points its requirements touch, a unit-cost virtual execution
+// time. Both are properties of the stream and its discovered graph, not
+// of analyzer internals, so paths weighted by them are byte-reproducible
+// across runs of the same workload under the same analyzer. The edge
+// count makes them differ across analyzers that emit different edges
+// (paint-naive's redundant ones); ROADMAP item 11(b) weights by the
+// workload alone.
+func weight(t *core.Task, row []int) float64 {
+	w := int64(len(t.Reqs) + len(row))
+	for _, req := range t.Reqs {
+		w += req.Region.Space.Volume()
+	}
+	return float64(w)
 }
 
 func (ts *treeState) taskName(id int) string {
@@ -140,27 +155,6 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 	return out
 }
 
-// weights returns each task's deterministic virtual cost: its analysis
-// volume (requirements analyzed plus incoming edges) plus the points its
-// requirements touch, a unit-cost virtual execution time. Both are
-// properties of the stream and its discovered graph, not of analyzer
-// internals, so critical paths weighted by them are byte-reproducible
-// across runs of the same workload under the same analyzer. The edge
-// count makes them differ across analyzers that emit different edges
-// (paint-naive's redundant ones); ROADMAP item 9(b) weights by the
-// workload alone.
-func (ts *treeState) weights() []float64 {
-	out := make([]float64, len(ts.stream.Tasks))
-	for i, t := range ts.stream.Tasks {
-		w := int64(len(t.Reqs) + len(ts.deps[i]))
-		for _, req := range t.Reqs {
-			w += req.Region.Space.Volume()
-		}
-		out[i] = float64(w)
-	}
-	return out
-}
-
 // MustPrecede reports whether every legal execution of the tree
 // containing r runs task a before task b — a is a transitive dependence
 // ancestor of b. Each query is a backward search from b over the
@@ -169,20 +163,21 @@ func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
 	return r.tree.dag().MustPrecede(a, b)
 }
 
-// CriticalPath computes the weighted critical-path profile of the tree
-// containing r: the longest chain under deterministic virtual weights,
-// per-level slack, and the top-k heaviest tasks on the chain (k ≤ 0
-// returns them all). Nil when nothing has launched.
+// CriticalPath returns the weighted critical-path profile of the tree
+// containing r: the longest chain under deterministic virtual weights
+// (ties broken to the smallest task ID) and the top-k heaviest tasks on
+// it, descending by weight (k ≤ 0 returns them all). It reads the labels
+// fixed at launch, so its cost is the path's, not the session's. Nil when
+// nothing has launched.
 func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	ts := r.tree
 	if ts.exec == nil {
 		return nil
 	}
-	d := ts.dag()
-	c := d.WeightedCriticalPath(ts.weights())
+	c := &ts.crit
 	out := &CritSummary{
-		Tasks:  len(d.Tasks),
-		Edges:  d.Edges(),
+		Tasks:  len(c.Tasks),
+		Edges:  c.Edges,
 		Length: c.Length,
 		Work:   c.Work,
 		Path:   []CritTask{},
@@ -191,18 +186,15 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	if c.Length > 0 {
 		out.Parallelism = c.Work / c.Length
 	}
-	for _, id := range c.Path {
-		out.Path = append(out.Path, CritTask{
-			Task: id, Name: ts.taskName(id),
-			Weight: c.Weights[id], Start: c.Start[id], Finish: c.Finish[id],
-		})
+	path := c.Path()
+	var start float64
+	for _, s := range path {
+		out.Path = append(out.Path, CritTask{Task: s.Task, Name: ts.taskName(s.Task), Weight: s.Weight, Start: start, Finish: s.Finish})
+		start = s.Finish
 	}
-	for _, con := range d.TopContributors(c, k) {
-		out.Top = append(out.Top, CritContributor{
-			Task: con.Task, Name: con.Name, Weight: con.Weight, SharePct: 100 * con.Share,
-		})
+	for _, s := range graph.Top(path, k) {
+		out.Top = append(out.Top, CritContributor{Task: s.Task, Name: ts.taskName(s.Task), Weight: s.Weight, SharePct: 100 * (s.Weight / c.Length)})
 	}
-	out.LevelSlack = d.LevelSlack(c)
 	return out
 }
 
@@ -214,6 +206,5 @@ func (rt *Runtime) WriteDOTCrit(r *Region, w io.Writer) error {
 	if ts.exec == nil {
 		return (&graph.DAG{}).WriteDOT(w, nil)
 	}
-	d := ts.dag()
-	return d.WriteDOT(w, d.WeightedCriticalPath(ts.weights()))
+	return ts.dag().WriteDOT(w, ts.crit.Path())
 }

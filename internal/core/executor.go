@@ -93,9 +93,9 @@ func NewExecutor(an Analyzer, init map[field.ID]*data.Store, workers int, opts O
 }
 
 // Submit analyzes t in program order and schedules its kernel; it returns
-// immediately with a channel closed once the task has executed and the
-// dependences the analyzer reported for t — recording the discovered graph
-// is the caller's job, the executor knows only the edges still in flight.
+// immediately with a channel closed once the task has executed and t's
+// dependence row (Row) — recording the discovered graph is the caller's
+// job, the executor knows only the edges still in flight.
 // body, when non-nil, is run on the worker after inputs are materialized
 // and before outputs commit, with the task's materialized inputs (indexed
 // by requirement; reduce requirements have nil inputs).
@@ -138,7 +138,7 @@ func (x *Executor) Submit(t *Task, k Kernel, body func(inputs []*data.Store)) (d
 		x.releaseLocked(n)
 	}
 	x.mu.Unlock()
-	return n.done, res.Deps
+	return n.done, Row(t, res.Deps)
 }
 
 // liveLocked returns in-flight task id's node, or nil if it has finished.

@@ -288,6 +288,15 @@ func SeedEntry(root index.Space) Entry {
 	return Entry{Task: InitialTask, Req: 0, Priv: privilege.Writes(), Pts: root}
 }
 
+// Row returns task t's dependence row, given the dependences an analyzer
+// reported for it: those plus t's future edges, deduplicated and
+// ascending, in a slice of its own (nil when empty). Every table of
+// discovered dependences holds rows built here.
+func Row(t *Task, deps []int) []int {
+	row := append(make([]int, 0, len(deps)+len(t.FutureDeps)), deps...)
+	return DedupDeps(append(row, t.FutureDeps...))
+}
+
 // DedupDeps sorts deps ascending, removes duplicates, and drops
 // InitialTask.
 func DedupDeps(deps []int) []int {

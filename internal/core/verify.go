@@ -94,8 +94,9 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 // execute runs tasks (IDs 0..len-1, in order) through a one-worker
 // Executor over Checked(an), draining after every launch so that a
 // dropped dependence surfaces as CheckSound's deterministic error rather
-// than as a race. It returns each task's dependences — the analyzer's
-// plus its future edges, which the runtime enforces itself — and its
+// than as a race. It returns each task's dependence row — the analyzer's
+// dependences plus its future edges, which the runtime enforces itself —
+// and its
 // materialized inputs. A plan violation or an analysis panic, both raised
 // on this goroutine, comes back as the error.
 func execute(an Analyzer, init map[field.ID]*data.Store, tasks []*Task, k Kernel) (deps [][]int, inputs [][]*data.Store, err error) {
@@ -108,9 +109,9 @@ func execute(an Analyzer, init map[field.ID]*data.Store, tasks []*Task, k Kernel
 	}()
 	inputs = make([][]*data.Store, len(tasks))
 	for _, t := range tasks {
-		_, d := x.Submit(t, k, func(in []*data.Store) { inputs[t.ID] = in })
+		_, row := x.Submit(t, k, func(in []*data.Store) { inputs[t.ID] = in })
 		x.Drain()
-		deps = append(deps, DedupDeps(append(append([]int{}, d...), t.FutureDeps...)))
+		deps = append(deps, row)
 	}
 	return deps, inputs, nil
 }

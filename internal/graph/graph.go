@@ -1,6 +1,6 @@
 // Package graph provides analytics over discovered dependence DAGs: level
-// structure (the parallelism profile), critical paths, and Graphviz
-// export. The inspection CLI and tests use it to answer "how much
+// structure (the parallelism profile), precedence queries, critical-path
+// labels kept as tasks launch, and Graphviz export. The inspection CLI and tests use it to answer "how much
 // parallelism did the analysis expose?".
 package graph
 
@@ -23,8 +23,7 @@ type DAG struct {
 func FromStream(tasks []*core.Task, deps map[int][]int) *DAG {
 	d := &DAG{Tasks: tasks, Deps: make([][]int, len(tasks))}
 	for i, t := range tasks {
-		merged := append(append([]int{}, deps[t.ID]...), t.FutureDeps...)
-		d.Deps[i] = core.DedupDeps(merged)
+		d.Deps[i] = core.Row(t, deps[t.ID])
 	}
 	return d
 }
@@ -105,39 +104,40 @@ func (d *DAG) AverageParallelism() float64 {
 	return float64(len(d.Tasks)) / float64(len(d.Widths()))
 }
 
-// WriteDOT exports the DAG in Graphviz format. A non-nil c highlights its
-// critical path: critical tasks carry their weight and cumulative finish
-// time in the label and are drawn bold red, as are the chain's edges.
-// Everything else is written as with a nil c, so diffs against the plain
-// export stay readable.
-func (d *DAG) WriteDOT(w io.Writer, c *Critical) error {
-	onPath := make([]bool, len(d.Tasks))
-	next := make([]int, len(d.Tasks)) // successor along the path; -1 off it
-	for i := range next {
-		next[i] = -1
+// Step is one task of a highlighted path with its weight and the finish
+// time the path reaches at it.
+type Step struct {
+	Task           int
+	Weight, Finish float64
+}
+
+// WriteDOT exports the DAG in Graphviz format. A non-empty path, a chain
+// of dependences in execution order, is highlighted: its tasks carry
+// their weight and finish time in the label and are drawn bold red, as
+// are the chain's edges. Everything else is written as with a nil path,
+// so diffs against the plain export stay readable.
+func (d *DAG) WriteDOT(w io.Writer, path []Step) error {
+	at := make([]int, len(d.Tasks)) // position on the path; -1 off it
+	for i := range at {
+		at[i] = -1
 	}
-	if c != nil {
-		for i, id := range c.Path {
-			onPath[id] = true
-			if i+1 < len(c.Path) {
-				next[id] = c.Path[i+1]
-			}
-		}
+	for i, s := range path {
+		at[s.Task] = i
 	}
 	pw := &printer{w: w}
 	pw.printf("digraph deps {\n")
 	pw.printf("  rankdir=TB; node [shape=box, fontsize=10];\n")
 	for i, t := range d.Tasks {
-		if onPath[i] {
+		if j := at[i]; j >= 0 {
 			pw.printf("  t%d [label=%q, color=red, penwidth=2];\n",
-				i, fmt.Sprintf("%s\nw=%.0f fin=%.0f", t.String(), c.Weights[i], c.Finish[i]))
+				i, fmt.Sprintf("%s\nw=%.0f fin=%.0f", t.String(), path[j].Weight, path[j].Finish))
 		} else {
 			pw.printf("  t%d [label=%q];\n", i, t.String())
 		}
 	}
 	for i, ds := range d.Deps {
 		for _, p := range ds {
-			if onPath[p] && next[p] == i {
+			if j := at[p]; j >= 0 && j+1 < len(path) && path[j+1].Task == i {
 				pw.printf("  t%d -> t%d [color=red, penwidth=2];\n", p, i)
 			} else {
 				pw.printf("  t%d -> t%d;\n", p, i)

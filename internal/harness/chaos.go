@@ -153,10 +153,6 @@ func ChaosStream(rng *rand.Rand, tree *region.Tree, n int) *core.Stream {
 	return chaosStream(rng, tree, n)
 }
 
-// ChaosInit exposes the chaos initial contents: a deterministic non-zero
-// per-point value for every field.
-func ChaosInit(tree *region.Tree) map[field.ID]*data.Store { return chaosInit(tree) }
-
 // chaosInit fills every field with a deterministic per-point value, so
 // coherence errors cannot hide behind zero contents.
 func chaosInit(tree *region.Tree) map[field.ID]*data.Store {

@@ -112,39 +112,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// HistogramView is a point-in-time export of one histogram: the bucket
-// bounds and counts, the observation count and sum, and the standard
-// latency quantiles. It is the shape benchmark records and dashboards
-// consume without re-deriving quantiles from raw bucket counts.
-type HistogramView struct {
-	Bounds []int64 `json:"bounds"`
-	Counts []int64 `json:"counts"` // len(Bounds)+1; last is overflow
-	Count  int64   `json:"count"`
-	Sum    int64   `json:"sum"`
-	P50    int64   `json:"p50"`
-	P95    int64   `json:"p95"`
-	P99    int64   `json:"p99"`
-}
-
-// View exports the histogram's current state. Bucket counts are loaded
-// one atomic at a time, so a view taken during concurrent Observe calls
-// is a consistent-enough snapshot for reporting, not an exact cut.
-func (h *Histogram) View() HistogramView {
-	v := HistogramView{
-		Bounds: append([]int64(nil), h.bounds...),
-		Counts: make([]int64, len(h.buckets)),
-		Count:  h.count.Load(),
-		Sum:    h.sum.Load(),
-		P50:    h.Quantile(0.50),
-		P95:    h.Quantile(0.95),
-		P99:    h.Quantile(0.99),
-	}
-	for i := range h.buckets {
-		v.Counts[i] = h.buckets[i].Load()
-	}
-	return v
-}
-
 // Registry holds instruments by hierarchical slash-separated name
 // (e.g. "cluster/messages"). Registration is idempotent: asking for an
 // existing name of the same kind returns the existing instrument, so

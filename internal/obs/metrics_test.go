@@ -134,33 +134,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHistogramView(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("lat_view", 100, 1000)
-	for i := 0; i < 10; i++ {
-		h.Observe(50)
-	}
-	h.Observe(5000)
-	v := h.View()
-	if want := []int64{100, 1000}; len(v.Bounds) != 2 || v.Bounds[0] != want[0] || v.Bounds[1] != want[1] {
-		t.Errorf("View bounds = %v, want %v", v.Bounds, want)
-	}
-	if want := []int64{10, 0, 1}; len(v.Counts) != 3 || v.Counts[0] != 10 || v.Counts[1] != 0 || v.Counts[2] != 1 {
-		t.Errorf("View counts = %v, want %v", v.Counts, want)
-	}
-	if v.Count != 11 || v.Sum != 5500 {
-		t.Errorf("View count/sum = %d/%d, want 11/5500", v.Count, v.Sum)
-	}
-	if v.P50 != h.Quantile(0.50) || v.P95 != h.Quantile(0.95) || v.P99 != h.Quantile(0.99) {
-		t.Errorf("View quantiles %d/%d/%d disagree with Quantile", v.P50, v.P95, v.P99)
-	}
-	// The view is a copy: mutating it must not touch the histogram.
-	v.Bounds[0] = 1
-	if h.Quantile(1.0) == 1 {
-		t.Error("mutating a view's bounds reached the histogram")
-	}
-}
-
 func TestRegistrationIdempotentAndKindChecked(t *testing.T) {
 	r := NewRegistry()
 	if r.NewCounter("x") != r.NewCounter("x") {

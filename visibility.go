@@ -214,12 +214,12 @@ type treeState struct {
 	tree   *region.Tree
 	init   map[field.ID]*data.Store
 	stream *core.Stream
-	// deps is the discovered dependence graph, one row per launch in
-	// program order: the analyzer's dependences merged with the task's
-	// future edges, deduplicated and ascending. A row is written once, at
-	// launch, and never changes, so every graph query reads the table as
-	// it stands.
+	// deps is the discovered dependence graph, one row (core.Row) per
+	// launch in program order. A row is written once, at launch, and never
+	// changes, so every graph query reads the table as it stands; crit
+	// labels each task on the weighted critical path at the same moment.
 	deps   [][]int
+	crit   graph.Labels
 	exec   *core.Executor
 	seq    *core.Seq   // non-nil in Validate mode
 	stack  *algo.Stack // the analyzer exec drives; nil until frozen
@@ -573,11 +573,11 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 }
 
 // submit hands t to the executor and records its row of the dependence
-// graph: everything Explain and CriticalPath later derive from.
+// graph, which Explain later derives from, and its critical-path label.
 func (rt *Runtime) submit(ts *treeState, t *core.Task, k core.Kernel, body func([]*data.Store)) <-chan struct{} {
-	done, deps := ts.exec.Submit(t, k, body)
-	row := append(make([]int, 0, len(deps)+len(t.FutureDeps)), deps...)
-	ts.deps = append(ts.deps, core.DedupDeps(append(row, t.FutureDeps...)))
+	done, row := ts.exec.Submit(t, k, body)
+	ts.deps = append(ts.deps, row)
+	ts.crit.Add(weight(t, row), row)
 	return done
 }
 
