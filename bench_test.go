@@ -419,3 +419,33 @@ func BenchmarkCriticalPath(b *testing.B) {
 		})
 	}
 }
+
+var precedeSink bool
+
+// BenchmarkMustPrecede times one MustPrecede query that must search the
+// whole stream: one write of piece 0, then a chain of writes to piece 1.
+// Every task of the chain is an ancestor of the last, and none of them
+// reaches task 0, so MustPrecede(0, last) answers false only after
+// visiting all of them.
+func BenchmarkMustPrecede(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			rt := visibility.New(visibility.Config{})
+			defer rt.Close()
+			g := rt.CreateRegion("g", visibility.Line(0, 127), "v")
+			p := g.PartitionEqual("P", 2)
+			rt.Launch(visibility.TaskSpec{Name: "write", Accesses: []visibility.Access{visibility.Write(p.Sub(0), "v")}})
+			for i := 1; i < n; i++ {
+				rt.Launch(visibility.TaskSpec{Name: "chain", Accesses: []visibility.Access{visibility.Write(p.Sub(1), "v")}})
+			}
+			rt.Wait()
+			if rt.MustPrecede(g, 0, n-1) || !rt.MustPrecede(g, 1, n-1) {
+				b.Fatal("the chain must not reach task 0 and must reach task 1")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				precedeSink = rt.MustPrecede(g, 0, n-1)
+			}
+		})
+	}
+}

@@ -46,8 +46,12 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the simulated run to this file")
 	flag.Parse()
 
-	// Validate every enumerated flag up front: a typo must be a usage
-	// error, not a silent fall-through to the default behavior.
+	// Validate every flag up front: a typo or an empty machine must be a
+	// usage error, not a silent fall-through to the default behavior.
+	if *nodes < 1 || *iters < 1 {
+		fmt.Fprintf(os.Stderr, "vistrace: -nodes and -iters must be at least 1 (have %d, %d)\n", *nodes, *iters)
+		os.Exit(2)
+	}
 	app, err := harness.FindApp(*appFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vistrace: %v\n", err)
@@ -75,17 +79,22 @@ func main() {
 	}
 	an := newAn(inst.Tree, core.Options{})
 	stream := core.NewStream(inst.Tree)
-	deps := make(map[int][]int)
+	// found is what the analyzer reported per task; g's rows add the
+	// stream's future edges. Each launch weighs 1, so a label's finish is
+	// its level plus one and g.Length is the number of levels.
+	var found [][]int
+	var g graph.Graph
 	for it := 0; it < *iters; it++ {
 		for _, l := range inst.Emit(stream, it) {
-			deps[l.Task.ID] = an.Analyze(l.Task).Deps
+			deps := an.Analyze(l.Task).Deps
+			found = append(found, deps)
+			g.Add(1, core.Row(l.Task, deps))
 		}
 	}
 
-	dag := graph.FromStream(stream.Tasks, deps)
 	switch *format {
 	case "dot":
-		if err := dag.WriteDOT(os.Stdout, nil); err != nil {
+		if err := g.WriteDOT(os.Stdout, stream.Tasks, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "vistrace: %v\n", err)
 			os.Exit(1)
 		}
@@ -93,24 +102,26 @@ func main() {
 		fmt.Printf("%s on %s, %d nodes, %d iterations: %d launches\n\n",
 			*algoFlag, *appFlag, *nodes, *iters, len(stream.Tasks))
 		for _, t := range stream.Tasks {
-			fmt.Printf("%-28s deps=%v\n", t.String(), deps[t.ID])
+			fmt.Printf("%-28s deps=%v\n", t.String(), found[t.ID])
 		}
 	}
 
-	// Parallelism summary: width of each antichain level of the DAG.
-	widths := dag.Widths()
+	// Parallelism summary: width of each antichain level of the graph.
+	widths := make([]int, int(g.Length))
+	for _, l := range g.Labels {
+		widths[int(l.Finish)-1]++
+	}
 	fmt.Printf("\ncritical path: %d levels for %d tasks (%d dependence edges)\n",
-		len(widths), len(stream.Tasks), dag.Edges())
+		len(widths), len(stream.Tasks), g.Edges)
 	fmt.Printf("level widths (parallelism): %v — average parallelism %.1f\n",
-		widths, dag.AverageParallelism())
+		widths, g.Work/g.Length)
 
 	if *exact {
 		// The exact reference orders future consumers after their
 		// producers too, so compare against the dependence rows, which
 		// hold the stream's future edges alongside the analyzer's.
 		ex := core.ExactDeps(stream.Tasks)
-		got := dag.Deps
-		if err := core.CheckSound(got, ex); err != nil {
+		if err := core.CheckSound(g.Rows, ex); err != nil {
 			fmt.Printf("SOUNDNESS VIOLATION: %v\n", err)
 			os.Exit(1)
 		}
@@ -119,7 +130,7 @@ func main() {
 			exEdges += len(ds)
 		}
 		fmt.Printf("soundness: ok (all %d exact interferences preserved; %d spurious direct edges)\n",
-			exEdges, core.CheckPrecise(got, ex))
+			exEdges, core.CheckPrecise(g.Rows, ex))
 	}
 
 	st := an.Stats()

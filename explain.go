@@ -97,45 +97,34 @@ func weight(t *core.Task, row []int) float64 {
 	return float64(w)
 }
 
-func (ts *treeState) taskName(id int) string {
-	if id >= 0 && id < len(ts.stream.Tasks) {
-		return ts.stream.Tasks[id].Name
-	}
-	return ""
-}
-
-func (ts *treeState) explainEdge(r core.EdgeReason) EdgeExplain {
-	e := EdgeExplain{
-		Src: r.Src, SrcName: ts.taskName(r.Src),
-		Dst: r.Dst, DstName: ts.taskName(r.Dst),
-		Kind: r.Kind.String(), Analyzer: r.Analyzer,
-		SrcReq: r.SrcReq, DstReq: r.DstReq, Trace: r.Trace,
-	}
-	if r.Kind == core.ReasonRegion {
-		e.Field = ts.tree.Fields.Name(r.Field)
-		e.SrcPriv = r.SrcPriv.String()
-		e.DstPriv = r.DstPriv.String()
-		if !r.Overlap.Empty() {
-			e.Overlap = r.Overlap.String()
-		}
-	}
-	return e
-}
-
-// reason derives why task dst waits on src: a future edge when dst
+// explainEdge explains why task dst waits on src: a future edge when dst
 // consumed src's future, a replay edge when dst's analysis was
 // instantiated from a trace, and otherwise the requirement pair
 // core.RegionReason finds in the stream between them.
-func (ts *treeState) reason(src, dst int, replays []trace.Replay) core.EdgeReason {
-	if slices.Contains(ts.stream.Tasks[dst].FutureDeps, src) {
-		return core.EdgeReason{Src: src, Dst: dst, Kind: core.ReasonFuture, Trace: -1}
+func (ts *treeState) explainEdge(src, dst int, analyzer string, replays []trace.Replay) EdgeExplain {
+	tasks := ts.stream.Tasks
+	e := EdgeExplain{Src: src, SrcName: tasks[src].Name, Dst: dst, DstName: tasks[dst].Name, Kind: "future", Trace: -1}
+	if slices.Contains(tasks[dst].FutureDeps, src) {
+		return e
 	}
-	analyzer := core.BaseName(ts.stack.Analyzer.Name())
+	e.Analyzer = analyzer
 	if id, ok := trace.ReplayOf(replays, dst); ok {
-		return core.EdgeReason{Src: src, Dst: dst, Kind: core.ReasonReplay, Analyzer: analyzer, Trace: id}
+		e.Kind, e.Trace = "replay", id
+		return e
 	}
-	r, _ := core.RegionReason(ts.stream.Tasks, src, dst, analyzer)
-	return r
+	si, di, overlap := core.RegionReason(tasks, src, dst)
+	if si < 0 {
+		e.Kind = "none"
+		return e
+	}
+	sq, dq := tasks[src].Reqs[si], tasks[dst].Reqs[di]
+	e.Kind, e.SrcReq, e.DstReq = "region", si, di
+	e.Field = ts.tree.Fields.Name(dq.Field)
+	e.SrcPriv, e.DstPriv = sq.Priv.String(), dq.Priv.String()
+	if !overlap.Empty() {
+		e.Overlap = overlap.String()
+	}
+	return e
 }
 
 // Explain returns the provenance of every incoming dependence edge of
@@ -147,10 +136,10 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 	if ts.exec == nil || task < 0 || task >= len(ts.stream.Tasks) {
 		return nil
 	}
-	out := &TaskExplain{Task: task, Name: ts.taskName(task), Edges: []EdgeExplain{}}
-	replays := ts.stack.Replays()
-	for _, src := range ts.deps[task] {
-		out.Edges = append(out.Edges, ts.explainEdge(ts.reason(src, task, replays)))
+	out := &TaskExplain{Task: task, Name: ts.stream.Tasks[task].Name, Edges: []EdgeExplain{}}
+	analyzer, replays := core.BaseName(ts.stack.Analyzer.Name()), ts.stack.Replays()
+	for _, src := range ts.graph.Rows[task] {
+		out.Edges = append(out.Edges, ts.explainEdge(src, task, analyzer, replays))
 	}
 	return out
 }
@@ -160,7 +149,7 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 // ancestor of b. Each query is a backward search from b over the
 // discovered graph that stops at a.
 func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
-	return r.tree.dag().MustPrecede(a, b)
+	return r.tree.graph.MustPrecede(a, b)
 }
 
 // CriticalPath returns the weighted critical-path profile of the tree
@@ -174,9 +163,9 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	if ts.exec == nil {
 		return nil
 	}
-	c := &ts.crit
+	c := &ts.graph
 	out := &CritSummary{
-		Tasks:  len(c.Tasks),
+		Tasks:  len(c.Labels),
 		Edges:  c.Edges,
 		Length: c.Length,
 		Work:   c.Work,
@@ -189,11 +178,11 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	path := c.Path()
 	var start float64
 	for _, s := range path {
-		out.Path = append(out.Path, CritTask{Task: s.Task, Name: ts.taskName(s.Task), Weight: s.Weight, Start: start, Finish: s.Finish})
+		out.Path = append(out.Path, CritTask{Task: s.Task, Name: ts.stream.Tasks[s.Task].Name, Weight: s.Weight, Start: start, Finish: s.Finish})
 		start = s.Finish
 	}
 	for _, s := range graph.Top(path, k) {
-		out.Top = append(out.Top, CritContributor{Task: s.Task, Name: ts.taskName(s.Task), Weight: s.Weight, SharePct: 100 * (s.Weight / c.Length)})
+		out.Top = append(out.Top, CritContributor{Task: s.Task, Name: ts.stream.Tasks[s.Task].Name, Weight: s.Weight, SharePct: 100 * (s.Weight / c.Length)})
 	}
 	return out
 }
@@ -204,7 +193,7 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 func (rt *Runtime) WriteDOTCrit(r *Region, w io.Writer) error {
 	ts := r.tree
 	if ts.exec == nil {
-		return (&graph.DAG{}).WriteDOT(w, nil)
+		return ts.graph.WriteDOT(w, nil, nil)
 	}
-	return ts.dag().WriteDOT(w, ts.crit.Path())
+	return ts.graph.WriteDOT(w, ts.stream.Tasks, ts.graph.Path())
 }

@@ -14,7 +14,7 @@ import (
 // one edge, a future-only edge is an edge, and a launch made through Read
 // has a row like any other.
 func TestOneGraph(t *testing.T) {
-	rt := visibility.New(visibility.Config{Provenance: true})
+	rt := visibility.New(visibility.Config{})
 	defer rt.Close()
 	g := rt.CreateRegion("g", visibility.Line(0, 7), "v")
 	halves := g.PartitionEqual("H", 2)

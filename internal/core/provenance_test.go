@@ -24,21 +24,16 @@ func TestRegionReason(t *testing.T) {
 	s.Launch("r", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Reads()},
 		core.Req{Region: tree.Root, Field: 0, Priv: privilege.Reads()}) // 4
 
-	r, ok := core.RegionReason(s.Tasks, 0, 4, "raycast")
-	if !ok || r.Kind != core.ReasonRegion || r.DstReq != 1 || r.SrcReq != 0 || r.Overlap != geometry.R1(4, 11) {
-		t.Errorf("0→4 = %+v, %v; want req 1 over [4..11] (req 0's block was overwritten by task 1)", r, ok)
-	}
-	if r.Analyzer != "raycast" || r.Trace != -1 || !r.SrcPriv.Same(privilege.Writes()) || !r.DstPriv.Same(privilege.Reads()) {
-		t.Errorf("0→4 = %+v: analyzer, trace or privileges wrong", r)
+	if si, di, overlap := core.RegionReason(s.Tasks, 0, 4); si != 0 || di != 1 || overlap != geometry.R1(4, 11) {
+		t.Errorf("0→4 = %d/%d over %v; want req 1 over [4..11] (req 0's block was overwritten by task 1)", si, di, overlap)
 	}
 
 	s.Launch("w", core.Req{Region: tree.Root, Field: 0, Priv: w})                 // 5
 	s.Launch("r", core.Req{Region: tree.Root, Field: 0, Priv: privilege.Reads()}) // 6
-	r, ok = core.RegionReason(s.Tasks, 0, 6, "paint")
-	if ok || r.Kind != core.ReasonRegion || r.DstReq != 0 || r.SrcReq != 0 || !r.Overlap.Empty() {
-		t.Errorf("0→6 = %+v, %v; want the witness-less pair 0/0 with an empty overlap", r, ok)
+	if si, di, overlap := core.RegionReason(s.Tasks, 0, 6); si != 0 || di != 0 || !overlap.Empty() {
+		t.Errorf("0→6 = %d/%d over %v; want the witness-less pair 0/0 with an empty overlap", si, di, overlap)
 	}
-	if r, _ := core.RegionReason(s.Tasks, 3, 6, "paint"); r.Kind != core.ReasonNone {
-		t.Errorf("3→6 share no field, got %+v", r)
+	if si, di, overlap := core.RegionReason(s.Tasks, 3, 6); si != -1 {
+		t.Errorf("3→6 share no field, got %d/%d over %v", si, di, overlap)
 	}
 }

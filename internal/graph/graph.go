@@ -1,40 +1,57 @@
-// Package graph provides analytics over discovered dependence DAGs: level
-// structure (the parallelism profile), precedence queries, critical-path
-// labels kept as tasks launch, and Graphviz export. The inspection CLI and tests use it to answer "how much
-// parallelism did the analysis expose?".
+// Package graph keeps a discovered dependence graph as it is found: one
+// row and one critical-path label per task, appended together in program
+// order, with precedence queries and Graphviz export over them. The
+// runtime's explain queries and the inspection CLI read it.
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"visibility/internal/core"
 )
 
-// DAG is a dependence graph over a task stream: Deps[i] lists the direct
-// predecessors of task i (task IDs equal positions).
-type DAG struct {
-	Tasks []*core.Task
-	Deps  [][]int
+// Label is one task's place on the weighted critical path.
+type Label struct {
+	Weight float64
+	Finish float64 // earliest finish: the latest predecessor finish plus Weight
+	Pred   int     // critical predecessor: the smallest ID with that finish; -1 at a root
 }
 
-// FromStream assembles a DAG from analyzer results, merging in future
-// edges (which the runtime enforces alongside analyzer dependences).
-func FromStream(tasks []*core.Task, deps map[int][]int) *DAG {
-	d := &DAG{Tasks: tasks, Deps: make([][]int, len(tasks))}
-	for i, t := range tasks {
-		d.Deps[i] = core.Row(t, deps[t.ID])
-	}
-	return d
+// Graph is a dependence graph kept online: Rows[i] lists task i's direct
+// predecessors in ascending order, Labels[i] places it on the weighted
+// critical path, and the totals are what a query reads. Launches arrive in
+// program order and are never revised (§3.2), so when a task is added its
+// row is final and every predecessor is already labelled: both are fixed
+// then, and a query reads them as they stand. With unit weights a label's
+// Finish is its level plus one and Length is the number of levels.
+type Graph struct {
+	Rows         [][]int
+	Labels       []Label
+	Edges        int
+	Work, Length float64
+	End          int // the path's last task: the smallest ID whose finish is Length
 }
 
-// Edges returns the total number of dependence edges.
-func (d *DAG) Edges() int {
-	n := 0
-	for _, ds := range d.Deps {
-		n += len(ds)
+// Add appends the next task, of weight w, whose dependence row is row:
+// ascending IDs of tasks already added. The graph keeps row.
+func (g *Graph) Add(w float64, row []int) {
+	l := Label{Weight: w, Pred: -1}
+	for _, p := range row {
+		if f := g.Labels[p].Finish; f > l.Finish {
+			l.Finish, l.Pred = f, p
+		}
 	}
-	return n
+	l.Finish += w
+	if l.Finish > g.Length {
+		g.Length, g.End = l.Finish, len(g.Labels)
+	}
+	g.Rows = append(g.Rows, row)
+	g.Labels = append(g.Labels, l)
+	g.Edges += len(row)
+	g.Work += w
 }
 
 // MustPrecede reports whether every legal execution runs a before b: a is
@@ -42,8 +59,8 @@ func (d *DAG) Edges() int {
 // out-of-range IDs report false. IDs are topological (a dependence names a
 // smaller ID), so the backward search from b never leaves the IDs above a:
 // one visited bit per task between them, nothing kept between queries.
-func (d *DAG) MustPrecede(a, b int) bool {
-	if a < 0 || b >= len(d.Tasks) || a >= b {
+func (g *Graph) MustPrecede(a, b int) bool {
+	if a < 0 || b >= len(g.Rows) || a >= b {
 		return false
 	}
 	seen := make([]uint64, (b-a+63)/64) // bit i: task a+1+i
@@ -51,7 +68,7 @@ func (d *DAG) MustPrecede(a, b int) bool {
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range d.Deps[t] {
+		for _, p := range g.Rows[t] {
 			if p == a {
 				return true
 			}
@@ -64,46 +81,6 @@ func (d *DAG) MustPrecede(a, b int) bool {
 	return false
 }
 
-// Levels assigns each task its earliest schedulable level (longest path
-// from a root) and returns the per-task levels.
-func (d *DAG) Levels() []int {
-	levels := make([]int, len(d.Tasks))
-	for i := range d.Tasks {
-		for _, p := range d.Deps[i] {
-			if levels[p]+1 > levels[i] {
-				levels[i] = levels[p] + 1
-			}
-		}
-	}
-	return levels
-}
-
-// Widths returns the number of tasks at each level — the parallelism
-// profile of the DAG.
-func (d *DAG) Widths() []int {
-	levels := d.Levels()
-	max := 0
-	for _, l := range levels {
-		if l > max {
-			max = l
-		}
-	}
-	widths := make([]int, max+1)
-	for _, l := range levels {
-		widths[l]++
-	}
-	return widths
-}
-
-// AverageParallelism returns tasks divided by levels — the speedup an
-// infinitely wide machine could extract.
-func (d *DAG) AverageParallelism() float64 {
-	if len(d.Tasks) == 0 {
-		return 0
-	}
-	return float64(len(d.Tasks)) / float64(len(d.Widths()))
-}
-
 // Step is one task of a highlighted path with its weight and the finish
 // time the path reaches at it.
 type Step struct {
@@ -111,13 +88,39 @@ type Step struct {
 	Weight, Finish float64
 }
 
-// WriteDOT exports the DAG in Graphviz format. A non-empty path, a chain
-// of dependences in execution order, is highlighted: its tasks carry
-// their weight and finish time in the label and are drawn bold red, as
-// are the chain's edges. Everything else is written as with a nil path,
-// so diffs against the plain export stay readable.
-func (d *DAG) WriteDOT(w io.Writer, path []Step) error {
-	at := make([]int, len(d.Tasks)) // position on the path; -1 off it
+// Path returns the critical path in execution order, each task with its
+// weight and finish: a walk back from its end. Nil when nothing was added.
+func (g *Graph) Path() []Step {
+	if len(g.Labels) == 0 {
+		return nil
+	}
+	var path []Step
+	for id := g.End; id != -1; id = g.Labels[id].Pred {
+		path = append(path, Step{Task: id, Weight: g.Labels[id].Weight, Finish: g.Labels[id].Finish})
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// Top returns the k heaviest steps of path, descending by weight, equal
+// weights in path order; k ≤ 0 returns them all. path is not modified.
+func Top(path []Step, k int) []Step {
+	top := slices.Clone(path)
+	slices.SortStableFunc(top, func(a, b Step) int { return cmp.Compare(b.Weight, a.Weight) })
+	if k > 0 && k < len(top) {
+		top = top[:k]
+	}
+	return top
+}
+
+// WriteDOT exports the graph in Graphviz format, tasks[i] naming task i. A
+// non-empty path, a chain of dependences in execution order, is
+// highlighted: its tasks carry their weight and finish time in the label
+// and are drawn bold red, as are the chain's edges. Everything else is
+// written as with a nil path, so diffs against the plain export stay
+// readable.
+func (g *Graph) WriteDOT(w io.Writer, tasks []*core.Task, path []Step) error {
+	at := make([]int, len(g.Rows)) // position on the path; -1 off it
 	for i := range at {
 		at[i] = -1
 	}
@@ -127,16 +130,16 @@ func (d *DAG) WriteDOT(w io.Writer, path []Step) error {
 	pw := &printer{w: w}
 	pw.printf("digraph deps {\n")
 	pw.printf("  rankdir=TB; node [shape=box, fontsize=10];\n")
-	for i, t := range d.Tasks {
+	for i := range g.Rows {
 		if j := at[i]; j >= 0 {
 			pw.printf("  t%d [label=%q, color=red, penwidth=2];\n",
-				i, fmt.Sprintf("%s\nw=%.0f fin=%.0f", t.String(), path[j].Weight, path[j].Finish))
+				i, fmt.Sprintf("%s\nw=%.0f fin=%.0f", tasks[i].String(), path[j].Weight, path[j].Finish))
 		} else {
-			pw.printf("  t%d [label=%q];\n", i, t.String())
+			pw.printf("  t%d [label=%q];\n", i, tasks[i].String())
 		}
 	}
-	for i, ds := range d.Deps {
-		for _, p := range ds {
+	for i, row := range g.Rows {
+		for _, p := range row {
 			if j := at[p]; j >= 0 && j+1 < len(path) && path[j+1].Task == i {
 				pw.printf("  t%d -> t%d [color=red, penwidth=2];\n", p, i)
 			} else {

@@ -76,7 +76,8 @@ type Config struct {
 	DCR       bool
 	Nodes     int
 	// MeasureIters is the number of steady-state iterations timed after
-	// the initialization iteration. Zero selects a default of 3.
+	// the initialization iteration. Zero selects a default of 3; a
+	// negative count is an error.
 	MeasureIters int
 	// AutoTrace enables automatic trace memoization (Yadav et al.): no
 	// brackets are emitted at all — the runtime detects the repeating
@@ -137,6 +138,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("harness: invalid node count %d", cfg.Nodes)
+	}
+	if cfg.MeasureIters < 0 {
+		return nil, fmt.Errorf("harness: invalid iteration count %d", cfg.MeasureIters)
 	}
 	iters := cfg.MeasureIters
 	if iters == 0 {

@@ -58,6 +58,10 @@ func TestUnknownAlgorithmFails(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for zero nodes")
 	}
+	_, err = harness.Run(harness.Config{App: stencil.New, AppName: "stencil", Algorithm: "raycast", Nodes: 1, MeasureIters: -1})
+	if err == nil {
+		t.Fatal("expected error for negative iterations")
+	}
 }
 
 // TestPaperShapesSmall asserts the headline qualitative results of §8 at a

@@ -38,14 +38,14 @@ func TestChaosProvenanceCompleteness(t *testing.T) {
 			exact := name == "raycast" || name == "warnock"
 			for _, task := range stream.Tasks {
 				for _, d := range an.Analyze(task).Deps {
-					r, ok := core.RegionReason(stream.Tasks, d, task.ID, name)
+					si, _, overlap := core.RegionReason(stream.Tasks, d, task.ID)
 					c.edges++
 					switch {
-					case r.Kind != core.ReasonRegion:
+					case si < 0:
 						t.Fatalf("seed %d %s: edge %d→%d has no interfering requirement pair", seed, name, d, task.ID)
-					case !ok && exact:
+					case overlap.Empty() && exact:
 						t.Fatalf("seed %d %s: edge %d→%d has no live witness: every shared point was overwritten", seed, name, d, task.ID)
-					case !ok:
+					case overlap.Empty():
 						c.witnessless++
 					}
 				}

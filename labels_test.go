@@ -91,12 +91,12 @@ func (r reference) summary(tasks []*core.Task, k int) *CritSummary {
 func checkLabels(t *testing.T, rt *Runtime, g *Region) (predTies, endTies int) {
 	t.Helper()
 	ts := g.tree
-	ref := forwardPass(ts.stream.Tasks, ts.deps)
-	c := &ts.crit
-	if len(c.Tasks) != len(ts.stream.Tasks) {
-		t.Fatalf("%d labels for %d tasks", len(c.Tasks), len(ts.stream.Tasks))
+	ref := forwardPass(ts.stream.Tasks, ts.graph.Rows)
+	c := &ts.graph
+	if len(c.Labels) != len(ts.stream.Tasks) {
+		t.Fatalf("%d labels for %d tasks", len(c.Labels), len(ts.stream.Tasks))
 	}
-	for i, l := range c.Tasks {
+	for i, l := range c.Labels {
 		if want := (graph.Label{Weight: ref.weight[i], Finish: ref.finish[i], Pred: ref.pred[i]}); l != want {
 			t.Fatalf("task %d: label %+v, reference %+v", i, l, want)
 		}

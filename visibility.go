@@ -214,12 +214,10 @@ type treeState struct {
 	tree   *region.Tree
 	init   map[field.ID]*data.Store
 	stream *core.Stream
-	// deps is the discovered dependence graph, one row (core.Row) per
-	// launch in program order. A row is written once, at launch, and never
-	// changes, so every graph query reads the table as it stands; crit
-	// labels each task on the weighted critical path at the same moment.
-	deps   [][]int
-	crit   graph.Labels
+	// graph is the discovered dependence graph: one row (core.Row) and
+	// one critical-path label per launch in program order, both fixed at
+	// launch, so every graph query reads it as it stands.
+	graph  graph.Graph
 	exec   *core.Executor
 	seq    *core.Seq   // non-nil in Validate mode
 	stack  *algo.Stack // the analyzer exec drives; nil until frozen
@@ -572,12 +570,11 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 	return Future{done: rt.submit(ts, t, k, body), taskID: t.ID}
 }
 
-// submit hands t to the executor and records its row of the dependence
-// graph, which Explain later derives from, and its critical-path label.
+// submit hands t to the executor and adds its row of the dependence
+// graph, which Explain later derives from, with its critical-path label.
 func (rt *Runtime) submit(ts *treeState, t *core.Task, k core.Kernel, body func([]*data.Store)) <-chan struct{} {
 	done, row := ts.exec.Submit(t, k, body)
-	ts.deps = append(ts.deps, row)
-	ts.crit.Add(weight(t, row), row)
+	ts.graph.Add(weight(t, row), row)
 	return done
 }
 
@@ -748,16 +745,7 @@ func (rt *Runtime) Dependences(r *Region) []TaskInfo {
 	}
 	out := make([]TaskInfo, len(ts.stream.Tasks))
 	for i, t := range ts.stream.Tasks {
-		out[i] = TaskInfo{ID: t.ID, Name: t.Name, Deps: ts.deps[i]}
+		out[i] = TaskInfo{ID: t.ID, Name: t.Name, Deps: ts.graph.Rows[i]}
 	}
 	return out
-}
-
-// dag is the discovered dependence graph of ts: the stream's tasks over
-// the owner's rows (empty until something has launched).
-func (ts *treeState) dag() *graph.DAG {
-	if ts.exec == nil {
-		return &graph.DAG{}
-	}
-	return &graph.DAG{Tasks: ts.stream.Tasks, Deps: ts.deps}
 }
