@@ -1,7 +1,7 @@
 // Command visserve serves the multi-tenant visibility analysis service
 // over HTTP: sessions own runtimes, clients submit wire-format workloads,
 // and admission control bounds every queue (429 + Retry-After on
-// overload). On SIGTERM/SIGINT the server drains: queued batches finish,
+// overload). On SIGTERM/SIGINT the server drains: admitted requests finish,
 // every session's runtime is released, and the process exits cleanly.
 //
 // With -load N it instead runs the load harness: N concurrent sessions
@@ -10,7 +10,7 @@
 // tenants, and report admission statistics.
 //
 // With -fault <plan> the deterministic fault-injection plane is armed
-// for the whole process (worker crashes, and forced equivalence-set
+// for the whole process (session job crashes, and forced equivalence-set
 // splits, migrations and trace invalidations in every session — see
 // internal/fault for the site catalog and plan grammar); every injection
 // lands in the flight recorder, so a SIGQUIT dump shows exactly which
@@ -54,15 +54,15 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("visserve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	maxSessions := fs.Int("max-sessions", 64, "concurrent session cap")
-	maxQueue := fs.Int("max-queue", 32, "per-session queue depth cap")
-	maxInFlight := fs.Int("max-inflight", 256, "global in-flight job cap")
+	maxQueue := fs.Int("max-queue", 32, "per-session cap on requests waiting for the session")
+	maxInFlight := fs.Int("max-inflight", 256, "global in-flight request cap")
 	idle := fs.Duration("idle", 5*time.Minute, "idle session expiry (negative disables)")
 	load := fs.Int("load", 0, "run the load harness with N concurrent sessions instead of serving")
 	iterations := fs.Int("iterations", 5, "graphsim iterations per load-mode session")
 	target := fs.String("target", "", "load-mode server URL (default: start one in-process)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	recorderCap := fs.Int("recorder-cap", 0, "flight-recorder ring capacity (0 = server default)")
-	recorderDump := fs.String("recorder-dump", "", "directory for worker-failure recorder dumps (empty disables; SIGQUIT dumps fall back to the system temp dir)")
+	recorderDump := fs.String("recorder-dump", "", "directory for session-failure recorder dumps (empty disables; SIGQUIT dumps fall back to the system temp dir)")
 	traceOut := fs.String("trace-out", "", "load mode: write the merged Perfetto trace export to this file")
 	faultPlan := fs.String("fault", "", "arm the fault-injection plane with this plan string (e.g. \"seed=1;server.worker.panic=every=1,max=1,arg=3\"); injections are journaled to the flight recorder")
 	if err := fs.Parse(args); err != nil {

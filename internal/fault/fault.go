@@ -50,8 +50,9 @@ const (
 	// partition, or abandoning it for the K-d fallback — the migration
 	// race of §7.1. Arg: task ID.
 	EqMigrate Site = "analyzer.eqset.migrate"
-	// WorkerPanic crashes a session worker goroutine mid-job, inside its
-	// recovery scope, exercising the failure-latch path. Arg: session seq.
+	// WorkerPanic crashes a session job mid-request, inside its recovery
+	// scope, exercising the failure-latch path and the 409 the request
+	// answers with. Arg: session seq.
 	WorkerPanic Site = "server.worker.panic"
 	// TraceInvalidate forces an automatic trace to invalidate mid-replay:
 	// the autotracer aborts the bracketed instance as if its structure had

@@ -17,7 +17,7 @@ import (
 //
 // The serving stack threads one TraceContext per HTTP request from the
 // client (which mints the root), through the server middleware, across
-// the session worker queue, and into the analysis span buffer — so one
+// the wait for the session lock, and into the analysis span buffer — so one
 // export shows HTTP span → queue-wait span → per-phase analysis spans as
 // a single parented tree.
 type TraceContext struct {

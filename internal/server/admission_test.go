@@ -13,9 +13,34 @@ import (
 	"testing"
 	"time"
 
+	"visibility"
+	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
 	"visibility/internal/wire"
 )
+
+// park runs a request whose job is fn on a goroutine of its own, as a
+// handler would, and returns the channel its answer arrives on.
+func park(srv *Server, s *session, fn func()) <-chan error {
+	answer := make(chan error, 1)
+	go func() {
+		answer <- srv.do(s, obs.TraceContext{}, func(*visibility.Runtime, *wire.Env) error {
+			fn()
+			return nil
+		})
+	}()
+	return answer
+}
+
+// waitQueued waits until n admitted requests wait for s.
+func waitQueued(t *testing.T, s *session, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); s.describe().Queued != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests wait for the session, want %d", s.describe().Queued, n)
+		}
+	}
+}
 
 func createSessionHTTP(t *testing.T, url string) string {
 	t.Helper()
@@ -50,9 +75,10 @@ func postWorkload(t *testing.T, url, id string, wl *wire.Workload) *http.Respons
 }
 
 // TestBackpressureSessionQueue fills one session's bounded queue behind a
-// deliberately blocked worker and checks overload surfaces as 429 +
-// Retry-After — and that nothing leaks once the queue drains: in-flight
-// and session counts return to zero, and the worker goroutines exit.
+// request deliberately blocked while it holds the session and checks
+// overload surfaces as 429 + Retry-After — and that nothing leaks once the
+// queue drains: in-flight and session counts return to zero, and every
+// goroutine exits.
 func TestBackpressureSessionQueue(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -64,20 +90,18 @@ func TestBackpressureSessionQueue(t *testing.T) {
 		t.Fatal("session not found internally")
 	}
 
-	// Park the worker on a job we control.
+	// Park a request holding the session on a job we control.
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := srv.submit(s, job{fn: func() { close(started); <-release }}); err != nil {
-		t.Fatal(err)
-	}
+	parked := park(srv, s, func() { close(started); <-release })
 	<-started
 
 	// Fill the queue to its cap.
-	for i := 0; i < srv.cfg.MaxQueue; i++ {
-		if err := srv.submit(s, job{fn: func() {}}); err != nil {
-			t.Fatalf("queue slot %d refused: %v", i, err)
-		}
+	slots := make([]<-chan error, srv.cfg.MaxQueue)
+	for i := range slots {
+		slots[i] = park(srv, s, func() {})
 	}
+	waitQueued(t, s, srv.cfg.MaxQueue)
 
 	// The next submission over HTTP must be rejected with the
 	// backpressure contract, not buffered.
@@ -93,9 +117,17 @@ func TestBackpressureSessionQueue(t *testing.T) {
 		t.Fatal("admission rejection not counted")
 	}
 
-	// Release the worker; the queue drains and the same workload is now
+	// Release the session; the queue drains and the same workload is now
 	// admitted.
 	close(release)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	for i, slot := range slots {
+		if err := <-slot; err != nil {
+			t.Fatalf("queue slot %d refused: %v", i, err)
+		}
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.InFlight() > 0 {
 		if time.Now().After(deadline) {
@@ -109,7 +141,8 @@ func TestBackpressureSessionQueue(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Tear down: DELETE waits for the worker, then the process is clean.
+	// Tear down: DELETE waits for the runtime's release, then the process is
+	// clean.
 	req, _ := http.NewRequest("DELETE", hs.URL+"/v1/sessions/"+id, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -131,7 +164,7 @@ func TestBackpressureSessionQueue(t *testing.T) {
 	hs.Close()
 	http.DefaultClient.CloseIdleConnections()
 
-	// No goroutine leak: the worker, janitor, and runtime pools are gone.
+	// No goroutine leak: the requests, janitor, and runtime pools are gone.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -176,11 +209,9 @@ func TestBackpressureGlobal(t *testing.T) {
 			close(release)
 		}
 	}
-	defer free() // a failing check must not leave the worker parked
+	defer free() // a failing check must not leave the request parked
 	started := make(chan struct{})
-	if err := srv.submit(a, job{fn: func() { close(started); <-release }}); err != nil {
-		t.Fatal(err)
-	}
+	parked := park(srv, a, func() { close(started); <-release })
 	<-started
 
 	// Session B has a free queue, but the global cap is spent.
@@ -210,6 +241,9 @@ func TestBackpressureGlobal(t *testing.T) {
 
 	// Free the cap: everything drains, and B's next submit is admitted.
 	free()
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
 	waitDrained := func() {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -268,25 +302,19 @@ func TestMetricsEndpointShape(t *testing.T) {
 	resp := postWorkload(t, hs.URL, id, wire.ExampleQuickstart())
 	resp.Body.Close()
 
+	// The batch is applied before its 202, so the analyzer has counted it.
 	var body struct {
 		Server   map[string]int64            `json:"server"`
 		Sessions map[string]map[string]int64 `json:"sessions"`
 	}
-	// The batch is applied on the session's worker after the 202: poll
-	// until the analyzer has counted its first launch.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		mresp, err := http.Get(hs.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(mresp.Body).Decode(&body)
-		mresp.Body.Close()
-		if err != nil {
-			t.Fatalf("/metrics is not parseable: %v", err)
-		}
-		if body.Sessions[id]["analyzer/cells/launches"] > 0 || time.Now().After(deadline) {
-			break
-		}
+	mresp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(mresp.Body).Decode(&body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatalf("/metrics is not parseable: %v", err)
 	}
 	if body.Server["server/http/workloads/requests"] == 0 {
 		t.Errorf("endpoint request counter missing: %v", body.Server)
@@ -368,9 +396,9 @@ func TestWriteJSONUnrenderable(t *testing.T) {
 }
 
 // TestIdleExpirySparesRunningJob: a job that runs longer than IdleTimeout
-// keeps its session alive. The worker has already taken the job off the
-// queue, so an empty queue must not read as idle, and the job's end counts
-// as use.
+// keeps its session alive. Its request holds the session and waits for
+// nothing, so an empty queue must not read as idle, and the job's end
+// counts as use.
 func TestIdleExpirySparesRunningJob(t *testing.T) {
 	srv := New(Config{IdleTimeout: 50 * time.Millisecond})
 	hs := httptest.NewServer(srv.Handler())
@@ -382,18 +410,18 @@ func TestIdleExpirySparesRunningJob(t *testing.T) {
 		t.Fatal("session not found internally")
 	}
 
-	finished := make(chan struct{})
-	if err := srv.submit(s, job{fn: func() { <-time.After(300 * time.Millisecond) }, done: finished}); err != nil {
-		t.Fatal(err)
-	}
+	finished := park(srv, s, func() { <-time.After(300 * time.Millisecond) })
 	for running := true; running; {
 		select {
-		case <-finished:
+		case err := <-finished:
+			if err != nil {
+				t.Fatal(err)
+			}
 			running = false
 		case <-time.After(10 * time.Millisecond):
 		}
 		if srv.session(id) != s {
-			t.Fatalf("session %s expired while its worker was running a job", id)
+			t.Fatalf("session %s expired while a request was running a job", id)
 		}
 	}
 }

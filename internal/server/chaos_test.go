@@ -1,8 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,7 +51,7 @@ func tenantRows(t *testing.T, c *client.Client, n int) ([][]byte, []*client.Sess
 	return rows, sessions, errs
 }
 
-// TestChaosWorkerKillIsolation kills one tenant's worker mid-stream with
+// TestChaosWorkerKillIsolation crashes one tenant's job mid-stream with
 // a targeted fault plan (server.worker.panic pinned to session seq 5 via
 // arg=) and requires blast-radius isolation: the victim latches 409, the
 // other seven tenants' snapshots are byte-identical to a fault-free run,
@@ -119,8 +123,8 @@ func TestChaosWorkerKillIsolation(t *testing.T) {
 	}
 	shutdown()
 
-	// Leak ledger: the victim's worker goroutine died by panic recovery,
-	// not by leaking; everything unwinds.
+	// Leak ledger: the victim's crashed request unwound by panic
+	// recovery, not by leaking; everything unwinds.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline+2 {
 		if time.Now().After(deadline) {
@@ -128,5 +132,71 @@ func TestChaosWorkerKillIsolation(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCrashedJobAnswers409: a request whose own job crashes answers with
+// the session's 409 — the failure, the recorder window and the dump path —
+// never as if its job had run (a 200 with an empty checkpoint or null
+// metrics, a 404 for a region the crash kept it from resolving). Each
+// endpoint gets a fresh server whose plan crashes session 1's first job.
+func TestCrashedJobAnswers409(t *testing.T) {
+	for _, ep := range []struct{ method, path string }{
+		{"GET", "checkpoint"},
+		{"GET", "metrics"},
+		{"GET", "snapshot?region=N&field=up"},
+		{"GET", "graph?region=N"},
+		{"GET", "critpath"},
+		{"GET", "explain?task=0"},
+		{"POST", "workloads"},
+	} {
+		t.Run(strings.SplitN(ep.path, "?", 2)[0], func(t *testing.T) {
+			inj, err := fault.NewFromString("seed=1;server.worker.panic=every=1,max=1,arg=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := server.New(server.Config{IdleTimeout: -1, RecorderDir: t.TempDir(), Faults: inj})
+			hs := httptest.NewServer(srv.Handler())
+			defer hs.Close()
+			defer func() {
+				if err := srv.Shutdown(t.Context()); err != nil {
+					t.Errorf("shutdown: %v", err)
+				}
+			}()
+			sess, err := client.New(hs.URL).CreateSession(client.SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body bytes.Buffer
+			if ep.method == "POST" {
+				if err := wire.Encode(&body, wire.ExampleGraphsim(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			req, err := http.NewRequest(ep.method, hs.URL+"/v1/sessions/"+sess.ID+"/"+ep.path, &body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var got struct {
+				Error    string            `json:"error"`
+				Recorder []json.RawMessage `json:"recorder"`
+				Dump     string            `json:"recorder_dump"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			if err != nil || resp.StatusCode != http.StatusConflict || !strings.Contains(got.Error, "session failed") {
+				t.Fatalf("crashed %s %s: status %d %q (%v), want the session's 409", ep.method, ep.path, resp.StatusCode, got.Error, err)
+			}
+			if len(got.Recorder) == 0 || got.Dump == "" {
+				t.Errorf("409 carries %d recorder events and dump path %q, want both", len(got.Recorder), got.Dump)
+			}
+			if n := inj.Fires(fault.WorkerPanic); n != 1 {
+				t.Errorf("job panic fired %d times, want 1", n)
+			}
+		})
 	}
 }

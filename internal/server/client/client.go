@@ -250,8 +250,8 @@ func (c *Client) DebugRecorder(n int) ([]RecorderEvent, error) {
 	return resp.Events, nil
 }
 
-// Submit sends one workload to the session; the server queues it on the
-// session's worker (202), retried through backpressure.
+// Submit sends one workload to the session; the server answers 202 once
+// the batch is applied, and 429s are retried through backpressure.
 func (s *Session) Submit(wl *wire.Workload) error {
 	body, err := wire.AppendWorkload(make([]byte, 0, s.last.Load()), wl)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -259,6 +260,27 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if n := srv.InFlight(); n != 0 {
 		t.Fatalf("after closing all sessions, %d jobs in flight", n)
+	}
+}
+
+// TestSessionsHoldNoGoroutine: a session is a lock its requests run their
+// jobs under, so sessions that launch nothing add no goroutine.
+func TestSessionsHoldNoGoroutine(t *testing.T) {
+	_, c, shutdown := newTestServer(t, server.Config{})
+	defer shutdown()
+	// The first session opens the client's connection and its goroutines.
+	if _, err := c.CreateSession(client.SessionConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 32
+	before := runtime.NumGoroutine()
+	for i := 0; i < sessions; i++ {
+		if _, err := c.CreateSession(client.SessionConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= sessions {
+		t.Fatalf("%d idle sessions added %d goroutines", sessions, grew)
 	}
 }
 

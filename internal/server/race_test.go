@@ -12,14 +12,13 @@ import (
 
 // TestQueriesDuringBatches sweeps the read endpoints while another
 // goroutine keeps declaring regions in one session. A session's runtime
-// and environment belong to its worker goroutine; a handler that reads
-// either on the HTTP goroutine instead of inside a job races with
-// Env.Apply, and the race detector reports it here. The sweep ends on a
-// critical-path query, which resolves the default region, so a request
-// that never waits for the worker (trace) gives a batch time to land
-// after the last one that did (metrics); enough batches keep the worker
-// busy through a dozen or more sweeps. The batches launch nothing, so the
-// critical path itself is a 404.
+// and environment are guarded by its lock; a handler that reads either
+// outside its job races with Env.Apply, and the race detector reports it
+// here. The sweep ends on a critical-path query, which resolves the
+// default region, so a request that never takes the lock (trace) gives a
+// batch time to land after the last one that did (metrics); enough
+// batches keep the session busy through a dozen or more sweeps. The
+// batches launch nothing, so the critical path itself is a 404.
 func TestQueriesDuringBatches(t *testing.T) {
 	_, c, shutdown := newTestServer(t, server.Config{})
 	defer shutdown()

@@ -37,8 +37,8 @@ func traceContext(r *http.Request) obs.TraceContext {
 // latency histogram under "server/http/<name>/", and an "http.<name>"
 // span on the server buffer. The span joins the trace in the request's
 // W3C traceparent header when present (so client and server spans share
-// a trace ID) and starts a fresh trace otherwise; handlers propagate it
-// to worker jobs via the request context.
+// a trace ID) and starts a fresh trace otherwise; handlers hand it to
+// the jobs they run via the request context.
 func (srv *Server) routes() {
 	handle := func(pattern, name string, h http.HandlerFunc) {
 		requests := srv.metrics.NewCounter("server/http/" + name + "/requests")
@@ -106,9 +106,15 @@ const (
 
 // fail maps service errors to HTTP statuses: overload is 429 with
 // Retry-After (the backpressure contract), draining is 503, a closing
-// session conflicts, a body over its limit is 413, anything else is the
+// session conflicts, a failure the request's own job latched is the
+// session's 409, a body over its limit is 413, anything else is the
 // caller's fault.
 func (srv *Server) fail(w http.ResponseWriter, err error) {
+	var failed *failedError
+	if errors.As(err, &failed) {
+		srv.failConflict(w, failed.s, failed.err)
+		return
+	}
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -194,9 +200,11 @@ type sessionBody struct {
 }
 
 func (s *session) describe() sessionBody {
-	body := sessionBody{ID: s.id, Algorithm: s.req.Algorithm, Autotrace: s.req.AutoTrace, Queued: len(s.jobs)}
-	if err := s.latchedFailure(); err != nil {
-		body.Failed = err.Error()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	body := sessionBody{ID: s.id, Algorithm: s.req.Algorithm, Autotrace: s.req.AutoTrace, Queued: s.waiting}
+	if s.failure != nil {
+		body.Failed = s.failure.Error()
 	}
 	return body
 }
@@ -310,11 +318,10 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		srv.fail(w, err)
 		return
 	}
-	if err := srv.submit(s, job{tc: traceContext(r), fn: func() {
-		if _, err := s.env.Apply(wl); err != nil {
-			s.latchFailure(err)
-		}
-	}}); err != nil {
+	if err := srv.do(s, traceContext(r), func(_ *visibility.Runtime, env *wire.Env) error {
+		_, err := env.Apply(wl)
+		return err
+	}); err != nil {
 		srv.fail(w, err)
 		return
 	}
@@ -324,25 +331,26 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// --- query endpoints (sync jobs: FIFO behind submitted batches) ---------
+// --- query endpoints (jobs serialized by the session lock) -------------
 
-// query answers one question about a session's region tree: it runs ask on
-// the session's worker — the environment and the runtime belong to it, so
-// ?region= is resolved there, never on the HTTP goroutine — and writes the
-// refusal of a job that could not run or the 404 of an unknown region or of
-// whatever ask reports missing. With first, an empty ?region= means the
+// query answers one question about a session's region tree: it runs ask in
+// a job — the environment and the runtime are guarded by the session lock,
+// so ?region= is resolved there, never outside it — and writes the refusal
+// of a job that could not run or failed, or the 404 of an unknown region or
+// of whatever ask reports missing. With first, an empty ?region= means the
 // lexicographically first root region. It returns the resolved region's
 // name and whether the caller still has an answer to write.
-func (srv *Server) query(w http.ResponseWriter, r *http.Request, s *session, first bool, ask func(reg *visibility.Region) (missing string)) (string, bool) {
+func (srv *Server) query(w http.ResponseWriter, r *http.Request, s *session, first bool, ask func(rt *visibility.Runtime, reg *visibility.Region) (missing string)) (string, bool) {
 	name := r.URL.Query().Get("region")
 	missing := "region " + name
-	err := srv.doSync(s, traceContext(r), func() {
+	err := srv.do(s, traceContext(r), func(rt *visibility.Runtime, env *wire.Env) error {
 		if name == "" && first {
-			name = firstRegion(s)
+			name = firstRegion(env)
 		}
-		if reg := s.env.Region(name); reg != nil {
-			missing = ask(reg)
+		if reg := env.Region(name); reg != nil {
+			missing = ask(rt, reg)
 		}
+		return nil
 	})
 	if err != nil {
 		srv.fail(w, err)
@@ -355,10 +363,10 @@ func (srv *Server) query(w http.ResponseWriter, r *http.Request, s *session, fir
 	return name, true
 }
 
-// firstRegion names the lexicographically first root region of the session
-// environment ("" when there is none). Must run inside a sync job.
-func firstRegion(s *session) string {
-	if regs := s.env.Regions(); len(regs) > 0 {
+// firstRegion names the lexicographically first root region of env (""
+// when there is none).
+func firstRegion(env *wire.Env) string {
+	if regs := env.Regions(); len(regs) > 0 {
 		return regs[0].Name()
 	}
 	return ""
@@ -402,11 +410,11 @@ func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	field := r.URL.Query().Get("field")
 	var rows [][]float64
-	name, ok := srv.query(w, r, s, false, func(reg *visibility.Region) string {
+	name, ok := srv.query(w, r, s, false, func(rt *visibility.Runtime, reg *visibility.Region) string {
 		if !reg.HasField(field) {
 			return fmt.Sprintf("field %q of region %s", field, reg.Name())
 		}
-		rows = s.rt.Read(reg, field).Rows()
+		rows = rt.Read(reg, field).Rows()
 		return ""
 	})
 	if ok {
@@ -421,8 +429,8 @@ func (srv *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tasks := []visibility.TaskInfo{}
-	name, ok := srv.query(w, r, s, false, func(reg *visibility.Region) string {
-		if deps := s.rt.Dependences(reg); deps != nil {
+	name, ok := srv.query(w, r, s, false, func(rt *visibility.Runtime, reg *visibility.Region) string {
+		if deps := rt.Dependences(reg); deps != nil {
 			tasks = deps
 		}
 		return ""
@@ -457,8 +465,8 @@ func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		ex          *visibility.TaskExplain
 		mustPrecede bool
 	)
-	name, ok := srv.query(w, r, s, true, func(reg *visibility.Region) string {
-		if ex = s.rt.Explain(reg, task); ex == nil {
+	name, ok := srv.query(w, r, s, true, func(rt *visibility.Runtime, reg *visibility.Region) string {
+		if ex = rt.Explain(reg, task); ex == nil {
 			return fmt.Sprintf("task %d", task)
 		}
 		if src >= 0 {
@@ -469,7 +477,7 @@ func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			ex.Edges = edges
-			mustPrecede = s.rt.MustPrecede(reg, src, task)
+			mustPrecede = rt.MustPrecede(reg, src, task)
 		}
 		return ""
 	})
@@ -503,10 +511,10 @@ func (srv *Server) handleCritPath(w http.ResponseWriter, r *http.Request) {
 		buf    bytes.Buffer
 		dotErr error
 	)
-	name, ok := srv.query(w, r, s, true, func(reg *visibility.Region) string {
+	name, ok := srv.query(w, r, s, true, func(rt *visibility.Runtime, reg *visibility.Region) string {
 		if dot {
-			dotErr = s.rt.WriteDOTCrit(reg, &buf)
-		} else if sum = s.rt.CriticalPath(reg, k); sum == nil {
+			dotErr = rt.WriteDOTCrit(reg, &buf)
+		} else if sum = rt.CriticalPath(reg, k); sum == nil {
 			return "critical path (nothing launched)"
 		}
 		return ""
@@ -531,7 +539,10 @@ func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		buf     bytes.Buffer
 		ckptErr error
 	)
-	if err := srv.doSync(s, traceContext(r), func() { ckptErr = s.rt.Checkpoint(&buf) }); err != nil {
+	if err := srv.do(s, traceContext(r), func(rt *visibility.Runtime, _ *wire.Env) error {
+		ckptErr = rt.Checkpoint(&buf)
+		return nil
+	}); err != nil {
 		srv.fail(w, err)
 		return
 	}
@@ -540,12 +551,15 @@ func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 // --- observability endpoints --------------------------------------------
 
-// sessionMetricsSnapshot captures a session's registry on its worker —
-// computed metrics read live analyzer state, which only the worker may
-// touch.
+// sessionMetricsSnapshot captures a session's registry in a job —
+// computed metrics read live analyzer state, which only the holder of the
+// session lock may touch.
 func (srv *Server) sessionMetricsSnapshot(s *session, tc obs.TraceContext) (obs.Snapshot, error) {
 	var snap obs.Snapshot
-	if err := srv.doSync(s, tc, func() { snap = s.metrics.Snapshot() }); err != nil {
+	if err := srv.do(s, tc, func(*visibility.Runtime, *wire.Env) error {
+		snap = s.metrics.Snapshot()
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return snap, nil
@@ -565,8 +579,9 @@ func (srv *Server) handleSessionMetrics(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleMetrics merges the server registry with every session's registry
-// (namespaced by session id). A session too busy to snapshot reports
-// "unavailable" rather than stalling the endpoint.
+// (namespaced by session id). It waits its turn at every session; a
+// session that refuses the request (overload, closing, or a failed job)
+// reports "unavailable" instead.
 func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{"server": srv.metrics.Snapshot()}
 	sessions := map[string]any{}

@@ -1,14 +1,15 @@
 // Package server is the network-facing multi-tenant analysis service:
 // each session owns a visibility.Runtime (with its own coherence
-// algorithm, autotrace setting, and observability registry) driven by a
-// single worker goroutine, and clients speak the wire format over HTTP.
+// algorithm, autotrace setting, and observability registry) behind a
+// mutex: each request runs its own job on its HTTP goroutine while it holds
+// the session, and clients speak the wire format over HTTP.
 //
 // Admission control is two-level and bounded everywhere: a global
-// in-flight job cap protects the process, a per-session queue cap
-// protects the FIFO worker, and both overflows surface as 429 with a
-// Retry-After header rather than unbounded buffering. Sessions expire
+// in-flight request cap protects the process, a per-session cap bounds the
+// requests waiting for one session, and both overflows surface as 429 with
+// a Retry-After header rather than unbounded buffering. Sessions expire
 // when idle, close on demand, and drain gracefully on shutdown — the
-// session count returns to zero, taking every worker goroutine with it.
+// session count returns to zero and every runtime is released.
 package server
 
 import (
@@ -34,9 +35,9 @@ import (
 type Config struct {
 	// MaxSessions caps concurrently live sessions (default 64).
 	MaxSessions int
-	// MaxQueue caps each session's pending jobs (default 32).
+	// MaxQueue caps the requests waiting for each session (default 32).
 	MaxQueue int
-	// MaxInFlight caps pending jobs across all sessions (default 256).
+	// MaxInFlight caps admitted requests across all sessions (default 256).
 	MaxInFlight int
 	// IdleTimeout expires sessions with no accepted requests for this
 	// long (default 5m; negative disables expiry).
@@ -46,13 +47,13 @@ type Config struct {
 	// RecorderCap is the flight-recorder ring capacity (default 16384).
 	RecorderCap int
 	// RecorderDir, when non-empty, is where the flight recorder dumps its
-	// window on a worker failure; the dump path is reported in the 409
+	// window on a session failure; the dump path is reported in the 409
 	// body and the session description.
 	RecorderDir string
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Faults, when non-nil, arms the deterministic fault-injection plane
-	// across the service: worker panics at the serving layer, plus the
+	// across the service: job panics at the serving layer, plus the
 	// analyzer sites (forced splits, migrations and trace invalidations)
 	// in the sessions it creates. Fires are journaled to the server's
 	// flight recorder.
@@ -101,7 +102,7 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[string]*session // guarded by mu
 	nextID   int                 // guarded by mu
-	inflight int                 // guarded by mu; jobs accepted, not yet run
+	inflight int                 // guarded by mu; requests admitted, not yet finished
 	draining bool                // guarded by mu
 
 	janitorStop chan struct{}
@@ -186,7 +187,7 @@ func (srv *Server) SessionCount() int {
 	return len(srv.sessions)
 }
 
-// InFlight returns the number of accepted-but-unfinished jobs.
+// InFlight returns the number of admitted-but-unfinished requests.
 func (srv *Server) InFlight() int {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
@@ -197,12 +198,8 @@ func (srv *Server) InFlight() int {
 
 var errTooManySessions = fmt.Errorf("session limit reached")
 
-// createSession builds a new session. restore, when non-nil, is applied
-// to seed the runtime from a checkpoint before the worker starts.
-//
-// The seed callback constructs the runtime the worker will own: it runs
-// before the worker goroutine exists, so it holds the ownership that the
-// worker inherits the moment run starts.
+// createSession builds a new session around the runtime and environment
+// seed returns (a fresh runtime, or one restored from a checkpoint).
 func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Config) (*visibility.Runtime, *wire.Env, error)) (*session, error) {
 	spec, err := algo.Spec{Algorithm: req.Algorithm, AutoTrace: req.AutoTrace}.Check()
 	if err != nil {
@@ -240,8 +237,19 @@ func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Co
 	}
 	srv.nextID++
 	id := fmt.Sprintf("s%06d", srv.nextID)
-	s := srv.newSession(id, req, rt, env, metrics, spans)
-	s.seq = int64(srv.nextID)
+	s := &session{
+		id:       id,
+		srv:      srv,
+		req:      req,
+		created:  time.Now(),
+		seq:      int64(srv.nextID),
+		rt:       rt,
+		env:      env,
+		metrics:  metrics,
+		spans:    spans,
+		done:     make(chan struct{}),
+		lastUsed: time.Now(),
+	}
 	srv.sessions[id] = s
 	srv.active.Set(int64(len(srv.sessions)))
 	srv.mu.Unlock()
@@ -270,8 +278,8 @@ func (srv *Server) sessionList() []*session {
 	return out
 }
 
-// closeSession removes s from the table and shuts down its worker; when
-// wait is true it blocks until the worker has released the runtime.
+// closeSession removes s from the table and closes it; when wait is true
+// it blocks until the runtime is released.
 func (srv *Server) closeSession(s *session, wait bool) {
 	srv.removeSession(s)
 	if wait {
@@ -299,9 +307,8 @@ var (
 	errOverload = fmt.Errorf("server in-flight limit reached")
 )
 
-// admit reserves one global in-flight slot; the caller must release it
-// via jobDone (normally the worker does, after running the job) or
-// unadmit (when the per-session enqueue fails).
+// admit reserves one global in-flight slot; the caller releases it via
+// finish.
 func (srv *Server) admit() error {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
@@ -315,13 +322,11 @@ func (srv *Server) admit() error {
 	return nil
 }
 
-func (srv *Server) jobDone() {
+func (srv *Server) finish() {
 	srv.mu.Lock()
 	srv.inflight--
 	srv.mu.Unlock()
 }
-
-func (srv *Server) unadmit() { srv.jobDone() }
 
 // Admission reject reason codes journaled in KindAdmitReject's B field.
 const (
@@ -330,15 +335,21 @@ const (
 	rejectSessionGone = 3
 )
 
-// submit admits a job globally, then to the session queue.
-func (srv *Server) submit(s *session, j job) error {
+// do runs one request's job on the calling goroutine. It admits the
+// request (the global in-flight cap, then the session's cap on requests
+// waiting for it), waits for the session's lock — with tc valid, the wait
+// is the queue.wait child of the HTTP span, and the job's own spans parent
+// under the HTTP span — and runs fn on the runtime and environment inside
+// the recover envelope. A panic or an error from fn latches as the session
+// failure, and do returns it as a *failedError.
+func (srv *Server) do(s *session, tc obs.TraceContext, fn func(rt *visibility.Runtime, env *wire.Env) error) error {
 	if err := srv.admit(); err != nil {
 		srv.rejected.Inc()
 		srv.rec.Log(recorder.KindAdmitReject, s.seq, rejectGlobalCap)
 		return err
 	}
-	if err := s.enqueue(j); err != nil {
-		srv.unadmit()
+	if err := s.enter(srv.cfg.MaxQueue); err != nil {
+		srv.finish()
 		if err == errSessionBusy {
 			srv.rejected.Inc()
 			srv.rec.Log(recorder.KindAdmitReject, s.seq, rejectSessionCap)
@@ -347,24 +358,34 @@ func (srv *Server) submit(s *session, j job) error {
 		}
 		return err
 	}
-	return nil
-}
+	defer s.leave()
+	defer srv.finish()
 
-// doSync runs fn on the session worker and waits, through full admission.
-// tc, when valid, parents the queue-wait and analysis spans the job emits.
-func (srv *Server) doSync(s *session, tc obs.TraceContext, fn func()) error {
-	j := job{fn: fn, done: make(chan struct{}), tc: tc}
-	if err := srv.submit(s, j); err != nil {
-		return err
+	enq := s.spans.Now()
+	s.run.Lock()
+	defer s.run.Unlock()
+	s.took()
+	if tc.Valid() {
+		s.spans.Record("queue.wait", "queue", enq, s.spans.Now(), tc)
+		s.spans.SetContext(tc)
+		defer s.spans.SetContext(obs.TraceContext{})
 	}
-	<-j.done
-	return nil
+	srv.rec.Log(recorder.KindJobStart, s.seq, 0)
+	defer srv.rec.Log(recorder.KindJobDone, s.seq, 0)
+	rt, env := s.rt, s.env
+	return s.exec(func() error {
+		// Fault plane: an injected crash mid-job takes exactly the path a
+		// real kernel panic would — recovered by exec, latched as the
+		// session failure.
+		srv.cfg.Faults.Crash(fault.WorkerPanic, s.seq)
+		return fn(rt, env)
+	})
 }
 
 // --- janitor and shutdown -----------------------------------------------
 
-// janitor expires sessions that have been idle (no accepted requests,
-// empty queue) longer than IdleTimeout.
+// janitor expires sessions that have been idle (no admitted requests)
+// longer than IdleTimeout.
 func (srv *Server) janitor() {
 	defer close(srv.janitorDone)
 	if srv.cfg.IdleTimeout < 0 {
@@ -395,11 +416,10 @@ func (srv *Server) janitor() {
 	}
 }
 
-// Shutdown drains the service: new sessions and submissions are refused
-// (503), every live session finishes its queued work and releases its
-// runtime, and the janitor stops. After Shutdown the session count is
-// zero and no worker goroutines remain. The context bounds the wait for
-// in-flight work.
+// Shutdown drains the service: new sessions and requests are refused
+// (503), every live session finishes its admitted requests and releases
+// its runtime, and the janitor stops. After Shutdown the session count is
+// zero. The context bounds the wait for in-flight work.
 func (srv *Server) Shutdown(ctx context.Context) error {
 	srv.mu.Lock()
 	already := srv.draining

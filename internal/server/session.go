@@ -6,17 +6,16 @@ import (
 	"time"
 
 	"visibility"
-	"visibility/internal/fault"
 	"visibility/internal/obs"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/wire"
 )
 
 // session owns one tenant's runtime. The Runtime's single-goroutine rule
-// is enforced structurally: every operation that touches rt or env is a
-// job, and all jobs run on the session's one worker goroutine, in FIFO
-// order — so a snapshot requested after a batch observes the batch
-// (read-after-launch coherence), and two tenants never contend.
+// is a lock: every operation that touches rt or env is a request's job,
+// and the request runs it on its own goroutine while it holds run, one
+// job at a time — so a snapshot requested after a batch was answered
+// observes the batch (read-after-launch coherence), and two tenants never
+// contend.
 type session struct {
 	id      string
 	srv     *Server
@@ -24,40 +23,25 @@ type session struct {
 	created time.Time
 	seq     int64 // numeric id journaled in flight-recorder events
 
-	// rt and env are touched only by the worker goroutine (and by the
-	// creating goroutine before the worker starts — createSession's seed
-	// callback builds them, and the worker inherits them when run starts).
-	rt  *visibility.Runtime
-	env *wire.Env
+	run sync.Mutex          // held by the request whose job is running
+	rt  *visibility.Runtime // guarded by run
+	env *wire.Env           // guarded by run
 
 	// metrics and spans are this session's private observability surface;
 	// instrument reads are atomic, but computed metrics (analyzer stats)
-	// are only safe to snapshot from the worker.
+	// are only safe to snapshot under run.
 	metrics *obs.Registry
 	spans   *obs.Buffer
 
-	jobs chan job
-	done chan struct{} // closed when the worker exits
+	done chan struct{} // closed once the runtime is released
 
 	mu       sync.Mutex
 	closing  bool      // guarded by mu
-	failure  error     // guarded by mu; latched first worker failure
-	lastUsed time.Time // guarded by mu; last accepted request or finished job
-	running  bool      // guarded by mu; the worker has taken a job and not finished it
+	failure  error     // guarded by mu; latched first job failure
+	lastUsed time.Time // guarded by mu; last admitted or finished request
+	admitted int       // guarded by mu; requests admitted and not finished
+	waiting  int       // guarded by mu; admitted requests not yet holding run
 	dumpPath string    // guarded by mu; recorder dump written on failure
-}
-
-// job is one unit of worker-goroutine work; sync callers wait on done.
-// tc, when valid, is the request trace context the job runs under: the
-// worker records the queue wait as a child span and installs tc on the
-// session span buffer so analysis spans parent under the HTTP span.
-type job struct {
-	// fn is the job body; it executes only on the session worker
-	// goroutine, inside run's recover envelope.
-	fn   func()
-	done chan struct{} // nil for fire-and-forget jobs
-	tc   obs.TraceContext
-	enq  int64 // enqueue time on the session span clock
 }
 
 var (
@@ -65,126 +49,113 @@ var (
 	errSessionClosing = fmt.Errorf("session is closing")
 )
 
-// newSession builds a session around an existing runtime and environment
-// (created by the caller; ownership transfers to the worker goroutine the
-// moment run starts).
-func (srv *Server) newSession(id string, req sessionRequest, rt *visibility.Runtime, env *wire.Env, metrics *obs.Registry, spans *obs.Buffer) *session {
-	s := &session{
-		id:       id,
-		srv:      srv,
-		req:      req,
-		created:  time.Now(),
-		rt:       rt,
-		env:      env,
-		metrics:  metrics,
-		spans:    spans,
-		jobs:     make(chan job, srv.cfg.MaxQueue),
-		done:     make(chan struct{}),
-		lastUsed: time.Now(),
-	}
-	go s.run()
-	return s
+// failedError is the failure a request's own job latched; fail answers it
+// with the session's 409.
+type failedError struct {
+	s   *session
+	err error
 }
 
-// run is the worker loop: it drains jobs until the channel closes, then
-// releases the runtime. Every accepted job runs exactly once, even during
-// close, so sync callers never hang.
-func (s *session) run() {
-	defer close(s.done)
-	for j := range s.jobs {
-		if j.tc.Valid() {
-			// The time since enqueue is the queue-wait child of the HTTP
-			// span; the job's own spans (analysis phases) parent directly
-			// under the HTTP span via the installed context.
-			s.spans.Record("queue.wait", "queue", j.enq, s.spans.Now(), j.tc)
-			s.spans.SetContext(j.tc)
-		}
-		s.setRunning(true)
-		s.srv.rec.Log(recorder.KindJobStart, s.seq, 0)
-		s.exec(func() {
-			// Fault plane: an injected crash mid-job takes exactly the path
-			// a real kernel panic would — recovered by exec, latched as the
-			// session failure.
-			s.srv.cfg.Faults.Crash(fault.WorkerPanic, s.seq)
-			j.fn()
-		})
-		s.setRunning(false)
-		s.srv.rec.Log(recorder.KindJobDone, s.seq, 0)
-		if j.tc.Valid() {
-			s.spans.SetContext(obs.TraceContext{})
-		}
-		if j.done != nil {
-			close(j.done)
-		}
-		s.srv.jobDone()
-	}
-	s.exec(func() { s.rt.Close() })
-}
+func (e *failedError) Error() string { return e.err.Error() }
 
-// exec runs one job, converting a panic into a latched session failure —
-// one tenant's malformed computation must not take the process down.
-func (s *session) exec(fn func()) {
+// exec runs one job, converting a panic or a returned error into a latched
+// session failure — one tenant's malformed computation must not take the
+// process down. It returns the session's failure when the job failed.
+func (s *session) exec(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.latchFailure(fmt.Errorf("session worker: %v", r))
+			err = fmt.Errorf("session job: %v", r)
+		}
+		if err != nil {
+			err = s.latchFailure(err)
 		}
 	}()
-	fn()
+	return fn()
 }
 
-// enqueue admits one job to the session queue. The closing flag and the
-// send share the mutex with beginClose, so a send can never race the
-// close of the channel.
-func (s *session) enqueue(j job) error {
+// enter admits one request to the session: it waits for run behind at
+// most max others. The closing flag and the count share the mutex with
+// beginClose, so no request enters a session whose runtime is released.
+func (s *session) enter(max int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing {
 		return errSessionClosing
 	}
-	j.enq = s.spans.Now()
-	select {
-	case s.jobs <- j:
-		s.lastUsed = time.Now()
-		return nil
-	default:
+	if s.waiting >= max {
 		return errSessionBusy
 	}
+	s.waiting++
+	s.admitted++
+	s.lastUsed = time.Now()
+	return nil
 }
 
-// beginClose initiates shutdown: exactly one caller closes the channel,
-// under the same mutex enqueue sends under.
+// took records that an admitted request now holds run.
+func (s *session) took() {
+	s.mu.Lock()
+	s.waiting--
+	s.mu.Unlock()
+}
+
+// leave retires an admitted request, after its job and after run is
+// released. Finishing counts as use, so a job that outlasts IdleTimeout
+// does not leave its session expirable the moment it ends. The last
+// request to leave a closing session releases the runtime.
+func (s *session) leave() {
+	s.mu.Lock()
+	s.admitted--
+	s.lastUsed = time.Now()
+	last := s.closing && s.admitted == 0
+	s.mu.Unlock()
+	if last {
+		s.release()
+	}
+}
+
+// beginClose refuses every later request. Exactly one caller wins; when
+// no admitted request is left to do it, the winner releases the runtime.
 func (s *session) beginClose() bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closing {
-		return false
-	}
+	won, idle := !s.closing, s.admitted == 0
 	s.closing = true
-	close(s.jobs)
-	return true
+	s.mu.Unlock()
+	if won && idle {
+		s.release()
+	}
+	return won
 }
 
-// latchedFailure returns the first worker failure, if any.
+// release closes the runtime once no request can reach it, and signals done.
+func (s *session) release() {
+	s.run.Lock()
+	rt := s.rt
+	_ = s.exec(func() error { rt.Close(); return nil })
+	s.run.Unlock()
+	close(s.done)
+}
+
+// latchedFailure returns the first job failure, if any.
 func (s *session) latchedFailure() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.failure
 }
 
-// latchFailure records err as the session failure if none is latched yet;
-// the first latch triggers the server's failure reaction (flight-recorder
-// event and, when configured, a dump to disk). The whole reaction runs
-// under mu — evidence before signal: whoever learns of the failure, from
-// the journal or from a 409, and then reads the session finds its dump path
-// already set.
-func (s *session) latchFailure(err error) {
+// latchFailure records err as the session failure if none is latched yet
+// and returns the latched one as a failedError; the first latch triggers
+// the server's failure reaction (flight-recorder event and, when
+// configured, a dump to disk). The whole reaction runs under mu — evidence
+// before signal: whoever learns of the failure, from the journal or from a
+// 409, and then reads the session finds its dump path already set.
+func (s *session) latchFailure(err error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failure != nil {
-		return
+	if s.failure == nil {
+		s.failure = err
+		s.dumpPath = s.srv.sessionFailed(s.seq)
 	}
-	s.failure = err
-	s.dumpPath = s.srv.sessionFailed(s.seq)
+	return &failedError{s: s, err: s.failure}
 }
 
 // recorderDump returns the failure dump path, if one was written.
@@ -194,22 +165,10 @@ func (s *session) recorderDump() string {
 	return s.dumpPath
 }
 
-// setRunning marks the worker as holding a job (true) or done with it
-// (false). Finishing a job counts as use, so a job that outlasts
-// IdleTimeout does not leave its session expirable the moment it ends.
-func (s *session) setRunning(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running = on
-	if !on {
-		s.lastUsed = time.Now()
-	}
-}
-
-// idleSince reports when the session was last used and whether it has a
-// job queued or running, for the janitor.
+// idleSince reports when the session was last used and whether it has
+// admitted requests, for the janitor.
 func (s *session) idleSince() (time.Time, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastUsed, s.running || len(s.jobs) > 0
+	return s.lastUsed, s.admitted > 0
 }

@@ -129,11 +129,11 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// TestWorkerFailureRecorderDump injects a worker failure (declaring the
+// TestWorkerFailureRecorderDump injects a job failure (declaring the
 // same region twice) and checks the flight-recorder contract: the
-// failure is journaled, the window is dumped to RecorderDir, the next
-// submit's 409 body carries the recent events and the dump path, and the
-// dump file parses back.
+// failing submit and the next one answer 409, the failure is journaled,
+// the window is dumped to RecorderDir, the 409 body carries the recent
+// events and the dump path, and the dump file parses back.
 func TestWorkerFailureRecorderDump(t *testing.T) {
 	dir := t.TempDir()
 	srv := server.New(server.Config{IdleTimeout: -1, RecorderDir: dir})
@@ -154,13 +154,15 @@ func TestWorkerFailureRecorderDump(t *testing.T) {
 	if err := sess.Submit(wire.ExampleQuickstart()); err != nil {
 		t.Fatal(err)
 	}
-	// Same workload again: Apply rejects the duplicate region declaration
-	// on the worker, latching the session failure.
-	if err := sess.Submit(wire.ExampleQuickstart()); err != nil {
-		t.Fatal(err)
+	// Same workload again: Apply rejects the duplicate region declaration,
+	// latching the session failure, and the request answers with the 409.
+	if err := sess.Submit(wire.ExampleQuickstart()); err == nil {
+		t.Fatal("duplicate declaration accepted")
+	} else if se, ok := err.(*client.StatusError); !ok || se.Code != http.StatusConflict {
+		t.Fatalf("duplicate declaration error = %v, want 409", err)
 	}
 
-	// The failure lands asynchronously; the journal shows it.
+	// The journal shows the failure.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		events, err := c.DebugRecorder(0)

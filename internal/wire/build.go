@@ -12,9 +12,10 @@ import (
 // no region declarations can launch against regions declared earlier (or
 // restored from a checkpoint).
 //
-// Env is not safe for concurrent use: like the Runtime it wraps, it belongs
-// to one goroutine (in the analysis service, the session worker), and the
-// exported methods are that owner's entry points.
+// Env is not safe for concurrent use: like the Runtime it wraps, it is
+// driven by one goroutine at a time (in the analysis service, the request
+// holding the session lock), and the exported methods are that owner's
+// entry points.
 type Env struct {
 	rt    *visibility.Runtime
 	names scope

@@ -165,12 +165,15 @@ type Config struct {
 
 // Runtime is an implicitly parallel runtime instance. Create regions and
 // partitions first, then launch tasks; the first launch freezes the
-// initial region contents. A Runtime's methods must be called from a
-// single goroutine (task kernels themselves run in parallel).
+// initial region contents. A Runtime's methods must be called from one
+// goroutine at a time (task kernels themselves run in parallel).
 // A Runtime and everything it creates (regions, partitions, futures,
-// snapshots) belong to the goroutine that drives it: the single-goroutine
-// rule of dynamic dependence analysis (§3.2). The exported methods are
-// the owner's entry points; none of the state below carries a lock.
+// snapshots) belong to whichever goroutine drives it, one launch after
+// another in program order: the single-goroutine rule of dynamic
+// dependence analysis (§3.2). A caller that hands the Runtime between
+// goroutines orders the hand-offs itself, as the analysis service does
+// with a per-session mutex. The exported methods are the owner's entry
+// points; none of the state below carries a lock.
 type Runtime struct {
 	cfg     Config
 	regions []*Region
