@@ -10,6 +10,8 @@
 package apps
 
 import (
+	"strconv"
+
 	"visibility/internal/cluster"
 	"visibility/internal/core"
 	"visibility/internal/region"
@@ -49,3 +51,13 @@ type Instance struct {
 
 // Builder constructs an application instance for a node count.
 type Builder func(nodes int) *Instance
+
+// Names returns the task names kind[0], …, kind[n-1]. An app builds its
+// names once, in its Builder, so that Emit launches without formatting.
+func Names(kind string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = kind + "[" + strconv.Itoa(i) + "]"
+	}
+	return names
+}

@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"runtime"
 	"testing"
 
 	"visibility/internal/apps"
@@ -9,6 +10,7 @@ import (
 	"visibility/internal/apps/stencil"
 	"visibility/internal/core"
 	"visibility/internal/index"
+	"visibility/internal/obs"
 )
 
 var builders = []struct {
@@ -180,6 +182,60 @@ func TestCircuitDeterministic(t *testing.T) {
 	for i, sub := range a.Tree.Root.Partitions[3].Subregions {
 		if !sub.Space.Equal(b.Tree.Root.Partitions[3].Subregions[i].Space) {
 			t.Fatalf("ghost piece %d differs between builds", i)
+		}
+	}
+}
+
+// TestSteadyEmitAllocations pins what a steady Emit step allocates at 16
+// nodes: its launches slice (pennant also allocates its calc_dt futures
+// and the folded-dt future the next cycle's calc_forces tasks share) and
+// nothing per launch — task names are built once by the Builder, and the
+// stream carves each task and its requirements from chunks, so over the
+// window it may refill each chunk once per chunk of slots it hands out.
+// Formatting each name and allocating each task and requirement list took
+// about 3 allocations per launch.
+func TestSteadyEmitAllocations(t *testing.T) {
+	const steps = 40
+	// As testing.AllocsPerRun does, measure on one P, so that no other
+	// goroutine's allocations land in a window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, b := range builders {
+		perStep := int64(1)
+		if b.name == "pennant" {
+			perStep = 3
+		}
+		inst := b.build(16)
+		stream := core.NewStream(inst.Tree)
+		stream.Tasks = make([]*core.Task, 0, 4096) // no growth inside the window
+		if inst.EmitInit != nil {
+			inst.EmitInit(stream)
+		}
+		for step := 0; step < 10; step++ { // until the stream's slabs are full length
+			inst.Emit(stream, step)
+		}
+		tasks := len(stream.Tasks)
+		runtime.GC() // the process's first collection allocates its workers
+		before := obs.ReadAllocs()
+		for step := 10; step < 10+steps; step++ {
+			inst.Emit(stream, step)
+		}
+		allocs, _ := obs.ReadAllocs().Since(before)
+		if cap(stream.Tasks) != 4096 {
+			t.Fatalf("%s: the stream outgrew its task list; the window measures its growth", b.name)
+		}
+		var reqs, widest int
+		for _, tk := range stream.Tasks[tasks:] {
+			reqs, widest = reqs+len(tk.Reqs), max(widest, len(tk.Reqs))
+		}
+		tasks = len(stream.Tasks) - tasks
+		// A requirement chunk is refilled once it has fewer slots left
+		// than the next task needs, so it holds at least ChunkLen-widest+1.
+		refills := int64(tasks/core.ChunkLen + 1 + reqs/(core.ChunkLen-widest+1) + 1)
+		if limit := steps*perStep + refills; allocs > limit {
+			t.Errorf("%s: %d steady Emit steps (%d launches) allocate %d times, want at most %d (%d per step and %d chunk refills)",
+				b.name, steps, tasks, allocs, limit, perStep, refills)
+		} else {
+			t.Logf("%s: %d allocations over %d steps (%d launches)", b.name, allocs, steps, tasks)
 		}
 	}
 }

@@ -7,7 +7,6 @@
 package circuit
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -99,6 +98,14 @@ func New(nodes int) *apps.Instance {
 	pw := tree.Root.Partition("PW", wirePieces)
 	gn := tree.Root.Partition("GN", ghostPieces)
 
+	// Task names, formatted once rather than per launch.
+	initNodesNames := apps.Names("init_nodes", nodes)
+	initWiresNames := apps.Names("init_wires", nodes)
+	initLocatorNames := apps.Names("init_locator", nodes)
+	calcNewCurrentsNames := apps.Names("calc_new_currents", nodes)
+	distributeChargeNames := apps.Names("distribute_charge", nodes)
+	updateVoltagesNames := apps.Names("update_voltages", nodes)
+
 	inst := &apps.Instance{
 		Name:         "circuit",
 		Tree:         tree,
@@ -111,11 +118,11 @@ func New(nodes int) *apps.Instance {
 		// the Legion circuit's init_pieces tasks do.
 		launches := make([]apps.Launch, 0, 3*nodes)
 		for i := 0; i < nodes; i++ {
-			tn := s.Launch(fmt.Sprintf("init_nodes[%d]", i),
+			tn := s.Launch(initNodesNames[i],
 				core.Req{Region: pn.Subregions[i], Field: fVolt, Priv: privilege.Writes()},
 				core.Req{Region: pn.Subregions[i], Field: fCharge, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: tn, Node: i, Duration: uvSeconds})
-			tw := s.Launch(fmt.Sprintf("init_wires[%d]", i),
+			tw := s.Launch(initWiresNames[i],
 				core.Req{Region: pw.Subregions[i], Field: fCur, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: tw, Node: i, Duration: uvSeconds})
 		}
@@ -123,7 +130,7 @@ func New(nodes int) *apps.Instance {
 		// first ghost-region uses, after all pieces are loaded, as in
 		// Legion circuit's load phase.
 		for i := 0; i < nodes; i++ {
-			tl := s.Launch(fmt.Sprintf("init_locator[%d]", i),
+			tl := s.Launch(initLocatorNames[i],
 				core.Req{Region: pn.Subregions[i], Field: fVolt, Priv: privilege.Reads()},
 				core.Req{Region: gn.Subregions[i], Field: fVolt, Priv: privilege.Reads()})
 			launches = append(launches, apps.Launch{Task: tl, Node: i, Duration: uvSeconds})
@@ -133,21 +140,21 @@ func New(nodes int) *apps.Instance {
 	inst.Emit = func(s *core.Stream, iter int) []apps.Launch {
 		launches := make([]apps.Launch, 0, 3*nodes)
 		for i := 0; i < nodes; i++ {
-			cnc := s.Launch(fmt.Sprintf("calc_new_currents[%d]", i),
+			cnc := s.Launch(calcNewCurrentsNames[i],
 				core.Req{Region: pn.Subregions[i], Field: fVolt, Priv: privilege.Reads()},
 				core.Req{Region: gn.Subregions[i], Field: fVolt, Priv: privilege.Reads()},
 				core.Req{Region: pw.Subregions[i], Field: fCur, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: cnc, Node: i, Duration: cncSeconds})
 		}
 		for i := 0; i < nodes; i++ {
-			dc := s.Launch(fmt.Sprintf("distribute_charge[%d]", i),
+			dc := s.Launch(distributeChargeNames[i],
 				core.Req{Region: pw.Subregions[i], Field: fCur, Priv: privilege.Reads()},
 				core.Req{Region: pn.Subregions[i], Field: fCharge, Priv: privilege.Reduces(privilege.OpSum)},
 				core.Req{Region: gn.Subregions[i], Field: fCharge, Priv: privilege.Reduces(privilege.OpSum)})
 			launches = append(launches, apps.Launch{Task: dc, Node: i, Duration: dcSeconds})
 		}
 		for i := 0; i < nodes; i++ {
-			uv := s.Launch(fmt.Sprintf("update_voltages[%d]", i),
+			uv := s.Launch(updateVoltagesNames[i],
 				core.Req{Region: pn.Subregions[i], Field: fVolt, Priv: privilege.Writes()},
 				core.Req{Region: pn.Subregions[i], Field: fCharge, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: uv, Node: i, Duration: uvSeconds})

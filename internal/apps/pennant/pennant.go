@@ -8,8 +8,6 @@
 package pennant
 
 import (
-	"fmt"
-
 	"visibility/internal/apps"
 	"visibility/internal/core"
 	"visibility/internal/field"
@@ -97,6 +95,15 @@ func New(nodes int) *apps.Instance {
 	dt := tree.Root.Partition("DT", []index.Space{index.FromPoints(1, ctrl)})
 	dtReg := dt.Subregions[0]
 
+	// Task names, formatted once rather than per launch.
+	initZonesNames := apps.Names("init_zones", nodes)
+	initPointsNames := apps.Names("init_points", nodes)
+	calcForcesNames := apps.Names("calc_forces", nodes)
+	applyForcesNames := apps.Names("apply_forces", nodes)
+	advZonesNames := apps.Names("adv_zones", nodes)
+	eosNames := apps.Names("eos", nodes)
+	calcDtNames := apps.Names("calc_dt", nodes)
+
 	inst := &apps.Instance{
 		Name:         "pennant",
 		Tree:         tree,
@@ -104,18 +111,19 @@ func New(nodes int) *apps.Instance {
 		UnitsPerNode: modelZonesPerNode,
 		UnitName:     "zones",
 	}
-	// lastFold carries the previous cycle's dt future across Emit calls.
-	lastFold := -1
+	// lastFold carries the previous cycle's dt future across Emit calls,
+	// as the one future every calc_forces task of the next cycle shares.
+	var lastFold []int
 	inst.EmitInit = func(s *core.Stream) []apps.Launch {
 		// Mesh setup: per-piece zone and point state, then the initial
 		// global timestep on node 0.
 		launches := make([]apps.Launch, 0, 2*nodes+1)
 		for i := 0; i < nodes; i++ {
-			tz := s.Launch(fmt.Sprintf("init_zones[%d]", i),
+			tz := s.Launch(initZonesNames[i],
 				core.Req{Region: pz.Subregions[i], Field: fZR, Priv: privilege.Writes()},
 				core.Req{Region: pz.Subregions[i], Field: fZP, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: tz, Node: i, Duration: eosSeconds})
-			tp := s.Launch(fmt.Sprintf("init_points[%d]", i),
+			tp := s.Launch(initPointsNames[i],
 				core.Req{Region: pp.Subregions[i], Field: fPF, Priv: privilege.Writes()},
 				core.Req{Region: pp.Subregions[i], Field: fPU, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: tp, Node: i, Duration: afSeconds})
@@ -127,29 +135,27 @@ func New(nodes int) *apps.Instance {
 		return launches
 	}
 	inst.Emit = func(s *core.Stream, iter int) []apps.Launch {
-		launches := make([]apps.Launch, 0, 5*nodes)
+		launches := make([]apps.Launch, 0, 5*nodes+1)
 		// Phase 1: gather corner forces; reductions reach ghost points. The
 		// current timestep arrives as last cycle's folded future.
 		for i := 0; i < nodes; i++ {
-			cfz := s.Launch(fmt.Sprintf("calc_forces[%d]", i),
+			cfz := s.Launch(calcForcesNames[i],
 				core.Req{Region: pz.Subregions[i], Field: fZP, Priv: privilege.Reads()},
 				core.Req{Region: pp.Subregions[i], Field: fPF, Priv: privilege.Reduces(privilege.OpSum)},
 				core.Req{Region: gp.Subregions[i], Field: fPF, Priv: privilege.Reduces(privilege.OpSum)})
-			if lastFold >= 0 {
-				cfz.FutureDeps = []int{lastFold}
-			}
+			cfz.FutureDeps = lastFold
 			launches = append(launches, apps.Launch{Task: cfz, Node: i, Duration: cfzSeconds})
 		}
 		// Phase 2: apply forces to points.
 		for i := 0; i < nodes; i++ {
-			af := s.Launch(fmt.Sprintf("apply_forces[%d]", i),
+			af := s.Launch(applyForcesNames[i],
 				core.Req{Region: pp.Subregions[i], Field: fPU, Priv: privilege.Writes()},
 				core.Req{Region: pp.Subregions[i], Field: fPF, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: af, Node: i, Duration: afSeconds})
 		}
 		// Phase 3: advance zones from point velocities (incl. ghosts).
 		for i := 0; i < nodes; i++ {
-			az := s.Launch(fmt.Sprintf("adv_zones[%d]", i),
+			az := s.Launch(advZonesNames[i],
 				core.Req{Region: pz.Subregions[i], Field: fZR, Priv: privilege.Writes()},
 				core.Req{Region: pp.Subregions[i], Field: fPU, Priv: privilege.Reads()},
 				core.Req{Region: gp.Subregions[i], Field: fPU, Priv: privilege.Reads()})
@@ -157,7 +163,7 @@ func New(nodes int) *apps.Instance {
 		}
 		// Phase 4: equation of state.
 		for i := 0; i < nodes; i++ {
-			eos := s.Launch(fmt.Sprintf("eos[%d]", i),
+			eos := s.Launch(eosNames[i],
 				core.Req{Region: pz.Subregions[i], Field: fZP, Priv: privilege.Writes()},
 				core.Req{Region: pz.Subregions[i], Field: fZR, Priv: privilege.Reads()})
 			launches = append(launches, apps.Launch{Task: eos, Node: i, Duration: eosSeconds})
@@ -165,7 +171,7 @@ func New(nodes int) *apps.Instance {
 		// Phase 5: per-piece timestep proposals, each returned as a future.
 		cdtIDs := make([]int, 0, nodes)
 		for i := 0; i < nodes; i++ {
-			cdt := s.Launch(fmt.Sprintf("calc_dt[%d]", i),
+			cdt := s.Launch(calcDtNames[i],
 				core.Req{Region: pz.Subregions[i], Field: fZR, Priv: privilege.Reads()})
 			cdtIDs = append(cdtIDs, cdt.ID)
 			launches = append(launches, apps.Launch{Task: cdt, Node: i, Duration: cdtSeconds})
@@ -175,7 +181,7 @@ func New(nodes int) *apps.Instance {
 		fold := s.Launch("fold_dt",
 			core.Req{Region: dtReg, Field: fDT, Priv: privilege.Writes()})
 		fold.FutureDeps = cdtIDs
-		lastFold = fold.ID
+		lastFold = []int{fold.ID}
 		launches = append(launches, apps.Launch{Task: fold, Node: 0, Duration: 1e-5})
 		return launches
 	}

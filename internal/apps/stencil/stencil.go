@@ -7,8 +7,6 @@
 package stencil
 
 import (
-	"fmt"
-
 	"visibility/internal/apps"
 	"visibility/internal/core"
 	"visibility/internal/field"
@@ -75,6 +73,11 @@ func New(nodes int) *apps.Instance {
 	owned := tree.Root.Partition("P", pieces)
 	ghost := tree.Root.Partition("G", halos)
 
+	// Task names, formatted once rather than per launch.
+	initNames := apps.Names("init", nodes)
+	stencilNames := apps.Names("stencil", nodes)
+	incNames := apps.Names("inc", nodes)
+
 	inst := &apps.Instance{
 		Name:         "stencil",
 		Tree:         tree,
@@ -88,7 +91,7 @@ func New(nodes int) *apps.Instance {
 		launches := make([]apps.Launch, 0, 2*nodes)
 		for i := 0; i < nodes; i++ {
 			for _, f := range []field.ID{fin, fout} {
-				t := s.Launch(fmt.Sprintf("init[%d]", i),
+				t := s.Launch(initNames[i],
 					core.Req{Region: owned.Subregions[i], Field: f, Priv: privilege.Writes()})
 				launches = append(launches, apps.Launch{Task: t, Node: i, Duration: incSeconds})
 			}
@@ -98,14 +101,14 @@ func New(nodes int) *apps.Instance {
 	inst.Emit = func(s *core.Stream, iter int) []apps.Launch {
 		launches := make([]apps.Launch, 0, 2*nodes)
 		for i := 0; i < nodes; i++ {
-			st := s.Launch(fmt.Sprintf("stencil[%d]", i),
+			st := s.Launch(stencilNames[i],
 				core.Req{Region: owned.Subregions[i], Field: fin, Priv: privilege.Reads()},
 				core.Req{Region: ghost.Subregions[i], Field: fin, Priv: privilege.Reads()},
 				core.Req{Region: owned.Subregions[i], Field: fout, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: st, Node: i, Duration: stencilSeconds})
 		}
 		for i := 0; i < nodes; i++ {
-			inc := s.Launch(fmt.Sprintf("inc[%d]", i),
+			inc := s.Launch(incNames[i],
 				core.Req{Region: owned.Subregions[i], Field: fin, Priv: privilege.Writes()})
 			launches = append(launches, apps.Launch{Task: inc, Node: i, Duration: incSeconds})
 		}

@@ -167,7 +167,6 @@ type Machine struct {
 	metrics  *obs.Registry
 	messages *obs.Counter
 	bytes    *obs.Counter
-	msgSize  *obs.Histogram
 
 	// rec, when non-nil, journals every scheduled slice and message for
 	// trace export (EnableTracing).
@@ -212,7 +211,6 @@ func New(cfg Config) *Machine {
 		metrics:  reg,
 		messages: reg.NewCounter("cluster/messages"),
 		bytes:    reg.NewCounter("cluster/message_bytes"),
-		msgSize:  reg.NewHistogram("cluster/message_size", 64, 256, 1024, 4096, 16384, 65536, 1<<20),
 	}
 }
 
@@ -255,12 +253,14 @@ func (m *Machine) checkNode(node int) {
 	}
 }
 
-func (m *Machine) schedule(node int, util bool, name string, dur Time, deps []Ref) Ref {
+// schedule places dur seconds on one of node's processors at the earliest
+// free slot at or after ready.
+func (m *Machine) schedule(node int, util bool, name string, dur, ready Time) Ref {
 	p := &m.exec[node]
 	if util {
 		p = &m.util[node]
 	}
-	start := p.place(m.depsReady(deps), dur)
+	start := p.place(ready, dur)
 	if m.rec != nil {
 		m.rec.ops = append(m.rec.ops, opRecord{node: node, util: util, name: name, start: start, dur: dur})
 	}
@@ -270,8 +270,7 @@ func (m *Machine) schedule(node int, util bool, name string, dur Time, deps []Re
 // pageSize is the number of completion times per page of Machine.done.
 const pageSize = 1 << 12
 
-// afterTime records an op completing at t and returns its Ref; called on
-// its own, it makes a pseudo-op.
+// afterTime records an op completing at t and returns its Ref.
 func (m *Machine) afterTime(t Time) Ref {
 	if m.ops%pageSize == 0 {
 		m.done = append(m.done, make([]Time, pageSize))
@@ -293,7 +292,7 @@ func (m *Machine) Exec(node int, dur Time, deps ...Ref) Ref {
 // ExecNamed is Exec with a label for the exported trace.
 func (m *Machine) ExecNamed(node int, name string, dur Time, deps ...Ref) Ref {
 	m.checkNode(node)
-	return m.schedule(node, false, name, dur, deps)
+	return m.schedule(node, false, name, dur, m.depsReady(deps))
 }
 
 // Util schedules dur seconds of runtime (analysis) work on node's utility
@@ -305,7 +304,7 @@ func (m *Machine) Util(node int, dur Time, deps ...Ref) Ref {
 // UtilNamed is Util with a label for the exported trace.
 func (m *Machine) UtilNamed(node int, name string, dur Time, deps ...Ref) Ref {
 	m.checkNode(node)
-	return m.schedule(node, true, name, dur, deps)
+	return m.schedule(node, true, name, dur, m.depsReady(deps))
 }
 
 // Message schedules a message of size bytes from one node to another,
@@ -318,17 +317,15 @@ func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 	sent := m.UtilNamed(from, "send", sendOverhead, deps...)
 	m.messages.Inc()
 	m.bytes.Add(bytes)
-	m.msgSize.Observe(bytes)
 	wire := Time(0)
 	if from != to {
 		wire = messageLatency + float64(bytes)/bandwidth
 	}
 	// Receive processing occupies the destination's utility processor
 	// after the wire delivers.
-	recv := m.schedule(to, true, "recv", receiveOverhead, []Ref{m.afterTime(m.at(sent) + wire)})
+	recv := m.schedule(to, true, "recv", receiveOverhead, m.at(sent)+wire)
 	if m.rec != nil {
-		// The send and receive are the last two slices journaled:
-		// afterTime journals none.
+		// The send and receive are the last two slices journaled.
 		n := len(m.rec.ops)
 		m.rec.msgs = append(m.rec.msgs, msgRecord{bytes: bytes, send: n - 2, recv: n - 1})
 	}
@@ -374,9 +371,6 @@ func (m *Machine) UtilBusy(node int) Time {
 // Messages returns the number of messages and total bytes sent (thin
 // reads over the registry counters).
 func (m *Machine) Messages() (int64, int64) { return m.messages.Load(), m.bytes.Load() }
-
-// Ops returns the number of scheduled operations.
-func (m *Machine) Ops() int { return m.ops }
 
 // virtualNs converts virtual seconds to integer nanoseconds, the
 // timestamp unit of the trace exporter. Rounding through math.Round makes

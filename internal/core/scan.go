@@ -13,7 +13,7 @@ import (
 // a requirement its own way, then hands each one to Entry.
 //
 // An analyzer owns one Scan and starts it for every launch; Result copies
-// out what the caller keeps.
+// out what the caller keeps into windows carved from the Scan's chunks.
 type Scan struct {
 	// stats is the analyzer's counter block.
 	stats *Stats
@@ -25,6 +25,13 @@ type Scan struct {
 	vis   []Visible
 	plans []bounds
 	ri    int // the requirement being materialized
+
+	// Result's chunks: the Results, their deps, plan headers and plan
+	// entries.
+	results  Chunk[Result]
+	depsOut  Chunk[int]
+	plansOut Chunk[[]Visible]
+	visOut   Chunk[Visible]
 }
 
 type bounds struct{ lo, hi int }
@@ -62,11 +69,14 @@ func (s *Scan) Entry(e Entry, pts index.Space) {
 func (s *Scan) Plan() []Visible { return s.vis[s.plans[s.ri].lo:] }
 
 // Result closes the scan, copying what it collected into a Result the
-// caller owns: its deps, and one array under every plan, each plan's
-// capacity clipped so that an append to one copies.
+// caller owns: its deps, and one array under every plan. Each is a window
+// of the Scan's chunks with its capacity clipped, so an append to one
+// copies.
 func (s *Scan) Result() *Result {
-	res := &Result{Deps: slices.Clone(DedupDeps(s.deps)), Plans: make([][]Visible, len(s.plans))}
-	vis := slices.Clone(s.vis)
+	res := s.results.New()
+	res.Deps = s.depsOut.Clone(DedupDeps(s.deps))
+	res.Plans = s.plansOut.Take(len(s.plans))
+	vis := s.visOut.Clone(s.vis)
 	for ri, b := range s.plans {
 		if b.lo < b.hi {
 			res.Plans[ri] = vis[b.lo:b.hi:b.hi]

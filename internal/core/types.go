@@ -66,14 +66,22 @@ func (t *Task) String() string { return fmt.Sprintf("%s#%d", t.Name, t.ID) }
 type Stream struct {
 	Tree  *region.Tree
 	Tasks []*Task
+
+	// Launch's chunks: the stream keeps every task it launches, so no
+	// window is wasted.
+	tasks Chunk[Task]
+	reqs  Chunk[Req]
 }
 
 // NewStream creates an empty stream for tree.
 func NewStream(tree *region.Tree) *Stream { return &Stream{Tree: tree} }
 
-// Launch appends a task with the given requirements and returns it.
+// Launch appends a task with the given requirements and returns it. The
+// task and a copy of reqs are carved from the stream's chunks, so the
+// caller may reuse reqs, and an append to the task's Reqs copies.
 func (s *Stream) Launch(name string, reqs ...Req) *Task {
-	t := &Task{ID: len(s.Tasks), Name: name, Reqs: reqs}
+	t := s.tasks.New()
+	t.ID, t.Name, t.Reqs = len(s.Tasks), name, s.reqs.Clone(reqs)
 	s.Tasks = append(s.Tasks, t)
 	return t
 }

@@ -124,15 +124,6 @@ func Root[X any](pts index.Space) *Set[X] {
 	return &Set[X]{G: &Node{Pts: pts}, Hist: []Entry{{Task: core.InitialTask, Priv: privilege.Writes()}}}
 }
 
-// Chunk lengths: the kernel allocates the sets and history arrays a steady
-// launch creates this many at a time, carving each from its current chunk.
-// Carves are never recycled — a dead set may still sit in a memo or in a
-// launch's insides — so a chunk lives until nothing points into it.
-const (
-	setChunk  = 64
-	histChunk = 256
-)
-
 // Kernel drives one Store. It runs on exactly one goroutine (the submit
 // side, §3.2) and mutates its state with no lock.
 type Kernel[X any] struct {
@@ -147,9 +138,11 @@ type Kernel[X any] struct {
 	sets    []*Set[X]
 	insides [][]*Set[X]
 
-	// The rest of the current chunks (see setChunk).
-	setPool  []Set[X]
-	histPool []Entry
+	// The sets and history arrays a steady launch creates are carved
+	// from chunks (core.Chunk): a dead set may still sit in a memo or in
+	// a launch's insides, and a carve is never recycled.
+	setChunk  core.Chunk[Set[X]]
+	histChunk core.Chunk[Entry]
 }
 
 // New creates the kernel of the analyzer called name over store.
@@ -167,28 +160,17 @@ func (k *Kernel[X]) Owner(n *Node) int {
 }
 
 // NewSet returns a set wearing g with history hist, placed at at, carved
-// from the kernel's current chunk of sets.
+// from the kernel's chunk of sets.
 func (k *Kernel[X]) NewSet(g *Node, hist []Entry, at X) *Set[X] {
-	if len(k.setPool) == 0 {
-		k.setPool = make([]Set[X], setChunk)
-	}
-	s := &k.setPool[0] // zero: a carve is never reused
-	k.setPool = k.setPool[1:]
+	s := k.setChunk.New()
 	s.G, s.Hist, s.At = g, hist, at
 	return s
 }
 
 // carve returns an empty history array of capacity n from the kernel's
-// current chunk, clipped so that an append past n copies instead of
+// chunk of entries, clipped so that an append past n copies instead of
 // running into the next carve.
-func (k *Kernel[X]) carve(n int) []Entry {
-	if len(k.histPool) < n {
-		k.histPool = make([]Entry, max(histChunk, n))
-	}
-	h := k.histPool[:0:n]
-	k.histPool = k.histPool[n:]
-	return h
-}
+func (k *Kernel[X]) carve(n int) []Entry { return k.histChunk.Take(n)[:0] }
 
 // Append records e in s's history, first copying the history into an
 // array of its own if s does not own one (see Set.Hist).

@@ -16,14 +16,15 @@ import (
 // creates wear interned geometry, so from the second iteration on it does
 // no set algebra at all; it borrows its scratch from the analyzer, and the
 // kernel carves the sets it creates and the histories their first appends
-// copy from chunks, so what remains is the Result the caller keeps (four
-// allocations) and a chunk refill now and then. Two windows are measured.
+// copy from chunks, as the scan does the Result the caller keeps, so what
+// remains is a chunk refill now and then. Two windows are measured.
 // Iterations 1–3 include the one that cuts the coalesced sets for the
 // first time and pays for the sweeps and the nodes: a plain build takes
-// 13 and the bound is 16; the race detector makes sync.Pool drop buffers
-// at random, which takes that to about 18, so there the bound is 24.
-// Iterations 2–4 are steady only and bounded at 5, so a set or a history
-// array allocated on its own (18 per launch before the chunks) fails it.
+// 9.5 and the bound is 12; the race detector makes sync.Pool drop buffers
+// at random, which takes that to about 14.5, so there the bound is 20.
+// Iterations 2–4 are steady only: a plain build takes 0.2 and the bound
+// is 1, so a Result allocated on its own (four per launch before its
+// chunks) fails it, as does a set or a history array (18 per launch).
 // Re-sweeping every iteration took 66 allocations per launch and the
 // pairwise rectangle algebra before that 2,160, and building the scratch
 // from nil every launch 56.
@@ -44,14 +45,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 		allocs[iter], _ = obs.ReadAllocs().Since(before)
 		launches[iter] = int64(len(batch))
 	}
-	limit := 16.0
+	limit := 12.0
 	if testutil.RaceEnabled() {
-		limit = 24
+		limit = 20
 	}
 	for _, w := range []struct {
 		first, last int
 		limit       float64
-	}{{1, 3, limit}, {2, 4, 5}} {
+	}{{1, 3, limit}, {2, 4, 1}} {
 		var n, l int64
 		for iter := w.first; iter <= w.last; iter++ {
 			n += allocs[iter]

@@ -200,3 +200,91 @@ func TestCrashedJobAnswers409(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedSessionAnswers409: once a session's job has crashed, every
+// route that would run a job answers the session's 409 without running
+// it — no job_start is journaled for them — so no query reads, and no
+// checkpoint exports, the half-built state the crash left behind.
+func TestFailedSessionAnswers409(t *testing.T) {
+	inj, err := fault.NewFromString("seed=1;server.worker.panic=every=1,max=1,arg=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{IdleTimeout: -1, RecorderDir: t.TempDir(), Faults: inj})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer func() {
+		if err := srv.Shutdown(t.Context()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	sess, err := client.New(hs.URL).CreateSession(client.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Submit(wire.ExampleGraphsim(1)); err == nil {
+		t.Fatal("the crashed workload was accepted")
+	}
+	jobStarts := func() int {
+		resp, err := http.Get(hs.URL + "/debug/recorder?n=100000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Events []struct {
+				Kind string `json:"kind"`
+				A    int64  `json:"a"`
+			} `json:"events"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range body.Events {
+			if e.Kind == "job_start" && e.A == 1 {
+				n++
+			}
+		}
+		return n
+	}
+	if n := jobStarts(); n != 1 {
+		t.Fatalf("%d job_start events for the session after its crash, want 1", n)
+	}
+	var wl bytes.Buffer
+	if err := wire.Encode(&wl, wire.ExampleQuickstart()); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct{ method, path string }{
+		{"GET", "checkpoint"},
+		{"GET", "metrics"},
+		{"GET", "snapshot?region=N&field=up"},
+		{"GET", "graph?region=N"},
+		{"GET", "critpath"},
+		{"GET", "critpath?format=dot"},
+		{"GET", "explain?task=0"},
+		{"POST", "workloads"},
+	} {
+		req, err := http.NewRequest(ep.method, hs.URL+"/v1/sessions/"+sess.ID+"/"+ep.path, bytes.NewReader(wl.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Error string `json:"error"`
+			Dump  string `json:"recorder_dump"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusConflict || !strings.Contains(got.Error, "session failed") || got.Dump == "" {
+			t.Errorf("%s %s on a failed session: status %d %q, dump %q (%v), want the session's 409 with its dump path",
+				ep.method, ep.path, resp.StatusCode, got.Error, got.Dump, err)
+		}
+	}
+	if n := jobStarts(); n != 1 {
+		t.Errorf("%d job_start events for the session after the queries, want 1: a failed session ran a job", n)
+	}
+}

@@ -309,10 +309,6 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	if err := s.latchedFailure(); err != nil {
-		srv.failConflict(w, s, err)
-		return
-	}
 	wl, err := wire.DecodeSized(http.MaxBytesReader(w, r.Body, maxWorkloadBody), r.ContentLength)
 	if err != nil {
 		srv.fail(w, err)

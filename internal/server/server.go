@@ -341,7 +341,8 @@ const (
 // is the queue.wait child of the HTTP span, and the job's own spans parent
 // under the HTTP span — and runs fn on the runtime and environment inside
 // the recover envelope. A panic or an error from fn latches as the session
-// failure, and do returns it as a *failedError.
+// failure, and do returns it as a *failedError — to every later request
+// too, without running its fn.
 func (srv *Server) do(s *session, tc obs.TraceContext, fn func(rt *visibility.Runtime, env *wire.Env) error) error {
 	if err := srv.admit(); err != nil {
 		srv.rejected.Inc()
@@ -369,6 +370,9 @@ func (srv *Server) do(s *session, tc obs.TraceContext, fn func(rt *visibility.Ru
 		s.spans.Record("queue.wait", "queue", enq, s.spans.Now(), tc)
 		s.spans.SetContext(tc)
 		defer s.spans.SetContext(obs.TraceContext{})
+	}
+	if err := s.latchedFailure(); err != nil {
+		return &failedError{s: s, err: err}
 	}
 	srv.rec.Log(recorder.KindJobStart, s.seq, 0)
 	defer srv.rec.Log(recorder.KindJobDone, s.seq, 0)

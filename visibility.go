@@ -179,6 +179,9 @@ type Runtime struct {
 	regions []*Region
 	// registered tracks computed-metric prefixes claimed on cfg.Metrics.
 	registered map[string]bool
+	// reqs is Launch's scratch: the stream keeps a copy of a task's
+	// requirements.
+	reqs []core.Req
 }
 
 // New creates a runtime.
@@ -531,14 +534,14 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 	ts := spec.Accesses[0].Region.tree
 	rt.freeze(ts)
 
-	reqs := make([]core.Req, len(spec.Accesses))
-	for i, a := range spec.Accesses {
+	rt.reqs = rt.reqs[:0]
+	for _, a := range spec.Accesses {
 		if a.Region.tree != ts {
 			panic("visibility: all accesses of one task must target the same region tree")
 		}
-		reqs[i] = core.Req{Region: a.Region.reg, Field: a.Region.fieldID(a.Field), Priv: a.priv}
+		rt.reqs = append(rt.reqs, core.Req{Region: a.Region.reg, Field: a.Region.fieldID(a.Field), Priv: a.priv})
 	}
-	t := ts.stream.Launch(spec.Name, reqs...)
+	t := ts.stream.Launch(spec.Name, rt.reqs...)
 	for _, f := range spec.After {
 		t.FutureDeps = append(t.FutureDeps, f.taskID)
 	}
