@@ -146,8 +146,9 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 
 // MustPrecede reports whether every legal execution of the tree
 // containing r runs task a before task b — a is a transitive dependence
-// ancestor of b. Each query is a backward search from b over the
-// discovered graph that stops at a.
+// ancestor of b. A b whose smallest ancestor, fixed at launch, is above a
+// answers at once; otherwise the query searches back from b over the
+// discovered graph and stops at a.
 func (rt *Runtime) MustPrecede(r *Region, a, b int) bool {
 	return r.tree.graph.MustPrecede(a, b)
 }

@@ -18,6 +18,7 @@ type Label struct {
 	Weight float64
 	Finish float64 // earliest finish: the latest predecessor finish plus Weight
 	Pred   int     // critical predecessor: the smallest ID with that finish; -1 at a root
+	Low    int     // the smallest ancestor ID; the task's own at a root
 }
 
 // Graph is a dependence graph kept online: Rows[i] lists task i's direct
@@ -38,11 +39,12 @@ type Graph struct {
 // Add appends the next task, of weight w, whose dependence row is row:
 // ascending IDs of tasks already added. The graph keeps row.
 func (g *Graph) Add(w float64, row []int) {
-	l := Label{Weight: w, Pred: -1}
+	l := Label{Weight: w, Pred: -1, Low: len(g.Labels)}
 	for _, p := range row {
 		if f := g.Labels[p].Finish; f > l.Finish {
 			l.Finish, l.Pred = f, p
 		}
+		l.Low = min(l.Low, p, g.Labels[p].Low)
 	}
 	l.Finish += w
 	if l.Finish > g.Length {
@@ -58,9 +60,11 @@ func (g *Graph) Add(w float64, row []int) {
 // a (transitive) dependence ancestor of b. A task does not precede itself;
 // out-of-range IDs report false. IDs are topological (a dependence names a
 // smaller ID), so the backward search from b never leaves the IDs above a:
-// one visited bit per task between them, nothing kept between queries.
+// one visited bit per task between them, nothing kept between queries. It
+// does not enter a task whose ancestors all lie above a (Low > a), and
+// answers at once when b is such a task.
 func (g *Graph) MustPrecede(a, b int) bool {
-	if a < 0 || b >= len(g.Rows) || a >= b {
+	if a < 0 || b >= len(g.Rows) || a >= b || a < g.Labels[b].Low {
 		return false
 	}
 	seen := make([]uint64, (b-a+63)/64) // bit i: task a+1+i
@@ -72,7 +76,7 @@ func (g *Graph) MustPrecede(a, b int) bool {
 			if p == a {
 				return true
 			}
-			if i := uint(p - a - 1); p > a && seen[i/64]&(1<<(i%64)) == 0 {
+			if i := uint(p - a - 1); p > a && g.Labels[p].Low <= a && seen[i/64]&(1<<(i%64)) == 0 {
 				seen[i/64] |= 1 << (i % 64)
 				stack = append(stack, p)
 			}

@@ -304,33 +304,29 @@ func (s *Session) Dependences(region string) ([]visibility.TaskInfo, error) {
 // ExplainResult is the server's provenance answer for one task: the
 // resolved region, the task's incoming edges, and — when the query named
 // a source task — the mustPrecede verdict for that (src, task) pair.
-type ExplainResult struct {
-	Region      string                  `json:"region"`
-	Explain     *visibility.TaskExplain `json:"explain"`
-	Src         int                     `json:"src"`
-	MustPrecede bool                    `json:"mustPrecede"`
-}
+type ExplainResult = wire.ExplainResult
 
 // Explain returns the provenance of every incoming dependence edge of
 // the given task. An empty region selects the server's default (first
 // root region, sorted by name).
 func (s *Session) Explain(region string, task int) (*ExplainResult, error) {
-	var out ExplainResult
-	if err := s.get("explain", &out, "task", strconv.Itoa(task), "region", region); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return s.explain("task", strconv.Itoa(task), "region", region)
 }
 
 // Why returns the provenance edges from src into dst plus whether src
 // must precede dst in every legal execution. An empty region selects the
 // server's default root region.
 func (s *Session) Why(region string, src, dst int) (*ExplainResult, error) {
-	var out ExplainResult
-	if err := s.get("explain", &out, "task", strconv.Itoa(dst), "src", strconv.Itoa(src), "region", region); err != nil {
+	return s.explain("task", strconv.Itoa(dst), "src", strconv.Itoa(src), "region", region)
+}
+
+// explain asks the explain route and reads its body through wire's tables.
+func (s *Session) explain(kv ...string) (*ExplainResult, error) {
+	var raw []byte
+	if err := s.get("explain", &raw, kv...); err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return wire.ParseExplain(raw)
 }
 
 // CritPath returns the weighted critical-path profile of the session's

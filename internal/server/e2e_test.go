@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -408,6 +409,52 @@ func TestBadWorkloadRejected(t *testing.T) {
 		t.Fatal("snapshot of unknown region succeeded")
 	} else if se, ok := err.(*client.StatusError); !ok || se.Code != 404 {
 		t.Fatalf("unknown region error = %v, want 404", err)
+	}
+}
+
+// TestCheckErrorLeavesSessionUsable: a workload the checker refuses at
+// apply time — a batch naming an undeclared region, a redeclaration —
+// answers 400 and changes nothing, so the valid workload posted around
+// them yields the snapshot it yields alone.
+func TestCheckErrorLeavesSessionUsable(t *testing.T) {
+	_, c, shutdown := newTestServer(t, server.Config{})
+	defer shutdown()
+	snapshot := func(sess *client.Session) [][][]float64 {
+		var out [][][]float64
+		for _, field := range []string{"up", "down"} {
+			rows, err := sess.Snapshot("N", field)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rows)
+		}
+		return out
+	}
+	alone, err := c.CreateSession(client.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alone.Submit(wire.ExampleGraphsim(2)); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshot(alone)
+
+	sess, err := c.CreateSession(client.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dangling := &wire.Workload{Version: wire.Version, Tasks: []wire.TaskDecl{
+		{Name: "t", Accesses: []wire.AccessDecl{{Region: "nosuch", Field: "up", Privilege: "read"}}}}}
+	for i, wl := range []*wire.Workload{dangling, wire.ExampleGraphsim(2), wire.ExampleGraphsim(2)} {
+		err := sess.Submit(wl)
+		if se, ok := err.(*client.StatusError); i != 1 && (!ok || se.Code != http.StatusBadRequest) {
+			t.Fatalf("workload %d: %v, want the checker's 400", i, err)
+		} else if i == 1 && err != nil {
+			t.Fatalf("the valid workload after a refused one: %v", err)
+		}
+	}
+	if got := snapshot(sess); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot after the refused workloads differs from the valid workload's alone")
 	}
 }
 

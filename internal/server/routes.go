@@ -321,10 +321,9 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		srv.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]int{
-		"regions": len(wl.Regions),
-		"tasks":   len(wl.Tasks),
-	})
+	body := strconv.AppendInt(append(make([]byte, 0, 48), `{"regions":`...), int64(len(wl.Regions)), 10)
+	body = strconv.AppendInt(append(body, `,"tasks":`...), int64(len(wl.Tasks)), 10)
+	writeRaw(w, http.StatusAccepted, "application/json", append(body, "}\n"...), nil)
 }
 
 // --- query endpoints (jobs serialized by the session lock) -------------
@@ -481,12 +480,9 @@ func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	srv.rec.Log(recorder.KindExplainQuery, int64(task), int64(len(ex.Edges)))
-	body := map[string]any{"region": name, "explain": ex}
-	if src >= 0 {
-		body["src"] = src
-		body["mustPrecede"] = mustPrecede
-	}
-	writeJSON(w, http.StatusOK, body)
+	body := wire.AppendExplain(make([]byte, 0, 64+256*len(ex.Edges)),
+		&wire.ExplainResult{Region: name, Explain: ex, Src: src, MustPrecede: mustPrecede})
+	writeRaw(w, http.StatusOK, "application/json", body, nil)
 }
 
 // handleCritPath serves the weighted critical-path profile of one session

@@ -342,7 +342,8 @@ const (
 // under the HTTP span — and runs fn on the runtime and environment inside
 // the recover envelope. A panic or an error from fn latches as the session
 // failure, and do returns it as a *failedError — to every later request
-// too, without running its fn.
+// too, without running its fn — unless the error is a workload's
+// *wire.CheckError, raised before anything changed.
 func (srv *Server) do(s *session, tc obs.TraceContext, fn func(rt *visibility.Runtime, env *wire.Env) error) error {
 	if err := srv.admit(); err != nil {
 		srv.rejected.Inc()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -60,13 +61,15 @@ func (e *failedError) Error() string { return e.err.Error() }
 
 // exec runs one job, converting a panic or a returned error into a latched
 // session failure — one tenant's malformed computation must not take the
-// process down. It returns the session's failure when the job failed.
+// process down. It returns the session's failure when the job failed. A
+// workload the checker refused changed nothing: its error is the
+// request's alone.
 func (s *session) exec(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("session job: %v", r)
 		}
-		if err != nil {
+		if err != nil && !errors.As(err, new(*wire.CheckError)) {
 			err = s.latchFailure(err)
 		}
 	}()

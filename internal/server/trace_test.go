@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"visibility/internal/fault"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
 	"visibility/internal/server"
@@ -129,14 +130,18 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// TestWorkerFailureRecorderDump injects a job failure (declaring the
-// same region twice) and checks the flight-recorder contract: the
+// TestWorkerFailureRecorderDump injects a job failure (a crash in the
+// session's second job) and checks the flight-recorder contract: the
 // failing submit and the next one answer 409, the failure is journaled,
 // the window is dumped to RecorderDir, the 409 body carries the recent
 // events and the dump path, and the dump file parses back.
 func TestWorkerFailureRecorderDump(t *testing.T) {
 	dir := t.TempDir()
-	srv := server.New(server.Config{IdleTimeout: -1, RecorderDir: dir})
+	inj, err := fault.NewFromString("seed=1;server.worker.panic=every=1,after=1,max=1,arg=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{IdleTimeout: -1, RecorderDir: dir, Faults: inj})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer func() {
@@ -154,12 +159,12 @@ func TestWorkerFailureRecorderDump(t *testing.T) {
 	if err := sess.Submit(wire.ExampleQuickstart()); err != nil {
 		t.Fatal(err)
 	}
-	// Same workload again: Apply rejects the duplicate region declaration,
-	// latching the session failure, and the request answers with the 409.
+	// The next job crashes, latching the session failure, and the request
+	// answers with the 409.
 	if err := sess.Submit(wire.ExampleQuickstart()); err == nil {
-		t.Fatal("duplicate declaration accepted")
+		t.Fatal("crashed submit accepted")
 	} else if se, ok := err.(*client.StatusError); !ok || se.Code != http.StatusConflict {
-		t.Fatalf("duplicate declaration error = %v, want 409", err)
+		t.Fatalf("crashed submit error = %v, want 409", err)
 	}
 
 	// The journal shows the failure.
@@ -212,8 +217,8 @@ func TestWorkerFailureRecorderDump(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(body.Error, "already declared") {
-		t.Errorf("409 error = %q, want the duplicate-declaration failure", body.Error)
+	if !strings.Contains(body.Error, "injected crash") {
+		t.Errorf("409 error = %q, want the injected crash", body.Error)
 	}
 	if len(body.Recorder) == 0 {
 		t.Error("409 body carries no recorder events")

@@ -81,14 +81,21 @@ func (e *Env) Regions() []*visibility.Region {
 	return out
 }
 
+// CheckError is Apply's refusal of a workload that fails the check.
+type CheckError struct{ Err error }
+
+func (e *CheckError) Error() string { return e.Err.Error() }
+func (e *CheckError) Unwrap() error { return e.Err }
+
 // Apply checks wl against the session (see check) and only then runs what
 // the check resolved: the declarations in order, then the launches, whose
 // futures it returns. Nothing after the check can fail, so a rejected
-// workload leaves the runtime and the namespace exactly as it found them.
+// workload, a *CheckError, leaves the runtime and the namespace exactly as
+// it found them.
 func (e *Env) Apply(wl *Workload) ([]visibility.Future, error) {
 	p, err := check(wl, e.names)
 	if err != nil {
-		return nil, err
+		return nil, &CheckError{err}
 	}
 	for _, declare := range p.declare {
 		declare(e.rt)

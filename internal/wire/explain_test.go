@@ -1,0 +1,165 @@
+package wire_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"visibility"
+	"visibility/internal/server/client"
+	"visibility/internal/wire"
+)
+
+// explainBodies returns the served explain bodies a server golden pins,
+// in file order.
+func explainBodies(tb testing.TB, golden string) [][]byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "server", "testdata", golden))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"explain":`)) {
+			out = append(out, line)
+		}
+	}
+	if len(out) == 0 {
+		tb.Fatalf("%s holds no explain body", golden)
+	}
+	return out
+}
+
+// FuzzExplainBody builds an explain body from fuzzed fields and holds both
+// directions to encoding/json: AppendExplain to what the Encoder writes of
+// the map the route used to render, ParseExplain to what json.Unmarshal
+// makes of the body in the client's type. A negative src is a query that
+// named no source; a negative edges count a nil edge list.
+func FuzzExplainBody(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "server", "testdata", "explain_*.golden"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no explain goldens (%v)", err)
+	}
+	for _, path := range paths {
+		for _, body := range explainBodies(f, filepath.Base(path)) {
+			var v client.ExplainResult
+			if err := json.Unmarshal(body, &v); err != nil {
+				f.Fatal(err)
+			}
+			ex, e := v.Explain, visibility.EdgeExplain{}
+			if len(ex.Edges) > 0 {
+				e = ex.Edges[0]
+			}
+			f.Add(v.Region, ex.Name, e.SrcName, e.Kind, e.Analyzer, e.Field, e.SrcPriv, e.Overlap, ex.Task, e.SrcReq, e.Trace, len(ex.Edges), -1, false)
+		}
+	}
+	f.Add("N", "t2", "t1", "region", "raycast", "down", "reduce+", "[2..5]", 7, 1, -1, 1, 1, true)
+	f.Add(`q"u\ote`, "<b>&amp;</b>", "\x00\x1f\x7f", "é  ", "\xff\xfe", "\t\n\r", "😀", "\xed\xa0\x80\u2028", -3, -1, -9, 3, 0, false)
+	f.Add("", "", "", "", "", "", "", "", 0, 0, 0, 0, -1, false)
+	f.Fuzz(func(t *testing.T, region, name, srcName, kind, analyzer, field, priv, overlap string, task, req, trace, edges, src int, must bool) {
+		ex := &visibility.TaskExplain{Task: task, Name: name}
+		if edges >= 0 {
+			ex.Edges = []visibility.EdgeExplain{}
+		}
+		for i := 0; i < edges%4; i++ {
+			e := visibility.EdgeExplain{Src: req + i, SrcName: srcName, Dst: task, DstName: name, Kind: kind, SrcReq: req - i, DstReq: i, Trace: trace}
+			if i%2 == 0 { // the odd edges leave every omitempty key out
+				e.Analyzer, e.Field, e.SrcPriv, e.DstPriv, e.Overlap = analyzer, field, priv, kind, overlap
+			}
+			ex.Edges = append(ex.Edges, e)
+		}
+		m := map[string]any{"region": region, "explain": ex}
+		if src >= 0 {
+			m["src"], m["mustPrecede"] = src, must
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		got := wire.AppendExplain(nil, &wire.ExplainResult{Region: region, Explain: ex, Src: src, MustPrecede: must})
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("AppendExplain wrote\n%s\nencoding/json\n%s", got, want.Bytes())
+		}
+		parsed, err := wire.ParseExplain(got)
+		if err != nil {
+			t.Fatalf("ParseExplain(%s): %v", got, err)
+		}
+		var ref client.ExplainResult
+		if err := json.Unmarshal(got, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(parsed, &ref) {
+			t.Fatalf("ParseExplain(%s) = %+v, encoding/json %+v", got, parsed, &ref)
+		}
+	})
+}
+
+// TestParseExplainRejects: ParseExplain reads what AppendExplain writes
+// and nothing looser.
+func TestParseExplainRejects(t *testing.T) {
+	for _, in := range []string{``, `{"mustPrecede":tru}`, `{"mustPrecede":1}`, `{"mustPrecede":"true"}`, `{"src":1.5}`,
+		`{"explain":{"edges":[{"trace":-1,"trace":-1}]}}`, `{"explain":[]}`, `{"Region":"N"}`, `{"region":"N"} x`} {
+		if _, err := wire.ParseExplain([]byte(in)); err == nil || !strings.Contains(err.Error(), "decoding explain") {
+			t.Errorf("ParseExplain(%q) error = %v, want a decoding error", in, err)
+		}
+	}
+	if v, err := wire.ParseExplain([]byte(`{"mustPrecede":false,"explain":null,"src":null}`)); err != nil || *v != (wire.ExplainResult{}) {
+		t.Errorf("ParseExplain of false and nulls = %+v, %v; want the zero result", v, err)
+	}
+}
+
+// TestParseExplainAllocations pins ParseExplain of the raycast golden's
+// two-edge body for task 3 at 5 allocations: the scanner, the body's one
+// copy, the result, the explanation and the edges (json.Unmarshal took
+// 29). Every name is a window of that one copy, the repeated ones
+// included.
+func TestParseExplainAllocations(t *testing.T) {
+	body := explainBodies(t, "explain_raycast.golden")[3]
+	v, err := wire.ParseExplain(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := ^uintptr(0), uintptr(0)
+	for _, e := range v.Explain.Edges {
+		for _, name := range []string{v.Region, v.Explain.Name, e.SrcName, e.DstName, e.Kind, e.Analyzer, e.Field, e.SrcPriv, e.DstPriv, e.Overlap} {
+			at := uintptr(unsafe.Pointer(unsafe.StringData(name)))
+			lo, hi = min(lo, at), max(hi, at+uintptr(len(name)))
+		}
+	}
+	if hi-lo > uintptr(len(body)) {
+		t.Errorf("the parsed names span %d bytes, more than the %d-byte body: not windows of one copy", hi-lo, len(body))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := wire.ParseExplain(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("ParseExplain of the %d-byte body allocates %.0f times, want 5", len(body), allocs)
+	}
+}
+
+// BenchmarkWireExplain renders and parses the raycast golden's explain
+// body for task 3, serve_query's answer shape: two region edges.
+func BenchmarkWireExplain(b *testing.B) {
+	body := explainBodies(b, "explain_raycast.golden")[3]
+	v, err := wire.ParseExplain(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v.Src = -1 // the query named no source
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = wire.AppendExplain(body[:0], v)
+		if _, err := wire.ParseExplain(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,20 +7,24 @@ import (
 	"strconv"
 )
 
-// scanner is the single-pass JSON reader behind Decode and ParseSnapshot:
-// a byte slice and an offset, no tokens, no reflection. What it accepts,
-// encoding/json accepts into the same Go values (null leaves a value zero,
-// [] and {} are empty but not nil), except that object keys must match
-// exactly and once. The first error sticks and moves the offset to the end
-// of the input, so every loop ends. A workload repeats the same few names
-// and specs on every task, so Decode's scanner keeps one copy of each
-// string it reads (names, when non-nil) and the specs it has read.
+// scanner is the single-pass JSON reader behind Decode, ParseSnapshot and
+// ParseExplain: a byte slice and an offset, no tokens, no reflection. What
+// it accepts, encoding/json accepts into the same Go values (null leaves a
+// value zero, [] and {} are empty but not nil), except that object keys
+// must match exactly and once. The first error sticks and moves the offset
+// to the end of the input, so every loop ends. A workload repeats the same
+// few names and specs on every task, so Decode's scanner keeps one copy of
+// each string it reads (names, when non-nil) and the specs it has read. A
+// scanner may instead hold the whole input as one string, text, when what
+// it reads may keep all of it: then a string without escapes is a window
+// of text and costs no allocation.
 type scanner struct {
 	b     []byte
 	i     int
 	err   error
 	names map[string]string
 	specs []specText
+	text  string
 }
 
 // specText is a spec and its exact text, read or written. The scanner and
@@ -173,6 +177,10 @@ func (s *scanner) string(dst *string) {
 		return
 	}
 	b := s.str()
+	if at := s.i - 1 - len(b); s.text != "" && len(b) > 0 && &b[0] == &s.b[at] {
+		*dst = s.text[at : s.i-1]
+		return
+	}
 	v, ok := s.names[string(b)]
 	if !ok {
 		v = string(b)
@@ -214,6 +222,17 @@ func (s *scanner) integer(bits int) int64 {
 		s.fail("number is not an int%d", bits)
 	}
 	return v
+}
+
+func (s *scanner) bool(dst *bool) {
+	switch s.peek(); {
+	case bytes.HasPrefix(s.b[s.i:], []byte("true")):
+		*dst, s.i = true, s.i+4
+	case bytes.HasPrefix(s.b[s.i:], []byte("false")):
+		s.i += 5
+	case !s.null():
+		s.fail("expected a boolean")
+	}
 }
 
 func (s *scanner) int64(dst *int64) { *dst = s.integer(64) }
@@ -275,10 +294,26 @@ func dict[V any](s *scanner, dst *map[string]V, value func(*scanner, *V)) {
 
 // fields lists the keys of a JSON object in encoding/json's order and how
 // to read each into a T and write each out of one.
-type fields[T any] []struct {
+type fields[T any] []field[T]
+
+type field[T any] struct {
 	key   string
 	read  func(*scanner, *T)
 	write func(*encoder, *T)
+}
+
+// intKey and stringKey are the entries of keys whose values are the int or
+// string of a T that at finds; an omitempty string is left out when empty.
+func intKey[T any](key string, at func(*T) *int) field[T] {
+	return field[T]{key, func(s *scanner, v *T) { s.int(at(v)) }, func(e *encoder, v *T) { e.int(*at(v)) }}
+}
+
+func stringKey[T any](key string, omitempty bool, at func(*T) *string) field[T] {
+	write := func(e *encoder, v *T) { e.string(*at(v)) }
+	if omitempty {
+		write = func(e *encoder, v *T) { opt(e, *at(v), (*encoder).string) }
+	}
+	return field[T]{key, func(s *scanner, v *T) { s.string(at(v)) }, write}
 }
 
 // read reads an object with keys out of f, each spelled exactly and once.

@@ -62,16 +62,14 @@ type snapshot struct {
 }
 
 var snapshotFields = fields[snapshot]{
-	{"field", func(s *scanner, v *snapshot) { s.string(&v.field) },
-		func(e *encoder, v *snapshot) { e.string(v.field) }},
+	stringKey("field", false, func(v *snapshot) *string { return &v.field }),
 	{"points", func(s *scanner, v *snapshot) { s.slab(&v.points) },
 		func(e *encoder, v *snapshot) {
 			list(e, v.points, func(e *encoder, row *[]float64) {
 				list(e, *row, func(e *encoder, v *float64) { e.b = appendFloat(e.b, *v) })
 			})
 		}},
-	{"region", func(s *scanner, v *snapshot) { s.string(&v.region) },
-		func(e *encoder, v *snapshot) { e.string(v.region) }},
+	stringKey("region", false, func(v *snapshot) *string { return &v.region }),
 }
 
 // ParseSnapshot reads a body AppendSnapshot wrote into rows of one slab.

@@ -149,13 +149,11 @@ func ReadBody(r io.Reader, declared int64) ([]byte, error) {
 }
 
 // The key tables define the format both ways, in struct order; an
-// omitempty field's writer is an opt one.
+// omitempty field's writer is an opt one, or stringKey's with omitempty.
 
 var workloadFields = fields[Workload]{
-	{"version", func(s *scanner, wl *Workload) { s.int(&wl.Version) },
-		func(e *encoder, wl *Workload) { e.int(wl.Version) }},
-	{"name", func(s *scanner, wl *Workload) { s.string(&wl.Name) },
-		func(e *encoder, wl *Workload) { opt(e, wl.Name, (*encoder).string) }},
+	intKey("version", func(wl *Workload) *int { return &wl.Version }),
+	stringKey("name", true, func(wl *Workload) *string { return &wl.Name }),
 	{"regions", func(s *scanner, wl *Workload) { array(s, &wl.Regions, regionFields.read) },
 		func(e *encoder, wl *Workload) { optList(e, wl.Regions, regionFields.write) }},
 	{"tasks", func(s *scanner, wl *Workload) { array(s, &wl.Tasks, taskFields.read) },
@@ -163,10 +161,8 @@ var workloadFields = fields[Workload]{
 }
 
 var regionFields = fields[RegionDecl]{
-	{"name", func(s *scanner, r *RegionDecl) { s.string(&r.Name) },
-		func(e *encoder, r *RegionDecl) { e.string(r.Name) }},
-	{"dim", func(s *scanner, r *RegionDecl) { s.int(&r.Dim) },
-		func(e *encoder, r *RegionDecl) { e.int(r.Dim) }},
+	stringKey("name", false, func(r *RegionDecl) *string { return &r.Name }),
+	intKey("dim", func(r *RegionDecl) *int { return &r.Dim }),
 	{"space", func(s *scanner, r *RegionDecl) { s.rows(&r.Space) },
 		func(e *encoder, r *RegionDecl) { e.rows(&r.Space) }},
 	{"fields", func(s *scanner, r *RegionDecl) { array(s, &r.Fields, (*scanner).string) },
@@ -178,20 +174,15 @@ var regionFields = fields[RegionDecl]{
 }
 
 var partitionFields = fields[PartitionDecl]{
-	{"name", func(s *scanner, p *PartitionDecl) { s.string(&p.Name) },
-		func(e *encoder, p *PartitionDecl) { e.string(p.Name) }},
-	{"kind", func(s *scanner, p *PartitionDecl) { s.string(&p.Kind) },
-		func(e *encoder, p *PartitionDecl) { e.string(p.Kind) }},
+	stringKey("name", false, func(p *PartitionDecl) *string { return &p.Name }),
+	stringKey("kind", false, func(p *PartitionDecl) *string { return &p.Kind }),
 	{"pieces", func(s *scanner, p *PartitionDecl) { s.int(&p.Pieces) },
 		func(e *encoder, p *PartitionDecl) { opt(e, p.Pieces, (*encoder).int) }},
 	{"spaces", func(s *scanner, p *PartitionDecl) { array(s, &p.Spaces, (*scanner).rows) },
 		func(e *encoder, p *PartitionDecl) { optList(e, p.Spaces, (*encoder).rows) }},
-	{"source", func(s *scanner, p *PartitionDecl) { s.string(&p.Source) },
-		func(e *encoder, p *PartitionDecl) { opt(e, p.Source, (*encoder).string) }},
-	{"left", func(s *scanner, p *PartitionDecl) { s.string(&p.Left) },
-		func(e *encoder, p *PartitionDecl) { opt(e, p.Left, (*encoder).string) }},
-	{"right", func(s *scanner, p *PartitionDecl) { s.string(&p.Right) },
-		func(e *encoder, p *PartitionDecl) { opt(e, p.Right, (*encoder).string) }},
+	stringKey("source", true, func(p *PartitionDecl) *string { return &p.Source }),
+	stringKey("left", true, func(p *PartitionDecl) *string { return &p.Left }),
+	stringKey("right", true, func(p *PartitionDecl) *string { return &p.Right }),
 	{"relation", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Relation) },
 		func(e *encoder, p *PartitionDecl) { opt(e, p.Relation, (*encoder).spec) }},
 	{"color", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Color) },
@@ -199,8 +190,7 @@ var partitionFields = fields[PartitionDecl]{
 }
 
 var taskFields = fields[TaskDecl]{
-	{"name", func(s *scanner, t *TaskDecl) { s.string(&t.Name) },
-		func(e *encoder, t *TaskDecl) { e.string(t.Name) }},
+	stringKey("name", false, func(t *TaskDecl) *string { return &t.Name }),
 	{"accesses", func(s *scanner, t *TaskDecl) { array(s, &t.Accesses, accessFields.read) },
 		func(e *encoder, t *TaskDecl) { list(e, t.Accesses, accessFields.write) }},
 	{"after", func(s *scanner, t *TaskDecl) { array(s, &t.After, (*scanner).int) },
@@ -208,21 +198,16 @@ var taskFields = fields[TaskDecl]{
 }
 
 var accessFields = fields[AccessDecl]{
-	{"region", func(s *scanner, a *AccessDecl) { s.string(&a.Region) },
-		func(e *encoder, a *AccessDecl) { e.string(a.Region) }},
-	{"field", func(s *scanner, a *AccessDecl) { s.string(&a.Field) },
-		func(e *encoder, a *AccessDecl) { e.string(a.Field) }},
-	{"privilege", func(s *scanner, a *AccessDecl) { s.string(&a.Privilege) },
-		func(e *encoder, a *AccessDecl) { e.string(a.Privilege) }},
-	{"op", func(s *scanner, a *AccessDecl) { s.string(&a.Op) },
-		func(e *encoder, a *AccessDecl) { opt(e, a.Op, (*encoder).string) }},
+	stringKey("region", false, func(a *AccessDecl) *string { return &a.Region }),
+	stringKey("field", false, func(a *AccessDecl) *string { return &a.Field }),
+	stringKey("privilege", false, func(a *AccessDecl) *string { return &a.Privilege }),
+	stringKey("op", true, func(a *AccessDecl) *string { return &a.Op }),
 	{"kernel", func(s *scanner, a *AccessDecl) { s.funcSpec(&a.Kernel) },
 		func(e *encoder, a *AccessDecl) { opt(e, a.Kernel, (*encoder).spec) }},
 }
 
 var funcSpecFields = fields[FuncSpec]{
-	{"name", func(s *scanner, f *FuncSpec) { s.string(&f.Name) },
-		func(e *encoder, f *FuncSpec) { e.string(f.Name) }},
+	stringKey("name", false, func(f *FuncSpec) *string { return &f.Name }),
 	{"args", func(s *scanner, f *FuncSpec) { dict(s, &f.Args, (*scanner).float) },
 		func(e *encoder, f *FuncSpec) { optObject(e, f.Args, (*encoder).arg) }},
 }

@@ -13,11 +13,12 @@ import (
 )
 
 // reference is a from-scratch forward pass over a finished stream: each
-// task's weight, earliest start and finish, and critical predecessor, the
-// makespan and the path end, computed from the tasks and their rows alone.
+// task's weight, earliest start and finish, critical predecessor and
+// smallest ancestor, the makespan and the path end, computed from the
+// tasks and their rows alone.
 type reference struct {
 	weight, start, finish []float64
-	pred                  []int
+	pred, low             []int
 	edges                 int
 	work, length          float64
 	end                   int
@@ -28,7 +29,7 @@ type reference struct {
 
 func forwardPass(tasks []*core.Task, rows [][]int) reference {
 	n := len(tasks)
-	r := reference{weight: make([]float64, n), start: make([]float64, n), finish: make([]float64, n), pred: make([]int, n), end: -1}
+	r := reference{weight: make([]float64, n), start: make([]float64, n), finish: make([]float64, n), pred: make([]int, n), low: lowest(rows), end: -1}
 	for i, t := range tasks {
 		w := len(t.Reqs) + len(rows[i])
 		for _, req := range t.Reqs {
@@ -65,6 +66,28 @@ func forwardPass(tasks []*core.Task, rows [][]int) reference {
 	return r
 }
 
+// lowest returns each task's smallest ancestor, its own ID at a root, by
+// a backward search of its own from every task: reachability, not the
+// launch-time fold over the row's labels.
+func lowest(rows [][]int) []int {
+	low := make([]int, len(rows))
+	for i := range rows {
+		low[i] = i
+		seen, stack := map[int]bool{}, []int{i}
+		for len(stack) > 0 {
+			t := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, p := range rows[t] {
+				if !seen[p] {
+					seen[p], low[i] = true, min(low[i], p)
+					stack = append(stack, p)
+				}
+			}
+		}
+	}
+	return low
+}
+
 // summary is the profile CriticalPath must return for the reference.
 func (r reference) summary(tasks []*core.Task, k int) *CritSummary {
 	out := &CritSummary{Tasks: len(tasks), Edges: r.edges, Length: r.length, Work: r.work, Path: []CritTask{}, Top: []CritContributor{}}
@@ -97,7 +120,7 @@ func checkLabels(t *testing.T, rt *Runtime, g *Region) (predTies, endTies int) {
 		t.Fatalf("%d labels for %d tasks", len(c.Labels), len(ts.stream.Tasks))
 	}
 	for i, l := range c.Labels {
-		if want := (graph.Label{Weight: ref.weight[i], Finish: ref.finish[i], Pred: ref.pred[i]}); l != want {
+		if want := (graph.Label{Weight: ref.weight[i], Finish: ref.finish[i], Pred: ref.pred[i], Low: ref.low[i]}); l != want {
 			t.Fatalf("task %d: label %+v, reference %+v", i, l, want)
 		}
 	}
