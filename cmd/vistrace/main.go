@@ -36,7 +36,7 @@ import (
 
 func main() {
 	appFlag := flag.String("app", "circuit", "application: "+strings.Join(harness.AppNames(), ", "))
-	algoFlag := flag.String("algo", "raycast", "algorithm: raycast, warnock, paint, paint-naive")
+	algoFlag := flag.String("algo", "raycast", "algorithm: "+strings.Join(algo.Names(), ", "))
 	nodes := flag.Int("nodes", 4, "simulated machine size")
 	iters := flag.Int("iters", 2, "iterations of the main loop")
 	format := flag.String("format", "text", "output: text or dot")

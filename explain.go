@@ -67,9 +67,9 @@ type CritContributor struct {
 // points touched), derived from the workload and its discovered graph
 // rather than measured from analyzer internals, so the summary is
 // byte-identical across runs of the same workload under the same
-// analyzer. Analyzers that discover different edge sets can disagree:
-// on graphsim paint-naive's path length is 172 against 148 for the other
-// three, because the weights count incoming edges (see weight).
+// analyzer. The three served analyzers agree on graphsim (path length
+// 148), but analyzers that discover different edge sets can disagree,
+// because the weights count incoming edges (see weight).
 type CritSummary struct {
 	Tasks       int               `json:"tasks"`
 	Edges       int               `json:"edges"`
@@ -86,9 +86,9 @@ type CritSummary struct {
 // time. Both are properties of the stream and its discovered graph, not
 // of analyzer internals, so paths weighted by them are byte-reproducible
 // across runs of the same workload under the same analyzer. The edge
-// count makes them differ across analyzers that emit different edges
-// (paint-naive's redundant ones); ROADMAP item 11(b) weights by the
-// workload alone.
+// count makes them differ across analyzers that emit different edges,
+// as the painter's witness-less ones can; ROADMAP item 11(b) weights by
+// the workload alone.
 func weight(t *core.Task, row []int) float64 {
 	w := int64(len(t.Reqs) + len(row))
 	for _, req := range t.Reqs {

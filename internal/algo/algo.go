@@ -1,6 +1,6 @@
-// Package algo is the registry of coherence algorithms, mapping the names
-// used by the experiment harness and CLI ("paint", "warnock", "raycast",
-// and the reference "paint-naive") to constructors.
+// Package algo is the registry of the paper's three coherence algorithms,
+// mapping "paint", "warnock" and "raycast" to constructors. The naive
+// painter, the oracle, is not registered: paint.NewNaive builds it.
 package algo
 
 import (
@@ -18,10 +18,9 @@ import (
 type New = core.NewAnalyzerFunc
 
 var registry = map[string]New{
-	"paint-naive": func(t *region.Tree, o core.Options) core.Analyzer { return paint.NewNaive(t, o) },
-	"paint":       func(t *region.Tree, o core.Options) core.Analyzer { return paint.NewPainter(t, o) },
-	"warnock":     func(t *region.Tree, o core.Options) core.Analyzer { return warnock.New(t, o) },
-	"raycast":     func(t *region.Tree, o core.Options) core.Analyzer { return raycast.New(t, o) },
+	"paint":   func(t *region.Tree, o core.Options) core.Analyzer { return paint.NewPainter(t, o) },
+	"warnock": func(t *region.Tree, o core.Options) core.Analyzer { return warnock.New(t, o) },
+	"raycast": func(t *region.Tree, o core.Options) core.Analyzer { return raycast.New(t, o) },
 }
 
 // Lookup returns the constructor for name.

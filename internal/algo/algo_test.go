@@ -13,7 +13,7 @@ import (
 
 func TestNamesAndLookup(t *testing.T) {
 	names := algo.Names()
-	want := []string{"paint", "paint-naive", "raycast", "warnock"}
+	want := []string{"paint", "raycast", "warnock"}
 	if len(names) != len(want) {
 		t.Fatalf("Names = %v", names)
 	}

@@ -153,7 +153,7 @@ func TestEngineMatchesSeq(t *testing.T) {
 	err := core.Verify(s, init, core.HashKernel{}, core.Factory{
 		Name: "paint-naive",
 		New: func(tr *region.Tree) core.Analyzer {
-			return paint.NewNaive(tr, core.Options{})
+			return paint.NewNaive(tr)
 		},
 	})
 	if err != nil {

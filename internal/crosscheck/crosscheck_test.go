@@ -21,7 +21,7 @@ import (
 // allFactories returns fresh-analyzer factories for every algorithm.
 func allFactories() []core.Factory {
 	return []core.Factory{
-		{Name: "paint-naive", New: func(tr *region.Tree) core.Analyzer { return paint.NewNaive(tr, core.Options{}) }},
+		{Name: "paint-naive", New: func(tr *region.Tree) core.Analyzer { return paint.NewNaive(tr) }},
 		{Name: "paint", New: func(tr *region.Tree) core.Analyzer { return paint.NewPainter(tr, core.Options{}) }},
 		{Name: "warnock", New: func(tr *region.Tree) core.Analyzer { return warnock.New(tr, core.Options{}) }},
 		{Name: "raycast", New: func(tr *region.Tree) core.Analyzer { return raycast.New(tr, core.Options{}) }},

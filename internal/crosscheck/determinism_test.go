@@ -106,9 +106,11 @@ func fuzzStream(tree *region.Tree, data []byte) *core.Stream {
 	return s
 }
 
-// FuzzPainterVsExact cross-checks every analyzer's reported dependences
-// against the exact O(n²) analysis on small fuzz-derived streams: each
-// analyzer's transitive closure must contain every exact dependence.
+// FuzzPainterVsExact runs small fuzz-derived streams through every
+// analyzer, the naive painter included, under core.Verify: every plan
+// must be well formed (core.Checked), every materialized value must match
+// the sequential interpreter's, and each analyzer's transitive closure
+// must contain every exact dependence.
 func FuzzPainterVsExact(f *testing.F) {
 	f.Add([]byte{0, 0, 1})                         // one write on the root
 	f.Add([]byte{1, 0, 1, 4, 0, 3, 2, 1, 0})       // write, reduce, read mix
@@ -121,16 +123,8 @@ func FuzzPainterVsExact(f *testing.F) {
 		if len(s.Tasks) == 0 {
 			return
 		}
-		exact := core.ExactDeps(s.Tasks)
-		for _, fac := range allFactories() {
-			an := fac.New(tree)
-			var got [][]int
-			for _, task := range s.Tasks {
-				got = append(got, an.Analyze(task).Deps)
-			}
-			if err := core.CheckSound(got, exact); err != nil {
-				t.Errorf("%s: %v", fac.Name, err)
-			}
+		if err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{}, allFactories()...); err != nil {
+			t.Error(err)
 		}
 	})
 }

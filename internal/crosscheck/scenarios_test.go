@@ -3,7 +3,6 @@ package crosscheck
 import (
 	"testing"
 
-	"visibility/internal/algo"
 	"visibility/internal/core"
 	"visibility/internal/deppart"
 	"visibility/internal/field"
@@ -284,10 +283,10 @@ func TestWarnockMemoAblationEquivalence(t *testing.T) {
 }
 
 // TestEmptyPieceRequirements drives requirements on empty regions through
-// every registered analyzer: an explicit empty piece and a piece that a
-// pairwise difference (the Minus dependent partition) leaves empty.
-// Writes, reductions and reads on them interleave with launches on real
-// pieces. A task whose requirements are all empty touches no point, so it
+// every analyzer: an explicit empty piece and a piece that a pairwise
+// difference (the Minus dependent partition) leaves empty. Writes,
+// reductions and reads on them interleave with launches on real pieces.
+// A task whose requirements are all empty touches no point, so it
 // must report no dependences and empty plans, and the values every other
 // task sees must not move.
 func TestEmptyPieceRequirements(t *testing.T) {
@@ -327,14 +326,7 @@ func TestEmptyPieceRequirements(t *testing.T) {
 		s.Launch("wroot", core.Req{Region: tree.Root, Field: w, Priv: privilege.Writes()})
 	}
 
-	var facs []core.Factory
-	for _, name := range algo.Names() {
-		newAn, err := algo.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		facs = append(facs, core.Factory{Name: name, New: func(tr *region.Tree) core.Analyzer { return newAn(tr, core.Options{}) }})
-	}
+	facs := allFactories()
 	if err := core.Verify(s, testutil.FullInit(tree), core.HashKernel{}, facs...); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"visibility/internal/geometry"
 	"visibility/internal/index"
 	"visibility/internal/obs/recorder"
+	"visibility/internal/paint"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
@@ -37,10 +38,9 @@ type ChaosConfig struct {
 // a byte-identical Dump, which is what makes a failing seed's plan string
 // a complete reproduction recipe.
 type ChaosReport struct {
-	Seed      int64
-	Plan      string
-	Tasks     int
-	Analyzers []string
+	Seed  int64
+	Plan  string
+	Tasks int
 	// Fires counts injected faults per site — the plan's schedule exactly
 	// as written, and one KindFaultInject event in Dump per fire.
 	Fires map[fault.Site]int64
@@ -68,6 +68,17 @@ func DefaultChaosPlan(seed int64) string {
 		fault.TraceInvalidate: {Prob: 0.10},
 	}}
 	return p.String()
+}
+
+// oracleFactories lists the naive painter, the unregistered oracle, which
+// takes no options, and every registered algorithm under opts.
+func oracleFactories(opts core.Options) []core.Factory {
+	fs := []core.Factory{{Name: "paint-naive", New: func(tr *region.Tree) core.Analyzer { return paint.NewNaive(tr) }}}
+	for _, name := range algo.Names() {
+		newAn, _ := algo.Lookup(name)
+		fs = append(fs, core.Factory{Name: name, New: func(tr *region.Tree) core.Analyzer { return newAn(tr, opts) }})
+	}
+	return fs
 }
 
 // RunChaos runs one randomized task stream through all four analyzers
@@ -98,7 +109,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	tree := chaosTree(rng)
 	stream := chaosStream(rng, tree, cfg.Tasks)
 
-	report := &ChaosReport{Seed: cfg.Seed, Plan: cfg.Plan, Tasks: len(stream.Tasks), Analyzers: algo.Names()}
+	report := &ChaosReport{Seed: cfg.Seed, Plan: cfg.Plan, Tasks: len(stream.Tasks)}
 	finish := func() {
 		report.Fires = inj.Counts()
 		report.Events = rec.Len()
@@ -108,12 +119,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	opts := core.Options{Faults: inj, Recorder: rec}
-	var factories []core.Factory
-	for _, name := range algo.Names() {
-		newAn, _ := algo.Lookup(name)
-		factories = append(factories, core.Factory{Name: name, New: func(tr *region.Tree) core.Analyzer { return newAn(tr, opts) }})
-	}
-	if err := core.Verify(stream, chaosInit(tree), core.HashKernel{}, factories...); err != nil {
+	if err := core.Verify(stream, chaosInit(tree), core.HashKernel{}, oracleFactories(opts)...); err != nil {
 		finish()
 		return report, fmt.Errorf("chaos seed %d plan %q: %w", cfg.Seed, cfg.Plan, err)
 	}

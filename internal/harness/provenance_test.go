@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"visibility"
-	"visibility/internal/algo"
 	"visibility/internal/core"
 	"visibility/internal/field"
 	"visibility/internal/region"
@@ -24,12 +23,8 @@ func TestChaosProvenanceCompleteness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tree := chaosTree(rng)
 		stream := chaosStream(rng, tree, 150)
-		for _, name := range algo.Names() {
-			newAn, err := algo.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			an := newAn(tree, core.Options{})
+		for _, fac := range oracleFactories(core.Options{}) {
+			name, an := fac.Name, fac.New(tree)
 			c := counts[name]
 			if c == nil {
 				c = &tally{}
@@ -52,8 +47,8 @@ func TestChaosProvenanceCompleteness(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range algo.Names() {
-		c := counts[name]
+	for _, fac := range oracleFactories(core.Options{}) {
+		name, c := fac.Name, counts[fac.Name]
 		t.Logf("%-12s %7d edges, %7d without a live witness (%.0f%%)",
 			name, c.edges, c.witnessless, 100*float64(c.witnessless)/float64(max(c.edges, 1)))
 	}

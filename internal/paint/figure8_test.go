@@ -74,7 +74,7 @@ func TestPainterOcclusionPruning(t *testing.T) {
 func TestNaiveAndPainterAgree(t *testing.T) {
 	tree, p, g := testutil.GraphTree()
 	s := core.NewStream(tree)
-	na := paint.NewNaive(tree, core.Options{})
+	na := paint.NewNaive(tree)
 	pa := paint.NewPainter(tree, core.Options{})
 
 	var naiveDeps, paintDeps [][]int

@@ -104,7 +104,7 @@ func TestWriteClearsLeafHistory(t *testing.T) {
 // history forever, and its dependence lists grow accordingly.
 func TestNaivePainterNeverPrunes(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
-	na := paint.NewNaive(tree, core.Options{})
+	na := paint.NewNaive(tree)
 	s := core.NewStream(tree)
 	var last *core.Result
 	for i := 0; i < 8; i++ {

@@ -4,12 +4,12 @@
 // to newest, overwriting on writes and folding on reductions.
 //
 // Two variants are provided. Naive is the direct transcription of Figure 7
-// and serves as the executable specification. Painter is the optimized
-// variant of §5.1: histories are sharded across the region tree so the
-// history relevant to a region lies along its root path, with composite
-// views snapshotting subtrees whose recorded tasks must precede a new
-// launch, plus open/closed tracking, privilege summaries, and occlusion
-// pruning.
+// and serves as the executable specification, the oracle the registry does
+// not offer. Painter is the optimized variant of §5.1: histories are
+// sharded across the region tree so the history relevant to a region lies
+// along its root path, with composite views snapshotting subtrees whose
+// recorded tasks must precede a new launch, plus open/closed tracking,
+// privilege summaries, and occlusion pruning.
 package paint
 
 import (
@@ -19,11 +19,10 @@ import (
 )
 
 // Naive is the unoptimized painter's algorithm of Figure 7: one flat
-// history per field, scanned in full for every launch.
+// history per field, scanned in full for every launch. As the oracle, it
+// runs under no cost model and carries no instruments.
 type Naive struct {
 	tree *region.Tree
-	opts core.Options
-	home int // owner of the one history: the root's, resolved once
 	// hist is the per-field paint history, appended by every Analyze with
 	// no lock: the analyzer runs on exactly one goroutine.
 	hist  map[field.ID][]core.Entry
@@ -32,10 +31,8 @@ type Naive struct {
 }
 
 // NewNaive creates a naive painter for tree.
-func NewNaive(tree *region.Tree, opts core.Options) *Naive {
-	n := &Naive{tree: tree, opts: opts.Normalize(), hist: make(map[field.ID][]core.Entry)}
-	n.home = n.opts.Owner(tree.Root.Space)
-	return n
+func NewNaive(tree *region.Tree) *Naive {
+	return &Naive{tree: tree, hist: make(map[field.ID][]core.Entry)}
 }
 
 // Name implements core.Analyzer.
@@ -55,16 +52,13 @@ func (n *Naive) histFor(f field.ID) []core.Entry {
 
 // Analyze implements core.Analyzer.
 func (n *Naive) Analyze(t *Task) *core.Result {
-	span := n.opts.Spans.Begin("paint-naive.analyze", "analysis")
-	defer span.End()
 	sc := &n.scan
 	sc.Start(&n.stats, t)
 
 	// materialize: replay the full history against each requirement.
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
-			// No points: every intersection below would be empty, so skip
-			// the scan (and don't charge the cost model for it).
+			// No points: every intersection below would be empty.
 			continue
 		}
 		h := n.histFor(req.Field)
@@ -76,7 +70,6 @@ func (n *Naive) Analyze(t *Task) *core.Result {
 				sc.Entry(e, inter)
 			}
 		}
-		n.opts.Probe.Touch(n.home, int64(len(h)))
 	}
 
 	// commit: append this task's operations to the history.

@@ -28,7 +28,6 @@ func TestExplainGolden(t *testing.T) {
 		{"explain_raycast.golden", client.SessionConfig{Algorithm: "raycast"}, 4},
 		{"explain_warnock.golden", client.SessionConfig{Algorithm: "warnock"}, 4},
 		{"explain_paint.golden", client.SessionConfig{Algorithm: "paint"}, 4},
-		{"explain_paint-naive.golden", client.SessionConfig{Algorithm: "paint-naive"}, 4},
 		{"explain_raycast_autotrace.golden", client.SessionConfig{Algorithm: "raycast", AutoTrace: true}, 12},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
@@ -92,5 +91,29 @@ func TestExplainGolden(t *testing.T) {
 				t.Errorf("bodies differ from %s (regenerate with UPDATE_GOLDEN=1 and review the diff):\n%s", path, got.Bytes())
 			}
 		})
+	}
+}
+
+// TestServedAnalyzersAgreeOnGraphsim holds everything from GET
+// /critpath?k=3 to the end of the raycast, warnock and paint goldens, the
+// critical path and the DOT, byte-identical: on the Figure 1 workload the
+// three served analyzers discover one graph, so an analyzer that drifts
+// from the other two shows here even after its golden is regenerated.
+func TestServedAnalyzersAgreeOnGraphsim(t *testing.T) {
+	var want []byte
+	for _, golden := range []string{"explain_raycast.golden", "explain_warnock.golden", "explain_paint.golden"} {
+		body, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := bytes.Index(body, []byte("GET /critpath?k=3\n"))
+		if i < 0 {
+			t.Fatalf("%s has no critical-path query", golden)
+		}
+		if want == nil {
+			want = body[i:]
+		} else if !bytes.Equal(body[i:], want) {
+			t.Errorf("%s: the critical path and DOT differ from explain_raycast.golden's:\n%s", golden, body[i:])
+		}
 	}
 }

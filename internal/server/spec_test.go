@@ -27,37 +27,49 @@ func post(t *testing.T, srv *server.Server, target, body string) (int, string) {
 	return rec.Code, rec.Body.String()
 }
 
-// TestOneStackRejection checks that the two in-process ways to ask for an
-// analysis stack — the library and the experiment harness — refuse an
-// illegal one in the same words, algo.Spec.Check's. The service refuses
+// TestOneStackRejection checks that the three ways to ask for an
+// analysis stack — the library, the experiment harness and the service —
+// refuse an unknown algorithm, the naive painter's "paint-naive"
+// included, in the same words, algo.Spec.Check's. The service refuses
 // any key but algorithm and autotrace before it is a stack at all
 // (TestAutotraceTracingExclusive).
 func TestOneStackRejection(t *testing.T) {
-	_, err := algo.Spec{Algorithm: "zbuffer", AutoTrace: true}.Check()
-	if err == nil {
-		t.Fatal("Check accepted an unknown algorithm")
-	}
-	want := err.Error()
-
-	var lib string
-	func() {
-		defer func() { lib = fmt.Sprint(recover()) }()
-		visibility.New(visibility.Config{Algorithm: "zbuffer", AutoTrace: true})
-	}()
-	_, herr := harness.Run(harness.Config{
-		App: stencil.New, AppName: "stencil", Algorithm: "zbuffer", Nodes: 1, AutoTrace: true,
-	})
-	for surface, got := range map[string]string{
-		"visibility.New": lib,
-		"harness.Run":    fmt.Sprint(herr),
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("%s: %q does not carry %q", surface, got, want)
-		}
-	}
-
 	srv, _, shutdown := newTestServer(t, server.Config{})
 	defer shutdown()
+
+	for _, name := range []string{"zbuffer", "paint-naive"} {
+		_, err := algo.Spec{Algorithm: name, AutoTrace: true}.Check()
+		if err == nil {
+			t.Fatalf("Check accepted %q", name)
+		}
+		want := err.Error()
+		if !strings.Contains(want, "[paint raycast warnock]") {
+			t.Errorf("Check(%q) = %q, which does not list the three algorithms", name, want)
+		}
+
+		var lib string
+		func() {
+			defer func() { lib = fmt.Sprint(recover()) }()
+			visibility.New(visibility.Config{Algorithm: name, AutoTrace: true})
+		}()
+		_, herr := harness.Run(harness.Config{
+			App: stencil.New, AppName: "stencil", Algorithm: name, Nodes: 1, AutoTrace: true,
+		})
+		code, resp := post(t, srv, "/v1/sessions", `{"algorithm":"`+name+`","autotrace":true}`)
+		var served struct{ Error string }
+		if err := json.Unmarshal([]byte(resp), &served); err != nil || code != http.StatusBadRequest {
+			t.Errorf("POST /v1/sessions %s: %d %s, want a 400", name, code, resp)
+		}
+		for surface, got := range map[string]string{
+			"visibility.New":    lib,
+			"harness.Run":       fmt.Sprint(herr),
+			"POST /v1/sessions": served.Error,
+		} {
+			if !strings.Contains(got, want) {
+				t.Errorf("%s %s: %q does not carry %q", name, surface, got, want)
+			}
+		}
+	}
 
 	// The creation body itself: empty means all defaults; cut short,
 	// carrying any key but algorithm and autotrace, or followed by
@@ -73,6 +85,7 @@ func TestOneStackRejection(t *testing.T) {
 		`{} garbage`:                            http.StatusBadRequest,
 		`{"algorithm":"raycast"}]`:              http.StatusBadRequest,
 		"{\"algorithm\":\"paint\"}\n":           http.StatusCreated,
+		`{"algorithm":"paint-naive"}`:           http.StatusBadRequest,
 	} {
 		if code, _ := post(t, srv, "/v1/sessions", body); code != want {
 			t.Errorf("POST /v1/sessions with body %q: status %d, want %d", body, code, want)
@@ -109,6 +122,16 @@ func TestSessionRequestKeys(t *testing.T) {
 		if code, resp := post(t, srv, "/v1/sessions/restore?"+q, string(ckpt)); code != http.StatusBadRequest {
 			t.Errorf("restore ?%s: %d %s, want 400", q, code, resp)
 		}
+	}
+	// The naive painter is the oracle, not a served algorithm: restoring
+	// onto it is refused with the three a session accepts, and leaves no
+	// session behind.
+	code, resp := post(t, srv, "/v1/sessions/restore?algorithm=paint-naive", string(ckpt))
+	if code != http.StatusBadRequest || !strings.Contains(resp, "[paint raycast warnock]") {
+		t.Errorf("restore ?algorithm=paint-naive: %d %s, want a 400 listing paint, raycast and warnock", code, resp)
+	}
+	if infos, err := c.Sessions(); err != nil || len(infos) != 1 {
+		t.Errorf("after the refused restores: sessions %+v (%v), want only the warnock session", infos, err)
 	}
 	if code, resp := post(t, srv, "/v1/sessions/restore?algorithm=paint&autotrace=true", string(ckpt)); code != http.StatusCreated {
 		t.Errorf("restore paint+autotrace: %d %s, want 201", code, resp)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -15,11 +16,14 @@ import (
 	"visibility/internal/wire"
 )
 
-// explainBodies returns the served explain bodies a server golden pins,
-// in file order.
-func explainBodies(tb testing.TB, golden string) [][]byte {
+// raycastGolden is the server golden of a raycast session on graphsim.
+var raycastGolden = filepath.Join("..", "server", "testdata", "explain_raycast.golden")
+
+// explainBodies returns the explain bodies a file holds, in file order:
+// the served ones a server golden pins, or seed-only ones.
+func explainBodies(tb testing.TB, path string) [][]byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "server", "testdata", golden))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -30,7 +34,7 @@ func explainBodies(tb testing.TB, golden string) [][]byte {
 		}
 	}
 	if len(out) == 0 {
-		tb.Fatalf("%s holds no explain body", golden)
+		tb.Fatalf("%s holds no explain body", path)
 	}
 	return out
 }
@@ -39,14 +43,19 @@ func explainBodies(tb testing.TB, golden string) [][]byte {
 // directions to encoding/json: AppendExplain to what the Encoder writes of
 // the map the route used to render, ParseExplain to what json.Unmarshal
 // makes of the body in the client's type. A negative src is a query that
-// named no source; a negative edges count a nil edge list.
+// named no source; a negative edges count a nil edge list. Besides the
+// server goldens, the naive painter's bodies seed it: no session serves
+// that oracle, but its long edge lists, most without an overlap, are
+// bodies the served analyzers rarely write.
 func FuzzExplainBody(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "server", "testdata", "explain_*.golden"))
 	if err != nil || len(paths) == 0 {
 		f.Fatalf("no explain goldens (%v)", err)
 	}
+	paths = append(paths, filepath.Join("testdata", "explain_paint-naive.bodies"))
+	slices.SortFunc(paths, func(a, b string) int { return strings.Compare(filepath.Base(a), filepath.Base(b)) })
 	for _, path := range paths {
-		for _, body := range explainBodies(f, filepath.Base(path)) {
+		for _, body := range explainBodies(f, path) {
 			var v client.ExplainResult
 			if err := json.Unmarshal(body, &v); err != nil {
 				f.Fatal(err)
@@ -119,7 +128,7 @@ func TestParseExplainRejects(t *testing.T) {
 // 29). Every name is a window of that one copy, the repeated ones
 // included.
 func TestParseExplainAllocations(t *testing.T) {
-	body := explainBodies(t, "explain_raycast.golden")[3]
+	body := explainBodies(t, raycastGolden)[3]
 	v, err := wire.ParseExplain(body)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +156,7 @@ func TestParseExplainAllocations(t *testing.T) {
 // BenchmarkWireExplain renders and parses the raycast golden's explain
 // body for task 3, serve_query's answer shape: two region edges.
 func BenchmarkWireExplain(b *testing.B) {
-	body := explainBodies(b, "explain_raycast.golden")[3]
+	body := explainBodies(b, raycastGolden)[3]
 	v, err := wire.ParseExplain(body)
 	if err != nil {
 		b.Fatal(err)

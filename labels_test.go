@@ -148,8 +148,8 @@ func TestLaunchLabelsMatchForwardPass(t *testing.T) {
 	var replayed int64
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		algs := []string{"raycast", "warnock", "paint", "paint-naive"}
-		cfg := Config{Algorithm: algs[seed%4], AutoTrace: seed%3 == 0, Workers: 2}
+		algs := []string{"raycast", "warnock", "paint"}
+		cfg := Config{Algorithm: algs[seed%3], AutoTrace: seed%4 == 0, Workers: 2}
 		rt := New(cfg)
 		g := rt.CreateRegion("g", Line(0, 31), "a", "b")
 		parts := []*Partition{g.PartitionEqual("P", 4), g.PartitionEqual("Q", 8)}

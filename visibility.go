@@ -117,7 +117,7 @@ const (
 // one worker per CPU, no validation.
 type Config struct {
 	// Algorithm selects the coherence algorithm: "raycast" (default),
-	// "warnock", "paint", or "paint-naive".
+	// "warnock" or "paint"; any other name is refused.
 	Algorithm string
 	// Workers is the number of parallel kernel executors (default:
 	// GOMAXPROCS).

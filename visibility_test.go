@@ -9,7 +9,7 @@ import (
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	for _, alg := range []string{"raycast", "warnock", "paint", "paint-naive"} {
+	for _, alg := range []string{"raycast", "warnock", "paint"} {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			rt := visibility.New(visibility.Config{Algorithm: alg, Validate: true, Workers: 4})
