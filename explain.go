@@ -4,9 +4,9 @@ import (
 	"io"
 	"slices"
 
+	"visibility/internal/autotrace"
 	"visibility/internal/core"
 	"visibility/internal/graph"
-	"visibility/internal/trace"
 )
 
 // EdgeExplain is the provenance of one dependence edge, rendered with
@@ -101,14 +101,14 @@ func weight(t *core.Task, row []int) float64 {
 // consumed src's future, a replay edge when dst's analysis was
 // instantiated from a trace, and otherwise the requirement pair
 // core.RegionReason finds in the stream between them.
-func (ts *treeState) explainEdge(src, dst int, analyzer string, replays []trace.Replay) EdgeExplain {
+func (ts *treeState) explainEdge(src, dst int, analyzer string, replays []autotrace.Replay) EdgeExplain {
 	tasks := ts.stream.Tasks
 	e := EdgeExplain{Src: src, SrcName: tasks[src].Name, Dst: dst, DstName: tasks[dst].Name, Kind: "future", Trace: -1}
 	if slices.Contains(tasks[dst].FutureDeps, src) {
 		return e
 	}
 	e.Analyzer = analyzer
-	if id, ok := trace.ReplayOf(replays, dst); ok {
+	if id, ok := autotrace.ReplayOf(replays, dst); ok {
 		e.Kind, e.Trace = "replay", id
 		return e
 	}

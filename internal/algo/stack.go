@@ -4,7 +4,6 @@ import (
 	"visibility/internal/autotrace"
 	"visibility/internal/core"
 	"visibility/internal/region"
-	"visibility/internal/trace"
 )
 
 // Spec describes one analysis stack: a registered algorithm, optionally
@@ -63,7 +62,7 @@ func (s Spec) Build(tree *region.Tree, opts core.Options) *Stack {
 
 // Replays returns the runs of launches the autotracer has replayed (nil
 // when the stack has none, or st is nil).
-func (st *Stack) Replays() []trace.Replay {
+func (st *Stack) Replays() []autotrace.Replay {
 	if st == nil || st.Auto == nil {
 		return nil
 	}

@@ -1,11 +1,14 @@
 package autotrace
 
 import (
+	"sort"
+
 	"visibility/internal/core"
 	"visibility/internal/fault"
+	"visibility/internal/field"
+	"visibility/internal/index"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
-	"visibility/internal/trace"
 )
 
 // Detector tuning. The longest period searched for is the longest whose
@@ -18,78 +21,109 @@ const (
 	minReps   = 2    // consecutive copies seen before a candidate commits
 )
 
-// Stats summarizes the autotracer's outcomes alongside the underlying
-// tracer's counters.
+// Stats summarizes the autotracer's outcomes.
 type Stats struct {
 	// Candidates is how many repeating patterns the detector committed.
 	Candidates int64
-	// Instances is how many bracketed instances completed (recorded or
-	// replayed).
+	// Instances is how many instances completed (recorded or replayed).
 	Instances int64
-	// Aborts is how many bracketed instances diverged mid-instance and
-	// fell back to direct analysis.
+	// Aborts is how many instances diverged mid-instance and fell back to
+	// direct analysis.
 	Aborts int64
-	// Trace carries the wrapped tracer's recorded/replayed/invalidation
-	// launch counters.
-	Trace trace.Stats
+	// Trace counts launches recorded and replayed, and the replaying
+	// instances invalidated (their replayed launches re-analyzed).
+	Trace struct{ Recorded, Replayed, Invalidations int64 }
 }
 
-// Auto wraps an analyzer with automatic trace identification: every
-// launch is hashed into the detector's window, a confirmed repeat is
-// bracketed through an internal trace.Tracer, and any divergence falls
-// back to direct analysis. Like the analyzers it wraps, an Auto is
-// driven from a single goroutine at a time.
+// Replay is a run of consecutive launches, First through Last, whose
+// analysis was instantiated from trace Trace instead of being run.
+type Replay struct{ First, Last, Trace int }
+
+// ReplayOf returns the trace that launch id replayed from, or false when
+// the launch was analyzed.
+func ReplayOf(rs []Replay, id int) (traceID int, ok bool) {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Last >= id })
+	if i < len(rs) && rs[i].First <= id {
+		return rs[i].Trace, true
+	}
+	return -1, false
+}
+
+// Auto wraps an analyzer with automatic tracing: every launch is hashed
+// into the detector's window, a confirmed repeat is recorded once and
+// replayed from then on, and any divergence falls back to direct
+// analysis. Like the analyzers it wraps, an Auto is driven from a single
+// goroutine at a time.
 //
-// The state machine has three modes. In watching, launches pass through
-// the idle tracer while the detector looks for a repeating suffix; a
-// commit arms a candidate. In armed, the tracer is idle between
-// instances: a launch matching the candidate's first hash opens a
-// bracket (Begin), anything else retires the candidate — a clean loop
-// exit, no invalidation, because nothing memoized is pending. Inside a
-// bracket, matching launches are forwarded to the tracer (recording on
-// the first instance, replaying afterwards) and the bracket closes
-// (End) after one full period, returning to armed so back-to-back
-// instances stay contiguous — the tracer's replay precondition. A
-// mid-instance mismatch (or a fired trace.invalidate fault) ends the
-// bracket early: a replaying tracer invalidates and re-analyzes every
-// replayed launch through the wrapped analyzer, a recording tracer
-// finalizes a partial trace under an id that is never begun again, and
-// the autotracer returns to watching with the window still current, so
-// a surviving loop is re-detected and re-recorded within one period.
+// The state machine has four modes. In watching, launches are analyzed
+// directly while the detector looks for a repeating suffix; a commit arms
+// a candidate. In armed, a launch matching the candidate's first hash
+// opens an instance, anything else retires the candidate — a clean loop
+// exit, with nothing memoized pending. An instance records when the
+// candidate has no replayable trace yet and replays the previous
+// instance's trace otherwise; it closes after one full period and re-arms,
+// so an instance only ever opens on the launch right after the previous
+// one closed and relative task IDs resolve to the same launches of the
+// previous instance. A recording that replayable rejects declines its
+// loop for good. A mid-instance mismatch (or a fired trace.invalidate
+// fault) aborts: a replaying instance invalidates and re-analyzes every
+// replayed launch, a recording is dropped, and the trace id is retired.
+// The detector window is fed inside instances too, so a surviving loop is
+// re-detected and re-recorded within one period.
 type Auto struct {
-	// tr is the bracketed tracer; the autotracer is its only driver.
-	tr   *trace.Tracer
+	an   core.Analyzer
 	opts core.Options
 	name string
 
 	det *detector
 
 	mode int
-	// cand is the committed candidate: the hash sequence one bracketed
-	// instance must reproduce.
+	// cand is the committed candidate: the hash sequence one instance
+	// must reproduce.
 	cand    []uint64
-	pos     int // position inside the current bracketed instance
+	pos     int // position inside the current instance
 	traceID int // current trace id; bumped so aborted ids never replay
 	// declined remembers the loops whose recorded trace could not replay
-	// (trace.replayable), so the detector does not arm them again.
+	// (replayable), so the detector does not arm them again.
 	declined map[loopKey]bool
 
-	candidates *obs.Counter
-	instances  *obs.Counter
-	aborts     *obs.Counter
+	// tr is the candidate's trace: being recorded, or replayable by the
+	// next instance; nil before the first recording.
+	tr    *trace
+	start int // task ID of the current instance's first launch
 
-	// traceStats reads the wrapped tracer's counters without touching
-	// the analyzer-confined tracer reference: the counters live in the
-	// metrics registry (atomics), so the runtime owner may read them
-	// while the analyzer goroutine is mid-launch.
-	traceStats func() trace.Stats
+	// pending holds launches whose analysis was replayed (skipped); the
+	// wrapped analyzer must observe them before it can analyze anything
+	// new.
+	pending []*core.Task
+	// replays lists the runs of replayed launches, in launch order.
+	replays []Replay
+
+	// The counters live on the options' obs registry (atomics), so the
+	// runtime owner may read them while the analyzer goroutine is
+	// mid-launch. pendingLen follows len(pending).
+	recorded, replayed, invalidations *obs.Counter
+	pendingLen                        *obs.Gauge
+	candidates, instances, aborts     *obs.Counter
 }
 
 const (
 	watching = iota
 	armed
-	inside
+	recording
+	replaying
 )
+
+// trace is one recorded instance: its launches and their analysis
+// results, in task IDs of the recording.
+type trace struct {
+	start   int // task ID of the recording's first launch
+	tasks   []*core.Task
+	results []core.Result
+	// written accumulates, per field, the points the recording's tasks
+	// write — replayable's rule 3.
+	written map[field.ID]index.Space
+}
 
 // loopKey identifies a repeating unit independently of the phase the
 // detector happened to catch it at: its period and the wrapping sum of its
@@ -110,17 +144,19 @@ func keyOf(cand []uint64) loopKey {
 // New wraps an analyzer with an autotracer.
 func New(an core.Analyzer, opts core.Options) *Auto {
 	opts = opts.Normalize()
-	tr := trace.New(an, opts)
 	return &Auto{
-		tr:         tr,
-		opts:       opts,
-		name:       an.Name() + "+autotrace",
-		det:        newDetector(window, minPeriod, window/(2*minReps), minReps),
-		declined:   make(map[loopKey]bool),
-		candidates: opts.Metrics.NewCounter("autotrace/candidates"),
-		instances:  opts.Metrics.NewCounter("autotrace/instances"),
-		aborts:     opts.Metrics.NewCounter("autotrace/aborts"),
-		traceStats: tr.TraceStats,
+		an:            an,
+		opts:          opts,
+		name:          an.Name() + "+autotrace",
+		det:           newDetector(window, minPeriod, window/(2*minReps), minReps),
+		declined:      make(map[loopKey]bool),
+		recorded:      opts.Metrics.NewCounter("trace/recorded"),
+		replayed:      opts.Metrics.NewCounter("trace/replayed"),
+		invalidations: opts.Metrics.NewCounter("trace/invalidations"),
+		pendingLen:    opts.Metrics.NewGauge("trace/pending"),
+		candidates:    opts.Metrics.NewCounter("autotrace/candidates"),
+		instances:     opts.Metrics.NewCounter("autotrace/instances"),
+		aborts:        opts.Metrics.NewCounter("autotrace/aborts"),
 	}
 }
 
@@ -128,124 +164,246 @@ func New(an core.Analyzer, opts core.Options) *Auto {
 func (a *Auto) Name() string { return a.name }
 
 // Stats implements core.Analyzer (the wrapped analyzer's counters).
-func (a *Auto) Stats() *core.Stats { return a.tr.Stats() }
+func (a *Auto) Stats() *core.Stats { return a.an.Stats() }
 
 // AutoStats returns the autotracer's outcome counters. Safe from the
 // runtime owner: everything read here is registry atomics.
 func (a *Auto) AutoStats() Stats {
-	return Stats{
-		Candidates: a.candidates.Load(),
-		Instances:  a.instances.Load(),
-		Aborts:     a.aborts.Load(),
-		Trace:      a.traceStats(),
-	}
+	st := Stats{Candidates: a.candidates.Load(), Instances: a.instances.Load(), Aborts: a.aborts.Load()}
+	st.Trace.Recorded, st.Trace.Replayed, st.Trace.Invalidations = a.recorded.Load(), a.replayed.Load(), a.invalidations.Load()
+	return st
 }
 
-// Replays returns the wrapped tracer's runs of replayed launches.
-func (a *Auto) Replays() []trace.Replay { return a.tr.Replays() }
+// Replays returns the runs of replayed launches in launch order. A steady
+// loop extends one run, so the list grows only when replay resumes after
+// analysis or switches trace.
+func (a *Auto) Replays() []Replay { return a.replays }
 
 // Analyze implements core.Analyzer.
 func (a *Auto) Analyze(t *core.Task) *core.Result {
 	h := Signature(t)
-	switch a.mode {
-	case inside:
-		return a.step(t, h)
-	case armed:
+	if a.mode == armed {
 		if h == a.cand[0] {
-			a.tr.Begin(a.traceID)
-			a.mode = inside
-			a.pos = 0
-			return a.step(t, h)
+			a.mode, a.start, a.pos = replaying, t.ID, 0
+			if a.tr == nil {
+				a.mode, a.tr = recording, &trace{start: t.ID, written: make(map[field.ID]index.Space)}
+			}
+		} else {
+			// The loop exited between instances: no instance is open, so
+			// retiring the candidate costs nothing.
+			a.retire()
 		}
-		// The loop exited between instances: nothing is bracketed, so
-		// retiring the candidate costs nothing.
-		a.mode = watching
-		a.cand = nil
-		fallthrough
-	default:
-		res := a.tr.Analyze(t)
-		a.observe(h)
-		return res
 	}
-}
-
-// step handles one launch inside a bracketed instance.
-func (a *Auto) step(t *core.Task, h uint64) *core.Result {
-	if h == a.cand[a.pos] {
+	switch a.mode {
+	case recording:
+		if h == a.cand[a.pos] {
+			return a.advance(h, a.record(t))
+		}
+		a.abort()
+	case replaying:
 		// The forced-invalidation fault site only fires where an
 		// invalidation has teeth: mid-replay, with memoized launches
 		// pending re-analysis.
-		if !a.tr.Replaying() || !a.opts.Faults.Fire(fault.TraceInvalidate, int64(t.ID)) {
-			res := a.tr.Analyze(t)
-			// Bracketed launches still feed the window (without running
-			// detection), so an abort resumes from current history.
-			a.det.push(h)
-			a.pos++
-			if a.pos == len(a.cand) {
-				a.endInstance()
-			}
-			return res
+		if h == a.cand[a.pos] && sameShape(t, a.tr.tasks[a.pos]) && !a.opts.Faults.Fire(fault.TraceInvalidate, int64(t.ID)) {
+			return a.advance(h, a.replay(t))
 		}
+		a.abort()
 	}
-	a.abort()
-	// The tracer is idle again: this re-analyzes directly (after the
-	// invalidation drain caught the wrapped analyzer up).
-	res := a.tr.Analyze(t)
+	a.drain()
+	res := a.an.Analyze(t)
 	a.observe(h)
 	return res
 }
 
-// endInstance closes a completed bracket and re-arms for the next
-// contiguous instance — unless the instance recorded a trace that can
-// never replay: bracketing that loop again would pay for a recording every
-// iteration, so the candidate is retired and remembered as declined.
-func (a *Auto) endInstance() {
-	replayed := a.tr.Replaying()
-	replayable := a.tr.End()
-	a.instances.Inc()
-	a.pos = 0
-	if replayed {
-		a.opts.Recorder.Log(recorder.KindTraceReplay, int64(a.traceID), int64(len(a.cand)))
-	} else if !replayable {
-		a.declined[keyOf(a.cand)] = true
-		a.traceID++
-		a.mode = watching
-		a.cand = nil
-		return
+// drain catches the wrapped analyzer up on replayed launches.
+func (a *Auto) drain() {
+	for _, t := range a.pending {
+		a.an.Analyze(t)
 	}
-	a.mode = armed
+	a.pendingLen.Add(-int64(len(a.pending)))
+	a.pending = a.pending[:0]
 }
 
-// abort ends a bracketed instance early. Ending a replaying tracer
-// short invalidates the trace (the tracer re-analyzes every replayed
-// launch); ending a recording tracer finalizes a partial trace, which
-// stays harmless because its id is retired here and never begun again.
-// The detector window was fed throughout, so a loop that merely hiccuped
-// is re-detected and re-recorded within one period.
+// advance moves past one launch of an instance, closing the instance
+// after a full period. Launches inside an instance still feed the window
+// (without running detection), so an abort resumes from current history.
+func (a *Auto) advance(h uint64, res *core.Result) *core.Result {
+	a.det.push(h)
+	a.pos++
+	if a.pos < len(a.cand) {
+		return res
+	}
+	a.instances.Inc()
+	if a.mode == replaying {
+		a.opts.Recorder.Log(recorder.KindTraceReplay, int64(a.traceID), int64(len(a.cand)))
+	} else if !replayable(a.tr) {
+		// Recording this loop again would pay for a recording every
+		// iteration, so it is declined.
+		a.declined[keyOf(a.cand)] = true
+		a.traceID++
+		a.retire()
+		return res
+	}
+	a.mode = armed
+	return res
+}
+
+// abort ends an instance early. A replaying instance is invalidated and
+// the wrapped analyzer re-analyzes every replayed launch; a partial
+// recording is dropped with its retired id.
 func (a *Auto) abort() {
 	a.opts.Recorder.Log(recorder.KindTraceInvalidate, int64(a.traceID), int64(a.pos))
 	a.aborts.Inc()
-	a.tr.End()
+	if a.mode == replaying {
+		span := a.opts.Spans.Begin("trace.invalidate", "trace")
+		a.invalidations.Inc()
+		a.drain()
+		span.End()
+	}
 	a.traceID++
-	a.mode = watching
-	a.cand = nil
-	a.pos = 0
+	a.retire()
 }
 
-// observe feeds one launch hash to the detector and commits a candidate
-// when the stream's suffix repeats.
+// retire drops the candidate and its trace and returns to watching.
+func (a *Auto) retire() {
+	a.mode, a.cand, a.tr = watching, nil, nil
+}
+
+// observe feeds one watched launch's hash to the detector and arms a
+// candidate when the stream's suffix repeats.
 func (a *Auto) observe(h uint64) {
 	a.det.push(h)
-	if a.mode != watching {
-		return
-	}
 	if p := a.det.detect(); p > 0 && !a.declined[keyOf(a.det.tail(p))] {
 		a.cand = a.det.candidate(p)
 		a.candidates.Inc()
 		a.opts.Recorder.Log(recorder.KindTraceCommit, int64(a.traceID), int64(p))
 		a.mode = armed
-		a.pos = 0
 	}
+}
+
+// record runs the real analysis and keeps a copy of its result. Nothing
+// is pending: a recording follows a commit, made while watching.
+func (a *Auto) record(t *core.Task) *core.Result {
+	res := a.an.Analyze(t)
+	span := a.opts.Spans.Begin("trace.record", "trace")
+	defer span.End()
+	tr := a.tr
+	for _, req := range t.Reqs {
+		if req.Priv.IsWrite() {
+			cur, ok := tr.written[req.Field]
+			if !ok {
+				cur = index.Empty(req.Region.Space.Dim())
+			}
+			tr.written[req.Field] = cur.Union(req.Region.Space)
+		}
+	}
+	rec := core.Result{Deps: append([]int(nil), res.Deps...), Plans: make([][]core.Visible, len(res.Plans))}
+	for ri, plan := range res.Plans {
+		rec.Plans[ri] = append([]core.Visible(nil), plan...)
+	}
+	tr.tasks = append(tr.tasks, t)
+	tr.results = append(tr.results, rec)
+	a.recorded.Inc()
+	return res
+}
+
+// replay instantiates the recorded result at a.pos for t, shifting every
+// task reference by the distance between the recording and this
+// instance, without consulting the wrapped analyzer.
+func (a *Auto) replay(t *core.Task) *core.Result {
+	span := a.opts.Spans.Begin("trace.replay", "trace")
+	defer span.End()
+	rec := &a.tr.results[a.pos]
+	a.pending = append(a.pending, t)
+	a.pendingLen.Add(1)
+	a.replayed.Inc()
+	if n := len(a.replays); n > 0 && a.replays[n-1].Trace == a.traceID && a.replays[n-1].Last+1 == t.ID {
+		a.replays[n-1].Last = t.ID
+	} else {
+		a.replays = append(a.replays, Replay{First: t.ID, Last: t.ID, Trace: a.traceID})
+	}
+	// Replay is a constant-time local operation per launch.
+	a.opts.Probe.Touch(core.LocalOwner, 1)
+	shift := a.start - a.tr.start
+	res := &core.Result{Plans: make([][]core.Visible, len(t.Reqs))}
+	for _, d := range rec.Deps {
+		res.Deps = append(res.Deps, d+shift)
+	}
+	res.Deps = core.DedupDeps(res.Deps)
+	for ri, plan := range rec.Plans {
+		for _, v := range plan {
+			if v.Task != core.InitialTask {
+				v.Task += shift
+			}
+			res.Plans[ri] = append(res.Plans[ri], v)
+		}
+	}
+	return res
+}
+
+// sameShape is the exact structural check behind Signature's hash: a
+// replayed launch must match the recorded one in name and, requirement
+// by requirement, region, field and privilege (kind and reduction
+// operator).
+func sameShape(t, rec *core.Task) bool {
+	if t.Name != rec.Name || len(t.Reqs) != len(rec.Reqs) {
+		return false
+	}
+	for i, r := range t.Reqs {
+		q := rec.Reqs[i]
+		if r.Region.ID != q.Region.ID || r.Field != q.Field || !r.Priv.Same(q.Priv) {
+			return false
+		}
+	}
+	return true
+}
+
+// replayable decides whether a recorded trace is period-invariant, i.e.
+// whether replaying it with all task references shifted by one period
+// reproduces what real analysis would compute. Three recorded patterns
+// break that invariance, and the loop is declined:
+//
+//  1. a dependence or plan producer more than one period old — its
+//     absolute identity would shift under replay, but the referenced task
+//     (e.g. a pre-loop initializer) does not recur;
+//  2. a plan mixing previous-instance reductions with the region's
+//     initial contents — no write inside the window bounds the visible
+//     reductions, so they accumulate and the plan grows every iteration
+//     instead of repeating. (Cross-instance reductions occluded by a
+//     write within the last period are shift-invariant and fine — the
+//     Figure 1 loop is exactly that shape.)
+//  3. a plan reading initial contents of points the trace itself writes —
+//     after one instance those points hold task outputs, so the recorded
+//     "read initial data" entry would replay stale values.
+func replayable(tr *trace) bool {
+	oldest := tr.start - len(tr.tasks) // first task ID of the previous period
+	for i, res := range tr.results {
+		for _, d := range res.Deps {
+			if d < oldest {
+				return false
+			}
+		}
+		for ri, plan := range res.Plans {
+			initial, crossReduce := false, false
+			for _, v := range plan {
+				switch {
+				case v.Task == core.InitialTask:
+					initial = true
+					if w, ok := tr.written[tr.tasks[i].Reqs[ri].Field]; ok && w.Overlaps(v.Pts) {
+						return false
+					}
+				case v.Task < oldest:
+					return false
+				case v.Task < tr.start && v.Priv.IsReduce():
+					crossReduce = true
+				}
+			}
+			if initial && crossReduce {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Verify that Auto satisfies core.Analyzer.

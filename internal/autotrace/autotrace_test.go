@@ -97,8 +97,8 @@ func TestAutoMatchesSequential(t *testing.T) {
 			if st.Aborts != 0 {
 				t.Errorf("aborts = %d, want 0", st.Aborts)
 			}
-			// Iterations 0-1 detect, 2 records, 3-9 replay; each bracketed
-			// iteration is one instance.
+			// Iterations 0-1 detect, 2 records, 3-9 replay; each recorded or
+			// replayed iteration is one instance.
 			if st.Instances != 8 {
 				t.Errorf("instances = %d, want 8", st.Instances)
 			}
@@ -142,6 +142,71 @@ func TestAutoReplaySkipsUnderlyingAnalysis(t *testing.T) {
 	if st := auto.AutoStats(); st.Trace.Replayed != 12 {
 		t.Errorf("replayed %d launches, want 12", st.Trace.Replayed)
 	}
+	// A launch that leaves the loop forces the analyzer to catch up on
+	// the replayed instances before analyzing it.
+	auto.Analyze(stream.Launch("probe",
+		core.Req{Region: tree.Root, Field: 0, Priv: privilege.Reads()}))
+	if got := an.Stats().Launches; got != launchesAfterRecord+12+1 {
+		t.Errorf("after catch-up: %d launches, want %d", got, launchesAfterRecord+13)
+	}
+}
+
+// TestAutoPendingGauge reads "trace/pending" — launches replayed but not
+// yet analyzed — and the runs of replayed launches: a steady loop is one
+// run, and the gauge returns to 0 once a launch that leaves the loop
+// drains the debt.
+func TestAutoPendingGauge(t *testing.T) {
+	tree, p, g := testutil.GraphTree()
+	reg := obs.NewRegistry()
+	auto := autotrace.New(raycast.New(tree, core.Options{}), core.Options{Metrics: reg})
+	stream := core.NewStream(tree)
+	// Iterations 0-1 detect, 2 records, 3-4 replay (launches 18..29).
+	for it := 0; it < 5; it++ {
+		for _, task := range loopIter(stream, p, g, it) {
+			auto.Analyze(task)
+		}
+	}
+	if got := reg.Snapshot()["trace/pending"]; got != 12 {
+		t.Errorf("trace/pending = %d after two replayed instances of 6, want 12", got)
+	}
+	if rs := auto.Replays(); len(rs) != 1 || rs[0] != (autotrace.Replay{First: 18, Last: 29, Trace: 0}) {
+		t.Errorf("Replays = %v, want one run 18..29 of trace 0", rs)
+	}
+	for _, id := range []int{18, 29} {
+		if tr, ok := autotrace.ReplayOf(auto.Replays(), id); !ok || tr != 0 {
+			t.Errorf("ReplayOf(%d) = %d, %v; want trace 0", id, tr, ok)
+		}
+	}
+
+	auto.Analyze(stream.Launch("probe", core.Req{Region: tree.Root, Field: 0, Priv: privilege.Reads()}))
+	if got := reg.Snapshot()["trace/pending"]; got != 0 {
+		t.Errorf("trace/pending = %d after a drain, want 0", got)
+	}
+	for _, id := range []int{17, 30} {
+		if _, ok := autotrace.ReplayOf(auto.Replays(), id); ok {
+			t.Errorf("ReplayOf(%d) reports a replay; the launch was analyzed", id)
+		}
+	}
+}
+
+// TestAutoTraceSoundness runs the autotraced dependence output of the
+// Figure 1 loop through the exact checker, replayed iterations included.
+func TestAutoTraceSoundness(t *testing.T) {
+	tree, p, g := testutil.GraphTree()
+	auto := autotrace.New(raycast.New(tree, core.Options{}), core.Options{})
+	stream := core.NewStream(tree)
+	var got [][]int
+	for it := 0; it < 6; it++ {
+		for _, task := range loopIter(stream, p, g, it) {
+			got = append(got, auto.Analyze(task).Deps)
+		}
+	}
+	if st := auto.AutoStats(); st.Trace.Replayed != 3*6 {
+		t.Errorf("replayed %d launches, want 18", st.Trace.Replayed)
+	}
+	if err := core.CheckSound(got, core.ExactDeps(stream.Tasks)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAutoSingleLaunchLoop checks the degenerate but common period-1
@@ -162,7 +227,7 @@ func TestAutoSingleLaunchLoop(t *testing.T) {
 }
 
 // TestAutoDivergenceRecovers scrambles one iteration mid-replay: the
-// first launch still matches (so the bracket opens), the second does
+// first launch still matches (so the instance opens), the second does
 // not, forcing an invalidation — then the loop resumes and must be
 // re-detected, re-recorded, and replayed again, with all values exact.
 func TestAutoDivergenceRecovers(t *testing.T) {
@@ -332,10 +397,10 @@ func TestAutoName(t *testing.T) {
 
 // TestAutoDeclinesUnreplayableLoop drives a loop whose painter trace can
 // never replay: the painter materializes the root read back to front — the
-// initial contents under the loop's own write — which trace.replayable
+// initial contents under the loop's own write — which replayable
 // rejects, while ray casting trims the initial entry and replays. The
 // painter must record that loop exactly once, then leave it alone (values
-// still exact, checked by runSchedule), and still bracket the different
+// still exact, checked by runSchedule), and still trace the different
 // loop that follows.
 func TestAutoDeclinesUnreplayableLoop(t *testing.T) {
 	const first = 8 // iterations of the write-then-read-root body
@@ -368,5 +433,54 @@ func TestAutoDeclinesUnreplayableLoop(t *testing.T) {
 					st.Trace.Recorded, st.Trace.Replayed, st.Instances, tc.recorded, tc.replayed, tc.instances)
 			}
 		})
+	}
+}
+
+// TestAutoDeclinesPeriodVariantLoops pins each of replayable's three
+// rules with a loop that only that rule declines: the loop is detected and
+// recorded once, never replayed, and every value is exact (runSchedule).
+func TestAutoDeclinesPeriodVariantLoops(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		facs  []core.Factory
+		sched schedule
+	}{
+		// Rule 1: every body reads P[0] from the write before the loop,
+		// a producer that does not recur one period later.
+		{"older-producer", factories(), func(s *core.Stream, p, _ *region.Partition, it int) []*core.Task {
+			var out []*core.Task
+			if it == 0 {
+				out = append(out, s.Launch("init", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()}))
+			}
+			return append(out,
+				s.Launch("r", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Reads()}),
+				s.Launch("w", core.Req{Region: p.Subregions[1], Field: 0, Priv: privilege.Writes()}))
+		}},
+		// Rule 2: the root read sees P[1..2]'s initial contents next to
+		// the previous instance's reduction into P[0].
+		{"initial-and-cross-reduction", factories()[1:], func(s *core.Stream, p, _ *region.Partition, _ int) []*core.Task {
+			return []*core.Task{
+				s.Launch("r", core.Req{Region: s.Tree.Root, Field: 0, Priv: privilege.Reads()}),
+				s.Launch("w", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()}),
+				s.Launch("red", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Reduces(privilege.OpSum)}),
+			}
+		}},
+		// Rule 3: the painter lists P[0]'s initial contents under the
+		// previous instance's write to it. (Ray casting and Warnock trim
+		// that entry and replay; the painter's values would be exact too,
+		// so the rule is conservative here.)
+		{"initial-under-own-write", factories()[:1], func(s *core.Stream, p, _ *region.Partition, _ int) []*core.Task {
+			return []*core.Task{s.Launch("w", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()})}
+		}},
+	} {
+		for _, fac := range tc.facs {
+			t.Run(tc.name+"/"+fac.Name, func(t *testing.T) {
+				st := runSchedule(t, fac, 8, core.Options{}, tc.sched).AutoStats()
+				if st.Candidates != 1 || st.Trace.Recorded == 0 || st.Trace.Replayed != 0 || st.Aborts != 0 {
+					t.Errorf("candidates/recorded/replayed/aborts = %d/%d/%d/%d, want 1/>0/0/0",
+						st.Candidates, st.Trace.Recorded, st.Trace.Replayed, st.Aborts)
+				}
+			})
+		}
 	}
 }

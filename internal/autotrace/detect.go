@@ -149,7 +149,7 @@ func (d *detector) copiesEqual(p int) bool {
 func (d *detector) tail(p int) []uint64 { return d.hs[len(d.hs)-p:] }
 
 // candidate returns a copy of the window's last p hashes — the repeating
-// unit a committed trace will bracket.
+// unit each instance of a committed candidate reproduces.
 func (d *detector) candidate(p int) []uint64 {
 	return append([]uint64(nil), d.tail(p)...)
 }

@@ -1,20 +1,22 @@
-// Package autotrace identifies repeated launch subsequences online and
-// promotes them to memoized traces automatically, following Yadav et al.,
-// "Automatic Tracing in Task-Based Runtime Systems": the application
-// keeps launching tasks with no trace annotations at all, and the
-// runtime watches the launch stream for a repeating structural pattern,
-// brackets it with trace.Tracer Begin/End once confirmed, and falls back
-// to direct analysis on any mismatch. The paper's steady-state loops
-// (§8) are exactly such patterns, so in the replayed regime the
-// per-launch dependence analysis cost drops to O(1) without any
-// application cooperation.
+// Package autotrace memoizes the dependence and coherence analysis of
+// repeating launch sequences, found online: dynamic tracing after Lee et
+// al., "Dynamic Tracing: Memoization of Task Graphs for Dynamic Task-Based
+// Runtimes" (SC'18), with the trace boundaries placed automatically after
+// Yadav et al., "Automatic Tracing in Task-Based Runtime Systems". The
+// paper's evaluation (§8) disables Legion's tracing to isolate the
+// coherence algorithms; this package brings it back as the `_auto`
+// ablation, so that the claim — tracing removes the per-launch analysis
+// cost in steady state — can itself be measured.
 //
-// The subsystem drives, rather than replaces, the tracing engine of
-// package trace: an Auto wraps any core.Analyzer in a trace.Tracer and
-// places the brackets itself. The tracer's own
-// signature check and period-invariance rules remain the correctness
-// backstop — a hash collision in the detector can at worst trigger a
-// trace invalidation, never a wrong analysis result.
+// The application launches tasks with no trace annotations at all. An
+// Auto hashes every launch, commits a repeating pattern once the stream
+// ends in two copies of it, records one instance's analysis results and
+// replays them for later instances with task IDs shifted by the distance
+// from the recording, without consulting the wrapped analyzer; any
+// mismatch falls back to direct analysis. The exact structural check and
+// the period-invariance rules (replayable) are the correctness backstop:
+// a hash collision in the detector can at worst abort an instance, never
+// produce a wrong analysis result.
 package autotrace
 
 import (

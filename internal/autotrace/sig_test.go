@@ -9,6 +9,7 @@ import (
 	"visibility/internal/index"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
+	"visibility/internal/warnock"
 )
 
 // sigTree builds a small region tree whose root has two subregions, so
@@ -88,6 +89,73 @@ func TestSignatureOffsetInvariance(t *testing.T) {
 	// A shifted future edge is a different structure.
 	if Signature(task(6, "step", reqs, 3, 2)) == base {
 		t.Error("future-dep offset change did not change the hash")
+	}
+}
+
+// TestSameShape is the exact check behind Signature: a replayed launch
+// matches the recorded one only when name, requirement count and, per
+// requirement, region, field, privilege kind and reduction operator all
+// agree. Task ID and future edges do not enter it.
+func TestSameShape(t *testing.T) {
+	tree, p := sigTree()
+	req := func(r *region.Region, f field.ID, pr privilege.Privilege) core.Req {
+		return core.Req{Region: r, Field: f, Priv: pr}
+	}
+	sum := privilege.Reduces(privilege.OpSum)
+	rec := task(3, "t", []core.Req{req(p.Subregions[0], 0, privilege.Writes()), req(tree.Root, 1, sum)})
+	for _, tc := range []struct {
+		name string
+		t    *core.Task
+		want bool
+	}{
+		{"same", task(9, "t", []core.Req{req(p.Subregions[0], 0, privilege.Writes()), req(tree.Root, 1, sum)}, 4), true},
+		{"name", task(9, "u", []core.Req{req(p.Subregions[0], 0, privilege.Writes()), req(tree.Root, 1, sum)}), false},
+		{"requirement count", task(9, "t", []core.Req{req(p.Subregions[0], 0, privilege.Writes())}), false},
+		{"region", task(9, "t", []core.Req{req(p.Subregions[1], 0, privilege.Writes()), req(tree.Root, 1, sum)}), false},
+		{"field", task(9, "t", []core.Req{req(p.Subregions[0], 1, privilege.Writes()), req(tree.Root, 1, sum)}), false},
+		{"privilege kind", task(9, "t", []core.Req{req(p.Subregions[0], 0, privilege.Reads()), req(tree.Root, 1, sum)}), false},
+		{"reduction operator", task(9, "t", []core.Req{req(p.Subregions[0], 0, privilege.Writes()), req(tree.Root, 1, privilege.Reduces(privilege.OpMax))}), false},
+	} {
+		if got := sameShape(tc.t, rec); got != tc.want {
+			t.Errorf("%s: sameShape = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestShapeMismatchAborts forges a hash collision: the recorded launch
+// the next replay compares against is swapped for one of another shape,
+// so the launch's hash matches the candidate but sameShape does not. The
+// instance aborts like a hash mismatch — the trace is invalidated, the
+// replayed launches are re-analyzed — and the launch is analyzed
+// directly.
+func TestShapeMismatchAborts(t *testing.T) {
+	tree, p := sigTree()
+	an := warnock.New(tree, core.Options{})
+	a := New(an, core.Options{})
+	s := core.NewStream(tree)
+	spin := func() *core.Task {
+		return s.Launch("spin", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()})
+	}
+	for i := 0; i < 5; i++ { // 0-1 detect, 2 records, 3-4 replay
+		a.Analyze(spin())
+	}
+	if a.mode != armed || a.replayed.Load() != 2 {
+		t.Fatalf("mode %d, replayed %d; want armed after 2 replays", a.mode, a.replayed.Load())
+	}
+	a.tr.tasks[0] = s.Launch("other", core.Req{Region: p.Subregions[1], Field: 0, Priv: privilege.Writes()})
+	before := an.Stats().Launches
+	a.Analyze(spin())
+	st := a.AutoStats()
+	if st.Aborts != 1 || st.Trace.Invalidations != 1 || st.Trace.Replayed != 2 {
+		t.Errorf("aborts/invalidations/replayed = %d/%d/%d, want 1/1/2", st.Aborts, st.Trace.Invalidations, st.Trace.Replayed)
+	}
+	if got := an.Stats().Launches - before; got != 2+1 {
+		t.Errorf("wrapped analyzer saw %d launches, want the 2 replayed plus this one", got)
+	}
+	// The window is still current, so the launch re-commits the loop
+	// under the next trace id.
+	if a.traceID != 1 || st.Candidates != 2 {
+		t.Errorf("trace id %d, candidates %d; want the id retired and the loop re-detected", a.traceID, st.Candidates)
 	}
 }
 

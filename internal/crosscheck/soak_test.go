@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"visibility/internal/autotrace"
 	"visibility/internal/core"
 	"visibility/internal/harness"
 	"visibility/internal/testutil"
-	"visibility/internal/trace"
 )
 
 // TestSoakRandomStreams is the long-form randomized cross-validation:
@@ -28,14 +28,19 @@ func TestSoakRandomStreams(t *testing.T) {
 	}
 }
 
-// TestSoakTracedLoops validates trace replay across every analyzer on
-// repeated random loop bodies: values must match the sequential
-// interpreter and dependence orderings must stay sound.
+// TestSoakTracedLoops validates autotraced replay across every analyzer
+// on repeated random loop bodies, launched with no trace brackets: values
+// must match the sequential interpreter, dependence orderings must stay
+// sound, and each analyzer must replay at least as many launches as the
+// manually bracketed tracer did over six repetitions (raycast and warnock
+// 688, paint 100; the naive painter's traces never replay), so a change
+// that stops replay fails the soak.
 func TestSoakTracedLoops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
 	rng := rand.New(rand.NewSource(99221))
+	replayed := map[string]int64{}
 	for it := 0; it < 25; it++ {
 		tree := harness.ChaosTree(rng)
 		// A fixed random loop body, repeated.
@@ -44,25 +49,20 @@ func TestSoakTracedLoops(t *testing.T) {
 			continue
 		}
 		for _, fac := range allFactories() {
-			tr := trace.New(fac.New(tree), core.Options{})
-			launch, inputs := testutil.Serial(t, core.Checked(tr), testutil.FullInit(tree))
+			auto := autotrace.New(fac.New(tree), core.Options{})
+			launch, inputs := testutil.Serial(t, core.Checked(auto), testutil.FullInit(tree))
 			seq := core.NewSeq(tree, testutil.FullInit(tree))
 
 			stream := core.NewStream(tree)
 			var got [][]int
-			for rep := 0; rep < 6; rep++ {
-				if rep > 0 {
-					tr.Begin(1)
-				}
+			for rep := 0; rep < 8; rep++ {
 				for _, proto := range body.Tasks {
 					task := stream.Launch(proto.Name, proto.Reqs...)
 					seq.Run(task, core.HashKernel{})
 					got = append(got, launch(task))
 				}
-				if rep > 0 {
-					tr.End()
-				}
 			}
+			replayed[fac.Name] += auto.AutoStats().Trace.Replayed
 			// Values match the sequential interpreter.
 			for id, want := range seq.Inputs {
 				have := inputs[id]
@@ -77,6 +77,12 @@ func TestSoakTracedLoops(t *testing.T) {
 			if err := core.CheckSound(got, core.ExactDeps(stream.Tasks)); err != nil {
 				t.Fatalf("soak %d %s: %v", it, fac.Name, err)
 			}
+		}
+	}
+	t.Logf("replayed launches: %v", replayed)
+	for name, floor := range map[string]int64{"paint-naive": 0, "paint": 100, "warnock": 688, "raycast": 688} {
+		if replayed[name] < floor {
+			t.Errorf("%s replayed %d launches, want at least %d", name, replayed[name], floor)
 		}
 	}
 }

@@ -55,7 +55,7 @@ const (
 	// answers with. Arg: session seq.
 	WorkerPanic Site = "server.worker.panic"
 	// TraceInvalidate forces an automatic trace to invalidate mid-replay:
-	// the autotracer aborts the bracketed instance as if its structure had
+	// the autotracer aborts the replaying instance as if its structure had
 	// diverged, the memoized results are dropped, and every replayed
 	// launch is re-analyzed through the wrapped analyzer. Recovery must be
 	// byte-identical to a run that never traced. Arg: task ID.
