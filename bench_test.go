@@ -99,37 +99,55 @@ func BenchmarkFig17PennantWeak(b *testing.B) { benchFigure(b, pennant.New, "penn
 // constant factors behind the simulated op counts. It runs with
 // core.Options{}, whose default owner is the constant 0, so it excludes
 // cost-model attribution (resolving who owns the state a launch touches);
-// BenchmarkHarnessLaunch is the same launch with that included.
+// BenchmarkHarnessLaunch is the same launch with that included. The _auto
+// legs wrap the algorithm in the autotracer and warm up until its loop
+// replays, so they time a replayed launch (its catch-up is not timed); one
+// fails if fewer than 90% of its timed launches replay.
 func BenchmarkAnalyzePerLaunch(b *testing.B) {
 	for _, name := range algo.Names() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			newAn, err := algo.Lookup(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			inst := circuit.New(16)
-			an := newAn(inst.Tree, core.Options{})
-			stream := core.NewStream(inst.Tree)
-			b.ReportAllocs()
-			// Warm up: initialization iteration.
-			launches := inst.Emit(stream, 0)
-			for _, l := range launches {
-				an.Analyze(l.Task)
-			}
-			b.ResetTimer()
-			n := 0
-			for i := 0; i < b.N; i++ {
-				if n == 0 {
-					b.StopTimer()
-					launches = inst.Emit(stream, i+1)
-					n = len(launches)
-					b.StartTimer()
+		for _, spec := range []algo.Spec{{Algorithm: name}, {Algorithm: name, AutoTrace: true}} {
+			b.Run(name+spec.Suffix(), func(b *testing.B) {
+				inst := circuit.New(16)
+				st := spec.Build(inst.Tree, core.Options{})
+				stream := core.NewStream(inst.Tree)
+				b.ReportAllocs()
+				// Warm up: the initialization iteration and, autotraced, two
+				// more to detect the loop, two to record it and two replayed.
+				warm := 1
+				if st.Auto != nil {
+					warm = 7
 				}
-				n--
-				an.Analyze(launches[len(launches)-1-n].Task)
-			}
-		})
+				var launches []apps.Launch
+				for it := 0; it < warm; it++ {
+					launches = inst.Emit(stream, it)
+					for _, l := range launches {
+						st.Analyzer.Analyze(l.Task)
+					}
+				}
+				var replayed int64
+				if st.Auto != nil {
+					replayed = st.Auto.AutoStats().Trace.Replayed
+				}
+				b.ResetTimer()
+				n := 0
+				for i := 0; i < b.N; i++ {
+					if n == 0 {
+						b.StopTimer()
+						launches = inst.Emit(stream, warm+i)
+						n = len(launches)
+						b.StartTimer()
+					}
+					n--
+					st.Analyzer.Analyze(launches[len(launches)-1-n].Task)
+				}
+				b.StopTimer()
+				if st.Auto != nil {
+					if got := st.Auto.AutoStats().Trace.Replayed - replayed; got*10 < int64(b.N)*9 {
+						b.Fatalf("%d of %d timed launches replayed, want at least 90%%", got, b.N)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -8,8 +8,10 @@
 // "why" prints the provenance of every dependence edge from A into B —
 // which analyzer found it, the interfering requirement pair (regions,
 // field, privileges, overlapping rectangle), or the future/trace-replay
-// origin — plus the mustPrecede verdict (a backward search of the graph,
-// windowed to the ids between A and B). "critpath" prints the
+// origin — plus the mustPrecede verdict (false at once when every
+// ancestor of B lies above A, from B's graph.Label.Low; otherwise a
+// backward search of the graph, windowed to the ids between A and B).
+// "critpath" prints the
 // weighted critical path under deterministic virtual time (analyzer
 // operations + points touched) and the top-k bottleneck tasks; -dot
 // renders the full DAG with the critical path highlighted instead.

@@ -77,16 +77,16 @@ func ExampleRegion_PartitionImage() {
 }
 
 // ExampleRuntime_AutoTraceStats shows automatic tracing: the runtime finds
-// the repeating loop body by itself, analyzes it once and replays that
-// analysis for the remaining iterations.
+// the repeating loop body by itself, analyzes it twice and, since the two
+// analyses agree, replays it for the remaining iterations.
 func ExampleRuntime_AutoTraceStats() {
 	rt := visibility.New(visibility.Config{AutoTrace: true})
 	defer rt.Close()
 
 	r := rt.CreateRegion("r", visibility.Line(0, 7), "v")
 	halves := r.PartitionEqual("H", 2)
-	// Two iterations reveal the period, the third records it, and its
-	// five successors replay.
+	// Two iterations reveal the period, the next two record it, and the
+	// four after them replay.
 	for iter := 0; iter < 8; iter++ {
 		for i := 0; i < 2; i++ {
 			rt.Launch(visibility.TaskSpec{
@@ -101,5 +101,5 @@ func ExampleRuntime_AutoTraceStats() {
 	rt.Wait()
 	st := rt.AutoTraceStats(r)
 	fmt.Println(st.Instances, st.Trace.Recorded, st.Trace.Replayed)
-	// Output: 6 2 10
+	// Output: 6 4 8
 }

@@ -5,8 +5,6 @@ import (
 
 	"visibility/internal/core"
 	"visibility/internal/fault"
-	"visibility/internal/field"
-	"visibility/internal/index"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
 )
@@ -50,24 +48,24 @@ func ReplayOf(rs []Replay, id int) (traceID int, ok bool) {
 }
 
 // Auto wraps an analyzer with automatic tracing: every launch is hashed
-// into the detector's window, a confirmed repeat is recorded once and
-// replayed from then on, and any divergence falls back to direct
-// analysis. Like the analyzers it wraps, an Auto is driven from a single
-// goroutine at a time.
+// into the detector's window, a confirmed repeat is recorded twice and,
+// when the recordings agree, replayed from then on, and any divergence
+// falls back to direct analysis. Like the analyzers it wraps, an Auto is
+// driven from a single goroutine at a time.
 //
 // The state machine has four modes. In watching, launches are analyzed
 // directly while the detector looks for a repeating suffix; a commit arms
 // a candidate. In armed, a launch matching the candidate's first hash
 // opens an instance, anything else retires the candidate — a clean loop
-// exit, with nothing memoized pending. An instance records when the
-// candidate has no replayable trace yet and replays the previous
-// instance's trace otherwise; it closes after one full period and re-arms,
-// so an instance only ever opens on the launch right after the previous
-// one closed and relative task IDs resolve to the same launches of the
-// previous instance. A recording that replayable rejects declines its
-// loop for good. A mid-instance mismatch (or a fired trace.invalidate
-// fault) aborts: a replaying instance invalidates and re-analyzes every
-// replayed launch, a recording is dropped, and the trace id is retired.
+// exit, with nothing memoized pending. The first two instances record;
+// the second replays for every later one only if it repeats the first
+// shifted by one period, and otherwise its loop is declined for good. An
+// instance closes after one full period and re-arms, so an instance only
+// ever opens on the launch right after the previous one closed and
+// relative task IDs resolve to the same launches of the previous
+// instance. A mid-instance mismatch (or a fired trace.invalidate fault)
+// aborts: a replaying instance invalidates and re-analyzes every replayed
+// launch, a recording is dropped, and the trace id is retired.
 // The detector window is fed inside instances too, so a surviving loop is
 // re-detected and re-recorded within one period.
 type Auto struct {
@@ -83,14 +81,23 @@ type Auto struct {
 	cand    []uint64
 	pos     int // position inside the current instance
 	traceID int // current trace id; bumped so aborted ids never replay
-	// declined remembers the loops whose recorded trace could not replay
-	// (replayable), so the detector does not arm them again.
+	// declined remembers the loops whose two recordings disagreed
+	// (repeats), so the detector does not arm them again.
 	declined map[loopKey]bool
 
-	// tr is the candidate's trace: being recorded, or replayable by the
-	// next instance; nil before the first recording.
-	tr    *trace
+	// tr is the candidate's trace: being recorded, or replayed by the next
+	// instance; nil before the first recording and between the two.
+	tr *trace
+	// prev is the candidate's first recording, kept until the second one
+	// closes and is compared against it.
+	prev  *trace
 	start int // task ID of the current instance's first launch
+
+	// carve copies recorded and replayed results into these.
+	results core.Chunk[core.Result]
+	deps    core.Chunk[int]
+	plans   core.Chunk[[]core.Visible]
+	vis     core.Chunk[core.Visible]
 
 	// pending holds launches whose analysis was replayed (skipped); the
 	// wrapped analyzer must observe them before it can analyze anything
@@ -119,10 +126,7 @@ const (
 type trace struct {
 	start   int // task ID of the recording's first launch
 	tasks   []*core.Task
-	results []core.Result
-	// written accumulates, per field, the points the recording's tasks
-	// write — replayable's rule 3.
-	written map[field.ID]index.Space
+	results []*core.Result
 }
 
 // loopKey identifies a repeating unit independently of the phase the
@@ -186,7 +190,7 @@ func (a *Auto) Analyze(t *core.Task) *core.Result {
 		if h == a.cand[0] {
 			a.mode, a.start, a.pos = replaying, t.ID, 0
 			if a.tr == nil {
-				a.mode, a.tr = recording, &trace{start: t.ID, written: make(map[field.ID]index.Space)}
+				a.mode, a.tr = recording, &trace{start: t.ID}
 			}
 		} else {
 			// The loop exited between instances: no instance is open, so
@@ -234,15 +238,21 @@ func (a *Auto) advance(h uint64, res *core.Result) *core.Result {
 		return res
 	}
 	a.instances.Inc()
-	if a.mode == replaying {
+	switch {
+	case a.mode == replaying:
 		a.opts.Recorder.Log(recorder.KindTraceReplay, int64(a.traceID), int64(len(a.cand)))
-	} else if !replayable(a.tr) {
+	case a.prev == nil:
+		// The first recording waits for the second to compare against.
+		a.prev, a.tr = a.tr, nil
+	case !a.tr.repeats(a.prev):
 		// Recording this loop again would pay for a recording every
 		// iteration, so it is declined.
 		a.declined[keyOf(a.cand)] = true
 		a.traceID++
 		a.retire()
 		return res
+	default:
+		a.prev = nil
 	}
 	a.mode = armed
 	return res
@@ -264,9 +274,9 @@ func (a *Auto) abort() {
 	a.retire()
 }
 
-// retire drops the candidate and its trace and returns to watching.
+// retire drops the candidate and its recordings and returns to watching.
 func (a *Auto) retire() {
-	a.mode, a.cand, a.tr = watching, nil, nil
+	a.mode, a.cand, a.tr, a.prev = watching, nil, nil, nil
 }
 
 // observe feeds one watched launch's hash to the detector and arms a
@@ -287,22 +297,8 @@ func (a *Auto) record(t *core.Task) *core.Result {
 	res := a.an.Analyze(t)
 	span := a.opts.Spans.Begin("trace.record", "trace")
 	defer span.End()
-	tr := a.tr
-	for _, req := range t.Reqs {
-		if req.Priv.IsWrite() {
-			cur, ok := tr.written[req.Field]
-			if !ok {
-				cur = index.Empty(req.Region.Space.Dim())
-			}
-			tr.written[req.Field] = cur.Union(req.Region.Space)
-		}
-	}
-	rec := core.Result{Deps: append([]int(nil), res.Deps...), Plans: make([][]core.Visible, len(res.Plans))}
-	for ri, plan := range res.Plans {
-		rec.Plans[ri] = append([]core.Visible(nil), plan...)
-	}
-	tr.tasks = append(tr.tasks, t)
-	tr.results = append(tr.results, rec)
+	a.tr.tasks = append(a.tr.tasks, t)
+	a.tr.results = append(a.tr.results, a.carve(res, 0))
 	a.recorded.Inc()
 	return res
 }
@@ -313,7 +309,6 @@ func (a *Auto) record(t *core.Task) *core.Result {
 func (a *Auto) replay(t *core.Task) *core.Result {
 	span := a.opts.Spans.Begin("trace.replay", "trace")
 	defer span.End()
-	rec := &a.tr.results[a.pos]
 	a.pending = append(a.pending, t)
 	a.pendingLen.Add(1)
 	a.replayed.Inc()
@@ -324,21 +319,35 @@ func (a *Auto) replay(t *core.Task) *core.Result {
 	}
 	// Replay is a constant-time local operation per launch.
 	a.opts.Probe.Touch(core.LocalOwner, 1)
-	shift := a.start - a.tr.start
-	res := &core.Result{Plans: make([][]core.Visible, len(t.Reqs))}
-	for _, d := range rec.Deps {
-		res.Deps = append(res.Deps, d+shift)
+	return a.carve(a.tr.results[a.pos], a.start-a.tr.start)
+}
+
+// carve copies res into the chunks, like core.Scan.Result, with every
+// task reference moved by shift; a constant shift keeps the deps
+// ascending and unique.
+func (a *Auto) carve(res *core.Result, shift int) *core.Result {
+	out := a.results.New()
+	out.Deps = a.deps.Clone(res.Deps)
+	for i := range out.Deps {
+		out.Deps[i] += shift
 	}
-	res.Deps = core.DedupDeps(res.Deps)
-	for ri, plan := range rec.Plans {
-		for _, v := range plan {
-			if v.Task != core.InitialTask {
-				v.Task += shift
-			}
-			res.Plans[ri] = append(res.Plans[ri], v)
+	out.Plans = a.plans.Take(len(res.Plans))
+	for ri, plan := range res.Plans {
+		out.Plans[ri] = a.vis.Clone(plan)
+		for i, v := range plan {
+			out.Plans[ri][i].Task = shifted(v.Task, shift)
 		}
 	}
-	return res
+	return out
+}
+
+// shifted moves a producer by shift task IDs; the initial contents are
+// no task and do not move.
+func shifted(task, shift int) int {
+	if task == core.InitialTask {
+		return task
+	}
+	return task + shift
 }
 
 // sameShape is the exact structural check behind Signature's hash: a
@@ -358,48 +367,32 @@ func sameShape(t, rec *core.Task) bool {
 	return true
 }
 
-// replayable decides whether a recorded trace is period-invariant, i.e.
-// whether replaying it with all task references shifted by one period
-// reproduces what real analysis would compute. Three recorded patterns
-// break that invariance, and the loop is declined:
-//
-//  1. a dependence or plan producer more than one period old — its
-//     absolute identity would shift under replay, but the referenced task
-//     (e.g. a pre-loop initializer) does not recur;
-//  2. a plan mixing previous-instance reductions with the region's
-//     initial contents — no write inside the window bounds the visible
-//     reductions, so they accumulate and the plan grows every iteration
-//     instead of repeating. (Cross-instance reductions occluded by a
-//     write within the last period are shift-invariant and fine — the
-//     Figure 1 loop is exactly that shape.)
-//  3. a plan reading initial contents of points the trace itself writes —
-//     after one instance those points hold task outputs, so the recorded
-//     "read initial data" entry would replay stale values.
-func replayable(tr *trace) bool {
-	oldest := tr.start - len(tr.tasks) // first task ID of the previous period
-	for i, res := range tr.results {
-		for _, d := range res.Deps {
-			if d < oldest {
+// repeats reports whether tr, recorded one period after prev, holds
+// prev's results with every task reference shifted by that period: deps
+// element by element, and plans entry by entry in producer, requirement,
+// privilege and points. Only then does replaying tr one period further on
+// reproduce what analysis computed twice.
+func (tr *trace) repeats(prev *trace) bool {
+	shift := tr.start - prev.start
+	for i, want := range prev.results {
+		got := tr.results[i]
+		if len(got.Deps) != len(want.Deps) || len(got.Plans) != len(want.Plans) {
+			return false
+		}
+		for j, d := range want.Deps {
+			if got.Deps[j] != d+shift {
 				return false
 			}
 		}
-		for ri, plan := range res.Plans {
-			initial, crossReduce := false, false
-			for _, v := range plan {
-				switch {
-				case v.Task == core.InitialTask:
-					initial = true
-					if w, ok := tr.written[tr.tasks[i].Reqs[ri].Field]; ok && w.Overlaps(v.Pts) {
-						return false
-					}
-				case v.Task < oldest:
-					return false
-				case v.Task < tr.start && v.Priv.IsReduce():
-					crossReduce = true
-				}
-			}
-			if initial && crossReduce {
+		for ri, plan := range want.Plans {
+			if len(got.Plans[ri]) != len(plan) {
 				return false
+			}
+			for k, v := range plan {
+				w := got.Plans[ri][k]
+				if w.Task != shifted(v.Task, shift) || w.Req != v.Req || !w.Priv.Same(v.Priv) || !w.Pts.Equal(v.Pts) {
+					return false
+				}
 			}
 		}
 	}

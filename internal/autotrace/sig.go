@@ -10,13 +10,14 @@
 //
 // The application launches tasks with no trace annotations at all. An
 // Auto hashes every launch, commits a repeating pattern once the stream
-// ends in two copies of it, records one instance's analysis results and
-// replays them for later instances with task IDs shifted by the distance
-// from the recording, without consulting the wrapped analyzer; any
-// mismatch falls back to direct analysis. The exact structural check and
-// the period-invariance rules (replayable) are the correctness backstop:
-// a hash collision in the detector can at worst abort an instance, never
-// produce a wrong analysis result.
+// ends in two copies of it, records two instances' analysis results and,
+// when the second repeats the first shifted by one period, replays it for
+// later instances with task IDs shifted by the distance from the
+// recording, without consulting the wrapped analyzer; any mismatch falls
+// back to direct analysis. The exact structural check and the comparison
+// of the two recordings are the correctness backstop: a hash collision in
+// the detector can at worst abort an instance, never produce a wrong
+// analysis result.
 package autotrace
 
 import (

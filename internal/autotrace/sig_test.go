@@ -136,7 +136,7 @@ func TestShapeMismatchAborts(t *testing.T) {
 	spin := func() *core.Task {
 		return s.Launch("spin", core.Req{Region: p.Subregions[0], Field: 0, Priv: privilege.Writes()})
 	}
-	for i := 0; i < 5; i++ { // 0-1 detect, 2 records, 3-4 replay
+	for i := 0; i < 6; i++ { // 0-1 detect, 2-3 record, 4-5 replay
 		a.Analyze(spin())
 	}
 	if a.mode != armed || a.replayed.Load() != 2 {

@@ -29,12 +29,12 @@ func TestSoakRandomStreams(t *testing.T) {
 }
 
 // TestSoakTracedLoops validates autotraced replay across every analyzer
-// on repeated random loop bodies, launched with no trace brackets: values
-// must match the sequential interpreter, dependence orderings must stay
-// sound, and each analyzer must replay at least as many launches as the
-// manually bracketed tracer did over six repetitions (raycast and warnock
-// 688, paint 100; the naive painter's traces never replay), so a change
-// that stops replay fails the soak.
+// on repeated random loop bodies, launched with no trace brackets: every
+// result must equal a plain analyzer's in lockstep, values must match the
+// sequential interpreter, dependence orderings must stay sound, and each
+// analyzer must replay at least the launches it replays today over eight
+// repetitions (raycast and warnock 566, paint 315; the naive painter
+// replays none), so a change that stops replay fails the soak.
 func TestSoakTracedLoops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -50,7 +50,7 @@ func TestSoakTracedLoops(t *testing.T) {
 		}
 		for _, fac := range allFactories() {
 			auto := autotrace.New(fac.New(tree), core.Options{})
-			launch, inputs := testutil.Serial(t, core.Checked(auto), testutil.FullInit(tree))
+			launch, inputs := testutil.Serial(t, core.Checked(testutil.Lockstep(t, auto, fac.New(tree))), testutil.FullInit(tree))
 			seq := core.NewSeq(tree, testutil.FullInit(tree))
 
 			stream := core.NewStream(tree)
@@ -80,7 +80,7 @@ func TestSoakTracedLoops(t *testing.T) {
 		}
 	}
 	t.Logf("replayed launches: %v", replayed)
-	for name, floor := range map[string]int64{"paint-naive": 0, "paint": 100, "warnock": 688, "raycast": 688} {
+	for name, floor := range map[string]int64{"paint-naive": 0, "paint": 315, "warnock": 566, "raycast": 566} {
 		if replayed[name] < floor {
 			t.Errorf("%s replayed %d launches, want at least %d", name, replayed[name], floor)
 		}

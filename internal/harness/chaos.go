@@ -269,9 +269,10 @@ func chaosStream(rng *rand.Rand, tree *region.Tree, n int) *core.Stream {
 // chaosLoopStream builds the periodic stream the autotrace leg drives: a
 // random body of launches repeated verbatim for iters iterations. The
 // body opens with a whole-root write of every field so every later read
-// sources from a producer at most one period back — the shape family the
-// tracer's replayable() check accepts, which is what lets the armed
-// trace.invalidate site actually reach a mid-replay state.
+// sources from a producer at most one period back: two recorded
+// instances then agree modulo one period and the loop replays, which is
+// what lets the armed trace.invalidate site actually reach a mid-replay
+// state.
 func chaosLoopStream(rng *rand.Rand, tree *region.Tree, iters int) *core.Stream {
 	var regions []*region.Region
 	for i := 0; i < tree.NumRegions(); i++ {

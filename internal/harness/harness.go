@@ -84,9 +84,9 @@ type Config struct {
 	// iteration structure online and replays it. The paper disables
 	// tracing to measure the coherence algorithms themselves (§8); enabling
 	// it here measures how much of the steady-state gap tracing recovers.
-	// Two extra warm-up iterations are excluded from the timed window (one
-	// for the detector to see a full repetition, one to record), so the
-	// measured regime is steady-state replay.
+	// Three extra warm-up iterations are excluded from the timed window
+	// (one for the detector to see a full repetition, two to record), so
+	// the measured regime is steady-state replay.
 	AutoTrace bool
 	// TraceOut, when non-nil, receives the cell's virtual-time schedule
 	// (one process per simulated node) after the run; the caller may add
@@ -186,14 +186,14 @@ func Run(cfg Config) (*Result, error) {
 	emit(0)
 	initTime := driver.Barrier()
 
-	// Steady state. With automatic tracing, two iterations are excluded
+	// Steady state. With automatic tracing, three iterations are excluded
 	// from the timed window so the replayed regime is what is measured
 	// (Legion measures traced steady state the same way): the detector
 	// commits a candidate once it has seen two full repetitions (iteration
-	// 0 and the first warm-up), and the second warm-up records.
+	// 0 and the first warm-up), and the second and third warm-ups record.
 	warm := 0
 	if cfg.AutoTrace {
-		warm = 2
+		warm = 3
 	}
 	for k := 0; k < warm; k++ {
 		emit(1 + k)

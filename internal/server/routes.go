@@ -437,8 +437,9 @@ func (srv *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 
 // handleExplain serves dependence provenance: ?task=N returns the
 // reason for every incoming edge of task N; an optional &src=A
-// restricts the edges to producer A and adds the mustPrecede verdict (a
-// backward search of the graph, windowed to the ids between A and N).
+// restricts the edges to producer A and adds the mustPrecede verdict
+// (graph.Graph.MustPrecede: O(1) false from N's Low label, else a backward
+// search windowed to the ids between A and N).
 // ?region= selects the root region tree (default: first region, sorted by
 // name).
 func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

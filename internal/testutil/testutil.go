@@ -6,6 +6,7 @@ package testutil
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"visibility/internal/apps"
@@ -107,6 +108,46 @@ func Serial(t testing.TB, an core.Analyzer, init map[field.ID]*data.Store) (laun
 		x.Drain()
 		return deps
 	}, inputs
+}
+
+// Lockstep returns an analyzer that analyzes every launch with an and with
+// shadow, a fresh plain analyzer of the same kind fed the same stream, and
+// fails t at the first launch whose deps or plans differ. Wrapped around
+// an autotracer, it checks every replayed result against the analysis it
+// stands for. It is driven from the test goroutine.
+func Lockstep(t testing.TB, an, shadow core.Analyzer) core.Analyzer {
+	return &lockstep{Analyzer: an, shadow: shadow, t: t}
+}
+
+type lockstep struct {
+	core.Analyzer
+	shadow core.Analyzer
+	t      testing.TB
+}
+
+func (l *lockstep) Analyze(task *core.Task) *core.Result {
+	got := l.Analyzer.Analyze(task)
+	want := l.shadow.Analyze(task)
+	if !slices.Equal(got.Deps, want.Deps) {
+		l.t.Fatalf("%s: %v: deps %v, plain %s computes %v", l.Name(), task, got.Deps, l.shadow.Name(), want.Deps)
+	}
+	if len(got.Plans) != len(want.Plans) {
+		l.t.Fatalf("%s: %v: %d plans, plain %s computes %d", l.Name(), task, len(got.Plans), l.shadow.Name(), len(want.Plans))
+	}
+	for ri := range want.Plans {
+		if !samePlan(got.Plans[ri], want.Plans[ri]) {
+			l.t.Fatalf("%s: %v req %d: plan %v, plain %s computes %v", l.Name(), task, ri, got.Plans[ri], l.shadow.Name(), want.Plans[ri])
+		}
+	}
+	return got
+}
+
+// samePlan reports whether two plans list the same entries in the same
+// order: producer, requirement, privilege and points.
+func samePlan(a, b []core.Visible) bool {
+	return slices.EqualFunc(a, b, func(v, w core.Visible) bool {
+		return v.Task == w.Task && v.Req == w.Req && v.Priv.Same(w.Priv) && v.Pts.Equal(w.Pts)
+	})
 }
 
 // CheckPartitionInvariant verifies that spaces are pairwise disjoint and

@@ -110,8 +110,8 @@ func autotraced(auto **autotrace.Auto) func(core.Analyzer) core.Analyzer {
 // TestTracedExecutionMatchesSequential runs eight iterations of the Figure
 // 1 loop, bracketed through the stand-in and unbracketed through the
 // autotracer: both match the sequential interpreter, the stand-in hands
-// all 48 launches to the inner analyzer, and the autotracer records one
-// iteration and replays the five after it.
+// all 48 launches to the inner analyzer, and the autotracer records two
+// iterations and replays the four after them.
 func TestTracedExecutionMatchesSequential(t *testing.T) {
 	for _, fac := range factories() {
 		fac := fac
@@ -124,11 +124,11 @@ func TestTracedExecutionMatchesSequential(t *testing.T) {
 			var auto *autotrace.Auto
 			runExact(t, fac, 8, figure1, autotraced(&auto), nil)
 			st := auto.AutoStats()
-			if st.Trace.Recorded != 6 {
-				t.Errorf("recorded %d launches, want 6 (one loop iteration)", st.Trace.Recorded)
+			if st.Trace.Recorded != 2*6 {
+				t.Errorf("recorded %d launches, want 12 (two loop iterations)", st.Trace.Recorded)
 			}
-			if st.Trace.Replayed != 5*6 {
-				t.Errorf("replayed %d launches, want 30 (five replayed iterations)", st.Trace.Replayed)
+			if st.Trace.Replayed != 4*6 {
+				t.Errorf("replayed %d launches, want 24 (four replayed iterations)", st.Trace.Replayed)
 			}
 			if st.Trace.Invalidations != 0 {
 				t.Errorf("unexpected invalidations: %d", st.Trace.Invalidations)
@@ -173,6 +173,7 @@ func TestReplaySkipsUnderlyingAnalysis(t *testing.T) {
 	emit(auto, stream) // watch
 	emit(auto, stream) // watch; the candidate commits on the last launch
 	emit(auto, stream) // record
+	emit(auto, stream) // record again; the two recordings agree
 	launchesAfterRecord := an.Stats().Launches
 	emit(auto, stream) // replay
 	emit(auto, stream) // replay

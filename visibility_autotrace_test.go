@@ -50,9 +50,9 @@ func TestPublicAutoTrace(t *testing.T) {
 	if st.Candidates != 1 {
 		t.Errorf("candidates = %d, want 1", st.Candidates)
 	}
-	// Iterations 0-1 detect, 2 records, 3-7 replay.
-	if st.Trace.Recorded != 4 || st.Trace.Replayed != 5*4 {
-		t.Errorf("recorded/replayed = %d/%d, want 4/20", st.Trace.Recorded, st.Trace.Replayed)
+	// Iterations 0-1 detect, 2-3 record, 4-7 replay.
+	if st.Trace.Recorded != 2*4 || st.Trace.Replayed != 4*4 {
+		t.Errorf("recorded/replayed = %d/%d, want 8/16", st.Trace.Recorded, st.Trace.Replayed)
 	}
 	if st.Aborts != 0 || st.Trace.Invalidations != 0 {
 		t.Errorf("aborts/invalidations = %d/%d, want 0/0", st.Aborts, st.Trace.Invalidations)
