@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"visibility"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/server/client"
 	"visibility/internal/wire"
 )
@@ -193,6 +192,18 @@ func TestServeSIGQUITDump(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	// A session the dump must name.
+	s := out.String()
+	base := strings.TrimSpace(strings.SplitN(s[strings.Index(s, "listening on ")+len("listening on "):], "\n", 2)[0])
+	sess, err := client.New(base).CreateSession(client.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq int
+	if _, err := fmt.Sscanf(sess.ID, "s%d", &seq); err != nil {
+		t.Fatal(err)
+	}
+
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGQUIT); err != nil {
 		t.Fatal(err)
 	}
@@ -208,16 +219,12 @@ func TestServeSIGQUITDump(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	f, err := os.Open(dumpPath)
+	dump, err := os.ReadFile(dumpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = recorder.ReadDump(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("SIGQUIT dump does not parse: %v", err)
+	if want := fmt.Sprintf(" session_open seq=%d\n", seq); !strings.Contains(string(dump), want) {
+		t.Fatalf("SIGQUIT dump has no %q line:\n%s", want, dump)
 	}
 
 	// The server is still alive and drains normally.

@@ -2,6 +2,7 @@ package autotrace_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"visibility/internal/autotrace"
@@ -313,14 +314,10 @@ func TestAutoForcedInvalidation(t *testing.T) {
 		t.Errorf("replayed %d launches, want replay to resume after the forced abort", st.Trace.Replayed)
 	}
 	counts := map[recorder.Kind]int{}
-	sawFault := false
 	for _, e := range rec.Snapshot() {
 		counts[e.Kind]++
-		if e.Kind == recorder.KindFaultInject && fault.SiteAt(int(e.A)) == fault.TraceInvalidate {
-			sawFault = true
-		}
 	}
-	if !sawFault {
+	if !strings.Contains(strings.Join(rec.Lines(4096), "\n"), " fault_inject site=trace.invalidate ") {
 		t.Error("no fault_inject event journaled for trace.invalidate")
 	}
 	if counts[recorder.KindTraceCommit] != 2 {

@@ -22,6 +22,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,14 +31,12 @@ import (
 	"visibility/internal/obs/recorder"
 )
 
-// Site is a named deterministic injection point. The catalog below is the
-// complete set; Parse rejects unknown names.
+// Site is a named deterministic injection point. The four constants below
+// are the complete set; Parse rejects any other name.
 type Site string
 
-// The injection-site catalog. Append new sites at the end: the catalog
-// index is journaled in flight-recorder events (KindFaultInject.A), so
-// reordering breaks the interpretation of old dumps. A site whose code is
-// deleted keeps its slot (see retired).
+// The injection sites. A site is journaled by name in flight-recorder
+// events (fault_inject site=...).
 const (
 	// EqSplit forces an equivalence-set refinement that the analysis did
 	// not need: a set fully covered by the requested region is split into
@@ -62,81 +61,8 @@ const (
 	TraceInvalidate Site = "trace.invalidate"
 )
 
-// Retired sites keep their catalog slots, so SiteAt still decodes them
-// from old dumps, but they have no Index and no place in Sites, and Parse
-// rejects a plan that arms them. The scheduler's instance-cache site went
-// with the cache, and the shard layer's two sites when the layer stopped
-// carrying a fault injector. The four transport sites went because they
-// moved only virtual timestamps that nothing checks; the admission burst
-// and the two checkpoint flips because plain tests of the real admission
-// cap and of restore catch every bug seeded in the paths they exercised.
-const (
-	msgDrop      Site = "cluster.msg.drop"
-	msgDelay     Site = "cluster.msg.delay"
-	msgDup       Site = "cluster.msg.dup"
-	msgReorder   Site = "cluster.msg.reorder"
-	cacheBypass  Site = "sched.cache.bypass"
-	admitBurst   Site = "server.admit.burst"
-	encodeFlip   Site = "checkpoint.encode.flip"
-	restoreFlip  Site = "checkpoint.restore.flip"
-	shardStall   Site = "shard.stall"
-	shardMigrate Site = "shard.migrate"
-)
-
-var retired = map[Site]bool{
-	msgDrop: true, msgDelay: true, msgDup: true, msgReorder: true,
-	cacheBypass: true, admitBurst: true, encodeFlip: true, restoreFlip: true,
-	shardStall: true, shardMigrate: true,
-}
-
-// catalog fixes the Site -> index mapping journaled in recorder events.
-var catalog = []Site{
-	msgDrop, msgDelay, msgDup, msgReorder,
-	EqSplit, EqMigrate, cacheBypass,
-	WorkerPanic, admitBurst,
-	encodeFlip, restoreFlip,
-	TraceInvalidate,
-	shardStall, shardMigrate,
-}
-
-var catalogIndex = func() map[Site]int {
-	m := make(map[Site]int, len(catalog))
-	for i, s := range catalog {
-		if !retired[s] {
-			m[s] = i
-		}
-	}
-	return m
-}()
-
-// Sites returns the live site catalog in index order.
-func Sites() []Site {
-	var out []Site
-	for _, s := range catalog {
-		if !retired[s] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Index returns the site's stable catalog index (-1 for unknown sites),
-// the value journaled in KindFaultInject events.
-func (s Site) Index() int {
-	if i, ok := catalogIndex[s]; ok {
-		return i
-	}
-	return -1
-}
-
-// SiteAt returns the site with the given catalog index, for decoding
-// recorder dumps ("site_NN" for out-of-range indices from future dumps).
-func SiteAt(i int) Site {
-	if i >= 0 && i < len(catalog) {
-		return catalog[i]
-	}
-	return Site(fmt.Sprintf("site_%d", i))
-}
+// Sites returns every site.
+func Sites() []Site { return []Site{EqSplit, EqMigrate, WorkerPanic, TraceInvalidate} }
 
 // Rule schedules one site's fires. The zero value never fires. Prob and
 // Every compose: the site fires when either triggers. All triggers
@@ -234,7 +160,7 @@ func Parse(s string) (Plan, error) {
 			continue
 		}
 		site := Site(name)
-		if site.Index() < 0 {
+		if !slices.Contains(Sites(), site) {
 			return Plan{}, fmt.Errorf("fault: unknown site %q (have %v)", name, Sites())
 		}
 		if _, dup := p.Rules[site]; dup {
@@ -407,7 +333,7 @@ func (in *Injector) FireValue(site Site, arg int64) (bool, uint64) {
 		return false, 0
 	}
 	st.fires++
-	in.rec.Log(recorder.KindFaultInject, int64(site.Index()), arg)
+	in.rec.LogS(recorder.KindFaultInject, arg, string(site))
 	return true, st.next()
 }
 

@@ -42,11 +42,11 @@ type ChaosReport struct {
 	Plan  string
 	Tasks int
 	// Fires counts injected faults per site — the plan's schedule exactly
-	// as written, and one KindFaultInject event in Dump per fire.
+	// as written, and one fault_inject line in Dump per fire.
 	Fires map[fault.Site]int64
 	// Events is the number of flight-recorder events journaled.
 	Events int
-	// Dump is the recorder window in VISFREC1 binary form, journaled on a
+	// Dump is the recorder window's text lines, journaled on a
 	// deterministic event-count clock.
 	Dump []byte
 	// AutoTrace summarizes the autotrace leg: a periodic stream driven

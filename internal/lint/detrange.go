@@ -12,9 +12,9 @@ import (
 // time, in every non-test file of every non-main package.
 //
 // A range over a map is a finding when its body appends to a slice, calls
-// a sink (Recorder.Log, Encode, Fprint*, Write*) or accumulates a string or
-// a float — unless appending is all of that it does and the same function
-// sorts those slices afterwards ("collect keys, then sort"). In the
+// a sink (Recorder.Log/LogS, Encode, Fprint*, Write*) or accumulates a
+// string or a float — unless appending is all of that it does and the same
+// function sorts those slices afterwards ("collect keys, then sort"). In the
 // analyzer hot paths the burden of proof is reversed: a map range is a
 // finding unless its body is nothing but stores into a map and appends
 // sorted later, because the histories and dependence lists built there are
@@ -101,7 +101,7 @@ func mapRangeOrder(pass *Pass, fn *ast.BlockStmt, rs *ast.RangeStmt) (why string
 		case *ast.CallExpr:
 			if obj := calleeObject(pass, n); obj != nil {
 				name := obj.Name()
-				if name == "Log" || name == "Encode" || strings.HasPrefix(name, "Fprint") || strings.HasPrefix(name, "Write") {
+				if name == "Log" || name == "LogS" || name == "Encode" || strings.HasPrefix(name, "Fprint") || strings.HasPrefix(name, "Write") {
 					note("calls the sink " + name)
 				}
 			}

@@ -1,5 +1,5 @@
-// Package recorder is the always-on flight recorder: a bounded binary
-// ring journaling coarse runtime events (task launches, equivalence-set
+// Package recorder is the always-on flight recorder: a bounded ring
+// journaling coarse runtime events (task launches, equivalence-set
 // splits and coalesces, admission rejects, worker job boundaries) so that
 // when something goes wrong — a latched session failure, a SIGQUIT, a hung
 // drain — the last window of runtime activity is available for forensics
@@ -8,75 +8,107 @@
 // The design mirrors obs.Buffer: a nil *Recorder is valid and records
 // nothing after one pointer test, and Log on a non-nil one is a
 // mutex-protected store of one fixed-size struct. Events are deliberately
-// tiny (a timestamp, a kind byte, two integer arguments) — journaling
-// must stay cheap enough to leave on in production, which
+// tiny (a timestamp, a kind, two integers and at most one constant
+// string, held as an index into the recorder's table of the strings it
+// has seen, so the ring holds no pointers for the collector to scan) —
+// journaling must stay cheap enough to leave on in production, which
 // BenchmarkObsOverhead measures on the analysis hot path.
 //
-// Dump serializes the window to a compact little-endian binary format
-// with a magic header; ReadDump parses it back. Identical windows
-// produce byte-identical dumps, so post-mortem artifacts diff cleanly.
+// The window has one rendering, text: a first line carrying the dropped
+// count, then one line per event, oldest first,
+//
+//	dropped=<n>
+//	<t> <kind> <name>=<value>…
+//
+// with each kind's argument names taken from formats. Dump writes these
+// lines; the server serves and returns the same ones. Identical windows
+// render byte-identical text, so post-mortem artifacts diff cleanly.
 package recorder
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
 
-// Kind classifies one journaled event. The A/B argument meaning is
-// per-kind, documented on each constant.
+// Kind classifies one journaled event; formats names its arguments.
 type Kind uint8
 
-// Event kinds. New kinds append at the end: the binary dump format
-// stores the raw byte, so renumbering breaks old dumps. A kind nothing
-// logs any more keeps its byte and its name, so old dumps still decode.
+// Event kinds.
 const (
-	KindNone            Kind = iota
-	KindTaskLaunch           // A=task ID, B=requirement count
-	KindEqSplit              // A=fragments created, B=history entries copied
-	KindEqCoalesce           // A=equivalence sets pruned by a dominating write
-	_                        // 4 "cache_hit": retired with the scheduler's instance cache
-	_                        // 5 "cache_miss": retired with it
-	KindAdmitReject          // A=session seq (0=session-less), B=1 global cap, 2 session queue, 3 session cap
-	KindJobStart             // A=session seq
-	KindJobDone              // A=session seq
-	KindWorkerFail           // A=session seq; the session latched a failure
-	KindSessionOpen          // A=session seq
-	KindSessionClose         // A=session seq
-	KindFaultInject          // A=fault site catalog index (fault.SiteAt), B=site-specific argument
-	KindTraceCommit          // A=trace id, B=period (launches per instance)
-	KindTraceReplay          // A=trace id, B=period; one replayed instance completed
-	KindTraceInvalidate      // A=trace id, B=position in the instance at abort
-	_                        // 16 "reason_capture": retired; edge reasons are derived on demand
-	KindExplainQuery         // A=queried task ID, B=edges explained
-	KindCritPath             // A=critical-path length (tasks), B=makespan (virtual units, rounded)
+	KindTaskLaunch Kind = iota
+	KindEqSplit
+	KindEqCoalesce
+	KindAdmitReject
+	KindJobStart
+	KindJobDone
+	KindWorkerFail
+	KindSessionOpen
+	KindSessionClose
+	KindFaultInject
+	KindTraceCommit
+	KindTraceReplay
+	KindTraceInvalidate
+	KindExplainQuery
+	KindCritPath
 )
 
-var kindNames = [...]string{
-	"none", "task_launch", "eq_split", "eq_coalesce", "cache_hit",
-	"cache_miss", "admit_reject", "job_start", "job_done", "worker_fail",
-	"session_open", "session_close", "fault_inject",
-	"trace_commit", "trace_replay", "trace_invalidate",
-	"reason_capture", "explain_query", "crit_path",
+// formats is each kind's line: its name, then its arguments in order,
+// each ending in the Event field it prints (A, B or S).
+var formats = [...]string{
+	KindTaskLaunch:      "task_launch task=A reqs=B",
+	KindEqSplit:         "eq_split fragments=A copied=B",
+	KindEqCoalesce:      "eq_coalesce pruned=A",
+	KindAdmitReject:     "admit_reject seq=A reason=S", // global_cap, session_queue or session_closing
+	KindJobStart:        "job_start seq=A route=S",     // the route's name in the server's handle table
+	KindJobDone:         "job_done seq=A",              // a job that latched a failure ends in worker_fail instead
+	KindWorkerFail:      "worker_fail seq=A",
+	KindSessionOpen:     "session_open seq=A",
+	KindSessionClose:    "session_close seq=A",
+	KindFaultInject:     "fault_inject site=S arg=A",
+	KindTraceCommit:     "trace_commit trace=A period=B",  // period: launches per instance
+	KindTraceReplay:     "trace_replay trace=A period=B",  // one replayed instance completed
+	KindTraceInvalidate: "trace_invalidate trace=A pos=B", // pos: launches into the instance at abort
+	KindExplainQuery:    "explain_query task=A edges=B",
+	KindCritPath:        "crit_path tasks=A makespan=B", // makespan in virtual units, rounded
 }
 
-// String returns the kind's snake_case name ("kind_NN" for unknown
-// bytes from a future dump).
+// String returns the kind's snake_case name.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind_%d", uint8(k))
+	name, _, _ := strings.Cut(formats[k], " ")
+	return name
 }
 
 // Event is one journaled record: a nanosecond timestamp on the
-// recorder's clock, a kind, and two kind-specific arguments.
+// recorder's clock, a kind, and the kind's arguments.
 type Event struct {
 	T    int64
 	Kind Kind
+	s    uint32 // the string argument, an index into Recorder.strs
 	A, B int64
+}
+
+// appendLine appends e's text line, without a newline; strs is the
+// recorder's string table.
+func (e Event) appendLine(b []byte, strs []string) []byte {
+	b = strconv.AppendInt(b, e.T, 10)
+	name, args, _ := strings.Cut(formats[e.Kind], " ")
+	b = append(append(b, ' '), name...)
+	for _, arg := range strings.Fields(args) {
+		b = append(append(b, ' '), arg[:len(arg)-1]...)
+		switch arg[len(arg)-1] {
+		case 'A':
+			b = strconv.AppendInt(b, e.A, 10)
+		case 'B':
+			b = strconv.AppendInt(b, e.B, 10)
+		default:
+			b = append(b, strs[e.s]...)
+		}
+	}
+	return b
 }
 
 // Recorder is the bounded drop-oldest event ring. A nil *Recorder is
@@ -85,9 +117,11 @@ type Recorder struct {
 	now func() int64 // immutable after construction
 
 	mu      sync.Mutex
-	ring    []Event // guarded by mu
-	head    int     // guarded by mu; index of the oldest event when full
-	dropped int64   // guarded by mu
+	ring    []Event           // guarded by mu
+	head    int               // guarded by mu; index of the oldest event when full
+	dropped int64             // guarded by mu
+	strs    []string          // guarded by mu; append-only, strs[0] is ""
+	ids     map[string]uint32 // guarded by mu; the index of each string in strs
 }
 
 // New creates a recorder holding at most capacity events, timestamped
@@ -104,25 +138,32 @@ func NewClock(capacity int, now func() int64) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{now: now, ring: make([]Event, 0, capacity)}
+	return &Recorder{now: now, ring: make([]Event, 0, capacity), strs: []string{""}, ids: map[string]uint32{}}
 }
 
-// Now returns the current time on the recorder's clock (0 when nil).
-func (r *Recorder) Now() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.now()
-}
+// Log journals one event with two integer arguments, overwriting the
+// oldest when the ring is full. On a nil recorder it is one pointer test.
+func (r *Recorder) Log(k Kind, a, b int64) { r.put(k, a, b, "") }
 
-// Log journals one event, overwriting the oldest when the ring is full.
-// On a nil recorder it is one pointer test.
-func (r *Recorder) Log(k Kind, a, b int64) {
+// LogS journals one event with an integer and a string argument. The
+// string must be a constant: the recorder keeps each one it sees.
+func (r *Recorder) LogS(k Kind, a int64, s string) { r.put(k, a, 0, s) }
+
+func (r *Recorder) put(k Kind, a, b int64, s string) {
 	if r == nil {
 		return
 	}
 	e := Event{T: r.now(), Kind: k, A: a, B: b}
 	r.mu.Lock()
+	if s != "" {
+		id, ok := r.ids[s]
+		if !ok {
+			id = uint32(len(r.strs))
+			r.strs = append(r.strs, s)
+			r.ids[s] = id
+		}
+		e.s = id
+	}
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, e)
 	} else {
@@ -133,18 +174,24 @@ func (r *Recorder) Log(k Kind, a, b int64) {
 	r.mu.Unlock()
 }
 
-// Snapshot returns the journaled events, oldest first (nil when the
-// recorder is nil).
-func (r *Recorder) Snapshot() []Event {
+// window returns the journaled events, oldest first, the dropped count
+// and the string table, read together.
+func (r *Recorder) window() ([]Event, int64, []string) {
 	if r == nil {
-		return nil
+		return nil, 0, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.ring))
 	out = append(out, r.ring[r.head:]...)
-	out = append(out, r.ring[:r.head]...)
-	return out
+	return append(out, r.ring[:r.head]...), r.dropped, r.strs
+}
+
+// Snapshot returns the journaled events, oldest first (nil when the
+// recorder is nil).
+func (r *Recorder) Snapshot() []Event {
+	events, _, _ := r.window()
+	return events
 }
 
 // Dropped returns how many events were overwritten by newer ones.
@@ -167,74 +214,24 @@ func (r *Recorder) Len() int {
 	return len(r.ring)
 }
 
-// --- binary dump --------------------------------------------------------
-
-// dumpMagic identifies and versions the dump format: 8 magic bytes, then
-// uint64 dropped, uint64 count, then count records of (int64 T, uint8
-// Kind, int64 A, int64 B), all little-endian.
-var dumpMagic = [8]byte{'V', 'I', 'S', 'F', 'R', 'E', 'C', '1'}
-
-// Dump writes the current window (oldest first) to w in the binary dump
-// format. The same window always produces the same bytes.
-func (r *Recorder) Dump(w io.Writer) error {
-	events := r.Snapshot()
-	dropped := r.Dropped()
-	if _, err := w.Write(dumpMagic[:]); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(dropped))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(events)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [25]byte
+// Lines renders the dropped count and the newest n events, oldest first,
+// one text line each.
+func (r *Recorder) Lines(n int) []string {
+	events, dropped, strs := r.window()
+	events = events[max(0, len(events)-n):]
+	out := make([]string, 0, 1+len(events))
+	out = append(out, "dropped="+strconv.FormatInt(dropped, 10))
+	var b []byte
 	for _, e := range events {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(e.T))
-		rec[8] = byte(e.Kind)
-		binary.LittleEndian.PutUint64(rec[9:], uint64(e.A))
-		binary.LittleEndian.PutUint64(rec[17:], uint64(e.B))
-		if _, err := w.Write(rec[:]); err != nil {
-			return err
-		}
+		b = e.appendLine(b[:0], strs)
+		out = append(out, string(b))
 	}
-	return nil
+	return out
 }
 
-// ReadDump parses a binary dump back into its events (oldest first) and
-// the dropped count at dump time.
-func ReadDump(rd io.Reader) ([]Event, int64, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(rd, magic[:]); err != nil {
-		return nil, 0, fmt.Errorf("recorder: reading dump magic: %w", err)
-	}
-	if magic != dumpMagic {
-		return nil, 0, fmt.Errorf("recorder: bad dump magic %q", magic[:])
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("recorder: reading dump header: %w", err)
-	}
-	dropped := int64(binary.LittleEndian.Uint64(hdr[0:]))
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	const maxDumpEvents = 1 << 24 // refuse absurd counts from corrupt input
-	if count > maxDumpEvents {
-		return nil, 0, fmt.Errorf("recorder: dump claims %d events", count)
-	}
-	// count is the input's claim: reserve for it only up to a bound the
-	// bytes have yet to back, and let append follow what actually arrives.
-	events := make([]Event, 0, min(count, 4096))
-	var rec [25]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(rd, rec[:]); err != nil {
-			return nil, 0, fmt.Errorf("recorder: reading event %d of %d: %w", i, count, err)
-		}
-		events = append(events, Event{
-			T:    int64(binary.LittleEndian.Uint64(rec[0:])),
-			Kind: Kind(rec[8]),
-			A:    int64(binary.LittleEndian.Uint64(rec[9:])),
-			B:    int64(binary.LittleEndian.Uint64(rec[17:])),
-		})
-	}
-	return events, dropped, nil
+// Dump writes the whole window to w, one line per event after the
+// dropped count. The same window always produces the same bytes.
+func (r *Recorder) Dump(w io.Writer) error {
+	_, err := io.WriteString(w, strings.Join(r.Lines(math.MaxInt), "\n")+"\n")
+	return err
 }

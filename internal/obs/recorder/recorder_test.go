@@ -2,6 +2,7 @@ package recorder
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -52,68 +53,86 @@ func TestDropOldestOrdering(t *testing.T) {
 func TestNilAndDisabledAreInert(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.Log(KindEqSplit, 1, 2) // must not panic
-	if nilRec.Snapshot() != nil || nilRec.Len() != 0 || nilRec.Dropped() != 0 || nilRec.Now() != 0 {
+	nilRec.LogS(KindJobStart, 1, "workloads")
+	if nilRec.Snapshot() != nil || nilRec.Len() != 0 || nilRec.Dropped() != 0 {
 		t.Error("nil recorder not inert")
 	}
 	var buf bytes.Buffer
-	if err := nilRec.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if events, dropped, err := ReadDump(&buf); err != nil || len(events) != 0 || dropped != 0 {
-		t.Errorf("nil recorder dump = %d events, %d dropped, %v; want an empty window", len(events), dropped, err)
+	if err := nilRec.Dump(&buf); err != nil || buf.String() != "dropped=0\n" {
+		t.Errorf("nil recorder dump = %q, %v; want an empty window", buf.String(), err)
 	}
 }
 
+// TestKindString checks every kind has a format and String names it.
 func TestKindString(t *testing.T) {
 	if got := KindEqCoalesce.String(); got != "eq_coalesce" {
 		t.Errorf("KindEqCoalesce = %q", got)
 	}
-	if got := Kind(200).String(); got != "kind_200" {
-		t.Errorf("unknown kind = %q", got)
-	}
-	if len(kindNames) != int(KindCritPath)+1 {
-		t.Errorf("kindNames has %d entries for %d kinds", len(kindNames), KindCritPath+1)
-	}
 	if got := KindTraceReplay.String(); got != "trace_replay" {
 		t.Errorf("KindTraceReplay = %q", got)
 	}
+	for k, f := range formats {
+		if f == "" {
+			t.Errorf("kind %d has no format", k)
+		}
+	}
 }
 
-// TestKindPin freezes the event-kind numbering and names: kinds are part
-// of the VISFREC1 binary dump format, so renumbering or renaming an
-// existing kind breaks old dumps. New kinds must append at the end.
+// TestKindPin pins every kind's line: its name and its argument names,
+// the vocabulary dumps, /debug/recorder and the 409 body are read in.
 func TestKindPin(t *testing.T) {
 	pins := []struct {
 		kind Kind
-		num  uint8
-		name string
+		a, b int64
+		s    string
+		want string
 	}{
-		{KindNone, 0, "none"},
-		{KindTaskLaunch, 1, "task_launch"},
-		{KindEqSplit, 2, "eq_split"},
-		{KindEqCoalesce, 3, "eq_coalesce"},
-		{Kind(4), 4, "cache_hit"},  // retired, still decodes
-		{Kind(5), 5, "cache_miss"}, // retired, still decodes
-		{KindAdmitReject, 6, "admit_reject"},
-		{KindTraceInvalidate, 15, "trace_invalidate"},
-		{Kind(16), 16, "reason_capture"}, // retired, still decodes
-		{KindExplainQuery, 17, "explain_query"},
-		{KindCritPath, 18, "crit_path"},
+		{KindTaskLaunch, 7, 2, "", "1 task_launch task=7 reqs=2"},
+		{KindEqSplit, 2, 5, "", "2 eq_split fragments=2 copied=5"},
+		{KindEqCoalesce, 4, 0, "", "3 eq_coalesce pruned=4"},
+		{KindAdmitReject, 1, 0, "global_cap", "4 admit_reject seq=1 reason=global_cap"},
+		{KindJobStart, 1, 0, "workloads", "5 job_start seq=1 route=workloads"},
+		{KindJobDone, 1, 0, "", "6 job_done seq=1"},
+		{KindWorkerFail, 1, 0, "", "7 worker_fail seq=1"},
+		{KindSessionOpen, 1, 0, "", "8 session_open seq=1"},
+		{KindSessionClose, 1, 0, "", "9 session_close seq=1"},
+		{KindFaultInject, -3, 0, "server.worker.panic", "10 fault_inject site=server.worker.panic arg=-3"},
+		{KindTraceCommit, 1, 3, "", "11 trace_commit trace=1 period=3"},
+		{KindTraceReplay, 1, 3, "", "12 trace_replay trace=1 period=3"},
+		{KindTraceInvalidate, 1, 2, "", "13 trace_invalidate trace=1 pos=2"},
+		{KindExplainQuery, 5, 2, "", "14 explain_query task=5 edges=2"},
+		{KindCritPath, 4, 90, "", "15 crit_path tasks=4 makespan=90"},
+		{KindJobStart, 2, 0, "graph", "16 job_start seq=2 route=graph"},
+		{KindFaultInject, 2, 0, "server.worker.panic", "17 fault_inject site=server.worker.panic arg=2"},
 	}
+	r := NewClock(len(pins), tick())
 	for _, p := range pins {
-		if uint8(p.kind) != p.num {
-			t.Errorf("kind %s renumbered: got %d, want %d (append-only format)", p.name, p.kind, p.num)
+		if p.s != "" {
+			r.LogS(p.kind, p.a, p.s)
+		} else {
+			r.Log(p.kind, p.a, p.b)
 		}
-		if got := p.kind.String(); got != p.name {
-			t.Errorf("kind %d renamed: got %q, want %q", p.num, got, p.name)
+	}
+	for i, got := range r.Lines(len(pins))[1:] {
+		if got != pins[i].want {
+			t.Errorf("%s renders %q, want %q", pins[i].kind, got, pins[i].want)
 		}
+	}
+	pinned := map[Kind]bool{}
+	for _, p := range pins {
+		pinned[p.kind] = true
+	}
+	if len(pinned) != len(formats) {
+		t.Errorf("%d of %d kinds pinned", len(pinned), len(formats))
 	}
 }
 
-// TestConcurrentLog hammers a small ring from many writers under -race:
-// the drop-oldest accounting must balance and every surviving event must
-// be internally consistent (no torn A/B pairs).
+// TestConcurrentLog hammers a small ring from many writers and readers
+// under -race: the drop-oldest accounting must balance and every
+// surviving event must be internally consistent (no torn A/B pairs, no
+// string the table does not hold).
 func TestConcurrentLog(t *testing.T) {
+	routes := []string{"workloads", "snapshot", "graph"}
 	const capacity = 32
 	const goroutines = 8
 	const perG = 1000
@@ -124,9 +143,13 @@ func TestConcurrentLog(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				r.Log(KindEqSplit, int64(i), -int64(i))
+				if g%2 == 0 {
+					r.Log(KindEqSplit, int64(i), -int64(i))
+				} else {
+					r.LogS(KindJobStart, int64(i), routes[(g+i)%len(routes)])
+				}
 				if i%100 == 0 {
-					_ = r.Snapshot()
+					_ = r.Lines(capacity)
 					_ = r.Dropped()
 				}
 			}
@@ -140,17 +163,27 @@ func TestConcurrentLog(t *testing.T) {
 		t.Errorf("recorded+dropped = %d, want %d", got, goroutines*perG)
 	}
 	for i, e := range r.Snapshot() {
-		if e.Kind != KindEqSplit || e.B != -e.A {
+		if e.Kind == KindEqSplit && e.B != -e.A {
 			t.Fatalf("event %d torn: %+v", i, e)
+		}
+	}
+	for _, l := range r.Lines(capacity)[1:] {
+		if _, route, ok := strings.Cut(l, " route="); ok && !slices.Contains(routes, route) {
+			t.Fatalf("line %q names no route that was logged", l)
 		}
 	}
 }
 
+// TestDumpDeterminismAndRoundTrip checks the same window dumps the same
+// bytes, and that logged events come back out of the dump as the
+// window's lines: the dropped count, then the surviving events oldest
+// first.
 func TestDumpDeterminismAndRoundTrip(t *testing.T) {
-	r := NewClock(4, tick())
-	for i := 0; i < 7; i++ {
-		r.Log(Kind(1+i%3), int64(i), int64(100+i))
+	r := NewClock(3, tick())
+	for i := int64(0); i < 5; i++ {
+		r.Log(KindTaskLaunch, i, 1)
 	}
+	r.LogS(KindFaultInject, 9, "trace.invalidate")
 	var d1, d2 bytes.Buffer
 	if err := r.Dump(&d1); err != nil {
 		t.Fatal(err)
@@ -158,44 +191,11 @@ func TestDumpDeterminismAndRoundTrip(t *testing.T) {
 	if err := r.Dump(&d2); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(d1.Bytes(), d2.Bytes()) {
-		t.Error("two dumps of the same window differ")
+	want := "dropped=3\n4 task_launch task=3 reqs=1\n5 task_launch task=4 reqs=1\n6 fault_inject site=trace.invalidate arg=9\n"
+	if d1.String() != want || d2.String() != want {
+		t.Errorf("dumps = %q and %q, want %q", d1.String(), d2.String(), want)
 	}
-
-	events, dropped, err := ReadDump(&d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 3 {
-		t.Errorf("dump dropped = %d, want 3", dropped)
-	}
-	want := r.Snapshot()
-	if len(events) != len(want) {
-		t.Fatalf("round trip has %d events, want %d", len(events), len(want))
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Errorf("round-trip event %d = %+v, want %+v", i, events[i], want[i])
-		}
-	}
-}
-
-func TestReadDumpRejectsGarbage(t *testing.T) {
-	if _, _, err := ReadDump(strings.NewReader("not a dump at all")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, _, err := ReadDump(strings.NewReader("VIS")); err == nil {
-		t.Error("truncated magic accepted")
-	}
-	// Valid magic + header claiming events, then truncated body.
-	var buf bytes.Buffer
-	r := NewClock(2, tick())
-	r.Log(KindJobStart, 1, 0)
-	if err := r.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, _, err := ReadDump(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated body accepted")
+	if got := strings.Join(r.Lines(1), "\n"); got != "dropped=3\n6 fault_inject site=trace.invalidate arg=9" {
+		t.Errorf("Lines(1) = %q, want the dropped count and the newest event", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,8 +15,6 @@ import (
 	"time"
 
 	"visibility"
-	"visibility/internal/obs"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/wire"
 )
 
@@ -24,12 +23,32 @@ import (
 func park(srv *Server, s *session, fn func()) <-chan error {
 	answer := make(chan error, 1)
 	go func() {
-		answer <- srv.do(s, obs.TraceContext{}, func(*visibility.Runtime, *wire.Env) error {
+		answer <- srv.do(s, request{}, func(*visibility.Runtime, *wire.Env) error {
 			fn()
 			return nil
 		})
 	}()
 	return answer
+}
+
+// journal returns the recorder's event lines without their timestamps.
+func journal(srv *Server) []string {
+	lines := srv.rec.Lines(math.MaxInt)[1:]
+	for i, l := range lines {
+		_, lines[i], _ = strings.Cut(l, " ")
+	}
+	return lines
+}
+
+// count returns how many events in lines are event.
+func count(lines []string, event string) int {
+	n := 0
+	for _, l := range lines {
+		if l == event {
+			n++
+		}
+	}
+	return n
 }
 
 // waitQueued waits until n admitted requests wait for s.
@@ -229,13 +248,7 @@ func TestBackpressureGlobal(t *testing.T) {
 	if got := srv.metrics.NewCounter("server/admission/rejected").Load(); got != bounces {
 		t.Fatalf("server/admission/rejected = %d, want %d", got, bounces)
 	}
-	journaled := 0
-	for _, e := range srv.Recorder().Snapshot() {
-		if e.Kind == recorder.KindAdmitReject && e.A == b.seq && e.B == rejectGlobalCap {
-			journaled++
-		}
-	}
-	if journaled != bounces {
+	if journaled := count(journal(srv), fmt.Sprintf("admit_reject seq=%d reason=global_cap", b.seq)); journaled != bounces {
 		t.Fatalf("%d admit_reject events for session B at the global cap, want %d", journaled, bounces)
 	}
 

@@ -225,24 +225,15 @@ func TestFailedSessionAnswers409(t *testing.T) {
 	if err := sess.Submit(wire.ExampleGraphsim(1)); err == nil {
 		t.Fatal("the crashed workload was accepted")
 	}
+	c := client.New(hs.URL)
 	jobStarts := func() int {
-		resp, err := http.Get(hs.URL + "/debug/recorder?n=100000")
+		lines, err := c.DebugRecorder(100000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var body struct {
-			Events []struct {
-				Kind string `json:"kind"`
-				A    int64  `json:"a"`
-			} `json:"events"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
 		n := 0
-		for _, e := range body.Events {
-			if e.Kind == "job_start" && e.A == 1 {
+		for _, l := range lines {
+			if strings.Contains(l, " job_start seq=1 ") {
 				n++
 			}
 		}

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -226,28 +227,18 @@ func (c *Client) DebugTrace() ([]byte, error) {
 	return raw, nil
 }
 
-// RecorderEvent is one flight-recorder event as exposed over the wire.
-type RecorderEvent struct {
-	T    int64  `json:"t_ns"`
-	Kind string `json:"kind"`
-	A    int64  `json:"a"`
-	B    int64  `json:"b"`
-}
-
-// DebugRecorder returns the newest n flight-recorder events (n<=0 uses
-// the server default window).
-func (c *Client) DebugRecorder(n int) ([]RecorderEvent, error) {
+// DebugRecorder returns the flight recorder's text lines: the dropped
+// count, then the newest n events (n<=0 uses the server default window).
+func (c *Client) DebugRecorder(n int) ([]string, error) {
 	path := "/debug/recorder"
 	if n > 0 {
 		path += "?n=" + strconv.Itoa(n)
 	}
-	var resp struct {
-		Events []RecorderEvent `json:"events"`
-	}
-	if err := c.do("GET", path, nil, &resp); err != nil {
+	var raw []byte
+	if err := c.do("GET", path, nil, &raw); err != nil {
 		return nil, err
 	}
-	return resp.Events, nil
+	return strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n"), nil
 }
 
 // Submit sends one workload to the session; the server answers 202 once

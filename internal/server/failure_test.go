@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
 	"visibility/internal/fault"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/wire"
 )
 
@@ -23,11 +24,12 @@ import (
 //     parameter's 400) leaves the session usable: the same route's good
 //     request answers next;
 //   - a panic in the request's own job answers the session's 409 and
-//     latches the session failed;
-//   - a closing session answers 409 without running a job and releases
-//     its runtime;
-//   - a full queue answers 429 with Retry-After, and the session serves
-//     the good request once the queue drains;
+//     latches the session failed; the dump and the 409 body's recorder
+//     lines end in the job's start, the injected fault and the failure;
+//   - a closing session answers 409 without running a job, journals the
+//     reject, and releases its runtime;
+//   - a full queue answers 429 with Retry-After, journals the reject, and
+//     the session serves the good request once the queue drains;
 //   - a failed session answers its 409, with the dump path, without
 //     running a job (no job_start is journaled for it).
 func TestRequestFailures(t *testing.T) {
@@ -45,17 +47,17 @@ func TestRequestFailures(t *testing.T) {
 		{Name: "t", Accesses: []wire.AccessDecl{{Region: "nosuch", Field: "up", Privilege: "read"}}}}})
 
 	type endpoint struct {
-		name, method, good, bad string // bad: "" when the route takes no input to get wrong
-		badStatus               int
+		name, route, method, good, bad string // bad: "" when the route takes no input to get wrong
+		badStatus                      int
 	}
 	endpoints := []endpoint{
-		{"workloads", "POST", "workloads", "workloads", http.StatusBadRequest},
-		{"snapshot", "GET", "snapshot?region=N&field=up", "snapshot?region=nosuch&field=up", http.StatusNotFound},
-		{"graph", "GET", "graph?region=N", "graph?region=nosuch", http.StatusNotFound},
-		{"explain", "GET", "explain?task=0", "explain?task=x", http.StatusBadRequest},
-		{"critpath", "GET", "critpath", "critpath?k=0", http.StatusBadRequest},
-		{"checkpoint", "GET", "checkpoint", "", 0},
-		{"metrics", "GET", "metrics", "", 0},
+		{"workloads", "workloads", "POST", "workloads", "workloads", http.StatusBadRequest},
+		{"snapshot", "snapshot", "GET", "snapshot?region=N&field=up", "snapshot?region=nosuch&field=up", http.StatusNotFound},
+		{"graph", "graph", "GET", "graph?region=N", "graph?region=nosuch", http.StatusNotFound},
+		{"explain", "explain", "GET", "explain?task=0", "explain?task=x", http.StatusBadRequest},
+		{"critpath", "critpath", "GET", "critpath", "critpath?k=0", http.StatusBadRequest},
+		{"checkpoint", "checkpoint", "GET", "checkpoint", "", 0},
+		{"metrics", "session_metrics", "GET", "metrics", "", 0},
 	}
 
 	type cell struct {
@@ -117,23 +119,47 @@ func TestRequestFailures(t *testing.T) {
 	}
 	jobStarts := func(c cell) int {
 		n := 0
-		for _, e := range c.srv.rec.Snapshot() {
-			if e.Kind == recorder.KindJobStart && e.A == c.s.seq {
+		for _, e := range journal(c.srv) {
+			if strings.HasPrefix(e, fmt.Sprintf("job_start seq=%d ", c.s.seq)) {
 				n++
 			}
 		}
 		return n
 	}
-	failed := func(c cell) bool { return c.s.describe().Failed != "" }
-	sessionConflict := func(t *testing.T, resp *http.Response, body string) {
+	rejected := func(t *testing.T, c cell, reason string) {
 		t.Helper()
-		var got struct {
-			Error string `json:"error"`
-			Dump  string `json:"recorder_dump"`
+		if want := fmt.Sprintf("admit_reject seq=%d reason=%s", c.s.seq, reason); count(journal(c.srv), want) != 1 {
+			t.Errorf("journal has no %q", want)
 		}
+	}
+	failed := func(c cell) bool { return c.s.describe().Failed != "" }
+	type conflict struct {
+		Error    string   `json:"error"`
+		Recorder []string `json:"recorder"`
+		Dump     string   `json:"recorder_dump"`
+	}
+	sessionConflict := func(t *testing.T, resp *http.Response, body string) conflict {
+		t.Helper()
+		var got conflict
 		if err := json.Unmarshal([]byte(body), &got); err != nil || resp.StatusCode != http.StatusConflict ||
 			!strings.Contains(got.Error, "session failed") || got.Dump == "" {
 			t.Errorf("status %d %s (%v), want the session's 409 with its dump path", resp.StatusCode, body, err)
+		}
+		return got
+	}
+	// endsWith checks the events of lines, timestamps dropped, end in want.
+	endsWith := func(t *testing.T, what string, lines, want []string) {
+		t.Helper()
+		if len(lines) < len(want) {
+			t.Fatalf("%s has %d lines, want at least %d", what, len(lines), len(want))
+		}
+		tail := lines[len(lines)-len(want):]
+		for i, l := range tail {
+			_, e, _ := strings.Cut(l, " ")
+			if e != want[i] {
+				t.Errorf("%s ends in %q, want %q", what, tail, want)
+				return
+			}
 		}
 	}
 
@@ -162,10 +188,21 @@ func TestRequestFailures(t *testing.T) {
 					t.Fatal("setup workload refused")
 				}
 				resp, body := send(t, c, ep, ep.good, goodWorkload)
-				sessionConflict(t, resp, body)
+				got := sessionConflict(t, resp, body)
 				if n := c.inj.Fires(fault.WorkerPanic); n != 1 || !failed(c) {
 					t.Errorf("panic fired %d times, session failed %v; want 1, true", n, failed(c))
 				}
+				want := []string{
+					fmt.Sprintf("job_start seq=%d route=%s", c.s.seq, ep.route),
+					fmt.Sprintf("fault_inject site=server.worker.panic arg=%d", c.s.seq),
+					fmt.Sprintf("worker_fail seq=%d", c.s.seq),
+				}
+				dump, err := os.ReadFile(got.Dump)
+				if err != nil {
+					t.Fatal(err)
+				}
+				endsWith(t, "the dump", strings.Split(strings.TrimSuffix(string(dump), "\n"), "\n"), want)
+				endsWith(t, "the 409 body", got.Recorder, want)
 			})
 			t.Run("closing", func(t *testing.T) {
 				c, ok := setup(t, "", 0)
@@ -183,6 +220,7 @@ func TestRequestFailures(t *testing.T) {
 				if n := jobStarts(c) - before; n != 0 {
 					t.Errorf("%d jobs started on a closing session", n)
 				}
+				rejected(t, c, "session_closing")
 				<-c.s.done // the runtime is released
 			})
 			t.Run("busy", func(t *testing.T) {
@@ -199,6 +237,7 @@ func TestRequestFailures(t *testing.T) {
 				if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 					t.Errorf("status %d %s (Retry-After %q), want 429 with Retry-After", resp.StatusCode, body, resp.Header.Get("Retry-After"))
 				}
+				rejected(t, c, "session_queue")
 				close(release)
 				if err := <-holder; err != nil {
 					t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"visibility"
@@ -23,14 +24,21 @@ import (
 // microseconds.
 var latencyBounds = []int64{100, 1_000, 10_000, 100_000, 1_000_000}
 
-// traceKey carries the request's span context through context.Context.
-type traceKey struct{}
+// request is what the mux hands a request's job: its route's name,
+// journaled in job_start, and the trace context of its HTTP span.
+type request struct {
+	route string
+	tc    obs.TraceContext
+}
 
-// traceContext returns the trace context of the HTTP span covering r
-// (zero when the request bypassed the instrumented mux).
-func traceContext(r *http.Request) obs.TraceContext {
-	tc, _ := r.Context().Value(traceKey{}).(obs.TraceContext)
-	return tc
+// requestKey carries the request through context.Context.
+type requestKey struct{}
+
+// requestOf returns r's request (zero when r bypassed the instrumented
+// mux).
+func requestOf(r *http.Request) request {
+	req, _ := r.Context().Value(requestKey{}).(request)
+	return req
 }
 
 // routes mounts every endpoint, each wrapped with request counting, a
@@ -48,7 +56,7 @@ func (srv *Server) routes() {
 			requests.Inc()
 			parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 			sp, tc := srv.spans.BeginSpan("http."+name, "http", parent)
-			h(w, r.WithContext(context.WithValue(r.Context(), traceKey{}, tc)))
+			h(w, r.WithContext(context.WithValue(r.Context(), requestKey{}, request{name, tc})))
 			sp.End()
 			latency.Observe(time.Since(start).Microseconds())
 		})
@@ -133,34 +141,13 @@ func (srv *Server) fail(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// eventBody is one flight-recorder event on the wire.
-type eventBody struct {
-	T    int64  `json:"t_ns"`
-	Kind string `json:"kind"`
-	A    int64  `json:"a"`
-	B    int64  `json:"b"`
-}
-
-// recorderTail returns the newest n journaled events, oldest first.
-func (srv *Server) recorderTail(n int) []eventBody {
-	events := srv.rec.Snapshot()
-	if len(events) > n {
-		events = events[len(events)-n:]
-	}
-	out := make([]eventBody, len(events))
-	for i, e := range events {
-		out[i] = eventBody{T: e.T, Kind: e.Kind.String(), A: e.A, B: e.B}
-	}
-	return out
-}
-
 // failConflict writes the 409 for a failed session, attaching the flight
 // recorder's recent window (and the on-disk dump path, when one was
 // written) so the client sees what the runtime was doing when it died.
 func (srv *Server) failConflict(w http.ResponseWriter, s *session, err error) {
 	body := map[string]any{
 		"error":    "session failed: " + err.Error(),
-		"recorder": srv.recorderTail(64),
+		"recorder": srv.rec.Lines(64),
 	}
 	if path := s.recorderDump(); path != "" {
 		body["recorder_dump"] = path
@@ -314,7 +301,7 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		srv.fail(w, err)
 		return
 	}
-	if err := srv.do(s, traceContext(r), func(_ *visibility.Runtime, env *wire.Env) error {
+	if err := srv.do(s, requestOf(r), func(_ *visibility.Runtime, env *wire.Env) error {
 		_, err := env.Apply(wl)
 		return err
 	}); err != nil {
@@ -338,7 +325,7 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 func (srv *Server) query(w http.ResponseWriter, r *http.Request, s *session, first bool, ask func(rt *visibility.Runtime, reg *visibility.Region) (missing string)) (string, bool) {
 	name := r.URL.Query().Get("region")
 	missing := "region " + name
-	err := srv.do(s, traceContext(r), func(rt *visibility.Runtime, env *wire.Env) error {
+	err := srv.do(s, requestOf(r), func(rt *visibility.Runtime, env *wire.Env) error {
 		if name == "" && first {
 			name = firstRegion(env)
 		}
@@ -532,7 +519,7 @@ func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		buf     bytes.Buffer
 		ckptErr error
 	)
-	if err := srv.do(s, traceContext(r), func(rt *visibility.Runtime, _ *wire.Env) error {
+	if err := srv.do(s, requestOf(r), func(rt *visibility.Runtime, _ *wire.Env) error {
 		ckptErr = rt.Checkpoint(&buf)
 		return nil
 	}); err != nil {
@@ -547,9 +534,9 @@ func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // sessionMetricsSnapshot captures a session's registry in a job —
 // computed metrics read live analyzer state, which only the holder of the
 // session lock may touch.
-func (srv *Server) sessionMetricsSnapshot(s *session, tc obs.TraceContext) (obs.Snapshot, error) {
+func (srv *Server) sessionMetricsSnapshot(s *session, req request) (obs.Snapshot, error) {
 	var snap obs.Snapshot
-	if err := srv.do(s, tc, func(*visibility.Runtime, *wire.Env) error {
+	if err := srv.do(s, req, func(*visibility.Runtime, *wire.Env) error {
 		snap = s.metrics.Snapshot()
 		return nil
 	}); err != nil {
@@ -563,7 +550,7 @@ func (srv *Server) handleSessionMetrics(w http.ResponseWriter, r *http.Request) 
 	if s == nil {
 		return
 	}
-	snap, err := srv.sessionMetricsSnapshot(s, traceContext(r))
+	snap, err := srv.sessionMetricsSnapshot(s, requestOf(r))
 	if err != nil {
 		srv.fail(w, err)
 		return
@@ -579,7 +566,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{"server": srv.metrics.Snapshot()}
 	sessions := map[string]any{}
 	for _, s := range srv.sessionList() {
-		if snap, err := srv.sessionMetricsSnapshot(s, traceContext(r)); err != nil {
+		if snap, err := srv.sessionMetricsSnapshot(s, requestOf(r)); err != nil {
 			sessions[s.id] = map[string]string{"unavailable": err.Error()}
 		} else {
 			sessions[s.id] = snap
@@ -609,18 +596,15 @@ func (srv *Server) handleDebugTrace(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleDebugRecorder exposes the flight recorder's last-N-events window
-// (?n=, default 256).
+// handleDebugRecorder serves the flight recorder's dropped count and its
+// newest events (?n=, default 256) as the recorder's text lines.
 func (srv *Server) handleDebugRecorder(w http.ResponseWriter, r *http.Request) {
 	n, ok := srv.intParam(w, r, "n", 256, 1)
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"events":  srv.recorderTail(n),
-		"total":   srv.rec.Len(),
-		"dropped": srv.rec.Dropped(),
-	})
+	body := strings.Join(srv.rec.Lines(n), "\n") + "\n"
+	writeRaw(w, http.StatusOK, "text/plain; charset=utf-8", []byte(body), nil)
 }
 
 func (srv *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

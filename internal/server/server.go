@@ -14,6 +14,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -147,7 +148,7 @@ func (srv *Server) Recorder() *recorder.Recorder { return srv.rec }
 // DumpRecorder writes the flight-recorder window to a fresh file in dir
 // and returns its path.
 func (srv *Server) DumpRecorder(dir string) (string, error) {
-	path := filepath.Join(dir, fmt.Sprintf("visserve-recorder-%d-%d.bin", os.Getpid(), srv.dumpSeq.Add(1)))
+	path := filepath.Join(dir, fmt.Sprintf("visserve-recorder-%d-%d.txt", os.Getpid(), srv.dumpSeq.Add(1)))
 	f, err := os.Create(path)
 	if err != nil {
 		return "", err
@@ -328,35 +329,29 @@ func (srv *Server) finish() {
 	srv.mu.Unlock()
 }
 
-// Admission reject reason codes journaled in KindAdmitReject's B field.
-const (
-	rejectGlobalCap   = 1
-	rejectSessionCap  = 2
-	rejectSessionGone = 3
-)
-
 // do runs one request's job on the calling goroutine. It admits the
 // request (the global in-flight cap, then the session's cap on requests
-// waiting for it), waits for the session's lock — with tc valid, the wait
-// is the queue.wait child of the HTTP span, and the job's own spans parent
-// under the HTTP span — and runs fn on the runtime and environment inside
-// the recover envelope. A panic or an error from fn latches as the session
+// waiting for it), waits for the session's lock — with the request's trace
+// context valid, the wait is the queue.wait child of the HTTP span, and
+// the job's own spans parent under the HTTP span — and runs fn on the
+// runtime and environment inside the recover envelope, journaled under
+// the request's route. A panic or an error from fn latches as the session
 // failure, and do returns it as a *failedError — to every later request
 // too, without running its fn — unless the error is a workload's
 // *wire.CheckError, raised before anything changed.
-func (srv *Server) do(s *session, tc obs.TraceContext, fn func(rt *visibility.Runtime, env *wire.Env) error) error {
+func (srv *Server) do(s *session, req request, fn func(rt *visibility.Runtime, env *wire.Env) error) error {
 	if err := srv.admit(); err != nil {
 		srv.rejected.Inc()
-		srv.rec.Log(recorder.KindAdmitReject, s.seq, rejectGlobalCap)
+		srv.rec.LogS(recorder.KindAdmitReject, s.seq, "global_cap")
 		return err
 	}
 	if err := s.enter(srv.cfg.MaxQueue); err != nil {
 		srv.finish()
 		if err == errSessionBusy {
 			srv.rejected.Inc()
-			srv.rec.Log(recorder.KindAdmitReject, s.seq, rejectSessionCap)
+			srv.rec.LogS(recorder.KindAdmitReject, s.seq, "session_queue")
 		} else {
-			srv.rec.Log(recorder.KindAdmitReject, s.seq, rejectSessionGone)
+			srv.rec.LogS(recorder.KindAdmitReject, s.seq, "session_closing")
 		}
 		return err
 	}
@@ -367,7 +362,7 @@ func (srv *Server) do(s *session, tc obs.TraceContext, fn func(rt *visibility.Ru
 	s.run.Lock()
 	defer s.run.Unlock()
 	s.took()
-	if tc.Valid() {
+	if tc := req.tc; tc.Valid() {
 		s.spans.Record("queue.wait", "queue", enq, s.spans.Now(), tc)
 		s.spans.SetContext(tc)
 		defer s.spans.SetContext(obs.TraceContext{})
@@ -375,16 +370,20 @@ func (srv *Server) do(s *session, tc obs.TraceContext, fn func(rt *visibility.Ru
 	if err := s.latchedFailure(); err != nil {
 		return &failedError{s: s, err: err}
 	}
-	srv.rec.Log(recorder.KindJobStart, s.seq, 0)
-	defer srv.rec.Log(recorder.KindJobDone, s.seq, 0)
+	srv.rec.LogS(recorder.KindJobStart, s.seq, req.route)
 	rt, env := s.rt, s.env
-	return s.exec(func() error {
+	err := s.exec(func() error {
 		// Fault plane: an injected crash mid-job takes exactly the path a
 		// real kernel panic would — recovered by exec, latched as the
 		// session failure.
 		srv.cfg.Faults.Crash(fault.WorkerPanic, s.seq)
 		return fn(rt, env)
 	})
+	// A job that latched the failure ends in its worker_fail.
+	if err == nil || !errors.As(err, new(*failedError)) {
+		srv.rec.Log(recorder.KindJobDone, s.seq, 0)
+	}
+	return err
 }
 
 // --- janitor and shutdown -----------------------------------------------
