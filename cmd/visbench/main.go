@@ -206,9 +206,10 @@ func runBenchRecord(out, profileDir string, names []string, maxNodes, iters, rep
 }
 
 // gitCommit names the measured code in record metadata: the short commit
-// hash, or "unknown" outside a git checkout.
+// hash, suffixed "-dirty" when tracked files differ from it, or "unknown"
+// outside a git checkout. Tags never stand in for the hash.
 func gitCommit() string {
-	hash, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	hash, err := exec.Command("git", "describe", "--always", "--dirty", "--exclude=*").Output()
 	if err != nil {
 		return "unknown"
 	}

@@ -168,12 +168,10 @@ func formatEdge(e visibility.EdgeExplain) string {
 		if over == "" {
 			over = "no surviving point (a conservative edge)"
 		}
-		return fmt.Sprintf("region edge [%s]: req %d (%s) interferes with req %d (%s) on field %s over %s",
-			e.Analyzer, e.SrcReq, e.SrcPriv, e.DstReq, e.DstPriv, e.Field, over)
+		return fmt.Sprintf("region edge: req %d (%s) interferes with req %d (%s) on field %s over %s",
+			e.SrcReq, e.SrcPriv, e.DstReq, e.DstPriv, e.Field, over)
 	case "future":
 		return "future edge: explicit ordering on a task future"
-	case "replay":
-		return fmt.Sprintf("replay edge [%s]: instantiated from committed trace %d", e.Analyzer, e.Trace)
 	default:
 		return "edge of kind " + e.Kind
 	}

@@ -4,7 +4,6 @@ import (
 	"io"
 	"slices"
 
-	"visibility/internal/autotrace"
 	"visibility/internal/core"
 	"visibility/internal/graph"
 )
@@ -17,11 +16,9 @@ type EdgeExplain struct {
 	SrcName string `json:"srcName"`
 	Dst     int    `json:"dst"`
 	DstName string `json:"dstName"`
-	// Kind is "region" (interfering requirement pair found by an
-	// analyzer), "future" (explicit ordering edge), or "replay" (edge
-	// instantiated from a committed trace).
-	Kind     string `json:"kind"`
-	Analyzer string `json:"analyzer,omitempty"`
+	// Kind is "region" (an interfering requirement pair), "future" (an
+	// explicit ordering edge), or "none" (no requirement pair interferes).
+	Kind string `json:"kind"`
 	// Region-interference detail (kind "region").
 	SrcReq  int    `json:"srcReq"`
 	DstReq  int    `json:"dstReq"`
@@ -32,8 +29,6 @@ type EdgeExplain struct {
 	// omitted) on a region edge without a live witness: every shared point
 	// was overwritten before Dst; the edge is conservative.
 	Overlap string `json:"overlap,omitempty"`
-	// Trace is the committed trace id for kind "replay"; -1 otherwise.
-	Trace int `json:"trace"`
 }
 
 // TaskExplain is the full provenance of one task's incoming dependence
@@ -98,18 +93,14 @@ func weight(t *core.Task, row []int) float64 {
 }
 
 // explainEdge explains why task dst waits on src: a future edge when dst
-// consumed src's future, a replay edge when dst's analysis was
-// instantiated from a trace, and otherwise the requirement pair
-// core.RegionReason finds in the stream between them.
-func (ts *treeState) explainEdge(src, dst int, analyzer string, replays []autotrace.Replay) EdgeExplain {
+// consumed src's future, and otherwise the requirement pair
+// core.RegionReason finds in the stream between them. Both are
+// properties of the workload, so an edge explains alike whichever stack
+// found it, analyzed or replayed.
+func (ts *treeState) explainEdge(src, dst int) EdgeExplain {
 	tasks := ts.stream.Tasks
-	e := EdgeExplain{Src: src, SrcName: tasks[src].Name, Dst: dst, DstName: tasks[dst].Name, Kind: "future", Trace: -1}
+	e := EdgeExplain{Src: src, SrcName: tasks[src].Name, Dst: dst, DstName: tasks[dst].Name, Kind: "future"}
 	if slices.Contains(tasks[dst].FutureDeps, src) {
-		return e
-	}
-	e.Analyzer = analyzer
-	if id, ok := autotrace.ReplayOf(replays, dst); ok {
-		e.Kind, e.Trace = "replay", id
 		return e
 	}
 	si, di, overlap := core.RegionReason(tasks, src, dst)
@@ -137,9 +128,8 @@ func (rt *Runtime) Explain(r *Region, task int) *TaskExplain {
 		return nil
 	}
 	out := &TaskExplain{Task: task, Name: ts.stream.Tasks[task].Name, Edges: []EdgeExplain{}}
-	analyzer, replays := core.BaseName(ts.stack.Analyzer.Name()), ts.stack.Replays()
 	for _, src := range ts.graph.Rows[task] {
-		out.Edges = append(out.Edges, ts.explainEdge(src, task, analyzer, replays))
+		out.Edges = append(out.Edges, ts.explainEdge(src, task))
 	}
 	return out
 }

@@ -59,12 +59,3 @@ func (s Spec) Build(tree *region.Tree, opts core.Options) *Stack {
 	}
 	return st
 }
-
-// Replays returns the runs of launches the autotracer has replayed (nil
-// when the stack has none, or st is nil).
-func (st *Stack) Replays() []autotrace.Replay {
-	if st == nil || st.Auto == nil {
-		return nil
-	}
-	return st.Auto.Replays()
-}

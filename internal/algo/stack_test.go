@@ -72,15 +72,6 @@ func TestBuild(t *testing.T) {
 	if got := plain.Analyzer.Name(); got != "raycast" {
 		t.Errorf("plain stack Name = %q", got)
 	}
-	if plain.Replays() != nil {
-		t.Error("plain stack reports replays")
-	}
-
-	var none *algo.Stack
-	if none.Replays() != nil {
-		t.Error("nil stack reports replays")
-	}
-
 	defer func() {
 		if recover() == nil {
 			t.Error("Build accepted a spec that Check rejects")

@@ -1,8 +1,6 @@
 package autotrace
 
 import (
-	"sort"
-
 	"visibility/internal/core"
 	"visibility/internal/fault"
 	"visibility/internal/obs"
@@ -31,20 +29,6 @@ type Stats struct {
 	// Trace counts launches recorded and replayed, and the replaying
 	// instances invalidated (their replayed launches re-analyzed).
 	Trace struct{ Recorded, Replayed, Invalidations int64 }
-}
-
-// Replay is a run of consecutive launches, First through Last, whose
-// analysis was instantiated from trace Trace instead of being run.
-type Replay struct{ First, Last, Trace int }
-
-// ReplayOf returns the trace that launch id replayed from, or false when
-// the launch was analyzed.
-func ReplayOf(rs []Replay, id int) (traceID int, ok bool) {
-	i := sort.Search(len(rs), func(i int) bool { return rs[i].Last >= id })
-	if i < len(rs) && rs[i].First <= id {
-		return rs[i].Trace, true
-	}
-	return -1, false
 }
 
 // Auto wraps an analyzer with automatic tracing: every launch is hashed
@@ -103,8 +87,6 @@ type Auto struct {
 	// wrapped analyzer must observe them before it can analyze anything
 	// new.
 	pending []*core.Task
-	// replays lists the runs of replayed launches, in launch order.
-	replays []Replay
 
 	// The counters live on the options' obs registry (atomics), so the
 	// runtime owner may read them while the analyzer goroutine is
@@ -177,11 +159,6 @@ func (a *Auto) AutoStats() Stats {
 	st.Trace.Recorded, st.Trace.Replayed, st.Trace.Invalidations = a.recorded.Load(), a.replayed.Load(), a.invalidations.Load()
 	return st
 }
-
-// Replays returns the runs of replayed launches in launch order. A steady
-// loop extends one run, so the list grows only when replay resumes after
-// analysis or switches trace.
-func (a *Auto) Replays() []Replay { return a.replays }
 
 // Analyze implements core.Analyzer.
 func (a *Auto) Analyze(t *core.Task) *core.Result {
@@ -312,11 +289,6 @@ func (a *Auto) replay(t *core.Task) *core.Result {
 	a.pending = append(a.pending, t)
 	a.pendingLen.Add(1)
 	a.replayed.Inc()
-	if n := len(a.replays); n > 0 && a.replays[n-1].Trace == a.traceID && a.replays[n-1].Last+1 == t.ID {
-		a.replays[n-1].Last = t.ID
-	} else {
-		a.replays = append(a.replays, Replay{First: t.ID, Last: t.ID, Trace: a.traceID})
-	}
 	// Replay is a constant-time local operation per launch.
 	a.opts.Probe.Touch(core.LocalOwner, 1)
 	return a.carve(a.tr.results[a.pos], a.start-a.tr.start)

@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"visibility/internal/fault"
 	"visibility/internal/field"
@@ -129,17 +128,6 @@ type Analyzer interface {
 // does every layer that builds one (algo.New and dist.NewAnalyzerFunc are
 // aliases of it).
 type NewAnalyzerFunc func(tree *region.Tree, opts Options) Analyzer
-
-// BaseName strips wrapper suffixes from an analyzer name
-// ("raycast+autotrace" → "raycast"). Wrapping analyzers compose
-// names with '+'; provenance and other cross-configuration-comparable
-// outputs want the algorithm's name, not the harness around it.
-func BaseName(name string) string {
-	if i := strings.IndexByte(name, '+'); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
 
 // Stats counts the elementary operations an analyzer performs; the
 // distributed cost model converts them into simulated time, and the

@@ -371,44 +371,3 @@ func (s *Store) Diff(o *Store) string {
 	})
 	return b.String()
 }
-
-// Op is one operation on a single element, as in §3.1: a write w_x, a
-// reduction f_x, or a read r.
-type Op struct {
-	Priv  privilege.Privilege
-	Value float64 // for writes and reductions
-}
-
-// WriteOp returns a write of x.
-func WriteOp(x float64) Op { return Op{Priv: privilege.Writes(), Value: x} }
-
-// ReduceOpOf returns a reduction f_x.
-func ReduceOpOf(op privilege.ReduceOp, x float64) Op {
-	return Op{Priv: privilege.Reduces(op), Value: x}
-}
-
-// ReadOp returns a read.
-func ReadOp() Op { return Op{Priv: privilege.Reads()} }
-
-// BlendOne applies one operation to the current value v: b(w_x, v) = x,
-// b(f_x, v) = f(x, v), b(r, v) = v.
-func BlendOne(o Op, v float64) float64 {
-	switch {
-	case o.Priv.IsWrite():
-		return o.Value
-	case o.Priv.IsReduce():
-		return privilege.Apply(o.Priv.Op, v, o.Value)
-	default:
-		return v
-	}
-}
-
-// Blend is the blending function B of §3.1: it folds the time-ordered
-// operation sequence over the initial value v. The value observed by a read
-// at position i is Blend(ops[:i], v0).
-func Blend(ops []Op, v float64) float64 {
-	for _, o := range ops {
-		v = BlendOne(o, v)
-	}
-	return v
-}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"visibility/internal/geometry"
 	"visibility/internal/index"
@@ -332,95 +331,5 @@ func TestEachOrderAcrossBand(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Each = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestBlendPaperSemantics(t *testing.T) {
-	// §3.1: writes opaque, reductions blend, reads transparent.
-	ops := []Op{
-		WriteOp(10),
-		ReduceOpOf(privilege.OpSum, 5),
-		ReadOp(),
-		ReduceOpOf(privilege.OpSum, 2),
-	}
-	if got := Blend(ops, 0); got != 17 {
-		t.Errorf("Blend = %v, want 17", got)
-	}
-	// A later write occludes everything before it.
-	ops = append(ops, WriteOp(100))
-	if got := Blend(ops, 0); got != 100 {
-		t.Errorf("Blend after write = %v, want 100", got)
-	}
-	// Value observed by a read at position i is Blend(ops[:i]).
-	if got := Blend(ops[:3], 0); got != 15 {
-		t.Errorf("read observes %v, want 15", got)
-	}
-}
-
-func TestBlendMinMax(t *testing.T) {
-	ops := []Op{
-		WriteOp(10),
-		ReduceOpOf(privilege.OpMin, 3),
-		ReduceOpOf(privilege.OpMax, 7),
-	}
-	if got := Blend(ops, 0); got != 7 {
-		t.Errorf("Blend = %v, want 7", got)
-	}
-	if got := Blend(ops[:2], 0); got != 3 {
-		t.Errorf("Blend = %v, want 3", got)
-	}
-}
-
-// Property: a write anywhere in the sequence makes the prefix irrelevant.
-func TestBlendWriteOcclusionProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func() bool {
-		n := rng.Intn(8)
-		ops := make([]Op, 0, n+1)
-		for i := 0; i < n; i++ {
-			switch rng.Intn(3) {
-			case 0:
-				ops = append(ops, WriteOp(rng.Float64()))
-			case 1:
-				ops = append(ops, ReduceOpOf(privilege.OpSum, rng.Float64()))
-			default:
-				ops = append(ops, ReadOp())
-			}
-		}
-		w := WriteOp(rng.Float64())
-		suffix := make([]Op, rng.Intn(4))
-		for i := range suffix {
-			suffix[i] = ReduceOpOf(privilege.OpSum, rng.Float64())
-		}
-		full := append(append(append([]Op{}, ops...), w), suffix...)
-		occl := append([]Op{w}, suffix...)
-		return Blend(full, 123) == Blend(occl, 456)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: reads never change the blended value.
-func TestBlendReadTransparencyProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	f := func() bool {
-		n := rng.Intn(8)
-		ops := make([]Op, 0, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				ops = append(ops, WriteOp(rng.Float64()))
-			} else {
-				ops = append(ops, ReduceOpOf(privilege.OpSum, rng.Float64()))
-			}
-		}
-		withReads := make([]Op, 0, 2*len(ops))
-		for _, o := range ops {
-			withReads = append(withReads, o, ReadOp())
-		}
-		return Blend(ops, 1) == Blend(withReads, 1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -113,8 +113,8 @@ func TestExplainEdges(t *testing.T) {
 			if e.Kind == "" {
 				t.Errorf("task %d: edge from %d has empty kind", ti.ID, e.Src)
 			}
-			if e.Kind == "region" && (e.Analyzer == "" || e.Overlap == "") {
-				t.Errorf("task %d: region edge from %d missing analyzer/overlap: %+v", ti.ID, e.Src, e)
+			if e.Kind == "region" && e.Overlap == "" {
+				t.Errorf("task %d: region edge from %d missing overlap: %+v", ti.ID, e.Src, e)
 			}
 			bySrc[e.Src] = true
 		}

@@ -68,12 +68,10 @@ var edgeExplainFields = fields[visibility.EdgeExplain]{
 	intKey("dst", func(x *visibility.EdgeExplain) *int { return &x.Dst }),
 	stringKey("dstName", false, func(x *visibility.EdgeExplain) *string { return &x.DstName }),
 	stringKey("kind", false, func(x *visibility.EdgeExplain) *string { return &x.Kind }),
-	stringKey("analyzer", true, func(x *visibility.EdgeExplain) *string { return &x.Analyzer }),
 	intKey("srcReq", func(x *visibility.EdgeExplain) *int { return &x.SrcReq }),
 	intKey("dstReq", func(x *visibility.EdgeExplain) *int { return &x.DstReq }),
 	stringKey("field", true, func(x *visibility.EdgeExplain) *string { return &x.Field }),
 	stringKey("srcPriv", true, func(x *visibility.EdgeExplain) *string { return &x.SrcPriv }),
 	stringKey("dstPriv", true, func(x *visibility.EdgeExplain) *string { return &x.DstPriv }),
 	stringKey("overlap", true, func(x *visibility.EdgeExplain) *string { return &x.Overlap }),
-	intKey("trace", func(x *visibility.EdgeExplain) *int { return &x.Trace }),
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -16,8 +15,8 @@ import (
 	"visibility/internal/wire"
 )
 
-// raycastGolden is the server golden of a raycast session on graphsim.
-var raycastGolden = filepath.Join("..", "server", "testdata", "explain_raycast.golden")
+// graphsimGolden is the server golden every stack serves on graphsim.
+var graphsimGolden = filepath.Join("..", "server", "testdata", "explain_graphsim.golden")
 
 // explainBodies returns the explain bodies a file holds, in file order:
 // the served ones a server golden pins, or seed-only ones.
@@ -43,42 +42,38 @@ func explainBodies(tb testing.TB, path string) [][]byte {
 // directions to encoding/json: AppendExplain to what the Encoder writes of
 // the map the route used to render, ParseExplain to what json.Unmarshal
 // makes of the body in the client's type. A negative src is a query that
-// named no source; a negative edges count a nil edge list. Besides the
-// server goldens, the naive painter's bodies seed it: no session serves
-// that oracle, but its long edge lists, most without an overlap, are
-// bodies the served analyzers rarely write.
+// named no source; a negative edges count a nil edge list. Every edge of
+// the server golden seeds it, and so do the naive painter's bodies: no
+// session serves that oracle, but its long edge lists, most without an
+// overlap, are bodies the served analyzers rarely write.
 func FuzzExplainBody(f *testing.F) {
-	paths, err := filepath.Glob(filepath.Join("..", "server", "testdata", "explain_*.golden"))
-	if err != nil || len(paths) == 0 {
-		f.Fatalf("no explain goldens (%v)", err)
-	}
-	paths = append(paths, filepath.Join("testdata", "explain_paint-naive.bodies"))
-	slices.SortFunc(paths, func(a, b string) int { return strings.Compare(filepath.Base(a), filepath.Base(b)) })
-	for _, path := range paths {
+	for _, path := range []string{graphsimGolden, filepath.Join("testdata", "explain_paint-naive.bodies")} {
 		for _, body := range explainBodies(f, path) {
 			var v client.ExplainResult
 			if err := json.Unmarshal(body, &v); err != nil {
 				f.Fatal(err)
 			}
-			ex, e := v.Explain, visibility.EdgeExplain{}
-			if len(ex.Edges) > 0 {
-				e = ex.Edges[0]
+			ex, edges := v.Explain, v.Explain.Edges
+			if len(edges) == 0 {
+				edges = []visibility.EdgeExplain{{}}
 			}
-			f.Add(v.Region, ex.Name, e.SrcName, e.Kind, e.Analyzer, e.Field, e.SrcPriv, e.Overlap, ex.Task, e.SrcReq, e.Trace, len(ex.Edges), -1, false)
+			for _, e := range edges {
+				f.Add(v.Region, ex.Name, e.SrcName, e.Kind, e.Field, e.SrcPriv, e.Overlap, ex.Task, e.SrcReq, len(ex.Edges), -1, false)
+			}
 		}
 	}
-	f.Add("N", "t2", "t1", "region", "raycast", "down", "reduce+", "[2..5]", 7, 1, -1, 1, 1, true)
-	f.Add(`q"u\ote`, "<b>&amp;</b>", "\x00\x1f\x7f", "é  ", "\xff\xfe", "\t\n\r", "😀", "\xed\xa0\x80\u2028", -3, -1, -9, 3, 0, false)
-	f.Add("", "", "", "", "", "", "", "", 0, 0, 0, 0, -1, false)
-	f.Fuzz(func(t *testing.T, region, name, srcName, kind, analyzer, field, priv, overlap string, task, req, trace, edges, src int, must bool) {
+	f.Add("N", "t2", "t1", "region", "down", "reduce+", "[2..5]", 7, 1, 1, 1, true)
+	f.Add(`q"u\ote`, "<b>&amp;</b>", "\x00\x1f\x7f", "é  ", "\t\n\r", "😀", "\xed\xa0\x80\u2028", -3, -1, 3, 0, false)
+	f.Add("", "", "", "", "", "", "", 0, 0, 0, -1, false)
+	f.Fuzz(func(t *testing.T, region, name, srcName, kind, field, priv, overlap string, task, req, edges, src int, must bool) {
 		ex := &visibility.TaskExplain{Task: task, Name: name}
 		if edges >= 0 {
 			ex.Edges = []visibility.EdgeExplain{}
 		}
 		for i := 0; i < edges%4; i++ {
-			e := visibility.EdgeExplain{Src: req + i, SrcName: srcName, Dst: task, DstName: name, Kind: kind, SrcReq: req - i, DstReq: i, Trace: trace}
+			e := visibility.EdgeExplain{Src: req + i, SrcName: srcName, Dst: task, DstName: name, Kind: kind, SrcReq: req - i, DstReq: i}
 			if i%2 == 0 { // the odd edges leave every omitempty key out
-				e.Analyzer, e.Field, e.SrcPriv, e.DstPriv, e.Overlap = analyzer, field, priv, kind, overlap
+				e.Field, e.SrcPriv, e.DstPriv, e.Overlap = field, priv, kind, overlap
 			}
 			ex.Edges = append(ex.Edges, e)
 		}
@@ -112,7 +107,7 @@ func FuzzExplainBody(f *testing.F) {
 // and nothing looser.
 func TestParseExplainRejects(t *testing.T) {
 	for _, in := range []string{``, `{"mustPrecede":tru}`, `{"mustPrecede":1}`, `{"mustPrecede":"true"}`, `{"src":1.5}`,
-		`{"explain":{"edges":[{"trace":-1,"trace":-1}]}}`, `{"explain":[]}`, `{"Region":"N"}`, `{"region":"N"} x`} {
+		`{"explain":{"edges":[{"srcReq":-1,"srcReq":-1}]}}`, `{"explain":[]}`, `{"Region":"N"}`, `{"region":"N"} x`} {
 		if _, err := wire.ParseExplain([]byte(in)); err == nil || !strings.Contains(err.Error(), "decoding explain") {
 			t.Errorf("ParseExplain(%q) error = %v, want a decoding error", in, err)
 		}
@@ -122,20 +117,20 @@ func TestParseExplainRejects(t *testing.T) {
 	}
 }
 
-// TestParseExplainAllocations pins ParseExplain of the raycast golden's
+// TestParseExplainAllocations pins ParseExplain of the graphsim golden's
 // two-edge body for task 3 at 5 allocations: the scanner, the body's one
 // copy, the result, the explanation and the edges (json.Unmarshal took
 // 29). Every name is a window of that one copy, the repeated ones
 // included.
 func TestParseExplainAllocations(t *testing.T) {
-	body := explainBodies(t, raycastGolden)[3]
+	body := explainBodies(t, graphsimGolden)[3]
 	v, err := wire.ParseExplain(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := ^uintptr(0), uintptr(0)
 	for _, e := range v.Explain.Edges {
-		for _, name := range []string{v.Region, v.Explain.Name, e.SrcName, e.DstName, e.Kind, e.Analyzer, e.Field, e.SrcPriv, e.DstPriv, e.Overlap} {
+		for _, name := range []string{v.Region, v.Explain.Name, e.SrcName, e.DstName, e.Kind, e.Field, e.SrcPriv, e.DstPriv, e.Overlap} {
 			at := uintptr(unsafe.Pointer(unsafe.StringData(name)))
 			lo, hi = min(lo, at), max(hi, at+uintptr(len(name)))
 		}
@@ -153,10 +148,10 @@ func TestParseExplainAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkWireExplain renders and parses the raycast golden's explain
+// BenchmarkWireExplain renders and parses the graphsim golden's explain
 // body for task 3, serve_query's answer shape: two region edges.
 func BenchmarkWireExplain(b *testing.B) {
-	body := explainBodies(b, raycastGolden)[3]
+	body := explainBodies(b, graphsimGolden)[3]
 	v, err := wire.ParseExplain(body)
 	if err != nil {
 		b.Fatal(err)
