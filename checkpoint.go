@@ -21,8 +21,7 @@ type ckptFile struct {
 	// Sum is the IEEE CRC-32 of the JSON encoding of Regions, in hex.
 	// Verified on restore when present, so corruption that changes any
 	// structural or value content is detected rather than silently
-	// restored; absent (omitempty) in checkpoints written before the field
-	// existed, which restore without the check.
+	// restored; a checkpoint without it restores without the check.
 	Sum string `json:"sum,omitempty"`
 }
 
@@ -44,9 +43,9 @@ type ckptRegion struct {
 	Space      [][]int64       `json:"space"`
 	Fields     []string        `json:"fields"`
 	Partitions []ckptPartition `json:"partitions"`
-	// Values maps field name to flat (dim coords..., value) tuples for
-	// every point of the region.
-	Values map[string][][]float64 `json:"values"`
+	// Values maps field name to every point's value in the slab order of
+	// the region's canonical space, the order data.Store.Fill visits.
+	Values map[string][]float64 `json:"values"`
 }
 
 type ckptPartition struct {
@@ -71,21 +70,6 @@ func decodeSpace(dim int, rows [][]int64) (IndexSpace, error) {
 	return sp, nil
 }
 
-// maxRowCoord bounds the coordinates of a checkpointed region: value rows
-// carry them as float64, which holds integers exactly only up to 2^53, so
-// a point beyond that would come back as a neighbour.
-const maxRowCoord = 1 << 53
-
-func rowsCanCarry(space IndexSpace) bool {
-	b := space.Bounds()
-	for a := 0; a < space.Dim(); a++ {
-		if b.Lo.C[a] < -maxRowCoord || b.Hi.C[a] > maxRowCoord {
-			return false
-		}
-	}
-	return true
-}
-
 // Checkpoint waits for all launched work, reads every field's current
 // contents through the coherence algorithm, and writes a JSON snapshot of
 // every region tree — structure and data — to w. The runtime remains
@@ -93,17 +77,14 @@ func rowsCanCarry(space IndexSpace) bool {
 // any other task).
 func (rt *Runtime) Checkpoint(w io.Writer) error {
 	rt.Wait()
-	file := ckptFile{Version: 1}
+	file := ckptFile{Version: 2}
 	for _, r := range rt.regions {
 		ts := r.tree
-		if !rowsCanCarry(ts.tree.Root.Space) {
-			return fmt.Errorf("visibility: region %q has coordinates beyond ±2^53, which checkpoint value rows cannot carry", ts.tree.Root.Name)
-		}
 		cr := ckptRegion{
 			Name:   ts.tree.Root.Name,
 			Dim:    ts.tree.Root.Space.Dim(),
 			Space:  ts.tree.Root.Space.Rows(),
-			Values: make(map[string][][]float64),
+			Values: make(map[string][]float64),
 		}
 		for i := 0; i < ts.tree.Fields.Len(); i++ {
 			cr.Fields = append(cr.Fields, ts.tree.Fields.Name(field.ID(i)))
@@ -117,14 +98,12 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 			cr.Partitions = append(cr.Partitions, cp)
 		}
 		for i, fname := range cr.Fields {
-			var snap *Snapshot
+			// Nothing launched: the initial contents are current.
+			st := ts.init[field.ID(i)]
 			if ts.frozen {
-				snap = rt.Read(r, fname)
-			} else {
-				// Nothing launched: the initial contents are current.
-				snap = &Snapshot{st: ts.init[field.ID(i)]}
+				st = rt.Read(r, fname).st
 			}
-			cr.Values[fname] = snap.Rows()
+			cr.Values[fname] = st.Values()
 		}
 		file.Regions = append(file.Regions, cr)
 	}
@@ -150,12 +129,15 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("visibility: reading checkpoint: %w", err)
 	}
+	// Well-formed JSON of another version is refused by its version, not
+	// by the first field whose form changed.
 	var file ckptFile
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return nil, nil, fmt.Errorf("visibility: decoding checkpoint: %w", err)
-	}
-	if file.Version != 1 {
+	err = json.Unmarshal(raw, &file)
+	if _, syntax := err.(*json.SyntaxError); !syntax && file.Version != 2 {
 		return nil, nil, fmt.Errorf("visibility: unsupported checkpoint version %d", file.Version)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("visibility: decoding checkpoint: %w", err)
 	}
 	if file.Sum != "" {
 		sum, err := regionSum(file.Regions)
@@ -192,9 +174,6 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if !rowsCanCarry(space) {
-			return nil, nil, fmt.Errorf("visibility: checkpoint region %q has coordinates beyond ±2^53", cr.Name)
-		}
 		if !space.VolumeAtMost(MaxRegionValues / int64(len(cr.Fields))) {
 			return nil, nil, fmt.Errorf("visibility: checkpoint region %q exceeds %d values (points × fields)", cr.Name, MaxRegionValues)
 		}
@@ -224,31 +203,16 @@ func Restore(rd io.Reader, cfg Config) (*Runtime, map[string]*Region, error) {
 			parent.Partition(cp.Name, pieces)
 		}
 
-		for fname, rows := range cr.Values {
+		for fname, vals := range cr.Values {
 			id, ok := root.tree.tree.Fields.Lookup(fname)
 			if !ok {
 				return nil, nil, fmt.Errorf("visibility: checkpoint values for unknown field %q", fname)
 			}
-			st := root.tree.init[id]
-			for _, row := range rows {
-				if len(row) != cr.Dim+1 {
-					return nil, nil, fmt.Errorf("visibility: malformed value row %v", row)
-				}
-				var p Point
-				for a := 0; a < cr.Dim; a++ {
-					// Out of int64's range (NaN included) the conversion
-					// is undefined; a fraction would truncate onto a
-					// neighbouring point.
-					if c := row[a]; !(c >= -(1<<63) && c < 1<<63) || float64(int64(c)) != c {
-						return nil, nil, fmt.Errorf("visibility: value row %v has a non-integer coordinate", row)
-					}
-					p.C[a] = int64(row[a])
-				}
-				if !space.Contains(p) {
-					return nil, nil, fmt.Errorf("visibility: value row %v outside region %q", row, cr.Name)
-				}
-				st.Set(p, row[cr.Dim])
+			if int64(len(vals)) != space.Volume() {
+				return nil, nil, fmt.Errorf("visibility: checkpoint field %q of region %q has %d values for %d points", fname, cr.Name, len(vals), space.Volume())
 			}
+			i := 0
+			root.tree.init[id].Fill(func(Point) float64 { i++; return vals[i-1] })
 		}
 	}
 	return rt, roots, nil

@@ -218,14 +218,29 @@ func TestCheckpointBeforeAnyLaunch(t *testing.T) {
 	}
 }
 
-// A value row carries its coordinates as float64: a region reaching beyond
-// ±2^53 must fail to checkpoint, not write rows Restore will reject.
-func TestCheckpointRejectsCoordinatesRowsCannotCarry(t *testing.T) {
+// Values travel in slab order, with no coordinates beside them, so a
+// region beyond float64's exact integers (±2^53) round-trips like any
+// other.
+func TestCheckpointRoundTripsCoordinatesBeyond2To53(t *testing.T) {
 	rt := visibility.New(visibility.Config{})
 	defer rt.Close()
-	rt.CreateRegion("r", visibility.Line(1<<53, 1<<53+1), "v")
-	if err := rt.Checkpoint(new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "beyond ±2^53") {
-		t.Fatalf("Checkpoint = %v, want a coordinates error", err)
+	const lo = 1 << 53
+	r := rt.CreateRegion("r", visibility.Line(lo-1, lo+1), "v")
+	r.Init("v", func(p visibility.Point) float64 { return float64(p.C[0] - lo) })
+	var buf bytes.Buffer
+	if err := rt.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rt2, roots, err := visibility.Restore(&buf, visibility.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	snap := rt2.Read(roots["r"], "v")
+	for x := int64(lo - 1); x <= lo+1; x++ {
+		if v, ok := snap.Get(visibility.Pt(x)); !ok || v != float64(x-lo) {
+			t.Errorf("restored v[2^53%+d] = %v (ok=%v), want %v", x-lo, v, ok, x-lo)
+		}
 	}
 }
 
@@ -243,11 +258,11 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 // carry; every one must come back as an error, never a panic.
 func TestRestoreRejectsCorruptInput(t *testing.T) {
 	region := func(mutate string) string {
-		base := `{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"partitions":[],"values":{"v":[[0,1]]}}`
+		base := `{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"partitions":[],"values":{"v":[1,0,0,0,0,0,0,0]}}`
 		if mutate != "" {
 			base = mutate
 		}
-		return `{"version":1,"regions":[` + base + `]}`
+		return `{"version":2,"regions":[` + base + `]}`
 	}
 	cases := []struct {
 		name string
@@ -258,7 +273,7 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 			region(`{"name":"","dim":1,"space":[[0,7]],"fields":["v"]}`),
 			"empty name"},
 		{"duplicate region names",
-			`{"version":1,"regions":[` +
+			`{"version":2,"regions":[` +
 				`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"]},` +
 				`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"]}]}`,
 			"duplicate region name"},
@@ -297,23 +312,17 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 				`"partitions":[{"parent":0,"name":"p","pieces":[[[3]]]}]}`),
 			"malformed rect"},
 		{"values for unknown field",
-			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"w":[[0,1]]}}`),
+			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"w":[0,0,0,0,0,0,0,0]}}`),
 			"unknown field"},
-		{"value row wrong length",
-			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[0]]}}`),
-			"malformed value row"},
-		{"value row outside region",
-			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[55,1]]}}`),
-			"outside region"},
-		{"value row fractional coordinate",
-			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[2.5,1]]}}`),
-			"non-integer coordinate"},
-		{"value row coordinate beyond int64",
-			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[1e19,1]]}}`),
-			"non-integer coordinate"},
-		{"coordinates float64 rows cannot carry",
-			region(`{"name":"r","dim":1,"space":[[9007199254740993,9007199254740993]],"fields":["v"]}`),
-			"beyond ±2^53"},
+		{"too few values",
+			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[1]}}`),
+			"has 1 values for 8 points"},
+		{"too many values",
+			region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[0,0,0,0,0,0,0,0,1]}}`),
+			"has 9 values for 8 points"},
+		{"version 1",
+			`{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[0,1]]}}]}`,
+			"unsupported checkpoint version 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -341,14 +350,15 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 // must never panic, and whatever it accepts must reach a fixed point after
 // one encode (decode → encode → decode → encode gives the same bytes).
 func FuzzRestore(f *testing.F) {
-	region := func(body string) []byte { return []byte(`{"version":1,"regions":[` + body + `]}`) }
-	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"partitions":[{"parent":0,"name":"p","pieces":[[[0,3]],[[2,7]]]}],"values":{"v":[[0,1],[7,-2.5]]}}`))
-	f.Add(region(`{"name":"r","dim":2,"space":[[0,1,0,2],[4,5,0,2],[0,5,3,3]],"fields":["a","b"],"values":{"a":[[4,1,9],[4,1,8]],"b":[[5,3,1e300]]}}`))
-	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[55,1]]}}`))
-	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[2.5,1],[1e19,1],[-0,3]]}}`))
-	f.Add(region(`{"name":"r","dim":3,"space":[[0,1,0,1,9007199254740993,9007199254740993]],"fields":["v"],"values":{"v":[[0,0,9007199254740993,1]]}}`))
+	region := func(body string) []byte { return []byte(`{"version":2,"regions":[` + body + `]}`) }
+	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"partitions":[{"parent":0,"name":"p","pieces":[[[0,3]],[[2,7]]]}],"values":{"v":[1,0,0,0,0,0,0,-2.5]}}`))
+	f.Add(region(`{"name":"r","dim":2,"space":[[0,1,0,2],[4,5,0,2],[0,5,3,3]],"fields":["a","b"],"values":{"a":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17],"b":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1e300]}}`))
+	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[1,2,3]}}`))
+	f.Add(region(`{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[2.5,1e19,-0,3,-1e-300,0,0,0]}}`))
+	f.Add(region(`{"name":"r","dim":3,"space":[[0,1,0,1,9007199254740993,9007199254740993]],"fields":["v"],"values":{"v":[1,2,3,4]}}`))
 	f.Add(region(`{"name":"r","dim":1,"space":[[9007199254740993,9007199254740993]],"fields":["v"]}`))
-	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,7]],"fields":["v"],"values":{"v":[[0,1]]}}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// A region costs memory by its declared volume, not by its bytes:
 		// keep the ones the fuzzer builds small.

@@ -206,14 +206,22 @@ func runBenchRecord(out, profileDir string, names []string, maxNodes, iters, rep
 }
 
 // gitCommit names the measured code in record metadata: the short commit
-// hash, suffixed "-dirty" when tracked files differ from it, or "unknown"
-// outside a git checkout. Tags never stand in for the hash.
+// hash, suffixed "-dirty" when tracked files differ from it or an
+// untracked .go file, which Go compiles, lies anywhere in the checkout;
+// "unknown" outside a git checkout. Tags never stand in for the hash.
 func gitCommit() string {
 	hash, err := exec.Command("git", "describe", "--always", "--dirty", "--exclude=*").Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(hash))
+	commit := strings.TrimSpace(string(hash))
+	// Any .go change, tracked or not, lists here; describe sees only the
+	// tracked ones.
+	changed, _ := exec.Command("git", "status", "--porcelain", "--untracked-files=all", "--", ":/*.go").Output()
+	if len(changed) > 0 && !strings.HasSuffix(commit, "-dirty") {
+		commit += "-dirty"
+	}
+	return commit
 }
 
 // runChaos drives the chaos crosscheck over n consecutive seeds. Each

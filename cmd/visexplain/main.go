@@ -6,15 +6,14 @@
 //	visexplain critpath       # where does the makespan go?
 //
 // "why" prints the provenance of every dependence edge from A into B —
-// which analyzer found it, the interfering requirement pair (regions,
-// field, privileges, overlapping rectangle), or the future/trace-replay
-// origin — plus the mustPrecede verdict (false at once when every
-// ancestor of B lies above A, from B's graph.Label.Low; otherwise a
-// backward search of the graph, windowed to the ids between A and B).
-// "critpath" prints the
-// weighted critical path under deterministic virtual time (analyzer
-// operations + points touched) and the top-k bottleneck tasks; -dot
-// renders the full DAG with the critical path highlighted instead.
+// the interfering requirement pair (regions, field, privileges,
+// overlapping rectangle) or the future edge — plus the mustPrecede
+// verdict (false at once when every ancestor of B lies above A, from B's
+// graph.Label.Low; otherwise a backward search of the graph, windowed to
+// the ids between A and B). "critpath" prints the weighted critical path
+// under deterministic virtual time (requirements + points touched) and
+// the top-k bottleneck tasks; -dot renders the full DAG with the critical
+// path highlighted instead.
 //
 // By default the tool queries an existing session (-session, or the
 // first live one). -graphsim N instead creates a fresh session, submits
@@ -201,9 +200,9 @@ func runCritPath(sess *client.Session, region string, args []string, stdout io.W
 	if sum == nil {
 		return fmt.Errorf("no critical path (nothing launched yet)")
 	}
-	say(stdout, "tasks %d  edges %d  critical length %.0f  work %.0f  parallelism %.2f\n",
-		sum.Tasks, sum.Edges, sum.Length, sum.Work, sum.Parallelism)
-	say(stdout, "\nCRITICAL PATH (virtual time: analyzer ops + points touched):\n")
+	say(stdout, "tasks %d  critical length %.0f  work %.0f  parallelism %.2f\n",
+		sum.Tasks, sum.Length, sum.Work, sum.Parallelism)
+	say(stdout, "\nCRITICAL PATH (virtual time: requirements + points touched):\n")
 	for i, t := range sum.Path {
 		say(stdout, "  %3d. task %d (%s)  w=%.0f  [%.0f..%.0f]\n", i+1, t.Task, t.Name, t.Weight, t.Start, t.Finish)
 	}

@@ -58,16 +58,11 @@ type CritContributor struct {
 }
 
 // CritSummary is the weighted critical-path profile of a discovered
-// dependence graph. All times are virtual units (analysis volume +
-// points touched), derived from the workload and its discovered graph
-// rather than measured from analyzer internals, so the summary is
-// byte-identical across runs of the same workload under the same
-// analyzer. The three served analyzers agree on graphsim (path length
-// 148), but analyzers that discover different edge sets can disagree,
-// because the weights count incoming edges (see weight).
+// dependence graph. All times are virtual units (requirements + points
+// touched, see weight), so the profile is a property of the workload:
+// byte-identical across runs, analyzers and replayed launches.
 type CritSummary struct {
 	Tasks       int               `json:"tasks"`
-	Edges       int               `json:"edges"`
 	Length      float64           `json:"length"`
 	Work        float64           `json:"work"`
 	Parallelism float64           `json:"parallelism"`
@@ -75,17 +70,13 @@ type CritSummary struct {
 	Top         []CritContributor `json:"top"`
 }
 
-// weight is task t's deterministic virtual cost, given its dependence
-// row: its analysis volume (requirements analyzed plus incoming edges)
-// plus the points its requirements touch, a unit-cost virtual execution
-// time. Both are properties of the stream and its discovered graph, not
-// of analyzer internals, so paths weighted by them are byte-reproducible
-// across runs of the same workload under the same analyzer. The edge
-// count makes them differ across analyzers that emit different edges,
-// as the painter's witness-less ones can; ROADMAP item 11(b) weights by
-// the workload alone.
-func weight(t *core.Task, row []int) float64 {
-	w := int64(len(t.Reqs) + len(row))
+// weight is task t's deterministic virtual cost: its requirements plus
+// the points they touch, a unit-cost virtual execution time. It reads the
+// task alone, not the row an analyzer found for it, since analyzers may
+// differ in transitively implied edges (§3.2) but not in the precedence
+// order, which fixes the critical path.
+func weight(t *core.Task) float64 {
+	w := int64(len(t.Reqs))
 	for _, req := range t.Reqs {
 		w += req.Region.Space.Volume()
 	}
@@ -157,7 +148,6 @@ func (rt *Runtime) CriticalPath(r *Region, k int) *CritSummary {
 	c := &ts.graph
 	out := &CritSummary{
 		Tasks:  len(c.Labels),
-		Edges:  c.Edges,
 		Length: c.Length,
 		Work:   c.Work,
 		Path:   []CritTask{},

@@ -65,8 +65,8 @@ func TestOneGraph(t *testing.T) {
 	if got := bytes.Count(dot.Bytes(), []byte(" -> ")); got != edges {
 		t.Errorf("WriteDOTCrit draws %d edges, Dependences has %d", got, edges)
 	}
-	if sum := rt.CriticalPath(g, 0); sum.Tasks != len(deps) || sum.Edges != edges {
-		t.Errorf("CriticalPath sees %d tasks and %d edges, Dependences %d and %d", sum.Tasks, sum.Edges, len(deps), edges)
+	if sum := rt.CriticalPath(g, 0); sum.Tasks != len(deps) {
+		t.Errorf("CriticalPath sees %d tasks, Dependences %d", sum.Tasks, len(deps))
 	}
 	if !rt.MustPrecede(g, 0, 4) || rt.MustPrecede(g, 1, 2) {
 		t.Errorf("MustPrecede(0, 4) = %v, MustPrecede(1, 2) = %v; want true, false", rt.MustPrecede(g, 0, 4), rt.MustPrecede(g, 1, 2))

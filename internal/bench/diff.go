@@ -116,10 +116,9 @@ func Diff(prev, cur *Record, th Thresholds) *DiffReport {
 	return rep
 }
 
-// Variant returns the measurement-variant suffix of a system name — the
+// Variant returns the measurement-variant suffix of a system name, the
 // part after the algorithm and DCR tokens: "" for "raycast_dcr", "auto"
-// for "raycast_dcr_auto", "shard4" for "paint_nodcr_shard4",
-// "auto_shard4" for a composed cell.
+// for "raycast_dcr_auto".
 func Variant(system string) string {
 	for _, tok := range []string{"_nodcr", "_dcr"} {
 		if i := strings.Index(system, tok); i >= 0 {
@@ -133,19 +132,15 @@ func Variant(system string) string {
 // total wall time) for one measurement variant across the compared
 // cells, for the baseline and candidate sides.
 type VariantAggregate struct {
-	Variant   string // "" is the plain cells; "trace", "auto", "shard4", ...
+	Variant   string // "" is the plain cells, "auto" the autotraced ones
 	Cells     int
 	Prev, Cur float64
 }
 
 // AggregateDeltas returns one launches/sec aggregate per measurement
-// variant across the compared cells only. Restricting to common cells
-// keeps the numbers meaningful when one record covers a wider sweep;
-// aggregating per variant keeps them meaningful when a record mixes
-// plain cells with "_auto"/"_shard<N>" cells, whose deliberately
-// different regimes (longer replay windows, fan-out overhead) would
-// otherwise let sweep composition masquerade as drift. Variants are
-// returned in sorted order with the plain variant first.
+// variant across the compared cells only, so neither a wider sweep nor a
+// record's mix of plain and "_auto" cells (a different regime) reads as
+// drift. Variants are returned in sorted order, the plain one first.
 func (rep *DiffReport) AggregateDeltas() []VariantAggregate {
 	type sums struct {
 		prevL, prevW, curL, curW float64

@@ -183,6 +183,18 @@ func (s *Store) Fill(f func(geometry.Point) float64) {
 	s.mark(0, len(s.vals))
 }
 
+// Values returns every point's value in slab order, the order Fill
+// visits, an undefined point reading as 0.
+func (s *Store) Values() []float64 {
+	out := make([]float64, len(s.vals))
+	for i, v := range s.vals {
+		if s.defined(i) {
+			out[i] = v
+		}
+	}
+	return out
+}
+
 // Map sets every point of the store's space to f of the point and in's
 // value there, an undefined point reading as 0. in must be s itself or a
 // store over the same space.

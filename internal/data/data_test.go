@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -331,5 +332,26 @@ func TestEachOrderAcrossBand(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Each = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestValuesInSlabOrder pins Values to the order Fill visits, slab by
+// slab in rectangle order (not Each's order across a band), with an
+// undefined point reading 0.
+func TestValuesInSlabOrder(t *testing.T) {
+	sp := index.FromRects(2, geometry.R2(0, 0, 1, 2), geometry.R2(4, 0, 5, 2), geometry.R2(0, 3, 5, 3))
+	s := NewStore(sp)
+	s.Fill(func(p geometry.Point) float64 { return float64(10*p.C[1] + p.C[0]) })
+	want := []float64{0, 1, 10, 11, 20, 21, 4, 5, 14, 15, 24, 25, 30, 31, 32, 33, 34, 35}
+	if got := s.Values(); !slices.Equal(got, want) {
+		t.Fatalf("Values = %v, want %v", got, want)
+	}
+
+	part := NewStore(sp)
+	part.Set(geometry.Pt2(4, 1), 7)
+	want = make([]float64, len(want))
+	want[8] = 7
+	if got := part.Values(); !slices.Equal(got, want) {
+		t.Fatalf("Values of a partly defined store = %v, want %v", got, want)
 	}
 }

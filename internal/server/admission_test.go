@@ -369,10 +369,11 @@ func TestBodyAndVolumeLimits(t *testing.T) {
 	}
 	workloads := "/v1/sessions/" + id + "/workloads"
 
-	// The same bytes read as a workload and as a checkpoint.
-	bomb := `{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,1099511627776]],"fields":["v"]}]}`
-	for _, path := range []string{workloads, "/v1/sessions/restore"} {
-		if got, msg := post(path, strings.NewReader(bomb)); got != http.StatusBadRequest || !strings.Contains(msg, "exceeds 4194304 values") {
+	// The same region declared by a workload and by a checkpoint, which
+	// differ only in their version.
+	bomb := `"regions":[{"name":"r","dim":1,"space":[[0,1099511627776]],"fields":["v"]}]}`
+	for path, version := range map[string]string{workloads: "1", "/v1/sessions/restore": "2"} {
+		if got, msg := post(path, strings.NewReader(`{"version":`+version+`,`+bomb)); got != http.StatusBadRequest || !strings.Contains(msg, "exceeds 4194304 values") {
 			t.Errorf("10^12 points to %s: status %d %s, want 400 naming the budget", path, got, msg)
 		}
 	}

@@ -19,7 +19,6 @@ import (
 type reference struct {
 	weight, start, finish []float64
 	pred, low             []int
-	edges                 int
 	work, length          float64
 	end                   int
 	// predTies counts tasks with two predecessors at the maximal finish;
@@ -31,7 +30,7 @@ func forwardPass(tasks []*core.Task, rows [][]int) reference {
 	n := len(tasks)
 	r := reference{weight: make([]float64, n), start: make([]float64, n), finish: make([]float64, n), pred: make([]int, n), low: lowest(rows), end: -1}
 	for i, t := range tasks {
-		w := len(t.Reqs) + len(rows[i])
+		w := len(t.Reqs)
 		for _, req := range t.Reqs {
 			w += int(req.Region.Space.Volume())
 		}
@@ -52,7 +51,6 @@ func forwardPass(tasks []*core.Task, rows [][]int) reference {
 		r.finish[i] = r.start[i] + r.weight[i]
 		r.length = max(r.length, r.finish[i])
 		r.work += r.weight[i]
-		r.edges += len(rows[i])
 	}
 	for i := range tasks {
 		if r.finish[i] == r.length {
@@ -90,7 +88,7 @@ func lowest(rows [][]int) []int {
 
 // summary is the profile CriticalPath must return for the reference.
 func (r reference) summary(tasks []*core.Task, k int) *CritSummary {
-	out := &CritSummary{Tasks: len(tasks), Edges: r.edges, Length: r.length, Work: r.work, Path: []CritTask{}, Top: []CritContributor{}}
+	out := &CritSummary{Tasks: len(tasks), Length: r.length, Work: r.work, Path: []CritTask{}, Top: []CritContributor{}}
 	if r.length > 0 {
 		out.Parallelism = r.work / r.length
 	}
@@ -124,9 +122,9 @@ func checkLabels(t *testing.T, rt *Runtime, g *Region) (predTies, endTies int) {
 			t.Fatalf("task %d: label %+v, reference %+v", i, l, want)
 		}
 	}
-	if c.Edges != ref.edges || c.Work != ref.work || c.Length != ref.length || c.End != ref.end {
-		t.Fatalf("totals: edges %d work %v length %v end %d, reference %d %v %v %d",
-			c.Edges, c.Work, c.Length, c.End, ref.edges, ref.work, ref.length, ref.end)
+	if c.Work != ref.work || c.Length != ref.length || c.End != ref.end {
+		t.Fatalf("totals: work %v length %v end %d, reference %v %v %d",
+			c.Work, c.Length, c.End, ref.work, ref.length, ref.end)
 	}
 	for _, k := range []int{0, 1, 3, 1 << 20} {
 		if got, want := rt.CriticalPath(g, k), ref.summary(ts.stream.Tasks, k); !reflect.DeepEqual(got, want) {
@@ -136,84 +134,92 @@ func checkLabels(t *testing.T, rt *Runtime, g *Region) (predTies, endTies int) {
 	return ref.predTies, ref.endTies
 }
 
+// launchRandomStream launches seed's stream on rt, waits for it and
+// returns its region: a random loop body over two aliased partitions of
+// one region, mixing writes, reads and reductions with future edges and
+// inline Reads, repeated so an autotraced runtime replays it, then a
+// closing barrier. The stream depends on the seed alone, never on rt's
+// configuration.
+func launchRandomStream(rt *Runtime, seed int64) *Region {
+	rng := rand.New(rand.NewSource(seed))
+	g := rt.CreateRegion("g", Line(0, 31), "a", "b")
+	parts := []*Partition{g.PartitionEqual("P", 4), g.PartitionEqual("Q", 8)}
+	fields := []string{"a", "b"}
+
+	// An After names a launch a fixed distance back.
+	type launch struct {
+		read     string // the field of an inline Read of g, if any
+		accesses []func() Access
+		back     []int
+	}
+	body := make([]launch, 4+rng.Intn(8))
+	for i := range body {
+		if rng.Intn(6) == 0 {
+			body[i].read = fields[rng.Intn(2)]
+			continue
+		}
+		for fi, f := range fields {
+			if fi > 0 && rng.Intn(2) == 0 {
+				break
+			}
+			r := parts[rng.Intn(2)]
+			sub := r.Sub(rng.Intn(len(r.p.Subregions)))
+			switch rng.Intn(3) {
+			case 0:
+				body[i].accesses = append(body[i].accesses, func() Access { return Read(sub, f) })
+			case 1:
+				body[i].accesses = append(body[i].accesses, func() Access { return Write(sub, f) })
+			default:
+				body[i].accesses = append(body[i].accesses, func() Access { return Reduce(OpSum, sub, f) })
+			}
+		}
+		for rng.Intn(3) == 0 {
+			body[i].back = append(body[i].back, 1+rng.Intn(6))
+		}
+	}
+	var futures []Future
+	for rep := 0; rep < 8; rep++ {
+		for _, l := range body {
+			if l.read != "" {
+				rt.Read(g, l.read)
+				futures = append(futures, Future{})
+				continue
+			}
+			spec := TaskSpec{Name: fmt.Sprintf("t%d", len(l.accesses))}
+			for _, a := range l.accesses {
+				spec.Accesses = append(spec.Accesses, a())
+			}
+			for _, b := range l.back {
+				if b <= len(futures) && futures[len(futures)-b].done != nil {
+					spec.After = append(spec.After, futures[len(futures)-b])
+				}
+			}
+			futures = append(futures, rt.Launch(spec))
+		}
+	}
+	// A closing barrier and two equal writes after it: both finish at the
+	// makespan, and the path ends at the first.
+	rt.Launch(TaskSpec{Name: "barrier", Accesses: []Access{Write(g, "a"), Write(g, "b")}})
+	for i := 0; i < 2; i++ {
+		rt.Launch(TaskSpec{Name: "tail", Accesses: []Access{Write(parts[0].Sub(i), "a")}})
+	}
+	rt.Wait()
+	return g
+}
+
 // TestLaunchLabelsMatchForwardPass holds the critical-path labels fixed at
-// launch to a forward pass over the finished graph, on seeded random
-// streams that mix writes, reads and reductions over two aliased
-// partitions with future edges and inline Reads, under every analyzer,
-// autotraced or not. Equal pieces make finish ties common, so the
-// smallest-ID tie-breaks, for the critical predecessor and the path end,
-// are exercised; the test checks that they were.
+// launch to a forward pass over the finished graph, on launchRandomStream's
+// streams, under every analyzer, autotraced or not. Equal pieces make
+// finish ties common, so the smallest-ID tie-breaks, for the critical
+// predecessor and the path end, are exercised; the test checks that they
+// were.
 func TestLaunchLabelsMatchForwardPass(t *testing.T) {
 	var predTies, endTies int
 	var replayed int64
 	for seed := int64(1); seed <= 24; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		algs := []string{"raycast", "warnock", "paint"}
-		cfg := Config{Algorithm: algs[seed%3], AutoTrace: seed%4 == 0, Workers: 2}
-		rt := New(cfg)
-		g := rt.CreateRegion("g", Line(0, 31), "a", "b")
-		parts := []*Partition{g.PartitionEqual("P", 4), g.PartitionEqual("Q", 8)}
-		fields := []string{"a", "b"}
-
-		// A random loop body repeated, so the autotraced runtimes replay it;
-		// an After names a launch a fixed distance back.
-		type launch struct {
-			read     string // the field of an inline Read of g, if any
-			accesses []func() Access
-			back     []int
-		}
-		body := make([]launch, 4+rng.Intn(8))
-		for i := range body {
-			if rng.Intn(6) == 0 {
-				body[i].read = fields[rng.Intn(2)]
-				continue
-			}
-			for fi, f := range fields {
-				if fi > 0 && rng.Intn(2) == 0 {
-					break
-				}
-				r := parts[rng.Intn(2)]
-				sub := r.Sub(rng.Intn(len(r.p.Subregions)))
-				switch rng.Intn(3) {
-				case 0:
-					body[i].accesses = append(body[i].accesses, func() Access { return Read(sub, f) })
-				case 1:
-					body[i].accesses = append(body[i].accesses, func() Access { return Write(sub, f) })
-				default:
-					body[i].accesses = append(body[i].accesses, func() Access { return Reduce(OpSum, sub, f) })
-				}
-			}
-			for rng.Intn(3) == 0 {
-				body[i].back = append(body[i].back, 1+rng.Intn(6))
-			}
-		}
-		var futures []Future
-		for rep := 0; rep < 8; rep++ {
-			for _, l := range body {
-				if l.read != "" {
-					rt.Read(g, l.read)
-					futures = append(futures, Future{})
-					continue
-				}
-				spec := TaskSpec{Name: fmt.Sprintf("t%d", len(l.accesses))}
-				for _, a := range l.accesses {
-					spec.Accesses = append(spec.Accesses, a())
-				}
-				for _, b := range l.back {
-					if b <= len(futures) && futures[len(futures)-b].done != nil {
-						spec.After = append(spec.After, futures[len(futures)-b])
-					}
-				}
-				futures = append(futures, rt.Launch(spec))
-			}
-		}
-		// A closing barrier and two equal writes after it: both finish at
-		// the makespan, and the path ends at the first.
-		rt.Launch(TaskSpec{Name: "barrier", Accesses: []Access{Write(g, "a"), Write(g, "b")}})
-		for i := 0; i < 2; i++ {
-			rt.Launch(TaskSpec{Name: "tail", Accesses: []Access{Write(parts[0].Sub(i), "a")}})
-		}
-		rt.Wait()
+		rt := New(Config{Algorithm: algs[seed%3], AutoTrace: seed%4 == 0, Workers: 2})
+		g := launchRandomStream(rt, seed)
 		p, e := checkLabels(t, rt, g)
 		predTies += p
 		endTies += e
@@ -223,6 +229,36 @@ func TestLaunchLabelsMatchForwardPass(t *testing.T) {
 	if predTies == 0 || endTies == 0 || replayed == 0 {
 		t.Errorf("streams had %d predecessor ties, %d path-end ties and %d replayed launches; want all three",
 			predTies, endTies, replayed)
+	}
+}
+
+// TestCriticalPathAgreesAcrossStacks holds the critical-path profile to
+// the workload: analyzers may differ in transitively implied edges, as
+// the painter's witness-less ones do, but not in the precedence order, so
+// every analyzer, with and without the autotracer, must report the same
+// profile of each of launchRandomStream's streams, replayed launches
+// included.
+func TestCriticalPathAgreesAcrossStacks(t *testing.T) {
+	var replayed int64
+	for seed := int64(1); seed <= 100; seed++ {
+		var want *CritSummary
+		for _, auto := range []bool{false, true} {
+			for _, alg := range []string{"raycast", "warnock", "paint"} {
+				rt := New(Config{Algorithm: alg, AutoTrace: auto, Workers: 2})
+				g := launchRandomStream(rt, seed)
+				got := rt.CriticalPath(g, 0)
+				replayed += rt.AutoTraceStats(g).Trace.Replayed
+				rt.Close()
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: %s (autotrace %v) CriticalPath = %+v\nraycast's %+v", seed, alg, auto, got, want)
+				}
+			}
+		}
+	}
+	if replayed == 0 {
+		t.Error("no autotraced stack replayed a launch; the comparison pins nothing about replay")
 	}
 }
 

@@ -580,7 +580,7 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 // graph, which Explain later derives from, with its critical-path label.
 func (rt *Runtime) submit(ts *treeState, t *core.Task, k core.Kernel, body func([]*data.Store)) <-chan struct{} {
 	done, row := ts.exec.Submit(t, k, body)
-	ts.graph.Add(weight(t, row), row)
+	ts.graph.Add(weight(t), row)
 	return done
 }
 
