@@ -179,8 +179,9 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, prefix string) {
 
 // Ops totals the elementary operation counters — the analyzer's
 // deterministic "analysis duration" in virtual units, the same quantity
-// the distributed cost model scales into simulated seconds. Deltas of
-// Ops around a launch weight that launch's node on the critical path.
+// the distributed cost model scales into simulated seconds. It weighs
+// analysis work only: a launch's node on the critical path weighs its
+// requirements plus the points they touch, whatever the analyzer did.
 func (s *Stats) Ops() int64 {
 	return s.OverlapTests + s.EntriesScanned + s.ViewsCreated + s.ViewEntries +
 		s.ItemsPruned + s.SetsCreated + s.SetsVisited + s.SetsCoalesced + s.BVHVisited

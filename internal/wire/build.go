@@ -17,8 +17,10 @@ import (
 // holding the session lock), and the exported methods are that owner's
 // entry points.
 type Env struct {
-	rt    *visibility.Runtime
-	names scope
+	rt       *visibility.Runtime
+	names    scope
+	accesses []visibility.Access // a launch's, rebuilt for each
+	after    []visibility.Future // a launch's, rebuilt for each
 }
 
 // NewEnv creates an empty environment over rt.
@@ -89,11 +91,18 @@ func (e *CheckError) Unwrap() error { return e.Err }
 
 // Apply checks wl against the session (see check) and only then runs what
 // the check resolved: the declarations in order, then the launches, whose
-// futures it returns. Nothing after the check can fail, so a rejected
+// futures it returns. Of a workload Decode returned, the check is Decode's,
+// which Apply finishes against the session's names; any other workload it
+// checks in full. Nothing after the check can fail, so a rejected
 // workload, a *CheckError, leaves the runtime and the namespace exactly as
 // it found them.
 func (e *Env) Apply(wl *Workload) ([]visibility.Future, error) {
-	p, err := check(wl, e.names)
+	p, err := decoded.take(wl), error(nil)
+	if p != nil {
+		err = p.finish(wl, e.names)
+	} else {
+		p, err = check(wl, e.names)
+	}
 	if err != nil {
 		return nil, &CheckError{err}
 	}
@@ -104,11 +113,14 @@ func (e *Env) Apply(wl *Workload) ([]visibility.Future, error) {
 		e.names[name] = decl
 	}
 	futs := make([]visibility.Future, 0, len(p.tasks))
-	for _, tp := range p.tasks {
-		spec := tp.spec()
-		for _, a := range tp.decl.After {
-			spec.After = append(spec.After, futs[a])
+	for i := range p.tasks {
+		tp := &p.tasks[i]
+		spec := tp.spec(e.accesses[:0])
+		e.after = e.after[:0]
+		for _, a := range tp.after {
+			e.after = append(e.after, futs[a])
 		}
+		e.accesses, spec.After = spec.Accesses, e.after
 		futs = append(futs, e.rt.Launch(spec))
 	}
 	return futs, nil

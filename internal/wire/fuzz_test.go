@@ -80,6 +80,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"version":1,"name":"<a&b> \"q\" \u0001 ` + "\u2028 \xff" + `"}`))
 	f.Add([]byte(taskJSON(`{"region":"r","field":"v","privilege":"write","kernel":{"name":"affine","args":{"scale":-0,"offset":1e21}}}`)))
 	f.Add([]byte(taskJSON(`{"region":"r","field":"v","privilege":"reduce","op":"sum","kernel":{"name":"fill","args":{"value":0.1}}}`)))
+	for _, v := range shortBoundaries() {
+		text, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(taskJSON(`{"region":"r","field":"v","privilege":"write","kernel":{"name":"fill","args":{"value":` + string(text) + `}}}`)))
+	}
 	f.Add([]byte(`{"version":1,"regions":[],"tasks":[]}`))
 	f.Add([]byte(regionJSON(`,"init":{},"partitions":[]`)))
 	f.Add([]byte(`{"version":1,"regions":[{"name":"r","dim":1,"space":[[0,9]],"fields":["v"]}],"tasks":[{"name":"t",` +

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -13,8 +14,9 @@ import (
 // value zero, [] and {} are empty but not nil), except that object keys
 // must match exactly and once. The first error sticks and moves the offset
 // to the end of the input, so every loop ends. A workload repeats the same
-// few names and specs on every task, so Decode's scanner keeps one copy of
-// each string it reads (names, when non-nil) and the specs it has read. A
+// few names and specs on every task, and the same access lists on every
+// iteration, so Decode's scanner keeps one copy of each string it reads
+// and each access list (seen, when non-nil) and the specs it has read. A
 // scanner may instead hold the whole input as one string, text, when what
 // it reads may keep all of it: then a string without escapes is a window
 // of text and costs no allocation.
@@ -22,7 +24,7 @@ type scanner struct {
 	b     []byte
 	i     int
 	err   error
-	names map[string]string
+	seen  *repeats
 	specs []specText
 	text  string
 }
@@ -36,6 +38,72 @@ type specText struct {
 }
 
 const maxSpecs = 16
+
+// repeats is what a Decode keeps of the body it reads: one copy of each
+// string, and each access list with its text. Both are fixed tables, open
+// addressed on the FNV-1a hash of the bytes (of a list, its first
+// listKey), so a repeat costs a hash and a compare or two; an entry whose
+// short probe run is full is not kept.
+type repeats struct {
+	strs  interner
+	lists [1 << listBits]listText
+}
+
+// interner holds the strings.
+type interner [1 << strBits]string
+
+const strBits, listBits, probes = 7, 6, 4
+
+// slot is the home slot of hash h in a table of 1<<bits: the top bits of
+// a Fibonacci multiply, which every bit of h reaches.
+func slot(h uint64, bits uint) uint32 { return uint32(h * 0x9E3779B97F4A7C15 >> (64 - bits)) }
+
+// listText is an access list and its exact text.
+type listText struct {
+	text []byte
+	list []AccessDecl
+}
+
+// listKey is how many leading bytes of an access list its slot hashes,
+// eight at a time: the first reference and field, which is what tells a
+// batch's lists apart.
+const listKey = 32
+
+func listHash(b []byte) uint64 {
+	if len(b) < listKey {
+		return uint64(fnv(b))
+	}
+	h := uint64(fnvOffset)
+	for i := 0; i < listKey; i += 8 {
+		h = (h ^ binary.LittleEndian.Uint64(b[i:])) * 0x100000001b3 // FNV-1a's 64-bit prime
+	}
+	return h
+}
+
+const fnvOffset, fnvPrime = 2166136261, 16777619
+
+func fnv(b []byte) uint32 {
+	h := uint32(fnvOffset)
+	for _, c := range b {
+		h = (h ^ uint32(c)) * fnvPrime
+	}
+	return h
+}
+
+// get returns the copy of b, whose hash is h.
+func (t *interner) get(b []byte, h uint32) string {
+	home := slot(uint64(h), strBits)
+	for i := range uint32(probes) {
+		switch e := &t[(home+i)%uint32(len(t))]; *e {
+		case string(b):
+			return *e
+		case "":
+			*e = string(b)
+			return *e
+		}
+	}
+	return string(b)
+}
 
 func (s *scanner) fail(format string, a ...any) {
 	if s.err == nil {
@@ -53,7 +121,15 @@ func (s *scanner) end() error {
 }
 
 // peek skips whitespace and returns the next byte, 0 at the end of input.
+// Compact bodies have none, so the first test returns most of the time.
 func (s *scanner) peek() byte {
+	if s.i < len(s.b) && s.b[s.i] > ' ' {
+		return s.b[s.i]
+	}
+	return s.space()
+}
+
+func (s *scanner) space() byte {
 	for ; s.i < len(s.b); s.i++ {
 		switch c := s.b[s.i]; c {
 		case ' ', '\t', '\n', '\r':
@@ -117,29 +193,39 @@ func (s *scanner) more(close byte, first bool) bool {
 // encoding/json unquotes (or refuses) it.
 func (s *scanner) str() []byte {
 	s.expect('"')
-	start, plain := s.i, true
+	start := s.i
+	for s.i < len(s.b) && !stops[s.b[s.i]] {
+		s.i++
+	}
+	if s.i < len(s.b) && s.b[s.i] == '"' {
+		s.i++
+		return s.b[start : s.i-1]
+	}
 	for ; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; {
-		case c == '"':
+		switch s.b[s.i] {
+		case '"':
 			s.i++
-			if plain {
-				return s.b[start : s.i-1]
-			}
 			var out string
 			if err := json.Unmarshal(s.b[start-1:s.i], &out); err != nil {
 				s.fail("%v", err)
 			}
 			return []byte(out)
-		case c == '\\':
-			plain = false
+		case '\\':
 			s.i++ // whatever is escaped does not close the string
-		case c < ' ' || c >= 0x80:
-			plain = false
 		}
 	}
 	s.fail("unterminated string")
 	return nil
 }
+
+// stops marks the bytes that end str's plain run: the closing quote, and
+// the escape, control and non-ASCII bytes that need encoding/json.
+var stops = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c == '"' || c == '\\' || c < ' ' || c >= 0x80
+	}
+	return t
+}()
 
 func (s *scanner) digits() bool {
 	start := s.i
@@ -149,31 +235,74 @@ func (s *scanner) digits() bool {
 	return s.i > start
 }
 
-// num consumes a number by the JSON grammar and returns its text and
-// whether it is a plain integer: no fraction, no exponent.
-func (s *scanner) num() ([]byte, bool) {
+// num consumes a number by the JSON grammar and returns its text.
+func (s *scanner) num() []byte {
 	s.peek()
 	start := s.i
 	s.skip('-')
-	ok, integer := s.skip('0') || s.digits(), true
+	ok := s.skip('0') || s.digits()
 	if s.skip('.') {
-		ok, integer = s.digits() && ok, false
+		ok = s.digits() && ok
 	}
 	if s.skip('e') || s.skip('E') {
 		_ = s.skip('+') || s.skip('-')
-		ok, integer = s.digits() && ok, false
+		ok = s.digits() && ok
 	}
 	if !ok {
 		s.fail("invalid number")
-		return nil, false
+		return nil
 	}
-	return s.b[start:s.i], integer
+	return s.b[start:s.i]
+}
+
+// pow10 holds the powers of ten the short-decimal paths scale by, each
+// exact in a float64.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// short reads a number literal of at most 15 digits and no exponent as
+// float64(m) / 10^k, m its digits and k the length of its fraction. m and
+// 10^k are exact and the division rounds once, ParseFloat's own exact
+// path, so the bits are ParseFloat's, -0 included. Any other literal it
+// leaves unread, for num and ParseFloat.
+func (s *scanner) short() (float64, bool) {
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	first := i
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	whole, k := i-first, 0
+	if whole == 0 || whole > 1 && b[first] == '0' {
+		return 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		for first = i; i < len(b) && b[i]-'0' < 10; i++ {
+			m = m*10 + uint64(b[i]-'0')
+		}
+		if k = i - first; k == 0 {
+			return 0, false
+		}
+	}
+	if whole+k > 15 || i < len(b) && b[i]|0x20 == 'e' {
+		return 0, false
+	}
+	v := float64(m) / pow10[k]
+	if neg {
+		v = -v
+	}
+	s.i = i
+	return v, true
 }
 
 // The readers fill the value they are given, or leave it zero for a null.
 
 func (s *scanner) string(dst *string) {
-	if s.null() {
+	if s.null() || s.seen != nil && s.interned(dst) {
 		return
 	}
 	b := s.str()
@@ -181,33 +310,67 @@ func (s *scanner) string(dst *string) {
 		*dst = s.text[at : s.i-1]
 		return
 	}
-	v, ok := s.names[string(b)]
-	if !ok {
-		v = string(b)
-		if s.names != nil {
-			s.names[v] = v
+	if s.seen != nil {
+		*dst = s.seen.strs.get(b, fnv(b))
+		return
+	}
+	*dst = string(b)
+}
+
+// interned reads a string with no byte str would hand to encoding/json and
+// returns the interner's copy, hashing it in the pass that finds its
+// closing quote; any other string it leaves unread.
+func (s *scanner) interned(dst *string) bool {
+	if s.i == len(s.b) || s.b[s.i] != '"' {
+		return false
+	}
+	i, h := s.i+1, uint32(fnvOffset)
+	for ; i < len(s.b) && !stops[s.b[i]]; i++ {
+		h = (h ^ uint32(s.b[i])) * fnvPrime
+	}
+	if i == len(s.b) || s.b[i] != '"' {
+		return false
+	}
+	*dst, s.i = s.seen.strs.get(s.b[s.i+1:i], h), i+1
+	return true
+}
+
+// accesses reads a task's access list, or takes the one read from the same
+// text: an array ends at its own closing bracket, so a body that starts
+// with a remembered list's bytes holds that list, checked when it was
+// first read, and the tasks that repeat it share one slice.
+func (s *scanner) accesses(dst *[]AccessDecl) {
+	s.peek()
+	home := slot(listHash(s.b[s.i:]), listBits)
+	for i := range uint32(probes) {
+		l := &s.seen.lists[(home+i)%uint32(len(s.seen.lists))]
+		if l.text == nil {
+			start := s.i
+			array(s, dst, accessFields.read)
+			if s.err == nil && len(*dst) > 0 {
+				*l = listText{s.b[start:s.i], *dst}
+			}
+			return
+		}
+		if bytes.HasPrefix(s.b[s.i:], l.text) {
+			s.i += len(l.text)
+			*dst = l.list
+			return
 		}
 	}
-	*dst = v
+	array(s, dst, accessFields.read)
 }
 
 func (s *scanner) float(dst *float64) {
 	if s.null() {
 		return
 	}
-	num, integer := s.num()
-	digits, v, err := bytes.TrimLeft(num, "-"), 0.0, error(nil)
-	if integer && len(digits) <= 15 {
-		// Every partial sum is an integer below 1e15, exact in a float64,
-		// so v gets ParseFloat's bits without it, -0 included.
-		for _, c := range digits {
-			v = v*10 + float64(c-'0')
+	v, ok := s.short()
+	if !ok {
+		var err error
+		if v, err = strconv.ParseFloat(string(s.num()), 64); err != nil {
+			s.fail("number outside float64")
 		}
-		if len(digits) < len(num) {
-			v = -v
-		}
-	} else if v, err = strconv.ParseFloat(string(num), 64); err != nil {
-		s.fail("number outside float64")
 	}
 	*dst = v
 }
@@ -216,7 +379,7 @@ func (s *scanner) integer(bits int) int64 {
 	if s.null() {
 		return 0
 	}
-	num, _ := s.num()
+	num := s.num()
 	v, err := strconv.ParseInt(string(num), 10, bits)
 	if err != nil {
 		s.fail("number is not an int%d", bits)
@@ -264,9 +427,15 @@ func (s *scanner) slab(dst *[][]float64) {
 	flat := make([]float64, 0, cap(rows)+bytes.Count(rest, []byte(",")))
 	for s.more(']', len(rows) == 0) {
 		start := len(flat)
-		for row, first := s.open('['), true; row && s.more(']', first); first = false {
-			flat = append(flat, 0)
-			s.float(&flat[len(flat)-1])
+		if s.open('[') && !s.eat(']') {
+			for more := true; more; more = s.eat(',') {
+				v, ok := s.short() // a compact body's numbers, without float's null test
+				if !ok {
+					s.float(&v)
+				}
+				flat = append(flat, v)
+			}
+			s.expect(']')
 		}
 		rows = append(rows, flat[start:len(flat):len(flat)])
 	}
@@ -321,22 +490,40 @@ func (f fields[T]) read(s *scanner, dst *T) {
 	if !s.open('{') {
 		return
 	}
-	seen := 0 // bit i: f[i] was read
+	seen, next := 0, 0 // bit i: f[i] was read; next: the index after the last key read
 	for n := 0; s.more('}', n == 0); n++ {
-		k := s.str()
+		i, k := f.key(s, next)
 		s.expect(':')
-		i := 0
-		for i < len(f) && f[i].key != string(k) {
-			i++
-		}
 		switch {
 		case i == len(f):
 			s.fail("unknown field %q", k)
 		case seen>>i&1 != 0:
 			s.fail("duplicate key %q", k)
 		default:
-			seen |= 1 << i
+			seen, next = seen|1<<i, i+1
 			f[i].read(s, dst)
 		}
 	}
+}
+
+// key reads a member's key and returns its index in f, len(f) for none,
+// and its text. A canonical body writes keys in table order, so the raw
+// bytes are matched first against the keys from next on, none of which
+// needs an escape; a key none of them spells goes through str.
+func (f fields[T]) key(s *scanner, next int) (int, []byte) {
+	if s.peek() == '"' {
+		rest := s.b[s.i+1:]
+		for i := next; i < len(f); i++ {
+			if k := f[i].key; len(rest) > len(k) && rest[len(k)] == '"' && string(rest[:len(k)]) == k {
+				s.i += len(k) + 2
+				return i, rest[:len(k)]
+			}
+		}
+	}
+	k := s.str()
+	i := 0
+	for i < len(f) && f[i].key != string(k) {
+		i++
+	}
+	return i, k
 }

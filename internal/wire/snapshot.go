@@ -29,7 +29,7 @@ func AppendSnapshot(dst []byte, region, field string, points [][]float64) ([]byt
 // so its escaping rules are not repeated here.
 func appendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if escaped[s[i]] {
 			quoted, _ := json.Marshal(s) // a string always marshals
 			return append(dst, quoted...)
 		}
@@ -37,12 +37,24 @@ func appendString(dst []byte, s string) []byte {
 	return append(append(append(dst, '"'), s...), '"')
 }
 
+// escaped marks the bytes encoding/json escapes, or may: controls, quotes,
+// backslashes, HTML's <, > and &, and every byte of a non-ASCII rune.
+var escaped = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&'
+	}
+	return t
+}()
+
 // appendFloat appends a finite f in encoding/json's number format: the
 // shortest text that parses back to f, with an exponent only outside
 // [1e-6, 1e21) and no leading zero in a negative one.
 func appendFloat(dst []byte, f float64) []byte {
 	if f > -1e15 && f < 1e15 && f == float64(int64(f)) && (f != 0 || !math.Signbit(f)) {
 		return strconv.AppendInt(dst, int64(f), 10)
+	}
+	if out, ok := appendShort(dst, f); ok {
+		return out
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -53,6 +65,67 @@ func appendFloat(dst []byte, f float64) []byte {
 		dst = append(dst[:n-2], dst[n-1])
 	}
 	return dst
+}
+
+// appendShort appends a finite f with 1e-6 <= |f| < 1e15 that a decimal of
+// at most 15 digits gives back: round(|f|·10^k) / 10^k for the least k
+// whose exact division is f; false for any other f. Two decimals of at
+// most 15 digits never round to the same float64, so that decimal is the
+// shortest one, strconv's, and written the same way.
+//
+// The decimal is found at the largest k that keeps |f|·10^k below 1e15:
+// a shorter one, m/10^j, scaled by 10^k is an integer within 0.2 of the
+// rounded product (f is within half an ulp of it, the product within half
+// of its own), so the rounding finds it with k-j trailing zeros.
+func appendShort(dst []byte, f float64) ([]byte, bool) {
+	abs := math.Abs(f)
+	if abs < 1e-6 || abs >= 1e15 {
+		return dst, false
+	}
+	k := len(pow10) - 1
+	for k > 0 && abs*pow10[k] >= 1e15 {
+		k--
+	}
+	m := math.Round(abs * pow10[k])
+	if m/pow10[k] != abs {
+		return dst, false
+	}
+	// Strip the fraction's trailing zeros, 15 at most, by constant divisors.
+	u := uint64(m)
+	if k >= 8 && u%1e8 == 0 {
+		u, k = u/1e8, k-8
+	}
+	if k >= 4 && u%1e4 == 0 {
+		u, k = u/1e4, k-4
+	}
+	if k >= 2 && u%100 == 0 {
+		u, k = u/100, k-2
+	}
+	if k >= 1 && u%10 == 0 {
+		u, k = u/10, k-1
+	}
+	var buf [24]byte // written right to left: at most a sign, "0." and 15 digits
+	i := len(buf)
+	digit := func() {
+		i--
+		buf[i] = byte('0' + u%10)
+		u /= 10
+	}
+	for ; k > 0; k-- {
+		digit()
+	}
+	if i < len(buf) {
+		i--
+		buf[i] = '.'
+	}
+	for digit(); u > 0; {
+		digit()
+	}
+	if f < 0 {
+		i--
+		buf[i] = '-'
+	}
+	return append(dst, buf[i:]...), true
 }
 
 // snapshot is the snapshot body, for the key table to read and write.

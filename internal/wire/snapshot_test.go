@@ -85,14 +85,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// shortBoundaries are the edges of the short-decimal paths, which write a
+// finite v with 1e-6 <= |v| < 1e15 that a decimal of at most 15 digits
+// gives back, and read a literal of at most 15 digits with no exponent,
+// without strconv: 15 and 16 significant digits, 1e-6 and 1e15 and the
+// floats just below them, and a few values either side of the paths.
+func shortBoundaries() []float64 {
+	return []float64{
+		0.123456789012345, 0.1234567890123456, 123456789.012345, 1234567890.123456, 999999999999999.9,
+		1e-6, math.Nextafter(1e-6, 0), 1e15, math.Nextafter(1e15, 0),
+		math.Copysign(0, -1), -0.5, 0.1, 517.8125, 1.0 / (1 << 20),
+	}
+}
+
 // FuzzSnapshotNumber holds the number codec to encoding/json on every
 // finite float64, driven as raw bits and as an int64 converted to float:
 // the body is json.Marshal's bytes and parses back to the same bits, and
-// the integer's own decimal text parses to ParseFloat's bits.
+// the integer's own decimal text, and that text with a point put in it,
+// parse to ParseFloat's bits.
 func FuzzSnapshotNumber(f *testing.F) {
 	for _, v := range []float64{0, math.Copysign(0, -1), 1e15 - 1, 1e15, 1 << 53, 1e20, 1e21, 0.5, 5e-324} {
 		f.Add(math.Float64bits(v), int64(v))
 		f.Add(math.Float64bits(-v), -int64(v))
+	}
+	for _, v := range shortBoundaries() {
+		f.Add(math.Float64bits(v), int64(v))
+		f.Add(math.Float64bits(-v), -int64(v))
+	}
+	for _, n := range []int64{123456789012345, 1234567890123456, 5178125, 1000000} { // 15 and 16 digits, dyadic, trailing zeros
+		f.Add(uint64(0), n)
+		f.Add(uint64(6), -n)
 	}
 	f.Add(uint64(0), int64(math.MinInt64))
 	f.Fuzz(func(t *testing.T, bits uint64, n int64) {
@@ -114,9 +136,15 @@ func FuzzSnapshotNumber(f *testing.F) {
 			}
 		}
 		text := strconv.FormatInt(n, 10)
-		want, _ := strconv.ParseFloat(text, 64)
-		if _, _, back, err := wire.ParseSnapshot([]byte(`{"points":[[` + text + `]]}`)); err != nil || !bitsEqual(back, [][]float64{{want}}) {
-			t.Fatalf("ParseSnapshot of %s = %v, %v; ParseFloat %v", text, back, err, want)
+		// The same digits and a zero, with a point after the first digit or
+		// later, as bits picks: a literal the writer never makes.
+		lit, lead := text+"0", 1+strings.Count(text[:1], "-")
+		at := lead + int(bits%uint64(len(lit)-lead))
+		for _, text := range []string{text, lit[:at] + "." + lit[at:]} {
+			want, _ := strconv.ParseFloat(text, 64)
+			if _, _, back, err := wire.ParseSnapshot([]byte(`{"points":[[` + text + `]]}`)); err != nil || !bitsEqual(back, [][]float64{{want}}) {
+				t.Fatalf("ParseSnapshot of %s = %v, %v; ParseFloat %v", text, back, err, want)
+			}
 		}
 	})
 }

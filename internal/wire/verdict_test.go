@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"visibility"
 	"visibility/internal/wire"
@@ -137,8 +140,10 @@ func TestOneVerdict(t *testing.T) {
 	}
 }
 
-// TestKernelBuiltOncePerPass pins the single resolve pass: serving a batch
-// is one Decode and one Apply, and each builds an access's kernel once.
+// TestKernelBuiltOncePerPass pins the single check: serving a batch is one
+// Decode and one Apply, and Apply finishes the plan Decode's check made,
+// kernel included, so the access's kernel is built once (twice when Apply
+// checked the workload again).
 func TestKernelBuiltOncePerPass(t *testing.T) {
 	var buf bytes.Buffer
 	if err := wire.Encode(&buf, &wire.Workload{
@@ -158,10 +163,100 @@ func TestKernelBuiltOncePerPass(t *testing.T) {
 	if _, err := env.Apply(wl); err != nil {
 		t.Fatal(err)
 	}
-	if got := wire.CountedBuilds.Load() - before; got != 2 {
-		t.Fatalf("kernel built %d times over one Decode + one Apply, want 2", got)
+	if got := wire.CountedBuilds.Load() - before; got != 1 {
+		t.Fatalf("kernel built %d times over one Decode + one Apply, want 1", got)
 	}
 	if v, _ := rt.Read(env.Region("r"), "v").Get(visibility.Pt(0)); v != 1 {
 		t.Fatalf("r[0] = %v, want 1: Apply did not run the kernel the check built", v)
 	}
+}
+
+// TestDecodedPlansDropped: the plan Decode keeps for Apply neither
+// outlives a workload the collector takes unapplied nor survives the
+// Apply that takes it, and a second Apply checks the workload in full.
+func TestDecodedPlansDropped(t *testing.T) {
+	body := encode(t, batches[1])
+	before := wire.PendingPlans()
+	for i := 0; i < 100; i++ {
+		if _, err := wire.Decode(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for wire.PendingPlans() > before && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := wire.PendingPlans(); n > before {
+		t.Fatalf("%d plans of collected workloads still held", n-before)
+	}
+
+	rt := visibility.New(visibility.Config{})
+	defer rt.Close()
+	env := wire.NewEnv(rt)
+	if _, err := env.Apply(ring(64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	wl, err := wire.Decode(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := wire.PendingPlans()
+	for i := 0; i < 2; i++ {
+		if futs, err := env.Apply(wl); err != nil || len(futs) != len(wl.Tasks) {
+			t.Fatalf("Apply %d of a decoded batch launched %d of %d tasks, err %v", i, len(futs), len(wl.Tasks), err)
+		}
+		if n := wire.PendingPlans(); n >= pending {
+			t.Fatalf("after Apply %d, %d plans pending, want fewer than %d", i, n, pending)
+		}
+	}
+	runtime.KeepAlive(wl)
+	rt.Wait()
+}
+
+// TestConcurrentDecodeApply: sessions that decode and apply batches at
+// once share the table of decoded plans and the pool of body buffers;
+// each gets its own workload's plan, and runs the batch as its own
+// checked copy would.
+func TestConcurrentDecodeApply(t *testing.T) {
+	body := encode(t, batches[1])
+	want := func() [][]float64 {
+		rt := visibility.New(visibility.Config{})
+		defer rt.Close()
+		env := wire.NewEnv(rt)
+		for _, wl := range []*wire.Workload{ring(64, 4), batches[1], batches[1]} {
+			if _, err := env.Apply(wl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rt.Read(env.Region("N"), "up").Rows()
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt := visibility.New(visibility.Config{Workers: 1})
+			defer rt.Close()
+			env := wire.NewEnv(rt)
+			if _, err := env.Apply(ring(64, 4)); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 2; i++ {
+				wl, err := wire.DecodeSized(bytes.NewReader(body), int64(len(body)))
+				if err == nil {
+					_, err = env.Apply(wl)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if got := rt.Read(env.Region("N"), "up").Rows(); !bitsEqual(got, want) {
+				t.Errorf("a session applying decoded batches read %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -26,10 +26,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"unsafe"
+	"weak"
 
 	"visibility"
 	"visibility/internal/geometry"
@@ -117,36 +121,116 @@ type FuncSpec struct {
 // case-folded and repeated fields, trailing data, and every structural
 // error Validate covers.
 //
-// The workload is read-only. What the body repeats is decoded once: equal
-// strings share one allocation, and specs with byte-identical text share
-// one *FuncSpec, args map included.
+// The workload is read-only: Env.Apply runs the plan Decode's check made
+// of it and only finishes that check against the session, so a change
+// made to the workload in between is not seen. What the body repeats is
+// decoded once: equal strings share one allocation, specs with
+// byte-identical text share one *FuncSpec, args map included, and tasks
+// whose access lists have byte-identical text share one slice.
 func Decode(r io.Reader) (*Workload, error) { return DecodeSized(r, -1) }
 
 // DecodeSized is Decode of a body whose length a header declared (ReadBody).
 func DecodeSized(r io.Reader, declared int64) (*Workload, error) {
-	data, err := ReadBody(r, declared)
+	buf := bodies.Get().(*[]byte)
+	data, err := readBody(*buf, r, declared)
+	defer func() {
+		if cap(data) <= 1<<20 {
+			*buf = data[:0]
+			bodies.Put(buf)
+		}
+	}()
 	if err != nil {
 		return nil, fmt.Errorf("wire: decoding workload: %w", err)
 	}
-	s, wl := &scanner{b: data, names: map[string]string{}}, new(Workload)
+	s, wl := &scanner{b: data, seen: new(repeats)}, new(Workload)
 	workloadFields.read(s, wl)
 	if err := s.end(); err != nil {
 		return nil, fmt.Errorf("wire: decoding workload: %w", err)
 	}
-	if err := wl.Validate(); err != nil {
+	p, err := check(wl, nil)
+	if err != nil {
 		return nil, err
 	}
+	decoded.remember(wl, p)
 	return wl, nil
 }
 
+// decoded holds the plan Decode's check made of each workload it returned
+// until Apply takes it, so a served batch is checked once. The plan cannot
+// ride in the Workload, which must stay deeply equal to what encoding/json
+// makes of the same body. An entry is keyed by the workload's address and
+// holds the workload weakly: Apply takes an entry only while its workload
+// is the one at that address, and a cleanup drops the entry of a workload
+// collected before any Apply took it. (weak.Make of an arbitrary
+// *Workload, one in a global, would throw; Decode makes one only of the
+// workload it allocated.)
+var decoded = plans{m: map[uintptr]decodedPlan{}}
+
+type plans struct {
+	mu sync.Mutex
+	m  map[uintptr]decodedPlan // guarded by mu
+}
+
+type decodedPlan struct {
+	wl weak.Pointer[Workload]
+	p  *plan
+}
+
+func (d *plans) remember(wl *Workload, p *plan) {
+	w, addr := weak.Make(wl), uintptr(unsafe.Pointer(wl))
+	d.mu.Lock()
+	d.m[addr] = decodedPlan{w, p}
+	d.mu.Unlock()
+	runtime.AddCleanup(wl, func(w weak.Pointer[Workload]) { d.forget(addr, w) }, w)
+}
+
+// take removes and returns the plan Decode made of wl, nil when there is
+// none: wl was built by hand, or an Apply took the plan already.
+func (d *plans) take(wl *Workload) *plan {
+	addr := uintptr(unsafe.Pointer(wl))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.m[addr]
+	if !ok || e.wl.Value() != wl {
+		return nil
+	}
+	delete(d.m, addr)
+	return e.p
+}
+
+// forget drops the entry of the collected workload wl, unless a newer
+// workload at the same address has replaced it.
+func (d *plans) forget(addr uintptr, wl weak.Pointer[Workload]) {
+	d.mu.Lock()
+	if d.m[addr].wl == wl {
+		delete(d.m, addr)
+	}
+	d.mu.Unlock()
+}
+
 // ReadBody reads r to its end into one buffer of the length a header
-// declared (< 0: none), capped at 1 MiB so a lying header reserves no more;
-// the MinRead spare bytes take the read that finds the end without a copy.
-func ReadBody(r io.Reader, declared int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(declared, 0)+bytes.MinRead, 1<<20)))
+// declared (< 0: none, and then the length of a reader that reports one),
+// capped at 1 MiB so a lying header reserves no more; the MinRead spare
+// bytes take the read that finds the end without a copy.
+func ReadBody(r io.Reader, declared int64) ([]byte, error) { return readBody(nil, r, declared) }
+
+// readBody is ReadBody into dst's room when it has enough.
+func readBody(dst []byte, r io.Reader, declared int64) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok && declared < 0 {
+		declared = int64(l.Len())
+	}
+	if n := min(max(declared, 0)+bytes.MinRead, 1<<20); int64(cap(dst)) < n {
+		dst = make([]byte, 0, n)
+	}
+	buf := bytes.NewBuffer(dst[:0])
 	_, err := buf.ReadFrom(r)
 	return buf.Bytes(), err
 }
+
+// bodies recycles Decode's body buffers. Nothing Decode returns is a window
+// of the body (the strings are the interner's copies), so the buffer is
+// free once Decode returns; one past 1 MiB is left to the collector.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // The key tables define the format both ways, in struct order; an
 // omitempty field's writer is an opt one, or stringKey's with omitempty.
@@ -191,7 +275,7 @@ var partitionFields = fields[PartitionDecl]{
 
 var taskFields = fields[TaskDecl]{
 	stringKey("name", false, func(t *TaskDecl) *string { return &t.Name }),
-	{"accesses", func(s *scanner, t *TaskDecl) { array(s, &t.Accesses, accessFields.read) },
+	{"accesses", func(s *scanner, t *TaskDecl) { s.accesses(&t.Accesses) },
 		func(e *encoder, t *TaskDecl) { list(e, t.Accesses, accessFields.write) }},
 	{"after", func(s *scanner, t *TaskDecl) { array(s, &t.After, (*scanner).int) },
 		func(e *encoder, t *TaskDecl) { optList(e, t.After, func(e *encoder, a *int) { e.int(*a) }) }},
@@ -454,28 +538,36 @@ func claim(kind, name string, own, session scope) error {
 }
 
 // plan is a checked workload in resolved form: what Apply runs without a
-// second look at the declarations.
+// second look at the declarations. Its launches hold their own copies of
+// what they need, so a plan Decode remembers keeps neither the Workload
+// nor its task arrays alive (see decoded); only the declarations, which
+// Apply runs once, point back into the workload.
 type plan struct {
 	own     scope                       // the workload's declarations, handles unset
 	declare []func(*visibility.Runtime) // one per region: creates it and its partitions, sets the handles
 	tasks   []taskPlan
 }
 
-// taskPlan is one checked launch. A workload may refer to regions it
-// declares itself, which exist only once Apply has run the declarations,
-// so an access keeps the entry it resolved to (and the piece, when that is
-// a partition) and gets its region handle at launch.
+// taskPlan is one checked launch: its accesses and the kernel check built
+// for them. A workload may refer to regions it declares itself, which
+// exist only once Apply has run the declarations, so an access keeps the
+// entry it resolved to (and the piece, when that is a partition) and gets
+// its region handle at launch.
 type taskPlan struct {
-	decl     *TaskDecl
+	name     string
+	after    []int
 	accesses []access
+	kernel   visibility.Kernel
 }
 
+// access is one checked access. Its reference is parsed when it is
+// checked and resolved against the names at hand: the workload's own, or
+// the session's, which a pure batch Decode checked meets only at Apply.
 type access struct {
-	visibility.Access // Region unset
-	target            *entry
-	piece             int
-	kernel            KernelFunc // per-point function of a write or reduce; nil for identity
-	identity          float64    // of a reduce access's operator
+	visibility.Access        // Region unset
+	ref               string // as declared: "cells" or "blocks[2]"
+	piece             int    // -1: the reference names a root region
+	target            *entry // nil until resolved
 }
 
 // Validate is the stateless check: everything that makes a workload
@@ -497,10 +589,21 @@ func check(wl *Workload, session scope) (*plan, error) {
 	if wl.Version != Version {
 		return nil, fmt.Errorf("wire: unsupported version %d (want %d)", wl.Version, Version)
 	}
-	p := &plan{own: make(scope), tasks: make([]taskPlan, 0, len(wl.Tasks))}
-	built := builtKernels{}
+	// Launches that share an access list, as Decode's do where a body
+	// repeats one, share its checked form: the first checks the list.
+	var shared listIndex
+	n := 0
+	for i := range wl.Tasks {
+		if shared.first(i, wl.Tasks[i].Accesses) == i {
+			n += len(wl.Tasks[i].Accesses)
+		}
+	}
+	shared = listIndex{} // the second pass finds what the first did
+	p := &plan{own: make(scope), tasks: make([]taskPlan, len(wl.Tasks))}
+	accesses := make([]access, n) // every distinct list's window of one slice
+	var kb kernelBuilder
 	for i := range wl.Regions {
-		declare, err := checkRegion(&wl.Regions[i], p.own, session, built)
+		declare, err := checkRegion(&wl.Regions[i], p.own, session, &kb)
 		if err != nil {
 			return nil, err
 		}
@@ -511,31 +614,149 @@ func check(wl *Workload, session scope) (*plan, error) {
 		names = p.own
 	}
 	for i := range wl.Tasks {
-		tp, err := checkTask(&wl.Tasks[i], i, names, built)
-		if err != nil {
+		t, tp := &wl.Tasks[i], &p.tasks[i]
+		if j := shared.first(i, t.Accesses); j < i {
+			if err := tp.repeat(t, i, &p.tasks[j]); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		tp.accesses, accesses = accesses[:len(t.Accesses):len(t.Accesses)], accesses[len(t.Accesses):]
+		if err := tp.check(t, i, names, &kb); err != nil {
 			return nil, err
 		}
-		p.tasks = append(p.tasks, tp)
 	}
 	return p, nil
 }
 
-// builtKernels memoizes kernels.build per spec within one check: the
-// builtins are pure closures, so the accesses naming a spec share one.
-type builtKernels map[*FuncSpec]KernelFunc
-
-func (b builtKernels) build(spec *FuncSpec) (KernelFunc, error) {
-	if k, ok := b[spec]; ok {
-		return k, nil
+// listIndex remembers the first launch to hold each access list, the same
+// elements, for the first len(lists) lists; a list past those is checked
+// on its own, as is one no launches share.
+type listIndex struct {
+	lists [64]struct {
+		first   *AccessDecl
+		n, task int
 	}
-	k, err := kernels.build(spec)
-	if err == nil {
-		b[spec] = k
-	}
-	return k, err
+	len int
 }
 
-func checkRegion(r *RegionDecl, own, session scope, built builtKernels) (func(*visibility.Runtime), error) {
+// first returns the first launch to hold l, the list of launch i, at or
+// before i.
+func (x *listIndex) first(i int, l []AccessDecl) int {
+	if len(l) == 0 {
+		return i
+	}
+	for _, e := range x.lists[:x.len] {
+		if e.first == &l[0] && e.n == len(l) {
+			return e.task
+		}
+	}
+	if x.len < len(x.lists) {
+		x.lists[x.len].first, x.lists[x.len].n, x.lists[x.len].task = &l[0], len(l), i
+		x.len++
+	}
+	return i
+}
+
+// finish completes the plan of a check made without a session, Decode's,
+// against one: it claims the names wl declares, or resolves a pure batch's
+// references. Every other verdict the stateless check has given, so the
+// first error here is the one check against the session would give.
+func (p *plan) finish(wl *Workload, session scope) error {
+	for i := range wl.Regions {
+		r := &wl.Regions[i]
+		if err := claim("region", r.Name, nil, session); err != nil {
+			return err
+		}
+		for j := range r.Partitions {
+			if err := claim("partition", r.Partitions[j].Name, nil, session); err != nil {
+				return err
+			}
+		}
+	}
+	if len(wl.Regions) > 0 {
+		return nil // the tasks resolved against the workload's own names
+	}
+	for i := range p.tasks {
+		tp := &p.tasks[i]
+		if tp.accesses[0].target != nil {
+			continue // a list an earlier launch shares and resolved
+		}
+		for ai := range tp.accesses {
+			if err := tp.resolve(ai, session); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// kernelSlot is what one access contributes to its task's kernel.
+type kernelSlot struct {
+	spec     *FuncSpec  // nil: the identity
+	f        KernelFunc // built from spec
+	identity float64    // of a reduce access's operator
+}
+
+// kernelBuilder builds the kernels of one check: each spec's function once
+// (the builtins are pure closures), and each task's visibility.Kernel once
+// per distinct run of access kernels, so the launches of a batch that
+// repeat one shape share one kernel. It remembers at most maxSpecs of
+// each; past that it builds afresh.
+type kernelBuilder struct {
+	funcs  []kernelSlot
+	shapes []taskKernel
+	slots  []kernelSlot // the task being checked
+}
+
+type taskKernel struct {
+	slots  []kernelSlot
+	kernel visibility.Kernel
+}
+
+func (kb *kernelBuilder) build(spec *FuncSpec) (KernelFunc, error) {
+	for _, b := range kb.funcs {
+		if b.spec == spec {
+			return b.f, nil
+		}
+	}
+	f, err := kernels.build(spec)
+	if err == nil && len(kb.funcs) < maxSpecs {
+		kb.funcs = append(kb.funcs, kernelSlot{spec: spec, f: f})
+	}
+	return f, err
+}
+
+// kernel is the visibility.Kernel that runs slots, one per access.
+func (kb *kernelBuilder) kernel(slots []kernelSlot) visibility.Kernel {
+	same := func(a, b kernelSlot) bool { return a.spec == b.spec && a.identity == b.identity }
+	for _, s := range kb.shapes {
+		if slices.EqualFunc(s.slots, slots, same) {
+			return s.kernel
+		}
+	}
+	slots = slices.Clone(slots)
+	k := visibility.Kernel{
+		Write: func(ai int, p visibility.Point, in float64) float64 {
+			if f := slots[ai].f; f != nil {
+				return f(p, in)
+			}
+			return in
+		},
+		Reduce: func(ai int, p visibility.Point) float64 {
+			if f := slots[ai].f; f != nil {
+				return f(p, 0)
+			}
+			return slots[ai].identity
+		},
+	}
+	if len(kb.shapes) < maxSpecs {
+		kb.shapes = append(kb.shapes, taskKernel{slots, k})
+	}
+	return k
+}
+
+func checkRegion(r *RegionDecl, own, session scope, kb *kernelBuilder) (func(*visibility.Runtime), error) {
 	if r.Name == "" {
 		return nil, fmt.Errorf("wire: region with empty name")
 	}
@@ -573,7 +794,7 @@ func checkRegion(r *RegionDecl, own, session scope, built builtKernels) (func(*v
 		if !root.fields[f] {
 			return nil, fmt.Errorf("wire: region %q: init for unknown field %q", r.Name, f)
 		}
-		if inits[f], err = built.build(r.Init[f]); err != nil {
+		if inits[f], err = kb.build(r.Init[f]); err != nil {
 			return nil, fmt.Errorf("wire: region %q: init %q: %v", r.Name, f, err)
 		}
 	}
@@ -725,29 +946,32 @@ var reduceOps = map[string]visibility.ReduceOp{
 	"max":  visibility.OpMax,
 }
 
-// checkTask checks one launch and resolves its references against names;
-// nil names (a pure batch with no session at hand) leaves them for Apply.
-func checkTask(t *TaskDecl, pos int, names scope, built builtKernels) (taskPlan, error) {
+// check checks t, the launch at position pos, builds its kernel, and
+// resolves its references against names; nil names (a pure batch with no
+// session at hand) leaves them for Apply.
+func (tp *taskPlan) check(t *TaskDecl, pos int, names scope, kb *kernelBuilder) error {
+	tp.name, tp.after = t.Name, t.After
 	if t.Name == "" {
-		return taskPlan{}, fmt.Errorf("wire: task %d has no name", pos)
+		return fmt.Errorf("wire: task %d has no name", pos)
 	}
 	if len(t.Accesses) == 0 {
-		return taskPlan{}, fmt.Errorf("wire: task %q needs at least one access", t.Name)
+		return fmt.Errorf("wire: task %q needs at least one access", t.Name)
 	}
-	tp := taskPlan{decl: t, accesses: make([]access, len(t.Accesses))}
+	slots := kb.slots[:0]
 	for ai := range t.Accesses {
 		a, acc := &t.Accesses[ai], &tp.accesses[ai]
-		fail := func(format string, args ...any) (taskPlan, error) {
-			return taskPlan{}, fmt.Errorf("wire: task %q access %d: %s", t.Name, ai, fmt.Sprintf(format, args...))
-		}
-		base, idx, hasIdx, err := parseRef(a.Region)
+		_, piece, indexed, err := parseRef(a.Region)
 		if err != nil {
-			return fail("%v", err)
+			return tp.fail(ai, "%v", err)
 		}
+		if acc.ref, acc.piece = a.Region, piece; !indexed {
+			acc.piece = -1
+		}
+		slot := kernelSlot{spec: a.Kernel}
 		switch a.Privilege {
 		case "read":
 			if a.Kernel != nil {
-				return fail("read access carries a kernel")
+				return tp.fail(ai, "read access carries a kernel")
 			}
 			acc.Access = visibility.Read(nil, a.Field)
 		case "write":
@@ -755,77 +979,95 @@ func checkTask(t *TaskDecl, pos int, names scope, built builtKernels) (taskPlan,
 		case "reduce":
 			op, ok := reduceOps[a.Op]
 			if !ok {
-				return fail("unknown reduction op %q", a.Op)
+				return tp.fail(ai, "unknown reduction op %q", a.Op)
 			}
-			acc.Access, acc.identity = visibility.Reduce(op, nil, a.Field), privilege.Identity(op)
+			acc.Access, slot.identity = visibility.Reduce(op, nil, a.Field), privilege.Identity(op)
 		default:
-			return fail("unknown privilege %q", a.Privilege)
+			return tp.fail(ai, "unknown privilege %q", a.Privilege)
 		}
 		if a.Op != "" && a.Privilege != "reduce" {
-			return fail("op on non-reduce access")
+			return tp.fail(ai, "op on non-reduce access")
 		}
 		if a.Kernel != nil {
-			if acc.kernel, err = built.build(a.Kernel); err != nil {
-				return fail("%v", err)
+			if slot.f, err = kb.build(a.Kernel); err != nil {
+				return tp.fail(ai, "%v", err)
 			}
 		}
 		if a.Field == "" {
-			return fail("empty field")
+			return tp.fail(ai, "empty field")
 		}
-		if names == nil {
-			continue
-		}
-		target := names[base]
-		if target == nil || (target.kind == "partition") != hasIdx {
-			return fail("dangling reference %q", a.Region)
-		}
-		if hasIdx && idx >= target.pieces {
-			return fail("piece %d outside partition %q (len %d)", idx, base, target.pieces)
-		}
-		if !target.root.fields[a.Field] {
-			return fail("region %q has no field %q", target.root.name, a.Field)
-		}
-		if first := tp.accesses[0].target; ai > 0 && first.root != target.root {
-			return taskPlan{}, fmt.Errorf("wire: task %q mixes regions %q and %q (one tree per task)",
-				t.Name, first.root.name, target.root.name)
-		}
-		acc.target, acc.piece = target, idx
-	}
-	for _, a := range t.After {
-		if a < 0 || a >= pos {
-			return taskPlan{}, fmt.Errorf("wire: task %q: after index %d outside [0, %d)", t.Name, a, pos)
+		slots = append(slots, slot)
+		if names != nil {
+			if err := tp.resolve(ai, names); err != nil {
+				return err
+			}
 		}
 	}
-	return tp, nil
+	if err := checkAfter(t, pos); err != nil {
+		return err
+	}
+	tp.kernel, kb.slots = kb.kernel(slots), slots
+	return nil
 }
 
-// spec is the launch tp describes, against the handles its entries now hold.
-func (tp taskPlan) spec() visibility.TaskSpec {
-	accesses := tp.accesses // all the kernel closures keep alive, not the declaration
-	accs := make([]visibility.Access, len(accesses))
-	for i, a := range accesses {
-		accs[i] = a.Access
-		accs[i].Region = a.target.region
-		if a.target.part != nil {
-			accs[i].Region = a.target.sub(a.piece)
+// repeat checks t, the launch at position pos, whose access list is that
+// of the launch first checked: what check says of the list it said then.
+func (tp *taskPlan) repeat(t *TaskDecl, pos int, first *taskPlan) error {
+	if t.Name == "" {
+		return fmt.Errorf("wire: task %d has no name", pos)
+	}
+	if err := checkAfter(t, pos); err != nil {
+		return err
+	}
+	tp.name, tp.after, tp.accesses, tp.kernel = t.Name, t.After, first.accesses, first.kernel
+	return nil
+}
+
+func checkAfter(t *TaskDecl, pos int) error {
+	for _, a := range t.After {
+		if a < 0 || a >= pos {
+			return fmt.Errorf("wire: task %q: after index %d outside [0, %d)", t.Name, a, pos)
 		}
 	}
-	return visibility.TaskSpec{
-		Name:     tp.decl.Name,
-		Accesses: accs,
-		Kernel: visibility.Kernel{
-			Write: func(ai int, p visibility.Point, in float64) float64 {
-				if k := accesses[ai].kernel; k != nil {
-					return k(p, in)
-				}
-				return in
-			},
-			Reduce: func(ai int, p visibility.Point) float64 {
-				if k := accesses[ai].kernel; k != nil {
-					return k(p, 0)
-				}
-				return accesses[ai].identity
-			},
-		},
+	return nil
+}
+
+// resolve resolves access ai's parsed reference against names.
+func (tp *taskPlan) resolve(ai int, names scope) error {
+	acc := &tp.accesses[ai]
+	base, _, indexed := strings.Cut(acc.ref, "[")
+	target := names[base]
+	if target == nil || (target.kind == "partition") != indexed {
+		return tp.fail(ai, "dangling reference %q", acc.ref)
 	}
+	if indexed && acc.piece >= target.pieces {
+		return tp.fail(ai, "piece %d outside partition %q (len %d)", acc.piece, base, target.pieces)
+	}
+	if !target.root.fields[acc.Field] {
+		return tp.fail(ai, "region %q has no field %q", target.root.name, acc.Field)
+	}
+	if first := tp.accesses[0].target; ai > 0 && first.root != target.root {
+		return fmt.Errorf("wire: task %q mixes regions %q and %q (one tree per task)",
+			tp.name, first.root.name, target.root.name)
+	}
+	acc.target = target
+	return nil
+}
+
+func (tp *taskPlan) fail(ai int, format string, args ...any) error {
+	return fmt.Errorf("wire: task %q access %d: %s", tp.name, ai, fmt.Sprintf(format, args...))
+}
+
+// spec is the launch tp describes, against the handles its entries now
+// hold; its accesses are appended to scratch, which Launch does not keep.
+func (tp *taskPlan) spec(scratch []visibility.Access) visibility.TaskSpec {
+	for _, a := range tp.accesses {
+		acc := a.Access
+		acc.Region = a.target.region
+		if a.piece >= 0 {
+			acc.Region = a.target.sub(a.piece)
+		}
+		scratch = append(scratch, acc)
+	}
+	return visibility.TaskSpec{Name: tp.name, Accesses: scratch, Kernel: tp.kernel}
 }

@@ -236,8 +236,9 @@ func TestEncodeMatchesMarshal(t *testing.T) {
 }
 
 // TestDecodeSharesRepeats: one decoded body holds one *FuncSpec per
-// distinct spec text and one copy of each repeated string, and is still
-// deeply equal to what encoding/json makes of it.
+// distinct spec text, one copy of each repeated string and one slice per
+// distinct access list, and is still deeply equal to what encoding/json
+// makes of it.
 func TestDecodeSharesRepeats(t *testing.T) {
 	body := encode(t, batches[0])
 	wl, err := wire.Decode(bytes.NewReader(body))
@@ -250,7 +251,16 @@ func TestDecodeSharesRepeats(t *testing.T) {
 	}
 	specs := map[string]*wire.FuncSpec{}
 	names := map[string]*byte{}
+	lists := map[string]*wire.AccessDecl{}
 	for _, task := range wl.Tasks {
+		text, err := json.Marshal(task.Accesses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first, ok := lists[string(text)]; ok && first != &task.Accesses[0] {
+			t.Fatalf("access list %s decoded into two slices", text)
+		}
+		lists[string(text)] = &task.Accesses[0]
 		for _, a := range task.Accesses {
 			text, err := json.Marshal(a.Kernel)
 			if err != nil {
@@ -268,8 +278,40 @@ func TestDecodeSharesRepeats(t *testing.T) {
 			}
 		}
 	}
-	if len(specs) != 4 {
-		t.Fatalf("%d distinct kernel specs, want 4", len(specs))
+	if len(specs) != 4 || len(lists) != 32 {
+		t.Fatalf("%d distinct kernel specs and %d access lists, want 4 and 32", len(specs), len(lists))
+	}
+}
+
+// TestSharedListsCheckedAlike: launches built by hand that share an access
+// list, whole or a prefix of it, are checked and launched like launches
+// with lists of their own, and an error in a shared list names the first
+// launch that holds it.
+func TestSharedListsCheckedAlike(t *testing.T) {
+	read := []wire.AccessDecl{{Region: "cells", Field: "val", Privilege: "read"}, {Region: "blocks[1]", Field: "val", Privilege: "read"}}
+	bad := []wire.AccessDecl{{Region: "cells", Field: "nope", Privilege: "read"}}
+	for _, tc := range []struct {
+		tasks []wire.TaskDecl
+		want  string
+	}{
+		{[]wire.TaskDecl{{Name: "a", Accesses: read}, {Name: "b", Accesses: read[:1]}, {Name: "c", Accesses: read},
+			{Name: "d", Accesses: read[:1], After: []int{2}}, {Name: "e", Accesses: read[1:]}}, ""},
+		{[]wire.TaskDecl{{Name: "a", Accesses: read}, {Name: "b", Accesses: bad}, {Name: "c", Accesses: bad}}, `task "b" access 0: region "cells" has no field "nope"`},
+		{[]wire.TaskDecl{{Name: "a", Accesses: read}, {Name: "", Accesses: read}}, "task 1 has no name"},
+		{[]wire.TaskDecl{{Name: "a", Accesses: read}, {Name: "b", Accesses: read, After: []int{1}}}, `task "b": after index 1 outside [0, 1)`},
+	} {
+		rt, env := freshEnv(t)
+		if _, err := env.Apply(wire.ExampleQuickstart()); err != nil {
+			t.Fatal(err)
+		}
+		futs, err := env.Apply(&wire.Workload{Version: wire.Version, Tasks: tc.tasks})
+		switch {
+		case tc.want == "" && (err != nil || len(futs) != len(tc.tasks)):
+			t.Fatalf("launched %d of %d tasks, err %v", len(futs), len(tc.tasks), err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Fatalf("Apply error = %v, want %q", err, tc.want)
+		}
+		rt.Wait()
 	}
 }
 
