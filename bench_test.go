@@ -472,3 +472,36 @@ func BenchmarkMustPrecede(b *testing.B) {
 		})
 	}
 }
+
+var readSink *visibility.Snapshot
+
+// BenchmarkReadPoll times a Runtime that only polls: a 1,024-point region
+// written once in 8 pieces, then read whole by rt.Read, each read a launch
+// of its own, after 100, 1,000 and 10,000 earlier reads. No write ever
+// covers a read, so each analyzer keeps every read entry and a read costs
+// more the more reads came before it (ROADMAP item 20, probe 3). The timed
+// reads add to that history too, so run it at a fixed, short count, e.g.
+// -benchtime 50x: the figure is µs per Read, us/read.
+func BenchmarkReadPoll(b *testing.B) {
+	for _, alg := range []string{"raycast", "warnock", "paint"} {
+		for _, prior := range []int{100, 1_000, 10_000} {
+			b.Run(fmt.Sprintf("%s/reads=%d", alg, prior), func(b *testing.B) {
+				rt := visibility.New(visibility.Config{Algorithm: alg, Workers: 1})
+				defer rt.Close()
+				g := rt.CreateRegion("g", visibility.Line(0, 1023), "v")
+				p := g.PartitionEqual("P", 8)
+				for i := 0; i < 8; i++ {
+					rt.Launch(visibility.TaskSpec{Name: "write", Accesses: []visibility.Access{visibility.Write(p.Sub(i), "v")}})
+				}
+				for i := 0; i < prior; i++ {
+					readSink = rt.Read(g, "v")
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					readSink = rt.Read(g, "v")
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/read")
+			})
+		}
+	}
+}

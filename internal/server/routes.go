@@ -296,18 +296,19 @@ func (srv *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	if s == nil {
 		return
 	}
-	wl, err := wire.DecodeSized(http.MaxBytesReader(w, r.Body, maxWorkloadBody), r.ContentLength)
+	b, err := wire.DecodeSized(http.MaxBytesReader(w, r.Body, maxWorkloadBody), r.ContentLength)
 	if err != nil {
 		srv.fail(w, err)
 		return
 	}
 	if err := srv.do(s, requestOf(r), func(_ *visibility.Runtime, env *wire.Env) error {
-		_, err := env.Apply(wl)
+		_, err := env.Run(b)
 		return err
 	}); err != nil {
 		srv.fail(w, err)
 		return
 	}
+	wl := b.Workload
 	body := strconv.AppendInt(append(make([]byte, 0, 48), `{"regions":`...), int64(len(wl.Regions)), 10)
 	body = strconv.AppendInt(append(body, `,"tasks":`...), int64(len(wl.Tasks)), 10)
 	writeRaw(w, http.StatusAccepted, "application/json", append(body, "}\n"...), nil)

@@ -44,7 +44,7 @@ func EnvFromRestore(rt *visibility.Runtime, roots map[string]*visibility.Region)
 // Adopt registers an existing root region and its partitions into the
 // environment's namespace.
 func (e *Env) Adopt(r *visibility.Region) error {
-	if err := claim("region", r.Name(), nil, e.names); err != nil {
+	if err := e.names.free(r.Name()); err != nil {
 		return err
 	}
 	root := &entry{kind: "region", name: r.Name(), fields: make(map[string]bool), region: r}
@@ -55,7 +55,7 @@ func (e *Env) Adopt(r *visibility.Region) error {
 	e.names[root.name] = root
 	for _, p := range r.Partitions() {
 		name := p.PartitionName()
-		if err := claim("partition", name, nil, e.names); err != nil {
+		if err := e.names.free(name); err != nil {
 			return err
 		}
 		e.names[name] = &entry{kind: "partition", name: name, root: root, pieces: p.Len(), part: p}
@@ -83,25 +83,31 @@ func (e *Env) Regions() []*visibility.Region {
 	return out
 }
 
-// CheckError is Apply's refusal of a workload that fails the check.
+// CheckError is Run's refusal of a workload that fails the check.
 type CheckError struct{ Err error }
 
 func (e *CheckError) Error() string { return e.Err.Error() }
 func (e *CheckError) Unwrap() error { return e.Err }
 
-// Apply checks wl against the session (see check) and only then runs what
-// the check resolved: the declarations in order, then the launches, whose
-// futures it returns. Of a workload Decode returned, the check is Decode's,
-// which Apply finishes against the session's names; any other workload it
-// checks in full. Nothing after the check can fail, so a rejected
-// workload, a *CheckError, leaves the runtime and the namespace exactly as
-// it found them.
+// Apply is Run of wl, which it checks in full.
 func (e *Env) Apply(wl *Workload) ([]visibility.Future, error) {
-	p, err := decoded.take(wl), error(nil)
-	if p != nil {
-		err = p.finish(wl, e.names)
-	} else {
-		p, err = check(wl, e.names)
+	return e.Run(&Batch{Workload: wl})
+}
+
+// Run finishes the plan b's check made against the session (see
+// plan.finish) and only then runs it: the declarations in order, then the
+// launches, whose futures it returns. A batch whose plan a Run has taken
+// already, or that has none, it checks in full first. Nothing after the
+// finish can fail, so a rejected workload, a *CheckError, leaves the
+// runtime and the namespace exactly as it found them.
+func (e *Env) Run(b *Batch) ([]visibility.Future, error) {
+	p, err := b.plan, error(nil)
+	b.plan = nil
+	if p == nil {
+		p, err = check(b.Workload)
+	}
+	if err == nil {
+		err = p.finish(b.Workload, e.names)
 	}
 	if err != nil {
 		return nil, &CheckError{err}

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"visibility"
 	"visibility/internal/server/client"
@@ -131,7 +130,7 @@ func TestParseExplainAllocations(t *testing.T) {
 	lo, hi := ^uintptr(0), uintptr(0)
 	for _, e := range v.Explain.Edges {
 		for _, name := range []string{v.Region, v.Explain.Name, e.SrcName, e.DstName, e.Kind, e.Field, e.SrcPriv, e.DstPriv, e.Overlap} {
-			at := uintptr(unsafe.Pointer(unsafe.StringData(name)))
+			at := stringData(name)
 			lo, hi = min(lo, at), max(hi, at+uintptr(len(name)))
 		}
 	}

@@ -10,14 +10,6 @@ import (
 // which adds one to its input.
 var CountedBuilds atomic.Int64
 
-// PendingPlans is how many plans Decode made that no Apply has taken and
-// no cleanup has dropped yet.
-func PendingPlans() int {
-	decoded.mu.Lock()
-	defer decoded.mu.Unlock()
-	return len(decoded.m)
-}
-
 func init() {
 	kernels.builders["test.counted"] = func(map[string]float64) (KernelFunc, error) {
 		CountedBuilds.Add(1)

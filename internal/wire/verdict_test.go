@@ -3,13 +3,12 @@ package wire_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"visibility"
 	"visibility/internal/wire"
@@ -141,82 +140,92 @@ func TestOneVerdict(t *testing.T) {
 }
 
 // TestKernelBuiltOncePerPass pins the single check: serving a batch is one
-// Decode and one Apply, and Apply finishes the plan Decode's check made,
-// kernel included, so the access's kernel is built once (twice when Apply
-// checked the workload again).
+// DecodeSized and one Env.Run, and Run finishes the plan DecodeSized's
+// check made, kernel included, so the access's kernel is built once.
 func TestKernelBuiltOncePerPass(t *testing.T) {
-	var buf bytes.Buffer
-	if err := wire.Encode(&buf, &wire.Workload{
+	body := encode(t, &wire.Workload{
 		Version: wire.Version,
 		Regions: []wire.RegionDecl{{Name: "r", Dim: 1, Space: [][]int64{{0, 3}}, Fields: []string{"v"}}},
 		Tasks: []wire.TaskDecl{{Name: "t", Accesses: []wire.AccessDecl{
 			{Region: "r", Field: "v", Privilege: "write", Kernel: &wire.FuncSpec{Name: "test.counted"}}}}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	before := wire.CountedBuilds.Load()
-	wl, err := wire.Decode(&buf)
+	b, err := wire.DecodeSized(bytes.NewReader(body), int64(len(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt, env := freshEnv(t)
-	if _, err := env.Apply(wl); err != nil {
+	if _, err := env.Run(b); err != nil {
 		t.Fatal(err)
 	}
 	if got := wire.CountedBuilds.Load() - before; got != 1 {
-		t.Fatalf("kernel built %d times over one Decode + one Apply, want 1", got)
+		t.Fatalf("kernel built %d times over one DecodeSized + one Run, want 1", got)
 	}
 	if v, _ := rt.Read(env.Region("r"), "v").Get(visibility.Pt(0)); v != 1 {
-		t.Fatalf("r[0] = %v, want 1: Apply did not run the kernel the check built", v)
+		t.Fatalf("r[0] = %v, want 1: Run did not run the kernel the check built", v)
 	}
 }
 
-// TestDecodedPlansDropped: the plan Decode keeps for Apply neither
-// outlives a workload the collector takes unapplied nor survives the
-// Apply that takes it, and a second Apply checks the workload in full.
+// TestDecodedPlansDropped: the first Run of a decoded batch takes its
+// plan, so running the batch again, on the same session or another,
+// checks it in full and launches every task against that session.
 func TestDecodedPlansDropped(t *testing.T) {
-	body := encode(t, batches[1])
-	before := wire.PendingPlans()
-	for i := 0; i < 100; i++ {
-		if _, err := wire.Decode(bytes.NewReader(body)); err != nil {
-			t.Fatal(err)
-		}
+	counted := &wire.FuncSpec{Name: "test.counted"}
+	wl := &wire.Workload{Version: wire.Version}
+	for i := 0; i < 4; i++ {
+		wl.Tasks = append(wl.Tasks, wire.TaskDecl{Name: "bump", Accesses: []wire.AccessDecl{
+			{Region: fmt.Sprintf("P[%d]", i), Field: "up", Privilege: "write", Kernel: counted}}})
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for wire.PendingPlans() > before && time.Now().Before(deadline) {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-	if n := wire.PendingPlans(); n > before {
-		t.Fatalf("%d plans of collected workloads still held", n-before)
-	}
-
-	rt := visibility.New(visibility.Config{})
-	defer rt.Close()
-	env := wire.NewEnv(rt)
-	if _, err := env.Apply(ring(64, 4)); err != nil {
-		t.Fatal(err)
-	}
-	wl, err := wire.Decode(bytes.NewReader(body))
+	body := encode(t, wl)
+	before := wire.CountedBuilds.Load()
+	b, err := wire.DecodeSized(bytes.NewReader(body), int64(len(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := wire.PendingPlans()
-	for i := 0; i < 2; i++ {
-		if futs, err := env.Apply(wl); err != nil || len(futs) != len(wl.Tasks) {
-			t.Fatalf("Apply %d of a decoded batch launched %d of %d tasks, err %v", i, len(futs), len(wl.Tasks), err)
+	run := func(env *wire.Env, builds int64) {
+		t.Helper()
+		before := wire.CountedBuilds.Load()
+		if futs, err := env.Run(b); err != nil || len(futs) != len(wl.Tasks) {
+			t.Fatalf("Run of a decoded batch launched %d of %d tasks, err %v", len(futs), len(wl.Tasks), err)
 		}
-		if n := wire.PendingPlans(); n >= pending {
-			t.Fatalf("after Apply %d, %d plans pending, want fewer than %d", i, n, pending)
+		if got := wire.CountedBuilds.Load() - before; got != builds {
+			t.Fatalf("Run built the kernel %d times, want %d", got, builds)
 		}
 	}
-	runtime.KeepAlive(wl)
-	rt.Wait()
+	session := func() (*visibility.Runtime, *wire.Env) {
+		rt, env := freshEnv(t)
+		if _, err := env.Apply(ring(64, 4)); err != nil {
+			t.Fatal(err)
+		}
+		return rt, env
+	}
+	// Every point of N.up starts at its coordinate and each run adds one.
+	want := func(rt *visibility.Runtime, env *wire.Env, runs float64) {
+		t.Helper()
+		rows := rt.Read(env.Region("N"), "up").Rows()
+		if len(rows) != 64 {
+			t.Fatalf("N.up has %d points, want 64", len(rows))
+		}
+		for _, row := range rows {
+			if row[1] != row[0]+runs {
+				t.Fatalf("N.up[%v] = %v after %v runs, want %v", row[0], row[1], runs, row[0]+runs)
+			}
+		}
+	}
+	if got := wire.CountedBuilds.Load() - before; got != 1 {
+		t.Fatalf("DecodeSized built the kernel %d times, want 1", got)
+	}
+	rt1, env1 := session()
+	run(env1, 0)
+	run(env1, 1)
+	want(rt1, env1, 2)
+	rt2, env2 := session()
+	run(env2, 1)
+	want(rt2, env2, 1)
 }
 
-// TestConcurrentDecodeApply: sessions that decode and apply batches at
-// once share the table of decoded plans and the pool of body buffers;
-// each gets its own workload's plan, and runs the batch as its own
+// TestConcurrentDecodeApply: sessions that decode and run batches at once
+// share the pool of body buffers, and each runs its batch as its own
 // checked copy would.
 func TestConcurrentDecodeApply(t *testing.T) {
 	body := encode(t, batches[1])
@@ -244,9 +253,9 @@ func TestConcurrentDecodeApply(t *testing.T) {
 				return
 			}
 			for i := 0; i < 2; i++ {
-				wl, err := wire.DecodeSized(bytes.NewReader(body), int64(len(body)))
+				b, err := wire.DecodeSized(bytes.NewReader(body), int64(len(body)))
 				if err == nil {
-					_, err = env.Apply(wl)
+					_, err = env.Run(b)
 				}
 				if err != nil {
 					t.Error(err)

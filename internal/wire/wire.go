@@ -26,14 +26,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"unsafe"
-	"weak"
 
 	"visibility"
 	"visibility/internal/geometry"
@@ -119,18 +116,30 @@ type FuncSpec struct {
 
 // Decode reads one workload from r, compact or indented, rejecting unknown,
 // case-folded and repeated fields, trailing data, and every structural
-// error Validate covers.
-//
-// The workload is read-only: Env.Apply runs the plan Decode's check made
-// of it and only finishes that check against the session, so a change
-// made to the workload in between is not seen. What the body repeats is
-// decoded once: equal strings share one allocation, specs with
-// byte-identical text share one *FuncSpec, args map included, and tasks
-// whose access lists have byte-identical text share one slice.
-func Decode(r io.Reader) (*Workload, error) { return DecodeSized(r, -1) }
+// error Validate covers. What the body repeats is decoded once: equal
+// strings share one allocation, specs with byte-identical text share one
+// *FuncSpec, args map included, and tasks whose access lists have
+// byte-identical text share one slice.
+func Decode(r io.Reader) (*Workload, error) {
+	b, err := DecodeSized(r, -1)
+	if err != nil {
+		return nil, err
+	}
+	return b.Workload, nil
+}
 
-// DecodeSized is Decode of a body whose length a header declared (ReadBody).
-func DecodeSized(r io.Reader, declared int64) (*Workload, error) {
+// Batch is a decoded workload together with the plan its check made, which
+// the first Env.Run finishes against its session instead of checking the
+// workload again. The plan cannot ride in the Workload, which must stay
+// deeply equal to what encoding/json makes of the same body.
+type Batch struct {
+	Workload *Workload // read-only: Run does not see a change made after DecodeSized
+	plan     *plan     // nil once a Run has taken it
+}
+
+// DecodeSized is Decode of a body whose length a header declared (ReadBody),
+// into a Batch that carries its check's plan to Env.Run.
+func DecodeSized(r io.Reader, declared int64) (*Batch, error) {
 	buf := bodies.Get().(*[]byte)
 	data, err := readBody(*buf, r, declared)
 	defer func() {
@@ -147,65 +156,11 @@ func DecodeSized(r io.Reader, declared int64) (*Workload, error) {
 	if err := s.end(); err != nil {
 		return nil, fmt.Errorf("wire: decoding workload: %w", err)
 	}
-	p, err := check(wl, nil)
+	p, err := check(wl)
 	if err != nil {
 		return nil, err
 	}
-	decoded.remember(wl, p)
-	return wl, nil
-}
-
-// decoded holds the plan Decode's check made of each workload it returned
-// until Apply takes it, so a served batch is checked once. The plan cannot
-// ride in the Workload, which must stay deeply equal to what encoding/json
-// makes of the same body. An entry is keyed by the workload's address and
-// holds the workload weakly: Apply takes an entry only while its workload
-// is the one at that address, and a cleanup drops the entry of a workload
-// collected before any Apply took it. (weak.Make of an arbitrary
-// *Workload, one in a global, would throw; Decode makes one only of the
-// workload it allocated.)
-var decoded = plans{m: map[uintptr]decodedPlan{}}
-
-type plans struct {
-	mu sync.Mutex
-	m  map[uintptr]decodedPlan // guarded by mu
-}
-
-type decodedPlan struct {
-	wl weak.Pointer[Workload]
-	p  *plan
-}
-
-func (d *plans) remember(wl *Workload, p *plan) {
-	w, addr := weak.Make(wl), uintptr(unsafe.Pointer(wl))
-	d.mu.Lock()
-	d.m[addr] = decodedPlan{w, p}
-	d.mu.Unlock()
-	runtime.AddCleanup(wl, func(w weak.Pointer[Workload]) { d.forget(addr, w) }, w)
-}
-
-// take removes and returns the plan Decode made of wl, nil when there is
-// none: wl was built by hand, or an Apply took the plan already.
-func (d *plans) take(wl *Workload) *plan {
-	addr := uintptr(unsafe.Pointer(wl))
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.m[addr]
-	if !ok || e.wl.Value() != wl {
-		return nil
-	}
-	delete(d.m, addr)
-	return e.p
-}
-
-// forget drops the entry of the collected workload wl, unless a newer
-// workload at the same address has replaced it.
-func (d *plans) forget(addr uintptr, wl weak.Pointer[Workload]) {
-	d.mu.Lock()
-	if d.m[addr].wl == wl {
-		delete(d.m, addr)
-	}
-	d.mu.Unlock()
+	return &Batch{Workload: wl, plan: p}, nil
 }
 
 // ReadBody reads r to its end into one buffer of the length a header
@@ -495,7 +450,7 @@ var colors = registry[ColorFunc]{kind: "color", builders: map[string]builder[Col
 
 // scope is one namespace: root regions and partitions share their names.
 // An Env holds the session's; check builds a second one out of a
-// workload's own declarations, whose handles stay nil until Apply runs it.
+// workload's own declarations, whose handles stay nil until Run runs it.
 type scope map[string]*entry
 
 // entry is what a name denotes: a root region or one of its partitions.
@@ -522,26 +477,30 @@ func (e *entry) sub(i int) *visibility.Region {
 	return e.subs[i]
 }
 
-// claim checks that name, about to be declared as kind, is free both
-// among the workload's own declarations and in the session.
-func claim(kind, name string, own, session scope) error {
+// claim checks that name, about to be declared as kind, is free among the
+// workload's own declarations.
+func claim(kind, name string, own scope) error {
 	if e := own[name]; e != nil {
 		if e.kind == kind {
 			return fmt.Errorf("wire: duplicate %s name %q", kind, name)
 		}
 		return fmt.Errorf("wire: %s %q collides with a %s name", kind, name, e.kind)
 	}
-	if e := session[name]; e != nil {
+	return nil
+}
+
+// free checks that name, about to be declared, is not declared in the
+// session s yet.
+func (s scope) free(name string) error {
+	if e := s[name]; e != nil {
 		return fmt.Errorf("wire: name %q already declared as a %s", name, e.kind)
 	}
 	return nil
 }
 
-// plan is a checked workload in resolved form: what Apply runs without a
-// second look at the declarations. Its launches hold their own copies of
-// what they need, so a plan Decode remembers keeps neither the Workload
-// nor its task arrays alive (see decoded); only the declarations, which
-// Apply runs once, point back into the workload.
+// plan is a checked workload in resolved form: what Run runs, once
+// finish has met it with the session, without a second look at the
+// declarations.
 type plan struct {
 	own     scope                       // the workload's declarations, handles unset
 	declare []func(*visibility.Runtime) // one per region: creates it and its partitions, sets the handles
@@ -550,7 +509,7 @@ type plan struct {
 
 // taskPlan is one checked launch: its accesses and the kernel check built
 // for them. A workload may refer to regions it declares itself, which
-// exist only once Apply has run the declarations, so an access keeps the
+// exist only once Run has run the declarations, so an access keeps the
 // entry it resolved to (and the piece, when that is a partition) and gets
 // its region handle at launch.
 type taskPlan struct {
@@ -561,8 +520,8 @@ type taskPlan struct {
 }
 
 // access is one checked access. Its reference is parsed when it is
-// checked and resolved against the names at hand: the workload's own, or
-// the session's, which a pure batch Decode checked meets only at Apply.
+// checked and resolved against the workload's own names then, or, in a
+// pure batch, against the session's when finish meets them.
 type access struct {
 	visibility.Access        // Region unset
 	ref               string // as declared: "cells" or "blocks[2]"
@@ -572,20 +531,18 @@ type access struct {
 
 // Validate is the stateless check: everything that makes a workload
 // well-formed without a session at hand. A pure batch (no region
-// declarations) leaves its references to the session's Apply.
+// declarations) leaves its references to the session's Run.
 func (wl *Workload) Validate() error {
-	_, err := check(wl, nil)
+	_, err := check(wl)
 	return err
 }
 
-// check is the one place that decides whether a workload is well-formed.
-// It walks wl once against session — nil for the stateless check, an Env's
-// namespace for Apply, which adds name collisions with the session and
-// the references of a pure batch — and returns the resolved form. A
-// workload that declares regions resolves its task references against its
-// own declarations only, so a self-contained file is judged the same with
-// or without a session.
-func check(wl *Workload, session scope) (*plan, error) {
+// check is the one place that decides whether a workload is well-formed
+// without a session: it walks wl once and returns the resolved form,
+// which plan.finish completes against a session. A workload that declares
+// regions resolves its task references against its own declarations only,
+// so a self-contained file is judged the same with or without a session.
+func check(wl *Workload) (*plan, error) {
 	if wl.Version != Version {
 		return nil, fmt.Errorf("wire: unsupported version %d (want %d)", wl.Version, Version)
 	}
@@ -603,15 +560,15 @@ func check(wl *Workload, session scope) (*plan, error) {
 	accesses := make([]access, n) // every distinct list's window of one slice
 	var kb kernelBuilder
 	for i := range wl.Regions {
-		declare, err := checkRegion(&wl.Regions[i], p.own, session, &kb)
+		declare, err := checkRegion(&wl.Regions[i], p.own, &kb)
 		if err != nil {
 			return nil, err
 		}
 		p.declare = append(p.declare, declare)
 	}
-	names := session
+	var own scope // nil: a pure batch, resolved in finish
 	if len(wl.Regions) > 0 {
-		names = p.own
+		own = p.own
 	}
 	for i := range wl.Tasks {
 		t, tp := &wl.Tasks[i], &p.tasks[i]
@@ -622,7 +579,7 @@ func check(wl *Workload, session scope) (*plan, error) {
 			continue
 		}
 		tp.accesses, accesses = accesses[:len(t.Accesses):len(t.Accesses)], accesses[len(t.Accesses):]
-		if err := tp.check(t, i, names, &kb); err != nil {
+		if err := tp.check(t, i, own, &kb); err != nil {
 			return nil, err
 		}
 	}
@@ -658,18 +615,17 @@ func (x *listIndex) first(i int, l []AccessDecl) int {
 	return i
 }
 
-// finish completes the plan of a check made without a session, Decode's,
-// against one: it claims the names wl declares, or resolves a pure batch's
-// references. Every other verdict the stateless check has given, so the
-// first error here is the one check against the session would give.
+// finish gives the verdicts that need a session: the names wl declares
+// must be free in it, and a pure batch's references must resolve against
+// it. Every other verdict check has given.
 func (p *plan) finish(wl *Workload, session scope) error {
 	for i := range wl.Regions {
 		r := &wl.Regions[i]
-		if err := claim("region", r.Name, nil, session); err != nil {
+		if err := session.free(r.Name); err != nil {
 			return err
 		}
 		for j := range r.Partitions {
-			if err := claim("partition", r.Partitions[j].Name, nil, session); err != nil {
+			if err := session.free(r.Partitions[j].Name); err != nil {
 				return err
 			}
 		}
@@ -756,11 +712,11 @@ func (kb *kernelBuilder) kernel(slots []kernelSlot) visibility.Kernel {
 	return k
 }
 
-func checkRegion(r *RegionDecl, own, session scope, kb *kernelBuilder) (func(*visibility.Runtime), error) {
+func checkRegion(r *RegionDecl, own scope, kb *kernelBuilder) (func(*visibility.Runtime), error) {
 	if r.Name == "" {
 		return nil, fmt.Errorf("wire: region with empty name")
 	}
-	if err := claim("region", r.Name, own, session); err != nil {
+	if err := claim("region", r.Name, own); err != nil {
 		return nil, err
 	}
 	space, err := index.FromRows(r.Dim, r.Space)
@@ -801,7 +757,7 @@ func checkRegion(r *RegionDecl, own, session scope, kb *kernelBuilder) (func(*vi
 	own[r.Name] = root
 	parts := make([]func(*visibility.Region), len(r.Partitions))
 	for i := range r.Partitions {
-		if parts[i], err = checkPartition(&r.Partitions[i], r, root, space, own, session); err != nil {
+		if parts[i], err = checkPartition(&r.Partitions[i], r, root, space, own); err != nil {
 			return nil, err
 		}
 	}
@@ -818,11 +774,11 @@ func checkRegion(r *RegionDecl, own, session scope, kb *kernelBuilder) (func(*vi
 	}, nil
 }
 
-func checkPartition(p *PartitionDecl, r *RegionDecl, root *entry, space index.Space, own, session scope) (func(*visibility.Region), error) {
+func checkPartition(p *PartitionDecl, r *RegionDecl, root *entry, space index.Space, own scope) (func(*visibility.Region), error) {
 	if p.Name == "" {
 		return nil, fmt.Errorf("wire: region %q: partition with empty name", r.Name)
 	}
-	if err := claim("partition", p.Name, own, session); err != nil {
+	if err := claim("partition", p.Name, own); err != nil {
 		return nil, err
 	}
 	// sibling resolves an operand to an earlier partition of the same
@@ -947,9 +903,9 @@ var reduceOps = map[string]visibility.ReduceOp{
 }
 
 // check checks t, the launch at position pos, builds its kernel, and
-// resolves its references against names; nil names (a pure batch with no
-// session at hand) leaves them for Apply.
-func (tp *taskPlan) check(t *TaskDecl, pos int, names scope, kb *kernelBuilder) error {
+// resolves its references against the workload's own names; nil own (a
+// pure batch) leaves them to finish.
+func (tp *taskPlan) check(t *TaskDecl, pos int, own scope, kb *kernelBuilder) error {
 	tp.name, tp.after = t.Name, t.After
 	if t.Name == "" {
 		return fmt.Errorf("wire: task %d has no name", pos)
@@ -997,8 +953,8 @@ func (tp *taskPlan) check(t *TaskDecl, pos int, names scope, kb *kernelBuilder) 
 			return tp.fail(ai, "empty field")
 		}
 		slots = append(slots, slot)
-		if names != nil {
-			if err := tp.resolve(ai, names); err != nil {
+		if own != nil {
+			if err := tp.resolve(ai, own); err != nil {
 				return err
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"visibility"
 	"visibility/internal/wire"
@@ -80,6 +79,10 @@ func rejects() []rejectRow {
 			"at least one access"},
 		{"bad privilege", taskJSON(`{"region":"r","field":"v","privilege":"mutate"}`), "unknown privilege"},
 		{"reduce bad op", taskJSON(`{"region":"r","field":"v","privilege":"reduce","op":"xor"}`), "unknown reduction op"},
+		{"batch bad op after dangling ref", `{"version":1,"tasks":[` +
+			`{"name":"t0","accesses":[{"region":"ghosts[0]","field":"v","privilege":"read"}]},` +
+			`{"name":"t1","accesses":[{"region":"r","field":"v","privilege":"reduce","op":"xor"}]}]}`,
+			"unknown reduction op"},
 		{"op on write", taskJSON(`{"region":"r","field":"v","privilege":"write","op":"sum"}`), "op on non-reduce"},
 		{"kernel on read", taskJSON(`{"region":"r","field":"v","privilege":"read","kernel":{"name":"identity"}}`), "read access carries a kernel"},
 		{"dangling region ref", taskJSON(`{"region":"nope","field":"v","privilege":"read"}`), "dangling reference"},
@@ -235,6 +238,9 @@ func TestEncodeMatchesMarshal(t *testing.T) {
 	}
 }
 
+// stringData is the address of s's bytes.
+func stringData(s string) uintptr { return reflect.ValueOf(s).Pointer() }
+
 // TestDecodeSharesRepeats: one decoded body holds one *FuncSpec per
 // distinct spec text, one copy of each repeated string and one slice per
 // distinct access list, and is still deeply equal to what encoding/json
@@ -250,7 +256,7 @@ func TestDecodeSharesRepeats(t *testing.T) {
 		t.Fatalf("Decode and encoding/json disagree (err %v)", err)
 	}
 	specs := map[string]*wire.FuncSpec{}
-	names := map[string]*byte{}
+	names := map[string]uintptr{}
 	lists := map[string]*wire.AccessDecl{}
 	for _, task := range wl.Tasks {
 		text, err := json.Marshal(task.Accesses)
@@ -271,10 +277,10 @@ func TestDecodeSharesRepeats(t *testing.T) {
 			}
 			specs[string(text)] = a.Kernel
 			for _, s := range []string{task.Name, a.Region, a.Field, a.Privilege, a.Op} {
-				if first, ok := names[s]; ok && first != unsafe.StringData(s) {
+				if first, ok := names[s]; ok && first != stringData(s) {
 					t.Fatalf("string %q decoded into two copies", s)
 				}
-				names[s] = unsafe.StringData(s)
+				names[s] = stringData(s)
 			}
 		}
 	}
