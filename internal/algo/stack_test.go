@@ -80,13 +80,16 @@ func TestBuild(t *testing.T) {
 	algo.Spec{Algorithm: "zbuffer"}.Build(tree, core.Options{})
 }
 
-// TestResultsAreCallerOwned holds every stack to core.Analyzer's contract
-// that a Result belongs to its caller: analyzers collect into scratch they
-// reuse launch after launch, so a Result that still shared it would change
-// under its holder — the executor keeps Plans until the task runs. Each
-// Result is copied as it returns and compared with its copy once the whole
-// stream has been analyzed, after an append to each of its plans, which
-// must not reach the next plan.
+// TestResultsAreCallerOwned holds every stack to core.Result's ownership
+// rule. Deps are the caller's: analyzers collect into scratch they reuse
+// launch after launch, so deps that still shared it would change under a
+// holder that keeps them, as the dependence graph and the benchmark's
+// soundness check do. Each launch's deps are copied as they return and
+// compared with the copy once the whole stream has been analyzed, after an
+// append to each, which must not reach the next launch's. Plans are lent
+// until the next Analyze: each launch's plans are held to copies taken at
+// return, before the next launch, after an append to each, which must not
+// reach the next plan.
 func TestResultsAreCallerOwned(t *testing.T) {
 	for _, app := range []struct {
 		name  string
@@ -105,23 +108,31 @@ func TestResultsAreCallerOwned(t *testing.T) {
 				for iter := 0; iter <= 3; iter++ {
 					launches = append(launches, inst.Emit(stream, iter)...)
 				}
-				var kept, copies []*core.Result
-				for _, l := range launches {
+				var kept, copies [][]int
+				for i, l := range launches {
 					res := an.Analyze(l.Task)
-					c := &core.Result{Deps: slices.Clone(res.Deps), Plans: make([][]core.Visible, len(res.Plans))}
+					kept, copies = append(kept, res.Deps), append(copies, slices.Clone(res.Deps))
+					plans := make([][]core.Visible, len(res.Plans))
 					for ri, plan := range res.Plans {
-						c.Plans[ri] = slices.Clone(plan)
+						plans[ri] = append(slices.Clone(plan), core.Visible{Task: -i})
 					}
-					kept, copies = append(kept, res), append(copies, c)
-				}
-				for i, res := range kept {
 					for ri := range res.Plans {
 						res.Plans[ri] = append(res.Plans[ri], core.Visible{Task: -i})
-						copies[i].Plans[ri] = append(copies[i].Plans[ri], core.Visible{Task: -i})
 					}
-					if !reflect.DeepEqual(res, copies[i]) {
-						t.Errorf("%s %s%s: launch %d's result changed after it returned:\n got %+v\nwant %+v",
-							app.name, name, spec.Suffix(), i, res, copies[i])
+					if !reflect.DeepEqual(res.Plans, plans) {
+						t.Errorf("%s %s%s: launch %d's plans changed before the next launch:\n got %+v\nwant %+v",
+							app.name, name, spec.Suffix(), i, res.Plans, plans)
+						break
+					}
+				}
+				for i := range kept {
+					kept[i] = append(kept[i], -i)
+					copies[i] = append(copies[i], -i)
+				}
+				for i, deps := range kept {
+					if !slices.Equal(deps, copies[i]) {
+						t.Errorf("%s %s%s: launch %d's deps changed after it returned: got %v, want %v",
+							app.name, name, spec.Suffix(), i, deps, copies[i])
 						break
 					}
 				}

@@ -294,9 +294,10 @@ func (a *Auto) replay(t *core.Task) *core.Result {
 	return a.carve(a.tr.results[a.pos], a.start-a.tr.start)
 }
 
-// carve copies res into the chunks, like core.Scan.Result, with every
-// task reference moved by shift; a constant shift keeps the deps
-// ascending and unique.
+// carve copies res into the chunks with every task reference moved by
+// shift; a constant shift keeps the deps ascending and unique. A recording
+// keeps the plans the wrapped analyzer lent, and a replayed Result is the
+// autotracer's own, so both outlive the next launch.
 func (a *Auto) carve(res *core.Result, shift int) *core.Result {
 	out := a.results.New()
 	out.Deps = a.deps.Clone(res.Deps)

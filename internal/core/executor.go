@@ -30,6 +30,11 @@ type Executor struct {
 	an   Analyzer
 	init map[field.ID]*data.Store
 	rec  *recorder.Recorder // journals task launches (nil-safe)
+	// Submit's chunks, also the submitting goroutine's alone: a node
+	// runs after the analyzer's next launch, so it keeps a copy of the
+	// plans the analyzer lent, the headers and the entries.
+	plans Chunk[[]Visible]
+	vis   Chunk[Visible]
 
 	mu sync.Mutex
 	// Committed outputs, one slot per requirement of every submitted
@@ -109,7 +114,11 @@ func (x *Executor) Submit(t *Task, k Kernel, body func(inputs []*data.Store)) (d
 	// Link the node to whichever of its analyzer and future dependences
 	// are still live (a producer named by both is counted, and later
 	// released, once per edge) and release it at once if there are none.
-	n := &node{t: t, k: k, body: body, plans: res.Plans, done: make(chan struct{})}
+	plans := x.plans.Take(len(res.Plans))
+	for ri, plan := range res.Plans {
+		plans[ri] = x.vis.Clone(plan)
+	}
+	n := &node{t: t, k: k, body: body, plans: plans, done: make(chan struct{})}
 	x.mu.Lock()
 	if t.ID < len(x.base)-1 {
 		panic(fmt.Sprintf("core: task %d submitted after task %d, out of program order", t.ID, len(x.base)-2))

@@ -13,7 +13,8 @@ import (
 // a requirement its own way, then hands each one to Entry.
 //
 // An analyzer owns one Scan and starts it for every launch; Result copies
-// out what the caller keeps into windows carved from the Scan's chunks.
+// out the deps, which the caller keeps, and lends the plans, which the
+// next launch overwrites.
 type Scan struct {
 	// stats is the analyzer's counter block.
 	stats *Stats
@@ -25,13 +26,13 @@ type Scan struct {
 	vis   []Visible
 	plans []bounds
 	ri    int // the requirement being materialized
+	// out is the plan header slice Result lends, one window of vis per
+	// requirement.
+	out [][]Visible
 
-	// Result's chunks: the Results, their deps, plan headers and plan
-	// entries.
-	results  Chunk[Result]
-	depsOut  Chunk[int]
-	plansOut Chunk[[]Visible]
-	visOut   Chunk[Visible]
+	// Result's chunks: the Results and their deps.
+	results Chunk[Result]
+	depsOut Chunk[int]
 }
 
 type bounds struct{ lo, hi int }
@@ -68,19 +69,21 @@ func (s *Scan) Entry(e Entry, pts index.Space) {
 // Plan returns the current requirement's plan so far, in scan order.
 func (s *Scan) Plan() []Visible { return s.vis[s.plans[s.ri].lo:] }
 
-// Result closes the scan, copying what it collected into a Result the
-// caller owns: its deps, and one array under every plan. Each is a window
-// of the Scan's chunks with its capacity clipped, so an append to one
-// copies.
+// Result closes the scan under the Result rule (see Result): the Result
+// and its deps are the caller's, a window of the Scan's chunks; the plans
+// are windows of the Scan's own entries, lent until the next Start. Every
+// window has its capacity clipped, so an append to one copies.
 func (s *Scan) Result() *Result {
 	res := s.results.New()
 	res.Deps = s.depsOut.Clone(DedupDeps(s.deps))
-	res.Plans = s.plansOut.Take(len(s.plans))
-	vis := s.visOut.Clone(s.vis)
-	for ri, b := range s.plans {
+	s.out = s.out[:0]
+	for _, b := range s.plans {
+		var plan []Visible
 		if b.lo < b.hi {
-			res.Plans[ri] = vis[b.lo:b.hi:b.hi]
+			plan = s.vis[b.lo:b.hi:b.hi]
 		}
+		s.out = append(s.out, plan)
 	}
+	res.Plans = slices.Clip(s.out)
 	return res
 }

@@ -98,7 +98,11 @@ type Visible struct {
 	Pts  index.Space
 }
 
-// Result is the outcome of analyzing one task launch.
+// Result is the outcome of analyzing one task launch. The Result and its
+// Deps are the caller's to keep. Its Plans — the header slice and every
+// entry under it — are lent: they stay valid until the analyzer's next
+// Analyze, so a caller that reads a plan after that call (an executor
+// that runs the task later) copies it first.
 type Result struct {
 	// Deps lists the earlier tasks this launch depends on: deduplicated,
 	// ascending, excluding InitialTask. Analyzers may omit edges implied
@@ -115,8 +119,10 @@ type Result struct {
 // visibility algorithms, or a reference). Analyze observes the launch of t:
 // it computes t's dependences and materialization plans against the current
 // state (materialize, Figure 6 line 4) and then records t's own updates
-// (commit, line 7). Analyzers are not safe for concurrent use; the runtime
-// observes launches in program order.
+// (commit, line 7). The Result it returns is the caller's except its
+// plans, which the next Analyze may overwrite (see Result). Analyzers are
+// not safe for concurrent use; the runtime observes launches in program
+// order.
 type Analyzer interface {
 	Name() string
 	Analyze(t *Task) *Result

@@ -56,8 +56,9 @@ func encode[T any](dst []byte, v *T, f fields[T]) ([]byte, error) {
 }
 
 // write appends v as encoding/json writes it: null for nil, else an object
-// of the keys in table order. A writer that appends nothing — an
-// omitempty field's, for an empty value — leaves its key out.
+// of the keys in table order, an omitempty field's only when its value is
+// not empty. No key is written ahead of its value, so appending into a
+// buffer of exactly the output's length never regrows it.
 func (f fields[T]) write(e *encoder, v *T) {
 	if v == nil {
 		e.b = append(e.b, "null"...)
@@ -66,15 +67,14 @@ func (f fields[T]) write(e *encoder, v *T) {
 	e.b = append(e.b, '{')
 	open := len(e.b)
 	for _, fl := range f {
-		mark := len(e.b)
-		if mark > open {
+		if fl.empty != nil && fl.empty(v) {
+			continue
+		}
+		if len(e.b) > open {
 			e.b = append(e.b, ',')
 		}
 		e.b = append(append(append(e.b, '"'), fl.key...), '"', ':')
-		n := len(e.b)
-		if fl.write(e, v); len(e.b) == n {
-			e.b = e.b[:mark]
-		}
+		fl.write(e, v)
 	}
 	e.b = append(e.b, '}')
 }
@@ -113,13 +113,6 @@ func (e *encoder) spec(f *FuncSpec) {
 	}
 }
 
-// opt writes an omitempty value: nothing when it is its type's zero.
-func opt[V comparable](e *encoder, v V, write func(*encoder, V)) {
-	if v != *new(V) {
-		write(e, v)
-	}
-}
-
 // list appends a slice as an array, null when nil.
 func list[T any](e *encoder, v []T, elem func(*encoder, *T)) {
 	if v == nil {
@@ -136,19 +129,9 @@ func list[T any](e *encoder, v []T, elem func(*encoder, *T)) {
 	e.b = append(e.b, ']')
 }
 
-// optList appends an omitempty slice: nothing when it is empty.
-func optList[T any](e *encoder, v []T, elem func(*encoder, *T)) {
-	if len(v) > 0 {
-		list(e, v, elem)
-	}
-}
-
-// optObject appends an omitempty map, as every map in the format is: an
-// object with sorted keys, nothing when it is empty.
-func optObject[V any](e *encoder, m map[string]V, value func(*encoder, V)) {
-	if len(m) == 0 {
-		return
-	}
+// object appends a map as an object with sorted keys. Every map in the
+// format is omitempty, so none reaches it empty.
+func object[V any](e *encoder, m map[string]V, value func(*encoder, V)) {
 	var stack [8]string // room for every builtin's arguments
 	keys := stack[:0]
 	for k := range m {

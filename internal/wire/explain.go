@@ -48,9 +48,9 @@ var explainFields = fields[ExplainResult]{
 			v.Explain = new(visibility.TaskExplain)
 			taskExplainFields.read(s, v.Explain)
 		}
-	}, func(e *encoder, v *ExplainResult) { taskExplainFields.write(e, v.Explain) }},
+	}, func(e *encoder, v *ExplainResult) { taskExplainFields.write(e, v.Explain) }, nil},
 	{"mustPrecede", func(s *scanner, v *ExplainResult) { s.bool(&v.MustPrecede) },
-		func(e *encoder, v *ExplainResult) { e.b = strconv.AppendBool(e.b, v.MustPrecede) }},
+		func(e *encoder, v *ExplainResult) { e.b = strconv.AppendBool(e.b, v.MustPrecede) }, nil},
 	stringKey("region", false, func(v *ExplainResult) *string { return &v.Region }),
 	intKey("src", func(v *ExplainResult) *int { return &v.Src }),
 }
@@ -59,7 +59,7 @@ var taskExplainFields = fields[visibility.TaskExplain]{
 	intKey("task", func(t *visibility.TaskExplain) *int { return &t.Task }),
 	stringKey("name", false, func(t *visibility.TaskExplain) *string { return &t.Name }),
 	{"edges", func(s *scanner, t *visibility.TaskExplain) { array(s, &t.Edges, edgeExplainFields.read) },
-		func(e *encoder, t *visibility.TaskExplain) { list(e, t.Edges, edgeExplainFields.write) }},
+		func(e *encoder, t *visibility.TaskExplain) { list(e, t.Edges, edgeExplainFields.write) }, nil},
 }
 
 var edgeExplainFields = fields[visibility.EdgeExplain]{

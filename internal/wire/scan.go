@@ -469,20 +469,23 @@ type field[T any] struct {
 	key   string
 	read  func(*scanner, *T)
 	write func(*encoder, *T)
+	// empty, set on an omitempty field, reports that a T's value is its
+	// type's zero, which leaves the key out.
+	empty func(*T) bool
 }
 
 // intKey and stringKey are the entries of keys whose values are the int or
 // string of a T that at finds; an omitempty string is left out when empty.
 func intKey[T any](key string, at func(*T) *int) field[T] {
-	return field[T]{key, func(s *scanner, v *T) { s.int(at(v)) }, func(e *encoder, v *T) { e.int(*at(v)) }}
+	return field[T]{key, func(s *scanner, v *T) { s.int(at(v)) }, func(e *encoder, v *T) { e.int(*at(v)) }, nil}
 }
 
 func stringKey[T any](key string, omitempty bool, at func(*T) *string) field[T] {
-	write := func(e *encoder, v *T) { e.string(*at(v)) }
+	f := field[T]{key, func(s *scanner, v *T) { s.string(at(v)) }, func(e *encoder, v *T) { e.string(*at(v)) }, nil}
 	if omitempty {
-		write = func(e *encoder, v *T) { opt(e, *at(v), (*encoder).string) }
+		f.empty = func(v *T) bool { return *at(v) == "" }
 	}
-	return field[T]{key, func(s *scanner, v *T) { s.string(at(v)) }, write}
+	return f
 }
 
 // read reads an object with keys out of f, each spelled exactly and once.

@@ -141,7 +141,7 @@ var snapshotFields = fields[snapshot]{
 			list(e, v.points, func(e *encoder, row *[]float64) {
 				list(e, *row, func(e *encoder, v *float64) { e.b = appendFloat(e.b, *v) })
 			})
-		}},
+		}, nil},
 	stringKey("region", false, func(v *snapshot) *string { return &v.region }),
 }
 

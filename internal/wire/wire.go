@@ -188,52 +188,61 @@ func readBody(dst []byte, r io.Reader, declared int64) ([]byte, error) {
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // The key tables define the format both ways, in struct order; an
-// omitempty field's writer is an opt one, or stringKey's with omitempty.
+// omitempty field has an empty test, or is stringKey's with omitempty.
 
 var workloadFields = fields[Workload]{
 	intKey("version", func(wl *Workload) *int { return &wl.Version }),
 	stringKey("name", true, func(wl *Workload) *string { return &wl.Name }),
 	{"regions", func(s *scanner, wl *Workload) { array(s, &wl.Regions, regionFields.read) },
-		func(e *encoder, wl *Workload) { optList(e, wl.Regions, regionFields.write) }},
+		func(e *encoder, wl *Workload) { list(e, wl.Regions, regionFields.write) },
+		func(wl *Workload) bool { return len(wl.Regions) == 0 }},
 	{"tasks", func(s *scanner, wl *Workload) { array(s, &wl.Tasks, taskFields.read) },
-		func(e *encoder, wl *Workload) { optList(e, wl.Tasks, taskFields.write) }},
+		func(e *encoder, wl *Workload) { list(e, wl.Tasks, taskFields.write) },
+		func(wl *Workload) bool { return len(wl.Tasks) == 0 }},
 }
 
 var regionFields = fields[RegionDecl]{
 	stringKey("name", false, func(r *RegionDecl) *string { return &r.Name }),
 	intKey("dim", func(r *RegionDecl) *int { return &r.Dim }),
 	{"space", func(s *scanner, r *RegionDecl) { s.rows(&r.Space) },
-		func(e *encoder, r *RegionDecl) { e.rows(&r.Space) }},
+		func(e *encoder, r *RegionDecl) { e.rows(&r.Space) }, nil},
 	{"fields", func(s *scanner, r *RegionDecl) { array(s, &r.Fields, (*scanner).string) },
-		func(e *encoder, r *RegionDecl) { list(e, r.Fields, func(e *encoder, f *string) { e.string(*f) }) }},
+		func(e *encoder, r *RegionDecl) { list(e, r.Fields, func(e *encoder, f *string) { e.string(*f) }) }, nil},
 	{"init", func(s *scanner, r *RegionDecl) { dict(s, &r.Init, (*scanner).funcSpec) },
-		func(e *encoder, r *RegionDecl) { optObject(e, r.Init, (*encoder).spec) }},
+		func(e *encoder, r *RegionDecl) { object(e, r.Init, (*encoder).spec) },
+		func(r *RegionDecl) bool { return len(r.Init) == 0 }},
 	{"partitions", func(s *scanner, r *RegionDecl) { array(s, &r.Partitions, partitionFields.read) },
-		func(e *encoder, r *RegionDecl) { optList(e, r.Partitions, partitionFields.write) }},
+		func(e *encoder, r *RegionDecl) { list(e, r.Partitions, partitionFields.write) },
+		func(r *RegionDecl) bool { return len(r.Partitions) == 0 }},
 }
 
 var partitionFields = fields[PartitionDecl]{
 	stringKey("name", false, func(p *PartitionDecl) *string { return &p.Name }),
 	stringKey("kind", false, func(p *PartitionDecl) *string { return &p.Kind }),
 	{"pieces", func(s *scanner, p *PartitionDecl) { s.int(&p.Pieces) },
-		func(e *encoder, p *PartitionDecl) { opt(e, p.Pieces, (*encoder).int) }},
+		func(e *encoder, p *PartitionDecl) { e.int(p.Pieces) },
+		func(p *PartitionDecl) bool { return p.Pieces == 0 }},
 	{"spaces", func(s *scanner, p *PartitionDecl) { array(s, &p.Spaces, (*scanner).rows) },
-		func(e *encoder, p *PartitionDecl) { optList(e, p.Spaces, (*encoder).rows) }},
+		func(e *encoder, p *PartitionDecl) { list(e, p.Spaces, (*encoder).rows) },
+		func(p *PartitionDecl) bool { return len(p.Spaces) == 0 }},
 	stringKey("source", true, func(p *PartitionDecl) *string { return &p.Source }),
 	stringKey("left", true, func(p *PartitionDecl) *string { return &p.Left }),
 	stringKey("right", true, func(p *PartitionDecl) *string { return &p.Right }),
 	{"relation", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Relation) },
-		func(e *encoder, p *PartitionDecl) { opt(e, p.Relation, (*encoder).spec) }},
+		func(e *encoder, p *PartitionDecl) { e.spec(p.Relation) },
+		func(p *PartitionDecl) bool { return p.Relation == nil }},
 	{"color", func(s *scanner, p *PartitionDecl) { s.funcSpec(&p.Color) },
-		func(e *encoder, p *PartitionDecl) { opt(e, p.Color, (*encoder).spec) }},
+		func(e *encoder, p *PartitionDecl) { e.spec(p.Color) },
+		func(p *PartitionDecl) bool { return p.Color == nil }},
 }
 
 var taskFields = fields[TaskDecl]{
 	stringKey("name", false, func(t *TaskDecl) *string { return &t.Name }),
 	{"accesses", func(s *scanner, t *TaskDecl) { s.accesses(&t.Accesses) },
-		func(e *encoder, t *TaskDecl) { list(e, t.Accesses, accessFields.write) }},
+		func(e *encoder, t *TaskDecl) { list(e, t.Accesses, accessFields.write) }, nil},
 	{"after", func(s *scanner, t *TaskDecl) { array(s, &t.After, (*scanner).int) },
-		func(e *encoder, t *TaskDecl) { optList(e, t.After, func(e *encoder, a *int) { e.int(*a) }) }},
+		func(e *encoder, t *TaskDecl) { list(e, t.After, func(e *encoder, a *int) { e.int(*a) }) },
+		func(t *TaskDecl) bool { return len(t.After) == 0 }},
 }
 
 var accessFields = fields[AccessDecl]{
@@ -242,13 +251,15 @@ var accessFields = fields[AccessDecl]{
 	stringKey("privilege", false, func(a *AccessDecl) *string { return &a.Privilege }),
 	stringKey("op", true, func(a *AccessDecl) *string { return &a.Op }),
 	{"kernel", func(s *scanner, a *AccessDecl) { s.funcSpec(&a.Kernel) },
-		func(e *encoder, a *AccessDecl) { opt(e, a.Kernel, (*encoder).spec) }},
+		func(e *encoder, a *AccessDecl) { e.spec(a.Kernel) },
+		func(a *AccessDecl) bool { return a.Kernel == nil }},
 }
 
 var funcSpecFields = fields[FuncSpec]{
 	stringKey("name", false, func(f *FuncSpec) *string { return &f.Name }),
 	{"args", func(s *scanner, f *FuncSpec) { dict(s, &f.Args, (*scanner).float) },
-		func(e *encoder, f *FuncSpec) { optObject(e, f.Args, (*encoder).arg) }},
+		func(e *encoder, f *FuncSpec) { object(e, f.Args, (*encoder).arg) },
+		func(f *FuncSpec) bool { return len(f.Args) == 0 }},
 }
 
 func (s *scanner) row(dst *[]int64)    { array(s, dst, (*scanner).int64) }
