@@ -128,6 +128,8 @@ func BenchmarkAnalyzePerLaunch(b *testing.B) {
 				if st.Auto != nil {
 					replayed = st.Auto.AutoStats().Trace.Replayed
 				}
+				// Start from a collected heap, not the previous leg's.
+				runtime.GC()
 				b.ResetTimer()
 				n := 0
 				for i := 0; i < b.N; i++ {
@@ -351,8 +353,8 @@ func BenchmarkMaterialize(b *testing.B) {
 }
 
 // BenchmarkEndToEndExecution measures analysis plus parallel value
-// execution on the Figure 1 loop: the executor every Runtime ships, with
-// one worker per P, drained once per timed loop.
+// execution on the Figure 1 loop: the executor every Runtime ships, at
+// most one runner per P, drained once per timed loop.
 func BenchmarkEndToEndExecution(b *testing.B) {
 	for _, alg := range []string{"raycast", "warnock", "paint"} {
 		b.Run(alg, func(b *testing.B) { rtBench(b, alg) })
@@ -362,8 +364,7 @@ func BenchmarkEndToEndExecution(b *testing.B) {
 func rtBench(b *testing.B, alg string) {
 	tree, p, g := testutil.GraphTree()
 	newAn, _ := algo.Lookup(alg)
-	x := core.NewExecutor(newAn(tree, core.Options{}), testutil.FullInit(tree), runtime.GOMAXPROCS(0), core.Options{})
-	defer x.Shutdown()
+	x := core.NewExecutor(newAn(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
 	s := core.NewStream(tree)
 	k := core.HashKernel{}
 	b.ResetTimer()
@@ -486,7 +487,7 @@ func BenchmarkReadPoll(b *testing.B) {
 	for _, alg := range []string{"raycast", "warnock", "paint"} {
 		for _, prior := range []int{100, 1_000, 10_000} {
 			b.Run(fmt.Sprintf("%s/reads=%d", alg, prior), func(b *testing.B) {
-				rt := visibility.New(visibility.Config{Algorithm: alg, Workers: 1})
+				rt := visibility.New(visibility.Config{Algorithm: alg})
 				defer rt.Close()
 				g := rt.CreateRegion("g", visibility.Line(0, 1023), "v")
 				p := g.PartitionEqual("P", 8)

@@ -61,7 +61,7 @@ func runSchedule(t *testing.T, fac core.Factory, iters int, opts core.Options, s
 	}
 
 	auto := autotrace.New(fac.New(tree), opts)
-	launch, inputs := testutil.Serial(t, testutil.Lockstep(t, auto, fac.New(tree)), init)
+	launch, inputs := testutil.Serial(testutil.Lockstep(t, auto, fac.New(tree)), init)
 	stream := core.NewStream(tree)
 	for it := 0; it < iters; it++ {
 		for _, task := range sched(stream, p, g, it) {

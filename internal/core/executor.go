@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"visibility/internal/data"
@@ -14,9 +15,9 @@ import (
 // Executor is the value-level realization of run_task (Figure 6): the
 // dependence analysis runs sequentially in program order (as the paper's
 // dynamic analyses require, §3.2), while the kernels it admits run
-// concurrently on a pool of workers, each released when its last
-// predecessor finishes — the relaxation of sequential order into a
-// parallel partial order that the dependence analysis exists to justify.
+// concurrently, each released when its last predecessor finishes — the
+// relaxation of sequential order into a parallel partial order that the
+// dependence analysis exists to justify.
 // A released task materializes each input from the committed outputs of
 // the producers its plan names, runs its kernel, and commits its outputs.
 // No global copy of the data exists: all state lives in per-requirement
@@ -25,7 +26,7 @@ import (
 type Executor struct {
 	// an is the dynamic dependence analyzer: analysis observes launches
 	// sequentially in program order (§3.2), so only the submitting
-	// goroutine may touch it — workers get their inputs through
+	// goroutine may touch it — runners get their inputs through
 	// the mu-guarded tables below.
 	an   Analyzer
 	init map[field.ID]*data.Store
@@ -35,6 +36,7 @@ type Executor struct {
 	// plans the analyzer lent, the headers and the entries.
 	plans Chunk[[]Visible]
 	vis   Chunk[Visible]
+	max   int // runners at once: GOMAXPROCS when the executor was made
 
 	mu sync.Mutex
 	// Committed outputs, one slot per requirement of every submitted
@@ -46,15 +48,18 @@ type Executor struct {
 	// The dependence graph of in-flight tasks: live is a window of task
 	// IDs from the oldest unfinished one, lo, to the newest submitted. A
 	// node enters at Submit and its slot empties when its kernel has run;
-	// finish trims the emptied prefix, so scheduling state is bounded by
-	// what is in flight, not by session length.
-	live    []*node    // guarded by mu; live[id-lo] is task id, nil once finished
-	lo      int        // guarded by mu
-	ready   []*node    // guarded by mu; FIFO of nodes with no live predecessor
-	stopped bool       // guarded by mu
-	work    *sync.Cond // on mu: ready grew, or stopped was set
+	// finishLocked trims the emptied prefix, so scheduling state is
+	// bounded by what is in flight, not by session length.
+	live  []*node // guarded by mu; live[id-lo] is task id, nil once finished
+	lo    int     // guarded by mu
+	ready []*node // guarded by mu; FIFO of nodes with no live predecessor
+	// A runner is a goroutine that runs ready nodes. One starts when a
+	// node is released and fewer than max are running; it parks while
+	// tasks are in flight and returns once none is, so an executor with
+	// nothing in flight holds no goroutine.
+	running int        // guarded by mu
+	work    *sync.Cond // on mu: ready grew, or live emptied
 	idle    *sync.Cond // on mu: live emptied
-	workers sync.WaitGroup
 }
 
 // node is one submitted, unfinished task. pending and succs are the
@@ -71,18 +76,16 @@ type node struct {
 	succs   []*node // nodes waiting on this one, one entry per edge
 }
 
-// NewExecutor creates an executor with the given number of workers over
-// private copies of the initial contents. Of opts it uses only the flight
-// recorder, to journal task launches; every other instrument belongs to
-// the analyzer or to the caller.
-func NewExecutor(an Analyzer, init map[field.ID]*data.Store, workers int, opts Options) *Executor {
-	if workers < 1 {
-		workers = 1
-	}
+// NewExecutor creates an executor over private copies of the initial
+// contents; it runs at most GOMAXPROCS kernels at once. Of opts it uses
+// only the flight recorder, to journal task launches; every other
+// instrument belongs to the analyzer or to the caller.
+func NewExecutor(an Analyzer, init map[field.ID]*data.Store, opts Options) *Executor {
 	x := &Executor{
 		an:   an,
 		init: make(map[field.ID]*data.Store, len(init)),
 		rec:  opts.Recorder,
+		max:  runtime.GOMAXPROCS(0),
 		base: []int{0},
 	}
 	for f, s := range init {
@@ -90,10 +93,6 @@ func NewExecutor(an Analyzer, init map[field.ID]*data.Store, workers int, opts O
 	}
 	x.work = sync.NewCond(&x.mu)
 	x.idle = sync.NewCond(&x.mu)
-	x.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go x.worker()
-	}
 	return x
 }
 
@@ -101,7 +100,7 @@ func NewExecutor(an Analyzer, init map[field.ID]*data.Store, workers int, opts O
 // immediately with a channel closed once the task has executed and t's
 // dependence row (Row) — recording the discovered graph is the caller's
 // job, the executor knows only the edges still in flight.
-// body, when non-nil, is run on the worker after inputs are materialized
+// body, when non-nil, is run on the runner after inputs are materialized
 // and before outputs commit, with the task's materialized inputs (indexed
 // by requirement; reduce requirements have nil inputs).
 func (x *Executor) Submit(t *Task, k Kernel, body func(inputs []*data.Store)) (done <-chan struct{}, deps []int) {
@@ -159,42 +158,44 @@ func (x *Executor) liveLocked(id int) *node {
 }
 
 // releaseLocked puts a node whose last predecessor has finished on the
-// ready queue.
+// ready queue, and starts a runner for it if fewer than max are running.
 func (x *Executor) releaseLocked(n *node) {
 	x.ready = append(x.ready, n)
+	if x.running < x.max {
+		x.running++
+		go x.runner()
+		return
+	}
 	x.work.Signal()
 }
 
-// worker runs ready nodes until Shutdown.
-func (x *Executor) worker() {
-	defer x.workers.Done()
-	for n := x.next(); n != nil; n = x.next() {
-		x.run(n)
-		x.finish(n)
-	}
-}
-
-// next blocks for the head of the ready queue; nil means Shutdown.
-func (x *Executor) next() *node {
+// runner runs ready nodes until nothing is in flight.
+func (x *Executor) runner() {
 	x.mu.Lock()
-	defer x.mu.Unlock()
-	for len(x.ready) == 0 {
-		if x.stopped {
-			return nil
+	for {
+		for len(x.ready) == 0 && len(x.live) > 0 {
+			x.work.Wait()
 		}
-		x.work.Wait()
+		if len(x.ready) == 0 {
+			break
+		}
+		n := x.ready[0]
+		x.ready[0] = nil // the queue's backing array must not keep finished tasks reachable
+		x.ready = x.ready[1:]
+		x.mu.Unlock()
+		x.run(n)
+		x.mu.Lock()
+		x.finishLocked(n)
 	}
-	n := x.ready[0]
-	x.ready[0] = nil // the queue's backing array must not keep finished tasks reachable
-	x.ready = x.ready[1:]
-	return n
+	x.running--
+	x.mu.Unlock()
 }
 
-// finish retires an executed node: it leaves the live table, releases the
-// successors it was the last live predecessor of, and signals completion.
-func (x *Executor) finish(n *node) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
+// finishLocked retires an executed node: it leaves the live table,
+// releases the successors it was the last live predecessor of, and
+// signals completion. Once nothing is live, it wakes Drain and the
+// parked runners, which return.
+func (x *Executor) finishLocked(n *node) {
 	x.live[n.t.ID-x.lo] = nil
 	for len(x.live) > 0 && x.live[0] == nil {
 		x.live = x.live[1:]
@@ -208,6 +209,7 @@ func (x *Executor) finish(n *node) {
 	close(n.done)
 	if len(x.live) == 0 {
 		x.idle.Broadcast()
+		x.work.Broadcast()
 	}
 }
 
@@ -252,16 +254,6 @@ func (x *Executor) Drain() {
 		x.idle.Wait()
 	}
 	x.mu.Unlock()
-}
-
-// Shutdown drains and stops the workers.
-func (x *Executor) Shutdown() {
-	x.Drain()
-	x.mu.Lock()
-	x.stopped = true
-	x.mu.Unlock()
-	x.work.Broadcast()
-	x.workers.Wait()
 }
 
 // Materialize reconstructs the current contents of req's points by applying

@@ -29,7 +29,7 @@ func analyzers() []core.Factory {
 }
 
 // TestParallelExecutionMatchesSequential runs several loop iterations of
-// the Figure 1 program on 4 workers under every analyzer and compares the
+// the Figure 1 program in parallel under every analyzer and compares the
 // final contents with the sequential interpreter.
 func TestParallelExecutionMatchesSequential(t *testing.T) {
 	for _, fac := range analyzers() {
@@ -55,8 +55,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 
 			// Parallel execution with an identical stream.
 			stream := core.NewStream(tree)
-			x := core.NewExecutor(fac.New(tree), init, 4, core.Options{})
-			defer x.Shutdown()
+			x := core.NewExecutor(fac.New(tree), init, core.Options{})
 			for iter := 0; iter < 8; iter++ {
 				for i := 0; i < 3; i++ {
 					x.Submit(testutil.LaunchT1(stream, p, g, i), kern, nil)
@@ -81,39 +80,53 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestIndependentTasksRunConcurrently submits the three independent t1
-// tasks of Figure 5 with kernels that rendezvous: if the executor
-// serialized them, the rendezvous would time out.
+// TestIndependentTasksRunConcurrently submits GOMAXPROCS independent
+// reads whose kernels rendezvous — if the executor serialized them, the
+// rendezvous would time out — and then one more, which must wait for a
+// runner: the executor runs at most one kernel per P, so the extra read
+// may start only once one of the others has finished.
 func TestIndependentTasksRunConcurrently(t *testing.T) {
-	tree, p, g := testutil.GraphTree()
+	procs := runtime.GOMAXPROCS(0)
+	tree, _, _ := testutil.GraphTree()
+	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), 3, core.Options{})
-	defer x.Shutdown()
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	read := func() *core.Task {
+		return stream.Launch("r", core.Req{Region: tree.Root, Field: up, Priv: privilege.Reads()})
+	}
 
-	var wg sync.WaitGroup
-	wg.Add(3)
-	rendezvous := func([]*data.Store) {
-		wg.Done()
-		wg.Wait()
+	var met sync.WaitGroup
+	met.Add(procs)
+	release := make(chan struct{})
+	var finished atomic.Int64
+	for i := 0; i < procs; i++ {
+		x.Submit(read(), core.HashKernel{}, func([]*data.Store) {
+			met.Done()
+			met.Wait()
+			<-release
+			finished.Add(1)
+		})
 	}
-	var done []chan struct{}
-	for i := 0; i < 3; i++ {
-		ch := make(chan struct{})
-		done = append(done, ch)
-		ev, _ := x.Submit(testutil.LaunchT1(stream, p, g, i), core.HashKernel{}, rendezvous)
-		go func() {
-			<-ev
-			close(ch)
-		}()
+	all := make(chan struct{})
+	go func() {
+		met.Wait()
+		close(all)
+	}()
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%d independent tasks did not run concurrently", procs)
 	}
-	timeout := time.After(5 * time.Second)
-	for _, ch := range done {
-		select {
-		case <-ch:
-		case <-timeout:
-			t.Fatal("independent tasks did not run concurrently")
-		}
+
+	started := make(chan int64, 1)
+	done, _ := x.Submit(read(), core.HashKernel{}, func([]*data.Store) { started <- finished.Load() })
+	time.Sleep(10 * time.Millisecond) // room for a runner past the cap to start it early
+	close(release)
+	<-done
+	if n := <-started; n == 0 {
+		t.Errorf("read %d started while all %d earlier reads were still running", procs, procs)
 	}
+	x.Drain()
 }
 
 // TestDependentTasksAreOrdered submits a write and a dependent read of the
@@ -121,8 +134,7 @@ func TestIndependentTasksRunConcurrently(t *testing.T) {
 func TestDependentTasksAreOrdered(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(warnock.New(tree, core.Options{}), testutil.FullInit(tree), 4, core.Options{})
-	defer x.Shutdown()
+	x := core.NewExecutor(warnock.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
 
 	var order []string
 	var mu sync.Mutex
@@ -145,17 +157,19 @@ func TestDependentTasksAreOrdered(t *testing.T) {
 	}
 }
 
-// TestGoroutinesBoundedByWorkers queues a long dependent stream behind one
+// TestGoroutinesBoundedByProcs queues a long dependent stream behind one
 // blocked writer: scheduling it must cost table entries, not goroutines;
 // the tables must empty once the stream has run, their window of task IDs
-// with them, and Shutdown must leave no worker behind.
-func TestGoroutinesBoundedByWorkers(t *testing.T) {
-	const workers, launches = 4, 1200
+// with them, and with nothing in flight the executor must hold no
+// goroutine.
+func TestGoroutinesBoundedByProcs(t *testing.T) {
+	const launches = 1200
+	procs := runtime.GOMAXPROCS(0)
 	before := runtime.NumGoroutine()
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), workers, core.Options{})
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
 
 	started, release := make(chan struct{}), make(chan struct{})
 	x.Submit(stream.Launch("w", core.Req{Region: tree.Root, Field: up, Priv: privilege.Writes()}), core.HashKernel{},
@@ -180,8 +194,8 @@ func TestGoroutinesBoundedByWorkers(t *testing.T) {
 	}
 
 	<-started
-	if got := runtime.NumGoroutine(); got > before+workers+2 {
-		t.Errorf("%d launches queued behind one task hold %d goroutines, want <= %d", launches, got, before+workers+2)
+	if got := runtime.NumGoroutine(); got > before+procs+2 {
+		t.Errorf("%d launches queued behind one task hold %d goroutines, want <= %d", launches, got, before+procs+2)
 	}
 	if got, want := tables(), fmt.Sprintf("live %d, ready 0, ran 0", launches+1); got != want {
 		t.Errorf("behind the gate: %s; want %s", got, want)
@@ -194,13 +208,43 @@ func TestGoroutinesBoundedByWorkers(t *testing.T) {
 	if _, window, _ := x.Tables(); window != 0 {
 		t.Errorf("after Drain the live window spans %d task IDs, want 0", window)
 	}
-	x.Shutdown()
-	// A goroutine that has returned may still be counted for a moment.
+	// A runner that has returned may still be counted for a moment.
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Errorf("%d goroutines after Shutdown, %d before NewExecutor", got, before)
+		t.Errorf("%d goroutines with nothing in flight, %d before NewExecutor", got, before)
+	}
+}
+
+// TestParkedRunnerEndsWithTheLastTask parks a runner deterministically —
+// it runs an independent write to completion while another write is held
+// — and checks that the held write's finish, which leaves nothing in
+// flight, ends the parked runner too.
+func TestParkedRunnerEndsWithTheLastTask(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("one runner never parks when the last task finishes: it ran that task")
+	}
+	before := runtime.NumGoroutine()
+	tree, p, _ := testutil.GraphTree()
+	up, _ := tree.Fields.Lookup("up")
+	stream := core.NewStream(tree)
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	write := func(i int) *core.Task {
+		return stream.Launch("w", core.Req{Region: p.Subregions[i], Field: up, Priv: privilege.Writes()})
+	}
+
+	release := make(chan struct{})
+	x.Submit(write(0), core.HashKernel{}, func([]*data.Store) { <-release })
+	done, _ := x.Submit(write(1), core.HashKernel{}, nil)
+	<-done // its runner parks: the held write is still in flight
+	close(release)
+	x.Drain()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines with nothing in flight, %d before NewExecutor", got, before)
 	}
 }
 
@@ -211,8 +255,7 @@ func TestDuplicateProducerRunsOnce(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), 2, core.Options{})
-	defer x.Shutdown()
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
 
 	var mu sync.Mutex
 	var order []string
@@ -259,8 +302,7 @@ func TestSourceRejectsForeignSlots(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(&planless{}, testutil.FullInit(tree), 1, core.Options{})
-	defer x.Shutdown()
+	x := core.NewExecutor(&planless{}, testutil.FullInit(tree), core.Options{})
 	write := func(i int) *core.Task {
 		return stream.Launch("w", core.Req{Region: p.Subregions[i], Field: up, Priv: privilege.Writes()})
 	}

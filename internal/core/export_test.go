@@ -25,6 +25,6 @@ func (x *Executor) Pending(id int) int {
 	return x.liveLocked(id).pending
 }
 
-// Source returns the store plan entry v reads, as a worker materializing
+// Source returns the store plan entry v reads, as a runner materializing
 // field f would.
 func (x *Executor) Source(v Visible, f field.ID) *data.Store { return x.source(v, f) }

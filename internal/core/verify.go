@@ -19,8 +19,8 @@ type Factory struct {
 }
 
 // Verify runs the stream through the sequential ground-truth interpreter
-// and, per factory, through a one-worker Executor over the Checked
-// analyzer, checking for each analyzer that:
+// and, per factory, through an Executor over the Checked analyzer,
+// drained per launch, checking for each analyzer that:
 //
 //  1. every read and read-write requirement materializes exactly the values
 //     the sequential interpreter observed (coherence, §3.1);
@@ -91,17 +91,16 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 	return nil
 }
 
-// execute runs tasks (IDs 0..len-1, in order) through a one-worker
-// Executor over Checked(an), draining after every launch so that a
-// dropped dependence surfaces as CheckSound's deterministic error rather
-// than as a race. It returns each task's dependence row — the analyzer's
-// dependences plus its future edges, which the runtime enforces itself —
-// and its
-// materialized inputs. A plan violation or an analysis panic, both raised
-// on this goroutine, comes back as the error.
+// execute runs tasks (IDs 0..len-1, in order) through an Executor over
+// Checked(an), draining after every launch so that one task at a time is
+// in flight and a dropped dependence surfaces as CheckSound's
+// deterministic error rather than as a race. It returns each task's
+// dependence row — the analyzer's dependences plus its future edges,
+// which the runtime enforces itself — and its materialized inputs. A
+// plan violation or an analysis panic, both raised on this goroutine,
+// comes back as the error.
 func execute(an Analyzer, init map[field.ID]*data.Store, tasks []*Task, k Kernel) (deps [][]int, inputs [][]*data.Store, err error) {
-	x := NewExecutor(Checked(an), init, 1, Options{})
-	defer x.Shutdown()
+	x := NewExecutor(Checked(an), init, Options{})
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)

@@ -61,7 +61,7 @@ func TestSoakTracedLoops(t *testing.T) {
 					t.Fatal(err)
 				}
 				auto := autotrace.New(fac.New(tree), core.Options{Faults: faults})
-				launch, inputs := testutil.Serial(t, core.Checked(testutil.Lockstep(t, auto, fac.New(tree))), testutil.FullInit(tree))
+				launch, inputs := testutil.Serial(core.Checked(testutil.Lockstep(t, auto, fac.New(tree))), testutil.FullInit(tree))
 				seq := core.NewSeq(tree, testutil.FullInit(tree))
 
 				stream := core.NewStream(tree)

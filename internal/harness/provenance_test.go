@@ -66,7 +66,7 @@ func TestChaosProvenanceReplay(t *testing.T) {
 	loop := chaosLoopStream(rng, tree, 10)
 
 	run := func(autoTrace bool) (*visibility.Runtime, *visibility.Region) {
-		rt := visibility.New(visibility.Config{AutoTrace: autoTrace, Workers: 1})
+		rt := visibility.New(visibility.Config{AutoTrace: autoTrace})
 		t.Cleanup(rt.Close)
 		regions := mirror(rt, tree)
 		for _, task := range loop.Tasks {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -26,6 +27,52 @@ type traceDoc struct {
 		Pid  int               `json:"pid"`
 		Args map[string]string `json:"args"`
 	} `json:"traceEvents"`
+}
+
+// TestSessionsListedInIDOrder opens more sessions than a map keeps in
+// any one order and checks that /v1/sessions lists them, and /debug/trace
+// names their processes, in ID order.
+func TestSessionsListedInIDOrder(t *testing.T) {
+	_, c, shutdown := newTestServer(t, server.Config{})
+	defer shutdown()
+	var want []string
+	for i := 0; i < 16; i++ {
+		sess, err := c.CreateSession(client.SessionConfig{Algorithm: "warnock"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, sess.ID)
+	}
+
+	list, err := c.Sessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, s := range list {
+		listed = append(listed, s.ID)
+	}
+	if fmt.Sprint(listed) != fmt.Sprint(want) {
+		t.Errorf("/v1/sessions lists %v, want %v", listed, want)
+	}
+
+	raw, err := c.DebugTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc traceDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("/debug/trace is not valid JSON: %v", err)
+	}
+	var named []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "process_name" && ev.Pid > 0 {
+			named = append(named, strings.Fields(ev.Args["name"])[1])
+		}
+	}
+	if fmt.Sprint(named) != fmt.Sprint(want) {
+		t.Errorf("/debug/trace names session processes %v, want %v", named, want)
+	}
 }
 
 // TestTracePropagation drives one request trace end to end: the client

@@ -94,14 +94,12 @@ func FullInit(tree *region.Tree) map[field.ID]*data.Store {
 	return init
 }
 
-// Serial runs launches through an on a one-worker core.Executor over init,
-// draining after each so that a missing dependence is a deterministic
-// wrong answer rather than a race, and collects every task's materialized
-// inputs by task ID. launch returns the task's dependence row (core.Row);
-// the executor shuts down with the test.
-func Serial(t testing.TB, an core.Analyzer, init map[field.ID]*data.Store) (launch func(*core.Task) []int, inputs map[int][]*data.Store) {
-	x := core.NewExecutor(an, init, 1, core.Options{})
-	t.Cleanup(x.Shutdown)
+// Serial runs launches through an on a core.Executor over init, draining
+// after each so that a missing dependence is a deterministic wrong answer
+// rather than a race, and collects every task's materialized inputs by
+// task ID. launch returns the task's dependence row (core.Row).
+func Serial(an core.Analyzer, init map[field.ID]*data.Store) (launch func(*core.Task) []int, inputs map[int][]*data.Store) {
+	x := core.NewExecutor(an, init, core.Options{})
 	inputs = make(map[int][]*data.Store)
 	return func(task *core.Task) []int {
 		_, deps := x.Submit(task, core.HashKernel{}, func(in []*data.Store) { inputs[task.ID] = in })

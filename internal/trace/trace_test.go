@@ -61,7 +61,7 @@ func runExact(t *testing.T, fac core.Factory, iters int, body loop,
 	}
 
 	inner := fac.New(tree)
-	launch, inputs := testutil.Serial(t, wrap(inner), init)
+	launch, inputs := testutil.Serial(wrap(inner), init)
 	stream := core.NewStream(tree)
 	for it := 0; it < iters; it++ {
 		if bracket != nil {

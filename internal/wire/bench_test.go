@@ -88,8 +88,8 @@ func ring(points, pieces int) *wire.Workload {
 
 // TestApplyAllocations pins what one steady launch of the serve_batch
 // batch allocates on the service path below the wire: Env.Apply and
-// Runtime.Wait on Warnock with one worker, so analysis, scheduling,
-// materialization, the kernel and commit. A write maps its kernel in
+// Runtime.Wait on Warnock, so analysis, scheduling, materialization, the
+// kernel and commit. A write maps its kernel in
 // place over its materialized input, the executor's tables are slices,
 // the task, its requirements and its Result are carved from chunks, and
 // the wire builds each launch's kernel once per batch at check time and
@@ -100,7 +100,7 @@ func ring(points, pieces int) *wire.Workload {
 // when each write also filled a second store. The race detector measures
 // about 2,525 and 14.5, and its bounds are 2,600 and 17.
 func TestApplyAllocations(t *testing.T) {
-	rt := visibility.New(visibility.Config{Algorithm: "warnock", Workers: 1})
+	rt := visibility.New(visibility.Config{Algorithm: "warnock"})
 	defer rt.Close()
 	env := wire.NewEnv(rt)
 	if _, err := env.Apply(ring(1024, 16)); err != nil {
@@ -233,10 +233,10 @@ func BenchmarkWireDecode(b *testing.B) {
 
 // BenchmarkWireApply serves the serve_batch batch as the server does, one
 // DecodeSized of a body with a declared length and one Env.Run of the
-// batch it returns, and waits for it on Warnock with one worker: the wire
-// layer's whole share of a served batch, and what it drives.
+// batch it returns, and waits for it on Warnock: the wire layer's whole
+// share of a served batch, and what it drives.
 func BenchmarkWireApply(b *testing.B) {
-	rt := visibility.New(visibility.Config{Algorithm: "warnock", Workers: 1})
+	rt := visibility.New(visibility.Config{Algorithm: "warnock"})
 	defer rt.Close()
 	env := wire.NewEnv(rt)
 	if _, err := env.Apply(ring(1024, 16)); err != nil {

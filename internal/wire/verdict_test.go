@@ -245,7 +245,7 @@ func TestConcurrentDecodeApply(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rt := visibility.New(visibility.Config{Workers: 1})
+			rt := visibility.New(visibility.Config{})
 			defer rt.Close()
 			env := wire.NewEnv(rt)
 			if _, err := env.Apply(ring(64, 4)); err != nil {

@@ -218,7 +218,7 @@ func TestLaunchLabelsMatchForwardPass(t *testing.T) {
 	var replayed int64
 	for seed := int64(1); seed <= 24; seed++ {
 		algs := []string{"raycast", "warnock", "paint"}
-		rt := New(Config{Algorithm: algs[seed%3], AutoTrace: seed%4 == 0, Workers: 2})
+		rt := New(Config{Algorithm: algs[seed%3], AutoTrace: seed%4 == 0})
 		g := launchRandomStream(rt, seed)
 		p, e := checkLabels(t, rt, g)
 		predTies += p
@@ -244,7 +244,7 @@ func TestCriticalPathAgreesAcrossStacks(t *testing.T) {
 		var want *CritSummary
 		for _, auto := range []bool{false, true} {
 			for _, alg := range []string{"raycast", "warnock", "paint"} {
-				rt := New(Config{Algorithm: alg, AutoTrace: auto, Workers: 2})
+				rt := New(Config{Algorithm: alg, AutoTrace: auto})
 				g := launchRandomStream(rt, seed)
 				got := rt.CriticalPath(g, 0)
 				replayed += rt.AutoTraceStats(g).Trace.Replayed

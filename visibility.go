@@ -35,7 +35,6 @@ package visibility
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"visibility/internal/algo"
@@ -113,15 +112,12 @@ const (
 	OpMax  = privilege.OpMax
 )
 
-// Config configures a Runtime. The zero value is valid: ray casting,
-// one worker per CPU, no validation.
+// Config configures a Runtime. The zero value is valid: ray casting, no
+// validation.
 type Config struct {
 	// Algorithm selects the coherence algorithm: "raycast" (default),
 	// "warnock" or "paint"; any other name is refused.
 	Algorithm string
-	// Workers is the number of parallel kernel executors (default:
-	// GOMAXPROCS).
-	Workers int
 	// Validate additionally runs every task through a sequential
 	// interpreter and panics if a materialized input ever diverges —
 	// the runtime's self-checking mode.
@@ -191,9 +187,6 @@ func New(cfg Config) *Runtime {
 		panic(fmt.Sprintf("visibility: %v", err))
 	}
 	cfg.Algorithm = spec.Algorithm
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	return &Runtime{cfg: cfg, registered: make(map[string]bool)}
 }
 
@@ -432,7 +425,7 @@ func Reduce(op ReduceOp, r *Region, field string) Access {
 // Nil members are treated as identity (Write keeps the input, Reduce
 // contributes the operator identity).
 //
-// Write, Reduce and Body run on executor worker goroutines, concurrently
+// Write, Reduce and Body run on executor goroutines, concurrently
 // with the goroutine that owns the Runtime. They must not call Runtime,
 // Region or Partition methods, nor read state the owner mutates. Nothing
 // checks this rule; breaking it shows only as an intermittent race.
@@ -551,7 +544,7 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 	// In Validate mode, replay through the sequential interpreter first
 	// (on the launching goroutine, in program order) and take the
 	// expected inputs; the parallel execution checks against that private
-	// copy, so no shared interpreter state is touched from workers.
+	// copy, so no shared interpreter state is touched from runners.
 	var want []*data.Store
 	if ts.seq != nil {
 		var seqBody func([]*data.Store)
@@ -635,7 +628,7 @@ func (rt *Runtime) freeze(ts *treeState) {
 		}
 	}
 	ts.stream = core.NewStream(ts.tree)
-	ts.exec = core.NewExecutor(ts.stack.Analyzer, ts.init, rt.cfg.Workers, opts)
+	ts.exec = core.NewExecutor(ts.stack.Analyzer, ts.init, opts)
 	if rt.cfg.Validate {
 		ts.seq = core.NewSeq(ts.tree, ts.init)
 	}
@@ -709,14 +702,13 @@ func (rt *Runtime) Wait() {
 	}
 }
 
-// Close waits for completion and releases worker resources. The runtime
-// cannot be used afterwards.
+// Close waits for completion, like Wait, and drops the executors. The
+// runtime cannot be used afterwards; a runtime that is never closed holds
+// no goroutine once it has waited.
 func (rt *Runtime) Close() {
+	rt.Wait()
 	for _, r := range rt.regions {
-		if r.tree.exec != nil {
-			r.tree.exec.Shutdown()
-			r.tree.exec = nil
-		}
+		r.tree.exec = nil
 	}
 }
 

@@ -255,7 +255,7 @@ func TestAfterFutures(t *testing.T) {
 		After:    []visibility.Future{producer},
 	})
 	<-started
-	for i := 0; i < 20; i++ { // idle workers get every chance to run the consumer early
+	for i := 0; i < 20; i++ { // a runner gets every chance to run the consumer early
 		if producer.Done() || consumer.Done() {
 			t.Fatalf("before release: producer done = %v, consumer done = %v", producer.Done(), consumer.Done())
 		}

@@ -2,8 +2,10 @@ package visibility_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"visibility"
 )
@@ -12,7 +14,7 @@ func TestQuickstartFlow(t *testing.T) {
 	for _, alg := range []string{"raycast", "warnock", "paint"} {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
-			rt := visibility.New(visibility.Config{Algorithm: alg, Validate: true, Workers: 4})
+			rt := visibility.New(visibility.Config{Algorithm: alg, Validate: true})
 			defer rt.Close()
 			cells := rt.CreateRegion("cells", visibility.Line(0, 63), "v")
 			blocks := cells.PartitionEqual("B", 4)
@@ -258,7 +260,7 @@ func TestHelpers(t *testing.T) {
 // TestManyTasksStress launches a few hundred tasks across algorithms with
 // validation on, as an end-to-end soak of the whole public stack.
 func TestManyTasksStress(t *testing.T) {
-	rt := visibility.New(visibility.Config{Algorithm: "warnock", Validate: true, Workers: 8})
+	rt := visibility.New(visibility.Config{Algorithm: "warnock", Validate: true})
 	defer rt.Close()
 	r := rt.CreateRegion("r", visibility.Line(0, 99), "a", "b")
 	blocks := r.PartitionEqual("B", 10)
@@ -293,11 +295,36 @@ func TestManyTasksStress(t *testing.T) {
 	}
 }
 
+// TestWaitedRuntimesHoldNoGoroutines launches work on several runtimes
+// and waits for it without closing them: a runtime with nothing in flight
+// holds no goroutine, so neither does an idle session.
+func TestWaitedRuntimesHoldNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var rts []*visibility.Runtime
+	for _, alg := range []string{"raycast", "warnock", "paint", "raycast"} {
+		rt := visibility.New(visibility.Config{Algorithm: alg})
+		r := rt.CreateRegion("r", visibility.Line(0, 63), "v")
+		blocks := r.PartitionEqual("B", 4)
+		for i := 0; i < 8; i++ {
+			rt.Launch(visibility.TaskSpec{Name: "w", Accesses: []visibility.Access{visibility.Write(blocks.Sub(i%4), "v")}})
+		}
+		rt.Wait()
+		rts = append(rts, rt)
+	}
+	// A runner that has returned may still be counted for a moment.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d runtimes that waited hold %d goroutines", len(rts), got-before)
+	}
+}
+
 // TestValidateKeepsNoInputs checks that a Validate runtime does not grow
 // with its launches: the sequential interpreter's expected inputs for a
 // task are dropped once its execution has been checked against them.
 func TestValidateKeepsNoInputs(t *testing.T) {
-	rt := visibility.New(visibility.Config{Validate: true, Workers: 2})
+	rt := visibility.New(visibility.Config{Validate: true})
 	defer rt.Close()
 	r := rt.CreateRegion("r", visibility.Line(0, 31), "v")
 	blocks := r.PartitionEqual("B", 4)
