@@ -14,6 +14,7 @@ package dist
 
 import (
 	"fmt"
+	"sync"
 
 	"visibility/internal/bvh"
 	"visibility/internal/cluster"
@@ -333,35 +334,82 @@ func (d *Driver) Barrier() cluster.Time {
 	return d.horizon
 }
 
-// OwnerByPartition returns an OwnerFunc assigning state to the node owning
-// the first subregion of p it overlaps (subregion index modulo the machine
-// size), with node 0 owning anything outside p — the usual
-// "analysis state lives with the primary partition" placement.
+// OwnerByPartition returns an OwnerFunc assigning a space to the node
+// owning the lowest-index subregion of p that contains the space's low
+// corner (its componentwise minimum, Space.Lo), modulo the machine size;
+// node 0 owns an empty space and any space whose low corner lies outside
+// p — the usual "analysis state lives with the primary partition"
+// placement. The answer depends on the low corner and the dimension
+// alone, so the function remembers it per corner: each distinct corner
+// costs one BVH query, and the driver's initial-data plan entries, which
+// ask again every launch, cost a map hit.
 func OwnerByPartition(p *region.Partition, nodes int) core.OwnerFunc {
-	var inputs []bvh.Input
+	return newPartitionOwner(p, nodes).owner
+}
+
+// partitionOwner is OwnerByPartition's state. A core.OwnerFunc must be
+// goroutine-safe, so the memo is guarded by a mutex; its key is a value,
+// so a hit does not allocate.
+type partitionOwner struct {
+	tree  *bvh.Tree
+	subs  []*region.Region
+	nodes int
+
+	mu   sync.Mutex
+	memo map[corner]int // guarded by mu
+}
+
+// corner is what an owner answer reads of a space.
+type corner struct {
+	lo  geometry.Point
+	dim int
+}
+
+func newPartitionOwner(p *region.Partition, nodes int) *partitionOwner {
+	n := 0
+	for _, sub := range p.Subregions {
+		n += sub.Space.NumRects()
+	}
+	inputs := make([]bvh.Input, 0, n)
 	for i, sub := range p.Subregions {
 		for _, r := range sub.Space.Rects() {
 			inputs = append(inputs, bvh.Input{Box: r, ID: i})
 		}
 	}
-	tree := bvh.Build(inputs)
-	subs := p.Subregions
-	return func(sp index.Space) int {
-		if sp.IsEmpty() {
-			return 0
-		}
-		// The low corner of the space picks a unique owner.
-		lo := sp.Lo()
-		probe := geometry.PointRect(lo, sp.Dim())
-		best := -1
-		tree.Query(probe, func(i int) {
-			if subs[i].Space.Contains(lo) && (best == -1 || i < best) {
-				best = i
-			}
-		})
-		if best == -1 {
-			return 0
-		}
-		return best % nodes
+	return &partitionOwner{
+		tree:  bvh.Build(inputs),
+		subs:  p.Subregions,
+		nodes: nodes,
+		// The applications ask about one to six corners per rectangle.
+		memo: make(map[corner]int, len(inputs)),
 	}
+}
+
+func (o *partitionOwner) owner(sp index.Space) int {
+	if sp.IsEmpty() {
+		return 0
+	}
+	k := corner{lo: sp.Lo(), dim: sp.Dim()}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n, ok := o.memo[k]
+	if !ok {
+		n = o.resolve(k)
+		o.memo[k] = n
+	}
+	return n
+}
+
+// resolve answers for a corner not asked before.
+func (o *partitionOwner) resolve(k corner) int {
+	best := -1
+	o.tree.Query(geometry.PointRect(k.lo, k.dim), func(i int) {
+		if o.subs[i].Space.Contains(k.lo) && (best == -1 || i < best) {
+			best = i
+		}
+	})
+	if best == -1 {
+		return 0
+	}
+	return best % o.nodes
 }
