@@ -17,9 +17,11 @@
 package visibility_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"testing"
 
@@ -192,11 +194,16 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 					run(inst.Emit(stream, 0))
 					before := obs.ReadAllocs()
 					b.StartTimer()
-					for k := 0; k < app.steps[alg]; k++ {
-						ls := inst.Emit(stream, 1+k)
-						run(ls)
-						launches += int64(len(ls))
-					}
+					// The label lets a -cpuprofile keep the timed window
+					// alone (pprof -tagfocus window=steady), without the
+					// untimed build and initialization above.
+					pprof.Do(context.Background(), pprof.Labels("window", "steady"), func(context.Context) {
+						for k := 0; k < app.steps[alg]; k++ {
+							ls := inst.Emit(stream, 1+k)
+							run(ls)
+							launches += int64(len(ls))
+						}
+					})
 					b.StopTimer()
 					n, by := obs.ReadAllocs().Since(before)
 					allocs += n

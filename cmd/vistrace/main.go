@@ -10,7 +10,7 @@
 // trace-event (Perfetto-loadable) JSON timeline: one track per simulated
 // node (exec and util processors), every work item as a duration event,
 // every coherence message as a flow arrow, and the analyzer's wall-clock
-// phase spans as a separate process.
+// spans, one per analyzed launch, as a separate process.
 //
 // Usage:
 //
@@ -155,7 +155,7 @@ func main() {
 // timed iterations after the initialization iteration) and writes the
 // resulting timeline as Chrome trace-event JSON: virtual-time exec/util
 // tracks per node with message flow arrows, plus the analyzer's wall-clock
-// phase spans as an extra process.
+// spans, one per analyzed launch, as an extra process.
 func exportTrace(app harness.App, algorithm string, nodes, iters int, path string) error {
 	tw := obs.NewTraceWriter()
 	spans := obs.NewBuffer(1 << 16)
@@ -166,7 +166,7 @@ func exportTrace(app harness.App, algorithm string, nodes, iters int, path strin
 		return err
 	}
 	tw.ProcessName(nodes, "analyzer (wall clock)")
-	tw.ThreadName(nodes, 0, "analysis phases")
+	tw.ThreadName(nodes, 0, "analyzed launches")
 	tw.Spans(nodes, 0, spans.Snapshot())
 
 	f, err := os.Create(path)

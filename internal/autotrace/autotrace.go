@@ -242,10 +242,8 @@ func (a *Auto) abort() {
 	a.opts.Recorder.Log(recorder.KindTraceInvalidate, int64(a.traceID), int64(a.pos))
 	a.aborts.Inc()
 	if a.mode == replaying {
-		span := a.opts.Spans.Begin("trace.invalidate", "trace")
 		a.invalidations.Inc()
 		a.drain()
-		span.End()
 	}
 	a.traceID++
 	a.retire()
@@ -272,8 +270,6 @@ func (a *Auto) observe(h uint64) {
 // is pending: a recording follows a commit, made while watching.
 func (a *Auto) record(t *core.Task) *core.Result {
 	res := a.an.Analyze(t)
-	span := a.opts.Spans.Begin("trace.record", "trace")
-	defer span.End()
 	a.tr.tasks = append(a.tr.tasks, t)
 	a.tr.results = append(a.tr.results, a.carve(res, 0))
 	a.recorded.Inc()
@@ -284,8 +280,6 @@ func (a *Auto) record(t *core.Task) *core.Result {
 // task reference by the distance between the recording and this
 // instance, without consulting the wrapped analyzer.
 func (a *Auto) replay(t *core.Task) *core.Result {
-	span := a.opts.Spans.Begin("trace.replay", "trace")
-	defer span.End()
 	a.pending = append(a.pending, t)
 	a.pendingLen.Add(1)
 	a.replayed.Inc()

@@ -3,7 +3,7 @@
 // fills it. A record holds one measurement cell per app × system
 // configuration × machine size: wall-clock launch-admission throughput,
 // allocations per launch (runtime.ReadMemStats deltas around the
-// analysis loop), exact p50/p95/p99 analysis-phase latency from the
+// analysis loop), exact p50/p95/p99 per-launch analysis latency from the
 // span ring, and the paper's virtual-time metrics (init time,
 // per-iteration time, weak-scaling throughput), plus run metadata (go
 // version, GOMAXPROCS, commit, repetition count).

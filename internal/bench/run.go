@@ -159,7 +159,7 @@ func measureCell(cfg harness.Config, reps int, profileDir string) (Cell, error) 
 			return cell, err
 		}
 
-		// One sample per analyzed launch: its outermost analysis span.
+		// One sample per analyzed launch: its analyze span.
 		qs := obs.Quantiles(obs.SpanDurations(spans.Snapshot(), "analysis"), 0.50, 0.95, 0.99)
 		launchesPerSec := 0.0
 		if wall > 0 {

@@ -239,9 +239,9 @@ type Options struct {
 	// a private registry, so instruments always exist; pass a shared
 	// registry to collect one snapshot across the whole stack.
 	Metrics *obs.Registry
-	// Spans receives begin/end records for the phases of each per-launch
-	// analysis. Nil (the default) disables span recording; every
-	// instrumentation site is nil-safe.
+	// Spans receives one "<algorithm>.analyze" span per analyzed launch.
+	// Nil (the default) disables span recording; every instrumentation
+	// site is nil-safe.
 	Spans *obs.Buffer
 	// Recorder is the flight-recorder ring that journals coarse runtime
 	// events (task launches, equivalence-set splits/coalesces, cache

@@ -94,7 +94,8 @@ type Config struct {
 	// virtual-time events, so identical configurations export
 	// byte-identical traces.
 	TraceOut *obs.TraceWriter
-	// Spans, when non-nil, receives wall-clock analysis-phase spans.
+	// Spans, when non-nil, receives one wall-clock span per analyzed
+	// launch.
 	Spans *obs.Buffer
 }
 

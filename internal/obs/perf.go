@@ -6,60 +6,15 @@ import (
 )
 
 // SpanDurations extracts the durations (End-Start, in the buffer's clock
-// units) of the outermost spans in the given category, in recording
-// order: a span nested inside another span of cat is a phase of it, not
-// a sample of its own. An empty cat matches every span.
+// units) of the spans in the given category, in recording order.
 func SpanDurations(spans []Span, cat string) []int64 {
-	var in []Span
-	for _, s := range spans {
-		if cat == "" || s.Cat == cat {
-			in = append(in, s)
-		}
-	}
 	var out []int64
-	for i, p := range Nesting(in) {
-		if p < 0 {
-			out = append(out, in[i].End-in[i].Start)
+	for _, s := range spans {
+		if s.Cat == cat {
+			out = append(out, s.End-s.Start)
 		}
 	}
 	return out
-}
-
-// Nesting returns, for each span, the index of the innermost other span
-// whose interval contains it, or -1 for an outermost span. It assumes the
-// spans come from properly nested Begin/End pairs, as one goroutine's
-// phases do. Spans are recorded when they end, so of two spans with the
-// same interval the later-recorded one is the outer.
-func Nesting(spans []Span) []int {
-	order := make([]int, len(spans))
-	for i := range order {
-		order[i] = i
-	}
-	// Outer before inner: earlier start, then later end, then later
-	// recording.
-	sort.Slice(order, func(a, b int) bool {
-		x, y := spans[order[a]], spans[order[b]]
-		if x.Start != y.Start {
-			return x.Start < y.Start
-		}
-		if x.End != y.End {
-			return x.End > y.End
-		}
-		return order[a] > order[b]
-	})
-	parent := make([]int, len(spans))
-	var open []int // enclosing spans, outermost first
-	for _, i := range order {
-		for len(open) > 0 && spans[open[len(open)-1]].End < spans[i].End {
-			open = open[:len(open)-1]
-		}
-		parent[i] = -1
-		if len(open) > 0 {
-			parent[i] = open[len(open)-1]
-		}
-		open = append(open, i)
-	}
-	return parent
 }
 
 // Quantiles returns the exact nearest-rank q-quantiles of values, one per

@@ -8,50 +8,14 @@ func TestSpanDurations(t *testing.T) {
 	spans := []Span{
 		{Name: "a.analyze", Cat: "analysis", Start: 10, End: 40},
 		{Name: "http", Cat: "server", Start: 0, End: 100},
-		{Name: "a.refine", Cat: "analysis", Start: 40, End: 45},
+		{Name: "a.analyze", Cat: "analysis", Start: 50, End: 55},
 	}
 	got := SpanDurations(spans, "analysis")
 	if len(got) != 2 || got[0] != 30 || got[1] != 5 {
 		t.Errorf("SpanDurations(analysis) = %v, want [30 5]", got)
 	}
-	// Across categories the server span encloses both analysis spans.
-	if all := SpanDurations(spans, ""); len(all) != 1 || all[0] != 100 {
-		t.Errorf("SpanDurations(\"\") = %v, want [100]", all)
-	}
 	if none := SpanDurations(nil, "analysis"); len(none) != 0 {
 		t.Errorf("SpanDurations(nil) = %v, want empty", none)
-	}
-	// Phases nested in a launch's analyze span are not samples of their own.
-	nested := []Span{
-		{Name: "a.query", Cat: "analysis", Start: 20, End: 30},
-		{Name: "a.refine", Cat: "analysis", Start: 15, End: 35},
-		{Name: "a.analyze", Cat: "analysis", Start: 10, End: 40},
-		{Name: "a.analyze", Cat: "analysis", Start: 50, End: 55},
-	}
-	if got := SpanDurations(nested, "analysis"); len(got) != 2 || got[0] != 30 || got[1] != 5 {
-		t.Errorf("SpanDurations(nested) = %v, want [30 5]", got)
-	}
-}
-
-func TestNesting(t *testing.T) {
-	spans := []Span{
-		{Name: "query", Start: 20, End: 30},    // 0: in refine
-		{Name: "refine", Start: 15, End: 35},   // 1: in analyze
-		{Name: "coalesce", Start: 35, End: 40}, // 2: in analyze, shares its end
-		{Name: "analyze", Start: 10, End: 40},  // 3: outermost
-		{Name: "inner", Start: 50, End: 50},    // 4: same interval as 5, recorded first
-		{Name: "outer", Start: 50, End: 50},    // 5: outermost
-		{Name: "next", Start: 60, End: 70},     // 6: outermost
-	}
-	want := []int{1, 3, 3, -1, 5, -1, -1}
-	got := Nesting(spans)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Nesting = %v, want %v", got, want)
-		}
-	}
-	if got := Nesting(nil); len(got) != 0 {
-		t.Errorf("Nesting(nil) = %v, want empty", got)
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"time"
 )
 
-// Span is one completed begin/end interval: a phase of a per-launch
-// analysis (region-tree traversal, refinement, BVH query, coalescing), a
-// tracer event (record/replay/invalidate), or a serving-layer interval
-// (HTTP request, queue wait). Times are nanoseconds on the buffer's
-// clock — monotonic wall clock by default.
+// Span is one completed begin/end interval: one launch's analysis, or a
+// serving-layer interval (HTTP request, queue wait). Times are
+// nanoseconds on the buffer's clock — monotonic wall clock by default.
 //
 // Trace, ID, and Parent place the span in a request-scoped trace tree
 // (see TraceContext); all three are zero for spans recorded outside any
@@ -33,7 +31,7 @@ func (s Span) Context() TraceContext {
 }
 
 // Buffer records spans into a fixed-capacity ring, dropping the oldest
-// span when full, so instrumentation of hot per-launch phases is bounded
+// span when full, so instrumentation of every launch's analysis is bounded
 // in memory no matter how long the run. A nil *Buffer is valid and
 // records nothing: nil is the one off state. Safe for concurrent use.
 type Buffer struct {
@@ -74,9 +72,9 @@ func (b *Buffer) Now() int64 {
 
 // SetContext installs tc as the parent of every span Begin records until
 // the next SetContext. An invalid tc clears the parent. The session
-// worker brackets each job with SetContext, so the per-phase analysis
-// spans the runtime emits during the job become children of the job's
-// HTTP request span without the analyzers knowing about HTTP at all.
+// worker brackets each job with SetContext, so the analysis span of each
+// launch in the job becomes a child of the job's HTTP request span
+// without the analyzers knowing about HTTP at all.
 func (b *Buffer) SetContext(tc TraceContext) {
 	if b == nil {
 		return

@@ -18,8 +18,8 @@ import (
 // The serving stack threads one TraceContext per HTTP request from the
 // client (which mints the root), through the server middleware, across
 // the wait for the session lock, and into the analysis span buffer — so one
-// export shows HTTP span → queue-wait span → per-phase analysis spans as
-// a single parented tree.
+// export shows HTTP span → queue-wait span → one analysis span per launch
+// as a single parented tree.
 type TraceContext struct {
 	TraceID string `json:"trace,omitempty"`
 	SpanID  SpanID `json:"span,omitempty"`

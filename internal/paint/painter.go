@@ -168,8 +168,6 @@ func (pa *Painter) pathOf(r *region.Region) []pathStep {
 	if r.ID < len(pa.paths) && pa.paths[r.ID] != nil {
 		return pa.paths[r.ID]
 	}
-	span := pa.opts.Spans.Begin("paint.traverse", "analysis")
-	defer span.End()
 	regions := r.Path()
 	steps := make([]pathStep, 0, 2*len(regions)-1)
 	for i, reg := range regions {
@@ -211,18 +209,15 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 
 		// Step 1 (§5.1): hoist interfering open off-path subtrees into
 		// composite views at their common ancestor with R.
-		hoist := pa.opts.Spans.Begin("paint.hoist", "analysis")
 		for i := range path {
 			pa.hoistChildren(fs, path, i, req)
 		}
-		hoist.End()
 
 		// Step 2: materialize by traversing the path history in order.
 		// Interference testing against every (possibly nested) entry is
 		// the painter's per-launch cost, which grows with the machine as
 		// composite views accumulate children (§8.2); it is charged where
 		// the history lives.
-		scan := pa.opts.Spans.Begin("paint.scan", "analysis")
 		sc.Begin(ri, req)
 		for _, step := range path {
 			ns := pa.node(fs, step.key, step.space)
@@ -233,7 +228,6 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 			pa.scanItems(ns.hist, req, sc)
 			pa.opts.Probe.Touch(core.LocalOwner, pa.stats.EntriesScanned-before+1)
 		}
-		scan.End()
 		// Path order concatenates per-node histories, so entries from
 		// hoisted views can interleave out of program order. That is legal
 		// for non-interfering operations in exact arithmetic, but two
@@ -456,8 +450,6 @@ func (pa *Painter) prune(items []item, cover index.Space) []item {
 	if cover.IsEmpty() || pa.DisablePruning {
 		return items
 	}
-	span := pa.opts.Spans.Begin("paint.prune", "analysis")
-	defer span.End()
 	out := items[:0]
 	for _, it := range items {
 		var pts index.Space

@@ -280,8 +280,6 @@ func (fs *fieldState) query(sp index.Space) (m bucketList) {
 // overlap r. The BVH is traversed on a region's first use; every use is
 // charged that traversal, so the cost model sees the same query.
 func (rc *RayCast) overlappingBuckets(fs *fieldState, r *region.Region) []int {
-	span := rc.k.Opts.Spans.Begin("raycast.bvh_query", "analysis")
-	defer span.End()
 	m, ok := fs.memo[r.ID]
 	if !ok {
 		m = fs.query(r.Space)
@@ -365,8 +363,6 @@ func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) []*s
 			rc.forceMigrate(fs, v)
 		}
 	}
-	span := rc.k.Opts.Spans.Begin("raycast.refine", "analysis")
-	defer span.End()
 	rc.cands = rc.candidates(fs, r, rc.cands[:0])
 	for _, s := range rc.cands {
 		in, rest, forced := rc.k.Split(s, r)
@@ -446,8 +442,6 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	req := t.Reqs[ri]
 	fs := rc.state[req.Field]
 	e := eqset.Entry{Task: t.ID, Req: ri, Priv: req.Priv}
-	span := rc.k.Opts.Spans.Begin("raycast.coalesce", "analysis")
-	defer span.End()
 	rc.k.Opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
 	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]

@@ -51,11 +51,12 @@ func (srv *Server) routes() {
 	handle := func(pattern, name string, h http.HandlerFunc) {
 		requests := srv.metrics.NewCounter("server/http/" + name + "/requests")
 		latency := srv.metrics.NewHistogram("server/http/"+name+"/latency_us", latencyBounds...)
+		spanName := "http." + name
 		srv.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			requests.Inc()
 			parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
-			sp, tc := srv.spans.BeginSpan("http."+name, "http", parent)
+			sp, tc := srv.spans.BeginSpan(spanName, "http", parent)
 			h(w, r.WithContext(context.WithValue(r.Context(), requestKey{}, request{name, tc})))
 			sp.End()
 			latency.Observe(time.Since(start).Microseconds())
@@ -579,7 +580,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugTrace exports one merged Perfetto-loadable trace: the
 // server's HTTP spans on process 0 and each live session's spans
-// (queue waits and analysis phases) on their own process track. All
+// (queue waits and launch analyses) on their own process track. All
 // buffers share the server clock, and traced spans carry their
 // trace/span/parent IDs in args, so the viewer shows each request as a
 // parented tree spanning both tracks.

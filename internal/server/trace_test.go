@@ -77,8 +77,8 @@ func TestSessionsListedInIDOrder(t *testing.T) {
 
 // TestTracePropagation drives one request trace end to end: the client
 // mints the root span, the server's HTTP span joins it via the
-// traceparent header, the queue wait and the analysis phases parent
-// under the HTTP span, and the merged /debug/trace export shows the
+// traceparent header, the queue wait and the launches' analysis spans
+// parent under the HTTP span, and the merged /debug/trace export shows the
 // whole tree under one trace ID.
 func TestTracePropagation(t *testing.T) {
 	_, c, shutdown := newTestServer(t, server.Config{})

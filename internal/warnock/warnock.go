@@ -125,8 +125,6 @@ func (w *Warnock) fieldFor(f field.ID) *fieldState {
 // of the sets memoized for r (or the root on first use). The slice is
 // scratch, valid until the next lookup.
 func (w *Warnock) lookup(fs *fieldState, r *region.Region) []*set {
-	span := w.k.Opts.Spans.Begin("warnock.bvh_query", "analysis")
-	defer span.End()
 	w.leaves = w.leaves[:0]
 	if r.ID < len(fs.memo) && fs.memo[r.ID] != nil && !w.DisableMemo {
 		// The memoized sets tile r, and refinement only partitions a
@@ -177,8 +175,6 @@ func (w *Warnock) descend(b *bnode, sp index.Space, inside bool) {
 func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 	r := t.Reqs[ri].Region
 	fs := w.fieldFor(t.Reqs[ri].Field)
-	span := w.k.Opts.Spans.Begin("warnock.refine", "analysis")
-	defer span.End()
 	n := len(inside)
 	for _, s := range w.lookup(fs, r) {
 		w.k.Stats.SetsVisited++

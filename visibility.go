@@ -140,9 +140,9 @@ type Config struct {
 	// registries. The serving layer passes one registry per session so
 	// sessions stay observably disjoint.
 	Metrics *obs.Registry
-	// Spans, when non-nil, receives begin/end records for the phases of
-	// each per-launch analysis (and trace record/replay/invalidate
-	// events). Nil disables span recording at zero cost.
+	// Spans, when non-nil, receives one "<algorithm>.analyze" span per
+	// analyzed launch; a replayed launch records none. Nil disables span
+	// recording at zero cost.
 	Spans *obs.Buffer
 	// Recorder, when non-nil, is the flight-recorder ring journaling coarse
 	// runtime events: task launches, equivalence-set splits and coalesces.
