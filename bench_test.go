@@ -43,7 +43,6 @@ import (
 	"visibility/internal/obs/recorder"
 	"visibility/internal/paint"
 	"visibility/internal/privilege"
-	"visibility/internal/raycast"
 	"visibility/internal/region"
 	"visibility/internal/testutil"
 	"visibility/internal/warnock"
@@ -218,13 +217,14 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 }
 
 // BenchmarkObsOverhead is the observability-layer overhead guard: it
-// measures steady-state raycast analysis throughput with instrumentation
+// measures steady-state analysis throughput of the raycast stack, built
+// as every session builds it (algo.Spec.Build), with instrumentation
 // absent (nil Spans and Recorder in core.Options — the zero value every
-// non-instrumented caller gets, and the only off state: the fast path is
-// one nil check), with span recording on, with the flight recorder
-// journaling, and with both. The session case is what every visserve
-// session runs — spans and recorder both on — and CI holds it within 25%
-// of absent.
+// non-instrumented caller gets, and the only off state), with span
+// recording on (the stack's one span per analyzed launch), with the
+// flight recorder handed in (which an analysis journals nothing to),
+// and with both. The session case is what every visserve session runs —
+// spans and recorder both on — and CI holds it within 25% of absent.
 func BenchmarkObsOverhead(b *testing.B) {
 	spans := obs.NewBuffer(1 << 12)
 	rec := recorder.New(1 << 14)
@@ -240,7 +240,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			inst := circuit.New(16)
-			an := raycast.New(inst.Tree, tc.opts)
+			an := algo.Spec{Algorithm: "raycast"}.Build(inst.Tree, tc.opts).Analyzer
 			stream := core.NewStream(inst.Tree)
 			for _, l := range inst.Emit(stream, 0) {
 				an.Analyze(l.Task)
@@ -371,7 +371,7 @@ func BenchmarkEndToEndExecution(b *testing.B) {
 func rtBench(b *testing.B, alg string) {
 	tree, p, g := testutil.GraphTree()
 	newAn, _ := algo.Lookup(alg)
-	x := core.NewExecutor(newAn(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	x := core.NewExecutor(newAn(tree, core.Options{}), testutil.FullInit(tree), nil)
 	s := core.NewStream(tree)
 	k := core.HashKernel{}
 	b.ResetTimer()

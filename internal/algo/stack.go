@@ -3,6 +3,7 @@ package algo
 import (
 	"visibility/internal/autotrace"
 	"visibility/internal/core"
+	"visibility/internal/obs"
 	"visibility/internal/region"
 )
 
@@ -53,9 +54,26 @@ func (s Spec) Build(tree *region.Tree, opts core.Options) *Stack {
 	}
 	newAn, _ := Lookup(s.Algorithm)
 	st := &Stack{Analyzer: newAn(tree, opts)}
+	if opts.Spans != nil {
+		st.Analyzer = &spanned{Analyzer: st.Analyzer, name: st.Analyzer.Name() + ".analyze", spans: opts.Spans}
+	}
 	if s.AutoTrace {
 		st.Auto = autotrace.New(st.Analyzer, opts)
 		st.Analyzer = st.Auto
 	}
 	return st
+}
+
+// spanned records one "<name>.analyze" span, category "analysis", around
+// each Analyze of the analyzer it wraps. Build places it beneath the
+// autotracer, so a replayed launch records none.
+type spanned struct {
+	core.Analyzer
+	name  string // built once rather than per launch
+	spans *obs.Buffer
+}
+
+func (s *spanned) Analyze(t *core.Task) *core.Result {
+	defer s.spans.Begin(s.name, "analysis").End()
+	return s.Analyzer.Analyze(t)
 }

@@ -77,14 +77,13 @@ type node struct {
 }
 
 // NewExecutor creates an executor over private copies of the initial
-// contents; it runs at most GOMAXPROCS kernels at once. Of opts it uses
-// only the flight recorder, to journal task launches; every other
-// instrument belongs to the analyzer or to the caller.
-func NewExecutor(an Analyzer, init map[field.ID]*data.Store, opts Options) *Executor {
+// contents; it runs at most GOMAXPROCS kernels at once. rec, when
+// non-nil, journals one task_launch line per submitted task.
+func NewExecutor(an Analyzer, init map[field.ID]*data.Store, rec *recorder.Recorder) *Executor {
 	x := &Executor{
 		an:   an,
 		init: make(map[field.ID]*data.Store, len(init)),
-		rec:  opts.Recorder,
+		rec:  rec,
 		max:  runtime.GOMAXPROCS(0),
 		base: []int{0},
 	}

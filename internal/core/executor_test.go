@@ -55,7 +55,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 
 			// Parallel execution with an identical stream.
 			stream := core.NewStream(tree)
-			x := core.NewExecutor(fac.New(tree), init, core.Options{})
+			x := core.NewExecutor(fac.New(tree), init, nil)
 			for iter := 0; iter < 8; iter++ {
 				for i := 0; i < 3; i++ {
 					x.Submit(testutil.LaunchT1(stream, p, g, i), kern, nil)
@@ -90,7 +90,7 @@ func TestIndependentTasksRunConcurrently(t *testing.T) {
 	tree, _, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), nil)
 	read := func() *core.Task {
 		return stream.Launch("r", core.Req{Region: tree.Root, Field: up, Priv: privilege.Reads()})
 	}
@@ -134,7 +134,7 @@ func TestIndependentTasksRunConcurrently(t *testing.T) {
 func TestDependentTasksAreOrdered(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(warnock.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	x := core.NewExecutor(warnock.New(tree, core.Options{}), testutil.FullInit(tree), nil)
 
 	var order []string
 	var mu sync.Mutex
@@ -169,7 +169,7 @@ func TestGoroutinesBoundedByProcs(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), nil)
 
 	started, release := make(chan struct{}), make(chan struct{})
 	x.Submit(stream.Launch("w", core.Req{Region: tree.Root, Field: up, Priv: privilege.Writes()}), core.HashKernel{},
@@ -229,7 +229,7 @@ func TestParkedRunnerEndsWithTheLastTask(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), nil)
 	write := func(i int) *core.Task {
 		return stream.Launch("w", core.Req{Region: p.Subregions[i], Field: up, Priv: privilege.Writes()})
 	}
@@ -255,7 +255,7 @@ func TestDuplicateProducerRunsOnce(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), core.Options{})
+	x := core.NewExecutor(raycast.New(tree, core.Options{}), testutil.FullInit(tree), nil)
 
 	var mu sync.Mutex
 	var order []string
@@ -302,7 +302,7 @@ func TestSourceRejectsForeignSlots(t *testing.T) {
 	tree, p, _ := testutil.GraphTree()
 	up, _ := tree.Fields.Lookup("up")
 	stream := core.NewStream(tree)
-	x := core.NewExecutor(&planless{}, testutil.FullInit(tree), core.Options{})
+	x := core.NewExecutor(&planless{}, testutil.FullInit(tree), nil)
 	write := func(i int) *core.Task {
 		return stream.Launch("w", core.Req{Region: p.Subregions[i], Field: up, Priv: privilege.Writes()})
 	}

@@ -239,13 +239,11 @@ type Options struct {
 	// a private registry, so instruments always exist; pass a shared
 	// registry to collect one snapshot across the whole stack.
 	Metrics *obs.Registry
-	// Spans receives one "<algorithm>.analyze" span per analyzed launch.
-	// Nil (the default) disables span recording; every instrumentation
-	// site is nil-safe.
+	// Spans receives one "<algorithm>.analyze" span per analyzed launch,
+	// recorded by algo.Spec.Build's stack, not the analyzer. Nil disables it.
 	Spans *obs.Buffer
-	// Recorder is the flight-recorder ring that journals coarse runtime
-	// events (task launches, equivalence-set splits/coalesces, cache
-	// outcomes). Nil disables journaling; every site is nil-safe.
+	// Recorder journals the autotracer's trace outcomes; an analyzer
+	// journals nothing. Nil disables journaling.
 	Recorder *recorder.Recorder
 	// Faults is the deterministic fault-injection plane. Nil (the default,
 	// preserved by Normalize) disables every injection site at the cost of
@@ -256,8 +254,7 @@ type Options struct {
 	Prov *Provenance
 }
 
-// Normalize fills in defaults for nil fields (Spans stays nil: a nil
-// buffer is the disabled fast path).
+// Normalize fills in defaults for nil Probe, Owner and Metrics.
 func (o Options) Normalize() Options {
 	if o.Probe == nil {
 		o.Probe = NopProbe{}

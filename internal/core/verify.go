@@ -100,7 +100,7 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 // plan violation or an analysis panic, both raised on this goroutine,
 // comes back as the error.
 func execute(an Analyzer, init map[field.ID]*data.Store, tasks []*Task, k Kernel) (deps [][]int, inputs [][]*data.Store, err error) {
-	x := NewExecutor(Checked(an), init, Options{})
+	x := NewExecutor(Checked(an), init, nil)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)

@@ -19,7 +19,6 @@ import (
 	"visibility/internal/core"
 	"visibility/internal/fault"
 	"visibility/internal/index"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/privilege"
 	"visibility/internal/region"
 )
@@ -130,7 +129,6 @@ type Kernel[X any] struct {
 	Opts  core.Options // normalized
 	Stats core.Stats
 	store Store[X]
-	span  string // name + ".analyze", built once rather than per launch
 
 	// Analyze's scratch, reused by every launch: the scan, every set the
 	// launch's refines found, and each requirement's run of them.
@@ -145,9 +143,9 @@ type Kernel[X any] struct {
 	histChunk core.Chunk[Entry]
 }
 
-// New creates the kernel of the analyzer called name over store.
-func New[X any](name string, opts core.Options, store Store[X]) *Kernel[X] {
-	return &Kernel[X]{Opts: opts.Normalize(), store: store, span: name + ".analyze"}
+// New creates a kernel over store.
+func New[X any](opts core.Options, store Store[X]) *Kernel[X] {
+	return &Kernel[X]{Opts: opts.Normalize(), store: store}
 }
 
 // Owner returns the node owning n's state (§8), asking Opts.Owner the
@@ -218,7 +216,6 @@ func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced
 	}
 	s.Dead = true
 	k.Stats.SetsCreated += 2
-	k.Opts.Recorder.Log(recorder.KindEqSplit, 2, int64(len(s.Hist)))
 	hist := s.Hist[:len(s.Hist):len(s.Hist)] // an append to either half copies
 	return k.NewSet(c.In, hist, s.At), k.NewSet(c.Out, hist, s.At), forced
 }
@@ -249,8 +246,6 @@ func privRuns(hist []Entry) int64 {
 
 // Analyze observes the launch of t (core.Analyzer's contract).
 func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
-	span := k.Opts.Spans.Begin(k.span, "analysis")
-	defer span.End()
 	scan := &k.scan
 	scan.Start(&k.Stats, t)
 

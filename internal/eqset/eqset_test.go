@@ -69,7 +69,7 @@ func TestSplit(t *testing.T) {
 			if tt.plan != "" {
 				opts.Faults = mustInjector(t, tt.plan)
 			}
-			k := eqset.New[int]("test", opts, nil)
+			k := eqset.New[int](opts, nil)
 			s := &set{G: &eqset.Node{Pts: tt.pts}, Hist: hist, At: 7}
 			in, rest, forced := k.Split(s, reg(1, tt.sp))
 			if forced != tt.forced {
@@ -103,7 +103,7 @@ func TestSplit(t *testing.T) {
 			// A second set wearing the parent's geometry is cut by the
 			// same region into the very same nodes — unless the cut was
 			// forced, which is not geometry and is never remembered.
-			again, againRest, _ := eqset.New[int]("test", core.Options{}, nil).Split(&set{G: s.G, Hist: hist}, reg(1, tt.sp))
+			again, againRest, _ := eqset.New[int](core.Options{}, nil).Split(&set{G: s.G, Hist: hist}, reg(1, tt.sp))
 			if remembered := againRest != nil && again.G == in.G && againRest.G == rest.G; remembered == tt.forced {
 				t.Errorf("forced = %v, yet splitting the same geometry again found the same halves = %v", tt.forced, remembered)
 			}
@@ -117,7 +117,7 @@ func TestSplit(t *testing.T) {
 // answer.
 func TestOwnerResolvedOnce(t *testing.T) {
 	calls := 0
-	k := eqset.New[int]("test", core.Options{Owner: func(sp index.Space) int {
+	k := eqset.New[int](core.Options{Owner: func(sp index.Space) int {
 		calls++
 		return testutil.ShapeOwner(sp)
 	}}, nil)
@@ -147,7 +147,7 @@ func TestOwnerResolvedOnce(t *testing.T) {
 func TestSplitSharesHistory(t *testing.T) {
 	hist := make([]eqset.Entry, 2, 8) // spare capacity: an in-place append would be visible
 	hist[0], hist[1] = eqset.Entry{Task: core.InitialTask, Priv: privilege.Writes()}, eqset.Entry{Task: 3, Priv: privilege.Reads()}
-	k := eqset.New[int]("test", core.Options{}, nil)
+	k := eqset.New[int](core.Options{}, nil)
 	s := &set{G: &eqset.Node{Pts: span(0, 9)}, Hist: hist}
 	in, rest, _ := k.Split(s, reg(1, span(4, 5)))
 	if &in.Hist[0] != &hist[0] || &rest.Hist[0] != &hist[0] {
@@ -173,7 +173,7 @@ func TestSplitSharesHistory(t *testing.T) {
 // carve's capacity, and overwriting one in place, must leave every other
 // history — the other half's and the parent's — as it was.
 func TestCarvedHistoriesDoNotCross(t *testing.T) {
-	k := eqset.New[int]("test", core.Options{}, nil)
+	k := eqset.New[int](core.Options{}, nil)
 	s := eqset.Root[int](span(0, 9))
 	in, rest, _ := k.Split(s, reg(1, span(4, 5)))
 	want := map[*set][]int{s: {core.InitialTask}, in: {core.InitialTask}, rest: {core.InitialTask}}
@@ -265,7 +265,7 @@ func (f *flat) Analyze(t *core.Task) *core.Result { return f.k.Analyze(t) }
 
 func newFlat(tree *region.Tree, o core.Options) *flat {
 	f := &flat{root: tree.Root.Space, sets: make(map[field.ID][]*set)}
-	f.k = eqset.New[int]("flat", o, f)
+	f.k = eqset.New[int](o, f)
 	return f
 }
 

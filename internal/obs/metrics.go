@@ -1,11 +1,10 @@
 // Package obs is the observability layer: a metrics registry of typed
-// atomic instruments, a ring-buffered span recorder for the phases of each
-// per-launch analysis, and a Chrome trace-event (Perfetto-loadable) JSON
-// exporter for both wall-clock spans and the cluster's virtual-time
-// schedule.
+// atomic instruments, a ring-buffered span recorder, and a Chrome
+// trace-event (Perfetto-loadable) JSON exporter for both wall-clock spans
+// and the cluster's virtual-time schedule.
 //
 // The package is stdlib-only and sits below every other package in the
-// module: core, the analyzers, the tracer, the scheduler, the cluster
+// module: core, the analysis stack, the tracer, the scheduler, the cluster
 // simulator, and the experiment harness all publish into it. Instruments
 // are cheap enough to leave on unconditionally — a Counter increment is one
 // atomic add — and span recording is nil-safe, so components hold a

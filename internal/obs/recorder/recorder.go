@@ -1,7 +1,7 @@
 // Package recorder is the always-on flight recorder: a bounded ring
-// journaling coarse runtime events (task launches, equivalence-set
-// splits and coalesces, admission rejects, worker job boundaries) so that
-// when something goes wrong — a latched session failure, a SIGQUIT, a hung
+// journaling coarse runtime events (task launches, admission rejects,
+// worker job boundaries, fault injections, trace outcomes) so that when
+// something goes wrong — a latched session failure, a SIGQUIT, a hung
 // drain — the last window of runtime activity is available for forensics
 // without having had tracing turned on in advance.
 //
@@ -12,7 +12,7 @@
 // string, held as an index into the recorder's table of the strings it
 // has seen, so the ring holds no pointers for the collector to scan) —
 // journaling must stay cheap enough to leave on in production, which
-// BenchmarkObsOverhead measures on the analysis hot path.
+// BenchmarkObsOverhead measures on the launch path.
 //
 // The window has one rendering, text: a first line carrying the dropped
 // count, then one line per event, oldest first,
@@ -40,8 +40,6 @@ type Kind uint8
 // Event kinds.
 const (
 	KindTaskLaunch Kind = iota
-	KindEqSplit
-	KindEqCoalesce
 	KindAdmitReject
 	KindJobStart
 	KindJobDone
@@ -60,8 +58,6 @@ const (
 // each ending in the Event field it prints (A, B or S).
 var formats = [...]string{
 	KindTaskLaunch:      "task_launch task=A reqs=B",
-	KindEqSplit:         "eq_split fragments=A copied=B",
-	KindEqCoalesce:      "eq_coalesce pruned=A",
 	KindAdmitReject:     "admit_reject seq=A reason=S", // global_cap, session_queue or session_closing
 	KindJobStart:        "job_start seq=A route=S",     // the route's name in the server's handle table
 	KindJobDone:         "job_done seq=A",              // a job that latched a failure ends in worker_fail instead

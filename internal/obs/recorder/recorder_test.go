@@ -52,7 +52,7 @@ func TestDropOldestOrdering(t *testing.T) {
 // state: it journals nothing and dumps an empty window.
 func TestNilAndDisabledAreInert(t *testing.T) {
 	var nilRec *Recorder
-	nilRec.Log(KindEqSplit, 1, 2) // must not panic
+	nilRec.Log(KindTaskLaunch, 1, 2) // must not panic
 	nilRec.LogS(KindJobStart, 1, "workloads")
 	if nilRec.Snapshot() != nil || nilRec.Len() != 0 || nilRec.Dropped() != 0 {
 		t.Error("nil recorder not inert")
@@ -65,8 +65,8 @@ func TestNilAndDisabledAreInert(t *testing.T) {
 
 // TestKindString checks every kind has a format and String names it.
 func TestKindString(t *testing.T) {
-	if got := KindEqCoalesce.String(); got != "eq_coalesce" {
-		t.Errorf("KindEqCoalesce = %q", got)
+	if got := KindAdmitReject.String(); got != "admit_reject" {
+		t.Errorf("KindAdmitReject = %q", got)
 	}
 	if got := KindTraceReplay.String(); got != "trace_replay" {
 		t.Errorf("KindTraceReplay = %q", got)
@@ -88,22 +88,20 @@ func TestKindPin(t *testing.T) {
 		want string
 	}{
 		{KindTaskLaunch, 7, 2, "", "1 task_launch task=7 reqs=2"},
-		{KindEqSplit, 2, 5, "", "2 eq_split fragments=2 copied=5"},
-		{KindEqCoalesce, 4, 0, "", "3 eq_coalesce pruned=4"},
-		{KindAdmitReject, 1, 0, "global_cap", "4 admit_reject seq=1 reason=global_cap"},
-		{KindJobStart, 1, 0, "workloads", "5 job_start seq=1 route=workloads"},
-		{KindJobDone, 1, 0, "", "6 job_done seq=1"},
-		{KindWorkerFail, 1, 0, "", "7 worker_fail seq=1"},
-		{KindSessionOpen, 1, 0, "", "8 session_open seq=1"},
-		{KindSessionClose, 1, 0, "", "9 session_close seq=1"},
-		{KindFaultInject, -3, 0, "server.worker.panic", "10 fault_inject site=server.worker.panic arg=-3"},
-		{KindTraceCommit, 1, 3, "", "11 trace_commit trace=1 period=3"},
-		{KindTraceReplay, 1, 3, "", "12 trace_replay trace=1 period=3"},
-		{KindTraceInvalidate, 1, 2, "", "13 trace_invalidate trace=1 pos=2"},
-		{KindExplainQuery, 5, 2, "", "14 explain_query task=5 edges=2"},
-		{KindCritPath, 4, 90, "", "15 crit_path tasks=4 makespan=90"},
-		{KindJobStart, 2, 0, "graph", "16 job_start seq=2 route=graph"},
-		{KindFaultInject, 2, 0, "server.worker.panic", "17 fault_inject site=server.worker.panic arg=2"},
+		{KindAdmitReject, 1, 0, "global_cap", "2 admit_reject seq=1 reason=global_cap"},
+		{KindJobStart, 1, 0, "workloads", "3 job_start seq=1 route=workloads"},
+		{KindJobDone, 1, 0, "", "4 job_done seq=1"},
+		{KindWorkerFail, 1, 0, "", "5 worker_fail seq=1"},
+		{KindSessionOpen, 1, 0, "", "6 session_open seq=1"},
+		{KindSessionClose, 1, 0, "", "7 session_close seq=1"},
+		{KindFaultInject, -3, 0, "server.worker.panic", "8 fault_inject site=server.worker.panic arg=-3"},
+		{KindTraceCommit, 1, 3, "", "9 trace_commit trace=1 period=3"},
+		{KindTraceReplay, 1, 3, "", "10 trace_replay trace=1 period=3"},
+		{KindTraceInvalidate, 1, 2, "", "11 trace_invalidate trace=1 pos=2"},
+		{KindExplainQuery, 5, 2, "", "12 explain_query task=5 edges=2"},
+		{KindCritPath, 4, 90, "", "13 crit_path tasks=4 makespan=90"},
+		{KindJobStart, 2, 0, "graph", "14 job_start seq=2 route=graph"},
+		{KindFaultInject, 2, 0, "server.worker.panic", "15 fault_inject site=server.worker.panic arg=2"},
 	}
 	r := NewClock(len(pins), tick())
 	for _, p := range pins {
@@ -144,7 +142,7 @@ func TestConcurrentLog(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				if g%2 == 0 {
-					r.Log(KindEqSplit, int64(i), -int64(i))
+					r.Log(KindTaskLaunch, int64(i), -int64(i))
 				} else {
 					r.LogS(KindJobStart, int64(i), routes[(g+i)%len(routes)])
 				}
@@ -163,7 +161,7 @@ func TestConcurrentLog(t *testing.T) {
 		t.Errorf("recorded+dropped = %d, want %d", got, goroutines*perG)
 	}
 	for i, e := range r.Snapshot() {
-		if e.Kind == KindEqSplit && e.B != -e.A {
+		if e.Kind == KindTaskLaunch && e.B != -e.A {
 			t.Fatalf("event %d torn: %+v", i, e)
 		}
 	}

@@ -191,8 +191,6 @@ type pathStep struct {
 
 // Analyze implements core.Analyzer.
 func (pa *Painter) Analyze(t *core.Task) *core.Result {
-	span := pa.opts.Spans.Begin("paint.analyze", "analysis")
-	defer span.End()
 	sc := &pa.scan
 	sc.Start(&pa.stats, t)
 

@@ -34,7 +34,6 @@ import (
 	"visibility/internal/fault"
 	"visibility/internal/field"
 	"visibility/internal/index"
-	"visibility/internal/obs/recorder"
 	"visibility/internal/region"
 )
 
@@ -59,7 +58,7 @@ type RayCast struct {
 // New creates a ray-casting analyzer for tree.
 func New(tree *region.Tree, opts core.Options) *RayCast {
 	rc := &RayCast{tree: tree, state: make(map[field.ID]*fieldState)}
-	rc.k = eqset.New[place]("raycast", opts, rc)
+	rc.k = eqset.New[place](opts, rc)
 	return rc
 }
 
@@ -442,7 +441,6 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	req := t.Reqs[ri]
 	fs := rc.state[req.Field]
 	e := eqset.Entry{Task: t.ID, Req: ri, Priv: req.Priv}
-	rc.k.Opts.Recorder.Log(recorder.KindEqCoalesce, int64(len(inside)), 0)
 	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]
 	var old []eqset.Entry // a pruned set's history to reuse (see eqset.Set.Hist)

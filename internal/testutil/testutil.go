@@ -99,7 +99,7 @@ func FullInit(tree *region.Tree) map[field.ID]*data.Store {
 // rather than a race, and collects every task's materialized inputs by
 // task ID. launch returns the task's dependence row (core.Row).
 func Serial(an core.Analyzer, init map[field.ID]*data.Store) (launch func(*core.Task) []int, inputs map[int][]*data.Store) {
-	x := core.NewExecutor(an, init, core.Options{})
+	x := core.NewExecutor(an, init, nil)
 	inputs = make(map[int][]*data.Store)
 	return func(task *core.Task) []int {
 		_, deps := x.Submit(task, core.HashKernel{}, func(in []*data.Store) { inputs[task.ID] = in })

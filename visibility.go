@@ -144,9 +144,8 @@ type Config struct {
 	// analyzed launch; a replayed launch records none. Nil disables span
 	// recording at zero cost.
 	Spans *obs.Buffer
-	// Recorder, when non-nil, is the flight-recorder ring journaling coarse
-	// runtime events: task launches, equivalence-set splits and coalesces.
-	// Nil disables journaling at zero cost.
+	// Recorder, when non-nil, journals one task_launch line per launch and,
+	// with AutoTrace, the trace outcomes. Nil disables journaling at zero cost.
 	Recorder *recorder.Recorder
 	// Faults, when non-nil, arms the deterministic fault-injection plane's
 	// analyzer sites: forced equivalence-set splits and migrations, and
@@ -628,7 +627,7 @@ func (rt *Runtime) freeze(ts *treeState) {
 		}
 	}
 	ts.stream = core.NewStream(ts.tree)
-	ts.exec = core.NewExecutor(ts.stack.Analyzer, ts.init, opts)
+	ts.exec = core.NewExecutor(ts.stack.Analyzer, ts.init, rt.cfg.Recorder)
 	if rt.cfg.Validate {
 		ts.seq = core.NewSeq(ts.tree, ts.init)
 	}
