@@ -1,8 +1,10 @@
 // Package eqset is the equivalence-set kernel shared by Warnock's algorithm
 // (paper §6) and ray casting (§7). The state is a set of equivalence sets —
 // pairs of a point set and a history — maintaining the invariant that every
-// operation in a set's history is relevant to every point of the set, so a
-// scan needs no spatial test, only privilege interference.
+// operation in a set's history is relevant to every point of its
+// footprint. An entry's footprint is the whole set unless the entry is a
+// read that covered only part of it, and every mutating entry covers its
+// whole set, so a scan needs no spatial test, only privilege interference.
 //
 // Analyze is Figure 9 once: refine the sets a requirement's region
 // partially overlaps into inside/outside halves, scan the histories of the
@@ -10,7 +12,10 @@
 // two algorithms is where the sets live and what a write does to them, and
 // that is all a Store supplies: Warnock keeps the refinement tree and
 // resets each written set's history; ray casting keeps buckets or a K-d
-// tree and replaces the written sets by one fresh set (Figure 11).
+// tree, replaces the written sets by one fresh set (Figure 11), and leaves
+// a set a read covers only in part whole, since a read occludes nothing
+// (§1): the kernel scans the part inside the read and records the read's
+// footprint.
 package eqset
 
 import (
@@ -74,12 +79,19 @@ func (n *Node) Cut(r *region.Region) Cut {
 }
 
 // Entry is one operation in a set's history: task Task touched every point
-// of the set with privilege Priv through its Req-th requirement. It is a
-// core.Entry without the points, which are the set's own (the package's
+// of its footprint with privilege Priv through its Req-th requirement. It is
+// a core.Entry without the points, which are the set's own or, for a read
+// that covered part of the set, those of its region (the package's
 // invariant), so a history array holds no pointer for the collector to scan.
 type Entry struct {
 	Task int
-	Req  int
+	Req  int32
+	// Foot is 0 when the footprint is the whole set. Otherwise the entry is
+	// a read and its footprint is the set's points inside the region the
+	// kernel's footprint table holds at Foot-1: the cut G.Cut(region).In.
+	// A split narrows it, as every fragment is cut by that region in turn,
+	// and drops the entry from a fragment the region misses.
+	Foot int32
 	Priv privilege.Privilege
 }
 
@@ -110,8 +122,11 @@ type Store[X any] interface {
 	// region, applying Kernel.Split to every live set overlapping it, and
 	// returns the extended slice, which the store must not keep. commit is
 	// false for the requirement's first, materialize-phase visit and true
-	// when commit must look the sets up again.
-	Refine(t *core.Task, ri int, commit bool, dst []*Set[X]) []*Set[X]
+	// when commit must look the sets up again. A store may leave the sets
+	// under a read-only requirement whole instead, reporting partial: then
+	// the appended sets are the live sets overlapping the region, and the
+	// kernel scans and records only each one's part inside it.
+	Refine(t *core.Task, ri int, commit bool, dst []*Set[X]) (sets []*Set[X], partial bool)
 	// Write commits a write of the requirement's region over inside, the
 	// live sets tiling it.
 	Write(t *core.Task, ri int, inside []*Set[X])
@@ -131,10 +146,18 @@ type Kernel[X any] struct {
 	store Store[X]
 
 	// Analyze's scratch, reused by every launch: the scan, every set the
-	// launch's refines found, and each requirement's run of them.
+	// launch's refines found, each requirement's run of them, and whether
+	// the store left that run partly covered.
 	scan    core.Scan
 	sets    []*Set[X]
 	insides [][]*Set[X]
+	partial []bool
+
+	// regions is the footprint table: Entry.Foot-1 indexes it by region
+	// ID. A footprint is a region's cut of the set that holds the entry,
+	// so the table holds regions, never nodes, and is bounded by the
+	// region tree whatever the store does with its geometry.
+	regions []*region.Region
 
 	// The sets and history arrays a steady launch creates are carved
 	// from chunks (core.Chunk): a dead set may still sit in a memo or in
@@ -180,6 +203,39 @@ func (k *Kernel[X]) Append(s *Set[X], e Entry) {
 	s.Hist = append(s.Hist, e)
 }
 
+// footprint returns the Entry.Foot naming r's cut of a set.
+func (k *Kernel[X]) footprint(r *region.Region) int32 {
+	if r.ID >= len(k.regions) {
+		k.regions = append(k.regions, make([]*region.Region, r.ID+1-len(k.regions))...)
+	}
+	k.regions[r.ID] = r
+	return int32(r.ID) + 1
+}
+
+// Narrow returns hist as the history of g, a part of the points hist
+// belonged to: each read is narrowed to its footprint inside g, and dropped
+// when that is empty. It returns hist itself, shared, when no entry has a
+// footprint; otherwise a carved array of the kernel's own.
+func (k *Kernel[X]) Narrow(hist []Entry, g *Node) []Entry {
+	i := slices.IndexFunc(hist, func(e Entry) bool { return e.Foot != 0 })
+	if i < 0 {
+		return hist
+	}
+	out := append(k.carve(len(hist)), hist[:i]...)
+	for _, e := range hist[i:] {
+		if e.Foot != 0 {
+			switch c := g.Cut(k.regions[e.Foot-1]); {
+			case c.In == nil:
+				continue // the read touched no point of g
+			case c.Out == nil:
+				e.Foot = 0 // the read covers g
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
 // Touch charges ops units of work to the owner of s.
 func (k *Kernel[X]) Touch(s *Set[X], ops int64) {
 	k.Opts.Probe.Touch(k.Owner(s.G), ops)
@@ -187,14 +243,14 @@ func (k *Kernel[X]) Touch(s *Set[X], ops int64) {
 
 // Split applies the refinement rule of Figure 9 to s, a live set
 // overlapping r. A set r covers stays whole: in is s and rest is nil.
-// Otherwise s dies and two fragments partition it, both carrying its full
-// history: in is s ∩ r and rest is s − r. The eq.split fault forces the
-// refinement on a covered set of more than one point, so that rest lies
-// inside r too (forced) — semantics-preserving, it only breaks code that
-// secretly depends on covered sets staying whole; a forced cut is not
-// geometry and is never remembered. The store places the fragments. The
-// site's argument, the set's volume, is summed only under a fault plane:
-// a nil plane never fires, whatever it is passed.
+// Otherwise s dies and two fragments partition it, both carrying its
+// history narrowed to them (Narrow): in is s ∩ r and rest is s − r. The
+// eq.split fault forces the refinement on a covered set of more than one
+// point, so that rest lies inside r too (forced) — semantics-preserving,
+// it only breaks code that secretly depends on covered sets staying whole;
+// a forced cut is not geometry and is never remembered. The store places
+// the fragments. The site's argument, the set's volume, is summed only
+// under a fault plane: a nil plane never fires, whatever it is passed.
 func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced bool) {
 	k.Stats.OverlapTests++
 	// The store guarantees overlap, so c.In is never nil.
@@ -217,7 +273,7 @@ func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced
 	s.Dead = true
 	k.Stats.SetsCreated += 2
 	hist := s.Hist[:len(s.Hist):len(s.Hist)] // an append to either half copies
-	return k.NewSet(c.In, hist, s.At), k.NewSet(c.Out, hist, s.At), forced
+	return k.NewSet(c.In, k.Narrow(hist, c.In), s.At), k.NewSet(c.Out, k.Narrow(hist, c.Out), s.At), forced
 }
 
 // Overwrite returns the history of a set a write leaves holding only e.
@@ -244,6 +300,23 @@ func privRuns(hist []Entry) int64 {
 	return runs
 }
 
+// scanSet scans s's history for the requirement being materialized, whose
+// region holds pts of s. Every entry a requirement's privilege interferes
+// with or reads covers pts: a mutating entry covers its whole set, and a
+// read's footprint matters only to a mutation, which covers the whole set
+// in turn.
+func (k *Kernel[X]) scanSet(s *Set[X], pts index.Space) {
+	// Consecutive entries with one privilege form an epoch (e.g. N
+	// same-operator reductions): interference is decided once per epoch,
+	// as in Legion's user lists, so the charged work is the number of
+	// privilege runs, not entries.
+	k.Touch(s, privRuns(s.Hist))
+	for _, e := range s.Hist {
+		k.Stats.EntriesScanned++
+		k.scan.Entry(core.Entry{Task: e.Task, Req: int(e.Req), Priv: e.Priv}, pts)
+	}
+}
+
 // Analyze observes the launch of t (core.Analyzer's contract).
 func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 	scan := &k.scan
@@ -254,6 +327,9 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 	insides := slices.Grow(k.insides[:0], len(t.Reqs))[:len(t.Reqs)]
 	clear(insides)
 	k.insides = insides
+	partial := slices.Grow(k.partial[:0], len(t.Reqs))[:len(t.Reqs)]
+	clear(partial)
+	k.partial = partial
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
 			// No points: nothing can interfere and nothing materializes.
@@ -263,18 +339,16 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 		}
 		scan.Begin(ri, req)
 		n := len(k.sets)
-		k.sets = k.store.Refine(t, ri, false, k.sets)
+		k.sets, partial[ri] = k.store.Refine(t, ri, false, k.sets)
 		insides[ri] = k.sets[n:]
-		for _, s := range insides[ri] {
-			// Consecutive entries with one privilege form an epoch (e.g.
-			// N same-operator reductions): interference is decided once
-			// per epoch, as in Legion's user lists, so the charged work
-			// is the number of privilege runs, not entries.
-			k.Touch(s, privRuns(s.Hist))
-			for _, e := range s.Hist {
-				k.Stats.EntriesScanned++
-				scan.Entry(core.Entry{Task: e.Task, Req: e.Req, Priv: e.Priv}, s.G.Pts)
+		if partial[ri] {
+			for _, s := range insides[ri] {
+				k.scanSet(s, s.G.Cut(req.Region).In.Pts)
 			}
+			continue
+		}
+		for _, s := range insides[ri] {
+			k.scanSet(s, s.G.Pts)
 		}
 	}
 
@@ -287,11 +361,11 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 		// Reuse the constituent sets found during materialize unless
 		// another requirement of this task (same field, overlapping
 		// region) has refined or pruned them since.
-		inside := insides[ri]
+		inside, part := insides[ri], partial[ri]
 		for _, s := range inside {
 			if s.Dead {
 				n := len(k.sets)
-				k.sets = k.store.Refine(t, ri, true, k.sets)
+				k.sets, part = k.store.Refine(t, ri, true, k.sets)
 				inside = k.sets[n:]
 				break
 			}
@@ -300,8 +374,16 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			k.store.Write(t, ri, inside)
 			continue
 		}
+		e, foot := Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}, int32(0)
+		if part {
+			foot = k.footprint(req.Region)
+		}
 		for _, s := range inside {
-			k.Append(s, Entry{Task: t.ID, Req: ri, Priv: req.Priv})
+			e.Foot = 0
+			if part && s.G.Cut(req.Region).Out != nil {
+				e.Foot = foot // the read is relevant to its footprint alone
+			}
+			k.Append(s, e)
 			k.Touch(s, 1)
 		}
 	}

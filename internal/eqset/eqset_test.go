@@ -3,6 +3,7 @@ package eqset_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -108,6 +109,33 @@ func TestSplit(t *testing.T) {
 				t.Errorf("forced = %v, yet splitting the same geometry again found the same halves = %v", tt.forced, remembered)
 			}
 		})
+	}
+}
+
+// TestEntryStaysPointerFree pins what a history array costs: 32 bytes an
+// entry and no pointer for the collector to scan, footprint included.
+func TestEntryStaysPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(eqset.Entry{}); size != 32 {
+		t.Errorf("eqset.Entry is %d bytes, want 32", size)
+	}
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if walk(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+			return false
+		}
+		return true
+	}
+	if walk(reflect.TypeOf(eqset.Entry{})) {
+		t.Error("eqset.Entry holds a pointer")
 	}
 }
 
@@ -229,7 +257,7 @@ type flat struct {
 	sets map[field.ID][]*set
 }
 
-func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
+func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []*set) ([]*set, bool) {
 	req := t.Reqs[ri]
 	if f.sets[req.Field] == nil {
 		f.sets[req.Field] = []*set{eqset.Root[int](f.root)}
@@ -250,12 +278,12 @@ func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 		}
 	}
 	f.sets[req.Field] = live
-	return inside
+	return inside, false
 }
 
 func (f *flat) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
-		s.Hist = []eqset.Entry{{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv}}
+		s.Hist = []eqset.Entry{{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv}}
 	}
 }
 
@@ -352,10 +380,11 @@ func TestFlatStoreIsSound(t *testing.T) {
 
 // TestSplitFaultArgument pins the eq.split site's argument, the covered
 // set's volume, through both stores: a plan restricted to arg=N forces a
-// split of exactly the covered sets of N points. Three rounds read each
+// split of exactly the covered sets of N points. Three rounds touch each
 // piece of a partition whose pieces hold 2, 4 and 4 points (one of them
 // two rectangles), so every piece is first cut from the root and then
-// covered; a forced split leaves its piece tiled by two sets.
+// covered; a forced split leaves its piece tiled by two sets. Warnock's
+// rounds read; ray casting's sum-reduce, since its reads cut nothing.
 func TestSplitFaultArgument(t *testing.T) {
 	fs := field.NewSpace()
 	f := fs.Add("f")
@@ -365,18 +394,22 @@ func TestSplitFaultArgument(t *testing.T) {
 		index.FromRects(1, geometry.R1(2, 3), geometry.R1(8, 9)),
 		span(4, 7),
 	})
-	analyzers := map[string]func(*region.Tree, core.Options) core.Analyzer{
-		"warnock": func(tr *region.Tree, o core.Options) core.Analyzer { return warnock.New(tr, o) },
-		"raycast": func(tr *region.Tree, o core.Options) core.Analyzer { return raycast.New(tr, o) },
-	}
-	for name, build := range analyzers {
+	for _, a := range []struct {
+		name  string
+		build func(*region.Tree, core.Options) core.Analyzer
+		priv  privilege.Privilege
+	}{
+		{"warnock", func(tr *region.Tree, o core.Options) core.Analyzer { return warnock.New(tr, o) }, privilege.Reads()},
+		{"raycast", func(tr *region.Tree, o core.Options) core.Analyzer { return raycast.New(tr, o) }, privilege.Reduces(privilege.OpSum)},
+	} {
+		name := a.name
 		for n := int64(1); n <= 5; n++ {
 			inj := mustInjector(t, fmt.Sprintf("seed=1;analyzer.eqset.split=every=1,arg=%d", n))
-			an := build(tree, core.Options{Faults: inj})
+			an := a.build(tree, core.Options{Faults: inj})
 			s := core.NewStream(tree)
 			for round := 0; round < 3; round++ {
 				for _, piece := range p.Subregions {
-					an.Analyze(s.Launch("read", core.Req{Region: piece, Field: f, Priv: privilege.Reads()}))
+					an.Analyze(s.Launch("touch", core.Req{Region: piece, Field: f, Priv: a.priv}))
 				}
 			}
 			sets := an.(interface{ SetSpaces(field.ID) []index.Space }).SetSpaces(f)

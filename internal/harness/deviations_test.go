@@ -9,22 +9,28 @@ import (
 
 // The deviations from the paper that EXPERIMENTS.md lists ("Summary of
 // deviations"), pinned at 128 nodes, the smallest machine in
-// results/figures_512.txt where all three show. Each test names the
-// relation, not the digits: CI's cmp of that file holds the digits. A
-// change that means to move a deviation (a refit cost model) updates the
-// test and EXPERIMENTS.md together.
+// results/figures_512.txt where both show, and the closed deviation #3
+// pinned over 128–512 nodes. Each test names the relation, not the
+// digits: CI's cmp of that file holds the digits. A change that means to
+// move a deviation (a refit cost model) updates the test and
+// EXPERIMENTS.md together.
 
 const deviationNodes = 128
 
-// deviationCells memoizes the n=128 cells the three tests share.
+// deviationCells memoizes the cells the tests share.
 var deviationCells = map[string]*harness.Result{}
 
-// deviationCell runs app under one configuration at deviationNodes with
-// visbench's default three timed iterations, so its numbers are the
-// figure file's.
+// deviationCell runs app under one configuration at deviationNodes.
 func deviationCell(t *testing.T, app, algorithm string, dcr bool) *harness.Result {
 	t.Helper()
-	key := fmt.Sprintf("%s/%s", app, harness.SystemName(algorithm, dcr))
+	return figureCell(t, app, algorithm, dcr, deviationNodes)
+}
+
+// figureCell runs app under one configuration at nodes with visbench's
+// default three timed iterations, so its numbers are the figure file's.
+func figureCell(t *testing.T, app, algorithm string, dcr bool, nodes int) *harness.Result {
+	t.Helper()
+	key := fmt.Sprintf("%s/%s/%d", app, harness.SystemName(algorithm, dcr), nodes)
 	if r, ok := deviationCells[key]; ok {
 		return r
 	}
@@ -34,7 +40,7 @@ func deviationCell(t *testing.T, app, algorithm string, dcr bool) *harness.Resul
 	}
 	r, err := harness.Run(harness.Config{
 		App: a.Build, AppName: app, Algorithm: algorithm, DCR: dcr,
-		Nodes: deviationNodes, MeasureIters: 3,
+		Nodes: nodes, MeasureIters: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +79,18 @@ func TestDeviation2PennantWarnockDCRInit(t *testing.T) {
 	}
 }
 
-// TestDeviation3CircuitWarnockNoDCRAhead pins deviation #3: on circuit
-// without DCR, Warnock's steady-state throughput is ahead of ray casting's
-// by less than 8% (1.959e6 against 1.884e6 wires/s/node); the paper has
-// ray casting marginally ahead.
-func TestDeviation3CircuitWarnockNoDCRAhead(t *testing.T) {
-	warnock := deviationCell(t, "circuit", "warnock", false).ThroughputPerNode
-	raycast := deviationCell(t, "circuit", "raycast", false).ThroughputPerNode
-	if ratio := warnock / raycast; ratio <= 1 || ratio >= 1.08 {
-		t.Errorf("circuit: warnock_nodcr/raycast_nodcr throughput = %.4g/%.4g = %.4f at %d nodes, want in (1, 1.08)",
-			warnock, raycast, ratio, deviationNodes)
+// TestRaycastNoDCRAtLeastWarnockOnCircuit pins the paper's ordering that
+// deviation #3 broke: on circuit without DCR, ray casting's steady-state
+// throughput is at or above Warnock's at 128–512 nodes (at 128: 2.399e6
+// against 1.959e6 wires/s/node). Warnock was ahead by less than 8% while
+// ray casting's ghost reads cut the sets its writes had coalesced.
+func TestRaycastNoDCRAtLeastWarnockOnCircuit(t *testing.T) {
+	for _, nodes := range []int{128, 256, 512} {
+		warnock := figureCell(t, "circuit", "warnock", false, nodes).ThroughputPerNode
+		raycast := figureCell(t, "circuit", "raycast", false, nodes).ThroughputPerNode
+		if raycast < warnock {
+			t.Errorf("circuit: raycast_nodcr throughput %.4g is below warnock_nodcr's %.4g at %d nodes",
+				raycast, warnock, nodes)
+		}
 	}
 }

@@ -241,9 +241,10 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 	fs.buckets = make([][]*set, len(dcp.Subregions))
 	fs.memo = make(map[int]bucketList)
 	for _, s := range sets {
-		// Re-bucketing replaces s by per-piece copies: an earlier
-		// requirement of the launch being analyzed may still hold s, and
-		// must look its sets up again rather than commit to the orphan.
+		// Re-bucketing replaces s by per-piece copies, each with the
+		// history narrowed to it: an earlier requirement of the launch
+		// being analyzed may still hold s, and must look its sets up again
+		// rather than commit to the orphan.
 		s.Dead = true
 		for i, sub := range dcp.Subregions {
 			rc.k.Stats.OverlapTests++
@@ -251,7 +252,8 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 			if part.IsEmpty() {
 				continue
 			}
-			rc.insert(fs, &set{G: &eqset.Node{Pts: part}, Hist: slices.Clone(s.Hist), At: place{bucket: i}})
+			g := &eqset.Node{Pts: part}
+			rc.insert(fs, &set{G: g, Hist: rc.k.Narrow(s.Hist[:len(s.Hist):len(s.Hist)], g), At: place{bucket: i}})
 		}
 	}
 }
@@ -350,10 +352,13 @@ func (rc *RayCast) insert(fs *fieldState, s *set) {
 }
 
 // Refine implements eqset.Store: fragments replace a split set in its
-// bucket (or in the K-d container). The migration heuristic and the
-// eq.migrate fault watch each requirement once, on its materialize-phase
-// visit.
-func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) []*set {
+// bucket (or in the K-d container). A read occludes nothing, so it cuts
+// nothing either: the sets it overlaps are returned whole, partial, and
+// the kernel records the read's footprint in each. Writes and reductions
+// still split, so every mutating entry covers its whole set. The migration
+// heuristic and the eq.migrate fault watch each requirement once, on its
+// materialize-phase visit.
+func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) ([]*set, bool) {
 	r := t.Reqs[ri].Region
 	fs := rc.fieldFor(t.Reqs[ri].Field, r)
 	if !commit {
@@ -361,6 +366,9 @@ func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) []*s
 		if fired, v := rc.k.Opts.Faults.FireValue(fault.EqMigrate, int64(t.ID)); fired {
 			rc.forceMigrate(fs, v)
 		}
+	}
+	if t.Reqs[ri].Priv.IsRead() {
+		return rc.candidates(fs, r, inside), true
 	}
 	rc.cands = rc.candidates(fs, r, rc.cands[:0])
 	for _, s := range rc.cands {
@@ -376,7 +384,7 @@ func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) []*s
 			inside = append(inside, rest)
 		}
 	}
-	return inside
+	return inside, false
 }
 
 // maybeMigrate tracks which disjoint-complete partition recent launches
@@ -440,7 +448,7 @@ func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
 func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
 	req := t.Reqs[ri]
 	fs := rc.state[req.Field]
-	e := eqset.Entry{Task: t.ID, Req: ri, Priv: req.Priv}
+	e := eqset.Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}
 	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]
 	var old []eqset.Entry // a pruned set's history to reuse (see eqset.Set.Hist)

@@ -172,7 +172,7 @@ func (w *Warnock) descend(b *bnode, sp index.Space, inside bool) {
 
 // Refine implements eqset.Store: a split leaf becomes an interior node over
 // its two fragments.
-func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
+func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) ([]*set, bool) {
 	r := t.Reqs[ri].Region
 	fs := w.fieldFor(t.Reqs[ri].Field)
 	n := len(inside)
@@ -206,14 +206,14 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) []*set {
 		fs.memo = append(fs.memo, make([][]*set, r.ID+1-len(fs.memo))...)
 	}
 	fs.memo[r.ID] = append(fs.memo[r.ID][:0], inside[n:]...)
-	return inside
+	return inside, false
 }
 
 // Write implements eqset.Store: a write clears each set's prior history
 // (Figure 9 lines 30-31).
 func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
 	for _, s := range inside {
-		s.Hist = w.k.Overwrite(s.Hist, eqset.Entry{Task: t.ID, Req: ri, Priv: t.Reqs[ri].Priv})
+		s.Hist = w.k.Overwrite(s.Hist, eqset.Entry{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv})
 		w.k.Touch(s, 1)
 	}
 }
