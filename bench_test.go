@@ -221,10 +221,10 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 // as every session builds it (algo.Spec.Build), with instrumentation
 // absent (nil Spans and Recorder in core.Options — the zero value every
 // non-instrumented caller gets, and the only off state), with span
-// recording on (the stack's one span per analyzed launch), with the
-// flight recorder handed in (which an analysis journals nothing to),
-// and with both. The session case is what every visserve session runs —
-// spans and recorder both on — and CI holds it within 25% of absent.
+// recording on (the stack's one span per analyzed launch), and as every
+// visserve session runs it, with spans and the flight recorder both on
+// (an analysis journals nothing to the recorder). CI holds session
+// within 25% of absent.
 func BenchmarkObsOverhead(b *testing.B) {
 	spans := obs.NewBuffer(1 << 12)
 	rec := recorder.New(1 << 14)
@@ -234,7 +234,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}{
 		{"absent", core.Options{}},
 		{"enabled", core.Options{Spans: spans}},
-		{"recorder-enabled", core.Options{Recorder: rec}},
 		{"session", core.Options{Spans: spans, Recorder: rec}},
 	}
 	for _, tc := range cases {

@@ -7,15 +7,16 @@
 // whole set, so a scan needs no spatial test, only privilege interference.
 //
 // Analyze is Figure 9 once: refine the sets a requirement's region
-// partially overlaps into inside/outside halves, scan the histories of the
-// sets inside it, then commit the launch to them. What differs between the
-// two algorithms is where the sets live and what a write does to them, and
-// that is all a Store supplies: Warnock keeps the refinement tree and
-// resets each written set's history; ray casting keeps buckets or a K-d
-// tree, replaces the written sets by one fresh set (Figure 11), and leaves
-// a set a read covers only in part whole, since a read occludes nothing
-// (§1): the kernel scans the part inside the read and records the read's
-// footprint.
+// overlaps, scan each one's part inside the region, then commit the launch
+// to those parts. What differs between the two algorithms is where the sets
+// live, which of them a requirement cuts, and what a write does to them,
+// and that is all a Store supplies: each set it finds comes with the
+// region's cut of it (a Part). Warnock keeps the refinement tree, cuts
+// every set a requirement partially overlaps and resets each written set's
+// history; ray casting keeps buckets or a K-d tree, replaces the written
+// sets by one fresh set (Figure 11), and cuts nothing for a read, since a
+// read occludes nothing (§1): a part that is not its whole set makes the
+// kernel record the read's footprint.
 package eqset
 
 import (
@@ -115,21 +116,32 @@ type Set[X any] struct {
 	At X
 }
 
+// Part is a live set a requirement's region overlaps and the region's cut
+// of it: In holds the set's points inside the region, and Out is nil
+// exactly when that is the whole set.
+type Part[X any] struct {
+	S *Set[X]
+	Cut
+}
+
+// Whole returns the part of a set a region covers.
+func Whole[X any](s *Set[X]) Part[X] { return Part[X]{S: s, Cut: Cut{In: s.G}} }
+
 // Store holds the live equivalence sets of every field. Both methods
 // identify a requirement as t.Reqs[ri], whose region is never empty.
 type Store[X any] interface {
-	// Refine appends to dst the live sets that tile the requirement's
-	// region, applying Kernel.Split to every live set overlapping it, and
-	// returns the extended slice, which the store must not keep. commit is
-	// false for the requirement's first, materialize-phase visit and true
-	// when commit must look the sets up again. A store may leave the sets
-	// under a read-only requirement whole instead, reporting partial: then
-	// the appended sets are the live sets overlapping the region, and the
-	// kernel scans and records only each one's part inside it.
-	Refine(t *core.Task, ri int, commit bool, dst []*Set[X]) (sets []*Set[X], partial bool)
+	// Refine appends to dst a part for every live set overlapping the
+	// requirement's region and returns the extended slice, which the
+	// store must not keep. A write or reduction's parts are whole: the
+	// store applies Kernel.Split to every set the region overlaps. A read
+	// may leave a set whole instead, and the kernel scans and records only
+	// its part inside the region. commit is false for the requirement's
+	// first, materialize-phase visit and true when commit must look the
+	// sets up again.
+	Refine(t *core.Task, ri int, commit bool, dst []Part[X]) []Part[X]
 	// Write commits a write of the requirement's region over inside, the
-	// live sets tiling it.
-	Write(t *core.Task, ri int, inside []*Set[X])
+	// whole parts tiling it.
+	Write(t *core.Task, ri int, inside []Part[X])
 }
 
 // Root returns the set a store starts a field from: the root's points,
@@ -145,13 +157,11 @@ type Kernel[X any] struct {
 	Stats core.Stats
 	store Store[X]
 
-	// Analyze's scratch, reused by every launch: the scan, every set the
-	// launch's refines found, each requirement's run of them, and whether
-	// the store left that run partly covered.
+	// Analyze's scratch, reused by every launch: the scan, every part the
+	// launch's refines found, and each requirement's run of them.
 	scan    core.Scan
-	sets    []*Set[X]
-	insides [][]*Set[X]
-	partial []bool
+	parts   []Part[X]
+	insides [][]Part[X]
 
 	// regions is the footprint table: Entry.Foot-1 indexes it by region
 	// ID. A footprint is a region's cut of the set that holds the entry,
@@ -241,20 +251,19 @@ func (k *Kernel[X]) Touch(s *Set[X], ops int64) {
 	k.Opts.Probe.Touch(k.Owner(s.G), ops)
 }
 
-// Split applies the refinement rule of Figure 9 to s, a live set
-// overlapping r. A set r covers stays whole: in is s and rest is nil.
-// Otherwise s dies and two fragments partition it, both carrying its
-// history narrowed to them (Narrow): in is s ∩ r and rest is s − r. The
-// eq.split fault forces the refinement on a covered set of more than one
-// point, so that rest lies inside r too (forced) — semantics-preserving,
-// it only breaks code that secretly depends on covered sets staying whole;
-// a forced cut is not geometry and is never remembered. The store places
-// the fragments. The site's argument, the set's volume, is summed only
-// under a fault plane: a nil plane never fires, whatever it is passed.
-func (k *Kernel[X]) Split(s *Set[X], r *region.Region) (in, rest *Set[X], forced bool) {
+// Split applies the refinement rule of Figure 9 to s, a live set a region
+// overlaps, whose cut of s is c. A set the region covers stays whole: in
+// is s and rest is nil. Otherwise s dies and two fragments partition it,
+// both carrying its history narrowed to them (Narrow): in wears c.In and
+// rest c.Out. The eq.split fault forces the refinement on a covered set of
+// more than one point, so that rest lies inside the region too (forced) —
+// semantics-preserving, it only breaks code that secretly depends on
+// covered sets staying whole; a forced cut is not geometry and is never
+// remembered. The store places the fragments. The site's argument, the
+// set's volume, is summed only under a fault plane: a nil plane never
+// fires, whatever it is passed.
+func (k *Kernel[X]) Split(s *Set[X], c Cut) (in, rest *Set[X], forced bool) {
 	k.Stats.OverlapTests++
-	// The store guarantees overlap, so c.In is never nil.
-	c := s.G.Cut(r)
 	if c.Out == nil {
 		if k.Opts.Faults == nil {
 			return s, nil, false
@@ -322,14 +331,12 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 	scan := &k.scan
 	scan.Start(&k.Stats, t)
 
-	// materialize: refine, then scan each constituent equivalence set.
-	k.sets = k.sets[:0]
+	// materialize: refine, then scan each constituent equivalence set's
+	// part inside the region.
+	k.parts = k.parts[:0]
 	insides := slices.Grow(k.insides[:0], len(t.Reqs))[:len(t.Reqs)]
 	clear(insides)
 	k.insides = insides
-	partial := slices.Grow(k.partial[:0], len(t.Reqs))[:len(t.Reqs)]
-	clear(partial)
-	k.partial = partial
 	for ri, req := range t.Reqs {
 		if req.Region.Space.IsEmpty() {
 			// No points: nothing can interfere and nothing materializes.
@@ -338,17 +345,11 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			continue
 		}
 		scan.Begin(ri, req)
-		n := len(k.sets)
-		k.sets, partial[ri] = k.store.Refine(t, ri, false, k.sets)
-		insides[ri] = k.sets[n:]
-		if partial[ri] {
-			for _, s := range insides[ri] {
-				k.scanSet(s, s.G.Cut(req.Region).In.Pts)
-			}
-			continue
-		}
-		for _, s := range insides[ri] {
-			k.scanSet(s, s.G.Pts)
+		n := len(k.parts)
+		k.parts = k.store.Refine(t, ri, false, k.parts)
+		insides[ri] = k.parts[n:]
+		for _, p := range insides[ri] {
+			k.scanSet(p.S, p.In.Pts)
 		}
 	}
 
@@ -361,12 +362,12 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 		// Reuse the constituent sets found during materialize unless
 		// another requirement of this task (same field, overlapping
 		// region) has refined or pruned them since.
-		inside, part := insides[ri], partial[ri]
-		for _, s := range inside {
-			if s.Dead {
-				n := len(k.sets)
-				k.sets, part = k.store.Refine(t, ri, true, k.sets)
-				inside = k.sets[n:]
+		inside := insides[ri]
+		for _, p := range inside {
+			if p.S.Dead {
+				n := len(k.parts)
+				k.parts = k.store.Refine(t, ri, true, k.parts)
+				inside = k.parts[n:]
 				break
 			}
 		}
@@ -374,17 +375,14 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			k.store.Write(t, ri, inside)
 			continue
 		}
-		e, foot := Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}, int32(0)
-		if part {
-			foot = k.footprint(req.Region)
-		}
-		for _, s := range inside {
+		e := Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}
+		for _, p := range inside {
 			e.Foot = 0
-			if part && s.G.Cut(req.Region).Out != nil {
-				e.Foot = foot // the read is relevant to its footprint alone
+			if p.Out != nil {
+				e.Foot = k.footprint(req.Region) // the read is relevant to its footprint alone
 			}
-			k.Append(s, e)
-			k.Touch(s, 1)
+			k.Append(p.S, e)
+			k.Touch(p.S, 1)
 		}
 	}
 	return scan.Result()

@@ -21,7 +21,10 @@ import (
 	"visibility/internal/warnock"
 )
 
-type set = eqset.Set[int]
+type (
+	set  = eqset.Set[int]
+	part = eqset.Part[int]
+)
 
 func span(lo, hi int64) index.Space { return index.FromRect(geometry.R1(lo, hi)) }
 
@@ -72,7 +75,7 @@ func TestSplit(t *testing.T) {
 			}
 			k := eqset.New[int](opts, nil)
 			s := &set{G: &eqset.Node{Pts: tt.pts}, Hist: hist, At: 7}
-			in, rest, forced := k.Split(s, reg(1, tt.sp))
+			in, rest, forced := k.Split(s, s.G.Cut(reg(1, tt.sp)))
 			if forced != tt.forced {
 				t.Errorf("forced = %v, want %v", forced, tt.forced)
 			}
@@ -104,7 +107,7 @@ func TestSplit(t *testing.T) {
 			// A second set wearing the parent's geometry is cut by the
 			// same region into the very same nodes — unless the cut was
 			// forced, which is not geometry and is never remembered.
-			again, againRest, _ := eqset.New[int](core.Options{}, nil).Split(&set{G: s.G, Hist: hist}, reg(1, tt.sp))
+			again, againRest, _ := eqset.New[int](core.Options{}, nil).Split(&set{G: s.G, Hist: hist}, s.G.Cut(reg(1, tt.sp)))
 			if remembered := againRest != nil && again.G == in.G && againRest.G == rest.G; remembered == tt.forced {
 				t.Errorf("forced = %v, yet splitting the same geometry again found the same halves = %v", tt.forced, remembered)
 			}
@@ -157,7 +160,7 @@ func TestOwnerResolvedOnce(t *testing.T) {
 		t.Fatalf("three touches: %d owner calls, owner %d; want 1 call, owner %d", calls, k.Owner(s.G), testutil.ShapeOwner(s.G.Pts))
 	}
 	for round := 0; round < 2; round++ { // the second set to wear the geometry finds the owners resolved
-		in, rest, _ := k.Split(&set{G: s.G}, reg(1, span(4, 5)))
+		in, rest, _ := k.Split(&set{G: s.G}, s.G.Cut(reg(1, span(4, 5))))
 		for _, f := range []*set{in, rest} {
 			if got, want := k.Owner(f.G), testutil.ShapeOwner(f.G.Pts); got != want {
 				t.Errorf("fragment %v has owner %d, its points resolve to %d", f.G.Pts, got, want)
@@ -177,7 +180,7 @@ func TestSplitSharesHistory(t *testing.T) {
 	hist[0], hist[1] = eqset.Entry{Task: core.InitialTask, Priv: privilege.Writes()}, eqset.Entry{Task: 3, Priv: privilege.Reads()}
 	k := eqset.New[int](core.Options{}, nil)
 	s := &set{G: &eqset.Node{Pts: span(0, 9)}, Hist: hist}
-	in, rest, _ := k.Split(s, reg(1, span(4, 5)))
+	in, rest, _ := k.Split(s, s.G.Cut(reg(1, span(4, 5))))
 	if &in.Hist[0] != &hist[0] || &rest.Hist[0] != &hist[0] {
 		t.Error("the halves copied the parent's history instead of sharing it")
 	}
@@ -203,7 +206,7 @@ func TestSplitSharesHistory(t *testing.T) {
 func TestCarvedHistoriesDoNotCross(t *testing.T) {
 	k := eqset.New[int](core.Options{}, nil)
 	s := eqset.Root[int](span(0, 9))
-	in, rest, _ := k.Split(s, reg(1, span(4, 5)))
+	in, rest, _ := k.Split(s, s.G.Cut(reg(1, span(4, 5))))
 	want := map[*set][]int{s: {core.InitialTask}, in: {core.InitialTask}, rest: {core.InitialTask}}
 	names := map[*set]string{s: "parent", in: "in", rest: "rest"}
 	check := func(step string) {
@@ -250,40 +253,46 @@ func TestCarvedHistoriesDoNotCross(t *testing.T) {
 // flat is the smallest possible Store: one unindexed slice of live sets
 // per field, writes resetting histories in place. It knows nothing of
 // refinement beyond calling Split, so a sound analysis out of it shows the
-// two-method contract is all the kernel needs.
+// two-method contract is all the kernel needs. With readsWhole it cuts
+// nothing for a read, as ray casting does, and hands the kernel each set
+// the read overlaps whole, with the read's cut of it.
 type flat struct {
-	k    *eqset.Kernel[int]
-	root index.Space
-	sets map[field.ID][]*set
+	k          *eqset.Kernel[int]
+	root       index.Space
+	sets       map[field.ID][]*set
+	readsWhole bool
 }
 
-func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []*set) ([]*set, bool) {
+func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []part) []part {
 	req := t.Reqs[ri]
 	if f.sets[req.Field] == nil {
 		f.sets[req.Field] = []*set{eqset.Root[int](f.root)}
 	}
 	var live []*set
 	for _, s := range f.sets[req.Field] {
-		if !s.G.Pts.Overlaps(req.Region.Space) {
+		switch c := s.G.Cut(req.Region); {
+		case c.In == nil:
 			live = append(live, s)
-			continue
-		}
-		in, rest, forced := f.k.Split(s, req.Region)
-		live, inside = append(live, in), append(inside, in)
-		if rest != nil {
-			live = append(live, rest)
-		}
-		if forced {
-			inside = append(inside, rest)
+		case f.readsWhole && req.Priv.IsRead():
+			live, inside = append(live, s), append(inside, part{S: s, Cut: c})
+		default:
+			in, rest, forced := f.k.Split(s, c)
+			live, inside = append(live, in), append(inside, eqset.Whole(in))
+			if rest != nil {
+				live = append(live, rest)
+			}
+			if forced {
+				inside = append(inside, eqset.Whole(rest))
+			}
 		}
 	}
 	f.sets[req.Field] = live
-	return inside, false
+	return inside
 }
 
-func (f *flat) Write(t *core.Task, ri int, inside []*set) {
-	for _, s := range inside {
-		s.Hist = []eqset.Entry{{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv}}
+func (f *flat) Write(t *core.Task, ri int, inside []part) {
+	for _, p := range inside {
+		p.S.Hist = []eqset.Entry{{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv}}
 	}
 }
 
@@ -291,8 +300,8 @@ func (f *flat) Name() string                      { return "flat" }
 func (f *flat) Stats() *core.Stats                { return &f.k.Stats }
 func (f *flat) Analyze(t *core.Task) *core.Result { return f.k.Analyze(t) }
 
-func newFlat(tree *region.Tree, o core.Options) *flat {
-	f := &flat{root: tree.Root.Space, sets: make(map[field.ID][]*set)}
+func newFlat(tree *region.Tree, o core.Options, readsWhole bool) *flat {
+	f := &flat{root: tree.Root.Space, sets: make(map[field.ID][]*set), readsWhole: readsWhole}
 	f.k = eqset.New[int](o, f)
 	return f
 }
@@ -354,25 +363,45 @@ func randStream(rng *rand.Rand, tree *region.Tree, n int) *core.Stream {
 	return s
 }
 
-// TestFlatStoreIsSound drives the toy store through random trees and
-// streams against the sequential interpreter and the exact dependence
-// analysis, with and without forced splits.
+// TestFlatStoreIsSound drives the toy store, cutting and reading whole,
+// through random trees and streams against the sequential interpreter and
+// the exact dependence analysis, with and without forced splits.
 func TestFlatStoreIsSound(t *testing.T) {
-	for _, plan := range []string{"", "seed=3;analyzer.eqset.split=every=2"} {
-		rng := rand.New(rand.NewSource(13))
-		for it := 0; it < 30; it++ {
-			tree := randTree(rng)
-			stream := randStream(rng, tree, 12+rng.Intn(20))
-			var opts core.Options
-			if plan != "" {
-				opts.Faults = mustInjector(t, plan)
+	for _, readsWhole := range []bool{false, true} {
+		for _, plan := range []string{"", "seed=3;analyzer.eqset.split=every=2"} {
+			rng := rand.New(rand.NewSource(13))
+			for it := 0; it < 30; it++ {
+				tree := randTree(rng)
+				stream := randStream(rng, tree, 12+rng.Intn(20))
+				var opts core.Options
+				if plan != "" {
+					opts.Faults = mustInjector(t, plan)
+				}
+				fac := core.Factory{Name: "flat", New: func(tree *region.Tree) core.Analyzer { return newFlat(tree, opts, readsWhole) }}
+				if err := core.Verify(stream, testutil.FullInit(tree), core.HashKernel{}, fac); err != nil {
+					t.Fatalf("reads whole %v, plan %q, iteration %d: %v", readsWhole, plan, it, err)
+				}
+				if plan != "" && opts.Faults.Fires(fault.EqSplit) == 0 {
+					t.Fatalf("reads whole %v, plan %q, iteration %d: no split was forced", readsWhole, plan, it)
+				}
 			}
-			fac := core.Factory{Name: "flat", New: func(tree *region.Tree) core.Analyzer { return newFlat(tree, opts) }}
-			if err := core.Verify(stream, testutil.FullInit(tree), core.HashKernel{}, fac); err != nil {
-				t.Fatalf("plan %q iteration %d: %v", plan, it, err)
-			}
-			if plan != "" && opts.Faults.Fires(fault.EqSplit) == 0 {
-				t.Fatalf("plan %q iteration %d: no split was forced", plan, it)
+		}
+	}
+}
+
+// TestFlatReadsWholeKeepsDeps holds a flat store that reads whole to the
+// deps of one that cuts, launch for launch: a read's footprint must keep
+// every later writer of the points it read, and only those, depending on
+// it.
+func TestFlatReadsWholeKeepsDeps(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for it := 0; it < 40; it++ {
+		tree := randTree(rng)
+		stream := randStream(rng, tree, 20+rng.Intn(30))
+		whole, cut := newFlat(tree, core.Options{}, true), newFlat(tree, core.Options{}, false)
+		for _, task := range stream.Tasks {
+			if got, want := whole.Analyze(task).Deps, cut.Analyze(task).Deps; !slices.Equal(got, want) {
+				t.Fatalf("iteration %d, task %v: reading whole gives deps %v, cutting %v", it, task, got, want)
 			}
 		}
 	}

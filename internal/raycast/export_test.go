@@ -26,17 +26,6 @@ func (rc *RayCast) Geometry(worn bool) []*eqset.Node {
 	return testutil.Geometry(roots)
 }
 
-func (fs *fieldState) live() []*set {
-	var live []*set
-	for _, b := range fs.buckets {
-		live = append(live, b...)
-	}
-	for _, id := range sortedIntKeys(fs.kdSets) {
-		live = append(live, fs.kdSets[id])
-	}
-	return live
-}
-
 // CheckResolved compares everything the store resolved once — every
 // reachable geometry node's owner and remembered cuts, the nodes rooted at
 // the pieces, each memoized bucket list and its two counts — with a fresh

@@ -51,8 +51,8 @@ type RayCast struct {
 	state map[field.ID]*fieldState
 	// written is Write's scratch: the buckets of the sets one write prunes.
 	written []int
-	// cands is Refine's scratch: the live sets overlapping its region.
-	cands []*set
+	// cands is Refine's scratch: the parts of the sets its region overlaps.
+	cands []part
 }
 
 // New creates a ray-casting analyzer for tree.
@@ -77,7 +77,10 @@ type place struct {
 	bucket int // owning DCP piece index; -1 in K-d mode
 }
 
-type set = eqset.Set[place]
+type (
+	set  = eqset.Set[place]
+	part = eqset.Part[place]
+)
 
 // bucketList is one region's BVH query over the pieces: the buckets found
 // and the work the traversal took, which every later use is charged again.
@@ -113,20 +116,7 @@ type fieldState struct {
 }
 
 // EquivalenceSets returns the number of live equivalence sets for field f.
-func (rc *RayCast) EquivalenceSets(f field.ID) int {
-	fs, ok := rc.state[f]
-	if !ok {
-		return 1
-	}
-	if fs.dcp == nil {
-		return len(fs.kdSets)
-	}
-	n := 0
-	for _, b := range fs.buckets {
-		n += len(b)
-	}
-	return n
-}
+func (rc *RayCast) EquivalenceSets(f field.ID) int { return len(rc.SetSpaces(f)) }
 
 // SetSpaces returns the point sets of the live equivalence sets for field
 // f, for invariant checks in tests.
@@ -136,18 +126,22 @@ func (rc *RayCast) SetSpaces(f field.ID) []index.Space {
 		return []index.Space{rc.tree.Root.Space}
 	}
 	var out []index.Space
-	if fs.dcp == nil {
-		for _, id := range sortedIntKeys(fs.kdSets) {
-			out = append(out, fs.kdSets[id].G.Pts)
-		}
-		return out
-	}
-	for _, b := range fs.buckets {
-		for _, s := range b {
-			out = append(out, s.G.Pts)
-		}
+	for _, s := range fs.live() {
+		out = append(out, s.G.Pts)
 	}
 	return out
+}
+
+// live returns the field's live sets: bucket by bucket, or by K-d id.
+func (fs *fieldState) live() []*set {
+	var live []*set
+	for _, b := range fs.buckets {
+		live = append(live, b...)
+	}
+	for _, id := range sortedIntKeys(fs.kdSets) {
+		live = append(live, fs.kdSets[id])
+	}
+	return live
 }
 
 // CurrentPartition returns the disjoint-complete partition currently
@@ -292,15 +286,15 @@ func (rc *RayCast) overlappingBuckets(fs *fieldState, r *region.Region) []int {
 	return m.buckets
 }
 
-// candidates appends the live sets overlapping r to out.
-func (rc *RayCast) candidates(fs *fieldState, r *region.Region, out []*set) []*set {
+// candidates appends the parts of the live sets overlapping r to out.
+func (rc *RayCast) candidates(fs *fieldState, r *region.Region, out []part) []part {
 	if fs.dcp != nil {
 		for _, bi := range rc.overlappingBuckets(fs, r) {
 			for _, s := range fs.buckets[bi] {
 				rc.k.Stats.SetsVisited++
 				rc.k.Stats.OverlapTests++
-				if s.G.Cut(r).In != nil {
-					out = append(out, s)
+				if c := s.G.Cut(r); c.In != nil {
+					out = append(out, part{S: s, Cut: c})
 				}
 			}
 			rc.k.Opts.Probe.Touch(rc.k.Owner(fs.geom[bi]), int64(len(fs.buckets[bi])))
@@ -311,8 +305,8 @@ func (rc *RayCast) candidates(fs *fieldState, r *region.Region, out []*set) []*s
 		s := fs.kdSets[id]
 		rc.k.Stats.SetsVisited++
 		rc.k.Stats.OverlapTests++
-		if s.G.Cut(r).In != nil {
-			out = append(out, s)
+		if c := s.G.Cut(r); c.In != nil {
+			out = append(out, part{S: s, Cut: c})
 		}
 		rc.k.Touch(s, 1)
 	})
@@ -353,12 +347,13 @@ func (rc *RayCast) insert(fs *fieldState, s *set) {
 
 // Refine implements eqset.Store: fragments replace a split set in its
 // bucket (or in the K-d container). A read occludes nothing, so it cuts
-// nothing either: the sets it overlaps are returned whole, partial, and
-// the kernel records the read's footprint in each. Writes and reductions
-// still split, so every mutating entry covers its whole set. The migration
-// heuristic and the eq.migrate fault watch each requirement once, on its
-// materialize-phase visit.
-func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) ([]*set, bool) {
+// nothing either: the sets it overlaps are returned whole, each with the
+// read's cut of it, and the kernel records the read's footprint in those
+// it covers only in part. Writes and reductions still split, so every
+// mutating entry covers its whole set. The migration heuristic and the
+// eq.migrate fault watch each requirement once, on its materialize-phase
+// visit.
+func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []part) []part {
 	r := t.Reqs[ri].Region
 	fs := rc.fieldFor(t.Reqs[ri].Field, r)
 	if !commit {
@@ -368,23 +363,23 @@ func (rc *RayCast) Refine(t *core.Task, ri int, commit bool, inside []*set) ([]*
 		}
 	}
 	if t.Reqs[ri].Priv.IsRead() {
-		return rc.candidates(fs, r, inside), true
+		return rc.candidates(fs, r, inside)
 	}
 	rc.cands = rc.candidates(fs, r, rc.cands[:0])
-	for _, s := range rc.cands {
-		in, rest, forced := rc.k.Split(s, r)
-		inside = append(inside, in)
+	for _, p := range rc.cands {
+		in, rest, forced := rc.k.Split(p.S, p.Cut)
+		inside = append(inside, eqset.Whole(in))
 		if rest == nil {
 			continue
 		}
-		rc.remove(fs, s)
+		rc.remove(fs, p.S)
 		rc.insert(fs, in)
 		rc.insert(fs, rest)
 		if forced {
-			inside = append(inside, rest)
+			inside = append(inside, eqset.Whole(rest))
 		}
 	}
-	return inside, false
+	return inside
 }
 
 // maybeMigrate tracks which disjoint-complete partition recent launches
@@ -408,11 +403,7 @@ func (rc *RayCast) maybeMigrate(fs *fieldState, r *region.Region) {
 	}
 	fs.misses++
 	if fs.misses >= migrateAfter {
-		var all []*set
-		for _, b := range fs.buckets {
-			all = append(all, b...)
-		}
-		rc.installAccel(fs, p, all)
+		rc.installAccel(fs, p, fs.live())
 	}
 }
 
@@ -422,22 +413,11 @@ func (rc *RayCast) maybeMigrate(fs *fieldState, r *region.Region) {
 // re-bucket against the same partition — exercising the §7.1 migration
 // path under an adversarial schedule.
 func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
-	var all []*set
-	if fs.dcp == nil {
-		for _, id := range sortedIntKeys(fs.kdSets) {
-			all = append(all, fs.kdSets[id])
-		}
-		rc.installAccel(fs, nil, all)
-		return
-	}
-	for _, b := range fs.buckets {
-		all = append(all, b...)
-	}
+	dcp := fs.dcp
 	if payload&1 == 1 {
-		rc.installAccel(fs, nil, all)
-	} else {
-		rc.installAccel(fs, fs.dcp, all)
+		dcp = nil
 	}
+	rc.installAccel(fs, dcp, fs.live())
 }
 
 // Write implements eqset.Store as the dominating write of Figure 11: the
@@ -445,14 +425,15 @@ func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
 // in DCP mode) and every set it occludes — inside — is pruned. The fresh
 // sets wear the geometry the region cuts out of fs.geom, so the next
 // refinement of one finds the cuts its predecessor left there.
-func (rc *RayCast) Write(t *core.Task, ri int, inside []*set) {
+func (rc *RayCast) Write(t *core.Task, ri int, inside []part) {
 	req := t.Reqs[ri]
 	fs := rc.state[req.Field]
 	e := eqset.Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}
 	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]
 	var old []eqset.Entry // a pruned set's history to reuse (see eqset.Set.Hist)
-	for _, s := range inside {
+	for _, p := range inside {
+		s := p.S
 		s.Dead = true
 		if fs.dcp != nil {
 			rc.written = append(rc.written, s.At.bucket)

@@ -50,10 +50,10 @@ func (w *Warnock) CheckResolved() error {
 		if err := walk(fs.root); err != nil {
 			return err
 		}
-		for id, sets := range fs.memo {
+		for id, parts := range fs.memo {
 			sp := w.tree.Region(id).Space
-			for _, s := range sets {
-				if s.At.g != s.G || !sp.Covers(s.G.Pts) {
+			for _, p := range parts {
+				if s := p.S; s.At.g != s.G || !sp.Covers(s.G.Pts) {
 					return fmt.Errorf("field %d: region %d memoizes set %v, outside %v or off its node", f, id, s.G.Pts, sp)
 				}
 			}

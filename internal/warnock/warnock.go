@@ -77,7 +77,10 @@ func (w *Warnock) SetSpaces(f field.ID) []index.Space {
 	return out
 }
 
-type set = eqset.Set[*bnode]
+type (
+	set  = eqset.Set[*bnode]
+	part = eqset.Part[*bnode]
+)
 
 // overlaps is the one sweep a lookup makes, testing a node against a
 // region met from the root; a variable so tests can count its calls.
@@ -100,7 +103,7 @@ type bnode struct {
 
 type fieldState struct {
 	root *bnode
-	memo [][]*set // by region ID: the sets tiling the region at its last refine
+	memo [][]part // by region ID: the parts tiling the region at its last refine
 }
 
 // leaf places s at a fresh leaf node.
@@ -130,8 +133,8 @@ func (w *Warnock) lookup(fs *fieldState, r *region.Region) []*set {
 		// The memoized sets tile r, and refinement only partitions a
 		// node, so every leaf below them lies in r: the descent tests
 		// nothing.
-		for _, s := range fs.memo[r.ID] {
-			w.descend(s.At, r.Space, true)
+		for _, p := range fs.memo[r.ID] {
+			w.descend(p.S.At, r.Space, true)
 		}
 	} else {
 		w.descend(fs.root, r.Space, false)
@@ -172,15 +175,15 @@ func (w *Warnock) descend(b *bnode, sp index.Space, inside bool) {
 
 // Refine implements eqset.Store: a split leaf becomes an interior node over
 // its two fragments.
-func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) ([]*set, bool) {
+func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []part) []part {
 	r := t.Reqs[ri].Region
 	fs := w.fieldFor(t.Reqs[ri].Field)
 	n := len(inside)
 	for _, s := range w.lookup(fs, r) {
 		w.k.Stats.SetsVisited++
 		w.k.Touch(s, 1)
-		in, rest, forced := w.k.Split(s, r)
-		inside = append(inside, in)
+		in, rest, forced := w.k.Split(s, s.G.Cut(r))
+		inside = append(inside, eqset.Whole(in))
 		if rest == nil {
 			continue
 		}
@@ -194,7 +197,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) ([]*set, b
 		w.nextToken++
 		b.id = w.nextToken
 		if forced {
-			inside = append(inside, rest)
+			inside = append(inside, eqset.Whole(rest))
 		} else {
 			w.k.Touch(s, 2)
 		}
@@ -203,17 +206,17 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []*set) ([]*set, b
 	// of it must start from; a memoized set that is refined afterwards
 	// still names its (then interior) node.
 	if r.ID >= len(fs.memo) {
-		fs.memo = append(fs.memo, make([][]*set, r.ID+1-len(fs.memo))...)
+		fs.memo = append(fs.memo, make([][]part, r.ID+1-len(fs.memo))...)
 	}
 	fs.memo[r.ID] = append(fs.memo[r.ID][:0], inside[n:]...)
-	return inside, false
+	return inside
 }
 
 // Write implements eqset.Store: a write clears each set's prior history
 // (Figure 9 lines 30-31).
-func (w *Warnock) Write(t *core.Task, ri int, inside []*set) {
-	for _, s := range inside {
-		s.Hist = w.k.Overwrite(s.Hist, eqset.Entry{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv})
-		w.k.Touch(s, 1)
+func (w *Warnock) Write(t *core.Task, ri int, inside []part) {
+	for _, p := range inside {
+		p.S.Hist = w.k.Overwrite(p.S.Hist, eqset.Entry{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv})
+		w.k.Touch(p.S, 1)
 	}
 }
