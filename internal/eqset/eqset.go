@@ -88,8 +88,8 @@ type Entry struct {
 	Task int
 	Req  int32
 	// Foot is 0 when the footprint is the whole set. Otherwise the entry is
-	// a read and its footprint is the set's points inside the region the
-	// kernel's footprint table holds at Foot-1: the cut G.Cut(region).In.
+	// a read and its footprint is the set's points inside the region whose
+	// ID is Foot-1: the cut G.Cut(region).In.
 	// A split narrows it, as every fragment is cut by that region in turn,
 	// and drops the entry from a fragment the region misses.
 	Foot int32
@@ -150,11 +150,13 @@ func Root[X any](pts index.Space) *Set[X] {
 	return &Set[X]{G: &Node{Pts: pts}, Hist: []Entry{{Task: core.InitialTask, Priv: privilege.Writes()}}}
 }
 
-// Kernel drives one Store. It runs on exactly one goroutine (the submit
-// side, §3.2) and mutates its state with no lock.
+// Kernel drives one Store over a region tree, which resolves footprints
+// (Entry.Foot). It runs on exactly one goroutine (the submit side, §3.2)
+// and mutates its state with no lock.
 type Kernel[X any] struct {
 	Opts  core.Options // normalized
 	Stats core.Stats
+	tree  *region.Tree
 	store Store[X]
 
 	// Analyze's scratch, reused by every launch: the scan, every part the
@@ -163,12 +165,6 @@ type Kernel[X any] struct {
 	parts   []Part[X]
 	insides [][]Part[X]
 
-	// regions is the footprint table: Entry.Foot-1 indexes it by region
-	// ID. A footprint is a region's cut of the set that holds the entry,
-	// so the table holds regions, never nodes, and is bounded by the
-	// region tree whatever the store does with its geometry.
-	regions []*region.Region
-
 	// The sets and history arrays a steady launch creates are carved
 	// from chunks (core.Chunk): a dead set may still sit in a memo or in
 	// a launch's insides, and a carve is never recycled.
@@ -176,9 +172,10 @@ type Kernel[X any] struct {
 	histChunk core.Chunk[Entry]
 }
 
-// New creates a kernel over store.
-func New[X any](opts core.Options, store Store[X]) *Kernel[X] {
-	return &Kernel[X]{Opts: opts.Normalize(), store: store}
+// New creates a kernel over store, whose requirements name regions of
+// tree.
+func New[X any](tree *region.Tree, opts core.Options, store Store[X]) *Kernel[X] {
+	return &Kernel[X]{Opts: opts.Normalize(), tree: tree, store: store}
 }
 
 // Owner returns the node owning n's state (§8), asking Opts.Owner the
@@ -213,15 +210,6 @@ func (k *Kernel[X]) Append(s *Set[X], e Entry) {
 	s.Hist = append(s.Hist, e)
 }
 
-// footprint returns the Entry.Foot naming r's cut of a set.
-func (k *Kernel[X]) footprint(r *region.Region) int32 {
-	if r.ID >= len(k.regions) {
-		k.regions = append(k.regions, make([]*region.Region, r.ID+1-len(k.regions))...)
-	}
-	k.regions[r.ID] = r
-	return int32(r.ID) + 1
-}
-
 // Narrow returns hist as the history of g, a part of the points hist
 // belonged to: each read is narrowed to its footprint inside g, and dropped
 // when that is empty. It returns hist itself, shared, when no entry has a
@@ -234,7 +222,7 @@ func (k *Kernel[X]) Narrow(hist []Entry, g *Node) []Entry {
 	out := append(k.carve(len(hist)), hist[:i]...)
 	for _, e := range hist[i:] {
 		if e.Foot != 0 {
-			switch c := g.Cut(k.regions[e.Foot-1]); {
+			switch c := g.Cut(k.tree.Region(int(e.Foot) - 1)); {
 			case c.In == nil:
 				continue // the read touched no point of g
 			case c.Out == nil:
@@ -379,7 +367,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 		for _, p := range inside {
 			e.Foot = 0
 			if p.Out != nil {
-				e.Foot = k.footprint(req.Region) // the read is relevant to its footprint alone
+				e.Foot = int32(req.Region.ID) + 1 // the read is relevant to its footprint alone
 			}
 			k.Append(p.S, e)
 			k.Touch(p.S, 1)

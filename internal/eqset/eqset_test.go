@@ -73,7 +73,7 @@ func TestSplit(t *testing.T) {
 			if tt.plan != "" {
 				opts.Faults = mustInjector(t, tt.plan)
 			}
-			k := eqset.New[int](opts, nil)
+			k := eqset.New[int](nil, opts, nil)
 			s := &set{G: &eqset.Node{Pts: tt.pts}, Hist: hist, At: 7}
 			in, rest, forced := k.Split(s, s.G.Cut(reg(1, tt.sp)))
 			if forced != tt.forced {
@@ -107,7 +107,7 @@ func TestSplit(t *testing.T) {
 			// A second set wearing the parent's geometry is cut by the
 			// same region into the very same nodes — unless the cut was
 			// forced, which is not geometry and is never remembered.
-			again, againRest, _ := eqset.New[int](core.Options{}, nil).Split(&set{G: s.G, Hist: hist}, s.G.Cut(reg(1, tt.sp)))
+			again, againRest, _ := eqset.New[int](nil, core.Options{}, nil).Split(&set{G: s.G, Hist: hist}, s.G.Cut(reg(1, tt.sp)))
 			if remembered := againRest != nil && again.G == in.G && againRest.G == rest.G; remembered == tt.forced {
 				t.Errorf("forced = %v, yet splitting the same geometry again found the same halves = %v", tt.forced, remembered)
 			}
@@ -148,7 +148,7 @@ func TestEntryStaysPointerFree(t *testing.T) {
 // answer.
 func TestOwnerResolvedOnce(t *testing.T) {
 	calls := 0
-	k := eqset.New[int](core.Options{Owner: func(sp index.Space) int {
+	k := eqset.New[int](nil, core.Options{Owner: func(sp index.Space) int {
 		calls++
 		return testutil.ShapeOwner(sp)
 	}}, nil)
@@ -178,7 +178,7 @@ func TestOwnerResolvedOnce(t *testing.T) {
 func TestSplitSharesHistory(t *testing.T) {
 	hist := make([]eqset.Entry, 2, 8) // spare capacity: an in-place append would be visible
 	hist[0], hist[1] = eqset.Entry{Task: core.InitialTask, Priv: privilege.Writes()}, eqset.Entry{Task: 3, Priv: privilege.Reads()}
-	k := eqset.New[int](core.Options{}, nil)
+	k := eqset.New[int](nil, core.Options{}, nil)
 	s := &set{G: &eqset.Node{Pts: span(0, 9)}, Hist: hist}
 	in, rest, _ := k.Split(s, s.G.Cut(reg(1, span(4, 5))))
 	if &in.Hist[0] != &hist[0] || &rest.Hist[0] != &hist[0] {
@@ -204,7 +204,7 @@ func TestSplitSharesHistory(t *testing.T) {
 // carve's capacity, and overwriting one in place, must leave every other
 // history — the other half's and the parent's — as it was.
 func TestCarvedHistoriesDoNotCross(t *testing.T) {
-	k := eqset.New[int](core.Options{}, nil)
+	k := eqset.New[int](nil, core.Options{}, nil)
 	s := eqset.Root[int](span(0, 9))
 	in, rest, _ := k.Split(s, s.G.Cut(reg(1, span(4, 5))))
 	want := map[*set][]int{s: {core.InitialTask}, in: {core.InitialTask}, rest: {core.InitialTask}}
@@ -302,7 +302,7 @@ func (f *flat) Analyze(t *core.Task) *core.Result { return f.k.Analyze(t) }
 
 func newFlat(tree *region.Tree, o core.Options, readsWhole bool) *flat {
 	f := &flat{root: tree.Root.Space, sets: make(map[field.ID][]*set), readsWhole: readsWhole}
-	f.k = eqset.New[int](o, f)
+	f.k = eqset.New[int](tree, o, f)
 	return f
 }
 

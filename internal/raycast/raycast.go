@@ -58,7 +58,7 @@ type RayCast struct {
 // New creates a ray-casting analyzer for tree.
 func New(tree *region.Tree, opts core.Options) *RayCast {
 	rc := &RayCast{tree: tree, state: make(map[field.ID]*fieldState)}
-	rc.k = eqset.New[place](opts, rc)
+	rc.k = eqset.New[place](tree, opts, rc)
 	return rc
 }
 

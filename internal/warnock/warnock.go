@@ -38,7 +38,7 @@ type Warnock struct {
 // New creates a Warnock analyzer for tree.
 func New(tree *region.Tree, opts core.Options) *Warnock {
 	w := &Warnock{tree: tree, state: make(map[field.ID]*fieldState)}
-	w.k = eqset.New[*bnode](opts, w)
+	w.k = eqset.New[*bnode](tree, opts, w)
 	return w
 }
 

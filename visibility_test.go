@@ -219,6 +219,11 @@ func TestPanicsOnMisuse(t *testing.T) {
 			rt := visibility.New(visibility.Config{})
 			rt.Launch(visibility.TaskSpec{Name: "none"})
 		}},
+		{"duplicate root name", func() {
+			rt := visibility.New(visibility.Config{})
+			rt.CreateRegion("r", visibility.Line(0, 9), "v")
+			rt.CreateRegion("r", visibility.Line(0, 3), "w")
+		}},
 		{"too many pieces", func() {
 			rt := visibility.New(visibility.Config{})
 			r := rt.CreateRegion("r", visibility.Line(0, 3), "v")
@@ -342,6 +347,24 @@ func TestValidateKeepsNoInputs(t *testing.T) {
 	}
 	if n := visibility.ExpectedInputs(r); n != 0 {
 		t.Errorf("%d tasks' expected inputs left behind after 1,001 launches", n)
+	}
+}
+
+// TestFrozenTreeDropsInitialContents checks that a tree keeps no copy of
+// its initial contents once it has launched: the executor and the Validate
+// interpreter each hold their own.
+func TestFrozenTreeDropsInitialContents(t *testing.T) {
+	rt := visibility.New(visibility.Config{Validate: true})
+	defer rt.Close()
+	r := rt.CreateRegion("r", visibility.Line(0, 7), "v").Fill("v", 3)
+	if !visibility.HoldsInitialContents(r) {
+		t.Fatal("a tree that has not launched lost its initial contents")
+	}
+	if v, _ := rt.Read(r, "v").Get(visibility.Pt(5)); v != 3 {
+		t.Errorf("v[5] = %v, want the initial 3", v)
+	}
+	if visibility.HoldsInitialContents(r) {
+		t.Error("a launched tree still holds its initial contents")
 	}
 }
 
