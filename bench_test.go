@@ -158,7 +158,10 @@ func BenchmarkAnalyzePerLaunch(b *testing.B) {
 // visperf take: dist.Driver.Launch over dist.OwnerByPartition at 16 nodes,
 // DCR as in §8. One benchmark iteration is one visperf leg — a fresh
 // system, its init phase untimed, then the leg's steady steps (Emit
-// included) — so -benchtime 5x is five legs.
+// included) — so -benchtime 5x is five legs. Beside what a launch
+// allocates, live-B/launch reports what it leaves live: the heap after a
+// collection at the end of the steady window less the heap after one at
+// its start, per launch.
 func BenchmarkHarnessLaunch(b *testing.B) {
 	const nodes = 16
 	for _, app := range []struct {
@@ -175,7 +178,7 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				var launches, allocs, bytes int64
+				var launches, allocs, bytes, live int64
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					inst := app.build(nodes)
@@ -191,6 +194,7 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 						run(inst.EmitInit(stream))
 					}
 					run(inst.Emit(stream, 0))
+					heap := liveHeap()
 					before := obs.ReadAllocs()
 					b.StartTimer()
 					// The label lets a -cpuprofile keep the timed window
@@ -207,13 +211,26 @@ func BenchmarkHarnessLaunch(b *testing.B) {
 					n, by := obs.ReadAllocs().Since(before)
 					allocs += n
 					bytes += by
+					live += liveHeap() - heap
+					runtime.KeepAlive(driver)
+					runtime.KeepAlive(stream)
+					runtime.KeepAlive(inst)
 				}
 				b.ReportMetric(float64(launches)/b.Elapsed().Seconds(), "launches/s")
 				b.ReportMetric(float64(allocs)/float64(launches), "allocs/launch")
 				b.ReportMetric(float64(bytes)/float64(launches), "B/launch")
+				b.ReportMetric(float64(live)/float64(launches), "live-B/launch")
 			})
 		}
 	}
+}
+
+// liveHeap collects garbage and returns the bytes of heap objects left.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkObsOverhead is the observability-layer overhead guard: it

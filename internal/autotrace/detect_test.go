@@ -208,14 +208,33 @@ func TestDetectMatchesScan(t *testing.T) {
 	}
 }
 
-// BenchmarkDetect times one push plus detect on a stream that never
-// repeats — the autotracer's cost on every launch of a loop-free program.
+// BenchmarkDetect times one push plus detect. The aperiodic leg's stream
+// never repeats: the autotracer's cost on every launch of a loop-free
+// program. The near-periodic leg repeats a 100-launch loop body in which
+// one launch is unique in each iteration, so nearly every push tests a
+// period that the unique launch fails: the cost copiesMatch keeps low.
 func BenchmarkDetect(b *testing.B) {
-	d := newDetector(window, minPeriod, window/(2*minReps), minReps)
-	for i := 0; i < b.N; i++ {
-		d.push(0x9e3779b97f4a7c15 * uint64(i+1))
-		if d.detect() != 0 {
-			b.Fatal("period detected on a non-repeating stream")
-		}
+	const body = 100
+	for _, leg := range []struct {
+		name string
+		hash func(i int) uint64
+	}{
+		{"aperiodic", func(i int) uint64 { return uint64(i + 1) }},
+		{"near-periodic", func(i int) uint64 {
+			if i%body == body/2 {
+				return uint64(body + i) // unique in each iteration
+			}
+			return uint64(i%body + 1)
+		}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			d := newDetector(window, minPeriod, window/(2*minReps), minReps)
+			for i := 0; i < b.N; i++ {
+				d.push(0x9e3779b97f4a7c15 * leg.hash(i))
+				if d.detect() != 0 {
+					b.Fatal("period detected on a stream that never repeats a whole period")
+				}
+			}
+		})
 	}
 }

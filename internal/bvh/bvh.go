@@ -10,6 +10,7 @@ import (
 
 	"visibility/internal/geometry"
 	"visibility/internal/index"
+	"visibility/internal/region"
 )
 
 // Input is one item to index: a bounding box and a caller-defined ID.
@@ -79,6 +80,22 @@ func Build(items []Input) *Tree {
 	}
 	t.seen.at = make([]uint32, len(slots))
 	return t
+}
+
+// BuildPartition constructs a BVH over every rectangle of every subregion
+// of p, each with the subregion's index in p.Subregions as its ID. It
+// indexes rectangles rather than subregion bounding boxes: pieces made of
+// scattered blocks (e.g. a node block plus a wire block) would otherwise
+// produce mutually-overlapping boxes and degrade every query to a full
+// scan.
+func BuildPartition(p *region.Partition) *Tree {
+	var items []Input
+	for i, sub := range p.Subregions {
+		for _, r := range sub.Space.Rects() {
+			items = append(items, Input{Box: r, ID: i})
+		}
+	}
+	return Build(items)
 }
 
 func (t *Tree) build(items []Input) int {

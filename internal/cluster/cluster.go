@@ -4,12 +4,13 @@
 // The simulation is a deterministic virtual-time scheduler rather than a
 // cycle-accurate model: each node serializes the work submitted to it in
 // submission order (a work queue), messages between nodes cost latency plus
-// size over bandwidth, and arbitrary dependence edges order work items
-// across nodes. The coherence analyses run for real — their actual data
-// structure operation counts and state-ownership touches are converted into
-// work items and messages by the dist package — so sequential bottlenecks
-// and data-structure blowups appear in the virtual makespan exactly where
-// the real algorithms produce them.
+// size over bandwidth, and each work item starts no earlier than a ready
+// time its caller folds from the completion times earlier calls returned,
+// which orders work across nodes. The coherence analyses run for real —
+// their actual data structure operation counts and state-ownership touches
+// are converted into work items and messages by the dist package — so
+// sequential bottlenecks and data-structure blowups appear in the virtual
+// makespan exactly where the real algorithms produce them.
 package cluster
 
 import (
@@ -21,13 +22,6 @@ import (
 
 // Time is virtual seconds.
 type Time = float64
-
-// Ref identifies a scheduled operation; its completion can gate later
-// operations.
-type Ref int
-
-// NoRef is the absent operation reference.
-const NoRef Ref = -1
 
 // The interconnect's costs (DESIGN §4.1): a GPU-node supercomputer
 // network of the paper's era (microsecond-scale latency, tens of GB/s
@@ -157,10 +151,10 @@ type Machine struct {
 	// driver, which runs on the analysis goroutine).
 	exec []proc
 	util []proc
-	// done holds the completion time per op in pages of pageSize that
-	// are never copied; ops counts the ops recorded.
-	done [][]Time
-	ops  int
+	// makespan is the latest completion of any op so far. A call
+	// returns its op's completion and the machine keeps nothing else per
+	// op, apart from the interval lists and the opt-in trace journal.
+	makespan Time
 
 	// Message tallies live on the obs registry; Messages() reads them
 	// back, so existing callers see the same numbers.
@@ -227,25 +221,12 @@ func (m *Machine) EnableTracing() {
 }
 
 // Tracing reports whether the machine is journaling: only then does
-// anything read the names given to ExecNamed and UtilNamed, so a caller
+// anything read the names given to Exec and Util, so a caller
 // with per-slice labels to format can skip the formatting.
 func (m *Machine) Tracing() bool { return m.rec != nil }
 
 // Nodes returns the node count.
 func (m *Machine) Nodes() int { return m.cfg.Nodes }
-
-func (m *Machine) depsReady(deps []Ref) Time {
-	var t Time
-	for _, d := range deps {
-		if d == NoRef {
-			continue
-		}
-		if dt := m.at(d); dt > t {
-			t = dt
-		}
-	}
-	return t
-}
 
 func (m *Machine) checkNode(node int) {
 	if node < 0 || node >= m.cfg.Nodes {
@@ -254,8 +235,8 @@ func (m *Machine) checkNode(node int) {
 }
 
 // schedule places dur seconds on one of node's processors at the earliest
-// free slot at or after ready.
-func (m *Machine) schedule(node int, util bool, name string, dur, ready Time) Ref {
+// free slot at or after ready and returns its completion time.
+func (m *Machine) schedule(node int, util bool, name string, dur, ready Time) Time {
 	p := &m.exec[node]
 	if util {
 		p = &m.util[node]
@@ -264,57 +245,34 @@ func (m *Machine) schedule(node int, util bool, name string, dur, ready Time) Re
 	if m.rec != nil {
 		m.rec.ops = append(m.rec.ops, opRecord{node: node, util: util, name: name, start: start, dur: dur})
 	}
-	return m.afterTime(start + dur)
+	m.makespan = max(m.makespan, start+dur)
+	return start + dur
 }
 
-// pageSize is the number of completion times per page of Machine.done.
-const pageSize = 1 << 12
-
-// afterTime records an op completing at t and returns its Ref.
-func (m *Machine) afterTime(t Time) Ref {
-	if m.ops%pageSize == 0 {
-		m.done = append(m.done, make([]Time, pageSize))
-	}
-	m.done[m.ops/pageSize][m.ops%pageSize] = t
-	m.ops++
-	return Ref(m.ops - 1)
-}
-
-// at returns the completion time of op r.
-func (m *Machine) at(r Ref) Time { return m.done[uint(r)/pageSize][uint(r)%pageSize] }
-
-// Exec schedules dur seconds of kernel work on node's execution processor,
-// starting at the earliest free slot after all deps are complete.
-func (m *Machine) Exec(node int, dur Time, deps ...Ref) Ref {
-	return m.ExecNamed(node, "exec", dur, deps...)
-}
-
-// ExecNamed is Exec with a label for the exported trace.
-func (m *Machine) ExecNamed(node int, name string, dur Time, deps ...Ref) Ref {
+// Exec schedules dur seconds of kernel work, labelled name in the exported
+// trace, on node's execution processor at the earliest free slot at or
+// after ready, and returns its completion time.
+func (m *Machine) Exec(node int, name string, dur, ready Time) Time {
 	m.checkNode(node)
-	return m.schedule(node, false, name, dur, m.depsReady(deps))
+	return m.schedule(node, false, name, dur, ready)
 }
 
-// Util schedules dur seconds of runtime (analysis) work on node's utility
-// processor.
-func (m *Machine) Util(node int, dur Time, deps ...Ref) Ref {
-	return m.UtilNamed(node, "util", dur, deps...)
-}
-
-// UtilNamed is Util with a label for the exported trace.
-func (m *Machine) UtilNamed(node int, name string, dur Time, deps ...Ref) Ref {
+// Util schedules dur seconds of runtime (analysis) work, labelled name in
+// the exported trace, on node's utility processor at the earliest free
+// slot at or after ready, and returns its completion time.
+func (m *Machine) Util(node int, name string, dur, ready Time) Time {
 	m.checkNode(node)
-	return m.schedule(node, true, name, dur, m.depsReady(deps))
+	return m.schedule(node, true, name, dur, ready)
 }
 
-// Message schedules a message of size bytes from one node to another,
-// available for dependents at delivery time. Send and receive overheads
-// occupy the respective utility processors; the wire time occupies
-// neither. A message to self costs only the overheads.
-func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
+// Message schedules a message of size bytes from one node to another, sent
+// at or after ready, and returns its delivery time. Send and receive
+// overheads occupy the respective utility processors; the wire time
+// occupies neither. A message to self costs only the overheads.
+func (m *Machine) Message(from, to int, bytes int64, ready Time) Time {
 	m.checkNode(from)
 	m.checkNode(to)
-	sent := m.UtilNamed(from, "send", sendOverhead, deps...)
+	sent := m.schedule(from, true, "send", sendOverhead, ready)
 	m.messages.Inc()
 	m.bytes.Add(bytes)
 	wire := Time(0)
@@ -323,7 +281,7 @@ func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 	}
 	// Receive processing occupies the destination's utility processor
 	// after the wire delivers.
-	recv := m.schedule(to, true, "recv", receiveOverhead, m.at(sent)+wire)
+	recv := m.schedule(to, true, "recv", receiveOverhead, sent+wire)
 	if m.rec != nil {
 		// The send and receive are the last two slices journaled.
 		n := len(m.rec.ops)
@@ -332,29 +290,8 @@ func (m *Machine) Message(from, to int, bytes int64, deps ...Ref) Ref {
 	return recv
 }
 
-// AfterAll returns a zero-cost operation completing when all deps have.
-func (m *Machine) AfterAll(deps ...Ref) Ref {
-	return m.afterTime(m.depsReady(deps))
-}
-
-// TimeOf returns the completion time of r.
-func (m *Machine) TimeOf(r Ref) Time {
-	if r == NoRef {
-		return 0
-	}
-	return m.at(r)
-}
-
 // Makespan returns the completion time of the entire schedule so far.
-func (m *Machine) Makespan() Time {
-	var t Time
-	for r := Ref(0); r < Ref(m.ops); r++ {
-		if d := m.at(r); d > t {
-			t = d
-		}
-	}
-	return t
-}
+func (m *Machine) Makespan() Time { return m.makespan }
 
 // NodeBusy returns the cumulative busy time of node's execution processor.
 func (m *Machine) NodeBusy(node int) Time {

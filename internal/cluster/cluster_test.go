@@ -14,17 +14,17 @@ func cfg(nodes int) Config { return Config{Nodes: nodes} }
 
 func TestExecSerializesPerNode(t *testing.T) {
 	m := New(cfg(2))
-	a := m.Exec(0, 1.0)
-	b := m.Exec(0, 2.0)
-	c := m.Exec(1, 0.5)
-	if !approx(m.TimeOf(a), 1.0) {
-		t.Errorf("a done at %v", m.TimeOf(a))
+	a := m.Exec(0, "a", 1.0, 0)
+	b := m.Exec(0, "b", 2.0, 0)
+	c := m.Exec(1, "c", 0.5, 0)
+	if !approx(a, 1.0) {
+		t.Errorf("a done at %v", a)
 	}
-	if !approx(m.TimeOf(b), 3.0) {
-		t.Errorf("b should queue behind a: %v", m.TimeOf(b))
+	if !approx(b, 3.0) {
+		t.Errorf("b should queue behind a: %v", b)
 	}
-	if !approx(m.TimeOf(c), 0.5) {
-		t.Errorf("c on another node should run immediately: %v", m.TimeOf(c))
+	if !approx(c, 0.5) {
+		t.Errorf("c on another node should run immediately: %v", c)
 	}
 	if !approx(m.Makespan(), 3.0) {
 		t.Errorf("makespan = %v", m.Makespan())
@@ -36,53 +36,54 @@ func TestExecSerializesPerNode(t *testing.T) {
 
 func TestDependenciesDelayStart(t *testing.T) {
 	m := New(cfg(2))
-	a := m.Exec(0, 1.0)
-	b := m.Exec(1, 1.0, a) // waits for a
-	if !approx(m.TimeOf(b), 2.0) {
-		t.Errorf("b = %v, want 2.0", m.TimeOf(b))
+	a := m.Exec(0, "a", 1.0, 0)
+	b := m.Exec(1, "b", 1.0, a) // waits for a
+	if !approx(b, 2.0) {
+		t.Errorf("b = %v, want 2.0", b)
 	}
 	// Backfill: independent work slots into the gap before b.
-	c := m.Exec(1, 1.0)
-	if !approx(m.TimeOf(c), 1.0) {
-		t.Errorf("c = %v, want 1.0 (backfilled)", m.TimeOf(c))
+	c := m.Exec(1, "c", 1.0, 0)
+	if !approx(c, 1.0) {
+		t.Errorf("c = %v, want 1.0 (backfilled)", c)
 	}
 	// No gap remains: the next item queues after b.
-	d := m.Exec(1, 1.0)
-	if !approx(m.TimeOf(d), 3.0) {
-		t.Errorf("d = %v, want 3.0", m.TimeOf(d))
+	d := m.Exec(1, "d", 1.0, 0)
+	if !approx(d, 3.0) {
+		t.Errorf("d = %v, want 3.0", d)
 	}
 	// An item too large for the remaining gap goes to the end.
-	e := m.Exec(1, 0.5, a) // ready at 1.0, but [1,3] is busy
-	if !approx(m.TimeOf(e), 3.5) {
-		t.Errorf("e = %v, want 3.5", m.TimeOf(e))
+	e := m.Exec(1, "e", 0.5, a) // ready at 1.0, but [1,3] is busy
+	if !approx(e, 3.5) {
+		t.Errorf("e = %v, want 3.5", e)
 	}
 }
 
 func TestBackfillSmallGap(t *testing.T) {
 	m := New(cfg(1))
-	gate := m.Exec(0, 0) // completes at 0
-	long := m.Exec(0, 2.0, m.afterTime(1.0))
-	_ = gate
-	if !approx(m.TimeOf(long), 3.0) {
-		t.Fatalf("long = %v", m.TimeOf(long))
+	if gate := m.Exec(0, "gate", 0, 0); gate != 0 {
+		t.Fatalf("zero-duration gate = %v", gate)
 	}
-	small := m.Exec(0, 0.5)
-	if !approx(m.TimeOf(small), 0.5) {
-		t.Errorf("small = %v, want 0.5 (fits the [0,1) gap)", m.TimeOf(small))
+	long := m.Exec(0, "long", 2.0, 1.0)
+	if !approx(long, 3.0) {
+		t.Fatalf("long = %v", long)
 	}
-	second := m.Exec(0, 0.75)
-	if !approx(m.TimeOf(second), 3.75) {
-		t.Errorf("second = %v, want 3.75 (gap too small)", m.TimeOf(second))
+	small := m.Exec(0, "small", 0.5, 0)
+	if !approx(small, 0.5) {
+		t.Errorf("small = %v, want 0.5 (fits the [0,1) gap)", small)
+	}
+	second := m.Exec(0, "second", 0.75, 0)
+	if !approx(second, 3.75) {
+		t.Errorf("second = %v, want 3.75 (gap too small)", second)
 	}
 }
 
 func TestMessageTiming(t *testing.T) {
 	m := New(cfg(2))
-	r := m.Message(0, 1, 1000)
+	r := m.Message(0, 1, 1000, 0)
 	// send overhead, wire latency + bytes/bandwidth, receive overhead
 	want := sendOverhead + messageLatency + 1000/bandwidth + receiveOverhead
-	if !approx(m.TimeOf(r), want) {
-		t.Errorf("message delivered at %v, want %v", m.TimeOf(r), want)
+	if !approx(r, want) {
+		t.Errorf("message delivered at %v, want %v", r, want)
 	}
 	msgs, bytes := m.Messages()
 	if msgs != 1 || bytes != 1000 {
@@ -92,21 +93,21 @@ func TestMessageTiming(t *testing.T) {
 
 func TestMessageToSelfSkipsWire(t *testing.T) {
 	m := New(cfg(2))
-	r := m.Message(1, 1, 1<<20)
+	r := m.Message(1, 1, 1<<20, 0)
 	want := sendOverhead + receiveOverhead
-	if !approx(m.TimeOf(r), want) {
-		t.Errorf("self message at %v, want %v", m.TimeOf(r), want)
+	if !approx(r, want) {
+		t.Errorf("self message at %v, want %v", r, want)
 	}
 }
 
 func TestReceiveQueuesOnBusyUtility(t *testing.T) {
 	m := New(cfg(2))
-	m.Util(1, 5.0) // node 1's utility processor busy until t=5
-	r := m.Message(0, 1, 0)
+	m.Util(1, "busy", 5.0, 0) // node 1's utility processor busy until t=5
+	r := m.Message(0, 1, 0, 0)
 	// Arrival is early, but receive processing waits for the utility
 	// processor.
-	if !approx(m.TimeOf(r), 5.0+receiveOverhead) {
-		t.Errorf("receive completed at %v, want %v", m.TimeOf(r), 5.0+receiveOverhead)
+	if !approx(r, 5.0+receiveOverhead) {
+		t.Errorf("receive completed at %v, want %v", r, 5.0+receiveOverhead)
 	}
 }
 
@@ -114,33 +115,17 @@ func TestExecAndUtilAreIndependent(t *testing.T) {
 	// Kernel work on the execution processor does not delay analysis work
 	// on the utility processor of the same node, and vice versa.
 	m := New(cfg(1))
-	m.Exec(0, 10.0)
-	u := m.Util(0, 1.0)
-	if !approx(m.TimeOf(u), 1.0) {
-		t.Errorf("util work delayed by exec work: %v", m.TimeOf(u))
+	m.Exec(0, "long", 10.0, 0)
+	u := m.Util(0, "u", 1.0, 0)
+	if !approx(u, 1.0) {
+		t.Errorf("util work delayed by exec work: %v", u)
 	}
-	e := m.Exec(0, 1.0)
-	if !approx(m.TimeOf(e), 11.0) {
-		t.Errorf("exec should queue behind exec: %v", m.TimeOf(e))
+	e := m.Exec(0, "e", 1.0, 0)
+	if !approx(e, 11.0) {
+		t.Errorf("exec should queue behind exec: %v", e)
 	}
 	if !approx(m.UtilBusy(0), 1.0) || !approx(m.NodeBusy(0), 11.0) {
 		t.Error("busy accounting wrong")
-	}
-}
-
-func TestAfterAll(t *testing.T) {
-	m := New(cfg(2))
-	a := m.Exec(0, 1.0)
-	b := m.Exec(1, 3.0)
-	j := m.AfterAll(a, b)
-	if !approx(m.TimeOf(j), 3.0) {
-		t.Errorf("AfterAll = %v, want 3.0", m.TimeOf(j))
-	}
-	if !approx(m.TimeOf(m.AfterAll()), 0) {
-		t.Error("empty AfterAll should complete at 0")
-	}
-	if !approx(m.TimeOf(NoRef), 0) {
-		t.Error("NoRef completes at 0")
 	}
 }
 
@@ -151,8 +136,8 @@ func TestSequentialBottleneckEmerges(t *testing.T) {
 	funnel := New(cfg(n))
 	spread := New(cfg(n))
 	for i := 0; i < n; i++ {
-		funnel.Exec(0, 1.0)
-		spread.Exec(i, 1.0)
+		funnel.Exec(0, "item", 1.0, 0)
+		spread.Exec(i, "item", 1.0, 0)
 	}
 	if !approx(funnel.Makespan(), float64(n)) {
 		t.Errorf("funnel makespan = %v", funnel.Makespan())
@@ -165,9 +150,11 @@ func TestSequentialBottleneckEmerges(t *testing.T) {
 func TestPanicsOnBadNode(t *testing.T) {
 	m := New(cfg(1))
 	for _, f := range []func(){
-		func() { m.Exec(1, 1) },
-		func() { m.Exec(-1, 1) },
-		func() { m.Message(0, 3, 0) },
+		func() { m.Exec(1, "bad", 1, 0) },
+		func() { m.Exec(-1, "bad", 1, 0) },
+		func() { m.Util(1, "bad", 1, 0) },
+		func() { m.Message(0, 3, 0, 0) },
+		func() { m.Message(3, 0, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -189,36 +176,43 @@ func TestNewPanicsWithoutNodes(t *testing.T) {
 	New(Config{Nodes: 0})
 }
 
-// TestPlacePropertyNoOverlap schedules many random items and verifies the
-// reported completion times are consistent with a capacity-1 processor:
-// total busy time never exceeds the makespan and every op takes exactly
-// its duration after its dependences.
+// TestPlacePropertyNoOverlap schedules many random items, each ready when
+// the latest of a few earlier items completes, and verifies the reported
+// completion times are consistent with a capacity-1 processor: total busy
+// time never exceeds the makespan, the makespan is the latest completion,
+// and every op takes exactly its duration after its dependences.
 func TestPlacePropertyNoOverlap(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	m := New(cfg(1))
 	type op struct {
-		ref  Ref
-		dur  Time
-		deps []Ref
+		end, dur Time
+		deps     []Time
 	}
 	var ops []op
+	var latest Time
 	for i := 0; i < 300; i++ {
-		var deps []Ref
+		var deps []Time
+		var ready Time
 		for k := 0; k < rng.Intn(3) && len(ops) > 0; k++ {
-			deps = append(deps, ops[rng.Intn(len(ops))].ref)
+			d := ops[rng.Intn(len(ops))].end
+			deps = append(deps, d)
+			ready = max(ready, d)
 		}
 		dur := Time(rng.Intn(10)) / 10
-		ref := m.Exec(0, dur, deps...)
-		ops = append(ops, op{ref: ref, dur: dur, deps: deps})
+		end := m.Exec(0, "op", dur, ready)
+		ops = append(ops, op{end: end, dur: dur, deps: deps})
+		latest = max(latest, end)
+	}
+	if m.Makespan() != latest {
+		t.Fatalf("makespan %v, latest completion %v", m.Makespan(), latest)
 	}
 	if m.NodeBusy(0) > m.Makespan()+1e-9 {
 		t.Fatalf("busy %v exceeds makespan %v on one processor", m.NodeBusy(0), m.Makespan())
 	}
 	for _, o := range ops {
-		end := m.TimeOf(o.ref)
 		for _, d := range o.deps {
-			if m.TimeOf(d) > end-o.dur+1e-9 {
-				t.Fatalf("op finished at %v but dep finished at %v (dur %v)", end, m.TimeOf(d), o.dur)
+			if d > o.end-o.dur+1e-9 {
+				t.Fatalf("op finished at %v but dep finished at %v (dur %v)", o.end, d, o.dur)
 			}
 		}
 	}
@@ -229,10 +223,31 @@ func TestPlacePropertyNoOverlap(t *testing.T) {
 func TestZeroDurationOpsAreFree(t *testing.T) {
 	m := New(cfg(1))
 	for i := 0; i < 100; i++ {
-		m.Exec(0, 0)
+		m.Exec(0, "free", 0, 0)
 	}
 	if m.Makespan() != 0 || m.NodeBusy(0) != 0 {
 		t.Errorf("zero-duration ops consumed time: makespan=%v busy=%v", m.Makespan(), m.NodeBusy(0))
+	}
+}
+
+// TestBackToBackOpsAllocateNothing chains 3 × 4,096 ops on one processor,
+// each ready when the previous completes, so every one coalesces into the
+// processor's single busy interval. The machine keeps nothing per op
+// outside the trace journal, so the chain allocates nothing; a per-op
+// completion record allocates at least once per 4,096 ops.
+func TestBackToBackOpsAllocateNothing(t *testing.T) {
+	m := New(cfg(1))
+	ready := m.Exec(0, "first", 1, 0) // allocates the interval list
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 3 * 4096 {
+			ready = m.Exec(0, "next", 1, ready)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations for 3 × 4,096 back-to-back ops, want 0", allocs)
+	}
+	if len(m.exec[0].intervals) != 1 || ready != m.Makespan() {
+		t.Errorf("intervals %v, makespan %v, last completion %v: the chain did not coalesce", m.exec[0].intervals, m.Makespan(), ready)
 	}
 }
 

@@ -16,28 +16,29 @@ import (
 // with DCR and through the painter without, legs BenchmarkHarnessLaunch
 // times, and bounds what one steady-state launch allocates, Emit included,
 // across the application, the analyzer, the driver and the machine. The
-// machine records completions in pages it never copies, and the driver
-// keeps its task tables in slices indexed by task ID. Regrowing the whole
-// completion history and a map entry per task took about 4,410 bytes per
-// launch, and copying every plan entry out of the analyzer's scan, which
-// the driver reads only inside the call, about 2,570; Warnock's leg now
-// takes about 1,250, with or without the race detector, and the bound is
-// 1,450. The application's names are built once, and the stream and the
+// machine keeps nothing per op, and the driver keeps its task tables in
+// slices indexed by task ID. Regrowing the whole completion history and a
+// map entry per task took about 4,410 bytes per launch, copying every plan
+// entry out of the analyzer's scan, which the driver reads only inside the
+// call, about 2,570, and recording each op's completion time in pages
+// (8 bytes an op, 36 or so ops a launch) about 1,250; Warnock's leg now
+// takes about 955, with or without the race detector, and the bound is
+// 1,100. The application's names are built once, and the stream and the
 // analyzer carve each task, its requirements and its Result and deps from
-// chunks, so what is left is mostly chunk refills: 0.24 allocations per
+// chunks, so what is left is mostly chunk refills: 0.23 allocations per
 // launch (7.18 when each was allocated on its own), bounded at 0.75, with
 // or without the race detector. The painter's leg also asks the partition
 // owner for every initial-data plan entry, a memo hit keyed by value; it
-// takes 2.11 allocations and about 1,305 bytes, bounded at 2.45 and 1,500,
-// with or without the race detector.
+// takes 2.10 allocations and about 1,125 bytes (1,305 with the per-op
+// pages), bounded at 2.45 and 1,250, with or without the race detector.
 func TestSteadyStateAllocations(t *testing.T) {
 	for _, leg := range []struct {
 		alg                 string
 		dcr                 bool
 		maxAllocs, maxBytes float64
 	}{
-		{"warnock", true, 0.75, 1450},
-		{"paint", false, 2.45, 1500},
+		{"warnock", true, 0.75, 1100},
+		{"paint", false, 2.45, 1250},
 	} {
 		const nodes = 16
 		newAn, err := algo.Lookup(leg.alg)

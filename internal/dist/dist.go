@@ -79,12 +79,10 @@ type Driver struct {
 	cfg Config
 
 	probe *recorder
-	// tasks is indexed by task ID; done is NoRef for a task not launched
-	// here.
+	// tasks is indexed by task ID; done is negative for a task not
+	// launched here.
 	tasks []launched
 	owner core.OwnerFunc
-	// horizon is the latest completion time of any launch so far.
-	horizon cluster.Time
 
 	metrics  *obs.Registry
 	localOps *obs.Histogram // per-launch analysis ops on the analyzing node
@@ -92,7 +90,7 @@ type Driver struct {
 
 	// lastAnalysis orders each shard's analysis in program order: a
 	// dynamic dependence analysis observes launches sequentially (§3.2).
-	lastAnalysis []cluster.Ref // by node
+	lastAnalysis []cluster.Time // by node
 
 	// remote and remoteOrder are Launch's scratch, empty between launches:
 	// the work one launch queues on each remote owner, and those owners in
@@ -100,15 +98,15 @@ type Driver struct {
 	// sent in, and so virtual time.
 	remote      []remoteWork // by owner
 	remoteOrder []int
-	// gather and pres are Launch's scratch too, for the replies it waits
-	// for and its task's preconditions; the machine keeps no deps slice.
-	gather, pres []cluster.Ref
 }
 
 type launched struct {
-	done cluster.Ref
+	done cluster.Time
 	node int
 }
+
+// notLaunched is the entry of a task not launched through this driver.
+var notLaunched = launched{done: -1}
 
 type remoteWork struct {
 	ops  int64
@@ -181,11 +179,8 @@ func New(m *cluster.Machine, tree *region.Tree, newAnalyzer NewAnalyzerFunc, own
 		cfg:          cfg,
 		probe:        &recorder{cached: make(map[fetchKey]bool)},
 		owner:        owner,
-		lastAnalysis: make([]cluster.Ref, m.Nodes()),
+		lastAnalysis: make([]cluster.Time, m.Nodes()),
 		remote:       make([]remoteWork, m.Nodes()),
-	}
-	for i := range d.lastAnalysis {
-		d.lastAnalysis[i] = cluster.NoRef
 	}
 	opts := cfg.Options
 	opts.Probe, opts.Owner = d.probe, owner
@@ -207,8 +202,8 @@ func (d *Driver) Analyzer() core.Analyzer { return d.an }
 func (d *Driver) Metrics() *obs.Registry { return d.metrics }
 
 // Launch analyzes t and schedules its execution on execNode for dur
-// seconds of virtual time. It returns the completion reference.
-func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Ref {
+// seconds of virtual time. It returns the task's completion time.
+func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Time {
 	analysisNode := 0
 	if d.cfg.DCR {
 		analysisNode = execNode
@@ -221,7 +216,6 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	// Analysis: fixed launch overhead, then the recorded state touches in
 	// order, all on utility processors. Remote-owned state costs a control
 	// round trip and queues its work on the owner's utility processor.
-	prev := d.lastAnalysis[analysisNode]
 	// Local work (launch overhead, local state, traversal) runs serially;
 	// remote-owned state is touched by one batched request per owner, all
 	// issued in parallel after the local work, as Legion's analysis
@@ -252,36 +246,39 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 	if d.m.Tracing() {
 		name = t.String()
 	}
-	chain := d.m.UtilNamed(analysisNode, "analyze "+name, local, prev)
+	analyzed := d.m.Util(analysisNode, "analyze "+name, local, d.lastAnalysis[analysisNode])
 	if len(d.remoteOrder) > 0 {
-		d.gather = d.gather[:0]
+		// The analysis ends when the last reply is delivered.
+		sent := analyzed
+		analyzed = 0
 		for _, owner := range d.remoteOrder {
-			req := d.m.Message(analysisNode, owner, controlBytes, chain)
-			remote := d.m.UtilNamed(owner, "touch "+name, cluster.Time(d.remote[owner].ops)*opCost, req)
-			d.gather = append(d.gather, d.m.Message(owner, analysisNode, controlBytes, remote))
+			req := d.m.Message(analysisNode, owner, controlBytes, sent)
+			touched := d.m.Util(owner, "touch "+name, cluster.Time(d.remote[owner].ops)*opCost, req)
+			analyzed = max(analyzed, d.m.Message(owner, analysisNode, controlBytes, touched))
 			d.remote[owner] = remoteWork{}
 		}
 		d.remoteOrder = d.remoteOrder[:0]
-		chain = d.m.AfterAll(d.gather...)
 	}
-	d.lastAnalysis[analysisNode] = chain
+	d.lastAnalysis[analysisNode] = analyzed
 
-	// Gather preconditions: completion of dependences, delivery of the
-	// data each plan entry materializes, and any consumed futures (small
-	// messages from their producers' nodes).
-	pres := append(d.pres[:0], chain)
+	// Fold the preconditions into the task's ready time: the analysis,
+	// completion of dependences, delivery of the data each plan entry
+	// materializes, and any consumed futures (small messages from their
+	// producers' nodes). The messages are placed in this order, which
+	// fixes virtual time.
+	ready := analyzed
 	for _, dep := range res.Deps {
-		if l := d.launched(dep); l.done != cluster.NoRef {
-			pres = append(pres, l.done)
+		if l := d.launched(dep); l.done >= 0 {
+			ready = max(ready, l.done)
 		}
 	}
 	for _, fd := range t.FutureDeps {
 		switch l := d.launched(fd); {
-		case l.done == cluster.NoRef:
+		case l.done < 0:
 		case l.node == execNode:
-			pres = append(pres, l.done)
+			ready = max(ready, l.done)
 		default:
-			pres = append(pres, d.m.Message(l.node, execNode, futureBytes, l.done))
+			ready = max(ready, d.m.Message(l.node, execNode, futureBytes, l.done))
 		}
 	}
 	for _, plan := range res.Plans {
@@ -291,37 +288,35 @@ func (d *Driver) Launch(t *core.Task, execNode int, dur cluster.Time) cluster.Re
 				continue
 			}
 			bytes := int64(float64(v.Pts.Volume()) * bytesPerPoint)
-			pres = append(pres, d.m.Message(src, execNode, bytes, after))
+			ready = max(ready, d.m.Message(src, execNode, bytes, after))
 		}
 	}
 
-	done := d.m.ExecNamed(execNode, name, dur, pres...)
-	d.pres = pres
+	done := d.m.Exec(execNode, name, dur, ready)
 	for len(d.tasks) <= t.ID {
-		d.tasks = append(d.tasks, launched{done: cluster.NoRef})
+		d.tasks = append(d.tasks, notLaunched)
 	}
 	d.tasks[t.ID] = launched{done: done, node: execNode}
-	d.horizon = max(d.horizon, d.m.TimeOf(done))
 	return done
 }
 
-// launched returns where task id ran and its completion; done is NoRef for
-// a task not launched here.
+// launched returns where task id ran and its completion; done is negative
+// for a task not launched here.
 func (d *Driver) launched(id int) launched {
 	if id < 0 || id >= len(d.tasks) {
-		return launched{done: cluster.NoRef}
+		return notLaunched
 	}
 	return d.tasks[id]
 }
 
-// producer returns the node holding a plan entry's data and the reference
-// after which it is available.
-func (d *Driver) producer(v core.Visible) (int, cluster.Ref) {
+// producer returns the node holding a plan entry's data and the time at
+// which it is available there: 0 for initial data.
+func (d *Driver) producer(v core.Visible) (int, cluster.Time) {
 	if v.Task == core.InitialTask {
-		return d.owner(v.Pts), cluster.NoRef
+		return d.owner(v.Pts), 0
 	}
 	l := d.launched(v.Task)
-	if l.done == cluster.NoRef {
+	if l.done < 0 {
 		panic(fmt.Sprintf("dist: plan references task %d, which was not launched through this driver", v.Task))
 	}
 	return l.node, l.done
@@ -329,9 +324,11 @@ func (d *Driver) producer(v core.Visible) (int, cluster.Ref) {
 
 // Barrier returns the virtual time at which every launch so far has
 // completed — an execution fence, used to delimit the initialization and
-// steady-state measurement phases.
+// steady-state measurement phases. Every op a launch places precedes its
+// task, so while only the driver schedules on its machine, this is the
+// machine's makespan.
 func (d *Driver) Barrier() cluster.Time {
-	return d.horizon
+	return d.m.Makespan()
 }
 
 // OwnerByPartition returns an OwnerFunc assigning a space to the node
@@ -366,22 +363,13 @@ type corner struct {
 }
 
 func newPartitionOwner(p *region.Partition, nodes int) *partitionOwner {
-	n := 0
-	for _, sub := range p.Subregions {
-		n += sub.Space.NumRects()
-	}
-	inputs := make([]bvh.Input, 0, n)
-	for i, sub := range p.Subregions {
-		for _, r := range sub.Space.Rects() {
-			inputs = append(inputs, bvh.Input{Box: r, ID: i})
-		}
-	}
+	tree := bvh.BuildPartition(p)
 	return &partitionOwner{
-		tree:  bvh.Build(inputs),
+		tree:  tree,
 		subs:  p.Subregions,
 		nodes: nodes,
 		// The applications ask about one to six corners per rectangle.
-		memo: make(map[corner]int, len(inputs)),
+		memo: make(map[corner]int, tree.Len()),
 	}
 }
 

@@ -102,7 +102,7 @@ type fieldState struct {
 	// Disjoint-complete-partition mode; memo is resolved once per
 	// installAccel like geom.
 	dcp     *region.Partition
-	pieces  *bvh.Tree // over piece bounding boxes
+	pieces  *bvh.Tree // over piece rectangles
 	buckets [][]*set
 	memo    map[int]bucketList // region ID → overlappingBuckets' answer
 
@@ -219,19 +219,11 @@ func (rc *RayCast) installAccel(fs *fieldState, dcp *region.Partition, sets []*s
 		return
 	}
 
-	// Index every rectangle of every piece rather than piece bounding
-	// boxes: pieces made of scattered blocks (e.g. a node block plus a
-	// wire block) would otherwise produce mutually-overlapping boxes and
-	// degrade every query to a full scan.
-	var inputs []bvh.Input
 	fs.geom = make([]*eqset.Node, len(dcp.Subregions))
 	for i, sub := range dcp.Subregions {
-		for _, r := range sub.Space.Rects() {
-			inputs = append(inputs, bvh.Input{Box: r, ID: i})
-		}
 		fs.geom[i] = &eqset.Node{Pts: sub.Space}
 	}
-	fs.pieces = bvh.Build(inputs)
+	fs.pieces = bvh.BuildPartition(dcp)
 	fs.buckets = make([][]*set, len(dcp.Subregions))
 	fs.memo = make(map[int]bucketList)
 	for _, s := range sets {
