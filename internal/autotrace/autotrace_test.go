@@ -7,6 +7,7 @@ import (
 
 	"visibility/internal/autotrace"
 	"visibility/internal/core"
+	"visibility/internal/data"
 	"visibility/internal/fault"
 	"visibility/internal/obs"
 	"visibility/internal/obs/recorder"
@@ -54,9 +55,10 @@ func runSchedule(t *testing.T, fac core.Factory, iters int, opts core.Options, s
 
 	seq := core.NewSeq(tree, init)
 	seqStream := core.NewStream(tree)
+	var wants [][]*data.Store
 	for it := 0; it < iters; it++ {
 		for _, task := range sched(seqStream, p, g, it) {
-			seq.Run(task, kern)
+			wants = append(wants, seq.Run(task, kern))
 		}
 	}
 
@@ -69,7 +71,7 @@ func runSchedule(t *testing.T, fac core.Factory, iters int, opts core.Options, s
 		}
 	}
 
-	for id, want := range seq.Inputs {
+	for id, want := range wants {
 		have := inputs[id]
 		for ri := range want {
 			if want[ri] == nil {

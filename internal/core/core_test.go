@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"visibility/internal/core"
 	"visibility/internal/data"
@@ -254,5 +256,33 @@ func TestMaterializeAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { core.Materialize(req, plan, source) }); got > 4 {
 			t.Errorf("width %d: Materialize of a %d-entry plan allocates %v times, want at most 4", width, len(plan), got)
 		}
+	}
+}
+
+// TestEntryStaysPointerFree pins what every analyzer's history array
+// costs: 32 bytes an entry and no pointer for the collector to scan,
+// footprint included.
+func TestEntryStaysPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(core.Entry{}); size != 32 {
+		t.Errorf("core.Entry is %d bytes, want 32", size)
+	}
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if walk(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+			return false
+		}
+		return true
+	}
+	if walk(reflect.TypeOf(core.Entry{})) {
+		t.Error("core.Entry holds a pointer")
 	}
 }

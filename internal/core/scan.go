@@ -61,7 +61,7 @@ func (s *Scan) Entry(e Entry, pts index.Space) {
 		s.stats.DepsReported++
 	}
 	if !s.req.Priv.IsReduce() && e.Priv.Mutates() {
-		s.vis = append(s.vis, Visible{Task: e.Task, Req: e.Req, Priv: e.Priv, Pts: pts})
+		s.vis = append(s.vis, Visible{Task: e.Task, Req: int(e.Req), Priv: e.Priv, Pts: pts})
 		s.plans[s.ri].hi = len(s.vis)
 	}
 }

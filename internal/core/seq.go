@@ -34,11 +34,6 @@ type Seq struct {
 	// global is the single mutable store per field; Run folds every task
 	// into it in program order on one goroutine.
 	global map[field.ID]*data.Store
-
-	// Inputs records, for every executed task, the materialized input
-	// store of each read or read-write requirement (nil for reduce
-	// requirements). Used to validate analyzer-driven execution.
-	Inputs map[int][]*data.Store
 }
 
 // NewSeq creates a sequential interpreter with the given initial contents
@@ -48,20 +43,22 @@ func NewSeq(tree *region.Tree, init map[field.ID]*data.Store) *Seq {
 	for f, s := range init {
 		g[f] = s.Clone()
 	}
-	return &Seq{tree: tree, global: g, Inputs: make(map[int][]*data.Store)}
+	return &Seq{tree: tree, global: g}
 }
 
 // Global returns the current global store for field f.
 func (s *Seq) Global(f field.ID) *data.Store { return s.global[f] }
 
-// Run executes one task.
-func (s *Seq) Run(t *Task, k Kernel) { s.RunBody(t, k, nil) }
+// Run executes one task and returns its materialized inputs (RunBody).
+func (s *Seq) Run(t *Task, k Kernel) []*data.Store { return s.RunBody(t, k, nil) }
 
 // RunBody executes one task, invoking body (if non-nil) after all inputs
 // are materialized and before any outputs apply — the run_task structure of
 // Figure 6. Engines driving kernels whose Write/Reduce functions close over
-// state prepared by a body must use this form.
-func (s *Seq) RunBody(t *Task, k Kernel, body func(inputs []*data.Store)) {
+// state prepared by a body must use this form. It returns the materialized
+// input store of each read or read-write requirement (nil for reduce
+// requirements), against which analyzer-driven execution is validated.
+func (s *Seq) RunBody(t *Task, k Kernel, body func(inputs []*data.Store)) []*data.Store {
 	// Phase 1: materialize every input (Figure 6 line 4).
 	inputs := make([]*data.Store, len(t.Reqs))
 	for ri, req := range t.Reqs {
@@ -110,5 +107,5 @@ func (s *Seq) RunBody(t *Task, k Kernel, body func(inputs []*data.Store)) {
 			})
 		}
 	}
-	s.Inputs[t.ID] = inputs
+	return inputs
 }

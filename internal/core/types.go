@@ -268,24 +268,24 @@ func (o Options) Normalize() Options {
 	return o
 }
 
-// Entry is one recorded operation in an analyzer's history: task t touched
-// points Pts with privilege Priv through its Req-th requirement. Entries
-// are the "primitives in the scene" of the visibility reduction (§3).
+// Entry is one recorded operation in an analyzer's history: task Task
+// touched the points of its footprint with privilege Priv through its
+// Req-th requirement. Entries are the "primitives in the scene" of the
+// visibility reduction (§3) and hold no pointer, so a history array is
+// nothing for the collector to scan.
 type Entry struct {
 	Task int
-	Req  int
+	Req  int32
+	// Foot names the footprint: ID+1 of the region whose points the entry
+	// touched, or 0 for the points of the equivalence set holding it.
+	Foot int32
 	Priv privilege.Privilege
-	Pts  index.Space
 }
 
-func (e Entry) String() string {
-	return fmt.Sprintf("⟨%d.%d %v %v⟩", e.Task, e.Req, e.Priv, e.Pts)
-}
-
-// SeedEntry returns the initial history entry recording the root region's
-// starting contents.
-func SeedEntry(root index.Space) Entry {
-	return Entry{Task: InitialTask, Req: 0, Priv: privilege.Writes(), Pts: root}
+// SeedEntry returns the initial history entry recording root's starting
+// contents.
+func SeedEntry(root *region.Region) Entry {
+	return Entry{Task: InitialTask, Foot: int32(root.ID) + 1, Priv: privilege.Writes()}
 }
 
 // Row returns task t's dependence row, given the dependences an analyzer

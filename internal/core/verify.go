@@ -46,8 +46,9 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 	}
 
 	seq := NewSeq(tree, init)
+	wants := make([][]*data.Store, len(extended.Tasks))
 	for _, t := range extended.Tasks {
-		seq.Run(t, k)
+		wants[t.ID] = seq.Run(t, k)
 	}
 	exact := ExactDeps(extended.Tasks)
 
@@ -59,7 +60,7 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 
 		// 1. Coherence of every materialized input.
 		for _, t := range extended.Tasks {
-			want := seq.Inputs[t.ID]
+			want := wants[t.ID]
 			have := inputs[t.ID]
 			for ri, req := range t.Reqs {
 				if req.Priv.IsReduce() {

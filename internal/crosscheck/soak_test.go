@@ -6,6 +6,7 @@ import (
 
 	"visibility/internal/autotrace"
 	"visibility/internal/core"
+	"visibility/internal/data"
 	"visibility/internal/fault"
 	"visibility/internal/harness"
 	"visibility/internal/testutil"
@@ -66,10 +67,11 @@ func TestSoakTracedLoops(t *testing.T) {
 
 				stream := core.NewStream(tree)
 				var got [][]int
+				var wants [][]*data.Store
 				for rep := 0; rep < 8; rep++ {
 					for _, proto := range body.Tasks {
 						task := stream.Launch(proto.Name, proto.Reqs...)
-						seq.Run(task, core.HashKernel{})
+						wants = append(wants, seq.Run(task, core.HashKernel{}))
 						got = append(got, launch(task))
 					}
 				}
@@ -78,7 +80,7 @@ func TestSoakTracedLoops(t *testing.T) {
 				sum.Trace.Invalidations += st.Trace.Invalidations
 				stats[plan][fac.Name] = sum
 				// Values match the sequential interpreter.
-				for id, want := range seq.Inputs {
+				for id, want := range wants {
 					have := inputs[id]
 					for ri := range want {
 						if want[ri] != nil && !want[ri].Equal(have[ri]) {

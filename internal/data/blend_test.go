@@ -49,9 +49,9 @@ func blend(ops []op, v0 float64) (final float64, reads []float64) {
 	s := core.NewStream(tree)
 	for _, o := range ops {
 		task := s.Launch("op", core.Req{Region: tree.Root, Field: 0, Priv: o.priv})
-		seq.Run(task, constKernel(o.x))
+		inputs := seq.Run(task, constKernel(o.x))
 		if o.priv.IsRead() {
-			reads = append(reads, seq.Inputs[task.ID][0].MustGet(geometry.Pt1(0)))
+			reads = append(reads, inputs[0].MustGet(geometry.Pt1(0)))
 		}
 	}
 	return seq.Global(0).MustGet(geometry.Pt1(0)), reads

@@ -79,23 +79,6 @@ func (n *Node) Cut(r *region.Region) Cut {
 	return n.Cuts[i]
 }
 
-// Entry is one operation in a set's history: task Task touched every point
-// of its footprint with privilege Priv through its Req-th requirement. It is
-// a core.Entry without the points, which are the set's own or, for a read
-// that covered part of the set, those of its region (the package's
-// invariant), so a history array holds no pointer for the collector to scan.
-type Entry struct {
-	Task int
-	Req  int32
-	// Foot is 0 when the footprint is the whole set. Otherwise the entry is
-	// a read and its footprint is the set's points inside the region whose
-	// ID is Foot-1: the cut G.Cut(region).In.
-	// A split narrows it, as every fragment is cut by that region in turn,
-	// and drops the entry from a fragment the region misses.
-	Foot int32
-	Priv privilege.Privilege
-}
-
 // Set is one equivalence set.
 type Set[X any] struct {
 	// G is the set's geometry; G.Pts never changes.
@@ -104,8 +87,12 @@ type Set[X any] struct {
 	// their parent's entries, capacity clipped, until one appends. Any
 	// other array belongs to one set, and a carve from the kernel's chunk
 	// is capped at its own capacity, so a live set whose Hist has
-	// cap > len owns its array (see Overwrite).
-	Hist []Entry
+	// cap > len owns its array (see Overwrite). An entry's Foot is 0
+	// unless it is a read that covered part of the set: its footprint is
+	// then G.Cut(region).In. A split narrows it, as every fragment is cut
+	// by that region in turn, and drops it from a fragment the region
+	// misses.
+	Hist []core.Entry
 	// Dead is set once the set has been replaced (by a refinement, or by
 	// the store moving its contents into fresh sets) or pruned by a write;
 	// the sets found for a requirement are looked up again before commit
@@ -145,14 +132,14 @@ type Store[X any] interface {
 }
 
 // Root returns the set a store starts a field from: the root's points,
-// holding the initial write of them by core.InitialTask (core.SeedEntry).
+// holding the initial write of them by core.InitialTask.
 func Root[X any](pts index.Space) *Set[X] {
-	return &Set[X]{G: &Node{Pts: pts}, Hist: []Entry{{Task: core.InitialTask, Priv: privilege.Writes()}}}
+	return &Set[X]{G: &Node{Pts: pts}, Hist: []core.Entry{{Task: core.InitialTask, Priv: privilege.Writes()}}}
 }
 
 // Kernel drives one Store over a region tree, which resolves footprints
-// (Entry.Foot). It runs on exactly one goroutine (the submit side, §3.2)
-// and mutates its state with no lock.
+// (core.Entry.Foot). It runs on exactly one goroutine (the submit side,
+// §3.2) and mutates its state with no lock.
 type Kernel[X any] struct {
 	Opts  core.Options // normalized
 	Stats core.Stats
@@ -169,7 +156,7 @@ type Kernel[X any] struct {
 	// from chunks (core.Chunk): a dead set may still sit in a memo or in
 	// a launch's insides, and a carve is never recycled.
 	setChunk  core.Chunk[Set[X]]
-	histChunk core.Chunk[Entry]
+	histChunk core.Chunk[core.Entry]
 }
 
 // New creates a kernel over store, whose requirements name regions of
@@ -189,7 +176,7 @@ func (k *Kernel[X]) Owner(n *Node) int {
 
 // NewSet returns a set wearing g with history hist, placed at at, carved
 // from the kernel's chunk of sets.
-func (k *Kernel[X]) NewSet(g *Node, hist []Entry, at X) *Set[X] {
+func (k *Kernel[X]) NewSet(g *Node, hist []core.Entry, at X) *Set[X] {
 	s := k.setChunk.New()
 	s.G, s.Hist, s.At = g, hist, at
 	return s
@@ -198,11 +185,11 @@ func (k *Kernel[X]) NewSet(g *Node, hist []Entry, at X) *Set[X] {
 // carve returns an empty history array of capacity n from the kernel's
 // chunk of entries, clipped so that an append past n copies instead of
 // running into the next carve.
-func (k *Kernel[X]) carve(n int) []Entry { return k.histChunk.Take(n)[:0] }
+func (k *Kernel[X]) carve(n int) []core.Entry { return k.histChunk.Take(n)[:0] }
 
 // Append records e in s's history, first copying the history into an
 // array of its own if s does not own one (see Set.Hist).
-func (k *Kernel[X]) Append(s *Set[X], e Entry) {
+func (k *Kernel[X]) Append(s *Set[X], e core.Entry) {
 	if len(s.Hist) == cap(s.Hist) {
 		// Room for as many entries again, as append's doubling gave.
 		s.Hist = append(k.carve(max(4, 2*len(s.Hist))), s.Hist...)
@@ -214,8 +201,8 @@ func (k *Kernel[X]) Append(s *Set[X], e Entry) {
 // belonged to: each read is narrowed to its footprint inside g, and dropped
 // when that is empty. It returns hist itself, shared, when no entry has a
 // footprint; otherwise a carved array of the kernel's own.
-func (k *Kernel[X]) Narrow(hist []Entry, g *Node) []Entry {
-	i := slices.IndexFunc(hist, func(e Entry) bool { return e.Foot != 0 })
+func (k *Kernel[X]) Narrow(hist []core.Entry, g *Node) []core.Entry {
+	i := slices.IndexFunc(hist, func(e core.Entry) bool { return e.Foot != 0 })
 	if i < 0 {
 		return hist
 	}
@@ -278,7 +265,7 @@ func (k *Kernel[X]) Split(s *Set[X], c Cut) (in, rest *Set[X], forced bool) {
 // — and its array is reused when hist owns it (see Set.Hist); otherwise
 // the new array is carved with room for the reads and reductions that
 // follow.
-func (k *Kernel[X]) Overwrite(hist []Entry, e Entry) []Entry {
+func (k *Kernel[X]) Overwrite(hist []core.Entry, e core.Entry) []core.Entry {
 	if cap(hist) > len(hist) {
 		return append(hist[:0], e)
 	}
@@ -287,7 +274,7 @@ func (k *Kernel[X]) Overwrite(hist []Entry, e Entry) []Entry {
 
 // privRuns counts maximal runs of identical privileges in a history — the
 // epochs a scan actually tests for interference.
-func privRuns(hist []Entry) int64 {
+func privRuns(hist []core.Entry) int64 {
 	var runs int64
 	for i, e := range hist {
 		if i == 0 || !e.Priv.Same(hist[i-1].Priv) {
@@ -310,7 +297,7 @@ func (k *Kernel[X]) scanSet(s *Set[X], pts index.Space) {
 	k.Touch(s, privRuns(s.Hist))
 	for _, e := range s.Hist {
 		k.Stats.EntriesScanned++
-		k.scan.Entry(core.Entry{Task: e.Task, Req: int(e.Req), Priv: e.Priv}, pts)
+		k.scan.Entry(e, pts)
 	}
 }
 
@@ -363,7 +350,7 @@ func (k *Kernel[X]) Analyze(t *core.Task) *core.Result {
 			k.store.Write(t, ri, inside)
 			continue
 		}
-		e := Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}
+		e := core.Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}
 		for _, p := range inside {
 			e.Foot = 0
 			if p.Out != nil {

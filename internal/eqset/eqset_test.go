@@ -3,7 +3,6 @@ package eqset_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -42,7 +41,7 @@ func mustInjector(t *testing.T, plan string) *fault.Injector {
 
 // TestSplit pins the kernel's one refinement rule.
 func TestSplit(t *testing.T) {
-	hist := []eqset.Entry{{Task: core.InitialTask, Priv: privilege.Writes()}, {Task: 3, Priv: privilege.Reads()}}
+	hist := []core.Entry{{Task: core.InitialTask, Priv: privilege.Writes()}, {Task: 3, Priv: privilege.Reads()}}
 	const always = "seed=1;analyzer.eqset.split=every=1"
 	tests := []struct {
 		name   string
@@ -115,33 +114,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-// TestEntryStaysPointerFree pins what a history array costs: 32 bytes an
-// entry and no pointer for the collector to scan, footprint included.
-func TestEntryStaysPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(eqset.Entry{}); size != 32 {
-		t.Errorf("eqset.Entry is %d bytes, want 32", size)
-	}
-	var walk func(reflect.Type) bool
-	walk = func(ty reflect.Type) bool {
-		switch ty.Kind() {
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				if walk(ty.Field(i).Type) {
-					return true
-				}
-			}
-			return false
-		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
-			return false
-		}
-		return true
-	}
-	if walk(reflect.TypeOf(eqset.Entry{})) {
-		t.Error("eqset.Entry holds a pointer")
-	}
-}
-
 // TestOwnerResolvedOnce pins where a set's owner comes from: Opts.Owner is
 // asked once per set, however often the set is touched, and the fragments
 // of a split resolve their own points instead of inheriting the parent's
@@ -176,8 +148,8 @@ func TestOwnerResolvedOnce(t *testing.T) {
 // on their parent's entries, and an append to either leaves the other
 // half's, the parent's and a third reader's view of them unchanged.
 func TestSplitSharesHistory(t *testing.T) {
-	hist := make([]eqset.Entry, 2, 8) // spare capacity: an in-place append would be visible
-	hist[0], hist[1] = eqset.Entry{Task: core.InitialTask, Priv: privilege.Writes()}, eqset.Entry{Task: 3, Priv: privilege.Reads()}
+	hist := make([]core.Entry, 2, 8) // spare capacity: an in-place append would be visible
+	hist[0], hist[1] = core.Entry{Task: core.InitialTask, Priv: privilege.Writes()}, core.Entry{Task: 3, Priv: privilege.Reads()}
 	k := eqset.New[int](nil, core.Options{}, nil)
 	s := &set{G: &eqset.Node{Pts: span(0, 9)}, Hist: hist}
 	in, rest, _ := k.Split(s, s.G.Cut(reg(1, span(4, 5))))
@@ -185,10 +157,10 @@ func TestSplitSharesHistory(t *testing.T) {
 		t.Error("the halves copied the parent's history instead of sharing it")
 	}
 	reader := in.Hist
-	in.Hist = append(in.Hist, eqset.Entry{Task: 7})
-	rest.Hist = append(rest.Hist, eqset.Entry{Task: 8})
-	rest.Hist = append(rest.Hist, eqset.Entry{Task: 9})
-	for i, h := range [][]eqset.Entry{in.Hist[:2], rest.Hist[:2], s.Hist, reader, hist} {
+	in.Hist = append(in.Hist, core.Entry{Task: 7})
+	rest.Hist = append(rest.Hist, core.Entry{Task: 8})
+	rest.Hist = append(rest.Hist, core.Entry{Task: 9})
+	for i, h := range [][]core.Entry{in.Hist[:2], rest.Hist[:2], s.Hist, reader, hist} {
 		if len(h) != 2 || h[0].Task != core.InitialTask || h[1].Task != 3 {
 			t.Errorf("view %d (in, rest, parent, reader, caller) no longer sees the shared prefix: %+v", i, h)
 		}
@@ -224,7 +196,7 @@ func TestCarvedHistoriesDoNotCross(t *testing.T) {
 	task := 0
 	push := func(f *set) {
 		task++
-		k.Append(f, eqset.Entry{Task: task, Priv: privilege.Reads()})
+		k.Append(f, core.Entry{Task: task, Priv: privilege.Reads()})
 		want[f] = append(want[f], task)
 		check(fmt.Sprintf("appending task %d to %s", task, names[f]))
 	}
@@ -234,7 +206,7 @@ func TestCarvedHistoriesDoNotCross(t *testing.T) {
 	// Neighbours: rest's carve starts after in's, where in's capacity ends
 	// (or before, were in's capacity not clipped).
 	inStart := uintptr(unsafe.Pointer(unsafe.SliceData(in.Hist)))
-	inEnd := inStart + uintptr(cap(in.Hist))*unsafe.Sizeof(eqset.Entry{})
+	inEnd := inStart + uintptr(cap(in.Hist))*unsafe.Sizeof(core.Entry{})
 	if restStart := uintptr(unsafe.Pointer(unsafe.SliceData(rest.Hist))); restStart <= inStart || restStart > inEnd {
 		t.Fatal("the halves' first appends did not carve neighbouring arrays; the test checks nothing")
 	}
@@ -243,7 +215,7 @@ func TestCarvedHistoriesDoNotCross(t *testing.T) {
 			push(f)
 		}
 	}
-	in.Hist = k.Overwrite(in.Hist, eqset.Entry{Task: 100, Priv: privilege.Writes()})
+	in.Hist = k.Overwrite(in.Hist, core.Entry{Task: 100, Priv: privilege.Writes()})
 	want[in] = []int{100}
 	check("overwriting in")
 	push(in)
@@ -292,7 +264,7 @@ func (f *flat) Refine(t *core.Task, ri int, _ bool, inside []part) []part {
 
 func (f *flat) Write(t *core.Task, ri int, inside []part) {
 	for _, p := range inside {
-		p.S.Hist = []eqset.Entry{{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv}}
+		p.S.Hist = []core.Entry{{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv}}
 	}
 }
 

@@ -44,7 +44,7 @@ func (n *Naive) Stats() *core.Stats { return &n.stats }
 func (n *Naive) histFor(f field.ID) []core.Entry {
 	h, ok := n.hist[f]
 	if !ok {
-		h = []core.Entry{core.SeedEntry(n.tree.Root.Space)}
+		h = []core.Entry{core.SeedEntry(n.tree.Root)}
 		n.hist[f] = h
 	}
 	return h
@@ -66,7 +66,7 @@ func (n *Naive) Analyze(t *Task) *core.Result {
 		for _, e := range h {
 			n.stats.EntriesScanned++
 			n.stats.OverlapTests++
-			if inter := e.Pts.Intersect(req.Region.Space); !inter.IsEmpty() {
+			if inter := n.tree.Region(int(e.Foot) - 1).Space.Intersect(req.Region.Space); !inter.IsEmpty() {
 				sc.Entry(e, inter)
 			}
 		}
@@ -78,7 +78,7 @@ func (n *Naive) Analyze(t *Task) *core.Result {
 			continue
 		}
 		n.hist[req.Field] = append(n.histFor(req.Field),
-			core.Entry{Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space})
+			core.Entry{Task: t.ID, Req: int32(ri), Foot: int32(req.Region.ID) + 1, Priv: req.Priv})
 	}
 
 	return sc.Result()

@@ -73,12 +73,11 @@ func regionKey(r *region.Region) nodeKey  { return nodeKey{part: false, id: r.ID
 func partKey(p *region.Partition) nodeKey { return nodeKey{part: true, id: p.ID} }
 
 // item is one element of a node history: a recorded entry or a composite
-// view. An entry covers one whole region: a commit records its
-// requirement's region, and the seed the root.
+// view. An entry covers the whole region its Foot names: a commit records
+// its requirement's region, and the seed the root.
 type item struct {
-	entry  core.Entry // valid when view == nil
-	region int        // ID of the region whose space entry.Pts is
-	view   *view
+	entry core.Entry // valid when view == nil
+	view  *view
 }
 
 // view is a composite view: an immutable snapshot of a subtree's histories
@@ -134,7 +133,7 @@ func (pa *Painter) fieldFor(f field.ID) *fieldState {
 		fs = &fieldState{}
 		// Seed the root with the initial full write (§5).
 		root := pa.node(fs, regionKey(pa.tree.Root), pa.tree.Root.Space)
-		root.hist = append(root.hist, item{entry: core.SeedEntry(pa.tree.Root.Space), region: pa.tree.Root.ID})
+		root.hist = append(root.hist, item{entry: core.SeedEntry(pa.tree.Root)})
 		root.open = true
 		root.summary.Add(privilege.Writes())
 		pa.state[f] = fs
@@ -256,8 +255,8 @@ func (pa *Painter) Analyze(t *core.Task) *core.Result {
 			leaf.hist = leaf.hist[:0]
 		}
 		leaf.hist = append(leaf.hist, item{entry: core.Entry{
-			Task: t.ID, Req: ri, Priv: req.Priv, Pts: req.Region.Space,
-		}, region: req.Region.ID})
+			Task: t.ID, Req: int32(ri), Foot: int32(req.Region.ID) + 1, Priv: req.Priv,
+		}})
 		pa.opts.Probe.Touch(leaf.owner, 1)
 		for _, step := range path {
 			ns := pa.node(fs, step.key, step.space)
@@ -347,9 +346,10 @@ func (pa *Painter) snapshot(fs *fieldState, key nodeKey, v *view) {
 				v.count += it.view.count
 				pa.stats.ViewEntries += int64(it.view.count)
 			} else {
-				pa.ops = append(pa.ops, it.entry.Pts)
+				pts := pa.footprint(it.entry)
+				pa.ops = append(pa.ops, pts)
 				if it.entry.Priv.IsWrite() {
-					pa.covers = append(pa.covers, it.entry.Pts)
+					pa.covers = append(pa.covers, pts)
 				}
 				v.summary.Add(it.entry.Priv)
 				v.count++
@@ -403,7 +403,11 @@ func sameRects(a, b index.Space) bool {
 // scanItems traverses history items in order, expanding composite views,
 // and hands sc every entry that shares points with req.
 func (pa *Painter) scanItems(items []item, req core.Req, sc *core.Scan) {
-	for _, it := range items {
+	for i := range items {
+		// Read in place: a ranged copy of an item is spilled to the stack
+		// and its fields reloaded from there, which stalled this loop
+		// (visperf's stencil paint legs ran ~15% slower, 2-vCPU VM).
+		it := &items[i]
 		if it.view != nil {
 			pa.stats.OverlapTests++
 			// Composite views are immutable and replicate on demand: the
@@ -425,7 +429,7 @@ func (pa *Painter) scanItems(items []item, req core.Req, sc *core.Scan) {
 		if !privilege.Interferes(e.Priv, req.Priv) {
 			continue
 		}
-		if inter := pa.intersect(it.region, req.Region); !inter.IsEmpty() {
+		if inter := pa.intersect(int(e.Foot)-1, req.Region); !inter.IsEmpty() {
 			sc.Entry(e, inter)
 		}
 	}
@@ -442,6 +446,9 @@ func (pa *Painter) intersect(a int, b *region.Region) index.Space {
 	return inter
 }
 
+// footprint returns the points of the region e's Foot names.
+func (pa *Painter) footprint(e core.Entry) index.Space { return pa.tree.Region(int(e.Foot) - 1).Space }
+
 // prune removes items whose recorded points are entirely covered by cover
 // (they can no longer be visible).
 func (pa *Painter) prune(items []item, cover index.Space) []item {
@@ -454,7 +461,7 @@ func (pa *Painter) prune(items []item, cover index.Space) []item {
 		if it.view != nil {
 			pts = it.view.pts
 		} else {
-			pts = it.entry.Pts
+			pts = pa.footprint(it.entry)
 		}
 		pa.stats.OverlapTests++
 		if cover.Covers(pts) {

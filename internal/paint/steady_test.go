@@ -2,6 +2,7 @@ package paint
 
 import (
 	"testing"
+	"unsafe"
 
 	"visibility/internal/apps"
 	"visibility/internal/apps/circuit"
@@ -95,5 +96,13 @@ func TestSteadyStateAllocations(t *testing.T) {
 			per, allocs, launches, limit)
 	} else {
 		t.Logf("%.2f allocations per launch", per)
+	}
+}
+
+// TestItemSize pins a history item at 40 bytes: an entry names its region
+// and holds no points of its own.
+func TestItemSize(t *testing.T) {
+	if size := unsafe.Sizeof(item{}); size != 40 {
+		t.Errorf("item is %d bytes, want 40", size)
 	}
 }

@@ -29,7 +29,8 @@ func (rc *RayCast) Geometry(worn bool) []*eqset.Node {
 // CheckResolved compares everything the store resolved once — every
 // reachable geometry node's owner and remembered cuts, the nodes rooted at
 // the pieces, each memoized bucket list and its two counts — with a fresh
-// resolution from the geometry.
+// resolution from the geometry, and every live set's history to the
+// footprints the eqset kernel allows (testutil.CheckFootprints).
 func (rc *RayCast) CheckResolved() error {
 	if err := testutil.CheckGeometry(rc.Geometry(true), rc.tree, rc.k.Owner, rc.k.Opts.Owner); err != nil {
 		return err
@@ -45,6 +46,11 @@ func (rc *RayCast) CheckResolved() error {
 }
 
 func (rc *RayCast) checkField(f field.ID, fs *fieldState) error {
+	for _, s := range fs.live() {
+		if err := testutil.CheckFootprints(s.G, s.Hist, rc.tree); err != nil {
+			return fmt.Errorf("field %d: %v", f, err)
+		}
+	}
 	if fs.dcp == nil {
 		if fs.memo != nil || len(fs.geom) != 1 || !fs.geom[0].Pts.Equal(rc.tree.Root.Space) {
 			return fmt.Errorf("field %d: K-d mode kept the bucket tables of a dropped partition", f)

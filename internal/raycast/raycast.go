@@ -420,10 +420,10 @@ func (rc *RayCast) forceMigrate(fs *fieldState, payload uint64) {
 func (rc *RayCast) Write(t *core.Task, ri int, inside []part) {
 	req := t.Reqs[ri]
 	fs := rc.state[req.Field]
-	e := eqset.Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}
+	e := core.Entry{Task: t.ID, Req: int32(ri), Priv: req.Priv}
 	rc.k.Stats.SetsCoalesced += int64(len(inside))
 	rc.written = rc.written[:0]
-	var old []eqset.Entry // a pruned set's history to reuse (see eqset.Set.Hist)
+	var old []core.Entry // a pruned set's history to reuse (see eqset.Set.Hist)
 	for _, p := range inside {
 		s := p.S
 		s.Dead = true

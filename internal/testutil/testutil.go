@@ -245,6 +245,23 @@ func CountCuts(nodes []*eqset.Node) int {
 	return cuts
 }
 
+// CheckFootprints holds hist, the history of a set wearing g, to the eqset
+// kernel's invariant: an entry names a region (core.Entry.Foot) only when
+// it is a read that region covers part of; every other entry covers the
+// whole set.
+func CheckFootprints(g *eqset.Node, hist []core.Entry, tree *region.Tree) error {
+	for _, e := range hist {
+		if e.Foot == 0 {
+			continue
+		}
+		sp := tree.Region(int(e.Foot) - 1).Space
+		if !e.Priv.IsRead() || !g.Pts.Overlaps(sp) || sp.Covers(g.Pts) {
+			return fmt.Errorf("set %v holds %+v, whose region %v is no read's part of the set", g.Pts, e, sp)
+		}
+	}
+	return nil
+}
+
 // CheckGeometry holds everything nodes resolved once to a fresh resolution
 // from their points: each remembered cut to the set algebra it stands for
 // (Overlaps, Covers, Intersect, Subtract against the region's space), and

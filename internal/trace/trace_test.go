@@ -10,6 +10,7 @@ import (
 
 	"visibility/internal/autotrace"
 	"visibility/internal/core"
+	"visibility/internal/data"
 	"visibility/internal/paint"
 	"visibility/internal/privilege"
 	"visibility/internal/raycast"
@@ -54,9 +55,10 @@ func runExact(t *testing.T, fac core.Factory, iters int, body loop,
 
 	seq := core.NewSeq(tree, init)
 	seqStream := core.NewStream(tree)
+	var wants [][]*data.Store
 	for it := 0; it < iters; it++ {
 		for _, task := range body(seqStream, p, g, it) {
-			seq.Run(task, core.HashKernel{})
+			wants = append(wants, seq.Run(task, core.HashKernel{}))
 		}
 	}
 
@@ -75,7 +77,7 @@ func runExact(t *testing.T, fac core.Factory, iters int, body loop,
 		}
 	}
 
-	for id, want := range seq.Inputs {
+	for id, want := range wants {
 		for ri := range want {
 			if want[ri] != nil && !want[ri].Equal(inputs[id][ri]) {
 				t.Fatalf("%s: task %d req %d diverged:\n%s", fac.Name, id, ri, want[ri].Diff(inputs[id][ri]))

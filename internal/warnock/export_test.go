@@ -27,8 +27,9 @@ func (w *Warnock) geometry(fs *fieldState) []*eqset.Node {
 // CheckResolved compares the owner and remembered cuts of every geometry
 // node the refinement tree wears or reaches with a fresh resolution from
 // the node's points, and checks that each leaf's set wears its node's
-// geometry and that each region's memoized sets lie inside the region —
-// what lets a memoized lookup descend without testing.
+// geometry and holds a history of footprints the eqset kernel allows
+// (testutil.CheckFootprints), and that each region's memoized sets lie
+// inside the region — what lets a memoized lookup descend without testing.
 func (w *Warnock) CheckResolved() error {
 	for f := 0; f < w.tree.Fields.Len(); f++ {
 		fs, ok := w.state[field.ID(f)]
@@ -37,8 +38,13 @@ func (w *Warnock) CheckResolved() error {
 		}
 		var walk func(*bnode) error
 		walk = func(b *bnode) error {
-			if b.set != nil && b.set.G != b.g {
-				return fmt.Errorf("field %d: leaf %v holds set %v", f, b.g.Pts, b.set.G.Pts)
+			if b.set != nil {
+				if b.set.G != b.g {
+					return fmt.Errorf("field %d: leaf %v holds set %v", f, b.g.Pts, b.set.G.Pts)
+				}
+				if err := testutil.CheckFootprints(b.g, b.set.Hist, w.tree); err != nil {
+					return fmt.Errorf("field %d: %v", f, err)
+				}
 			}
 			for _, c := range b.children {
 				if err := walk(c); err != nil {

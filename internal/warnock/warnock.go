@@ -216,7 +216,7 @@ func (w *Warnock) Refine(t *core.Task, ri int, _ bool, inside []part) []part {
 // (Figure 9 lines 30-31).
 func (w *Warnock) Write(t *core.Task, ri int, inside []part) {
 	for _, p := range inside {
-		p.S.Hist = w.k.Overwrite(p.S.Hist, eqset.Entry{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv})
+		p.S.Hist = w.k.Overwrite(p.S.Hist, core.Entry{Task: t.ID, Req: int32(ri), Priv: t.Reqs[ri].Priv})
 		w.k.Touch(p.S, 1)
 	}
 }

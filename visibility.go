@@ -552,11 +552,7 @@ func (rt *Runtime) Launch(spec TaskSpec) Future {
 		if spec.Kernel.Body != nil {
 			seqBody = func(inputs []*data.Store) { spec.Kernel.Body(snapshots(inputs)) }
 		}
-		ts.seq.RunBody(t, k, seqBody)
-		// Each task's expected inputs are read once, so a Validate
-		// runtime holds none past its launch.
-		want = ts.seq.Inputs[t.ID]
-		delete(ts.seq.Inputs, t.ID)
+		want = ts.seq.RunBody(t, k, seqBody)
 	}
 
 	var body func([]*data.Store)

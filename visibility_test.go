@@ -325,9 +325,9 @@ func TestWaitedRuntimesHoldNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestValidateKeepsNoInputs checks that a Validate runtime does not grow
-// with its launches: the sequential interpreter's expected inputs for a
-// task are dropped once its execution has been checked against them.
+// TestValidateKeepsNoInputs checks a Validate runtime over many launches:
+// the sequential interpreter hands each launch its expected inputs and
+// keeps no table of them, so nothing grows with the launches.
 func TestValidateKeepsNoInputs(t *testing.T) {
 	rt := visibility.New(visibility.Config{Validate: true})
 	defer rt.Close()
@@ -344,9 +344,6 @@ func TestValidateKeepsNoInputs(t *testing.T) {
 	}
 	if v, _ := rt.Read(r, "v").Get(visibility.Pt(0)); v != 250 {
 		t.Errorf("v[0] = %v, want 250", v)
-	}
-	if n := visibility.ExpectedInputs(r); n != 0 {
-		t.Errorf("%d tasks' expected inputs left behind after 1,001 launches", n)
 	}
 }
 
