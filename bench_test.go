@@ -102,8 +102,9 @@ func BenchmarkFig17PennantWeak(b *testing.B) { benchFigure(b, pennant.New, "penn
 // cost-model attribution (resolving who owns the state a launch touches);
 // BenchmarkHarnessLaunch is the same launch with that included. The _auto
 // legs wrap the algorithm in the autotracer and warm up until its loop
-// replays, so they time a replayed launch (its catch-up is not timed); one
-// fails if fewer than 90% of its timed launches replay.
+// replays, so they time a replayed launch and, once b.N passes about 8,000,
+// the catch-up the autotracer drains every 8,192 replays; one fails if
+// fewer than 90% of its timed launches replay.
 func BenchmarkAnalyzePerLaunch(b *testing.B) {
 	for _, name := range algo.Names() {
 		for _, spec := range []algo.Spec{{Algorithm: name}, {Algorithm: name, AutoTrace: true}} {
@@ -231,6 +232,44 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// BenchmarkSessionGrowth measures what a Runtime keeps per launch
+// (ROADMAP item 8): the heap after a collection at 10⁴ and at 10⁵ launches
+// of writeReduceLoop, reported as B/launch between the two, for each
+// analyzer and for ray casting autotraced. One iteration is one session of
+// 10⁵ launches, so run it at -benchtime 1x.
+func BenchmarkSessionGrowth(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		cfg  visibility.Config
+	}{
+		{"raycast", visibility.Config{Algorithm: "raycast"}},
+		{"warnock", visibility.Config{Algorithm: "warnock"}},
+		{"paint", visibility.Config{Algorithm: "paint"}},
+		{"raycast+autotrace", visibility.Config{Algorithm: "raycast", AutoTrace: true}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			const from, to = 10_000, 100_000
+			var grown int64
+			for i := 0; i < b.N; i++ {
+				rt := visibility.New(leg.cfg)
+				_, launch := writeReduceLoop(rt)
+				var heap int64
+				for n := 0; n < to; n++ {
+					if n == from {
+						rt.Wait()
+						heap = liveHeap()
+					}
+					launch(n)
+				}
+				rt.Wait()
+				grown += liveHeap() - heap
+				rt.Close()
+			}
+			b.ReportMetric(float64(grown)/float64(b.N)/(to-from), "B/launch")
+		})
+	}
 }
 
 // BenchmarkObsOverhead is the observability-layer overhead guard: it

@@ -12,7 +12,7 @@ import (
 // eviction (window/2): window / (2 * minReps) = 2048 launches, which covers
 // circuit's 3-launch-per-node loop to 512 nodes.
 const (
-	window    = 8192 // launch hashes retained
+	window    = 8192 // launch hashes retained; also the most replays owed
 	minPeriod = 1    // even a single-launch loop body replays profitably
 	minReps   = 2    // consecutive copies seen before a candidate commits
 )
@@ -85,7 +85,8 @@ type Auto struct {
 
 	// pending holds launches whose analysis was replayed (skipped); the
 	// wrapped analyzer must observe them before it can analyze anything
-	// new.
+	// new. It holds fewer than window: replay drains a full window, so a
+	// loop that never exits owes a bounded debt.
 	pending []*core.Task
 
 	// The counters live on the options' obs registry (atomics), so the
@@ -282,6 +283,9 @@ func (a *Auto) record(t *core.Task) *core.Result {
 func (a *Auto) replay(t *core.Task) *core.Result {
 	a.pending = append(a.pending, t)
 	a.pendingLen.Add(1)
+	if len(a.pending) == window {
+		a.drain()
+	}
 	a.replayed.Inc()
 	// Replay is a constant-time local operation per launch.
 	a.opts.Probe.Touch(core.LocalOwner, 1)

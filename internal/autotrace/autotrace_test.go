@@ -53,7 +53,7 @@ func runSchedule(t *testing.T, fac core.Factory, iters int, opts core.Options, s
 	init := testutil.FullInit(tree)
 	kern := core.HashKernel{}
 
-	seq := core.NewSeq(tree, init)
+	seq := core.NewSeq(init)
 	seqStream := core.NewStream(tree)
 	var wants [][]*data.Store
 	for it := 0; it < iters; it++ {
@@ -63,7 +63,7 @@ func runSchedule(t *testing.T, fac core.Factory, iters int, opts core.Options, s
 	}
 
 	auto := autotrace.New(fac.New(tree), opts)
-	launch, inputs := testutil.Serial(testutil.Lockstep(t, auto, fac.New(tree)), init)
+	launch, inputs := testutil.Serial(t, testutil.Lockstep(t, auto, fac.New(tree)), init)
 	stream := core.NewStream(tree)
 	for it := 0; it < iters; it++ {
 		for _, task := range sched(stream, p, g, it) {
@@ -209,6 +209,37 @@ func TestAutoTraceSoundness(t *testing.T) {
 	}
 	if err := core.CheckSound(got, core.ExactDeps(stream.Tasks)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayAllocations pins a steady replayed launch of the Figure 1
+// loop on ray casting at zero allocations: the replayed Result and its
+// slices come from the autotracer's chunks, and the launch it owes joins
+// pending, both amortized far below one allocation a launch. Every task
+// is launched up front, so only Analyze is measured.
+func TestReplayAllocations(t *testing.T) {
+	const runs = 600
+	tree, p, g := testutil.GraphTree()
+	auto := autotrace.New(raycast.New(tree, core.Options{}), core.Options{})
+	stream := core.NewStream(tree)
+	var tasks []*core.Task
+	for it := 0; len(tasks) < 6*6+runs+1; it++ {
+		tasks = append(tasks, loopIter(stream, p, g, it)...)
+	}
+	// Iterations 0-1 detect, 2-3 record, 4-5 replay.
+	for _, task := range tasks[:6*6] {
+		auto.Analyze(task)
+	}
+	next := 6 * 6
+	allocs := testing.AllocsPerRun(runs, func() {
+		auto.Analyze(tasks[next])
+		next++
+	})
+	if st := auto.AutoStats(); st.Trace.Replayed != int64(next-4*6) {
+		t.Fatalf("replayed %d launches, want %d", st.Trace.Replayed, next-4*6)
+	}
+	if allocs != 0 {
+		t.Errorf("a replayed launch allocates %v times, want 0", allocs)
 	}
 }
 

@@ -208,12 +208,12 @@ func TestSeqReduceOverUndefined(t *testing.T) {
 	fs := field.NewSpace()
 	fs.Add("a")
 	tree := region.NewTree("R", index.FromRect(geometry.R1(0, 3)), fs)
-	seq := core.NewSeq(tree, map[field.ID]*data.Store{0: data.NewStore(tree.Root.Space)})
+	seq := core.NewSeq(map[field.ID]*data.Store{0: data.NewStore(tree.Root.Space)})
 	s := core.NewStream(tree)
 	red := s.Launch("red", core.Req{Region: tree.Root, Field: 0, Priv: privilege.Reduces(privilege.OpSum)})
 	seq.Run(red, constKernel{7})
-	if got := seq.Global(0).MustGet(geometry.Pt1(0)); got != 7 {
-		t.Errorf("reduce over undefined = %v, want 7", got)
+	if got, ok := seq.Global(0).Get(geometry.Pt1(0)); !ok || got != 7 {
+		t.Errorf("reduce over undefined = %v (defined %v), want 7", got, ok)
 	}
 }
 

@@ -19,19 +19,6 @@ func ReqsInterfere(a, b Req) bool {
 	return a.Region.Space.Overlaps(b.Region.Space)
 }
 
-// TasksInterfere reports whether any pair of requirements of s and t
-// interferes.
-func TasksInterfere(s, t *Task) bool {
-	for _, a := range s.Reqs {
-		for _, b := range t.Reqs {
-			if ReqsInterfere(a, b) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ExactDeps computes, for every task in the stream, the complete set of
 // earlier tasks it interferes with — the quadratic reference analysis that
 // the visibility algorithms must preserve (directly or transitively).
@@ -42,9 +29,15 @@ func ExactDeps(tasks []*Task) [][]int {
 		if t.ID != i {
 			panic(fmt.Sprintf("core: task %v at position %d", t, i))
 		}
-		for j := 0; j < i; j++ {
-			if TasksInterfere(tasks[j], t) {
-				out[i] = append(out[i], j)
+	earlier:
+		for j, s := range tasks[:i] {
+			for _, a := range s.Reqs {
+				for _, b := range t.Reqs {
+					if ReqsInterfere(a, b) {
+						out[i] = append(out[i], j)
+						continue earlier
+					}
+				}
 			}
 		}
 		// Future consumption is an exact ordering edge too.

@@ -48,7 +48,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 					testutil.LaunchT2(seqStream, p, g, i)
 				}
 			}
-			seq := core.NewSeq(tree, init)
+			seq := core.NewSeq(init)
 			for _, task := range seqStream.Tasks {
 				seq.Run(task, kern)
 			}

@@ -7,7 +7,6 @@ import (
 	"visibility/internal/field"
 	"visibility/internal/geometry"
 	"visibility/internal/privilege"
-	"visibility/internal/region"
 )
 
 // Kernel supplies the data transformation performed by each task. Kernels
@@ -30,7 +29,6 @@ type Kernel interface {
 // implementing the blending semantics of §3.1 directly (writes overwrite,
 // reductions fold eagerly, reads observe the current value).
 type Seq struct {
-	tree *region.Tree
 	// global is the single mutable store per field; Run folds every task
 	// into it in program order on one goroutine.
 	global map[field.ID]*data.Store
@@ -38,12 +36,12 @@ type Seq struct {
 
 // NewSeq creates a sequential interpreter with the given initial contents
 // per field. The stores are cloned; the caller's copies are not mutated.
-func NewSeq(tree *region.Tree, init map[field.ID]*data.Store) *Seq {
+func NewSeq(init map[field.ID]*data.Store) *Seq {
 	g := make(map[field.ID]*data.Store, len(init))
 	for f, s := range init {
 		g[f] = s.Clone()
 	}
-	return &Seq{tree: tree, global: g}
+	return &Seq{global: g}
 }
 
 // Global returns the current global store for field f.

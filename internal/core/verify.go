@@ -45,7 +45,7 @@ func Verify(stream *Stream, init map[field.ID]*data.Store, k Kernel, factories .
 		finals = append(finals, ft)
 	}
 
-	seq := NewSeq(tree, init)
+	seq := NewSeq(init)
 	wants := make([][]*data.Store, len(extended.Tasks))
 	for _, t := range extended.Tasks {
 		wants[t.ID] = seq.Run(t, k)

@@ -45,16 +45,18 @@ func blend(ops []op, v0 float64) (final float64, reads []float64) {
 	tree := region.NewTree("R", index.FromRect(geometry.R1(0, 0)), fs)
 	init := data.NewStore(tree.Root.Space)
 	init.Set(geometry.Pt1(0), v0)
-	seq := core.NewSeq(tree, map[field.ID]*data.Store{0: init})
+	seq := core.NewSeq(map[field.ID]*data.Store{0: init})
 	s := core.NewStream(tree)
 	for _, o := range ops {
 		task := s.Launch("op", core.Req{Region: tree.Root, Field: 0, Priv: o.priv})
 		inputs := seq.Run(task, constKernel(o.x))
 		if o.priv.IsRead() {
-			reads = append(reads, inputs[0].MustGet(geometry.Pt1(0)))
+			v, _ := inputs[0].Get(geometry.Pt1(0))
+			reads = append(reads, v)
 		}
 	}
-	return seq.Global(0).MustGet(geometry.Pt1(0)), reads
+	final, _ = seq.Global(0).Get(geometry.Pt1(0))
+	return final, reads
 }
 
 // TestBlendPaperSemantics runs §3.1's example: writes are opaque,

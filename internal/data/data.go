@@ -136,17 +136,6 @@ func (s *Store) Get(p geometry.Point) (float64, bool) {
 	return 0, false
 }
 
-// MustGet returns the value at p and panics if p is undefined, which in the
-// coherence engines indicates a materialization hole (a bug, not a user
-// error).
-func (s *Store) MustGet(p geometry.Point) float64 {
-	v, ok := s.Get(p)
-	if !ok {
-		panic(fmt.Sprintf("data: undefined point %v", p))
-	}
-	return v
-}
-
 // Set assigns v to p, which must be a point of the store's space.
 func (s *Store) Set(p geometry.Point, v float64) {
 	i := s.index(p)

@@ -24,11 +24,8 @@ func TestStoreBasics(t *testing.T) {
 	if v, ok := s.Get(p); !ok || v != 3.5 {
 		t.Errorf("Get = %v, %v", v, ok)
 	}
-	if s.MustGet(p) != 3.5 {
-		t.Error("MustGet wrong")
-	}
 	s.Set(p, 4)
-	if s.Len() != 1 || s.MustGet(p) != 4 {
+	if v, ok := s.Get(p); s.Len() != 1 || !ok || v != 4 {
 		t.Error("Set should overwrite")
 	}
 	if _, ok := s.Get(geometry.Pt2(4, 0)); ok {
@@ -42,22 +39,13 @@ func TestStoreBasics(t *testing.T) {
 	s.Set(geometry.Pt2(4, 0), 1)
 }
 
-func TestMustGetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewStore(index.FromRect(geometry.R1(0, 3))).MustGet(geometry.Pt1(0))
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	s := NewStore(index.FromRect(geometry.R1(0, 3)))
 	s.Set(geometry.Pt1(0), 1)
 	c := s.Clone()
 	c.Set(geometry.Pt1(0), 2)
 	c.Set(geometry.Pt1(1), 2)
-	if s.MustGet(geometry.Pt1(0)) != 1 || s.Len() != 1 {
+	if v, _ := s.Get(geometry.Pt1(0)); v != 1 || s.Len() != 1 {
 		t.Error("Clone aliases original")
 	}
 	if !s.Equal(s.Clone()) {
@@ -72,7 +60,7 @@ func TestRestrict(t *testing.T) {
 	if r.Len() != 3 {
 		t.Errorf("Restrict len = %d", r.Len())
 	}
-	if r.MustGet(geometry.Pt1(4)) != 4 {
+	if v, ok := r.Get(geometry.Pt1(4)); !ok || v != 4 {
 		t.Error("Restrict value wrong")
 	}
 	if _, ok := r.Get(geometry.Pt1(6)); ok {

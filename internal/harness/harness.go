@@ -110,8 +110,6 @@ type Result struct {
 	UnitName          string
 	Launches          int
 	Stats             core.Stats
-	Messages          int64
-	MessageBytes      int64
 	// ExecUtilization and UtilUtilization are the mean busy fractions of
 	// the execution (GPU) and utility (analysis) processors over the run.
 	ExecUtilization float64
@@ -209,7 +207,6 @@ func Run(cfg Config) (*Result, error) {
 	total := driver.Barrier()
 	iterTime := (total - initTime) / float64(iters)
 
-	msgs, bytes := machine.Messages()
 	var execBusy, utilBusy float64
 	for n := 0; n < cfg.Nodes; n++ {
 		execBusy += machine.NodeBusy(n)
@@ -229,8 +226,6 @@ func Run(cfg Config) (*Result, error) {
 		UnitName:          inst.UnitName,
 		Launches:          launches,
 		Stats:             *driver.Analyzer().Stats(),
-		Messages:          msgs,
-		MessageBytes:      bytes,
 		ExecUtilization:   execBusy / span,
 		UtilUtilization:   utilBusy / span,
 		Metrics:           reg.Snapshot(),

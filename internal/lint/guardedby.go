@@ -15,21 +15,17 @@ import (
 // The scheduler and server layers protect shared state with sync.Mutex,
 // but Go offers no way to bind a mutex to the fields it protects; an
 // access added outside the critical section compiles cleanly and only
-// fails as an intermittent race. The checker tracks Lock/RLock/Unlock/
-// RUnlock calls flow-sensitively through each function body (branches,
-// loops, defers) and reports any annotated-field access at a point where
-// the guard is not known to be held.
-//
-// sync.RWMutex is understood: RLock grants read access only — a read
-// under RLock is legal, a write (assignment, compound assignment, ++/--,
-// or a store through an index like x.f[k] = v) under only RLock is its
-// own finding. Lock grants both.
+// fails as an intermittent race. The checker tracks Lock/Unlock calls
+// flow-sensitively through each function body (branches, loops, defers)
+// and reports any annotated-field access at a point where the guard is not
+// known to be held. Only Lock holds a guard: an access under a read lock
+// alone is reported like any other unguarded access.
 //
 // Conventions understood:
-//   - "defer x.mu.Unlock()" / "defer x.mu.RUnlock()" keep the guard held
-//     (in its acquired mode) to the end of the function;
+//   - "defer x.mu.Unlock()" keeps the guard held to the end of the
+//     function;
 //   - a function whose name ends in "Locked" is assumed to be called
-//     with every guard of its receiver already write-held;
+//     with every guard of its receiver already held;
 //   - function literals are analyzed with no guards held (they may run
 //     on another goroutine);
 //   - composite literals do not count as field accesses, so constructors
@@ -41,7 +37,7 @@ import (
 // rather than guarded fields.
 var Guardedby = &Analyzer{
 	Name: "guardedby",
-	Doc:  "report accesses to '// guarded by <mu>' fields without the guard held (writes require the write lock)",
+	Doc:  "report accesses to '// guarded by <mu>' fields without the guard held",
 	Run:  runGuardedby,
 }
 
@@ -53,14 +49,6 @@ type guardInfo struct {
 	fieldName  string
 	guard      string // sibling field holding the mutex
 }
-
-// lockMode is what an acquired guard permits.
-type lockMode uint8
-
-const (
-	modeRead  lockMode = 1 << iota // RLock
-	modeWrite                      // Lock (implies read)
-)
 
 func runGuardedby(pass *Pass) error {
 	guards := collectGuards(pass)
@@ -74,13 +62,13 @@ func runGuardedby(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			held := make(map[string]lockMode)
+			held := make(map[string]bool)
 			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				// Callee contract: every guard of the receiver is held.
 				if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
 					recv := fd.Recv.List[0].Names[0].Name
 					for _, gi := range guards {
-						held[recv+"."+gi.guard] = modeRead | modeWrite
+						held[recv+"."+gi.guard] = true
 					}
 				}
 			}
@@ -148,26 +136,26 @@ func fieldList(fl *ast.Field) string {
 	return strings.Join(names, ", ")
 }
 
-// lockWalker is a conservative flow-sensitive lock tracker. held maps a
-// rendered guard path ("x.mu") to the mode that mutex is known held in.
+// lockWalker is a conservative flow-sensitive lock tracker. held is the set
+// of rendered guard paths ("x.mu") known to be held.
 type lockWalker struct {
 	pass   *Pass
 	guards map[*types.Var]guardInfo
 }
 
-func clone(m map[string]lockMode) map[string]lockMode {
-	out := make(map[string]lockMode, len(m))
+func clone(m map[string]bool) map[string]bool {
+	out := make(map[string]bool, len(m))
 	for k, v := range m {
 		out[k] = v
 	}
 	return out
 }
 
-func intersect(a, b map[string]lockMode) map[string]lockMode {
-	out := make(map[string]lockMode)
+func intersect(a, b map[string]bool) map[string]bool {
+	out := make(map[string]bool)
 	for k := range a {
-		if m := a[k] & b[k]; m != 0 {
-			out[k] = m
+		if b[k] {
+			out[k] = true
 		}
 	}
 	return out
@@ -193,70 +181,47 @@ func pathOf(e ast.Expr) string {
 	return ""
 }
 
-// lockOp classifies a call as a guard acquisition/release; mode is the
-// access the acquisition grants (0 for releases).
-func lockOp(call *ast.CallExpr) (path string, mode lockMode, release bool, ok bool) {
+// lockOp classifies a call as a guard acquisition (Lock) or release
+// (Unlock).
+func lockOp(call *ast.CallExpr) (path string, release bool, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel || len(call.Args) != 0 {
-		return "", 0, false, false
+		return "", false, false
 	}
 	switch sel.Sel.Name {
 	case "Lock":
-		mode = modeRead | modeWrite
-	case "RLock":
-		mode = modeRead
-	case "Unlock", "RUnlock":
+	case "Unlock":
 		release = true
 	default:
-		return "", 0, false, false
+		return "", false, false
 	}
 	p := pathOf(sel.X)
 	if p == "" {
-		return "", 0, false, false
+		return "", false, false
 	}
-	return p, mode, release, true
+	return p, release, true
 }
 
 // exprs checks every guarded-field access inside e (which must not itself
-// be a statement) under the current held set, as reads. Function literals
-// are walked with an empty held set.
-func (w *lockWalker) exprs(e ast.Node, held map[string]lockMode) {
+// be a statement) under the current held set. Function literals are
+// walked with an empty held set.
+func (w *lockWalker) exprs(e ast.Node, held map[string]bool) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.stmts(n.Body.List, make(map[string]lockMode))
+			w.stmts(n.Body.List, make(map[string]bool))
 			return false
 		case *ast.SelectorExpr:
-			w.checkAccess(n, held, false)
+			w.checkAccess(n, held)
 		}
 		return true
 	})
 }
 
-// lvalue checks an assignment target: the outermost selected field is a
-// write (also through an index or pointer dereference); everything below
-// it is read.
-func (w *lockWalker) lvalue(e ast.Expr, held map[string]lockMode) {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		w.lvalue(e.X, held)
-	case *ast.StarExpr:
-		w.lvalue(e.X, held)
-	case *ast.IndexExpr:
-		w.lvalue(e.X, held)
-		w.exprs(e.Index, held)
-	case *ast.SelectorExpr:
-		w.checkAccess(e, held, true)
-		w.exprs(e.X, held)
-	default:
-		w.exprs(e, held)
-	}
-}
-
-func (w *lockWalker) checkAccess(sel *ast.SelectorExpr, held map[string]lockMode, write bool) {
+func (w *lockWalker) checkAccess(sel *ast.SelectorExpr, held map[string]bool) {
 	s, ok := w.pass.Info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return
@@ -275,20 +240,15 @@ func (w *lockWalker) checkAccess(sel *ast.SelectorExpr, held map[string]lockMode
 		// to a tracked guard; stay silent rather than guess.
 		return
 	}
-	mode := held[base+"."+gi.guard]
-	switch {
-	case mode == 0:
+	if !held[base+"."+gi.guard] {
 		w.pass.Reportf(sel.Sel.Pos(), "access to %s.%s (guarded by %s) without holding %s.%s",
-			gi.structName, gi.fieldName, gi.guard, base, gi.guard)
-	case write && mode&modeWrite == 0:
-		w.pass.Reportf(sel.Sel.Pos(), "write to %s.%s (guarded by %s) while holding only a read lock on %s.%s; use Lock, not RLock",
 			gi.structName, gi.fieldName, gi.guard, base, gi.guard)
 	}
 }
 
 // stmts walks a statement list, returning the held set after the list and
 // whether control definitely leaves it (return/branch/goto).
-func (w *lockWalker) stmts(list []ast.Stmt, held map[string]lockMode) (map[string]lockMode, bool) {
+func (w *lockWalker) stmts(list []ast.Stmt, held map[string]bool) (map[string]bool, bool) {
 	for _, s := range list {
 		var term bool
 		held, term = w.stmt(s, held)
@@ -299,16 +259,16 @@ func (w *lockWalker) stmts(list []ast.Stmt, held map[string]lockMode) (map[strin
 	return held, false
 }
 
-func (w *lockWalker) stmt(s ast.Stmt, held map[string]lockMode) (map[string]lockMode, bool) {
+func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) (map[string]bool, bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if path, mode, release, ok := lockOp(call); ok {
+			if path, release, ok := lockOp(call); ok {
 				held = clone(held)
 				if release {
 					delete(held, path)
 				} else {
-					held[path] = mode
+					held[path] = true
 				}
 				return held, false
 			}
@@ -317,9 +277,8 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]lockMode) (map[string]lock
 		return held, false
 
 	case *ast.DeferStmt:
-		if _, _, release, ok := lockOp(s.Call); ok && release {
-			// Deferred release: the guard stays held, in whatever mode it
-			// was acquired, to function end.
+		if _, release, ok := lockOp(s.Call); ok && release {
+			// Deferred release: the guard stays held to function end.
 			return held, false
 		}
 		w.exprs(s.Call, held)
@@ -334,12 +293,12 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]lockMode) (map[string]lock
 			w.exprs(e, held)
 		}
 		for _, e := range s.Lhs {
-			w.lvalue(e, held)
+			w.exprs(e, held)
 		}
 		return held, false
 
 	case *ast.IncDecStmt:
-		w.lvalue(s.X, held)
+		w.exprs(s.X, held)
 		return held, false
 
 	case *ast.SendStmt:
@@ -433,7 +392,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]lockMode) (map[string]lock
 
 // clauses merges case/comm clause bodies: a guard survives only if held
 // on every non-terminating path, including the no-case-taken path.
-func (w *lockWalker) clauses(list []ast.Stmt, held map[string]lockMode) (map[string]lockMode, bool) {
+func (w *lockWalker) clauses(list []ast.Stmt, held map[string]bool) (map[string]bool, bool) {
 	after := held
 	for _, c := range list {
 		var body []ast.Stmt

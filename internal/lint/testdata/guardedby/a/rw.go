@@ -1,5 +1,5 @@
-// RWMutex cases: RLock grants read access only — reads under RLock are
-// legal, writes need the full Lock.
+// RWMutex cases: only Lock holds a guard. A read lock does not, so an
+// access under RLock alone, read or write, is reported as unguarded.
 package a
 
 import "sync"
@@ -11,39 +11,29 @@ type gauge struct {
 	val int
 }
 
-func (g *gauge) read() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.val
-}
-
 func (g *gauge) write(v int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.val = v
 }
 
-func (g *gauge) writeUnderRead(v int) {
+func (g *gauge) readUnderRead() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	g.val = v // want `write to gauge\.val \(guarded by mu\) while holding only a read lock on g\.mu; use Lock, not RLock`
-}
-
-func (g *gauge) incUnderRead() {
-	g.mu.RLock()
-	g.val++ // want `write to gauge\.val \(guarded by mu\) while holding only a read lock on g\.mu`
-	g.mu.RUnlock()
-}
-
-func (g *gauge) unlockedRead() int {
 	return g.val // want `access to gauge\.val \(guarded by mu\) without holding g\.mu`
 }
 
-// upgrade drops the read lock before taking the write lock; both regions
-// are legal.
+func (g *gauge) writeUnderRead(v int) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	g.val = v // want `access to gauge\.val \(guarded by mu\) without holding g\.mu`
+}
+
+// upgrade drops the read lock before taking the write lock: only the
+// access under the write lock is guarded.
 func (g *gauge) upgrade(v int) {
 	g.mu.RLock()
-	n := g.val
+	n := g.val // want `access to gauge\.val \(guarded by mu\) without holding g\.mu`
 	g.mu.RUnlock()
 	g.mu.Lock()
 	g.val = n + v

@@ -73,7 +73,7 @@ func (rc *RayCast) Analyze(t *core.Task) *core.Result { return rc.k.Analyze(t) }
 
 // place is where the store keeps a set.
 type place struct {
-	id     int
+	id     int // K-d mode's key; ascending in insertion order
 	bucket int // owning DCP piece index; -1 in K-d mode
 }
 
@@ -90,7 +90,7 @@ type bucketList struct {
 }
 
 type fieldState struct {
-	nextID int
+	nextID int // the next K-d set's id
 
 	// geom roots the interned geometry: one node per piece (the root's in
 	// K-d mode), so a bucket's owner is its node's and piece ∩ region, what
@@ -318,7 +318,7 @@ func (rc *RayCast) remove(fs *fieldState, s *set) {
 				return
 			}
 		}
-		panic(fmt.Sprintf("raycast: set %d (%v) is not in its bucket %d", s.At.id, s.G.Pts, s.At.bucket))
+		panic(fmt.Sprintf("raycast: set %v is not in its bucket %d", s.G.Pts, s.At.bucket))
 	}
 	fs.kd.Remove(s.At.id)
 	delete(fs.kdSets, s.At.id)
@@ -328,8 +328,6 @@ func (rc *RayCast) remove(fs *fieldState, s *set) {
 // in their parent's piece) or registers it in the K-d container.
 func (rc *RayCast) insert(fs *fieldState, s *set) {
 	if fs.dcp != nil {
-		s.At.id = fs.nextID
-		fs.nextID++
 		fs.buckets[s.At.bucket] = append(fs.buckets[s.At.bucket], s)
 		rc.k.Touch(s, 1)
 		return
@@ -444,9 +442,7 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []part) {
 	// One coalesced set per piece the write covers. The pruned sets of a
 	// bucket are all of its sets inside the region, and tile piece ∩ region:
 	// one pass drops them, keeping the survivors' order, and that point set
-	// is their union. Bucket order fixes the new sets' ids, which downstream
-	// scans report in: ascending, so two runs of the same stream emit
-	// identical output.
+	// is their union.
 	sort.Ints(rc.written)
 	for i, bi := range rc.written {
 		if i > 0 && bi == rc.written[i-1] {
@@ -459,8 +455,7 @@ func (rc *RayCast) Write(t *core.Task, ri int, inside []part) {
 			}
 			return s.Dead
 		})
-		ns := rc.k.NewSet(fs.geom[bi].Cut(req.Region).In, rc.k.Overwrite(old, e), place{id: fs.nextID, bucket: bi})
-		fs.nextID++
+		ns := rc.k.NewSet(fs.geom[bi].Cut(req.Region).In, rc.k.Overwrite(old, e), place{bucket: bi})
 		fs.buckets[bi] = append(live, ns)
 		rc.k.Stats.SetsCreated++
 		// Invalidate-and-replace is one batched update per owner.

@@ -149,16 +149,6 @@ func (r *Region) Path() []*Region {
 	return out
 }
 
-// IsAncestorOf reports whether r is a strict ancestor region of o.
-func (r *Region) IsAncestorOf(o *Region) bool {
-	for cur := o.ParentRegion(); cur != nil; cur = cur.ParentRegion() {
-		if cur == r {
-			return true
-		}
-	}
-	return false
-}
-
 func (r *Region) String() string {
 	return fmt.Sprintf("%s%v", r.Name, r.Space.Bounds())
 }

@@ -242,7 +242,6 @@ func (srv *Server) createSession(req sessionRequest, seed func(cfg visibility.Co
 		id:       id,
 		srv:      srv,
 		req:      req,
-		created:  time.Now(),
 		seq:      int64(srv.nextID),
 		rt:       rt,
 		env:      env,

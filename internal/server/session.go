@@ -18,11 +18,10 @@ import (
 // observes the batch (read-after-launch coherence), and two tenants never
 // contend.
 type session struct {
-	id      string
-	srv     *Server
-	req     sessionRequest // what rt was configured with, default algorithm filled in
-	created time.Time
-	seq     int64 // numeric id journaled in flight-recorder events
+	id  string
+	srv *Server
+	req sessionRequest // what rt was configured with, default algorithm filled in
+	seq int64          // numeric id journaled in flight-recorder events
 
 	run sync.Mutex          // held by the request whose job is running
 	rt  *visibility.Runtime // guarded by run

@@ -97,12 +97,20 @@ func FullInit(tree *region.Tree) map[field.ID]*data.Store {
 // Serial runs launches through an on a core.Executor over init, draining
 // after each so that a missing dependence is a deterministic wrong answer
 // rather than a race, and collects every task's materialized inputs by
-// task ID. launch returns the task's dependence row (core.Row).
-func Serial(an core.Analyzer, init map[field.ID]*data.Store) (launch func(*core.Task) []int, inputs map[int][]*data.Store) {
+// task ID. launch returns the task's dependence row (core.Row). A panic
+// out of the analysis (a core.Checked violation, say) fails t rather than
+// the whole test binary; launch must be called from t's goroutine.
+func Serial(t testing.TB, an core.Analyzer, init map[field.ID]*data.Store) (launch func(*core.Task) []int, inputs map[int][]*data.Store) {
 	x := core.NewExecutor(an, init, nil)
 	inputs = make(map[int][]*data.Store)
-	return func(task *core.Task) []int {
-		_, deps := x.Submit(task, core.HashKernel{}, func(in []*data.Store) { inputs[task.ID] = in })
+	return func(task *core.Task) (deps []int) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%v: %v", task, r)
+			}
+		}()
+		_, deps = x.Submit(task, core.HashKernel{}, func(in []*data.Store) { inputs[task.ID] = in })
 		x.Drain()
 		return deps
 	}, inputs

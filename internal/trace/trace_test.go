@@ -53,7 +53,7 @@ func runExact(t *testing.T, fac core.Factory, iters int, body loop,
 	tree, p, g := testutil.GraphTree()
 	init := testutil.FullInit(tree)
 
-	seq := core.NewSeq(tree, init)
+	seq := core.NewSeq(init)
 	seqStream := core.NewStream(tree)
 	var wants [][]*data.Store
 	for it := 0; it < iters; it++ {
@@ -63,7 +63,7 @@ func runExact(t *testing.T, fac core.Factory, iters int, body loop,
 	}
 
 	inner := fac.New(tree)
-	launch, inputs := testutil.Serial(wrap(inner), init)
+	launch, inputs := testutil.Serial(t, wrap(inner), init)
 	stream := core.NewStream(tree)
 	for it := 0; it < iters; it++ {
 		if bracket != nil {

@@ -34,33 +34,24 @@ func NewEnv(rt *visibility.Runtime) *Env {
 func EnvFromRestore(rt *visibility.Runtime, roots map[string]*visibility.Region) (*Env, error) {
 	e := NewEnv(rt)
 	for _, r := range roots {
-		if err := e.Adopt(r); err != nil {
+		if err := e.names.free(r.Name()); err != nil {
 			return nil, err
+		}
+		root := &entry{kind: "region", name: r.Name(), fields: make(map[string]bool), region: r}
+		root.root = root
+		for _, f := range r.Fields() {
+			root.fields[f] = true
+		}
+		e.names[root.name] = root
+		for _, p := range r.Partitions() {
+			name := p.PartitionName()
+			if err := e.names.free(name); err != nil {
+				return nil, err
+			}
+			e.names[name] = &entry{kind: "partition", name: name, root: root, pieces: p.Len(), part: p}
 		}
 	}
 	return e, nil
-}
-
-// Adopt registers an existing root region and its partitions into the
-// environment's namespace.
-func (e *Env) Adopt(r *visibility.Region) error {
-	if err := e.names.free(r.Name()); err != nil {
-		return err
-	}
-	root := &entry{kind: "region", name: r.Name(), fields: make(map[string]bool), region: r}
-	root.root = root
-	for _, f := range r.Fields() {
-		root.fields[f] = true
-	}
-	e.names[root.name] = root
-	for _, p := range r.Partitions() {
-		name := p.PartitionName()
-		if err := e.names.free(name); err != nil {
-			return err
-		}
-		e.names[name] = &entry{kind: "partition", name: name, root: root, pieces: p.Len(), part: p}
-	}
-	return nil
 }
 
 // Region returns the declared root region with the given name, or nil.

@@ -613,7 +613,7 @@ func (rt *Runtime) freeze(ts *treeState) {
 	ts.stream = core.NewStream(ts.tree)
 	ts.exec = core.NewExecutor(ts.stack.Analyzer, ts.init, rt.cfg.Recorder)
 	if rt.cfg.Validate {
-		ts.seq = core.NewSeq(ts.tree, ts.init)
+		ts.seq = core.NewSeq(ts.init)
 	}
 	ts.init = nil
 }

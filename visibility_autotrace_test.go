@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"visibility"
+	"visibility/internal/obs"
 )
 
 // autoLoopRun executes the same unbracketed loop app under cfg and
@@ -69,5 +70,74 @@ func TestAutoTraceStatsZero(t *testing.T) {
 	if st.Candidates != 0 || st.Instances != 0 || st.Aborts != 0 ||
 		st.Trace.Recorded != 0 || st.Trace.Replayed != 0 || st.Trace.Invalidations != 0 {
 		t.Errorf("AutoTraceStats without AutoTrace = %+v", st)
+	}
+}
+
+// writeReduceLoop declares a 1,024-point region in 8 pieces and returns it
+// with a launcher for a 16-launch loop over it: launch i writes piece
+// i/2 mod 8 when i is even and reduces into it when i is odd.
+func writeReduceLoop(rt *visibility.Runtime) (*visibility.Region, func(i int)) {
+	g := rt.CreateRegion("g", visibility.Line(0, 1023), "v")
+	pieces := g.PartitionEqual("P", 8)
+	return g, func(i int) {
+		piece := pieces.Sub(i / 2 % 8)
+		if i%2 == 0 {
+			rt.Launch(visibility.TaskSpec{
+				Name:     "write",
+				Accesses: []visibility.Access{visibility.Write(piece, "v")},
+				Kernel:   visibility.Kernel{Write: func(_ int, _ visibility.Point, in float64) float64 { return in + 1 }},
+			})
+			return
+		}
+		rt.Launch(visibility.TaskSpec{
+			Name:     "reduce",
+			Accesses: []visibility.Access{visibility.Reduce(visibility.OpSum, piece, "v")},
+			Kernel:   visibility.Kernel{Reduce: func(int, visibility.Point) float64 { return 2 }},
+		})
+	}
+}
+
+// TestAutoTraceOwesAtMostOneWindow runs a loop that never exits, so no
+// launch outside an instance ever drains the replayed ones. The
+// autotracer must still owe the wrapped analyzer at most one detector
+// window (8,192 launches), and the values must equal an untraced run.
+func TestAutoTraceOwesAtMostOneWindow(t *testing.T) {
+	const launches, bound = 20000, 8192
+	values := func(rt *visibility.Runtime, g *visibility.Region) []float64 {
+		snap := rt.Read(g, "v")
+		out := make([]float64, 1024)
+		for x := range out {
+			out[x], _ = snap.Get(visibility.Pt(int64(x)))
+		}
+		return out
+	}
+	plain := visibility.New(visibility.Config{})
+	defer plain.Close()
+	g, launch := writeReduceLoop(plain)
+	for i := 0; i < launches; i++ {
+		launch(i)
+	}
+	want := values(plain, g)
+
+	reg := obs.NewRegistry()
+	rt := visibility.New(visibility.Config{AutoTrace: true, Validate: true, Metrics: reg})
+	defer rt.Close()
+	g, launch = writeReduceLoop(rt)
+	pending, most := reg.NewGauge("trace/pending"), int64(0)
+	for i := 0; i < launches; i++ {
+		launch(i)
+		most = max(most, pending.Load())
+	}
+	if most > bound {
+		t.Errorf("trace/pending reached %d, want at most %d", most, bound)
+	}
+	if st := rt.AutoTraceStats(g); st.Trace.Replayed < bound {
+		t.Errorf("replayed %d launches, want at least %d for the bound to bite", st.Trace.Replayed, bound)
+	}
+	got := values(rt, g)
+	for x := range want {
+		if got[x] != want[x] {
+			t.Fatalf("point %d = %v under autotracing, want %v", x, got[x], want[x])
+		}
 	}
 }
